@@ -85,7 +85,7 @@ let primitive_tests =
         off = 128;
         notify = false;
         swab = false;
-        data = Bytes.make 40 'x';
+        data = Rmem.Wire.view (Bytes.make 40 'x');
       }
   in
   let encoded = Rmem.Wire.encode message in

@@ -26,12 +26,26 @@ let words_of_len len = (len + 3) / 4
 (* 32-bit words touched by programmed I/O to move [len] payload bytes. *)
 
 (* The AAL5 trailer carries a CRC-32 over the frame payload; we model it
-   with an FNV-1a digest, which is enough to make any single corrupted
-   byte detectable.  Verification is free in simulated time (the real
+   with a multiply-xorshift digest that consumes the payload as 32-bit
+   little-endian words (the last 0-3 bytes form one short word) into the
+   full 63-bit OCaml int.  For a fixed word every step -- xor the word in,
+   multiply by an odd constant, xor-shift -- is a bijection of the state,
+   so changing any one word, and in particular flipping any single bit,
+   changes the digest.  Verification is free in simulated time (the real
    interface checks it in hardware as cells drain). *)
+let mix h w =
+  let h = (h lxor w) * 0x100000001B3 in
+  h lxor (h lsr 29)
+
 let checksum payload =
-  let h = ref 0x811C9DC5 in
-  for i = 0 to Bytes.length payload - 1 do
-    h := (!h lxor Char.code (Bytes.get payload i)) * 0x01000193 land 0x3FFFFFFF
+  let len = Bytes.length payload in
+  let words = len / 4 in
+  let h = ref (0x811C9DC5 lxor len) in
+  for i = 0 to words - 1 do
+    h := mix !h (Int32.to_int (Bytes.get_int32_le payload (4 * i)) land 0xFFFFFFFF)
   done;
-  !h
+  let tail = ref 0 in
+  for i = len - 1 downto 4 * words do
+    tail := (!tail lsl 8) lor Char.code (Bytes.get payload i)
+  done;
+  if len > 4 * words then mix !h !tail else !h

@@ -48,10 +48,12 @@ let put_u64 w v =
   Bytes.set_int64_le w.buf w.pos (Int64.of_int v);
   w.pos <- w.pos + 8
 
-let put_bytes w b =
-  ensure w (Bytes.length b);
-  Bytes.blit b 0 w.buf w.pos (Bytes.length b);
-  w.pos <- w.pos + Bytes.length b
+let put_sub w b ~pos ~len =
+  ensure w len;
+  Bytes.blit b pos w.buf w.pos len;
+  w.pos <- w.pos + len
+
+let put_bytes w b = put_sub w b ~pos:0 ~len:(Bytes.length b)
 
 let put_string w s =
   let n = String.length s in
@@ -66,9 +68,17 @@ let put_padding w n =
   Bytes.fill w.buf w.pos n '\000';
   w.pos <- w.pos + n
 
+let reserve w n =
+  if n < 0 then invalid_arg "Codec.reserve";
+  ensure w n;
+  w.pos <- w.pos + n
+
 let length w = w.pos
 
-let contents w = Bytes.sub w.buf 0 w.pos
+(* A writer filled to its capacity hands over its buffer, not a copy.
+   Any later put reallocates first, so it cannot alias the result. *)
+let contents w =
+  if w.pos = Bytes.length w.buf then w.buf else Bytes.sub w.buf 0 w.pos
 
 type reader = { data : bytes; mutable rpos : int }
 

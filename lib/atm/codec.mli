@@ -15,12 +15,23 @@ val put_i32 : writer -> int32 -> unit
 val put_u64 : writer -> int -> unit
 val put_bytes : writer -> bytes -> unit
 
+val put_sub : writer -> bytes -> pos:int -> len:int -> unit
+(** [len] bytes of the buffer from [pos]. *)
+
 val put_string : writer -> string -> unit
 (** Length-prefixed (u16). *)
 
 val put_padding : writer -> int -> unit
+
+val reserve : writer -> int -> unit
+(** [reserve w n] skips [n] bytes, left unwritten for the caller to fill
+    in the buffer {!contents} returns. *)
+
 val length : writer -> int
+
 val contents : writer -> bytes
+(** The bytes written so far. A writer created with exactly the capacity
+    it was filled to returns its own buffer, without a copy. *)
 
 (** {1 Reading} *)
 

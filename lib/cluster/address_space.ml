@@ -33,9 +33,9 @@ let check_range t ~addr ~len =
 let page_of t addr = addr / t.page_size
 
 let page t index =
-  match Hashtbl.find_opt t.pages index with
-  | Some bytes -> bytes
-  | None ->
+  match Hashtbl.find t.pages index with
+  | bytes -> bytes
+  | exception Not_found ->
       let bytes = Bytes.make t.page_size '\000' in
       Hashtbl.add t.pages index bytes;
       bytes
@@ -53,16 +53,23 @@ let iter_range t ~addr ~len f =
   in
   go addr len 0
 
+let read_into t ~addr ~len dst ~pos =
+  check_range t ~addr ~len;
+  iter_range t ~addr ~len (fun pg off done_ span ->
+      Bytes.blit pg off dst (pos + done_) span)
+
 let read t ~addr ~len =
   check_range t ~addr ~len;
   let out = Bytes.create len in
-  iter_range t ~addr ~len (fun pg off pos span -> Bytes.blit pg off out pos span);
+  read_into t ~addr ~len out ~pos:0;
   out
 
-let write t ~addr data =
-  let len = Bytes.length data in
+let write_from t ~addr src ~pos ~len =
   check_range t ~addr ~len;
-  iter_range t ~addr ~len (fun pg off pos span -> Bytes.blit data pos pg off span)
+  iter_range t ~addr ~len (fun pg off done_ span ->
+      Bytes.blit src (pos + done_) pg off span)
+
+let write t ~addr data = write_from t ~addr data ~pos:0 ~len:(Bytes.length data)
 
 let read_word t ~addr =
   let b = read t ~addr ~len:4 in

@@ -21,6 +21,14 @@ val page_size : t -> int
 val read : t -> addr:int -> len:int -> bytes
 val write : t -> addr:int -> bytes -> unit
 
+val read_into : t -> addr:int -> len:int -> bytes -> pos:int -> unit
+(** [read_into t ~addr ~len dst ~pos] copies [len] bytes from [addr] into
+    [dst] at [pos]: {!read} without the fresh buffer. *)
+
+val write_from : t -> addr:int -> bytes -> pos:int -> len:int -> unit
+(** [write_from t ~addr src ~pos ~len] stores [len] bytes of [src] from
+    [pos] at [addr]: {!write} of a sub-range without cutting it out. *)
+
 val read_word : t -> addr:int -> int32
 val write_word : t -> addr:int -> int32 -> unit
 

@@ -25,11 +25,12 @@ let keystream_byte key i =
   let z = Int64.logxor z (Int64.shift_right_logical z 27) in
   Int64.to_int (Int64.shift_right_logical z ((i mod 8) * 8)) land 0xFF
 
-let transform t data =
-  let out = Bytes.copy data in
-  for i = 0 to Bytes.length data - 1 do
+let transform t ?(pos = 0) ?len data =
+  let len = match len with Some n -> n | None -> Bytes.length data - pos in
+  let out = Bytes.create len in
+  for i = 0 to len - 1 do
     Bytes.set out i
-      (Char.chr (Char.code (Bytes.get data i) lxor keystream_byte t.key i))
+      (Char.chr (Char.code (Bytes.get data (pos + i)) lxor keystream_byte t.key i))
   done;
   out
 

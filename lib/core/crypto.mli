@@ -7,9 +7,12 @@ type t
 
 val make : key:int -> per_word_cost:Sim.Time.t -> t
 
-val transform : t -> bytes -> bytes
-(** Encrypt/decrypt (involution). Two endpoints agree iff their keys
-    match; a receiver without the right key sees ciphertext. *)
+val transform : t -> ?pos:int -> ?len:int -> bytes -> bytes
+(** Encrypt/decrypt (involution) [len] bytes from [pos] (default: the
+    whole buffer) into a fresh buffer, the byte at [pos] taking the
+    first key-stream byte.
+    Two endpoints agree iff their keys match; a receiver without the
+    right key sees ciphertext. *)
 
 val cost : t -> bytes:int -> Sim.Time.t
 (** CPU time to transform [bytes] at the configured per-word rate. *)

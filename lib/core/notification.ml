@@ -83,7 +83,7 @@ let wait t =
   end
   else
     Sim.Proc.suspend_on
-      ~resource:(Printf.sprintf "notification %S" t.name)
+      ~resource:(Sim.Engine.Quoted ("notification", t.name))
       (fun resume -> Queue.push resume t.waiters)
 
 let try_read t =

@@ -254,22 +254,30 @@ let with_batch t ~batch f =
 
 let set_crypto t crypto = t.crypto <- crypto
 
-(* Apply link encryption on the way out / in, charging its cost. *)
-let crypto_out t data =
+(* Link encryption (an involution, so also decryption) into a fresh
+   buffer, and the CPU it costs; both are no-ops without a key. *)
+let crypt t (v : Wire.view) =
   match t.crypto with
-  | None -> data
+  | None -> v
   | Some crypto ->
-      Cluster.Cpu.use (cpu t) ~category:t.client_category
-        (Crypto.cost crypto ~bytes:(Bytes.length data));
-      Crypto.transform crypto data
+      Wire.view (Crypto.transform crypto ~pos:v.Wire.pos ~len:v.Wire.len v.Wire.buf)
 
-let crypto_in t ~category data =
+let charge_crypto t ~category bytes =
   match t.crypto with
-  | None -> data
-  | Some crypto ->
-      Cluster.Cpu.use (cpu t) ~category
-        (Crypto.cost crypto ~bytes:(Bytes.length data));
-      Crypto.transform crypto data
+  | None -> ()
+  | Some crypto -> Cluster.Cpu.use (cpu t) ~category (Crypto.cost crypto ~bytes)
+
+(* Received data as it is deposited: the view into the frame itself,
+   unless decryption or the swab bit transforms it into a fresh buffer. *)
+let received t ~category ~swab (v : Wire.view) =
+  charge_crypto t ~category v.Wire.len;
+  let v = crypt t v in
+  if swab then Wire.view (Wire.swap_words ~pos:v.Wire.pos ~len:v.Wire.len v.Wire.buf)
+  else v
+
+let deposit space ~addr (v : Wire.view) =
+  Cluster.Address_space.write_from space ~addr v.Wire.buf ~pos:v.Wire.pos
+    ~len:v.Wire.len
 
 (* ------------------------------------------------------------------ *)
 (* Segment export / revoke / import.                                   *)
@@ -405,29 +413,31 @@ let write t desc ~off ?(notify = false) ?(swab = false) data =
   let dst = Descriptor.remote desc in
   let seg = Descriptor.segment_id desc in
   let gen = Descriptor.generation desc in
-  let send_chunk ~off ~notify chunk =
+  let send_chunk ~pos ~len ~notify =
+    (* Framed before the FIFO copy is charged, so the frame holds the
+       caller's bytes as they were at issue, not after the CPU wait. *)
+    let frame =
+      Wire.encode
+        (Wire.Write
+           { seg; gen; off = off + pos; notify; swab;
+             data = crypt t { Wire.buf = data; pos; len } })
+    in
     Obs.Trace.phase fl "nic";
-    Cluster.Cpu.use (cpu t) ~category:t.client_category
-      (tx_data_cost c (Bytes.length chunk));
-    let chunk = crypto_out t chunk in
+    Cluster.Cpu.use (cpu t) ~category:t.client_category (tx_data_cost c len);
+    charge_crypto t ~category:t.client_category len;
     Obs.Trace.phase_end fl;
-    Cluster.Node.transmit
-      ?ctx:(Obs.Trace.wire_ctx fl)
-      t.node ~dst
-      (Wire.encode (Wire.Write { seg; gen; off; notify; swab; data = chunk }))
+    Cluster.Node.transmit ?ctx:(Obs.Trace.wire_ctx fl) t.node ~dst frame
   in
   if count = 0 then
     (* A zero-length write still sends its header cell — useful as a
        doorbell when combined with the notify bit. *)
-    send_chunk ~off ~notify Bytes.empty
+    send_chunk ~pos:0 ~len:0 ~notify
   else begin
     let rec send pos =
       if pos < count then begin
-        let chunk_len = Stdlib.min burst (count - pos) in
-        let last = pos + chunk_len >= count in
-        send_chunk ~off:(off + pos) ~notify:(notify && last)
-          (Bytes.sub data pos chunk_len);
-        send (pos + chunk_len)
+        let len = Stdlib.min burst (count - pos) in
+        send_chunk ~pos ~len ~notify:(notify && pos + len >= count);
+        send (pos + len)
       end
     in
     send 0
@@ -448,13 +458,13 @@ let write_burst t desc ?(notify = false) ?(swab = false) extents =
       (fun (off, data) ->
         if Bytes.length data = 0 then
           invalid_arg "Remote_memory.write_burst: empty extent";
-        { Wire.off; data })
+        { Wire.off; data = Wire.view data })
       extents
   in
   List.iter
     (fun it ->
       check_local t desc Rights.Write_op ~off:it.Wire.off
-        ~count:(Bytes.length it.Wire.data))
+        ~count:it.Wire.data.Wire.len)
     items;
   let total = Wire.burst_payload_bytes items in
   let first_off = (List.hd items).Wire.off in
@@ -481,7 +491,11 @@ let write_burst t desc ?(notify = false) ?(swab = false) extents =
   Metrics.Account.add t.ops ~category:"write burst" 1.;
   Metrics.Account.add t.data_bytes ~category:"write" (float_of_int total);
   let items =
-    List.map (fun it -> { it with Wire.data = crypto_out t it.Wire.data }) items
+    List.map
+      (fun it ->
+        charge_crypto t ~category:t.client_category it.Wire.data.Wire.len;
+        { it with Wire.data = crypt t it.Wire.data })
+      items
   in
   Obs.Trace.phase fl "nic";
   Cluster.Cpu.use (cpu t) ~category:t.client_category
@@ -931,7 +945,7 @@ let validate_segment t ~src ~seg ~gen ~off ~count op =
 
 let handle_write t ~src (w : Wire.write_req) =
   let c = costs t in
-  let count = Bytes.length w.data in
+  let count = w.data.Wire.len in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
   Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
     (Sim.Time.add
@@ -971,11 +985,9 @@ let handle_write t ~src (w : Wire.write_req) =
   | Ok segment ->
       if Segment.write_inhibited segment then drop Status.Write_inhibited
       else begin
-        let data = crypto_in t ~category:t.rx_request_category w.data in
-        let data = if w.swab then Wire.swap_words data else data in
-        Cluster.Address_space.write (Segment.space segment)
+        deposit (Segment.space segment)
           ~addr:(Segment.base segment + w.off)
-          data;
+          (received t ~category:t.rx_request_category ~swab:w.swab w.data);
         Metrics.Account.add t.data_bytes ~category:"write served"
           (float_of_int count);
         let notified = Segment.should_notify segment ~requested:w.notify in
@@ -1039,7 +1051,7 @@ let handle_write_burst t ~src (b : Wire.write_burst) =
   let rec validate = function
     | [] -> Ok ()
     | it :: rest -> (
-        let count = Bytes.length it.Wire.data in
+        let count = it.Wire.data.Wire.len in
         match
           validate_segment t ~src ~seg:b.seg ~gen:b.gen ~off:it.Wire.off ~count
             Rights.Write_op
@@ -1060,21 +1072,19 @@ let handle_write_burst t ~src (b : Wire.write_burst) =
           let extents =
             List.map
               (fun it ->
-                let data =
-                  crypto_in t ~category:t.rx_request_category it.Wire.data
-                in
-                let data = if b.swab then Wire.swap_words data else data in
-                (it.Wire.off, data))
+                ( it.Wire.off,
+                  received t ~category:t.rx_request_category ~swab:b.swab
+                    it.Wire.data ))
               b.items
           in
           let n = List.length extents in
           let notified = Segment.should_notify segment ~requested:b.notify in
           List.iteri
             (fun i (off, data) ->
-              Cluster.Address_space.write (Segment.space segment)
+              deposit (Segment.space segment)
                 ~addr:(Segment.base segment + off)
                 data;
-              let count = Bytes.length data in
+              let count = data.Wire.len in
               Metrics.Account.add t.data_bytes ~category:"write served"
                 (float_of_int count);
               emit t
@@ -1111,10 +1121,10 @@ let handle_read t ~src (r : Wire.read_req) =
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 14))
        c.Cluster.Costs.descriptor_check);
-  let reply message =
+  let transmit_reply frame =
     Cluster.Node.transmit
       ?ctx:(Obs.Trace.serve_ctx sv ~label:"reply")
-      t.node ~dst:src (Wire.encode message)
+      t.node ~dst:src frame
   in
   match
     validate_segment t ~src ~seg:r.seg ~gen:r.gen ~off:r.soff ~count:r.count
@@ -1135,15 +1145,16 @@ let handle_read t ~src (r : Wire.read_req) =
            });
       Obs.Trace.serve_arg sv "status" (Status.to_string status);
       Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 8);
-      reply
-        (Wire.Read_reply
-           {
-             status;
-             reqid = r.reqid;
-             chunk_off = 0;
-             swab = r.swab;
-             data = Bytes.empty;
-           });
+      transmit_reply
+        (Wire.encode
+           (Wire.Read_reply
+              {
+                status;
+                reqid = r.reqid;
+                chunk_off = 0;
+                swab = r.swab;
+                data = Wire.view Bytes.empty;
+              }));
       Obs.Trace.serve_end sv
   | Ok segment ->
       Metrics.Account.add t.data_bytes ~category:"read served"
@@ -1172,30 +1183,25 @@ let handle_read t ~src (r : Wire.read_req) =
            });
       let burst = burst_data_bytes c in
       let send_chunk ~pos ~chunk_len =
-        let data =
-          Cluster.Address_space.read (Segment.space segment)
-            ~addr:(Segment.base segment + r.soff + pos)
+        (* The one copy of the data: segment memory straight into the
+           reply frame, taken before the copy's CPU is charged. *)
+        let frame =
+          Wire.read_reply_frame ~reqid:r.reqid ~chunk_off:pos ~swab:r.swab
             ~len:chunk_len
         in
+        Cluster.Address_space.read_into (Segment.space segment)
+          ~addr:(Segment.base segment + r.soff + pos)
+          ~len:chunk_len frame ~pos:Wire.header_bytes;
         Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
           (Sim.Time.add c.Cluster.Costs.vm_read (tx_data_cost c chunk_len));
-        let data =
-          match t.crypto with
-          | None -> data
-          | Some crypto ->
-              Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
-                (Crypto.cost crypto ~bytes:chunk_len);
-              Crypto.transform crypto data
-        in
-        reply
-          (Wire.Read_reply
-             {
-               status = Status.Ok;
-               reqid = r.reqid;
-               chunk_off = pos;
-               swab = r.swab;
-               data;
-             })
+        charge_crypto t ~category:t.tx_reply_category chunk_len;
+        (match t.crypto with
+        | None -> ()
+        | Some crypto ->
+            Bytes.blit
+              (Crypto.transform crypto ~pos:Wire.header_bytes ~len:chunk_len frame)
+              0 frame Wire.header_bytes chunk_len);
+        transmit_reply frame
       in
       (if r.count = 0 then send_chunk ~pos:0 ~chunk_len:0
        else begin
@@ -1283,7 +1289,7 @@ let handle_cas t ~src (r : Wire.cas_req) =
 
 let handle_read_reply t ~src (r : Wire.read_reply) =
   let c = costs t in
-  let count = Bytes.length r.data in
+  let count = r.data.Wire.len in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"deliver" in
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (Sim.Time.add
@@ -1319,11 +1325,9 @@ let handle_read_reply t ~src (r : Wire.read_reply) =
         Sim.Ivar.fill p.completion r.status
       end
       else begin
-        let data = crypto_in t ~category:t.client_category r.data in
-        let data = if r.swab then Wire.swap_words data else data in
-        Cluster.Address_space.write p.buf.space
+        deposit p.buf.space
           ~addr:(p.buf.base + p.doff + r.chunk_off)
-          data;
+          (received t ~category:t.client_category ~swab:r.swab r.data);
         p.received <- p.received + count;
         if p.received >= p.count then begin
           Hashtbl.remove t.pending r.reqid;

@@ -9,7 +9,15 @@
    A WRITE frame is exactly [8-byte header][data]: tag, segment id,
    export generation and offset, with the byte count implicit in the
    frame length.  One cell therefore carries 40 data bytes, matching the
-   paper.  Block transfers are sequences of such frames in bursts. *)
+   paper.  Block transfers are sequences of such frames in bursts.
+
+   Data fields are views, not copies: [encode] copies each view once,
+   into a frame buffer of exactly the frame's size, and [decode] returns
+   views into the received payload. *)
+
+type view = { buf : bytes; pos : int; len : int }
+
+let view buf = { buf; pos = 0; len = Bytes.length buf }
 
 type write_req = {
   seg : int;
@@ -17,7 +25,7 @@ type write_req = {
   off : int;
   notify : bool;
   swab : bool;
-  data : bytes;
+  data : view;
 }
 
 type read_req = {
@@ -35,7 +43,7 @@ type read_reply = {
   reqid : int;
   chunk_off : int;
   swab : bool;
-  data : bytes;
+  data : view;
 }
 
 type cas_req = {
@@ -58,7 +66,7 @@ type write_nack = {
   count : int;
 }
 
-type burst_item = { off : int; data : bytes }
+type burst_item = { off : int; data : view }
 
 type write_burst = {
   seg : int;
@@ -103,13 +111,13 @@ let tags =
 
 (* Swap the byte order of each aligned 32-bit word; a trailing partial
    word is left alone (word-structured data is the point of the bit). *)
-let swap_words data =
-  let out = Bytes.copy data in
-  let words = Bytes.length data / 4 in
-  for w = 0 to words - 1 do
+let swap_words ?(pos = 0) ?len data =
+  let len = match len with Some n -> n | None -> Bytes.length data - pos in
+  let out = Bytes.sub data pos len in
+  for w = 0 to (len / 4) - 1 do
     let base = w * 4 in
     for b = 0 to 3 do
-      Bytes.set out (base + b) (Bytes.get data (base + 3 - b))
+      Bytes.set out (base + b) (Bytes.get data (pos + base + 3 - b))
     done
   done;
   out
@@ -130,22 +138,39 @@ let burst_header_bytes = 6
 let burst_item_header_bytes = 8
 
 let burst_payload_bytes items =
-  List.fold_left (fun acc item -> acc + Bytes.length item.data) 0 items
+  List.fold_left (fun acc item -> acc + item.data.len) 0 items
 
 let burst_frame_bytes items =
   List.fold_left
-    (fun acc item -> acc + burst_item_header_bytes + Bytes.length item.data)
+    (fun acc item -> acc + burst_item_header_bytes + item.data.len)
     burst_header_bytes items
 
+(* The encoded size of each message: the tag byte plus its fields. *)
+let frame_bytes = function
+  | Write { data; _ } | Read_reply { data; _ } -> header_bytes + data.len
+  | Read _ -> 14
+  | Cas _ -> 18
+  | Cas_reply _ -> 8
+  | Write_nack _ -> 13
+  | Write_burst { items; _ } -> burst_frame_bytes items
+
+let put_view w v = Atm.Codec.put_sub w v.buf ~pos:v.pos ~len:v.len
+
+let put_read_reply_header w ~status ~reqid ~chunk_off ~swab =
+  Atm.Codec.put_u8 w (tag ~op:op_read_reply ~notify:false ~swab);
+  Atm.Codec.put_u8 w (Status.to_code status);
+  Atm.Codec.put_u16 w reqid;
+  Atm.Codec.put_u32 w chunk_off
+
 let encode message =
-  let w = Atm.Codec.writer ~capacity:64 () in
+  let w = Atm.Codec.writer ~capacity:(frame_bytes message) () in
   (match message with
   | Write { seg; gen; off; notify; swab; data } ->
       Atm.Codec.put_u8 w (tag ~op:op_write ~notify ~swab);
       Atm.Codec.put_u8 w seg;
       Atm.Codec.put_u16 w (Generation.to_int gen);
       Atm.Codec.put_u32 w off;
-      Atm.Codec.put_bytes w data
+      put_view w data
   | Read { seg; gen; soff; count; reqid; notify; swab } ->
       Atm.Codec.put_u8 w (tag ~op:op_read ~notify ~swab);
       Atm.Codec.put_u8 w seg;
@@ -154,11 +179,8 @@ let encode message =
       Atm.Codec.put_u32 w count;
       Atm.Codec.put_u16 w reqid
   | Read_reply { status; reqid; chunk_off; swab; data } ->
-      Atm.Codec.put_u8 w (tag ~op:op_read_reply ~notify:false ~swab);
-      Atm.Codec.put_u8 w (Status.to_code status);
-      Atm.Codec.put_u16 w reqid;
-      Atm.Codec.put_u32 w chunk_off;
-      Atm.Codec.put_bytes w data
+      put_read_reply_header w ~status ~reqid ~chunk_off ~swab;
+      put_view w data
   | Cas { seg; gen; doff; old_value; new_value; reqid; notify } ->
       Atm.Codec.put_u8 w (tag ~op:op_cas ~notify ~swab:false);
       Atm.Codec.put_u8 w seg;
@@ -187,12 +209,30 @@ let encode message =
       List.iter
         (fun { off; data } ->
           Atm.Codec.put_u32 w off;
-          Atm.Codec.put_u32 w (Bytes.length data);
-          Atm.Codec.put_bytes w data)
+          Atm.Codec.put_u32 w data.len;
+          put_view w data)
         items);
   Atm.Codec.contents w
 
+(* The server's READ reply: the frame is allocated at its final size
+   with the data left for the caller to copy segment memory straight
+   into, at [header_bytes]. *)
+let read_reply_frame ~reqid ~chunk_off ~swab ~len =
+  let w = Atm.Codec.writer ~capacity:(header_bytes + len) () in
+  put_read_reply_header w ~status:Status.Ok ~reqid ~chunk_off ~swab;
+  Atm.Codec.reserve w len;
+  Atm.Codec.contents w
+
 exception Bad_message of string
+
+(* A view of the next [len] bytes of the payload [r] reads, consumed in
+   place. *)
+let take r payload len =
+  let pos = Atm.Codec.position r in
+  Atm.Codec.skip r len;
+  { buf = payload; pos; len }
+
+let rest r payload = take r payload (Atm.Codec.remaining r)
 
 let decode payload =
   let r = Atm.Codec.reader payload in
@@ -206,7 +246,7 @@ let decode payload =
     let seg = Atm.Codec.get_u8 r in
     let gen = Generation.of_int (Atm.Codec.get_u16 r) in
     let off = Atm.Codec.get_u32 r in
-    Write { seg; gen; off; notify; swab; data = Atm.Codec.rest r }
+    Write { seg; gen; off; notify; swab; data = rest r payload }
   else if op = op_read then
     let seg = Atm.Codec.get_u8 r in
     let gen = Generation.of_int (Atm.Codec.get_u16 r) in
@@ -218,7 +258,7 @@ let decode payload =
     let status = Status.of_code (Atm.Codec.get_u8 r) in
     let reqid = Atm.Codec.get_u16 r in
     let chunk_off = Atm.Codec.get_u32 r in
-    Read_reply { status; reqid; chunk_off; swab; data = Atm.Codec.rest r }
+    Read_reply { status; reqid; chunk_off; swab; data = rest r payload }
   else if op = op_cas then
     let seg = Atm.Codec.get_u8 r in
     let gen = Generation.of_int (Atm.Codec.get_u16 r) in
@@ -249,7 +289,7 @@ let decode payload =
       else begin
         let off = Atm.Codec.get_u32 r in
         let len = Atm.Codec.get_u32 r in
-        decode_items (k - 1) ({ off; data = Atm.Codec.get_bytes r len } :: acc)
+        decode_items (k - 1) ({ off; data = take r payload len } :: acc)
       end
     in
     Write_burst { seg; gen; notify; swab; items = decode_items n [] }

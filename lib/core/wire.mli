@@ -2,7 +2,17 @@
 
     Every frame begins with a tag byte encoding the operation and the
     notify bit. A WRITE frame is exactly an 8-byte header followed by
-    data, so one ATM cell carries 40 data bytes — the paper's figure. *)
+    data, so one ATM cell carries 40 data bytes — the paper's figure.
+
+    Data fields are {!view}s: {!encode} copies each once, into a frame
+    of exactly the frame's size, and {!decode} returns views into the
+    payload it was given instead of copying the data out. *)
+
+type view = { buf : bytes; pos : int; len : int }
+(** The [len] bytes of [buf] from [pos]. *)
+
+val view : bytes -> view
+(** The whole buffer. *)
 
 type write_req = {
   seg : int;
@@ -10,7 +20,7 @@ type write_req = {
   off : int;
   notify : bool;
   swab : bool;  (** byte-swap the data words at the receiver (§3.6) *)
-  data : bytes;
+  data : view;
 }
 
 type read_req = {
@@ -28,7 +38,7 @@ type read_reply = {
   reqid : int;
   chunk_off : int;
   swab : bool;
-  data : bytes;
+  data : view;
 }
 
 type cas_req = {
@@ -56,7 +66,7 @@ type write_nack = {
     inhibit — reports the drop back so the issuer can surface it instead
     of silently losing data. *)
 
-type burst_item = { off : int; data : bytes }
+type burst_item = { off : int; data : view }
 
 type write_burst = {
   seg : int;
@@ -86,7 +96,8 @@ val tags : int list
 (** All protocol tag bytes to claim from the node demultiplexer. *)
 
 val header_bytes : int
-(** 8 — the request header carried in every cell group. *)
+(** 8 — the request header carried in every cell group, and the READ
+    reply header ahead of its data. *)
 
 val data_bytes_per_cell : int
 (** 40 — data bytes alongside the header in one 48-byte cell payload. *)
@@ -107,10 +118,21 @@ val burst_frame_bytes : burst_item list -> int
 (** Full frame size of a burst: header + per-extent descriptors + data. *)
 
 val encode : message -> bytes
-val decode : bytes -> message
-(** Raises {!Bad_message} or [Atm.Codec.Truncated] on malformed input. *)
+(** A fresh frame of exactly the message's encoded size. *)
 
-val swap_words : bytes -> bytes
-(** Byte-swap each aligned 32-bit word (a trailing partial word is left
-    alone) — the §3.6 heterogeneity conversion, applied by the receiving
-    side when a request's swab bit is set. *)
+val read_reply_frame :
+  reqid:int -> chunk_off:int -> swab:bool -> len:int -> bytes
+(** An [Ok] READ reply frame of [len] data bytes, identical to {!encode}'s
+    once the caller has filled the data, which is left unwritten at
+    [header_bytes]: the server copies segment memory straight in. *)
+
+val decode : bytes -> message
+(** Data fields are views into the argument, which must not change
+    while they are in use. Raises {!Bad_message} or
+    [Atm.Codec.Truncated] on malformed input. *)
+
+val swap_words : ?pos:int -> ?len:int -> bytes -> bytes
+(** Byte-swap each aligned 32-bit word of [len] bytes from [pos]
+    (default: the whole buffer) into a fresh buffer; a trailing partial
+    word is left alone. The §3.6 heterogeneity conversion, applied by
+    the receiving side when a request's swab bit is set. *)

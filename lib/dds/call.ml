@@ -27,12 +27,21 @@ type endpoint = {
 
 (* One endpoint per active-message plane, keyed by physical identity so
    distinct testbeds never collide; the reply handler is registered
-   exactly once per plane. *)
-let endpoints : (Amsg.t * endpoint) list ref = ref []
+   exactly once per plane.  The table holds its keys weakly: an endpoint
+   lives exactly as long as its plane, so a dropped testbed takes its
+   endpoints with it. *)
+module Planes = Ephemeron.K1.Make (struct
+  type t = Amsg.t
+
+  let equal = ( == )
+  let hash a = Atm.Addr.to_int (Cluster.Node.addr (Amsg.node a))
+end)
+
+let endpoints : endpoint Planes.t = Planes.create 16
 
 let endpoint amsg =
-  match List.find_opt (fun (a, _) -> a == amsg) !endpoints with
-  | Some (_, ep) -> ep
+  match Planes.find_opt endpoints amsg with
+  | Some ep -> ep
   | None ->
       let ep =
         {
@@ -56,7 +65,7 @@ let endpoint amsg =
                         (Bytes.sub body header_bytes
                            (Bytes.length body - header_bytes))))
           end);
-      endpoints := (amsg, ep) :: !endpoints;
+      Planes.replace endpoints amsg ep;
       ep
 
 let node ep = ep.node

@@ -4,9 +4,13 @@
    Table 1b's control/data traffic split: every consumption is attributed
    to a named category, and experiments read the per-category totals. *)
 
+(* A one-field float record is stored flat, so [add] updates it in place
+   without boxing the sum. *)
+type cell = { mutable total : float }
+
 type t = {
   name : string;
-  totals : (string, float ref) Hashtbl.t;
+  totals : (string, cell) Hashtbl.t;
   mutable order : string list; (* categories in first-seen order *)
 }
 
@@ -16,22 +20,24 @@ let create ?(name = "account") () =
 let name t = t.name
 
 let cell t category =
-  match Hashtbl.find_opt t.totals category with
-  | Some r -> r
-  | None ->
-      let r = ref 0. in
-      Hashtbl.add t.totals category r;
+  match Hashtbl.find t.totals category with
+  | c -> c
+  | exception Not_found ->
+      let c = { total = 0. } in
+      Hashtbl.add t.totals category c;
       t.order <- category :: t.order;
-      r
+      c
 
 let add t ~category x =
-  let r = cell t category in
-  r := !r +. x
+  let c = cell t category in
+  c.total <- c.total +. x
 
 let total_of t category =
-  match Hashtbl.find_opt t.totals category with Some r -> !r | None -> 0.
+  match Hashtbl.find t.totals category with
+  | c -> c.total
+  | exception Not_found -> 0.
 
-let grand_total t = Hashtbl.fold (fun _ r acc -> acc +. !r) t.totals 0.
+let grand_total t = Hashtbl.fold (fun _ c acc -> acc +. c.total) t.totals 0.
 
 let categories t = List.rev t.order
 

@@ -16,22 +16,23 @@ type t = { mutable phases : (string * sample) list (* newest first *) }
 let create () = { phases = [] }
 
 let record t name f =
-  let wall0 = Unix.gettimeofday () in
-  (* [Gc.minor_words] reads the allocation pointer and is exact at any
-     instant; the [quick_stat] counters for the older generation only
-     refresh at collection points, which multi-millisecond phases cross
-     but a short one may not — so the minor figure is the precise one. *)
-  let minor0 = Gc.minor_words () in
+  (* A minor collection at each boundary makes the [quick_stat] counters
+     current: promoted and major words only refresh at collections, so
+     without it [total_words] can mix an exact minor count with stale
+     older-generation ones and come out negative.  Both collections run
+     outside the timed interval. *)
+  Gc.minor ();
   let gc0 = Gc.quick_stat () in
+  let wall0 = Unix.gettimeofday () in
   let finish () =
-    let gc1 = Gc.quick_stat () in
-    let minor1 = Gc.minor_words () in
     let wall1 = Unix.gettimeofday () in
+    Gc.minor ();
+    let gc1 = Gc.quick_stat () in
     t.phases <-
       ( name,
         {
           wall_s = wall1 -. wall0;
-          minor_words = minor1 -. minor0;
+          minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
           promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words;
           major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
         } )

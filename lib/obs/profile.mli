@@ -1,6 +1,7 @@
 (** Host-time profiling of the simulator itself: wall-clock seconds and
-    GC allocation deltas per named run phase ([Gc.minor_words] for the
-    exact minor figure, [Gc.quick_stat] for the older generation).
+    GC allocation deltas per named run phase ([Gc.quick_stat], read
+    after a minor collection at each phase boundary so every counter is
+    current).
 
     Where the virtual clock measures the {e modeled} system, this
     measures the machine running the model — the instrument behind

@@ -18,6 +18,17 @@ type blocked = {
   since : Time.t;
 }
 
+(* What a waiter is and what it waits on, kept unformatted: waits and
+   spawns are hot, and only a blocked-waiter listing reads the text. *)
+type label = Text of string | Quoted of string * string | Numbered of string * int
+
+let label_to_string = function
+  | Text s -> s
+  | Quoted (kind, name) -> Printf.sprintf "%s %S" kind name
+  | Numbered (prefix, n) -> prefix ^ string_of_int n
+
+type waiter = { who : label; what : label; is_daemon : bool; blocked_at : Time.t }
+
 exception Deadlock of Time.t * blocked list
 
 type choice = { at : Time.t; enabled : int list }
@@ -29,7 +40,7 @@ type t = {
   mutable seq : int;
   mutable stopped : bool;
   mutable scheduler : scheduler option;
-  waiting : (int, blocked) Hashtbl.t;
+  waiting : (int, waiter) Hashtbl.t;
   mutable next_token : int;
   mutable detect_deadlock : bool;
   mutable spawns : int;
@@ -85,16 +96,23 @@ let next_spawn_id t =
 let register_blocked t ~process ~resource ~daemon =
   let token = t.next_token in
   t.next_token <- token + 1;
-  Hashtbl.replace t.waiting token { process; resource; daemon; since = t.now };
+  Hashtbl.replace t.waiting token
+    { who = process; what = resource; is_daemon = daemon; blocked_at = t.now };
   token
 
 let clear_blocked t token = Hashtbl.remove t.waiting token
 
 let blocked ?(daemons = false) t =
-  Hashtbl.fold (fun token b acc -> (token, b) :: acc) t.waiting []
-  |> List.filter (fun (_, b) -> daemons || not b.daemon)
+  Hashtbl.fold (fun token w acc -> (token, w) :: acc) t.waiting []
+  |> List.filter (fun (_, w) -> daemons || not w.is_daemon)
   |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-  |> List.map snd
+  |> List.map (fun (_, w) ->
+         {
+           process = label_to_string w.who;
+           resource = label_to_string w.what;
+           daemon = w.is_daemon;
+           since = w.blocked_at;
+         })
 
 let describe_blocked b =
   Printf.sprintf "%s blocked on %s since %s" b.process b.resource
@@ -111,12 +129,18 @@ let set_deadlock_detection t on = t.detect_deadlock <- on
 
 (* ---------------- Stepping ---------------- *)
 
+(* A match rather than [Fun.protect], whose [finally] closure would be
+   allocated on every event. *)
 let fire t (entry : (unit -> unit) Heap.entry) =
   t.now <- entry.Heap.time;
   t.fired <- t.fired + 1;
   let previous = t.firing in
   t.firing <- entry.Heap.seq;
-  Fun.protect ~finally:(fun () -> t.firing <- previous) entry.Heap.payload
+  match entry.Heap.payload () with
+  | () -> t.firing <- previous
+  | exception exn ->
+      t.firing <- previous;
+      raise exn
 
 let set_parent_tracking t on = t.track_parents <- on
 let parent t seq = Hashtbl.find_opt t.parents seq
@@ -163,7 +187,7 @@ let step t =
 let set_scheduler t scheduler = t.scheduler <- scheduler
 
 let has_nondaemon_blocked t =
-  Hashtbl.fold (fun _ b acc -> acc || not b.daemon) t.waiting false
+  Hashtbl.fold (fun _ w acc -> acc || not w.is_daemon) t.waiting false
 
 let run ?until t =
   t.stopped <- false;

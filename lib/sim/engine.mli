@@ -95,8 +95,15 @@ val step_seq : t -> int -> bool
     Synchronization primitives register who is blocked on what (via
     [Proc.suspend_on]) so deadlocks can be reported by name. *)
 
+type label =
+  | Text of string  (** printed as is *)
+  | Quoted of string * string  (** [Quoted (kind, name)] prints as [kind "name"] *)
+  | Numbered of string * int  (** [Numbered (prefix, n)] prints as [prefix ^ n] *)
+(** A process or resource name, formatted only when a {!blocked} list is
+    built, so that blocking and spawning never build strings. *)
+
 val register_blocked :
-  t -> process:string -> resource:string -> daemon:bool -> int
+  t -> process:label -> resource:label -> daemon:bool -> int
 (** Record a blocked waiter; returns a token for {!clear_blocked}. *)
 
 val clear_blocked : t -> int -> unit

@@ -32,7 +32,7 @@ let read t =
   | Full v -> v
   | Empty _ ->
       Proc.suspend_on
-        ~resource:(Printf.sprintf "ivar %S" t.name)
+        ~resource:(Engine.Quoted ("ivar", t.name))
         (fun resume ->
           match t.state with
           | Full v -> resume v

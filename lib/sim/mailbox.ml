@@ -2,13 +2,20 @@
 
 type 'a t = {
   name : string;
+  label : Engine.label; (* built once: NIC receive loops block per frame *)
   daemon : bool;
   messages : 'a Queue.t;
   readers : ('a -> unit) Queue.t;
 }
 
 let create ?(name = "mailbox") ?(daemon = false) () =
-  { name; daemon; messages = Queue.create (); readers = Queue.create () }
+  {
+    name;
+    label = Engine.Quoted ("mailbox", name);
+    daemon;
+    messages = Queue.create ();
+    readers = Queue.create ();
+  }
 
 let name t = t.name
 
@@ -25,9 +32,8 @@ let send t msg =
 let recv t =
   if not (Queue.is_empty t.messages) then Queue.pop t.messages
   else
-    Proc.suspend_on ~daemon:t.daemon
-      ~resource:(Printf.sprintf "mailbox %S" t.name)
-      (fun resume -> Queue.push resume t.readers)
+    Proc.suspend_on ~daemon:t.daemon ~resource:t.label (fun resume ->
+        Queue.push resume t.readers)
 
 let try_recv t =
   if Queue.is_empty t.messages then None else Some (Queue.pop t.messages)

@@ -16,20 +16,13 @@ open Effect.Deep
 type _ Effect.t +=
   | Wait : Time.t -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-  | Info : (Engine.t * string) Effect.t
-
-exception Not_in_process
+  | Info : (Engine.t * Engine.label) Effect.t
 
 let wait span = perform (Wait span)
 
 let yield () = perform (Wait Time.zero)
 
 let suspend register = perform (Suspend register)
-
-let self_name () =
-  match perform Info with
-  | _, name -> name
-  | exception Effect.Unhandled _ -> raise Not_in_process
 
 let suspend_on ?(daemon = false) ~resource register =
   match perform Info with
@@ -44,8 +37,8 @@ let suspend_on ?(daemon = false) ~resource register =
 let spawn ?(after = Time.zero) ?name engine body =
   let name =
     match name with
-    | Some name -> name
-    | None -> Printf.sprintf "proc%d" (Engine.next_spawn_id engine)
+    | Some name -> Engine.Text name
+    | None -> Engine.Numbered ("proc", Engine.next_spawn_id engine)
   in
   let run () =
     match_with body ()

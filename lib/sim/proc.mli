@@ -5,17 +5,12 @@
     time and {!suspend} blocks until some other activity resumes it.
     Calling either outside a process raises [Effect.Unhandled]. *)
 
-exception Not_in_process
-
 val spawn : ?after:Time.t -> ?name:string -> Engine.t -> (unit -> unit) -> unit
 (** [spawn engine body] schedules [body] to start as a process, [after]
     nanoseconds from now (default: immediately). [name] labels the
     process in deadlock reports (default ["proc<n>"], numbered per
     engine). Exceptions escaping [body] propagate out of
     [Engine.run]. *)
-
-val self_name : unit -> string
-(** The current process's name. Raises {!Not_in_process} outside one. *)
 
 val wait : Time.t -> unit
 (** Block the current process for the given duration of simulated time. *)
@@ -30,7 +25,7 @@ val suspend : (('a -> unit) -> unit) -> 'a
     value [v]. Double resumption raises [Invalid_argument]. *)
 
 val suspend_on :
-  ?daemon:bool -> resource:string -> (('a -> unit) -> unit) -> 'a
+  ?daemon:bool -> resource:Engine.label -> (('a -> unit) -> unit) -> 'a
 (** {!suspend}, but the block is recorded in the engine's waiter
     registry under the current process's name and [resource], and
     cleared on resume — the raw material of {!Engine.Deadlock} reports.

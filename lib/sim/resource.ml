@@ -5,6 +5,7 @@
 
 type t = {
   name : string;
+  label : Engine.label; (* built once: a busy CPU is contended per charge *)
   mutable busy : bool;
   waiters : (unit -> unit) Queue.t;
   mutable acquisitions : int;
@@ -12,7 +13,14 @@ type t = {
 }
 
 let create ?(name = "resource") () =
-  { name; busy = false; waiters = Queue.create (); acquisitions = 0; contended = 0 }
+  {
+    name;
+    label = Engine.Quoted ("resource", name);
+    busy = false;
+    waiters = Queue.create ();
+    acquisitions = 0;
+    contended = 0;
+  }
 
 let name t = t.name
 
@@ -27,9 +35,7 @@ let acquire t =
   if not t.busy then t.busy <- true
   else begin
     t.contended <- t.contended + 1;
-    Proc.suspend_on
-      ~resource:(Printf.sprintf "resource %S" t.name)
-      (fun resume -> Queue.push (fun () -> resume ()) t.waiters)
+    Proc.suspend_on ~resource:t.label (fun resume -> Queue.push resume t.waiters)
   end
 
 let release t =

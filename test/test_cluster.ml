@@ -18,6 +18,32 @@ let space_roundtrip =
       in
       Bytes.equal back data)
 
+(* The offset blits agree with [read] and [write]: [write_from] stores
+   exactly the sub-range [write] would store after cutting it out, and
+   [read_into] lands exactly [read]'s bytes at the offset, leaving the
+   rest of the destination alone. *)
+let space_offset_blits =
+  QCheck.Test.make ~name:"address space offset blits agree with read/write"
+    ~count:300
+    QCheck.(
+      quad (int_bound 20000) (string_of_size Gen.(0 -- 9000)) (int_bound 16)
+        (int_bound 16))
+    (fun (addr, payload, pre, post) ->
+      let data = Bytes.of_string payload in
+      let len = Bytes.length data in
+      let framed = Bytes.concat Bytes.empty [ Bytes.make pre 'a'; data; Bytes.make post 'z' ] in
+      let via_blit = space () and via_write = space () in
+      Cluster.Address_space.write_from via_blit ~addr framed ~pos:pre ~len;
+      Cluster.Address_space.write via_write ~addr data;
+      let dst = Bytes.make (pre + len + post) '#' in
+      Cluster.Address_space.read_into via_blit ~addr ~len dst ~pos:pre;
+      Bytes.equal
+        (Cluster.Address_space.read via_blit ~addr:(max 0 (addr - 8)) ~len:(len + 16))
+        (Cluster.Address_space.read via_write ~addr:(max 0 (addr - 8)) ~len:(len + 16))
+      && Bytes.equal (Bytes.sub dst pre len) (Cluster.Address_space.read via_write ~addr ~len)
+      && Bytes.equal (Bytes.sub dst 0 pre) (Bytes.make pre '#')
+      && Bytes.equal (Bytes.sub dst (pre + len) post) (Bytes.make post '#'))
+
 let space_demand_zero () =
   let s = space () in
   let b = Cluster.Address_space.read s ~addr:123456 ~len:64 in
@@ -176,4 +202,5 @@ let suite =
     Alcotest.test_case "node demux and crash" `Quick node_demux_and_crash;
     Alcotest.test_case "calibration constants pinned" `Quick costs_are_calibrated;
     QCheck_alcotest.to_alcotest space_roundtrip;
+    QCheck_alcotest.to_alcotest space_offset_blits;
   ]

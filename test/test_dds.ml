@@ -155,6 +155,21 @@ let call_at_most_once_under_loss () =
       check_int "each call executed exactly once" 20 !executions);
   Faults.Plane.uninstall plane
 
+(* An endpoint lives only as long as its plane: once a testbed is
+   dropped, nothing global keeps its endpoints (and, through them, the
+   whole testbed) reachable. *)
+let call_endpoint_dies_with_testbed () =
+  let weak = Weak.create 1 in
+  let build () =
+    let r = rig 2 in
+    let ep = Dds.Call.endpoint r.amsgs.(1) in
+    check_bool "one endpoint per plane" true (Dds.Call.endpoint r.amsgs.(1) == ep);
+    Weak.set weak 0 (Some ep)
+  in
+  build ();
+  Gc.full_major ();
+  check_bool "endpoint collected" false (Weak.check weak 0)
+
 (* --------------------------- Hashtable ----------------------------- *)
 
 let htab_basic kind () =
@@ -866,6 +881,8 @@ let suite =
     Alcotest.test_case "tag: busy sentinels rejected by decode" `Quick
       tag_busy_cells_refused;
     Alcotest.test_case "call: round trip" `Quick call_round_trip;
+    Alcotest.test_case "call: endpoint dies with its testbed" `Quick
+      call_endpoint_dies_with_testbed;
     Alcotest.test_case "call: at-most-once under loss" `Quick
       call_at_most_once_under_loss;
     Alcotest.test_case "hashtable: basic ops (dx)" `Quick

@@ -191,6 +191,73 @@ let crypto_and_swab_compose () =
             (Cluster.Address_space.read_word d.Rig.space1 ~addr:(i * 4)))
         values)
 
+(* What a data path that cuts every frame's data out into its own buffer
+   delivers: each chunk of [chunk] bytes (the frame size) goes through
+   the transforming [stages] on its own. *)
+let chunked ~chunk stages data =
+  let len = Bytes.length data in
+  let out = Bytes.create len in
+  let rec go pos =
+    if pos < len then begin
+      let n = min chunk (len - pos) in
+      let x = List.fold_left (fun x f -> f x) (Bytes.sub data pos n) stages in
+      Bytes.blit x 0 out pos n;
+      go (pos + n)
+    end
+  in
+  go 0;
+  out
+
+(* Every key arrangement (none, shared, sender only, mismatched) with and
+   without the swab bit, through WRITE, a two-extent burst and READ. *)
+let crypto_swab_match_copying_path =
+  QCheck.Test.make ~name:"crypto and swab deliver the copying path's bytes"
+    ~count:60
+    QCheck.(quad (int_range 2 2000) (int_bound 4000) (int_bound 3) bool)
+    (fun (size, off, keys, swab) ->
+      let an1 = Rmem.Crypto.hardware_an1 in
+      let other = Rmem.Crypto.make ~key:77 ~per_word_cost:Sim.Time.zero in
+      let c0, c1 =
+        match keys with
+        | 0 -> (None, None)
+        | 1 -> (Some an1, Some an1)
+        | 2 -> (Some an1, None)
+        | _ -> (Some an1, Some other)
+      in
+      let d = Rig.duo () in
+      Rmem.Remote_memory.set_crypto d.Rig.rmem0 c0;
+      Rmem.Remote_memory.set_crypto d.Rig.rmem1 c1;
+      let crypt c x = match c with None -> x | Some c -> Rmem.Crypto.transform c x in
+      let swapped x = if swab then Rmem.Wire.swap_words x else x in
+      let chunk =
+        (Cluster.Node.costs d.Rig.node0).Cluster.Costs.burst_cells
+        * Rmem.Wire.data_bytes_per_cell
+      in
+      let data = Bytes.init size (fun i -> Char.chr (((i * 7) + off) land 0xFF)) in
+      let half = size / 2 in
+      let extents =
+        [ (8192, Bytes.sub data 0 half); (8195 + half, Bytes.sub data half (size - half)) ]
+      in
+      Rig.run d (fun () ->
+          let _, desc = Rig.shared_segment ~len:16384 d in
+          Rmem.Remote_memory.write d.Rig.rmem0 desc ~off ~swab data;
+          Rmem.Remote_memory.write_burst d.Rig.rmem0 desc ~swab extents;
+          Rmem.Remote_memory.fence d.Rig.rmem0 desc;
+          let stored = Cluster.Address_space.read d.Rig.space1 ~addr:off ~len:size in
+          Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:off ~count:size
+            ~dst:(Rig.buffer0 d) ~doff:5 ~swab ();
+          let fetched = Cluster.Address_space.read d.Rig.space0 ~addr:5 ~len:size in
+          Bytes.equal stored (chunked ~chunk [ crypt c0; crypt c1; swapped ] data)
+          && List.for_all
+               (fun (addr, extent) ->
+                 Bytes.equal
+                   (Cluster.Address_space.read d.Rig.space1 ~addr
+                      ~len:(Bytes.length extent))
+                   (swapped (crypt c1 (crypt c0 extent))))
+               extents
+          && Bytes.equal fetched
+               (chunked ~chunk [ crypt c1; crypt c0; swapped ] stored)))
+
 (* ---------------- Eager push (§3.2) ---------------- *)
 
 let eager_push_updates_clerk_cache () =
@@ -301,4 +368,5 @@ let suite =
     QCheck_alcotest.to_alcotest crypto_is_involutive;
     QCheck_alcotest.to_alcotest crypto_keys_differ;
     QCheck_alcotest.to_alcotest burst_boundary_writes;
+    QCheck_alcotest.to_alcotest crypto_swab_match_copying_path;
   ]

@@ -233,7 +233,8 @@ let burst_gen =
     QCheck.Gen.(
       let item =
         map2
-          (fun off data -> { Rmem.Wire.off; data = Bytes.of_string data })
+          (fun off data ->
+            { Rmem.Wire.off; data = Rmem.Wire.view (Bytes.of_string data) })
           (int_bound 100_000)
           (string_size ~gen:char (1 -- 300))
       in
@@ -249,6 +250,8 @@ let burst_gen =
         (int_bound 63) (int_bound 65535) bool
         (list_size (1 -- 12) item))
 
+let viewed (v : Rmem.Wire.view) = Bytes.sub v.buf v.pos v.len
+
 let burst_roundtrip =
   QCheck.Test.make ~name:"burst codec roundtrip is byte-exact" ~count:300
     burst_gen (fun b ->
@@ -261,23 +264,50 @@ let burst_roundtrip =
           && List.length b'.Rmem.Wire.items = List.length b.Rmem.Wire.items
           && List.for_all2
                (fun (i : Rmem.Wire.burst_item) (j : Rmem.Wire.burst_item) ->
-                 i.off = j.off && Bytes.equal i.data j.data)
+                 i.off = j.off && Bytes.equal (viewed i.data) (viewed j.data))
                b'.Rmem.Wire.items b.Rmem.Wire.items
       | _ -> false)
 
+(* Flip bit [bit] of the frame's payload in place, ask the receiving
+   side's check, and flip it back. *)
+let detects_flip frame bit =
+  let p = Atm.Frame.payload frame in
+  let flip () =
+    Bytes.set p (bit / 8)
+      (Char.chr (Char.code (Bytes.get p (bit / 8)) lxor (1 lsl (bit mod 8))))
+  in
+  flip ();
+  let caught = not (Atm.Frame.intact frame) in
+  flip ();
+  caught
+
+let frame_of payload =
+  Atm.Frame.make ~src:(Atm.Addr.of_int 1) ~dst:(Atm.Addr.of_int 2) payload
+
+(* The checksum consumes 32-bit words, then a tail of up to three bytes:
+   every single-bit flip must show, in a burst frame (one random bit per
+   case) and, exhaustively, in a short frame of 0-7 bytes, which is all
+   tail or one word plus a tail. *)
 let burst_corruption_detected =
   QCheck.Test.make
     ~name:"AAL checksum catches every corrupted burst byte" ~count:300
-    QCheck.(pair burst_gen (int_bound 1_000_000))
-    (fun (b, byte) ->
-      let frame =
-        Atm.Frame.make
-          ~src:(Atm.Addr.of_int 1)
-          ~dst:(Atm.Addr.of_int 2)
-          (Rmem.Wire.encode (Rmem.Wire.Write_burst b))
+    QCheck.(
+      triple burst_gen (int_bound 1_000_000)
+        (string_of_size Gen.(0 -- 7)))
+    (fun (b, byte, short) ->
+      let frame = frame_of (Rmem.Wire.encode (Rmem.Wire.Write_burst b)) in
+      let short = frame_of (Bytes.of_string short) in
+      let every_bit frame =
+        List.for_all (detects_flip frame)
+          (List.init (8 * Atm.Frame.length frame) Fun.id)
       in
       Atm.Frame.intact frame
-      && not (Atm.Frame.intact (Atm.Frame.corrupted ~byte frame)))
+      && (not (Atm.Frame.intact (Atm.Frame.corrupted ~byte frame)))
+      && detects_flip frame (byte mod (8 * Atm.Frame.length frame))
+      && Atm.Frame.intact frame
+      && Atm.Frame.intact short
+      && (not (Atm.Frame.intact (Atm.Frame.corrupted ~byte short)))
+      && every_bit short)
 
 let burst_frame_arithmetic =
   QCheck.Test.make ~name:"burst frame size arithmetic" ~count:300 burst_gen
@@ -289,7 +319,7 @@ let burst_frame_arithmetic =
          = Rmem.Wire.burst_header_bytes
            + List.fold_left
                (fun acc (i : Rmem.Wire.burst_item) ->
-                 acc + Rmem.Wire.burst_item_header_bytes + Bytes.length i.data)
+                 acc + Rmem.Wire.burst_item_header_bytes + i.data.len)
                0 items)
 
 (* ---------------- Lint vs policied retries ------------------------- *)

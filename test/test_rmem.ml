@@ -5,17 +5,34 @@ let check_bool = Alcotest.(check bool)
 
 (* ---------------- Wire codec ---------------- *)
 
+(* Data of every size class that matters to the data path: empty, a
+   few cells, and several pages.  Each view sits inside a larger buffer
+   so encoding must honour its offset. *)
+let gen_view =
+  QCheck.Gen.(
+    map3
+      (fun pre data post ->
+        {
+          Rmem.Wire.buf = Bytes.of_string (pre ^ data ^ post);
+          pos = String.length pre;
+          len = String.length data;
+        })
+      (string_size (0 -- 7))
+      (frequency
+         [ (1, return ""); (6, string_size (1 -- 300)); (1, string_size (4000 -- 9000)) ])
+      (string_size (0 -- 7)))
+
 let gen_message =
   QCheck.Gen.(
-    let bytes_gen = map Bytes.of_string (string_size (0 -- 300)) in
     let gen16 = map Rmem.Generation.of_int (1 -- 0xFFFF) in
+    let status = oneofl Rmem.Status.[ Ok; Protection; Bounds; Stale_generation ] in
     oneof
       [
         map
           (fun (seg, gen, off, notify, data) ->
             Rmem.Wire.Write
               { seg; gen; off; notify; swab = off mod 2 = 0; data })
-          (tup5 (0 -- 255) gen16 (0 -- 0xFFFFFF) bool bytes_gen);
+          (tup5 (0 -- 255) gen16 (0 -- 0xFFFFFF) bool gen_view);
         map
           (fun (seg, gen, soff, count, reqid) ->
             Rmem.Wire.Read
@@ -30,16 +47,10 @@ let gen_message =
               })
           (tup5 (0 -- 255) gen16 (0 -- 0xFFFFFF) (0 -- 0xFFFFF) (1 -- 0xFFFF));
         map
-          (fun (reqid, chunk_off, data) ->
+          (fun (status, reqid, chunk_off, data) ->
             Rmem.Wire.Read_reply
-              {
-                status = Rmem.Status.Ok;
-                reqid;
-                chunk_off;
-                swab = chunk_off mod 2 = 0;
-                data;
-              })
-          (tup3 (1 -- 0xFFFF) (0 -- 0xFFFFFF) bytes_gen);
+              { status; reqid; chunk_off; swab = chunk_off mod 2 = 0; data })
+          (tup4 status (1 -- 0xFFFF) (0 -- 0xFFFFFF) gen_view);
         map
           (fun (seg, gen, doff, reqid) ->
             Rmem.Wire.Cas
@@ -54,16 +65,176 @@ let gen_message =
               })
           (tup4 (0 -- 255) gen16 (0 -- 0xFFFFFF) (1 -- 0xFFFF));
         map
-          (fun (reqid, witness) ->
-            Rmem.Wire.Cas_reply
-              { status = Rmem.Status.Protection; reqid; witness = Int32.of_int witness })
-          (tup2 (1 -- 0xFFFF) (0 -- 1000));
+          (fun (status, reqid, witness) ->
+            Rmem.Wire.Cas_reply { status; reqid; witness = Int32.of_int witness })
+          (tup3 status (1 -- 0xFFFF) (0 -- 1000));
+        map
+          (fun (status, seg, gen, off, count) ->
+            Rmem.Wire.Write_nack { status; seg; gen; off; count })
+          (tup5 status (0 -- 255) gen16 (0 -- 0xFFFFFF) (0 -- 0xFFFFF));
+        map
+          (fun (seg, gen, notify, items) ->
+            Rmem.Wire.Write_burst
+              {
+                seg;
+                gen;
+                notify;
+                swab = seg mod 2 = 0;
+                items = List.map (fun (off, data) -> { Rmem.Wire.off; data }) items;
+              })
+          (tup4 (0 -- 255) gen16 bool
+             (list_size (1 -- 4) (pair (0 -- 0xFFFFFF) gen_view)));
       ])
 
+let print_message m =
+  match m with
+  | Rmem.Wire.Write _ -> "write"
+  | Read _ -> "read"
+  | Read_reply _ -> "read reply"
+  | Cas _ -> "cas"
+  | Cas_reply _ -> "cas reply"
+  | Write_nack _ -> "write nack"
+  | Write_burst _ -> "write burst"
+
+let arb_message = QCheck.make ~print:print_message gen_message
+
+let viewed (v : Rmem.Wire.view) = Bytes.sub v.buf v.pos v.len
+
+let message_views = function
+  | Rmem.Wire.Write { data; _ } | Read_reply { data; _ } -> [ data ]
+  | Write_burst { items; _ } -> List.map (fun (i : Rmem.Wire.burst_item) -> i.data) items
+  | Read _ | Cas _ | Cas_reply _ | Write_nack _ -> []
+
+(* The message with every view copied out, so structural equality
+   compares the data, not the buffers around it. *)
+let flat m =
+  let f v = Rmem.Wire.view (viewed v) in
+  match m with
+  | Rmem.Wire.Write w -> Rmem.Wire.Write { w with data = f w.data }
+  | Read_reply r -> Read_reply { r with data = f r.data }
+  | Write_burst b ->
+      Write_burst
+        {
+          b with
+          items =
+            List.map (fun (i : Rmem.Wire.burst_item) -> { i with data = f i.data }) b.items;
+        }
+  | m -> m
+
+(* Through a frame, as the NIC delivers it: the decoded views read the
+   frame's payload in place, and depositing them at an address that
+   straddles a page boundary stores exactly the bytes that were sent. *)
 let wire_roundtrip =
-  QCheck.Test.make ~name:"wire encode/decode roundtrip" ~count:300
-    (QCheck.make gen_message) (fun message ->
-      Rmem.Wire.decode (Rmem.Wire.encode message) = message)
+  QCheck.Test.make ~name:"wire encode/decode roundtrip" ~count:300 arb_message
+    (fun message ->
+      let frame =
+        Atm.Frame.make ~src:(Atm.Addr.of_int 1) ~dst:(Atm.Addr.of_int 2)
+          (Rmem.Wire.encode message)
+      in
+      let decoded = Rmem.Wire.decode (Atm.Frame.payload frame) in
+      let deposits_agree (got : Rmem.Wire.view) sent =
+        let space = Cluster.Address_space.create ~asid:1 () in
+        let addr = 4093 in
+        Cluster.Address_space.write_from space ~addr got.buf ~pos:got.pos
+          ~len:got.len;
+        got.buf == Atm.Frame.payload frame
+        && Bytes.equal
+             (Cluster.Address_space.read space ~addr ~len:got.len)
+             (viewed sent)
+      in
+      Atm.Frame.intact frame
+      && flat decoded = flat message
+      && List.for_all2 deposits_agree (message_views decoded) (message_views message))
+
+(* The encoded size, worked out from the field layout. *)
+let expected_size = function
+  | Rmem.Wire.Write { data; _ } | Read_reply { data; _ } -> 8 + data.len
+  | Read _ -> 14
+  | Cas _ -> 18
+  | Cas_reply _ -> 8
+  | Write_nack _ -> 13
+  | Write_burst { items; _ } ->
+      List.fold_left (fun acc (i : Rmem.Wire.burst_item) -> acc + 8 + i.data.len) 6 items
+
+let wire_exact_size =
+  QCheck.Test.make ~name:"wire encode allocates the exact frame size" ~count:300
+    arb_message (fun message ->
+      Bytes.length (Rmem.Wire.encode message) = expected_size message)
+
+(* The server's READ reply frame, once filled, is the encoder's. *)
+let wire_read_reply_frame =
+  QCheck.Test.make ~name:"wire read reply frame matches encode" ~count:100
+    QCheck.(pair (int_range 1 0xFFFF) (string_of_size Gen.(0 -- 400)))
+    (fun (reqid, data) ->
+      let len = String.length data in
+      let frame =
+        Rmem.Wire.read_reply_frame ~reqid ~chunk_off:40 ~swab:true ~len
+      in
+      Bytes.blit_string data 0 frame Rmem.Wire.header_bytes len;
+      Bytes.equal frame
+        (Rmem.Wire.encode
+           (Rmem.Wire.Read_reply
+              {
+                status = Rmem.Status.Ok;
+                reqid;
+                chunk_off = 40;
+                swab = true;
+                data = Rmem.Wire.view (Bytes.of_string data);
+              })))
+
+(* ---------------- Host allocation budget ---------------- *)
+
+(* Words allocated per call of [op], averaged over [n] calls after one
+   warm-up call.  The minor collection before each reading makes the
+   promoted and major counters current, so buffers big enough to skip
+   the minor heap are counted too.  The full major collection first
+   starts the window at the same point of the major cycle whatever ran
+   before: otherwise the major count of those large buffers varies with
+   the heap earlier tests left behind. *)
+let words_per_op ~n op =
+  let allocated () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.minor_words +. s.major_words -. s.promoted_words
+  in
+  op ();
+  Gc.full_major ();
+  let w0 = allocated () in
+  for _ = 1 to n do
+    op ()
+  done;
+  (allocated () -. w0) /. float_of_int n
+
+(* The host cost of the two data-path shapes, 4 KB each, against a
+   budget 10% above what the single-copy path allocates (3859 and 2125
+   words): a reintroduced copy of the payload (4 KB is 512 words) fails
+   here rather than waiting for the benchmark. *)
+let allocation_budget () =
+  let d = Rig.duo () in
+  let data = Bytes.make 4096 'w' in
+  let read_words, write_words =
+    Rig.run d (fun () ->
+        let _, desc = Rig.shared_segment d in
+        let dst = Rig.buffer0 d in
+        let p =
+          Rmem.Pipeline.create ~config:(Rmem.Pipeline.pipelined_config ()) d.Rig.rmem0
+        in
+        let read =
+          words_per_op ~n:20 (fun () ->
+              Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4096 ~dst
+                ~doff:0 ())
+        in
+        let write =
+          words_per_op ~n:20 (fun () ->
+              Rmem.Pipeline.write p desc ~off:8192 data;
+              Rmem.Pipeline.fence p desc)
+        in
+        (read, write))
+  in
+  Printf.printf "4 KB READ: %.0f words; 4 KB pipelined write + fence: %.0f words\n"
+    read_words write_words;
+  check_bool "4 KB READ within budget" true (read_words <= 4250.);
+  check_bool "4 KB write + fence within budget" true (write_words <= 2340.)
 
 let wire_write_header_size () =
   let encoded =
@@ -75,7 +246,7 @@ let wire_write_header_size () =
            off = 0;
            notify = false;
            swab = false;
-           data = Bytes.make 40 'x';
+           data = Rmem.Wire.view (Bytes.make 40 'x');
          })
   in
   (* 8-byte header + 40 data bytes = exactly one 48-byte cell payload. *)
@@ -460,6 +631,9 @@ let suite =
     Alcotest.test_case "well-known segment ids" `Quick well_known_id_export;
     Alcotest.test_case "fence orders writes" `Quick fence_orders_writes;
     Alcotest.test_case "byte accounting" `Quick stats_track_bytes;
+    Alcotest.test_case "host allocation budget" `Quick allocation_budget;
     QCheck_alcotest.to_alcotest wire_roundtrip;
+    QCheck_alcotest.to_alcotest wire_exact_size;
+    QCheck_alcotest.to_alcotest wire_read_reply_frame;
     QCheck_alcotest.to_alcotest write_then_read_identity;
   ]

@@ -221,11 +221,11 @@ let engine_deadlock_names_waiters () =
   let engine = Sim.Engine.create () in
   Sim.Proc.spawn ~name:"stuck" engine (fun () ->
       ignore
-        (Sim.Proc.suspend_on ~resource:"ivar \"never\""
+        (Sim.Proc.suspend_on ~resource:(Sim.Engine.Quoted ("ivar", "never"))
            (fun (_ : int -> unit) -> ())));
   Sim.Proc.spawn ~name:"server" engine (fun () ->
       ignore
-        (Sim.Proc.suspend_on ~daemon:true ~resource:"request queue"
+        (Sim.Proc.suspend_on ~daemon:true ~resource:(Sim.Engine.Text "request queue")
            (fun (_ : int -> unit) -> ())));
   match Sim.Engine.run engine with
   | () -> Alcotest.fail "expected Deadlock"
@@ -246,11 +246,35 @@ let engine_deadlock_names_waiters () =
       check_bool "report names the process" true (contains "stuck");
       check_bool "report names the resource" true (contains "ivar \"never\"")
 
+(* Labels are formatted only when a report is built; the text must be
+   exactly what formatting them at every wait produced. *)
+let deadlock_report_text_pinned () =
+  let engine = Sim.Engine.create () in
+  let reply = Sim.Ivar.create ~name:"reply \"x\"" () in
+  let inbox = Sim.Mailbox.create ~name:"inbox" () in
+  let cpu = Sim.Resource.create ~name:"cpu0" () in
+  Sim.Proc.spawn ~name:"holder" engine (fun () ->
+      Sim.Resource.acquire cpu;
+      Sim.Ivar.read reply);
+  Sim.Proc.spawn engine (fun () -> ignore (Sim.Mailbox.recv inbox : int));
+  Sim.Proc.spawn engine (fun () ->
+      Sim.Proc.wait (Sim.Time.us 3);
+      Sim.Resource.acquire cpu);
+  match Sim.Engine.run engine with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Sim.Engine.Deadlock (_, blocked) ->
+      Alcotest.(check string)
+        "report text"
+        "deadlock: holder blocked on ivar \"reply \\\"x\\\"\" since 0ns; \
+         proc0 blocked on mailbox \"inbox\" since 0ns; \
+         proc1 blocked on resource \"cpu0\" since 3.00us"
+        (Sim.Engine.deadlock_report blocked)
+
 let engine_daemons_never_deadlock () =
   let engine = Sim.Engine.create () in
   Sim.Proc.spawn ~name:"rx-loop" engine (fun () ->
       ignore
-        (Sim.Proc.suspend_on ~daemon:true ~resource:"nic"
+        (Sim.Proc.suspend_on ~daemon:true ~resource:(Sim.Engine.Text "nic")
            (fun (_ : int -> unit) -> ())));
   Sim.Engine.run engine;
   check_int "daemon listed only on request" 0
@@ -488,6 +512,8 @@ let suite =
       engine_deadlock_names_waiters;
     Alcotest.test_case "daemon waiters never deadlock" `Quick
       engine_daemons_never_deadlock;
+    Alcotest.test_case "deadlock report text is pinned" `Quick
+      deadlock_report_text_pinned;
     QCheck_alcotest.to_alcotest heap_pop_sorted;
     QCheck_alcotest.to_alcotest heap_same_time_seq_order;
     QCheck_alcotest.to_alcotest prng_bounds;
