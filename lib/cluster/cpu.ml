@@ -32,10 +32,18 @@ let create ?(name = "cpu") () =
 
 let use t ~category duration =
   if duration < 0 then invalid_arg "Cpu.use: negative duration";
-  Sim.Resource.with_resource t.resource (fun () ->
-      Sim.Proc.wait duration;
-      t.busy <- Sim.Time.add t.busy duration;
-      Metrics.Account.add t.account ~category (Sim.Time.to_us duration))
+  (* [Resource.with_resource] inlined: its closure would be allocated on
+     every charge. *)
+  Sim.Resource.acquire t.resource;
+  match
+    Sim.Proc.wait duration;
+    t.busy <- Sim.Time.add t.busy duration;
+    Metrics.Account.add t.account ~category (Sim.Time.to_us duration)
+  with
+  | () -> Sim.Resource.release t.resource
+  | exception exn ->
+      Sim.Resource.release t.resource;
+      raise exn
 
 let busy_time t = t.busy
 let account t = t.account

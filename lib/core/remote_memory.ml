@@ -110,6 +110,9 @@ type t = {
      layer can treat a pipelined window of issues as one logical attempt *)
   mutable next_batch : int;
   mutable fault_registry : Obs.Registry.t option;
+  fence_space : Cluster.Address_space.t;
+  (* where fences deposit the word they read and discard; never
+     registered in the node, so fencing does not grow it *)
 }
 
 (* The analysis layer's hook: one match on a [None] field when disabled,
@@ -176,6 +179,11 @@ let rx_ctrl_cost c payload_bytes =
 let handle_message : (t -> src:Atm.Addr.t -> Wire.message -> unit) ref =
   ref (fun _ ~src:_ _ -> assert false)
 
+(* A space the node does not register: the read-back target of fences
+   and verifying writes, reclaimed with its owner rather than held for
+   the node's lifetime. *)
+let scratch_space () = Cluster.Address_space.create ~asid:0 ()
+
 let attach node =
   let t =
     {
@@ -200,6 +208,7 @@ let attach node =
       batch = None;
       next_batch = 1;
       fault_registry = None;
+      fence_space = scratch_space ();
     }
   in
   List.iter
@@ -566,6 +575,18 @@ let read_async t desc ~soff ~count ~dst ~doff ?(notify = false)
           }));
   (reqid, completion)
 
+(* Run [check] [span] after now, as two plain events: one at now that
+   schedules the check.  That is the event shape of a watchdog process
+   that starts now and waits [span], without the process.  A single
+   event at now + span would be cheaper, but it would take its sequence
+   number earlier, reorder it against other events of that instant and
+   shift every later seq, moving the model checker's choice points and
+   invalidating recorded schedules. *)
+let watchdog t span check =
+  let engine = Cluster.Node.engine t.node in
+  Sim.Engine.schedule engine (fun () ->
+      Sim.Engine.schedule ~after:span engine check)
+
 let read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab () =
   let reqid, completion =
     read_async t desc ~soff ~count ~dst ~doff ?notify ?swab ()
@@ -573,8 +594,7 @@ let read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab () =
   (match timeout with
   | None -> ()
   | Some span ->
-      Sim.Proc.spawn (Cluster.Node.engine t.node) (fun () ->
-          Sim.Proc.wait span;
+      watchdog t span (fun () ->
           if not (Sim.Ivar.is_full completion) then begin
             Hashtbl.remove t.pending reqid;
             Metrics.Account.add t.errors ~category:"timeout" 1.;
@@ -658,8 +678,7 @@ let take_write_failure t desc =
    the destination had to drop one, its nack has arrived and the fence
    reports the loss instead of succeeding silently. *)
 let fence ?timeout t desc =
-  let space = Cluster.Node.new_address_space t.node in
-  let dst = buffer ~space ~base:0 ~len:4 in
+  let dst = buffer ~space:t.fence_space ~base:0 ~len:4 in
   read_wait ?timeout t desc ~soff:0 ~count:4 ~dst ~doff:0 ();
   match take_write_failure t desc with
   | None -> ()
@@ -672,8 +691,7 @@ let cas_wait ?timeout t desc ~doff ~old_value ~new_value ?result ?notify () =
   (match timeout with
   | None -> ()
   | Some span ->
-      Sim.Proc.spawn (Cluster.Node.engine t.node) (fun () ->
-          Sim.Proc.wait span;
+      watchdog t span (fun () ->
           if not (Sim.Ivar.is_full completion) then begin
             (* Drop the pending entry too, so a reply that straggles in
                after the timeout is discarded instead of double-filling
@@ -792,7 +810,9 @@ let write_with t ~policy desc ~off ?notify ?(swab = false) data =
       write t desc ~off ~swab ?notify data;
       if not verifiable then fence ~timeout:(Recovery.timeout policy) t desc
       else begin
-        let space = Cluster.Node.new_address_space t.node in
+        (* Its own space: concurrent verifying writes compare what
+           they read back, so they cannot share the fence space. *)
+        let space = scratch_space () in
         let dst = buffer ~space ~base:0 ~len:count in
         read_wait
           ~timeout:(Recovery.timeout policy)
@@ -831,7 +851,9 @@ let write_burst_with t ~policy desc ?notify ?(swab = false) extents =
       write_burst t desc ?notify ~swab extents;
       if not verifiable then fence ~timeout:(Recovery.timeout policy) t desc
       else begin
-        let space = Cluster.Node.new_address_space t.node in
+        (* Its own space: concurrent verifying writes compare what
+           they read back, so they cannot share the fence space. *)
+        let space = scratch_space () in
         let dst = buffer ~space ~base:0 ~len:span in
         read_wait
           ~timeout:(Recovery.timeout policy)

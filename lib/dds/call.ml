@@ -127,7 +127,7 @@ let call ?(timeout = default_timeout) ?(attempts = default_attempts) ep ~dst
     let iv = Sim.Ivar.create () in
     Hashtbl.replace ep.pending req iv;
     Amsg.send ep.amsg ~dst ~handler:id frame;
-    Sim.Proc.spawn ~after:timeout engine (fun () ->
+    Sim.Engine.schedule ~after:timeout engine (fun () ->
         ignore (Sim.Ivar.try_fill iv None));
     match Sim.Ivar.read iv with
     | Some reply ->

@@ -27,7 +27,18 @@ let label_to_string = function
   | Quoted (kind, name) -> Printf.sprintf "%s %S" kind name
   | Numbered (prefix, n) -> prefix ^ string_of_int n
 
-type waiter = { who : label; what : label; is_daemon : bool; blocked_at : Time.t }
+(* One per process, built at spawn.  While the process is blocked its
+   waiter is linked into the engine's circular registry, in blocking
+   order; unlinked, it points at itself.  Blocking and waking only
+   rewrite these fields. *)
+type waiter = {
+  who : label;
+  mutable what : label;
+  mutable is_daemon : bool;
+  mutable blocked_at : Time.t;
+  mutable prev : waiter;
+  mutable next : waiter;
+}
 
 exception Deadlock of Time.t * blocked list
 
@@ -40,8 +51,7 @@ type t = {
   mutable seq : int;
   mutable stopped : bool;
   mutable scheduler : scheduler option;
-  waiting : (int, waiter) Hashtbl.t;
-  mutable next_token : int;
+  registry : waiter; (* sentinel of the blocked-waiter ring *)
   mutable detect_deadlock : bool;
   mutable spawns : int;
   mutable fired : int; (* events executed since [create] *)
@@ -50,15 +60,27 @@ type t = {
   parents : (int, int) Hashtbl.t; (* event seq -> scheduling event's seq *)
 }
 
+let waiter who =
+  let rec w =
+    {
+      who;
+      what = who;
+      is_daemon = false;
+      blocked_at = Time.zero;
+      prev = w;
+      next = w;
+    }
+  in
+  w
+
 let create () =
   {
     now = Time.zero;
-    queue = Heap.create ();
+    queue = Heap.create ~dummy:ignore ();
     seq = 0;
     stopped = false;
     scheduler = None;
-    waiting = Hashtbl.create 16;
-    next_token = 0;
+    registry = waiter (Text "");
     detect_deadlock = true;
     spawns = 0;
     fired = 0;
@@ -93,26 +115,40 @@ let next_spawn_id t =
 
 (* ---------------- Blocked-waiter registry ---------------- *)
 
-let register_blocked t ~process ~resource ~daemon =
-  let token = t.next_token in
-  t.next_token <- token + 1;
-  Hashtbl.replace t.waiting token
-    { who = process; what = resource; is_daemon = daemon; blocked_at = t.now };
-  token
+let block t w ~resource ~daemon =
+  w.what <- resource;
+  w.is_daemon <- daemon;
+  w.blocked_at <- t.now;
+  let last = t.registry.prev in
+  w.prev <- last;
+  w.next <- t.registry;
+  last.next <- w;
+  t.registry.prev <- w
 
-let clear_blocked t token = Hashtbl.remove t.waiting token
+let unblock w =
+  w.prev.next <- w.next;
+  w.next.prev <- w.prev;
+  w.prev <- w;
+  w.next <- w
 
 let blocked ?(daemons = false) t =
-  Hashtbl.fold (fun token w acc -> (token, w) :: acc) t.waiting []
-  |> List.filter (fun (_, w) -> daemons || not w.is_daemon)
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-  |> List.map (fun (_, w) ->
-         {
-           process = label_to_string w.who;
-           resource = label_to_string w.what;
-           daemon = w.is_daemon;
-           since = w.blocked_at;
-         })
+  let rec collect w acc =
+    if w == t.registry then List.rev acc
+    else
+      let acc =
+        if daemons || not w.is_daemon then
+          {
+            process = label_to_string w.who;
+            resource = label_to_string w.what;
+            daemon = w.is_daemon;
+            since = w.blocked_at;
+          }
+          :: acc
+        else acc
+      in
+      collect w.next acc
+  in
+  collect t.registry.next []
 
 let describe_blocked b =
   Printf.sprintf "%s blocked on %s since %s" b.process b.resource
@@ -131,12 +167,12 @@ let set_deadlock_detection t on = t.detect_deadlock <- on
 
 (* A match rather than [Fun.protect], whose [finally] closure would be
    allocated on every event. *)
-let fire t (entry : (unit -> unit) Heap.entry) =
-  t.now <- entry.Heap.time;
+let fire t ~time ~seq thunk =
+  t.now <- time;
   t.fired <- t.fired + 1;
   let previous = t.firing in
-  t.firing <- entry.Heap.seq;
-  match entry.Heap.payload () with
+  t.firing <- seq;
+  match thunk () with
   | () -> t.firing <- previous
   | exception exn ->
       t.firing <- previous;
@@ -162,18 +198,20 @@ let step_seq t seq =
       if not (List.exists (fun e -> e.Heap.seq = seq) entries) then
         invalid_arg "Engine.step_seq: event not enabled at the next instant";
       (match Heap.remove t.queue ~seq with
-      | Some entry -> fire t entry
+      | Some { Heap.time; seq; payload } -> fire t ~time ~seq payload
       | None -> assert false);
       true
 
 let step t =
   match t.scheduler with
-  | None -> (
-      match Heap.pop t.queue with
-      | None -> false
-      | Some entry ->
-          fire t entry;
-          true)
+  | None ->
+      (* Read the minimum in place: no entry record, no option. *)
+      if Heap.is_empty t.queue then false
+      else begin
+        let time = Heap.min_time t.queue and seq = Heap.min_seq t.queue in
+        fire t ~time ~seq (Heap.take_min t.queue);
+        true
+      end
   | Some choose -> (
       match next_enabled t with
       | None -> false
@@ -187,17 +225,19 @@ let step t =
 let set_scheduler t scheduler = t.scheduler <- scheduler
 
 let has_nondaemon_blocked t =
-  Hashtbl.fold (fun _ w acc -> acc || not w.is_daemon) t.waiting false
+  let rec scan w = w != t.registry && ((not w.is_daemon) || scan w.next) in
+  scan t.registry.next
 
 let run ?until t =
   t.stopped <- false;
   let continue () =
     (not t.stopped)
     &&
-    match (Heap.peek t.queue, until) with
-    | None, _ -> false
-    | Some _, None -> true
-    | Some { Heap.time; _ }, Some limit -> Time.(time <= limit)
+    (not (Heap.is_empty t.queue))
+    &&
+    match until with
+    | None -> true
+    | Some limit -> Time.(Heap.min_time t.queue <= limit)
   in
   while continue () do
     ignore (step t : bool)

@@ -102,11 +102,20 @@ type label =
 (** A process or resource name, formatted only when a {!blocked} list is
     built, so that blocking and spawning never build strings. *)
 
-val register_blocked :
-  t -> process:label -> resource:label -> daemon:bool -> int
-(** Record a blocked waiter; returns a token for {!clear_blocked}. *)
+type waiter
+(** A process's entry in the registry, built once per process and
+    linked in while the process is blocked: blocking and waking
+    allocate nothing. *)
 
-val clear_blocked : t -> int -> unit
+val waiter : label -> waiter
+(** A fresh, unblocked waiter for the process named by the label. *)
+
+val block : t -> waiter -> resource:label -> daemon:bool -> unit
+(** Record the waiter as blocked on [resource] from now, after every
+    waiter already blocked. *)
+
+val unblock : waiter -> unit
+(** Take the waiter out of the registry; a no-op if it is not blocked. *)
 
 val blocked : ?daemons:bool -> t -> blocked list
 (** Currently blocked waiters in registration order; [daemons] includes

@@ -2,23 +2,34 @@
 
     The sequence number breaks ties between events scheduled for the same
     instant so that same-time events fire in scheduling order, which keeps
-    simulation runs fully deterministic. *)
+    simulation runs fully deterministic.
+
+    Times, seqs and payloads are kept in parallel arrays: {!push} and
+    {!take_min} allocate nothing once the arrays have grown, and a taken
+    payload is no longer reachable from the heap. *)
 
 type 'a entry = { time : Time.t; seq : int; payload : 'a }
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
+(** [dummy] fills unused payload slots; it is never returned. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> time:Time.t -> seq:int -> 'a -> unit
 
-val peek : 'a t -> 'a entry option
-(** Smallest entry without removing it. *)
+val min_time : 'a t -> Time.t
+(** Time of the smallest entry. Raises [Invalid_argument] when empty. *)
 
-val pop : 'a t -> 'a entry option
-(** Remove and return the smallest entry. *)
+val min_seq : 'a t -> int
+(** Sequence number of the smallest entry. Raises [Invalid_argument]
+    when empty. *)
+
+val take_min : 'a t -> 'a
+(** Remove the smallest entry and return its payload. Raises
+    [Invalid_argument] when empty. *)
 
 val entries_at_min : 'a t -> 'a entry list
 (** Every entry sharing the smallest time, in ascending [seq] order —

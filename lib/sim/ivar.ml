@@ -15,10 +15,14 @@ let peek t = match t.state with Full v -> Some v | Empty _ -> None
 let fill t v =
   match t.state with
   | Full _ -> invalid_arg "Ivar.fill: already full"
-  | Empty waiters ->
+  | Empty waiters -> (
       t.state <- Full v;
-      (* Resume in registration order for determinism. *)
-      List.iter (fun resume -> resume v) (List.rev waiters)
+      (* Resume in registration order for determinism.  No reader or a
+         single one, the usual cases, allocate no closure or list. *)
+      match waiters with
+      | [] -> ()
+      | [ resume ] -> resume v
+      | waiters -> List.iter (fun resume -> resume v) (List.rev waiters))
 
 let try_fill t v =
   match t.state with

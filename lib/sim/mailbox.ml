@@ -6,15 +6,18 @@ type 'a t = {
   daemon : bool;
   messages : 'a Queue.t;
   readers : ('a -> unit) Queue.t;
+  enqueue : ('a -> unit) -> unit; (* built once: the [suspend_on] callback *)
 }
 
 let create ?(name = "mailbox") ?(daemon = false) () =
+  let readers = Queue.create () in
   {
     name;
     label = Engine.Quoted ("mailbox", name);
     daemon;
     messages = Queue.create ();
-    readers = Queue.create ();
+    readers;
+    enqueue = (fun resume -> Queue.push resume readers);
   }
 
 let name t = t.name
@@ -32,8 +35,7 @@ let send t msg =
 let recv t =
   if not (Queue.is_empty t.messages) then Queue.pop t.messages
   else
-    Proc.suspend_on ~daemon:t.daemon ~resource:t.label (fun resume ->
-        Queue.push resume t.readers)
+    Proc.suspend_on ~daemon:t.daemon ~resource:t.label t.enqueue
 
 let try_recv t =
   if Queue.is_empty t.messages then None else Some (Queue.pop t.messages)

@@ -30,8 +30,8 @@ val suspend_on :
     registry under the current process's name and [resource], and
     cleared on resume — the raw material of {!Engine.Deadlock} reports.
     [daemon] marks waits that idle between requests by design (a server
-    loop) and never count as deadlocked. Outside a process it degrades
-    to {!suspend}. *)
+    loop) and never count as deadlocked. Blocking and waking allocate no
+    registry entry: the process's waiter is built at {!spawn}. *)
 
 val run : Engine.t -> (unit -> 'a) -> 'a
 (** [run engine body] spawns [body], drives the engine until quiescence

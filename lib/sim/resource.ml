@@ -8,16 +8,19 @@ type t = {
   label : Engine.label; (* built once: a busy CPU is contended per charge *)
   mutable busy : bool;
   waiters : (unit -> unit) Queue.t;
+  enqueue : (unit -> unit) -> unit; (* built once: the [suspend_on] callback *)
   mutable acquisitions : int;
   mutable contended : int;
 }
 
 let create ?(name = "resource") () =
+  let waiters = Queue.create () in
   {
     name;
     label = Engine.Quoted ("resource", name);
     busy = false;
-    waiters = Queue.create ();
+    waiters;
+    enqueue = (fun resume -> Queue.push resume waiters);
     acquisitions = 0;
     contended = 0;
   }
@@ -35,7 +38,7 @@ let acquire t =
   if not t.busy then t.busy <- true
   else begin
     t.contended <- t.contended + 1;
-    Proc.suspend_on ~resource:t.label (fun resume -> Queue.push resume t.waiters)
+    Proc.suspend_on ~resource:t.label t.enqueue
   end
 
 let release t =

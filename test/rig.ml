@@ -71,3 +71,24 @@ let named_duo ?seed () =
 
 let within ?(tolerance = 0.2) ~expected actual =
   Float.abs (actual -. expected) <= tolerance *. Float.abs expected
+
+(* Words allocated per call of [op], averaged over [n] calls after one
+   warm-up call.  The minor collection before each reading makes the
+   promoted and major counters current, so buffers big enough to skip
+   the minor heap are counted too.  The full major collection first
+   starts the window at the same point of the major cycle whatever ran
+   before: otherwise the major count of those large buffers varies with
+   the heap earlier tests left behind. *)
+let words_per_op ~n op =
+  let allocated () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.minor_words +. s.major_words -. s.promoted_words
+  in
+  op ();
+  Gc.full_major ();
+  let w0 = allocated () in
+  for _ = 1 to n do
+    op ()
+  done;
+  (allocated () -. w0) /. float_of_int n

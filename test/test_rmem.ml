@@ -184,31 +184,11 @@ let wire_read_reply_frame =
 
 (* ---------------- Host allocation budget ---------------- *)
 
-(* Words allocated per call of [op], averaged over [n] calls after one
-   warm-up call.  The minor collection before each reading makes the
-   promoted and major counters current, so buffers big enough to skip
-   the minor heap are counted too.  The full major collection first
-   starts the window at the same point of the major cycle whatever ran
-   before: otherwise the major count of those large buffers varies with
-   the heap earlier tests left behind. *)
-let words_per_op ~n op =
-  let allocated () =
-    Gc.minor ();
-    let s = Gc.quick_stat () in
-    s.minor_words +. s.major_words -. s.promoted_words
-  in
-  op ();
-  Gc.full_major ();
-  let w0 = allocated () in
-  for _ = 1 to n do
-    op ()
-  done;
-  (allocated () -. w0) /. float_of_int n
-
 (* The host cost of the two data-path shapes, 4 KB each, against a
-   budget 10% above what the single-copy path allocates (3859 and 2125
-   words): a reintroduced copy of the payload (4 KB is 512 words) fails
-   here rather than waiting for the benchmark. *)
+   budget 10% above what they allocate (2511 and 1203 words, with the
+   single-copy data path and the allocation-lean control path): a
+   reintroduced copy of the payload (4 KB is 512 words) fails here
+   rather than waiting for the benchmark. *)
 let allocation_budget () =
   let d = Rig.duo () in
   let data = Bytes.make 4096 'w' in
@@ -220,12 +200,12 @@ let allocation_budget () =
           Rmem.Pipeline.create ~config:(Rmem.Pipeline.pipelined_config ()) d.Rig.rmem0
         in
         let read =
-          words_per_op ~n:20 (fun () ->
+          Rig.words_per_op ~n:20 (fun () ->
               Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4096 ~dst
                 ~doff:0 ())
         in
         let write =
-          words_per_op ~n:20 (fun () ->
+          Rig.words_per_op ~n:20 (fun () ->
               Rmem.Pipeline.write p desc ~off:8192 data;
               Rmem.Pipeline.fence p desc)
         in
@@ -233,8 +213,8 @@ let allocation_budget () =
   in
   Printf.printf "4 KB READ: %.0f words; 4 KB pipelined write + fence: %.0f words\n"
     read_words write_words;
-  check_bool "4 KB READ within budget" true (read_words <= 4250.);
-  check_bool "4 KB write + fence within budget" true (write_words <= 2340.)
+  check_bool "4 KB READ within budget" true (read_words <= 2762.);
+  check_bool "4 KB write + fence within budget" true (write_words <= 1323.)
 
 let wire_write_header_size () =
   let encoded =
@@ -570,6 +550,28 @@ let well_known_id_export () =
 
 (* ---------------- Accounting ---------------- *)
 
+(* Fences and verifying writes read back into scratch space the node
+   does not register, so however many run, the node's address-space
+   count (read off its next asid) does not move. *)
+let fences_leave_spaces_alone () =
+  let d = Rig.duo () in
+  let policy = Rmem.Recovery.policy ~attempts:2 ~timeout:(Sim.Time.ms 2) () in
+  let next_asid () =
+    Cluster.Address_space.asid (Cluster.Node.new_address_space d.Rig.node0)
+  in
+  Rig.run d (fun () ->
+      let _, desc = Rig.shared_segment d in
+      let before = next_asid () in
+      for i = 1 to 100 do
+        Rmem.Remote_memory.fence d.Rig.rmem0 desc;
+        Rmem.Remote_memory.write_with d.Rig.rmem0 ~policy desc ~off:(8 * i)
+          (Bytes.make 8 'v');
+        Rmem.Remote_memory.write_burst_with d.Rig.rmem0 ~policy desc
+          [ (1024, Bytes.make 8 'a'); (2048 + i, Bytes.make 4 'b') ]
+      done;
+      check_int "no space registered but the probe's own" (before + 1)
+        (next_asid ()))
+
 let fence_orders_writes () =
   let d = Rig.duo () in
   Rig.run d (fun () ->
@@ -630,6 +632,8 @@ let suite =
     Alcotest.test_case "generation wraparound" `Quick generation_wraps_past_invalid;
     Alcotest.test_case "well-known segment ids" `Quick well_known_id_export;
     Alcotest.test_case "fence orders writes" `Quick fence_orders_writes;
+    Alcotest.test_case "fences leave address spaces alone" `Quick
+      fences_leave_spaces_alone;
     Alcotest.test_case "byte accounting" `Quick stats_track_bytes;
     Alcotest.test_case "host allocation budget" `Quick allocation_budget;
     QCheck_alcotest.to_alcotest wire_roundtrip;

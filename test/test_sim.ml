@@ -76,18 +76,25 @@ let engine_stop () =
 
 (* ---------------- Heap property ---------------- *)
 
+(* Take the minimum as a (time, seq) key, the way [Engine.step] reads it. *)
+let heap_take heap =
+  if Sim.Heap.is_empty heap then None
+  else begin
+    let key = (Sim.Heap.min_time heap, Sim.Heap.min_seq heap) in
+    ignore (Sim.Heap.take_min heap);
+    Some key
+  end
+
 let heap_pop_sorted =
   QCheck.Test.make ~name:"heap pops in (time, seq) order" ~count:200
     QCheck.(list (int_bound 1_000_000))
     (fun times ->
-      let heap = Sim.Heap.create () in
+      let heap = Sim.Heap.create ~dummy:() () in
       List.iteri (fun seq time -> Sim.Heap.push heap ~time ~seq ()) times;
       let rec drain previous =
-        match Sim.Heap.pop heap with
+        match heap_take heap with
         | None -> true
-        | Some entry ->
-            let key = (entry.Sim.Heap.time, entry.Sim.Heap.seq) in
-            if compare previous key <= 0 then drain key else false
+        | Some key -> if compare previous key <= 0 then drain key else false
       in
       drain (min_int, min_int))
 
@@ -98,24 +105,22 @@ let heap_same_time_seq_order =
       (* Only a handful of distinct times, so same-time runs are long;
          seqs are assigned in push order and must come back ascending
          within every run. *)
-      let heap = Sim.Heap.create () in
+      let heap = Sim.Heap.create ~dummy:() () in
       List.iteri (fun seq time -> Sim.Heap.push heap ~time ~seq ()) times;
       Sim.Heap.push heap ~time:min_time ~seq:(List.length times) ();
       let rec drain previous =
-        match Sim.Heap.pop heap with
+        match heap_take heap with
         | None -> true
-        | Some e ->
+        | Some (time, seq) ->
             if
-              e.Sim.Heap.time > fst previous
-              || (e.Sim.Heap.time = fst previous
-                 && e.Sim.Heap.seq > snd previous)
-            then drain (e.Sim.Heap.time, e.Sim.Heap.seq)
+              time > fst previous || (time = fst previous && seq > snd previous)
+            then drain (time, seq)
             else false
       in
       drain (min_int, min_int))
 
 let heap_entries_at_min_and_remove () =
-  let heap = Sim.Heap.create () in
+  let heap = Sim.Heap.create ~dummy:(-1) () in
   check_bool "empty min set" true (Sim.Heap.entries_at_min heap = []);
   List.iter
     (fun (time, seq) -> Sim.Heap.push heap ~time ~seq seq)
@@ -133,12 +138,96 @@ let heap_entries_at_min_and_remove () =
     "min set after removal" [ 1; 4 ]
     (seqs (Sim.Heap.entries_at_min heap));
   let rec drain acc =
-    match Sim.Heap.pop heap with
-    | None -> List.rev acc
-    | Some e -> drain (e.Sim.Heap.seq :: acc)
+    if Sim.Heap.is_empty heap then List.rev acc
+    else drain (Sim.Heap.take_min heap :: acc)
   in
   Alcotest.(check (list int))
     "heap invariant survives removal" [ 1; 4; 0; 2 ] (drain [])
+
+(* Random interleavings of every heap operation against a sorted list of
+   (time, seq, payload): few distinct times, so equal times are common. *)
+type heap_op = Push of int | Take | Remove of int | At_min
+
+let heap_matches_sorted_list =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun t -> Push t) (int_bound 4));
+          (2, return Take);
+          (1, map (fun s -> Remove s) (int_bound 40));
+          (1, return At_min);
+        ])
+  in
+  let print = function
+    | Push t -> Printf.sprintf "push %d" t
+    | Take -> "take"
+    | Remove s -> Printf.sprintf "remove %d" s
+    | At_min -> "at_min"
+  in
+  QCheck.Test.make ~name:"heap agrees with a sorted-list oracle" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (0 -- 60) op))
+    (fun ops ->
+      let heap = Sim.Heap.create ~dummy:(-1) () in
+      let oracle = ref [] and next_seq = ref 0 in
+      let triple e = (e.Sim.Heap.time, e.Sim.Heap.seq, e.Sim.Heap.payload) in
+      let step = function
+        | Push time ->
+            let seq = !next_seq in
+            incr next_seq;
+            Sim.Heap.push heap ~time ~seq (seq * 10);
+            oracle := List.sort compare ((time, seq, seq * 10) :: !oracle);
+            true
+        | Take -> (
+            match !oracle with
+            | [] -> Sim.Heap.is_empty heap
+            | (time, seq, payload) :: rest ->
+                oracle := rest;
+                Sim.Heap.min_time heap = time
+                && Sim.Heap.min_seq heap = seq
+                && Sim.Heap.take_min heap = payload)
+        | Remove seq ->
+            let expected = List.find_opt (fun (_, s, _) -> s = seq) !oracle in
+            oracle := List.filter (fun (_, s, _) -> s <> seq) !oracle;
+            Option.map triple (Sim.Heap.remove heap ~seq) = expected
+        | At_min ->
+            let expected =
+              match !oracle with
+              | [] -> []
+              | (time, _, _) :: _ ->
+                  List.filter (fun (t, _, _) -> t = time) !oracle
+            in
+            List.map triple (Sim.Heap.entries_at_min heap) = expected
+      in
+      List.for_all
+        (fun o -> step o && Sim.Heap.length heap = List.length !oracle)
+        ops)
+
+(* A taken or removed payload (a fired event's closure, say) must not
+   stay reachable from the heap's arrays, even from a slot past the end
+   that the last move vacated. *)
+let heap_releases_taken_payloads () =
+  let heap = Sim.Heap.create ~dummy:(ref 0) () in
+  let weak = Weak.create 3 in
+  List.iter
+    (fun seq ->
+      let payload = ref seq in
+      Weak.set weak seq (Some payload);
+      Sim.Heap.push heap ~time:(10 - seq) ~seq payload)
+    [ 0; 1; 2 ];
+  ignore (Sys.opaque_identity (Sim.Heap.take_min heap));
+  ignore (Sys.opaque_identity (Sim.Heap.remove heap ~seq:1));
+  ignore (Sys.opaque_identity (Sim.Heap.take_min heap));
+  check_bool "drained" true (Sim.Heap.is_empty heap);
+  Gc.full_major ();
+  List.iter
+    (fun seq ->
+      check_bool (Printf.sprintf "payload %d collected" seq) false
+        (Weak.check weak seq))
+    [ 0; 1; 2 ];
+  (* The heap itself must still be live for the check to mean anything. *)
+  Sim.Heap.push heap ~time:0 ~seq:3 (ref 3);
+  check_int "heap still in use" 1 (Sim.Heap.length heap)
 
 (* ---------------- Same-instant choice points ---------------- *)
 
@@ -269,6 +358,111 @@ let deadlock_report_text_pinned () =
          proc0 blocked on mailbox \"inbox\" since 0ns; \
          proc1 blocked on resource \"cpu0\" since 3.00us"
         (Sim.Engine.deadlock_report blocked)
+
+(* Waking a waiter from the middle of the registry must not disturb the
+   order of the rest, and a process that blocks again re-registers at
+   the tail. *)
+let deadlock_order_after_middle_wake () =
+  let engine = Sim.Engine.create () in
+  let ivar name = Sim.Ivar.create ~name () in
+  let a = ivar "A" and b = ivar "B" and c = ivar "C" in
+  let again = ivar "again" and d = ivar "D" in
+  Sim.Proc.spawn ~name:"a" engine (fun () -> Sim.Ivar.read a);
+  Sim.Proc.spawn ~name:"b" engine (fun () ->
+      Sim.Ivar.read b;
+      Sim.Ivar.read again);
+  Sim.Proc.spawn ~name:"c" engine (fun () -> Sim.Ivar.read c);
+  Sim.Proc.spawn ~name:"d" engine (fun () ->
+      Sim.Proc.wait (Sim.Time.us 2);
+      Sim.Ivar.read d);
+  Sim.Engine.schedule ~after:(Sim.Time.us 1) engine (fun () ->
+      Sim.Ivar.fill b ());
+  match Sim.Engine.run engine with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Sim.Engine.Deadlock (_, blocked) ->
+      Alcotest.(check string)
+        "registration order"
+        "deadlock: a blocked on ivar \"A\" since 0ns; \
+         c blocked on ivar \"C\" since 0ns; \
+         b blocked on ivar \"again\" since 1.00us; \
+         d blocked on ivar \"D\" since 2.00us"
+        (Sim.Engine.deadlock_report blocked)
+
+let blocked_lists_daemons_on_request () =
+  let engine = Sim.Engine.create () in
+  let inbox = Sim.Mailbox.create ~name:"inbox" ~daemon:true () in
+  let reply = Sim.Ivar.create ~name:"reply" () in
+  Sim.Proc.spawn ~name:"server" engine (fun () ->
+      ignore (Sim.Mailbox.recv inbox : int));
+  Sim.Proc.spawn ~name:"client" engine (fun () -> Sim.Ivar.read reply);
+  Sim.Engine.set_deadlock_detection engine false;
+  Sim.Engine.run engine;
+  let names bs =
+    List.map
+      (fun b -> (b.Sim.Engine.process, b.Sim.Engine.resource, b.Sim.Engine.daemon))
+      bs
+  in
+  Alcotest.(check (list (triple string string bool)))
+    "default hides daemons"
+    [ ("client", "ivar \"reply\"", false) ]
+    (names (Sim.Engine.blocked engine));
+  Alcotest.(check (list (triple string string bool)))
+    "daemons on request, in registration order"
+    [ ("server", "mailbox \"inbox\"", true); ("client", "ivar \"reply\"", false) ]
+    (names (Sim.Engine.blocked ~daemons:true engine))
+
+let second_resume_rejected () =
+  let second_resume ~registered =
+    let engine = Sim.Engine.create () in
+    let stash = ref None in
+    Sim.Proc.spawn ~name:"sleeper" engine (fun () ->
+        let register resume = stash := Some resume in
+        let (_ : int) =
+          if registered then
+            Sim.Proc.suspend_on ~resource:(Sim.Engine.Text "slot") register
+          else Sim.Proc.suspend register
+        in
+        ());
+    Sim.Proc.spawn ~name:"waker" engine (fun () ->
+        match !stash with
+        | None -> Alcotest.fail "sleeper did not block"
+        | Some resume ->
+            resume 1;
+            Alcotest.check_raises "second resume"
+              (Invalid_argument "Proc: continuation resumed twice") (fun () ->
+                resume 2));
+    Sim.Engine.run engine
+  in
+  second_resume ~registered:false;
+  second_resume ~registered:true
+
+let suspend_outside_process () =
+  let unhandled f =
+    match f () with
+    | () -> false
+    | exception Effect.Unhandled _ -> true
+  in
+  check_bool "suspend" true
+    (unhandled (fun () -> Sim.Proc.suspend (fun (_ : unit -> unit) -> ())));
+  check_bool "suspend_on" true
+    (unhandled (fun () ->
+         Sim.Proc.suspend_on ~resource:(Sim.Engine.Text "x")
+           (fun (_ : unit -> unit) -> ())));
+  check_bool "ivar read" true
+    (unhandled (fun () -> Sim.Ivar.read (Sim.Ivar.create ())));
+  check_bool "wait" true (unhandled (fun () -> Sim.Proc.wait (Sim.Time.us 1)))
+
+let unnamed_processes_numbered () =
+  let engine = Sim.Engine.create () in
+  let never = Sim.Ivar.create ~name:"never" () in
+  Sim.Proc.spawn engine (fun () -> Sim.Ivar.read never);
+  Sim.Proc.spawn ~name:"named" engine (fun () -> Sim.Ivar.read never);
+  Sim.Proc.spawn engine (fun () -> Sim.Ivar.read never);
+  Sim.Engine.set_deadlock_detection engine false;
+  Sim.Engine.run engine;
+  Alcotest.(check (list string))
+    "numbered per engine, named ones skipped" [ "proc0"; "named"; "proc1" ]
+    (List.map (fun b -> b.Sim.Engine.process) (Sim.Engine.blocked engine))
 
 let engine_daemons_never_deadlock () =
   let engine = Sim.Engine.create () in
@@ -469,6 +663,56 @@ let resource_exception_safe () =
   check_bool "released despite the exception" true !second_ran;
   check_bool "free at the end" false (Sim.Resource.is_busy resource)
 
+(* ---------------- Host allocation budget ---------------- *)
+
+(* The control path's host cost, against budgets 10% above what the
+   allocation-lean path measures (11 words per wait, 48 per blocked read
+   and its fill, 43 per contended charge, none per event): a
+   reintroduced per-wait closure, registry entry or per-event record
+   fails here. *)
+let control_path_budget () =
+  let n = 2000 in
+  let engine = Sim.Engine.create () in
+  let event =
+    Rig.words_per_op ~n (fun () ->
+        Sim.Engine.schedule engine ignore;
+        ignore (Sim.Engine.step engine : bool))
+  in
+  let wait, blocked_read =
+    Sim.Proc.run engine (fun () ->
+        let wait = Rig.words_per_op ~n (fun () -> Sim.Proc.wait 1) in
+        let blocked_read =
+          Rig.words_per_op ~n (fun () ->
+              let ivar = Sim.Ivar.create () in
+              Sim.Engine.schedule ~after:1 engine (fun () -> Sim.Ivar.fill ivar ());
+              Sim.Ivar.read ivar)
+        in
+        (wait, blocked_read))
+  in
+  (* Two processes share one CPU, so every charge but the first finds it
+     busy; the window covers both processes' charges. *)
+  let cpu = Cluster.Cpu.create () in
+  let charge () = Cluster.Cpu.use cpu ~category:"c" 1 in
+  let stop = ref false in
+  Sim.Proc.spawn engine (fun () ->
+      while not !stop do
+        charge ()
+      done);
+  let contended =
+    Sim.Proc.run engine (fun () ->
+        let words = Rig.words_per_op ~n charge in
+        stop := true;
+        words /. 2.)
+  in
+  Printf.printf
+    "schedule + step: %.2f words; Proc.wait: %.2f; blocked Ivar.read + fill: \
+     %.2f; contended Cpu.use: %.2f\n"
+    event wait blocked_read contended;
+  check_bool "schedule + step allocates nothing" true (event < 0.5);
+  check_bool "Proc.wait within budget" true (wait <= 12.1);
+  check_bool "blocked Ivar.read + fill within budget" true (blocked_read <= 52.8);
+  check_bool "contended Cpu.use within budget" true (contended <= 47.3)
+
 let engine_pending_counts () =
   let engine = Sim.Engine.create () in
   Sim.Engine.schedule engine (fun () -> ());
@@ -503,6 +747,8 @@ let suite =
     Alcotest.test_case "prng split independence" `Quick prng_split_independent;
     Alcotest.test_case "heap entries_at_min and remove" `Quick
       heap_entries_at_min_and_remove;
+    Alcotest.test_case "heap releases taken payloads" `Quick
+      heap_releases_taken_payloads;
     Alcotest.test_case "engine choice points" `Quick engine_choice_points;
     Alcotest.test_case "step_seq validates enabledness" `Quick
       engine_step_seq_validates;
@@ -514,8 +760,20 @@ let suite =
       engine_daemons_never_deadlock;
     Alcotest.test_case "deadlock report text is pinned" `Quick
       deadlock_report_text_pinned;
+    Alcotest.test_case "deadlock order survives a middle wake" `Quick
+      deadlock_order_after_middle_wake;
+    Alcotest.test_case "blocked lists daemons on request" `Quick
+      blocked_lists_daemons_on_request;
+    Alcotest.test_case "second resume rejected" `Quick second_resume_rejected;
+    Alcotest.test_case "suspend outside a process is unhandled" `Quick
+      suspend_outside_process;
+    Alcotest.test_case "unnamed processes numbered" `Quick
+      unnamed_processes_numbered;
+    Alcotest.test_case "control-path allocation budget" `Quick
+      control_path_budget;
     QCheck_alcotest.to_alcotest heap_pop_sorted;
     QCheck_alcotest.to_alcotest heap_same_time_seq_order;
+    QCheck_alcotest.to_alcotest heap_matches_sorted_list;
     QCheck_alcotest.to_alcotest prng_bounds;
     QCheck_alcotest.to_alcotest prng_float_range;
   ]
