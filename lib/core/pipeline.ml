@@ -23,41 +23,23 @@
 
    Reads forward from the staging buffer discipline: a READ overlapping
    staged bytes flushes them first, so a process always observes its own
-   program-order writes.  With [enabled = false] every operation
-   passes straight through to {!Remote_memory} — bit-identical to not
-   having the engine at all, which the differential suite checks. *)
+   program-order writes.  The differential suite holds all of this
+   against the same script issued directly through {!Remote_memory}. *)
 
-type config = {
-  enabled : bool;
-  window : int;
-  max_batch_bytes : int;
-  max_batch_ops : int;
-  coalesce_notify : bool;
-}
+type config = { window : int; max_batch_bytes : int }
 
-let default_config =
-  {
-    enabled = false;
-    window = 8;
-    max_batch_bytes = 32768;
-    max_batch_ops = 64;
-    coalesce_notify = true;
-  }
-
-let pipelined_config ?(window = 8) ?(max_batch_bytes = 32768)
-    ?(max_batch_ops = 64) ?(coalesce_notify = true) () =
+let pipelined_config ?(window = 8) ?(max_batch_bytes = 32768) () =
   if window < 1 then invalid_arg "Pipeline: window < 1";
-  if max_batch_bytes < 1 || max_batch_ops < 1 then
-    invalid_arg "Pipeline: empty batch bound";
-  { enabled = true; window; max_batch_bytes; max_batch_ops; coalesce_notify }
+  if max_batch_bytes < 1 then invalid_arg "Pipeline: empty batch bound";
+  { window; max_batch_bytes }
+
+(* A staging buffer also flushes after this many absorbed writes. *)
+let max_batch_ops = 64
 
 type stats = {
-  mutable staged_writes : int;
   mutable merged_extents : int;
   mutable flushes : int;
-  mutable coalesced_notifies : int;
   mutable window_stalls : int;
-  mutable passthrough_ops : int;
 }
 
 (* One staging buffer: the WRITEs absorbed since the last flush toward
@@ -71,7 +53,6 @@ type staged = {
   mutable bytes : int;
   mutable ops : int;
   mutable notify : bool;
-  mutable notify_requests : int;
 }
 
 (* One windowed operation in flight; [await] raises on failure. *)
@@ -89,10 +70,9 @@ type t = {
      whenever a submit finds its window empty, so every issue sharing a
      window cycle carries the same batch id in its Issued event *)
   stats : stats;
-  mutable registry : Obs.Registry.t option;
 }
 
-let create ?(config = default_config) rmem =
+let create ~config rmem =
   {
     rmem;
     cfg = config;
@@ -100,29 +80,16 @@ let create ?(config = default_config) rmem =
     windows = Hashtbl.create 8;
     batches = Hashtbl.create 8;
     stats =
-      {
-        staged_writes = 0;
-        merged_extents = 0;
-        flushes = 0;
-        coalesced_notifies = 0;
-        window_stalls = 0;
-        passthrough_ops = 0;
-      };
-    registry = None;
+      { merged_extents = 0; flushes = 0; window_stalls = 0 };
   }
 
 let config t = t.cfg
-let rmem t = t.rmem
-let set_registry t registry = t.registry <- registry
 
 let stats t =
   {
-    staged_writes = t.stats.staged_writes;
     merged_extents = t.stats.merged_extents;
     flushes = t.stats.flushes;
-    coalesced_notifies = t.stats.coalesced_notifies;
     window_stalls = t.stats.window_stalls;
-    passthrough_ops = t.stats.passthrough_ops;
   }
 
 (* Instantaneous occupancy, for the telemetry sampler (and, later, an
@@ -135,11 +102,6 @@ let staged_extents t =
   Hashtbl.fold (fun _ s acc -> acc + List.length s.extents) t.staged 0
 
 let staged_bytes t = Hashtbl.fold (fun _ s acc -> acc + s.bytes) t.staged 0
-
-let reg_incr t name =
-  match t.registry with
-  | None -> ()
-  | Some registry -> Obs.Registry.incr registry name
 
 let nid t =
   Atm.Addr.to_int (Cluster.Node.addr (Remote_memory.node t.rmem))
@@ -194,61 +156,30 @@ let flush_key ?policy t key =
         Fun.protect
           ~finally:(fun () -> Obs.Trace.scope_end scope)
           (fun () ->
-            match policy with
-            | None ->
-                Remote_memory.write_burst t.rmem s.desc ~notify:s.notify
-                  ~swab:s.swab s.extents
-            | Some policy ->
-                Remote_memory.write_burst_with t.rmem ~policy s.desc
-                  ~notify:s.notify ~swab:s.swab s.extents);
-        t.stats.flushes <- t.stats.flushes + 1;
-        reg_incr t "pipeline.flushes";
-        if s.notify_requests > 1 then begin
-          t.stats.coalesced_notifies <-
-            t.stats.coalesced_notifies + (s.notify_requests - 1);
-          reg_incr t "pipeline.coalesced_notifies"
-        end
+            Remote_memory.write_burst ?policy t.rmem s.desc ~notify:s.notify
+              ~swab:s.swab s.extents);
+        t.stats.flushes <- t.stats.flushes + 1
       end
 
 let flush ?policy t desc = flush_key ?policy t (key_of desc)
-
-let flush_all ?policy t =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.staged [] in
-  List.iter (flush_key ?policy t) (List.sort compare keys)
 
 let staged_for t desc ~swab =
   let key = key_of desc in
   match Hashtbl.find_opt t.staged key with
   | Some s when s.swab = swab -> s
-  | Some _ ->
+  | found ->
       (* A swab change mid-batch: the burst's swab bit covers the whole
          frame, so the previous batch goes out first. *)
-      flush_key t key;
-      let s =
-        { desc; swab; extents = []; bytes = 0; ops = 0; notify = false;
-          notify_requests = 0 }
-      in
-      Hashtbl.replace t.staged key s;
-      s
-  | None ->
-      let s =
-        { desc; swab; extents = []; bytes = 0; ops = 0; notify = false;
-          notify_requests = 0 }
-      in
+      if Option.is_some found then flush_key t key;
+      let s = { desc; swab; extents = []; bytes = 0; ops = 0; notify = false } in
       Hashtbl.replace t.staged key s;
       s
 
 let write t desc ~off ?(notify = false) ?(swab = false) data =
-  if not t.cfg.enabled then begin
-    t.stats.passthrough_ops <- t.stats.passthrough_ops + 1;
-    Remote_memory.write t.rmem desc ~off ~notify ~swab data
-  end
-  else if Bytes.length data = 0 || (notify && not t.cfg.coalesce_notify) then begin
-    (* Doorbells and — when coalescing is off — notifying writes keep
-       their own frame and their own notification; staged writes they
-       are ordered after go out first. *)
+  if Bytes.length data = 0 then begin
+    (* Doorbells keep their own frame and their own notification; staged
+       writes they are ordered after go out first. *)
     flush_key t (key_of desc);
-    t.stats.passthrough_ops <- t.stats.passthrough_ops + 1;
     Remote_memory.write t.rmem desc ~off ~notify ~swab data
   end
   else begin
@@ -262,13 +193,8 @@ let write t desc ~off ?(notify = false) ?(swab = false) data =
     s.bytes <-
       List.fold_left (fun acc (_, d) -> acc + Bytes.length d) 0 s.extents;
     s.ops <- s.ops + 1;
-    if notify then begin
-      s.notify <- true;
-      s.notify_requests <- s.notify_requests + 1
-    end;
-    t.stats.staged_writes <- t.stats.staged_writes + 1;
-    reg_incr t "pipeline.staged_writes";
-    if s.bytes >= t.cfg.max_batch_bytes || s.ops >= t.cfg.max_batch_ops then
+    if notify then s.notify <- true;
+    if s.bytes >= t.cfg.max_batch_bytes || s.ops >= max_batch_ops then
       flush_key t (key_of desc)
   end
 
@@ -315,10 +241,8 @@ let window_admit t q =
   done;
   while Option.is_none !first && Queue.length q >= t.cfg.window do
     let fl = Queue.pop q in
-    if not (fl.ready ()) then begin
+    if not (fl.ready ()) then
       t.stats.window_stalls <- t.stats.window_stalls + 1;
-      reg_incr t "pipeline.window_stalls"
-    end;
     retire fl first
   done;
   if Option.is_some !first then begin
@@ -346,69 +270,52 @@ let window_batch t ~key ~q =
         b
 
 let read_submit ?timeout t desc ~soff ~count ~dst ~doff ?(swab = false) () =
-  if not t.cfg.enabled then begin
-    t.stats.passthrough_ops <- t.stats.passthrough_ops + 1;
-    Remote_memory.read_wait ?timeout t.rmem desc ~soff ~count ~dst ~doff ~swab
-      ()
-  end
-  else begin
-    let key = key_of desc in
-    (match Hashtbl.find_opt t.staged key with
-    | Some s when staged_overlaps s ~soff ~count ->
-        (* Store-buffer forwarding discipline: the read must observe the
-           process's own earlier writes, so they go out first. *)
-        flush_key t key
-    | _ -> ());
-    let q = window_q t key in
-    window_admit t q;
-    let batch = window_batch t ~key ~q in
-    let ivar =
-      Remote_memory.with_batch t.rmem ~batch (fun () ->
-          Remote_memory.read ?timeout t.rmem desc ~soff ~count ~dst ~doff ~swab
-            ())
-    in
-    Queue.push
-      {
-        ready = (fun () -> Sim.Ivar.is_full ivar);
-        await = (fun () -> Status.check (Sim.Ivar.read ivar));
-      }
-      q
-  end
+  let key = key_of desc in
+  (match Hashtbl.find_opt t.staged key with
+  | Some s when staged_overlaps s ~soff ~count ->
+      (* Store-buffer forwarding discipline: the read must observe the
+         process's own earlier writes, so they go out first. *)
+      flush_key t key
+  | _ -> ());
+  let q = window_q t key in
+  window_admit t q;
+  let batch = window_batch t ~key ~q in
+  let ivar =
+    Remote_memory.with_batch t.rmem ~batch (fun () ->
+        Remote_memory.read ?timeout t.rmem desc ~soff ~count ~dst ~doff ~swab ())
+  in
+  Queue.push
+    {
+      ready = (fun () -> Sim.Ivar.is_full ivar);
+      await = (fun () -> Status.check (Sim.Ivar.read ivar));
+    }
+    q
 
 let cas_submit t desc ~doff ~old_value ~new_value ?result ?notify () =
-  if not t.cfg.enabled then begin
-    t.stats.passthrough_ops <- t.stats.passthrough_ops + 1;
-    ignore
-      (Remote_memory.cas_wait t.rmem desc ~doff ~old_value ~new_value ?result
-         ?notify ())
-  end
-  else begin
-    let key = key_of desc in
-    (* CAS is a synchronization point: staged writes it releases must be
-       on the wire (FIFO links order them) before the CAS lands. *)
-    flush_key t key;
-    let q = window_q t key in
-    window_admit t q;
-    let batch = window_batch t ~key ~q in
-    let ivar =
-      Remote_memory.with_batch t.rmem ~batch (fun () ->
-          Remote_memory.cas_async t.rmem desc ~doff ~old_value ~new_value
-            ?result ?notify ())
-    in
-    Queue.push
-      {
-        ready = (fun () -> Sim.Ivar.is_full ivar);
-        await =
-          (fun () ->
-            let status, _ = Sim.Ivar.read ivar in
-            Status.check status);
-      }
-      q
-  end
+  let key = key_of desc in
+  (* CAS is a synchronization point: staged writes it releases must be
+     on the wire (FIFO links order them) before the CAS lands. *)
+  flush_key t key;
+  let q = window_q t key in
+  window_admit t q;
+  let batch = window_batch t ~key ~q in
+  let ivar =
+    Remote_memory.with_batch t.rmem ~batch (fun () ->
+        Remote_memory.cas_async t.rmem desc ~doff ~old_value ~new_value
+          ?result ?notify ())
+  in
+  Queue.push
+    {
+      ready = (fun () -> Sim.Ivar.is_full ivar);
+      await =
+        (fun () ->
+          let status, _ = Sim.Ivar.read ivar in
+          Status.check status);
+    }
+    q
 
 let cas ?timeout t desc ~doff ~old_value ~new_value ?result ?notify () =
-  if t.cfg.enabled then flush_key t (key_of desc)
-  else t.stats.passthrough_ops <- t.stats.passthrough_ops + 1;
+  flush_key t (key_of desc);
   Remote_memory.cas_wait ?timeout t.rmem desc ~doff ~old_value ~new_value
     ?result ?notify ()
 
@@ -432,10 +339,8 @@ let drain t =
   reraise first
 
 let fence ?timeout ?policy t desc =
-  if t.cfg.enabled then begin
-    flush_key ?policy t (key_of desc);
-    drain_key t (key_of desc)
-  end;
-  match policy with
-  | None -> Remote_memory.fence ?timeout t.rmem desc
-  | Some policy -> Remote_memory.fence_with t.rmem ~policy desc
+  if Option.is_some timeout && Option.is_some policy then
+    invalid_arg "Pipeline.fence: ?timeout and ?policy are exclusive";
+  flush_key ?policy t (key_of desc);
+  drain_key t (key_of desc);
+  Remote_memory.fence ?timeout ?policy t.rmem desc

@@ -29,48 +29,28 @@
     which every prior write has been deposited (or its nack raised).
     Between {!flush} points, staged writes are {e not yet visible} to
     remote readers — the race detector models this: a batched write's
-    visibility witness is its flush.
-
-    With [enabled = false] (the default) every operation passes straight
-    through to {!Remote_memory}, bit-identical to not having the engine
-    at all — the differential suite holds this path against the batched
-    one. *)
+    visibility witness is its flush. *)
 
 type config = {
-  enabled : bool;  (** off ⇒ pure passthrough (the default) *)
   window : int;  (** max in-flight READ/CAS per (node, segment) *)
-  max_batch_bytes : int;  (** flush a staging buffer at this many bytes *)
-  max_batch_ops : int;  (** ... or this many absorbed writes *)
-  coalesce_notify : bool;
-      (** absorb notify bits into one per-flush notification; when
-          false, notifying writes bypass staging (after a flush) so
-          notification counts match the synchronous path exactly *)
+  max_batch_bytes : int;
+      (** flush a staging buffer at this many bytes (or at 64 absorbed
+          writes) *)
 }
 
-val default_config : config
-(** Disabled; window 8, 32 KB / 64-op batches, coalescing on. *)
-
-val pipelined_config :
-  ?window:int ->
-  ?max_batch_bytes:int ->
-  ?max_batch_ops:int ->
-  ?coalesce_notify:bool ->
-  unit ->
-  config
-(** [default_config] with [enabled = true] and any overrides. *)
+val pipelined_config : ?window:int -> ?max_batch_bytes:int -> unit -> config
+(** Window 8 and 32 KB batches unless overridden. *)
 
 type t
 
-val create : ?config:config -> Remote_memory.t -> t
+val create : config:config -> Remote_memory.t -> t
 val config : t -> config
-val rmem : t -> Remote_memory.t
 
 val write :
   t -> Descriptor.t -> off:int -> ?notify:bool -> ?swab:bool -> bytes -> unit
 (** Stage a write. It reaches the wire at the next {!flush} of its
     (node, segment) — or sooner, when the staging buffer hits a batch
-    bound, a read overlaps it, or a CAS / doorbell / non-coalescible
-    notify forces it out. Local validation (staleness, rights, bounds)
+    bound, a read overlaps it, or a CAS or doorbell forces it out. Local validation (staleness, rights, bounds)
     still happens here, so failures surface at the same program point as
     {!Remote_memory.write}. Zero-length doorbell writes are never
     staged. *)
@@ -124,11 +104,8 @@ val cas :
 
 val flush : ?policy:Recovery.policy -> t -> Descriptor.t -> unit
 (** Send the staging buffer for the descriptor's (node, segment) as one
-    burst frame. With [policy], the burst is verified and retried as
-    {!Remote_memory.write_burst_with}. No-op when nothing is staged. *)
-
-val flush_all : ?policy:Recovery.policy -> t -> unit
-(** {!flush} every staging buffer, in deterministic key order. *)
+    burst frame. With [policy], the burst is verified and retried as by
+    {!Remote_memory.write_burst}. No-op when nothing is staged. *)
 
 val drain : t -> unit
 (** Wait for every windowed READ/CAS to retire, raising the first
@@ -139,18 +116,15 @@ val fence : ?timeout:Sim.Time.t -> ?policy:Recovery.policy -> t -> Descriptor.t 
     window, then {!Remote_memory.fence} — on return every write this
     node issued toward the segment has been deposited, or the fence
     raised the recorded nack. Same guarantee as the synchronous path's
-    fence. *)
+    fence. [timeout] and [policy] are exclusive, as for
+    {!Remote_memory.fence}: passing both raises [Invalid_argument]. *)
 
 (** {1 Statistics} *)
 
 type stats = {
-  mutable staged_writes : int;  (** writes absorbed into staging buffers *)
   mutable merged_extents : int;  (** extents combined by adjacency/overlap *)
   mutable flushes : int;  (** burst frames sent *)
-  mutable coalesced_notifies : int;  (** notify bits absorbed beyond the
-                                         one each flush raises *)
   mutable window_stalls : int;  (** submits that blocked on a full window *)
-  mutable passthrough_ops : int;  (** operations that bypassed the engine *)
 }
 
 val stats : t -> stats
@@ -172,8 +146,3 @@ val staged_extents : t -> int
 
 val staged_bytes : t -> int
 (** Bytes currently staged across all buffers. *)
-
-val set_registry : t -> Obs.Registry.t option -> unit
-(** Mirror the counters into an {!Obs.Registry} ("pipeline.flushes",
-    "pipeline.staged_writes", "pipeline.coalesced_notifies",
-    "pipeline.window_stalls"). *)

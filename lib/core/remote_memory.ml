@@ -115,8 +115,11 @@ type t = {
      registered in the node, so fencing does not grow it *)
 }
 
-(* The analysis layer's hook: one match on a [None] field when disabled,
-   so the instrumented paths cost nothing extra in normal runs. *)
+(* The analysis layer's hook.  Every site builds its event under
+   [if monitored t]: without flambda the record would otherwise be
+   allocated before [emit] could discard it, so with no monitor the
+   instrumented paths cost one field test and allocate nothing. *)
+let monitored t = Option.is_some t.monitor
 let emit t event = match t.monitor with None -> () | Some f -> f event
 
 (* ------------------------------------------------------------------ *)
@@ -326,7 +329,7 @@ let export t ~space ~base ~len ?id ?(policy = Segment.Conditional)
   in
   Hashtbl.replace t.exported id segment;
   Metrics.Account.add t.ops ~category:"export" 1.;
-  emit t (Exported segment);
+  if monitored t then emit t (Exported segment);
   segment
 
 let revoke t segment =
@@ -360,16 +363,17 @@ let buffer_of_segment segment =
 (* ------------------------------------------------------------------ *)
 (* Local (issue-side) validation.                                      *)
 
+let reject t desc op ~off ~count status =
+  if monitored t then emit t (Issue_rejected { op; desc; off; count; status });
+  raise (Status.Remote_error status)
+
 let check_local t desc op ~off ~count =
-  let reject status =
-    emit t (Issue_rejected { op; desc; off; count; status });
-    raise (Status.Remote_error status)
-  in
-  if Descriptor.is_stale desc then reject Status.Stale_generation;
+  if Descriptor.is_stale desc then
+    reject t desc op ~off ~count Status.Stale_generation;
   if not (Rights.allows (Descriptor.rights desc) op) then
-    reject Status.Protection;
+    reject t desc op ~off ~count Status.Protection;
   if off < 0 || count < 0 || off + count > Descriptor.size desc then
-    reject Status.Bounds
+    reject t desc op ~off ~count Status.Bounds
 
 let check_write t desc ~off ~count =
   check_local t desc Rights.Write_op ~off ~count
@@ -392,30 +396,72 @@ let alloc_reqid t =
 
 let burst_data_bytes c = c.Cluster.Costs.burst_cells * Wire.data_bytes_per_cell
 
-let write t desc ~off ?(notify = false) ?(swab = false) data =
-  let c = costs t in
-  let count = Bytes.length data in
-  check_local t desc Rights.Write_op ~off ~count;
-  emit t
-    (Issued
-       {
-         op = Rights.Write_op;
-         desc;
-         off;
-         count;
-         notify;
-         policied = t.recovery_depth > 0;
-         cas = None;
-         batch = t.batch;
-       });
+let outside buf ~off ~len = off < 0 || off + len > buf.len
+
+(* The prologue every meta-instruction shares.  It validates the
+   descriptor for [off, count] (or for each extent of a burst), then the
+   local buffer range a READ's or CAS's [pending] completion deposits
+   into; emits Issued; opens the trace flow; enters the completion under
+   a fresh request id (before the trap, so a crash during it still fails
+   the completion); and charges the trap, the descriptor check and
+   [ctrl] of request formatting.  Returns the flow and the request id
+   (0 without [pending]). *)
+let issue t desc op ~name ~off ~count ~notify ~cas ~extents ~ctrl pending =
+  (match extents with
+  | [] -> check_local t desc op ~off ~count
+  | _ ->
+      List.iter
+        (fun (it : Wire.burst_item) ->
+          check_local t desc op ~off:it.off ~count:it.data.Wire.len)
+        extents);
+  (match pending with
+  | Some (Pending_read p) when outside p.buf ~off:p.doff ~len:p.count ->
+      reject t desc op ~off ~count Status.Bounds
+  | Some (Pending_cas { result = Some (buf, off); _ })
+    when outside buf ~off ~len:4 ->
+      reject t desc op ~off ~count Status.Bounds
+  | Some _ | None -> ());
+  if monitored t then
+    emit t
+      (Issued
+         {
+           op;
+           desc;
+           off;
+           count;
+           notify;
+           policied = t.recovery_depth > 0;
+           cas;
+           batch = t.batch;
+         });
   let fl =
-    Obs.Trace.issue_begin ~node:(nid t) ~op:"WRITE"
+    Obs.Trace.issue_begin ~node:(nid t) ~op:name
       ~seg:(Descriptor.segment_id desc) ~off ~count
   in
+  let reqid =
+    match pending with
+    | None -> 0
+    | Some p ->
+        let reqid = alloc_reqid t in
+        Hashtbl.replace t.pending reqid p;
+        reqid
+  in
+  let c = costs t in
   Obs.Trace.phase fl "trap";
   Cluster.Cpu.use (cpu t) ~category:t.client_category
-    (Sim.Time.add c.Cluster.Costs.trap c.Cluster.Costs.descriptor_check);
+    (Sim.Time.add
+       (Sim.Time.add c.Cluster.Costs.trap c.Cluster.Costs.descriptor_check)
+       ctrl);
   Obs.Trace.phase_end fl;
+  (fl, reqid)
+
+let send_write t desc ~off ~notify ~swab data =
+  let c = costs t in
+  let count = Bytes.length data in
+  let fl, _ =
+    issue t desc Rights.Write_op ~name:"WRITE" ~off ~count ~notify ~cas:None
+      ~extents:[] ~ctrl:Sim.Time.zero None
+  in
   Metrics.Account.add t.ops ~category:"write" 1.;
   Metrics.Account.add t.data_bytes ~category:"write" (float_of_int count);
   let burst = burst_data_bytes c in
@@ -459,8 +505,7 @@ let write t desc ~off ?(notify = false) ?(swab = false) data =
    the total byte count; the serve side emits one Served per extent,
    which sum back to it.  Extents must be non-empty; overlapping
    extents deposit in list order (last writer wins). *)
-let write_burst t desc ?(notify = false) ?(swab = false) extents =
-  if extents = [] then invalid_arg "Remote_memory.write_burst: empty burst";
+let send_burst t desc ~notify ~swab extents =
   let c = costs t in
   let items =
     List.map
@@ -470,33 +515,12 @@ let write_burst t desc ?(notify = false) ?(swab = false) extents =
         { Wire.off; data = Wire.view data })
       extents
   in
-  List.iter
-    (fun it ->
-      check_local t desc Rights.Write_op ~off:it.Wire.off
-        ~count:it.Wire.data.Wire.len)
-    items;
   let total = Wire.burst_payload_bytes items in
-  let first_off = (List.hd items).Wire.off in
-  emit t
-    (Issued
-       {
-         op = Rights.Write_op;
-         desc;
-         off = first_off;
-         count = total;
-         notify;
-         policied = t.recovery_depth > 0;
-         cas = None;
-         batch = t.batch;
-       });
-  let fl =
-    Obs.Trace.issue_begin ~node:(nid t) ~op:"WRITE_BURST"
-      ~seg:(Descriptor.segment_id desc) ~off:first_off ~count:total
+  let fl, _ =
+    issue t desc Rights.Write_op ~name:"WRITE_BURST"
+      ~off:(List.hd items).Wire.off ~count:total ~notify ~cas:None
+      ~extents:items ~ctrl:Sim.Time.zero None
   in
-  Obs.Trace.phase fl "trap";
-  Cluster.Cpu.use (cpu t) ~category:t.client_category
-    (Sim.Time.add c.Cluster.Costs.trap c.Cluster.Costs.descriptor_check);
-  Obs.Trace.phase_end fl;
   Metrics.Account.add t.ops ~category:"write burst" 1.;
   Metrics.Account.add t.data_bytes ~category:"write" (float_of_int total);
   let items =
@@ -524,39 +548,45 @@ let write_burst t desc ?(notify = false) ?(swab = false) extents =
             items;
           }))
 
-let read_async t desc ~soff ~count ~dst ~doff ?(notify = false)
+(* Run [check] [span] after now, as two plain events: one at now that
+   schedules the check.  That is the event shape of a watchdog process
+   that starts now and waits [span], without the process.  A single
+   event at now + span would be cheaper, but it would take its sequence
+   number earlier, reorder it against other events of that instant and
+   shift every later seq, moving the model checker's choice points and
+   invalidating recorded schedules. *)
+let watchdog t span check =
+  let engine = Cluster.Node.engine t.node in
+  Sim.Engine.schedule engine (fun () ->
+      Sim.Engine.schedule ~after:span engine check)
+
+(* The timeout of a READ or CAS: if [completion] is still empty [span]
+   from now, drop the pending entry (so a reply that straggles in later
+   is discarded instead of double-filling it) and fill it with
+   [timed_out]. *)
+let arm_timeout t timeout reqid completion timed_out =
+  match timeout with
+  | None -> ()
+  | Some span ->
+      watchdog t span (fun () ->
+          if not (Sim.Ivar.is_full completion) then begin
+            Hashtbl.remove t.pending reqid;
+            Metrics.Account.add t.errors ~category:"timeout" 1.;
+            Sim.Ivar.fill completion timed_out
+          end)
+
+let read ?timeout t desc ~soff ~count ~dst ~doff ?(notify = false)
     ?(swab = false) () =
   let c = costs t in
-  check_local t desc Rights.Read_op ~off:soff ~count;
-  if doff < 0 || doff + count > dst.len then
-    raise (Status.Remote_error Status.Bounds);
-  emit t
-    (Issued
-       {
-         op = Rights.Read_op;
-         desc;
-         off = soff;
-         count;
-         notify;
-         policied = t.recovery_depth > 0;
-         cas = None;
-         batch = t.batch;
-       });
-  let fl =
-    Obs.Trace.issue_begin ~node:(nid t) ~op:"READ"
-      ~seg:(Descriptor.segment_id desc) ~off:soff ~count
-  in
   let completion = Sim.Ivar.create ~name:"rmem READ completion" () in
-  let reqid = alloc_reqid t in
-  Hashtbl.replace t.pending reqid
-    (Pending_read
-       { desc; soff; buf = dst; doff; count; notify; received = 0; completion });
-  Obs.Trace.phase fl "trap";
-  Cluster.Cpu.use (cpu t) ~category:t.client_category
-    (Sim.Time.add
-       (Sim.Time.add c.Cluster.Costs.trap c.Cluster.Costs.descriptor_check)
-       (tx_ctrl_cost c 14));
-  Obs.Trace.phase_end fl;
+  let fl, reqid =
+    issue t desc Rights.Read_op ~name:"READ" ~off:soff ~count ~notify
+      ~cas:None ~extents:[] ~ctrl:(tx_ctrl_cost c 14)
+      (Some
+         (Pending_read
+            { desc; soff; buf = dst; doff; count; notify; received = 0;
+              completion }))
+  in
   Metrics.Account.add t.ops ~category:"read" 1.;
   Metrics.Account.add t.data_bytes ~category:"read" (float_of_int count);
   Cluster.Node.transmit
@@ -573,73 +603,21 @@ let read_async t desc ~soff ~count ~dst ~doff ?(notify = false)
             notify;
             swab;
           }));
-  (reqid, completion)
-
-(* Run [check] [span] after now, as two plain events: one at now that
-   schedules the check.  That is the event shape of a watchdog process
-   that starts now and waits [span], without the process.  A single
-   event at now + span would be cheaper, but it would take its sequence
-   number earlier, reorder it against other events of that instant and
-   shift every later seq, moving the model checker's choice points and
-   invalidating recorded schedules. *)
-let watchdog t span check =
-  let engine = Cluster.Node.engine t.node in
-  Sim.Engine.schedule engine (fun () ->
-      Sim.Engine.schedule ~after:span engine check)
-
-let read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab () =
-  let reqid, completion =
-    read_async t desc ~soff ~count ~dst ~doff ?notify ?swab ()
-  in
-  (match timeout with
-  | None -> ()
-  | Some span ->
-      watchdog t span (fun () ->
-          if not (Sim.Ivar.is_full completion) then begin
-            Hashtbl.remove t.pending reqid;
-            Metrics.Account.add t.errors ~category:"timeout" 1.;
-            Sim.Ivar.fill completion Status.Timed_out
-          end));
+  arm_timeout t timeout reqid completion Status.Timed_out;
   completion
 
-let read_wait ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab () =
-  Status.check
-    (Sim.Ivar.read (read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab ()))
-
-let cas_submit t desc ~doff ~old_value ~new_value ?result ?(notify = false) () =
+let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result
+    ?(notify = false) () =
   let c = costs t in
-  check_local t desc Rights.Cas_op ~off:doff ~count:4;
-  (match result with
-  | Some (buf, off) ->
-      if off < 0 || off + 4 > buf.len then
-        raise (Status.Remote_error Status.Bounds)
-  | None -> ());
-  emit t
-    (Issued
-       {
-         op = Rights.Cas_op;
-         desc;
-         off = doff;
-         count = 4;
-         notify;
-         policied = t.recovery_depth > 0;
-         cas = Some (old_value, new_value);
-         batch = t.batch;
-       });
-  let fl =
-    Obs.Trace.issue_begin ~node:(nid t) ~op:"CAS"
-      ~seg:(Descriptor.segment_id desc) ~off:doff ~count:4
-  in
   let completion = Sim.Ivar.create ~name:"rmem CAS completion" () in
-  let reqid = alloc_reqid t in
-  Hashtbl.replace t.pending reqid
-    (Pending_cas { desc; cas_doff = doff; result; notify; old_value; completion });
-  Obs.Trace.phase fl "trap";
-  Cluster.Cpu.use (cpu t) ~category:t.client_category
-    (Sim.Time.add
-       (Sim.Time.add c.Cluster.Costs.trap c.Cluster.Costs.descriptor_check)
-       (tx_ctrl_cost c 18));
-  Obs.Trace.phase_end fl;
+  let fl, reqid =
+    issue t desc Rights.Cas_op ~name:"CAS" ~off:doff ~count:4 ~notify
+      ~cas:(Some (old_value, new_value))
+      ~extents:[] ~ctrl:(tx_ctrl_cost c 18)
+      (Some
+         (Pending_cas
+            { desc; cas_doff = doff; result; notify; old_value; completion }))
+  in
   Metrics.Account.add t.ops ~category:"cas" 1.;
   Cluster.Node.transmit
     ?ctx:(Obs.Trace.wire_ctx fl)
@@ -655,10 +633,11 @@ let cas_submit t desc ~doff ~old_value ~new_value ?result ?(notify = false) () =
             reqid;
             notify;
           }));
-  (reqid, completion)
+  arm_timeout t timeout reqid completion (Status.Timed_out, 0l);
+  completion
 
 let cas_async t desc ~doff ~old_value ~new_value ?result ?notify () =
-  snd (cas_submit t desc ~doff ~old_value ~new_value ?result ?notify ())
+  send_cas t desc ~doff ~old_value ~new_value ?result ?notify ()
 
 let take_write_failure t desc =
   let key =
@@ -672,35 +651,30 @@ let take_write_failure t desc =
       Hashtbl.remove t.write_failures key;
       Some status
 
+let raise_write_failure t desc =
+  match take_write_failure t desc with
+  | None -> ()
+  | Some status -> raise (Status.Remote_error status)
+
+let await_read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab () =
+  Status.check
+    (Sim.Ivar.read (read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab ()))
+
 (* Writes are unacknowledged; links are FIFO.  A fence is therefore one
    minimal read round trip: when it returns, every WRITE this node
    previously issued toward the same segment has been deposited — or, if
    the destination had to drop one, its nack has arrived and the fence
    reports the loss instead of succeeding silently. *)
-let fence ?timeout t desc =
+let await_fence ?timeout t desc =
   let dst = buffer ~space:t.fence_space ~base:0 ~len:4 in
-  read_wait ?timeout t desc ~soff:0 ~count:4 ~dst ~doff:0 ();
-  match take_write_failure t desc with
-  | None -> ()
-  | Some status -> raise (Status.Remote_error status)
+  await_read ?timeout t desc ~soff:0 ~count:4 ~dst ~doff:0 ();
+  raise_write_failure t desc
 
-let cas_wait ?timeout t desc ~doff ~old_value ~new_value ?result ?notify () =
-  let reqid, completion =
-    cas_submit t desc ~doff ~old_value ~new_value ?result ?notify ()
+let await_cas ?timeout t desc ~doff ~old_value ~new_value ?result ?notify () =
+  let status, witness =
+    Sim.Ivar.read
+      (send_cas ?timeout t desc ~doff ~old_value ~new_value ?result ?notify ())
   in
-  (match timeout with
-  | None -> ()
-  | Some span ->
-      watchdog t span (fun () ->
-          if not (Sim.Ivar.is_full completion) then begin
-            (* Drop the pending entry too, so a reply that straggles in
-               after the timeout is discarded instead of double-filling
-               the completion. *)
-            Hashtbl.remove t.pending reqid;
-            Metrics.Account.add t.errors ~category:"timeout" 1.;
-            Sim.Ivar.fill completion (Status.Timed_out, 0l)
-          end));
-  let status, witness = Sim.Ivar.read completion in
   Status.check status;
   (Int32.equal witness old_value, witness)
 
@@ -719,11 +693,13 @@ let fault_incr t name =
    revalidator on stale-descriptor failures, re-raise terminal ones.
    Attempts run with [recovery_depth] raised so the Issued events they
    produce are marked policied (the no-retry-policy lint keys on it).
+   Each attempt is [attempt_fn] given the policy's per-attempt timeout.
    Must be called from a simulated process (backoff blocks). *)
 let run_policy t (policy : Recovery.policy) desc ~op attempt_fn =
   let engine = Cluster.Node.engine t.node in
   let scope = Obs.Trace.scope_begin ~node:(nid t) ~name:("recover:" ^ op) in
   let started = Sim.Engine.now engine in
+  let timeout = Some (Recovery.timeout policy) in
   let finish v =
     Obs.Trace.scope_end scope;
     v
@@ -734,7 +710,7 @@ let run_policy t (policy : Recovery.policy) desc ~op attempt_fn =
       Fun.protect
         ~finally:(fun () -> t.recovery_depth <- t.recovery_depth - 1)
         (fun () ->
-          try Ok (attempt_fn ()) with
+          try Ok (attempt_fn timeout) with
           | Status.Timeout -> Error Status.Timed_out
           | Status.Remote_error status -> Error status)
     in
@@ -783,58 +759,26 @@ let run_policy t (policy : Recovery.policy) desc ~op attempt_fn =
     Obs.Trace.scope_end scope;
     raise exn
 
-let read_with t ~policy desc ~soff ~count ~dst ~doff ?notify ?swab () =
-  run_policy t policy desc ~op:"READ" (fun () ->
-      read_wait
-        ~timeout:(Recovery.timeout policy)
-        t desc ~soff ~count ~dst ~doff ?notify ?swab ())
+(* Under a policy the per-attempt timeout is the policy's, so a caller's
+   own [timeout] would be silently dropped: refuse the pair instead. *)
+let exclusive fn timeout =
+  if Option.is_some timeout then
+    invalid_arg (fn ^ ": ?timeout and ?policy are exclusive")
 
-let write_with t ~policy desc ~off ?notify ?(swab = false) data =
-  (* WRITE is unacknowledged and a frame the fault plane drops generates
-     no nack — a bare fence round trip would sail past the gap and
-     succeed.  So each attempt deposits and then *reads the data back*
-     (the paper's "read of a known value"), treating a mismatch as loss
-     and reissuing: at-least-once deposit of idempotent data.  The
-     read-back also flushes any nack, which is re-raised.  When the
-     descriptor grants no read rights (or the data is byte-swapped in
-     transit), only the nack-flushing fence remains — loss detection
-     then needs an application-level read, as in the paper.
-     Verification assumes no concurrent writer deposits different bytes
-     into the same region mid-check (single-writer regions, the usual
-     discipline here). *)
-  let count = Bytes.length data in
-  let verifiable =
-    count > 0 && (not swab) && Rights.allows (Descriptor.rights desc) Rights.Read_op
-  in
-  run_policy t policy desc ~op:"WRITE" (fun () ->
-      write t desc ~off ~swab ?notify data;
-      if not verifiable then fence ~timeout:(Recovery.timeout policy) t desc
-      else begin
-        (* Its own space: concurrent verifying writes compare what
-           they read back, so they cannot share the fence space. *)
-        let space = scratch_space () in
-        let dst = buffer ~space ~base:0 ~len:count in
-        read_wait
-          ~timeout:(Recovery.timeout policy)
-          t desc ~soff:off ~count ~dst ~doff:0 ();
-        (match take_write_failure t desc with
-        | None -> ()
-        | Some status -> raise (Status.Remote_error status));
-        let got = Cluster.Address_space.read space ~addr:0 ~len:count in
-        if not (Bytes.equal got data) then
-          (* The deposit frame was lost on the wire (or corrupted and
-             discarded at the NIC): surface it as the timeout it would
-             eventually become. *)
-          raise (Status.Remote_error Status.Timed_out)
-      end)
-
-(* Burst variant of {!write_with}: each attempt sends the whole burst,
-   then reads back the covering span and compares every extent (or falls
-   back to the nack-flushing fence when unverifiable).  Extents must not
-   overlap — an overwritten extent would fail verification forever. *)
-let write_burst_with t ~policy desc ?notify ?(swab = false) extents =
-  if extents = [] then
-    invalid_arg "Remote_memory.write_burst_with: empty burst";
+(* The read-back half of a policied WRITE or burst.  WRITE is
+   unacknowledged and a frame the fault plane drops generates no nack —
+   a bare fence round trip would sail past the gap and succeed.  So each
+   attempt reads the written span back (the paper's "read of a known
+   value") and compares every extent, treating a mismatch as loss to
+   reissue: at-least-once deposit of idempotent data.  The read-back
+   also flushes any nack, which is re-raised.  When the descriptor
+   grants no read rights (or the data is byte-swapped in transit), only
+   the nack-flushing fence remains — loss detection then needs an
+   application-level read, as in the paper.  Verification assumes no
+   concurrent writer deposits different bytes into the same region
+   mid-check (single-writer regions, the usual discipline here), and
+   extents must not overlap — an overwritten one would never verify. *)
+let verify_written ?timeout t desc ~swab extents =
   let lo =
     List.fold_left (fun acc (off, _) -> Stdlib.min acc off) max_int extents
   in
@@ -844,43 +788,76 @@ let write_burst_with t ~policy desc ?notify ?(swab = false) extents =
       0 extents
   in
   let span = hi - lo in
-  let verifiable =
-    (not swab) && Rights.allows (Descriptor.rights desc) Rights.Read_op
-  in
-  run_policy t policy desc ~op:"WRITE" (fun () ->
-      write_burst t desc ?notify ~swab extents;
-      if not verifiable then fence ~timeout:(Recovery.timeout policy) t desc
-      else begin
-        (* Its own space: concurrent verifying writes compare what
-           they read back, so they cannot share the fence space. *)
-        let space = scratch_space () in
-        let dst = buffer ~space ~base:0 ~len:span in
-        read_wait
-          ~timeout:(Recovery.timeout policy)
-          t desc ~soff:lo ~count:span ~dst ~doff:0 ();
-        (match take_write_failure t desc with
-        | None -> ()
-        | Some status -> raise (Status.Remote_error status));
-        List.iter
-          (fun (off, data) ->
-            let got =
-              Cluster.Address_space.read space ~addr:(off - lo)
-                ~len:(Bytes.length data)
-            in
-            if not (Bytes.equal got data) then
-              raise (Status.Remote_error Status.Timed_out))
-          extents
-      end)
+  if span <= 0 || swab || not (Rights.allows (Descriptor.rights desc) Rights.Read_op)
+  then await_fence ?timeout t desc
+  else begin
+    (* Its own space: concurrent verifying writes compare what they
+       read back, so they cannot share the fence space. *)
+    let space = scratch_space () in
+    let dst = buffer ~space ~base:0 ~len:span in
+    await_read ?timeout t desc ~soff:lo ~count:span ~dst ~doff:0 ();
+    raise_write_failure t desc;
+    List.iter
+      (fun (off, data) ->
+        let got =
+          Cluster.Address_space.read space ~addr:(off - lo)
+            ~len:(Bytes.length data)
+        in
+        if not (Bytes.equal got data) then
+          (* The deposit frame was lost on the wire (or corrupted and
+             discarded at the NIC): surface it as the timeout it would
+             eventually become. *)
+          raise (Status.Remote_error Status.Timed_out))
+      extents
+  end
 
-let cas_with t ~policy desc ~doff ~old_value ~new_value ?result ?notify () =
-  run_policy t policy desc ~op:"CAS" (fun () ->
-      cas_wait
-        ~timeout:(Recovery.timeout policy)
-        t desc ~doff ~old_value ~new_value ?result ?notify ())
+(* The blocking entry points: one each per meta-instruction, run once
+   or, given a [policy], under {!run_policy}. *)
 
-let fence_with t ~policy desc =
-  run_policy t policy desc ~op:"FENCE" (fun () ->
-      fence ~timeout:(Recovery.timeout policy) t desc)
+let write ?policy t desc ~off ?(notify = false) ?(swab = false) data =
+  match policy with
+  | None -> send_write t desc ~off ~notify ~swab data
+  | Some policy ->
+      run_policy t policy desc ~op:"WRITE" (fun timeout ->
+          send_write t desc ~off ~notify ~swab data;
+          verify_written ?timeout t desc ~swab [ (off, data) ])
+
+let write_burst ?policy t desc ?(notify = false) ?(swab = false) extents =
+  if extents = [] then invalid_arg "Remote_memory.write_burst: empty burst";
+  match policy with
+  | None -> send_burst t desc ~notify ~swab extents
+  | Some policy ->
+      run_policy t policy desc ~op:"WRITE" (fun timeout ->
+          send_burst t desc ~notify ~swab extents;
+          verify_written ?timeout t desc ~swab extents)
+
+let read_wait ?timeout ?policy t desc ~soff ~count ~dst ~doff ?notify ?swab ()
+    =
+  match policy with
+  | None -> await_read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab ()
+  | Some policy ->
+      exclusive "Remote_memory.read_wait" timeout;
+      run_policy t policy desc ~op:"READ" (fun timeout ->
+          await_read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab ())
+
+let cas_wait ?timeout ?policy t desc ~doff ~old_value ~new_value ?result
+    ?notify () =
+  match policy with
+  | None ->
+      await_cas ?timeout t desc ~doff ~old_value ~new_value ?result ?notify ()
+  | Some policy ->
+      exclusive "Remote_memory.cas_wait" timeout;
+      run_policy t policy desc ~op:"CAS" (fun timeout ->
+          await_cas ?timeout t desc ~doff ~old_value ~new_value ?result
+            ?notify ())
+
+let fence ?timeout ?policy t desc =
+  match policy with
+  | None -> await_fence ?timeout t desc
+  | Some policy ->
+      exclusive "Remote_memory.fence" timeout;
+      run_policy t policy desc ~op:"FENCE" (fun timeout ->
+          await_fence ?timeout t desc)
 
 (* ------------------------------------------------------------------ *)
 (* Crash and restart (driven by the fault plane).                      *)
@@ -937,7 +914,7 @@ let restart_exports ?(preserve = []) t =
       in
       Hashtbl.replace t.exported id segment;
       Metrics.Account.add t.ops ~category:"re-export" 1.;
-      emit t (Exported segment))
+      if monitored t then emit t (Exported segment))
     segs
 
 (* ------------------------------------------------------------------ *)
@@ -978,7 +955,7 @@ let handle_write t ~src (w : Wire.write_req) =
      success path stays unacknowledged, as in the paper). *)
   let drop status =
     record_error t status;
-    emit t
+    if monitored t then emit t
       (Serve_rejected
          {
            op = Rights.Write_op;
@@ -1013,7 +990,7 @@ let handle_write t ~src (w : Wire.write_req) =
         Metrics.Account.add t.data_bytes ~category:"write served"
           (float_of_int count);
         let notified = Segment.should_notify segment ~requested:w.notify in
-        emit t
+        if monitored t then emit t
           (Served
              {
                op = Rights.Write_op;
@@ -1057,7 +1034,7 @@ let handle_write_burst t ~src (b : Wire.write_burst) =
        c.Cluster.Costs.vm_deliver);
   let drop status ~off ~count =
     record_error t status;
-    emit t
+    if monitored t then emit t
       (Serve_rejected
          { op = Rights.Write_op; src; seg = b.seg; gen = b.gen; off; count;
            status });
@@ -1109,7 +1086,7 @@ let handle_write_burst t ~src (b : Wire.write_burst) =
               let count = data.Wire.len in
               Metrics.Account.add t.data_bytes ~category:"write served"
                 (float_of_int count);
-              emit t
+              if monitored t then emit t
                 (Served
                    {
                      op = Rights.Write_op;
@@ -1154,7 +1131,7 @@ let handle_read t ~src (r : Wire.read_req) =
   with
   | Error status ->
       record_error t status;
-      emit t
+      if monitored t then emit t
         (Serve_rejected
            {
              op = Rights.Read_op;
@@ -1181,7 +1158,7 @@ let handle_read t ~src (r : Wire.read_req) =
   | Ok segment ->
       Metrics.Account.add t.data_bytes ~category:"read served"
         (float_of_int r.count);
-      emit t
+      if monitored t then emit t
         (Served
            {
              op = Rights.Read_op;
@@ -1253,7 +1230,7 @@ let handle_cas t ~src (r : Wire.cas_req) =
     with
     | Error status ->
         record_error t status;
-        emit t
+        if monitored t then emit t
           (Serve_rejected
              {
                op = Rights.Cas_op;
@@ -1275,7 +1252,7 @@ let handle_cas t ~src (r : Wire.cas_req) =
           Cluster.Address_space.cas_word (Segment.space segment) ~addr
             ~old_value:r.old_value ~new_value:r.new_value
         in
-        emit t
+        if monitored t then emit t
           (Served
              {
                op = Rights.Cas_op;
@@ -1328,7 +1305,7 @@ let handle_read_reply t ~src (r : Wire.read_reply) =
       Sim.Ivar.fill p.completion (Status.Bad_segment, 0l)
   | Some (Pending_read p) ->
       let completed status =
-        emit t
+        if monitored t then emit t
           (Completed
              {
                op = Rights.Read_op;
@@ -1408,7 +1385,7 @@ let handle_cas_reply t ~src (r : Wire.cas_reply) =
              off = 0;
              count = 4;
            });
-      emit t
+      if monitored t then emit t
         (Completed
            {
              op = Rights.Cas_op;
@@ -1435,7 +1412,7 @@ let handle_write_nack t ~src (n : Wire.write_nack) =
   Hashtbl.replace t.write_failures
     (Atm.Addr.to_int src, n.seg, Generation.to_int n.gen)
     n.status;
-  emit t (Nacked { src; nack = n });
+  if monitored t then emit t (Nacked { src; nack = n });
   Obs.Trace.root_close sv ~status:(Status.to_string n.status);
   Obs.Trace.serve_end sv
 

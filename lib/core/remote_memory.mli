@@ -69,17 +69,49 @@ val import :
 (** {1 Meta-instructions}
 
     All three check the descriptor locally first (staleness, rights,
-    bounds) and raise {!Status.Remote_error} on failure, mirroring the
-    paper's local failure of operations on stale segments. *)
+    bounds), then the local buffer range a READ deposits into or a CAS
+    writes its result word to, and raise {!Status.Remote_error} on
+    failure (after an [Issue_rejected] event), mirroring the paper's
+    local failure of operations on stale segments.
+
+    {b Recovery (§3.7).} Each blocking entry point takes an optional
+    [policy]. Without one the operation runs once. With one, each
+    attempt uses the policy's timeout, retryable failures (timeouts —
+    i.e. loss, corruption, partitions, crashed peers) are reissued after
+    exponential backoff, [Stale_generation] / [Bad_segment] failures run
+    the policy's revalidator (typically a forced name-service re-import)
+    before the next attempt, and terminal failures ([Protection],
+    [Bounds], ...) re-raise immediately. Retries are counted in
+    {!errors} (categories "retry" / "recovered" / "gave-up") and in the
+    fault registry when one is attached. A policied call must run in a
+    simulated process, and passing [timeout] as well raises
+    [Invalid_argument]: the per-attempt timeout is the policy's. *)
 
 val write :
-  t -> Descriptor.t -> off:int -> ?notify:bool -> ?swab:bool -> bytes -> unit
+  ?policy:Recovery.policy ->
+  t ->
+  Descriptor.t ->
+  off:int ->
+  ?notify:bool ->
+  ?swab:bool ->
+  bytes ->
+  unit
 (** Non-blocking remote write. Returns once the data is accepted by the
     network (all sender-side CPU work done); delivery is not
     acknowledged. Large writes are segmented into bursts; [notify]
     applies to the final cell group. [swab] sets the §3.6 heterogeneity
     bit: the receiving side byte-swaps the data words during the FIFO
-    copy. *)
+    copy.
+
+    With [policy] the call blocks and verifies each attempt: WRITE is
+    unacknowledged and a frame lost on the wire produces no nack, so
+    each attempt reads the data back (the paper's "read of a known
+    value") and reissues on mismatch — at-least-once deposit of
+    idempotent data; a [notify] bit may therefore post more than once.
+    When the descriptor grants no read rights (or [swab] is set) only a
+    nack-flushing fence remains, and silent loss must be caught by an
+    application-level read. Assumes no concurrent writer to the same
+    region during verification. *)
 
 val check_write :
   t -> Descriptor.t -> off:int -> count:int -> unit
@@ -90,6 +122,7 @@ val check_write :
     flush. *)
 
 val write_burst :
+  ?policy:Recovery.policy ->
   t ->
   Descriptor.t ->
   ?notify:bool ->
@@ -105,7 +138,12 @@ val write_burst :
     all; one nack names the first offending extent) and raises at most
     one notification covering the whole burst. Extents must be
     non-empty; overlapping extents deposit in list order. Raises
-    [Invalid_argument] on an empty burst or extent. *)
+    [Invalid_argument] on an empty burst or extent.
+
+    With [policy], each attempt sends the burst and then reads back the
+    covering span, comparing every extent (falling back to a
+    nack-flushing fence when unverifiable, as for {!write}). Extents
+    must then not overlap — an overwritten extent could never verify. *)
 
 val read :
   ?timeout:Sim.Time.t ->
@@ -129,6 +167,7 @@ val read :
 
 val read_wait :
   ?timeout:Sim.Time.t ->
+  ?policy:Recovery.policy ->
   t ->
   Descriptor.t ->
   soff:int ->
@@ -139,11 +178,13 @@ val read_wait :
   ?swab:bool ->
   unit ->
   unit
-(** Blocking wrapper: raises {!Status.Remote_error} on failure and
+(** Blocking {!read}: raises {!Status.Remote_error} on failure and
     {!Status.Timeout} if [timeout] passes first (late replies are then
-    dropped). *)
+    dropped). READ is idempotent, so under [policy] it is reissued
+    blindly. *)
 
-val fence : ?timeout:Sim.Time.t -> t -> Descriptor.t -> unit
+val fence :
+  ?timeout:Sim.Time.t -> ?policy:Recovery.policy -> t -> Descriptor.t -> unit
 (** Block until every WRITE this node previously issued against the
     descriptor's segment has been deposited: one minimal read round
     trip, sound because links deliver in FIFO order. Raises like
@@ -175,6 +216,7 @@ val cas_async :
 
 val cas_wait :
   ?timeout:Sim.Time.t ->
+  ?policy:Recovery.policy ->
   t ->
   Descriptor.t ->
   doff:int ->
@@ -184,86 +226,17 @@ val cas_wait :
   ?notify:bool ->
   unit ->
   bool * int32
-(** Blocking wrapper: returns (succeeded, witness). *)
+(** Blocking {!cas_async}: returns (succeeded, witness). Under [policy],
+    if a CAS applied but its reply was lost, the reissued CAS observes
+    [new_value] and reports failure — the usual lost-reply ambiguity;
+    callers must treat a false return as "not won by this call", not
+    "nothing happened". *)
 
-(** {1 Policy-driven recovery (§3.7)}
-
-    Blocking variants that execute under a {!Recovery.policy}: each
-    attempt uses the policy's timeout, retryable failures (timeouts —
-    i.e. loss, corruption, partitions, crashed peers) are reissued after
-    exponential backoff, [Stale_generation] / [Bad_segment] failures run
-    the policy's revalidator (typically a forced name-service re-import)
-    before the next attempt, and terminal failures ([Protection],
-    [Bounds], ...) re-raise immediately. Retries are counted in
-    {!errors} (categories "retry" / "recovered" / "gave-up") and in the
-    fault registry when one is attached. Must be called from a simulated
-    process. *)
-
-val read_with :
-  t ->
-  policy:Recovery.policy ->
-  Descriptor.t ->
-  soff:int ->
-  count:int ->
-  dst:buffer ->
-  doff:int ->
-  ?notify:bool ->
-  ?swab:bool ->
-  unit ->
-  unit
-(** Like {!read_wait}, under a policy. READ is idempotent: safe to
-    reissue blindly. *)
-
-val write_with :
-  t ->
-  policy:Recovery.policy ->
-  Descriptor.t ->
-  off:int ->
-  ?notify:bool ->
-  ?swab:bool ->
-  bytes ->
-  unit
-(** Write-then-verify per attempt: WRITE is unacknowledged and a frame
-    lost on the wire produces no nack, so each attempt reads the data
-    back (the paper's "read of a known value") and reissues on mismatch
-    — at-least-once deposit of idempotent data; a [notify] bit may
-    therefore post more than once. When the descriptor grants no read
-    rights (or [swab] is set) only a nack-flushing fence remains, and
-    silent loss must be caught by an application-level read. Assumes no
-    concurrent writer to the same region during verification. *)
-
-val write_burst_with :
-  t ->
-  policy:Recovery.policy ->
-  Descriptor.t ->
-  ?notify:bool ->
-  ?swab:bool ->
-  (int * bytes) list ->
-  unit
-(** Like {!write_burst}, under a policy: each attempt sends the burst
-    and then reads back the covering span, comparing every extent
-    (falling back to a nack-flushing fence when unverifiable, as in
-    {!write_with}). Extents must not overlap — an overwritten extent
-    could never verify. *)
-
-val cas_with :
-  t ->
-  policy:Recovery.policy ->
-  Descriptor.t ->
-  doff:int ->
-  old_value:int32 ->
-  new_value:int32 ->
-  ?result:buffer * int ->
-  ?notify:bool ->
-  unit ->
-  bool * int32
-(** Like {!cas_wait}, under a policy. Caveat: if a CAS applied but its
-    reply was lost, the reissued CAS observes [new_value] and reports
-    failure — the usual lost-reply ambiguity; callers must treat a
-    false return as "not won by this call", not "nothing happened". *)
-
-val fence_with : t -> policy:Recovery.policy -> Descriptor.t -> unit
-(** Like {!fence}, under a policy. *)
+val set_fault_registry : t -> Obs.Registry.t option -> unit
+(** Attach a metrics registry for recovery counters ("rmem.retries",
+    "rmem.recovered", "rmem.gave_up", "rmem.revalidations") and
+    per-(node, seg) "recover:OP" latency series measuring issue-to-
+    success across all attempts. *)
 
 (** {1 Crash and restart (driven by the fault plane)} *)
 
@@ -282,12 +255,6 @@ val restart_exports : ?preserve:int list -> t -> unit
     (well-known bootstrap segments, whose fixed generations are how
     clerks find the name service at all). Write-inhibit state does not
     survive; notification fds and page pins do. *)
-
-val set_fault_registry : t -> Obs.Registry.t option -> unit
-(** Attach a metrics registry for recovery counters ("rmem.retries",
-    "rmem.recovered", "rmem.gave_up", "rmem.revalidations") and
-    per-(node, seg) "recover:OP" latency series measuring issue-to-
-    success across all attempts. *)
 
 (** {1 Notification and roles} *)
 
@@ -386,7 +353,7 @@ type monitor_event =
 
 val set_monitor : t -> (monitor_event -> unit) option -> unit
 (** Install (or clear) the event hook. When unset the instrumented paths
-    cost a single [None] field test. *)
+    cost a single [None] field test and build no event. *)
 
 val fresh_batch : t -> int
 (** Allocate a batch id for {!with_batch} (unique per node). *)

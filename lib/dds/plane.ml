@@ -23,31 +23,17 @@ let connect rmem ?policy ~remote ~segment_id ~generation ~size ~scratch () =
   { rmem; node; desc; space; buf; policy }
 
 let read_bytes t ~soff ~len =
-  (match t.policy with
-  | Some policy ->
-      Rmem.Remote_memory.read_with t.rmem ~policy t.desc ~soff ~count:len
-        ~dst:t.buf ~doff:0 ()
-  | None ->
-      Rmem.Remote_memory.read_wait t.rmem t.desc ~soff ~count:len ~dst:t.buf
-        ~doff:0 ());
+  Rmem.Remote_memory.read_wait ?policy:t.policy t.rmem t.desc ~soff ~count:len
+    ~dst:t.buf ~doff:0 ();
   Cluster.Address_space.read t.space ~addr:0 ~len
 
 let read_word t ~soff = Bytes.get_int32_le (read_bytes t ~soff ~len:4) 0
 
 let cas t ~doff ~old_value ~new_value =
-  match t.policy with
-  | Some policy ->
-      Rmem.Remote_memory.cas_with t.rmem ~policy t.desc ~doff ~old_value
-        ~new_value ()
-  | None ->
-      Rmem.Remote_memory.cas_wait t.rmem t.desc ~doff ~old_value ~new_value ()
+  Rmem.Remote_memory.cas_wait ?policy:t.policy t.rmem t.desc ~doff ~old_value
+    ~new_value ()
 
 let write t ~off data =
-  match t.policy with
-  | Some policy -> Rmem.Remote_memory.write_with t.rmem ~policy t.desc ~off data
-  | None -> Rmem.Remote_memory.write t.rmem t.desc ~off data
+  Rmem.Remote_memory.write ?policy:t.policy t.rmem t.desc ~off data
 
-let fence t =
-  match t.policy with
-  | Some policy -> Rmem.Remote_memory.fence_with t.rmem ~policy t.desc
-  | None -> Rmem.Remote_memory.fence t.rmem t.desc
+let fence t = Rmem.Remote_memory.fence ?policy:t.policy t.rmem t.desc

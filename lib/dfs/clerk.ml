@@ -132,7 +132,7 @@ let set_pipeline t pipeline = t.pipeline <- pipeline
    the serialization the window exists to avoid. *)
 let gather_pipeline t =
   match (t.pipeline, t.recovery) with
-  | Some p, None when (Rmem.Pipeline.config p).Rmem.Pipeline.enabled -> Some p
+  | Some p, None -> Some p
   | _ -> None
 
 (* Which service segment a descriptor names, for revalidation: after a
@@ -147,32 +147,27 @@ let layout_name_of t desc =
   else if desc == t.d_file then Layout.file_name
   else Layout.request_name
 
-let policy_for t base desc =
-  Rmem.Recovery.with_revalidate base
-    (Names.Api.revalidator ~hint:t.server t.names (layout_name_of t desc))
+let policy_for t desc =
+  match t.recovery with
+  | None -> None
+  | Some base ->
+      Some
+        (Rmem.Recovery.with_revalidate base
+           (Names.Api.revalidator ~hint:t.server t.names (layout_name_of t desc)))
 
 let probe_buffer t =
   Rmem.Remote_memory.buffer ~space:t.space ~base:t.probe_base ~len:16384
 
-(* DX reads and write pushes, recovery-dispatched.  The Hybrid-1 request
-   segment is exported write-only, so its writes stay one-way (the spin
-   deadline there is the timeout); everything DX touches is readable and
-   can be fenced, verified and reissued. *)
+(* DX reads and write pushes, under the recovery policy if one is set.
+   The Hybrid-1 request segment is exported write-only, so its writes
+   stay one-way (the spin deadline there is the timeout); everything DX
+   touches is readable and can be fenced, verified and reissued. *)
 let dx_read t desc ~soff ~count =
-  match t.recovery with
-  | None ->
-      Rmem.Remote_memory.read_wait t.rmem desc ~soff ~count
-        ~dst:(probe_buffer t) ~doff:0 ()
-  | Some base ->
-      Rmem.Remote_memory.read_with t.rmem ~policy:(policy_for t base desc) desc
-        ~soff ~count ~dst:(probe_buffer t) ~doff:0 ()
+  Rmem.Remote_memory.read_wait ?policy:(policy_for t desc) t.rmem desc ~soff
+    ~count ~dst:(probe_buffer t) ~doff:0 ()
 
 let dx_write t desc ~off data =
-  match t.recovery with
-  | None -> Rmem.Remote_memory.write t.rmem desc ~off data
-  | Some base ->
-      Rmem.Remote_memory.write_with t.rmem ~policy:(policy_for t base desc)
-        desc ~off data
+  Rmem.Remote_memory.write ?policy:(policy_for t desc) t.rmem desc ~off data
 
 let name_key name = Names.Record.fnv_hash name
 
@@ -459,7 +454,7 @@ let dx_fetch t op =
         Bytes.set_int32_le header 8 (Int32.of_int block);
         Bytes.set_int32_le header 12 (Int32.of_int (Bytes.length data));
         (match t.pipeline with
-        | Some p when (Rmem.Pipeline.config p).Rmem.Pipeline.enabled ->
+        | Some p ->
             (* Header and body stage as adjacent extents and merge: the
                whole push leaves as one burst frame and deposits as a
                unit, so the valid flag can never precede its data. *)
@@ -467,11 +462,8 @@ let dx_fetch t op =
               ~off:(slot_off + Slot_cache.header_bytes)
               data;
             Rmem.Pipeline.write p t.d_file ~off:slot_off header;
-            let policy =
-              Option.map (fun base -> policy_for t base t.d_file) t.recovery
-            in
-            Rmem.Pipeline.flush ?policy p t.d_file
-        | Some _ | None ->
+            Rmem.Pipeline.flush ?policy:(policy_for t t.d_file) p t.d_file
+        | None ->
             dx_write t t.d_file
               ~off:(slot_off + Slot_cache.header_bytes)
               data;

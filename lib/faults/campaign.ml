@@ -195,11 +195,7 @@ let push ?policy ?pipeline rmem desc ~off data =
   | Some p ->
       Rmem.Pipeline.write p desc ~off data;
       Rmem.Pipeline.flush ?policy p desc
-  | None -> (
-      match policy with
-      | Some policy ->
-          Rmem.Remote_memory.write_with rmem ~policy desc ~off data
-      | None -> Rmem.Remote_memory.write rmem desc ~off data)
+  | None -> Rmem.Remote_memory.write ?policy rmem desc ~off data
 
 let outcome ~workload ~seed ~plane ~timeseries ~engine_events ~survived
     ~converged ~detail =
@@ -279,7 +275,7 @@ let quickstart ~plan ~seed ~pipelined ~sampler =
       push ~policy ?pipeline rmem0 desc ~off:0 message;
       let space0 = Cluster.Node.new_address_space node0 in
       let buf = Rmem.Remote_memory.buffer ~space:space0 ~base:0 ~len:4096 in
-      Rmem.Remote_memory.read_with rmem0 ~policy desc ~soff:0
+      Rmem.Remote_memory.read_wait rmem0 ~policy desc ~soff:0
         ~count:(Bytes.length message) ~dst:buf ~doff:0 ();
       let echoed =
         Cluster.Address_space.read space0 ~addr:0 ~len:(Bytes.length message)
@@ -288,14 +284,14 @@ let quickstart ~plan ~seed ~pipelined ~sampler =
          is the memory word itself: the first CAS saw 0 and must have
          installed 42; the second saw 42 and must have left it alone. *)
       let (_ : bool * int32) =
-        Rmem.Remote_memory.cas_with rmem0 ~policy desc ~doff:1024
+        Rmem.Remote_memory.cas_wait rmem0 ~policy desc ~doff:1024
           ~old_value:0l ~new_value:42l ()
       in
       let (_ : bool * int32) =
-        Rmem.Remote_memory.cas_with rmem0 ~policy desc ~doff:1024
+        Rmem.Remote_memory.cas_wait rmem0 ~policy desc ~doff:1024
           ~old_value:0l ~new_value:99l ()
       in
-      Rmem.Remote_memory.read_with rmem0 ~policy desc ~soff:1024 ~count:4
+      Rmem.Remote_memory.read_wait rmem0 ~policy desc ~soff:1024 ~count:4
         ~dst:buf ~doff:1024 ();
       let word = Cluster.Address_space.read_word space0 ~addr:1024 in
       let ok_bytes = Bytes.equal echoed message in
@@ -371,7 +367,7 @@ let name_service ~plan ~seed ~pipelined ~sampler =
       in
       let stale_rejected =
         match
-          Rmem.Remote_memory.read_with rmems.(0) ~policy:(policy name0) stale
+          Rmem.Remote_memory.read_wait rmems.(0) ~policy:(policy name0) stale
             ~soff:0 ~count:(Bytes.length payload) ~dst:buf ~doff:0 ()
         with
         | () -> false
@@ -380,7 +376,7 @@ let name_service ~plan ~seed ~pipelined ~sampler =
       let fresh =
         retrying (fun () -> Names.Api.import ~force:true ~hint clerks.(0) name0)
       in
-      Rmem.Remote_memory.read_with rmems.(0) ~policy:(policy name0) fresh
+      Rmem.Remote_memory.read_wait rmems.(0) ~policy:(policy name0) fresh
         ~soff:0 ~count:(Bytes.length payload) ~dst:buf ~doff:0 ();
       let echoed =
         Cluster.Address_space.read space0 ~addr:0 ~len:(Bytes.length payload)
@@ -448,7 +444,7 @@ let producer_consumer ~plan ~seed ~pipelined ~sampler =
                   if slot mod 2 = mine then begin
                     let item = Bytes.make slot_bytes '\000' in
                     Bytes.set_int32_le item 0 (Int32.of_int (100 + slot));
-                    Rmem.Remote_memory.write_with rmems.(idx) ~policy desc
+                    Rmem.Remote_memory.write rmems.(idx) ~policy desc
                       ~off:(slot_base + (slot * slot_bytes))
                       item
                   end
@@ -456,7 +452,7 @@ let producer_consumer ~plan ~seed ~pipelined ~sampler =
             (* Race for the winner word; memory decides, not the
                (ambiguous under loss) return value. *)
             let (_ : bool * int32) =
-              Rmem.Remote_memory.cas_with rmems.(idx) ~policy desc ~doff:8
+              Rmem.Remote_memory.cas_wait rmems.(idx) ~policy desc ~doff:8
                 ~old_value:0l
                 ~new_value:(Int32.of_int (500 + idx))
                 ()
@@ -642,7 +638,7 @@ let crash_restart ~plan ~seed ~pipelined ~sampler =
       wait_until engine (Sim.Time.ms 12);
       let space0 = Cluster.Node.new_address_space node0 in
       let buf = Rmem.Remote_memory.buffer ~space:space0 ~base:0 ~len:4096 in
-      Rmem.Remote_memory.read_with rmem0 ~policy desc ~soff:0
+      Rmem.Remote_memory.read_wait rmem0 ~policy desc ~soff:0
         ~count:(Bytes.length payload) ~dst:buf ~doff:0 ();
       let echoed =
         Cluster.Address_space.read space0 ~addr:0 ~len:(Bytes.length payload)

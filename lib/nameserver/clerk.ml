@@ -399,9 +399,8 @@ let lookup ?(force = false) ?hint t name =
           let desc = registry_descriptor t ~remote in
           let by_probing limit =
             match t.pipeline with
-            | Some p when (Rmem.Pipeline.config p).Rmem.Pipeline.enabled ->
-                by_probing_windowed t p desc ~name limit
-            | Some _ | None -> by_probing_serial t desc ~name ~start:0 limit
+            | Some p -> by_probing_windowed t p desc ~name limit
+            | None -> by_probing_serial t desc ~name ~start:0 limit
           in
           let result =
             match t.probe_policy with

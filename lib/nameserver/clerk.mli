@@ -38,7 +38,7 @@ val set_pipeline : t -> Rmem.Pipeline.t option -> unit
     slots and are scanned in probe order, overlapping the round trips
     the serial path pays one by one. Chain semantics are unchanged; a
     short chain may cost a few probes past its end (the price of the
-    overlap). [None] or a disabled engine keeps the serial path. *)
+    overlap). [None] keeps the serial path. *)
 
 (** {1 Service procedures (reached via local RPC from the kernel)} *)
 

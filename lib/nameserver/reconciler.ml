@@ -88,15 +88,9 @@ type t = {
 type verdict = Balanced | Split of int
 
 let wr ?notify t desc ~off bytes =
-  match t.policy with
-  | Some policy ->
-      Rmem.Remote_memory.write_with t.rmem ~policy desc ~off ?notify bytes
-  | None -> Rmem.Remote_memory.write t.rmem desc ~off ?notify bytes
+  Rmem.Remote_memory.write ?policy:t.policy t.rmem desc ~off ?notify bytes
 
-let fence t desc =
-  match t.policy with
-  | Some policy -> Rmem.Remote_memory.fence_with t.rmem ~policy desc
-  | None -> Rmem.Remote_memory.fence t.rmem desc
+let fence t desc = Rmem.Remote_memory.fence ?policy:t.policy t.rmem desc
 
 let sort_shards shards = List.sort (fun a b -> compare a.lo b.lo) shards
 let paced t = match t.pace with Some d -> Sim.Proc.wait d | None -> ()

@@ -34,7 +34,6 @@ type t = {
   mutable map : Shardmap.t option;
   shard_descs : (int * int, Rmem.Descriptor.t) Hashtbl.t;
   mutable policy : Rmem.Recovery.policy option;
-  mutable probe_timeout : Sim.Time.t option;
   counts : int array;  (* lookups per map-entry index since last report *)
   mutable lookups : int;
   mutable stale_refetches : int;
@@ -58,7 +57,6 @@ let create ~map_hint ~reconciler_hint clerk =
     map = None;
     shard_descs = Hashtbl.create 16;
     policy = None;
-    probe_timeout = None;
     counts = Array.make Shardmap.max_entries 0;
     lookups = 0;
     stale_refetches = 0;
@@ -71,13 +69,8 @@ let now t = Sim.Engine.now (Cluster.Node.engine t.node)
 
 let rd t desc ~soff ~count ~doff =
   let buf = Rmem.Remote_memory.buffer ~space:t.space ~base:doff ~len:count in
-  match t.policy with
-  | Some policy ->
-      Rmem.Remote_memory.read_with t.rmem ~policy desc ~soff ~count ~dst:buf
-        ~doff:0 ()
-  | None ->
-      Rmem.Remote_memory.read_wait ?timeout:t.probe_timeout t.rmem desc ~soff
-        ~count ~dst:buf ~doff:0 ()
+  Rmem.Remote_memory.read_wait ?policy:t.policy t.rmem desc ~soff ~count
+    ~dst:buf ~doff:0 ()
 
 (* The well-known imports happen once per client; under the fault plane
    a lost probe frame surfaces as Timeout and the import is simply
@@ -182,8 +175,6 @@ let set_recovery t policy =
     Option.map
       (fun p -> Rmem.Recovery.with_revalidate p (fun d -> revalidate t d))
       policy
-
-let set_probe_timeout t timeout = t.probe_timeout <- timeout
 
 let shard_desc t e =
   let key = (e.Shardmap.node, e.Shardmap.segment_id) in

@@ -38,9 +38,6 @@ val set_recovery : t -> Rmem.Recovery.policy option -> unit
 (** Run every remote READ under the policy, with the map refetch wired
     in as the revalidator for stale shard descriptors. *)
 
-val set_probe_timeout : t -> Sim.Time.t option -> unit
-(** Bound each remote READ when no recovery policy is set. *)
-
 val clerk : t -> Clerk.t
 
 val epoch : t -> int

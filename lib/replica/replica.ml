@@ -118,9 +118,13 @@ let set_pipeline t pipeline = t.pipeline <- pipeline
 (* The per-peer policy: the base policy plus a revalidator that
    re-imports the peer's replica by name (forced lookup, hinted at the
    peer), so a Stale_generation after the peer crash/restarts heals. *)
-let peer_policy t base ~peer =
-  Rmem.Recovery.with_revalidate base
-    (Names.Api.revalidator ~hint:peer t.names (segment_name_for peer))
+let peer_policy t ~peer =
+  match t.recovery with
+  | None -> None
+  | Some base ->
+      Some
+        (Rmem.Recovery.with_revalidate base
+           (Names.Api.revalidator ~hint:peer t.names (segment_name_for peer)))
 
 (* Is [candidate] newer than [current]?  Version, then writer id. *)
 let newer candidate current =
@@ -173,73 +177,51 @@ let set t key value =
   let body = Bytes.sub image 4 (slot_bytes - 4) in
   let version_word = Bytes.create 4 in
   Bytes.set_int32_le version_word 0 (Int32.of_int entry.version);
-  match (t.pipeline, t.recovery) with
-  | Some pipeline, recovery ->
-      (* Batched push: body and version word stage as adjacent extents
-         and merge, so each peer receives the whole update in one burst
-         frame — deposited as a unit, the version word can never become
-         visible ahead of its body (the discipline the two-write order
-         exists for, made structural). *)
-      let peers =
-        Hashtbl.fold (fun addr desc acc -> (addr, desc) :: acc) t.peers []
-        |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-      in
-      List.iter
-        (fun (addr, desc) ->
-          let policy =
-            Option.map
-              (fun base -> peer_policy t base ~peer:(Atm.Addr.of_int addr))
-              recovery
-          in
-          match
+  (* Through a pipeline, body and version word stage as adjacent
+     extents and merge, so each peer receives the whole update in one
+     burst frame — deposited as a unit, the version word can never
+     become visible ahead of its body (the discipline the two-write
+     order exists for, made structural).  Under a recovery policy each
+     push is verified and reissued on loss — re-depositing is idempotent
+     (same version, same bytes) — and a peer that stays unreachable
+     costs a counted failure, not an exception: anti-entropy repairs it
+     after the heal.  Both push to peers in address order, for
+     deterministic replay; the plain one-way push keeps the peer table's
+     own (equally deterministic) order, which its recorded runs
+     follow. *)
+  let peers =
+    Hashtbl.fold (fun addr desc acc -> (addr, desc) :: acc) t.peers []
+  in
+  let peers =
+    if Option.is_none t.pipeline && Option.is_none t.recovery then
+      List.rev peers
+    else List.sort (fun (a, _) (b, _) -> compare (a : int) b) peers
+  in
+  List.iter
+    (fun (addr, desc) ->
+      let policy = peer_policy t ~peer:(Atm.Addr.of_int addr) in
+      match
+        match t.pipeline with
+        | Some pipeline ->
             Rmem.Pipeline.write pipeline desc
               ~off:(slot_addr t index + 4)
               body;
             Rmem.Pipeline.write pipeline desc ~off:(slot_addr t index)
               version_word;
             Rmem.Pipeline.flush ?policy pipeline desc
-          with
-          | () -> t.updates_sent <- t.updates_sent + 1
-          | exception (Rmem.Status.Timeout | Rmem.Status.Remote_error _)
-            when Option.is_some recovery ->
-              t.push_failures <- t.push_failures + 1)
-        peers
-  | None, None ->
-      Hashtbl.iter
-        (fun _ desc ->
-          Rmem.Remote_memory.write t.rmem desc ~off:(slot_addr t index + 4)
-            body;
-          Rmem.Remote_memory.write t.rmem desc
-            ~off:(slot_addr t index)
-            version_word;
-          t.updates_sent <- t.updates_sent + 1)
-        t.peers
-  | None, Some base ->
-      (* Push under policy, peers in address order for deterministic
-         replay. Each write is fenced and reissued on loss —
-         re-depositing is idempotent (same version, same bytes) — and
-         the body lands before the version word becomes visible. A peer
-         that stays unreachable costs a counted failure, not an
-         exception: anti-entropy repairs it after the heal. *)
-      let peers =
-        Hashtbl.fold (fun addr desc acc -> (addr, desc) :: acc) t.peers []
-        |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-      in
-      List.iter
-        (fun (addr, desc) ->
-          let policy = peer_policy t base ~peer:(Atm.Addr.of_int addr) in
-          match
-            Rmem.Remote_memory.write_with t.rmem ~policy desc
+        | None ->
+            Rmem.Remote_memory.write ?policy t.rmem desc
               ~off:(slot_addr t index + 4)
               body;
-            Rmem.Remote_memory.write_with t.rmem ~policy desc
+            Rmem.Remote_memory.write ?policy t.rmem desc
               ~off:(slot_addr t index)
               version_word
-          with
-          | () -> t.updates_sent <- t.updates_sent + 1
-          | exception (Rmem.Status.Timeout | Rmem.Status.Remote_error _) ->
-              t.push_failures <- t.push_failures + 1)
-        peers
+      with
+      | () -> t.updates_sent <- t.updates_sent + 1
+      | exception (Rmem.Status.Timeout | Rmem.Status.Remote_error _)
+        when Option.is_some policy ->
+          t.push_failures <- t.push_failures + 1)
+    peers
 
 (* Anti-entropy: remote-read one peer's whole replica and adopt every
    entry newer than ours.  Cheap (one block read), server-free, and
@@ -252,14 +234,9 @@ let anti_entropy_with t ~peer =
       let buf =
         Rmem.Remote_memory.buffer ~space:t.space ~base:t.scratch_base ~len
       in
-      (match t.recovery with
-      | None ->
-          Rmem.Remote_memory.read_wait t.rmem desc ~soff:0 ~count:len ~dst:buf
-            ~doff:0 ()
-      | Some base ->
-          let policy = peer_policy t base ~peer in
-          Rmem.Remote_memory.read_with t.rmem ~policy desc ~soff:0 ~count:len
-            ~dst:buf ~doff:0 ());
+      Rmem.Remote_memory.read_wait
+        ?policy:(peer_policy t ~peer)
+        t.rmem desc ~soff:0 ~count:len ~dst:buf ~doff:0 ();
       for index = 0 to t.slots - 1 do
         let image =
           Cluster.Address_space.read t.space

@@ -48,9 +48,7 @@ val set_pipeline : t -> Rmem.Pipeline.t option -> unit
     version word stage as adjacent extents, merge, and reach each peer
     as one burst frame, deposited as a unit — the body-before-version
     torn-read discipline made structural. Composes with {!set_recovery}
-    (the flush then verifies and retries under the per-peer policy).
-    With a disabled engine this is passthrough, identical to the
-    legacy path. *)
+    (the flush then verifies and retries under the per-peer policy). *)
 
 val push_failures : t -> int
 (** Updates abandoned after exhausting a recovery policy. *)

@@ -5,12 +5,10 @@
 #   scripts/flake_loop.sh N
 #
 # The simulator is deterministic, so any difference is a finding.  Before
-# comparing, each output drops what legitimately changes between runs:
-# alcotest run IDs, wall-clock timings, `_build` result paths and the
-# qcheck random seed.  Dune runs test actions in parallel and interleaves
-# their output in completion order, so the remaining lines are compared
-# as a sorted multiset.  Exits 0 when every run matches the first, 1 on
-# any other difference (printing it) or a failing run, 2 on bad usage.
+# comparing, each output goes through scripts/normalize.sh, which drops
+# what legitimately changes between runs and sorts the rest.  Exits 0
+# when every run matches the first, 1 on any other difference (printing
+# it) or a failing run, 2 on bad usage.
 set -u
 
 n=${1:-}
@@ -23,12 +21,6 @@ cd "$(dirname "$0")/.." || exit 2
 work=$(mktemp -d) || exit 2
 trap 'rm -rf "$work"' EXIT
 
-normalize() {
-  grep -v -e 'This run has ID' -e '^qcheck random seed:' -e '_build' "$1" |
-    sed -e 's/ in [0-9][0-9.]*s\././' |
-    LC_ALL=C sort
-}
-
 status=0
 i=1
 while [ "$i" -le "$n" ]; do
@@ -36,7 +28,7 @@ while [ "$i" -le "$n" ]; do
     echo "run $i: dune runtest failed" >&2
     status=1
   fi
-  normalize "$work/raw.$i" >"$work/norm.$i"
+  sh scripts/normalize.sh "$work/raw.$i" >"$work/norm.$i"
   if [ "$i" -gt 1 ]; then
     if diff "$work/norm.1" "$work/norm.$i" >"$work/diff.$i"; then
       echo "run $i: identical to run 1"

@@ -1,0 +1,93 @@
+#!/bin/sh
+# Parent diff: run every deterministic surface of the repository on a
+# given revision and on the working tree, and print the differences.
+#
+#   scripts/parent_diff.sh REV
+#
+# REV is exported with `git archive` into a temporary directory and built
+# there from scratch; the working tree is built in place.  On both trees
+# the script runs:
+#
+#   - `dune runtest --force`, normalised by scripts/normalize.sh;
+#   - every examples/*.exe;
+#   - `bin/repro.exe -- table2`, with its exit status;
+#   - bench/suite/suite.exe --seed 11 --seconds 2, once with --trace 0
+#     (end-to-end) and once with --trace 1 (per layer), keeping its
+#     sim-clock records ("clock":"sim"), the correct/attempted/failed
+#     fields of each workload's summary line and its exit status.
+#
+# The simulator is deterministic, so a refactor that changes no
+# behaviour shows no difference beyond tests it adds or changes.  A
+# suite run that prints no sim-clock record counts as a difference even
+# when both trees agree.  Exits 0 when the trees agree, 1 when they
+# differ (the diff is printed), 2 on bad usage.
+set -u
+
+rev=${1:-}
+[ -n "$rev" ] || { echo "usage: $0 REV" >&2; exit 2; }
+
+cd "$(dirname "$0")/.." || exit 2
+here=$(pwd)
+git rev-parse --verify --quiet "$rev^{commit}" >/dev/null ||
+  { echo "$0: unknown revision $rev" >&2; exit 2; }
+
+work=$(mktemp -d) || exit 2
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/tree" "$work/parent" "$work/current"
+git archive "$rev" | tar -x -C "$work/tree" || exit 2
+
+# surfaces TREE OUT: run every surface in TREE, one file per surface in OUT.
+surfaces() {
+  (
+    cd "$1" || exit 2
+    dune build 2>&1 || echo "dune build failed in $1" >&2
+    dune runtest --force >"$2/runtest.raw" 2>&1
+    echo "dune runtest exit $?" >>"$2/runtest.raw"
+    sh "$here/scripts/normalize.sh" "$2/runtest.raw" >"$2/runtest"
+    rm "$2/runtest.raw"
+    for ex in examples/*.ml; do
+      name=$(basename "$ex" .ml)
+      dune exec --display=quiet "examples/$name.exe" >"$2/example.$name" 2>&1
+      echo "exit $?" >>"$2/example.$name"
+    done
+    dune exec --display=quiet bin/repro.exe -- table2 >"$2/table2" 2>&1
+    echo "exit $?" >>"$2/table2"
+    for trace in 0 1; do
+      dune exec --display=quiet bench/suite/suite.exe -- --seed 11 \
+        --seconds 2 --trace "$trace" >"$2/suite.raw" 2>&1
+      status=$?
+      out="$2/suite.trace$trace"
+      sed -n -e '/"clock":"sim"/p' \
+        -e 's/^\({"correct":[a-z]*,"attempted":[0-9]*,"failed":[0-9]*\).*/\1}/p' \
+        "$2/suite.raw" >"$out"
+      echo "exit $status" >>"$out"
+      rm "$2/suite.raw"
+      grep -q '"clock":"sim"' "$out" ||
+        echo "$out: no sim-clock records" >>"$work/empty"
+    done
+  )
+}
+
+echo "parent diff: $rev -> working tree"
+surfaces "$work/tree" "$work/parent"
+surfaces "$here" "$work/current"
+
+status=0
+for f in $(cd "$work/parent" && ls; cd "$work/current" && ls); do
+  echo "$f"
+done | LC_ALL=C sort -u >"$work/names"
+while read -r f; do
+  if diff "$work/parent/$f" "$work/current/$f" >"$work/diff" 2>&1; then
+    echo "$f: identical"
+  else
+    echo "$f: differs"
+    cat "$work/diff"
+    status=1
+  fi
+done <"$work/names"
+if [ -s "$work/empty" ]; then
+  cat "$work/empty"
+  status=1
+fi
+[ "$status" -eq 0 ] && echo "parent diff: no difference"
+exit "$status"

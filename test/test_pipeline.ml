@@ -2,12 +2,12 @@
    unbatched), the burst codec properties, ordering/fence semantics,
    and the lint interaction with policied retries.
 
-   The differential trick: the same call sequence runs through a
-   Pipeline twice, once with a disabled config (pure passthrough — the
-   synchronous path) and once enabled (batching, windowing,
-   coalescing).  Final segment contents must be identical; notification
-   counts must respect the coalescing policy; the race detector and
-   lint must return the same verdicts. *)
+   The differential trick: the same call sequence runs twice, once as
+   direct synchronous Remote_memory calls (the reference) and once
+   through a Pipeline (batching, windowing, coalescing).  Final segment
+   contents must be identical; notification counts must respect the
+   coalescing policy; the race detector and lint must return the same
+   verdicts. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -21,8 +21,11 @@ let ms = Sim.Time.ms
    overlapping rewrite (last-writer-wins), a distant extent, a notify
    write, a windowed read-back, a CAS, a fence.  Returns the final
    destination segment image, what the read observed, the CAS witness,
-   the notification count, and the race/lint verdicts. *)
-let scripted ~plan ~config () =
+   the notification count, and the race/lint verdicts.  Without
+   [pipelined], each step is the synchronous call the engine stands in
+   for: writes go out eagerly, the read blocks, there is no window to
+   drain. *)
+let scripted ~plan ~pipelined () =
   let d = Rig.duo () in
   (match plan with
   | None -> ()
@@ -40,22 +43,47 @@ let scripted ~plan ~config () =
   let notified = ref 0 in
   Rig.run d (fun () ->
       let segment, desc = Rig.shared_segment d in
-      let p = Rmem.Pipeline.create ~config d.Rig.rmem0 in
+      let rmem = d.Rig.rmem0 in
+      let p =
+        if pipelined then
+          Some
+            (Rmem.Pipeline.create ~config:(Rmem.Pipeline.pipelined_config ())
+               rmem)
+        else None
+      in
       let buf = Rig.buffer0 d in
-      Rmem.Pipeline.write p desc ~off:8 (Bytes.make 24 'a');
-      Rmem.Pipeline.write p desc ~off:96 (Bytes.make 32 'b');
-      Rmem.Pipeline.write p desc ~off:32 (Bytes.make 64 'c');
-      Rmem.Pipeline.write p desc ~off:1000 (Bytes.make 40 'd');
-      Rmem.Pipeline.write p desc ~off:0 ~notify:true (Bytes.make 8 'e');
+      let write ?notify ~off data =
+        match p with
+        | Some p -> Rmem.Pipeline.write p desc ~off ?notify data
+        | None -> Rmem.Remote_memory.write rmem desc ~off ?notify data
+      in
+      write ~off:8 (Bytes.make 24 'a');
+      write ~off:96 (Bytes.make 32 'b');
+      write ~off:32 (Bytes.make 64 'c');
+      write ~off:1000 (Bytes.make 40 'd');
+      write ~off:0 ~notify:true (Bytes.make 8 'e');
       let ok, witness =
-        Rmem.Pipeline.cas p desc ~doff:2048 ~old_value:0l ~new_value:7l ()
+        match p with
+        | Some p ->
+            Rmem.Pipeline.cas p desc ~doff:2048 ~old_value:0l ~new_value:7l ()
+        | None ->
+            Rmem.Remote_memory.cas_wait rmem desc ~doff:2048 ~old_value:0l
+              ~new_value:7l ()
       in
       check_bool "cas applied" true ok;
       cas_witness := witness;
-      Rmem.Pipeline.read_submit p desc ~soff:0 ~count:128 ~dst:buf ~doff:0 ();
-      Rmem.Pipeline.drain p;
+      (match p with
+      | Some p ->
+          Rmem.Pipeline.read_submit p desc ~soff:0 ~count:128 ~dst:buf ~doff:0
+            ();
+          Rmem.Pipeline.drain p
+      | None ->
+          Rmem.Remote_memory.read_wait rmem desc ~soff:0 ~count:128 ~dst:buf
+            ~doff:0 ());
       observed := Cluster.Address_space.read d.Rig.space0 ~addr:0 ~len:128;
-      Rmem.Pipeline.fence p desc;
+      (match p with
+      | Some p -> Rmem.Pipeline.fence p desc
+      | None -> Rmem.Remote_memory.fence rmem desc);
       image := Cluster.Address_space.read d.Rig.space1 ~addr:0 ~len:4096;
       notified := Rmem.Notification.posted (Rmem.Segment.notification segment));
   let races = Analysis.Race.find monitor in
@@ -77,10 +105,10 @@ let expected_image () =
 
 let differential ?(compare_observed = true) ~plan () =
   let image_u, observed_u, witness_u, notified_u, races_u, findings_u =
-    scripted ~plan ~config:Rmem.Pipeline.default_config ()
+    scripted ~plan ~pipelined:false ()
   in
   let image_p, observed_p, witness_p, notified_p, races_p, findings_p =
-    scripted ~plan ~config:(Rmem.Pipeline.pipelined_config ()) ()
+    scripted ~plan ~pipelined:true ()
   in
   check_string "final segment contents identical" (digest image_u)
     (digest image_p);
@@ -343,7 +371,7 @@ let policied_cas_not_flagged () =
           (* The word is 0, so old_value 9 always fails. *)
           if policied then
             ignore
-              (Rmem.Remote_memory.cas_with d.Rig.rmem0 ~policy desc ~doff:4096
+              (Rmem.Remote_memory.cas_wait d.Rig.rmem0 ~policy desc ~doff:4096
                  ~old_value:9l ~new_value:1l ()
                 : bool * int32)
           else

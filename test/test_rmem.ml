@@ -185,10 +185,11 @@ let wire_read_reply_frame =
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The host cost of the two data-path shapes, 4 KB each, against a
-   budget 10% above what they allocate (2511 and 1203 words, with the
-   single-copy data path and the allocation-lean control path): a
-   reintroduced copy of the payload (4 KB is 512 words) fails here
-   rather than waiting for the benchmark. *)
+   budget 10% above what they allocate (2481 and 1143 words, with the
+   single-copy data path, the allocation-lean control path and monitor
+   events built only when a monitor is attached): a reintroduced copy of
+   the payload (4 KB is 512 words) fails here rather than waiting for
+   the benchmark. *)
 let allocation_budget () =
   let d = Rig.duo () in
   let data = Bytes.make 4096 'w' in
@@ -213,8 +214,8 @@ let allocation_budget () =
   in
   Printf.printf "4 KB READ: %.0f words; 4 KB pipelined write + fence: %.0f words\n"
     read_words write_words;
-  check_bool "4 KB READ within budget" true (read_words <= 2762.);
-  check_bool "4 KB write + fence within budget" true (write_words <= 1323.)
+  check_bool "4 KB READ within budget" true (read_words <= 2729.);
+  check_bool "4 KB write + fence within budget" true (write_words <= 1257.)
 
 let wire_write_header_size () =
   let encoded =
@@ -373,6 +374,76 @@ let bounds_checked () =
       local_check "read past end" Rmem.Status.Bounds (fun () ->
           Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:5000
             ~dst:(Rig.buffer0 d) ~doff:0 ()))
+
+(* A local buffer too small for the data fails like every other local
+   check: Bounds, after an Issue_rejected event the monitor records. *)
+let local_buffer_bounds_rejected () =
+  let d = Rig.duo () in
+  let monitor = Analysis.Monitor.create d.Rig.engine in
+  Analysis.Monitor.attach_rmem monitor d.Rig.rmem0;
+  Rig.run d (fun () ->
+      let _, desc = Rig.shared_segment ~len:4096 d in
+      local_check "read destination too small" Rmem.Status.Bounds (fun () ->
+          Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:64
+            ~dst:(Rig.buffer0 ~len:32 d) ~doff:0 ());
+      local_check "cas result slot out of range" Rmem.Status.Bounds (fun () ->
+          ignore
+            (Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:0
+               ~old_value:0l ~new_value:1l
+               ~result:(Rig.buffer0 ~len:32 d, 30)
+               ()
+              : bool * int32)));
+  let bounds op =
+    List.length
+      (List.filter
+         (fun r ->
+           r.Analysis.Monitor.op = op && r.Analysis.Monitor.site = `Issue
+           && r.Analysis.Monitor.status = Rmem.Status.Bounds)
+         (Analysis.Monitor.rejections monitor))
+  in
+  check_int "one READ Bounds rejection" 1 (bounds Rmem.Rights.Read_op);
+  check_int "one CAS Bounds rejection" 1 (bounds Rmem.Rights.Cas_op)
+
+(* Under a policy each attempt's timeout is the policy's own, so a
+   caller's [timeout] beside it is refused rather than silently dropped,
+   before anything is issued or flushed. *)
+let timeout_with_policy_refused () =
+  let d = Rig.duo () in
+  let policy = Rmem.Recovery.policy ~attempts:2 ~timeout:(Sim.Time.ms 2) () in
+  let timeout = Sim.Time.ms 1 in
+  let refused what body =
+    check_bool (what ^ " refuses ?timeout with ?policy") true
+      (try
+         body ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  Rig.run d (fun () ->
+      let _, desc = Rig.shared_segment d in
+      let rmem = d.Rig.rmem0 in
+      refused "read_wait" (fun () ->
+          Rmem.Remote_memory.read_wait ~timeout ~policy rmem desc ~soff:0
+            ~count:4 ~dst:(Rig.buffer0 d) ~doff:0 ());
+      refused "cas_wait" (fun () ->
+          ignore
+            (Rmem.Remote_memory.cas_wait ~timeout ~policy rmem desc ~doff:0
+               ~old_value:0l ~new_value:1l ()
+              : bool * int32));
+      refused "fence" (fun () ->
+          Rmem.Remote_memory.fence ~timeout ~policy rmem desc);
+      let p =
+        Rmem.Pipeline.create ~config:(Rmem.Pipeline.pipelined_config ()) rmem
+      in
+      Rmem.Pipeline.write p desc ~off:0 (Bytes.make 8 'x');
+      refused "Pipeline.fence" (fun () ->
+          Rmem.Pipeline.fence ~timeout ~policy p desc);
+      check_int "the staged write was not flushed" 1
+        (Rmem.Pipeline.staged_extents p);
+      List.iter
+        (fun op ->
+          Alcotest.(check (float 0.)) (op ^ " never issued") 0.
+            (Metrics.Account.total_of (Rmem.Remote_memory.ops rmem) op))
+        [ "read"; "cas"; "write burst" ])
 
 let stale_generation_paths () =
   let d = Rig.duo () in
@@ -564,9 +635,9 @@ let fences_leave_spaces_alone () =
       let before = next_asid () in
       for i = 1 to 100 do
         Rmem.Remote_memory.fence d.Rig.rmem0 desc;
-        Rmem.Remote_memory.write_with d.Rig.rmem0 ~policy desc ~off:(8 * i)
+        Rmem.Remote_memory.write d.Rig.rmem0 ~policy desc ~off:(8 * i)
           (Bytes.make 8 'v');
-        Rmem.Remote_memory.write_burst_with d.Rig.rmem0 ~policy desc
+        Rmem.Remote_memory.write_burst d.Rig.rmem0 ~policy desc
           [ (1024, Bytes.make 8 'a'); (2048 + i, Bytes.make 4 'b') ]
       done;
       check_int "no space registered but the probe's own" (before + 1)
@@ -619,6 +690,10 @@ let suite =
     Alcotest.test_case "rights enforced remotely" `Quick rights_enforced_remotely;
     Alcotest.test_case "per-importer grants" `Quick per_importer_grants;
     Alcotest.test_case "bounds checked" `Quick bounds_checked;
+    Alcotest.test_case "local buffer bounds rejected" `Quick
+      local_buffer_bounds_rejected;
+    Alcotest.test_case "timeout with policy refused" `Quick
+      timeout_with_policy_refused;
     Alcotest.test_case "stale generations fail" `Quick stale_generation_paths;
     Alcotest.test_case "revoked segment rejects" `Quick revoked_segment_rejects;
     Alcotest.test_case "write inhibit drops writes" `Quick write_inhibit_drops;
