@@ -1,11 +1,11 @@
-(* chaoscheck — seeded fault-injection campaigns over the example
+(* rnet chaos — seeded fault-injection campaigns over the example
    workloads, with a replay-determinism check.
 
-     dune exec bin/chaoscheck.exe --                        # default sweep
-     dune exec bin/chaoscheck.exe -- -w replica --loss 0.10 --seed 7
-     dune exec bin/chaoscheck.exe -- -w replica --partition
-     dune exec bin/chaoscheck.exe -- -w crash_restart --crash --json
-     dune exec bin/chaoscheck.exe -- --ci --json
+     rnet chaos                                     # default sweep
+     rnet chaos -w replica --loss 0.10 --seed 7
+     rnet chaos -w replica --partition
+     rnet chaos -w crash_restart --crash --json
+     rnet chaos --ci --json
 
    Every campaign is deterministic in (workload, plan, seed): each
    configuration runs twice and the two fault-event digests must be
@@ -13,8 +13,6 @@
    converge: loss at 0 / 1% / 10% across the data workloads, one
    partition schedule over the replica store, and one crash/restart
    schedule exercising Stale_generation recovery. *)
-
-open Cmdliner
 
 let escape = Analysis.Report.json_escape
 
@@ -100,15 +98,15 @@ let ci_matrix () =
       ("crash/restart", Faults.Campaign.crash_plan (), 2200, "crash_restart");
     ]
 
-let run_ci ~json =
-  let out = if json then stderr else stdout in
+let run_ci (m : Cli.mode) =
+  let out = Cli.diag m in
   let verdicts =
     List.map
       (fun (label, plan, seed, workload) ->
         run_config ~label ~plan ~seed workload)
       (ci_matrix ())
   in
-  report ~json ~out verdicts;
+  report ~json:m.json ~out verdicts;
   (* The crash/restart leg must demonstrate the full recovery chain:
      staleness seen, descriptor revalidated, operation recovered. *)
   let chain_ok =
@@ -123,17 +121,17 @@ let run_ci ~json =
     Printf.fprintf out
       "   FAIL crash_restart: no Stale_generation -> revalidate -> recover \
        chain observed\n";
-  if List.for_all healthy verdicts && chain_ok then
-    Printf.fprintf out
-      "chaoscheck: %d configuration(s) survived, converged and replayed\n"
-      (List.length verdicts)
-  else begin
-    Printf.fprintf out "chaoscheck: campaign expectations not met\n";
-    exit 1
-  end
+  Cli.verdict m
+    (List.for_all healthy verdicts && chain_ok)
+    ~pass:
+      (Printf.sprintf
+         "chaoscheck: %d configuration(s) survived, converged and replayed"
+         (List.length verdicts))
+    ~fail:"chaoscheck: campaign expectations not met"
 
-let main workload seed loss chaos partition crash json ci =
-  if ci then run_ci ~json
+let main workload seed loss chaos partition crash (m : Cli.mode) =
+  let names = Cli.select ~name:Fun.id Faults.Campaign.workloads workload in
+  if m.ci then run_ci m
   else begin
     let plan =
       let link =
@@ -151,32 +149,14 @@ let main workload seed loss chaos partition crash json ci =
       in
       { Faults.Plan.link; partitions; crashes }
     in
-    let names =
-      if workload = "all" then Faults.Campaign.workloads
-      else if List.mem workload Faults.Campaign.workloads then [ workload ]
-      else begin
-        Printf.eprintf "unknown workload %S (have: %s, all)\n" workload
-          (String.concat ", " Faults.Campaign.workloads);
-        exit 2
-      end
-    in
-    let out = if json then stderr else stdout in
     let verdicts =
-      List.map
-        (fun name -> run_config ~label:"adhoc" ~plan ~seed name)
-        names
+      List.map (run_config ~label:"adhoc" ~plan ~seed) names
     in
-    report ~json ~out verdicts;
-    if not (List.for_all healthy verdicts) then exit 1
+    report ~json:m.json ~out:(Cli.diag m) verdicts;
+    List.for_all healthy verdicts
   end
 
-let workload =
-  let doc = "Workload to torment (or $(b,all))." in
-  Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
-
-let seed =
-  let doc = "PRNG seed for the fault plane." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
+open Cmdliner
 
 let loss =
   let doc = "Per-frame loss probability on every link." in
@@ -196,23 +176,13 @@ let crash =
   let doc = "Add the canonical crash/restart schedule (node 1, 5/8 ms)." in
   Arg.(value & flag & info [ "crash" ] ~doc)
 
-let json =
-  let doc = "Emit one JSON object per campaign on stdout." in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
-let ci =
-  let doc =
-    "Run the canonical matrix and fail on any non-convergence or replay \
-     divergence."
-  in
-  Arg.(value & flag & info [ "ci" ] ~doc)
-
 let cmd =
-  let doc = "seeded fault-injection campaigns with deterministic replay" in
-  let info = Cmd.info "chaoscheck" ~doc in
-  Cmd.v info
+  Cli.cmd "chaos"
+    ~doc:"seeded fault-injection campaigns with deterministic replay"
+    ~ci:
+      "Run the canonical matrix and fail on any non-convergence or replay \
+       divergence."
     Term.(
-      const main $ workload $ seed $ loss $ chaos $ partition $ crash $ json
-      $ ci)
-
-let () = exit (Cmd.eval cmd)
+      const main
+      $ Cli.workload ~doc:"Workload to torment (or $(b,all))." ()
+      $ Cli.seed 1 $ loss $ chaos $ partition $ crash)

@@ -1,4 +1,6 @@
-(* clustersim — run your own file-service scenario.
+(* rnet cluster — run your own file-service scenario.
+
+     rnet cluster --clients 4 --scheme dx --ops 500
 
    A parameterized driver around the experiment fixture: choose client
    count, transfer scheme, operation count and seed; get client latency
@@ -32,7 +34,78 @@ type stats = {
   breakdown : (string * float) list;
 }
 
-let run clients scheme ops seed json ci =
+let report ~clients ~scheme ~ops ~seed (m : Cli.mode) s =
+  if m.json then
+    Analysis.Report.emit ~tool:"clustersim"
+      (J.to_string
+         (J.obj
+            [
+              ("schema", J.int Analysis.Report.schema_version);
+              ("tool", J.str "clustersim");
+              ( "scheme",
+                J.str
+                  (String.lowercase_ascii (Dfs.Clerk.scheme_to_string scheme))
+              );
+              ("clients", J.int clients);
+              ("ops_per_client", J.int ops);
+              ("seed", J.int seed);
+              ("makespan_ms", J.raw (Printf.sprintf "%.1f" s.makespan_ms));
+              ( "latency_mean_us",
+                J.raw (Printf.sprintf "%.0f" s.latency_mean_us) );
+              ("latency_min_us", J.raw (Printf.sprintf "%.0f" s.latency_min_us));
+              ("latency_max_us", J.raw (Printf.sprintf "%.0f" s.latency_max_us));
+              ("server_cpu_ms", J.raw (Printf.sprintf "%.1f" s.server_cpu_ms));
+              ("utilization", J.raw (Printf.sprintf "%.3f" s.utilization));
+              ( "breakdown",
+                J.list
+                  (List.map
+                     (fun (category, us) ->
+                       J.obj
+                         [
+                           ("category", J.str category);
+                           ("us", J.raw (Printf.sprintf "%.0f" us));
+                         ])
+                     s.breakdown) );
+            ]))
+  else begin
+    Printf.printf "scheme      : %s\n" (Dfs.Clerk.scheme_to_string scheme);
+    Printf.printf "clients     : %d x %d ops\n" clients ops;
+    Printf.printf "makespan    : %.1f ms of cluster time\n" s.makespan_ms;
+    Printf.printf "latency     : mean %.0f us, min %.0f, max %.0f\n"
+      s.latency_mean_us s.latency_min_us s.latency_max_us;
+    Printf.printf "server CPU  : %.1f ms (utilization %.2f)\n" s.server_cpu_ms
+      s.utilization;
+    List.iter
+      (fun (category, us) -> Printf.printf "  %-22s %10.0f us\n" category us)
+      s.breakdown
+  end;
+  (not m.ci)
+  ||
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "clustersim: %s\n" msg;
+        false)
+      fmt
+  in
+  if s.makespan_ms <= 0. then fail "non-positive makespan %.1f ms" s.makespan_ms
+  else if s.latency_mean_us <= 0. then
+    fail "non-positive mean latency %.0f us" s.latency_mean_us
+  else if
+    s.latency_min_us > s.latency_mean_us || s.latency_mean_us > s.latency_max_us
+  then
+    fail "latency order violated: min %.0f, mean %.0f, max %.0f"
+      s.latency_min_us s.latency_mean_us s.latency_max_us
+  else if s.utilization < 0. || s.utilization > 1. then
+    fail "utilization %.3f outside [0,1]" s.utilization
+  else begin
+    Printf.eprintf "clustersim: ok (%d clients, %s, mean %.0f us)\n" clients
+      (String.lowercase_ascii (Dfs.Clerk.scheme_to_string scheme))
+      s.latency_mean_us;
+    true
+  end
+
+let run clients scheme ops seed (m : Cli.mode) =
   let fixture = Experiments.Fixture.create ~clients ~seed () in
   let latencies = Metrics.Summary.create () in
   let stats = ref None in
@@ -78,80 +151,13 @@ let run clients scheme ops seed json ci =
             utilization = Cluster.Cpu.utilization cpu ~window:makespan;
             breakdown = Metrics.Account.to_list (Cluster.Cpu.account cpu);
           });
-  let s =
-    match !stats with
-    | Some s -> s
-    | None ->
-        Printf.eprintf "clustersim: simulation ended without producing stats\n";
-        exit 1
-  in
-  if json then
-    Analysis.Report.emit ~tool:"clustersim"
-      (J.to_string
-         (J.obj
-            [
-              ("schema", J.int Analysis.Report.schema_version);
-              ("tool", J.str "clustersim");
-              ( "scheme",
-                J.str
-                  (String.lowercase_ascii (Dfs.Clerk.scheme_to_string scheme))
-              );
-              ("clients", J.int clients);
-              ("ops_per_client", J.int ops);
-              ("seed", J.int seed);
-              ("makespan_ms", J.raw (Printf.sprintf "%.1f" s.makespan_ms));
-              ( "latency_mean_us",
-                J.raw (Printf.sprintf "%.0f" s.latency_mean_us) );
-              ("latency_min_us", J.raw (Printf.sprintf "%.0f" s.latency_min_us));
-              ("latency_max_us", J.raw (Printf.sprintf "%.0f" s.latency_max_us));
-              ("server_cpu_ms", J.raw (Printf.sprintf "%.1f" s.server_cpu_ms));
-              ("utilization", J.raw (Printf.sprintf "%.3f" s.utilization));
-              ( "breakdown",
-                J.list
-                  (List.map
-                     (fun (category, us) ->
-                       J.obj
-                         [
-                           ("category", J.str category);
-                           ("us", J.raw (Printf.sprintf "%.0f" us));
-                         ])
-                     s.breakdown) );
-            ]))
-  else begin
-    Printf.printf "scheme      : %s\n" (Dfs.Clerk.scheme_to_string scheme);
-    Printf.printf "clients     : %d x %d ops\n" clients ops;
-    Printf.printf "makespan    : %.1f ms of cluster time\n" s.makespan_ms;
-    Printf.printf "latency     : mean %.0f us, min %.0f, max %.0f\n"
-      s.latency_mean_us s.latency_min_us s.latency_max_us;
-    Printf.printf "server CPU  : %.1f ms (utilization %.2f)\n" s.server_cpu_ms
-      s.utilization;
-    List.iter
-      (fun (category, us) -> Printf.printf "  %-22s %10.0f us\n" category us)
-      s.breakdown
-  end;
-  if ci then begin
-    let fail fmt =
-      Printf.ksprintf
-        (fun msg ->
-          Printf.eprintf "clustersim: %s\n" msg;
-          exit 1)
-        fmt
-    in
-    if s.makespan_ms <= 0. then fail "non-positive makespan %.1f ms" s.makespan_ms;
-    if s.latency_mean_us <= 0. then
-      fail "non-positive mean latency %.0f us" s.latency_mean_us;
-    if s.latency_min_us > s.latency_mean_us || s.latency_mean_us > s.latency_max_us
-    then
-      fail "latency order violated: min %.0f, mean %.0f, max %.0f"
-        s.latency_min_us s.latency_mean_us s.latency_max_us;
-    if s.utilization < 0. || s.utilization > 1. then
-      fail "utilization %.3f outside [0,1]" s.utilization;
-    Printf.eprintf "clustersim: ok (%d clients, %s, mean %.0f us)\n" clients
-      (String.lowercase_ascii (Dfs.Clerk.scheme_to_string scheme))
-      s.latency_mean_us
-  end
+  match !stats with
+  | None ->
+      Printf.eprintf "clustersim: simulation ended without producing stats\n";
+      false
+  | Some s -> report ~clients ~scheme ~ops ~seed m s
 
-let main =
+let cmd =
   let clients =
     Arg.(value & opt int 2 & info [ "clients" ] ~docv:"N" ~doc:"Client machines.")
   in
@@ -166,21 +172,7 @@ let main =
       value & opt int 200
       & info [ "ops" ] ~docv:"N" ~doc:"Operations per client (Table 1a mix).")
   in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit a self-validated JSON object instead of text.")
-  in
-  let ci =
-    Arg.(
-      value & flag
-      & info [ "ci" ]
-          ~doc:"Sanity-assert the run's statistics; exit 1 on violation.")
-  in
-  Cmd.v
-    (Cmd.info "clustersim" ~version:"1.0.0"
-       ~doc:"Run a parameterized file-service scenario on the simulated cluster")
-    Term.(const run $ clients $ scheme $ ops $ seed $ json $ ci)
-
-let () = exit (Cmd.eval main)
+  Cli.cmd "cluster"
+    ~doc:"Run a parameterized file-service scenario on the simulated cluster"
+    ~ci:"Sanity-assert the run's statistics; exit 1 on violation."
+    Term.(const run $ clients $ scheme $ ops $ Cli.seed 7)

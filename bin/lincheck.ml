@@ -1,13 +1,13 @@
-(* lincheck — linearizability (and per-cell sequential-consistency)
+(* rnet lin — linearizability (and per-cell sequential-consistency)
    checking of the operation histories the monitor captures.
 
-     dune exec bin/lincheck.exe --                      # everything, FIFO
-     dune exec bin/lincheck.exe -- -w kv_store
-     dune exec bin/lincheck.exe -- --sc                 # SC-fallback mode
-     dune exec bin/lincheck.exe -- -w cas_double_apply --explore
-     dune exec bin/lincheck.exe -- -w cas_double_apply \
+     rnet lin                                    # everything, FIFO
+     rnet lin -w kv_store
+     rnet lin --sc                               # SC-fallback mode
+     rnet lin -w cas_double_apply --explore
+     rnet lin -w cas_double_apply \
          --replay "0/4,0/3,0/2,0/3,0/2,0/2,0/2,1/2,0/2"
-     dune exec bin/lincheck.exe -- --ci --json
+     rnet lin --ci --json
 
    Sources of histories:
 
@@ -28,8 +28,6 @@
    write-back phase) — must surface non-linearizable schedules whose
    certificates replay to the same failure kind; neither bug is
    visible to any single-schedule checker. *)
-
-open Cmdliner
 
 let escape = Analysis.Report.json_escape
 
@@ -346,91 +344,71 @@ let run_explore name ~json ~out =
 let run_replay name cert ~json =
   let schedule =
     try Analysis.Schedule.of_string cert
-    with Invalid_argument msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
+    with Invalid_argument msg -> Cli.usage "%s" msg
   in
   let outcome = Analysis.Explore.replay name schedule in
   if json then Analysis.Report.emit ~tool:"lincheck" (explore_outcome_json outcome)
   else print_explore_outcome ~label:(Printf.sprintf "replay %s" name) outcome;
-  if outcome.failure <> None then exit 1
+  outcome.failure = None
 
 (* ---------------- driver ---------------- *)
 
-let main workload sc json ci explore replay =
-  let mode =
-    if sc then Analysis.Linearize.Sequential else Analysis.Linearize.Linearizable
+(* Every checkable history, tagged with its source: a name may be both
+   a scenario and a campaign workload. *)
+let histories =
+  List.map (fun n -> (Scenario, n)) Analysis.Scenarios.checked
+  @ List.map (fun n -> (Campaign, n)) campaign_workloads
+  @ List.map (fun n -> (Dds, n)) dds_workloads
+
+let check_history ~mode = function
+  | Scenario, name -> scenario_check ~mode name
+  | Campaign, name -> campaign_check ~mode name
+  | Dds, name -> dds_check ~mode name
+
+let run_histories (m : Cli.mode) ~mode workload =
+  let checks =
+    List.map (check_history ~mode) (Cli.select ~name:snd histories workload)
   in
-  let out = if json then stderr else stdout in
+  if m.json then
+    List.iter
+      (fun c -> Analysis.Report.emit ~tool:"lincheck" (check_json c))
+      checks
+  else List.iter print_check checks;
+  let fifo_ok = List.for_all check_ok checks in
+  if m.ci then
+    (* Checking the full set also requires the seeded schedule bugs to
+       be caught with replayable certificates: the lost-reply
+       double-apply, and the dds register whose read skips the
+       write-back phase. *)
+    let explored_ok =
+      workload <> "all"
+      || Cli.run_all
+           (run_explore ~json:m.json ~out:(Cli.diag m))
+           [ "cas_double_apply"; "dds_register_no_writeback" ]
+    in
+    Cli.verdict m (fifo_ok && explored_ok)
+      ~pass:"lincheck: all histories linearizable; seeded bugs caught"
+      ~fail:"lincheck: expectation mismatch"
+  else fifo_ok
+
+let main workload sc explore replay (m : Cli.mode) =
+  let mode =
+    if sc then Analysis.Linearize.Sequential
+    else Analysis.Linearize.Linearizable
+  in
   match replay with
   | Some cert ->
       if List.mem workload Analysis.Scenarios.checked then
-        run_replay workload cert ~json
-      else begin
-        Printf.eprintf "--replay needs -w naming one of: %s\n"
-          (String.concat ", " Analysis.Scenarios.checked);
-        exit 2
-      end
-  | None ->
-      if explore then begin
-        let name = if workload = "all" then "cas_double_apply" else workload in
-        if not (run_explore name ~json ~out) then exit 1
-      end
-      else begin
-        let scenarios, campaigns, dds =
-          if workload = "all" then
-            (Analysis.Scenarios.checked, campaign_workloads, dds_workloads)
-          else if List.mem workload Analysis.Scenarios.checked then
-            ([ workload ], [], [])
-          else if List.mem workload campaign_workloads then ([], [ workload ], [])
-          else if List.mem workload dds_workloads then ([], [], [ workload ])
-          else begin
-            Printf.eprintf "unknown workload %S (have: %s, all)\n" workload
-              (String.concat ", "
-                 (Analysis.Scenarios.checked @ campaign_workloads
-                @ dds_workloads));
-            exit 2
-          end
-        in
-        let checks =
-          List.map (scenario_check ~mode) scenarios
-          @ List.map (campaign_check ~mode) campaigns
-          @ List.map (dds_check ~mode) dds
-        in
-        if json then
-          List.iter
-            (fun c -> Analysis.Report.emit ~tool:"lincheck" (check_json c))
-            checks
-        else List.iter print_check checks;
-        let fifo_ok = List.for_all check_ok checks in
-        if ci then begin
-          (* Also require the seeded schedule bugs to be caught (and
-             their certificates to replay) when checking the full set:
-             the lost-reply double-apply, and the dds register whose
-             read skips the write-back phase. *)
-          let explored_ok =
-            workload <> "all"
-            || List.for_all
-                 (fun name -> run_explore name ~json ~out)
-                 [ "cas_double_apply"; "dds_register_no_writeback" ]
-          in
-          if fifo_ok && explored_ok then
-            Printf.fprintf out
-              "lincheck: all histories linearizable; seeded bugs caught\n"
-          else begin
-            Printf.fprintf out "lincheck: expectation mismatch\n";
-            exit 1
-          end
-        end
-        else if not fifo_ok then exit 1
-      end
+        run_replay workload cert ~json:m.json
+      else
+        Cli.usage "--replay needs -w naming one of: %s"
+          (String.concat ", " Analysis.Scenarios.checked)
+  | None when explore ->
+      let name = if workload = "all" then "cas_double_apply" else workload in
+      run_explore name ~json:m.json ~out:(Cli.diag m)
+  | None -> run_histories m ~mode workload
 
-let workload =
-  let doc =
-    "Workload to check (a scenario, a campaign workload, a dds \
-     workload, or $(b,all))."
-  in
-  Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
+open Cmdliner
 
 let sc =
   let doc =
@@ -439,21 +417,6 @@ let sc =
      whole-history SC, not sufficient — SC does not compose."
   in
   Arg.(value & flag & info [ "sc" ] ~doc)
-
-let json =
-  let doc =
-    "Emit one JSON object per check on stdout (diagnostics to stderr)."
-  in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
-let ci =
-  let doc =
-    "Assert expectations: every FIFO, fault-free campaign and dds \
-     history is linearizable, and exploration catches the seeded \
-     cas_double_apply and dds_register_no_writeback bugs with \
-     replayable certificates."
-  in
-  Arg.(value & flag & info [ "ci" ] ~doc)
 
 let explore =
   let doc =
@@ -472,9 +435,17 @@ let replay =
   Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"CERT" ~doc)
 
 let cmd =
-  let doc = "Linearizability checker for captured operation histories" in
-  Cmd.v
-    (Cmd.info "lincheck" ~doc)
-    Term.(const main $ workload $ sc $ json $ ci $ explore $ replay)
-
-let () = exit (Cmd.eval cmd)
+  Cli.cmd "lin" ~doc:"Linearizability checker for captured operation histories"
+    ~ci:
+      "Assert expectations: every FIFO, fault-free campaign and dds \
+       history is linearizable, and exploration catches the seeded \
+       cas_double_apply and dds_register_no_writeback bugs with \
+       replayable certificates."
+    Term.(
+      const main
+      $ Cli.workload
+          ~doc:
+            "Workload to check (a scenario, a campaign workload, a dds \
+             workload, or $(b,all))."
+          ()
+      $ sc $ explore $ replay)

@@ -1,12 +1,12 @@
-(* modelcheck — systematic same-instant schedule exploration of the
+(* rnet model — systematic same-instant schedule exploration of the
    example workloads, with DPOR + sleep sets + trace-equivalence
    hashing, and deterministic certificate replay.
 
-     dune exec bin/modelcheck.exe --                       # explore all
-     dune exec bin/modelcheck.exe -- -w torn_record
-     dune exec bin/modelcheck.exe -- -w cas_missing_release \
-         --replay "0/3,0/2,0/3,1/2"                        # replay a cert
-     dune exec bin/modelcheck.exe -- --ci --budget 2000
+     rnet model                                     # explore all
+     rnet model -w torn_record
+     rnet model -w cas_missing_release \
+         --replay "0/3,0/2,0/3,1/2"                  # replay a cert
+     rnet model --ci --budget 2000
 
    In --ci mode every explored workload must behave: the clean
    workloads exhaust their schedule space with zero failures, the
@@ -14,8 +14,6 @@
    single schedule) must produce at least one failing schedule, and
    replaying the first failure certificate must reproduce the same
    failure kind. *)
-
-open Cmdliner
 
 let failure_detail = function
   | None -> ("ok", "")
@@ -114,77 +112,49 @@ let assert_result ~config ~out (r : Analysis.Explore.result) =
   in
   baseline_ok && failures_ok
 
-let run_explore names ~config ~json ~ci =
+let run_explore (m : Cli.mode) ~config names =
   let results =
     List.map (fun name -> Analysis.Explore.explore ~config name) names
   in
-  let out = if json then stderr else stdout in
-  if json then
+  if m.json then
     List.iter
       (fun r -> Analysis.Report.emit ~tool:"modelcheck" (result_json r))
       results
   else List.iter print_result results;
-  if ci then begin
-    (* Assert every workload before combining: a short-circuiting
-       for_all would swallow the diagnostics of later mismatches. *)
-    let checked = List.map (assert_result ~config ~out) results in
-    let ok = List.for_all Fun.id checked in
-    if ok then output_string out "modelcheck: all workloads match expectations\n"
-    else begin
-      output_string out "modelcheck: expectation mismatch\n";
-      exit 1
-    end
-  end
-  else if List.exists (fun (r : Analysis.Explore.result) -> r.stats.failing > 0)
-            results
-  then exit 1
+  if m.ci then
+    Cli.verdict m
+      (Cli.run_all (assert_result ~config ~out:(Cli.diag m)) results)
+      ~pass:"modelcheck: all workloads match expectations"
+      ~fail:"modelcheck: expectation mismatch"
+  else
+    List.for_all
+      (fun (r : Analysis.Explore.result) -> r.stats.failing = 0)
+      results
 
-let run_replay name cert ~config ~json =
+let run_replay (m : Cli.mode) ~config name cert =
   let schedule =
     try Analysis.Schedule.of_string cert
-    with Invalid_argument msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
+    with Invalid_argument msg -> Cli.usage "%s" msg
   in
   let outcome = Analysis.Explore.replay ~config name schedule in
-  if json then
+  if m.json then
     Analysis.Report.emit ~tool:"modelcheck"
       (Printf.sprintf "{\"schema\":%d,\"workload\":\"%s\",\"replay\":%s}"
          Analysis.Report.schema_version
          (Analysis.Report.json_escape name)
          (outcome_json outcome))
   else print_outcome ~label:(Printf.sprintf "replay %s" name) outcome;
-  if outcome.failure <> None then exit 1
+  outcome.failure = None
 
-let main workload budget depth max_events json ci replay =
-  let config =
-    {
-      Analysis.Explore.budget;
-      max_depth = depth;
-      max_events;
-    }
-  in
-  let names =
-    if workload = "all" then Analysis.Scenarios.checked
-    else if List.mem workload Analysis.Scenarios.checked then [ workload ]
-    else begin
-      Printf.eprintf "unknown workload %S (have: %s, all)\n" workload
-        (String.concat ", " Analysis.Scenarios.checked);
-      exit 2
-    end
-  in
-  match replay with
-  | Some cert -> (
-      match names with
-      | [ name ] -> run_replay name cert ~config ~json
-      | _ ->
-          Printf.eprintf "--replay needs a single --workload\n";
-          exit 2)
-  | None -> run_explore names ~config ~json ~ci
+let main workload budget replay m =
+  let config = { Analysis.Explore.default_config with budget } in
+  let names = Cli.select ~name:Fun.id Analysis.Scenarios.checked workload in
+  match (replay, names) with
+  | Some cert, [ name ] -> run_replay m ~config name cert
+  | Some _, _ -> Cli.usage "--replay needs a single --workload"
+  | None, _ -> run_explore m ~config names
 
-let workload =
-  let doc = "Workload to explore (or $(b,all) for the checked set)." in
-  Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
+open Cmdliner
 
 let budget =
   let doc = "Maximum number of schedules to execute per workload." in
@@ -193,35 +163,6 @@ let budget =
     & opt int Analysis.Explore.default_config.budget
     & info [ "budget" ] ~docv:"N" ~doc)
 
-let depth =
-  let doc = "Branch at most this many choice points deep." in
-  Arg.(
-    value
-    & opt int Analysis.Explore.default_config.max_depth
-    & info [ "depth" ] ~docv:"N" ~doc)
-
-let max_events =
-  let doc = "Per-run event bound; a run that exceeds it is diverged." in
-  Arg.(
-    value
-    & opt int Analysis.Explore.default_config.max_events
-    & info [ "max-events" ] ~docv:"N" ~doc)
-
-let json =
-  let doc =
-    "Emit one JSON object per workload on stdout (human-readable \
-     output and CI diagnostics go to stderr)."
-  in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
-let ci =
-  let doc =
-    "Assert expectations: clean workloads explore clean, seeded bugs \
-     produce failing schedules, and the first failure certificate \
-     replays to the same failure kind."
-  in
-  Arg.(value & flag & info [ "ci" ] ~doc)
-
 let replay =
   let doc =
     "Replay one schedule certificate ($(b,index/count) pairs joined by \
@@ -229,15 +170,16 @@ let replay =
      --workload and report its outcome."
   in
   Arg.(
-    value
-    & opt (some string) None
-    & info [ "replay" ] ~docv:"CERT" ~doc)
+    value & opt (some string) None & info [ "replay" ] ~docv:"CERT" ~doc)
 
 let cmd =
-  let doc = "DPOR schedule explorer for the remote-memory workloads" in
-  Cmd.v
-    (Cmd.info "modelcheck" ~doc)
+  Cli.cmd "model" ~doc:"DPOR schedule explorer for the remote-memory workloads"
+    ~ci:
+      "Assert expectations: clean workloads explore clean, seeded bugs \
+       produce failing schedules, and the first failure certificate \
+       replays to the same failure kind."
     Term.(
-      const main $ workload $ budget $ depth $ max_events $ json $ ci $ replay)
-
-let () = exit (Cmd.eval cmd)
+      const main
+      $ Cli.workload
+          ~doc:"Workload to explore (or $(b,all) for the checked set)." ()
+      $ budget $ replay)

@@ -1,34 +1,19 @@
-(* nfstrace — generate and inspect synthetic NFS traces.
+(* rnet nfstrace — generate and inspect synthetic NFS traces.
 
-   A small operator tool around the workload library: summarize a
-   trace's operation mix, dump individual events, or compute its
-   control/data traffic split.  Every subcommand takes --json (one
-   self-validated object on stdout) and --ci (sanity-assert the trace,
-   exit 1 on violation). *)
+     rnet nfstrace summary     # operation mix
+     rnet nfstrace dump --count 10
+     rnet nfstrace traffic     # control/data traffic split
 
-open Cmdliner
+   A small operator tool around the workload library.  --json emits one
+   self-validated object per view on stdout; --ci sanity-asserts the
+   trace and exits 1 on violation. *)
+
 module J = Analysis.Report.Json
 
 let make_trace ~scale ~seed =
   let prng = Sim.Prng.create seed in
   let tree = Workload.File_tree.build prng in
   (tree, Workload.Trace.generate ~scale tree prng)
-
-let scale_arg =
-  let doc = "Scale divisor against the paper's 28.86M calls." in
-  Arg.(value & opt int 1000 & info [ "scale" ] ~docv:"N" ~doc)
-
-let seed_arg =
-  let doc = "PRNG seed (same seed, same trace)." in
-  Arg.(value & opt int 11 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-let json_arg =
-  let doc = "Emit a self-validated JSON object instead of a table." in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
-let ci_arg =
-  let doc = "Sanity-assert the generated trace; exit 1 on violation." in
-  Arg.(value & flag & info [ "ci" ] ~doc)
 
 let header ~command ~scale ~seed =
   [
@@ -46,18 +31,21 @@ let assert_trace ~command events =
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 counts in
   if Array.length events = 0 then begin
     Printf.eprintf "nfstrace: %s: generated an empty trace\n" command;
-    exit 1
-  end;
-  if total <> Array.length events then begin
+    false
+  end
+  else if total <> Array.length events then begin
     Printf.eprintf
       "nfstrace: %s: mix accounts for %d of %d events\n" command total
       (Array.length events);
-    exit 1
-  end;
-  Printf.eprintf "nfstrace: %s ok (%d events, %d activities)\n" command
-    (Array.length events) (List.length counts)
+    false
+  end
+  else begin
+    Printf.eprintf "nfstrace: %s ok (%d events, %d activities)\n" command
+      (Array.length events) (List.length counts);
+    true
+  end
 
-let summary scale seed json ci =
+let summary ~scale ~seed ~json ~ci =
   let _, events = make_trace ~scale ~seed in
   let counts = Workload.Trace.counts_by_label events in
   if json then
@@ -98,7 +86,7 @@ let summary scale seed json ci =
       counts;
     Metrics.Table.print table
   end;
-  if ci then assert_trace ~command:"summary" events
+  (not ci) || assert_trace ~command:"summary" events
 
 let describe_op (op : Dfs.Nfs_ops.op) =
   match op with
@@ -122,7 +110,7 @@ let describe_op (op : Dfs.Nfs_ops.op) =
   | Dfs.Nfs_ops.Mkdir { dir; name } -> Printf.sprintf "mkdir dir=%d %S" dir name
   | Dfs.Nfs_ops.Rmdir { dir; name } -> Printf.sprintf "rmdir dir=%d %S" dir name
 
-let dump scale seed count json ci =
+let dump ~scale ~seed ~count ~json ~ci =
   let _, events = make_trace ~scale ~seed in
   if json then
     Analysis.Report.emit ~tool:"nfstrace"
@@ -151,9 +139,9 @@ let dump scale seed count json ci =
           Printf.printf "%6d  %-26s %s\n" i e.Workload.Trace.label
             (describe_op e.Workload.Trace.op))
       events;
-  if ci then assert_trace ~command:"dump" events
+  (not ci) || assert_trace ~command:"dump" events
 
-let traffic scale seed json ci =
+let traffic ~scale ~seed ~json ~ci =
   let tree, events = make_trace ~scale ~seed in
   let rows = Workload.Traffic.of_trace (Workload.File_tree.store tree) events in
   let total = Workload.Traffic.totals rows in
@@ -213,40 +201,50 @@ let traffic scale seed json ci =
     Printf.printf "overall control/data ratio: %.3f\n"
       (Workload.Traffic.ratio total)
   end;
-  if ci then begin
-    assert_trace ~command:"traffic" events;
-    (* Both sides of the split must be present: a trace whose data side
-       is zero would make the paper's ratio argument vacuous. *)
-    if total.Workload.Traffic.control <= 0 || total.Workload.Traffic.data <= 0
-    then begin
-      Printf.eprintf "nfstrace: traffic: degenerate split (control=%d data=%d)\n"
-        total.Workload.Traffic.control total.Workload.Traffic.data;
-      exit 1
-    end
-  end
+  (not ci)
+  || assert_trace ~command:"traffic" events
+     &&
+     (* Both sides of the split must be present: a trace whose data side
+        is zero would make the paper's ratio argument vacuous. *)
+     (total.Workload.Traffic.control > 0 && total.Workload.Traffic.data > 0
+     || begin
+          Printf.eprintf
+            "nfstrace: traffic: degenerate split (control=%d data=%d)\n"
+            total.Workload.Traffic.control total.Workload.Traffic.data;
+          false
+        end)
 
-let summary_cmd =
-  Cmd.v
-    (Cmd.info "summary" ~doc:"Operation mix of a generated trace.")
-    Term.(const summary $ scale_arg $ seed_arg $ json_arg $ ci_arg)
+let views =
+  [
+    ( "summary",
+      "operation mix",
+      fun ~scale ~seed ~count:_ -> summary ~scale ~seed );
+    ("dump", "the first $(b,--count) events", dump);
+    ( "traffic",
+      "control/data traffic split",
+      fun ~scale ~seed ~count:_ -> traffic ~scale ~seed );
+  ]
 
-let dump_cmd =
-  let count_arg =
-    Arg.(value & opt int 25 & info [ "count" ] ~docv:"N" ~doc:"Events to print.")
+let main view scale seed count (m : Cli.mode) =
+  Cli.run_all
+    (fun (_, _, run) -> run ~scale ~seed ~count ~json:m.json ~ci:m.ci)
+    (Cli.select ~what:"view" ~name:(fun (name, _, _) -> name) views view)
+
+open Cmdliner
+
+let cmd =
+  let scale =
+    let doc = "Scale divisor against the paper's 28.86M calls." in
+    Arg.(value & opt int 1000 & info [ "scale" ] ~docv:"N" ~doc)
   in
-  Cmd.v
-    (Cmd.info "dump" ~doc:"Print the first events of a generated trace.")
-    Term.(const dump $ scale_arg $ seed_arg $ count_arg $ json_arg $ ci_arg)
-
-let traffic_cmd =
-  Cmd.v
-    (Cmd.info "traffic" ~doc:"Control/data traffic split of a trace.")
-    Term.(const traffic $ scale_arg $ seed_arg $ json_arg $ ci_arg)
-
-let main =
-  Cmd.group
-    (Cmd.info "nfstrace" ~version:"1.0.0"
-       ~doc:"Generate and inspect synthetic NFS traces (Table 1a mix)")
-    [ summary_cmd; dump_cmd; traffic_cmd ]
-
-let () = exit (Cmd.eval main)
+  let count =
+    Arg.(value & opt int 25 & info [ "count" ] ~docv:"N" ~doc:"Events to dump.")
+  in
+  Cli.cmd "nfstrace"
+    ~doc:"Generate and inspect synthetic NFS traces (Table 1a mix)"
+    ~ci:"Sanity-assert the generated trace; exit 1 on violation."
+    Term.(
+      const main
+      $ Cli.choice ~docv:"VIEW" ~what:"view of the generated trace"
+          (List.map (fun (name, doc, _) -> (name, doc)) views)
+      $ scale $ Cli.seed 11 $ count)

@@ -1,23 +1,21 @@
-(* obsreport — run example workloads under the live telemetry sampler
+(* rnet obs — run example workloads under the live telemetry sampler
    and evaluate declarative SLOs against what it saw.
 
-     dune exec bin/obsreport.exe --                          # all workloads
-     dune exec bin/obsreport.exe -- -w quickstart --loss 0.10 --seed 3
-     dune exec bin/obsreport.exe -- -w replica --chaos --pipelined
-     dune exec bin/obsreport.exe -- --slo gates.spec --ci
-     dune exec bin/obsreport.exe -- --json
+     rnet obs                                   # all workloads
+     rnet obs -w quickstart --loss 0.10 --seed 3
+     rnet obs -w replica --chaos
+     rnet obs --slo gates.spec --ci
+     rnet obs --json
 
    Each workload runs under a time-series sampler (provably free of
    perturbation: the fault digest is bit-identical with sampling off),
    then the SLO spec — percentile latencies from the registry, counter
    totals and rates, gauge max/mean/last over the run or a trailing
-   window — is evaluated against the recorded series.  Text mode prints
-   per-gauge sparklines and one ok/FAIL line per clause; --json emits
-   one schema-versioned object per workload.  With --ci any violation
-   (or a workload dying) makes the exit status nonzero — the SLO file
-   is the merge gate. *)
-
-open Cmdliner
+   window — is evaluated against the series recorded every 50 us.
+   Text mode prints per-gauge sparklines and one ok/FAIL line per
+   clause; --json emits one schema-versioned object per workload.  With
+   --ci any violation (or a workload dying) makes the exit status
+   nonzero — the SLO file is the merge gate. *)
 
 let escape = Analysis.Report.json_escape
 
@@ -41,9 +39,10 @@ let duration_of ts =
       | (t_us, _) :: _ -> Sim.Time.of_us_float t_us
       | [] -> Sim.Time.zero)
 
-let run_one ~plan ~pipelined ~seed ~interval ~spec workload =
+let run_one ~plan ~seed ~spec workload =
   let outcome =
-    Faults.Campaign.run ~plan ~pipelined ~sampler:interval ~seed workload
+    Faults.Campaign.run ~plan ~sampler:(Sim.Time.of_us_float 50.0) ~seed
+      workload
   in
   let ts = Option.get outcome.Faults.Campaign.timeseries in
   let ctx =
@@ -118,7 +117,8 @@ let print_json report =
 
 (* ---------------- Driver ---------------- *)
 
-let main workload pipelined seed loss chaos interval_us slo_file json ci =
+let main workload seed loss chaos slo_file (m : Cli.mode) =
+  let names = Cli.select ~name:Fun.id Faults.Campaign.workloads workload in
   let plan =
     if chaos then Faults.Campaign.chaos_plan loss
     else Faults.Campaign.loss_plan loss
@@ -131,25 +131,11 @@ let main workload pipelined seed loss chaos interval_us slo_file json ci =
   let spec =
     match Obs.Slo.parse spec_text with
     | Ok spec -> spec
-    | Error e ->
-        Printf.eprintf "obsreport: bad SLO spec:\n%s\n" e;
-        exit 2
+    | Error e -> Cli.usage "obsreport: bad SLO spec:\n%s" e
   in
-  let names =
-    if workload = "all" then Faults.Campaign.workloads
-    else if List.mem workload Faults.Campaign.workloads then [ workload ]
-    else begin
-      Printf.eprintf "unknown workload %S (have: %s, all)\n" workload
-        (String.concat ", " Faults.Campaign.workloads);
-      exit 2
-    end
-  in
-  let interval = Sim.Time.of_us_float interval_us in
-  let reports =
-    List.map (run_one ~plan ~pipelined ~seed ~interval ~spec) names
-  in
-  List.iter (if json then print_json else print_text) reports;
-  let out = if json then stderr else stdout in
+  let reports = List.map (run_one ~plan ~seed ~spec) names in
+  List.iter (if m.json then print_json else print_text) reports;
+  let out = Cli.diag m in
   List.iter
     (fun ((outcome, _, verdicts) as report) ->
       if not (healthy report) then begin
@@ -168,26 +154,15 @@ let main workload pipelined seed loss chaos interval_us slo_file json ci =
           (Obs.Slo.violations verdicts)
       end)
     reports;
-  if ci then
-    if List.for_all healthy reports then
-      Printf.fprintf out "obsreport: %d workload(s) within SLO\n"
-        (List.length reports)
-    else begin
-      Printf.fprintf out "obsreport: SLO violations\n";
-      exit 1
-    end
+  Cli.verdict m
+    (List.for_all healthy reports)
+    ~pass:
+      (Printf.sprintf "obsreport: %d workload(s) within SLO"
+         (List.length reports))
+    ~fail:"obsreport: SLO violations"
+  || not m.ci
 
-let workload =
-  let doc = "Workload to sample (or $(b,all))." in
-  Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
-
-let pipelined =
-  let doc = "Route remote writes through the batching issue engine." in
-  Arg.(value & flag & info [ "pipelined" ] ~doc)
-
-let seed =
-  let doc = "PRNG seed for the fault plane." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
+open Cmdliner
 
 let loss =
   let doc = "Per-frame loss probability on every link." in
@@ -199,29 +174,14 @@ let chaos =
   in
   Arg.(value & flag & info [ "chaos" ] ~doc)
 
-let interval_us =
-  let doc = "Sampling interval in microseconds." in
-  Arg.(value & opt float 50.0 & info [ "interval-us" ] ~docv:"US" ~doc)
-
 let slo_file =
   let doc = "SLO spec file (default: the built-in quiescence gate)." in
-  Arg.(
-    value & opt (some string) None & info [ "slo" ] ~docv:"FILE" ~doc)
-
-let json =
-  let doc = "Emit one schema-versioned JSON object per workload on stdout." in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
-let ci =
-  let doc = "Exit nonzero on any SLO violation or workload failure." in
-  Arg.(value & flag & info [ "ci" ] ~doc)
+  Arg.(value & opt (some string) None & info [ "slo" ] ~docv:"FILE" ~doc)
 
 let cmd =
-  let doc = "live-telemetry sampling report with declarative SLO gates" in
-  let info = Cmd.info "obsreport" ~doc in
-  Cmd.v info
+  Cli.cmd "obs" ~doc:"live-telemetry sampling report with declarative SLO gates"
+    ~ci:"Exit nonzero on any SLO violation or workload failure."
     Term.(
-      const main $ workload $ pipelined $ seed $ loss $ chaos $ interval_us
-      $ slo_file $ json $ ci)
-
-let () = exit (Cmd.eval cmd)
+      const main
+      $ Cli.workload ~doc:"Workload to sample (or $(b,all))." ()
+      $ Cli.seed 1 $ loss $ chaos $ slo_file)

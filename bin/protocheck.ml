@@ -1,13 +1,13 @@
-(* protocheck — static protocol verification of the declared
+(* rnet proto — static protocol verification of the declared
    meta-instruction programs (Analysis.Static): rights and bounds in an
    interval domain against the export manifest, fence-order hazards,
    retry-combinator discipline, and a pipelining-safety verdict per
    program.
 
-     dune exec bin/protocheck.exe --                      # whole catalog
-     dune exec bin/protocheck.exe -- -w frame_overrun
-     dune exec bin/protocheck.exe -- --json
-     dune exec bin/protocheck.exe -- --ci
+     rnet proto                              # whole catalog
+     rnet proto -w frame_overrun
+     rnet proto --json
+     rnet proto --ci
 
    In --ci mode the catalog must match expectations exactly: each
    seeded-bug program yields precisely its expected rule(s), every
@@ -18,8 +18,6 @@
    are each cross-confirmed dynamically by exploring the matching
    scenario: a failing schedule of the right kind whose certificate
    replays deterministically, from a clean FIFO baseline. *)
-
-open Cmdliner
 
 type entry = { kind : string; program : Workload.Program.t }
 
@@ -201,81 +199,51 @@ let assert_dynamic ~out name ~expect_kind =
   in
   baseline_ok && failure_ok
 
-let main workload json ci =
-  let entries = catalog () in
+let main workload (m : Cli.mode) =
   let entries =
-    if workload = "all" then entries
-    else begin
-      match
-        List.filter
-          (fun e -> e.program.Workload.Program.name = workload)
-          entries
-      with
-      | [] ->
-          Printf.eprintf "unknown program %S (have: %s, all)\n" workload
-            (String.concat ", "
-               (List.sort_uniq compare
-                  (List.map
-                     (fun e -> e.program.Workload.Program.name)
-                     entries)));
-          exit 2
-      | es -> es
-    end
+    Cli.select ~what:"program"
+      ~name:(fun e -> e.program.Workload.Program.name)
+      (catalog ()) workload
   in
   let analyzed = List.map (fun e -> (e, analyze e)) entries in
-  let out = if json then stderr else stdout in
-  if json then
+  if m.json then
     List.iter
       (fun (e, a) -> Analysis.Report.emit ~tool:"protocheck" (entry_json e a))
       analyzed
   else List.iter (fun (e, a) -> print_entry e a) analyzed;
-  if ci then begin
-    let static_ok = List.map (fun (e, a) -> assert_static ~out e a) analyzed in
+  if m.ci then begin
+    let out = Cli.diag m in
+    let static_ok =
+      Cli.run_all (fun (e, a) -> assert_static ~out e a) analyzed
+    in
     let names =
       List.map (fun e -> e.program.Workload.Program.name) entries
     in
     let dynamic_ok =
       (* Only when the seeded programs are in scope, so -w runs stay
          cheap; the @protocheck alias runs the whole catalog. *)
-      List.map
+      Cli.run_all
         (fun (name, expect_kind) ->
-          if List.mem name names then assert_dynamic ~out name ~expect_kind
-          else true)
-        [ ("frame_overrun", "finding"); ("cas_double_apply", "linearizability") ]
+          (not (List.mem name names)) || assert_dynamic ~out name ~expect_kind)
+        [
+          ("frame_overrun", "finding");
+          ("cas_double_apply", "linearizability");
+        ]
     in
-    if List.for_all Fun.id static_ok && List.for_all Fun.id dynamic_ok then
-      Printf.fprintf out "protocheck: all programs match expectations\n"
-    else begin
-      Printf.fprintf out "protocheck: expectation mismatch\n";
-      exit 1
-    end
+    Cli.verdict m (static_ok && dynamic_ok)
+      ~pass:"protocheck: all programs match expectations"
+      ~fail:"protocheck: expectation mismatch"
   end
-  else if
-    List.exists (fun (_, (findings, _)) -> findings <> []) analyzed
-  then exit 1
-
-let workload =
-  let doc = "Program to verify (or $(b,all) for the whole catalog)." in
-  Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
-
-let json =
-  let doc =
-    "Emit one self-validated JSON object per program on stdout \
-     (human-readable output and CI diagnostics go to stderr)."
-  in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
-let ci =
-  let doc =
-    "Assert the catalog's expectations: seeded programs trip exactly \
-     their rules, everything else is clean and its pipelining verdict \
-     matches, and the headline static findings are cross-confirmed by \
-     exploration certificates."
-  in
-  Arg.(value & flag & info [ "ci" ] ~doc)
+  else List.for_all (fun (_, (findings, _)) -> findings = []) analyzed
 
 let cmd =
-  let doc = "Static protocol verifier for declared access programs" in
-  Cmd.v (Cmd.info "protocheck" ~doc) Term.(const main $ workload $ json $ ci)
-
-let () = exit (Cmd.eval cmd)
+  Cli.cmd "proto" ~doc:"Static protocol verifier for declared access programs"
+    ~ci:
+      "Assert the catalog's expectations: seeded programs trip exactly \
+       their rules, everything else is clean and its pipelining verdict \
+       matches, and the headline static findings are cross-confirmed by \
+       exploration certificates."
+    Cmdliner.Term.(
+      const main
+      $ Cli.workload
+          ~doc:"Program to verify (or $(b,all) for the whole catalog)." ())

@@ -1,96 +1,56 @@
-(* racecheck — replay the example workloads under the analysis monitor
+(* rnet race — replay the example workloads under the analysis monitor
    and report data races and protocol findings.
 
-     dune exec bin/racecheck.exe -- --workload kv_store
-     dune exec bin/racecheck.exe -- --ci        # assert expectations
-     dune exec bin/racecheck.exe -- --json      # machine-readable report
+     rnet race -w kv_store
+     rnet race --ci        # assert expectations
+     rnet race --json      # machine-readable report
 
    In --ci mode every workload must match its expectation: the clean
    workloads report nothing, the seeded racy workload must be flagged,
    and the name-service misuse workload must produce lint findings. *)
 
-open Cmdliner
-
-let check name ~ci ~json =
+let check (m : Cli.mode) name =
   let monitor = Analysis.Scenarios.run name in
   let races = Analysis.Race.find monitor in
   let findings = Analysis.Lint.check monitor in
-  if json then
+  if m.json then
     Analysis.Report.emit ~tool:"racecheck"
       (Analysis.Report.json ~title:name monitor ~races ~findings)
   else Analysis.Report.print ~title:name monitor ~races ~findings;
-  if ci then begin
+  if m.ci then begin
     let expect = Analysis.Scenarios.expectation name in
-    let out = if json then stderr else stdout in
-    let mismatch what expected got =
-      Printf.fprintf out "   FAIL %s: expected %s %s, got %d\n" name
-        (if expected then "some" else "no")
-        what got;
-      false
+    let agrees what expected got =
+      expected = (got > 0)
+      || begin
+           Printf.fprintf (Cli.diag m) "   FAIL %s: expected %s %s, got %d\n"
+             name
+             (if expected then "some" else "no")
+             what got;
+           false
+         end
     in
     let races_ok =
-      if expect.Analysis.Scenarios.races <> (races <> []) then
-        mismatch "races" expect.Analysis.Scenarios.races (List.length races)
-      else true
+      agrees "races" expect.Analysis.Scenarios.races (List.length races)
     in
     let findings_ok =
-      if expect.Analysis.Scenarios.findings <> (findings <> []) then
-        mismatch "findings" expect.Analysis.Scenarios.findings
-          (List.length findings)
-      else true
+      agrees "findings" expect.Analysis.Scenarios.findings
+        (List.length findings)
     in
     races_ok && findings_ok
   end
   else races = [] && findings = []
 
-let main workload ci json =
-  let names =
-    if workload = "all" then Analysis.Scenarios.all
-    else if List.mem workload Analysis.Scenarios.all then [ workload ]
-    else begin
-      Printf.eprintf "unknown workload %S (have: %s, all)\n" workload
-        (String.concat ", " Analysis.Scenarios.all);
-      exit 2
-    end
-  in
-  (* Run and report every workload before combining verdicts: a
-     short-circuiting for_all would silently skip everything after the
-     first mismatch. *)
-  let results = List.map (fun name -> check name ~ci ~json) names in
-  let ok = List.for_all Fun.id results in
-  let out = if json then stderr else stdout in
-  if ci then
-    if ok then output_string out "racecheck: all workloads match expectations\n"
-    else begin
-      output_string out "racecheck: expectation mismatch\n";
-      exit 1
-    end
-  else if not ok then exit 1
-
-let workload =
-  let doc = "Workload to replay (or $(b,all))." in
-  Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
-
-let ci =
-  let doc =
-    "Assert per-workload expectations (clean workloads clean, seeded \
-     races/findings present) instead of failing on any report."
-  in
-  Arg.(value & flag & info [ "ci" ] ~doc)
-
-let json =
-  let doc =
-    "Emit one JSON object per workload on stdout (tables and CI \
-     diagnostics go to stderr). Exit status is unchanged: nonzero when \
-     races or findings are present (or, with $(b,--ci), on expectation \
-     mismatch)."
-  in
-  Arg.(value & flag & info [ "json" ] ~doc)
+let main workload m =
+  let names = Cli.select ~name:Fun.id Analysis.Scenarios.all workload in
+  Cli.verdict m
+    (Cli.run_all (check m) names)
+    ~pass:"racecheck: all workloads match expectations"
+    ~fail:"racecheck: expectation mismatch"
 
 let cmd =
-  let doc = "happens-before race detector for the remote-memory workloads" in
-  Cmd.v
-    (Cmd.info "racecheck" ~doc)
-    Term.(const main $ workload $ ci $ json)
-
-let () = exit (Cmd.eval cmd)
+  Cli.cmd "race"
+    ~doc:"happens-before race detector for the remote-memory workloads"
+    ~ci:
+      "Assert per-workload expectations (clean workloads clean, seeded \
+       races/findings present) instead of failing on any report."
+    Cmdliner.Term.(const main $ Cli.workload ())

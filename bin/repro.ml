@@ -1,11 +1,11 @@
-(* repro — regenerate every table and figure of the paper.
+(* rnet repro — regenerate every table and figure of the paper.
 
-   One subcommand per experiment; `repro all` runs the lot in the
-   paper's order.  --json wraps each rendered report in a
-   schema-versioned status object; --ci suppresses the report and
-   asserts the experiment runs to completion. *)
+     rnet repro table2
+     rnet repro all        # the lot, in the paper's order
 
-open Cmdliner
+   --json wraps each rendered report in a schema-versioned status
+   object; --ci suppresses the report and asserts the experiment runs
+   to completion. *)
 
 let experiments =
   [
@@ -64,7 +64,7 @@ let experiments =
   ]
 
 (* Run one experiment under the output mode; false on failure. *)
-let run_one name body ~json ~ci =
+let run_one ~json ~ci (name, _, body) =
   let module J = Analysis.Report.Json in
   match body () with
   | rendered ->
@@ -97,44 +97,29 @@ let run_one name body ~json ~ci =
       Printf.eprintf "repro: %s failed: %s\n" name (Printexc.to_string exn);
       false
 
-let json_flag =
-  let doc = "Emit a self-validated JSON status object per experiment." in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
-let ci_flag =
-  let doc =
-    "Gate mode: suppress the rendered report, assert the experiment \
-     completes, exit 1 otherwise."
+let main experiment (m : Cli.mode) =
+  let chosen =
+    Cli.select ~what:"experiment" ~name:(fun (name, _, _) -> name) experiments
+      experiment
   in
-  Arg.(value & flag & info [ "ci" ] ~doc)
+  let banner = experiment = "all" && not (m.json || m.ci) in
+  Cli.run_all
+    (fun ((name, _, _) as e) ->
+      if banner then Printf.printf "==== %s ====\n%!" name;
+      let ok = run_one ~json:m.json ~ci:m.ci e in
+      if banner then print_newline ();
+      ok)
+    chosen
 
-let command_of (name, doc, body) =
-  let go json ci = if not (run_one name body ~json ~ci) then exit 1 in
-  Cmd.v (Cmd.info name ~doc) Term.(const go $ json_flag $ ci_flag)
-
-let all_cmd =
-  let doc = "Run every experiment in the paper's order." in
-  let go json ci =
-    let ok =
-      List.map
-        (fun (name, _, body) ->
-          if not (json || ci) then Printf.printf "==== %s ====\n%!" name;
-          let ok = run_one name body ~json ~ci in
-          if not (json || ci) then print_newline ();
-          ok)
-        experiments
-    in
-    if not (List.for_all Fun.id ok) then exit 1
-  in
-  Cmd.v (Cmd.info "all" ~doc) Term.(const go $ json_flag $ ci_flag)
-
-let main =
-  let doc =
-    "Reproduce the tables and figures of 'Separating Data and Control \
-     Transfer in Distributed Operating Systems' (ASPLOS 1994)"
-  in
-  Cmd.group
-    (Cmd.info "repro" ~version:"1.0.0" ~doc)
-    (all_cmd :: List.map command_of experiments)
-
-let () = exit (Cmd.eval main)
+let cmd =
+  Cli.cmd "repro"
+    ~doc:
+      "Reproduce the tables and figures of 'Separating Data and Control \
+       Transfer in Distributed Operating Systems' (ASPLOS 1994)"
+    ~ci:
+      "Gate mode: suppress the rendered report, assert the experiment \
+       completes, exit 1 otherwise."
+    Cmdliner.Term.(
+      const main
+      $ Cli.choice ~docv:"EXPERIMENT" ~what:"experiment to run"
+          (List.map (fun (name, doc, _) -> (name, doc)) experiments))

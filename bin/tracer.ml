@@ -1,9 +1,9 @@
-(* tracer — replay the example workloads under the span tracer and emit
-   Chrome trace-event JSON plus the cluster metrics report.
+(* rnet trace — replay the example workloads under the span tracer and
+   emit Chrome trace-event JSON plus the cluster metrics report.
 
-     dune exec bin/tracer.exe -- examples/quickstart
-     dune exec bin/tracer.exe -- --ci      # assert span-tree invariants
-     dune exec bin/tracer.exe -- --ci --json
+     rnet trace -w quickstart
+     rnet trace --ci      # assert span-tree invariants
+     rnet trace --ci --json
 
    In --ci mode every replay's span tree must validate (no orphans, no
    open spans, monotone timestamps), the quickstart WRITE must decompose
@@ -16,15 +16,7 @@
    any finding fatal: a tree that fails to validate exits 1 whether or
    not --ci was given. *)
 
-open Cmdliner
-
 let escape = Analysis.Report.json_escape
-
-let normalize name =
-  match String.index_opt name '/' with
-  | Some i when String.sub name 0 i = "examples" ->
-      String.sub name (i + 1) (String.length name - i - 1)
-  | _ -> name
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("   FAIL " ^ s); false) fmt
 
@@ -120,15 +112,15 @@ let print_json line = Analysis.Report.emit ~tool:"tracer" line
 
 (* ---------------- Driver ---------------- *)
 
-let run_one name ~ci ~json ~out ~tree =
+let run_one (m : Cli.mode) ~out ~tree name =
   let run = Experiments.Traced.replay name in
-  if json then begin
+  if m.json then begin
     let problems = problems_of name run in
     print_json (run_json name run problems);
     List.iter (fun p -> Printf.eprintf "   FAIL %s: %s\n" name p) problems;
     problems = []
   end
-  else if ci then begin
+  else if m.ci then begin
     let problems = problems_of name run in
     List.iter (fun p -> ignore (fail "%s: %s" name p)) problems;
     let ok = problems = [] in
@@ -142,58 +134,18 @@ let run_one name ~ci ~json ~out ~tree =
     true
   end
 
-let main workload ci json out tree =
-  let name = normalize workload in
-  let names =
-    if name = "all" then Experiments.Traced.all
-    else if List.mem name Experiments.Traced.all then [ name ]
-    else begin
-      Printf.eprintf "unknown workload %S (have: %s, all)\n" name
-        (String.concat ", " Experiments.Traced.all);
-      exit 2
-    end
-  in
-  let ok = List.for_all (fun name -> run_one name ~ci ~json ~out ~tree) names in
-  let ok =
-    ok
-    &&
-    if ci || json then begin
-      let agree = check_decompose_agreement ~quiet:json in
-      if json then print_json (decompose_json agree);
-      agree
-    end
-    else true
-  in
-  if ci || json then
-    if ok then (
-      if not json then print_endline "tracer: all span trees valid")
-    else begin
-      Printf.eprintf "tracer: check failed\n";
-      exit 1
-    end
+let main workload out tree (m : Cli.mode) =
+  let names = Cli.select ~name:Fun.id Experiments.Traced.all workload in
+  let ok = Cli.run_all (run_one m ~out ~tree) names in
+  if m.ci || m.json then begin
+    let agree = check_decompose_agreement ~quiet:m.json in
+    if m.json then print_json (decompose_json agree);
+    Cli.verdict m (ok && agree) ~pass:"tracer: all span trees valid"
+      ~fail:"tracer: check failed"
+  end
+  else ok
 
-let workload =
-  let doc =
-    "Workload to replay and trace: a name from the examples directory \
-     ($(b,quickstart), $(b,name_service), $(b,producer_consumer), \
-     $(b,file_service), also accepted as $(b,examples/quickstart)), or \
-     $(b,all)."
-  in
-  Arg.(value & pos 0 string "all" & info [] ~docv:"WORKLOAD" ~doc)
-
-let ci =
-  let doc =
-    "Assert span-tree invariants and latency-accounting agreement \
-     instead of writing trace files."
-  in
-  Arg.(value & flag & info [ "ci" ] ~doc)
-
-let json =
-  let doc =
-    "Emit one schema-versioned JSON object per workload on stdout \
-     (diagnostics on stderr); any invalid tree still exits nonzero."
-  in
-  Arg.(value & flag & info [ "json" ] ~doc)
+open Cmdliner
 
 let out =
   let doc = "Directory for the emitted $(i,NAME).trace.json files." in
@@ -204,9 +156,16 @@ let tree =
   Arg.(value & flag & info [ "tree" ] ~doc)
 
 let cmd =
-  let doc = "span tracer for the remote-memory example workloads" in
-  Cmd.v
-    (Cmd.info "tracer" ~doc)
-    Term.(const main $ workload $ ci $ json $ out $ tree)
-
-let () = exit (Cmd.eval cmd)
+  Cli.cmd "trace" ~doc:"span tracer for the remote-memory example workloads"
+    ~ci:
+      "Assert span-tree invariants and latency-accounting agreement \
+       instead of writing trace files."
+    Term.(
+      const main
+      $ Cli.workload
+          ~doc:
+            "Example workload to replay and trace ($(b,quickstart), \
+             $(b,name_service), $(b,producer_consumer), \
+             $(b,file_service)), or $(b,all)."
+          ()
+      $ out $ tree)

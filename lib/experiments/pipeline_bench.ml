@@ -336,109 +336,8 @@ let to_json samples =
     @ [ String.concat ",\n" (List.map json_of_sample samples) ]
     @ [ "  ]"; "}"; "" ])
 
-(* A structural validator for the emitted JSON — enough of RFC 8259 to
-   prove the file parses (the @bench test runs the emitted bytes
-   through it). *)
 let json_valid text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let fail = ref false in
-  let expect c =
-    if !pos < n && Char.equal text.[!pos] c then incr pos else fail := true
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> string_ ()
-    | Some ('t' | 'f' | 'n') -> keyword ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | _ -> fail := true
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then incr pos
-    else begin
-      let rec members () =
-        skip_ws ();
-        string_ ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            members ()
-        | _ -> expect '}'
-      in
-      members ()
-    end
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then incr pos
-    else begin
-      let rec elements () =
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            elements ()
-        | _ -> expect ']'
-      in
-      elements ()
-    end
-  and string_ () =
-    expect '"';
-    let rec scan () =
-      if !pos >= n then fail := true
-      else
-        match text.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            pos := !pos + 2;
-            scan ()
-        | _ ->
-            incr pos;
-            scan ()
-    in
-    scan ()
-  and keyword () =
-    let ok w =
-      let l = String.length w in
-      !pos + l <= n && String.equal (String.sub text !pos l) w
-    in
-    if ok "true" then pos := !pos + 4
-    else if ok "false" then pos := !pos + 5
-    else if ok "null" then pos := !pos + 4
-    else fail := true
-  and number () =
-    let numeric c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    let start = !pos in
-    while !pos < n && numeric text.[!pos] do
-      incr pos
-    done;
-    if !pos = start then fail := true
-  in
-  value ();
-  skip_ws ();
-  (not !fail) && !pos = n
+  match Metrics.Json.parse text with Ok _ -> true | Error _ -> false
 
 (* ------------------------------------------------------------------ *)
 

@@ -41,8 +41,7 @@ val to_json : result -> string
 (** The BENCH_PR5.json document (schema in DESIGN.md §12). *)
 
 val json_valid : string -> bool
-(** Structural JSON validator (RFC 8259 subset) used by the @bench test
-    to prove the emitted artifact parses. *)
+(** [to_json]'s output parses as JSON ({!Metrics.Json.parse}). *)
 
 val render : result -> string
 

@@ -185,17 +185,12 @@ let set t key value =
      push is verified and reissued on loss — re-depositing is idempotent
      (same version, same bytes) — and a peer that stays unreachable
      costs a counted failure, not an exception: anti-entropy repairs it
-     after the heal.  Both push to peers in address order, for
-     deterministic replay; the plain one-way push keeps the peer table's
-     own (equally deterministic) order, which its recorded runs
-     follow. *)
+     after the heal.  Every push visits peers in address order, for
+     deterministic replay. *)
   let peers =
-    Hashtbl.fold (fun addr desc acc -> (addr, desc) :: acc) t.peers []
-  in
-  let peers =
-    if Option.is_none t.pipeline && Option.is_none t.recovery then
-      List.rev peers
-    else List.sort (fun (a, _) (b, _) -> compare (a : int) b) peers
+    List.sort
+      (fun (a, _) (b, _) -> compare (a : int) b)
+      (Hashtbl.fold (fun addr desc acc -> (addr, desc) :: acc) t.peers [])
   in
   List.iter
     (fun (addr, desc) ->

@@ -10,7 +10,9 @@
 #
 #   - `dune runtest --force`, normalised by scripts/normalize.sh;
 #   - every examples/*.exe;
-#   - `bin/repro.exe -- table2`, with its exit status;
+#   - the paper's Table 2 (`rnet repro table2`, or `bin/repro.exe table2`
+#     in a tree from before the single `rnet` command), with its exit
+#     status;
 #   - bench/suite/suite.exe --seed 11 --seconds 2, once with --trace 0
 #     (end-to-end) and once with --trace 1 (per layer), keeping its
 #     sim-clock records ("clock":"sim"), the correct/attempted/failed
@@ -50,7 +52,11 @@ surfaces() {
       dune exec --display=quiet "examples/$name.exe" >"$2/example.$name" 2>&1
       echo "exit $?" >>"$2/example.$name"
     done
-    dune exec --display=quiet bin/repro.exe -- table2 >"$2/table2" 2>&1
+    if [ -f bin/rnet.ml ]; then
+      dune exec --display=quiet bin/rnet.exe -- repro table2 >"$2/table2" 2>&1
+    else
+      dune exec --display=quiet bin/repro.exe -- table2 >"$2/table2" 2>&1
+    fi
     echo "exit $?" >>"$2/table2"
     for trace in 0 1; do
       dune exec --display=quiet bench/suite/suite.exe -- --seed 11 \

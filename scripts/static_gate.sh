@@ -64,14 +64,26 @@ for m in interval finding verify pipesafe; do
     fail "static verifier module lib/analysis/static/$m.mli is missing"
 done
 
-# 7. Every CLI speaks the common reporting contract: a --json mode
-# (self-validated, schema-versioned objects) and a --ci mode (assert
-# expectations, nonzero exit on violation).  Grep is crude but catches
-# the real failure mode — a new tool added without either flag.
-for b in $(find bin -name '*.ml'); do
-  grep -q '"json"' "$b" || fail "$b has no --json flag"
-  grep -q '"ci"' "$b" || fail "$b has no --ci flag"
+# 7. Every subcommand of the one CLI (bin/rnet.exe) speaks the common
+# reporting contract: a --json mode (self-validated, schema-versioned
+# objects) and a --ci mode (assert expectations, nonzero exit on
+# violation).  Commands are built only in bin/cli.ml, whose one
+# subcommand constructor adds both flags to every command it builds —
+# a tool that built its own command would escape the contract.
+for b in bin/*.ml; do
+  [ "$b" = bin/cli.ml ] && continue
+  if grep -q 'Cmd\.' "$b"; then
+    fail "$b builds a command outside bin/cli.ml"
+  fi
 done
+[ "$(grep -o 'Cmd\.v\b' bin/cli.ml | wc -l)" -eq 1 ] ||
+  fail "bin/cli.ml must build every subcommand through one Cmd.v"
+[ "$(grep -o 'Cmd\.group\b' bin/cli.ml | wc -l)" -eq 1 ] ||
+  fail "bin/cli.ml must build exactly one command group"
+grep 'Cmd\.v\b' bin/cli.ml | grep -q 'json_flag \$ ci_flag' ||
+  fail "the subcommand constructor in bin/cli.ml no longer adds --json and --ci"
+grep -q 'info \[ "json" \]' bin/cli.ml || fail "bin/cli.ml has no --json flag"
+grep -q 'info \[ "ci" \]' bin/cli.ml || fail "bin/cli.ml has no --ci flag"
 
 # 8. The scale-out surface is complete: the multi-switch fabric
 # (switch, network) and the sharded name service's three-module split
@@ -106,4 +118,11 @@ for dep in $dds_deps; do
   esac
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs dependency floor intact, static verifier surface complete, fabric + sharding surface complete, dds surface + dependency floor intact, $(find bin -name '*.ml' | wc -l) CLIs all speak --json/--ci"
+# 10. The control plane does not reach into the data plane: the shard
+# reconciler moves registrations and publishes maps through remote
+# memory, never through the lookup clerk's internals.
+if grep -q 'Shard_clerk' lib/nameserver/reconciler.ml lib/nameserver/reconciler.mli; then
+  fail "lib/nameserver/reconciler names Shard_clerk — the control plane must not reach into the data plane"
+fi
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs dependency floor intact, static verifier surface complete, fabric + sharding surface complete, dds surface + dependency floor intact, reconciler clear of the shard clerk, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
