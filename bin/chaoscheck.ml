@@ -9,10 +9,8 @@
 
    Every campaign is deterministic in (workload, plan, seed): each
    configuration runs twice and the two fault-event digests must be
-   identical. In --ci mode the canonical matrix must also survive and
-   converge: loss at 0 / 1% / 10% across the data workloads, one
-   partition schedule over the replica store, and one crash/restart
-   schedule exercising Stale_generation recovery. *)
+   identical. --ci runs the selected workloads' legs of the canonical
+   matrix (their catalog legs, each with a pinned seed). *)
 
 let escape = Analysis.Report.json_escape
 
@@ -40,19 +38,29 @@ let print_outcome ~label (o : Faults.Campaign.outcome) =
     o.events o.digest o.retries o.recovered o.revalidations o.gave_up
 
 (* One configuration of the sweep: run twice, check the digests agree
-   (the replay contract), report the first outcome. *)
+   (the replay contract) and, for a chain leg, that the full recovery
+   chain ran — staleness seen, descriptor revalidated, operation
+   recovered; report the first outcome. *)
 type verdict = {
   label : string;
   outcome : Faults.Campaign.outcome;
   replayed : bool;
+  chained : bool;
 }
 
-let run_config ~label ~plan ~seed workload =
-  let first = Faults.Campaign.run ~plan ~seed workload in
-  let second = Faults.Campaign.run ~plan ~seed workload in
-  { label; outcome = first; replayed = first.digest = second.digest }
+let run_config (leg : Catalog.leg) workload =
+  let first = Faults.Campaign.run ~plan:leg.plan ~seed:leg.seed workload in
+  let second = Faults.Campaign.run ~plan:leg.plan ~seed:leg.seed workload in
+  {
+    label = leg.label;
+    outcome = first;
+    replayed = first.digest = second.digest;
+    chained =
+      (not leg.chain) || (first.revalidations >= 1. && first.recovered >= 1.);
+  }
 
-let healthy v = v.outcome.survived && v.outcome.converged && v.replayed
+let healthy v =
+  v.outcome.survived && v.outcome.converged && v.replayed && v.chained
 
 let report ~json ~out verdicts =
   if json then
@@ -69,60 +77,27 @@ let report ~json ~out verdicts =
         Printf.fprintf out "   FAIL %s (%s): seed %d %s%s\n" v.outcome.workload
           v.label v.outcome.seed
           (if v.outcome.survived then "did not converge" else "did not survive")
-          (if v.outcome.detail = "" then "" else " — " ^ v.outcome.detail))
+          (if v.outcome.detail = "" then "" else " — " ^ v.outcome.detail);
+      if not v.chained then
+        Printf.fprintf out
+          "   FAIL %s: no Stale_generation -> revalidate -> recover chain \
+           observed\n"
+          v.outcome.workload)
     verdicts
 
-(* The canonical matrix (also the @faults alias): every data workload
-   under 0 / 1% / 10% loss, the replica store across a partition heal,
-   and the crash/restart generation-bump recovery. *)
-let ci_matrix () =
-  let data_workloads =
-    [ "quickstart"; "name_service"; "producer_consumer"; "replica" ]
-  in
-  let losses = [ 0.0; 0.01; 0.10 ] in
-  let lossy =
-    List.concat_map
-      (fun loss ->
-        List.mapi
-          (fun i workload ->
-            ( Printf.sprintf "loss %.0f%%" (loss *. 100.),
-              Faults.Campaign.loss_plan loss,
-              1000 + (17 * i) + int_of_float (loss *. 1000.),
-              workload ))
-          data_workloads)
-      losses
-  in
-  lossy
-  @ [
-      ("partition heal", Faults.Campaign.partition_plan (), 2100, "replica");
-      ("crash/restart", Faults.Campaign.crash_plan (), 2200, "crash_restart");
-    ]
-
-let run_ci (m : Cli.mode) =
-  let out = Cli.diag m in
+(* --ci: the selected workloads' rows of the canonical matrix (all of
+   it is the @faults alias): each data workload under 0 / 1% / 10% loss,
+   the replica store across a partition heal, and the crash/restart
+   generation-bump recovery. *)
+let run_ci (m : Cli.mode) selected =
   let verdicts =
     List.map
-      (fun (label, plan, seed, workload) ->
-        run_config ~label ~plan ~seed workload)
-      (ci_matrix ())
+      (fun (_, run, leg) -> run_config leg run)
+      (Catalog.chaos_matrix selected)
   in
-  report ~json:m.json ~out verdicts;
-  (* The crash/restart leg must demonstrate the full recovery chain:
-     staleness seen, descriptor revalidated, operation recovered. *)
-  let chain_ok =
-    List.exists
-      (fun v ->
-        v.outcome.workload = "crash_restart"
-        && v.outcome.revalidations >= 1.
-        && v.outcome.recovered >= 1.)
-      verdicts
-  in
-  if not chain_ok then
-    Printf.fprintf out
-      "   FAIL crash_restart: no Stale_generation -> revalidate -> recover \
-       chain observed\n";
+  report ~json:m.json ~out:(Cli.diag m) verdicts;
   Cli.verdict m
-    (List.for_all healthy verdicts && chain_ok)
+    (List.for_all healthy verdicts)
     ~pass:
       (Printf.sprintf
          "chaoscheck: %d configuration(s) survived, converged and replayed"
@@ -130,8 +105,8 @@ let run_ci (m : Cli.mode) =
     ~fail:"chaoscheck: campaign expectations not met"
 
 let main workload seed loss chaos partition crash (m : Cli.mode) =
-  let names = Cli.select ~name:Fun.id Faults.Campaign.workloads workload in
-  if m.ci then run_ci m
+  let selected = Cli.select ~name:fst Catalog.campaigns workload in
+  if m.ci then run_ci m selected
   else begin
     let plan =
       let link =
@@ -149,8 +124,9 @@ let main workload seed loss chaos partition crash (m : Cli.mode) =
       in
       { Faults.Plan.link; partitions; crashes }
     in
+    let leg = { Catalog.label = "adhoc"; plan; seed; chain = false } in
     let verdicts =
-      List.map (run_config ~label:"adhoc" ~plan ~seed) names
+      List.map (fun (_, (c : Catalog.campaign)) -> run_config leg c.run) selected
     in
     report ~json:m.json ~out:(Cli.diag m) verdicts;
     List.for_all healthy verdicts
@@ -180,9 +156,9 @@ let cmd =
   Cli.cmd "chaos"
     ~doc:"seeded fault-injection campaigns with deterministic replay"
     ~ci:
-      "Run the canonical matrix and fail on any non-convergence or replay \
-       divergence."
+      "Run the selected workloads' rows of the canonical matrix and fail \
+       on any non-convergence or replay divergence."
     Term.(
       const main
-      $ Cli.workload ~doc:"Workload to torment (or $(b,all))." ()
+      $ Cli.workload ~doc:"Workload to torment" (List.map fst Catalog.campaigns)
       $ Cli.seed 1 $ loss $ chaos $ partition $ crash)

@@ -15,7 +15,18 @@ exception Usage of string
 
 let usage fmt = Printf.ksprintf (fun msg -> raise (Usage msg)) fmt
 
-let workload ?(doc = "Workload to run (or $(b,all)).") () =
+(* -w NAME|all over the workload catalog view [names], each listed in
+   the man page with its catalog doc after the lead sentence [doc]. *)
+let workload ?(doc = "Workload to run") names =
+  let listed (e : Catalog.t) =
+    if List.mem e.name names then
+      Some (Printf.sprintf "$(b,%s) (%s)" e.name e.doc)
+    else None
+  in
+  let doc =
+    Printf.sprintf "%s: %s, or $(b,all)." doc
+      (String.concat ", " (List.filter_map listed Catalog.all))
+  in
   Arg.(value & opt string "all" & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
 
 (* A required positional NAME|all over [(name, doc)] choices, whose man
@@ -43,6 +54,13 @@ let select ?(what = "workload") ~name items choice =
         usage "unknown %s %S (have: %s, all)" what choice
           (String.concat ", " (List.sort_uniq compare (List.map name items)))
     | picked -> picked
+
+(* Replay schedule certificate [cert] against the workload [prepare]
+   builds; a malformed certificate is a usage error. *)
+let replay ?config prepare cert =
+  match Analysis.Schedule.of_string cert with
+  | schedule -> Analysis.Explore.replay ?config prepare schedule
+  | exception Invalid_argument msg -> usage "%s" msg
 
 (* Run every item before combining the verdicts: a short-circuiting
    for_all would skip (and hide) everything after the first failure. *)

@@ -8,20 +8,12 @@
          --replay "0/3,0/2,0/3,1/2"                  # replay a cert
      rnet model --ci --budget 2000
 
-   In --ci mode every explored workload must behave: the clean
-   workloads exhaust their schedule space with zero failures, the
-   seeded-bug workloads (clean under FIFO, so invisible to racecheck's
-   single schedule) must produce at least one failing schedule, and
-   replaying the first failure certificate must reproduce the same
-   failure kind. *)
-
-let failure_detail = function
-  | None -> ("ok", "")
-  | Some f ->
-      (Analysis.Explore.failure_kind f, Analysis.Explore.describe_failure f)
+   --ci asserts each workload's catalog expectation, as the --ci doc
+   below states; the seeded bugs are clean under FIFO, so invisible to
+   racecheck's single schedule. *)
 
 let print_outcome ~label (o : Analysis.Explore.outcome) =
-  let kind, detail = failure_detail o.failure in
+  let kind, detail = Analysis.Explore.outcome_status o in
   Printf.printf "   %s: %s%s  [schedule %s, %d choice point(s)]\n" label kind
     (if detail = "" then "" else " — " ^ detail)
     (Analysis.Schedule.to_string o.schedule)
@@ -41,7 +33,7 @@ let print_result (r : Analysis.Explore.result) =
   List.iter (fun o -> print_outcome ~label:"failure" o) r.failures
 
 let outcome_json (o : Analysis.Explore.outcome) =
-  let kind, detail = failure_detail o.failure in
+  let kind, detail = Analysis.Explore.outcome_status o in
   Printf.sprintf
     "{\"schedule\":\"%s\",\"choice_points\":%d,\"status\":\"%s\",\"detail\":\"%s\"}"
     (Analysis.Report.json_escape (Analysis.Schedule.to_string o.schedule))
@@ -60,67 +52,39 @@ let result_json (r : Analysis.Explore.result) =
     (outcome_json r.baseline)
     (String.concat "," (List.map outcome_json r.failures))
 
-(* --ci: clean workloads must explore clean, seeded bugs must fail and
-   their first certificate must replay to the same failure kind. *)
-let assert_result ~config ~out (r : Analysis.Explore.result) =
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.fprintf out "   FAIL %s: %s\n" r.workload msg;
-        false)
-      fmt
+(* --ci: clean workloads must explore clean; a seeded bug must fail
+   with its expected kind, and its first such certificate must replay
+   to that kind. *)
+let assert_result ~config ~out
+    ((r : Analysis.Explore.result), (e : Catalog.model)) =
+  let fail msg =
+    Printf.fprintf out "   FAIL %s: %s\n" r.workload msg;
+    false
   in
-  let seeded = List.mem r.workload Analysis.Scenarios.seeded_bugs in
-  let baseline_ok =
-    (* FIFO races/findings are the differential reference, so the
-       baseline outcome can only fail on deadlock / exception /
-       divergence / invariant — none of which a checked workload has
-       under the default schedule *)
-    match r.baseline.failure with
-    | None -> true
-    | Some f ->
-        fail "baseline schedule failed: %s"
-          (Analysis.Explore.describe_failure f)
-  in
-  let failures_ok =
-    if seeded then
-      if r.stats.failing = 0 then
-        fail "seeded bug not found in %d schedule(s)" r.stats.executed
-      else
-        match r.failures with
-        | [] -> fail "failing>0 but no failure outcome reported"
-        | first :: _ -> (
-            let replayed =
-              Analysis.Explore.replay ~config r.workload first.schedule
-            in
-            match (first.failure, replayed.failure) with
-            | Some want, Some got
-              when Analysis.Explore.failure_kind want
-                   = Analysis.Explore.failure_kind got ->
-                true
-            | _, got ->
-                let _, want_d = failure_detail first.failure in
-                let _, got_d = failure_detail got in
-                fail "replay of %s diverged: expected %s, got %s"
-                  (Analysis.Schedule.to_string first.schedule)
-                  want_d
-                  (if got_d = "" then "a clean run" else got_d))
-    else if r.stats.failing > 0 then
-      fail "expected a clean schedule space, got %d failing schedule(s)"
-        r.stats.failing
-    else true
-  in
-  baseline_ok && failures_ok
+  match e.expect with
+  | Catalog.Fails kind -> (
+      match Analysis.Explore.confirm ~config ~kind e.prepare r with
+      | Ok _ -> true
+      | Error msg -> fail msg)
+  | Catalog.Clean ->
+      r.stats.failing = 0
+      || fail
+           (Printf.sprintf
+              "expected a clean schedule space, got %d failing schedule(s)"
+              r.stats.failing)
 
-let run_explore (m : Cli.mode) ~config names =
+let run_explore (m : Cli.mode) ~config items =
   let results =
-    List.map (fun name -> Analysis.Explore.explore ~config name) names
+    List.map
+      (fun (name, (e : Catalog.model)) ->
+        (Analysis.Explore.explore ~config name e.prepare, e))
+      items
   in
   if m.json then
     List.iter
-      (fun r -> Analysis.Report.emit ~tool:"modelcheck" (result_json r))
+      (fun (r, _) -> Analysis.Report.emit ~tool:"modelcheck" (result_json r))
       results
-  else List.iter print_result results;
+  else List.iter (fun (r, _) -> print_result r) results;
   if m.ci then
     Cli.verdict m
       (Cli.run_all (assert_result ~config ~out:(Cli.diag m)) results)
@@ -128,15 +92,11 @@ let run_explore (m : Cli.mode) ~config names =
       ~fail:"modelcheck: expectation mismatch"
   else
     List.for_all
-      (fun (r : Analysis.Explore.result) -> r.stats.failing = 0)
+      (fun ((r : Analysis.Explore.result), _) -> r.stats.failing = 0)
       results
 
-let run_replay (m : Cli.mode) ~config name cert =
-  let schedule =
-    try Analysis.Schedule.of_string cert
-    with Invalid_argument msg -> Cli.usage "%s" msg
-  in
-  let outcome = Analysis.Explore.replay ~config name schedule in
+let run_replay (m : Cli.mode) ~config (name, (e : Catalog.model)) cert =
+  let outcome = Cli.replay ~config e.prepare cert in
   if m.json then
     Analysis.Report.emit ~tool:"modelcheck"
       (Printf.sprintf "{\"schema\":%d,\"workload\":\"%s\",\"replay\":%s}"
@@ -148,11 +108,11 @@ let run_replay (m : Cli.mode) ~config name cert =
 
 let main workload budget replay m =
   let config = { Analysis.Explore.default_config with budget } in
-  let names = Cli.select ~name:Fun.id Analysis.Scenarios.checked workload in
-  match (replay, names) with
-  | Some cert, [ name ] -> run_replay m ~config name cert
+  let items = Cli.select ~name:fst Catalog.model workload in
+  match (replay, items) with
+  | Some cert, [ item ] -> run_replay m ~config item cert
   | Some _, _ -> Cli.usage "--replay needs a single --workload"
-  | None, _ -> run_explore m ~config names
+  | None, _ -> run_explore m ~config items
 
 open Cmdliner
 
@@ -175,11 +135,10 @@ let replay =
 let cmd =
   Cli.cmd "model" ~doc:"DPOR schedule explorer for the remote-memory workloads"
     ~ci:
-      "Assert expectations: clean workloads explore clean, seeded bugs \
-       produce failing schedules, and the first failure certificate \
-       replays to the same failure kind."
+      "Assert expectations: clean workloads explore clean, and each \
+       seeded bug fails with its declared kind from a clean FIFO \
+       baseline, its first certificate of that kind replaying to it."
     Term.(
       const main
-      $ Cli.workload
-          ~doc:"Workload to explore (or $(b,all) for the checked set)." ()
+      $ Cli.workload ~doc:"Workload to explore" (List.map fst Catalog.model)
       $ budget $ replay)

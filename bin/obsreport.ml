@@ -118,7 +118,7 @@ let print_json report =
 (* ---------------- Driver ---------------- *)
 
 let main workload seed loss chaos slo_file (m : Cli.mode) =
-  let names = Cli.select ~name:Fun.id Faults.Campaign.workloads workload in
+  let selected = Cli.select ~name:fst Catalog.campaigns workload in
   let plan =
     if chaos then Faults.Campaign.chaos_plan loss
     else Faults.Campaign.loss_plan loss
@@ -133,7 +133,8 @@ let main workload seed loss chaos slo_file (m : Cli.mode) =
     | Ok spec -> spec
     | Error e -> Cli.usage "obsreport: bad SLO spec:\n%s" e
   in
-  let reports = List.map (run_one ~plan ~seed ~spec) names in
+  let run (_, (c : Catalog.campaign)) = run_one ~plan ~seed ~spec c.run in
+  let reports = List.map run selected in
   List.iter (if m.json then print_json else print_text) reports;
   let out = Cli.diag m in
   List.iter
@@ -183,5 +184,5 @@ let cmd =
     ~ci:"Exit nonzero on any SLO violation or workload failure."
     Term.(
       const main
-      $ Cli.workload ~doc:"Workload to sample (or $(b,all))." ()
+      $ Cli.workload ~doc:"Workload to sample" (List.map fst Catalog.campaigns)
       $ Cli.seed 1 $ loss $ chaos $ slo_file)

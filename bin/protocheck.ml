@@ -9,63 +9,14 @@
      rnet proto --json
      rnet proto --ci
 
-   In --ci mode the catalog must match expectations exactly: each
-   seeded-bug program yields precisely its expected rule(s), every
-   other scenario, campaign, bench and shard program is statically clean
-   (zero false positives), the pipelining verdicts match, and the two
-   headline static findings that FIFO runs pass — the frame_overrun
-   interval overrun and the cas_double_apply reply-trusting reissue —
-   are each cross-confirmed dynamically by exploring the matching
-   scenario: a failing schedule of the right kind whose certificate
-   replays deterministically, from a clean FIFO baseline. *)
+   --ci asserts each program's workload-catalog expectations, as the
+   --ci doc below states. *)
 
-type entry = { kind : string; program : Workload.Program.t }
-
-let catalog () =
-  List.concat
-    [
-      List.filter_map
-        (fun name ->
-          Option.map
-            (fun p -> { kind = "scenario"; program = p })
-            (Analysis.Scenarios.program name))
-        Analysis.Scenarios.all;
-      List.filter_map
-        (fun name ->
-          Option.map
-            (fun p -> { kind = "campaign"; program = p })
-            (Faults.Campaign.program name))
-        Faults.Campaign.workloads;
-      List.map
-        (fun p -> { kind = "bench"; program = p })
-        Experiments.Pipeline_bench.access_programs;
-      List.map
-        (fun p -> { kind = "shard"; program = p })
-        Workload.Programs.shard_programs;
-      List.map
-        (fun p -> { kind = "dds"; program = p })
-        Workload.Programs.dds_programs;
-    ]
-
-(* The seeded-bug programs and the exact rule(s) each must trip. *)
-let expected_rules = function
-  | "scenario", "file_service_nofence" -> [ "static-unfenced-release" ]
-  | "scenario", "cas_missing_release" -> [ "static-lock-leak" ]
-  | "scenario", "cas_double_apply" -> [ "static-cas-reissue" ]
-  | "scenario", "frame_overrun" -> [ "static-bounds" ]
-  | "shard", "shard_map_publish_unfenced" -> [ "static-unfenced-publish" ]
-  | _ -> []
-
-let expected_ordered = function
-  | "scenario", ("producer_consumer" | "file_service_nofence") -> true
-  | "shard", "shard_map_publish_unfenced" -> true
-  | _ -> false
-
-let analyze e =
+let analyze (e : Catalog.program) =
   ( Analysis.Static.Verify.check e.program,
     Analysis.Static.Pipesafe.classify e.program )
 
-let print_entry e (findings, verdict) =
+let print_entry (e : Catalog.program) (findings, verdict) =
   Printf.printf "== %s %s: %s, %s\n" e.kind e.program.Workload.Program.name
     (match findings with
     | [] -> "statically clean"
@@ -79,7 +30,7 @@ let print_entry e (findings, verdict) =
   | Analysis.Static.Pipesafe.Ordered reasons ->
       List.iter (Printf.printf "   ordering obligation: %s\n") reasons
 
-let entry_json e (findings, verdict) =
+let entry_json (e : Catalog.program) (findings, verdict) =
   let module J = Analysis.Report.Json in
   let finding_json (f : Analysis.Static.Finding.t) =
     J.obj
@@ -116,7 +67,7 @@ let entry_json e (findings, verdict) =
        ])
 
 (* --ci leg 1: the static expectations, program by program. *)
-let assert_static ~out e (findings, verdict) =
+let assert_static ~out (e : Catalog.program) (findings, verdict) =
   let name = e.program.Workload.Program.name in
   let fail fmt =
     Printf.ksprintf
@@ -126,7 +77,7 @@ let assert_static ~out e (findings, verdict) =
       fmt
   in
   let got = List.map (fun (f : Analysis.Static.Finding.t) -> f.rule) findings in
-  let want = expected_rules (e.kind, name) in
+  let want = e.rules in
   let rules_ok =
     if List.sort_uniq compare got = List.sort compare want then true
     else
@@ -135,7 +86,7 @@ let assert_static ~out e (findings, verdict) =
         (String.concat ", " got)
   in
   let verdict_ok =
-    match (verdict, expected_ordered (e.kind, name)) with
+    match (verdict, e.ordered) with
     | Analysis.Static.Pipesafe.Batchable, false
     | Analysis.Static.Pipesafe.Ordered _, true ->
         true
@@ -147,63 +98,30 @@ let assert_static ~out e (findings, verdict) =
   in
   rules_ok && verdict_ok
 
-(* --ci leg 2: the two headline static findings that FIFO runs pass,
-   each confirmed by exploration of the matching dynamic scenario —
-   clean FIFO baseline, a failing schedule of the right kind, and a
-   certificate that replays to the same kind. *)
-let assert_dynamic ~out name ~expect_kind =
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.fprintf out "   FAIL cross-validation %s: %s\n" name msg;
-        false)
-      fmt
-  in
-  let r = Analysis.Explore.explore name in
-  let baseline_ok =
-    match r.baseline.failure with
-    | None -> true
-    | Some f ->
-        fail "FIFO baseline failed: %s" (Analysis.Explore.describe_failure f)
-  in
-  let failure_ok =
-    match
-      List.find_opt
-        (fun (o : Analysis.Explore.outcome) ->
-          match o.failure with
-          | Some f -> Analysis.Explore.failure_kind f = expect_kind
-          | None -> false)
-        r.failures
-    with
-    | None ->
-        fail "no %S failure in %d schedule(s), %d failing" expect_kind
-          r.stats.executed r.stats.failing
-    | Some first -> (
-        let replayed = Analysis.Explore.replay name first.schedule in
-        match replayed.failure with
-        | Some f when Analysis.Explore.failure_kind f = expect_kind ->
-            Printf.fprintf out
-              "   cross-validated %s: schedule %s replays to %s\n" name
-              (Analysis.Schedule.to_string first.schedule)
-              expect_kind;
-            true
-        | Some f ->
-            fail "certificate %s replayed to %s, expected %s"
-              (Analysis.Schedule.to_string first.schedule)
-              (Analysis.Explore.failure_kind f)
-              expect_kind
-        | None ->
-            fail "certificate %s replayed clean, expected %s"
-              (Analysis.Schedule.to_string first.schedule)
-              expect_kind)
-  in
-  baseline_ok && failure_ok
+(* --ci leg 2: the headline static findings that FIFO runs pass, each
+   confirmed by exploring the matching dynamic scenario — clean FIFO
+   baseline, a failing schedule of the declared kind, and a certificate
+   that replays to that kind. *)
+let assert_dynamic ~out name (prepare, kind) =
+  match
+    Analysis.Explore.confirm ~kind prepare
+      (Analysis.Explore.explore name prepare)
+  with
+  | Ok first ->
+      Printf.fprintf out "   cross-validated %s: schedule %s replays to %s\n"
+        name
+        (Analysis.Schedule.to_string first.schedule)
+        kind;
+      true
+  | Error msg ->
+      Printf.fprintf out "   FAIL cross-validation %s: %s\n" name msg;
+      false
 
 let main workload (m : Cli.mode) =
   let entries =
     Cli.select ~what:"program"
-      ~name:(fun e -> e.program.Workload.Program.name)
-      (catalog ()) workload
+      ~name:(fun (e : Catalog.program) -> e.program.name)
+      Catalog.proto workload
   in
   let analyzed = List.map (fun e -> (e, analyze e)) entries in
   if m.json then
@@ -216,19 +134,15 @@ let main workload (m : Cli.mode) =
     let static_ok =
       Cli.run_all (fun (e, a) -> assert_static ~out e a) analyzed
     in
-    let names =
-      List.map (fun e -> e.program.Workload.Program.name) entries
-    in
+    (* Only for the seeded programs in scope, so -w runs stay cheap; the
+       @protocheck alias runs the whole catalog. *)
     let dynamic_ok =
-      (* Only when the seeded programs are in scope, so -w runs stay
-         cheap; the @protocheck alias runs the whole catalog. *)
       Cli.run_all
-        (fun (name, expect_kind) ->
-          (not (List.mem name names)) || assert_dynamic ~out name ~expect_kind)
-        [
-          ("frame_overrun", "finding");
-          ("cas_double_apply", "linearizability");
-        ]
+        (fun (e : Catalog.program) ->
+          match e.confirm with
+          | Some c -> assert_dynamic ~out e.program.name c
+          | None -> true)
+        entries
     in
     Cli.verdict m (static_ok && dynamic_ok)
       ~pass:"protocheck: all programs match expectations"
@@ -245,5 +159,7 @@ let cmd =
        exploration certificates."
     Cmdliner.Term.(
       const main
-      $ Cli.workload
-          ~doc:"Program to verify (or $(b,all) for the whole catalog)." ())
+      $ Cli.workload ~doc:"Program to verify"
+          (List.map
+             (fun (e : Catalog.program) -> e.program.name)
+             Catalog.proto))

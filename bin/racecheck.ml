@@ -5,12 +5,11 @@
      rnet race --ci        # assert expectations
      rnet race --json      # machine-readable report
 
-   In --ci mode every workload must match its expectation: the clean
-   workloads report nothing, the seeded racy workload must be flagged,
-   and the name-service misuse workload must produce lint findings. *)
+   In --ci mode every workload must report races and lint findings
+   exactly where its catalog entry expects them. *)
 
-let check (m : Cli.mode) name =
-  let monitor = Analysis.Scenarios.run name in
+let check (m : Cli.mode) (name, (expect : Catalog.race)) =
+  let monitor = Analysis.Scenarios.run expect.prepare in
   let races = Analysis.Race.find monitor in
   let findings = Analysis.Lint.check monitor in
   if m.json then
@@ -18,7 +17,6 @@ let check (m : Cli.mode) name =
       (Analysis.Report.json ~title:name monitor ~races ~findings)
   else Analysis.Report.print ~title:name monitor ~races ~findings;
   if m.ci then begin
-    let expect = Analysis.Scenarios.expectation name in
     let agrees what expected got =
       expected = (got > 0)
       || begin
@@ -29,21 +27,18 @@ let check (m : Cli.mode) name =
            false
          end
     in
-    let races_ok =
-      agrees "races" expect.Analysis.Scenarios.races (List.length races)
-    in
+    let races_ok = agrees "races" expect.races (List.length races) in
     let findings_ok =
-      agrees "findings" expect.Analysis.Scenarios.findings
-        (List.length findings)
+      agrees "findings" expect.findings (List.length findings)
     in
     races_ok && findings_ok
   end
   else races = [] && findings = []
 
 let main workload m =
-  let names = Cli.select ~name:Fun.id Analysis.Scenarios.all workload in
+  let items = Cli.select ~name:fst Catalog.race workload in
   Cli.verdict m
-    (Cli.run_all (check m) names)
+    (Cli.run_all (check m) items)
     ~pass:"racecheck: all workloads match expectations"
     ~fail:"racecheck: expectation mismatch"
 
@@ -53,4 +48,4 @@ let cmd =
     ~ci:
       "Assert per-workload expectations (clean workloads clean, seeded \
        races/findings present) instead of failing on any report."
-    Cmdliner.Term.(const main $ Cli.workload ())
+    Cmdliner.Term.(const main $ Cli.workload (List.map fst Catalog.race))

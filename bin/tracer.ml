@@ -46,12 +46,12 @@ let write_decomposes (run : Experiments.Traced.run) =
 
 (* Every problem a replay's trace can exhibit, as data — the text and
    JSON reporters render the same list. *)
-let problems_of name (run : Experiments.Traced.run) =
+let problems_of (t : Catalog.trace) (run : Experiments.Traced.run) =
   let validation =
     match Obs.Trace.validate run.trace with Ok () -> [] | Error ps -> ps
   in
   let decomposition =
-    if name = "quickstart" && not (write_decomposes run) then
+    if t.decomposes && not (write_decomposes run) then
       [ "no WRITE root decomposes into >= 4 contiguous phases" ]
     else []
   in
@@ -83,15 +83,14 @@ let emit name ~out ~tree (run : Experiments.Traced.run) =
 
 (* ---------------- JSON report ---------------- *)
 
-let run_json name (run : Experiments.Traced.run) problems =
+let run_json name (t : Catalog.trace) (run : Experiments.Traced.run) problems =
   Printf.sprintf
     "{\"schema\":%d,\"tool\":\"tracer\",\"workload\":\"%s\",\"spans\":%d,\"roots\":%d,\"valid\":%b,\"write_decomposition\":%s,\"problems\":[%s]}"
     Analysis.Report.schema_version (escape name)
     (Obs.Trace.span_count run.trace)
     (List.length (Obs.Trace.roots run.trace))
     (problems = [])
-    (if name = "quickstart" then string_of_bool (write_decomposes run)
-     else "null")
+    (if t.decomposes then string_of_bool (write_decomposes run) else "null")
     (String.concat ","
        (List.map (fun p -> Printf.sprintf "\"%s\"" (escape p)) problems))
 
@@ -112,22 +111,16 @@ let print_json line = Analysis.Report.emit ~tool:"tracer" line
 
 (* ---------------- Driver ---------------- *)
 
-let run_one (m : Cli.mode) ~out ~tree name =
-  let run = Experiments.Traced.replay name in
-  if m.json then begin
-    let problems = problems_of name run in
-    print_json (run_json name run problems);
-    List.iter (fun p -> Printf.eprintf "   FAIL %s: %s\n" name p) problems;
-    problems = []
-  end
-  else if m.ci then begin
-    let problems = problems_of name run in
-    List.iter (fun p -> ignore (fail "%s: %s" name p)) problems;
-    let ok = problems = [] in
-    Printf.printf "%s: %d spans, %s\n" name
-      (Obs.Trace.span_count run.trace)
-      (if ok then "valid" else "INVALID");
-    ok
+let run_one (m : Cli.mode) ~out ~tree (name, (t : Catalog.trace)) =
+  let run = t.replay () in
+  if m.json || m.ci then begin
+    let problems = problems_of t run in
+    if m.json then print_json (run_json name t run problems)
+    else
+      Printf.printf "%s: %d spans, %s\n" name
+        (Obs.Trace.span_count run.trace)
+        (if problems = [] then "valid" else "INVALID");
+    Cli.run_all (fun p -> fail "%s: %s" name p) problems
   end
   else begin
     emit name ~out ~tree run;
@@ -135,8 +128,8 @@ let run_one (m : Cli.mode) ~out ~tree name =
   end
 
 let main workload out tree (m : Cli.mode) =
-  let names = Cli.select ~name:Fun.id Experiments.Traced.all workload in
-  let ok = Cli.run_all (run_one m ~out ~tree) names in
+  let items = Cli.select ~name:fst Catalog.trace workload in
+  let ok = Cli.run_all (run_one m ~out ~tree) items in
   if m.ci || m.json then begin
     let agree = check_decompose_agreement ~quiet:m.json in
     if m.json then print_json (decompose_json agree);
@@ -162,10 +155,6 @@ let cmd =
        instead of writing trace files."
     Term.(
       const main
-      $ Cli.workload
-          ~doc:
-            "Example workload to replay and trace ($(b,quickstart), \
-             $(b,name_service), $(b,producer_consumer), \
-             $(b,file_service)), or $(b,all)."
-          ()
+      $ Cli.workload ~doc:"Example workload to replay and trace"
+          (List.map fst Catalog.trace)
       $ out $ tree)

@@ -1,34 +1,15 @@
 (* Stateless model checking over the sim engine's same-instant choice
-   points.
+   points; the .mli describes the three reductions and the checks.
 
    A run is re-executed from scratch for every schedule: a branch is a
    prefix of decisions (indices into the FIFO-ordered enabled list at
    each choice point) and everything beyond the prefix falls back to
-   FIFO.  Exploration is depth-first over branches, pruned three ways:
-
-   - dynamic partial-order reduction: an alternative is deferred only
-     if the memory accesses of its causal cone (the event plus
-     everything it transitively schedules, from the observed run)
-     conflict with another enabled event's cone — commuting
-     alternatives yield Mazurkiewicz-equivalent traces;
-   - sleep sets: an alternative already explored at a choice point
-     stays asleep in sibling branches until a conflicting access fires;
-   - trace-equivalence hashing: a completed run whose Foata normal form
-     (the canonical layering of its access trace by the conflict
-     relation) was already seen is redundant and is neither checked nor
-     expanded.
-
-   Dependence is the PR-1 relation: two accesses conflict when they
-   overlap in the same segment and are not both loads.  Interactions
-   not mediated by monitored memory (pure mailbox traffic, say) are
-   deliberately invisible to the reduction — same scope as the race
-   detector — which the cone-wide conflict test compensates for in
-   practice.
-
-   Each executed schedule is checked for: engine-level deadlock (queue
-   drained, workload unfinished), uncaught exceptions, divergence (per
-   -run event bound), workload invariant violations, and — relative to
-   the FIFO baseline — new races and new lint findings. *)
+   FIFO.  Dependence is the race detector's: two accesses conflict when
+   they overlap in the same segment and are not both loads.
+   Interactions not mediated by monitored memory (pure mailbox traffic,
+   say) are deliberately invisible to the reduction — same scope as the
+   race detector — which the cone-wide conflict test compensates for in
+   practice. *)
 
 type config = { budget : int; max_depth : int; max_events : int }
 
@@ -66,6 +47,11 @@ type outcome = {
   choice_points : int;
   failure : failure option;
 }
+
+let outcome_status o =
+  match o.failure with
+  | None -> ("ok", "")
+  | Some f -> (failure_kind f, describe_failure f)
 
 type stats = {
   mutable executed : int;
@@ -166,8 +152,8 @@ exception Certificate_mismatch of string
    choice points; [sleep] (active from the last directed choice point
    on) suppresses already-explored siblings until a conflicting access
    wakes them. *)
-let execute name ~directed ~sleep:branch_sleep ~max_events =
-  let prep = Scenarios.prepare name in
+let execute prepare ~directed ~sleep:branch_sleep ~max_events =
+  let prep : Scenarios.prep = prepare () in
   Fun.protect ~finally:prep.teardown (fun () ->
       let engine = Cluster.Testbed.engine prep.testbed in
       Sim.Engine.set_parent_tracking engine true;
@@ -373,7 +359,13 @@ let classify run ~baseline_races ~baseline_rules =
               | f :: _ -> Some (New_finding (Lint.describe f))
               | [] -> None))))
 
-let outcome_of run ~baseline_races ~baseline_rules =
+(* The FIFO baseline's races and finding rules are the single-schedule
+   detector's view; new ones found elsewhere count as
+   schedule-dependent. *)
+let reference_of run =
+  (run.races <> [], List.map (fun (f : Lint.finding) -> f.rule) run.findings)
+
+let outcome_of run (baseline_races, baseline_rules) =
   {
     schedule = run.decisions;
     choice_points = List.length run.cps;
@@ -392,7 +384,7 @@ let rec take n = function
   | _ when n = 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let explore ?(config = default_config) name =
+let explore ?(config = default_config) name prepare =
   let stats =
     {
       executed = 0;
@@ -410,30 +402,25 @@ let explore ?(config = default_config) name =
   let stack = ref [ { directed = Schedule.empty; br_sleep = [] } ] in
   let failures = ref [] in
   let baseline = ref None in
-  let baseline_races = ref false in
-  let baseline_rules = ref [] in
   while !stack <> [] && stats.executed < config.budget do
     match !stack with
     | [] -> assert false
     | branch :: rest ->
         stack := rest;
         let run =
-          execute name ~directed:branch.directed ~sleep:branch.br_sleep
+          execute prepare ~directed:branch.directed ~sleep:branch.br_sleep
             ~max_events:config.max_events
         in
         stats.executed <- stats.executed + 1;
-        if !baseline = None then begin
-          (* First run is the FIFO baseline: its races and finding
-             rules are the single-schedule detector's view, and new
-             ones found elsewhere count as schedule-dependent. *)
-          baseline_races := run.races <> [];
-          baseline_rules :=
-            List.map (fun (f : Lint.finding) -> f.rule) run.findings;
-          baseline :=
-            Some
-              (outcome_of run ~baseline_races:!baseline_races
-                 ~baseline_rules:!baseline_rules)
-        end;
+        (* The first run is the FIFO baseline. *)
+        let reference =
+          match !baseline with
+          | Some (_, reference) -> reference
+          | None ->
+              let reference = reference_of run in
+              baseline := Some (outcome_of run reference, reference);
+              reference
+        in
         let cp_count = List.length run.cps in
         if cp_count > stats.max_choice_points then
           stats.max_choice_points <- cp_count;
@@ -442,10 +429,7 @@ let explore ?(config = default_config) name =
         else begin
           Hashtbl.add seen h ();
           stats.distinct <- stats.distinct + 1;
-          let outcome =
-            outcome_of run ~baseline_races:!baseline_races
-              ~baseline_rules:!baseline_rules
-          in
+          let outcome = outcome_of run reference in
           (match outcome.failure with
           | Some _ ->
               stats.failing <- stats.failing + 1;
@@ -510,20 +494,34 @@ let explore ?(config = default_config) name =
   done;
   if !stack <> [] then stats.budget_exhausted <- true;
   let baseline =
-    match !baseline with Some b -> b | None -> assert false
+    match !baseline with Some (b, _) -> b | None -> assert false
   in
   { workload = name; stats; baseline; failures = List.rev !failures }
 
 (* ---------------- deterministic replay ---------------- *)
 
-let replay ?(config = default_config) name certificate =
-  let base = execute name ~directed:[] ~sleep:[] ~max_events:config.max_events in
-  let baseline_races = base.races <> [] in
-  let baseline_rules =
-    List.map (fun (f : Lint.finding) -> f.rule) base.findings
+let replay ?(config = default_config) prepare certificate =
+  let run directed =
+    execute prepare ~directed ~sleep:[] ~max_events:config.max_events
   in
-  let run =
-    execute name ~directed:certificate ~sleep:[]
-      ~max_events:config.max_events
-  in
-  outcome_of run ~baseline_races ~baseline_rules
+  let reference = reference_of (run []) in
+  outcome_of (run certificate) reference
+
+(* ---------------- confirming a seeded bug ---------------- *)
+
+let confirm ?config ~kind prepare r =
+  let of_kind o = fst (outcome_status o) = kind in
+  match (r.baseline.failure, List.find_opt of_kind r.failures) with
+  | Some f, _ -> Error ("FIFO baseline failed: " ^ describe_failure f)
+  | None, None ->
+      Error
+        (Printf.sprintf "no %s failure in %d schedule(s), %d failing" kind
+           r.stats.executed r.stats.failing)
+  | None, Some first ->
+      let got = fst (outcome_status (replay ?config prepare first.schedule)) in
+      if got = kind then Ok first
+      else
+        Error
+          (Printf.sprintf "certificate %s replayed %s, expected %s"
+             (Schedule.to_string first.schedule)
+             got kind)

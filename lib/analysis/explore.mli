@@ -1,9 +1,9 @@
 (** Stateless model checking of the example workloads over the sim
     engine's same-instant choice points.
 
-    Every schedule is a fresh execution of {!Scenarios.prepare}d
-    workload, driven event by event; at each instant with two or more
-    enabled events the explorer picks an order, enumerating
+    Every schedule is a fresh execution of a workload's prepare function
+    ({!Scenarios}), driven event by event; at each instant with two or
+    more enabled events the explorer picks an order, enumerating
     alternatives depth-first.  Three reductions keep the enumeration
     tractable:
 
@@ -47,16 +47,16 @@ type failure =
   | New_race of string  (** a race the FIFO baseline does not have *)
   | New_finding of string  (** a lint rule the FIFO baseline does not fire *)
 
-val describe_failure : failure -> string
-val failure_kind : failure -> string
-(** Short tag: ["deadlock"], ["exception"], ["diverged"],
-    ["invariant"], ["linearizability"], ["race"], ["finding"]. *)
-
 type outcome = {
   schedule : Schedule.t;  (** certificate reproducing this execution *)
   choice_points : int;
   failure : failure option;
 }
+
+val outcome_status : outcome -> string * string
+(** [("ok", "")], or the failure's kind — ["deadlock"], ["exception"],
+    ["diverged"], ["invariant"], ["linearizability"], ["race"] or
+    ["finding"] — and its description. *)
 
 type stats = {
   mutable executed : int;  (** schedules actually run *)
@@ -81,13 +81,25 @@ exception Certificate_mismatch of string
 (** A replayed certificate disagreed with the run it directs (wrong
     enabled count at a choice point). *)
 
-val explore : ?config:config -> string -> result
-(** [explore name] — exhaustively explore the workload's schedules
-    within the configured bounds. Raises [Invalid_argument] on an
-    unknown workload name. *)
+val explore :
+  ?config:config -> string -> (unit -> Scenarios.prep) -> result
+(** [explore name prepare] — exhaustively explore the schedules of the
+    workload [prepare] builds, within the configured bounds; [name]
+    labels the result. *)
 
-val replay : ?config:config -> string -> Schedule.t -> outcome
+val replay :
+  ?config:config -> (unit -> Scenarios.prep) -> Schedule.t -> outcome
 (** Re-execute one certified schedule (plus the FIFO baseline, for the
     differential race/finding classification) and report its outcome.
     Deterministic: the same certificate always reproduces the same
     failure. *)
+
+val confirm :
+  ?config:config ->
+  kind:string ->
+  (unit -> Scenarios.prep) ->
+  result ->
+  (outcome, string) Stdlib.result
+(** The seeded-bug contract on [prepare]'s exploration: a clean FIFO
+    baseline, a reported failure of [kind] ({!outcome_status}), and the
+    first such failure, returned, replaying to [kind]. *)

@@ -1,15 +1,7 @@
-(* Compact, deterministic replays of the example workloads, run under
-   the monitor.  Each builds its own testbed so runs are independent;
-   the shapes mirror examples/ (kv_store, producer_consumer, ...) at a
-   size that keeps a race-check run instant.
-
-   Each scenario is split into [prepare] (build the testbed, attach the
-   monitor, spawn the workload) and the engine run, so the model
-   checker can drive the same workloads event by event under its own
-   schedules.  [run] composes the two exactly the way the old
-   single-call interface did: default FIFO runs are unchanged. *)
-
-type expectation = { races : bool; findings : bool }
+(* Compact, deterministic replays of the example workloads and the dds
+   suite, each a prepare function split from the engine run (see the
+   .mli).  Each builds its own testbed so runs are independent, at a
+   size that keeps a race-check run instant. *)
 
 type prep = {
   testbed : Cluster.Testbed.t;
@@ -18,56 +10,6 @@ type prep = {
   invariants : (string * (unit -> bool)) list;
   teardown : unit -> unit;
 }
-
-let all =
-  [
-    "kv_store";
-    "producer_consumer";
-    "file_service";
-    "file_service_nofence";
-    "name_service";
-    "racy";
-    "torn_record";
-    "cas_missing_release";
-    "cas_double_apply";
-    "frame_overrun";
-    "dds_register_no_writeback";
-  ]
-
-let seeded_bugs =
-  [
-    "torn_record";
-    "cas_missing_release";
-    "cas_double_apply";
-    "frame_overrun";
-    "dds_register_no_writeback";
-  ]
-
-let checked =
-  [
-    "kv_store";
-    "producer_consumer";
-    "file_service";
-    "name_service";
-    "torn_record";
-    "cas_missing_release";
-    "cas_double_apply";
-    "frame_overrun";
-    "dds_register_no_writeback";
-  ]
-
-let expectation = function
-  | "kv_store" | "producer_consumer" | "file_service" ->
-      { races = false; findings = false }
-  | "name_service" -> { races = false; findings = true }
-  | "file_service_nofence" | "racy" -> { races = true; findings = false }
-  (* The seeded schedule bugs: clean under the default FIFO schedule —
-     that is the point; only the model checker's exploration exposes
-     them. *)
-  | "torn_record" | "cas_missing_release" | "cas_double_apply"
-  | "frame_overrun" | "dds_register_no_writeback" ->
-      { races = false; findings = false }
-  | name -> invalid_arg ("Scenarios.expectation: " ^ name)
 
 let setup ~nodes =
   let testbed = Cluster.Testbed.create ~nodes () in
@@ -239,7 +181,7 @@ let producer_consumer () =
    under a CAS lock, with the paper's required fence before release —
    every WRITE is deposited before the lock can move on. *)
 
-let file_service ~fence () =
+let file_service_with ~fence () =
   let testbed, rmems, monitor = setup ~nodes:3 in
   let server_space = ref None in
   let block_untorn () =
@@ -886,28 +828,110 @@ let dds_register_no_writeback () =
           Sim.Ivar.fill go_r2 ());
       Sim.Ivar.read done_)
 
-let prepare name =
-  match name with
-  | "kv_store" -> kv_store ()
-  | "producer_consumer" -> producer_consumer ()
-  | "file_service" -> file_service ~fence:true ()
-  | "file_service_nofence" -> file_service ~fence:false ()
-  | "name_service" -> name_service ()
-  | "racy" -> racy ()
-  | "torn_record" -> torn_record ()
-  | "cas_missing_release" -> cas_missing_release ()
-  | "cas_double_apply" -> cas_double_apply ()
-  | "frame_overrun" -> frame_overrun ()
-  | "dds_register_no_writeback" -> dds_register_no_writeback ()
-  | name -> invalid_arg ("Scenarios.prepare: " ^ name)
+let file_service = file_service_with ~fence:true
+let file_service_nofence = file_service_with ~fence:false
 
-(* The declared access program of each scenario, for the static
-   verifier; the @protocheck cross-validation holds these declarations
-   against what exploration observes. *)
-let program = Workload.Programs.scenario
+(* ------------------------------------------------------------------ *)
+(* The distributed data structures, observed through remote memory and
+   the logical-operation hook only: unlike [setup], no LRPC monitor. *)
 
-let run name =
-  let prep = prepare name in
+let dds_rig n body =
+  let testbed = Cluster.Testbed.create ~nodes:n () in
+  let nodes = Array.init n (Cluster.Testbed.node testbed) in
+  let rmems = Array.map Rmem.Remote_memory.attach nodes in
+  let monitor = Monitor.create (Cluster.Testbed.engine testbed) in
+  Array.iter (Monitor.attach_rmem monitor) rmems;
+  let amsgs = Array.map Amsg.attach nodes in
+  let hook = Monitor.dds_hook monitor in
+  wrap ~testbed ~monitor (fun () -> body ~nodes ~rmems ~amsgs ~hook)
+
+let dds_join ~target counter =
+  let rec join () =
+    if !counter < target then begin
+      Sim.Proc.wait (Sim.Time.ms 1);
+      join ()
+    end
+  in
+  join ()
+
+(* Three clients — one per structuring — hammer a shared key and a
+   private key of one server table. *)
+let dds_hashtable () =
+  dds_rig 4 (fun ~nodes ~rmems ~amsgs ~hook ->
+      let s = Dds.Hashtable.server ~rmem:rmems.(0) ~amsg:amsgs.(0) ~slots:64 () in
+      let done_ = ref 0 in
+      for c = 1 to 3 do
+        Cluster.Node.spawn nodes.(c) (fun () ->
+            let t =
+              Dds.Hashtable.client ~rmem:rmems.(c) ~amsg:amsgs.(c)
+                ~kind:(List.nth Dds.Kind.all (c - 1))
+                ~hook s
+            in
+            for i = 1 to 5 do
+              Dds.Hashtable.insert t ~key:9l
+                ~value:(Int32.of_int ((c * 10) + i));
+              ignore (Dds.Hashtable.lookup t 9l);
+              Dds.Hashtable.insert t ~key:(Int32.of_int (100 + c))
+                ~value:(Int32.of_int i)
+            done;
+            incr done_)
+      done;
+      dds_join ~target:3 done_)
+
+(* Two mixed-kind producers, one hybrid consumer draining everything. *)
+let dds_queue () =
+  dds_rig 4 (fun ~nodes ~rmems ~amsgs ~hook ->
+      let s = Dds.Queue.server ~rmem:rmems.(0) ~amsg:amsgs.(0) ~capacity:64 () in
+      let consumed = ref 0 in
+      for p = 1 to 2 do
+        Cluster.Node.spawn nodes.(p) (fun () ->
+            let t =
+              Dds.Queue.client ~rmem:rmems.(p) ~amsg:amsgs.(p)
+                ~kind:(if p = 1 then Dds.Kind.Dx else Dds.Kind.Rpc)
+                ~hook s
+            in
+            for i = 0 to 9 do
+              ignore (Dds.Queue.enqueue t (Int32.of_int ((p * 100) + i)))
+            done;
+            Dds.Queue.flush t)
+      done;
+      Cluster.Node.spawn nodes.(3) (fun () ->
+          let t =
+            Dds.Queue.client ~rmem:rmems.(3) ~amsg:amsgs.(3)
+              ~kind:Dds.Kind.Hybrid ~hook s
+          in
+          for _ = 1 to 20 do
+            ignore (Dds.Queue.dequeue t);
+            incr consumed
+          done);
+      dds_join ~target:20 consumed)
+
+(* Three writer/reader clients — one per structuring — over one
+   3-replica ABD register. *)
+let dds_register () =
+  dds_rig 6 (fun ~nodes ~rmems ~amsgs ~hook ->
+      let reps =
+        Array.init 3 (fun k ->
+            Dds.Register.replica ~rmem:rmems.(k) ~amsg:amsgs.(k) ())
+      in
+      let done_ = ref 0 in
+      List.iteri
+        (fun i (c, kind) ->
+          Cluster.Node.spawn nodes.(c) (fun () ->
+              let t =
+                Dds.Register.client ~rmem:rmems.(c) ~amsg:amsgs.(c) ~kind
+                  ~rank:(i + 1) ~hook reps
+              in
+              for v = 1 to 4 do
+                ignore (Dds.Register.write t (Int32.of_int ((c * 10) + v)));
+                ignore (Dds.Register.read t)
+              done;
+              incr done_))
+        [ (3, Dds.Kind.Dx); (4, Dds.Kind.Rpc); (5, Dds.Kind.Hybrid) ];
+      dds_join ~target:3 done_)
+
+let run prepare =
+  let prep = prepare () in
   Fun.protect ~finally:prep.teardown (fun () ->
       Sim.Engine.run (Cluster.Testbed.engine prep.testbed));
   prep.monitor

@@ -1,36 +1,13 @@
 (** Compact, deterministic replays of the repository's example
-    workloads, run under the monitor. Shared by [bin/racecheck],
-    [bin/modelcheck] and the test suite.
+    workloads and data structures, run under the monitor.
 
-    - [kv_store]: two clients write/fence/read their own slots of a
-      server table. Clean.
-    - [producer_consumer]: two producers feed a consumer ring with CAS
-      ticket claims and notify doorbells; the consumer touches exactly
-      the slot each notification names. Clean.
-    - [file_service]: two clients update the {e same} block under a CAS
-      lock, fencing their writes before releasing. Clean.
-    - [file_service_nofence]: the same workload without the fence — the
-      unacknowledged WRITEs may still be in flight when the lock moves
-      on, exactly the hazard the paper's fence idiom exists for. Races.
-    - [name_service]: lookup via the name service, then a revoke /
-      re-export makes a retained descriptor stale, and a client
-      read-polls a notify:never status segment. Lint findings, no
-      races.
-    - [racy]: two unsynchronized writers to one range. Races.
-    - [torn_record]: a single-node two-word record updated and read
-      non-atomically. Clean under FIFO and invisible to the race
-      detector (one node, one agent); an adversarial same-instant
-      schedule tears the reader's snapshot.
-    - [cas_missing_release]: a CAS lock whose first-attempt-win fast
-      path forgets the release and the baton handoff. Clean under FIFO;
-      an adversarial schedule deadlocks two processes.
-    - [dds_register_no_writeback]: the dds ABD register with the
-      read's write-back phase disabled, driven through partial-majority
-      quorums. Clean under FIFO; an adversarial schedule serves a
-      reader's collect before a committed writer's claim and two
-      sequential reads return new-then-old — non-linearizable. *)
-
-type expectation = { races : bool; findings : bool }
+    Each workload is a prepare function: it builds a fresh testbed,
+    attaches a monitor, and spawns the workload without running it. The
+    caller drives the engine — [Sim.Engine.run] for a normal run
+    ({!run}), or event by event under a model-checker schedule
+    ({!Explore}). What each workload does, and what every checker
+    expects of it, is documented once, in its workload-catalog entry
+    ([Catalog]). *)
 
 type prep = {
   testbed : Cluster.Testbed.t;
@@ -44,30 +21,36 @@ type prep = {
       (** detach global hooks; call once per prepared run *)
 }
 
-val all : string list
+(** {1 Example workloads} *)
 
-val checked : string list
-(** The workloads [bin/modelcheck] explores: the four clean examples
-    plus the two seeded schedule bugs. *)
+val kv_store : unit -> prep
+val producer_consumer : unit -> prep
+val file_service : unit -> prep
+val file_service_nofence : unit -> prep
+val name_service : unit -> prep
+val racy : unit -> prep
 
-val seeded_bugs : string list
-(** FIFO-clean workloads that fail only under adversarial schedules. *)
+(** {1 Seeded schedule bugs}
 
-val expectation : string -> expectation
-(** Single-schedule (FIFO) expectation. Raises [Invalid_argument] on an
-    unknown workload name. *)
+    Clean under the default FIFO schedule; only exploration exposes
+    them. *)
 
-val program : string -> Workload.Program.t option
-(** The scenario's declared access program ({!Workload.Programs}),
-    checked statically by [protocheck]. [None] for unknown names. *)
+val torn_record : unit -> prep
+val cas_missing_release : unit -> prep
+val cas_double_apply : unit -> prep
+val frame_overrun : unit -> prep
+val dds_register_no_writeback : unit -> prep
 
-val prepare : string -> prep
-(** Build a fresh testbed, attach a monitor, and spawn the workload
-    without running it: the caller drives the engine — [Sim.Engine.run]
-    for a normal run, or event by event under a model-checker schedule.
-    Raises [Invalid_argument] on an unknown name. *)
+(** {1 Distributed data structures}
 
-val run : string -> Monitor.t
-(** [prepare], run the engine to quiescence under the default FIFO
-    order, tear down, and return the monitor for checking. Identical to
-    the historical single-call behavior. *)
+    Each {!Dds} structure driven by clients in all three structurings
+    at once, observed through the logical-operation hook. Unlike the
+    workloads above, these attach no LRPC monitor. *)
+
+val dds_hashtable : unit -> prep
+val dds_queue : unit -> prep
+val dds_register : unit -> prep
+
+val run : (unit -> prep) -> Monitor.t
+(** Prepare, run the engine to quiescence under the default FIFO order,
+    tear down, and return the monitor for checking. *)

@@ -34,6 +34,7 @@ type sample = {
 
 type result = sample list
 
+(* The stream segment; [Workload.Programs.pipeline_*] declare it. *)
 let segment_len = 1 lsl 20
 
 (* Issue-side kernel crossings: one trap per meta-instruction frame
@@ -380,48 +381,3 @@ let render samples =
     | [] -> "  checks: all passed\n"
     | fs ->
         String.concat "" (List.map (Printf.sprintf "  CHECK FAILED: %s\n") fs))
-
-(* The bench's declared access programs: the three stream shapes as
-   {!Workload.Program} values, one op per loop step.  protocheck holds
-   them against the manifest and — the point — proves them
-   [Batchable], so the pipelined mode measured above is a legal
-   transformation of the program, not just a faster one. *)
-let access_programs =
-  let open Workload.Program in
-  let manifest =
-    [
-      {
-        Rmem.Manifest.seg = "pipe.stream";
-        exporter = 0;
-        len = segment_len;
-        rights = Rmem.Rights.all;
-        grants = [];
-        policy = Rmem.Segment.Conditional;
-      };
-    ]
-  in
-  let stream name body =
-    { name; manifest; nodes = [ { node = 1; name = "issuer"; body } ] }
-  in
-  [
-    stream "pipeline_write_stream"
-      [
-        for_ "i" ~lo:0 ~hi:63
-          [ write ~seg:"pipe.stream" ~off:(v "i" * c 4096) ~len:(c 4096) () ];
-        fence "pipe.stream";
-      ];
-    stream "pipeline_read_stream"
-      [
-        for_ "i" ~lo:0 ~hi:63
-          [ read ~seg:"pipe.stream" ~off:(v "i" * c 4096) ~len:(c 4096) ];
-      ];
-    stream "pipeline_doorbell"
-      [
-        for_ "i" ~lo:0 ~hi:63
-          [
-            write ~notify:true ~seg:"pipe.stream" ~off:(v "i" * c 4096)
-              ~len:(c 4096) ();
-          ];
-        fence "pipe.stream";
-      ];
-  ]

@@ -44,9 +44,3 @@ val json_valid : string -> bool
 (** [to_json]'s output parses as JSON ({!Metrics.Json.parse}). *)
 
 val render : result -> string
-
-val access_programs : Workload.Program.t list
-(** The three stream shapes as declared access programs
-    (write_stream, read_stream, doorbell). protocheck verifies them
-    against the manifest and proves each {e batchable} — the license
-    for the pipelined mode this bench measures. *)

@@ -263,12 +263,3 @@ let file_service () =
             (fun op -> ignore (Dfs.Clerk.remote_fetch clerk op : Dfs.Nfs_ops.result))
             ops;
           Dfs.Clerk.set_scheme clerk Dfs.Clerk.Dx))
-
-let all = [ "quickstart"; "name_service"; "producer_consumer"; "file_service" ]
-
-let replay = function
-  | "quickstart" -> quickstart ()
-  | "name_service" -> name_service ()
-  | "producer_consumer" -> producer_consumer ()
-  | "file_service" -> file_service ()
-  | name -> invalid_arg (Printf.sprintf "Traced.replay: unknown workload %S" name)

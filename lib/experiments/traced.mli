@@ -18,9 +18,3 @@ val producer_consumer : unit -> run
 val file_service : unit -> run
 (** DFS clerk fetches through DX and Hybrid-1 against the warmed server
     (fixture warm-up happens before the tracer attaches). *)
-
-val all : string list
-(** Replay names accepted by {!replay}. *)
-
-val replay : string -> run
-(** Run one replay by name; raises [Invalid_argument] on unknown names. *)

@@ -24,8 +24,12 @@ type outcome = {
   engine_events : int;
 }
 
-let workloads =
-  [ "quickstart"; "name_service"; "producer_consumer"; "replica"; "crash_restart" ]
+type workload =
+  plan:Plan.t ->
+  seed:int ->
+  pipelined:bool ->
+  sampler:Sim.Time.t option ->
+  outcome
 
 (* External observer hook: every remote-memory endpoint a workload
    attaches is offered to the probe, so an analysis tool can subscribe
@@ -657,14 +661,9 @@ let crash_restart ~plan ~seed ~pipelined ~sampler =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(plan = Plan.none) ?(pipelined = false) ?sampler ~seed workload =
-  match workload with
-  | "quickstart" -> quickstart ~plan ~seed ~pipelined ~sampler
-  | "name_service" -> name_service ~plan ~seed ~pipelined ~sampler
-  | "producer_consumer" -> producer_consumer ~plan ~seed ~pipelined ~sampler
-  | "replica" -> replica ~plan ~seed ~pipelined ~sampler
-  | "crash_restart" -> crash_restart ~plan ~seed ~pipelined ~sampler
-  | other -> invalid_arg ("Faults.Campaign.run: unknown workload " ^ other)
+let run ?(plan = Plan.none) ?(pipelined = false) ?sampler ~seed
+    (workload : workload) =
+  workload ~plan ~seed ~pipelined ~sampler
 
 (* The canonical CI plans. *)
 
@@ -695,8 +694,3 @@ let crash_plan () =
     ~crashes:
       [ { Plan.node = 1; at = Sim.Time.ms 5; restart_at = Some (Sim.Time.ms 8) } ]
     ()
-
-(* The declared access program of each campaign workload, for the
-   static protocol verifier.  Kept beside the workloads themselves so
-   a shape change here is a one-file diff with its declaration. *)
-let program = Workload.Programs.campaign

@@ -29,14 +29,24 @@ type outcome = {
           host-time events/sec baseline ([bench --host]) *)
 }
 
-val workloads : string list
-(** ["quickstart"; "name_service"; "producer_consumer"; "replica";
-    "crash_restart"]. *)
+type workload =
+  plan:Plan.t ->
+  seed:int ->
+  pipelined:bool ->
+  sampler:Sim.Time.t option ->
+  outcome
+(** A campaign workload; call it through {!run}. *)
 
-val program : string -> Workload.Program.t option
-(** The workload's declared access program ({!Workload.Programs}) —
-    what the static verifier ([protocheck]) holds against the manifest
-    before the campaign issues anything. [None] for unknown names. *)
+(** {1 Workloads}, each documented in its workload-catalog entry *)
+
+val quickstart : workload
+val name_service : workload
+val producer_consumer : workload
+val replica : workload
+
+val crash_restart : workload
+(** Adds its canonical crash/restart schedule ({!crash_plan}) when the
+    plan carries none. *)
 
 val set_rmem_probe : (Rmem.Remote_memory.t -> unit) option -> unit
 (** Observe every remote-memory endpoint the campaign workloads attach
@@ -50,15 +60,13 @@ val run :
   ?pipelined:bool ->
   ?sampler:Sim.Time.t ->
   seed:int ->
-  string ->
+  workload ->
   outcome
-(** Run one workload by name (default plan: {!Plan.none}). The
-    [crash_restart] workload adds its canonical crash/restart schedule
-    when the plan carries none. With [pipelined] (default false) the
-    workload's remote writes route through a {!Rmem.Pipeline} engine
-    (and lookup probes through its read window); the convergence checks
-    are identical — the differential suite holds the two modes against
-    each other.
+(** Run one workload (default plan: {!Plan.none}). With [pipelined]
+    (default false) the workload's remote writes route through a
+    {!Rmem.Pipeline} engine (and lookup probes through its read window);
+    the convergence checks are identical — the differential suite holds
+    the two modes against each other.
 
     With [sampler] the workload runs under an {!Obs.Timeseries} sampler
     at that interval, every layer's gauges registered (link/switch
@@ -66,9 +74,7 @@ val run :
     notification backlog, pipeline occupancy, cumulative fault and
     recovery counters); the outcome carries it for SLO evaluation.
     Sampling is perturbation-free: the digest is bit-identical with or
-    without it — asserted by the @faults tests.
-
-    Raises [Invalid_argument] on unknown names. *)
+    without it — asserted by the @faults tests. *)
 
 (** {1 Canonical CI plans} *)
 

@@ -1,13 +1,7 @@
-(* The catalog of declared access programs: one {!Program.t} per
-   analysis scenario and per recovery-campaign workload, mirroring the
-   protocols in [Analysis.Scenarios] and [Faults.Campaign].
-
-   These are declarations, not extractions-by-tracing: each names the
-   segments, offsets, extents and retry disciplines the workload is
-   *supposed* to use, the way a map-time manifest would.  The static
-   verifier checks the declarations; the @protocheck cross-validation
-   holds them against what the dynamic checkers see, in both
-   directions. *)
+(* Every declared access program (see the .mli).  These are
+   declarations, not extractions-by-tracing: each names the segments,
+   offsets, extents and retry disciplines the workload is *supposed* to
+   use, the way a map-time manifest would. *)
 
 open Program
 
@@ -351,21 +345,6 @@ let dds_register_no_writeback =
       ];
   }
 
-let scenarios =
-  [
-    kv_store;
-    producer_consumer;
-    file_service;
-    file_service_nofence;
-    name_service;
-    racy;
-    torn_record;
-    cas_missing_release;
-    cas_double_apply;
-    frame_overrun;
-    dds_register_no_writeback;
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Campaign programs (Faults.Campaign shapes).  Policied writes verify
    by read-back, declared as write-then-fence; policied CAS wrappers
@@ -499,14 +478,45 @@ let campaign_crash_restart =
       ];
   }
 
-let campaigns =
-  [
-    campaign_quickstart;
-    campaign_name_service;
-    campaign_producer_consumer;
-    campaign_replica;
-    campaign_crash_restart;
-  ]
+(* ------------------------------------------------------------------ *)
+(* Pipelined-stream programs ([Experiments.Pipeline_bench] shapes): one
+   op per loop step over the bench's 1 MiB stream segment.  protocheck
+   holds them against the manifest and proves them batchable, so the
+   pipelined mode the bench measures is a legal transformation of the
+   program, not just a faster one. *)
+
+let pipeline_stream name body =
+  {
+    name;
+    manifest = [ seg ~exporter:0 ~len:(1 lsl 20) "pipe.stream" ];
+    nodes = [ { node = 1; name = "issuer"; body } ];
+  }
+
+let pipeline_write_stream =
+  pipeline_stream "pipeline_write_stream"
+    [
+      for_ "i" ~lo:0 ~hi:63
+        [ write ~seg:"pipe.stream" ~off:(v "i" * c 4096) ~len:(c 4096) () ];
+      fence "pipe.stream";
+    ]
+
+let pipeline_read_stream =
+  pipeline_stream "pipeline_read_stream"
+    [
+      for_ "i" ~lo:0 ~hi:63
+        [ read ~seg:"pipe.stream" ~off:(v "i" * c 4096) ~len:(c 4096) ];
+    ]
+
+let pipeline_doorbell =
+  pipeline_stream "pipeline_doorbell"
+    [
+      for_ "i" ~lo:0 ~hi:63
+        [
+          write ~notify:true ~seg:"pipe.stream" ~off:(v "i" * c 4096)
+            ~len:(c 4096) ();
+        ];
+      fence "pipe.stream";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharded name-service programs (Names.Shard_clerk / Names.Reconciler
@@ -587,9 +597,6 @@ let shard_map_publish = shard_publish ~name:"shard_map_publish" ~fenced:true
    probe slots the migration has not yet made durable. *)
 let shard_map_publish_unfenced =
   shard_publish ~name:"shard_map_publish_unfenced" ~fenced:false
-
-let shard_programs =
-  [ sharded_lookup; shard_map_publish; shard_map_publish_unfenced ]
 
 (* ------------------------------------------------------------------ *)
 (* Distributed data-structure programs (Dds shapes): the DX (pure data
@@ -717,12 +724,3 @@ let dds_register =
         };
       ];
   }
-
-let dds_programs = [ dds_hashtable; dds_queue; dds_register ]
-
-let find list name = List.find_opt (fun (p : Program.t) -> p.name = name) list
-
-let scenario name = find scenarios name
-let campaign name = find campaigns name
-let shard name = find shard_programs name
-let dds name = find dds_programs name

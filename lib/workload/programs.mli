@@ -1,46 +1,44 @@
-(** The catalog of declared access programs: one {!Program.t} per
-    analysis scenario ({!Analysis.Scenarios} shapes, including the
-    seeded-bug workloads) and per recovery-campaign workload
-    ({!Faults.Campaign} shapes).
+(** Every declared access program, as plain values, each named after
+    the workload it declares. What each workload does, and what the
+    static verifier must find in it, is documented in its
+    workload-catalog entry ([Catalog]).
 
     Each program declares the segments, offsets, extents, value ranges
-    and retry disciplines its workload is supposed to use.  The static
-    verifier checks the declarations at map time; the @protocheck
-    cross-validation holds them against the dynamic checkers in both
-    directions (seeded static findings confirmed by exploration
-    certificates, campaign programs statically clean). *)
+    and retry disciplines its workload is supposed to use. Campaign
+    programs declare policied writes as write-then-fence (they verify
+    by read-back) and policied CAS wrappers as [verified] (they re-read
+    the authoritative word). *)
 
-val scenarios : Program.t list
-(** Programs for every {!Analysis.Scenarios} workload plus
-    [frame_overrun], in scenario order. *)
+(** {1 Analysis scenarios, seeded bugs included} *)
 
-val campaigns : Program.t list
-(** Programs for the five {!Faults.Campaign} workloads.  Policied
-    writes verify by read-back and are declared write-then-fence;
-    policied CAS wrappers re-read the authoritative word and are
-    declared [verified]. *)
+val kv_store : Program.t
+val producer_consumer : Program.t
+val file_service : Program.t
+val file_service_nofence : Program.t
+val name_service : Program.t
+val racy : Program.t
+val torn_record : Program.t
+val cas_missing_release : Program.t
+val cas_double_apply : Program.t
+val frame_overrun : Program.t
+val dds_register_no_writeback : Program.t
 
-val shard_programs : Program.t list
-(** Programs for the sharded name service: [sharded_lookup] (the
-    clerk's pure-data probe chain against the registry segment the
-    cached map names), [shard_map_publish] (the reconciler's split
-    publication — record copies, destination fence, map body, epoch
-    word last with the doorbell), and [shard_map_publish_unfenced]
-    (the seeded bug: doorbell raised while the record copies are still
-    unfenced at the destination, tripping [static-unfenced-publish]). *)
+(** {1 Recovery campaigns} *)
 
-val dds_programs : Program.t list
-(** Programs for the distributed data structures ({!Dds} shapes), each
-    declaring the DX structuring's remote-access protocol:
-    [dds_hashtable] (probe chain, CAS slot claim, fenced value
-    deposit), [dds_queue] (brand-claimed ticket counters, one atomic
-    slot deposit per ticket), and [dds_register] (the correct ABD
-    register — collect, claim, deposit, and the reader's write-back).
-    The seeded [dds_register_no_writeback] variant lives in
-    {!scenarios}: its reader declares no write-back phase, statically
-    clean by design and caught only by exploration. *)
+val campaign_quickstart : Program.t
+val campaign_name_service : Program.t
+val campaign_producer_consumer : Program.t
+val campaign_replica : Program.t
+val campaign_crash_restart : Program.t
 
-val scenario : string -> Program.t option
-val campaign : string -> Program.t option
-val shard : string -> Program.t option
-val dds : string -> Program.t option
+(** {1 Pipelined streams, sharded name service, data structures} *)
+
+val pipeline_write_stream : Program.t
+val pipeline_read_stream : Program.t
+val pipeline_doorbell : Program.t
+val sharded_lookup : Program.t
+val shard_map_publish : Program.t
+val shard_map_publish_unfenced : Program.t
+val dds_hashtable : Program.t
+val dds_queue : Program.t
+val dds_register : Program.t

@@ -3,13 +3,45 @@
 #
 # The project builds every library with all warnings promoted to
 # errors; this script fails the build if that discipline is weakened
-# instead of fixed, and keeps the abstraction boundary honest by
-# requiring an explicit interface for every library module.
+# instead of fixed, keeps the abstraction boundary honest by requiring
+# an explicit interface for every library module, and guards the
+# dependency direction between layers.
 set -eu
 
 fail() {
   echo "static gate: $*" >&2
   exit 1
+}
+
+# The libraries DIR/dune lists, every (libraries ...) stanza flattened.
+libraries() {
+  tr '\n' ' ' <"$1/dune" | grep -o '(libraries [^)]*)' |
+    sed 's/^(libraries //; s/)$//' || true
+}
+
+# deps_within DIR WHAT ALLOWED...: DIR's library uses only ALLOWED.
+deps_within() {
+  dir=$1 what=$2
+  shift 2
+  deps=$(libraries "$dir")
+  [ -n "$deps" ] || fail "could not read the (libraries ...) stanza of $dir/dune"
+  for dep in $deps; do
+    case " $* " in
+      *" $dep "*) ;;
+      *) fail "$dir depends on '$dep' — $what may only use $*" ;;
+    esac
+  done
+}
+
+# deps_without DIR WHY FORBIDDEN...: DIR's library uses none of FORBIDDEN.
+deps_without() {
+  dir=$1 why=$2
+  shift 2
+  for dep in $(libraries "$dir"); do
+    case " $* " in
+      *" $dep "*) fail "$dir depends on '$dep' — $why" ;;
+    esac
+  done
 }
 
 # 1. The root env still promotes every warning to an error.
@@ -39,29 +71,32 @@ done
 # wiring against the instrumented layers lives in Faults.Campaign so
 # the dependency arrow keeps pointing one way.  If sampling ever needs
 # a protocol type, invert the gauge instead of adding the edge here.
-obs_deps=$(sed -n 's/.*(libraries \([^)]*\)).*/\1/p' lib/obs/dune)
-[ -n "$obs_deps" ] || fail "could not read the (libraries ...) stanza of lib/obs/dune"
-for dep in $obs_deps; do
-  case "$dep" in
-    sim | metrics | unix) ;;
-    *) fail "lib/obs depends on '$dep' — the telemetry plane may only use sim, metrics, unix" ;;
-  esac
-done
+deps_within lib/obs "the telemetry plane" sim metrics unix
 
-# 5. The telemetry plane's module surface is complete: losing any of
-# these (e.g. a refactor that folds the sampler into the registry)
-# silently removes a layer the SLO gates and host bench stand on.
-for m in span ctx trace export registry timeseries slo profile; do
-  [ -f "lib/obs/$m.mli" ] || fail "telemetry module lib/obs/$m.mli is missing"
-done
+# 5. The static verifier reads declared programs, never runs them: it
+# may use only sim, rmem (rights, manifests) and workload (the program
+# IR) — an edge into a dynamic checker or a campaign would let the
+# map-time verdict depend on an execution.
+deps_within lib/analysis/static "the static verifier" sim rmem workload
 
-# 6. The static verifier's module surface is complete: the abstract
-# interpreter (verify), its interval domain, the finding vocabulary
-# and the pipelining classifier are each load-bearing for the
-# @protocheck gate — losing one silently narrows what the gate checks.
-for m in interval finding verify pipesafe; do
-  [ -f "lib/analysis/static/$m.mli" ] ||
-    fail "static verifier module lib/analysis/static/$m.mli is missing"
+# 6. Declared programs and traces sit below everything that checks or
+# runs them: lib/workload may use only sim, dfs (the NFS op vocabulary)
+# and rmem (manifests).
+deps_within lib/workload "the workload layer" sim dfs rmem
+
+# 8. The fabric carries cells for every layer above it and knows none
+# of them: lib/atm may use only sim and obs.
+deps_within lib/atm "the ATM fabric" sim obs
+
+# 9a. Checkers and campaigns meet only in the workload catalog: the
+# fault plane does not name the analyzers, the analyzers name neither
+# the fault plane nor the experiments, and nothing but bin/ and test/
+# depends on lib/catalog.
+deps_without lib/faults "the fault plane must not depend on the analyzers (join them in lib/catalog)" analysis
+deps_without lib/analysis "the analyzers must not depend on campaigns or experiments (join them in lib/catalog)" faults experiments
+for d in $(find lib -name dune); do
+  [ "$d" = lib/catalog/dune ] && continue
+  deps_without "$(dirname "$d")" "only bin/ and test/ may use the workload catalog" catalog
 done
 
 # 7. Every subcommand of the one CLI (bin/rnet.exe) speaks the common
@@ -98,25 +133,11 @@ for m in shardmap reconciler shard_clerk; do
     fail "sharding module lib/nameserver/$m.mli is missing"
 done
 
-# 9. The data-structure suite's surface is complete and its dependency
-# floor holds: lib/dds ships the probe scheme, the tag/kind/hook
-# vocabulary, the call + data-plane substrates and all three
-# structures, each behind an explicit interface, and may depend only on
-# the transfer substrates (sim atm cluster metrics rmem amsg) — a
-# structure that grew a dependency on the name service or the fault
-# plane would no longer be the minimal DX-vs-RPC comparison the
-# crossover gates measure.
-for m in probe tag kind hook call plane hashtable queue register; do
-  [ -f "lib/dds/$m.mli" ] || fail "data-structure module lib/dds/$m.mli is missing"
-done
-dds_deps=$(sed -n 's/.*(libraries \([^)]*\)).*/\1/p' lib/dds/dune)
-[ -n "$dds_deps" ] || fail "could not read the (libraries ...) stanza of lib/dds/dune"
-for dep in $dds_deps; do
-  case "$dep" in
-    sim | atm | cluster | metrics | rmem | amsg) ;;
-    *) fail "lib/dds depends on '$dep' — the suite may only use sim, atm, cluster, metrics, rmem, amsg" ;;
-  esac
-done
+# 9b. The data-structure suite's dependency floor holds: lib/dds may
+# depend only on the transfer substrates — a structure that grew a
+# dependency on the name service or the fault plane would no longer be
+# the minimal DX-vs-RPC comparison the crossover gates measure.
+deps_within lib/dds "the suite" sim atm cluster metrics rmem amsg
 
 # 10. The control plane does not reach into the data plane: the shard
 # reconciler moves registrations and publishes maps through remote
@@ -125,4 +146,4 @@ if grep -q 'Shard_clerk' lib/nameserver/reconciler.ml lib/nameserver/reconciler.
   fail "lib/nameserver/reconciler names Shard_clerk — the control plane must not reach into the data plane"
 fi
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs dependency floor intact, static verifier surface complete, fabric + sharding surface complete, dds surface + dependency floor intact, reconciler clear of the shard clerk, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

@@ -20,6 +20,7 @@ let () =
       ("analysis", Test_analysis.suite);
       ("static", Test_static.suite);
       ("explore", Test_explore.suite);
+      ("catalog", Test_catalog.suite);
       ("linearize", Test_linearize.suite);
       ("obs", Test_obs.suite);
       ("faults", Test_faults.suite);

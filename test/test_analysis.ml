@@ -197,12 +197,12 @@ let backoff_retry_clean () =
 
 (* ---------------- Scenario expectations ---------------- *)
 
-let run_scenario name =
-  let monitor = Analysis.Scenarios.run name in
+let run_scenario prepare =
+  let monitor = Analysis.Scenarios.run prepare in
   (monitor, Analysis.Race.find monitor, Analysis.Lint.check monitor)
 
 let racy_flagged () =
-  let _, races, _ = run_scenario "racy" in
+  let _, races, _ = run_scenario Analysis.Scenarios.racy in
   check_bool "two unsynchronized writers race" true (races <> []);
   let r = List.hd races in
   check_bool "distinct agents" true
@@ -213,7 +213,9 @@ let racy_flagged () =
     || Analysis.Access.is_write r.Analysis.Race.b)
 
 let producer_consumer_clean () =
-  let monitor, races, findings = run_scenario "producer_consumer" in
+  let monitor, races, findings =
+    run_scenario Analysis.Scenarios.producer_consumer
+  in
   check_int "notification-synchronized ring has no races" 0
     (List.length races);
   check_int "and no findings" 0 (List.length findings);
@@ -221,19 +223,21 @@ let producer_consumer_clean () =
     (Analysis.Monitor.accesses monitor <> [])
 
 let kv_store_clean () =
-  let _, races, findings = run_scenario "kv_store" in
+  let _, races, findings = run_scenario Analysis.Scenarios.kv_store in
   check_int "fenced per-client slots are race free" 0 (List.length races);
   check_int "no findings" 0 (List.length findings)
 
 let fence_sensitivity () =
-  let _, races_fenced, _ = run_scenario "file_service" in
+  let _, races_fenced, _ = run_scenario Analysis.Scenarios.file_service in
   check_int "lock + fence: clean" 0 (List.length races_fenced);
-  let _, races_unfenced, _ = run_scenario "file_service_nofence" in
+  let _, races_unfenced, _ =
+    run_scenario Analysis.Scenarios.file_service_nofence
+  in
   check_bool "lock without fence: in-flight writes race" true
     (races_unfenced <> [])
 
 let name_service_lint () =
-  let _, races, findings = run_scenario "name_service" in
+  let _, races, findings = run_scenario Analysis.Scenarios.name_service in
   check_int "misuse, not races" 0 (List.length races);
   let has rule =
     List.exists (fun f -> f.Analysis.Lint.rule = rule) findings

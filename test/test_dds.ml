@@ -858,7 +858,7 @@ let lin_register () =
 let seeded_register_fifo_clean () =
   (* The broken register (no write-back) must pass a default FIFO run —
      only the model checker's exploration exposes it. *)
-  let monitor = Analysis.Scenarios.run "dds_register_no_writeback" in
+  let monitor = Analysis.Scenarios.run Analysis.Scenarios.dds_register_no_writeback in
   check_int "no races under FIFO" 0
     (List.length (Analysis.Race.find monitor));
   check_int "no findings under FIFO" 0

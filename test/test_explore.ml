@@ -19,9 +19,9 @@ let access_trace monitor =
    (no-scheduler fast path) access trace exactly, for every workload. *)
 let default_equals_explicit_fifo () =
   List.iter
-    (fun name ->
+    (fun (name, (e : Catalog.model)) ->
       let fifo_run ~explicit =
-        let prep = Analysis.Scenarios.prepare name in
+        let prep = e.prepare () in
         let engine = Cluster.Testbed.engine prep.Analysis.Scenarios.testbed in
         if explicit then
           Sim.Engine.set_scheduler engine
@@ -38,9 +38,14 @@ let default_equals_explicit_fifo () =
       Alcotest.(check (list string))
         (Printf.sprintf "%s: identical traces" name)
         (fifo_run ~explicit:false) (fifo_run ~explicit:true))
-    Analysis.Scenarios.checked
+    Catalog.model
 
-let explore name = Analysis.Explore.explore name
+let prepare name = (List.assoc name Catalog.model).Catalog.prepare
+let explore name = Analysis.Explore.explore name (prepare name)
+
+let seeded =
+  List.filter (fun (_, (e : Catalog.model)) -> e.expect <> Catalog.Clean)
+    Catalog.model
 
 let torn_record_found () =
   let r = explore "torn_record" in
@@ -83,20 +88,16 @@ let cas_missing_release_found () =
 
 let replay_is_deterministic () =
   List.iter
-    (fun name ->
-      let r = explore name in
+    (fun (name, (e : Catalog.model)) ->
+      let r = Analysis.Explore.explore name e.prepare in
       match r.failures with
       | [] -> Alcotest.fail (name ^ ": expected failures")
       | first :: _ ->
-          let once = Analysis.Explore.replay name first.schedule in
-          let twice = Analysis.Explore.replay name first.schedule in
-          let kind (o : Analysis.Explore.outcome) =
-            match o.failure with
-            | None -> "ok"
-            | Some f ->
-                Analysis.Explore.failure_kind f
-                ^ ": "
-                ^ Analysis.Explore.describe_failure f
+          let once = Analysis.Explore.replay e.prepare first.schedule in
+          let twice = Analysis.Explore.replay e.prepare first.schedule in
+          let kind o =
+            let kind, detail = Analysis.Explore.outcome_status o in
+            kind ^ ": " ^ detail
           in
           check_bool
             (name ^ ": replay reproduces the exploration failure")
@@ -108,22 +109,22 @@ let replay_is_deterministic () =
           check_int
             (name ^ ": same choice points")
             first.choice_points once.choice_points)
-    Analysis.Scenarios.seeded_bugs
+    seeded
 
 let replay_validates_certificates () =
   check_bool "wrong enabled count rejected" true
     (try
        ignore
-         (Analysis.Explore.replay "torn_record"
+         (Analysis.Explore.replay (prepare "torn_record")
             (Analysis.Schedule.of_string "0/5"));
        false
      with Analysis.Explore.Certificate_mismatch _ -> true)
 
 let clean_workloads_stay_clean () =
   List.iter
-    (fun name ->
-      if not (List.mem name Analysis.Scenarios.seeded_bugs) then begin
-        let r = explore name in
+    (fun (name, (e : Catalog.model)) ->
+      if e.expect = Catalog.Clean then begin
+        let r = Analysis.Explore.explore name e.prepare in
         check_int (name ^ ": no failing schedule") 0 r.stats.failing;
         check_bool (name ^ ": space exhausted, not budget") true
           (not r.stats.budget_exhausted);
@@ -132,7 +133,7 @@ let clean_workloads_stay_clean () =
           r.stats.executed
           (r.stats.distinct + r.stats.redundant)
       end)
-    Analysis.Scenarios.checked
+    Catalog.model
 
 let suite =
   [

@@ -99,7 +99,7 @@ let outcome_ok (o : Faults.Campaign.outcome) =
    every member converges. *)
 let replica_partition_heal () =
   let plan = Faults.Campaign.partition_plan () in
-  let o = Faults.Campaign.run ~plan ~seed:2100 "replica" in
+  let o = Faults.Campaign.run ~plan ~seed:2100 Faults.Campaign.replica in
   check_bool "survived and converged" true (outcome_ok o);
   check_bool "the partition actually cut frames" true (o.events > 0);
   check_bool "recovery did some work" true (o.retries > 0.)
@@ -188,15 +188,18 @@ let replica_crash_restart () =
 let campaigns_replay_identically () =
   let plan = Faults.Campaign.chaos_plan 0.10 in
   List.iter
-    (fun workload ->
-      let a = Faults.Campaign.run ~plan ~seed:42 workload in
-      let b = Faults.Campaign.run ~plan ~seed:42 workload in
+    (fun (workload, run) ->
+      let a = Faults.Campaign.run ~plan ~seed:42 run in
+      let b = Faults.Campaign.run ~plan ~seed:42 run in
       check_bool (workload ^ " converges under chaos") true (outcome_ok a);
       check_int (workload ^ " replays the event count") a.events b.events;
       check_bool (workload ^ " replays the digest") true (a.digest = b.digest))
-    [ "quickstart"; "replica" ];
-  let a = Faults.Campaign.run ~plan ~seed:42 "replica" in
-  let c = Faults.Campaign.run ~plan ~seed:43 "replica" in
+    [
+      ("quickstart", Faults.Campaign.quickstart);
+      ("replica", Faults.Campaign.replica);
+    ];
+  let a = Faults.Campaign.run ~plan ~seed:42 Faults.Campaign.replica in
+  let c = Faults.Campaign.run ~plan ~seed:43 Faults.Campaign.replica in
   check_bool "different seeds draw different fault sequences" true
     (a.digest <> c.digest)
 
@@ -204,8 +207,8 @@ let campaigns_replay_identically () =
    empty whatever the seed — the bit-identical-when-disabled contract
    at the campaign level. *)
 let empty_plan_is_inert () =
-  let a = Faults.Campaign.run ~seed:1 "quickstart" in
-  let b = Faults.Campaign.run ~seed:99 "quickstart" in
+  let a = Faults.Campaign.run ~seed:1 Faults.Campaign.quickstart in
+  let b = Faults.Campaign.run ~seed:99 Faults.Campaign.quickstart in
   check_bool "converges" true (outcome_ok a && outcome_ok b);
   check_int "no faults, any seed" 0 (a.events + b.events);
   check_bool "empty digests agree" true (a.digest = b.digest)

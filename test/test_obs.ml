@@ -129,8 +129,8 @@ let file_service_scopes () =
 
 let all_replays_validate () =
   List.iter
-    (fun name ->
-      let run = Experiments.Traced.replay name in
+    (fun (name, (t : Catalog.trace)) ->
+      let run = t.replay () in
       let trace = run.Experiments.Traced.trace in
       assert_valid name trace;
       Alcotest.(check bool)
@@ -154,7 +154,7 @@ let all_replays_validate () =
                      s.Obs.Span.id)
                   p.Obs.Span.trace s.Obs.Span.trace)
         spans)
-    Experiments.Traced.all
+    Catalog.trace
 
 let chrome_export () =
   let run = Lazy.force quickstart in
@@ -636,10 +636,12 @@ let chrome_trace_roundtrip () =
    the sampler nevertheless observed the run. *)
 let sampling_is_free () =
   let plan = Faults.Campaign.chaos_plan 0.05 in
-  let base = Faults.Campaign.run ~plan ~seed:11 "producer_consumer" in
+  let base =
+    Faults.Campaign.run ~plan ~seed:11 Faults.Campaign.producer_consumer
+  in
   let sampled =
     Faults.Campaign.run ~plan ~sampler:(Sim.Time.us 20) ~seed:11
-      "producer_consumer"
+      Faults.Campaign.producer_consumer
   in
   Alcotest.(check int)
     "fault digest identical under sampling" base.Faults.Campaign.digest

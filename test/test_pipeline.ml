@@ -151,30 +151,36 @@ let outcome_ok (o : Faults.Campaign.outcome) = o.survived && o.converged
    the same convergence checks as the legacy one. *)
 let campaigns_fault_free () =
   List.iter
-    (fun workload ->
-      let a = Faults.Campaign.run ~pipelined:false ~seed:7 workload in
-      let b = Faults.Campaign.run ~pipelined:true ~seed:7 workload in
+    (fun (workload, (c : Catalog.campaign)) ->
+      let a = Faults.Campaign.run ~pipelined:false ~seed:7 c.run in
+      let b = Faults.Campaign.run ~pipelined:true ~seed:7 c.run in
       check_bool (workload ^ " unbatched converges") true (outcome_ok a);
       check_bool (workload ^ " pipelined converges") true (outcome_ok b))
-    Faults.Campaign.workloads
+    Catalog.campaigns
 
 (* Under chaos: both modes converge, and the pipelined mode keeps the
    determinism/replay contract (same plan+seed => same digest). *)
 let campaigns_under_chaos () =
   let plan = Faults.Campaign.chaos_plan 0.10 in
   List.iter
-    (fun workload ->
-      let a = Faults.Campaign.run ~plan ~pipelined:false ~seed:42 workload in
-      let b = Faults.Campaign.run ~plan ~pipelined:true ~seed:42 workload in
-      let b' = Faults.Campaign.run ~plan ~pipelined:true ~seed:42 workload in
+    (fun (workload, run) ->
+      let a = Faults.Campaign.run ~plan ~pipelined:false ~seed:42 run in
+      let b = Faults.Campaign.run ~plan ~pipelined:true ~seed:42 run in
+      let b' = Faults.Campaign.run ~plan ~pipelined:true ~seed:42 run in
       check_bool (workload ^ " unbatched converges under chaos") true
         (outcome_ok a);
       check_bool (workload ^ " pipelined converges under chaos") true
         (outcome_ok b);
       check_bool (workload ^ " pipelined replays the digest") true
         (b.digest = b'.digest && b.events = b'.events))
-    [ "quickstart"; "producer_consumer"; "replica" ];
-  let o = Faults.Campaign.run ~pipelined:true ~seed:42 "crash_restart" in
+    [
+      ("quickstart", Faults.Campaign.quickstart);
+      ("producer_consumer", Faults.Campaign.producer_consumer);
+      ("replica", Faults.Campaign.replica);
+    ];
+  let o =
+    Faults.Campaign.run ~pipelined:true ~seed:42 Faults.Campaign.crash_restart
+  in
   check_bool "crash_restart pipelined heals the generation bump" true
     (outcome_ok o)
 

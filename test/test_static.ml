@@ -167,45 +167,39 @@ let test_read_word_range () =
 
 (* ---------------- Catalog expectations ---------------- *)
 
-let catalog_rules name =
-  match Workload.Programs.scenario name with
-  | Some p -> rules p
-  | None -> Alcotest.failf "no declared program for %s" name
-
 let test_catalog () =
+  let module Pg = Workload.Programs in
   List.iter
-    (fun name ->
-      Alcotest.(check (list string)) name [] (catalog_rules name))
+    (fun (p : P.t) -> Alcotest.(check (list string)) p.name [] (rules p))
     [
-      "kv_store";
-      "producer_consumer";
-      "file_service";
-      "name_service";
-      "racy";
-      "torn_record";
+      Pg.kv_store;
+      Pg.producer_consumer;
+      Pg.file_service;
+      Pg.name_service;
+      Pg.racy;
+      Pg.torn_record;
     ];
   Alcotest.(check (list string)) "file_service_nofence"
     [ "static-unfenced-release" ]
-    (catalog_rules "file_service_nofence");
+    (rules Pg.file_service_nofence);
   Alcotest.(check (list string)) "cas_missing_release" [ "static-lock-leak" ]
-    (catalog_rules "cas_missing_release");
+    (rules Pg.cas_missing_release);
   Alcotest.(check (list string)) "cas_double_apply" [ "static-cas-reissue" ]
-    (catalog_rules "cas_double_apply");
+    (rules Pg.cas_double_apply);
   Alcotest.(check (list string)) "frame_overrun" [ "static-bounds" ]
-    (catalog_rules "frame_overrun")
+    (rules Pg.frame_overrun)
 
-(* Zero false positives on the campaign programs, through the
-   Faults.Campaign extraction hook. *)
+(* Zero false positives on the campaign programs the catalog declares. *)
 let test_campaigns_clean () =
   List.iter
-    (fun name ->
-      match Faults.Campaign.program name with
-      | None -> Alcotest.failf "no declared program for campaign %s" name
-      | Some p ->
-          Alcotest.(check (list string)) name [] (rules p);
-          Alcotest.(check string) (name ^ " batchable") "batchable"
-            (Static.Pipesafe.verdict_to_string (Static.Pipesafe.classify p)))
-    Faults.Campaign.workloads
+    (fun (e : Catalog.program) ->
+      if e.kind = "campaign" then begin
+        let p = e.program in
+        Alcotest.(check (list string)) p.name [] (rules p);
+        Alcotest.(check string) (p.name ^ " batchable") "batchable"
+          (Static.Pipesafe.verdict_to_string (Static.Pipesafe.classify p))
+      end)
+    Catalog.proto
 
 (* ---------------- Pipelining classifier ---------------- *)
 
@@ -246,7 +240,10 @@ let test_pipesafe () =
   List.iter
     (fun (p : P.t) ->
       Alcotest.(check string) (p.name ^ " batchable") "batchable" (verdict p))
-    Experiments.Pipeline_bench.access_programs
+    (List.filter_map
+       (fun (e : Catalog.program) ->
+         if e.kind = "bench" then Some e.program else None)
+       Catalog.proto)
 
 (* ---------------- Manifest extraction ---------------- *)
 
