@@ -56,11 +56,16 @@ let select ?(what = "workload") ~name items choice =
     | picked -> picked
 
 (* Replay schedule certificate [cert] against the workload [prepare]
-   builds; a malformed certificate is a usage error. *)
+   builds; a malformed certificate, or one whose choice points the run
+   does not offer, is a usage error. *)
 let replay ?config prepare cert =
   match Analysis.Schedule.of_string cert with
-  | schedule -> Analysis.Explore.replay ?config prepare schedule
   | exception Invalid_argument msg -> usage "%s" msg
+  | schedule -> (
+      match Analysis.Explore.replay ?config prepare schedule with
+      | outcome -> outcome
+      | exception Analysis.Explore.Certificate_mismatch msg ->
+          usage "certificate does not fit this workload: %s" msg)
 
 (* Run every item before combining the verdicts: a short-circuiting
    for_all would skip (and hide) everything after the first failure. *)

@@ -68,11 +68,6 @@ let put_padding w n =
   Bytes.fill w.buf w.pos n '\000';
   w.pos <- w.pos + n
 
-let reserve w n =
-  if n < 0 then invalid_arg "Codec.reserve";
-  ensure w n;
-  w.pos <- w.pos + n
-
 let length w = w.pos
 
 (* A writer filled to its capacity hands over its buffer, not a copy.

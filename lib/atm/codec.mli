@@ -23,10 +23,6 @@ val put_string : writer -> string -> unit
 
 val put_padding : writer -> int -> unit
 
-val reserve : writer -> int -> unit
-(** [reserve w n] skips [n] bytes, left unwritten for the caller to fill
-    in the buffer {!contents} returns. *)
-
 val length : writer -> int
 
 val contents : writer -> bytes

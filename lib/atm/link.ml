@@ -10,7 +10,16 @@
    function consulted once per offered frame, and [set_overflow] switches
    the queue bound to drop-with-counter.  With no interposer installed
    and the legacy overflow policy, [send] follows exactly the original
-   code path, so fault-free runs are bit-identical. *)
+   code path, so fault-free runs are bit-identical.
+
+   Un-jittered frames wait for their arrival in a per-link in-flight
+   ring, and every one of their arrival events runs the link's single
+   preallocated thunk, which delivers the ring's head.  That is sound
+   because their arrivals are strictly increasing in time: each frame
+   holds the wire for at least one cell time, which [create] checks is
+   positive.  No two of them share an instant, so any scheduler — FIFO
+   or a same-instant explorer — fires them in push order.  A jittered
+   frame may be overtaken, so its event keeps a closure of its own. *)
 
 exception Overflow of string
 
@@ -27,9 +36,14 @@ type t = {
   name : string;
   engine : Sim.Engine.t;
   config : Config.t;
+  cell_time : Sim.Time.t;
   deliver : Frame.t -> unit;
   mutable next_free : Sim.Time.t;
   mutable queued : int; (* frames accepted but not yet delivered *)
+  mutable ring : Frame.t array; (* un-jittered frames in flight, FIFO *)
+  mutable ring_head : int;
+  mutable ring_length : int;
+  arrive : unit -> unit; (* delivers the ring's head *)
   mutable frames_sent : int;
   mutable cells_sent : int;
   mutable wire_bytes : int;
@@ -40,23 +54,59 @@ type t = {
   mutable overflow_drops : int; (* frames refused by a full queue *)
 }
 
+(* Fills the ring's free slots, so a delivered frame is not retained. *)
+let vacant = Frame.make ~src:(Addr.of_int 0) ~dst:(Addr.of_int 0) Bytes.empty
+
+let arrive t () =
+  let frame = t.ring.(t.ring_head) in
+  t.ring.(t.ring_head) <- vacant;
+  t.ring_head <- (t.ring_head + 1) land (Array.length t.ring - 1);
+  t.ring_length <- t.ring_length - 1;
+  t.queued <- t.queued - 1;
+  t.deliver frame
+
 let create ?(name = "link") engine config ~deliver =
-  {
-    name;
-    engine;
-    config;
-    deliver;
-    next_free = Sim.Time.zero;
-    queued = 0;
-    frames_sent = 0;
-    cells_sent = 0;
-    wire_bytes = 0;
-    busy_time = Sim.Time.zero;
-    interposer = None;
-    overflow = Raise_on_overflow;
-    drops = 0;
-    overflow_drops = 0;
-  }
+  let cell_time = Config.cell_wire_time config in
+  if cell_time <= 0 then invalid_arg "Link.create: cell time must be positive";
+  let rec t =
+    {
+      name;
+      engine;
+      config;
+      cell_time;
+      deliver;
+      next_free = Sim.Time.zero;
+      queued = 0;
+      ring = Array.make 8 vacant;
+      ring_head = 0;
+      ring_length = 0;
+      arrive = (fun () -> arrive t ());
+      frames_sent = 0;
+      cells_sent = 0;
+      wire_bytes = 0;
+      busy_time = Sim.Time.zero;
+      interposer = None;
+      overflow = Raise_on_overflow;
+      drops = 0;
+      overflow_drops = 0;
+    }
+  in
+  t
+
+(* Append to the ring, doubling it (in FIFO order) when full; the
+   capacity stays a power of two. *)
+let push t frame =
+  let capacity = Array.length t.ring in
+  if t.ring_length = capacity then begin
+    let grown = Array.make (2 * capacity) vacant in
+    for i = 0 to capacity - 1 do
+      grown.(i) <- t.ring.((t.ring_head + i) land (capacity - 1))
+    done;
+    t.ring <- grown;
+    t.ring_head <- 0
+  end;
+  t.ring.((t.ring_head + t.ring_length) land (Array.length t.ring - 1)) <- frame;
+  t.ring_length <- t.ring_length + 1
 
 let set_interposer t f = t.interposer <- f
 let set_overflow t policy = t.overflow <- policy
@@ -73,7 +123,7 @@ let enqueue t frame ~jitter =
   else begin
     let len = Frame.length frame in
     let cells = Aal.cells_of_len len in
-    let tx_time = Config.frame_wire_time t.config len in
+    let tx_time = cells * t.cell_time in
     let now = Sim.Engine.now t.engine in
     let start = Sim.Time.max now t.next_free in
     t.next_free <- Sim.Time.add start tx_time;
@@ -88,9 +138,14 @@ let enqueue t frame ~jitter =
         jitter
     in
     Obs.Trace.link_hop (Frame.ctx frame) ~name:t.name ~start ~finish:arrival;
-    Sim.Engine.schedule_at t.engine arrival (fun () ->
-        t.queued <- t.queued - 1;
-        t.deliver frame)
+    if jitter = Sim.Time.zero then begin
+      push t frame;
+      Sim.Engine.schedule_at t.engine arrival t.arrive
+    end
+    else
+      Sim.Engine.schedule_at t.engine arrival (fun () ->
+          t.queued <- t.queued - 1;
+          t.deliver frame)
   end
 
 let send t frame =

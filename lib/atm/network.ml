@@ -61,8 +61,8 @@ let build_mesh engine config nics =
    (everything goes up — the switch fabric does the addressing). *)
 let attach_host switch nic =
   Switch.attach_port switch nic;
-  let uplink = Switch.uplink_for switch (Nic.addr nic) in
-  Nic.set_route nic (fun _dst -> Some uplink)
+  let uplink = Some (Switch.uplink_for switch (Nic.addr nic)) in
+  Nic.set_route nic (fun _dst -> uplink)
 
 let build_star engine config nics =
   let switch = Switch.create engine config in

@@ -50,22 +50,24 @@ let attach_port t nic =
   in
   Hashtbl.replace t.downlinks (Addr.to_int addr) down
 
+let route t dst =
+  match Hashtbl.find t.downlinks dst with
+  | link -> link
+  | exception Not_found -> Hashtbl.find t.routes dst
+
 let forward t frame =
-  let dst = Addr.to_int (Frame.dst frame) in
-  let out =
-    match Hashtbl.find_opt t.downlinks dst with
-    | Some _ as hit -> hit
-    | None -> Hashtbl.find_opt t.routes dst
-  in
-  match out with
-  | None -> t.drops <- t.drops + 1
-  | Some link ->
+  match route t (Addr.to_int (Frame.dst frame)) with
+  | exception Not_found -> t.drops <- t.drops + 1
+  | link ->
       t.frames_switched <- t.frames_switched + 1;
       let now = Sim.Engine.now t.engine in
-      Obs.Trace.link_hop (Frame.ctx frame) ~name:t.name ~start:now
-        ~finish:(Sim.Time.add now t.config.Config.switch_latency);
-      Sim.Engine.schedule ~after:t.config.Config.switch_latency t.engine
-        (fun () -> Link.send link frame)
+      let out = Sim.Time.add now t.config.Config.switch_latency in
+      Obs.Trace.link_hop (Frame.ctx frame) ~name:t.name ~start:now ~finish:out;
+      (* One closure per event, unlike a link's in-flight ring: frames
+         from several inputs can reach this switch at the same instant,
+         and a same-instant scheduler may fire their events in either
+         order, so each event must carry its own (link, frame). *)
+      Sim.Engine.schedule_at t.engine out (fun () -> Link.send link frame)
 
 let uplink_for t nic_addr =
   let up =

@@ -40,23 +40,23 @@ let page t index =
       Hashtbl.add t.pages index bytes;
       bytes
 
-let iter_range t ~addr ~len f =
-  (* Apply [f page offset_in_page offset_in_buffer span] across pages. *)
-  let rec go cursor remaining done_ =
-    if remaining > 0 then begin
-      let index = page_of t cursor in
-      let off = cursor mod t.page_size in
-      let span = Stdlib.min remaining (t.page_size - off) in
-      f (page t index) off done_ span;
-      go (cursor + span) (remaining - span) (done_ + span)
-    end
-  in
-  go addr len 0
+(* Copy [remaining] bytes between the pages from address [cursor] and
+   [buf] from [at]: out of the pages when [to_buf], into them otherwise.
+   A top-level loop rather than an iterator taking a closure: a copy is
+   on every frame's path, and the closure would be allocated per call. *)
+let rec copy_pages t ~cursor ~remaining buf ~at ~to_buf =
+  if remaining > 0 then begin
+    let off = cursor mod t.page_size in
+    let span = Stdlib.min remaining (t.page_size - off) in
+    let pg = page t (page_of t cursor) in
+    if to_buf then Bytes.blit pg off buf at span else Bytes.blit buf at pg off span;
+    copy_pages t ~cursor:(cursor + span) ~remaining:(remaining - span) buf
+      ~at:(at + span) ~to_buf
+  end
 
 let read_into t ~addr ~len dst ~pos =
   check_range t ~addr ~len;
-  iter_range t ~addr ~len (fun pg off done_ span ->
-      Bytes.blit pg off dst (pos + done_) span)
+  copy_pages t ~cursor:addr ~remaining:len dst ~at:pos ~to_buf:true
 
 let read t ~addr ~len =
   check_range t ~addr ~len;
@@ -66,24 +66,49 @@ let read t ~addr ~len =
 
 let write_from t ~addr src ~pos ~len =
   check_range t ~addr ~len;
-  iter_range t ~addr ~len (fun pg off done_ span ->
-      Bytes.blit src (pos + done_) pg off span)
+  copy_pages t ~cursor:addr ~remaining:len src ~at:pos ~to_buf:false
 
 let write t ~addr data = write_from t ~addr data ~pos:0 ~len:(Bytes.length data)
 
+(* Words are little-endian, handled as their unsigned 32 bits in an
+   [int].  One inside a page is read or written in place; one straddling
+   a page boundary goes a byte at a time.  Neither allocates a staging
+   buffer. *)
+let byte_at t addr = Bytes.get_uint8 (page t (page_of t addr)) (addr mod t.page_size)
+
+let get_bits t addr =
+  let off = addr mod t.page_size in
+  if off + 4 <= t.page_size then
+    Int32.to_int (Bytes.get_int32_le (page t (page_of t addr)) off) land 0xFFFFFFFF
+  else
+    byte_at t addr
+    lor (byte_at t (addr + 1) lsl 8)
+    lor (byte_at t (addr + 2) lsl 16)
+    lor (byte_at t (addr + 3) lsl 24)
+
+let set_bits t addr bits =
+  let off = addr mod t.page_size in
+  if off + 4 <= t.page_size then
+    Bytes.set_int32_le (page t (page_of t addr)) off (Int32.of_int bits)
+  else
+    for i = 0 to 3 do
+      let a = addr + i in
+      Bytes.set_uint8 (page t (page_of t a)) (a mod t.page_size)
+        ((bits lsr (8 * i)) land 0xFF)
+    done
+
 let read_word t ~addr =
-  let b = read t ~addr ~len:4 in
-  Bytes.get_int32_le b 0
+  check_range t ~addr ~len:4;
+  Int32.of_int (get_bits t addr)
 
 let write_word t ~addr v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 v;
-  write t ~addr b
+  check_range t ~addr ~len:4;
+  set_bits t addr (Int32.to_int v)
 
 let cas_word t ~addr ~old_value ~new_value =
-  let current = read_word t ~addr in
-  if Int32.equal current old_value then begin
-    write_word t ~addr new_value;
+  check_range t ~addr ~len:4;
+  if get_bits t addr = Int32.to_int old_value land 0xFFFFFFFF then begin
+    set_bits t addr (Int32.to_int new_value);
     true
   end
   else false

@@ -38,7 +38,7 @@ let use t ~category duration =
   match
     Sim.Proc.wait duration;
     t.busy <- Sim.Time.add t.busy duration;
-    Metrics.Account.add t.account ~category (Sim.Time.to_us duration)
+    Metrics.Account.add_us_of_ns t.account ~category (Sim.Time.to_ns duration)
   with
   | () -> Sim.Resource.release t.resource
   | exception exn ->

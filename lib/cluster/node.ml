@@ -18,11 +18,15 @@ type t = {
   nic : Atm.Nic.t;
   spaces : (int, Address_space.t) Hashtbl.t;
   mutable next_asid : int;
-  handlers : (int, handler) Hashtbl.t;
+  handlers : handler array; (* indexed by tag byte; [unclaimed] if free *)
   prng : Sim.Prng.t;
   mutable started : bool;
   mutable down : bool;
 }
+
+(* The free slot's handler; [dispatch] reports an unclaimed tag instead
+   of calling it. *)
+let unclaimed ~src:_ _ = ()
 
 let create engine ~costs ~nic ~prng =
   {
@@ -33,7 +37,7 @@ let create engine ~costs ~nic ~prng =
     nic;
     spaces = Hashtbl.create 8;
     next_asid = 1;
-    handlers = Hashtbl.create 8;
+    handlers = Array.make 256 unclaimed;
     prng;
     started = false;
     down = false;
@@ -59,9 +63,9 @@ let address_space t asid = Hashtbl.find_opt t.spaces asid
 
 let set_handler t ~tag handler =
   if tag < 0 || tag > 255 then invalid_arg "Node.set_handler: tag out of range";
-  if Hashtbl.mem t.handlers tag then
+  if t.handlers.(tag) != unclaimed then
     invalid_arg "Node.set_handler: tag already claimed";
-  Hashtbl.replace t.handlers tag handler
+  t.handlers.(tag) <- handler
 
 let transmit ?ctx t ~dst payload = Atm.Nic.transmit ?ctx t.nic ~dst payload
 
@@ -72,19 +76,18 @@ let dispatch t frame =
   let payload = Atm.Frame.payload frame in
   if Bytes.length payload = 0 then failwith "Node.dispatch: empty frame";
   let tag = Char.code (Bytes.get payload 0) in
-  match Hashtbl.find_opt t.handlers tag with
-  | Some handler ->
-      (* The frame's trace context is visible to serve-side hooks for
-         exactly the synchronous prefix of the handler — the
-         interrupt-level work done before any spawn or block. *)
-      let node = Atm.Addr.to_int t.addr in
-      Obs.Trace.dispatch_begin ~node (Atm.Frame.ctx frame);
-      handler ~src:(Atm.Frame.src frame) payload;
-      Obs.Trace.dispatch_end ~node
-  | None ->
-      failwith
-        (Printf.sprintf "%s: no protocol handler for tag 0x%02x"
-           (Atm.Addr.to_string t.addr) tag)
+  let handler = t.handlers.(tag) in
+  if handler == unclaimed then
+    failwith
+      (Printf.sprintf "%s: no protocol handler for tag 0x%02x"
+         (Atm.Addr.to_string t.addr) tag);
+  (* The frame's trace context is visible to serve-side hooks for
+     exactly the synchronous prefix of the handler — the interrupt-level
+     work done before any spawn or block. *)
+  let node = Atm.Addr.to_int t.addr in
+  Obs.Trace.dispatch_begin ~node (Atm.Frame.ctx frame);
+  handler ~src:(Atm.Frame.src frame) payload;
+  Obs.Trace.dispatch_end ~node
 
 let start t =
   if not t.started then begin

@@ -14,6 +14,7 @@ type record = { src : Atm.Addr.t; kind : kind; off : int; count : int }
 type t = {
   node : Cluster.Node.t;
   name : string;
+  delivery : string; (* the name of each delivery process *)
   queue : record Queue.t;
   waiters : (record -> unit) Queue.t;
   mutable signal_handler : (record -> unit) option;
@@ -26,6 +27,7 @@ let create ?(name = "fd") node =
   {
     node;
     name;
+    delivery = name ^ " delivery";
     queue = Queue.create ();
     waiters = Queue.create ();
     signal_handler = None;
@@ -52,7 +54,7 @@ let post ?ctx t record =
   (* Delivery runs as its own kernel activity on the destination node:
      it charges the notification cost to "control transfer" and only
      then lets user level see the record. *)
-  Cluster.Node.spawn t.node ~name:(t.name ^ " delivery") (fun () ->
+  Cluster.Node.spawn t.node ~name:t.delivery (fun () ->
       let span =
         Obs.Trace.ctx_span_begin ctx
           ~node:(Atm.Addr.to_int (Cluster.Node.addr t.node))

@@ -1286,6 +1286,13 @@ let handle_cas t ~src (r : Wire.cas_req) =
 (* ------------------------------------------------------------------ *)
 (* Reply handling at the requester.                                    *)
 
+let read_completed t desc ~soff ~count status =
+  if monitored t then emit t
+    (Completed
+       { op = Rights.Read_op; desc; off = soff; count; status; cas_success = None })
+
+(* The pending-table lookups below use [Hashtbl.find], not [find_opt]:
+   every reply frame passes here, and the option would be allocated. *)
 let handle_read_reply t ~src (r : Wire.read_reply) =
   let c = costs t in
   let count = r.data.Wire.len in
@@ -1294,32 +1301,20 @@ let handle_read_reply t ~src (r : Wire.read_reply) =
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c count))
        (Sim.Time.add c.Cluster.Costs.reply_match c.Cluster.Costs.vm_deliver));
-  (match Hashtbl.find_opt t.pending r.reqid with
-  | None -> () (* late reply after a timeout: dropped *)
-  | Some (Pending_cas p) ->
+  (match Hashtbl.find t.pending r.reqid with
+  | exception Not_found -> () (* late reply after a timeout: dropped *)
+  | Pending_cas p ->
       (* A READ reply matched a pending CAS: protocol violation. Fail
          the operation instead of leaving the issuer blocked forever. *)
       Hashtbl.remove t.pending r.reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
       Sim.Ivar.fill p.completion (Status.Bad_segment, 0l)
-  | Some (Pending_read p) ->
-      let completed status =
-        if monitored t then emit t
-          (Completed
-             {
-               op = Rights.Read_op;
-               desc = p.desc;
-               off = p.soff;
-               count = p.count;
-               status;
-               cas_success = None;
-             })
-      in
+  | Pending_read p ->
       if r.status <> Status.Ok then begin
         Hashtbl.remove t.pending r.reqid;
         record_error t r.status;
-        completed r.status;
+        read_completed t p.desc ~soff:p.soff ~count:p.count r.status;
         Obs.Trace.root_close sv ~status:(Status.to_string r.status);
         Sim.Ivar.fill p.completion r.status
       end
@@ -1340,7 +1335,7 @@ let handle_read_reply t ~src (r : Wire.read_reply) =
                 off = p.doff;
                 count = p.count;
               };
-          completed Status.Ok;
+          read_completed t p.desc ~soff:p.soff ~count:p.count Status.Ok;
           Obs.Trace.root_close sv ~status:"ok";
           Sim.Ivar.fill p.completion Status.Ok
         end
@@ -1354,16 +1349,16 @@ let handle_cas_reply t ~src (r : Wire.cas_reply) =
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 8))
        c.Cluster.Costs.reply_match);
-  (match Hashtbl.find_opt t.pending r.reqid with
-  | None -> ()
-  | Some (Pending_read p) ->
+  (match Hashtbl.find t.pending r.reqid with
+  | exception Not_found -> ()
+  | Pending_read p ->
       (* A CAS reply matched a pending READ: fail it rather than letting
          the issuer hang until its timeout (if it even set one). *)
       Hashtbl.remove t.pending r.reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
       Sim.Ivar.fill p.completion Status.Bad_segment
-  | Some (Pending_cas p) ->
+  | Pending_cas p ->
       Hashtbl.remove t.pending r.reqid;
       if r.status <> Status.Ok then record_error t r.status;
       (match p.result with

@@ -156,12 +156,6 @@ let frame_bytes = function
 
 let put_view w v = Atm.Codec.put_sub w v.buf ~pos:v.pos ~len:v.len
 
-let put_read_reply_header w ~status ~reqid ~chunk_off ~swab =
-  Atm.Codec.put_u8 w (tag ~op:op_read_reply ~notify:false ~swab);
-  Atm.Codec.put_u8 w (Status.to_code status);
-  Atm.Codec.put_u16 w reqid;
-  Atm.Codec.put_u32 w chunk_off
-
 let encode message =
   let w = Atm.Codec.writer ~capacity:(frame_bytes message) () in
   (match message with
@@ -179,7 +173,10 @@ let encode message =
       Atm.Codec.put_u32 w count;
       Atm.Codec.put_u16 w reqid
   | Read_reply { status; reqid; chunk_off; swab; data } ->
-      put_read_reply_header w ~status ~reqid ~chunk_off ~swab;
+      Atm.Codec.put_u8 w (tag ~op:op_read_reply ~notify:false ~swab);
+      Atm.Codec.put_u8 w (Status.to_code status);
+      Atm.Codec.put_u16 w reqid;
+      Atm.Codec.put_u32 w chunk_off;
       put_view w data
   | Cas { seg; gen; doff; old_value; new_value; reqid; notify } ->
       Atm.Codec.put_u8 w (tag ~op:op_cas ~notify ~swab:false);
@@ -216,12 +213,17 @@ let encode message =
 
 (* The server's READ reply: the frame is allocated at its final size
    with the data left for the caller to copy segment memory straight
-   into, at [header_bytes]. *)
+   into, at [header_bytes].  The header is set in place, in [encode]'s
+   layout, without a codec writer: this is on every reply frame's path. *)
 let read_reply_frame ~reqid ~chunk_off ~swab ~len =
-  let w = Atm.Codec.writer ~capacity:(header_bytes + len) () in
-  put_read_reply_header w ~status:Status.Ok ~reqid ~chunk_off ~swab;
-  Atm.Codec.reserve w len;
-  Atm.Codec.contents w
+  if reqid < 0 || reqid > 0xFFFF || chunk_off < 0 || chunk_off > 0xFFFFFFFF || len < 0
+  then invalid_arg "Wire.read_reply_frame";
+  let frame = Bytes.create (header_bytes + len) in
+  Bytes.set_uint8 frame 0 (tag ~op:op_read_reply ~notify:false ~swab);
+  Bytes.set_uint8 frame 1 (Status.to_code Status.Ok);
+  Bytes.set_uint16_le frame 2 reqid;
+  Bytes.set_int32_le frame 4 (Int32.of_int chunk_off);
+  frame
 
 exception Bad_message of string
 
@@ -234,14 +236,25 @@ let take r payload len =
 
 let rest r payload = take r payload (Atm.Codec.remaining r)
 
-let decode payload =
-  let r = Atm.Codec.reader payload in
-  let tag = Atm.Codec.get_u8 r in
-  if tag land 0xF0 <> tag_base && tag land 0xF0 <> tag_base_swab then
-    raise (Bad_message (Printf.sprintf "tag 0x%02x" tag));
-  let swab = tag land 0xF0 = tag_base_swab in
-  let op = (tag lsr 1) land 0x7 in
-  let notify = tag land 1 = 1 in
+(* A READ reply, the most frequent frame, is parsed in place, in the
+   order a codec reader would take its fields. *)
+let decode_read_reply payload ~swab =
+  let len = Bytes.length payload in
+  if len < 2 then raise Atm.Codec.Truncated;
+  let status = Status.of_code (Bytes.get_uint8 payload 1) in
+  if len < header_bytes then raise Atm.Codec.Truncated;
+  Read_reply
+    {
+      status;
+      reqid = Bytes.get_uint16_le payload 2;
+      chunk_off = Int32.to_int (Bytes.get_int32_le payload 4) land 0xFFFFFFFF;
+      swab;
+      data = { buf = payload; pos = header_bytes; len = len - header_bytes };
+    }
+
+(* Every other message, through a codec reader past the tag byte. *)
+let decode_fields payload ~op ~notify ~swab =
+  let r = Atm.Codec.reader ~pos:1 payload in
   if op = op_write then
     let seg = Atm.Codec.get_u8 r in
     let gen = Generation.of_int (Atm.Codec.get_u16 r) in
@@ -254,11 +267,6 @@ let decode payload =
     let count = Atm.Codec.get_u32 r in
     let reqid = Atm.Codec.get_u16 r in
     Read { seg; gen; soff; count; reqid; notify; swab }
-  else if op = op_read_reply then
-    let status = Status.of_code (Atm.Codec.get_u8 r) in
-    let reqid = Atm.Codec.get_u16 r in
-    let chunk_off = Atm.Codec.get_u32 r in
-    Read_reply { status; reqid; chunk_off; swab; data = rest r payload }
   else if op = op_cas then
     let seg = Atm.Codec.get_u8 r in
     let gen = Generation.of_int (Atm.Codec.get_u16 r) in
@@ -295,3 +303,13 @@ let decode payload =
     Write_burst { seg; gen; notify; swab; items = decode_items n [] }
   end
   else raise (Bad_message (Printf.sprintf "op %d" op))
+
+let decode payload =
+  if Bytes.length payload = 0 then raise Atm.Codec.Truncated;
+  let tag = Bytes.get_uint8 payload 0 in
+  if tag land 0xF0 <> tag_base && tag land 0xF0 <> tag_base_swab then
+    raise (Bad_message (Printf.sprintf "tag 0x%02x" tag));
+  let swab = tag land 0xF0 = tag_base_swab in
+  let op = (tag lsr 1) land 0x7 in
+  if op = op_read_reply then decode_read_reply payload ~swab
+  else decode_fields payload ~op ~notify:(tag land 1 = 1) ~swab

@@ -32,6 +32,12 @@ let add t ~category x =
   let c = cell t category in
   c.total <- c.total +. x
 
+(* The conversion happens here rather than at the caller so no float
+   crosses a call boundary, where it would be boxed. *)
+let add_us_of_ns t ~category ns =
+  let c = cell t category in
+  c.total <- c.total +. (float_of_int ns /. 1000.)
+
 let total_of t category =
   match Hashtbl.find t.totals category with
   | c -> c.total

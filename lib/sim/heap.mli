@@ -4,9 +4,11 @@
     instant so that same-time events fire in scheduling order, which keeps
     simulation runs fully deterministic.
 
-    Times, seqs and payloads are kept in parallel arrays: {!push} and
-    {!take_min} allocate nothing once the arrays have grown, and a taken
-    payload is no longer reachable from the heap. *)
+    The heap orders times, seqs and payload slot numbers kept in parallel
+    arrays; each payload is written once, into a slot it keeps until it
+    is taken. {!push} and {!take_min} allocate nothing once the arrays
+    have grown, sifting pays no write barrier, and a taken payload is no
+    longer reachable from the heap. *)
 
 type 'a entry = { time : Time.t; seq : int; payload : 'a }
 

@@ -55,7 +55,11 @@ let create engine who =
       on_wait =
         Some
           (fun k ->
-            Engine.schedule ~after:p.span p.engine (fun () -> continue k ()));
+            (* [schedule_at], not [schedule ~after]: passing the optional
+               argument would box the span on every wait. *)
+            Engine.schedule_at p.engine
+              (Time.add (Engine.now p.engine) p.span)
+              (fun () -> continue k ()));
     }
   in
   p

@@ -94,6 +94,107 @@ let link_fifo_order () =
   Sim.Engine.run engine;
   Alcotest.(check (list char)) "in order" [ 'x'; 'y'; 'z' ] (List.rev !seen)
 
+(* Once the link's in-flight ring has grown to the backlog, an
+   un-interposed frame's send and its arrival allocate nothing: the
+   arrival event is the link's one preallocated thunk. *)
+let link_hop_allocates_nothing () =
+  let engine = Sim.Engine.create () in
+  let arrived = ref 0 in
+  let link =
+    Atm.Link.create engine Atm.Config.default ~deliver:(fun _ -> incr arrived)
+  in
+  let frame =
+    Atm.Frame.make ~src:(Atm.Addr.of_int 0) ~dst:(Atm.Addr.of_int 1)
+      (Bytes.make 100 'x')
+  in
+  let burst () =
+    for _ = 1 to 32 do
+      Atm.Link.send link frame
+    done;
+    while Sim.Engine.step engine do
+      ()
+    done
+  in
+  let words = Rig.words_per_op ~n:200 burst /. 32. in
+  Printf.printf "Link.send + arrival: %.3f words per frame\n" words;
+  check_int "every frame arrived" (32 * 201) !arrived;
+  Alcotest.(check bool) "send + arrival allocate nothing" true (words < 0.05)
+
+(* Ring frames and closure-carried frames on one link: Deliver and
+   Duplicate copies go through the ring, Delay copies through their own
+   events, with jitters that make some overtake and some tie. Every
+   copy must arrive exactly once, in arrival-time order (ties in send
+   order), and the backlog must drain to zero. *)
+let link_mixed_verdicts () =
+  let engine = Sim.Engine.create () in
+  let config = Atm.Config.default in
+  let cell = Atm.Config.cell_wire_time config in
+  let prop = config.Atm.Config.propagation in
+  let seen = ref [] in
+  let link =
+    Atm.Link.create engine config ~deliver:(fun frame ->
+        seen :=
+          (Sim.Engine.now engine, Bytes.get_uint8 (Atm.Frame.payload frame) 0)
+          :: !seen)
+  in
+  let verdict id =
+    match id mod 4 with
+    | 0 -> Atm.Link.Deliver
+    | 1 -> Atm.Link.Delay (Sim.Time.scale cell (float_of_int (id mod 5)))
+    | 2 -> Atm.Link.Duplicate (1 + (id mod 3))
+    | _ -> Atm.Link.Delay (Sim.Time.ns 7)
+  in
+  Atm.Link.set_interposer link
+    (Some (fun frame -> verdict (Bytes.get_uint8 (Atm.Frame.payload frame) 0)));
+  (* The reference model: the wire is FIFO, one cell per frame. *)
+  let next_free = ref Sim.Time.zero in
+  let expected = ref [] in
+  let copies = ref 0 in
+  let send id =
+    let jitter, n =
+      match verdict id with
+      | Atm.Link.Delay j -> (j, 1)
+      | Atm.Link.Duplicate extra -> (Sim.Time.zero, extra + 1)
+      | _ -> (Sim.Time.zero, 1)
+    in
+    for _ = 1 to n do
+      let start = Sim.Time.max (Sim.Engine.now engine) !next_free in
+      next_free := Sim.Time.add start cell;
+      expected :=
+        (Sim.Time.add (Sim.Time.add !next_free prop) jitter, !copies, id)
+        :: !expected;
+      incr copies
+    done;
+    Atm.Link.send link
+      (Atm.Frame.make ~src:(Atm.Addr.of_int 0) ~dst:(Atm.Addr.of_int 1)
+         (Bytes.make 1 (Char.chr id)))
+  in
+  (* Three waves, the later ones sent while earlier frames are in
+     flight. *)
+  for wave = 0 to 2 do
+    Sim.Engine.schedule_at engine
+      (Sim.Time.scale cell (float_of_int (7 * wave)))
+      (fun () ->
+        for i = 0 to 19 do
+          send ((20 * wave) + i)
+        done)
+  done;
+  Sim.Engine.run ~until:(Sim.Time.scale cell 15.) engine;
+  Alcotest.(check bool) "frames in flight mid-run" true
+    (Atm.Link.queue_depth link > 0);
+  Sim.Engine.run engine;
+  let by_arrival =
+    List.sort
+      (fun (t1, k1, _) (t2, k2, _) -> compare (t1, k1) (t2, k2))
+      !expected
+  in
+  Alcotest.(check (list (pair int int)))
+    "every copy once, in arrival-time order"
+    (List.map (fun (t, _, id) -> (Sim.Time.to_ns t, id)) by_arrival)
+    (List.rev_map (fun (t, id) -> (Sim.Time.to_ns t, id)) !seen);
+  check_int "all copies delivered" !copies (List.length !seen);
+  check_int "backlog drained" 0 (Atm.Link.queue_depth link)
+
 (* ---------------- NIC and networks ---------------- *)
 
 let mesh_delivery () =
@@ -173,6 +274,10 @@ let suite =
     Alcotest.test_case "codec bounds" `Quick codec_bounds;
     Alcotest.test_case "link delivery timing" `Quick link_delivery_time;
     Alcotest.test_case "link FIFO order" `Quick link_fifo_order;
+    Alcotest.test_case "link hop allocates nothing" `Quick
+      link_hop_allocates_nothing;
+    Alcotest.test_case "link order under mixed verdicts" `Quick
+      link_mixed_verdicts;
     Alcotest.test_case "mesh delivery" `Quick mesh_delivery;
     Alcotest.test_case "star delivery via switch" `Quick star_delivery;
     Alcotest.test_case "switch adds latency" `Quick star_slower_than_mesh;

@@ -69,6 +69,44 @@ let space_words_and_cas () =
   Alcotest.(check int32) "value kept" 9l
     (Cluster.Address_space.read_word s ~addr:16)
 
+(* A word across a page boundary goes a byte at a time; it must agree
+   with the in-page path, little-endian, sign and all. *)
+let space_words_straddle () =
+  let s = space () in
+  let page = Cluster.Address_space.page_size s in
+  let addr = page - 2 in
+  Cluster.Address_space.write_word s ~addr 0xDEADBEEFl;
+  Alcotest.(check int32) "word" 0xDEADBEEFl (Cluster.Address_space.read_word s ~addr);
+  Alcotest.(check bytes) "little-endian bytes" (Bytes.of_string "\xEF\xBE\xAD\xDE")
+    (Cluster.Address_space.read s ~addr ~len:4);
+  Alcotest.(check bool) "cas succeeds" true
+    (Cluster.Address_space.cas_word s ~addr ~old_value:0xDEADBEEFl ~new_value:(-2l));
+  Alcotest.(check bool) "cas fails" false
+    (Cluster.Address_space.cas_word s ~addr ~old_value:0xDEADBEEFl ~new_value:5l);
+  Alcotest.(check int32) "value kept" (-2l) (Cluster.Address_space.read_word s ~addr);
+  Cluster.Address_space.write s ~addr (Bytes.of_string "\x01\x02\x03\x04");
+  Alcotest.(check int32) "bytes read as a word" 0x04030201l
+    (Cluster.Address_space.read_word s ~addr)
+
+(* Every frame's payload passes through these copies, so they must
+   allocate nothing beyond the destination the caller supplies — even
+   across a page boundary. *)
+let space_copies_allocate_nothing () =
+  let s = space () in
+  let page = Cluster.Address_space.page_size s in
+  let buf = Bytes.make 2048 'c' in
+  let write =
+    Rig.words_per_op ~n:1000 (fun () ->
+        Cluster.Address_space.write_from s ~addr:(page - 700) buf ~pos:8 ~len:1500)
+  in
+  let read =
+    Rig.words_per_op ~n:1000 (fun () ->
+        Cluster.Address_space.read_into s ~addr:(page - 700) ~len:1500 buf ~pos:8)
+  in
+  Printf.printf "cross-page write_from: %.2f words; read_into: %.2f\n" write read;
+  Alcotest.(check bool) "write_from allocates nothing" true (write < 0.5);
+  Alcotest.(check bool) "read_into allocates nothing" true (read < 0.5)
+
 let space_pinning () =
   let s = space () in
   let page = Cluster.Address_space.page_size s in
@@ -193,6 +231,9 @@ let suite =
     Alcotest.test_case "space demand zero" `Quick space_demand_zero;
     Alcotest.test_case "space cross-page access" `Quick space_cross_page;
     Alcotest.test_case "space words and cas" `Quick space_words_and_cas;
+    Alcotest.test_case "space words straddle a page" `Quick space_words_straddle;
+    Alcotest.test_case "space copies allocate nothing" `Quick
+      space_copies_allocate_nothing;
     Alcotest.test_case "space pinning nests" `Quick space_pinning;
     Alcotest.test_case "space faults" `Quick space_fault;
     Alcotest.test_case "cpu accounting" `Quick cpu_accounting;

@@ -666,8 +666,8 @@ let resource_exception_safe () =
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The control path's host cost, against budgets 10% above what the
-   allocation-lean path measures (11 words per wait, 48 per blocked read
-   and its fill, 43 per contended charge, none per event): a
+   allocation-lean path measures (9 words per wait, 48 per blocked read
+   and its fill, 39 per contended charge, none per event): a
    reintroduced per-wait closure, registry entry or per-event record
    fails here. *)
 let control_path_budget () =
@@ -709,9 +709,28 @@ let control_path_budget () =
      %.2f; contended Cpu.use: %.2f\n"
     event wait blocked_read contended;
   check_bool "schedule + step allocates nothing" true (event < 0.5);
-  check_bool "Proc.wait within budget" true (wait <= 12.1);
+  check_bool "Proc.wait within budget" true (wait <= 9.9);
   check_bool "blocked Ivar.read + fill within budget" true (blocked_read <= 52.8);
-  check_bool "contended Cpu.use within budget" true (contended <= 47.3)
+  check_bool "contended Cpu.use within budget" true (contended <= 42.9)
+
+(* An uncontended CPU charge is one wait plus bookkeeping: attributing
+   the time to its category must not box a float on top of the wait. *)
+let uncontended_charge_budget () =
+  let n = 2000 in
+  let engine = Sim.Engine.create () in
+  let cpu = Cluster.Cpu.create () in
+  let wait, charge =
+    Sim.Proc.run engine (fun () ->
+        let wait = Rig.words_per_op ~n (fun () -> Sim.Proc.wait 1) in
+        let charge =
+          Rig.words_per_op ~n (fun () -> Cluster.Cpu.use cpu ~category:"c" 1)
+        in
+        (wait, charge))
+  in
+  Printf.printf "Proc.wait: %.2f words; uncontended Cpu.use: %.2f\n" wait charge;
+  (* Half a word of slack absorbs the averaging, not a word more. *)
+  check_bool "uncontended Cpu.use allocates no more than Proc.wait" true
+    (charge < wait +. 0.5)
 
 let engine_pending_counts () =
   let engine = Sim.Engine.create () in
@@ -769,6 +788,8 @@ let suite =
       suspend_outside_process;
     Alcotest.test_case "unnamed processes numbered" `Quick
       unnamed_processes_numbered;
+    Alcotest.test_case "uncontended Cpu.use allocation budget" `Quick
+      uncontended_charge_budget;
     Alcotest.test_case "control-path allocation budget" `Quick
       control_path_budget;
     QCheck_alcotest.to_alcotest heap_pop_sorted;
