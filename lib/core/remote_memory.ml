@@ -25,6 +25,9 @@ type pending =
       count : int;
       notify : bool;
       mutable received : int;
+      chunks : Bytes.t;
+          (* one bit per reply chunk, set when it is counted; empty for
+             a READ that fits one chunk *)
       completion : Status.t Sim.Ivar.t;
     }
   | Pending_cas of {
@@ -178,48 +181,38 @@ let rx_ctrl_cost c payload_bytes =
 (* ------------------------------------------------------------------ *)
 (* Construction.                                                       *)
 
-(* Tied after the handlers are defined; see the bottom of the file. *)
-let handle_message : (t -> src:Atm.Addr.t -> Wire.message -> unit) ref =
-  ref (fun _ ~src:_ _ -> assert false)
-
 (* A space the node does not register: the read-back target of fences
    and verifying writes, reclaimed with its owner rather than held for
    the node's lifetime. *)
 let scratch_space () = Cluster.Address_space.create ~asid:0 ()
 
-let attach node =
-  let t =
-    {
-      node;
-      rx_request_category = Cluster.Cpu.cat_emulation;
-      tx_reply_category = Cluster.Cpu.cat_emulation;
-      client_category = Cluster.Cpu.cat_emulation;
-      exported = Hashtbl.create 16;
-      next_segment_id = 1;
-      next_generation = Generation.initial;
-      pending = Hashtbl.create 16;
-      next_reqid = 1;
-      completion_fd = Notification.create ~name:"completion fd" node;
-      ops = Metrics.Account.create ~name:"rmem ops" ();
-      data_bytes = Metrics.Account.create ~name:"rmem bytes" ();
-      errors = Metrics.Account.create ~name:"rmem errors" ();
-      delivery_probe = None;
-      crypto = None;
-      write_failures = Hashtbl.create 4;
-      monitor = None;
-      recovery_depth = 0;
-      batch = None;
-      next_batch = 1;
-      fault_registry = None;
-      fence_space = scratch_space ();
-    }
-  in
-  List.iter
-    (fun tag ->
-      Cluster.Node.set_handler node ~tag (fun ~src payload ->
-          !handle_message t ~src (Wire.decode payload)))
-    Wire.tags;
-  t
+(* The state of a node's remote memory; {!attach} also claims the
+   protocol's frame tags, once the handlers are defined. *)
+let create node =
+  {
+    node;
+    rx_request_category = Cluster.Cpu.cat_emulation;
+    tx_reply_category = Cluster.Cpu.cat_emulation;
+    client_category = Cluster.Cpu.cat_emulation;
+    exported = Hashtbl.create 16;
+    next_segment_id = 1;
+    next_generation = Generation.initial;
+    pending = Hashtbl.create 16;
+    next_reqid = 1;
+    completion_fd = Notification.create ~name:"completion fd" node;
+    ops = Metrics.Account.create ~name:"rmem ops" ();
+    data_bytes = Metrics.Account.create ~name:"rmem bytes" ();
+    errors = Metrics.Account.create ~name:"rmem errors" ();
+    delivery_probe = None;
+    crypto = None;
+    write_failures = Hashtbl.create 4;
+    monitor = None;
+    recovery_depth = 0;
+    batch = None;
+    next_batch = 1;
+    fault_registry = None;
+    fence_space = scratch_space ();
+  }
 
 let node t = t.node
 let completion_fd t = t.completion_fd
@@ -290,6 +283,14 @@ let received t ~category ~swab (v : Wire.view) =
 let deposit space ~addr (v : Wire.view) =
   Cluster.Address_space.write_from space ~addr v.Wire.buf ~pos:v.Wire.pos
     ~len:v.Wire.len
+
+(* [received] then [deposit] for the [len] bytes of a frame from [pos],
+   building no view when the data is deposited as it came. *)
+let deposit_received t ~category ~swab space ~addr buf ~pos ~len =
+  match t.crypto with
+  | None when not swab ->
+      Cluster.Address_space.write_from space ~addr buf ~pos ~len
+  | _ -> deposit space ~addr (received t ~category ~swab { Wire.buf; pos; len })
 
 (* ------------------------------------------------------------------ *)
 (* Segment export / revoke / import.                                   *)
@@ -455,8 +456,39 @@ let issue t desc op ~name ~off ~count ~notify ~cas ~extents ~ctrl pending =
   Obs.Trace.phase_end fl;
   (fl, reqid)
 
+(* One WRITE frame: [len] bytes of [data] from [pos], framed before the
+   FIFO copy is charged, so the frame holds the caller's bytes as they
+   were at issue, not after the CPU wait. *)
+let send_write_chunk t fl desc ~off ~notify ~swab data ~pos ~len =
+  let seg = Descriptor.segment_id desc in
+  let gen = Descriptor.generation desc in
+  let frame =
+    match t.crypto with
+    | None -> Wire.write_frame ~seg ~gen ~off:(off + pos) ~notify ~swab data ~pos ~len
+    | Some crypto ->
+        Wire.write_frame ~seg ~gen ~off:(off + pos) ~notify ~swab
+          (Crypto.transform crypto ~pos ~len data)
+          ~pos:0 ~len
+  in
+  Obs.Trace.phase fl "nic";
+  Cluster.Cpu.use (cpu t) ~category:t.client_category (tx_data_cost (costs t) len);
+  charge_crypto t ~category:t.client_category len;
+  Obs.Trace.phase_end fl;
+  Cluster.Node.transmit ?ctx:(Obs.Trace.wire_ctx fl) t.node
+    ~dst:(Descriptor.remote desc) frame
+
+(* The WRITE's frames from [pos] on, [burst] bytes each; the notify bit
+   rides on the last. *)
+let rec send_write_chunks t fl desc ~off ~notify ~swab data ~burst pos =
+  let count = Bytes.length data in
+  if pos < count then begin
+    let len = Stdlib.min burst (count - pos) in
+    send_write_chunk t fl desc ~off ~notify:(notify && pos + len >= count) ~swab
+      data ~pos ~len;
+    send_write_chunks t fl desc ~off ~notify ~swab data ~burst (pos + len)
+  end
+
 let send_write t desc ~off ~notify ~swab data =
-  let c = costs t in
   let count = Bytes.length data in
   let fl, _ =
     issue t desc Rights.Write_op ~name:"WRITE" ~off ~count ~notify ~cas:None
@@ -464,39 +496,13 @@ let send_write t desc ~off ~notify ~swab data =
   in
   Metrics.Account.add t.ops ~category:"write" 1.;
   Metrics.Account.add t.data_bytes ~category:"write" (float_of_int count);
-  let burst = burst_data_bytes c in
-  let dst = Descriptor.remote desc in
-  let seg = Descriptor.segment_id desc in
-  let gen = Descriptor.generation desc in
-  let send_chunk ~pos ~len ~notify =
-    (* Framed before the FIFO copy is charged, so the frame holds the
-       caller's bytes as they were at issue, not after the CPU wait. *)
-    let frame =
-      Wire.encode
-        (Wire.Write
-           { seg; gen; off = off + pos; notify; swab;
-             data = crypt t { Wire.buf = data; pos; len } })
-    in
-    Obs.Trace.phase fl "nic";
-    Cluster.Cpu.use (cpu t) ~category:t.client_category (tx_data_cost c len);
-    charge_crypto t ~category:t.client_category len;
-    Obs.Trace.phase_end fl;
-    Cluster.Node.transmit ?ctx:(Obs.Trace.wire_ctx fl) t.node ~dst frame
-  in
   if count = 0 then
     (* A zero-length write still sends its header cell — useful as a
        doorbell when combined with the notify bit. *)
-    send_chunk ~pos:0 ~len:0 ~notify
-  else begin
-    let rec send pos =
-      if pos < count then begin
-        let len = Stdlib.min burst (count - pos) in
-        send_chunk ~pos ~len ~notify:(notify && pos + len >= count);
-        send (pos + len)
-      end
-    in
-    send 0
-  end
+    send_write_chunk t fl desc ~off ~notify ~swab data ~pos:0 ~len:0
+  else
+    send_write_chunks t fl desc ~off ~notify ~swab data
+      ~burst:(burst_data_bytes (costs t)) 0
 
 (* A scatter-gather WRITE burst: several extents of one segment framed
    once at the AAL layer, so the whole batch costs one trap, one
@@ -579,30 +585,26 @@ let read ?timeout t desc ~soff ~count ~dst ~doff ?(notify = false)
     ?(swab = false) () =
   let c = costs t in
   let completion = Sim.Ivar.create ~name:"rmem READ completion" () in
+  let burst = burst_data_bytes c in
+  let chunks =
+    if count <= burst then Bytes.empty
+    else Bytes.make (((count + burst - 1) / burst + 7) / 8) '\000'
+  in
   let fl, reqid =
     issue t desc Rights.Read_op ~name:"READ" ~off:soff ~count ~notify
       ~cas:None ~extents:[] ~ctrl:(tx_ctrl_cost c 14)
       (Some
          (Pending_read
             { desc; soff; buf = dst; doff; count; notify; received = 0;
-              completion }))
+              chunks; completion }))
   in
   Metrics.Account.add t.ops ~category:"read" 1.;
   Metrics.Account.add t.data_bytes ~category:"read" (float_of_int count);
   Cluster.Node.transmit
     ?ctx:(Obs.Trace.wire_ctx fl)
     t.node ~dst:(Descriptor.remote desc)
-    (Wire.encode
-       (Wire.Read
-          {
-            seg = Descriptor.segment_id desc;
-            gen = Descriptor.generation desc;
-            soff;
-            count;
-            reqid;
-            notify;
-            swab;
-          }));
+    (Wire.read_frame ~seg:(Descriptor.segment_id desc)
+       ~gen:(Descriptor.generation desc) ~soff ~count ~reqid ~notify ~swab);
   arm_timeout t timeout reqid completion Status.Timed_out;
   completion
 
@@ -622,17 +624,9 @@ let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result
   Cluster.Node.transmit
     ?ctx:(Obs.Trace.wire_ctx fl)
     t.node ~dst:(Descriptor.remote desc)
-    (Wire.encode
-       (Wire.Cas
-          {
-            seg = Descriptor.segment_id desc;
-            gen = Descriptor.generation desc;
-            doff;
-            old_value;
-            new_value;
-            reqid;
-            notify;
-          }));
+    (Wire.cas_frame ~seg:(Descriptor.segment_id desc)
+       ~gen:(Descriptor.generation desc) ~doff ~old_value ~new_value ~reqid
+       ~notify);
   arm_timeout t timeout reqid completion (Status.Timed_out, 0l);
   completion
 
@@ -697,7 +691,12 @@ let fault_incr t name =
    Must be called from a simulated process (backoff blocks). *)
 let run_policy t (policy : Recovery.policy) desc ~op attempt_fn =
   let engine = Cluster.Node.engine t.node in
-  let scope = Obs.Trace.scope_begin ~node:(nid t) ~name:("recover:" ^ op) in
+  let scope =
+    (* The name is built only when a tracer is attached. *)
+    if Obs.Trace.enabled () then
+      Obs.Trace.scope_begin ~node:(nid t) ~name:("recover:" ^ op)
+    else None
+  in
   let started = Sim.Engine.now engine in
   let timeout = Some (Recovery.timeout policy) in
   let finish v =
@@ -707,12 +706,16 @@ let run_policy t (policy : Recovery.policy) desc ~op attempt_fn =
   let rec go attempt =
     let outcome =
       t.recovery_depth <- t.recovery_depth + 1;
-      Fun.protect
-        ~finally:(fun () -> t.recovery_depth <- t.recovery_depth - 1)
-        (fun () ->
-          try Ok (attempt_fn timeout) with
+      match attempt_fn timeout with
+      | v ->
+          t.recovery_depth <- t.recovery_depth - 1;
+          Ok v
+      | exception exn -> (
+          t.recovery_depth <- t.recovery_depth - 1;
+          match exn with
           | Status.Timeout -> Error Status.Timed_out
-          | Status.Remote_error status -> Error status)
+          | Status.Remote_error status -> Error status
+          | exn -> raise exn)
     in
     match outcome with
     | Ok v ->
@@ -923,86 +926,84 @@ let restart_exports ?(preserve = []) t =
 let record_error t status =
   Metrics.Account.add t.errors ~category:(Status.to_string status) 1.
 
-let validate_segment t ~src ~seg ~gen ~off ~count op =
-  match Hashtbl.find_opt t.exported seg with
-  | None -> Error Status.Bad_segment
-  | Some segment ->
-      if Segment.is_revoked segment then Error Status.Bad_segment
+(* Why segment [seg] cannot serve [count] bytes at [off] for [op] from
+   [src], or [Status.Ok]: a status, not a result or an option, so that
+   checking a request allocates nothing.  On [Ok] the caller looks the
+   segment up again, with no wait in between. *)
+let serve_status t ~src ~seg ~gen ~off ~count op =
+  match Hashtbl.find t.exported seg with
+  | exception Not_found -> Status.Bad_segment
+  | segment ->
+      if Segment.is_revoked segment then Status.Bad_segment
       else if not (Generation.equal gen (Segment.generation segment)) then
-        Error Status.Stale_generation
+        Status.Stale_generation
       else if not (Rights.allows (Segment.rights_for segment ~importer:src) op)
-      then Error Status.Protection
-      else if not (Segment.contains segment ~off ~count) then
-        Error Status.Bounds
+      then Status.Protection
+      else if not (Segment.contains segment ~off ~count) then Status.Bounds
       else if
         not
           (Cluster.Address_space.is_pinned (Segment.space segment)
              ~addr:(Segment.base segment + off)
              ~len:(Stdlib.max 1 count))
-      then Error Status.Unpinned
-      else Ok segment
+      then Status.Unpinned
+      else Status.Ok
 
-let handle_write t ~src (w : Wire.write_req) =
+(* The serve handlers below take the frame's fields as {!Wire.dispatch}
+   reads them in place, and every helper they call is a top-level
+   function: serving a request allocates no closure, option or message
+   record. *)
+
+(* A write this node cannot apply is data silently lost unless the
+   issuer hears about it: report the drop with a negative ack (the
+   success path stays unacknowledged, as in the paper). *)
+let nack_write t sv src ~seg ~gen ~off ~count status =
+  record_error t status;
+  if monitored t then
+    emit t
+      (Serve_rejected
+         { op = Rights.Write_op; src; seg; gen; off; count; status });
+  Obs.Trace.serve_arg sv "status" (Status.to_string status);
+  Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
+    (tx_ctrl_cost (costs t) 12);
+  Cluster.Node.transmit
+    ?ctx:(Obs.Trace.serve_ctx sv ~label:"nack")
+    t.node ~dst:src
+    (Wire.encode (Wire.Write_nack { status; seg; gen; off; count }));
+  Obs.Trace.serve_end sv
+
+let handle_write t src ~seg ~gen ~off ~notify ~swab payload ~pos ~len =
   let c = costs t in
-  let count = w.data.Wire.len in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
   Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
     (Sim.Time.add
-       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c count))
+       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c len))
        c.Cluster.Costs.vm_deliver);
-  (* A write this node cannot apply is data silently lost unless the
-     issuer hears about it: report the drop with a negative ack (the
-     success path stays unacknowledged, as in the paper). *)
-  let drop status =
-    record_error t status;
-    if monitored t then emit t
-      (Serve_rejected
-         {
-           op = Rights.Write_op;
-           src;
-           seg = w.seg;
-           gen = w.gen;
-           off = w.off;
-           count;
-           status;
-         });
-    Obs.Trace.serve_arg sv "status" (Status.to_string status);
-    Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 12);
-    Cluster.Node.transmit
-      ?ctx:(Obs.Trace.serve_ctx sv ~label:"nack")
-      t.node ~dst:src
-      (Wire.encode
-         (Wire.Write_nack
-            { status; seg = w.seg; gen = w.gen; off = w.off; count }));
-    Obs.Trace.serve_end sv
-  in
-  match
-    validate_segment t ~src ~seg:w.seg ~gen:w.gen ~off:w.off ~count
-      Rights.Write_op
-  with
-  | Error status -> drop status
-  | Ok segment ->
-      if Segment.write_inhibited segment then drop Status.Write_inhibited
+  match serve_status t ~src ~seg ~gen ~off ~count:len Rights.Write_op with
+  | Status.Ok ->
+      let segment = Hashtbl.find t.exported seg in
+      if Segment.write_inhibited segment then
+        nack_write t sv src ~seg ~gen ~off ~count:len Status.Write_inhibited
       else begin
-        deposit (Segment.space segment)
-          ~addr:(Segment.base segment + w.off)
-          (received t ~category:t.rx_request_category ~swab:w.swab w.data);
+        deposit_received t ~category:t.rx_request_category ~swab
+          (Segment.space segment)
+          ~addr:(Segment.base segment + off)
+          payload ~pos ~len;
         Metrics.Account.add t.data_bytes ~category:"write served"
-          (float_of_int count);
-        let notified = Segment.should_notify segment ~requested:w.notify in
+          (float_of_int len);
+        let notified = Segment.should_notify segment ~requested:notify in
         if monitored t then emit t
           (Served
              {
                op = Rights.Write_op;
                src;
                segment;
-               off = w.off;
-               count;
+               off;
+               count = len;
                notified;
                cas_success = None;
              });
         (match t.delivery_probe with
-        | Some probe -> probe Notification.Write_arrived ~count
+        | Some probe -> probe Notification.Write_arrived ~count:len
         | None -> ());
         (if notified then
            Notification.post
@@ -1011,11 +1012,57 @@ let handle_write t ~src (w : Wire.write_req) =
              {
                Notification.src;
                kind = Notification.Write_arrived;
-               off = w.off;
-               count;
+               off;
+               count = len;
              });
         Obs.Trace.serve_end sv
       end
+  | status -> nack_write t sv src ~seg ~gen ~off ~count:len status
+
+(* A burst's first extent this node cannot apply, with its status, or
+   [None] when every extent can be applied. *)
+let rec burst_rejection t src ~seg ~gen = function
+  | [] -> None
+  | (it : Wire.burst_item) :: rest -> (
+      let count = it.data.Wire.len in
+      match serve_status t ~src ~seg ~gen ~off:it.off ~count Rights.Write_op with
+      | Status.Ok ->
+          if Segment.write_inhibited (Hashtbl.find t.exported seg) then
+            Some (Status.Write_inhibited, it.off, count)
+          else burst_rejection t src ~seg ~gen rest
+      | status -> Some (status, it.off, count))
+
+(* Each extent's data as it is deposited, in frame order. *)
+let rec received_extents t ~swab = function
+  | [] -> []
+  | (it : Wire.burst_item) :: rest ->
+      let data = received t ~category:t.rx_request_category ~swab it.data in
+      (it.off, data) :: received_extents t ~swab rest
+
+(* Deposit extents [i] onwards; the notification, if any, is reported
+   on the last one, [last]. *)
+let rec deposit_extents t src segment ~notified ~last i = function
+  | [] -> ()
+  | (off, (data : Wire.view)) :: rest ->
+      deposit (Segment.space segment) ~addr:(Segment.base segment + off) data;
+      let count = data.Wire.len in
+      Metrics.Account.add t.data_bytes ~category:"write served"
+        (float_of_int count);
+      if monitored t then emit t
+        (Served
+           {
+             op = Rights.Write_op;
+             src;
+             segment;
+             off;
+             count;
+             notified = notified && i = last;
+             cas_success = None;
+           });
+      (match t.delivery_probe with
+      | Some probe -> probe Notification.Write_arrived ~count
+      | None -> ());
+      deposit_extents t src segment ~notified ~last (i + 1) rest
 
 (* Serving a burst: one interrupt and one FIFO drain for the whole
    frame, every extent validated before any byte is deposited (the burst
@@ -1023,84 +1070,28 @@ let handle_write t ~src (w : Wire.write_req) =
    offending extent), then all deposits happen back-to-back with no CPU
    charge in between, so in simulated time the burst lands as a unit.
    At most one notification is raised, covering the whole burst. *)
-let handle_write_burst t ~src (b : Wire.write_burst) =
+let handle_write_burst t src ~seg ~gen ~notify ~swab items =
   let c = costs t in
-  let total = Wire.burst_payload_bytes b.items in
+  let total = Wire.burst_payload_bytes items in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
   Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt
-          (rx_burst_cost c (Wire.burst_frame_bytes b.items)))
+          (rx_burst_cost c (Wire.burst_frame_bytes items)))
        c.Cluster.Costs.vm_deliver);
-  let drop status ~off ~count =
-    record_error t status;
-    if monitored t then emit t
-      (Serve_rejected
-         { op = Rights.Write_op; src; seg = b.seg; gen = b.gen; off; count;
-           status });
-    Obs.Trace.serve_arg sv "status" (Status.to_string status);
-    Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 12);
-    Cluster.Node.transmit
-      ?ctx:(Obs.Trace.serve_ctx sv ~label:"nack")
-      t.node ~dst:src
-      (Wire.encode
-         (Wire.Write_nack { status; seg = b.seg; gen = b.gen; off; count }));
-    Obs.Trace.serve_end sv
-  in
-  let rec validate = function
-    | [] -> Ok ()
-    | it :: rest -> (
-        let count = it.Wire.data.Wire.len in
-        match
-          validate_segment t ~src ~seg:b.seg ~gen:b.gen ~off:it.Wire.off ~count
-            Rights.Write_op
-        with
-        | Error status -> Error (status, it.Wire.off, count)
-        | Ok segment ->
-            if Segment.write_inhibited segment then
-              Error (Status.Write_inhibited, it.Wire.off, count)
-            else if rest = [] then Ok () else validate rest)
-  in
-  match b.items with
-  | [] -> drop Status.Bounds ~off:0 ~count:0
+  match items with
+  | [] -> nack_write t sv src ~seg ~gen ~off:0 ~count:0 Status.Bounds
   | first :: _ -> (
-      match validate b.items with
-      | Error (status, off, count) -> drop status ~off ~count
-      | Ok () ->
-          let segment = Hashtbl.find t.exported b.seg in
-          let extents =
-            List.map
-              (fun it ->
-                ( it.Wire.off,
-                  received t ~category:t.rx_request_category ~swab:b.swab
-                    it.Wire.data ))
-              b.items
-          in
-          let n = List.length extents in
-          let notified = Segment.should_notify segment ~requested:b.notify in
-          List.iteri
-            (fun i (off, data) ->
-              deposit (Segment.space segment)
-                ~addr:(Segment.base segment + off)
-                data;
-              let count = data.Wire.len in
-              Metrics.Account.add t.data_bytes ~category:"write served"
-                (float_of_int count);
-              if monitored t then emit t
-                (Served
-                   {
-                     op = Rights.Write_op;
-                     src;
-                     segment;
-                     off;
-                     count;
-                     notified = notified && i = n - 1;
-                     cas_success = None;
-                   });
-              match t.delivery_probe with
-              | Some probe -> probe Notification.Write_arrived ~count
-              | None -> ())
-            extents;
+      match burst_rejection t src ~seg ~gen items with
+      | Some (status, off, count) ->
+          nack_write t sv src ~seg ~gen ~off ~count status
+      | None ->
+          let segment = Hashtbl.find t.exported seg in
+          let extents = received_extents t ~swab items in
+          let notified = Segment.should_notify segment ~requested:notify in
+          deposit_extents t src segment ~notified
+            ~last:(List.length extents - 1)
+            0 extents;
           (if notified then
              Notification.post
                ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
@@ -1113,59 +1104,60 @@ let handle_write_burst t ~src (b : Wire.write_burst) =
                });
           Obs.Trace.serve_end sv)
 
-let handle_read t ~src (r : Wire.read_req) =
+let transmit_reply t sv src frame =
+  Cluster.Node.transmit
+    ?ctx:(Obs.Trace.serve_ctx sv ~label:"reply")
+    t.node ~dst:src frame
+
+(* One READ reply chunk: the one copy of the data, segment memory
+   straight into the reply frame, taken before the copy's CPU is
+   charged. *)
+let send_read_chunk t sv src segment ~soff ~reqid ~swab ~pos ~len =
+  let c = costs t in
+  let frame = Wire.read_reply_frame ~reqid ~chunk_off:pos ~swab ~len in
+  Cluster.Address_space.read_into (Segment.space segment)
+    ~addr:(Segment.base segment + soff + pos)
+    ~len frame ~pos:Wire.header_bytes;
+  Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
+    (Sim.Time.add c.Cluster.Costs.vm_read (tx_data_cost c len));
+  charge_crypto t ~category:t.tx_reply_category len;
+  (match t.crypto with
+  | None -> ()
+  | Some crypto ->
+      Bytes.blit
+        (Crypto.transform crypto ~pos:Wire.header_bytes ~len frame)
+        0 frame Wire.header_bytes len);
+  transmit_reply t sv src frame
+
+(* The READ's reply chunks from [pos] on, [burst] bytes each. *)
+let rec send_read_chunks t sv src segment ~soff ~count ~reqid ~swab ~burst pos =
+  if pos < count then begin
+    let len = Stdlib.min burst (count - pos) in
+    send_read_chunk t sv src segment ~soff ~reqid ~swab ~pos ~len;
+    send_read_chunks t sv src segment ~soff ~count ~reqid ~swab ~burst
+      (pos + len)
+  end
+
+let handle_read t src ~seg ~gen ~soff ~count ~reqid ~notify:_ ~swab =
   let c = costs t in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
   Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 14))
        c.Cluster.Costs.descriptor_check);
-  let transmit_reply frame =
-    Cluster.Node.transmit
-      ?ctx:(Obs.Trace.serve_ctx sv ~label:"reply")
-      t.node ~dst:src frame
-  in
-  match
-    validate_segment t ~src ~seg:r.seg ~gen:r.gen ~off:r.soff ~count:r.count
-      Rights.Read_op
-  with
-  | Error status ->
-      record_error t status;
-      if monitored t then emit t
-        (Serve_rejected
-           {
-             op = Rights.Read_op;
-             src;
-             seg = r.seg;
-             gen = r.gen;
-             off = r.soff;
-             count = r.count;
-             status;
-           });
-      Obs.Trace.serve_arg sv "status" (Status.to_string status);
-      Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 8);
-      transmit_reply
-        (Wire.encode
-           (Wire.Read_reply
-              {
-                status;
-                reqid = r.reqid;
-                chunk_off = 0;
-                swab = r.swab;
-                data = Wire.view Bytes.empty;
-              }));
-      Obs.Trace.serve_end sv
-  | Ok segment ->
+  match serve_status t ~src ~seg ~gen ~off:soff ~count Rights.Read_op with
+  | Status.Ok ->
+      let segment = Hashtbl.find t.exported seg in
       Metrics.Account.add t.data_bytes ~category:"read served"
-        (float_of_int r.count);
+        (float_of_int count);
       if monitored t then emit t
         (Served
            {
              op = Rights.Read_op;
              src;
              segment;
-             off = r.soff;
-             count = r.count;
+             off = soff;
+             count;
              notified = Segment.should_notify segment ~requested:false;
              cas_success = None;
            });
@@ -1177,45 +1169,41 @@ let handle_read t ~src (r : Wire.read_req) =
            {
              Notification.src;
              kind = Notification.Read_served;
-             off = r.soff;
-             count = r.count;
+             off = soff;
+             count;
            });
-      let burst = burst_data_bytes c in
-      let send_chunk ~pos ~chunk_len =
-        (* The one copy of the data: segment memory straight into the
-           reply frame, taken before the copy's CPU is charged. *)
-        let frame =
-          Wire.read_reply_frame ~reqid:r.reqid ~chunk_off:pos ~swab:r.swab
-            ~len:chunk_len
-        in
-        Cluster.Address_space.read_into (Segment.space segment)
-          ~addr:(Segment.base segment + r.soff + pos)
-          ~len:chunk_len frame ~pos:Wire.header_bytes;
-        Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
-          (Sim.Time.add c.Cluster.Costs.vm_read (tx_data_cost c chunk_len));
-        charge_crypto t ~category:t.tx_reply_category chunk_len;
-        (match t.crypto with
-        | None -> ()
-        | Some crypto ->
-            Bytes.blit
-              (Crypto.transform crypto ~pos:Wire.header_bytes ~len:chunk_len frame)
-              0 frame Wire.header_bytes chunk_len);
-        transmit_reply frame
-      in
-      (if r.count = 0 then send_chunk ~pos:0 ~chunk_len:0
-       else begin
-         let rec send pos =
-           if pos < r.count then begin
-             let chunk_len = Stdlib.min burst (r.count - pos) in
-             send_chunk ~pos ~chunk_len;
-             send (pos + chunk_len)
-           end
-         in
-         send 0
-       end);
+      (if count = 0 then
+         send_read_chunk t sv src segment ~soff ~reqid ~swab ~pos:0 ~len:0
+       else
+         send_read_chunks t sv src segment ~soff ~count ~reqid ~swab
+           ~burst:(burst_data_bytes c) 0);
+      Obs.Trace.serve_end sv
+  | status ->
+      record_error t status;
+      if monitored t then emit t
+        (Serve_rejected
+           { op = Rights.Read_op; src; seg; gen; off = soff; count; status });
+      Obs.Trace.serve_arg sv "status" (Status.to_string status);
+      Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 8);
+      transmit_reply t sv src
+        (Wire.encode
+           (Wire.Read_reply
+              {
+                status;
+                reqid;
+                chunk_off = 0;
+                swab;
+                data = Wire.view Bytes.empty;
+              }));
       Obs.Trace.serve_end sv
 
-let handle_cas t ~src (r : Wire.cas_req) =
+let reply_cas t sv src ~reqid ~status ~witness =
+  Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
+    (tx_ctrl_cost (costs t) 8);
+  transmit_reply t sv src (Wire.cas_reply_frame ~status ~reqid ~witness);
+  Obs.Trace.serve_end sv
+
+let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
   let c = costs t in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
   Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
@@ -1223,65 +1211,47 @@ let handle_cas t ~src (r : Wire.cas_req) =
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 18))
        (Sim.Time.add c.Cluster.Costs.descriptor_check
           c.Cluster.Costs.cas_execute));
-  let status, witness =
-    match
-      validate_segment t ~src ~seg:r.seg ~gen:r.gen ~off:r.doff ~count:4
-        Rights.Cas_op
-    with
-    | Error status ->
-        record_error t status;
-        if monitored t then emit t
-          (Serve_rejected
-             {
-               op = Rights.Cas_op;
-               src;
-               seg = r.seg;
-               gen = r.gen;
-               off = r.doff;
-               count = 4;
-               status;
-             });
-        Obs.Trace.serve_arg sv "status" (Status.to_string status);
-        (status, 0l)
-    | Ok segment ->
-        let addr = Segment.base segment + r.doff in
-        let witness =
-          Cluster.Address_space.read_word (Segment.space segment) ~addr
-        in
-        let swapped =
-          Cluster.Address_space.cas_word (Segment.space segment) ~addr
-            ~old_value:r.old_value ~new_value:r.new_value
-        in
-        if monitored t then emit t
-          (Served
-             {
-               op = Rights.Cas_op;
-               src;
-               segment;
-               off = r.doff;
-               count = 4;
-               notified = Segment.should_notify segment ~requested:r.notify;
-               cas_success = Some swapped;
-             });
-        Obs.Trace.serve_arg sv "cas" (string_of_bool swapped);
-        (if Segment.should_notify segment ~requested:r.notify then
-           Notification.post
-             ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
-             (Segment.notification segment)
-             {
-               Notification.src;
-               kind = Notification.Cas_applied;
-               off = r.doff;
-               count = 4;
-             });
-        (Status.Ok, witness)
-  in
-  Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 8);
-  Cluster.Node.transmit
-    ?ctx:(Obs.Trace.serve_ctx sv ~label:"reply")
-    t.node ~dst:src
-    (Wire.encode (Wire.Cas_reply { status; reqid = r.reqid; witness }));
-  Obs.Trace.serve_end sv
+  match serve_status t ~src ~seg ~gen ~off:doff ~count:4 Rights.Cas_op with
+  | Status.Ok ->
+      let segment = Hashtbl.find t.exported seg in
+      let addr = Segment.base segment + doff in
+      let witness =
+        Cluster.Address_space.read_word (Segment.space segment) ~addr
+      in
+      let swapped =
+        Cluster.Address_space.cas_word (Segment.space segment) ~addr
+          ~old_value ~new_value
+      in
+      if monitored t then emit t
+        (Served
+           {
+             op = Rights.Cas_op;
+             src;
+             segment;
+             off = doff;
+             count = 4;
+             notified = Segment.should_notify segment ~requested:notify;
+             cas_success = Some swapped;
+           });
+      Obs.Trace.serve_arg sv "cas" (string_of_bool swapped);
+      (if Segment.should_notify segment ~requested:notify then
+         Notification.post
+           ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
+           (Segment.notification segment)
+           {
+             Notification.src;
+             kind = Notification.Cas_applied;
+             off = doff;
+             count = 4;
+           });
+      reply_cas t sv src ~reqid ~status:Status.Ok ~witness
+  | status ->
+      record_error t status;
+      if monitored t then emit t
+        (Serve_rejected
+           { op = Rights.Cas_op; src; seg; gen; off = doff; count = 4; status });
+      Obs.Trace.serve_arg sv "status" (Status.to_string status);
+      reply_cas t sv src ~reqid ~status ~witness:0l
 
 (* ------------------------------------------------------------------ *)
 (* Reply handling at the requester.                                    *)
@@ -1291,40 +1261,57 @@ let read_completed t desc ~soff ~count status =
     (Completed
        { op = Rights.Read_op; desc; off = soff; count; status; cas_success = None })
 
+(* Whether reply chunk [i] of a READ is counted for the first time, and
+   mark it: a duplicated reply frame must not count twice towards the
+   READ's byte total, or the READ would complete with a chunk missing.
+   A READ that fits one chunk has no bitmap, and completes (and leaves
+   the pending table) on its first reply. *)
+let first_arrival chunks i =
+  let byte = i lsr 3 in
+  if byte >= Bytes.length chunks then true
+  else
+    let bits = Bytes.get_uint8 chunks byte in
+    let bit = 1 lsl (i land 7) in
+    bits land bit = 0
+    && begin
+         Bytes.set_uint8 chunks byte (bits lor bit);
+         true
+       end
+
 (* The pending-table lookups below use [Hashtbl.find], not [find_opt]:
    every reply frame passes here, and the option would be allocated. *)
-let handle_read_reply t ~src (r : Wire.read_reply) =
+let handle_read_reply t src ~status ~reqid ~chunk_off ~swab payload ~pos ~len =
   let c = costs t in
-  let count = r.data.Wire.len in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"deliver" in
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (Sim.Time.add
-       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c count))
+       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c len))
        (Sim.Time.add c.Cluster.Costs.reply_match c.Cluster.Costs.vm_deliver));
-  (match Hashtbl.find t.pending r.reqid with
+  (match Hashtbl.find t.pending reqid with
   | exception Not_found -> () (* late reply after a timeout: dropped *)
   | Pending_cas p ->
       (* A READ reply matched a pending CAS: protocol violation. Fail
          the operation instead of leaving the issuer blocked forever. *)
-      Hashtbl.remove t.pending r.reqid;
+      Hashtbl.remove t.pending reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
       Sim.Ivar.fill p.completion (Status.Bad_segment, 0l)
   | Pending_read p ->
-      if r.status <> Status.Ok then begin
-        Hashtbl.remove t.pending r.reqid;
-        record_error t r.status;
-        read_completed t p.desc ~soff:p.soff ~count:p.count r.status;
-        Obs.Trace.root_close sv ~status:(Status.to_string r.status);
-        Sim.Ivar.fill p.completion r.status
+      if status <> Status.Ok then begin
+        Hashtbl.remove t.pending reqid;
+        record_error t status;
+        read_completed t p.desc ~soff:p.soff ~count:p.count status;
+        Obs.Trace.root_close sv ~status:(Status.to_string status);
+        Sim.Ivar.fill p.completion status
       end
       else begin
-        deposit p.buf.space
-          ~addr:(p.buf.base + p.doff + r.chunk_off)
-          (received t ~category:t.client_category ~swab:r.swab r.data);
-        p.received <- p.received + count;
+        deposit_received t ~category:t.client_category ~swab p.buf.space
+          ~addr:(p.buf.base + p.doff + chunk_off)
+          payload ~pos ~len;
+        if first_arrival p.chunks (chunk_off / burst_data_bytes c) then
+          p.received <- p.received + len;
         if p.received >= p.count then begin
-          Hashtbl.remove t.pending r.reqid;
+          Hashtbl.remove t.pending reqid;
           if p.notify then
             Notification.post
               ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
@@ -1342,31 +1329,31 @@ let handle_read_reply t ~src (r : Wire.read_reply) =
       end);
   Obs.Trace.serve_end sv
 
-let handle_cas_reply t ~src (r : Wire.cas_reply) =
+let handle_cas_reply t src ~status ~reqid ~witness =
   let c = costs t in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"deliver" in
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 8))
        c.Cluster.Costs.reply_match);
-  (match Hashtbl.find t.pending r.reqid with
+  (match Hashtbl.find t.pending reqid with
   | exception Not_found -> ()
   | Pending_read p ->
       (* A CAS reply matched a pending READ: fail it rather than letting
          the issuer hang until its timeout (if it even set one). *)
-      Hashtbl.remove t.pending r.reqid;
+      Hashtbl.remove t.pending reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
       Sim.Ivar.fill p.completion Status.Bad_segment
   | Pending_cas p ->
-      Hashtbl.remove t.pending r.reqid;
-      if r.status <> Status.Ok then record_error t r.status;
+      Hashtbl.remove t.pending reqid;
+      if status <> Status.Ok then record_error t status;
       (match p.result with
-      | Some (buf, off) when r.status = Status.Ok ->
+      | Some (buf, off) when status = Status.Ok ->
           (* Deposit the paper's success/failure word locally. *)
           Cluster.Cpu.use (cpu t) ~category:t.client_category
             c.Cluster.Costs.vm_deliver;
-          let success = Int32.equal r.witness p.old_value in
+          let success = Int32.equal witness p.old_value in
           Cluster.Address_space.write_word buf.space ~addr:(buf.base + off)
             (if success then 1l else 0l)
       | Some _ | None -> ());
@@ -1387,38 +1374,47 @@ let handle_cas_reply t ~src (r : Wire.cas_reply) =
              desc = p.desc;
              off = p.cas_doff;
              count = 4;
-             status = r.status;
+             status;
              cas_success =
-               Some (r.status = Status.Ok && Int32.equal r.witness p.old_value);
+               Some (status = Status.Ok && Int32.equal witness p.old_value);
            });
-      Obs.Trace.root_close sv ~status:(Status.to_string r.status);
-      Sim.Ivar.fill p.completion (r.status, r.witness));
+      Obs.Trace.root_close sv ~status:(Status.to_string status);
+      Sim.Ivar.fill p.completion (status, witness));
   Obs.Trace.serve_end sv
 
 (* A write nack at the issuer: count it and remember the latest status
    per (destination, segment, generation) so a later [fence] or an
    explicit [take_write_failure] surfaces the loss to the caller. *)
-let handle_write_nack t ~src (n : Wire.write_nack) =
+let handle_write_nack t src ~status ~seg ~gen ~off ~count =
   let c = costs t in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"nack" in
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 12));
-  record_error t n.status;
+  record_error t status;
   Hashtbl.replace t.write_failures
-    (Atm.Addr.to_int src, n.seg, Generation.to_int n.gen)
-    n.status;
-  if monitored t then emit t (Nacked { src; nack = n });
-  Obs.Trace.root_close sv ~status:(Status.to_string n.status);
+    (Atm.Addr.to_int src, seg, Generation.to_int gen)
+    status;
+  if monitored t then
+    emit t (Nacked { src; nack = { Wire.status; seg; gen; off; count } });
+  Obs.Trace.root_close sv ~status:(Status.to_string status);
   Obs.Trace.serve_end sv
 
-let () =
-  handle_message :=
-    fun t ~src message ->
-      match message with
-      | Wire.Write w -> handle_write t ~src w
-      | Wire.Read r -> handle_read t ~src r
-      | Wire.Cas r -> handle_cas t ~src r
-      | Wire.Read_reply r -> handle_read_reply t ~src r
-      | Wire.Cas_reply r -> handle_cas_reply t ~src r
-      | Wire.Write_nack n -> handle_write_nack t ~src n
-      | Wire.Write_burst b -> handle_write_burst t ~src b
+let handlers =
+  {
+    Wire.write = handle_write;
+    read = handle_read;
+    read_reply = handle_read_reply;
+    cas = handle_cas;
+    cas_reply = handle_cas_reply;
+    write_nack = handle_write_nack;
+    write_burst = handle_write_burst;
+  }
+
+let attach node =
+  let t = create node in
+  List.iter
+    (fun tag ->
+      Cluster.Node.set_handler node ~tag (fun ~src payload ->
+          Wire.dispatch handlers t src payload))
+    Wire.tags;
+  t

@@ -61,9 +61,9 @@ let grant t ~importer rights =
   Hashtbl.replace t.grants (Atm.Addr.to_int importer) rights
 
 let rights_for t ~importer =
-  match Hashtbl.find_opt t.grants (Atm.Addr.to_int importer) with
-  | Some rights -> rights
-  | None -> t.default_rights
+  match Hashtbl.find t.grants (Atm.Addr.to_int importer) with
+  | rights -> rights
+  | exception Not_found -> t.default_rights
 
 let contains t ~off ~count =
   off >= 0 && count >= 0 && off + count <= t.len

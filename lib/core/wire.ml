@@ -211,105 +211,219 @@ let encode message =
         items);
   Atm.Codec.contents w
 
-(* The server's READ reply: the frame is allocated at its final size
-   with the data left for the caller to copy segment memory straight
-   into, at [header_bytes].  The header is set in place, in [encode]'s
-   layout, without a codec writer: this is on every reply frame's path. *)
-let read_reply_frame ~reqid ~chunk_off ~swab ~len =
-  if reqid < 0 || reqid > 0xFFFF || chunk_off < 0 || chunk_off > 0xFFFFFFFF || len < 0
-  then invalid_arg "Wire.read_reply_frame";
+(* Frames built in place: each is allocated at its final size and its
+   fields are set with [Bytes.set_*], in [encode]'s layout, without a
+   codec writer or a message record.  These are on every request's and
+   every reply's path; [encode] stays the reference they are tested
+   against. *)
+
+let in_range name v max = if v < 0 || v > max then invalid_arg name
+
+(* The first 8 bytes of a request frame or a READ reply: the tag, one
+   byte (segment or status), 16 bits (generation or request id), then
+   32 bits (offset). *)
+let set_header frame ~tag ~b1 ~u16 ~u32 =
+  Bytes.set_uint8 frame 0 tag;
+  Bytes.set_uint8 frame 1 b1;
+  Bytes.set_uint16_le frame 2 u16;
+  Bytes.set_int32_le frame 4 (Int32.of_int u32)
+
+let write_frame ~seg ~gen ~off ~notify ~swab buf ~pos ~len =
+  in_range "Wire.write_frame" seg 0xFF;
+  in_range "Wire.write_frame" off 0xFFFFFFFF;
   let frame = Bytes.create (header_bytes + len) in
-  Bytes.set_uint8 frame 0 (tag ~op:op_read_reply ~notify:false ~swab);
-  Bytes.set_uint8 frame 1 (Status.to_code Status.Ok);
+  set_header frame
+    ~tag:(tag ~op:op_write ~notify ~swab)
+    ~b1:seg ~u16:(Generation.to_int gen) ~u32:off;
+  Bytes.blit buf pos frame header_bytes len;
+  frame
+
+let read_frame ~seg ~gen ~soff ~count ~reqid ~notify ~swab =
+  in_range "Wire.read_frame" seg 0xFF;
+  in_range "Wire.read_frame" soff 0xFFFFFFFF;
+  in_range "Wire.read_frame" count 0xFFFFFFFF;
+  in_range "Wire.read_frame" reqid 0xFFFF;
+  let frame = Bytes.create 14 in
+  set_header frame
+    ~tag:(tag ~op:op_read ~notify ~swab)
+    ~b1:seg ~u16:(Generation.to_int gen) ~u32:soff;
+  Bytes.set_int32_le frame 8 (Int32.of_int count);
+  Bytes.set_uint16_le frame 12 reqid;
+  frame
+
+let cas_frame ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
+  in_range "Wire.cas_frame" seg 0xFF;
+  in_range "Wire.cas_frame" doff 0xFFFFFFFF;
+  in_range "Wire.cas_frame" reqid 0xFFFF;
+  let frame = Bytes.create 18 in
+  set_header frame
+    ~tag:(tag ~op:op_cas ~notify ~swab:false)
+    ~b1:seg ~u16:(Generation.to_int gen) ~u32:doff;
+  Bytes.set_int32_le frame 8 old_value;
+  Bytes.set_int32_le frame 12 new_value;
+  Bytes.set_uint16_le frame 16 reqid;
+  frame
+
+let cas_reply_frame ~status ~reqid ~witness =
+  in_range "Wire.cas_reply_frame" reqid 0xFFFF;
+  let frame = Bytes.create 8 in
+  Bytes.set_uint8 frame 0 (tag ~op:op_cas_reply ~notify:false ~swab:false);
+  Bytes.set_uint8 frame 1 (Status.to_code status);
   Bytes.set_uint16_le frame 2 reqid;
-  Bytes.set_int32_le frame 4 (Int32.of_int chunk_off);
+  Bytes.set_int32_le frame 4 witness;
+  frame
+
+(* The server's READ reply, with the data left for the caller to copy
+   segment memory straight into, at [header_bytes]. *)
+let read_reply_frame ~reqid ~chunk_off ~swab ~len =
+  in_range "Wire.read_reply_frame" reqid 0xFFFF;
+  in_range "Wire.read_reply_frame" chunk_off 0xFFFFFFFF;
+  if len < 0 then invalid_arg "Wire.read_reply_frame";
+  let frame = Bytes.create (header_bytes + len) in
+  set_header frame
+    ~tag:(tag ~op:op_read_reply ~notify:false ~swab)
+    ~b1:(Status.to_code Status.Ok) ~u16:reqid ~u32:chunk_off;
   frame
 
 exception Bad_message of string
 
-(* A view of the next [len] bytes of the payload [r] reads, consumed in
-   place. *)
-let take r payload len =
-  let pos = Atm.Codec.position r in
-  Atm.Codec.skip r len;
-  { buf = payload; pos; len }
+(* Receiving: one set of field readers, used in place by [dispatch] and
+   through it by [decode], so the data path and the reference codec
+   cannot disagree on a field, a bound or an exception. *)
 
-let rest r payload = take r payload (Atm.Codec.remaining r)
+type ('a, 'b, 'r) handlers = {
+  write :
+    'a -> 'b -> seg:int -> gen:Generation.t -> off:int -> notify:bool ->
+    swab:bool -> bytes -> pos:int -> len:int -> 'r;
+  read :
+    'a -> 'b -> seg:int -> gen:Generation.t -> soff:int -> count:int ->
+    reqid:int -> notify:bool -> swab:bool -> 'r;
+  read_reply :
+    'a -> 'b -> status:Status.t -> reqid:int -> chunk_off:int -> swab:bool ->
+    bytes -> pos:int -> len:int -> 'r;
+  cas :
+    'a -> 'b -> seg:int -> gen:Generation.t -> doff:int -> old_value:int32 ->
+    new_value:int32 -> reqid:int -> notify:bool -> 'r;
+  cas_reply : 'a -> 'b -> status:Status.t -> reqid:int -> witness:int32 -> 'r;
+  write_nack :
+    'a -> 'b -> status:Status.t -> seg:int -> gen:Generation.t -> off:int ->
+    count:int -> 'r;
+  write_burst :
+    'a -> 'b -> seg:int -> gen:Generation.t -> notify:bool -> swab:bool ->
+    burst_item list -> 'r;
+}
 
-(* A READ reply, the most frequent frame, is parsed in place, in the
-   order a codec reader would take its fields. *)
-let decode_read_reply payload ~swab =
+let u8 payload pos = Bytes.get_uint8 payload pos
+let u16 payload pos = Bytes.get_uint16_le payload pos
+let u32 payload pos = Int32.to_int (Bytes.get_int32_le payload pos) land 0xFFFFFFFF
+let gen_at payload pos = Generation.of_int (u16 payload pos)
+
+(* Every field of a fixed-size frame is checked at once: the frame must
+   reach [len] bytes, as a codec reader taking the fields in order
+   would have required. *)
+let need payload len =
+  if Bytes.length payload < len then raise Atm.Codec.Truncated
+
+(* A status byte comes first after the tag; it is checked (and may be
+   rejected) before the rest of the frame's length. *)
+let status_at payload =
+  need payload 2;
+  Status.of_code (u8 payload 1)
+
+(* A burst's extents, in frame order, as views into the payload. *)
+let burst_items payload n =
+  let rec items k pos acc =
+    if k = 0 then List.rev acc
+    else begin
+      need payload (pos + burst_item_header_bytes);
+      let off = u32 payload pos in
+      let len = u32 payload (pos + 4) in
+      let data_pos = pos + burst_item_header_bytes in
+      need payload (data_pos + len);
+      items (k - 1) (data_pos + len)
+        ({ off; data = { buf = payload; pos = data_pos; len } } :: acc)
+    end
+  in
+  items n burst_header_bytes []
+
+let dispatch h a b payload =
+  need payload 1;
+  let tag = u8 payload 0 in
+  let range = tag land 0xF0 in
+  if range <> tag_base && range <> tag_base_swab then
+    raise (Bad_message (Printf.sprintf "tag 0x%02x" tag));
+  let swab = range = tag_base_swab in
+  let notify = tag land 1 = 1 in
+  let op = (tag lsr 1) land 0x7 in
   let len = Bytes.length payload in
-  if len < 2 then raise Atm.Codec.Truncated;
-  let status = Status.of_code (Bytes.get_uint8 payload 1) in
-  if len < header_bytes then raise Atm.Codec.Truncated;
-  Read_reply
-    {
-      status;
-      reqid = Bytes.get_uint16_le payload 2;
-      chunk_off = Int32.to_int (Bytes.get_int32_le payload 4) land 0xFFFFFFFF;
-      swab;
-      data = { buf = payload; pos = header_bytes; len = len - header_bytes };
-    }
-
-(* Every other message, through a codec reader past the tag byte. *)
-let decode_fields payload ~op ~notify ~swab =
-  let r = Atm.Codec.reader ~pos:1 payload in
-  if op = op_write then
-    let seg = Atm.Codec.get_u8 r in
-    let gen = Generation.of_int (Atm.Codec.get_u16 r) in
-    let off = Atm.Codec.get_u32 r in
-    Write { seg; gen; off; notify; swab; data = rest r payload }
-  else if op = op_read then
-    let seg = Atm.Codec.get_u8 r in
-    let gen = Generation.of_int (Atm.Codec.get_u16 r) in
-    let soff = Atm.Codec.get_u32 r in
-    let count = Atm.Codec.get_u32 r in
-    let reqid = Atm.Codec.get_u16 r in
-    Read { seg; gen; soff; count; reqid; notify; swab }
-  else if op = op_cas then
-    let seg = Atm.Codec.get_u8 r in
-    let gen = Generation.of_int (Atm.Codec.get_u16 r) in
-    let doff = Atm.Codec.get_u32 r in
-    let old_value = Atm.Codec.get_i32 r in
-    let new_value = Atm.Codec.get_i32 r in
-    let reqid = Atm.Codec.get_u16 r in
-    Cas { seg; gen; doff; old_value; new_value; reqid; notify }
-  else if op = op_cas_reply then
-    let status = Status.of_code (Atm.Codec.get_u8 r) in
-    let reqid = Atm.Codec.get_u16 r in
-    let witness = Atm.Codec.get_i32 r in
-    Cas_reply { status; reqid; witness }
-  else if op = op_write_nack then
-    let status = Status.of_code (Atm.Codec.get_u8 r) in
-    let seg = Atm.Codec.get_u8 r in
-    let gen = Generation.of_int (Atm.Codec.get_u16 r) in
-    let off = Atm.Codec.get_u32 r in
-    let count = Atm.Codec.get_u32 r in
-    Write_nack { status; seg; gen; off; count }
+  if op = op_read_reply then begin
+    let status = status_at payload in
+    need payload header_bytes;
+    h.read_reply a b ~status ~reqid:(u16 payload 2) ~chunk_off:(u32 payload 4)
+      ~swab payload ~pos:header_bytes ~len:(len - header_bytes)
+  end
+  else if op = op_write then begin
+    need payload header_bytes;
+    h.write a b ~seg:(u8 payload 1) ~gen:(gen_at payload 2)
+      ~off:(u32 payload 4) ~notify ~swab payload ~pos:header_bytes
+      ~len:(len - header_bytes)
+  end
+  else if op = op_read then begin
+    need payload 14;
+    h.read a b ~seg:(u8 payload 1) ~gen:(gen_at payload 2)
+      ~soff:(u32 payload 4) ~count:(u32 payload 8) ~reqid:(u16 payload 12)
+      ~notify ~swab
+  end
+  else if op = op_cas then begin
+    need payload 18;
+    h.cas a b ~seg:(u8 payload 1) ~gen:(gen_at payload 2)
+      ~doff:(u32 payload 4)
+      ~old_value:(Bytes.get_int32_le payload 8)
+      ~new_value:(Bytes.get_int32_le payload 12)
+      ~reqid:(u16 payload 16) ~notify
+  end
+  else if op = op_cas_reply then begin
+    let status = status_at payload in
+    need payload 8;
+    h.cas_reply a b ~status ~reqid:(u16 payload 2)
+      ~witness:(Bytes.get_int32_le payload 4)
+  end
+  else if op = op_write_nack then begin
+    let status = status_at payload in
+    need payload 13;
+    h.write_nack a b ~status ~seg:(u8 payload 2) ~gen:(gen_at payload 3)
+      ~off:(u32 payload 5) ~count:(u32 payload 9)
+  end
   else if op = op_write_burst then begin
-    let seg = Atm.Codec.get_u8 r in
-    let gen = Generation.of_int (Atm.Codec.get_u16 r) in
-    let n = Atm.Codec.get_u16 r in
-    (* The reader is stateful: decode extents explicitly in frame order. *)
-    let rec decode_items k acc =
-      if k = 0 then List.rev acc
-      else begin
-        let off = Atm.Codec.get_u32 r in
-        let len = Atm.Codec.get_u32 r in
-        decode_items (k - 1) ({ off; data = take r payload len } :: acc)
-      end
-    in
-    Write_burst { seg; gen; notify; swab; items = decode_items n [] }
+    need payload burst_header_bytes;
+    let items = burst_items payload (u16 payload 4) in
+    h.write_burst a b ~seg:(u8 payload 1) ~gen:(gen_at payload 2) ~notify
+      ~swab items
   end
   else raise (Bad_message (Printf.sprintf "op %d" op))
 
-let decode payload =
-  if Bytes.length payload = 0 then raise Atm.Codec.Truncated;
-  let tag = Bytes.get_uint8 payload 0 in
-  if tag land 0xF0 <> tag_base && tag land 0xF0 <> tag_base_swab then
-    raise (Bad_message (Printf.sprintf "tag 0x%02x" tag));
-  let swab = tag land 0xF0 = tag_base_swab in
-  let op = (tag lsr 1) land 0x7 in
-  if op = op_read_reply then decode_read_reply payload ~swab
-  else decode_fields payload ~op ~notify:(tag land 1 = 1) ~swab
+let decoder =
+  {
+    write =
+      (fun () () ~seg ~gen ~off ~notify ~swab buf ~pos ~len ->
+        Write { seg; gen; off; notify; swab; data = { buf; pos; len } });
+    read =
+      (fun () () ~seg ~gen ~soff ~count ~reqid ~notify ~swab ->
+        Read { seg; gen; soff; count; reqid; notify; swab });
+    read_reply =
+      (fun () () ~status ~reqid ~chunk_off ~swab buf ~pos ~len ->
+        Read_reply { status; reqid; chunk_off; swab; data = { buf; pos; len } });
+    cas =
+      (fun () () ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify ->
+        Cas { seg; gen; doff; old_value; new_value; reqid; notify });
+    cas_reply =
+      (fun () () ~status ~reqid ~witness -> Cas_reply { status; reqid; witness });
+    write_nack =
+      (fun () () ~status ~seg ~gen ~off ~count ->
+        Write_nack { status; seg; gen; off; count });
+    write_burst =
+      (fun () () ~seg ~gen ~notify ~swab items ->
+        Write_burst { seg; gen; notify; swab; items });
+  }
+
+let decode payload = dispatch decoder () () payload

@@ -118,7 +118,27 @@ val burst_frame_bytes : burst_item list -> int
 (** Full frame size of a burst: header + per-extent descriptors + data. *)
 
 val encode : message -> bytes
-(** A fresh frame of exactly the message's encoded size. *)
+(** A fresh frame of exactly the message's encoded size. The reference
+    encoder: the frames below are built in place, without a message
+    record, and are identical to its output. *)
+
+val write_frame :
+  seg:int -> gen:Generation.t -> off:int -> notify:bool -> swab:bool ->
+  bytes -> pos:int -> len:int -> bytes
+(** The WRITE frame carrying [len] bytes of the buffer from [pos]. *)
+
+val read_frame :
+  seg:int -> gen:Generation.t -> soff:int -> count:int -> reqid:int ->
+  notify:bool -> swab:bool -> bytes
+(** A READ request frame. *)
+
+val cas_frame :
+  seg:int -> gen:Generation.t -> doff:int -> old_value:int32 ->
+  new_value:int32 -> reqid:int -> notify:bool -> bytes
+(** A CAS request frame. *)
+
+val cas_reply_frame : status:Status.t -> reqid:int -> witness:int32 -> bytes
+(** A CAS reply frame. *)
 
 val read_reply_frame :
   reqid:int -> chunk_off:int -> swab:bool -> len:int -> bytes
@@ -126,10 +146,42 @@ val read_reply_frame :
     once the caller has filled the data, which is left unwritten at
     [header_bytes]: the server copies segment memory straight in. *)
 
+(** What to do with each kind of received frame: one function per
+    message kind, given two context values passed through from
+    {!dispatch} and the frame's fields. Data fields arrive as the
+    payload with the data's position and length in it. *)
+type ('a, 'b, 'r) handlers = {
+  write :
+    'a -> 'b -> seg:int -> gen:Generation.t -> off:int -> notify:bool ->
+    swab:bool -> bytes -> pos:int -> len:int -> 'r;
+  read :
+    'a -> 'b -> seg:int -> gen:Generation.t -> soff:int -> count:int ->
+    reqid:int -> notify:bool -> swab:bool -> 'r;
+  read_reply :
+    'a -> 'b -> status:Status.t -> reqid:int -> chunk_off:int -> swab:bool ->
+    bytes -> pos:int -> len:int -> 'r;
+  cas :
+    'a -> 'b -> seg:int -> gen:Generation.t -> doff:int -> old_value:int32 ->
+    new_value:int32 -> reqid:int -> notify:bool -> 'r;
+  cas_reply : 'a -> 'b -> status:Status.t -> reqid:int -> witness:int32 -> 'r;
+  write_nack :
+    'a -> 'b -> status:Status.t -> seg:int -> gen:Generation.t -> off:int ->
+    count:int -> 'r;
+  write_burst :
+    'a -> 'b -> seg:int -> gen:Generation.t -> notify:bool -> swab:bool ->
+    burst_item list -> 'r;
+}
+
+val dispatch : ('a, 'b, 'r) handlers -> 'a -> 'b -> bytes -> 'r
+(** [dispatch h a b payload] reads the frame's tag and fields in place
+    and calls the handler for its kind with them: no message record is
+    built. Raises {!Bad_message} or [Atm.Codec.Truncated] on malformed
+    input, before any handler runs. *)
+
 val decode : bytes -> message
-(** Data fields are views into the argument, which must not change
-    while they are in use. Raises {!Bad_message} or
-    [Atm.Codec.Truncated] on malformed input. *)
+(** {!dispatch} with handlers that build the message: the reference
+    decoder. Data fields are views into the argument, which must not
+    change while they are in use. Raises as {!dispatch} does. *)
 
 val swap_words : ?pos:int -> ?len:int -> bytes -> bytes
 (** Byte-swap each aligned 32-bit word of [len] bytes from [pos]

@@ -504,20 +504,29 @@ let rpc_fetch t op =
 
 let remote_fetch t op =
   (* The enclosing scope makes every meta-instruction the fetch issues a
-     child span of one "DX:read"-style fetch span. *)
+     child span of one "DX:read"-style fetch span.  Its name is built
+     only when a tracer is attached, and a match closes it, so an
+     untraced fetch allocates neither the name nor a closure. *)
   let scope =
-    Obs.Trace.scope_begin
-      ~node:(Atm.Addr.to_int (Cluster.Node.addr t.node))
-      ~name:
-        (Printf.sprintf "%s:%s" (scheme_to_string t.scheme) (Nfs_ops.label op))
+    if Obs.Trace.enabled () then
+      Obs.Trace.scope_begin
+        ~node:(Atm.Addr.to_int (Cluster.Node.addr t.node))
+        ~name:
+          (Printf.sprintf "%s:%s" (scheme_to_string t.scheme) (Nfs_ops.label op))
+    else None
   in
-  Fun.protect
-    ~finally:(fun () -> Obs.Trace.scope_end scope)
-    (fun () ->
-      match t.scheme with
-      | Dx -> dx_fetch t op
-      | Hybrid1 -> hybrid_fetch t op
-      | Rpc_baseline -> rpc_fetch t op)
+  match
+    match t.scheme with
+    | Dx -> dx_fetch t op
+    | Hybrid1 -> hybrid_fetch t op
+    | Rpc_baseline -> rpc_fetch t op
+  with
+  | result ->
+      Obs.Trace.scope_end scope;
+      result
+  | exception exn ->
+      Obs.Trace.scope_end scope;
+      raise exn
 
 (* Local cache consultation. *)
 let local_lookup t op =

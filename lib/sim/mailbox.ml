@@ -2,22 +2,20 @@
 
 type 'a t = {
   name : string;
-  label : Engine.label; (* built once: NIC receive loops block per frame *)
-  daemon : bool;
   messages : 'a Queue.t;
   readers : ('a -> unit) Queue.t;
-  enqueue : ('a -> unit) -> unit; (* built once: the [suspend_on] callback *)
+  parking : 'a Proc.parking; (* built once: NIC receive loops block per frame *)
 }
 
 let create ?(name = "mailbox") ?(daemon = false) () =
   let readers = Queue.create () in
   {
     name;
-    label = Engine.Quoted ("mailbox", name);
-    daemon;
     messages = Queue.create ();
     readers;
-    enqueue = (fun resume -> Queue.push resume readers);
+    parking =
+      Proc.parking ~daemon ~resource:(Engine.Quoted ("mailbox", name))
+        (fun resume -> Queue.push resume readers);
   }
 
 let name t = t.name
@@ -35,7 +33,7 @@ let send t msg =
 let recv t =
   if not (Queue.is_empty t.messages) then Queue.pop t.messages
   else
-    Proc.suspend_on ~daemon:t.daemon ~resource:t.label t.enqueue
+    Proc.park t.parking
 
 let try_recv t =
   if Queue.is_empty t.messages then None else Some (Queue.pop t.messages)

@@ -1,18 +1,26 @@
 (* Cooperative simulation processes built on OCaml effects.
 
-   A process is ordinary direct-style code; [wait] and [suspend] perform
+   A process is ordinary direct-style code; [wait] and [park] perform
    effects that the handler installed by [spawn] interprets against the
    engine's event queue.  Continuations are one-shot: a resume callback
    that fires a second time raises.
 
    Everything a process needs to handle its effects — its engine, its
    entry in the engine's waiter registry, the handler itself and the
-   preallocated reply to [Wait] — is built once at spawn, so a wait
-   allocates only the effect, the continuation and the thunk that
-   resumes it.  [suspend_on] is a single effect: the handler already
-   knows the process's waiter and links it into the registry, which is
-   what makes engine-level deadlock reports name processes and
-   resources.
+   preallocated reply to [Wait] — is built once at spawn.  [Wait] is a
+   constant effect: [wait] leaves its span in a module-level int that
+   the handler copies into the process, so a wait allocates only the
+   continuation and the thunk that resumes it.
+
+   Blocking is one effect, [Park], which carries its own handler.  A
+   [parking] is that handler, built once by whoever owns the queue a
+   process blocks on ([Mailbox], [Resource]) or per call by
+   [suspend_on].  It learns which process parked from [current]: the
+   effect handler stores the process there just before returning the
+   parking, the runtime calls the parking at once with the continuation,
+   and the parking takes the process and clears the slot.  The slot only
+   ever holds a long-lived process record, never a continuation, and
+   holds it for no longer than that call.
 
    Wake thunks ([fun () -> continue k v]) are deliberately fresh young
    allocations rather than fields of the long-lived process record:
@@ -23,11 +31,6 @@
 open Effect
 open Effect.Deep
 
-type _ Effect.t +=
-  | Wait : Time.t -> unit Effect.t
-  | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-  | Suspend_on : Engine.label * bool * (('a -> unit) -> unit) -> 'a Effect.t
-
 type t = {
   engine : Engine.t;
   waiter : Engine.waiter;
@@ -36,14 +39,19 @@ type t = {
   on_wait : ((unit, unit) continuation -> unit) option;
 }
 
-let wait span = perform (Wait span)
+type 'a parking = (('a, unit) continuation -> unit) option
 
-let yield () = perform (Wait Time.zero)
+type _ Effect.t += Wait : unit Effect.t | Park : 'a parking -> 'a Effect.t
 
-let suspend register = perform (Suspend register)
+(* The span of the [Wait] being performed: an int, so storing it pays no
+   write barrier, and the effect itself is a constant. *)
+let wait_span = ref Time.zero
 
-let suspend_on ?(daemon = false) ~resource register =
-  perform (Suspend_on (resource, daemon, register))
+let wait span =
+  wait_span := span;
+  perform Wait
+
+let yield () = wait Time.zero
 
 let create engine who =
   let rec p =
@@ -64,6 +72,17 @@ let create engine who =
   in
   p
 
+(* The process that performed the [Park] being handled.  Between parks
+   it holds [nobody], a process of an engine that never runs, so the
+   slot is typed and pins no real process. *)
+let nobody = create (Engine.create ()) (Engine.Text "nobody")
+let current = ref nobody
+
+let parked () =
+  let p = !current in
+  current := nobody;
+  p
+
 let resumer p k =
   let expected = p.resumes in
   fun v ->
@@ -71,6 +90,21 @@ let resumer p k =
     p.resumes <- expected + 1;
     Engine.unblock p.waiter;
     Engine.schedule p.engine (fun () -> continue k v)
+
+let parking ?(daemon = false) ~resource register =
+  Some
+    (fun k ->
+      let p = parked () in
+      Engine.block p.engine p.waiter ~resource ~daemon;
+      register (resumer p k))
+
+let park parking = perform (Park parking)
+
+let suspend register =
+  park (Some (fun k -> register (resumer (parked ()) k)))
+
+let suspend_on ?daemon ~resource register =
+  park (parking ?daemon ~resource register)
 
 let finished () = ()
 let failed exn = raise exn
@@ -83,16 +117,12 @@ let handler p =
       (fun (type a) (eff : a Effect.t) :
            ((a, unit) continuation -> unit) option ->
         match eff with
-        | Wait span ->
-            p.span <- span;
+        | Wait ->
+            p.span <- !wait_span;
             p.on_wait
-        | Suspend register ->
-            Some (fun k -> register (resumer p k))
-        | Suspend_on (resource, daemon, register) ->
-            Some
-              (fun k ->
-                Engine.block p.engine p.waiter ~resource ~daemon;
-                register (resumer p k))
+        | Park parking ->
+            current := p;
+            parking
         | _ -> None);
   }
 

@@ -24,6 +24,20 @@ val suspend : (('a -> unit) -> unit) -> 'a
     [resume v] (at any later simulated instant) unblocks the process with
     value [v]. Double resumption raises [Invalid_argument]. *)
 
+type 'a parking
+(** A prebuilt handler for blocking: what {!park} does with the
+    blocked process. Build one per queue a process can block on, so
+    blocking allocates no handler. *)
+
+val parking :
+  ?daemon:bool -> resource:Engine.label -> (('a -> unit) -> unit) -> 'a parking
+(** [parking ~resource register] blocks like {!suspend_on} [~resource
+    register] each time it is {!park}ed on. *)
+
+val park : 'a parking -> 'a
+(** Block the current process as its parking says; the value is what
+    the process is resumed with. *)
+
 val suspend_on :
   ?daemon:bool -> resource:Engine.label -> (('a -> unit) -> unit) -> 'a
 (** {!suspend}, but the block is recorded in the engine's waiter

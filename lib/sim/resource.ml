@@ -5,10 +5,9 @@
 
 type t = {
   name : string;
-  label : Engine.label; (* built once: a busy CPU is contended per charge *)
   mutable busy : bool;
   waiters : (unit -> unit) Queue.t;
-  enqueue : (unit -> unit) -> unit; (* built once: the [suspend_on] callback *)
+  parking : unit Proc.parking; (* built once: a busy CPU is contended per charge *)
   mutable acquisitions : int;
   mutable contended : int;
 }
@@ -17,10 +16,11 @@ let create ?(name = "resource") () =
   let waiters = Queue.create () in
   {
     name;
-    label = Engine.Quoted ("resource", name);
     busy = false;
     waiters;
-    enqueue = (fun resume -> Queue.push resume waiters);
+    parking =
+      Proc.parking ~resource:(Engine.Quoted ("resource", name))
+        (fun resume -> Queue.push resume waiters);
     acquisitions = 0;
     contended = 0;
   }
@@ -38,7 +38,7 @@ let acquire t =
   if not t.busy then t.busy <- true
   else begin
     t.contended <- t.contended + 1;
-    Proc.suspend_on ~resource:t.label t.enqueue
+    Proc.park t.parking
   end
 
 let release t =

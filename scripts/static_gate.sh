@@ -146,4 +146,19 @@ if grep -q 'Shard_clerk' lib/nameserver/reconciler.ml lib/nameserver/reconciler.
   fail "lib/nameserver/reconciler names Shard_clerk — the control plane must not reach into the data plane"
 fi
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 11. The simulator, the fabric and the protocol core preallocate with
+# types, not representation tricks: lib/sim, lib/atm and lib/core name
+# no Obj, whether as a path (Obj.magic, Stdlib.Obj.repr) or opened,
+# included or aliased.  Their allocation-lean paths (the slot heap's
+# dummy payload, the link's ring, the prebuilt parkings and the parked
+# process slot) are all typed, and must stay so.
+for d in lib/sim lib/atm lib/core; do
+  if grep -REn --include='*.ml' --include='*.mli' \
+    -e '(^|[^A-Za-z0-9_])Obj\.' \
+    -e '(open!?|include|=)[[:space:]]+(Stdlib\.)?Obj([^A-Za-z0-9_.]|$)' \
+    "$d" >&2; then
+    fail "$d names Obj — preallocate with a typed dummy instead"
+  fi
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

@@ -182,15 +182,123 @@ let wire_read_reply_frame =
                 data = Rmem.Wire.view (Bytes.of_string data);
               })))
 
+(* The receive side has one set of field readers: [Wire.dispatch] hands
+   them in place to the data path's handlers, and [Wire.decode] is
+   [dispatch] with handlers that build a message.  Handlers written
+   here, independently, must receive exactly the fields [decode]
+   returns, for every kind, in both tag ranges, with the notify bit set
+   and clear; on a truncated frame or a bad tag both paths raise the
+   same exception, and no handler runs first. *)
+let recording ran =
+  let data buf ~pos ~len = { Rmem.Wire.buf; pos; len } in
+  {
+    Rmem.Wire.write =
+      (fun () () ~seg ~gen ~off ~notify ~swab buf ~pos ~len ->
+        ran := true;
+        Rmem.Wire.Write { seg; gen; off; notify; swab; data = data buf ~pos ~len });
+    read =
+      (fun () () ~seg ~gen ~soff ~count ~reqid ~notify ~swab ->
+        ran := true;
+        Rmem.Wire.Read { seg; gen; soff; count; reqid; notify; swab });
+    read_reply =
+      (fun () () ~status ~reqid ~chunk_off ~swab buf ~pos ~len ->
+        ran := true;
+        Rmem.Wire.Read_reply
+          { status; reqid; chunk_off; swab; data = data buf ~pos ~len });
+    cas =
+      (fun () () ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify ->
+        ran := true;
+        Rmem.Wire.Cas { seg; gen; doff; old_value; new_value; reqid; notify });
+    cas_reply =
+      (fun () () ~status ~reqid ~witness ->
+        ran := true;
+        Rmem.Wire.Cas_reply { status; reqid; witness });
+    write_nack =
+      (fun () () ~status ~seg ~gen ~off ~count ->
+        ran := true;
+        Rmem.Wire.Write_nack { status; seg; gen; off; count });
+    write_burst =
+      (fun () () ~seg ~gen ~notify ~swab items ->
+        ran := true;
+        Rmem.Wire.Write_burst { seg; gen; notify; swab; items });
+  }
+
+let outcome f = match f () with m -> Ok (flat m) | exception exn -> Error exn
+
+let wire_dispatch_agrees =
+  QCheck.Test.make ~name:"wire dispatch agrees with decode" ~count:500
+    QCheck.(
+      quad arb_message bool bool (make Gen.(pair (0 -- 0x1FF) (0 -- 255))))
+    (fun (message, swab_range, notify, (cut, bad_range)) ->
+      let frame = Rmem.Wire.encode message in
+      let op = (Bytes.get_uint8 frame 0 lsr 1) land 0x7 in
+      let tag range = range lor (op lsl 1) lor if notify then 1 else 0 in
+      Bytes.set_uint8 frame 0 (tag (if swab_range then 0x30 else 0x10));
+      let agree ~expect payload =
+        let ran = ref false in
+        let via_dispatch =
+          outcome (fun () -> Rmem.Wire.dispatch (recording ran) () () payload)
+        in
+        let via_decode = outcome (fun () -> Rmem.Wire.decode payload) in
+        via_dispatch = via_decode
+        && expect via_dispatch
+        && match via_dispatch with Ok _ -> !ran | Error _ -> not !ran
+      in
+      let decoded = function Ok _ -> true | Error _ -> false in
+      (* A prefix either still holds every field or is reported as
+         truncated, never as an out-of-bounds read. *)
+      let whole_or_truncated = function
+        | Ok _ | Error Atm.Codec.Truncated -> true
+        | Error _ -> false
+      in
+      let rejected = function
+        | Error (Rmem.Wire.Bad_message _) -> true
+        | Ok _ | Error _ -> false
+      in
+      let truncated = Bytes.sub frame 0 (cut mod Bytes.length frame) in
+      let bad_tag = Bytes.copy frame in
+      (* Any high nibble but the two tag ranges'. *)
+      let range = bad_range land 0xF0 in
+      Bytes.set_uint8 bad_tag 0
+        (tag (if range = 0x10 || range = 0x30 then 0x50 else range));
+      agree ~expect:decoded frame
+      && agree ~expect:whole_or_truncated truncated
+      && agree ~expect:rejected bad_tag)
+
+(* The data path frames requests and replies in place; each frame is
+   byte for byte what the reference encoder writes. *)
+let wire_in_place_frames =
+  QCheck.Test.make ~name:"wire in-place frames match encode" ~count:300
+    arb_message (fun message ->
+      let in_place =
+        match message with
+        | Rmem.Wire.Write { seg; gen; off; notify; swab; data } ->
+            Some
+              (Rmem.Wire.write_frame ~seg ~gen ~off ~notify ~swab data.buf
+                 ~pos:data.pos ~len:data.len)
+        | Read { seg; gen; soff; count; reqid; notify; swab } ->
+            Some (Rmem.Wire.read_frame ~seg ~gen ~soff ~count ~reqid ~notify ~swab)
+        | Cas { seg; gen; doff; old_value; new_value; reqid; notify } ->
+            Some
+              (Rmem.Wire.cas_frame ~seg ~gen ~doff ~old_value ~new_value ~reqid
+                 ~notify)
+        | Cas_reply { status; reqid; witness } ->
+            Some (Rmem.Wire.cas_reply_frame ~status ~reqid ~witness)
+        | Read_reply _ | Write_nack _ | Write_burst _ -> None
+      in
+      match in_place with
+      | None -> QCheck.assume_fail ()
+      | Some frame -> Bytes.equal frame (Rmem.Wire.encode message))
+
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The host cost of the two data-path shapes, 4 KB each, against a
-   budget 10% above what they allocate (1708 and 1031 words, with the
+   budget 10% above what they allocate (1233 and 881 words, with the
    single-copy data path, the allocation-lean control path, monitor
-   events built only when a monitor is attached and allocation-free
-   frame hops): a reintroduced copy of the payload (4 KB is 512 words)
-   or a per-frame closure (13 reply frames) fails here rather than
-   waiting for the benchmark. *)
+   events built only when a monitor is attached, allocation-free frame
+   hops and in-place dispatch): a reintroduced copy of the payload (4 KB
+   is 512 words) or a per-frame closure (13 reply frames) fails here
+   rather than waiting for the benchmark. *)
 let allocation_budget () =
   let d = Rig.duo () in
   let data = Bytes.make 4096 'w' in
@@ -215,8 +323,63 @@ let allocation_budget () =
   in
   Printf.printf "4 KB READ: %.0f words; 4 KB pipelined write + fence: %.0f words\n"
     read_words write_words;
-  check_bool "4 KB READ within budget" true (read_words <= 1879.);
-  check_bool "4 KB write + fence within budget" true (write_words <= 1134.)
+  check_bool "4 KB READ within budget" true (read_words <= 1356.);
+  check_bool "4 KB write + fence within budget" true (write_words <= 969.)
+
+(* The fixed cost of one meta-instruction round trip: a 4-byte READ,
+   one request frame and one reply, against a budget 10% above what it
+   allocates (166 words).  A per-suspension handler closure, a decoded message
+   record or a per-request codec writer on the fixed path fails here. *)
+let round_trip_budget () =
+  let d = Rig.duo () in
+  let words =
+    Rig.run d (fun () ->
+        let _, desc = Rig.shared_segment d in
+        let dst = Rig.buffer0 d in
+        Rig.words_per_op ~n:200 (fun () ->
+            Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4 ~dst
+              ~doff:0 ()))
+  in
+  Printf.printf "4-byte READ round trip: %.0f words\n" words;
+  check_bool "4-byte READ round trip within budget" true (words <= 182.6)
+
+(* A duplicated reply chunk must not count twice towards a READ's byte
+   total: the first reply frame of a 4 KB READ is delivered twice, and
+   the READ may complete only once every chunk, the short last one
+   included, has been deposited. *)
+let duplicated_reply_chunk () =
+  let d = Rig.duo () in
+  let link =
+    List.find_map
+      (fun (src, dst, link) ->
+        match (src, dst) with
+        | Some 1, _ | _, Some 0 -> Some link
+        | _ -> None)
+      (Atm.Network.links (Cluster.Testbed.network d.Rig.testbed))
+    |> Option.get
+  in
+  let duplicated = ref false in
+  Atm.Link.set_interposer link
+    (Some
+       (fun frame ->
+         let payload = Atm.Frame.payload frame in
+         let op = (Bytes.get_uint8 payload 0 lsr 1) land 0x7 in
+         if op = 3 && not !duplicated then begin
+           duplicated := true;
+           Atm.Link.Duplicate 1
+         end
+         else Atm.Link.Deliver));
+  let source = Bytes.init 4096 (fun i -> Char.chr (i * 7 land 0xFF)) in
+  let got =
+    Rig.run d (fun () ->
+        let _, desc = Rig.shared_segment d in
+        Cluster.Address_space.write d.Rig.space1 ~addr:0 source;
+        Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4096
+          ~dst:(Rig.buffer0 d) ~doff:0 ();
+        Cluster.Address_space.read d.Rig.space0 ~addr:0 ~len:4096)
+  in
+  check_bool "a reply frame was duplicated" true !duplicated;
+  check_bool "every byte deposited before completion" true (Bytes.equal got source)
 
 let wire_write_header_size () =
   let encoded =
@@ -712,8 +875,13 @@ let suite =
       fences_leave_spaces_alone;
     Alcotest.test_case "byte accounting" `Quick stats_track_bytes;
     Alcotest.test_case "host allocation budget" `Quick allocation_budget;
+    Alcotest.test_case "round-trip allocation budget" `Quick round_trip_budget;
+    Alcotest.test_case "duplicated reply chunk counted once" `Quick
+      duplicated_reply_chunk;
     QCheck_alcotest.to_alcotest wire_roundtrip;
     QCheck_alcotest.to_alcotest wire_exact_size;
     QCheck_alcotest.to_alcotest wire_read_reply_frame;
+    QCheck_alcotest.to_alcotest wire_dispatch_agrees;
+    QCheck_alcotest.to_alcotest wire_in_place_frames;
     QCheck_alcotest.to_alcotest write_then_read_identity;
   ]

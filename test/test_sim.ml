@@ -666,10 +666,10 @@ let resource_exception_safe () =
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The control path's host cost, against budgets 10% above what the
-   allocation-lean path measures (9 words per wait, 48 per blocked read
-   and its fill, 39 per contended charge, none per event): a
-   reintroduced per-wait closure, registry entry or per-event record
-   fails here. *)
+   allocation-lean path measures (6 words per wait, 45 per blocked read
+   and its fill, 25 per contended charge, none per event): a
+   reintroduced per-wait closure or effect, registry entry, per-event
+   record or per-suspension handler fails here. *)
 let control_path_budget () =
   let n = 2000 in
   let engine = Sim.Engine.create () in
@@ -709,9 +709,26 @@ let control_path_budget () =
      %.2f; contended Cpu.use: %.2f\n"
     event wait blocked_read contended;
   check_bool "schedule + step allocates nothing" true (event < 0.5);
-  check_bool "Proc.wait within budget" true (wait <= 9.9);
-  check_bool "blocked Ivar.read + fill within budget" true (blocked_read <= 52.8);
-  check_bool "contended Cpu.use within budget" true (contended <= 42.9)
+  check_bool "Proc.wait within budget" true (wait <= 6.6);
+  check_bool "blocked Ivar.read + fill within budget" true (blocked_read <= 49.5);
+  check_bool "contended Cpu.use within budget" true (contended <= 27.5)
+
+(* A receiver blocked on an empty mailbox and the send that wakes it,
+   against a budget 10% above what they allocate (19 words): a
+   per-receive suspension handler fails here. *)
+let mailbox_budget () =
+  let n = 2000 in
+  let engine = Sim.Engine.create () in
+  let mailbox = Sim.Mailbox.create () in
+  let send () = Sim.Mailbox.send mailbox () in
+  let words =
+    Sim.Proc.run engine (fun () ->
+        Rig.words_per_op ~n (fun () ->
+            Sim.Engine.schedule_at engine (Sim.Engine.now engine + 1) send;
+            Sim.Mailbox.recv mailbox))
+  in
+  Printf.printf "blocked Mailbox.recv + send: %.2f words\n" words;
+  check_bool "blocked Mailbox.recv + send within budget" true (words <= 20.9)
 
 (* An uncontended CPU charge is one wait plus bookkeeping: attributing
    the time to its category must not box a float on top of the wait. *)
@@ -792,6 +809,7 @@ let suite =
       uncontended_charge_budget;
     Alcotest.test_case "control-path allocation budget" `Quick
       control_path_budget;
+    Alcotest.test_case "mailbox allocation budget" `Quick mailbox_budget;
     QCheck_alcotest.to_alcotest heap_pop_sorted;
     QCheck_alcotest.to_alcotest heap_same_time_seq_order;
     QCheck_alcotest.to_alcotest heap_matches_sorted_list;
