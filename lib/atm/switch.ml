@@ -10,7 +10,30 @@
    A frame addressed to a destination that was never attached and has no
    route (or whose node has been cut out of the fabric) is dropped and
    counted, not fatal: a crashed or partitioned peer must not abort the
-   whole simulation. *)
+   whole simulation.
+
+   Routing is one array read: [routes] maps every destination address to
+   its output link, a downlink where the port is attached here and a
+   trunk where only a route names one, and every other entry holds the
+   switch's [unrouted] sentinel, which means drop and count.
+
+   Each forwarding event runs a slot of its own, a record holding the
+   (link, frame) it forwards and a [fire] thunk built once with it.
+   Frames from several inputs can reach the switch at the same instant,
+   and a same-instant scheduler may fire their events in either order,
+   so unlike a link's in-flight ring the events cannot share one thunk
+   over a FIFO: each must carry its own frame.  A fired slot goes back
+   on a free stack and is refilled by a later frame.  Slots are not
+   cleared after firing, so each pins its last frame until it is
+   reused: a young frame written over the previous young one adds no
+   remembered-set entry, where a cleared slot would add one on every
+   reuse. *)
+
+type slot = {
+  mutable out : Link.t;
+  mutable frame : Frame.t;
+  fire : unit -> unit; (* returns the slot to the free stack, then sends *)
+}
 
 type t = {
   engine : Sim.Engine.t;
@@ -18,25 +41,42 @@ type t = {
   name : string;
   downlinks : (int, Link.t) Hashtbl.t;
   uplinks : (int, Link.t) Hashtbl.t;
-  routes : (int, Link.t) Hashtbl.t;
+  mutable routes : Link.t array; (* by destination address *)
+  unrouted : Link.t; (* the [routes] entry of an unreachable destination *)
   (* outgoing inter-switch trunks, in creation order (kept reversed) *)
   mutable trunks : Link.t list;
+  mutable free : slot array; (* free forwarding slots, a stack *)
+  mutable free_count : int;
   mutable frames_switched : int;
   mutable drops : int;
 }
 
 let create ?(name = "switch") engine config =
+  let unrouted = Link.create ~name:"unrouted" engine config ~deliver:ignore in
   {
     engine;
     config;
     name;
     downlinks = Hashtbl.create 8;
     uplinks = Hashtbl.create 8;
-    routes = Hashtbl.create 8;
+    routes = [||];
+    unrouted;
     trunks = [];
+    free = [||];
+    free_count = 0;
     frames_switched = 0;
     drops = 0;
   }
+
+(* Point [routes.(dst)] at [link], growing the table to cover [dst]. *)
+let set_route t dst link =
+  let size = Array.length t.routes in
+  if dst >= size then begin
+    let grown = Array.make (max (dst + 1) (2 * size)) t.unrouted in
+    Array.blit t.routes 0 grown 0 size;
+    t.routes <- grown
+  end;
+  t.routes.(dst) <- link
 
 let name t = t.name
 
@@ -48,26 +88,49 @@ let attach_port t nic =
       t.engine t.config
       ~deliver:(fun frame -> Nic.deliver nic frame)
   in
-  Hashtbl.replace t.downlinks (Addr.to_int addr) down
+  Hashtbl.replace t.downlinks (Addr.to_int addr) down;
+  set_route t (Addr.to_int addr) down
 
 let route t dst =
-  match Hashtbl.find t.downlinks dst with
-  | link -> link
-  | exception Not_found -> Hashtbl.find t.routes dst
+  if dst < Array.length t.routes then t.routes.(dst) else t.unrouted
+
+(* Push the slot back on the free stack, doubling the stack when full,
+   then forward its frame. *)
+let fire t slot () =
+  let out = slot.out and frame = slot.frame in
+  if t.free_count = Array.length t.free then begin
+    let grown = Array.make (max 8 (2 * t.free_count)) slot in
+    Array.blit t.free 0 grown 0 t.free_count;
+    t.free <- grown
+  end;
+  t.free.(t.free_count) <- slot;
+  t.free_count <- t.free_count + 1;
+  Link.send out frame
+
+(* A slot carrying [frame] to [out]: a free one refilled, or a new one
+   when every slot is in flight. *)
+let slot_for t out frame =
+  if t.free_count = 0 then
+    let rec slot = { out; frame; fire = (fun () -> fire t slot ()) } in
+    slot
+  else begin
+    t.free_count <- t.free_count - 1;
+    let slot = t.free.(t.free_count) in
+    slot.out <- out;
+    slot.frame <- frame;
+    slot
+  end
 
 let forward t frame =
-  match route t (Addr.to_int (Frame.dst frame)) with
-  | exception Not_found -> t.drops <- t.drops + 1
-  | link ->
-      t.frames_switched <- t.frames_switched + 1;
-      let now = Sim.Engine.now t.engine in
-      let out = Sim.Time.add now t.config.Config.switch_latency in
-      Obs.Trace.link_hop (Frame.ctx frame) ~name:t.name ~start:now ~finish:out;
-      (* One closure per event, unlike a link's in-flight ring: frames
-         from several inputs can reach this switch at the same instant,
-         and a same-instant scheduler may fire their events in either
-         order, so each event must carry its own (link, frame). *)
-      Sim.Engine.schedule_at t.engine out (fun () -> Link.send link frame)
+  let link = route t (Addr.to_int (Frame.dst frame)) in
+  if link == t.unrouted then t.drops <- t.drops + 1
+  else begin
+    t.frames_switched <- t.frames_switched + 1;
+    let now = Sim.Engine.now t.engine in
+    let out = Sim.Time.add now t.config.Config.switch_latency in
+    Obs.Trace.link_hop (Frame.ctx frame) ~name:t.name ~start:now ~finish:out;
+    Sim.Engine.schedule_at t.engine out (slot_for t link frame).fire
+  end
 
 let uplink_for t nic_addr =
   let up =
@@ -89,7 +152,9 @@ let trunk_to t peer =
   t.trunks <- link :: t.trunks;
   link
 
-let add_route t ~dst link = Hashtbl.replace t.routes dst link
+(* A directly attached port keeps its downlink. *)
+let add_route t ~dst link =
+  if not (Hashtbl.mem t.downlinks dst) then set_route t dst link
 
 let frames_switched t = t.frames_switched
 let drops t = t.drops

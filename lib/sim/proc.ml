@@ -6,11 +6,21 @@
    that fires a second time raises.
 
    Everything a process needs to handle its effects — its engine, its
-   entry in the engine's waiter registry, the handler itself and the
-   preallocated reply to [Wait] — is built once at spawn.  [Wait] is a
-   constant effect: [wait] leaves its span in a module-level int that
-   the handler copies into the process, so a wait allocates only the
-   continuation and the thunk that resumes it.
+   entry in the engine's waiter registry, the handler itself, the
+   preallocated reply to [Wait] and the thunk that ends a wait — is
+   built once at spawn.  [Wait] is a constant effect: [wait] leaves its
+   span in a module-level int that the handler copies into the process.
+   The reply stores the continuation in the process's [waiting] field
+   and schedules the process's [wake], which continues it; so a wait
+   allocates only the continuation.
+
+   [waiting] is never cleared.  A continuation that has been resumed has
+   given its stack back, so the stale one left in the field pins
+   nothing.  Clearing it would cost more than it saves: [caml_modify]
+   remembers a field only when its old value is not young, so writing a
+   young continuation over the previous (usually still young) one adds
+   no remembered-set entry, while writing it over a long-lived sentinel
+   would add one on every wait.
 
    Blocking is one effect, [Park], which carries its own handler.  A
    [parking] is that handler, built once by whoever owns the queue a
@@ -20,13 +30,9 @@
    parking, the runtime calls the parking at once with the continuation,
    and the parking takes the process and clears the slot.  The slot only
    ever holds a long-lived process record, never a continuation, and
-   holds it for no longer than that call.
-
-   Wake thunks ([fun () -> continue k v]) are deliberately fresh young
-   allocations rather than fields of the long-lived process record:
-   storing a young continuation into a promoted record pays the write
-   barrier on every wake, which measured slower on host CPU than
-   allocating the small closure. *)
+   holds it for no longer than that call.  A parked process is woken by
+   a fresh thunk ([fun () -> continue k v]), since [v] is typed by the
+   parking. *)
 
 open Effect
 open Effect.Deep
@@ -36,6 +42,8 @@ type t = {
   waiter : Engine.waiter;
   mutable span : Time.t; (* the argument of the [Wait] being handled *)
   mutable resumes : int; (* bumped by every resume; a stale resume sees it moved *)
+  mutable waiting : (unit, unit) continuation; (* the last [Wait]'s, never cleared *)
+  wake : unit -> unit; (* continues [waiting] *)
   on_wait : ((unit, unit) continuation -> unit) option;
 }
 
@@ -53,6 +61,28 @@ let wait span =
 
 let yield () = wait Time.zero
 
+(* A continuation that has already run to completion: the initial value
+   of every process's [waiting], typed without [Obj].  Resuming it
+   raises, and it holds no stack. *)
+let spent =
+  let captured : (unit, unit) continuation option ref = ref None in
+  match_with perform Wait
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
+          match eff with
+          | Wait -> Some (fun k -> captured := Some k)
+          | _ -> None);
+    };
+  match !captured with
+  | Some k ->
+      continue k ();
+      k
+  | None -> assert false
+
 let create engine who =
   let rec p =
     {
@@ -60,14 +90,17 @@ let create engine who =
       waiter = Engine.waiter who;
       span = Time.zero;
       resumes = 0;
+      waiting = spent;
+      wake = (fun () -> continue p.waiting ());
       on_wait =
         Some
           (fun k ->
+            p.waiting <- k;
             (* [schedule_at], not [schedule ~after]: passing the optional
                argument would box the span on every wait. *)
             Engine.schedule_at p.engine
               (Time.add (Engine.now p.engine) p.span)
-              (fun () -> continue k ()));
+              p.wake);
     }
   in
   p

@@ -1,6 +1,7 @@
 (* Tests for the ATM network layer. *)
 
 let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
 
 (* ---------------- AAL arithmetic ---------------- *)
 
@@ -225,6 +226,100 @@ let star_delivery () =
   | Some switch -> check_int "switched" 1 (Atm.Switch.frames_switched switch)
   | None -> Alcotest.fail "star has a switch"
 
+(* Two frames reach the switch at the same instant and a same-instant
+   scheduler fires their forwarding events in reverse: each event must
+   still forward its own frame, so host 0 gets host 2's frame first and
+   host 1's second, both intact.  A design where the events share one
+   thunk over a FIFO of frames would deliver them the other way round. *)
+let switch_same_instant_reorder () =
+  let engine = Sim.Engine.create () in
+  let config = Atm.Config.default in
+  let network = Atm.Network.create ~config ~topology:Atm.Network.Star engine ~nodes:3 in
+  let nic i = Atm.Network.nic_of_int network i in
+  let payload = Printf.sprintf "from host %d" in
+  let cells = Atm.Aal.cells_of_len (String.length (payload 1)) in
+  let switched =
+    Sim.Time.add
+      (Sim.Time.add
+         (cells * Atm.Config.cell_wire_time config)
+         config.Atm.Config.propagation)
+      config.Atm.Config.switch_latency
+  in
+  let reordered = ref false in
+  Sim.Engine.set_scheduler engine
+    (Some
+       (fun c ->
+         if c.Sim.Engine.at = switched then begin
+           reordered := true;
+           List.hd (List.rev c.Sim.Engine.enabled)
+         end
+         else List.hd c.Sim.Engine.enabled));
+  List.iter
+    (fun i ->
+      Atm.Nic.transmit (nic i) ~dst:(Atm.Nic.addr (nic 0))
+        (Bytes.of_string (payload i)))
+    [ 1; 2 ];
+  Sim.Engine.run engine;
+  check_bool "scheduler chose at the switch instant" true !reordered;
+  let received () =
+    let frame = Atm.Nic.receive (nic 0) in
+    ( Atm.Addr.to_int (Atm.Frame.src frame),
+      Bytes.to_string (Atm.Frame.payload frame),
+      Atm.Frame.intact frame )
+  in
+  let first = received () in
+  let second = received () in
+  Alcotest.(check (list (triple int string bool)))
+    "host 2's frame first, then host 1's"
+    [ (2, payload 2, true); (1, payload 1, true) ]
+    [ first; second ]
+
+(* Once a star's switch has built its forwarding slots, a frame's hop
+   through it allocates nothing: the words of a frame forwarded by the
+   switch onto host 0's downlink, less those of the same frame sent
+   straight onto that downlink. *)
+let switch_hop_allocates_nothing () =
+  let engine = Sim.Engine.create () in
+  let network = Atm.Network.create ~topology:Atm.Network.Star engine ~nodes:2 in
+  let switch =
+    match Atm.Network.switch network with
+    | Some switch -> switch
+    | None -> Alcotest.fail "star has a switch"
+  in
+  let down =
+    match
+      List.find_map
+        (function None, Some 0, link -> Some link | _ -> None)
+        (Atm.Network.links network)
+    with
+    | Some link -> link
+    | None -> Alcotest.fail "star has a downlink to host 0"
+  in
+  let nic0 = Atm.Network.nic_of_int network 0 in
+  let frame =
+    Atm.Frame.make ~src:(Atm.Addr.of_int 1) ~dst:(Atm.Addr.of_int 0)
+      (Bytes.make 100 'x')
+  in
+  let burst send () =
+    for _ = 1 to 32 do
+      send frame
+    done;
+    while Sim.Engine.step engine do
+      ()
+    done;
+    for _ = 1 to 32 do
+      ignore (Atm.Nic.receive nic0 : Atm.Frame.t)
+    done
+  in
+  let per_frame send = Rig.words_per_op ~n:200 (burst send) /. 32. in
+  let switched = per_frame (Atm.Switch.forward switch) in
+  let direct = per_frame (Atm.Link.send down) in
+  let hop = switched -. direct in
+  Printf.printf "switch hop: %.3f words per frame (%.3f through the switch, %.3f direct)\n"
+    hop switched direct;
+  check_int "every frame switched" (32 * 201) (Atm.Switch.frames_switched switch);
+  check_bool "switch hop allocates nothing" true (hop <= 0.1)
+
 let star_slower_than_mesh () =
   let time_of topology =
     let engine = Sim.Engine.create () in
@@ -281,6 +376,10 @@ let suite =
     Alcotest.test_case "mesh delivery" `Quick mesh_delivery;
     Alcotest.test_case "star delivery via switch" `Quick star_delivery;
     Alcotest.test_case "switch adds latency" `Quick star_slower_than_mesh;
+    Alcotest.test_case "same-instant switch reorder"
+      `Quick switch_same_instant_reorder;
+    Alcotest.test_case "switch hop allocates nothing" `Quick
+      switch_hop_allocates_nothing;
     Alcotest.test_case "nic rejects self transmit" `Quick nic_transmit_to_self_rejected;
     Alcotest.test_case "rx FIFO overflow is fatal" `Quick rx_overflow_raises;
     Alcotest.test_case "addr validation" `Quick addr_validation;

@@ -666,8 +666,8 @@ let resource_exception_safe () =
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The control path's host cost, against budgets 10% above what the
-   allocation-lean path measures (6 words per wait, 45 per blocked read
-   and its fill, 25 per contended charge, none per event): a
+   allocation-lean path measures (2 words per wait, 45 per blocked read
+   and its fill, 21 per contended charge, none per event): a
    reintroduced per-wait closure or effect, registry entry, per-event
    record or per-suspension handler fails here. *)
 let control_path_budget () =
@@ -709,9 +709,9 @@ let control_path_budget () =
      %.2f; contended Cpu.use: %.2f\n"
     event wait blocked_read contended;
   check_bool "schedule + step allocates nothing" true (event < 0.5);
-  check_bool "Proc.wait within budget" true (wait <= 6.6);
+  check_bool "Proc.wait within budget" true (wait <= 2.2);
   check_bool "blocked Ivar.read + fill within budget" true (blocked_read <= 49.5);
-  check_bool "contended Cpu.use within budget" true (contended <= 27.5)
+  check_bool "contended Cpu.use within budget" true (contended <= 23.1)
 
 (* A receiver blocked on an empty mailbox and the send that wakes it,
    against a budget 10% above what they allocate (19 words): a
