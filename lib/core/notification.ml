@@ -13,10 +13,10 @@ type record = { src : Atm.Addr.t; kind : kind; off : int; count : int }
 
 type t = {
   node : Cluster.Node.t;
-  name : string;
   delivery : string; (* the name of each delivery process *)
   queue : record Queue.t;
-  waiters : (record -> unit) Queue.t;
+  waiters : record Sim.Proc.sleepers;
+  label : Sim.Engine.label;
   mutable signal_handler : (record -> unit) option;
   mutable posted : int;
   mutable delivered : int;
@@ -26,10 +26,10 @@ type t = {
 let create ?(name = "fd") node =
   {
     node;
-    name;
     delivery = name ^ " delivery";
     queue = Queue.create ();
-    waiters = Queue.create ();
+    waiters = Sim.Proc.sleepers ();
+    label = Sim.Engine.Quoted ("notification", name);
     signal_handler = None;
     posted = 0;
     delivered = 0;
@@ -65,10 +65,9 @@ let post ?ctx t record =
         (Cluster.Node.costs t.node).Cluster.Costs.notification;
       t.delivered <- t.delivered + 1;
       Obs.Trace.span_end_opt span;
-      if not (Queue.is_empty t.waiters) then begin
-        let resume = Queue.pop t.waiters in
+      if not (Sim.Proc.is_empty t.waiters) then begin
         observed t record;
-        resume record
+        Sim.Proc.wake t.waiters record
       end
       else
         match t.signal_handler with
@@ -84,9 +83,7 @@ let wait t =
     record
   end
   else
-    Sim.Proc.suspend_on
-      ~resource:(Sim.Engine.Quoted ("notification", t.name))
-      (fun resume -> Queue.push resume t.waiters)
+    Sim.Proc.sleep t.waiters ~resource:t.label ~daemon:false
 
 let try_read t =
   if Queue.is_empty t.queue then None

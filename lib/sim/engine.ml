@@ -2,10 +2,10 @@
 
    Two additions ride on the basic loop:
 
-   - a registry of blocked waiters (filled in by Mailbox and Resource
-     through their prebuilt [Proc.parking], and by Ivar via
-     [Proc.suspend_on]) so that a drained queue with live waiters is
-     recognized as a deadlock and reported by name;
+   - a registry of blocked waiters (filled in by [Proc.sleep], the one
+     way Ivar, Mailbox, Resource and every other queue block a process)
+     so that a drained queue with live waiters is recognized as a
+     deadlock and reported by name;
    - a pluggable same-instant scheduler: when more than one event is
      enabled at the next instant, an installed scheduler picks which
      fires first.  With no scheduler installed the engine keeps its

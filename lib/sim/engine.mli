@@ -92,9 +92,8 @@ val step_seq : t -> int -> bool
 
 (** {1 Blocked-waiter registry}
 
-    Synchronization primitives register who is blocked on what (via a
-    [Proc.parking] or [Proc.suspend_on]) so deadlocks can be reported by
-    name. *)
+    Synchronization primitives register who is blocked on what (via
+    [Proc.sleep]) so deadlocks can be reported by name. *)
 
 type label =
   | Text of string  (** printed as is *)

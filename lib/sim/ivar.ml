@@ -1,43 +1,46 @@
 (* Write-once synchronization variables. *)
 
-type 'a state = Empty of ('a -> unit) list | Full of 'a
+type 'a state = Empty | Full of 'a
 
-type 'a t = { name : string; mutable state : 'a state }
+(* Readers that find the ivar empty sleep on [readers]; each reads the
+   value from the ivar once woken. *)
+type 'a t = {
+  name : string;
+  mutable state : 'a state;
+  readers : unit Proc.sleepers;
+}
 
-let create ?(name = "ivar") () = { name; state = Empty [] }
+let create ?(name = "ivar") () =
+  { name; state = Empty; readers = Proc.sleepers () }
 
 let name t = t.name
 
-let is_full t = match t.state with Full _ -> true | Empty _ -> false
+let is_full t = match t.state with Full _ -> true | Empty -> false
 
-let peek t = match t.state with Full v -> Some v | Empty _ -> None
+let peek t = match t.state with Full v -> Some v | Empty -> None
 
 let fill t v =
   match t.state with
   | Full _ -> invalid_arg "Ivar.fill: already full"
-  | Empty waiters -> (
+  | Empty ->
       t.state <- Full v;
-      (* Resume in registration order for determinism.  No reader or a
-         single one, the usual cases, allocate no closure or list. *)
-      match waiters with
-      | [] -> ()
-      | [ resume ] -> resume v
-      | waiters -> List.iter (fun resume -> resume v) (List.rev waiters))
+      (* Wake in blocking order for determinism. *)
+      while not (Proc.is_empty t.readers) do
+        Proc.wake t.readers ()
+      done
 
 let try_fill t v =
   match t.state with
   | Full _ -> false
-  | Empty _ ->
+  | Empty ->
       fill t v;
       true
 
 let read t =
   match t.state with
   | Full v -> v
-  | Empty _ ->
-      Proc.suspend_on
+  | Empty -> (
+      Proc.sleep t.readers
         ~resource:(Engine.Quoted ("ivar", t.name))
-        (fun resume ->
-          match t.state with
-          | Full v -> resume v
-          | Empty waiters -> t.state <- Empty (resume :: waiters))
+        ~daemon:false;
+      match t.state with Full v -> v | Empty -> assert false)

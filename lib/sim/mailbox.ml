@@ -3,19 +3,18 @@
 type 'a t = {
   name : string;
   messages : 'a Queue.t;
-  readers : ('a -> unit) Queue.t;
-  parking : 'a Proc.parking; (* built once: NIC receive loops block per frame *)
+  readers : 'a Proc.sleepers;
+  label : Engine.label; (* built once: NIC receive loops block per frame *)
+  daemon : bool;
 }
 
 let create ?(name = "mailbox") ?(daemon = false) () =
-  let readers = Queue.create () in
   {
     name;
     messages = Queue.create ();
-    readers;
-    parking =
-      Proc.parking ~daemon ~resource:(Engine.Quoted ("mailbox", name))
-        (fun resume -> Queue.push resume readers);
+    readers = Proc.sleepers ();
+    label = Engine.Quoted ("mailbox", name);
+    daemon;
   }
 
 let name t = t.name
@@ -25,15 +24,12 @@ let length t = Queue.length t.messages
 let is_empty t = Queue.is_empty t.messages
 
 let send t msg =
-  if Queue.is_empty t.readers then Queue.push msg t.messages
-  else
-    let resume = Queue.pop t.readers in
-    resume msg
+  if Proc.is_empty t.readers then Queue.push msg t.messages
+  else Proc.wake t.readers msg
 
 let recv t =
   if not (Queue.is_empty t.messages) then Queue.pop t.messages
-  else
-    Proc.park t.parking
+  else Proc.sleep t.readers ~resource:t.label ~daemon:t.daemon
 
 let try_recv t =
   if Queue.is_empty t.messages then None else Some (Queue.pop t.messages)

@@ -1,18 +1,19 @@
 (* Cooperative simulation processes built on OCaml effects.
 
-   A process is ordinary direct-style code; [wait] and [park] perform
+   A process is ordinary direct-style code; [wait] and [sleep] perform
    effects that the handler installed by [spawn] interprets against the
-   engine's event queue.  Continuations are one-shot: a resume callback
-   that fires a second time raises.
+   engine's event queue.
 
    Everything a process needs to handle its effects — its engine, its
    entry in the engine's waiter registry, the handler itself, the
-   preallocated reply to [Wait] and the thunk that ends a wait — is
-   built once at spawn.  [Wait] is a constant effect: [wait] leaves its
+   preallocated replies and the thunk that ends a wait or a sleep — is
+   built once at spawn.  Every effect is a constant: [wait] leaves its
    span in a module-level int that the handler copies into the process.
-   The reply stores the continuation in the process's [waiting] field
-   and schedules the process's [wake], which continues it; so a wait
-   allocates only the continuation.
+
+   There is one way to stop: the reply stores the continuation in the
+   process's [waiting] field, and the process's prebuilt [wake] continues
+   it.  A [Wait] schedules [wake] itself, after the span; a [Sleep]
+   leaves that to whoever takes the process off its [sleepers] queue.
 
    [waiting] is never cleared.  A continuation that has been resumed has
    given its stack back, so the stale one left in the field pins
@@ -22,17 +23,12 @@
    no remembered-set entry, while writing it over a long-lived sentinel
    would add one on every wait.
 
-   Blocking is one effect, [Park], which carries its own handler.  A
-   [parking] is that handler, built once by whoever owns the queue a
-   process blocks on ([Mailbox], [Resource]) or per call by
-   [suspend_on].  It learns which process parked from [current]: the
-   effect handler stores the process there just before returning the
-   parking, the runtime calls the parking at once with the continuation,
-   and the parking takes the process and clears the slot.  The slot only
-   ever holds a long-lived process record, never a continuation, and
-   holds it for no longer than that call.  A parked process is woken by
-   a fresh thunk ([fun () -> continue k v]), since [v] is typed by the
-   parking. *)
+   A sleeper names itself with [Self], whose reply is prebuilt too, so
+   finding the process costs one continuation.  A [sleepers] queue holds
+   one node per sleep, and a wake takes the oldest node off: each node is
+   woken once, and the value handed to it is kept in the node, so a
+   woken process reads exactly what its waker gave it, whatever order
+   same-instant wakes fire in. *)
 
 open Effect
 open Effect.Deep
@@ -41,15 +37,17 @@ type t = {
   engine : Engine.t;
   waiter : Engine.waiter;
   mutable span : Time.t; (* the argument of the [Wait] being handled *)
-  mutable resumes : int; (* bumped by every resume; a stale resume sees it moved *)
-  mutable waiting : (unit, unit) continuation; (* the last [Wait]'s, never cleared *)
+  mutable waiting : (unit, unit) continuation; (* never cleared *)
   wake : unit -> unit; (* continues [waiting] *)
   on_wait : ((unit, unit) continuation -> unit) option;
+  on_sleep : ((unit, unit) continuation -> unit) option;
+  on_self : ((t, unit) continuation -> unit) option;
 }
 
-type 'a parking = (('a, unit) continuation -> unit) option
-
-type _ Effect.t += Wait : unit Effect.t | Park : 'a parking -> 'a Effect.t
+type _ Effect.t +=
+  | Wait : unit Effect.t
+  | Sleep : unit Effect.t
+  | Self : t Effect.t
 
 (* The span of the [Wait] being performed: an int, so storing it pays no
    write barrier, and the effect itself is a constant. *)
@@ -89,7 +87,6 @@ let create engine who =
       engine;
       waiter = Engine.waiter who;
       span = Time.zero;
-      resumes = 0;
       waiting = spent;
       wake = (fun () -> continue p.waiting ());
       on_wait =
@@ -101,43 +98,63 @@ let create engine who =
             Engine.schedule_at p.engine
               (Time.add (Engine.now p.engine) p.span)
               p.wake);
+      on_sleep = Some (fun k -> p.waiting <- k);
+      on_self = Some (fun k -> continue k p);
     }
   in
   p
 
-(* The process that performed the [Park] being handled.  Between parks
-   it holds [nobody], a process of an engine that never runs, so the
-   slot is typed and pins no real process. *)
-let nobody = create (Engine.create ()) (Engine.Text "nobody")
-let current = ref nobody
+(* ---------------- Sleeping ---------------- *)
 
-let parked () =
-  let p = !current in
-  current := nobody;
-  p
+(* One node per sleep, linked oldest first.  A wake takes the node off
+   the queue, after which its link is dead, and stores the value it
+   hands over in that same field: a node is [Sleeper] with a [next]
+   while it sleeps and [Sleeper] with [Handed v] once woken.
 
-let resumer p k =
-  let expected = p.resumes in
-  fun v ->
-    if p.resumes <> expected then invalid_arg "Proc: continuation resumed twice";
-    p.resumes <- expected + 1;
-    Engine.unblock p.waiter;
-    Engine.schedule p.engine (fun () -> continue k v)
+   By the old-value rule no field is ever cleared.  When the last
+   sleeper is woken it stays [oldest] (and [newest]), so a queue is
+   empty when [oldest] is a woken node or [Nil], before the first
+   sleep; the next sleeper's node is then written young over young. *)
+type 'a node =
+  | Nil
+  | Sleeper of { proc : t; mutable next : 'a node }
+  | Handed of 'a
 
-let parking ?(daemon = false) ~resource register =
-  Some
-    (fun k ->
-      let p = parked () in
-      Engine.block p.engine p.waiter ~resource ~daemon;
-      register (resumer p k))
+type 'a sleepers = { mutable oldest : 'a node; mutable newest : 'a node }
 
-let park parking = perform (Park parking)
+let sleepers () = { oldest = Nil; newest = Nil }
 
-let suspend register =
-  park (Some (fun k -> register (resumer (parked ()) k)))
+let is_empty q =
+  match q.oldest with
+  | Sleeper { next = Nil | Sleeper _; _ } -> false
+  | Sleeper { next = Handed _; _ } | Nil | Handed _ -> true
 
-let suspend_on ?daemon ~resource register =
-  park (parking ?daemon ~resource register)
+let sleep q ~resource ~daemon =
+  let p = perform Self in
+  Engine.block p.engine p.waiter ~resource ~daemon;
+  let node = Sleeper { proc = p; next = Nil } in
+  (if is_empty q then q.oldest <- node
+   else
+     match q.newest with
+     | Sleeper last -> last.next <- node
+     | Nil | Handed _ -> ());
+  q.newest <- node;
+  perform Sleep;
+  match node with
+  | Sleeper { next = Handed v; _ } -> v
+  | Sleeper _ | Nil | Handed _ -> assert false
+
+let wake q v =
+  match q.oldest with
+  | Sleeper ({ next = Nil | Sleeper _; _ } as s) ->
+      (match s.next with
+      | Sleeper _ as next -> q.oldest <- next
+      | Nil | Handed _ -> ());
+      s.next <- Handed v;
+      Engine.unblock s.proc.waiter;
+      Engine.schedule s.proc.engine s.proc.wake
+  | Sleeper { next = Handed _; _ } | Nil | Handed _ ->
+      invalid_arg "Proc: continuation resumed twice"
 
 let finished () = ()
 let failed exn = raise exn
@@ -153,9 +170,8 @@ let handler p =
         | Wait ->
             p.span <- !wait_span;
             p.on_wait
-        | Park parking ->
-            current := p;
-            parking
+        | Sleep -> p.on_sleep
+        | Self -> p.on_self
         | _ -> None);
   }
 

@@ -2,8 +2,9 @@
 
     A process is direct-style OCaml code running under an effect handler
     installed by {!spawn}. Within a process, {!wait} advances simulated
-    time and {!suspend} blocks until some other activity resumes it.
-    Calling either outside a process raises [Effect.Unhandled]. *)
+    time and {!sleep} blocks on a {!sleepers} queue until some other
+    activity {!wake}s it. Calling either outside a process raises the
+    runtime's unhandled-effect exception. *)
 
 val spawn : ?after:Time.t -> ?name:string -> Engine.t -> (unit -> unit) -> unit
 (** [spawn engine body] schedules [body] to start as a process, [after]
@@ -18,34 +19,33 @@ val wait : Time.t -> unit
 val yield : unit -> unit
 (** Reschedule the current process behind already-queued same-time events. *)
 
-val suspend : (('a -> unit) -> unit) -> 'a
-(** [suspend register] blocks the current process. [register] is called
-    immediately with a one-shot [resume] function; whoever calls
-    [resume v] (at any later simulated instant) unblocks the process with
-    value [v]. Double resumption raises [Invalid_argument]. *)
+type 'a sleepers
+(** Processes blocked on one queue, oldest first, each waiting to be
+    handed an ['a]. The blocking primitive under [Ivar], [Mailbox],
+    [Resource] and notification descriptors. *)
 
-type 'a parking
-(** A prebuilt handler for blocking: what {!park} does with the
-    blocked process. Build one per queue a process can block on, so
-    blocking allocates no handler. *)
+val sleepers : unit -> 'a sleepers
+(** An empty queue. *)
 
-val parking :
-  ?daemon:bool -> resource:Engine.label -> (('a -> unit) -> unit) -> 'a parking
-(** [parking ~resource register] blocks like {!suspend_on} [~resource
-    register] each time it is {!park}ed on. *)
+val is_empty : 'a sleepers -> bool
+(** No process is asleep on the queue. *)
 
-val park : 'a parking -> 'a
-(** Block the current process as its parking says; the value is what
-    the process is resumed with. *)
+val sleep : 'a sleepers -> resource:Engine.label -> daemon:bool -> 'a
+(** Block the current process at the tail of the queue until a {!wake}
+    takes it off, and return the value that wake handed it. The block
+    is recorded in the engine's waiter registry under the process's name
+    and [resource], and cleared on the wake — the raw material of
+    {!Engine.Deadlock} reports. [daemon] marks waits that idle between
+    requests by design (a server loop) and never count as deadlocked.
+    A sleep and its wake allocate two continuations (one finds the
+    process, one is the sleep), a queue node and the box that carries
+    the value: no closure. *)
 
-val suspend_on :
-  ?daemon:bool -> resource:Engine.label -> (('a -> unit) -> unit) -> 'a
-(** {!suspend}, but the block is recorded in the engine's waiter
-    registry under the current process's name and [resource], and
-    cleared on resume — the raw material of {!Engine.Deadlock} reports.
-    [daemon] marks waits that idle between requests by design (a server
-    loop) and never count as deadlocked. Blocking and waking allocate no
-    registry entry: the process's waiter is built at {!spawn}. *)
+val wake : 'a sleepers -> 'a -> unit
+(** Take the oldest sleeper off the queue, hand it the value and schedule
+    it to run now, behind already-queued same-time events. Each sleep is
+    woken once: a wake that finds the queue empty — a second or stale
+    wake — raises [Invalid_argument] and wakes nothing. *)
 
 val run : Engine.t -> (unit -> 'a) -> 'a
 (** [run engine body] spawns [body], drives the engine until quiescence

@@ -6,21 +6,18 @@
 type t = {
   name : string;
   mutable busy : bool;
-  waiters : (unit -> unit) Queue.t;
-  parking : unit Proc.parking; (* built once: a busy CPU is contended per charge *)
+  waiters : unit Proc.sleepers;
+  label : Engine.label; (* built once: a busy CPU is contended per charge *)
   mutable acquisitions : int;
   mutable contended : int;
 }
 
 let create ?(name = "resource") () =
-  let waiters = Queue.create () in
   {
     name;
     busy = false;
-    waiters;
-    parking =
-      Proc.parking ~resource:(Engine.Quoted ("resource", name))
-        (fun resume -> Queue.push resume waiters);
+    waiters = Proc.sleepers ();
+    label = Engine.Quoted ("resource", name);
     acquisitions = 0;
     contended = 0;
   }
@@ -38,16 +35,15 @@ let acquire t =
   if not t.busy then t.busy <- true
   else begin
     t.contended <- t.contended + 1;
-    Proc.park t.parking
+    Proc.sleep t.waiters ~resource:t.label ~daemon:false
   end
 
 let release t =
   if not t.busy then invalid_arg "Resource.release: not held";
-  if Queue.is_empty t.waiters then t.busy <- false
+  if Proc.is_empty t.waiters then t.busy <- false
   else
     (* Hand the resource directly to the next waiter; [busy] stays set. *)
-    let resume = Queue.pop t.waiters in
-    resume ()
+    Proc.wake t.waiters ()
 
 let with_resource t f =
   acquire t;

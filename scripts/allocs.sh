@@ -1,0 +1,44 @@
+#!/bin/sh
+# Allocation budgets: run only the test cases that measure host words
+# and print each measured figure beside its budget.
+#
+#   scripts/allocs.sh
+#
+# The cases are picked by name from the test runner's own listing
+# ("... allocation budget", "... allocate(s) nothing"), run once per
+# suite, and each figure is the line the case prints through
+# Rig.within_budget.  Output: one line per figure, "SUITE  WHAT  WORDS
+# BUDGET".  Exits 1 if a case failed (a figure over its budget or an
+# assertion around it), 0 otherwise.  Tightening a budget is this
+# script, then the figure plus 10% in the test.
+set -eu
+cd "$(dirname "$0")/.."
+dune build test/main.exe
+exe=_build/default/test/main.exe
+logs=$(mktemp -d)
+mkdir "$logs/out"
+trap 'rm -rf "$logs"' EXIT
+
+# "SUITE N" for every allocation case, in listing order.
+"$exe" list --color=never |
+  sed -n 's/^\([a-z_]*\) *\([0-9]*\)   \(.*\)$/\1 \2 \3/p' |
+  grep -E ' (allocation budget|allocates? nothing)\.$' |
+  cut -d' ' -f1,2 >"$logs/cases"
+[ -s "$logs/cases" ] || { echo "allocs: no allocation cases listed" >&2; exit 1; }
+
+status=0
+printf '%-8s %-42s %10s %10s\n' suite figure words budget
+for suite in $(cut -d' ' -f1 "$logs/cases" | uniq); do
+  numbers=$(grep "^$suite " "$logs/cases" | cut -d' ' -f2 | paste -sd, -)
+  if ! "$exe" test "^$suite\$" "$numbers" --verbose --color=never \
+    -o "$logs/out" >"$logs/$suite" 2>&1; then
+    status=1
+    echo "allocs: a $suite case failed (scripts/allocs.sh keeps going)" >&2
+  fi
+  sed -n 's/^budget: \(.*\): \([0-9.]*\) words (at most \([0-9.]*\))$/\1|\2|\3/p' \
+    "$logs/$suite" |
+    while IFS='|' read -r what words budget; do
+      printf '%-8s %-42s %10s %10s\n' "$suite" "$what" "$words" "$budget"
+    done
+done
+exit $status

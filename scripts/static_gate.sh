@@ -150,8 +150,9 @@ fi
 # types, not representation tricks: lib/sim, lib/atm and lib/core name
 # no Obj, whether as a path (Obj.magic, Stdlib.Obj.repr) or opened,
 # included or aliased.  Their allocation-lean paths (the slot heap's
-# dummy payload, the link's ring, the prebuilt parkings and the parked
-# process slot) are all typed, and must stay so.
+# dummy payload, the link's ring, the switch's forwarding slots, the
+# process record's spent continuation and its sleep queues' nodes) are
+# all typed, and must stay so.
 for d in lib/sim lib/atm lib/core; do
   if grep -REn --include='*.ml' --include='*.mli' \
     -e '(^|[^A-Za-z0-9_])Obj\.' \
@@ -161,4 +162,15 @@ for d in lib/sim lib/atm lib/core; do
   fi
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 12. One way to block: lib/sim/proc.ml is the only library file that
+# names Effect (as a path, opened, included or aliased), so every
+# blocking path in Ivar, Mailbox, Resource and beyond goes through its
+# sleep queues rather than an effect or handler of its own.
+if grep -REn --include='*.ml' --include='*.mli' \
+  -e '(^|[^A-Za-z0-9_])Effect\.' \
+  -e '(open!?|include|=)[[:space:]]+(Stdlib\.)?Effect([^A-Za-z0-9_.]|$)' \
+  lib | grep -v '^lib/sim/proc\.ml:' >&2; then
+  fail "only lib/sim/proc.ml may name Effect — block through Proc.sleep"
+fi
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

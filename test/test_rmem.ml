@@ -293,12 +293,13 @@ let wire_in_place_frames =
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The host cost of the two data-path shapes, 4 KB each, against a
-   budget 10% above what they allocate (1121 and 853 words, with the
+   budget 10% above what they allocate (961 and 813 words, with the
    single-copy data path, the allocation-lean control path, monitor
    events built only when a monitor is attached, allocation-free frame
-   hops, in-place dispatch and closure-free waits): a reintroduced copy
-   of the payload (4 KB is 512 words) or a per-frame closure (13 reply
-   frames) fails here rather than waiting for the benchmark. *)
+   hops, in-place dispatch and closure-free waits and sleeps): a
+   reintroduced copy of the payload (4 KB is 512 words) or a per-frame
+   closure (13 reply frames) fails here rather than waiting for the
+   benchmark. *)
 let allocation_budget () =
   let d = Rig.duo () in
   let data = Bytes.make 4096 'w' in
@@ -321,16 +322,15 @@ let allocation_budget () =
         in
         (read, write))
   in
-  Printf.printf "4 KB READ: %.0f words; 4 KB pipelined write + fence: %.0f words\n"
-    read_words write_words;
-  check_bool "4 KB READ within budget" true (read_words <= 1233.);
-  check_bool "4 KB write + fence within budget" true (write_words <= 938.)
+  Rig.within_budget "4 KB READ" ~words:read_words ~budget:1057.;
+  Rig.within_budget "4 KB pipelined write + fence" ~words:write_words
+    ~budget:894.
 
 (* The fixed cost of one meta-instruction round trip: a 4-byte READ,
    one request frame and one reply, against a budget 10% above what it
-   allocates (150 words).  A per-suspension handler closure, a per-wait
-   wake thunk, a decoded message record or a per-request codec writer on
-   the fixed path fails here. *)
+   allocates (110 words).  A per-sleep handler closure or wake thunk, a
+   per-wait wake thunk, a decoded message record or a per-request codec
+   writer on the fixed path fails here. *)
 let round_trip_budget () =
   let d = Rig.duo () in
   let words =
@@ -341,8 +341,7 @@ let round_trip_budget () =
             Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4 ~dst
               ~doff:0 ()))
   in
-  Printf.printf "4-byte READ round trip: %.0f words\n" words;
-  check_bool "4-byte READ round trip within budget" true (words <= 165.)
+  Rig.within_budget "4-byte READ round trip" ~words ~budget:121.
 
 (* A duplicated reply chunk must not count twice towards a READ's byte
    total: the first reply frame of a 4 KB READ is delivered twice, and
