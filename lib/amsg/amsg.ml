@@ -17,17 +17,21 @@ type handler = src:Atm.Addr.t -> bytes -> unit
 
 type t = {
   node : Cluster.Node.t;
-  handlers : (int, handler) Hashtbl.t;
+  handlers : handler array; (* indexed by handler id; [unregistered] if free *)
   mutable sent : int;
   mutable delivered : int;
   mutable handler_cpu : Sim.Time.t; (* receiver CPU spent in upcalls *)
 }
 
+(* The free slot's handler; delivery reports an unregistered id instead
+   of calling it. *)
+let unregistered ~src:_ _ = ()
+
 let attach node =
   let t =
     {
       node;
-      handlers = Hashtbl.create 8;
+      handlers = Array.make 256 unregistered;
       sent = 0;
       delivered = 0;
       handler_cpu = Sim.Time.zero;
@@ -49,24 +53,22 @@ let attach node =
               ~payload_bytes:(Bytes.length payload)));
       (* ...then run the handler upcall right here.  The handler charges
          its own computation (category: procedure). *)
-      match Hashtbl.find_opt t.handlers id with
-      | Some handler ->
-          let before = Cluster.Cpu.busy_time (Cluster.Node.cpu node) in
-          handler ~src args;
-          t.delivered <- t.delivered + 1;
-          t.handler_cpu <-
-            Sim.Time.add t.handler_cpu
-              (Sim.Time.diff
-                 (Cluster.Cpu.busy_time (Cluster.Node.cpu node))
-                 before)
-      | None ->
-          failwith (Printf.sprintf "Amsg: no handler %d registered" id));
+      let handler = t.handlers.(id) in
+      if handler == unregistered then
+        failwith (Printf.sprintf "Amsg: no handler %d registered" id);
+      let before = Cluster.Cpu.busy_time (Cluster.Node.cpu node) in
+      handler ~src args;
+      t.delivered <- t.delivered + 1;
+      t.handler_cpu <-
+        Sim.Time.add t.handler_cpu
+          (Sim.Time.diff (Cluster.Cpu.busy_time (Cluster.Node.cpu node)) before));
   t
 
 let register t ~id handler =
   if id < 0 || id > 255 then invalid_arg "Amsg.register: id out of range";
-  if Hashtbl.mem t.handlers id then invalid_arg "Amsg.register: id in use";
-  Hashtbl.replace t.handlers id handler
+  if t.handlers.(id) != unregistered then
+    invalid_arg "Amsg.register: id in use";
+  t.handlers.(id) <- handler
 
 let send t ~dst ~handler args =
   let len = Bytes.length args in

@@ -14,7 +14,7 @@ let ensure w extra =
   let needed = w.pos + extra in
   let capacity = Bytes.length w.buf in
   if needed > capacity then begin
-    let next = Stdlib.max needed (capacity * 2) in
+    let next = Int.max needed (capacity * 2) in
     let buf = Bytes.make next '\000' in
     Bytes.blit w.buf 0 buf 0 w.pos;
     w.buf <- buf

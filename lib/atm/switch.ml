@@ -72,7 +72,7 @@ let create ?(name = "switch") engine config =
 let set_route t dst link =
   let size = Array.length t.routes in
   if dst >= size then begin
-    let grown = Array.make (max (dst + 1) (2 * size)) t.unrouted in
+    let grown = Array.make (Int.max (dst + 1) (2 * size)) t.unrouted in
     Array.blit t.routes 0 grown 0 size;
     t.routes <- grown
   end;
@@ -99,7 +99,7 @@ let route t dst =
 let fire t slot () =
   let out = slot.out and frame = slot.frame in
   if t.free_count = Array.length t.free then begin
-    let grown = Array.make (max 8 (2 * t.free_count)) slot in
+    let grown = Array.make (Int.max 8 (2 * t.free_count)) slot in
     Array.blit t.free 0 grown 0 t.free_count;
     t.free <- grown
   end;

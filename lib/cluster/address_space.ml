@@ -16,13 +16,18 @@ let default_page_size = 4096
 type t = {
   asid : int;
   page_size : int;
-  pages : (int, bytes) Hashtbl.t;
-  pin_counts : (int, int) Hashtbl.t;
+  pages : bytes Sim.Int_table.t;
+  pin_counts : int Sim.Int_table.t;
 }
 
 let create ?(page_size = default_page_size) ~asid () =
   if page_size <= 0 then invalid_arg "Address_space.create: bad page size";
-  { asid; page_size; pages = Hashtbl.create 64; pin_counts = Hashtbl.create 16 }
+  {
+    asid;
+    page_size;
+    pages = Sim.Int_table.create 64;
+    pin_counts = Sim.Int_table.create 16;
+  }
 
 let asid t = t.asid
 let page_size t = t.page_size
@@ -33,11 +38,11 @@ let check_range t ~addr ~len =
 let page_of t addr = addr / t.page_size
 
 let page t index =
-  match Hashtbl.find t.pages index with
+  match Sim.Int_table.find t.pages index with
   | bytes -> bytes
   | exception Not_found ->
       let bytes = Bytes.make t.page_size '\000' in
-      Hashtbl.add t.pages index bytes;
+      Sim.Int_table.add t.pages index bytes;
       bytes
 
 (* Copy [remaining] bytes between the pages from address [cursor] and
@@ -47,7 +52,7 @@ let page t index =
 let rec copy_pages t ~cursor ~remaining buf ~at ~to_buf =
   if remaining > 0 then begin
     let off = cursor mod t.page_size in
-    let span = Stdlib.min remaining (t.page_size - off) in
+    let span = Int.min remaining (t.page_size - off) in
     let pg = page t (page_of t cursor) in
     if to_buf then Bytes.blit pg off buf at span else Bytes.blit buf at pg off span;
     copy_pages t ~cursor:(cursor + span) ~remaining:(remaining - span) buf
@@ -115,36 +120,36 @@ let cas_word t ~addr ~old_value ~new_value =
 
 let pin t ~addr ~len =
   check_range t ~addr ~len;
-  let first = page_of t addr and last = page_of t (addr + Stdlib.max 0 (len - 1)) in
+  let first = page_of t addr and last = page_of t (addr + Int.max 0 (len - 1)) in
   for index = first to last do
-    let n = Option.value ~default:0 (Hashtbl.find_opt t.pin_counts index) in
-    Hashtbl.replace t.pin_counts index (n + 1)
+    let n = Option.value ~default:0 (Sim.Int_table.find_opt t.pin_counts index) in
+    Sim.Int_table.replace t.pin_counts index (n + 1)
   done;
   last - first + 1
 
 let unpin t ~addr ~len =
   check_range t ~addr ~len;
-  let first = page_of t addr and last = page_of t (addr + Stdlib.max 0 (len - 1)) in
+  let first = page_of t addr and last = page_of t (addr + Int.max 0 (len - 1)) in
   for index = first to last do
-    match Hashtbl.find_opt t.pin_counts index with
+    match Sim.Int_table.find_opt t.pin_counts index with
     | None | Some 0 -> invalid_arg "Address_space.unpin: page not pinned"
-    | Some 1 -> Hashtbl.remove t.pin_counts index
-    | Some n -> Hashtbl.replace t.pin_counts index (n - 1)
+    | Some 1 -> Sim.Int_table.remove t.pin_counts index
+    | Some n -> Sim.Int_table.replace t.pin_counts index (n - 1)
   done
 
 let is_pinned t ~addr ~len =
   check_range t ~addr ~len;
-  let first = page_of t addr and last = page_of t (addr + Stdlib.max 0 (len - 1)) in
+  let first = page_of t addr and last = page_of t (addr + Int.max 0 (len - 1)) in
   let rec check index =
     if index > last then true
     else
-      match Hashtbl.find_opt t.pin_counts index with
+      match Sim.Int_table.find_opt t.pin_counts index with
       | Some n when n > 0 -> check (index + 1)
       | _ -> false
   in
   check first
 
 let pinned_pages t =
-  Hashtbl.fold (fun _ n acc -> if n > 0 then acc + 1 else acc) t.pin_counts 0
+  Sim.Int_table.fold (fun _ n acc -> if n > 0 then acc + 1 else acc) t.pin_counts 0
 
-let resident_pages t = Hashtbl.length t.pages
+let resident_pages t = Sim.Int_table.length t.pages

@@ -124,10 +124,10 @@ let insert_extent extents ~off data ~merged =
   | [] -> before @ ((off, data) :: after)
   | _ ->
       merged := !merged + List.length touching;
-      let new_lo = List.fold_left (fun acc (o, _) -> Stdlib.min acc o) lo touching in
+      let new_lo = List.fold_left (fun acc (o, _) -> Int.min acc o) lo touching in
       let new_hi =
         List.fold_left
-          (fun acc (o, d) -> Stdlib.max acc (o + Bytes.length d))
+          (fun acc (o, d) -> Int.max acc (o + Bytes.length d))
           hi touching
       in
       let buf = Bytes.create (new_hi - new_lo) in

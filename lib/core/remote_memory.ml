@@ -91,10 +91,10 @@ type t = {
   mutable rx_request_category : string;
   mutable tx_reply_category : string;
   mutable client_category : string;
-  exported : (int, Segment.t) Hashtbl.t;
+  exported : Segment.t Sim.Int_table.t;
   mutable next_segment_id : int;
   mutable next_generation : Generation.t;
-  pending : (int, pending) Hashtbl.t;
+  pending : pending Sim.Int_table.t;
   mutable next_reqid : int;
   completion_fd : Notification.t;
   ops : Metrics.Account.t;
@@ -194,10 +194,10 @@ let create node =
     rx_request_category = Cluster.Cpu.cat_emulation;
     tx_reply_category = Cluster.Cpu.cat_emulation;
     client_category = Cluster.Cpu.cat_emulation;
-    exported = Hashtbl.create 16;
+    exported = Sim.Int_table.create 16;
     next_segment_id = 1;
     next_generation = Generation.initial;
-    pending = Hashtbl.create 16;
+    pending = Sim.Int_table.create 16;
     next_reqid = 1;
     completion_fd = Notification.create ~name:"completion fd" node;
     ops = Metrics.Account.create ~name:"rmem ops" ();
@@ -221,10 +221,10 @@ let data_bytes t = t.data_bytes
 let errors t = t.errors
 
 (* Instantaneous state for the telemetry sampler. *)
-let inflight t = Hashtbl.length t.pending
+let inflight t = Sim.Int_table.length t.pending
 
 let notification_backlog t =
-  Hashtbl.fold
+  Sim.Int_table.fold
     (fun _ segment acc -> acc + Notification.pending (Segment.notification segment))
     t.exported
     (Notification.pending t.completion_fd)
@@ -298,7 +298,7 @@ let deposit_received t ~category ~swab space ~addr buf ~pos ~len =
 let alloc_segment_id t =
   let rec probe attempts candidate =
     if attempts > 256 then failwith "Remote_memory: out of segment ids"
-    else if Hashtbl.mem t.exported candidate then
+    else if Sim.Int_table.mem t.exported candidate then
       probe (attempts + 1) ((candidate + 1) land 0xFF)
     else candidate
   in
@@ -313,7 +313,7 @@ let export t ~space ~base ~len ?id ?(policy = Segment.Conditional)
     match id with
     | None -> alloc_segment_id t
     | Some id ->
-        if Hashtbl.mem t.exported id then
+        if Sim.Int_table.mem t.exported id then
           invalid_arg "Remote_memory.export: id in use";
         id
   in
@@ -328,7 +328,7 @@ let export t ~space ~base ~len ?id ?(policy = Segment.Conditional)
     Segment.create ~id ~name ~space ~base ~len ~generation
       ~default_rights:rights ~notification ~policy
   in
-  Hashtbl.replace t.exported id segment;
+  Sim.Int_table.replace t.exported id segment;
   Metrics.Account.add t.ops ~category:"export" 1.;
   if monitored t then emit t (Exported segment);
   segment
@@ -336,15 +336,15 @@ let export t ~space ~base ~len ?id ?(policy = Segment.Conditional)
 let revoke t segment =
   let c = costs t in
   Segment.mark_revoked segment;
-  Hashtbl.remove t.exported (Segment.id segment);
+  Sim.Int_table.remove t.exported (Segment.id segment);
   Cluster.Address_space.unpin (Segment.space segment)
     ~addr:(Segment.base segment) ~len:(Segment.length segment);
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     c.Cluster.Costs.segment_revoke_kernel;
   Metrics.Account.add t.ops ~category:"revoke" 1.
 
-let lookup_export t id = Hashtbl.find_opt t.exported id
-let exports t = Hashtbl.fold (fun _ segment acc -> segment :: acc) t.exported []
+let lookup_export t id = Sim.Int_table.find_opt t.exported id
+let exports t = Sim.Int_table.fold (fun _ segment acc -> segment :: acc) t.exported []
 
 let import t ~remote ~segment_id ~generation ~size
     ?(rights = Rights.read_only) () =
@@ -384,7 +384,7 @@ let alloc_reqid t =
     if attempts > 0x10000 then failwith "Remote_memory: out of request ids"
     else
       let candidate = if candidate = 0 then 1 else candidate in
-      if Hashtbl.mem t.pending candidate then
+      if Sim.Int_table.mem t.pending candidate then
         probe (attempts + 1) ((candidate + 1) land 0xFFFF)
       else candidate
   in
@@ -444,7 +444,7 @@ let issue t desc op ~name ~off ~count ~notify ~cas ~extents ~ctrl pending =
     | None -> 0
     | Some p ->
         let reqid = alloc_reqid t in
-        Hashtbl.replace t.pending reqid p;
+        Sim.Int_table.replace t.pending reqid p;
         reqid
   in
   let c = costs t in
@@ -482,7 +482,7 @@ let send_write_chunk t fl desc ~off ~notify ~swab data ~pos ~len =
 let rec send_write_chunks t fl desc ~off ~notify ~swab data ~burst pos =
   let count = Bytes.length data in
   if pos < count then begin
-    let len = Stdlib.min burst (count - pos) in
+    let len = Int.min burst (count - pos) in
     send_write_chunk t fl desc ~off ~notify:(notify && pos + len >= count) ~swab
       data ~pos ~len;
     send_write_chunks t fl desc ~off ~notify ~swab data ~burst (pos + len)
@@ -576,7 +576,7 @@ let arm_timeout t timeout reqid completion timed_out =
   | Some span ->
       watchdog t span (fun () ->
           if not (Sim.Ivar.is_full completion) then begin
-            Hashtbl.remove t.pending reqid;
+            Sim.Int_table.remove t.pending reqid;
             Metrics.Account.add t.errors ~category:"timeout" 1.;
             Sim.Ivar.fill completion timed_out
           end)
@@ -783,11 +783,11 @@ let exclusive fn timeout =
    extents must not overlap — an overwritten one would never verify. *)
 let verify_written ?timeout t desc ~swab extents =
   let lo =
-    List.fold_left (fun acc (off, _) -> Stdlib.min acc off) max_int extents
+    List.fold_left (fun acc (off, _) -> Int.min acc off) max_int extents
   in
   let hi =
     List.fold_left
-      (fun acc (off, data) -> Stdlib.max acc (off + Bytes.length data))
+      (fun acc (off, data) -> Int.max acc (off + Bytes.length data))
       0 extents
   in
   let span = hi - lo in
@@ -870,9 +870,9 @@ let fence ?timeout ?policy t desc =
    unblock with Timed_out rather than hanging forever, and forget any
    recorded write nacks. *)
 let crash t =
-  let pend = Hashtbl.fold (fun reqid p acc -> (reqid, p) :: acc) t.pending [] in
+  let pend = Sim.Int_table.fold (fun reqid p acc -> (reqid, p) :: acc) t.pending [] in
   let pend = List.sort (fun (a, _) (b, _) -> compare (a : int) b) pend in
-  Hashtbl.reset t.pending;
+  Sim.Int_table.reset t.pending;
   Hashtbl.reset t.write_failures;
   List.iter
     (fun (_, p) ->
@@ -891,7 +891,7 @@ let crash t =
    restart; pages stay pinned (the exporting process is assumed to
    re-register immediately). *)
 let restart_exports ?(preserve = []) t =
-  let segs = Hashtbl.fold (fun _ segment acc -> segment :: acc) t.exported [] in
+  let segs = Sim.Int_table.fold (fun _ segment acc -> segment :: acc) t.exported [] in
   let segs =
     List.sort (fun a b -> compare (Segment.id a) (Segment.id b)) segs
   in
@@ -907,7 +907,7 @@ let restart_exports ?(preserve = []) t =
         end
       in
       Segment.mark_revoked old;
-      Hashtbl.remove t.exported id;
+      Sim.Int_table.remove t.exported id;
       let segment =
         Segment.create ~id ~name:(Segment.name old)
           ~space:(Segment.space old) ~base:(Segment.base old)
@@ -915,7 +915,7 @@ let restart_exports ?(preserve = []) t =
           ~default_rights:(Segment.default_rights old)
           ~notification:(Segment.notification old) ~policy:(Segment.policy old)
       in
-      Hashtbl.replace t.exported id segment;
+      Sim.Int_table.replace t.exported id segment;
       Metrics.Account.add t.ops ~category:"re-export" 1.;
       if monitored t then emit t (Exported segment))
     segs
@@ -931,7 +931,7 @@ let record_error t status =
    checking a request allocates nothing.  On [Ok] the caller looks the
    segment up again, with no wait in between. *)
 let serve_status t ~src ~seg ~gen ~off ~count op =
-  match Hashtbl.find t.exported seg with
+  match Sim.Int_table.find t.exported seg with
   | exception Not_found -> Status.Bad_segment
   | segment ->
       if Segment.is_revoked segment then Status.Bad_segment
@@ -944,7 +944,7 @@ let serve_status t ~src ~seg ~gen ~off ~count op =
         not
           (Cluster.Address_space.is_pinned (Segment.space segment)
              ~addr:(Segment.base segment + off)
-             ~len:(Stdlib.max 1 count))
+             ~len:(Int.max 1 count))
       then Status.Unpinned
       else Status.Ok
 
@@ -980,7 +980,7 @@ let handle_write t src ~seg ~gen ~off ~notify ~swab payload ~pos ~len =
        c.Cluster.Costs.vm_deliver);
   match serve_status t ~src ~seg ~gen ~off ~count:len Rights.Write_op with
   | Status.Ok ->
-      let segment = Hashtbl.find t.exported seg in
+      let segment = Sim.Int_table.find t.exported seg in
       if Segment.write_inhibited segment then
         nack_write t sv src ~seg ~gen ~off ~count:len Status.Write_inhibited
       else begin
@@ -1027,7 +1027,7 @@ let rec burst_rejection t src ~seg ~gen = function
       let count = it.data.Wire.len in
       match serve_status t ~src ~seg ~gen ~off:it.off ~count Rights.Write_op with
       | Status.Ok ->
-          if Segment.write_inhibited (Hashtbl.find t.exported seg) then
+          if Segment.write_inhibited (Sim.Int_table.find t.exported seg) then
             Some (Status.Write_inhibited, it.off, count)
           else burst_rejection t src ~seg ~gen rest
       | status -> Some (status, it.off, count))
@@ -1086,7 +1086,7 @@ let handle_write_burst t src ~seg ~gen ~notify ~swab items =
       | Some (status, off, count) ->
           nack_write t sv src ~seg ~gen ~off ~count status
       | None ->
-          let segment = Hashtbl.find t.exported seg in
+          let segment = Sim.Int_table.find t.exported seg in
           let extents = received_extents t ~swab items in
           let notified = Segment.should_notify segment ~requested:notify in
           deposit_extents t src segment ~notified
@@ -1132,7 +1132,7 @@ let send_read_chunk t sv src segment ~soff ~reqid ~swab ~pos ~len =
 (* The READ's reply chunks from [pos] on, [burst] bytes each. *)
 let rec send_read_chunks t sv src segment ~soff ~count ~reqid ~swab ~burst pos =
   if pos < count then begin
-    let len = Stdlib.min burst (count - pos) in
+    let len = Int.min burst (count - pos) in
     send_read_chunk t sv src segment ~soff ~reqid ~swab ~pos ~len;
     send_read_chunks t sv src segment ~soff ~count ~reqid ~swab ~burst
       (pos + len)
@@ -1147,7 +1147,7 @@ let handle_read t src ~seg ~gen ~soff ~count ~reqid ~notify:_ ~swab =
        c.Cluster.Costs.descriptor_check);
   match serve_status t ~src ~seg ~gen ~off:soff ~count Rights.Read_op with
   | Status.Ok ->
-      let segment = Hashtbl.find t.exported seg in
+      let segment = Sim.Int_table.find t.exported seg in
       Metrics.Account.add t.data_bytes ~category:"read served"
         (float_of_int count);
       if monitored t then emit t
@@ -1213,7 +1213,7 @@ let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
           c.Cluster.Costs.cas_execute));
   match serve_status t ~src ~seg ~gen ~off:doff ~count:4 Rights.Cas_op with
   | Status.Ok ->
-      let segment = Hashtbl.find t.exported seg in
+      let segment = Sim.Int_table.find t.exported seg in
       let addr = Segment.base segment + doff in
       let witness =
         Cluster.Address_space.read_word (Segment.space segment) ~addr
@@ -1278,7 +1278,7 @@ let first_arrival chunks i =
          true
        end
 
-(* The pending-table lookups below use [Hashtbl.find], not [find_opt]:
+(* The pending-table lookups below use [Sim.Int_table.find], not [find_opt]:
    every reply frame passes here, and the option would be allocated. *)
 let handle_read_reply t src ~status ~reqid ~chunk_off ~swab payload ~pos ~len =
   let c = costs t in
@@ -1287,18 +1287,18 @@ let handle_read_reply t src ~status ~reqid ~chunk_off ~swab payload ~pos ~len =
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c len))
        (Sim.Time.add c.Cluster.Costs.reply_match c.Cluster.Costs.vm_deliver));
-  (match Hashtbl.find t.pending reqid with
+  (match Sim.Int_table.find t.pending reqid with
   | exception Not_found -> () (* late reply after a timeout: dropped *)
   | Pending_cas p ->
       (* A READ reply matched a pending CAS: protocol violation. Fail
          the operation instead of leaving the issuer blocked forever. *)
-      Hashtbl.remove t.pending reqid;
+      Sim.Int_table.remove t.pending reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
       Sim.Ivar.fill p.completion (Status.Bad_segment, 0l)
   | Pending_read p ->
       if status <> Status.Ok then begin
-        Hashtbl.remove t.pending reqid;
+        Sim.Int_table.remove t.pending reqid;
         record_error t status;
         read_completed t p.desc ~soff:p.soff ~count:p.count status;
         Obs.Trace.root_close sv ~status:(Status.to_string status);
@@ -1311,7 +1311,7 @@ let handle_read_reply t src ~status ~reqid ~chunk_off ~swab payload ~pos ~len =
         if first_arrival p.chunks (chunk_off / burst_data_bytes c) then
           p.received <- p.received + len;
         if p.received >= p.count then begin
-          Hashtbl.remove t.pending reqid;
+          Sim.Int_table.remove t.pending reqid;
           if p.notify then
             Notification.post
               ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
@@ -1336,17 +1336,17 @@ let handle_cas_reply t src ~status ~reqid ~witness =
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 8))
        c.Cluster.Costs.reply_match);
-  (match Hashtbl.find t.pending reqid with
+  (match Sim.Int_table.find t.pending reqid with
   | exception Not_found -> ()
   | Pending_read p ->
       (* A CAS reply matched a pending READ: fail it rather than letting
          the issuer hang until its timeout (if it even set one). *)
-      Hashtbl.remove t.pending reqid;
+      Sim.Int_table.remove t.pending reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
       Sim.Ivar.fill p.completion Status.Bad_segment
   | Pending_cas p ->
-      Hashtbl.remove t.pending reqid;
+      Sim.Int_table.remove t.pending reqid;
       if status <> Status.Ok then record_error t status;
       (match p.result with
       | Some (buf, off) when status = Status.Ok ->

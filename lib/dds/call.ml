@@ -21,7 +21,7 @@ type endpoint = {
   amsg : Amsg.t;
   node : Cluster.Node.t;
   mutable next_req : int;
-  pending : (int32, bytes option Sim.Ivar.t) Hashtbl.t;
+  pending : bytes option Sim.Ivar.t Sim.Int_table.t; (* by request id *)
   mutable timeouts : int;
 }
 
@@ -48,17 +48,17 @@ let endpoint amsg =
           amsg;
           node = Amsg.node amsg;
           next_req = 1;
-          pending = Hashtbl.create 16;
+          pending = Sim.Int_table.create 16;
           timeouts = 0;
         }
       in
       Amsg.register amsg ~id:reply_id (fun ~src:_ body ->
           if Bytes.length body >= header_bytes then begin
-            let req = Bytes.get_int32_le body 0 in
-            match Hashtbl.find_opt ep.pending req with
+            let req = Int32.to_int (Bytes.get_int32_le body 0) in
+            match Sim.Int_table.find_opt ep.pending req with
             | None -> ()
             | Some iv ->
-                Hashtbl.remove ep.pending req;
+                Sim.Int_table.remove ep.pending req;
                 ignore
                   (Sim.Ivar.try_fill iv
                      (Some
@@ -77,15 +77,21 @@ type service = src:Atm.Addr.t -> bytes -> bytes
    calls sequentially per endpoint, so a small window suffices. *)
 let history_cap = 16
 
+(* The reply a source's history holds for [req]. *)
+let rec cached req = function
+  | [] -> None
+  | (r, reply) :: past ->
+      if Int32.equal r req then Some reply else cached req past
+
 let serve amsg ~id (f : service) =
-  let recent : (int, (int32 * bytes) list) Hashtbl.t = Hashtbl.create 16 in
+  let recent : (int32 * bytes) list Sim.Int_table.t = Sim.Int_table.create 16 in
   Amsg.register amsg ~id (fun ~src body ->
       if Bytes.length body >= header_bytes then begin
         let req = Bytes.get_int32_le body 0 in
         let who = Atm.Addr.to_int src in
-        let past = Option.value ~default:[] (Hashtbl.find_opt recent who) in
+        let past = Option.value ~default:[] (Sim.Int_table.find_opt recent who) in
         let reply =
-          match List.assoc_opt req past with
+          match cached req past with
           | Some r -> r
           | None ->
               let r =
@@ -99,7 +105,7 @@ let serve amsg ~id (f : service) =
                   List.filteri (fun i _ -> i < history_cap) keep
                 else keep
               in
-              Hashtbl.replace recent who keep;
+              Sim.Int_table.replace recent who keep;
               r
         in
         let frame = Bytes.create (header_bytes + Bytes.length reply) in
@@ -113,25 +119,26 @@ let default_attempts = 12
 
 let call ?(timeout = default_timeout) ?(attempts = default_attempts) ep ~dst
     ~id body =
-  let req = Int32.of_int ep.next_req in
+  (* The id as the reply will carry it back: 32 bits, sign-extended. *)
+  let req = Int32.to_int (Int32.of_int ep.next_req) in
   ep.next_req <- ep.next_req + 1;
   let frame = Bytes.create (header_bytes + Bytes.length body) in
-  Bytes.set_int32_le frame 0 req;
+  Bytes.set_int32_le frame 0 (Int32.of_int req);
   Bytes.blit body 0 frame header_bytes (Bytes.length body);
   let engine = Cluster.Node.engine ep.node in
   let rec attempt k =
     if k >= attempts then begin
-      Hashtbl.remove ep.pending req;
+      Sim.Int_table.remove ep.pending req;
       raise Rmem.Status.Timeout
     end;
     let iv = Sim.Ivar.create () in
-    Hashtbl.replace ep.pending req iv;
+    Sim.Int_table.replace ep.pending req iv;
     Amsg.send ep.amsg ~dst ~handler:id frame;
     Sim.Engine.schedule ~after:timeout engine (fun () ->
         ignore (Sim.Ivar.try_fill iv None));
     match Sim.Ivar.read iv with
     | Some reply ->
-        Hashtbl.remove ep.pending req;
+        Sim.Int_table.remove ep.pending req;
         reply
     | None ->
         ep.timeouts <- ep.timeouts + 1;

@@ -12,21 +12,43 @@ type t = {
   name : string;
   totals : (string, cell) Hashtbl.t;
   mutable order : string list; (* categories in first-seen order *)
+  (* The last category charged and its cell, matched by physical
+     equality: callers pass the same constant string charge after
+     charge, so most charges skip hashing it. *)
+  mutable last_category : string;
+  mutable last_cell : cell;
 }
 
+(* Never passed by a caller, so it matches nothing. *)
+let no_category = String.make 1 ' '
+
 let create ?(name = "account") () =
-  { name; totals = Hashtbl.create 16; order = [] }
+  {
+    name;
+    totals = Hashtbl.create 16;
+    order = [];
+    last_category = no_category;
+    last_cell = { total = 0. };
+  }
 
 let name t = t.name
 
 let cell t category =
-  match Hashtbl.find t.totals category with
-  | c -> c
-  | exception Not_found ->
-      let c = { total = 0. } in
-      Hashtbl.add t.totals category c;
-      t.order <- category :: t.order;
-      c
+  if category == t.last_category then t.last_cell
+  else begin
+    let c =
+      match Hashtbl.find t.totals category with
+      | c -> c
+      | exception Not_found ->
+          let c = { total = 0. } in
+          Hashtbl.add t.totals category c;
+          t.order <- category :: t.order;
+          c
+    in
+    t.last_category <- category;
+    t.last_cell <- c;
+    c
+  end
 
 let add t ~category x =
   let c = cell t category in
@@ -51,7 +73,8 @@ let to_list t = List.map (fun c -> (c, total_of t c)) (categories t)
 
 let reset t =
   Hashtbl.reset t.totals;
-  t.order <- []
+  t.order <- [];
+  t.last_category <- no_category
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%s:@," t.name;

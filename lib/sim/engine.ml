@@ -1,5 +1,9 @@
 (* The discrete-event engine: a clock plus an ordered queue of thunks.
 
+   With no scheduler installed, firing an event is one queue call:
+   [Heap.take_min] removes the next due event and records its time and
+   seq in the queue's [taken] record, which the engine reads in place.
+
    Two additions ride on the basic loop:
 
    - a registry of blocked waiters (filled in by [Proc.sleep], the one
@@ -49,6 +53,7 @@ type scheduler = choice -> int
 type t = {
   mutable now : Time.t;
   queue : (unit -> unit) Heap.t;
+  taken : Heap.key; (* the queue's record of the event it last took *)
   mutable seq : int;
   mutable stopped : bool;
   mutable scheduler : scheduler option;
@@ -75,9 +80,11 @@ let waiter who =
   w
 
 let create () =
+  let queue = Heap.create ~dummy:ignore () in
   {
     now = Time.zero;
-    queue = Heap.create ~dummy:ignore ();
+    queue;
+    taken = Heap.taken queue;
     seq = 0;
     stopped = false;
     scheduler = None;
@@ -203,25 +210,31 @@ let step_seq t seq =
       | None -> assert false);
       true
 
-let step t =
+(* Fire the next event if its time is at most [until]; [false] if there
+   is none. *)
+let advance t ~until =
   match t.scheduler with
   | None ->
-      (* Read the minimum in place: no entry record, no option. *)
-      if Heap.is_empty t.queue then false
-      else begin
-        let time = Heap.min_time t.queue and seq = Heap.min_seq t.queue in
-        fire t ~time ~seq (Heap.take_min t.queue);
-        true
-      end
+      let thunk = Heap.take_min t.queue ~until in
+      let taken = t.taken in
+      taken.key_seq >= 0
+      && begin
+           fire t ~time:taken.key_time ~seq:taken.key_seq thunk;
+           true
+         end
   | Some choose -> (
       match next_enabled t with
-      | None -> false
-      | Some { enabled = [ seq ]; _ } -> step_seq t seq
-      | Some choice ->
-          let seq = choose choice in
-          if not (List.mem seq choice.enabled) then
-            invalid_arg "Engine.step: scheduler chose a non-enabled event";
-          step_seq t seq)
+      | Some choice when Time.(choice.at <= until) -> (
+          match choice.enabled with
+          | [ seq ] -> step_seq t seq
+          | enabled ->
+              let seq = choose choice in
+              if not (List.mem seq enabled) then
+                invalid_arg "Engine.step: scheduler chose a non-enabled event";
+              step_seq t seq)
+      | _ -> false)
+
+let step t = advance t ~until:max_int
 
 let set_scheduler t scheduler = t.scheduler <- scheduler
 
@@ -231,17 +244,9 @@ let has_nondaemon_blocked t =
 
 let run ?until t =
   t.stopped <- false;
-  let continue () =
-    (not t.stopped)
-    &&
-    (not (Heap.is_empty t.queue))
-    &&
-    match until with
-    | None -> true
-    | Some limit -> Time.(Heap.min_time t.queue <= limit)
-  in
-  while continue () do
-    ignore (step t : bool)
+  let limit = Option.value until ~default:max_int in
+  while (not t.stopped) && advance t ~until:limit do
+    ()
   done;
   match until with
   | Some limit ->

@@ -33,8 +33,8 @@ let ( < ) (a : t) (b : t) = Stdlib.( < ) a b
 let ( >= ) (a : t) (b : t) = Stdlib.( >= ) a b
 let ( > ) (a : t) (b : t) = Stdlib.( > ) a b
 
-let max = Stdlib.max
-let min = Stdlib.min
+let max = Int.max
+let min = Int.min
 
 let pp ppf t =
   if t >= 1_000_000_000 then Format.fprintf ppf "%.3fs" (to_sec t)

@@ -173,4 +173,25 @@ if grep -REn --include='*.ml' --include='*.mli' \
   fail "only lib/sim/proc.ml may name Effect — block through Proc.sleep"
 fi
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 13. Monomorphic min and max below the services: lib/sim, lib/atm,
+# lib/core and lib/cluster neither name Stdlib.min or Stdlib.max nor
+# apply a bare min or max.  Those are polymorphic and compare through
+# the runtime's generic comparison even on ints; Int.min, Int.max,
+# Sim.Time.min and Sim.Time.max compare inline.  Comments closed on
+# their line are dropped first; a binder (let/and min, ~max, ?max, a
+# field .max) and a name followed by a keyword (`v > max then`) are not
+# applications.
+for f in $(find lib/sim lib/atm lib/core lib/cluster \( -name '*.ml' -o -name '*.mli' \) | sort); do
+  hits=$(sed -E -e 's/\(\*([^*]|\*[^)])*\*\)//g' \
+    -e "s/(let|and)[[:space:]]+(min|max)([^A-Za-z0-9_']|\$)/\1 _\3/g" \
+    -e "s/(min|max)[[:space:]]+(then|else|in|with|do|done|of|to|downto|begin|end)([^A-Za-z0-9_']|\$)/_ \2\3/g" \
+    "$f" | grep -En \
+    -e "(^|[^A-Za-z0-9_.'])Stdlib\.(min|max)([^A-Za-z0-9_']|\$)" \
+    -e "(^|[^A-Za-z0-9_.'~?])(min|max)[[:space:]]+[(A-Za-z0-9_~\`']" || true)
+  if [ -n "$hits" ]; then
+    echo "$hits" | sed "s|^|$f:|" >&2
+    fail "$f uses a polymorphic min or max — use Int.min/Int.max or Sim.Time.min/max"
+  fi
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

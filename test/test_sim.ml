@@ -78,12 +78,10 @@ let engine_stop () =
 
 (* Take the minimum as a (time, seq) key, the way [Engine.step] reads it. *)
 let heap_take heap =
-  if Sim.Heap.is_empty heap then None
-  else begin
-    let key = (Sim.Heap.min_time heap, Sim.Heap.min_seq heap) in
-    ignore (Sim.Heap.take_min heap);
-    Some key
-  end
+  ignore (Sim.Heap.take_min heap ~until:max_int);
+  let key = Sim.Heap.taken heap in
+  if key.Sim.Heap.key_seq < 0 then None
+  else Some (key.Sim.Heap.key_time, key.Sim.Heap.key_seq)
 
 let heap_pop_sorted =
   QCheck.Test.make ~name:"heap pops in (time, seq) order" ~count:200
@@ -139,14 +137,71 @@ let heap_entries_at_min_and_remove () =
     (seqs (Sim.Heap.entries_at_min heap));
   let rec drain acc =
     if Sim.Heap.is_empty heap then List.rev acc
-    else drain (Sim.Heap.take_min heap :: acc)
+    else drain (Sim.Heap.take_min heap ~until:max_int :: acc)
   in
   Alcotest.(check (list int))
     "heap invariant survives removal" [ 1; 4; 0; 2 ] (drain [])
 
 (* Random interleavings of every heap operation against a sorted list of
    (time, seq, payload): few distinct times, so equal times are common. *)
-type heap_op = Push of int | Take | Remove of int | At_min
+type heap_op = Push of int | Take | Due of int | Remove of int | At_min
+
+let print_heap_op = function
+  | Push t -> Printf.sprintf "push %d" t
+  | Take -> "take"
+  | Due t -> Printf.sprintf "due %d" t
+  | Remove s -> Printf.sprintf "remove %d" s
+  | At_min -> "at_min"
+
+(* Run [ops] on a fresh heap and on the oracle, then drain both, each
+   take preceded by a due take just short of the minimum's time; true if
+   every result and every length agree. *)
+let heap_agrees_with_oracle ops =
+  let heap = Sim.Heap.create ~dummy:(-1) () in
+  let oracle = ref [] and next_seq = ref 0 in
+  let triple e = (e.Sim.Heap.time, e.Sim.Heap.seq, e.Sim.Heap.payload) in
+  let rec insert entry = function
+    | next :: rest when compare next entry < 0 -> next :: insert entry rest
+    | rest -> entry :: rest
+  in
+  let taken_key () =
+    let key = Sim.Heap.taken heap in
+    (key.Sim.Heap.key_time, key.Sim.Heap.key_seq)
+  in
+  let rec step = function
+    | Push time ->
+        let seq = !next_seq in
+        incr next_seq;
+        Sim.Heap.push heap ~time ~seq (seq * 10);
+        oracle := insert (time, seq, seq * 10) !oracle;
+        true
+    | Take -> step (Due max_int)
+    | Due until -> (
+        let payload = Sim.Heap.take_min heap ~until in
+        match !oracle with
+        | (time, seq, expected) :: rest when time <= until ->
+            oracle := rest;
+            payload = expected && taken_key () = (time, seq)
+        | _ -> payload = -1 && snd (taken_key ()) = -1)
+    | Remove seq ->
+        let expected = List.find_opt (fun (_, s, _) -> s = seq) !oracle in
+        oracle := List.filter (fun (_, s, _) -> s <> seq) !oracle;
+        Option.map triple (Sim.Heap.remove heap ~seq) = expected
+    | At_min ->
+        let expected =
+          match !oracle with
+          | [] -> []
+          | (time, _, _) :: _ -> List.filter (fun (t, _, _) -> t = time) !oracle
+        in
+        List.map triple (Sim.Heap.entries_at_min heap) = expected
+  in
+  let agrees o = step o && Sim.Heap.length heap = List.length !oracle in
+  let rec drain () =
+    match !oracle with
+    | [] -> Sim.Heap.is_empty heap
+    | (time, _, _) :: _ -> agrees (Due (time - 1)) && agrees Take && drain ()
+  in
+  List.for_all agrees ops && drain ()
 
 let heap_matches_sorted_list =
   let op =
@@ -159,74 +214,67 @@ let heap_matches_sorted_list =
           (1, return At_min);
         ])
   in
-  let print = function
-    | Push t -> Printf.sprintf "push %d" t
-    | Take -> "take"
-    | Remove s -> Printf.sprintf "remove %d" s
-    | At_min -> "at_min"
-  in
   QCheck.Test.make ~name:"heap agrees with a sorted-list oracle" ~count:300
-    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (0 -- 60) op))
-    (fun ops ->
-      let heap = Sim.Heap.create ~dummy:(-1) () in
-      let oracle = ref [] and next_seq = ref 0 in
-      let triple e = (e.Sim.Heap.time, e.Sim.Heap.seq, e.Sim.Heap.payload) in
-      let step = function
-        | Push time ->
-            let seq = !next_seq in
-            incr next_seq;
-            Sim.Heap.push heap ~time ~seq (seq * 10);
-            oracle := List.sort compare ((time, seq, seq * 10) :: !oracle);
-            true
-        | Take -> (
-            match !oracle with
-            | [] -> Sim.Heap.is_empty heap
-            | (time, seq, payload) :: rest ->
-                oracle := rest;
-                Sim.Heap.min_time heap = time
-                && Sim.Heap.min_seq heap = seq
-                && Sim.Heap.take_min heap = payload)
-        | Remove seq ->
-            let expected = List.find_opt (fun (_, s, _) -> s = seq) !oracle in
-            oracle := List.filter (fun (_, s, _) -> s <> seq) !oracle;
-            Option.map triple (Sim.Heap.remove heap ~seq) = expected
-        | At_min ->
-            let expected =
-              match !oracle with
-              | [] -> []
-              | (time, _, _) :: _ ->
-                  List.filter (fun (t, _, _) -> t = time) !oracle
-            in
-            List.map triple (Sim.Heap.entries_at_min heap) = expected
-      in
-      List.for_all
-        (fun o -> step o && Sim.Heap.length heap = List.length !oracle)
-        ops)
+    (QCheck.make ~print:QCheck.Print.(list print_heap_op)
+       QCheck.Gen.(list_size (0 -- 60) op))
+    heap_agrees_with_oracle
+
+(* The same past the near tier's 64 entries: a run of 65 to 150 pushes
+   fills it and overflows into the heap behind it, then takes, due
+   takes, removals and min-set reads interleave with more pushes across
+   both tiers.  Pushes are late (times up to 40) and early (0 or 1), so
+   a full near tier both evicts its maximum and passes new entries
+   straight to the heap. *)
+let heap_overflow_matches_sorted_list =
+  let push =
+    QCheck.Gen.(
+      map (fun t -> Push t) (frequency [ (3, int_bound 40); (1, int_bound 1) ]))
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, push);
+          (2, return Take);
+          (1, map (fun t -> Due t) (int_bound 40));
+          (1, map (fun s -> Remove s) (int_bound 300));
+          (1, return At_min);
+        ])
+  in
+  QCheck.Test.make ~name:"heap agrees with a sorted-list oracle past the near tier"
+    ~count:100
+    (QCheck.make ~print:QCheck.Print.(list print_heap_op)
+       QCheck.Gen.(map2 ( @ ) (list_size (65 -- 150) push) (list_size (0 -- 200) op)))
+    heap_agrees_with_oracle
 
 (* A taken or removed payload (a fired event's closure, say) must not
    stay reachable from the heap's arrays, even from a slot past the end
-   that the last move vacated. *)
-let heap_releases_taken_payloads () =
+   that the last move vacated.  [n] payloads are pushed latest first, so
+   past 64 each push evicts the near tier's maximum into the heap.  One
+   is taken, every third by seq is removed, and the rest are taken. *)
+let heap_releases_payloads n () =
   let heap = Sim.Heap.create ~dummy:(ref 0) () in
-  let weak = Weak.create 3 in
-  List.iter
-    (fun seq ->
-      let payload = ref seq in
-      Weak.set weak seq (Some payload);
-      Sim.Heap.push heap ~time:(10 - seq) ~seq payload)
-    [ 0; 1; 2 ];
-  ignore (Sys.opaque_identity (Sim.Heap.take_min heap));
-  ignore (Sys.opaque_identity (Sim.Heap.remove heap ~seq:1));
-  ignore (Sys.opaque_identity (Sim.Heap.take_min heap));
+  let weak = Weak.create n in
+  for seq = 0 to n - 1 do
+    let payload = ref seq in
+    Weak.set weak seq (Some payload);
+    Sim.Heap.push heap ~time:(n + 7 - seq) ~seq payload
+  done;
+  ignore (Sys.opaque_identity (Sim.Heap.take_min heap ~until:max_int));
+  for seq = 0 to n - 1 do
+    if seq mod 3 = 1 then ignore (Sys.opaque_identity (Sim.Heap.remove heap ~seq))
+  done;
+  while not (Sim.Heap.is_empty heap) do
+    ignore (Sys.opaque_identity (Sim.Heap.take_min heap ~until:max_int))
+  done;
   check_bool "drained" true (Sim.Heap.is_empty heap);
   Gc.full_major ();
-  List.iter
-    (fun seq ->
-      check_bool (Printf.sprintf "payload %d collected" seq) false
-        (Weak.check weak seq))
-    [ 0; 1; 2 ];
+  for seq = 0 to n - 1 do
+    check_bool (Printf.sprintf "payload %d collected" seq) false
+      (Weak.check weak seq)
+  done;
   (* The heap itself must still be live for the check to mean anything. *)
-  Sim.Heap.push heap ~time:0 ~seq:3 (ref 3);
+  Sim.Heap.push heap ~time:0 ~seq:n (ref n);
   check_int "heap still in use" 1 (Sim.Heap.length heap)
 
 (* ---------------- Same-instant choice points ---------------- *)
@@ -252,6 +300,51 @@ let engine_choice_points () =
   Sim.Engine.run engine;
   Alcotest.(check (list string)) "reversed" [ "c"; "b"; "a" ]
     (List.rev !order)
+
+(* Same-instant events split across the queue's two tiers: 70 events at
+   5 us fill the 64-entry near tier and overflow 6 into the heap behind
+   it; 10 at 1 us each evict the near tier's latest 5 us event; 5 more
+   at 5 us go straight to the heap.  Each instant fires in seq order, and
+   an installed scheduler is offered every event of the instant. *)
+let engine_same_instant_across_tiers () =
+  let fill engine order =
+    let note seq () = order := seq :: !order in
+    let at us seqs =
+      List.iter
+        (fun seq -> Sim.Engine.schedule ~after:(Sim.Time.us us) engine (note seq))
+        seqs
+    in
+    at 5 (List.init 70 Fun.id);
+    at 1 (List.init 10 (fun i -> 70 + i));
+    at 5 (List.init 5 (fun i -> 80 + i))
+  in
+  let early = List.init 10 (fun i -> 70 + i) in
+  let late = List.init 70 Fun.id @ List.init 5 (fun i -> 80 + i) in
+  let engine = Sim.Engine.create () in
+  let order = ref [] in
+  fill engine order;
+  Sim.Engine.run engine;
+  Alcotest.(check (list int)) "seq order per instant" (early @ late) (List.rev !order);
+  let engine = Sim.Engine.create () in
+  let order = ref [] and offered = ref [] in
+  fill engine order;
+  Sim.Engine.set_scheduler engine
+    (Some
+       (fun choice ->
+         offered := choice :: !offered;
+         List.hd choice.Sim.Engine.enabled));
+  Sim.Engine.run engine;
+  Alcotest.(check (list int))
+    "FIFO scheduler, same order" (early @ late) (List.rev !order);
+  (* The scheduler is asked only when two or more events are enabled:
+     9 times at 1 us, then 74 times at 5 us. *)
+  let offered = Array.of_list (List.rev !offered) in
+  check_int "choices" (9 + 74) (Array.length offered);
+  Alcotest.(check (list int))
+    "first instant offered whole" early offered.(0).Sim.Engine.enabled;
+  check_int "second instant" (Sim.Time.us 5) offered.(9).Sim.Engine.at;
+  Alcotest.(check (list int)) "second instant offered whole, both tiers" late
+    offered.(9).Sim.Engine.enabled
 
 let engine_step_seq_validates () =
   let engine = Sim.Engine.create () in
@@ -771,6 +864,34 @@ let control_path_budget () =
   Rig.within_budget "blocked Ivar.read + fill" ~words:blocked_read ~budget:27.5;
   Rig.within_budget "contended Cpu.use" ~words:contended ~budget:12.1
 
+(* The event queue at steady state in the hold model: take the minimum,
+   push a new entry a pseudo-random 1 to [2 * depth] ns later.  At depth
+   64 every entry stays in the near tier; at depth 1,000 entries flow
+   through the overflow heap both ways.  Neither allocates: a word per
+   operation would read 1.0 against a budget of 0.1. *)
+let event_queue_budget () =
+  let hold depth =
+    let heap = Sim.Heap.create ~dummy:ignore () in
+    let seq = ref 0 and rng = ref 1 in
+    let push time =
+      Sim.Heap.push heap ~time ~seq:!seq ignore;
+      incr seq
+    in
+    let later time =
+      rng := ((!rng * 1103515245) + 12345) land 0x3fffffff;
+      time + 1 + (!rng mod (2 * depth))
+    in
+    for _ = 1 to depth do
+      push (later 0)
+    done;
+    Rig.words_per_op ~n:20_000 (fun () ->
+        ignore (Sim.Heap.take_min heap ~until:max_int : unit -> unit);
+        push (later (Sim.Heap.taken heap).Sim.Heap.key_time))
+  in
+  Rig.within_budget "Heap.push + take_min, depth 64" ~words:(hold 64) ~budget:0.1;
+  Rig.within_budget "Heap.push + take_min, depth 1000" ~words:(hold 1000)
+    ~budget:0.1
+
 (* A receiver blocked on an empty mailbox and the send that wakes it,
    against a budget 10% above what they allocate (9 words): a
    per-receive wake closure or handler fails here. *)
@@ -842,8 +963,12 @@ let suite =
     Alcotest.test_case "heap entries_at_min and remove" `Quick
       heap_entries_at_min_and_remove;
     Alcotest.test_case "heap releases taken payloads" `Quick
-      heap_releases_taken_payloads;
+      (heap_releases_payloads 3);
+    Alcotest.test_case "heap releases evicted payloads" `Quick
+      (heap_releases_payloads 200);
     Alcotest.test_case "engine choice points" `Quick engine_choice_points;
+    Alcotest.test_case "same instant across both queue tiers" `Quick
+      engine_same_instant_across_tiers;
     Alcotest.test_case "step_seq validates enabledness" `Quick
       engine_step_seq_validates;
     Alcotest.test_case "explicit FIFO scheduler is the default" `Quick
@@ -869,9 +994,11 @@ let suite =
     Alcotest.test_case "control-path allocation budget" `Quick
       control_path_budget;
     Alcotest.test_case "mailbox allocation budget" `Quick mailbox_budget;
+    Alcotest.test_case "event queue allocation budget" `Quick event_queue_budget;
     QCheck_alcotest.to_alcotest heap_pop_sorted;
     QCheck_alcotest.to_alcotest heap_same_time_seq_order;
     QCheck_alcotest.to_alcotest heap_matches_sorted_list;
+    QCheck_alcotest.to_alcotest heap_overflow_matches_sorted_list;
     QCheck_alcotest.to_alcotest prng_bounds;
     QCheck_alcotest.to_alcotest prng_float_range;
   ]
