@@ -22,6 +22,7 @@ val send : t -> dst:Atm.Addr.t -> handler:int -> bytes -> unit
 
 val sent : t -> int
 val delivered : t -> int
+(** Test-only: the active-message tests count handler upcalls. *)
 
 val handler_cpu : t -> Sim.Time.t
 (** Receiver CPU consumed inside handler upcalls. *)

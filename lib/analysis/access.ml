@@ -2,7 +2,7 @@ type seg_key = { home : int; seg : int; gen : int }
 
 type kind = Load | Store | Atomic
 
-type origin = Meta of Rmem.Rights.op | Local | Svm
+type origin = Meta of Rmem.Rights.op | Local
 
 type t = {
   id : int;
@@ -28,9 +28,7 @@ let overlaps a b =
 
 let ordered_before a b = List.exists (fun v -> Vclock.leq v b.stamp) a.vis
 
-let key_to_string k =
-  if k.seg < 0 then Printf.sprintf "svm@node%d" k.home
-  else Printf.sprintf "node%d/seg%d.g%d" k.home k.seg k.gen
+let key_to_string k = Printf.sprintf "node%d/seg%d.g%d" k.home k.seg k.gen
 
 let kind_to_string = function
   | Load -> "load"

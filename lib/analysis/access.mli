@@ -5,8 +5,7 @@
 type seg_key = { home : int; seg : int; gen : int }
 (** Identity of a shared region: exporting node address, segment id,
     and export generation — two generations of the same id are
-    different memories. The SVM comparator's region uses [seg = -1]
-    under its manager's address. *)
+    different memories. *)
 
 type kind =
   | Load  (** remote READ, or a plain local load *)
@@ -16,7 +15,6 @@ type kind =
 type origin =
   | Meta of Rmem.Rights.op  (** a served meta-instruction, attributed to its issuer *)
   | Local  (** direct touch of exported memory on its home node *)
-  | Svm  (** load/store through the shared-virtual-memory comparator *)
 
 type t = {
   id : int;

@@ -50,8 +50,6 @@ let create () =
   }
 
 let exclude t ~key = Hashtbl.replace t.excluded key ()
-let is_excluded t ~key = Hashtbl.mem t.excluded key
-
 let events t = List.rev t.events
 
 let word_size = 4

@@ -23,7 +23,7 @@
 type value =
   | Known of int32
   | Unknown
-      (** unobserved (partial-word access, local/svm touch without a
+      (** unobserved (partial-word access, local touch without a
           recorded value): reads constrain nothing, writes clobber the
           cell to an unconstrained state *)
 
@@ -76,8 +76,6 @@ val exclude : t -> key:Access.seg_key -> unit
     the name-service clerk does with its well-known segments), so
     checking it would report phantom violations. *)
 
-val is_excluded : t -> key:Access.seg_key -> bool
-
 type handle
 (** Pending events from one serve, awaiting their response time. *)
 
@@ -117,7 +115,7 @@ val record_local :
   now:Sim.Time.t ->
   unit ->
   unit
-(** A direct local (or svm) touch of shared memory: an instantaneous
+(** A direct local touch of shared memory: an instantaneous
     event per covered cell ([inv = resp = now]). Without [value] the
     cells record {!Unknown}; with it, a single fully-covered word
     records [Known value]. *)
@@ -143,6 +141,5 @@ val scope_end :
 (** {1 Pretty-printing} *)
 
 val value_to_string : value -> string
-val op_to_string : operation -> string
 val cell_to_string : cell -> string
 val event_to_string : event -> string

@@ -56,14 +56,16 @@ val partition :
     cells in first-touch order. Precedence edges are preserved: two
     events of one cell are related in the sub-history exactly as in the
     whole history (precedence is defined pointwise on intervals and
-    agents). *)
+    agents). Test-only: the unit tests check the per-cell split on its own. *)
 
 val check_cell :
   ?mode:mode -> ?budget:int -> init:History.value ->
   History.event list -> cell_verdict
 (** Check one cell's events (any order; sorted internally) against the
     sequential specification starting from [init]. [budget] bounds
-    explored search states (default 200k). *)
+    explored search states (default 200k).
+    Test-only: the linearizability unit tests check one cell's history
+    directly. *)
 
 val minimize :
   ?mode:mode -> ?budget:int -> init:History.value ->
@@ -71,7 +73,9 @@ val minimize :
 (** Given a violating cell history, greedily drop events while the rest
     still violates, to a 1-minimal witness: removing any remaining
     event yields a linearizable history. Returns the input unchanged if
-    it does not violate. *)
+    it does not violate.
+    Test-only: the unit and property tests check witness shrinking on its
+    own. *)
 
 val check : ?mode:mode -> ?budget:int -> History.t -> verdict
 (** Check a whole history cell by cell; the first violating cell (in

@@ -102,16 +102,6 @@ let check ?(fault_capable = false) monitor =
           (Printf.sprintf
              "%d consecutive failed CAS on word %d with no backoff" worst off))
     (Monitor.worst_cas_retries monitor);
-  (* A monitor registered with Lrpc.add_monitor and never removed
-     outlives its workload and taxes every later call on the machine —
-     the composing-monitors API's version of an fd leak. *)
-  let leaked = Monitor.leaked_lrpc_monitors monitor in
-  if leaked > 0 then
-    add "monitor-leak" "lrpc"
-      { Access.home = -1; seg = -1; gen = -1 }
-      (Printf.sprintf
-         "%d LRPC monitor(s) registered via add_monitor but never removed"
-         leaked);
   (* On a fault-capable path every remote op needs a recovery policy:
      a bare read_wait that was merely lucky under loss is a hang (or a
      raised Timeout nobody converts into a retry) waiting to happen. *)

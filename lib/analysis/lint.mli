@@ -14,7 +14,8 @@ type finding = {
 
 val poll_threshold : int
 (** Repeated identical READs of one location before ["poll-never"]
-    fires (8). *)
+    fires (8).
+    Test-only: the lint tests size their poll loops just past it. *)
 
 val check : ?fault_capable:bool -> Monitor.t -> finding list
 (** One finding per (rule, agent, region), in first-occurrence order.

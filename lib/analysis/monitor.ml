@@ -88,9 +88,6 @@ type t = {
   mutable rejections : rejection list;
   mutable nacks : int;
   mutable lrpc_calls : int;
-  lrpc_monitor_baseline : int;
-      (* live add_monitor registrations when this monitor was created;
-         anything above it at check time was leaked by the workload *)
 }
 
 let create engine =
@@ -114,11 +111,7 @@ let create engine =
     rejections = [];
     nacks = 0;
     lrpc_calls = 0;
-    lrpc_monitor_baseline = Cluster.Lrpc.live_monitor_count ();
   }
-
-let leaked_lrpc_monitors t =
-  max 0 (Cluster.Lrpc.live_monitor_count () - t.lrpc_monitor_baseline)
 
 let now t = Sim.Engine.now t.engine
 
@@ -470,26 +463,6 @@ let attach_rmem t rmem =
   Rmem.Remote_memory.set_monitor rmem
     (Some (fun event -> on_rmem_event t ~self_addr event))
 
-let attach_svm t svm =
-  let self_addr = Atm.Addr.to_int (Cluster.Node.addr (Svm.node svm)) in
-  let key =
-    { Access.home = Atm.Addr.to_int (Svm.manager svm); seg = -1; gen = 0 }
-  in
-  Svm.set_monitor svm
-    (Some
-       (fun { Svm.kind; addr; len } ->
-         let a = agent_for t self_addr in
-         tick a;
-         History.record_local t.history ~agent:a.name ~key ~kind ~off:addr
-           ~count:len ~now:(now t) ();
-         let kind =
-           match kind with `Load -> Access.Load | `Store -> Access.Store
-         in
-         ignore
-           (record_access t ~agent:a ~key ~seg_name:"svm region" ~kind
-              ~off:addr ~count:len ~stamp:a.clock ~vis:[ a.clock ]
-              ~origin:Access.Svm)))
-
 let attach_lrpc t =
   Cluster.Lrpc.set_monitor
     (Some
@@ -562,7 +535,6 @@ let unpolicied_issues t =
   |> List.sort Stdlib.compare
 
 let rejections t = List.rev t.rejections
-let nacks t = t.nacks
 let policy_of t key = Hashtbl.find_opt t.policies key
 let is_declared_sync t ~key ~off = Hashtbl.mem t.declared_sync (key, off)
 let agent_count t = t.agent_count

@@ -1,7 +1,7 @@
 (** The dynamic instrumentation hub: attaches to the hooks exposed by
-    {!Rmem.Remote_memory}, {!Rmem.Notification}, {!Svm.Svm} and
-    {!Cluster.Lrpc}, maintains a vector clock per node agent, and
-    records every shared-memory access with its happens-before stamps.
+    {!Rmem.Remote_memory}, {!Rmem.Notification} and {!Cluster.Lrpc},
+    maintains a vector clock per node agent, and records every
+    shared-memory access with its happens-before stamps.
 
     The clock model, briefly: each node is one agent (the simulator's
     cooperative scheduling makes a node's activities sequential). Every
@@ -24,7 +24,6 @@ val attach_rmem : t -> Rmem.Remote_memory.t -> unit
 (** Subscribe to a node's remote-memory events (and, transitively, to
     the notification descriptors of every segment it exports). *)
 
-val attach_svm : t -> Svm.t -> unit
 val attach_lrpc : t -> unit
 (** Count same-node LRPC control transfers (ticks the calling agent).
     The hook is global to {!Cluster.Lrpc}; the latest attached monitor
@@ -85,7 +84,9 @@ val accesses_from : t -> id:int -> Access.t list
 
 val retry_backoff_floor : Sim.Time.t
 (** A failed CAS retried after at least this pause counts as backing
-    off; only faster retries extend a consecutive-failure run. *)
+    off; only faster retries extend a consecutive-failure run.
+    Test-only: the lint tests pause exactly this long to count as backing
+    off. *)
 
 val worst_cas_retries : t -> ((string * Access.seg_key * int) * int) list
 (** Per (agent, segment, word offset): the longest run of consecutive
@@ -110,15 +111,9 @@ type rejection = {
 }
 
 val rejections : t -> rejection list
-val nacks : t -> int
-(** Write nacks observed back at issuers. *)
 
 val policy_of : t -> Access.seg_key -> Rmem.Segment.notify_policy option
 val is_declared_sync : t -> key:Access.seg_key -> off:int -> bool
 val agent_count : t -> int
 val lrpc_calls : t -> int
 
-val leaked_lrpc_monitors : t -> int
-(** LRPC monitors registered via {!Cluster.Lrpc.add_monitor} since this
-    monitor was created and never removed — the monitor-leak lint's
-    evidence. *)

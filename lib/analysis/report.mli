@@ -1,11 +1,5 @@
 (** Plain-text rendering of an analysis run, via {!Metrics.Table}. *)
 
-val races_table : Race.t list -> string
-val findings_table : Lint.finding list -> string
-
-val summary : Monitor.t -> races:Race.t list -> findings:Lint.finding list -> string
-(** One-line totals: agents, accesses, races, findings. *)
-
 val print :
   title:string -> Monitor.t -> races:Race.t list -> findings:Lint.finding list -> unit
 

@@ -10,7 +10,6 @@ type decision = { index : int; count : int }
 type t = decision list
 
 let empty = []
-let is_empty t = t = []
 let length = List.length
 
 let to_string = function

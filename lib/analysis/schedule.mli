@@ -12,7 +12,6 @@ type decision = { index : int; count : int }
 type t = decision list
 
 val empty : t
-val is_empty : t -> bool
 val length : t -> int
 val to_string : t -> string
 

@@ -15,9 +15,6 @@ type t = {
   detail : string;
 }
 
-val rules : string list
-(** Every rule name the verifier can emit. *)
-
 val make :
   rule:string ->
   program:string ->

@@ -29,8 +29,3 @@ let compare a b =
   | true, false -> Before
   | false, true -> After
   | false, false -> Concurrent
-
-let to_string c =
-  "["
-  ^ String.concat ";" (Array.to_list (Array.map string_of_int c))
-  ^ "]"

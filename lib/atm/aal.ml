@@ -9,7 +9,6 @@
 
 let cell_payload_bytes = 48
 let cell_wire_bytes = 53
-let cell_header_bytes = cell_wire_bytes - cell_payload_bytes
 let aal5_trailer_bytes = 8
 
 let cells_of_len len =

@@ -7,9 +7,6 @@ val cell_payload_bytes : int
 val cell_wire_bytes : int
 (** 53: bytes per cell on the wire (5-byte header + payload). *)
 
-val cell_header_bytes : int
-val aal5_trailer_bytes : int
-
 val cells_of_len : int -> int
 (** Cells needed for a frame of the given payload length. A frame that
     fits one payload is a single cell; larger frames pay an AAL5-style

@@ -8,7 +8,5 @@ let of_int i =
 
 let to_int a = a
 let equal = Int.equal
-let compare = Int.compare
-let hash = Hashtbl.hash
 let pp ppf a = Format.fprintf ppf "node%d" a
 let to_string a = Format.asprintf "%a" pp a

@@ -7,7 +7,5 @@ val of_int : int -> t
 
 val to_int : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

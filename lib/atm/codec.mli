@@ -35,10 +35,14 @@ type reader
 
 val reader : ?pos:int -> bytes -> reader
 val remaining : reader -> int
+(** Test-only: the codec tests check a reader is fully drained. *)
+
 val get_u8 : reader -> int
 val get_u16 : reader -> int
 val get_u32 : reader -> int
 val get_i32 : reader -> int32
+(** Test-only: the codec round-trip property reads back a signed word. *)
+
 val get_u64 : reader -> int
 val get_bytes : reader -> int -> bytes
 val get_string : reader -> string

@@ -7,9 +7,6 @@ type t = {
   fifo_capacity_cells : int;  (** NIC receive-FIFO depth *)
 }
 
-val fore_tca100 : t
-(** The paper's testbed: 140 Mb/s FORE ATM, back-to-back hosts. *)
-
 val default : t
 (** [fore_tca100]. *)
 
@@ -17,4 +14,5 @@ val cell_wire_time : t -> Sim.Time.t
 (** Serialization time of one 53-byte cell at the configured rate. *)
 
 val frame_wire_time : t -> int -> Sim.Time.t
-(** Serialization time of a frame of the given payload length. *)
+(** Serialization time of a frame of the given payload length.
+    Test-only: the calibration tests pin a 4 KB frame's serialization time. *)

@@ -43,7 +43,3 @@ let corrupted ~byte t =
     Bytes.set payload i (Char.chr (Char.code (Bytes.get payload i) lxor 0xFF));
     { t with payload }
   end
-
-let pp ppf t =
-  Format.fprintf ppf "frame(%a -> %a, %d bytes)" Addr.pp t.src Addr.pp t.dst
-    (length t)

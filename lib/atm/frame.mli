@@ -21,5 +21,3 @@ val corrupted : byte:int -> t -> t
 (** A copy of the frame with the payload byte at [byte mod length]
     flipped and the stored checksum left stale, so the receiving NIC
     detects the damage. An empty payload damages the checksum itself. *)
-
-val pp : Format.formatter -> t -> unit

@@ -21,9 +21,6 @@ type topology =
   | Fat_tree of { k : int }
 
 type t = {
-  engine : Sim.Engine.t;
-  config : Config.t;
-  topology : topology;
   nics : Nic.t array;
   switches : Switch.t list;
   mesh_edges : (int option * int option * Link.t) list;
@@ -201,16 +198,11 @@ let create ?(config = Config.default) ?(topology = Back_to_back) engine ~nodes =
         (build_clos engine config nics ~spines ~leaves ~hosts_per_leaf, [])
     | Fat_tree { k } -> (build_fat_tree engine config nics ~k, [])
   in
-  { engine; config; topology; nics; switches; mesh_edges }
+  { nics; switches; mesh_edges }
 
-let nic t addr = t.nics.(Addr.to_int addr)
 let nic_of_int t i = t.nics.(i)
 let size t = Array.length t.nics
-let config t = t.config
-let engine t = t.engine
-let addrs t = Array.to_list (Array.map Nic.addr t.nics)
 let switches t = t.switches
-let topology t = t.topology
 
 (* Back-compat view for single-switch (star) consumers. *)
 let switch t = match t.switches with [ s ] -> Some s | _ -> None

@@ -21,12 +21,8 @@ val create :
     Raises [Invalid_argument] for fewer than two nodes, or when [nodes]
     does not match the chosen fabric shape. *)
 
-val nic : t -> Addr.t -> Nic.t
 val nic_of_int : t -> int -> Nic.t
 val size : t -> int
-val config : t -> Config.t
-val engine : t -> Sim.Engine.t
-val addrs : t -> Addr.t list
 
 val switch : t -> Switch.t option
 (** The single switch of a [Star], [None] for every other topology
@@ -36,8 +32,6 @@ val switches : t -> Switch.t list
 (** Every switch in the fabric, in deterministic construction order:
     leaves then spines (Clos), edges then aggregations then cores
     (fat tree), the one star switch, or empty for a mesh. *)
-
-val topology : t -> topology
 
 val links : t -> (int option * int option * Link.t) list
 (** Every fabric edge with its endpoints, in deterministic construction

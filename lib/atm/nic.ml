@@ -23,9 +23,6 @@ type t = {
   mutable frames_tx : int;
   mutable frames_rx : int;
   mutable bytes_tx : int;
-  mutable bytes_rx : int;
-  mutable cells_tx : int;
-  mutable cells_rx : int;
   mutable crc_errors : int;
   mutable route_drops : int;
 }
@@ -42,9 +39,6 @@ let create config addr =
     frames_tx = 0;
     frames_rx = 0;
     bytes_tx = 0;
-    bytes_rx = 0;
-    cells_tx = 0;
-    cells_rx = 0;
     crc_errors = 0;
     route_drops = 0;
   }
@@ -63,7 +57,6 @@ let transmit ?ctx t ~dst payload =
       let len = Frame.length frame in
       t.frames_tx <- t.frames_tx + 1;
       t.bytes_tx <- t.bytes_tx + len;
-      t.cells_tx <- t.cells_tx + Aal.cells_of_len len;
       Link.send link frame
 
 let deliver t frame =
@@ -78,8 +71,6 @@ let deliver t frame =
     Obs.Trace.frame_delivered (Frame.ctx frame) ~node:(Addr.to_int t.addr);
     t.rx_cells_pending <- t.rx_cells_pending + cells;
     t.frames_rx <- t.frames_rx + 1;
-    t.bytes_rx <- t.bytes_rx + Frame.length frame;
-    t.cells_rx <- t.cells_rx + cells;
     Sim.Mailbox.send t.rx frame
   end
 
@@ -93,8 +84,5 @@ let pending_frames t = Sim.Mailbox.length t.rx
 let frames_tx t = t.frames_tx
 let frames_rx t = t.frames_rx
 let bytes_tx t = t.bytes_tx
-let bytes_rx t = t.bytes_rx
-let cells_tx t = t.cells_tx
-let cells_rx t = t.cells_rx
 let crc_errors t = t.crc_errors
 let route_drops t = t.route_drops

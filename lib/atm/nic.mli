@@ -39,11 +39,12 @@ val pending_frames : t -> int
 (** {1 Statistics} *)
 
 val frames_tx : t -> int
+(** Test-only: the fabric tests check per-NIC frame counts. *)
+
 val frames_rx : t -> int
+(** Test-only: the fabric tests check per-NIC frame counts. *)
+
 val bytes_tx : t -> int
-val bytes_rx : t -> int
-val cells_tx : t -> int
-val cells_rx : t -> int
 
 val crc_errors : t -> int
 (** Arriving frames discarded for a checksum mismatch. *)

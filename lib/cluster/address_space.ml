@@ -149,7 +149,4 @@ let is_pinned t ~addr ~len =
   in
   check first
 
-let pinned_pages t =
-  Sim.Int_table.fold (fun _ n acc -> if n > 0 then acc + 1 else acc) t.pin_counts 0
-
 let resident_pages t = Sim.Int_table.length t.pages

@@ -9,12 +9,12 @@ exception Fault of { asid : int; addr : int }
 
 type t
 
-val default_page_size : int
-(** 4096, the MIPS R3000 page size. *)
-
 val create : ?page_size:int -> asid:int -> unit -> t
 val asid : t -> int
+(** Test-only: the tests read the next asid to check no space was created. *)
+
 val page_size : t -> int
+(** Test-only: the address-space tests size their accesses by it. *)
 
 (** {1 Data access} *)
 
@@ -45,5 +45,5 @@ val unpin : t -> addr:int -> len:int -> unit
 (** Raises [Invalid_argument] if some covered page is not pinned. *)
 
 val is_pinned : t -> addr:int -> len:int -> bool
-val pinned_pages : t -> int
 val resident_pages : t -> int
+(** Test-only: the tests check pages materialize on first touch. *)

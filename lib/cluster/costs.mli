@@ -44,10 +44,6 @@ type t = {
 
 val default : t
 
-val scale_cpu : t -> float -> t
-(** [scale_cpu t k]: the same machine with a [k]x faster processor —
-    every CPU-bound constant divided by [k]. *)
-
 val next_generation : t
 (** A mid-90s projection: the default testbed with a 5x faster CPU. *)
 

@@ -6,7 +6,6 @@
    invocation / data reply) and of the "50% server load" headline. *)
 
 type t = {
-  name : string;
   resource : Sim.Resource.t;
   account : Metrics.Account.t;
   mutable busy : Sim.Time.t;
@@ -20,11 +19,9 @@ let cat_control_transfer = "control transfer"
 let cat_procedure = "procedure invocation"
 let cat_emulation = "emulation"
 let cat_client = "client"
-let cat_other = "other"
 
 let create ?(name = "cpu") () =
   {
-    name;
     resource = Sim.Resource.create ~name ();
     account = Metrics.Account.create ~name ();
     busy = Sim.Time.zero;
@@ -47,7 +44,6 @@ let use t ~category duration =
 
 let busy_time t = t.busy
 let account t = t.account
-let name t = t.name
 
 let utilization t ~window =
   if Sim.Time.equal window Sim.Time.zero then 0.

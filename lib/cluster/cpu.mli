@@ -15,7 +15,6 @@ val use : t -> category:string -> Sim.Time.t -> unit
 
 val busy_time : t -> Sim.Time.t
 val account : t -> Metrics.Account.t
-val name : t -> string
 
 val utilization : t -> window:Sim.Time.t -> float
 (** Fraction of [window] spent busy. *)
@@ -30,4 +29,3 @@ val cat_control_transfer : string
 val cat_procedure : string
 val cat_emulation : string
 val cat_client : string
-val cat_other : string

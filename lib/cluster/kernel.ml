@@ -10,13 +10,3 @@ let syscall node ?(category = Cpu.cat_emulation) ~name body =
   let result = body () in
   Obs.Trace.span_end_opt span;
   result
-
-let dispatch_thread node ?(category = Cpu.cat_control_transfer) body =
-  (* Schedule a thread: pay the context switch on this CPU, then run the
-     thread body as its own process. *)
-  Node.spawn node (fun () ->
-      Cpu.use (Node.cpu node) ~category (Node.costs node).Costs.context_switch;
-      body ())
-
-let context_switch node ?(category = Cpu.cat_control_transfer) () =
-  Cpu.use (Node.cpu node) ~category (Node.costs node).Costs.context_switch

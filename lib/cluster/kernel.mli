@@ -4,9 +4,3 @@ val syscall :
   Node.t -> ?category:string -> name:string -> (unit -> 'a) -> 'a
 (** Charge one syscall entry/exit on the node's CPU, then run the body
     (which may itself consume CPU or block). *)
-
-val dispatch_thread : Node.t -> ?category:string -> (unit -> unit) -> unit
-(** Wake a thread: pay a context switch on this node's CPU, then run the
-    body as its own process. *)
-
-val context_switch : Node.t -> ?category:string -> unit -> unit

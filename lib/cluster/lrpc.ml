@@ -3,40 +3,13 @@
    The paper's structure keeps control transfer local: clients talk to a
    server clerk on their own machine through a lightweight RPC in the
    style of LRPC [Bershad et al. 1990].  We model it as one CPU charge in
-   each direction around the callee's execution.
+   each direction around the callee's execution. *)
 
-   Monitors compose: the legacy [set_monitor] slot and any number of
-   [add_monitor] registrations all observe every call, so the race
-   monitor and the tracer can be attached at the same time instead of
-   fighting over a single last-writer-wins hook. *)
-
-type monitor_id = int
-
-let legacy : (Node.t -> unit) option ref = ref None
-let registered : (monitor_id * (Node.t -> unit)) list ref = ref []
-let next_id = ref 0
-
-let set_monitor m = legacy := m
-
-let add_monitor f =
-  incr next_id;
-  let id = !next_id in
-  registered := (id, f) :: !registered;
-  id
-
-let remove_monitor id =
-  registered := List.filter (fun (i, _) -> i <> id) !registered
-
-let live_monitor_count () = List.length !registered
-
-let notify node =
-  (match !legacy with None -> () | Some observe -> observe node);
-  match !registered with
-  | [] -> ()
-  | ms -> List.iter (fun (_, f) -> f node) ms
+let monitor : (Node.t -> unit) option ref = ref None
+let set_monitor m = monitor := m
 
 let call node ?(category = Cpu.cat_client) f arg =
-  notify node;
+  (match !monitor with None -> () | Some observe -> observe node);
   let span = Obs.Trace.lrpc_begin ~node:(Atm.Addr.to_int (Node.addr node)) in
   let half = (Node.costs node).Costs.lrpc_half in
   Cpu.use (Node.cpu node) ~category half;

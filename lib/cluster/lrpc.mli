@@ -10,20 +10,7 @@ val call : Node.t -> ?category:string -> ('a -> 'b) -> 'a -> 'b
     returns the result. Must run within a simulation process. *)
 
 val set_monitor : (Node.t -> unit) option -> unit
-(** Legacy single-slot instrumentation hook, invoked with the node at
-    every {!call} entry (a same-node synchronization point). Kept for
-    existing callers; composes with {!add_monitor} registrations rather
-    than replacing them. No-cost no-op when nothing is attached. *)
-
-type monitor_id
-
-val add_monitor : (Node.t -> unit) -> monitor_id
-(** Register an additional call-entry observer. Any number may be live
-    at once, alongside the {!set_monitor} slot. *)
-
-val remove_monitor : monitor_id -> unit
-(** Deregister; unknown ids are ignored. *)
-
-val live_monitor_count : unit -> int
-(** Number of {!add_monitor} registrations not yet removed — the
-    analyzer's monitor-leak lint compares this against its baseline. *)
+(** Instrumentation hook, invoked with the node at every {!call} entry
+    (a same-node synchronization point); the race monitor attaches here.
+    The tracer observes calls through its own span instead, so the two
+    compose. No-cost no-op when nothing is attached. *)

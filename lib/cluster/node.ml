@@ -59,8 +59,6 @@ let new_address_space t =
   Hashtbl.replace t.spaces asid space;
   space
 
-let address_space t asid = Hashtbl.find_opt t.spaces asid
-
 let set_handler t ~tag handler =
   if tag < 0 || tag > 255 then invalid_arg "Node.set_handler: tag out of range";
   if t.handlers.(tag) != unclaimed then
@@ -70,7 +68,6 @@ let set_handler t ~tag handler =
 let transmit ?ctx t ~dst payload = Atm.Nic.transmit ?ctx t.nic ~dst payload
 
 let set_down t down = t.down <- down
-let is_down t = t.down
 
 let dispatch t frame =
   let payload = Atm.Frame.payload frame in

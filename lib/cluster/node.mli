@@ -24,7 +24,6 @@ val spawn : ?name:string -> t -> (unit -> unit) -> unit
 (** Start a process on this node (scheduling only; does not consume CPU). *)
 
 val new_address_space : t -> Address_space.t
-val address_space : t -> int -> Address_space.t option
 
 val set_handler : t -> tag:int -> handler -> unit
 (** Claim a protocol tag byte. Raises [Invalid_argument] if already
@@ -41,5 +40,3 @@ val set_down : t -> bool -> unit
 (** Crash (or revive) the node: while down, inbound frames are absorbed
     without any reaction, so peers observe the failure only through
     timeouts — the paper's failure-detection model. *)
-
-val is_down : t -> bool

@@ -16,8 +16,6 @@ type t = { key : int64; per_word_cost : Sim.Time.t }
 
 let make ~key ~per_word_cost = { key = Int64.of_int key; per_word_cost }
 
-let per_word_cost t = t.per_word_cost
-
 (* A splitmix-style keystream; XOR makes the transform an involution. *)
 let keystream_byte key i =
   let z = Int64.add key (Int64.mul (Int64.of_int (i / 8 + 1)) 0x9E3779B97F4A7C15L) in

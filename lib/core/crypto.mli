@@ -6,6 +6,7 @@
 type t
 
 val make : key:int -> per_word_cost:Sim.Time.t -> t
+(** Test-only: the security tests build mismatched keys. *)
 
 val transform : t -> ?pos:int -> ?len:int -> bytes -> bytes
 (** Encrypt/decrypt (involution) [len] bytes from [pos] (default: the
@@ -16,8 +17,6 @@ val transform : t -> ?pos:int -> ?len:int -> bytes -> bytes
 
 val cost : t -> bytes:int -> Sim.Time.t
 (** CPU time to transform [bytes] at the configured per-word rate. *)
-
-val per_word_cost : t -> Sim.Time.t
 
 val hardware_an1 : t
 (** Near-free: the controller encrypts as data streams through. *)

@@ -3,9 +3,9 @@
 
 type t = private int
 
-val bits : int
 val invalid : t
-(** 0 — never assigned to a live export. *)
+(** 0 — never assigned to a live export.
+    Test-only: the generation unit tests. *)
 
 val initial : t
 
@@ -16,4 +16,6 @@ val equal : t -> t -> bool
 val to_int : t -> int
 val of_int : int -> t
 val is_valid : t -> bool
+(** Test-only: the generation unit tests. *)
+
 val pp : Format.formatter -> t -> unit

@@ -34,8 +34,11 @@ val watch :
 
 val state : t -> state
 val probes : t -> int
+(** Test-only: the failure-detector tests count probes. *)
 
 val strikes : t -> int
-(** Consecutive misses since the counter last advanced. *)
+(** Consecutive misses since the counter last advanced.
+    Test-only: the failure-detector tests check strikes reset on heal. *)
 
 val stop : t -> unit
+(** Test-only: the failure-detector tests stop the watcher. *)

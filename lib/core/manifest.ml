@@ -19,8 +19,6 @@ type t = export list
 
 let find t seg = List.find_opt (fun e -> e.seg = seg) t
 
-let extent t seg = Option.map (fun e -> e.len) (find t seg)
-
 let exporter t seg = Option.map (fun e -> e.exporter) (find t seg)
 
 let rights_for t ~seg ~importer =
@@ -30,8 +28,6 @@ let rights_for t ~seg ~importer =
       | Some r -> r
       | None -> e.rights)
     (find t seg)
-
-let policy_of t seg = Option.map (fun e -> e.policy) (find t seg)
 
 let of_segment ~exporter ?(grants = []) s =
   {

@@ -19,14 +19,11 @@ type export = {
 type t = export list
 
 val find : t -> string -> export option
-val extent : t -> string -> int option
 val exporter : t -> string -> int option
 
 val rights_for : t -> seg:string -> importer:int -> Rights.t option
 (** The rights the named importer holds: its grant when one exists,
     the export's default otherwise; [None] for unknown segments. *)
-
-val policy_of : t -> string -> Segment.notify_policy option
 
 val of_segment : exporter:int -> ?grants:(int * Rights.t) list -> Segment.t -> export
 (** Extract the manifest entry of a live exported segment, so a running

@@ -19,7 +19,6 @@ type t = {
   label : Sim.Engine.label;
   mutable signal_handler : (record -> unit) option;
   mutable posted : int;
-  mutable delivered : int;
   mutable monitor : (record -> unit) option;
 }
 
@@ -32,7 +31,6 @@ let create ?(name = "fd") node =
     label = Sim.Engine.Quoted ("notification", name);
     signal_handler = None;
     posted = 0;
-    delivered = 0;
     monitor = None;
   }
 
@@ -63,7 +61,6 @@ let post ?ctx t record =
         (Cluster.Node.cpu t.node)
         ~category:Cluster.Cpu.cat_control_transfer
         (Cluster.Node.costs t.node).Cluster.Costs.notification;
-      t.delivered <- t.delivered + 1;
       Obs.Trace.span_end_opt span;
       if not (Sim.Proc.is_empty t.waiters) then begin
         observed t record;
@@ -97,4 +94,3 @@ let set_signal_handler t handler = t.signal_handler <- handler
 
 let pending t = Queue.length t.queue
 let posted t = t.posted
-let delivered t = t.delivered

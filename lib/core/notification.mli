@@ -27,14 +27,14 @@ val wait : t -> record
     ("read" on the descriptor). *)
 
 val try_read : t -> record option
-(** Non-blocking poll ("select"). *)
+(** Non-blocking poll ("select").
+    Test-only: the notification tests check a drained descriptor. *)
 
 val set_signal_handler : t -> (record -> unit) option -> unit
 (** Install (or clear) an upcall run at delivery when no reader waits. *)
 
 val pending : t -> int
 val posted : t -> int
-val delivered : t -> int
 val kind_to_string : kind -> string
 
 val set_monitor : t -> (record -> unit) option -> unit

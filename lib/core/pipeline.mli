@@ -86,7 +86,8 @@ val cas_submit :
 (** Windowed CAS: flushes the staged batch ahead of itself (release
     ordering), then issues without waiting for the reply. The outcome is
     observable through the [result] success-word deposit — the paper's
-    own asynchronous-CAS signature. *)
+    own asynchronous-CAS signature.
+    Test-only: the paper's asynchronous CAS, exercised by the pipeline tests. *)
 
 val cas :
   ?timeout:Sim.Time.t ->
@@ -100,7 +101,9 @@ val cas :
   unit ->
   bool * int32
 (** Blocking CAS: flushes the staged batch ahead of itself, then behaves
-    as {!Remote_memory.cas_wait}. *)
+    as {!Remote_memory.cas_wait}.
+    Test-only: the pipeline tests check a pipelined CAS matches the serial
+    one. *)
 
 val flush : ?policy:Recovery.policy -> t -> Descriptor.t -> unit
 (** Send the staging buffer for the descriptor's (node, segment) as one

@@ -25,11 +25,6 @@ let classify = function
   | Status.Unpinned ->
       Terminal
 
-let class_to_string = function
-  | Retryable -> "retryable"
-  | Revalidate -> "revalidate"
-  | Terminal -> "terminal"
-
 type policy = {
   attempts : int;
   timeout : Sim.Time.t;
@@ -49,9 +44,6 @@ let policy ?(attempts = 4) ?(timeout = Sim.Time.ms 5)
   if multiplier < 1.0 then invalid_arg "Recovery.policy: multiplier < 1";
   { attempts; timeout; backoff; multiplier; max_backoff; revalidate }
 
-let default = policy ()
-
-let attempts p = p.attempts
 let timeout p = p.timeout
 
 let backoff_after p ~attempt =
@@ -62,9 +54,3 @@ let backoff_after p ~attempt =
   Sim.Time.min p.max_backoff (grow p.backoff attempt)
 
 let with_revalidate p f = { p with revalidate = Some f }
-
-let pp ppf p =
-  Format.fprintf ppf "policy(%d attempts, timeout %a, backoff %a x%.1f <= %a%s)"
-    p.attempts Sim.Time.pp p.timeout Sim.Time.pp p.backoff p.multiplier
-    Sim.Time.pp p.max_backoff
-    (match p.revalidate with None -> "" | Some _ -> ", revalidates")

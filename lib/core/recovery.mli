@@ -20,7 +20,6 @@ type class_ =
       (** Rights or addressing errors — retrying hides a bug. *)
 
 val classify : Status.t -> class_
-val class_to_string : class_ -> string
 
 type policy = {
   attempts : int;  (** total tries, including the first (>= 1) *)
@@ -48,9 +47,6 @@ val policy :
     20 ms ceiling, no revalidator. The backoff floor deliberately sits
     above the analysis layer's 150 us unbounded-retry lint floor. *)
 
-val default : policy
-
-val attempts : policy -> int
 val timeout : policy -> Sim.Time.t
 
 val backoff_after : policy -> attempt:int -> Sim.Time.t
@@ -58,5 +54,3 @@ val backoff_after : policy -> attempt:int -> Sim.Time.t
     [backoff * multiplier^attempt], capped at [max_backoff]. *)
 
 val with_revalidate : policy -> (Descriptor.t -> bool) -> policy
-
-val pp : Format.formatter -> policy -> unit

@@ -100,7 +100,6 @@ type t = {
   ops : Metrics.Account.t;
   data_bytes : Metrics.Account.t;
   errors : Metrics.Account.t;
-  mutable delivery_probe : (Notification.kind -> count:int -> unit) option;
   mutable crypto : Crypto.t option; (* link encryption, section 3.5 *)
   write_failures : (int * int * int, Status.t) Hashtbl.t;
   (* (remote, seg, gen) -> latest nacked WRITE status, cleared on take *)
@@ -203,7 +202,6 @@ let create node =
     ops = Metrics.Account.create ~name:"rmem ops" ();
     data_bytes = Metrics.Account.create ~name:"rmem bytes" ();
     errors = Metrics.Account.create ~name:"rmem errors" ();
-    delivery_probe = None;
     crypto = None;
     write_failures = Hashtbl.create 4;
     monitor = None;
@@ -240,7 +238,6 @@ let set_server_role t =
   set_categories t ~rx_request:Cluster.Cpu.cat_data_reception
     ~tx_reply:Cluster.Cpu.cat_data_reply ~client:Cluster.Cpu.cat_data_reply ()
 
-let set_delivery_probe t probe = t.delivery_probe <- probe
 let set_monitor t monitor = t.monitor <- monitor
 
 let fresh_batch t =
@@ -343,7 +340,6 @@ let revoke t segment =
     c.Cluster.Costs.segment_revoke_kernel;
   Metrics.Account.add t.ops ~category:"revoke" 1.
 
-let lookup_export t id = Sim.Int_table.find_opt t.exported id
 let exports t = Sim.Int_table.fold (fun _ segment acc -> segment :: acc) t.exported []
 
 let import t ~remote ~segment_id ~generation ~size
@@ -353,13 +349,6 @@ let import t ~remote ~segment_id ~generation ~size
     c.Cluster.Costs.kernel_table_install;
   Metrics.Account.add t.ops ~category:"import" 1.;
   Descriptor.create ~remote ~segment_id ~generation ~size ~rights
-
-let buffer_of_segment segment =
-  {
-    space = Segment.space segment;
-    base = Segment.base segment;
-    len = Segment.length segment;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Local (issue-side) validation.                                      *)
@@ -1002,9 +991,6 @@ let handle_write t src ~seg ~gen ~off ~notify ~swab payload ~pos ~len =
                notified;
                cas_success = None;
              });
-        (match t.delivery_probe with
-        | Some probe -> probe Notification.Write_arrived ~count:len
-        | None -> ());
         (if notified then
            Notification.post
              ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
@@ -1059,9 +1045,6 @@ let rec deposit_extents t src segment ~notified ~last i = function
              notified = notified && i = last;
              cas_success = None;
            });
-      (match t.delivery_probe with
-      | Some probe -> probe Notification.Write_arrived ~count
-      | None -> ());
       deposit_extents t src segment ~notified ~last (i + 1) rest
 
 (* Serving a burst: one interrupt and one FIFO drain for the whole

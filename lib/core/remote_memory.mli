@@ -25,7 +25,6 @@ type buffer
     CAS result slot. *)
 
 val buffer : space:Cluster.Address_space.t -> base:int -> len:int -> buffer
-val buffer_of_segment : Segment.t -> buffer
 
 (** {1 Export / import} *)
 
@@ -48,8 +47,6 @@ val export :
 val revoke : t -> Segment.t -> unit
 (** Make a segment unavailable; in-flight requests fail with
     [Bad_segment] or [Stale_generation]. Unpins its pages. *)
-
-val lookup_export : t -> int -> Segment.t option
 
 val exports : t -> Segment.t list
 (** All currently exported (unrevoked) segments, unordered. *)
@@ -198,7 +195,9 @@ val take_write_failure : t -> Descriptor.t -> Status.t option
     reports the loss with a negative ack. This returns — and clears —
     the latest such status recorded for the descriptor's
     (remote, segment, generation), or [None] if all writes landed.
-    {!fence} consumes it automatically. *)
+    {!fence} consumes it automatically.
+    Test-only: the paper's negative ack for a dropped WRITE, exercised by the
+    analysis tests. *)
 
 val cas_async :
   t ->
@@ -263,10 +262,6 @@ val completion_fd : t -> Notification.t
     requesting node. (WRITE notifications post on the destination
     segment's own descriptor.) *)
 
-val set_categories :
-  t -> ?rx_request:string -> ?tx_reply:string -> ?client:string -> unit -> unit
-(** Rebind the CPU-accounting categories used by the emulation. *)
-
 val set_server_role : t -> unit
 (** Account request service as "data reception" and replies as
     "data reply" — the Figure 3 breakdown for a server node. *)
@@ -276,12 +271,6 @@ val set_crypto : t -> Crypto.t option -> unit
     per-word cost charged on both send and receive. Both endpoints must
     enable the same key, or receivers observe ciphertext — exactly the
     property encryption is for. *)
-
-val set_delivery_probe :
-  t -> (Notification.kind -> count:int -> unit) option -> unit
-(** Instrumentation hook invoked at the instant an inbound write's data
-    has been deposited (before any notification cost). Used by the
-    calibration experiments to time one-way delivery. *)
 
 (** {1 Monitoring}
 

@@ -7,7 +7,6 @@ type op = Read_op | Write_op | Cas_op
 let all = { read = true; write = true; cas = true }
 let read_only = { read = true; write = false; cas = false }
 let write_only = { read = false; write = true; cas = false }
-let none = { read = false; write = false; cas = false }
 
 let make ?(read = false) ?(write = false) ?(cas = false) () =
   { read; write; cas }
@@ -29,9 +28,3 @@ let to_code t =
 
 let of_code c =
   { read = c land 1 <> 0; write = c land 2 <> 0; cas = c land 4 <> 0 }
-
-let pp ppf t =
-  Format.fprintf ppf "%c%c%c"
-    (if t.read then 'r' else '-')
-    (if t.write then 'w' else '-')
-    (if t.cas then 'c' else '-')

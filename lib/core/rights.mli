@@ -9,15 +9,16 @@ type op = Read_op | Write_op | Cas_op
 val all : t
 val read_only : t
 val write_only : t
-val none : t
 val make : ?read:bool -> ?write:bool -> ?cas:bool -> unit -> t
 
 val allows : t -> op -> bool
 val union : t -> t -> t
+(** Test-only: the rights unit tests. *)
+
 val equal : t -> t -> bool
+(** Test-only: the rights unit tests. *)
 
 val to_code : t -> int
 (** 3-bit wire encoding. *)
 
 val of_code : int -> t
-val pp : Format.formatter -> t -> unit

@@ -17,7 +17,7 @@ type t = {
   default_rights : Rights.t;
   grants : (int, Rights.t) Hashtbl.t; (* keyed by importer address *)
   notification : Notification.t;
-  mutable policy : notify_policy;
+  policy : notify_policy;
   mutable write_inhibited : bool;
   mutable revoked : bool;
 }
@@ -49,7 +49,6 @@ let generation t = t.generation
 let default_rights t = t.default_rights
 let notification t = t.notification
 let policy t = t.policy
-let set_policy t policy = t.policy <- policy
 
 let is_revoked t = t.revoked
 let mark_revoked t = t.revoked <- true

@@ -36,16 +36,17 @@ val default_rights : t -> Rights.t
 val notification : t -> Notification.t
 
 val policy : t -> notify_policy
-val set_policy : t -> notify_policy -> unit
 
 val is_revoked : t -> bool
 val mark_revoked : t -> unit
 
 val write_inhibited : t -> bool
 val set_write_inhibit : t -> bool -> unit
+(** Test-only: the negative-ack tests make a segment drop WRITEs. *)
 
 val grant : t -> importer:Atm.Addr.t -> Rights.t -> unit
-(** Override the default rights for one importing node. *)
+(** Override the default rights for one importing node.
+    Test-only: the protection tests give one importer extra rights. *)
 
 val rights_for : t -> importer:Atm.Addr.t -> Rights.t
 

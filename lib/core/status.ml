@@ -44,8 +44,6 @@ let to_string = function
   | Unpinned -> "unpinned page"
   | Timed_out -> "timed out"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let check = function
   | Ok -> ()
   | Timed_out -> raise Timeout

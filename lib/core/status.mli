@@ -22,7 +22,6 @@ val of_code : int -> t
 (** Raises [Invalid_argument] on unknown codes. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val check : t -> unit
 (** [check s] raises {!Remote_error} unless [s] is [Ok]

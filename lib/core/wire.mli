@@ -106,10 +106,12 @@ val data_cells : int -> int
 (** Cells needed to carry [len] data bytes at 40 per cell (min 1). *)
 
 val burst_header_bytes : int
-(** 6 — tag, segment, generation and extent count of a burst frame. *)
+(** 6 — tag, segment, generation and extent count of a burst frame.
+    Test-only: the burst-frame size tests. *)
 
 val burst_item_header_bytes : int
-(** 8 — the (offset, length) descriptor ahead of each extent's data. *)
+(** 8 — the (offset, length) descriptor ahead of each extent's data.
+    Test-only: the burst-frame size tests. *)
 
 val burst_payload_bytes : burst_item list -> int
 (** Total data bytes carried by the extents, excluding framing. *)

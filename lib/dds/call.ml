@@ -68,7 +68,6 @@ let endpoint amsg =
       Planes.replace endpoints amsg ep;
       ep
 
-let node ep = ep.node
 let timeouts ep = ep.timeouts
 
 type service = src:Atm.Addr.t -> bytes -> bytes

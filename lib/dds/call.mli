@@ -14,10 +14,9 @@ val endpoint : Amsg.t -> endpoint
 (** The endpoint for a plane, created (and its reply handler registered)
     on first use; subsequent calls return the same endpoint. *)
 
-val node : endpoint -> Cluster.Node.t
-
 val timeouts : endpoint -> int
-(** Attempts that expired without a reply (each triggers a retry). *)
+(** Attempts that expired without a reply (each triggers a retry).
+    Test-only: the fault tests check lost replies are retried. *)
 
 type service = src:Atm.Addr.t -> bytes -> bytes
 (** A server operation: request payload in, reply payload out.  Runs at
@@ -30,9 +29,6 @@ val serve : Amsg.t -> id:int -> service -> unit
 (** Install a service under an active-message handler id.  Duplicate
     requests (same source and request id) are answered from a bounded
     per-source cache without re-running the service. *)
-
-val default_timeout : Sim.Time.t
-val default_attempts : int
 
 val call :
   ?timeout:Sim.Time.t ->

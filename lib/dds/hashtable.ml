@@ -131,10 +131,6 @@ let server ~rmem ~amsg ?(id = rpc_id) ~slots () =
       end);
   s
 
-let server_node s = s.snode
-let server_segment s = s.segment
-let slots s = s.sslots
-
 let server_key s =
   ( Atm.Addr.to_int (Cluster.Node.addr s.snode),
     Rmem.Segment.id s.segment,
@@ -174,7 +170,6 @@ let client ~rmem ~amsg ~kind ?policy ?hook s =
     rpc_fallbacks = 0;
   }
 
-let kind t = t.kind
 let cas_losses t = t.cas_losses
 let rpc_fallbacks t = t.rpc_fallbacks
 

@@ -34,24 +34,14 @@ val server :
     must be a positive power of two.  Must run in a simulated process
     on the home node. *)
 
-val server_node : server -> Cluster.Node.t
-val server_segment : server -> Rmem.Segment.t
-val slots : server -> int
-
-val server_key : server -> int * int * int
-(** The table segment's (home address, segment id, generation) — the
-    analysis layer's [seg_key] for declaring sync words. *)
-
 val local_insert : server -> key:int32 -> value:int32 -> bool
 (** Home-side insert (also the RPC service body); false when full. *)
-
-val local_lookup : server -> int32 -> int32 option
-val local_delete : server -> int32 -> bool
 
 (** {1 Hashing} *)
 
 val home_index : slots:int -> int32 -> int
-(** The key's home slot — where its probe chain starts on every node. *)
+(** The key's home slot — where its probe chain starts on every node.
+    Test-only: the tests build colliding keys from it. *)
 
 (** {1 Clients} *)
 
@@ -70,8 +60,6 @@ val client :
     [hook] receives {!Hook.event}s around every operation, with the
     designated cell being the key's {e home} slot value word. *)
 
-val kind : t -> Kind.t
-
 val insert : t -> key:int32 -> value:int32 -> unit
 (** Insert or overwrite.  Raises {!Full} when the probe chain finds
     neither the key nor a claimable slot, [Invalid_argument] on
@@ -82,7 +70,9 @@ val delete : t -> int32 -> bool
 
 val flush : t -> unit
 (** Fence the DX plane so every deposit this client issued is visible
-    remotely; a no-op for RPC handles (replies already acknowledge). *)
+    remotely; a no-op for RPC handles (replies already acknowledge).
+    Test-only: the tests fence a client's deposits before checking remote
+    state. *)
 
 val cas_losses : t -> int
 (** Slot-claim CASes lost to concurrent writers. *)

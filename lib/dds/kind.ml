@@ -7,9 +7,3 @@ type t = Dx | Rpc | Hybrid
 
 let all = [ Dx; Rpc; Hybrid ]
 let to_string = function Dx -> "dx" | Rpc -> "rpc" | Hybrid -> "hybrid"
-
-let of_string = function
-  | "dx" -> Some Dx
-  | "rpc" -> Some Rpc
-  | "hybrid" -> Some Hybrid
-  | _ -> None

@@ -9,4 +9,3 @@ type t = Dx | Rpc | Hybrid
 
 val all : t list
 val to_string : t -> string
-val of_string : string -> t option

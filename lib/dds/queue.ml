@@ -116,10 +116,6 @@ let server ~rmem ~amsg ?(id = rpc_id) ~capacity () =
       end);
   s
 
-let server_node s = s.snode
-let server_segment s = s.segment
-let capacity s = s.cap
-
 let server_key s =
   ( Atm.Addr.to_int (Cluster.Node.addr s.snode),
     Rmem.Segment.id s.segment,
@@ -169,7 +165,6 @@ let client ~rmem ~amsg ~kind ?policy ?hook s =
     rpc_fallbacks = 0;
   }
 
-let kind t = t.kind
 let cas_losses t = t.cas_losses
 let rpc_fallbacks t = t.rpc_fallbacks
 let node_id t = Atm.Addr.to_int (Cluster.Node.addr t.plane.Plane.node)

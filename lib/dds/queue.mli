@@ -29,13 +29,6 @@ val server :
     home node must pass distinct ids).  Must run in a simulated process
     on the home node. *)
 
-val server_node : server -> Cluster.Node.t
-val server_segment : server -> Rmem.Segment.t
-val capacity : server -> int
-
-val server_key : server -> int * int * int
-(** (home address, segment id, generation) of the queue segment. *)
-
 (** {1 Clients} *)
 
 type t
@@ -48,8 +41,6 @@ val client :
   ?hook:Hook.t ->
   server ->
   t
-
-val kind : t -> Kind.t
 
 val enqueue : t -> int32 -> int
 (** Enqueue a value and return its ticket.  Raises {!Full} once the

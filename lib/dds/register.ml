@@ -146,7 +146,6 @@ let client ~rmem ~amsg ~kind ~rank ?policy ?hook ?(write_back = true) ?quorum
     rpc_fallbacks = 0;
   }
 
-let kind t = t.kind
 let cas_losses t = t.cas_losses
 let rpc_fallbacks t = t.rpc_fallbacks
 let node_id t = Atm.Addr.to_int (Cluster.Node.addr t.node)

@@ -60,18 +60,12 @@ val client :
     replicas, which is exactly the adversarial corner the write-back
     phase exists for. *)
 
-val kind : t -> Kind.t
-
 val read : t -> int32
 (** Atomic read: collect from a majority, adopt the highest pair, write
     it back until a majority holds it. *)
 
 val write : t -> int32 -> Tag.t
 (** Atomic write; returns the tag it installed. *)
-
-val highest : (int * Tag.t * int32) list -> Tag.t * int32
-(** The ABD [highest()] over collected (replica, tag, value) triples.
-    Raises [Invalid_argument] on an empty list. *)
 
 val cas_losses : t -> int
 (** DX store claims lost to concurrent writers. *)

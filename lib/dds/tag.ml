@@ -5,7 +5,6 @@
 type t = { ts : int; wr : int }
 
 let ranks = 16
-let zero = { ts = 0; wr = 0 }
 
 let compare a b =
   match Stdlib.compare a.ts b.ts with 0 -> Stdlib.compare a.wr b.wr | c -> c

@@ -15,9 +15,6 @@ type t = { ts : int; wr : int }
 val ranks : int
 (** Distinct writer ranks the packing supports (16). *)
 
-val zero : t
-(** The tag every replica starts with: [(0, 0)]. *)
-
 val compare : t -> t -> int
 (** Timestamp-major, rank-minor — the quorum's total order. *)
 
@@ -33,7 +30,8 @@ val unpack : int32 -> t
 val busy : int32
 (** The claim sentinel a writer CASes into the tag word while it
     deposits the new cell; never a valid packing.  Equal to
-    [busy_for 0]. *)
+    [busy_for 0].
+    Test-only: the tests check the claim sentinel is rank 0's. *)
 
 val busy_for : int -> int32
 (** Rank-specific claim sentinel [-(1 + wr)].  A writer that lost the

@@ -24,16 +24,9 @@ let scheme_to_string = function
 
 type t = {
   rmem : Rmem.Remote_memory.t;
-  names : Names.Clerk.t;
   node : Cluster.Node.t;
   server : Atm.Addr.t;
   mutable scheme : scheme;
-  mutable recovery : Rmem.Recovery.policy option;
-  (* None (default): legacy unbounded DX reads and one-way write pushes,
-     bit-identical to the fault-free build *)
-  mutable pipeline : Rmem.Pipeline.t option;
-  (* when set (and enabled), DX block gathers issue a window of
-     concurrent slot READs and write pushes leave as one burst frame *)
   space : Cluster.Address_space.t;
   (* local cache areas *)
   l_attr : Slot_cache.t;
@@ -72,12 +65,9 @@ let create ?(scheme = Dx) ?rpc ?(export_local_cache = false) ~names ~server () =
   let t =
     {
       rmem;
-      names;
       node;
       server;
       scheme;
-      recovery = None;
-      pipeline = None;
       space;
       l_attr = cache Layout.attr_base Layout.attr_cache;
       l_name = cache Layout.name_base Layout.name_cache;
@@ -122,52 +112,16 @@ let create ?(scheme = Dx) ?rpc ?(export_local_cache = false) ~names ~server () =
 
 let node t = t.node
 let set_scheme t scheme = t.scheme <- scheme
-let scheme t = t.scheme
 let stats t = t.stats
-let set_recovery t policy = t.recovery <- policy
-let set_pipeline t pipeline = t.pipeline <- pipeline
-
-(* The windowed DX gather path engages only without a recovery policy:
-   policied reads retry inside their own blocking loop, which is exactly
-   the serialization the window exists to avoid. *)
-let gather_pipeline t =
-  match (t.pipeline, t.recovery) with
-  | Some p, None -> Some p
-  | _ -> None
-
-(* Which service segment a descriptor names, for revalidation: after a
-   server crash/restart the generations change, and the recovery policy
-   heals a [Stale_generation] by re-looking the name up. *)
-let layout_name_of t desc =
-  if desc == t.d_stat then Layout.statfs_name
-  else if desc == t.d_attr then Layout.attr_name
-  else if desc == t.d_name then Layout.name_name
-  else if desc == t.d_link then Layout.link_name
-  else if desc == t.d_dir then Layout.dir_name
-  else if desc == t.d_file then Layout.file_name
-  else Layout.request_name
-
-let policy_for t desc =
-  match t.recovery with
-  | None -> None
-  | Some base ->
-      Some
-        (Rmem.Recovery.with_revalidate base
-           (Names.Api.revalidator ~hint:t.server t.names (layout_name_of t desc)))
 
 let probe_buffer t =
   Rmem.Remote_memory.buffer ~space:t.space ~base:t.probe_base ~len:16384
 
-(* DX reads and write pushes, under the recovery policy if one is set.
-   The Hybrid-1 request segment is exported write-only, so its writes
-   stay one-way (the spin deadline there is the timeout); everything DX
-   touches is readable and can be fenced, verified and reissued. *)
 let dx_read t desc ~soff ~count =
-  Rmem.Remote_memory.read_wait ?policy:(policy_for t desc) t.rmem desc ~soff
-    ~count ~dst:(probe_buffer t) ~doff:0 ()
+  Rmem.Remote_memory.read_wait t.rmem desc ~soff ~count ~dst:(probe_buffer t)
+    ~doff:0 ()
 
-let dx_write t desc ~off data =
-  Rmem.Remote_memory.write ?policy:(policy_for t desc) t.rmem desc ~off data
+let dx_write t desc ~off data = Rmem.Remote_memory.write t.rmem desc ~off data
 
 let name_key name = Names.Record.fnv_hash name
 
@@ -237,73 +191,6 @@ let dx_fetch_slot t desc config ~key1 ~key2 ~len =
   Metrics.Account.add t.stats ~category:"dx reads" 1.;
   let slot = Cluster.Address_space.read t.space ~addr:t.probe_base ~len:fetch in
   decode_slot slot ~key1 ~key2 ~len
-
-(* The windowed block gather: plan every touched file block up front
-   (their server slot offsets are computable client-side — the whole
-   point of DX), issue the slot READs a window at a time into distinct
-   stripes of the gather buffer, then validate and assemble in order.
-   Returns [None] on any invalid slot, as the serial gather would. *)
-let dx_window_slots = 8
-
-let dx_gather_windowed t pipeline ~fh ~off ~count =
-  let rec plan pos acc =
-    if pos >= count then List.rev acc
-    else begin
-      let abs = off + pos in
-      let block = abs / File_store.block_bytes in
-      let boff = abs mod File_store.block_bytes in
-      let span = Stdlib.min (count - pos) (File_store.block_bytes - boff) in
-      plan (pos + span) ((pos, block, boff, span) :: acc)
-    end
-  in
-  let chunks = plan 0 [] in
-  let stride = Slot_cache.header_bytes + File_store.block_bytes in
-  let buf =
-    Rmem.Remote_memory.buffer ~space:t.space ~base:t.probe_base
-      ~len:(dx_window_slots * stride)
-  in
-  let out = Bytes.create count in
-  let rec batches chunks =
-    match chunks with
-    | [] -> Some (Nfs_ops.R_data out)
-    | _ -> (
-        let rec split n acc rest =
-          match rest with
-          | item :: rest when n < dx_window_slots ->
-              split (n + 1) (item :: acc) rest
-          | _ -> (List.rev acc, rest)
-        in
-        let batch, rest = split 0 [] chunks in
-        List.iteri
-          (fun j (_, block, boff, span) ->
-            let soff =
-              Slot_cache.offset_of_key_cfg Layout.file_cache ~key1:fh
-                ~key2:block
-            in
-            Rmem.Pipeline.read_submit pipeline t.d_file ~soff
-              ~count:(Slot_cache.header_bytes + boff + span)
-              ~dst:buf ~doff:(j * stride) ();
-            Metrics.Account.add t.stats ~category:"dx reads" 1.)
-          batch;
-        Rmem.Pipeline.drain pipeline;
-        let ok =
-          List.for_all
-            (fun (j, (pos, block, boff, span)) ->
-              let slot =
-                Cluster.Address_space.read t.space
-                  ~addr:(t.probe_base + (j * stride))
-                  ~len:(Slot_cache.header_bytes + boff + span)
-              in
-              match decode_slot slot ~key1:fh ~key2:block ~len:(boff + span) with
-              | Some payload when Bytes.length payload >= boff + span ->
-                  Bytes.blit payload boff out pos span;
-                  true
-              | Some _ | None -> false)
-            (List.mapi (fun j c -> (j, c)) batch)
-        in
-        match ok with true -> batches rest | false -> None)
-  in
-  batches chunks
 
 let synthesized_attr ~fh ~size =
   {
@@ -380,12 +267,6 @@ let dx_fetch t op =
         with
         | Some payload -> Some (Nfs_ops.R_link (Bytes.to_string payload))
         | None -> miss ())
-    | Nfs_ops.Read { fh; off; count }
-      when Option.is_some (gather_pipeline t) -> (
-        let pipeline = Option.get (gather_pipeline t) in
-        match dx_gather_windowed t pipeline ~fh ~off ~count with
-        | Some r -> Some r
-        | None -> miss ())
     | Nfs_ops.Read { fh; off; count } -> (
         (* One slot read per touched block, assembled client-side. *)
         let out = Bytes.create count in
@@ -453,21 +334,8 @@ let dx_fetch t op =
         Bytes.set_int32_le header 4 (Int32.of_int fh);
         Bytes.set_int32_le header 8 (Int32.of_int block);
         Bytes.set_int32_le header 12 (Int32.of_int (Bytes.length data));
-        (match t.pipeline with
-        | Some p ->
-            (* Header and body stage as adjacent extents and merge: the
-               whole push leaves as one burst frame and deposits as a
-               unit, so the valid flag can never precede its data. *)
-            Rmem.Pipeline.write p t.d_file
-              ~off:(slot_off + Slot_cache.header_bytes)
-              data;
-            Rmem.Pipeline.write p t.d_file ~off:slot_off header;
-            Rmem.Pipeline.flush ?policy:(policy_for t t.d_file) p t.d_file
-        | None ->
-            dx_write t t.d_file
-              ~off:(slot_off + Slot_cache.header_bytes)
-              data;
-            dx_write t t.d_file ~off:slot_off header);
+        dx_write t t.d_file ~off:(slot_off + Slot_cache.header_bytes) data;
+        dx_write t t.d_file ~off:slot_off header;
         Metrics.Account.add t.stats ~category:"dx writes" 1.;
         Some
           (Nfs_ops.R_write

@@ -27,27 +27,8 @@ val create :
     cache so the server can eagerly push updates into it (§3.2). *)
 
 val node : t -> Cluster.Node.t
-val scheme : t -> scheme
 val set_scheme : t -> scheme -> unit
 val stats : t -> Metrics.Account.t
-
-val set_recovery : t -> Rmem.Recovery.policy option -> unit
-(** Run DX reads and file-cache write pushes under a recovery policy,
-    extended per segment with a name-service revalidator so a server
-    crash/restart's [Stale_generation] heals by forced re-import. The
-    Hybrid-1 request segment is write-only and stays one-way (its spin
-    deadline is the timeout there). The default [None] keeps the legacy
-    behavior, bit-identical to the fault-free build. *)
-
-val set_pipeline : t -> Rmem.Pipeline.t option -> unit
-(** Route DX block transfer through a pipelined issue engine. Reads of
-    multi-block files issue a window of slot READs concurrently into
-    stripes of a gather buffer (engaged only without a recovery policy
-    — policied reads retry in their own blocking loop). Write pushes
-    stage the block body and its header as adjacent extents that merge
-    into one burst frame, deposited as a unit, so the valid flag can
-    never precede its data; the flush composes with {!set_recovery}.
-    [None] or a disabled engine keeps the serial path. *)
 
 val perform : t -> Nfs_ops.op -> Nfs_ops.result
 (** The full client path: local RPC into the clerk, local caches, then
@@ -56,7 +37,3 @@ val perform : t -> Nfs_ops.op -> Nfs_ops.result
 val remote_fetch : t -> Nfs_ops.op -> Nfs_ops.result
 (** The miss path only (no local caches, no client-clerk local RPC) —
     what Figures 2 and 3 measure. *)
-
-val hybrid_fetch : t -> Nfs_ops.op -> Nfs_ops.result
-val dx_fetch : t -> Nfs_ops.op -> Nfs_ops.result
-val rpc_fetch : t -> Nfs_ops.op -> Nfs_ops.result

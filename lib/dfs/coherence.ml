@@ -82,7 +82,6 @@ type client = {
   revoke_space : Cluster.Address_space.t;
   revoke_descs : (int, Rmem.Descriptor.t) Hashtbl.t; (* peer -> its revoke seg *)
   held : (int, Sim.Time.t) Hashtbl.t; (* token -> acquired at *)
-  mutable acquires : int;
   mutable retries : int;
   mutable revocations_honored : int;
 }
@@ -108,7 +107,6 @@ let connect ~names ~server () =
     revoke_space;
     revoke_descs = Hashtbl.create 4;
     held = Hashtbl.create 4;
-    acquires = 0;
     retries = 0;
     revocations_honored = 0;
   }
@@ -169,7 +167,6 @@ let acquire ?(max_attempts = 64) ?(revoke_after = max_int) t ~token =
         ~old_value:0l ~new_value:t.me ()
     in
     if granted then begin
-      t.acquires <- t.acquires + 1;
       Hashtbl.replace t.held token (Sim.Engine.now (Cluster.Node.engine t.node))
     end
     else begin
@@ -213,7 +210,6 @@ let hold_with_lease t ~token ~lease =
   wait_out ();
   release t ~token
 
-let acquires t = t.acquires
 let retries t = t.retries
 let revocations_honored t = t.revocations_honored
 

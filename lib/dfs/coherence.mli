@@ -2,7 +2,6 @@
     compare-and-swap on a server-owned token table, with an RPC-based
     variant of the same protocol as the ablation baseline. *)
 
-val token_segment_name : string
 val default_tokens : int
 
 (** {1 Server side} *)
@@ -14,9 +13,8 @@ val export_tokens :
 (** Export the token table (one word per token, 0 = free). *)
 
 val holder_of : manager -> token:int -> int
-(** Current holder id (node address + 1), or 0 when free. *)
-
-val rpc_prog : int
+(** Current holder id (node address + 1), or 0 when free.
+    Test-only: the coherence tests check the server's token table. *)
 
 val start_rpc_manager : manager -> Rpckit.Transport.t -> Rpckit.Server.t
 (** The RPC token service over the same table. *)
@@ -44,18 +42,19 @@ val release : client -> token:int -> unit
 
 val invariant : manager -> clients:client list -> bool
 (** Token-coherence invariant: every token a client holds locally is
-    published as held by that client in the server's table. *)
+    published as held by that client in the server's table.
+    Test-only: the coherence tests assert it after each run. *)
 
 val hold_with_lease : client -> token:int -> lease:Sim.Time.t -> unit
 (** Delayed revocation: keep the token for up to [lease], but release as
-    soon as a competitor's revocation request arrives. *)
+    soon as a competitor's revocation request arrives.
+    Test-only: the coherence tests exercise delayed revocation. *)
 
-val wanted : client -> token:int -> bool
-(** Has someone asked for a token this client holds? *)
-
-val acquires : client -> int
 val retries : client -> int
+(** Test-only: the coherence tests read the retry count. *)
+
 val revocations_honored : client -> int
+(** Test-only: the coherence tests check revocations were honoured. *)
 
 (** {1 RPC baseline} *)
 

@@ -269,8 +269,6 @@ let statfs t =
     block_size = block_bytes;
   }
 
-let file_count t = Hashtbl.length t.nodes
-
 (* Serialize directory entries the way READDIR returns them: a packed
    sequence of [inode 4][name len 2][name][pad to 4]. *)
 let encode_entries entries =

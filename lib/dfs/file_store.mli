@@ -77,7 +77,6 @@ type statfs = {
 }
 
 val statfs : t -> statfs
-val file_count : t -> int
 
 val encode_entries : (string * int) list -> bytes
 (** Pack directory entries as READDIR returns them. *)

@@ -28,7 +28,6 @@ val request_base : int
 val request_slot_bytes : int
 (** [len 4][encoded op <= 8K + overhead][slack]. *)
 
-val max_clients : int
 val request_bytes : int
 
 val reply_slot_bytes : int

@@ -7,11 +7,6 @@ val prog : int
 val proc_of_op : Nfs_ops.op -> int
 (** NFSv2-style procedure numbers. *)
 
-val fh_pad : int -> bytes
-(** Dress an inode number as an opaque 32-byte handle. *)
-
-val fh_of_bytes : bytes -> int
-
 val marshal_op : Nfs_ops.op -> Rpckit.Xdr.t
 val unmarshal_op : proc:int -> Rpckit.Xdr.reader -> Nfs_ops.op
 val marshal_result : Nfs_ops.result -> Rpckit.Xdr.t

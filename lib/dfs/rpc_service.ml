@@ -2,8 +2,6 @@
    reached through the classic RPC stack — the structure the paper's
    Table 1 systems use. *)
 
-type t = { server : Rpckit.Server.t }
-
 let start transport ~store ?(threads = 2) () =
   let node = Rpckit.Transport.node transport in
   let costs = Cluster.Node.costs node in
@@ -14,10 +12,6 @@ let start transport ~store ?(threads = 2) () =
       (Nfs_ops.procedure_cost costs op);
     Rpc_codec.marshal_result (Server.execute store op)
   in
-  let server =
-    Rpckit.Server.create transport ~prog:Rpc_codec.prog ~threads ~handler ()
-  in
-  { server }
-
-let served t = Rpckit.Server.served t.server
-let rpc_server t = t.server
+  ignore
+    (Rpckit.Server.create transport ~prog:Rpc_codec.prog ~threads ~handler ()
+      : Rpckit.Server.t)

@@ -1,10 +1,5 @@
 (** The RPC-baseline file service: the same operations as {!Server},
     reached through the classic RPC stack. *)
 
-type t
-
 val start :
-  Rpckit.Transport.t -> store:File_store.t -> ?threads:int -> unit -> t
-
-val served : t -> int
-val rpc_server : t -> Rpckit.Server.t
+  Rpckit.Transport.t -> store:File_store.t -> ?threads:int -> unit -> unit

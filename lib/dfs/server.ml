@@ -343,10 +343,5 @@ let create ~rmem ~clerk ~store () =
     (Some (fun record -> serve_hybrid_request t ~record));
   t
 
-let node t = t.node
-let store t = t.store
-let space t = t.space
 let hybrid_served t = t.hybrid_served
 let blocks_pushed t = t.blocks_pushed
-let file_cache t = t.file_cache
-let rmem t = t.rmem

@@ -18,11 +18,6 @@ val create :
     switch the node's remote-memory accounting to server categories,
     and install the Hybrid-1 request handler. Run within a process. *)
 
-val node : t -> Cluster.Node.t
-val store : t -> File_store.t
-val space : t -> Cluster.Address_space.t
-val rmem : t -> Rmem.Remote_memory.t
-
 val execute : File_store.t -> Nfs_ops.op -> Nfs_ops.result
 (** Run one operation against a local store (shared by the Hybrid-1 and
     RPC service paths). Errors map to [R_error]. *)
@@ -38,7 +33,6 @@ val cache_name : t -> dir:int -> name:string -> unit
 val cache_link : t -> int -> unit
 val cache_dir : t -> int -> unit
 val cache_file_block : t -> int -> block:int -> unit
-val publish_statfs : t -> unit
 
 val writeback : t -> fh:int -> block:int -> unit
 (** Apply a clerk-pushed file block back to the store if it differs,
@@ -48,14 +42,14 @@ val writeback : t -> fh:int -> block:int -> unit
 
 val enable_eager_push : t -> client:Atm.Addr.t -> unit
 (** Subscribe a clerk (created with [~export_local_cache:true]) to
-    one-way pushes of updated file blocks into its local cache. *)
-
-val push_block : t -> fh:int -> block:int -> unit
-(** Push one cached block to every subscribed clerk now. *)
+    one-way pushes of updated file blocks into its local cache.
+    Test-only: the paper's eager client-cache update (section 3.2), exercised
+    by the extension tests. *)
 
 val blocks_pushed : t -> int
+(** Test-only: the eager-push tests count pushed blocks. *)
 
 (** {1 Introspection} *)
 
 val hybrid_served : t -> int
-val file_cache : t -> Slot_cache.t
+(** Test-only: the DFS tests count requests served on the Hybrid-1 path. *)

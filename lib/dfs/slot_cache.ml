@@ -51,10 +51,6 @@ let offset_of_slot_cfg config slot = slot * slot_bytes config
 let offset_of_key_cfg config ~key1 ~key2 =
   offset_of_slot_cfg config (slot_of_key_cfg config ~key1 ~key2)
 
-let slot_of_key t ~key1 ~key2 = slot_of_key_cfg t.config ~key1 ~key2
-
-let offset_of_slot t slot = offset_of_slot_cfg t.config slot
-
 let offset_of_key t ~key1 ~key2 = offset_of_key_cfg t.config ~key1 ~key2
 
 (* Local (owner-side) operations. *)

@@ -5,6 +5,5 @@ type point = { bytes : int; hy_us : float; dx_us : float; ratio : float }
 
 type result = point list
 
-val sizes : int list
 val run : ?fixture:Fixture.t -> unit -> result
 val render : result -> string

@@ -40,9 +40,9 @@ let measure burst_cells =
       (* 8K write latency to first full deposit. *)
       let received = ref 0 in
       let done_8k = Sim.Ivar.create () in
-      Rmem.Remote_memory.set_delivery_probe r1
+      Fixture.on_write_served r1
         (Some
-           (fun _ ~count ->
+           (fun count ->
              received := !received + count;
              if !received >= 8192 then
                ignore (Sim.Ivar.try_fill done_8k (Sim.Engine.now engine) : bool)));
@@ -55,9 +55,9 @@ let measure burst_cells =
       let total = blocks * 4096 in
       received := 0;
       let done_all = Sim.Ivar.create () in
-      Rmem.Remote_memory.set_delivery_probe r1
+      Fixture.on_write_served r1
         (Some
-           (fun _ ~count ->
+           (fun count ->
              received := !received + count;
              if !received >= total then
                ignore (Sim.Ivar.try_fill done_all (Sim.Engine.now engine) : bool)));
@@ -70,7 +70,7 @@ let measure burst_cells =
         float_of_int (total * 8)
         /. Sim.Time.to_us (Sim.Time.diff (Sim.Ivar.read done_all) t0)
       in
-      Rmem.Remote_memory.set_delivery_probe r1 None;
+      Fixture.on_write_served r1 None;
       out := Some (throughput, latency));
   let throughput_mbps, write_8k_latency_us = Option.get !out in
   { burst_cells; throughput_mbps; write_8k_latency_us }

@@ -417,9 +417,6 @@ let to_json result =
       "";
     ]
 
-let json_valid text =
-  match Metrics.Json.parse text with Ok _ -> true | Error _ -> false
-
 let render result =
   let table =
     Metrics.Table.create

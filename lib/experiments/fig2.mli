@@ -7,4 +7,6 @@ type result = row list
 
 val run : ?fixture:Fixture.t -> unit -> result
 val dx_wins_everywhere : result -> bool
+(** Test-only: the Figure 2 band test. *)
+
 val render : result -> string

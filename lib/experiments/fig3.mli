@@ -8,8 +8,6 @@ type breakdown = {
   reply_us : float;
 }
 
-val total : breakdown -> float
-
 type row = { op : string; hy : breakdown; dx : breakdown }
 
 type result = row list
@@ -17,6 +15,7 @@ type result = row list
 val run : ?fixture:Fixture.t -> unit -> result
 
 val average_load_ratio : result -> float
-(** Mean DX/HY server-load ratio over the ops (paper: < 0.5). *)
+(** Mean DX/HY server-load ratio over the ops (paper: < 0.5).
+    Test-only: the Figure 3 band test. *)
 
 val render : result -> string

@@ -12,7 +12,6 @@ type t = {
   tree : Workload.File_tree.t;
   store : Dfs.File_store.t;
   server : Dfs.Server.t;
-  rpc_service : Dfs.Rpc_service.t;
   clerks : Dfs.Clerk.t array; (* index c -> clerk on node c+1 *)
   prng : Sim.Prng.t;
   (* Dedicated benchmark objects. *)
@@ -21,7 +20,6 @@ type t = {
   bench_link : int;
 }
 
-let server_addr t = Cluster.Node.addr (Cluster.Testbed.node t.testbed 0)
 let server_node t = Cluster.Testbed.node t.testbed 0
 let server_cpu t = Cluster.Node.cpu (server_node t)
 let clerk t c = t.clerks.(c)
@@ -82,7 +80,7 @@ let create ?(clients = 1) ?(seed = 7) ?(tree_dirs = 24) ?(files_per_dir = 16)
         Dfs.Server.create ~rmem:rmems.(0) ~clerk:names.(0) ~store ()
       in
       Dfs.Server.warm_all_caches server;
-      let rpc_service = Dfs.Rpc_service.start transports.(0) ~store () in
+      Dfs.Rpc_service.start transports.(0) ~store ();
       let clerks =
         Array.init clients (fun c ->
             Dfs.Clerk.create
@@ -119,7 +117,6 @@ let create ?(clients = 1) ?(seed = 7) ?(tree_dirs = 24) ?(files_per_dir = 16)
             tree;
             store;
             server;
-            rpc_service;
             clerks;
             prng;
             bench_file;
@@ -169,3 +166,12 @@ let figure_ops t =
     ( "WriteFile(1K)",
       Dfs.Nfs_ops.Write { fh = t.bench_file; off = 0; data = Bytes.make 1024 'w' } );
   ]
+
+let on_write_served rmem f =
+  Rmem.Remote_memory.set_monitor rmem
+    (Option.map
+       (fun f -> function
+         | Rmem.Remote_memory.Served { op = Rmem.Rights.Write_op; count; _ } ->
+             f count
+         | _ -> ())
+       f)

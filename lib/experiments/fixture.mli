@@ -11,7 +11,6 @@ type t = {
   tree : Workload.File_tree.t;
   store : Dfs.File_store.t;
   server : Dfs.Server.t;
-  rpc_service : Dfs.Rpc_service.t;
   clerks : Dfs.Clerk.t array;  (** index c = clerk on node c+1 *)
   prng : Sim.Prng.t;
   bench_file : int;
@@ -29,8 +28,9 @@ val create :
   unit ->
   t
 
-val server_addr : t -> Atm.Addr.t
 val server_node : t -> Cluster.Node.t
+(** Test-only: the stress tests take the file server down. *)
+
 val server_cpu : t -> Cluster.Cpu.t
 val clerk : t -> int -> Dfs.Clerk.t
 
@@ -52,3 +52,10 @@ val recache_bench : t -> unit
 
 val figure_ops : t -> (string * Dfs.Nfs_ops.op) list
 (** The twelve operations of Figures 2 and 3, in the paper's order. *)
+
+val on_write_served : Rmem.Remote_memory.t -> (int -> unit) option -> unit
+(** [on_write_served rmem (Some f)] calls [f count] at the instant each
+    inbound WRITE (or burst extent) has deposited its [count] bytes on
+    [rmem], before any notification cost; the calibration experiments
+    time one-way delivery with it. It occupies [rmem]'s monitor slot;
+    [None] clears it. *)

@@ -12,6 +12,6 @@ type result = {
 val run : ?fixture:Fixture.t -> ?scale:int -> unit -> result
 
 val reduction : result -> float
-(** 1 - DX/HY server CPU (paper: ~0.5). *)
+(** 1 - DX/HY server CPU (paper: ~0.5). Test-only: the headline band test. *)
 
 val render : result -> string

@@ -5,7 +5,7 @@
    Three workloads, two nodes back to back (the paper's testbed):
 
    - write_stream: stream [ops] blocks to sequential offsets, clock
-     each block from issue to deposit (the delivery probe), and the
+     each block from issue to deposit (the served-write monitor), and the
      stream from first issue to last deposit.  Batched mode stages the
      blocks and sends scatter-gather bursts.
    - read_stream: pull the blocks back; windowed mode keeps [window]
@@ -109,7 +109,7 @@ let on_testbed body =
   Option.get !out
 
 (* write_stream / doorbell: per-op deposit times recovered from the
-   destination's delivery probe by cumulative byte thresholds — with
+   destination's served-write monitor by cumulative byte thresholds — with
    batching, one burst deposit retires several ops at once. *)
 let write_stream ~mode ~window ~batch_bytes ~payload ~ops ~notify () =
   on_testbed (fun ~r0 ~r1 ~desc ~segment ~buf:_ ~now ->
@@ -121,9 +121,9 @@ let write_stream ~mode ~window ~batch_bytes ~payload ~ops ~notify () =
       let next = ref 0 in
       let received = ref 0 in
       let done_ = Sim.Ivar.create () in
-      Rmem.Remote_memory.set_delivery_probe r1
+      Fixture.on_write_served r1
         (Some
-           (fun _kind ~count ->
+           (fun count ->
              received := !received + count;
              while !next < ops && !received >= (!next + 1) * payload do
                completed.(!next) <- now ();
@@ -156,7 +156,7 @@ let write_stream ~mode ~window ~batch_bytes ~payload ~ops ~notify () =
           done;
           Rmem.Pipeline.flush p desc);
       let t_end = Sim.Ivar.read done_ in
-      Rmem.Remote_memory.set_delivery_probe r1 None;
+      Fixture.on_write_served r1 None;
       let latencies =
         Array.init ops (fun i ->
             Sim.Time.to_us (Sim.Time.diff completed.(i) issue.(i)))

@@ -41,6 +41,7 @@ val to_json : result -> string
 (** The BENCH_PR5.json document (schema in DESIGN.md §12). *)
 
 val json_valid : string -> bool
-(** [to_json]'s output parses as JSON ({!Metrics.Json.parse}). *)
+(** [to_json]'s output parses as JSON ({!Metrics.Json.parse}).
+    Test-only: the bench tests check the JSON it emits parses. *)
 
 val render : result -> string

@@ -42,14 +42,14 @@ let measure crypto =
       in
       let buf = Rmem.Remote_memory.buffer ~space:space0 ~base:0 ~len:65536 in
       let now () = Sim.Engine.now engine in
-      (* Write latency via the delivery probe. *)
+      (* Write latency: issue to deposit. *)
       let arrival = Sim.Ivar.create () in
-      Rmem.Remote_memory.set_delivery_probe r1
-        (Some (fun _ ~count:_ -> ignore (Sim.Ivar.try_fill arrival (now ()) : bool)));
+      Fixture.on_write_served r1
+        (Some (fun _ -> ignore (Sim.Ivar.try_fill arrival (now ()) : bool)));
       let t0 = now () in
       Rmem.Remote_memory.write r0 desc ~off:0 (Bytes.make 40 'x');
       let write_us = Sim.Time.to_us (Sim.Time.diff (Sim.Ivar.read arrival) t0) in
-      Rmem.Remote_memory.set_delivery_probe r1 None;
+      Fixture.on_write_served r1 None;
       (* Read latency. *)
       let t0 = now () in
       Rmem.Remote_memory.read_wait r0 desc ~soff:0 ~count:40 ~dst:buf ~doff:0 ();

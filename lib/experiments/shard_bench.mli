@@ -37,8 +37,6 @@ type campaign = {
 
 type result = { baseline : campaign; sharded : campaign }
 
-val schema_version : int
-
 val run :
   ?spines:int ->
   ?leaves:int ->
@@ -71,5 +69,4 @@ val check : result -> string list
     a rebalance that actually split, and full epoch convergence. *)
 
 val to_json : result -> string
-val json_valid : string -> bool
 val render : result -> string

@@ -80,7 +80,7 @@ let render result =
 
    One unloaded WRITE / READ / CAS between two nodes, measured twice:
    directly ([Engine.now] around the operation, with the server's
-   delivery probe timestamping the unacknowledged WRITE's deposit) and
+   served-write monitor timestamping the unacknowledged WRITE's deposit) and
    from the tracer's span tree.  The two must agree — the tests hold
    them to within 1% — which pins the tracer to the cost model instead
    of letting the two drift apart. *)
@@ -102,8 +102,8 @@ let decompose ?(bytes = 1024) () =
   let rmem0 = Rmem.Remote_memory.attach node0 in
   let rmem1 = Rmem.Remote_memory.attach node1 in
   let write_served = ref Sim.Time.zero in
-  Rmem.Remote_memory.set_delivery_probe rmem1
-    (Some (fun _kind ~count:_ -> write_served := Sim.Engine.now engine));
+  Fixture.on_write_served rmem1
+    (Some (fun _ -> write_served := Sim.Engine.now engine));
   let registry = Obs.Registry.create () in
   let trace = Obs.Trace.create ~registry engine in
   Obs.Trace.attach trace;

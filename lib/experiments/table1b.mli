@@ -13,9 +13,11 @@ type result = {
 val run : ?scale:int -> ?seed:int -> unit -> result
 
 val control_fraction : result -> float
-(** Control bytes as a fraction of all bytes (paper: ~0.12). *)
+(** Control bytes as a fraction of all bytes (paper: ~0.12).
+    Test-only: the Table 1b band test. *)
 
 val write_ratio : result -> float
-(** Control/data for the Write row (paper: 0.01). *)
+(** Control/data for the Write row (paper: 0.01).
+    Test-only: the Table 1b band test. *)
 
 val render : result -> string

@@ -36,16 +36,16 @@ let run () =
       let buf = Rmem.Remote_memory.buffer ~space:space0 ~base:0 ~len:65536 in
       let now () = Sim.Engine.now engine in
 
-      (* Write latency: issue to deposit, via the delivery probe. *)
+      (* Write latency: issue to deposit. *)
       let arrival = Sim.Ivar.create () in
-      Rmem.Remote_memory.set_delivery_probe r1
-        (Some (fun _kind ~count:_ -> Sim.Ivar.try_fill arrival (now ()) |> ignore));
+      Fixture.on_write_served r1
+        (Some (fun _ -> Sim.Ivar.try_fill arrival (now ()) |> ignore));
       let t0 = now () in
       Rmem.Remote_memory.write r0 desc ~off:0 (Bytes.make 40 'x');
       let write_latency =
         Sim.Time.to_us (Sim.Time.diff (Sim.Ivar.read arrival) t0)
       in
-      Rmem.Remote_memory.set_delivery_probe r1 None;
+      Fixture.on_write_served r1 None;
 
       (* Read latency: one-cell round trip. *)
       let t0 = now () in
@@ -65,9 +65,9 @@ let run () =
       let total_bytes = blocks_for_throughput * 4096 in
       let received = ref 0 in
       let done_ = Sim.Ivar.create () in
-      Rmem.Remote_memory.set_delivery_probe r1
+      Fixture.on_write_served r1
         (Some
-           (fun _kind ~count ->
+           (fun count ->
              received := !received + count;
              if !received >= total_bytes then
                ignore (Sim.Ivar.try_fill done_ (now ()) : bool)));
@@ -77,7 +77,7 @@ let run () =
         Rmem.Remote_memory.write r0 desc ~off:(4096 * (i land 15)) block
       done;
       let t_end = Sim.Ivar.read done_ in
-      Rmem.Remote_memory.set_delivery_probe r1 None;
+      Fixture.on_write_served r1 None;
       let throughput =
         float_of_int (total_bytes * 8) /. Sim.Time.to_us (Sim.Time.diff t_end t0)
       in

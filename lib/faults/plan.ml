@@ -81,5 +81,3 @@ let make ?(link = calm) ?(partitions = []) ?(crashes = []) () =
       | Some _ | None -> ())
     crashes;
   { link; partitions; crashes }
-
-let is_none t = t.link = calm && t.partitions = [] && t.crashes = []

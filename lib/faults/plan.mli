@@ -29,9 +29,6 @@ type link_faults = {
   windows : window list;  (** [[]] = the whole run *)
 }
 
-val calm : link_faults
-(** All probabilities zero. *)
-
 val link_faults :
   ?loss:float ->
   ?corrupt:float ->
@@ -73,5 +70,3 @@ val make :
   t
 (** Raises [Invalid_argument] for an empty partition group, a partition
     without windows, or a restart not after its crash. *)
-
-val is_none : t -> bool

@@ -32,7 +32,8 @@ val create :
     (e.g. [Names.Clerk.reannounce clerk]). *)
 
 val uninstall : t -> unit
-(** Remove the interposers and restore raise-on-overflow. *)
+(** Remove the interposers and restore raise-on-overflow.
+    Test-only: the fault tests restore the fabric between phases. *)
 
 val registry : t -> Obs.Registry.t
 (** Injection counters ([faults.frames] — every frame inspected —
@@ -44,11 +45,9 @@ val registry : t -> Obs.Registry.t
 
 (** {1 The replay contract} *)
 
-val events : t -> (Sim.Time.t * string) list
-(** Every injected fault, chronologically, e.g. [(t, "drop 0->1")]. *)
-
 val event_count : t -> int
 
 val digest : t -> int
-(** A positive hash of {!events}: two runs with equal digests injected
-    the identical fault sequence at the identical instants. *)
+(** A positive hash of every injected fault and its instant, in order:
+    two runs with equal digests injected the identical fault sequence at
+    the identical instants. *)

@@ -31,8 +31,6 @@ let create ?(name = "account") () =
     last_cell = { total = 0. };
   }
 
-let name t = t.name
-
 let cell t category =
   if category == t.last_category then t.last_cell
   else begin

@@ -7,7 +7,6 @@
 type t
 
 val create : ?name:string -> unit -> t
-val name : t -> string
 
 val add : t -> category:string -> float -> unit
 
@@ -25,3 +24,4 @@ val categories : t -> string list
 val to_list : t -> (string * float) list
 val reset : t -> unit
 val pp : Format.formatter -> t -> unit
+(** Test-only: the metrics unit tests. *)

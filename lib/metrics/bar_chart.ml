@@ -104,6 +104,3 @@ let render ?title ?(unit_label = "") ?(width = 60) groups =
     Buffer.add_char buf '\n'
   end;
   Buffer.contents buf
-
-let print ?title ?unit_label ?width groups =
-  print_string (render ?title ?unit_label ?width groups)

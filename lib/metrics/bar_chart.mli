@@ -11,6 +11,3 @@ type group = { group_name : string; bars : bar list }
 val render :
   ?title:string -> ?unit_label:string -> ?width:int -> group list -> string
 (** Bars share a common scale (the largest total maps to [width] cells). *)
-
-val print :
-  ?title:string -> ?unit_label:string -> ?width:int -> group list -> unit

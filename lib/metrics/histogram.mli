@@ -14,14 +14,17 @@ val summary : t -> Summary.t
 (** Exact streaming summary of everything added. *)
 
 val underflow : t -> int
-(** Samples below [least] (kept out of the bucket array). *)
+(** Samples below [least] (kept out of the bucket array).
+    Test-only: the histogram unit tests. *)
 
 val params : t -> float * float * int
-(** [(least, growth, buckets)] — the bucket layout. *)
+(** [(least, growth, buckets)] — the bucket layout.
+    Test-only: the tests read the bucket growth factor. *)
 
 val buckets : t -> (float * int) list
 (** Non-empty buckets as [(upper_edge, count)], ascending — the raw
-    material a registry needs to aggregate per-node histograms. *)
+    material a registry needs to aggregate per-node histograms.
+    Test-only: the registry tests compare merged and whole histograms. *)
 
 val merge : t -> t -> t
 (** Histogram of the concatenation of the two streams. Requires
@@ -32,3 +35,4 @@ val percentile : t -> float -> float
     containing the p-th percentile (approximate by bucket resolution). *)
 
 val median : t -> float
+(** Test-only: the histogram unit tests. *)

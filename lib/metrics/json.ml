@@ -215,7 +215,6 @@ let index i = function
 let to_list = function List items -> Some items | _ -> None
 let to_string = function String s -> Some s | _ -> None
 let to_number = function Number f -> Some f | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 
 let rec find json = function
   | [] -> Some json

@@ -20,10 +20,12 @@ val parse : string -> (t, string) result
 
 val member : string -> t -> t option
 val index : int -> t -> t option
+(** Test-only: the JSON reader tests. *)
+
 val to_list : t -> t list option
 val to_string : t -> string option
 val to_number : t -> float option
-val to_bool : t -> bool option
 
 val find : t -> string list -> t option
-(** [find json path] walks nested object members. *)
+(** [find json path] walks nested object members.
+    Test-only: the JSON reader tests. *)

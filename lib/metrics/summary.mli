@@ -8,16 +8,20 @@ val create : unit -> t
 val add : t -> float -> unit
 
 val count : t -> int
+(** Test-only: the summary unit tests. *)
+
 val total : t -> float
+(** Test-only: the summary unit tests. *)
+
 val mean : t -> float
 val min : t -> float
 val max : t -> float
 val variance : t -> float
-(** Sample variance (n-1 denominator); 0 when fewer than two samples. *)
-
-val stddev : t -> float
+(** Sample variance (n-1 denominator); 0 when fewer than two samples.
+    Test-only: the summary unit tests. *)
 
 val merge : t -> t -> t
 (** Exact summary of the concatenation of two streams. *)
 
 val pp : Format.formatter -> t -> unit
+(** Test-only: the metrics unit tests. *)

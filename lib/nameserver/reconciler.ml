@@ -72,12 +72,9 @@ type t = {
          hundreds of microseconds) in the middle of live traffic *)
   mutable shards : shard list;  (* sorted by [lo] *)
   mutable epoch : int;
-  mutable publishes : int;
   mutable doorbells : int;  (* consumed at the map host *)
-  mutable splits : int;
-  mutable merges : int;
   mutable moves : int;  (* records migrated across shards *)
-  mutable policy : Rmem.Recovery.policy option;
+  policy : Rmem.Recovery.policy option;
   pace : Sim.Time.t option;
       (* spacing between background migration writes, so a split's slot
          pushes and tombstones interleave with foreground probes instead
@@ -254,8 +251,7 @@ let publish t =
   done;
   let bell = Bytes.create 4 in
   Bytes.set_int32_le bell 0 (Int32.of_int t.epoch);
-  wr ~notify:true t t.map_desc ~off:0 bell;
-  t.publishes <- t.publishes + 1
+  wr ~notify:true t t.map_desc ~off:0 bell
 
 let shard_for t bucket =
   List.find_opt (fun s -> s.lo <= bucket && bucket <= s.hi) t.shards
@@ -331,7 +327,6 @@ let split t id =
       t.shards <- sort_shards (d :: t.shards);
       publish t;
       retire t ~src:s ~dst:d moved;
-      t.splits <- t.splits + 1;
       (* Restock the consumed spare only after the migrated range's
          heal traffic has moved on — the export's page pinning would
          otherwise stall the very probes the split just redirected. *)
@@ -365,7 +360,6 @@ let merge t =
          descriptor fail cleanly; the map refetch heals them. *)
       Api.revoke b.host b.segment;
       t.moves <- t.moves + List.length moved;
-      t.merges <- t.merges + 1;
       Some (b.id, a.id)
 
 let rebalance_once t =
@@ -473,10 +467,7 @@ let create ?(slots = Bootstrap.default_slots) ?(max_clients = 128) ?policy
       spares = [];
       shards = [];
       epoch = 0;
-      publishes = 0;
       doorbells = 0;
-      splits = 0;
-      merges = 0;
       moves = 0;
       policy;
       pace;
@@ -500,16 +491,10 @@ let create ?(slots = Bootstrap.default_slots) ?(max_clients = 128) ?policy
 let shard_id_of_bucket t bucket =
   Option.map (fun s -> s.id) (shard_for t bucket)
 
-let set_recovery t policy = t.policy <- policy
-let clerk t = t.clerk
 let epoch t = t.epoch
-let publishes t = t.publishes
 let doorbells t = t.doorbells
-let splits t = t.splits
-let merges t = t.merges
 let moves t = t.moves
 let shard_count t = List.length t.shards
-let stats t = t.stats
 
 let live t =
   List.fold_left (fun acc s -> acc + Registry.live s.mirror) 0 t.shards

@@ -63,10 +63,6 @@ val serve_registrations : t -> unit
     shard slot, and remote-WRITEs an ack into the requester clerk's
     scratch segment. *)
 
-val register : t -> Record.t -> (unit, [ `Full ]) result
-(** Apply one registration directly (the in-process control-plane
-    path). *)
-
 val split : t -> int -> int option
 (** Split a shard at its range midpoint onto the next host: copy + fence
     the upper half, publish, then tombstone the migrated records in the
@@ -77,7 +73,8 @@ val merge : t -> (int * int) option
 (** Merge the adjacent pair with the fewest live records: absorb the
     right shard into the left, publish, then revoke the absorbed
     segment (stale client descriptors fail cleanly and heal by map
-    refetch). Returns [(absorbed, into)]. *)
+    refetch). Returns [(absorbed, into)].
+    Test-only: the shard tests exercise merging; the campaigns only split. *)
 
 val rebalance_once : t -> verdict
 (** Read the load rows for the current epoch and split the hottest
@@ -87,31 +84,23 @@ val shard_id_of_bucket : t -> int -> int option
 (** The id of the shard currently owning a bucket — what {!split}
     wants when the caller has picked a bucket, not an id. *)
 
-val set_recovery : t -> Rmem.Recovery.policy option -> unit
-
 val map : t -> Shardmap.t
 (** The authoritative map (what the next publish would carry). *)
 
-val clerk : t -> Clerk.t
 val epoch : t -> int
 val shard_count : t -> int
 
-val publishes : t -> int
-(** Epochs published (body-then-doorbell sequences issued). *)
-
 val doorbells : t -> int
-(** Epoch doorbells consumed at the map host. *)
-
-val splits : t -> int
-val merges : t -> int
+(** Epoch doorbells consumed at the map host.
+    Test-only: the shard tests check map publishes rang the doorbell. *)
 
 val moves : t -> int
-(** Records migrated across shards over all splits and merges. *)
+(** Records migrated across shards over all splits and merges.
+    Test-only: the shard tests check records migrated. *)
 
 val live : t -> int
 (** Live records across all shard mirrors. *)
 
 val well_formed : t -> bool
-(** Every mirror structurally consistent and the ranges total. *)
-
-val stats : t -> Metrics.Account.t
+(** Every mirror structurally consistent and the ranges total.
+    Test-only: the shard tests assert it after every split and merge. *)

@@ -13,9 +13,6 @@ type t = {
 val slot_bytes : int
 (** 64. *)
 
-val name_bytes : int
-(** 32 — maximum name length. *)
-
 val flag_invalid : int32
 val flag_valid : int32
 
@@ -47,6 +44,7 @@ val decode : bytes -> t option
 
 val is_valid : bytes -> bool
 val invalid_slot : unit -> bytes
+(** Test-only: the record codec tests. *)
 
 type forward = {
   fwd_epoch : int;  (** the epoch that published the migration *)

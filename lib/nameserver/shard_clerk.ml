@@ -35,7 +35,6 @@ type t = {
   shard_descs : (int * int, Rmem.Descriptor.t) Hashtbl.t;
   mutable policy : Rmem.Recovery.policy option;
   counts : int array;  (* lookups per map-entry index since last report *)
-  mutable lookups : int;
   mutable stale_refetches : int;
   mutable forward_patches : int;
   mutable refreshes : (int * Sim.Time.t) list;  (* newest first *)
@@ -58,7 +57,6 @@ let create ~map_hint ~reconciler_hint clerk =
     shard_descs = Hashtbl.create 16;
     policy = None;
     counts = Array.make Shardmap.max_entries 0;
-    lookups = 0;
     stale_refetches = 0;
     forward_patches = 0;
     refreshes = [];
@@ -292,7 +290,6 @@ let patch_map t (f : Record.forward) =
 
 let lookup t name =
   Metrics.Account.add t.stats ~category:"lookup" 1.;
-  t.lookups <- t.lookups + 1;
   let bucket = Shardmap.bucket_of_name name in
   let rec attempt rounds ~fresh =
     let m =
@@ -401,9 +398,7 @@ let report_load t =
         row;
       Array.fill t.counts 0 (Array.length t.counts) 0
 
-let clerk t = t.clerk
 let epoch t = match t.map with Some m -> m.Shardmap.epoch | None -> 0
-let lookups t = t.lookups
 let stale_refetches t = t.stale_refetches
 let forward_patches t = t.forward_patches
 let refreshes t = List.rev t.refreshes

@@ -36,14 +36,12 @@ val report_load : t -> unit
 
 val set_recovery : t -> Rmem.Recovery.policy option -> unit
 (** Run every remote READ under the policy, with the map refetch wired
-    in as the revalidator for stale shard descriptors. *)
-
-val clerk : t -> Clerk.t
+    in as the revalidator for stale shard descriptors.
+    Test-only: the shard clerk's fault recovery, exercised by the shard fault
+    tests. *)
 
 val epoch : t -> int
 (** Epoch of the cached map (0 before the first fetch). *)
-
-val lookups : t -> int
 
 val stale_refetches : t -> int
 (** Map refetch rounds forced by tombstones, stale descriptors, or
@@ -52,7 +50,8 @@ val stale_refetches : t -> int
 val forward_patches : t -> int
 (** Lookups healed in place from a forwarding tombstone — the cached
     map patched locally with the destination shard's coordinates, no
-    refetch from the map host. *)
+    refetch from the map host.
+    Test-only: the shard tests check lookups healed from a tombstone. *)
 
 val refreshes : t -> (int * Sim.Time.t) list
 (** (epoch, adoption time) pairs, oldest first — the convergence

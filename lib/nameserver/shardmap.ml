@@ -78,9 +78,6 @@ let owner_index t bucket =
 
 let owner t bucket = Option.map snd (owner_index t bucket)
 
-let slot_index ~slots name probe =
-  Dds.Probe.slot_index ~slots ~hash:(Record.fnv_hash name) probe
-
 let encode_entry b off e =
   let w i v = Bytes.set_int32_le b (off + (4 * i)) (Int32.of_int v) in
   w 0 e.lo;

@@ -49,13 +49,9 @@ val owner_index : t -> int -> (int * entry) option
 (** The entry owning a bucket (with its position in the sorted list —
     the index load reports are keyed by). *)
 
-val slot_index : slots:int -> string -> int -> int
-(** The i-th probe location for a name inside a shard of [slots] slots;
-    same linear-probing discipline as {!Registry.slot_index}. *)
-
 val encode : t -> bytes
 (** The full segment image. Raises [Invalid_argument] past
-    [max_entries]. *)
+    [max_entries]. Test-only: the shard-map round-trip property. *)
 
 val encode_body : t -> bytes
 (** The image from [body_off] on — what a publish writes before ringing

@@ -20,11 +20,3 @@ let duration_us s = Sim.Time.to_us (Sim.Time.diff s.finish s.start)
 let is_root s = s.parent = 0
 let arg s key = List.assoc_opt key s.args
 let set_arg s key value = s.args <- (key, value) :: s.args
-
-let pp ppf s =
-  Format.fprintf ppf "[%d/%d] %-12s node%d %s..%s (%.2f us)%s" s.trace s.id
-    s.name s.node
-    (Sim.Time.to_string s.start)
-    (Sim.Time.to_string s.finish)
-    (duration_us s)
-    (if s.closed then "" else " (open)")

@@ -19,4 +19,3 @@ val duration_us : t -> float
 val is_root : t -> bool
 val arg : t -> string -> string option
 val set_arg : t -> string -> string -> unit
-val pp : Format.formatter -> t -> unit

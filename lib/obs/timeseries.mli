@@ -39,6 +39,8 @@ val stop : t -> unit
 (** Stop after the current tick; {!start} may be called again. *)
 
 val running : t -> bool
+(** Test-only: the sampler tests check start and stop. *)
+
 val gauges : t -> string list
 (** Registration order. *)
 
@@ -77,7 +79,7 @@ val rate : ?window:Sim.Time.t -> t -> string -> float option
 
 val sparkline : ?width:int -> t -> string -> string
 (** The ring as a unicode block-glyph trend line (empty for unknown or
-    unsampled gauges). *)
+    unsampled gauges). Test-only: the sampler tests. *)
 
 val report : ?width:int -> t -> string
 (** Per-gauge count/last/max/mean plus sparkline, one line each. *)

@@ -43,8 +43,6 @@ let current : t option ref = ref None
 let attach t = current := Some t
 let detach () = current := None
 let enabled () = Option.is_some !current
-let engine t = t.engine
-let registry t = t.registry
 let now t = Sim.Engine.now t.engine
 
 let incr_counter t name =
@@ -215,15 +213,6 @@ let wire_ctx flow =
       Some
         (Ctx.make ~trace:fl.fl_root.Span.trace ~parent:fl.fl_root.Span.id
            ~label:"wire")
-
-let flow_close flow ~status =
-  match flow with
-  | None -> ()
-  | Some fl ->
-      phase_end flow;
-      if status <> "ok" then Span.set_arg fl.fl_root "status" status;
-      close_span fl.fl_t fl.fl_root;
-      observe_root fl.fl_t fl.fl_root
 
 (* ------------------------------------------------------------------ *)
 (* Wire: frames, links, switch.  Called from [Atm].                    *)

@@ -25,8 +25,6 @@ val attach : t -> unit
 
 val detach : unit -> unit
 val enabled : unit -> bool
-val engine : t -> Sim.Engine.t
-val registry : t -> Registry.t option
 
 (** {1 Issue-side hooks (remote-memory meta-instructions)} *)
 
@@ -48,9 +46,6 @@ val phase_end : flow option -> unit
 
 val wire_ctx : flow option -> Ctx.t option
 (** A fresh per-frame context for an outbound request frame. *)
-
-val flow_close : flow option -> status:string -> unit
-(** Close the root now (local rejection or completion at issue time). *)
 
 (** {1 Wire hooks (called from [Atm])} *)
 
@@ -120,6 +115,8 @@ val spans : t -> Span.t list
 (** All spans, in recording order. *)
 
 val find : t -> int -> Span.t option
+(** Test-only: the span-tree tests resolve parents. *)
+
 val roots : t -> Span.t list
 val children : t -> Span.t -> Span.t list
 val span_count : t -> int

@@ -37,8 +37,6 @@ type t = {
   mutable recovery : Rmem.Recovery.policy option;
   (* None (default): legacy one-way pushes and unbounded anti-entropy
      reads, bit-identical to the fault-free build *)
-  mutable push_failures : int;
-  mutable repair_failures : int;
   mutable pipeline : Rmem.Pipeline.t option;
   (* when set, pushes go through the batching engine: body and version
      word of one update merge into a single burst extent per peer *)
@@ -98,8 +96,6 @@ let create ?(slots = 64) names =
     updates_sent = 0;
     repairs = 0;
     recovery = None;
-    push_failures = 0;
-    repair_failures = 0;
     pipeline = None;
   }
 
@@ -184,8 +180,8 @@ let set t key value =
      order exists for, made structural).  Under a recovery policy each
      push is verified and reissued on loss — re-depositing is idempotent
      (same version, same bytes) — and a peer that stays unreachable
-     costs a counted failure, not an exception: anti-entropy repairs it
-     after the heal.  Every push visits peers in address order, for
+     is skipped, not an exception: anti-entropy repairs it after the
+     heal.  Every push visits peers in address order, for
      deterministic replay. *)
   let peers =
     List.sort
@@ -215,7 +211,7 @@ let set t key value =
       | () -> t.updates_sent <- t.updates_sent + 1
       | exception (Rmem.Status.Timeout | Rmem.Status.Remote_error _)
         when Option.is_some policy ->
-          t.push_failures <- t.push_failures + 1)
+          ())
     peers
 
 (* Anti-entropy: remote-read one peer's whole replica and adopt every
@@ -252,8 +248,11 @@ let start_anti_entropy_daemon t ~period =
       while not !stopped do
         Sim.Proc.wait period;
         if not !stopped then begin
+          (* Address order, as the push path uses: the draw below
+             must not depend on the table's bucket order. *)
           let peers =
-            Hashtbl.fold (fun addr _ acc -> addr :: acc) t.peers []
+            List.sort Int.compare
+              (Hashtbl.fold (fun addr _ acc -> addr :: acc) t.peers [])
           in
           match peers with
           | [] -> ()
@@ -265,15 +264,12 @@ let start_anti_entropy_daemon t ~period =
               with (Rmem.Status.Timeout | Rmem.Status.Remote_error _) when
                 Option.is_some t.recovery ->
                 (* Under a recovery policy the daemon outlives a peer
-                   that stayed unreachable through every retry: count
-                   the failed pass and reconcile again next period. *)
-                t.repair_failures <- t.repair_failures + 1)
+                   that stayed unreachable through every retry and
+                   reconciles again next period. *)
+                ())
         end
       done);
   fun () -> stopped := true
 
 let updates_sent t = t.updates_sent
 let repairs t = t.repairs
-let push_failures t = t.push_failures
-let repair_failures t = t.repair_failures
-let node t = t.node

@@ -30,7 +30,7 @@ val set : t -> string -> bytes -> unit
     Keys up to 32 bytes, values up to 64. *)
 
 val version_of : t -> string -> int
-(** 0 when absent. *)
+(** 0 when absent. Test-only: the replica tests check versions converge. *)
 
 (** {1 Recovery} *)
 
@@ -50,12 +50,6 @@ val set_pipeline : t -> Rmem.Pipeline.t option -> unit
     torn-read discipline made structural. Composes with {!set_recovery}
     (the flush then verifies and retries under the per-peer policy). *)
 
-val push_failures : t -> int
-(** Updates abandoned after exhausting a recovery policy. *)
-
-val repair_failures : t -> int
-(** Anti-entropy daemon passes abandoned likewise. *)
-
 (** {1 Repair} *)
 
 val anti_entropy_with : t -> peer:Atm.Addr.t -> unit
@@ -68,5 +62,6 @@ val start_anti_entropy_daemon : t -> period:Sim.Time.t -> unit -> unit
 (** {1 Statistics} *)
 
 val updates_sent : t -> int
+(** Test-only: the replica tests count pushed updates. *)
+
 val repairs : t -> int
-val node : t -> Cluster.Node.t

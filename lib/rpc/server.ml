@@ -12,7 +12,6 @@ type request = {
 }
 
 type t = {
-  node : Cluster.Node.t;
   queue : request Sim.Mailbox.t;
   mutable served : int;
   queueing : Metrics.Summary.t; (* microseconds spent queued *)
@@ -25,7 +24,6 @@ let create transport ~prog ?(threads = 1)
   let cpu = Cluster.Node.cpu node in
   let t =
     {
-      node;
       queue = Sim.Mailbox.create ~name:(Printf.sprintf "rpc prog %d queue" prog) ~daemon:true ();
       served = 0;
       queueing = Metrics.Summary.create ();
@@ -63,6 +61,4 @@ let create transport ~prog ?(threads = 1)
   t
 
 let served t = t.served
-let queue_length t = Sim.Mailbox.length t.queue
 let queueing t = t.queueing
-let node t = t.node

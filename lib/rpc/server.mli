@@ -16,9 +16,8 @@ val create :
     procedure cost (category {!Cluster.Cpu.cat_procedure}). *)
 
 val served : t -> int
-val queue_length : t -> int
+(** Test-only: the RPC tests count served requests. *)
 
 val queueing : t -> Metrics.Summary.t
-(** Time requests spent queued before a thread picked them up (us). *)
-
-val node : t -> Cluster.Node.t
+(** Time requests spent queued before a thread picked them up (us).
+    Test-only: the RPC tests check requests queue behind a busy thread. *)

@@ -53,5 +53,10 @@ val reply_frame_bytes : Xdr.t -> int
 (** {1 Traffic accounts (bytes by activity label)} *)
 
 val control_traffic : t -> Metrics.Account.t
+(** Test-only: the RPC tests check the control/data byte split. *)
+
 val data_traffic : t -> Metrics.Account.t
+(** Test-only: the RPC tests check the control/data byte split. *)
+
 val call_counts : t -> Metrics.Account.t
+(** Test-only: the RPC tests count calls per class. *)

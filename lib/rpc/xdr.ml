@@ -26,10 +26,6 @@ let int ?(cls = `Control) t v =
   Atm.Codec.put_u32 t.w (v land 0xFFFFFFFF);
   account t cls 4
 
-let int32 ?(cls = `Control) t v =
-  Atm.Codec.put_i32 t.w v;
-  account t cls 4
-
 let hyper ?(cls = `Control) t v =
   Atm.Codec.put_u64 t.w v;
   account t cls 8
@@ -71,7 +67,6 @@ type reader = Atm.Codec.reader
 let reader b = Atm.Codec.reader b
 
 let read_int r = Atm.Codec.get_u32 r
-let read_int32 r = Atm.Codec.get_i32 r
 let read_hyper r = Atm.Codec.get_u64 r
 let read_bool r = Atm.Codec.get_u32 r <> 0
 

@@ -14,9 +14,8 @@ val create : unit -> t
 val int : ?cls:cls -> t -> int -> unit
 (** 4-byte unsigned. *)
 
-val int32 : ?cls:cls -> t -> int32 -> unit
 val hyper : ?cls:cls -> t -> int -> unit
-(** 8-byte. *)
+(** 8-byte. Test-only: the XDR round-trip property. *)
 
 val bool : ?cls:cls -> t -> bool -> unit
 
@@ -41,8 +40,9 @@ type reader
 
 val reader : bytes -> reader
 val read_int : reader -> int
-val read_int32 : reader -> int32
 val read_hyper : reader -> int
+(** Test-only: the XDR round-trip property. *)
+
 val read_bool : reader -> bool
 val read_opaque : reader -> bytes
 val read_string : reader -> string

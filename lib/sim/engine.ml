@@ -261,5 +261,3 @@ let run ?until t =
         && Heap.is_empty t.queue
         && has_nondaemon_blocked t
       then raise (Deadlock (t.now, blocked t))
-
-let run_until_quiescent t = run t

@@ -54,11 +54,9 @@ val run : ?until:Time.t -> t -> unit
     leaves non-daemon blocked waiters raises {!Deadlock} (disable with
     {!set_deadlock_detection}). *)
 
-val run_until_quiescent : t -> unit
-(** [run] with no limit. *)
-
 val stop : t -> unit
-(** Make [run] return after the current event completes. *)
+(** Make [run] return after the current event completes.
+    Test-only: the engine tests end runs early. *)
 
 (** {1 Same-instant scheduling choice points}
 
@@ -79,7 +77,8 @@ type scheduler = choice -> int
 
 val set_scheduler : t -> scheduler option -> unit
 (** Install ([Some]) or remove ([None], the default FIFO order) the
-    same-instant scheduler. *)
+    same-instant scheduler.
+    Test-only: the engine tests install same-instant schedulers directly. *)
 
 val next_enabled : t -> choice option
 (** The events enabled at the next instant without firing anything —
@@ -124,7 +123,6 @@ val blocked : ?daemons:bool -> t -> blocked list
 val set_deadlock_detection : t -> bool -> unit
 (** Default on. *)
 
-val describe_blocked : blocked -> string
 val deadlock_report : blocked list -> string
 
 val next_spawn_id : t -> int

@@ -13,11 +13,7 @@ type 'a t = {
 let create ?(name = "ivar") () =
   { name; state = Empty; readers = Proc.sleepers () }
 
-let name t = t.name
-
 let is_full t = match t.state with Full _ -> true | Empty -> false
-
-let peek t = match t.state with Full v -> Some v | Empty -> None
 
 let fill t v =
   match t.state with

@@ -9,8 +9,6 @@ type 'a t
 val create : ?name:string -> unit -> 'a t
 (** [name] labels the ivar in deadlock reports (default ["ivar"]). *)
 
-val name : 'a t -> string
-
 val fill : 'a t -> 'a -> unit
 (** Fill and wake all readers (in blocking order). Raises
     [Invalid_argument] if already full. *)
@@ -22,4 +20,3 @@ val read : 'a t -> 'a
 (** Return the value, blocking the current process until filled. *)
 
 val is_full : 'a t -> bool
-val peek : 'a t -> 'a option

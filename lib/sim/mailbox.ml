@@ -1,7 +1,6 @@
 (* Unbounded FIFO message queues with blocking receive. *)
 
 type 'a t = {
-  name : string;
   messages : 'a Queue.t;
   readers : 'a Proc.sleepers;
   label : Engine.label; (* built once: NIC receive loops block per frame *)
@@ -10,18 +9,13 @@ type 'a t = {
 
 let create ?(name = "mailbox") ?(daemon = false) () =
   {
-    name;
     messages = Queue.create ();
     readers = Proc.sleepers ();
     label = Engine.Quoted ("mailbox", name);
     daemon;
   }
 
-let name t = t.name
-
 let length t = Queue.length t.messages
-
-let is_empty t = Queue.is_empty t.messages
 
 let send t msg =
   if Proc.is_empty t.readers then Queue.push msg t.messages

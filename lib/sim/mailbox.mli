@@ -11,8 +11,6 @@ val create : ?name:string -> ?daemon:bool -> unit -> 'a t
     NIC receive FIFO, a server request queue): they are excluded from
     deadlock detection. *)
 
-val name : 'a t -> string
-
 val send : 'a t -> 'a -> unit
 (** Never blocks. Wakes the oldest blocked receiver, if any. *)
 
@@ -20,5 +18,6 @@ val recv : 'a t -> 'a
 (** Dequeue the oldest message, blocking the current process if empty. *)
 
 val try_recv : 'a t -> 'a option
+(** Test-only: the mailbox unit tests. *)
+
 val length : 'a t -> int
-val is_empty : 'a t -> bool

@@ -36,8 +36,6 @@ let float t =
   let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   x /. 9007199254740992.0
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))

@@ -18,10 +18,9 @@ val int : t -> int -> int
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
-
 val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
+(** Uniform element of a non-empty array. Test-only: the PRNG unit tests. *)
 
 val exponential : t -> mean:float -> float
-(** Exponentially distributed draw with the given mean. *)
+(** Exponentially distributed draw with the given mean.
+    Test-only: the PRNG unit tests. *)

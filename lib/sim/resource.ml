@@ -4,7 +4,6 @@
    one holder at a time, waiters served in arrival order. *)
 
 type t = {
-  name : string;
   mutable busy : bool;
   waiters : unit Proc.sleepers;
   label : Engine.label; (* built once: a busy CPU is contended per charge *)
@@ -14,15 +13,12 @@ type t = {
 
 let create ?(name = "resource") () =
   {
-    name;
     busy = false;
     waiters = Proc.sleepers ();
     label = Engine.Quoted ("resource", name);
     acquisitions = 0;
     contended = 0;
   }
-
-let name t = t.name
 
 let is_busy t = t.busy
 

@@ -6,7 +6,6 @@
 type t
 
 val create : ?name:string -> unit -> t
-val name : t -> string
 
 val acquire : t -> unit
 (** Take the resource, blocking the current process while held by another. *)
@@ -16,12 +15,16 @@ val release : t -> unit
     Raises [Invalid_argument] if the resource is not held. *)
 
 val with_resource : t -> (unit -> 'a) -> 'a
-(** [acquire]/[release] bracket, exception-safe. *)
+(** [acquire]/[release] bracket, exception-safe.
+    Test-only: the resource unit tests. *)
 
 val is_busy : t -> bool
+(** Test-only: the resource unit tests. *)
 
 val acquisitions : t -> int
-(** Total number of [acquire] calls, for utilization statistics. *)
+(** Total number of [acquire] calls, for utilization statistics.
+    Test-only: the resource unit tests. *)
 
 val contended : t -> int
-(** Number of [acquire] calls that had to wait. *)
+(** Number of [acquire] calls that had to wait.
+    Test-only: the resource unit tests. *)

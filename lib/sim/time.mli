@@ -47,5 +47,4 @@ val min : t -> t -> t
 
 (** {1 Printing} *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

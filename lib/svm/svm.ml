@@ -16,8 +16,6 @@ let page_bytes = 4096
 
 type page_state = Invalid | Read_shared | Write_owned
 
-type access = { kind : [ `Load | `Store ]; addr : int; len : int }
-
 type t = {
   node : Cluster.Node.t;
   transport : Rpckit.Transport.t;
@@ -31,14 +29,7 @@ type t = {
   mutable read_faults : int;
   mutable write_faults : int;
   mutable invalidations_received : int;
-  mutable pages_fetched : int;
-  mutable monitor : (access -> unit) option;
 }
-
-let set_monitor t monitor = t.monitor <- monitor
-
-let observed t access =
-  match t.monitor with None -> () | Some f -> f access
 
 let manager_prog = 0x2001
 let agent_prog = 0x2002
@@ -162,8 +153,6 @@ let attach transport ~manager ~pages =
       read_faults = 0;
       write_faults = 0;
       invalidations_received = 0;
-      pages_fetched = 0;
-      monitor = None;
     }
   in
   let (_ : Rpckit.Server.t) =
@@ -217,8 +206,7 @@ let fault t page ~proc =
       Rpckit.Xdr.read_opaque reply
     end
   in
-  install_page t page data;
-  t.pages_fetched <- t.pages_fetched + 1
+  install_page t page data
 
 let ensure_readable t page =
   match t.states.(page) with
@@ -246,7 +234,6 @@ let read t ~addr ~len =
   for page = first to last do
     ensure_readable t page
   done;
-  observed t { kind = `Load; addr; len };
   Cluster.Address_space.read t.space ~addr ~len
 
 let write t ~addr data =
@@ -256,7 +243,6 @@ let write t ~addr data =
   for page = first to last do
     ensure_writable t page
   done;
-  observed t { kind = `Store; addr; len };
   Cluster.Address_space.write t.space ~addr data
 
 (* ------------------------------------------------------------------ *)
@@ -266,7 +252,4 @@ let state t ~page = t.states.(page)
 let read_faults t = t.read_faults
 let write_faults t = t.write_faults
 let invalidations_received t = t.invalidations_received
-let pages_fetched t = t.pages_fetched
 let node t = t.node
-let manager t = t.manager
-let is_manager_node = is_manager

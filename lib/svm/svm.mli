@@ -23,20 +23,17 @@ val write : t -> addr:int -> bytes -> unit
 (** Write to the shared region, acquiring ownership first (invalidating
     every cached copy). *)
 
-type access = { kind : [ `Load | `Store ]; addr : int; len : int }
-
-val set_monitor : t -> (access -> unit) option -> unit
-(** Instrumentation hook for the analysis layer, invoked once per
-    {!read} / {!write} at the instant the local copy is touched (after
-    any faulting). No-cost no-op when unset. *)
-
 (** {1 Introspection} *)
 
 val state : t -> page:int -> page_state
+(** Test-only: the SVM protocol tests. *)
+
 val read_faults : t -> int
 val write_faults : t -> int
+(** Test-only: the SVM protocol tests. *)
+
 val invalidations_received : t -> int
-val pages_fetched : t -> int
+(** Test-only: the SVM protocol tests. *)
+
 val node : t -> Cluster.Node.t
-val manager : t -> Atm.Addr.t
-val is_manager_node : t -> bool
+(** Test-only: the SVM protocol tests. *)

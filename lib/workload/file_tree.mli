@@ -14,7 +14,10 @@ val build :
 
 val store : t -> Dfs.File_store.t
 val file_count : t -> int
+(** Test-only: the workload tests check the generated tree's shape. *)
+
 val dir_count : t -> int
+(** Test-only: the workload tests check the generated tree's shape. *)
 
 val pick_file : t -> Sim.Prng.t -> int
 (** Zipf-popular file handle. *)

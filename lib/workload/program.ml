@@ -75,45 +75,6 @@ let rec expr_to_string = function
   | Mul (a, b) ->
       Printf.sprintf "%s*%s" (expr_to_string a) (expr_to_string b)
 
-let role_to_string = function
-  | Plain -> "plain"
-  | Acquire -> "acquire"
-  | Release -> "release"
-
-let rec instr_to_string = function
-  | Read { seg; off; len } ->
-      Printf.sprintf "read %s[%s..+%s)" seg (expr_to_string off)
-        (expr_to_string len)
-  | Read_word { seg; off; var; lo; hi } ->
-      Printf.sprintf "%s := read-word %s[%s] in [%d,%d]" var seg
-        (expr_to_string off) lo hi
-  | Write { seg; off; len; notify } ->
-      Printf.sprintf "write%s %s[%s..+%s)"
-        (if notify then "+notify" else "")
-        seg (expr_to_string off) (expr_to_string len)
-  | Cas { seg; off; role } ->
-      Printf.sprintf "cas(%s) %s[%s]" (role_to_string role) seg
-        (expr_to_string off)
-  | Fence { seg } -> Printf.sprintf "fence %s" seg
-  | Wait { seg } -> Printf.sprintf "wait %s" seg
-  | Local_read { seg; off; len } ->
-      Printf.sprintf "local-read %s[%s..+%s)" seg (expr_to_string off)
-        (expr_to_string len)
-  | Local_write { seg; off; len } ->
-      Printf.sprintf "local-write %s[%s..+%s)" seg (expr_to_string off)
-        (expr_to_string len)
-  | For { var; lo; hi; body } ->
-      Printf.sprintf "for %s in %d..%d { %s }" var lo hi
-        (String.concat "; " (List.map instr_to_string body))
-  | Retry { attempts; backoff; verified; body } ->
-      Printf.sprintf "retry%s%s%s { %s }"
-        (match attempts with
-        | None -> ""
-        | Some n -> Printf.sprintf " x%d" n)
-        (if backoff then " backoff" else "")
-        (if verified then " verified" else " reply-trusting")
-        (String.concat "; " (List.map instr_to_string body))
-
 let rec instr_count body =
   List.fold_left
     (fun acc i ->
@@ -123,23 +84,3 @@ let rec instr_count body =
             Stdlib.( + ) 1 (instr_count body)
         | _ -> 1))
     0 body
-
-let describe t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "program %s\n" t.name);
-  List.iter
-    (fun e ->
-      Buffer.add_string b
-        (Printf.sprintf "  export %s\n" (Rmem.Manifest.describe e)))
-    t.manifest;
-  List.iter
-    (fun np ->
-      Buffer.add_string b
-        (Printf.sprintf "  node %d (%s):\n" np.node np.name);
-      List.iter
-        (fun i ->
-          Buffer.add_string b
-            (Printf.sprintf "    %s\n" (instr_to_string i)))
-        np.body)
-    t.nodes;
-  Buffer.contents b

@@ -99,11 +99,6 @@ val retry :
 (** {1 Rendering} *)
 
 val expr_to_string : expr -> string
-val role_to_string : role -> string
-val instr_to_string : instr -> string
 
 val instr_count : instr list -> int
 (** Instructions including nested bodies (loop/retry headers count 1). *)
-
-val describe : t -> string
-(** Multi-line rendering: manifest, then each node's instructions. *)

@@ -18,8 +18,6 @@ let create ?(exponent = 1.05) n =
   cdf.(n - 1) <- 1.0;
   { cdf }
 
-let size t = Array.length t.cdf
-
 let sample t prng =
   let u = Sim.Prng.float prng in
   (* Binary search for the first index whose cdf covers u. *)

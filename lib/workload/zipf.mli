@@ -6,7 +6,5 @@ val create : ?exponent:float -> int -> t
 (** Population of [n] ranks with weight 1/rank^exponent
     (default exponent 1.05). *)
 
-val size : t -> int
-
 val sample : t -> Sim.Prng.t -> int
 (** A rank in [\[0, n)], low ranks most popular. *)

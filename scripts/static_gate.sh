@@ -66,12 +66,11 @@ done
 [ "$missing" -eq 0 ] || fail "every lib/ module must have an .mli"
 
 # 4. The telemetry plane observes the stack without depending on it.
-# lib/obs may use only sim (the virtual clock), metrics (histograms,
-# tables, JSON) and unix (host wall clock for Obs.Profile); gauge
-# wiring against the instrumented layers lives in Faults.Campaign so
-# the dependency arrow keeps pointing one way.  If sampling ever needs
+# lib/obs may use only sim (the virtual clock) and metrics (histograms,
+# tables, JSON); gauge wiring against the instrumented layers lives in
+# Faults.Campaign so the dependency arrow keeps pointing one way.  If sampling ever needs
 # a protocol type, invert the gauge instead of adding the edge here.
-deps_within lib/obs "the telemetry plane" sim metrics unix
+deps_within lib/obs "the telemetry plane" sim metrics
 
 # 5. The static verifier reads declared programs, never runs them: it
 # may use only sim, rmem (rights, manifests) and workload (the program

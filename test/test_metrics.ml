@@ -76,14 +76,6 @@ let account_accumulation () =
   Metrics.Account.reset a;
   Alcotest.check feps "reset" 0. (Metrics.Account.grand_total a)
 
-let counter_basics () =
-  let c = Metrics.Counter.create ~name:"ops" () in
-  Metrics.Counter.incr c;
-  Metrics.Counter.incr ~by:4 c;
-  Alcotest.(check int) "value" 5 (Metrics.Counter.value c);
-  Metrics.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Metrics.Counter.value c)
-
 let table_renders () =
   let t =
     Metrics.Table.create ~title:"T"
@@ -164,7 +156,6 @@ let suite =
     Alcotest.test_case "histogram percentiles" `Quick histogram_percentiles;
     Alcotest.test_case "histogram validation" `Quick histogram_validation;
     Alcotest.test_case "account accumulation" `Quick account_accumulation;
-    Alcotest.test_case "counter basics" `Quick counter_basics;
     Alcotest.test_case "table renders" `Quick table_renders;
     Alcotest.test_case "table validates width" `Quick table_validates_width;
     Alcotest.test_case "bar chart renders" `Quick bar_chart_renders;

@@ -383,31 +383,39 @@ let histogram_underflow () =
   Alcotest.(check int) "underflow tracked" 1 (Metrics.Histogram.underflow h)
 
 (* ------------------------------------------------------------------ *)
-(* Composable LRPC monitors (legacy slot + registrations).             *)
+(* LRPC observers compose: the race monitor's slot and the tracer's    *)
+(* span both see every call.                                           *)
 
 let lrpc_monitor_compose () =
   let d = Rig.duo () in
-  let legacy = ref 0 and extra = ref 0 in
-  Cluster.Lrpc.set_monitor (Some (fun _node -> incr legacy));
-  let id = Cluster.Lrpc.add_monitor (fun _node -> incr extra) in
+  let slot = ref 0 in
+  let tracer = Obs.Trace.create d.Rig.engine in
+  Cluster.Lrpc.set_monitor (Some (fun _node -> incr slot));
+  Obs.Trace.attach tracer;
+  let lrpc_spans () =
+    List.length
+      (List.filter
+         (fun (s : Obs.Span.t) -> s.cat = "lrpc")
+         (Obs.Trace.spans tracer))
+  in
   Fun.protect
     ~finally:(fun () ->
       Cluster.Lrpc.set_monitor None;
-      Cluster.Lrpc.remove_monitor id)
+      Obs.Trace.detach ())
     (fun () ->
       Rig.run d (fun () ->
           ignore (Cluster.Lrpc.call d.Rig.node0 (fun x -> x + 1) 1));
-      Alcotest.(check int) "legacy slot fired" 1 !legacy;
-      Alcotest.(check int) "registered monitor fired" 1 !extra;
-      Cluster.Lrpc.remove_monitor id;
+      Alcotest.(check int) "monitor slot fired" 1 !slot;
+      Alcotest.(check int) "tracer saw the call" 1 (lrpc_spans ());
+      Cluster.Lrpc.set_monitor None;
       Rig.run d (fun () ->
           ignore (Cluster.Lrpc.call d.Rig.node0 (fun x -> x + 1) 2));
-      Alcotest.(check int) "legacy still fires" 2 !legacy;
-      Alcotest.(check int) "removed monitor silent" 1 !extra)
+      Alcotest.(check int) "detached slot silent" 1 !slot;
+      Alcotest.(check int) "tracer still sees calls" 2 (lrpc_spans ()))
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry plane: time-series sampler, SLO gates, host profiling,    *)
-(* and the JSON reader that round-trips the emitted artifacts.         *)
+(* Telemetry plane: time-series sampler, SLO gates and the JSON        *)
+(* reader that round-trips the emitted artifacts.                      *)
 
 let timeseries_sampling () =
   let engine = Sim.Engine.create () in
@@ -551,35 +559,6 @@ let slo_violations_and_fail_closed () =
   | Ok _ -> Alcotest.fail "counter clause accepted a window"
   | Error _ -> ()
 
-let profile_records_phases () =
-  let p = Obs.Profile.create () in
-  let n =
-    Obs.Profile.record p "alloc" (fun () ->
-        (* Minor-heap churn: boxed pairs, not one big major-heap array,
-           so the precise minor-words counter is what moves. *)
-        let l = ref [] in
-        for i = 1 to 2048 do
-          l := (i, i) :: !l
-        done;
-        List.length (Sys.opaque_identity !l) * 2)
-  in
-  Alcotest.(check int) "body result returned" 4096 n;
-  (match Obs.Profile.phase p "alloc" with
-  | None -> Alcotest.fail "phase not recorded"
-  | Some s ->
-      Alcotest.(check bool) "wall time non-negative" true (s.Obs.Profile.wall_s >= 0.);
-      Alcotest.(check bool)
-        "allocation observed" true
-        (Obs.Profile.total_words s > 0.));
-  Alcotest.(check bool)
-    "exceptions still record" true
-    (match Obs.Profile.record p "boom" (fun () -> failwith "x") with
-    | exception Failure _ -> Obs.Profile.phase p "boom" <> None
-    | _ -> false);
-  Alcotest.(check int) "two phases" 2 (List.length (Obs.Profile.phases p));
-  Alcotest.(check bool) "report lists them" true
-    (contains (Obs.Profile.report p) "alloc")
-
 let json_reader () =
   let src =
     "{\"a\": [1, 2.5, true, null, \"x\\u00e9\\n\"], \"b\": {\"c\": -3e2}}"
@@ -699,8 +678,6 @@ let suite =
     Alcotest.test_case "slo spec parses and passes" `Quick slo_parse_and_pass;
     Alcotest.test_case "slo violations and fail-closed" `Quick
       slo_violations_and_fail_closed;
-    Alcotest.test_case "host profile records phases" `Quick
-      profile_records_phases;
     Alcotest.test_case "json reader round-trips" `Quick json_reader;
     Alcotest.test_case "chrome trace round-trips" `Quick
       chrome_trace_roundtrip;

@@ -1,7 +1,7 @@
 (* The static protocol verifier: interval domain, one synthetic program
    per rule, the catalog's expected findings (including zero false
    positives on every campaign program), the pipelining classifier, and
-   the manifest extraction / monitor-leak satellites. *)
+   the manifest extraction. *)
 
 module P = Workload.Program
 module Static = Analysis.Static
@@ -281,33 +281,6 @@ let test_manifest_of_segment () =
         (Option.map Rmem.Manifest.rights_to_string
            (Rmem.Manifest.rights_for m ~seg:"live.seg" ~importer:0))
 
-(* ---------------- Monitor-leak lint (satellite) ---------------- *)
-
-let test_monitor_leak () =
-  let engine = Sim.Engine.create () in
-  let monitor = Analysis.Monitor.create engine in
-  let id = Cluster.Lrpc.add_monitor (fun _ -> ()) in
-  let leaked_rules =
-    List.map
-      (fun (f : Analysis.Lint.finding) -> f.rule)
-      (Analysis.Lint.check monitor)
-  in
-  Alcotest.(check (list string)) "leak flagged" [ "monitor-leak" ] leaked_rules;
-  Cluster.Lrpc.remove_monitor id;
-  Alcotest.(check (list string)) "clean after remove" []
-    (List.map
-       (fun (f : Analysis.Lint.finding) -> f.rule)
-       (Analysis.Lint.check monitor));
-  (* A workload that removes its registration (the test_obs composing
-     pattern) stays clean end to end. *)
-  let monitor2 = Analysis.Monitor.create engine in
-  let id2 = Cluster.Lrpc.add_monitor (fun _ -> ()) in
-  Fun.protect
-    ~finally:(fun () -> Cluster.Lrpc.remove_monitor id2)
-    (fun () -> ());
-  Alcotest.(check int) "no residue" 0
-    (Analysis.Monitor.leaked_lrpc_monitors monitor2)
-
 let suite =
   [
     Alcotest.test_case "interval domain" `Quick test_interval;
@@ -317,5 +290,4 @@ let suite =
     Alcotest.test_case "campaign programs clean" `Quick test_campaigns_clean;
     Alcotest.test_case "pipelining classifier" `Quick test_pipesafe;
     Alcotest.test_case "manifest extraction" `Quick test_manifest_of_segment;
-    Alcotest.test_case "monitor leak lint" `Quick test_monitor_leak;
   ]
