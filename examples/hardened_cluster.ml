@@ -36,8 +36,7 @@ let () =
         Rmem.Heartbeat.publish rmems.(0) segment ~off:0 ~period:(Sim.Time.ms 1)
       in
       for i = 1 to 16 do
-        Cluster.Address_space.write_word space ~addr:(i * 4)
-          (Int32.of_int (i * 1000))
+        Cluster.Address_space.write_word space ~addr:(i * 4) (i * 1000)
       done;
 
       (* Node 1 (same byte order) reads the metrics plainly. *)
@@ -46,7 +45,7 @@ let () =
       let buf1 = Rmem.Remote_memory.buffer ~space:space1 ~base:0 ~len:128 in
       Rmem.Remote_memory.read_wait rmems.(1) d1 ~soff:4 ~count:64 ~dst:buf1
         ~doff:0 ();
-      printf "node1 (little-endian) metric[3] = %ld\n"
+      printf "node1 (little-endian) metric[3] = %d\n"
         (Cluster.Address_space.read_word space1 ~addr:8);
 
       (* Node 2 is "big-endian": it sets the swab bit so the kernel
@@ -65,7 +64,7 @@ let () =
       Rmem.Remote_memory.set_crypto rmems.(1) None;
       Rmem.Remote_memory.read_wait rmems.(1) d1 ~soff:4 ~count:16 ~dst:buf1
         ~doff:0 ();
-      printf "without the key, node1 reads garbage: %ld (was %d)\n"
+      printf "without the key, node1 reads garbage: %d (was %d)\n"
         (Cluster.Address_space.read_word space1 ~addr:0)
         1000;
       Rmem.Remote_memory.set_crypto rmems.(1) (Some Rmem.Crypto.hardware_an1);

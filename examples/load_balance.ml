@@ -88,8 +88,7 @@ let () =
                       Rmem.Remote_memory.write s.rmem desc ~off:(i * 4) word)
                   s.hint_descriptors;
                 (* The local slot is plain local memory. *)
-                Cluster.Address_space.write_word s.space ~addr:(i * 4)
-                  (Int32.of_int s.load);
+                Cluster.Address_space.write_word s.space ~addr:(i * 4) s.load;
                 Sim.Proc.wait publish_period
               done))
         stations;
@@ -100,8 +99,7 @@ let () =
         let best = ref 0 and best_load = ref max_int in
         for i = 0 to node_count - 1 do
           let hinted =
-            Int32.to_int
-              (Cluster.Address_space.read_word spawner.space ~addr:(i * 4))
+            Cluster.Address_space.read_word spawner.space ~addr:(i * 4)
           in
           if hinted < !best_load then begin
             best := i;

@@ -54,13 +54,10 @@ let () =
             let continue = ref true in
             while !continue && !next < total do
               let slot = slot_off (!next mod ring_slots) in
-              let seq =
-                Int32.to_int (Cluster.Address_space.read_word space ~addr:slot)
-              in
+              let seq = Cluster.Address_space.read_word space ~addr:slot in
               if seq = !next + 1 then begin
                 let len =
-                  Int32.to_int
-                    (Cluster.Address_space.read_word space ~addr:(slot + 4))
+                  Cluster.Address_space.read_word space ~addr:(slot + 4)
                 in
                 let item =
                   Bytes.to_string
@@ -69,10 +66,9 @@ let () =
                 consumed := item :: !consumed;
                 (* Free the slot and publish the new head (local memory;
                    producers poll it remotely). *)
-                Cluster.Address_space.write_word space ~addr:slot 0l;
+                Cluster.Address_space.write_word space ~addr:slot 0;
                 incr next;
-                Cluster.Address_space.write_word space ~addr:head_off
-                  (Int32.of_int !next)
+                Cluster.Address_space.write_word space ~addr:head_off !next
               end
               else continue := false
             done
@@ -102,22 +98,19 @@ let () =
               while !seq < 0 do
                 Rmem.Remote_memory.read_wait rmem desc ~soff:ticket_off
                   ~count:4 ~dst:buf ~doff:0 ();
-                let ticket =
-                  Cluster.Address_space.read_word my_space ~addr:0
-                in
+                let ticket = Cluster.Address_space.read_word my_space ~addr:0 in
                 let won, _witness =
                   Rmem.Remote_memory.cas_wait rmem desc ~doff:ticket_off
-                    ~old_value:ticket ~new_value:(Int32.add ticket 1l) ()
+                    ~old_value:(Int32.of_int ticket)
+                    ~new_value:(Int32.of_int (ticket + 1)) ()
                 in
-                if won then seq := Int32.to_int ticket
+                if won then seq := ticket
               done;
               (* Wait for ring space: head must be within K of seq. *)
               let rec wait_for_space () =
                 Rmem.Remote_memory.read_wait rmem desc ~soff:head_off ~count:4
                   ~dst:buf ~doff:0 ();
-                let head =
-                  Int32.to_int (Cluster.Address_space.read_word my_space ~addr:0)
-                in
+                let head = Cluster.Address_space.read_word my_space ~addr:0 in
                 if !seq - head >= ring_slots then begin
                   Sim.Proc.wait (Sim.Time.us 100);
                   wait_for_space ()

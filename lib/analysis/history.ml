@@ -98,9 +98,10 @@ let no_handle = []
 
 let read_cell segment cell =
   Known
-    (Cluster.Address_space.read_word
-       (Rmem.Segment.space segment)
-       ~addr:(Rmem.Segment.base segment + cell.word))
+    (Int32.of_int
+       (Cluster.Address_space.read_word
+          (Rmem.Segment.space segment)
+          ~addr:(Rmem.Segment.base segment + cell.word)))
 
 let record_serve t ~agent ~key ~segment ~op ~off ~count ~cas ~cas_success ~inv
     ~now =

@@ -123,9 +123,7 @@ let producer_consumer () =
             let record = Rmem.Notification.wait fd in
             (* Consume the one slot this doorbell announced. *)
             let slot = record.Rmem.Notification.off in
-            let len =
-              Int32.to_int (Cluster.Address_space.read_word space ~addr:slot)
-            in
+            let len = Cluster.Address_space.read_word space ~addr:slot in
             if len <= 0 || len > pc_slot_bytes - 4 then lens_sane := false;
             let (_ : bytes) =
               Cluster.Address_space.read space ~addr:(slot + 4) ~len
@@ -154,14 +152,13 @@ let producer_consumer () =
               while !seq < 0 do
                 Rmem.Remote_memory.read_wait rmem desc ~soff:0 ~count:4
                   ~dst:buf ~doff:0 ();
-                let ticket =
-                  Cluster.Address_space.read_word my_space ~addr:0
-                in
+                let ticket = Cluster.Address_space.read_word my_space ~addr:0 in
                 let won, _ =
                   Rmem.Remote_memory.cas_wait rmem desc ~doff:0
-                    ~old_value:ticket ~new_value:(Int32.add ticket 1l) ()
+                    ~old_value:(Int32.of_int ticket)
+                    ~new_value:(Int32.of_int (ticket + 1)) ()
                 in
-                if won then seq := Int32.to_int ticket
+                if won then seq := ticket
               done;
               let slot = pc_slot_off !seq in
               let item = Printf.sprintf "item %d.%d" p i in
@@ -382,13 +379,13 @@ let torn_record () =
       let read_word off =
         let v = Cluster.Address_space.read_word space ~addr:off in
         Monitor.local_access monitor ~node ~segment:record ~kind:Access.Load
-          ~off ~count:4 ~value:v ();
-        Int32.to_int v
+          ~off ~count:4 ~value:(Int32.of_int v) ();
+        v
       in
       let write_word off v =
         Monitor.local_access monitor ~node ~segment:record ~kind:Access.Store
           ~off ~count:4 ~value:(Int32.of_int v) ();
-        Cluster.Address_space.write_word space ~addr:off (Int32.of_int v)
+        Cluster.Address_space.write_word space ~addr:off v
       in
       let reader_done = Sim.Ivar.create ~name:"reader done" () in
       let writer_done = Sim.Ivar.create ~name:"writer done" () in
@@ -430,7 +427,7 @@ let cas_missing_release () =
          snapshots exported memory as its initial value — and directly,
          not through the monitor: the word must stay CAS-only for the
          sync-word exemption. *)
-      Cluster.Address_space.write_word space ~addr:0 9l;
+      Cluster.Address_space.write_word space ~addr:0 9;
       let lock =
         Rmem.Remote_memory.export rmems.(0) ~space ~base:0 ~len:4096
           ~rights:Rmem.Rights.all ~policy:Rmem.Segment.Conditional
@@ -602,8 +599,8 @@ let frame_overrun () =
       let space1 = Cluster.Node.new_address_space node1 in
       (* Initial descriptor (off=0, len=8), written before the export so
          the history layer snapshots it as the initial value. *)
-      Cluster.Address_space.write_word space0 ~addr:0 0l;
-      Cluster.Address_space.write_word space0 ~addr:4 8l;
+      Cluster.Address_space.write_word space0 ~addr:0 0;
+      Cluster.Address_space.write_word space0 ~addr:4 8;
       let header =
         Rmem.Remote_memory.export rmems.(0) ~space:space0 ~base:0 ~len:64
           ~rights:Rmem.Rights.read_only ~policy:Rmem.Segment.Never
@@ -622,12 +619,12 @@ let frame_overrun () =
       let read_header off =
         let v = Cluster.Address_space.read_word space0 ~addr:off in
         Monitor.local_access monitor ~node:node0 ~segment:header
-          ~kind:Access.Load ~off ~count:4 ~value:v ();
+          ~kind:Access.Load ~off ~count:4 ~value:(Int32.of_int v) ();
         v
       in
       let write_header off v =
         Monitor.local_access monitor ~node:node0 ~segment:header
-          ~kind:Access.Store ~off ~count:4 ~value:v ();
+          ~kind:Access.Store ~off ~count:4 ~value:(Int32.of_int v) ();
         Cluster.Address_space.write_word space0 ~addr:off v
       in
       let done_ = Sim.Ivar.create ~name:"frame done" () in
@@ -638,8 +635,8 @@ let frame_overrun () =
           let read_req addr =
             let v = Cluster.Address_space.read_word space1 ~addr in
             Monitor.local_access monitor ~node:node1 ~segment:req
-              ~kind:Access.Load ~off:addr ~count:4 ~value:v ();
-            Int32.to_int v
+              ~kind:Access.Load ~off:addr ~count:4 ~value:(Int32.of_int v) ();
+            v
           in
           let off = read_req 0 in
           let len = read_req 4 in
@@ -660,9 +657,9 @@ let frame_overrun () =
           Sim.Ivar.fill done_ ());
       Sim.Proc.spawn ~name:"writer" engine (fun () ->
           (* Retarget the descriptor to (off=4, len=4), word by word. *)
-          write_header 0 4l;
+          write_header 0 4;
           Sim.Proc.yield ();
-          write_header 4 4l);
+          write_header 4 4);
       Sim.Proc.spawn ~name:"forwarder" engine (fun () ->
           let off = read_header 0 in
           Sim.Proc.yield ();
@@ -672,8 +669,8 @@ let frame_overrun () =
               ~rights:Rmem.Rights.all
           in
           let snapshot = Bytes.create 8 in
-          Bytes.set_int32_le snapshot 0 off;
-          Bytes.set_int32_le snapshot 4 len;
+          Bytes.set_int32_le snapshot 0 (Int32.of_int off);
+          Bytes.set_int32_le snapshot 4 (Int32.of_int len);
           Rmem.Remote_memory.write rmems.(0) desc ~off:0 ~notify:true snapshot;
           Sim.Ivar.fill forwarded ());
       Sim.Ivar.read forwarded;
@@ -798,11 +795,8 @@ let dds_register_no_writeback () =
              books, so the gating itself leaves no trace in the
              history. *)
           let settled k tagw v =
-            Int32.equal (Cluster.Address_space.read_word spaces.(k) ~addr:0)
-              tagw
-            && Int32.equal
-                 (Cluster.Address_space.read_word spaces.(k) ~addr:4)
-                 v
+            let word addr = Cluster.Address_space.read_word spaces.(k) ~addr in
+            word 0 = Int32.to_int tagw && word 4 = Int32.to_int v
           in
           let rec await k tagw v =
             if not (settled k tagw v) then begin

@@ -7,7 +7,8 @@ type t = {
   bandwidth_mbps : float;  (* link rate in megabits per second *)
   propagation : Sim.Time.t;  (* per-link propagation delay *)
   switch_latency : Sim.Time.t;  (* fixed per-cell switch traversal *)
-  fifo_capacity_cells : int;  (* NIC receive-FIFO depth *)
+  fifo_capacity_cells : int;
+      (* NIC receive-FIFO depth, and a link's transmit-queue bound *)
 }
 
 let fore_tca100 =
@@ -20,10 +21,12 @@ let fore_tca100 =
 
 let default = fore_tca100
 
+(* [Sim.Time.of_us_float (bits /. t.bandwidth_mbps)] written out: the
+   float stays in this function instead of crossing into [Sim.Time]
+   boxed, so pricing a frame allocates nothing. *)
 let cell_wire_time t =
   let bits = float_of_int (Aal.cell_wire_bytes * 8) in
-  Sim.Time.of_us_float (bits /. t.bandwidth_mbps)
+  int_of_float (Float.round (bits /. t.bandwidth_mbps *. 1_000.))
 
 let frame_wire_time t len =
-  let cells = Aal.cells_of_len len in
-  Sim.Time.scale (cell_wire_time t) (float_of_int cells)
+  Sim.Time.mul (cell_wire_time t) (Aal.cells_of_len len)

@@ -4,7 +4,9 @@ type t = {
   bandwidth_mbps : float;  (** link rate, megabits per second *)
   propagation : Sim.Time.t;  (** per-link propagation delay *)
   switch_latency : Sim.Time.t;  (** fixed per-cell switch traversal *)
-  fifo_capacity_cells : int;  (** NIC receive-FIFO depth *)
+  fifo_capacity_cells : int;
+      (** bounds, in cells, both a NIC's receive FIFO and a link's
+          transmit queue *)
 }
 
 val default : t

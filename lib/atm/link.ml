@@ -4,7 +4,9 @@
    [cells x cell_time], in FIFO order, and is delivered [propagation]
    later.  Within the cluster, loss is treated as catastrophic (the
    paper's reliability assumption), so by default exceeding the queue
-   bound raises rather than silently dropping.
+   bound raises rather than silently dropping.  The bound is
+   [fifo_capacity_cells], counted in cells: a frame is refused when its
+   cells would take the backlog past it.
 
    The fault plane interposes here: [set_interposer] installs a verdict
    function consulted once per offered frame, and [set_overflow] switches
@@ -40,6 +42,7 @@ type t = {
   deliver : Frame.t -> unit;
   mutable next_free : Sim.Time.t;
   mutable queued : int; (* frames accepted but not yet delivered *)
+  mutable queued_cells : int; (* their cells, held to the bound *)
   mutable ring : Frame.t array; (* un-jittered frames in flight, FIFO *)
   mutable ring_head : int;
   mutable ring_length : int;
@@ -63,6 +66,7 @@ let arrive t () =
   t.ring_head <- (t.ring_head + 1) land (Array.length t.ring - 1);
   t.ring_length <- t.ring_length - 1;
   t.queued <- t.queued - 1;
+  t.queued_cells <- t.queued_cells - Aal.cells_of_len (Frame.length frame);
   t.deliver frame
 
 let create ?(name = "link") engine config ~deliver =
@@ -77,6 +81,7 @@ let create ?(name = "link") engine config ~deliver =
       deliver;
       next_free = Sim.Time.zero;
       queued = 0;
+      queued_cells = 0;
       ring = Array.make 8 vacant;
       ring_head = 0;
       ring_length = 0;
@@ -116,18 +121,19 @@ let set_overflow t policy = t.overflow <- policy
    arrive after frames sent later — that is how the fault plane induces
    reordering). *)
 let enqueue t frame ~jitter =
-  if t.queued >= t.config.Config.fifo_capacity_cells then
+  let len = Frame.length frame in
+  let cells = Aal.cells_of_len len in
+  if t.queued_cells + cells > t.config.Config.fifo_capacity_cells then
     match t.overflow with
     | Raise_on_overflow -> raise (Overflow t.name)
     | Drop_on_overflow -> t.overflow_drops <- t.overflow_drops + 1
   else begin
-    let len = Frame.length frame in
-    let cells = Aal.cells_of_len len in
     let tx_time = cells * t.cell_time in
     let now = Sim.Engine.now t.engine in
     let start = Sim.Time.max now t.next_free in
     t.next_free <- Sim.Time.add start tx_time;
     t.queued <- t.queued + 1;
+    t.queued_cells <- t.queued_cells + cells;
     t.frames_sent <- t.frames_sent + 1;
     t.cells_sent <- t.cells_sent + cells;
     t.wire_bytes <- t.wire_bytes + Aal.wire_bytes_of_len len;
@@ -145,6 +151,7 @@ let enqueue t frame ~jitter =
     else
       Sim.Engine.schedule_at t.engine arrival (fun () ->
           t.queued <- t.queued - 1;
+          t.queued_cells <- t.queued_cells - cells;
           t.deliver frame)
   end
 

@@ -5,7 +5,8 @@
     Loss inside the cluster is catastrophic under the paper's reliability
     assumption, so by default queue overflow raises {!Overflow} instead
     of dropping; the fault plane flips that policy and interposes on
-    every offered frame. *)
+    every offered frame.  The queue holds at most the configuration's
+    [fifo_capacity_cells] cells. *)
 
 exception Overflow of string
 
@@ -47,8 +48,8 @@ val name : t -> string
 (** {1 Statistics} *)
 
 val queue_depth : t -> int
-(** Frames accepted but not yet delivered — the instantaneous wire-side
-    backlog a telemetry sampler reads as a gauge. *)
+(** Frames (not cells) accepted but not yet delivered — the instantaneous
+    wire-side backlog a telemetry sampler reads as a gauge. *)
 
 val frames_sent : t -> int
 val cells_sent : t -> int

@@ -75,10 +75,13 @@ let write_from t ~addr src ~pos ~len =
 
 let write t ~addr data = write_from t ~addr data ~pos:0 ~len:(Bytes.length data)
 
-(* Words are little-endian, handled as their unsigned 32 bits in an
-   [int].  One inside a page is read or written in place; one straddling
-   a page boundary goes a byte at a time.  Neither allocates a staging
-   buffer. *)
+(* Words are little-endian 32-bit values, passed as an [int] so that
+   none is boxed across the call: a read returns the word sign-extended
+   (what [Int32.to_int] of it would give), a write stores the low 32 bits
+   of its argument, and a compare-and-swap compares the low 32 bits.
+   Inside the module a word is its unsigned 32 bits.  One inside a page
+   is read or written in place; one straddling a page boundary goes a
+   byte at a time.  Neither allocates a staging buffer. *)
 let byte_at t addr = Bytes.get_uint8 (page t (page_of t addr)) (addr mod t.page_size)
 
 let get_bits t addr =
@@ -104,16 +107,16 @@ let set_bits t addr bits =
 
 let read_word t ~addr =
   check_range t ~addr ~len:4;
-  Int32.of_int (get_bits t addr)
+  (get_bits t addr lxor 0x8000_0000) - 0x8000_0000
 
 let write_word t ~addr v =
   check_range t ~addr ~len:4;
-  set_bits t addr (Int32.to_int v)
+  set_bits t addr v
 
 let cas_word t ~addr ~old_value ~new_value =
   check_range t ~addr ~len:4;
-  if get_bits t addr = Int32.to_int old_value land 0xFFFFFFFF then begin
-    set_bits t addr (Int32.to_int new_value);
+  if get_bits t addr = old_value land 0xFFFFFFFF then begin
+    set_bits t addr new_value;
     true
   end
   else false

@@ -29,11 +29,18 @@ val write_from : t -> addr:int -> bytes -> pos:int -> len:int -> unit
 (** [write_from t ~addr src ~pos ~len] stores [len] bytes of [src] from
     [pos] at [addr]: {!write} of a sub-range without cutting it out. *)
 
-val read_word : t -> addr:int -> int32
-val write_word : t -> addr:int -> int32 -> unit
+(** A word is four little-endian bytes, passed as an [int] so that no
+    word is boxed across the call. *)
 
-val cas_word : t -> addr:int -> old_value:int32 -> new_value:int32 -> bool
-(** Atomic compare-and-swap of a 32-bit word; returns success. *)
+val read_word : t -> addr:int -> int
+(** The 32-bit word at [addr], sign-extended: [0xFFFFFFFF] reads as [-1]. *)
+
+val write_word : t -> addr:int -> int -> unit
+(** Store the low 32 bits of the value at [addr]. *)
+
+val cas_word : t -> addr:int -> old_value:int -> new_value:int -> bool
+(** Atomic compare-and-swap of a 32-bit word, comparing and storing the
+    low 32 bits of each value; returns success. *)
 
 (** {1 Pinning} *)
 

@@ -140,15 +140,19 @@ let next_generation = scale_cpu default 5.0
 
 let cell_copy_cost t ~payload_bytes =
   Sim.Time.add t.io_cell_overhead
-    (Sim.Time.scale t.io_word (float_of_int (Atm.Aal.words_of_len payload_bytes)))
+    (Sim.Time.mul t.io_word (Atm.Aal.words_of_len payload_bytes))
 
 let frame_copy_cost t ~payload_bytes =
   (* Copying a multi-cell frame through the FIFO: per-cell setup plus the
      word copies for the whole payload. *)
   let cells = Atm.Aal.cells_of_len payload_bytes in
   Sim.Time.add
-    (Sim.Time.scale t.io_cell_overhead (float_of_int cells))
-    (Sim.Time.scale t.io_word (float_of_int (Atm.Aal.words_of_len payload_bytes)))
+    (Sim.Time.mul t.io_cell_overhead cells)
+    (Sim.Time.mul t.io_word (Atm.Aal.words_of_len payload_bytes))
 
+(* [per_kb * bytes / 1024] rounded half away from zero, in integers: for
+   a product x >= 0 that is [(x + 512) asr 10], and every product here is
+   an integer well below 2^53, so this is exactly what the float form
+   [Sim.Time.scale per_kb (float_of_int bytes /. 1024.)] computed. *)
 let proc_cost (_ : t) ~base ~per_kb ~bytes =
-  Sim.Time.add base (Sim.Time.scale per_kb (float_of_int bytes /. 1024.))
+  Sim.Time.add base ((Sim.Time.mul per_kb bytes + 512) asr 10)

@@ -55,4 +55,5 @@ val frame_copy_cost : t -> payload_bytes:int -> Sim.Time.t
 
 val proc_cost :
   t -> base:Sim.Time.t -> per_kb:Sim.Time.t -> bytes:int -> Sim.Time.t
-(** Size-dependent server procedure cost: [base + per_kb * bytes/1024]. *)
+(** Size-dependent server procedure cost: [base + per_kb * bytes/1024],
+    rounded to the nearest ns with halves rounded up. *)

@@ -33,7 +33,7 @@ let transform t ?(pos = 0) ?len data =
   out
 
 let cost t ~bytes =
-  Sim.Time.scale t.per_word_cost (float_of_int (Atm.Aal.words_of_len bytes))
+  Sim.Time.mul t.per_word_cost (Atm.Aal.words_of_len bytes)
 
 (* The AN1 controller encrypts as data moves through: almost free. *)
 let hardware_an1 = make ~key:0x5EC2E7 ~per_word_cost:(Sim.Time.of_us_float 0.05)

@@ -25,7 +25,7 @@ type t = {
   buf : Remote_memory.buffer;
   buf_space : Cluster.Address_space.t;
   buf_base : int;
-  mutable last_value : int32;
+  mutable last_value : int;
   mutable strikes : int;
   mutable state : state;
   mutable stopped : bool;
@@ -38,10 +38,10 @@ let publish rmem segment ~off ~period =
   let addr = Segment.base segment + off in
   let stopped = ref false in
   Cluster.Node.spawn node (fun () ->
-      let value = ref 1l in
+      let value = ref 1 in
       while not !stopped do
         Cluster.Address_space.write_word space ~addr !value;
-        value := Int32.add !value 1l;
+        incr value;
         Sim.Proc.wait period
       done);
   fun () -> stopped := true
@@ -63,7 +63,7 @@ let probe t =
       in
       (* The counter must keep moving: a reachable kernel fronting a
          wedged publisher counts as a failure too. *)
-      if Int32.compare value t.last_value > 0 then begin
+      if value > t.last_value then begin
         t.last_value <- value;
         (* A link that came back after misses: report the recovery so a
            watcher can clear degraded-mode state it entered meanwhile. *)
@@ -92,7 +92,7 @@ let watch rmem desc ~soff ?(period = Sim.Time.ms 10)
       buf = Remote_memory.buffer ~space ~base:0 ~len:16;
       buf_space = space;
       buf_base = 0;
-      last_value = 0l;
+      last_value = 0;
       strikes = 0;
       state = Alive;
       stopped = false;

@@ -140,15 +140,13 @@ let words_per_data_cell = 12
 let tx_data_cost c len =
   let cells = Wire.data_cells len in
   Sim.Time.add
-    (Sim.Time.scale c.Cluster.Costs.io_cell_overhead (float_of_int cells))
-    (Sim.Time.scale c.Cluster.Costs.io_word
-       (float_of_int (words_per_data_cell * cells)))
+    (Sim.Time.mul c.Cluster.Costs.io_cell_overhead cells)
+    (Sim.Time.mul c.Cluster.Costs.io_word (words_per_data_cell * cells))
 
 (* Draining the same cells out of the receive FIFO: word copies only. *)
 let rx_data_cost c len =
   let cells = Wire.data_cells len in
-  Sim.Time.scale c.Cluster.Costs.io_word
-    (float_of_int (words_per_data_cell * cells))
+  Sim.Time.mul c.Cluster.Costs.io_word (words_per_data_cell * cells)
 
 (* Streaming a single AAL5 burst frame of [len] bytes into the transmit
    FIFO.  The per-cell setup is paid once per [burst_cells]-sized group —
@@ -162,20 +160,17 @@ let tx_burst_cost c len =
     (cells + c.Cluster.Costs.burst_cells - 1) / c.Cluster.Costs.burst_cells
   in
   Sim.Time.add
-    (Sim.Time.scale c.Cluster.Costs.io_cell_overhead (float_of_int groups))
-    (Sim.Time.scale c.Cluster.Costs.io_word
-       (float_of_int (Atm.Aal.words_of_len len)))
+    (Sim.Time.mul c.Cluster.Costs.io_cell_overhead groups)
+    (Sim.Time.mul c.Cluster.Costs.io_word (Atm.Aal.words_of_len len))
 
 (* Draining a burst frame out of the receive FIFO: word copies only. *)
 let rx_burst_cost c len =
-  Sim.Time.scale c.Cluster.Costs.io_word
-    (float_of_int (Atm.Aal.words_of_len len))
+  Sim.Time.mul c.Cluster.Costs.io_word (Atm.Aal.words_of_len len)
 
 let tx_ctrl_cost c payload_bytes = Cluster.Costs.cell_copy_cost c ~payload_bytes
 
 let rx_ctrl_cost c payload_bytes =
-  Sim.Time.scale c.Cluster.Costs.io_word
-    (float_of_int (Atm.Aal.words_of_len payload_bytes))
+  Sim.Time.mul c.Cluster.Costs.io_word (Atm.Aal.words_of_len payload_bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Construction.                                                       *)
@@ -319,7 +314,7 @@ let export t ~space ~base ~len ?id ?(policy = Segment.Conditional)
   let pages = Cluster.Address_space.pin space ~addr:base ~len in
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (Sim.Time.add c.Cluster.Costs.segment_export_kernel
-       (Sim.Time.scale c.Cluster.Costs.page_pin (float_of_int pages)));
+       (Sim.Time.mul c.Cluster.Costs.page_pin pages));
   let notification = Notification.create ~name:(name ^ " fd") t.node in
   let segment =
     Segment.create ~id ~name ~space ~base ~len ~generation
@@ -484,7 +479,7 @@ let send_write t desc ~off ~notify ~swab data =
       ~extents:[] ~ctrl:Sim.Time.zero None
   in
   Metrics.Account.add t.ops ~category:"write" 1.;
-  Metrics.Account.add t.data_bytes ~category:"write" (float_of_int count);
+  Metrics.Account.add_int t.data_bytes ~category:"write" count;
   if count = 0 then
     (* A zero-length write still sends its header cell — useful as a
        doorbell when combined with the notify bit. *)
@@ -517,7 +512,7 @@ let send_burst t desc ~notify ~swab extents =
       ~extents:items ~ctrl:Sim.Time.zero None
   in
   Metrics.Account.add t.ops ~category:"write burst" 1.;
-  Metrics.Account.add t.data_bytes ~category:"write" (float_of_int total);
+  Metrics.Account.add_int t.data_bytes ~category:"write" total;
   let items =
     List.map
       (fun it ->
@@ -553,7 +548,9 @@ let send_burst t desc ~notify ~swab extents =
 let watchdog t span check =
   let engine = Cluster.Node.engine t.node in
   Sim.Engine.schedule engine (fun () ->
-      Sim.Engine.schedule ~after:span engine check)
+      Sim.Engine.schedule_at engine
+        (Sim.Time.add (Sim.Engine.now engine) span)
+        check)
 
 (* The timeout of a READ or CAS: if [completion] is still empty [span]
    from now, drop the pending entry (so a reply that straggles in later
@@ -588,7 +585,7 @@ let read ?timeout t desc ~soff ~count ~dst ~doff ?(notify = false)
               chunks; completion }))
   in
   Metrics.Account.add t.ops ~category:"read" 1.;
-  Metrics.Account.add t.data_bytes ~category:"read" (float_of_int count);
+  Metrics.Account.add_int t.data_bytes ~category:"read" count;
   Cluster.Node.transmit
     ?ctx:(Obs.Trace.wire_ctx fl)
     t.node ~dst:(Descriptor.remote desc)
@@ -977,8 +974,7 @@ let handle_write t src ~seg ~gen ~off ~notify ~swab payload ~pos ~len =
           (Segment.space segment)
           ~addr:(Segment.base segment + off)
           payload ~pos ~len;
-        Metrics.Account.add t.data_bytes ~category:"write served"
-          (float_of_int len);
+        Metrics.Account.add_int t.data_bytes ~category:"write served" len;
         let notified = Segment.should_notify segment ~requested:notify in
         if monitored t then emit t
           (Served
@@ -1032,8 +1028,7 @@ let rec deposit_extents t src segment ~notified ~last i = function
   | (off, (data : Wire.view)) :: rest ->
       deposit (Segment.space segment) ~addr:(Segment.base segment + off) data;
       let count = data.Wire.len in
-      Metrics.Account.add t.data_bytes ~category:"write served"
-        (float_of_int count);
+      Metrics.Account.add_int t.data_bytes ~category:"write served" count;
       if monitored t then emit t
         (Served
            {
@@ -1131,8 +1126,7 @@ let handle_read t src ~seg ~gen ~soff ~count ~reqid ~notify:_ ~swab =
   match serve_status t ~src ~seg ~gen ~off:soff ~count Rights.Read_op with
   | Status.Ok ->
       let segment = Sim.Int_table.find t.exported seg in
-      Metrics.Account.add t.data_bytes ~category:"read served"
-        (float_of_int count);
+      Metrics.Account.add_int t.data_bytes ~category:"read served" count;
       if monitored t then emit t
         (Served
            {
@@ -1203,7 +1197,8 @@ let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
       in
       let swapped =
         Cluster.Address_space.cas_word (Segment.space segment) ~addr
-          ~old_value ~new_value
+          ~old_value:(Int32.to_int old_value)
+          ~new_value:(Int32.to_int new_value)
       in
       if monitored t then emit t
         (Served
@@ -1227,7 +1222,8 @@ let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
              off = doff;
              count = 4;
            });
-      reply_cas t sv src ~reqid ~status:Status.Ok ~witness
+      reply_cas t sv src ~reqid ~status:Status.Ok
+        ~witness:(Int32.of_int witness)
   | status ->
       record_error t status;
       if monitored t then emit t
@@ -1338,7 +1334,7 @@ let handle_cas_reply t src ~status ~reqid ~witness =
             c.Cluster.Costs.vm_deliver;
           let success = Int32.equal witness p.old_value in
           Cluster.Address_space.write_word buf.space ~addr:(buf.base + off)
-            (if success then 1l else 0l)
+            (if success then 1 else 0)
       | Some _ | None -> ());
       (if p.notify then
          Notification.post

@@ -133,8 +133,11 @@ let call ?(timeout = default_timeout) ?(attempts = default_attempts) ep ~dst
     let iv = Sim.Ivar.create () in
     Sim.Int_table.replace ep.pending req iv;
     Amsg.send ep.amsg ~dst ~handler:id frame;
-    Sim.Engine.schedule ~after:timeout engine (fun () ->
-        ignore (Sim.Ivar.try_fill iv None));
+    (* [schedule_at], not [schedule ~after]: the optional argument
+       would box the span on every attempt. *)
+    Sim.Engine.schedule_at engine
+      (Sim.Time.add (Sim.Engine.now engine) timeout)
+      (fun () -> ignore (Sim.Ivar.try_fill iv None));
     match Sim.Ivar.read iv with
     | Some reply ->
         Sim.Int_table.remove ep.pending req;

@@ -43,13 +43,16 @@ let key_at s index =
 let value_at s index =
   Cluster.Address_space.read_word s.sspace ~addr:((index * slot_bytes) + 4)
 
+(* The server's own walks read the slot words as ints: the reserved keys
+   0 and -1 are [empty_key] and [tombstone_key] sign-extended. *)
 let local_walk s key =
+  let key_word = Int32.to_int key in
   Probe.walk ~slots:s.sslots ~hash:(hash_key key)
     ~classify:(fun ~index ~probe:_ ->
       let k = key_at s index in
-      if Int32.equal k empty_key then Probe.Free
-      else if Int32.equal k tombstone_key then Probe.Tombstone None
-      else if Int32.equal k key then Probe.Hit
+      if k = 0 then Probe.Free
+      else if k = -1 then Probe.Tombstone None
+      else if k = key_word then Probe.Hit
       else Probe.Other)
 
 let local_insert s ~key ~value =
@@ -57,14 +60,15 @@ let local_insert s ~key ~value =
   | Probe.Found { index; _ } ->
       Cluster.Address_space.write_word s.sspace
         ~addr:((index * slot_bytes) + 4)
-        value;
+        (Int32.to_int value);
       true
   | Probe.Absent { reusable = Some index; _ }
   | Probe.Absent { reusable = None; free = Some index; _ } ->
-      Cluster.Address_space.write_word s.sspace ~addr:(index * slot_bytes) key;
+      Cluster.Address_space.write_word s.sspace ~addr:(index * slot_bytes)
+        (Int32.to_int key);
       Cluster.Address_space.write_word s.sspace
         ~addr:((index * slot_bytes) + 4)
-        value;
+        (Int32.to_int value);
       true
   | Probe.Absent { reusable = None; free = None; _ } -> false
 
@@ -72,7 +76,7 @@ let local_lookup s key =
   match local_walk s key with
   | Probe.Found { index; _ } ->
       let v = value_at s index in
-      if Int32.equal v 0l then None else Some v
+      if v = 0 then None else Some (Int32.of_int v)
   | Probe.Absent _ -> None
 
 let local_delete s key =
@@ -80,8 +84,8 @@ let local_delete s key =
   | Probe.Found { index; _ } ->
       let v = value_at s index in
       Cluster.Address_space.write_word s.sspace ~addr:(index * slot_bytes)
-        tombstone_key;
-      not (Int32.equal v 0l)
+        (Int32.to_int tombstone_key);
+      v <> 0
   | Probe.Absent _ -> false
 
 (* RPC service cost: stub overhead plus the measured per-operation hash

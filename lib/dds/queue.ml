@@ -41,33 +41,27 @@ type server = {
 
 let local_enqueue s value =
   let tl = Cluster.Address_space.read_word s.sspace ~addr:4 in
-  if Int32.compare tl 0l < 0 then `Not_ready
+  if tl < 0 then `Not_ready
+  else if tl >= s.cap then `Full
   else begin
-    let tl = Int32.to_int tl in
-    if tl >= s.cap then `Full
-    else begin
-      Cluster.Address_space.write_word s.sspace ~addr:(slot_off tl + 4) value;
-      Cluster.Address_space.write_word s.sspace ~addr:(slot_off tl) 1l;
-      Cluster.Address_space.write_word s.sspace ~addr:4 (Int32.of_int (tl + 1));
-      `Ok tl
-    end
+    Cluster.Address_space.write_word s.sspace ~addr:(slot_off tl + 4)
+      (Int32.to_int value);
+    Cluster.Address_space.write_word s.sspace ~addr:(slot_off tl) 1;
+    Cluster.Address_space.write_word s.sspace ~addr:4 (tl + 1);
+    `Ok tl
   end
 
 let local_dequeue s =
   let h = Cluster.Address_space.read_word s.sspace ~addr:0 in
   let tl = Cluster.Address_space.read_word s.sspace ~addr:4 in
-  if Int32.compare h 0l < 0 || Int32.compare tl 0l < 0 then `Not_ready
+  if h < 0 || tl < 0 then `Not_ready
+  else if h >= tl then `Empty
+  else if Cluster.Address_space.read_word s.sspace ~addr:(slot_off h) = 0 then
+    `Not_ready
   else begin
-    let h = Int32.to_int h and tl = Int32.to_int tl in
-    if h >= tl then `Empty
-    else if
-      Int32.equal (Cluster.Address_space.read_word s.sspace ~addr:(slot_off h)) 0l
-    then `Not_ready
-    else begin
-      let v = Cluster.Address_space.read_word s.sspace ~addr:(slot_off h + 4) in
-      Cluster.Address_space.write_word s.sspace ~addr:0 (Int32.of_int (h + 1));
-      `Ok (v, h)
-    end
+    let v = Cluster.Address_space.read_word s.sspace ~addr:(slot_off h + 4) in
+    Cluster.Address_space.write_word s.sspace ~addr:0 (h + 1);
+    `Ok (Int32.of_int v, h)
   end
 
 let charge node =

@@ -50,12 +50,15 @@ let replica ~rmem ~amsg ?(id = rpc_id) () =
       if Bytes.length body < 12 then reply 4l 0l 0l
       else begin
         let op = Int32.to_int (Bytes.get_int32_le body 0) in
-        let cur = Cluster.Address_space.read_word rspace ~addr:0 in
+        let cur =
+          Int32.of_int (Cluster.Address_space.read_word rspace ~addr:0)
+        in
         match op with
         | 1 ->
             let v = Cluster.Address_space.read_word rspace ~addr:4 in
             charge rnode c.Cluster.Costs.hash_lookup;
-            if Tag.is_busy cur then reply 3l 0l 0l else reply 0l cur v
+            if Tag.is_busy cur then reply 3l 0l 0l
+            else reply 0l cur (Int32.of_int v)
         | 2 ->
             let tagw = Bytes.get_int32_le body 4 in
             let value = Bytes.get_int32_le body 8 in
@@ -65,8 +68,10 @@ let replica ~rmem ~amsg ?(id = rpc_id) () =
             end
             else begin
               if Int32.compare tagw cur > 0 then begin
-                Cluster.Address_space.write_word rspace ~addr:4 value;
-                Cluster.Address_space.write_word rspace ~addr:0 tagw
+                Cluster.Address_space.write_word rspace ~addr:4
+                  (Int32.to_int value);
+                Cluster.Address_space.write_word rspace ~addr:0
+                  (Int32.to_int tagw)
               end;
               charge rnode c.Cluster.Costs.cas_execute;
               reply 0l 0l 0l

@@ -145,10 +145,9 @@ let hybrid_fetch t op =
   in
   let rec spin () =
     let flag = Cluster.Address_space.read_word t.space ~addr:t.reply_base in
-    if Int32.equal flag Layout.reply_ready then begin
+    if flag = Layout.reply_ready then begin
       let len =
-        Int32.to_int
-          (Cluster.Address_space.read_word t.space ~addr:(t.reply_base + 4))
+        Cluster.Address_space.read_word t.space ~addr:(t.reply_base + 4)
       in
       Nfs_ops.decode_result
         (Cluster.Address_space.read t.space ~addr:(t.reply_base + 8) ~len)

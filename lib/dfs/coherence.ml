@@ -31,9 +31,8 @@ let export_tokens ~names ?(tokens = default_tokens) () =
   { space; base = 0 }
 
 let holder_of manager ~token =
-  Int32.to_int
-    (Cluster.Address_space.read_word manager.space
-       ~addr:(manager.base + (token * 4)))
+  Cluster.Address_space.read_word manager.space
+    ~addr:(manager.base + (token * 4))
 
 (* The RPC-based token service over the same table. *)
 let start_rpc_manager manager transport =
@@ -49,15 +48,15 @@ let start_rpc_manager manager transport =
     let reply = Rpckit.Xdr.create () in
     if proc = proc_acquire then begin
       let granted =
-        Cluster.Address_space.cas_word manager.space ~addr ~old_value:0l
-          ~new_value:(Int32.of_int me)
+        Cluster.Address_space.cas_word manager.space ~addr ~old_value:0
+          ~new_value:me
       in
       Rpckit.Xdr.bool reply granted
     end
     else begin
       let released =
         Cluster.Address_space.cas_word manager.space ~addr
-          ~old_value:(Int32.of_int me) ~new_value:0l
+          ~old_value:me ~new_value:0
       in
       Rpckit.Xdr.bool reply released
     end;
@@ -112,16 +111,14 @@ let connect ~names ~server () =
   }
 
 let wanted t ~token =
-  not
-    (Int32.equal
-       (Cluster.Address_space.read_word t.revoke_space
-          ~addr:(token mod revoke_slots * 4))
-       0l)
+  Cluster.Address_space.read_word t.revoke_space
+    ~addr:(token mod revoke_slots * 4)
+  <> 0
 
 let clear_wanted t ~token =
   Cluster.Address_space.write_word t.revoke_space
     ~addr:(token mod revoke_slots * 4)
-    0l
+    0
 
 (* Every token a client believes it holds must be published as held by
    that client in the server's table — the coherence invariant the

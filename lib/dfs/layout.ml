@@ -37,8 +37,8 @@ let request_bytes = max_clients * request_slot_bytes
 let reply_slot_bytes = 8288
 (* [flag 4][len 4][encoded result <= 8K + overhead] *)
 
-let reply_pending = 0l
-let reply_ready = 1l
+let reply_pending = 0
+let reply_ready = 1
 
 (* Published segment names (registered with the name service). *)
 let statfs_name = "dfs:stat"

@@ -33,8 +33,8 @@ val request_bytes : int
 val reply_slot_bytes : int
 (** [flag 4][len 4][encoded result <= 8K + overhead]. *)
 
-val reply_pending : int32
-val reply_ready : int32
+val reply_pending : int
+val reply_ready : int
 
 (** Published segment names (registered with the name service). *)
 

@@ -261,9 +261,7 @@ let serve_hybrid_request t ~(record : Rmem.Notification.record) =
     Layout.request_base
     + (Atm.Addr.to_int client * Layout.request_slot_bytes)
   in
-  let len =
-    Int32.to_int (Cluster.Address_space.read_word t.space ~addr:slot_base)
-  in
+  let len = Cluster.Address_space.read_word t.space ~addr:slot_base in
   let op =
     Nfs_ops.decode_op
       (Cluster.Address_space.read t.space ~addr:(slot_base + 4) ~len)
@@ -279,7 +277,7 @@ let serve_hybrid_request t ~(record : Rmem.Notification.record) =
      sees a ready flag over incomplete data. *)
   Rmem.Remote_memory.write t.rmem desc ~off:8 payload;
   let header = Bytes.create 8 in
-  Bytes.set_int32_le header 0 Layout.reply_ready;
+  Bytes.set_int32_le header 0 (Int32.of_int Layout.reply_ready);
   Bytes.set_int32_le header 4 (Int32.of_int (Bytes.length payload));
   Rmem.Remote_memory.write t.rmem desc ~off:0 header;
   t.hybrid_served <- t.hybrid_served + 1

@@ -13,8 +13,8 @@
    this; a comparison of the block number shows if there was a miss"). *)
 
 let header_bytes = 16
-let flag_invalid = 0l
-let flag_valid = 1l
+let flag_invalid = 0
+let flag_valid = 1
 
 type config = { slots : int; payload_bytes : int }
 
@@ -61,12 +61,9 @@ let install t ~key1 ~key2 payload =
     invalid_arg "Slot_cache.install: payload too large";
   let addr = t.base + offset_of_key t ~key1 ~key2 in
   Cluster.Address_space.write_word t.space ~addr flag_invalid;
-  Cluster.Address_space.write_word t.space ~addr:(addr + 4)
-    (Int32.of_int key1);
-  Cluster.Address_space.write_word t.space ~addr:(addr + 8)
-    (Int32.of_int key2);
-  Cluster.Address_space.write_word t.space ~addr:(addr + 12)
-    (Int32.of_int len);
+  Cluster.Address_space.write_word t.space ~addr:(addr + 4) key1;
+  Cluster.Address_space.write_word t.space ~addr:(addr + 8) key2;
+  Cluster.Address_space.write_word t.space ~addr:(addr + 12) len;
   Cluster.Address_space.write t.space ~addr:(addr + header_bytes) payload;
   Cluster.Address_space.write_word t.space ~addr flag_valid
 
@@ -77,7 +74,7 @@ let invalidate t ~key1 ~key2 =
 (* Decode a fetched (or local) slot image, validating flag and keys. *)
 let decode_slot slot ~key1 ~key2 =
   if Bytes.length slot < header_bytes then None
-  else if not (Int32.equal (Bytes.get_int32_le slot 0) flag_valid) then None
+  else if Int32.to_int (Bytes.get_int32_le slot 0) <> flag_valid then None
   else if
     not
       (Int32.to_int (Bytes.get_int32_le slot 4) = key1
@@ -105,7 +102,7 @@ let encode_slot t ~key1 ~key2 payload =
   if len > t.config.payload_bytes then
     invalid_arg "Slot_cache.encode_slot: payload too large";
   let b = Bytes.make (header_bytes + len) '\000' in
-  Bytes.set_int32_le b 0 flag_valid;
+  Bytes.set_int32_le b 0 (Int32.of_int flag_valid);
   Bytes.set_int32_le b 4 (Int32.of_int key1);
   Bytes.set_int32_le b 8 (Int32.of_int key2);
   Bytes.set_int32_le b 12 (Int32.of_int len);

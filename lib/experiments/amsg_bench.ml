@@ -147,17 +147,15 @@ let measure_amsg () =
       (* Client handler: deposit the answer and flip the flag word. *)
       Amsg.register am_client ~id:am_reply (fun ~src:_ args ->
           Cluster.Address_space.write client_space ~addr:4 args;
-          Cluster.Address_space.write_word client_space ~addr:0 1l);
+          Cluster.Address_space.write_word client_space ~addr:0 1);
       let lookup name =
-        Cluster.Address_space.write_word client_space ~addr:0 0l;
+        Cluster.Address_space.write_word client_space ~addr:0 0;
         Amsg.send am_client
           ~dst:(Cluster.Node.addr rig.server)
           ~handler:am_lookup (Bytes.of_string name);
         let rec spin () =
           if
-            Int32.equal
-              (Cluster.Address_space.read_word client_space ~addr:0)
-              0l
+            Cluster.Address_space.read_word client_space ~addr:0 = 0
           then begin
             Sim.Proc.wait (Sim.Time.us 5);
             spin ()

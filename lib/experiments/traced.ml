@@ -163,15 +163,11 @@ let producer_consumer () =
                 let continue = ref true in
                 while !continue && !next < total do
                   let slot = slot_off (!next mod ring_slots) in
-                  let seq =
-                    Int32.to_int
-                      (Cluster.Address_space.read_word space ~addr:slot)
-                  in
+                  let seq = Cluster.Address_space.read_word space ~addr:slot in
                   if seq = !next + 1 then begin
-                    Cluster.Address_space.write_word space ~addr:slot 0l;
+                    Cluster.Address_space.write_word space ~addr:slot 0;
                     incr next;
-                    Cluster.Address_space.write_word space ~addr:head_off
-                      (Int32.of_int !next)
+                    Cluster.Address_space.write_word space ~addr:head_off !next
                   end
                   else continue := false
                 done
@@ -202,16 +198,16 @@ let producer_consumer () =
                     in
                     let won, _witness =
                       Rmem.Remote_memory.cas_wait rmem desc ~doff:ticket_off
-                        ~old_value:ticket ~new_value:(Int32.add ticket 1l) ()
+                        ~old_value:(Int32.of_int ticket)
+                        ~new_value:(Int32.of_int (ticket + 1)) ()
                     in
-                    if won then seq := Int32.to_int ticket
+                    if won then seq := ticket
                   done;
                   let rec wait_for_space () =
                     Rmem.Remote_memory.read_wait rmem desc ~soff:head_off
                       ~count:4 ~dst:buf ~doff:0 ();
                     let head =
-                      Int32.to_int
-                        (Cluster.Address_space.read_word my_space ~addr:0)
+                      Cluster.Address_space.read_word my_space ~addr:0
                     in
                     if !seq - head >= ring_slots then begin
                       Sim.Proc.wait (Sim.Time.us 100);

@@ -299,11 +299,11 @@ let quickstart ~plan ~seed ~pipelined ~sampler =
         ~dst:buf ~doff:1024 ();
       let word = Cluster.Address_space.read_word space0 ~addr:1024 in
       let ok_bytes = Bytes.equal echoed message in
-      let ok_word = Int32.equal word 42l in
+      let ok_word = word = 42 in
       converged := ok_bytes && ok_word;
       if not !converged then
         detail :=
-          Printf.sprintf "echo=%b word=%ld (want 42)" ok_bytes word)
+          Printf.sprintf "echo=%b word=%d (want 42)" ok_bytes word)
 
 (* ------------------------------------------------------------------ *)
 (* name_service: batch export, imports, revoke/re-export recovery.     *)
@@ -472,9 +472,8 @@ let producer_consumer ~plan ~seed ~pipelined ~sampler =
       let engine = Cluster.Testbed.engine testbed in
       let deadline = Sim.Time.ms 500 in
       let slot_value slot =
-        Int32.to_int
-          (Cluster.Address_space.read_word ring_space
-             ~addr:(slot_base + (slot * slot_bytes)))
+        Cluster.Address_space.read_word ring_space
+          ~addr:(slot_base + (slot * slot_bytes))
       in
       let all_present () =
         let ok = ref true in
@@ -493,9 +492,7 @@ let producer_consumer ~plan ~seed ~pipelined ~sampler =
         end
       in
       let filled = poll () in
-      let winner =
-        Int32.to_int (Cluster.Address_space.read_word ring_space ~addr:8)
-      in
+      let winner = Cluster.Address_space.read_word ring_space ~addr:8 in
       let ok_winner = winner = 500 || winner = 502 in
       converged := filled && ok_winner;
       if not !converged then

@@ -52,8 +52,12 @@ let add t ~category x =
   let c = cell t category in
   c.total <- c.total +. x
 
-(* The conversion happens here rather than at the caller so no float
+(* The conversions happen here rather than at the caller so no float
    crosses a call boundary, where it would be boxed. *)
+let add_int t ~category n =
+  let c = cell t category in
+  c.total <- c.total +. float_of_int n
+
 let add_us_of_ns t ~category ns =
   let c = cell t category in
   c.total <- c.total +. (float_of_int ns /. 1000.)

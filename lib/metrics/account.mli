@@ -10,6 +10,10 @@ val create : ?name:string -> unit -> t
 
 val add : t -> category:string -> float -> unit
 
+val add_int : t -> category:string -> int -> unit
+(** [add_int t ~category n] is [add t ~category (float_of_int n)] without
+    boxing a float per call: the data path counts bytes with it. *)
+
 val add_us_of_ns : t -> category:string -> int -> unit
 (** [add_us_of_ns t ~category ns] adds [ns] nanoseconds as microseconds,
     [float_of_int ns /. 1000.], without boxing a float per call. *)

@@ -27,9 +27,9 @@ let scratch_slots = 16
 let scratch_slot_bytes = 72
 (* [flag 4][record 64][pad 4]; flag: 0 pending / 1 found / 2 absent. *)
 
-let reply_pending = 0l
-let reply_found = 1l
-let reply_absent = 2l
+let reply_pending = 0
+let reply_found = 1
+let reply_absent = 2
 
 (* Clerk address-space layout. *)
 let registry_base = 0

@@ -31,9 +31,9 @@ val scratch_slot_bytes : int
 
 (** Scratch-slot reply flags. *)
 
-val reply_pending : int32
-val reply_found : int32
-val reply_absent : int32
+val reply_pending : int
+val reply_found : int
+val reply_absent : int
 
 (** Clerk address-space layout. *)
 

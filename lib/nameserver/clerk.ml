@@ -298,13 +298,13 @@ let await_scratch_reply ?(timeout = Sim.Time.ms 50) t ~slot =
       Cluster.Address_space.read_word t.space
         ~addr:(Bootstrap.scratch_base + reply_off)
     in
-    if Int32.equal flag Bootstrap.reply_pending then begin
+    if flag = Bootstrap.reply_pending then begin
       if Sim.Time.(Sim.Engine.now (Cluster.Node.engine t.node) > deadline)
       then raise Rmem.Status.Timeout;
       Sim.Proc.wait (Sim.Time.us 5);
       spin ()
     end
-    else if Int32.equal flag Bootstrap.reply_found then
+    else if flag = Bootstrap.reply_found then
       Record.decode
         (Cluster.Address_space.read t.space
            ~addr:(Bootstrap.scratch_base + reply_off + 4)
@@ -360,9 +360,10 @@ let serve_lookup_requests t =
          let reply = Bytes.make Bootstrap.scratch_slot_bytes '\000' in
          (match Registry.lookup t.registry name with
          | Some (found, _) ->
-             Bytes.set_int32_le reply 0 Bootstrap.reply_found;
+             Bytes.set_int32_le reply 0 (Int32.of_int Bootstrap.reply_found);
              Bytes.blit (Record.encode found) 0 reply 4 Record.slot_bytes
-         | None -> Bytes.set_int32_le reply 0 Bootstrap.reply_absent);
+         | None -> Bytes.set_int32_le reply 0
+                     (Int32.of_int Bootstrap.reply_absent));
          let scratch = scratch_descriptor t ~remote:reply_node in
          (* Record body first, flag word implicitly included: the whole
             reply travels in one frame, so the spinner sees it atomically. *)

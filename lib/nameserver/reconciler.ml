@@ -129,13 +129,12 @@ let loads t =
   let acc = Array.make (max n 1) 0 in
   for c = 0 to t.max_clients - 1 do
     let row = load_base + (c * load_row_bytes) in
-    let epoch = Int32.to_int (Cluster.Address_space.read_word t.space ~addr:row) in
+    let epoch = Cluster.Address_space.read_word t.space ~addr:row in
     if epoch = t.epoch then
       for i = 0 to n - 1 do
         acc.(i) <-
           acc.(i)
-          + Int32.to_int
-              (Cluster.Address_space.read_word t.space ~addr:(row + 8 + (4 * i)))
+          + Cluster.Address_space.read_word t.space ~addr:(row + 8 + (4 * i))
       done
   done;
   List.mapi (fun i s -> (s, acc.(i))) sorted
@@ -311,7 +310,7 @@ let retire t ~src ~dst moved =
     moved;
   if moved <> [] then fence t src.desc;
   t.moves <- t.moves + List.length moved;
-  Metrics.Account.add t.stats ~category:"moves" (float_of_int (List.length moved))
+  Metrics.Account.add_int t.stats ~category:"moves" (List.length moved)
 
 let find_shard t id = List.find_opt (fun s -> s.id = id) t.shards
 
@@ -401,15 +400,18 @@ let serve_registrations t =
              in
              let reply = Bytes.make Bootstrap.scratch_slot_bytes '\000' in
              (match Record.decode (Bytes.sub request 0 Record.slot_bytes) with
-             | None -> Bytes.set_int32_le reply 0 Bootstrap.reply_absent
+             | None -> Bytes.set_int32_le reply 0
+                         (Int32.of_int Bootstrap.reply_absent)
              | Some record -> (
                  match register t record with
                  | Ok () ->
-                     Bytes.set_int32_le reply 0 Bootstrap.reply_found;
+                     Bytes.set_int32_le reply 0
+                       (Int32.of_int Bootstrap.reply_found);
                      Bytes.blit (Record.encode record) 0 reply 4
                        Record.slot_bytes
                  | Error `Full ->
-                     Bytes.set_int32_le reply 0 Bootstrap.reply_absent));
+                     Bytes.set_int32_le reply 0
+                       (Int32.of_int Bootstrap.reply_absent)));
              let scratch =
                Clerk.scratch_descriptor t.clerk
                  ~remote:(Atm.Addr.of_int requester)

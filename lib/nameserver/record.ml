@@ -9,10 +9,10 @@
 let slot_bytes = 64
 let name_bytes = 32
 
-let flag_invalid = 0l
-let flag_valid = 1l
+let flag_invalid = 0
+let flag_valid = 1
 
-let flag_moved = 2l
+let flag_moved = 2
 (* The sharding layer's tombstone: the record migrated to another shard
    segment.  Unlike [flag_invalid] — which ends every probe chain — a
    moved slot is skipped, so tombstoning one name cannot orphan
@@ -20,7 +20,8 @@ let flag_moved = 2l
    one knows its shard map may be stale. *)
 
 let flag_of_slot slot =
-  if Bytes.length slot < 4 then flag_invalid else Bytes.get_int32_le slot 0
+  if Bytes.length slot < 4 then flag_invalid
+  else Int32.to_int (Bytes.get_int32_le slot 0)
 
 type t = {
   name : string;
@@ -52,7 +53,7 @@ let fnv_hash name =
 
 let encode t =
   let b = Bytes.make slot_bytes '\000' in
-  Bytes.set_int32_le b 0 flag_valid;
+  Bytes.set_int32_le b 0 (Int32.of_int flag_valid);
   Bytes.set_int32_le b 4 (Int32.of_int (fnv_hash t.name));
   Bytes.blit_string t.name 0 b 8 (String.length t.name);
   Bytes.set_int32_le b 40 (Int32.of_int t.node);
@@ -63,7 +64,7 @@ let encode t =
   b
 
 let is_valid slot =
-  Bytes.length slot >= 4 && Int32.equal (Bytes.get_int32_le slot 0) flag_valid
+  flag_of_slot slot = flag_valid
 
 let decode slot =
   if Bytes.length slot < slot_bytes then None
@@ -112,7 +113,7 @@ type forward = {
 
 let encode_forward f =
   let b = Bytes.make slot_bytes '\000' in
-  Bytes.set_int32_le b 0 flag_moved;
+  Bytes.set_int32_le b 0 (Int32.of_int flag_moved);
   Bytes.set_int32_le b 4 (Int32.of_int f.fwd_epoch);
   Bytes.set_int32_le b 8 (Int32.of_int f.fwd_lo);
   Bytes.set_int32_le b 12 (Int32.of_int f.fwd_hi);
@@ -124,7 +125,7 @@ let encode_forward f =
 
 let decode_forward slot =
   if Bytes.length slot < 32 then None
-  else if not (Int32.equal (Bytes.get_int32_le slot 0) flag_moved) then None
+  else if flag_of_slot slot <> flag_moved then None
   else begin
     let field off = Int32.to_int (Bytes.get_int32_le slot off) in
     let f =

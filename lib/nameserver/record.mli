@@ -13,15 +13,15 @@ type t = {
 val slot_bytes : int
 (** 64. *)
 
-val flag_invalid : int32
-val flag_valid : int32
+val flag_invalid : int
+val flag_valid : int
 
-val flag_moved : int32
+val flag_moved : int
 (** The sharding layer's tombstone: the record migrated to another shard
     segment. Probe chains skip (rather than end at) a moved slot, and a
     remote reader that meets one knows its shard map may be stale. *)
 
-val flag_of_slot : bytes -> int32
+val flag_of_slot : bytes -> int
 (** The slot's leading flag word ([flag_invalid] on a short slot). *)
 
 val make :

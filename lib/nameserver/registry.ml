@@ -41,8 +41,8 @@ let walk t name =
     ~classify:(fun ~index ~probe:_ ->
       let slot = read_slot t index in
       let flag = Record.flag_of_slot slot in
-      if Int32.equal flag Record.flag_invalid then Dds.Probe.Free
-      else if Int32.equal flag Record.flag_moved then Dds.Probe.Tombstone None
+      if flag = Record.flag_invalid then Dds.Probe.Free
+      else if flag = Record.flag_moved then Dds.Probe.Tombstone None
       else
         match Record.decode slot with
         | Some existing when String.equal existing.Record.name name ->

@@ -110,9 +110,7 @@ let fetch_map ?(tries = 8) t =
   let rec go tries =
     rd t desc ~soff:0 ~count:(Stdlib.min chunk Shardmap.segment_bytes)
       ~doff:map_base;
-    let count =
-      Int32.to_int (Cluster.Address_space.read_word t.space ~addr:(map_base + 4))
-    in
+    let count = Cluster.Address_space.read_word t.space ~addr:(map_base + 4) in
     let needed =
       if count <= 0 || count > Shardmap.max_entries then Shardmap.segment_bytes
       else Shardmap.header_bytes + (count * Shardmap.entry_bytes)
@@ -146,7 +144,7 @@ let fetch_map ?(tries = 8) t =
 
 let remote_epoch t =
   rd t (map_descriptor t) ~soff:0 ~count:4 ~doff:epoch_base;
-  Int32.to_int (Cluster.Address_space.read_word t.space ~addr:epoch_base)
+  Cluster.Address_space.read_word t.space ~addr:epoch_base
 
 (* The map-as-revalidator: on a Stale_generation / Bad_segment failure
    refetch the map and refresh the descriptor with the generation the
@@ -220,8 +218,8 @@ let probe_shard t e name =
             ~len:Record.slot_bytes
         in
         let flag = Record.flag_of_slot slot in
-        if Int32.equal flag Record.flag_invalid then Dds.Probe.Free
-        else if Int32.equal flag Record.flag_moved then
+        if flag = Record.flag_invalid then Dds.Probe.Free
+        else if flag = Record.flag_moved then
           Dds.Probe.Tombstone (Record.decode_forward slot)
         else
           match Record.decode slot with

@@ -140,12 +140,12 @@ let install_local t entry =
   let image = encode_entry entry in
   (* Body first, version word last: remote readers never see a torn
      entry with a plausible version. *)
-  Cluster.Address_space.write_word t.space ~addr:(slot_addr t index) 0l;
+  Cluster.Address_space.write_word t.space ~addr:(slot_addr t index) 0;
   Cluster.Address_space.write t.space
     ~addr:(slot_addr t index + 4)
     (Bytes.sub image 4 (slot_bytes - 4));
   Cluster.Address_space.write_word t.space ~addr:(slot_addr t index)
-    (Int32.of_int entry.version)
+    entry.version
 
 let get t key =
   match read_local_slot t (slot_of t key) with

@@ -34,9 +34,9 @@ let kind_call = 0
 let kind_reply = 1
 
 let account_reply_sizes t ~label ~control ~data =
-  Metrics.Account.add t.control_traffic ~category:label
-    (float_of_int (reply_header_bytes + control));
-  Metrics.Account.add t.data_traffic ~category:label (float_of_int data)
+  Metrics.Account.add_int t.control_traffic ~category:label
+    (reply_header_bytes + control);
+  Metrics.Account.add_int t.data_traffic ~category:label data
 
 (* A reply body is prefixed with its (control, data) byte split so the
    caller's transport can account it under the right activity label. *)
@@ -116,10 +116,9 @@ let send_call t ~dst ~prog ~proc ~label (args : Xdr.t) =
   let reply = Sim.Ivar.create ~name:(label ^ " reply") () in
   Hashtbl.replace t.calls xid { label; reply };
   Metrics.Account.add t.call_counts ~category:label 1.;
-  Metrics.Account.add t.control_traffic ~category:label
-    (float_of_int (call_header_bytes + Xdr.control_bytes args));
-  Metrics.Account.add t.data_traffic ~category:label
-    (float_of_int (Xdr.data_bytes args));
+  Metrics.Account.add_int t.control_traffic ~category:label
+    (call_header_bytes + Xdr.control_bytes args);
+  Metrics.Account.add_int t.data_traffic ~category:label (Xdr.data_bytes args);
   Cluster.Node.transmit t.node ~dst
     (frame_of ~kind:kind_call ~xid ~prog ~proc ~header_bytes:call_header_bytes
        (Xdr.contents args));

@@ -182,7 +182,9 @@ let spawn ?(after = Time.zero) ?name engine body =
     | None -> Engine.Numbered ("proc", Engine.next_spawn_id engine)
   in
   let handler = handler (create engine who) in
-  Engine.schedule ~after engine (fun () -> match_with body () handler)
+  Engine.schedule_at engine
+    (Time.add (Engine.now engine) after)
+    (fun () -> match_with body () handler)
 
 let run engine body =
   let result = ref None in

@@ -25,6 +25,7 @@ let to_sec t = float_of_int t /. 1_000_000_000.
 let add = ( + )
 let diff = ( - )
 let scale t k = int_of_float (Float.round (float_of_int t *. k))
+let mul t n = t * n
 
 let compare = Int.compare
 let equal = Int.equal

@@ -36,6 +36,12 @@ val diff : t -> t -> t
 val scale : t -> float -> t
 (** [scale t k] is [t] multiplied by [k], rounded to the nearest ns. *)
 
+val mul : t -> int -> t
+(** [mul t n] is [t] multiplied by the count [n]: [scale t (float_of_int n)]
+    for every product below 2{^53}, without a float crossing the call.
+    The per-cell and per-word cost arithmetic uses it, so pricing a frame
+    allocates nothing. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool

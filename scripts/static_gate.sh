@@ -193,4 +193,25 @@ for f in $(find lib/sim lib/atm lib/core lib/cluster \( -name '*.ml' -o -name '*
   fi
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 14. No boxed value crosses a module boundary on the data path.  The
+# dev profile compiles every library with -opaque, so a float passed to
+# another module's function is boxed on every call.  In lib/sim,
+# lib/atm, lib/cluster, lib/core, lib/amsg and lib/dds: a count scales a
+# time with Sim.Time.mul, not Time.scale of a float_of_int; an integer
+# is added to an account with Account.add_int, not Account.add of a
+# float_of_int; and an event is scheduled at an absolute instant with
+# Engine.schedule_at, not Engine.schedule ~after (the optional argument
+# boxes the span).  Each file is read as one line with its comments
+# dropped, so a call split across lines is still seen.
+for f in $(find lib/sim lib/atm lib/cluster lib/core lib/amsg lib/dds -name '*.ml' | sort); do
+  hits=$(tr '\n' ' ' <"$f" | sed -E 's/\(\*([^*]|\*+[^*)])*\*+\)//g' | grep -Eo \
+    -e "Time\.scale[[:space:]]+([A-Za-z0-9_.']+|\([^()]*\))[[:space:]]+\(float_of_int" \
+    -e "Account\.add([[:space:]]+(~category:)?([A-Za-z0-9_.']+|\"[^\"]*\"|\([^()]*\))){1,2}[[:space:]]+\(float_of_int" \
+    -e "Engine\.schedule[[:space:]]+~after" || true)
+  if [ -n "$hits" ]; then
+    echo "$hits" | sed "s|^|$f: |" >&2
+    fail "$f passes a boxed value across a module boundary — use Sim.Time.mul, Account.add_int or Engine.schedule_at"
+  fi
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float or ~after on the data path, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

@@ -37,14 +37,14 @@ let request_reply_round_trip () =
       Amsg.send a0 ~dst:src ~handler:2 doubled);
   Amsg.register a1 ~id:2 (fun ~src:_ args ->
       Cluster.Address_space.write client_space ~addr:4 args;
-      Cluster.Address_space.write_word client_space ~addr:0 1l);
+      Cluster.Address_space.write_word client_space ~addr:0 1);
   Cluster.Testbed.run testbed (fun () ->
       Amsg.send a1
         ~dst:(Cluster.Node.addr (Cluster.Testbed.node testbed 0))
         ~handler:1
         (Bytes.of_string "\001\002\003");
       let rec spin () =
-        if Int32.equal (Cluster.Address_space.read_word client_space ~addr:0) 0l
+        if Cluster.Address_space.read_word client_space ~addr:0 = 0
         then begin
           Sim.Proc.wait (Sim.Time.us 5);
           spin ()

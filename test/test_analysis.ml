@@ -164,7 +164,7 @@ let unbounded_retry_flagged () =
   Rig.run d (fun () ->
       let _, desc = Rig.shared_segment d in
       (* Park the lock word at a value no CAS will match, then spin. *)
-      Cluster.Address_space.write_word d.Rig.space1 ~addr:0 9l;
+      Cluster.Address_space.write_word d.Rig.space1 ~addr:0 9;
       for _ = 1 to Analysis.Lint.poll_threshold + 2 do
         let ok, _ =
           Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:0 ~old_value:0l
@@ -180,7 +180,7 @@ let backoff_retry_clean () =
   let d, monitor = monitored_duo () in
   Rig.run d (fun () ->
       let _, desc = Rig.shared_segment d in
-      Cluster.Address_space.write_word d.Rig.space1 ~addr:0 9l;
+      Cluster.Address_space.write_word d.Rig.space1 ~addr:0 9;
       for _ = 1 to Analysis.Lint.poll_threshold + 2 do
         let ok, _ =
           Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:0 ~old_value:0l

@@ -120,6 +120,45 @@ let link_hop_allocates_nothing () =
   check_int "every frame arrived" (32 * 201) !arrived;
   Rig.within_budget "Link.send + arrival, per frame" ~words ~budget:0.04
 
+(* A link's transmit queue is bounded in cells, not frames: at 100 cells
+   two 40-cell frames fit and a third is refused, while [queue_depth]
+   still counts frames.  Once the queue drains the link takes frames
+   again. *)
+let link_queue_bounded_in_cells () =
+  let engine = Sim.Engine.create () in
+  let config = { Atm.Config.default with Atm.Config.fifo_capacity_cells = 100 } in
+  let arrived = ref 0 in
+  let link = Atm.Link.create engine config ~deliver:(fun _ -> incr arrived) in
+  (* Forty cells' payload less the 8-byte AAL5 trailer. *)
+  let len = (40 * Atm.Aal.cell_payload_bytes) - 8 in
+  check_int "a 40-cell frame" 40 (Atm.Aal.cells_of_len len);
+  let frame =
+    Atm.Frame.make ~src:(Atm.Addr.of_int 0) ~dst:(Atm.Addr.of_int 1)
+      (Bytes.make len 'x')
+  in
+  Atm.Link.send link frame;
+  Atm.Link.send link frame;
+  check_int "two frames queued" 2 (Atm.Link.queue_depth link);
+  Alcotest.check_raises "third frame refused" (Atm.Link.Overflow "link")
+    (fun () -> Atm.Link.send link frame);
+  Atm.Link.set_overflow link Atm.Link.Drop_on_overflow;
+  Atm.Link.send link frame;
+  check_int "refusal counted" 1 (Atm.Link.overflow_drops link);
+  Sim.Engine.run engine;
+  check_int "both delivered" 2 !arrived;
+  Atm.Link.send link frame;
+  check_int "drained queue takes frames" 1 (Atm.Link.queue_depth link)
+
+(* The frame pricing helper passes only ints across module boundaries:
+   a call allocates nothing. *)
+let frame_wire_time_allocates_nothing () =
+  let config = Atm.Config.default in
+  let words =
+    Rig.words_per_op ~n:1000 (fun () ->
+        ignore (Atm.Config.frame_wire_time config 4096 : Sim.Time.t))
+  in
+  Rig.within_budget "Config.frame_wire_time" ~words ~budget:0.1
+
 (* Ring frames and closure-carried frames on one link: Deliver and
    Duplicate copies go through the ring, Delay copies through their own
    events, with jitters that make some overtake and some tie. Every
@@ -370,6 +409,10 @@ let suite =
     Alcotest.test_case "link FIFO order" `Quick link_fifo_order;
     Alcotest.test_case "link hop allocates nothing" `Quick
       link_hop_allocates_nothing;
+    Alcotest.test_case "link queue bounded in cells" `Quick
+      link_queue_bounded_in_cells;
+    Alcotest.test_case "frame wire time allocates nothing" `Quick
+      frame_wire_time_allocates_nothing;
     Alcotest.test_case "link order under mixed verdicts" `Quick
       link_mixed_verdicts;
     Alcotest.test_case "mesh delivery" `Quick mesh_delivery;

@@ -60,32 +60,35 @@ let space_cross_page () =
 
 let space_words_and_cas () =
   let s = space () in
-  Cluster.Address_space.write_word s ~addr:16 7l;
-  Alcotest.(check int32) "word" 7l (Cluster.Address_space.read_word s ~addr:16);
+  Cluster.Address_space.write_word s ~addr:16 7;
+  check_int "word" 7 (Cluster.Address_space.read_word s ~addr:16);
   Alcotest.(check bool) "cas succeeds" true
-    (Cluster.Address_space.cas_word s ~addr:16 ~old_value:7l ~new_value:9l);
+    (Cluster.Address_space.cas_word s ~addr:16 ~old_value:7 ~new_value:9);
   Alcotest.(check bool) "cas fails" false
-    (Cluster.Address_space.cas_word s ~addr:16 ~old_value:7l ~new_value:11l);
-  Alcotest.(check int32) "value kept" 9l
-    (Cluster.Address_space.read_word s ~addr:16)
+    (Cluster.Address_space.cas_word s ~addr:16 ~old_value:7 ~new_value:11);
+  check_int "value kept" 9 (Cluster.Address_space.read_word s ~addr:16)
 
 (* A word across a page boundary goes a byte at a time; it must agree
-   with the in-page path, little-endian, sign and all. *)
+   with the in-page path, little-endian, sign and all: a word reads back
+   sign-extended, and a write or compare takes the low 32 bits. *)
 let space_words_straddle () =
   let s = space () in
   let page = Cluster.Address_space.page_size s in
   let addr = page - 2 in
-  Cluster.Address_space.write_word s ~addr 0xDEADBEEFl;
-  Alcotest.(check int32) "word" 0xDEADBEEFl (Cluster.Address_space.read_word s ~addr);
+  Cluster.Address_space.write_word s ~addr 0xDEADBEEF;
+  check_int "word" (0xDEADBEEF - 0x1_0000_0000)
+    (Cluster.Address_space.read_word s ~addr);
   Alcotest.(check bytes) "little-endian bytes" (Bytes.of_string "\xEF\xBE\xAD\xDE")
     (Cluster.Address_space.read s ~addr ~len:4);
   Alcotest.(check bool) "cas succeeds" true
-    (Cluster.Address_space.cas_word s ~addr ~old_value:0xDEADBEEFl ~new_value:(-2l));
+    (Cluster.Address_space.cas_word s ~addr ~old_value:0xDEADBEEF ~new_value:(-2));
   Alcotest.(check bool) "cas fails" false
-    (Cluster.Address_space.cas_word s ~addr ~old_value:0xDEADBEEFl ~new_value:5l);
-  Alcotest.(check int32) "value kept" (-2l) (Cluster.Address_space.read_word s ~addr);
+    (Cluster.Address_space.cas_word s ~addr ~old_value:0xDEADBEEF ~new_value:5);
+  check_int "value kept" (-2) (Cluster.Address_space.read_word s ~addr);
+  Alcotest.(check bytes) "stored as its low 32 bits" (Bytes.of_string "\xFE\xFF\xFF\xFF")
+    (Cluster.Address_space.read s ~addr ~len:4);
   Cluster.Address_space.write s ~addr (Bytes.of_string "\x01\x02\x03\x04");
-  Alcotest.(check int32) "bytes read as a word" 0x04030201l
+  check_int "bytes read as a word" 0x04030201
     (Cluster.Address_space.read_word s ~addr)
 
 (* Every frame's payload passes through these copies, so they must
@@ -105,6 +108,23 @@ let space_copies_allocate_nothing () =
   in
   Rig.within_budget "cross-page write_from" ~words:write ~budget:0.4;
   Rig.within_budget "cross-page read_into" ~words:read ~budget:0.4
+
+(* The word accessors pass the word as an int, in a page and across a
+   page boundary: no int32 is boxed on the way in or out. *)
+let space_words_allocate_nothing () =
+  let s = space () in
+  let page = Cluster.Address_space.page_size s in
+  let words_at addr =
+    Rig.words_per_op ~n:1000 (fun () ->
+        Cluster.Address_space.write_word s ~addr 7;
+        ignore (Cluster.Address_space.read_word s ~addr : int);
+        ignore
+          (Cluster.Address_space.cas_word s ~addr ~old_value:7 ~new_value:9
+            : bool))
+  in
+  Rig.within_budget "word write + read + cas" ~words:(words_at 64) ~budget:0.1;
+  Rig.within_budget "straddling word write + read + cas"
+    ~words:(words_at (page - 2)) ~budget:0.1
 
 let space_pinning () =
   let s = space () in
@@ -225,6 +245,42 @@ let costs_are_calibrated () =
   Alcotest.(check bool) "cell copy cost positive" true
     (Cluster.Costs.cell_copy_cost c ~payload_bytes:48 > 0)
 
+(* [proc_cost]'s integer rounding against the float formula it replaced,
+   [base + round (per_kb * bytes / 1024)] with halves rounded away from
+   zero: every product here is below 2^53, so the two agree exactly. *)
+let proc_cost_matches_float =
+  let c = Cluster.Costs.default in
+  QCheck.Test.make ~name:"proc_cost integer form = float formula" ~count:1000
+    QCheck.(
+      triple (int_bound 1_000_000) (int_bound ((1 lsl 31) - 1))
+        (int_bound (1 lsl 20)))
+    (fun (base, per_kb, bytes) ->
+      Cluster.Costs.proc_cost c ~base ~per_kb ~bytes
+      = Sim.Time.add base (Sim.Time.scale per_kb (float_of_int bytes /. 1024.)))
+
+let proc_cost_rounds_half_up () =
+  let c = Cluster.Costs.default in
+  let cost per_kb bytes = Cluster.Costs.proc_cost c ~base:0 ~per_kb ~bytes in
+  check_int "0.5 ns rounds up" 1 (cost 1 512);
+  check_int "1.5 ns rounds up" 2 (cost 1 1536);
+  check_int "just under a half rounds down" 0 (cost 1 511);
+  check_int "a whole KB" (Sim.Time.us 20) (cost (Sim.Time.us 20) 1024)
+
+(* Pricing a frame's FIFO copy passes only ints across module
+   boundaries: the copy-cost helpers allocate nothing. *)
+let copy_costs_allocate_nothing () =
+  let c = Cluster.Costs.default in
+  let cell =
+    Rig.words_per_op ~n:1000 (fun () ->
+        ignore (Cluster.Costs.cell_copy_cost c ~payload_bytes:40 : Sim.Time.t))
+  in
+  let frame =
+    Rig.words_per_op ~n:1000 (fun () ->
+        ignore (Cluster.Costs.frame_copy_cost c ~payload_bytes:8192 : Sim.Time.t))
+  in
+  Rig.within_budget "Costs.cell_copy_cost" ~words:cell ~budget:0.1;
+  Rig.within_budget "Costs.frame_copy_cost" ~words:frame ~budget:0.1
+
 let suite =
   [
     Alcotest.test_case "space demand zero" `Quick space_demand_zero;
@@ -233,6 +289,8 @@ let suite =
     Alcotest.test_case "space words straddle a page" `Quick space_words_straddle;
     Alcotest.test_case "space copies allocate nothing" `Quick
       space_copies_allocate_nothing;
+    Alcotest.test_case "space words allocate nothing" `Quick
+      space_words_allocate_nothing;
     Alcotest.test_case "space pinning nests" `Quick space_pinning;
     Alcotest.test_case "space faults" `Quick space_fault;
     Alcotest.test_case "cpu accounting" `Quick cpu_accounting;
@@ -241,6 +299,10 @@ let suite =
     Alcotest.test_case "lrpc round-trip cost" `Quick lrpc_cost;
     Alcotest.test_case "node demux and crash" `Quick node_demux_and_crash;
     Alcotest.test_case "calibration constants pinned" `Quick costs_are_calibrated;
+    Alcotest.test_case "proc_cost rounds half up" `Quick proc_cost_rounds_half_up;
+    Alcotest.test_case "copy costs allocate nothing" `Quick
+      copy_costs_allocate_nothing;
+    QCheck_alcotest.to_alcotest proc_cost_matches_float;
     QCheck_alcotest.to_alcotest space_roundtrip;
     QCheck_alcotest.to_alcotest space_offset_blits;
   ]

@@ -636,11 +636,11 @@ let reg_read_repairs_stale_replica () =
         let space = Dds.Register.replica_space reps.(k) in
         Cluster.Address_space.write_word space ~addr:4 v;
         Cluster.Address_space.write_word space ~addr:0
-          (Dds.Tag.pack { Dds.Tag.ts; wr = 1 })
+          (Int32.to_int (Dds.Tag.pack { Dds.Tag.ts; wr = 1 }))
       in
-      put 0 5 50l;
-      put 1 2 20l;
-      put 2 2 20l;
+      put 0 5 50;
+      put 1 2 20;
+      put 2 2 20;
       let t =
         Dds.Register.client ~rmem:r.rmems.(3) ~amsg:r.amsgs.(3)
           ~kind:Dds.Kind.Dx ~rank:2 reps
@@ -651,7 +651,7 @@ let reg_read_repairs_stale_replica () =
       Array.iter
         (fun rep ->
           let space = Dds.Register.replica_space rep in
-          check_i32 "repaired value" 50l
+          check_int "repaired value" 50
             (Cluster.Address_space.read_word space ~addr:4))
         reps)
 
@@ -663,11 +663,11 @@ let reg_no_write_back_leaves_stale () =
         let space = Dds.Register.replica_space reps.(k) in
         Cluster.Address_space.write_word space ~addr:4 v;
         Cluster.Address_space.write_word space ~addr:0
-          (Dds.Tag.pack { Dds.Tag.ts; wr = 1 })
+          (Int32.to_int (Dds.Tag.pack { Dds.Tag.ts; wr = 1 }))
       in
-      put 0 5 50l;
-      put 1 2 20l;
-      put 2 2 20l;
+      put 0 5 50;
+      put 1 2 20;
+      put 2 2 20;
       let t =
         Dds.Register.client ~rmem:r.rmems.(3) ~amsg:r.amsgs.(3)
           ~kind:Dds.Kind.Dx ~rank:2 ~write_back:false reps
@@ -676,7 +676,7 @@ let reg_no_write_back_leaves_stale () =
       Sim.Proc.wait (Sim.Time.ms 1);
       (* The broken variant leaves the stale majority in place: the
          new/old-inversion raw material the model checker exploits. *)
-      check_i32 "replica 1 untouched" 20l
+      check_int "replica 1 untouched" 20
         (Cluster.Address_space.read_word
            (Dds.Register.replica_space reps.(1))
            ~addr:4))

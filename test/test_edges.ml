@@ -140,12 +140,12 @@ let word_ops_at_page_boundary () =
   let space = Cluster.Address_space.create ~asid:1 () in
   let page = Cluster.Address_space.page_size space in
   (* A word straddling the page boundary. *)
-  Cluster.Address_space.write_word space ~addr:(page - 2) 0x11223344l;
-  Alcotest.(check int32) "straddling word" 0x11223344l
+  Cluster.Address_space.write_word space ~addr:(page - 2) 0x11223344;
+  Alcotest.(check int) "straddling word" 0x11223344
     (Cluster.Address_space.read_word space ~addr:(page - 2));
   check_bool "cas across boundary" true
     (Cluster.Address_space.cas_word space ~addr:(page - 2)
-       ~old_value:0x11223344l ~new_value:0x55667788l)
+       ~old_value:0x11223344 ~new_value:0x55667788)
 
 (* ---------------- prng extras ---------------- *)
 

@@ -78,7 +78,8 @@ let swab_write_converts () =
           Alcotest.(check int32)
             (Printf.sprintf "word %d converted" i)
             expected
-            (Cluster.Address_space.read_word d.Rig.space1 ~addr:(i * 4)))
+            (Int32.of_int
+               (Cluster.Address_space.read_word d.Rig.space1 ~addr:(i * 4))))
         values)
 
 let swab_read_converts () =
@@ -188,7 +189,8 @@ let crypto_and_swab_compose () =
           Alcotest.(check int32)
             (Printf.sprintf "word %d decrypted and converted" i)
             expected
-            (Cluster.Address_space.read_word d.Rig.space1 ~addr:(i * 4)))
+            (Int32.of_int
+               (Cluster.Address_space.read_word d.Rig.space1 ~addr:(i * 4))))
         values)
 
 (* What a data path that cuts every frame's data out into its own buffer

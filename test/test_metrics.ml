@@ -147,6 +147,17 @@ let pp_smoke () =
   Alcotest.(check bool) "account pp" true
     (String.length (Format.asprintf "%a" Metrics.Account.pp a) > 0)
 
+(* Counting bytes on the data path: the int is converted inside the
+   account, so an add boxes no float. *)
+let account_add_int_allocates_nothing () =
+  let a = Metrics.Account.create () in
+  let words =
+    Rig.words_per_op ~n:1000 (fun () ->
+        Metrics.Account.add_int a ~category:"bytes" 4096)
+  in
+  Alcotest.check feps "sum" (4096. *. 1001.) (Metrics.Account.total_of a "bytes");
+  Rig.within_budget "Account.add_int" ~words ~budget:0.1
+
 let suite =
   [
     Alcotest.test_case "summary known values" `Quick summary_known_values;
@@ -156,6 +167,8 @@ let suite =
     Alcotest.test_case "histogram percentiles" `Quick histogram_percentiles;
     Alcotest.test_case "histogram validation" `Quick histogram_validation;
     Alcotest.test_case "account accumulation" `Quick account_accumulation;
+    Alcotest.test_case "account add_int allocates nothing" `Quick
+      account_add_int_allocates_nothing;
     Alcotest.test_case "table renders" `Quick table_renders;
     Alcotest.test_case "table validates width" `Quick table_validates_width;
     Alcotest.test_case "bar chart renders" `Quick bar_chart_renders;

@@ -305,7 +305,7 @@ let registry_well_formed () =
   for index = 0 to 7 do
     Cluster.Address_space.write_word space
       ~addr:(index * Names.Record.slot_bytes)
-      0l
+      0
   done;
   check_bool "torn table detected" false (Names.Registry.well_formed r)
 

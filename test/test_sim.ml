@@ -19,6 +19,15 @@ let time_pp () =
   Alcotest.(check string) "us" "1.50us" (Sim.Time.to_string 1500);
   Alcotest.(check string) "ms" "2.000ms" (Sim.Time.to_string 2_000_000)
 
+(* [mul] is the integer form of [scale] by a count: the float product of
+   a time below 2^31 ns and a count below 2^20 is an integer below 2^53,
+   so both give the same instant. *)
+let time_mul_matches_scale =
+  QCheck.Test.make ~name:"Time.mul t n = Time.scale t (float_of_int n)"
+    ~count:1000
+    QCheck.(pair (int_bound ((1 lsl 31) - 1)) (int_bound ((1 lsl 20) - 1)))
+    (fun (t, n) -> Sim.Time.mul t n = Sim.Time.scale t (float_of_int n))
+
 (* ---------------- Engine ---------------- *)
 
 let engine_fifo_same_time () =
@@ -995,6 +1004,7 @@ let suite =
       control_path_budget;
     Alcotest.test_case "mailbox allocation budget" `Quick mailbox_budget;
     Alcotest.test_case "event queue allocation budget" `Quick event_queue_budget;
+    QCheck_alcotest.to_alcotest time_mul_matches_scale;
     QCheck_alcotest.to_alcotest heap_pop_sorted;
     QCheck_alcotest.to_alcotest heap_same_time_seq_order;
     QCheck_alcotest.to_alcotest heap_matches_sorted_list;
