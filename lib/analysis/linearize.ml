@@ -90,7 +90,7 @@ let precedes mode (a : History.event) (b : History.event) =
 
 exception Budget_hit of int
 
-let check_cell ?(mode = Linearizable) ?(budget = default_budget) ~init events
+let check_cell ~mode ?(budget = default_budget) ~init events
     =
   let evs =
     Array.of_list
@@ -165,9 +165,9 @@ let check_cell ?(mode = Linearizable) ?(budget = default_budget) ~init events
     | exception Budget_hit k -> Cell_budget k
   end
 
-let minimize ?(mode = Linearizable) ?(budget = default_budget) ~init events =
+let minimize ~mode ~init events =
   let violates evs =
-    match check_cell ~mode ~budget ~init evs with
+    match check_cell ~mode ~init evs with
     | Cell_violation _ -> true
     | Cell_ok _ | Cell_budget _ -> false
   in
@@ -196,14 +196,14 @@ let minimize ?(mode = Linearizable) ?(budget = default_budget) ~init events =
       !current
   end
 
-let check ?(mode = Linearizable) ?(budget = default_budget) history =
+let check ?(mode = Linearizable) history =
   let cells = partition (History.events history) in
   let stats = ref { cells = 0; events = 0; explored = 0; skipped = 0 } in
   let rec go = function
     | [] -> Pass !stats
     | (cell, events) :: rest -> (
         let init = History.init_value history cell in
-        let verdict = check_cell ~mode ~budget ~init events in
+        let verdict = check_cell ~mode ~init events in
         let count skipped explored =
           stats :=
             {
@@ -222,7 +222,7 @@ let check ?(mode = Linearizable) ?(budget = default_budget) history =
             go rest
         | Cell_violation explored ->
             count 0 explored;
-            let witness = minimize ~mode ~budget ~init events in
+            let witness = minimize ~mode ~init events in
             Fail { cell; init; witness; cell_events = events; stats = !stats })
   in
   go cells

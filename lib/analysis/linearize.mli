@@ -59,16 +59,17 @@ val partition :
     agents). Test-only: the unit tests check the per-cell split on its own. *)
 
 val check_cell :
-  ?mode:mode -> ?budget:int -> init:History.value ->
+  mode:mode -> ?budget:int -> init:History.value ->
   History.event list -> cell_verdict
 (** Check one cell's events (any order; sorted internally) against the
     sequential specification starting from [init]. [budget] bounds
     explored search states (default 200k).
     Test-only: the linearizability unit tests check one cell's history
-    directly. *)
+    directly. Test-only ?budget: the tests reach the budget verdict
+    without a history of 200k search states. *)
 
 val minimize :
-  ?mode:mode -> ?budget:int -> init:History.value ->
+  mode:mode -> init:History.value ->
   History.event list -> History.event list
 (** Given a violating cell history, greedily drop events while the rest
     still violates, to a 1-minimal witness: removing any remaining
@@ -77,7 +78,7 @@ val minimize :
     Test-only: the unit and property tests check witness shrinking on its
     own. *)
 
-val check : ?mode:mode -> ?budget:int -> History.t -> verdict
+val check : ?mode:mode -> History.t -> verdict
 (** Check a whole history cell by cell; the first violating cell (in
     first-touch order) is reported with a minimized witness. *)
 

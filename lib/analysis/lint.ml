@@ -21,7 +21,7 @@ let op_name = function
   | Rmem.Rights.Write_op -> "WRITE"
   | Rmem.Rights.Cas_op -> "CAS"
 
-let check ?(fault_capable = false) monitor =
+let check monitor =
   let findings = ref [] in
   let seen = Hashtbl.create 16 in
   let add rule agent key detail =
@@ -102,16 +102,6 @@ let check ?(fault_capable = false) monitor =
           (Printf.sprintf
              "%d consecutive failed CAS on word %d with no backoff" worst off))
     (Monitor.worst_cas_retries monitor);
-  (* On a fault-capable path every remote op needs a recovery policy:
-     a bare read_wait that was merely lucky under loss is a hang (or a
-     raised Timeout nobody converts into a retry) waiting to happen. *)
-  if fault_capable then
-    List.iter
-      (fun ((agent, key, op), n) ->
-        add "no-retry-policy" agent key
-          (Printf.sprintf "%d %s issued without a recovery policy" n
-             (op_name op)))
-      (Monitor.unpolicied_issues monitor);
   List.rev !findings
 
 let describe f =

@@ -6,7 +6,7 @@ type finding = {
   rule : string;
       (** one of: ["stale-generation"], ["revoked-segment"], ["rights"],
           ["bounds"], ["write-inhibit"], ["unpinned"], ["poll-never"],
-          ["notify-storm"], ["unbounded-retry"], ["no-retry-policy"] *)
+          ["notify-storm"], ["unbounded-retry"] *)
   agent : string;  (** the offending agent *)
   key : Access.seg_key;
   detail : string;
@@ -17,12 +17,7 @@ val poll_threshold : int
     fires (8).
     Test-only: the lint tests size their poll loops just past it. *)
 
-val check : ?fault_capable:bool -> Monitor.t -> finding list
-(** One finding per (rule, agent, region), in first-occurrence order.
-    With [fault_capable] (default false — the reliable-fabric rules are
-    unchanged), additionally fires ["no-retry-policy"] for every
-    (agent, segment, op) that issued meta-instructions outside any
-    {!Rmem.Recovery} policy: on a path where the fault plane may drop
-    frames, a bare blocking op is a hang waiting to happen. *)
+val check : Monitor.t -> finding list
+(** One finding per (rule, agent, region), in first-occurrence order. *)
 
 val describe : finding -> string

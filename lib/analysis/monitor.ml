@@ -79,11 +79,6 @@ type t = {
   policies : (Access.seg_key, Rmem.Segment.notify_policy) Hashtbl.t;
   retries : (string * Access.seg_key * int, retry_chain) Hashtbl.t;
   (* (agent name, segment, word offset) -> failed-CAS run lengths *)
-  unpolicied : (string * Access.seg_key * Rmem.Rights.op, int ref) Hashtbl.t;
-  (* issues seen outside any recovery policy, per (agent, segment, op) *)
-  unpolicied_batch : (string * Access.seg_key * Rmem.Rights.op, int) Hashtbl.t;
-  (* last pipeline batch already counted in [unpolicied] per key: a
-     windowed group of issues is one logical attempt *)
   history : History.t;
   mutable rejections : rejection list;
   mutable nacks : int;
@@ -105,8 +100,6 @@ let create engine =
     declared_sync = Hashtbl.create 8;
     policies = Hashtbl.create 8;
     retries = Hashtbl.create 8;
-    unpolicied = Hashtbl.create 8;
-    unpolicied_batch = Hashtbl.create 8;
     history = History.create ();
     rejections = [];
     nacks = 0;
@@ -297,20 +290,6 @@ let on_rmem_event t ~self_addr event =
       let a = self () in
       tick a;
       let key = key_of_desc desc in
-      (if not policied then
-         let uk = (a.name, key, op) in
-         let counted_already =
-           (* Issues sharing a pipeline batch are one logical attempt:
-              count the batch once, not each windowed issue. *)
-           match batch with
-           | None -> false
-           | Some b -> Hashtbl.find_opt t.unpolicied_batch uk = Some b
-         in
-         Option.iter (Hashtbl.replace t.unpolicied_batch uk) batch;
-         if not counted_already then
-           match Hashtbl.find_opt t.unpolicied uk with
-           | Some n -> incr n
-           | None -> Hashtbl.replace t.unpolicied uk (ref 1));
       let flight =
         {
           snapshot = a.clock;
@@ -526,12 +505,6 @@ let worst_cas_retries t =
     (fun (agent, key, off) chain acc ->
       if chain.worst > 0 then ((agent, key, off), chain.worst) :: acc else acc)
     t.retries []
-  |> List.sort Stdlib.compare
-
-let unpolicied_issues t =
-  Hashtbl.fold
-    (fun (agent, key, op) n acc -> ((agent, key, op), !n) :: acc)
-    t.unpolicied []
   |> List.sort Stdlib.compare
 
 let rejections t = List.rev t.rejections

@@ -93,12 +93,6 @@ val worst_cas_retries : t -> ((string * Access.seg_key * int) * int) list
     failed CAS attempts with no backoff pause and no intervening
     non-CAS access to the segment by that agent. Sorted. *)
 
-val unpolicied_issues :
-  t -> ((string * Access.seg_key * Rmem.Rights.op) * int) list
-(** Per (agent, segment, op): meta-instructions issued outside any
-    {!Rmem.Recovery} policy execution. Sorted. Feeds the
-    [no-retry-policy] lint on fault-capable paths. *)
-
 type rejection = {
   site : [ `Issue | `Serve ];
   agent_name : string;  (** the offending issuer *)

@@ -77,7 +77,7 @@ let contents w =
 
 type reader = { data : bytes; mutable rpos : int }
 
-let reader ?(pos = 0) data = { data; rpos = pos }
+let reader data = { data; rpos = 0 }
 
 let remaining r = Bytes.length r.data - r.rpos
 

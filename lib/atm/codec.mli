@@ -33,7 +33,7 @@ val contents : writer -> bytes
 
 type reader
 
-val reader : ?pos:int -> bytes -> reader
+val reader : bytes -> reader
 val remaining : reader -> int
 (** Test-only: the codec tests check a reader is fully drained. *)
 

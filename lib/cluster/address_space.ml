@@ -11,37 +11,34 @@
 
 exception Fault of { asid : int; addr : int }
 
-let default_page_size = 4096
+let page_bytes = 4096
 
 type t = {
   asid : int;
-  page_size : int;
   pages : bytes Sim.Int_table.t;
   pin_counts : int Sim.Int_table.t;
 }
 
-let create ?(page_size = default_page_size) ~asid () =
-  if page_size <= 0 then invalid_arg "Address_space.create: bad page size";
+let create ~asid () =
   {
     asid;
-    page_size;
     pages = Sim.Int_table.create 64;
     pin_counts = Sim.Int_table.create 16;
   }
 
 let asid t = t.asid
-let page_size t = t.page_size
+let page_size _ = page_bytes
 
 let check_range t ~addr ~len =
   if addr < 0 || len < 0 then raise (Fault { asid = t.asid; addr })
 
-let page_of t addr = addr / t.page_size
+let page_of addr = addr / page_bytes
 
 let page t index =
   match Sim.Int_table.find t.pages index with
   | bytes -> bytes
   | exception Not_found ->
-      let bytes = Bytes.make t.page_size '\000' in
+      let bytes = Bytes.make page_bytes '\000' in
       Sim.Int_table.add t.pages index bytes;
       bytes
 
@@ -51,9 +48,9 @@ let page t index =
    on every frame's path, and the closure would be allocated per call. *)
 let rec copy_pages t ~cursor ~remaining buf ~at ~to_buf =
   if remaining > 0 then begin
-    let off = cursor mod t.page_size in
-    let span = Int.min remaining (t.page_size - off) in
-    let pg = page t (page_of t cursor) in
+    let off = cursor mod page_bytes in
+    let span = Int.min remaining (page_bytes - off) in
+    let pg = page t (page_of cursor) in
     if to_buf then Bytes.blit pg off buf at span else Bytes.blit buf at pg off span;
     copy_pages t ~cursor:(cursor + span) ~remaining:(remaining - span) buf
       ~at:(at + span) ~to_buf
@@ -82,12 +79,12 @@ let write t ~addr data = write_from t ~addr data ~pos:0 ~len:(Bytes.length data)
    Inside the module a word is its unsigned 32 bits.  One inside a page
    is read or written in place; one straddling a page boundary goes a
    byte at a time.  Neither allocates a staging buffer. *)
-let byte_at t addr = Bytes.get_uint8 (page t (page_of t addr)) (addr mod t.page_size)
+let byte_at t addr = Bytes.get_uint8 (page t (page_of addr)) (addr mod page_bytes)
 
 let get_bits t addr =
-  let off = addr mod t.page_size in
-  if off + 4 <= t.page_size then
-    Int32.to_int (Bytes.get_int32_le (page t (page_of t addr)) off) land 0xFFFFFFFF
+  let off = addr mod page_bytes in
+  if off + 4 <= page_bytes then
+    Int32.to_int (Bytes.get_int32_le (page t (page_of addr)) off) land 0xFFFFFFFF
   else
     byte_at t addr
     lor (byte_at t (addr + 1) lsl 8)
@@ -95,13 +92,13 @@ let get_bits t addr =
     lor (byte_at t (addr + 3) lsl 24)
 
 let set_bits t addr bits =
-  let off = addr mod t.page_size in
-  if off + 4 <= t.page_size then
-    Bytes.set_int32_le (page t (page_of t addr)) off (Int32.of_int bits)
+  let off = addr mod page_bytes in
+  if off + 4 <= page_bytes then
+    Bytes.set_int32_le (page t (page_of addr)) off (Int32.of_int bits)
   else
     for i = 0 to 3 do
       let a = addr + i in
-      Bytes.set_uint8 (page t (page_of t a)) (a mod t.page_size)
+      Bytes.set_uint8 (page t (page_of a)) (a mod page_bytes)
         ((bits lsr (8 * i)) land 0xFF)
     done
 
@@ -123,7 +120,7 @@ let cas_word t ~addr ~old_value ~new_value =
 
 let pin t ~addr ~len =
   check_range t ~addr ~len;
-  let first = page_of t addr and last = page_of t (addr + Int.max 0 (len - 1)) in
+  let first = page_of addr and last = page_of (addr + Int.max 0 (len - 1)) in
   for index = first to last do
     let n = Option.value ~default:0 (Sim.Int_table.find_opt t.pin_counts index) in
     Sim.Int_table.replace t.pin_counts index (n + 1)
@@ -132,7 +129,7 @@ let pin t ~addr ~len =
 
 let unpin t ~addr ~len =
   check_range t ~addr ~len;
-  let first = page_of t addr and last = page_of t (addr + Int.max 0 (len - 1)) in
+  let first = page_of addr and last = page_of (addr + Int.max 0 (len - 1)) in
   for index = first to last do
     match Sim.Int_table.find_opt t.pin_counts index with
     | None | Some 0 -> invalid_arg "Address_space.unpin: page not pinned"
@@ -142,7 +139,7 @@ let unpin t ~addr ~len =
 
 let is_pinned t ~addr ~len =
   check_range t ~addr ~len;
-  let first = page_of t addr and last = page_of t (addr + Int.max 0 (len - 1)) in
+  let first = page_of addr and last = page_of (addr + Int.max 0 (len - 1)) in
   let rec check index =
     if index > last then true
     else

@@ -9,7 +9,7 @@ exception Fault of { asid : int; addr : int }
 
 type t
 
-val create : ?page_size:int -> asid:int -> unit -> t
+val create : asid:int -> unit -> t
 val asid : t -> int
 (** Test-only: the tests read the next asid to check no space was created. *)
 

@@ -8,12 +8,12 @@
 let monitor : (Node.t -> unit) option ref = ref None
 let set_monitor m = monitor := m
 
-let call node ?(category = Cpu.cat_client) f arg =
+let call node f arg =
   (match !monitor with None -> () | Some observe -> observe node);
   let span = Obs.Trace.lrpc_begin ~node:(Atm.Addr.to_int (Node.addr node)) in
   let half = (Node.costs node).Costs.lrpc_half in
-  Cpu.use (Node.cpu node) ~category half;
+  Cpu.use (Node.cpu node) ~category:Cpu.cat_client half;
   let result = f arg in
-  Cpu.use (Node.cpu node) ~category half;
+  Cpu.use (Node.cpu node) ~category:Cpu.cat_client half;
   Obs.Trace.span_end_opt span;
   result

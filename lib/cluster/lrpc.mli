@@ -4,7 +4,7 @@
     the server clerk on its own machine through this mechanism. Modeled
     as one CPU charge in each direction around the callee. *)
 
-val call : Node.t -> ?category:string -> ('a -> 'b) -> 'a -> 'b
+val call : Node.t -> ('a -> 'b) -> 'a -> 'b
 (** [call node f arg] charges half the LRPC round-trip, runs [f arg]
     (which may block or consume CPU), charges the other half, and
     returns the result. Must run within a simulation process. *)

@@ -21,7 +21,6 @@ type t = {
   timeout : Sim.Time.t;
   strikes_allowed : int;
   on_failure : unit -> unit;
-  on_recovery : unit -> unit;
   buf : Remote_memory.buffer;
   buf_space : Cluster.Address_space.t;
   buf_base : int;
@@ -65,9 +64,6 @@ let probe t =
          wedged publisher counts as a failure too. *)
       if value > t.last_value then begin
         t.last_value <- value;
-        (* A link that came back after misses: report the recovery so a
-           watcher can clear degraded-mode state it entered meanwhile. *)
-        if t.strikes > 0 then t.on_recovery ();
         t.strikes <- 0
       end
       else t.strikes <- t.strikes + 1
@@ -75,8 +71,7 @@ let probe t =
       t.strikes <- t.strikes + 1
 
 let watch rmem desc ~soff ?(period = Sim.Time.ms 10)
-    ?(timeout = Sim.Time.ms 5) ?(strikes_allowed = 3)
-    ?(on_recovery = fun () -> ()) ~on_failure () =
+    ?(timeout = Sim.Time.ms 5) ?(strikes_allowed = 3) ~on_failure () =
   let node = Remote_memory.node rmem in
   let space = Cluster.Node.new_address_space node in
   let t =
@@ -88,7 +83,6 @@ let watch rmem desc ~soff ?(period = Sim.Time.ms 10)
       timeout;
       strikes_allowed;
       on_failure;
-      on_recovery;
       buf = Remote_memory.buffer ~space ~base:0 ~len:16;
       buf_space = space;
       buf_base = 0;

@@ -19,7 +19,6 @@ val watch :
   ?period:Sim.Time.t ->
   ?timeout:Sim.Time.t ->
   ?strikes_allowed:int ->
-  ?on_recovery:(unit -> unit) ->
   on_failure:(unit -> unit) ->
   unit ->
   t
@@ -28,8 +27,7 @@ val watch :
     [strikes_allowed] consecutive misses — timeouts, remote errors, or
     a counter that stopped moving — the state flips to [Failed] and
     [on_failure] runs once. A probe that sees the counter advance again
-    after one or more misses calls [on_recovery] (default: nothing)
-    before resetting the strike count — strikes are the retry policy
+    resets the strike count — strikes are the retry policy
     here; a lossy link accumulates them and a healed one clears them. *)
 
 val state : t -> state

@@ -29,13 +29,13 @@ let rights_for t ~seg ~importer =
       | None -> e.rights)
     (find t seg)
 
-let of_segment ~exporter ?(grants = []) s =
+let of_segment ~exporter s =
   {
     seg = Segment.name s;
     exporter;
     len = Segment.length s;
     rights = Segment.default_rights s;
-    grants;
+    grants = [];
     policy = Segment.policy s;
   }
 

@@ -25,7 +25,7 @@ val rights_for : t -> seg:string -> importer:int -> Rights.t option
 (** The rights the named importer holds: its grant when one exists,
     the export's default otherwise; [None] for unknown segments. *)
 
-val of_segment : exporter:int -> ?grants:(int * Rights.t) list -> Segment.t -> export
+val of_segment : exporter:int -> Segment.t -> export
 (** Extract the manifest entry of a live exported segment, so a running
     endpoint and its static declaration cannot drift. *)
 

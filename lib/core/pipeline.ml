@@ -48,7 +48,6 @@ type stats = {
    frame will carry. *)
 type staged = {
   desc : Descriptor.t;
-  swab : bool;
   mutable extents : (int * bytes) list;
   mutable bytes : int;
   mutable ops : int;
@@ -83,25 +82,12 @@ let create ~config rmem =
       { merged_extents = 0; flushes = 0; window_stalls = 0 };
   }
 
-let config t = t.cfg
-
 let stats t =
   {
     merged_extents = t.stats.merged_extents;
     flushes = t.stats.flushes;
     window_stalls = t.stats.window_stalls;
   }
-
-(* Instantaneous occupancy, for the telemetry sampler (and, later, an
-   adaptive controller): how full the engine is right now, as opposed to
-   the cumulative [stats]. *)
-let window_occupancy t =
-  Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.windows 0
-
-let staged_extents t =
-  Hashtbl.fold (fun _ s acc -> acc + List.length s.extents) t.staged 0
-
-let staged_bytes t = Hashtbl.fold (fun _ s acc -> acc + s.bytes) t.staged 0
 
 let nid t =
   Atm.Addr.to_int (Cluster.Node.addr (Remote_memory.node t.rmem))
@@ -142,9 +128,8 @@ let staged_overlaps s ~soff ~count =
     (fun (o, d) -> o < soff + count && soff < o + Bytes.length d)
     s.extents
 
-(* Send one staging buffer as a single burst frame (under [policy] with
-   read-back verification when given). *)
-let flush_key ?policy t key =
+(* Send one staging buffer as a single burst frame. *)
+let flush_key t key =
   match Hashtbl.find_opt t.staged key with
   | None -> ()
   | Some s ->
@@ -156,37 +141,34 @@ let flush_key ?policy t key =
         Fun.protect
           ~finally:(fun () -> Obs.Trace.scope_end scope)
           (fun () ->
-            Remote_memory.write_burst ?policy t.rmem s.desc ~notify:s.notify
-              ~swab:s.swab s.extents);
+            Remote_memory.write_burst t.rmem s.desc ~notify:s.notify
+              s.extents);
         t.stats.flushes <- t.stats.flushes + 1
       end
 
-let flush ?policy t desc = flush_key ?policy t (key_of desc)
+let flush t desc = flush_key t (key_of desc)
 
-let staged_for t desc ~swab =
+let staged_for t desc =
   let key = key_of desc in
   match Hashtbl.find_opt t.staged key with
-  | Some s when s.swab = swab -> s
-  | found ->
-      (* A swab change mid-batch: the burst's swab bit covers the whole
-         frame, so the previous batch goes out first. *)
-      if Option.is_some found then flush_key t key;
-      let s = { desc; swab; extents = []; bytes = 0; ops = 0; notify = false } in
+  | Some s -> s
+  | None ->
+      let s = { desc; extents = []; bytes = 0; ops = 0; notify = false } in
       Hashtbl.replace t.staged key s;
       s
 
-let write t desc ~off ?(notify = false) ?(swab = false) data =
+let write t desc ~off ?(notify = false) data =
   if Bytes.length data = 0 then begin
     (* Doorbells keep their own frame and their own notification; staged
        writes they are ordered after go out first. *)
     flush_key t (key_of desc);
-    Remote_memory.write t.rmem desc ~off ~notify ~swab data
+    Remote_memory.write t.rmem desc ~off ~notify data
   end
   else begin
     (* Validate eagerly so a bad write fails at the same program point
        as on the synchronous path, not at some later flush. *)
     Remote_memory.check_write t.rmem desc ~off ~count:(Bytes.length data);
-    let s = staged_for t desc ~swab in
+    let s = staged_for t desc in
     let merged = ref 0 in
     s.extents <- insert_extent s.extents ~off data ~merged;
     t.stats.merged_extents <- t.stats.merged_extents + !merged;
@@ -269,7 +251,7 @@ let window_batch t ~key ~q =
         Hashtbl.replace t.batches key b;
         b
 
-let read_submit ?timeout t desc ~soff ~count ~dst ~doff ?(swab = false) () =
+let read_submit t desc ~soff ~count ~dst ~doff () =
   let key = key_of desc in
   (match Hashtbl.find_opt t.staged key with
   | Some s when staged_overlaps s ~soff ~count ->
@@ -282,7 +264,7 @@ let read_submit ?timeout t desc ~soff ~count ~dst ~doff ?(swab = false) () =
   let batch = window_batch t ~key ~q in
   let ivar =
     Remote_memory.with_batch t.rmem ~batch (fun () ->
-        Remote_memory.read ?timeout t.rmem desc ~soff ~count ~dst ~doff ~swab ())
+        Remote_memory.read t.rmem desc ~soff ~count ~dst ~doff ())
   in
   Queue.push
     {
@@ -291,7 +273,7 @@ let read_submit ?timeout t desc ~soff ~count ~dst ~doff ?(swab = false) () =
     }
     q
 
-let cas_submit t desc ~doff ~old_value ~new_value ?result ?notify () =
+let cas_submit t desc ~doff ~old_value ~new_value () =
   let key = key_of desc in
   (* CAS is a synchronization point: staged writes it releases must be
      on the wire (FIFO links order them) before the CAS lands. *)
@@ -301,8 +283,7 @@ let cas_submit t desc ~doff ~old_value ~new_value ?result ?notify () =
   let batch = window_batch t ~key ~q in
   let ivar =
     Remote_memory.with_batch t.rmem ~batch (fun () ->
-        Remote_memory.cas_async t.rmem desc ~doff ~old_value ~new_value
-          ?result ?notify ())
+        Remote_memory.cas_async t.rmem desc ~doff ~old_value ~new_value ())
   in
   Queue.push
     {
@@ -314,10 +295,9 @@ let cas_submit t desc ~doff ~old_value ~new_value ?result ?notify () =
     }
     q
 
-let cas ?timeout t desc ~doff ~old_value ~new_value ?result ?notify () =
+let cas t desc ~doff ~old_value ~new_value () =
   flush_key t (key_of desc);
-  Remote_memory.cas_wait ?timeout t.rmem desc ~doff ~old_value ~new_value
-    ?result ?notify ()
+  Remote_memory.cas_wait t.rmem desc ~doff ~old_value ~new_value ()
 
 let drain_key t key =
   match Hashtbl.find_opt t.windows key with
@@ -338,9 +318,7 @@ let drain t =
     (List.sort compare keys);
   reraise first
 
-let fence ?timeout ?policy t desc =
-  if Option.is_some timeout && Option.is_some policy then
-    invalid_arg "Pipeline.fence: ?timeout and ?policy are exclusive";
-  flush_key ?policy t (key_of desc);
+let fence t desc =
+  flush_key t (key_of desc);
   drain_key t (key_of desc);
-  Remote_memory.fence ?timeout ?policy t.rmem desc
+  Remote_memory.fence t.rmem desc

@@ -44,10 +44,7 @@ val pipelined_config : ?window:int -> ?max_batch_bytes:int -> unit -> config
 type t
 
 val create : config:config -> Remote_memory.t -> t
-val config : t -> config
-
-val write :
-  t -> Descriptor.t -> off:int -> ?notify:bool -> ?swab:bool -> bytes -> unit
+val write : t -> Descriptor.t -> off:int -> ?notify:bool -> bytes -> unit
 (** Stage a write. It reaches the wire at the next {!flush} of its
     (node, segment) — or sooner, when the staging buffer hits a batch
     bound, a read overlaps it, or a CAS or doorbell forces it out. Local validation (staleness, rights, bounds)
@@ -56,14 +53,12 @@ val write :
     staged. *)
 
 val read_submit :
-  ?timeout:Sim.Time.t ->
   t ->
   Descriptor.t ->
   soff:int ->
   count:int ->
   dst:Remote_memory.buffer ->
   doff:int ->
-  ?swab:bool ->
   unit ->
   unit
 (** Issue a read into the window: returns as soon as the request is on
@@ -79,48 +74,35 @@ val cas_submit :
   doff:int ->
   old_value:int32 ->
   new_value:int32 ->
-  ?result:Remote_memory.buffer * int ->
-  ?notify:bool ->
   unit ->
   unit
 (** Windowed CAS: flushes the staged batch ahead of itself (release
-    ordering), then issues without waiting for the reply. The outcome is
-    observable through the [result] success-word deposit — the paper's
-    own asynchronous-CAS signature.
+    ordering), then issues without waiting for the reply; a failure
+    raises when the window retires it.
     Test-only: the paper's asynchronous CAS, exercised by the pipeline tests. *)
 
 val cas :
-  ?timeout:Sim.Time.t ->
-  t ->
-  Descriptor.t ->
-  doff:int ->
-  old_value:int32 ->
-  new_value:int32 ->
-  ?result:Remote_memory.buffer * int ->
-  ?notify:bool ->
-  unit ->
-  bool * int32
+  t -> Descriptor.t -> doff:int -> old_value:int32 -> new_value:int32 ->
+  unit -> bool * int32
 (** Blocking CAS: flushes the staged batch ahead of itself, then behaves
     as {!Remote_memory.cas_wait}.
     Test-only: the pipeline tests check a pipelined CAS matches the serial
     one. *)
 
-val flush : ?policy:Recovery.policy -> t -> Descriptor.t -> unit
+val flush : t -> Descriptor.t -> unit
 (** Send the staging buffer for the descriptor's (node, segment) as one
-    burst frame. With [policy], the burst is verified and retried as by
-    {!Remote_memory.write_burst}. No-op when nothing is staged. *)
+    burst frame. No-op when nothing is staged. *)
 
 val drain : t -> unit
 (** Wait for every windowed READ/CAS to retire, raising the first
     failure encountered (in issue order per (node, segment)). *)
 
-val fence : ?timeout:Sim.Time.t -> ?policy:Recovery.policy -> t -> Descriptor.t -> unit
+val fence : t -> Descriptor.t -> unit
 (** Full ordering barrier toward one segment: {!flush}, drain its
     window, then {!Remote_memory.fence} — on return every write this
     node issued toward the segment has been deposited, or the fence
     raised the recorded nack. Same guarantee as the synchronous path's
-    fence. [timeout] and [policy] are exclusive, as for
-    {!Remote_memory.fence}: passing both raises [Invalid_argument]. *)
+    fence. *)
 
 (** {1 Statistics} *)
 
@@ -133,19 +115,3 @@ type stats = {
 val stats : t -> stats
 (** A snapshot copy; mutating it does not affect the engine. *)
 
-(** {1 Instantaneous occupancy}
-
-    Unlike the cumulative {!stats}, these read the engine's state {e right
-    now} — the gauges the telemetry sampler ({!Obs.Timeseries}) scrapes,
-    and the inputs a future adaptive controller re-tunes the knobs from. *)
-
-val window_occupancy : t -> int
-(** READ/CAS operations currently in flight across every
-    (node, segment) window. *)
-
-val staged_extents : t -> int
-(** Merged extents currently sitting in staging buffers, not yet on the
-    wire. *)
-
-val staged_bytes : t -> int
-(** Bytes currently staged across all buffers. *)

@@ -29,8 +29,6 @@ type policy = {
   attempts : int;
   timeout : Sim.Time.t;
   backoff : Sim.Time.t;
-  multiplier : float;
-  max_backoff : Sim.Time.t;
   revalidate : (Descriptor.t -> bool) option;
 }
 
@@ -38,19 +36,20 @@ type policy = {
    unbounded-retry lint floor (150us), so policied retry loops are never
    flagged as storms. *)
 let policy ?(attempts = 4) ?(timeout = Sim.Time.ms 5)
-    ?(backoff = Sim.Time.us 200) ?(multiplier = 2.0)
-    ?(max_backoff = Sim.Time.ms 20) ?revalidate () =
+    ?(backoff = Sim.Time.us 200) () =
   if attempts < 1 then invalid_arg "Recovery.policy: attempts < 1";
-  if multiplier < 1.0 then invalid_arg "Recovery.policy: multiplier < 1";
-  { attempts; timeout; backoff; multiplier; max_backoff; revalidate }
+  { attempts; timeout; backoff; revalidate = None }
 
 let timeout p = p.timeout
+
+let multiplier = 2.0
+let max_backoff = Sim.Time.ms 20
 
 let backoff_after p ~attempt =
   let rec grow b i =
     if i <= 0 then b
-    else grow (Sim.Time.min p.max_backoff (Sim.Time.scale b p.multiplier)) (i - 1)
+    else grow (Sim.Time.min max_backoff (Sim.Time.scale b multiplier)) (i - 1)
   in
-  Sim.Time.min p.max_backoff (grow p.backoff attempt)
+  Sim.Time.min max_backoff (grow p.backoff attempt)
 
 let with_revalidate p f = { p with revalidate = Some f }

@@ -25,8 +25,6 @@ type policy = {
   attempts : int;  (** total tries, including the first (>= 1) *)
   timeout : Sim.Time.t;  (** per-attempt reply timeout *)
   backoff : Sim.Time.t;  (** gap after the first failed attempt *)
-  multiplier : float;  (** backoff growth per further failure (>= 1) *)
-  max_backoff : Sim.Time.t;  (** backoff ceiling *)
   revalidate : (Descriptor.t -> bool) option;
       (** Called on a [Revalidate]-class failure; refresh the descriptor
           (typically a forced name-service re-import) and return whether
@@ -38,19 +36,17 @@ val policy :
   ?attempts:int ->
   ?timeout:Sim.Time.t ->
   ?backoff:Sim.Time.t ->
-  ?multiplier:float ->
-  ?max_backoff:Sim.Time.t ->
-  ?revalidate:(Descriptor.t -> bool) ->
   unit ->
   policy
-(** Defaults: 4 attempts, 5 ms timeout, 200 us backoff doubling to a
-    20 ms ceiling, no revalidator. The backoff floor deliberately sits
+(** Defaults: 4 attempts, 5 ms timeout, 200 us backoff; no revalidator
+    ({!with_revalidate} adds one).  The backoff doubles per further
+    failure up to a 20 ms ceiling. The backoff floor deliberately sits
     above the analysis layer's 150 us unbounded-retry lint floor. *)
 
 val timeout : policy -> Sim.Time.t
 
 val backoff_after : policy -> attempt:int -> Sim.Time.t
 (** Backoff to sleep after failed attempt number [attempt] (0-based):
-    [backoff * multiplier^attempt], capped at [max_backoff]. *)
+    [backoff * 2^attempt], capped at 20 ms. *)
 
 val with_revalidate : policy -> (Descriptor.t -> bool) -> policy

@@ -335,7 +335,9 @@ let revoke t segment =
     c.Cluster.Costs.segment_revoke_kernel;
   Metrics.Account.add t.ops ~category:"revoke" 1.
 
-let exports t = Sim.Int_table.fold (fun _ segment acc -> segment :: acc) t.exported []
+let exports t =
+  Sim.Int_table.fold (fun _ segment acc -> segment :: acc) t.exported []
+  |> List.sort (fun a b -> Int.compare (Segment.id a) (Segment.id b))
 
 let import t ~remote ~segment_id ~generation ~size
     ?(rights = Rights.read_only) () =
@@ -567,8 +569,8 @@ let arm_timeout t timeout reqid completion timed_out =
             Sim.Ivar.fill completion timed_out
           end)
 
-let read ?timeout t desc ~soff ~count ~dst ~doff ?(notify = false)
-    ?(swab = false) () =
+let send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?(swab = false)
+    () =
   let c = costs t in
   let completion = Sim.Ivar.create ~name:"rmem READ completion" () in
   let burst = burst_data_bytes c in
@@ -594,8 +596,11 @@ let read ?timeout t desc ~soff ~count ~dst ~doff ?(notify = false)
   arm_timeout t timeout reqid completion Status.Timed_out;
   completion
 
-let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result
-    ?(notify = false) () =
+let read ?timeout t desc ~soff ~count ~dst ~doff () =
+  send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify:false ()
+
+let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
+  let notify = false in
   let c = costs t in
   let completion = Sim.Ivar.create ~name:"rmem CAS completion" () in
   let fl, reqid =
@@ -616,8 +621,8 @@ let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result
   arm_timeout t timeout reqid completion (Status.Timed_out, 0l);
   completion
 
-let cas_async t desc ~doff ~old_value ~new_value ?result ?notify () =
-  send_cas t desc ~doff ~old_value ~new_value ?result ?notify ()
+let cas_async t desc ~doff ~old_value ~new_value () =
+  send_cas t desc ~doff ~old_value ~new_value ()
 
 let take_write_failure t desc =
   let key =
@@ -636,9 +641,11 @@ let raise_write_failure t desc =
   | None -> ()
   | Some status -> raise (Status.Remote_error status)
 
-let await_read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab () =
+let await_read ?timeout t desc ~soff ~count ~dst ~doff ?(notify = false) ?swab
+    () =
   Status.check
-    (Sim.Ivar.read (read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab ()))
+    (Sim.Ivar.read
+       (send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?swab ()))
 
 (* Writes are unacknowledged; links are FIFO.  A fence is therefore one
    minimal read round trip: when it returns, every WRITE this node
@@ -650,10 +657,10 @@ let await_fence ?timeout t desc =
   await_read ?timeout t desc ~soff:0 ~count:4 ~dst ~doff:0 ();
   raise_write_failure t desc
 
-let await_cas ?timeout t desc ~doff ~old_value ~new_value ?result ?notify () =
+let await_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
   let status, witness =
     Sim.Ivar.read
-      (send_cas ?timeout t desc ~doff ~old_value ~new_value ?result ?notify ())
+      (send_cas ?timeout t desc ~doff ~old_value ~new_value ?result ())
   in
   Status.check status;
   (Int32.equal witness old_value, witness)
@@ -672,7 +679,7 @@ let fault_incr t name =
    retryable failures with exponential backoff, run the policy's
    revalidator on stale-descriptor failures, re-raise terminal ones.
    Attempts run with [recovery_depth] raised so the Issued events they
-   produce are marked policied (the no-retry-policy lint keys on it).
+   produce are marked policied (the unbounded-retry lint keys on it).
    Each attempt is [attempt_fn] given the policy's per-attempt timeout.
    Must be called from a simulated process (backoff blocks). *)
 let run_policy t (policy : Recovery.policy) desc ~op attempt_fn =
@@ -754,29 +761,20 @@ let exclusive fn timeout =
   if Option.is_some timeout then
     invalid_arg (fn ^ ": ?timeout and ?policy are exclusive")
 
-(* The read-back half of a policied WRITE or burst.  WRITE is
-   unacknowledged and a frame the fault plane drops generates no nack —
-   a bare fence round trip would sail past the gap and succeed.  So each
-   attempt reads the written span back (the paper's "read of a known
-   value") and compares every extent, treating a mismatch as loss to
-   reissue: at-least-once deposit of idempotent data.  The read-back
-   also flushes any nack, which is re-raised.  When the descriptor
-   grants no read rights (or the data is byte-swapped in transit), only
-   the nack-flushing fence remains — loss detection then needs an
-   application-level read, as in the paper.  Verification assumes no
-   concurrent writer deposits different bytes into the same region
-   mid-check (single-writer regions, the usual discipline here), and
-   extents must not overlap — an overwritten one would never verify. *)
-let verify_written ?timeout t desc ~swab extents =
-  let lo =
-    List.fold_left (fun acc (off, _) -> Int.min acc off) max_int extents
-  in
-  let hi =
-    List.fold_left
-      (fun acc (off, data) -> Int.max acc (off + Bytes.length data))
-      0 extents
-  in
-  let span = hi - lo in
+(* The read-back half of a policied WRITE.  WRITE is unacknowledged and
+   a frame the fault plane drops generates no nack — a bare fence round
+   trip would sail past the gap and succeed.  So each attempt reads the
+   written span back (the paper's "read of a known value") and compares
+   it, treating a mismatch as loss to reissue: at-least-once deposit of
+   idempotent data.  The read-back also flushes any nack, which is
+   re-raised.  When the descriptor grants no read rights (or the data is
+   byte-swapped in transit), only the nack-flushing fence remains — loss
+   detection then needs an application-level read, as in the paper.
+   Verification assumes no concurrent writer deposits different bytes
+   into the same region mid-check (single-writer regions, the usual
+   discipline here). *)
+let verify_written ?timeout t desc ~swab ~off data =
+  let span = Bytes.length data in
   if span <= 0 || swab || not (Rights.allows (Descriptor.rights desc) Rights.Read_op)
   then await_fence ?timeout t desc
   else begin
@@ -784,20 +782,14 @@ let verify_written ?timeout t desc ~swab extents =
        read back, so they cannot share the fence space. *)
     let space = scratch_space () in
     let dst = buffer ~space ~base:0 ~len:span in
-    await_read ?timeout t desc ~soff:lo ~count:span ~dst ~doff:0 ();
+    await_read ?timeout t desc ~soff:off ~count:span ~dst ~doff:0 ();
     raise_write_failure t desc;
-    List.iter
-      (fun (off, data) ->
-        let got =
-          Cluster.Address_space.read space ~addr:(off - lo)
-            ~len:(Bytes.length data)
-        in
-        if not (Bytes.equal got data) then
-          (* The deposit frame was lost on the wire (or corrupted and
-             discarded at the NIC): surface it as the timeout it would
-             eventually become. *)
-          raise (Status.Remote_error Status.Timed_out))
-      extents
+    if not (Bytes.equal (Cluster.Address_space.read space ~addr:0 ~len:span) data)
+    then
+      (* The deposit frame was lost on the wire (or corrupted and
+         discarded at the NIC): surface it as the timeout it would
+         eventually become. *)
+      raise (Status.Remote_error Status.Timed_out)
   end
 
 (* The blocking entry points: one each per meta-instruction, run once
@@ -809,16 +801,11 @@ let write ?policy t desc ~off ?(notify = false) ?(swab = false) data =
   | Some policy ->
       run_policy t policy desc ~op:"WRITE" (fun timeout ->
           send_write t desc ~off ~notify ~swab data;
-          verify_written ?timeout t desc ~swab [ (off, data) ])
+          verify_written ?timeout t desc ~swab ~off data)
 
-let write_burst ?policy t desc ?(notify = false) ?(swab = false) extents =
+let write_burst t desc ?(notify = false) ?(swab = false) extents =
   if extents = [] then invalid_arg "Remote_memory.write_burst: empty burst";
-  match policy with
-  | None -> send_burst t desc ~notify ~swab extents
-  | Some policy ->
-      run_policy t policy desc ~op:"WRITE" (fun timeout ->
-          send_burst t desc ~notify ~swab extents;
-          verify_written ?timeout t desc ~swab extents)
+  send_burst t desc ~notify ~swab extents
 
 let read_wait ?timeout ?policy t desc ~soff ~count ~dst ~doff ?notify ?swab ()
     =
@@ -829,22 +816,17 @@ let read_wait ?timeout ?policy t desc ~soff ~count ~dst ~doff ?notify ?swab ()
       run_policy t policy desc ~op:"READ" (fun timeout ->
           await_read ?timeout t desc ~soff ~count ~dst ~doff ?notify ?swab ())
 
-let cas_wait ?timeout ?policy t desc ~doff ~old_value ~new_value ?result
-    ?notify () =
+let cas_wait ?policy t desc ~doff ~old_value ~new_value ?result () =
   match policy with
-  | None ->
-      await_cas ?timeout t desc ~doff ~old_value ~new_value ?result ?notify ()
+  | None -> await_cas t desc ~doff ~old_value ~new_value ?result ()
   | Some policy ->
-      exclusive "Remote_memory.cas_wait" timeout;
       run_policy t policy desc ~op:"CAS" (fun timeout ->
-          await_cas ?timeout t desc ~doff ~old_value ~new_value ?result
-            ?notify ())
+          await_cas ?timeout t desc ~doff ~old_value ~new_value ?result ())
 
-let fence ?timeout ?policy t desc =
+let fence ?policy t desc =
   match policy with
-  | None -> await_fence ?timeout t desc
+  | None -> await_fence t desc
   | Some policy ->
-      exclusive "Remote_memory.fence" timeout;
       run_policy t policy desc ~op:"FENCE" (fun timeout ->
           await_fence ?timeout t desc)
 

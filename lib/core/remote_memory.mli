@@ -49,7 +49,7 @@ val revoke : t -> Segment.t -> unit
     [Bad_segment] or [Stale_generation]. Unpins its pages. *)
 
 val exports : t -> Segment.t list
-(** All currently exported (unrevoked) segments, unordered. *)
+(** All currently exported (unrevoked) segments, in segment-id order. *)
 
 val import :
   t ->
@@ -108,7 +108,9 @@ val write :
     When the descriptor grants no read rights (or [swab] is set) only a
     nack-flushing fence remains, and silent loss must be caught by an
     application-level read. Assumes no concurrent writer to the same
-    region during verification. *)
+    region during verification.
+    Test-only ?swab: the paper's §3.6 swab operand on WRITE, which the
+    heterogeneity tests check. *)
 
 val check_write :
   t -> Descriptor.t -> off:int -> count:int -> unit
@@ -119,7 +121,6 @@ val check_write :
     flush. *)
 
 val write_burst :
-  ?policy:Recovery.policy ->
   t ->
   Descriptor.t ->
   ?notify:bool ->
@@ -136,11 +137,8 @@ val write_burst :
     one notification covering the whole burst. Extents must be
     non-empty; overlapping extents deposit in list order. Raises
     [Invalid_argument] on an empty burst or extent.
-
-    With [policy], each attempt sends the burst and then reads back the
-    covering span, comparing every extent (falling back to a
-    nack-flushing fence when unverifiable, as for {!write}). Extents
-    must then not overlap — an overwritten extent could never verify. *)
+    Test-only ?swab: the §3.6 swab operand on the burst form of WRITE,
+    which the heterogeneity tests check. *)
 
 val read :
   ?timeout:Sim.Time.t ->
@@ -150,14 +148,10 @@ val read :
   count:int ->
   dst:buffer ->
   doff:int ->
-  ?notify:bool ->
-  ?swab:bool ->
   unit ->
   Status.t Sim.Ivar.t
 (** Non-blocking remote read: data is deposited into [dst] as reply
     bursts arrive; the returned ivar fills with the final status. With
-    [notify], completion also posts on {!completion_fd}. With [swab],
-    the reply data words are byte-swapped before deposit. With
     [timeout], the ivar fills with [Timed_out] if the reply has not
     completed in time (late replies are then dropped) — this is what
     lets a pipelined window of reads bound loss without blocking. *)
@@ -178,10 +172,11 @@ val read_wait :
 (** Blocking {!read}: raises {!Status.Remote_error} on failure and
     {!Status.Timeout} if [timeout] passes first (late replies are then
     dropped). READ is idempotent, so under [policy] it is reissued
-    blindly. *)
+    blindly. With [notify], completion also posts on {!completion_fd}.
+    Test-only ?notify: the paper's notify operand on READ, which the
+    notification tests check. *)
 
-val fence :
-  ?timeout:Sim.Time.t -> ?policy:Recovery.policy -> t -> Descriptor.t -> unit
+val fence : ?policy:Recovery.policy -> t -> Descriptor.t -> unit
 (** Block until every WRITE this node previously issued against the
     descriptor's segment has been deposited: one minimal read round
     trip, sound because links deliver in FIFO order. Raises like
@@ -205,16 +200,11 @@ val cas_async :
   doff:int ->
   old_value:int32 ->
   new_value:int32 ->
-  ?result:buffer * int ->
-  ?notify:bool ->
   unit ->
   (Status.t * int32) Sim.Ivar.t
-(** Remote compare-and-swap; the ivar fills with (status, witness).
-    When [result] is given, a success/failure word is deposited there,
-    as in the paper's CAS signature. *)
+(** Remote compare-and-swap; the ivar fills with (status, witness). *)
 
 val cas_wait :
-  ?timeout:Sim.Time.t ->
   ?policy:Recovery.policy ->
   t ->
   Descriptor.t ->
@@ -222,14 +212,16 @@ val cas_wait :
   old_value:int32 ->
   new_value:int32 ->
   ?result:buffer * int ->
-  ?notify:bool ->
   unit ->
   bool * int32
 (** Blocking {!cas_async}: returns (succeeded, witness). Under [policy],
     if a CAS applied but its reply was lost, the reissued CAS observes
     [new_value] and reports failure — the usual lost-reply ambiguity;
     callers must treat a false return as "not won by this call", not
-    "nothing happened". *)
+    "nothing happened". When [result] is given, a success/failure word
+    is deposited there, as in the paper's CAS signature.
+    Test-only ?result: the paper's result operand on CAS, which the
+    remote-memory tests check. *)
 
 val set_fault_registry : t -> Obs.Registry.t option -> unit
 (** Attach a metrics registry for recovery counters ("rmem.retries",
@@ -288,7 +280,7 @@ type monitor_event =
       notify : bool;
       policied : bool;
           (** issued from inside a {!Recovery.policy} execution — the
-              no-retry-policy lint keys on this *)
+              unbounded-retry lint keys on this *)
       cas : (int32 * int32) option;
           (** CAS only: the (expected, desired) argument pair, so a
               history checker can reconstruct the operation's semantics

@@ -113,11 +113,10 @@ let serve amsg ~id (f : service) =
         Amsg.send amsg ~dst:src ~handler:reply_id frame
       end)
 
-let default_timeout = Sim.Time.us 400
-let default_attempts = 12
+let timeout = Sim.Time.us 400
+let attempts = 12
 
-let call ?(timeout = default_timeout) ?(attempts = default_attempts) ep ~dst
-    ~id body =
+let call ep ~dst ~id body =
   (* The id as the reply will carry it back: 32 bits, sign-extended. *)
   let req = Int32.to_int (Int32.of_int ep.next_req) in
   ep.next_req <- ep.next_req + 1;

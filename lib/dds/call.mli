@@ -30,14 +30,7 @@ val serve : Amsg.t -> id:int -> service -> unit
     requests (same source and request id) are answered from a bounded
     per-source cache without re-running the service. *)
 
-val call :
-  ?timeout:Sim.Time.t ->
-  ?attempts:int ->
-  endpoint ->
-  dst:Atm.Addr.t ->
-  id:int ->
-  bytes ->
-  bytes
+val call : endpoint -> dst:Atm.Addr.t -> id:int -> bytes -> bytes
 (** Issue a request and block for the reply, retransmitting every
-    [timeout] up to [attempts] times; raises [Rmem.Status.Timeout] when
+    400 µs up to 12 times; raises [Rmem.Status.Timeout] when
     the budget is exhausted.  Must run in a simulated process. *)

@@ -33,7 +33,6 @@ type server = {
   snode : Cluster.Node.t;
   sspace : Cluster.Address_space.t;
   sslots : int;
-  sid : int;
   segment : Rmem.Segment.t;
 }
 
@@ -95,7 +94,7 @@ let charge node extra =
   Cluster.Cpu.use (Cluster.Node.cpu node) ~category:Cluster.Cpu.cat_procedure
     (Sim.Time.add c.Cluster.Costs.rpc_stub extra)
 
-let server ~rmem ~amsg ?(id = rpc_id) ~slots () =
+let server ~rmem ~amsg ~slots () =
   if slots <= 0 || slots land (slots - 1) <> 0 then
     invalid_arg "Dds.Hashtable.server: slots must be a positive power of two";
   let snode = Rmem.Remote_memory.node rmem in
@@ -104,8 +103,8 @@ let server ~rmem ~amsg ?(id = rpc_id) ~slots () =
     Rmem.Remote_memory.export rmem ~space:sspace ~base:0
       ~len:(slots * slot_bytes) ~rights:Rmem.Rights.all ~name:"dds.htab" ()
   in
-  let s = { snode; sspace; sslots = slots; sid = id; segment } in
-  Call.serve amsg ~id (fun ~src:_ body ->
+  let s = { snode; sspace; sslots = slots; segment } in
+  Call.serve amsg ~id:rpc_id (fun ~src:_ body ->
       let reply st v =
         let b = Bytes.create 8 in
         Bytes.set_int32_le b 0 st;
@@ -146,7 +145,6 @@ type t = {
   ep : Call.endpoint;
   home : Atm.Addr.t;
   tslots : int;
-  tid : int;
   hook : Hook.t option;
   hkey : int * int * int;
   mutable cas_losses : int;
@@ -167,7 +165,6 @@ let client ~rmem ~amsg ~kind ?policy ?hook s =
     ep = Call.endpoint amsg;
     home;
     tslots = s.sslots;
-    tid = s.sid;
     hook;
     hkey = server_key s;
     cas_losses = 0;
@@ -267,7 +264,7 @@ let rpc_op t ~op ~key ~value =
   Bytes.set_int32_le b 0 (Int32.of_int op);
   Bytes.set_int32_le b 4 key;
   Bytes.set_int32_le b 8 value;
-  let r = Call.call t.ep ~dst:t.home ~id:t.tid b in
+  let r = Call.call t.ep ~dst:t.home ~id:rpc_id b in
   if Bytes.length r < 8 then (3l, 0l)
   else (Bytes.get_int32_le r 0, Bytes.get_int32_le r 4)
 

@@ -24,13 +24,12 @@ type server
 val server :
   rmem:Rmem.Remote_memory.t ->
   amsg:Amsg.t ->
-  ?id:int ->
   slots:int ->
   unit ->
   server
 (** Export the table segment on [rmem]'s node and install the RPC
-    service under handler [id] (default a fixed well-known id; distinct
-    instances sharing a home node must pass distinct ids).  [slots]
+    service under a fixed well-known handler id (one table per home
+    node).  [slots]
     must be a positive power of two.  Must run in a simulated process
     on the home node. *)
 
@@ -58,7 +57,9 @@ val client :
 (** Import the table segment and build a handle of the given kind.
     [policy] governs the DX path's remote operations under faults;
     [hook] receives {!Hook.event}s around every operation, with the
-    designated cell being the key's {e home} slot value word. *)
+    designated cell being the key's {e home} slot value word.
+    Test-only ?policy: a §3.7 recovery policy is the only way the DX
+    path runs under loss, which the fault tests check. *)
 
 val insert : t -> key:int32 -> value:int32 -> unit
 (** Insert or overwrite.  Raises {!Full} when the probe chain finds

@@ -32,7 +32,6 @@ type server = {
   snode : Cluster.Node.t;
   sspace : Cluster.Address_space.t;
   cap : int;
-  sid : int;
   segment : Rmem.Segment.t;
 }
 
@@ -69,7 +68,7 @@ let charge node =
   Cluster.Cpu.use (Cluster.Node.cpu node) ~category:Cluster.Cpu.cat_procedure
     (Sim.Time.add c.Cluster.Costs.rpc_stub c.Cluster.Costs.proc_null)
 
-let server ~rmem ~amsg ?(id = rpc_id) ~capacity () =
+let server ~rmem ~amsg ~capacity () =
   if capacity <= 0 then invalid_arg "Dds.Queue.server: capacity must be positive";
   let snode = Rmem.Remote_memory.node rmem in
   let sspace = Cluster.Node.new_address_space snode in
@@ -78,8 +77,8 @@ let server ~rmem ~amsg ?(id = rpc_id) ~capacity () =
       ~len:(header_bytes + (capacity * slot_bytes))
       ~rights:Rmem.Rights.all ~name:"dds.queue" ()
   in
-  let s = { snode; sspace; cap = capacity; sid = id; segment } in
-  Call.serve amsg ~id (fun ~src:_ body ->
+  let s = { snode; sspace; cap = capacity; segment } in
+  Call.serve amsg ~id:rpc_id (fun ~src:_ body ->
       let reply st v tk =
         let b = Bytes.create 12 in
         Bytes.set_int32_le b 0 st;
@@ -121,7 +120,6 @@ type t = {
   ep : Call.endpoint;
   home : Atm.Addr.t;
   cap : int;
-  tid : int;
   brand : int32;
   hook : Hook.t option;
   hkey : int * int * int;
@@ -149,7 +147,6 @@ let client ~rmem ~amsg ~kind ?policy ?hook s =
     ep = Call.endpoint amsg;
     home;
     cap = s.cap;
-    tid = s.sid;
     brand =
       (incr next_brand;
        Int32.of_int (- !next_brand));
@@ -265,7 +262,7 @@ let rpc_op t ~op ~value =
   let b = Bytes.create 8 in
   Bytes.set_int32_le b 0 (Int32.of_int op);
   Bytes.set_int32_le b 4 value;
-  let r = Call.call t.ep ~dst:t.home ~id:t.tid b in
+  let r = Call.call t.ep ~dst:t.home ~id:rpc_id b in
   if Bytes.length r < 12 then (4l, 0l, 0)
   else
     ( Bytes.get_int32_le r 0,

@@ -20,13 +20,11 @@ type server
 val server :
   rmem:Rmem.Remote_memory.t ->
   amsg:Amsg.t ->
-  ?id:int ->
   capacity:int ->
   unit ->
   server
-(** Export the queue segment and install the RPC service under handler
-    [id] (default a fixed well-known id; distinct instances sharing a
-    home node must pass distinct ids).  Must run in a simulated process
+(** Export the queue segment and install the RPC service under a fixed
+    well-known handler id (one queue per home node).  Must run in a simulated process
     on the home node. *)
 
 (** {1 Clients} *)
@@ -41,6 +39,8 @@ val client :
   ?hook:Hook.t ->
   server ->
   t
+(** Test-only ?policy: a §3.7 recovery policy is the only way the DX
+    path runs under loss, which the fault tests check. *)
 
 val enqueue : t -> int32 -> int
 (** Enqueue a value and return its ticket.  Raises {!Full} once the

@@ -22,7 +22,6 @@ let rpc_id = 0xC2
 type replica = {
   rnode : Cluster.Node.t;
   rspace : Cluster.Address_space.t;
-  rid : int;
   rsegment : Rmem.Segment.t;
 }
 
@@ -31,14 +30,14 @@ let charge node extra =
   Cluster.Cpu.use (Cluster.Node.cpu node) ~category:Cluster.Cpu.cat_procedure
     (Sim.Time.add c.Cluster.Costs.rpc_stub extra)
 
-let replica ~rmem ~amsg ?(id = rpc_id) () =
+let replica ~rmem ~amsg () =
   let rnode = Rmem.Remote_memory.node rmem in
   let rspace = Cluster.Node.new_address_space rnode in
   let rsegment =
     Rmem.Remote_memory.export rmem ~space:rspace ~base:0 ~len:Tag.cell_bytes
       ~rights:Rmem.Rights.all ~name:"dds.reg" ()
   in
-  Call.serve amsg ~id (fun ~src:_ body ->
+  Call.serve amsg ~id:rpc_id (fun ~src:_ body ->
       let c = Cluster.Node.costs rnode in
       let reply st tagw v =
         let b = Bytes.create 12 in
@@ -78,7 +77,7 @@ let replica ~rmem ~amsg ?(id = rpc_id) () =
             end
         | _ -> reply 4l 0l 0l
       end);
-  { rnode; rspace; rid = id; rsegment }
+  { rnode; rspace; rsegment }
 
 let replica_node r = r.rnode
 let replica_space r = r.rspace
@@ -96,7 +95,6 @@ type t = {
   ep : Call.endpoint;
   planes : Plane.t array;
   homes : Atm.Addr.t array;
-  tids : int array;
   quorum : int list;  (** replica indices this client can reach *)
   majority : int;
   write_back : bool;
@@ -141,7 +139,6 @@ let client ~rmem ~amsg ~kind ~rank ?policy ?hook ?(write_back = true) ?quorum
     ep = Call.endpoint amsg;
     planes;
     homes = Array.map (fun r -> Cluster.Node.addr r.rnode) replicas;
-    tids = Array.map (fun r -> r.rid) replicas;
     quorum;
     majority;
     write_back;
@@ -255,7 +252,7 @@ let dx_store t k tag value =
 let rpc_get t k =
   let b = Bytes.create 12 in
   Bytes.set_int32_le b 0 1l;
-  match Call.call t.ep ~dst:t.homes.(k) ~id:t.tids.(k) b with
+  match Call.call t.ep ~dst:t.homes.(k) ~id:rpc_id b with
   | exception Rmem.Status.Timeout -> None
   | r ->
       if Bytes.length r < 12 then None
@@ -289,7 +286,7 @@ let rpc_set t k tag value =
   let rec go attempt =
     if attempt > 64 then false
     else
-      match Call.call t.ep ~dst:t.homes.(k) ~id:t.tids.(k) b with
+      match Call.call t.ep ~dst:t.homes.(k) ~id:rpc_id b with
       | exception Rmem.Status.Timeout -> false
       | r ->
           if Bytes.length r >= 4 && Int32.equal (Bytes.get_int32_le r 0) 0l

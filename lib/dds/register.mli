@@ -18,11 +18,9 @@
 
 type replica
 
-val replica :
-  rmem:Rmem.Remote_memory.t -> amsg:Amsg.t -> ?id:int -> unit -> replica
+val replica : rmem:Rmem.Remote_memory.t -> amsg:Amsg.t -> unit -> replica
 (** Export this node's replica cell and install its GET/SET service
-    under handler [id] (default a fixed well-known id; replicas of
-    distinct registers sharing a node must pass distinct ids).  Must
+    under a fixed well-known handler id (one replica per node).  Must
     run in a simulated process. *)
 
 val replica_node : replica -> Cluster.Node.t
@@ -58,7 +56,9 @@ val client :
     subset of replica indices (at least a majority of the full set):
     the deterministic model of a client that can reach only some
     replicas, which is exactly the adversarial corner the write-back
-    phase exists for. *)
+    phase exists for.
+    Test-only ?policy: a §3.7 recovery policy is the only way the DX
+    path runs under loss, which the fault tests check. *)
 
 val read : t -> int32
 (** Atomic read: collect from a majority, adopt the highest pair, write

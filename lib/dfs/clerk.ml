@@ -56,7 +56,7 @@ let cpu t = Cluster.Node.cpu t.node
 
 let charge t cost = Cluster.Cpu.use (cpu t) ~category:"dfs clerk" cost
 
-let create ?(scheme = Dx) ?rpc ?(export_local_cache = false) ~names ~server () =
+let create ?rpc ?(export_local_cache = false) ~names ~server () =
   let rmem = Names.Clerk.rmem names in
   let node = Rmem.Remote_memory.node rmem in
   let space = Cluster.Node.new_address_space node in
@@ -67,7 +67,7 @@ let create ?(scheme = Dx) ?rpc ?(export_local_cache = false) ~names ~server () =
       rmem;
       node;
       server;
-      scheme;
+      scheme = Dx;
       space;
       l_attr = cache Layout.attr_base Layout.attr_cache;
       l_name = cache Layout.name_base Layout.name_cache;

@@ -13,7 +13,6 @@ type t
 val scheme_to_string : scheme -> string
 
 val create :
-  ?scheme:scheme ->
   ?rpc:Rpckit.Transport.t ->
   ?export_local_cache:bool ->
   names:Names.Clerk.t ->
@@ -24,7 +23,10 @@ val create :
     export this clerk's Hybrid-1 reply segment. Run within a process.
     [rpc] is required only for the [Rpc_baseline] scheme.
     [export_local_cache] additionally exports the clerk's local file
-    cache so the server can eagerly push updates into it (§3.2). *)
+    cache so the server can eagerly push updates into it (§3.2).
+    Test-only ?export_local_cache: the only way to reach the server's
+    eager push into a clerk cache (§3.2), which the extension tests
+    check. *)
 
 val node : t -> Cluster.Node.t
 val set_scheme : t -> scheme -> unit

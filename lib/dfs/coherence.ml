@@ -11,6 +11,7 @@
 
 let token_segment_name = "dfs:tokens"
 let default_tokens = 1024
+let max_attempts = 64
 
 (* ---------------- server side ---------------- *)
 
@@ -20,11 +21,11 @@ let rpc_prog = 0x1002
 let proc_acquire = 1
 let proc_release = 2
 
-let export_tokens ~names ?(tokens = default_tokens) () =
+let export_tokens ~names () =
   let node = Names.Clerk.node names in
   let space = Cluster.Node.new_address_space node in
   let (_ : Rmem.Segment.t) =
-    Names.Api.export names ~space ~base:0 ~len:(tokens * 4)
+    Names.Api.export names ~space ~base:0 ~len:(default_tokens * 4)
       ~rights:(Rmem.Rights.make ~read:true ~cas:true ())
       ~name:token_segment_name ()
   in
@@ -156,7 +157,7 @@ let request_revocation t ~holder ~token =
     ~off:(token mod revoke_slots * 4)
     ~notify:true word
 
-let acquire ?(max_attempts = 64) ?(revoke_after = max_int) t ~token =
+let acquire ?(revoke_after = max_int) t ~token =
   let rec attempt n backoff =
     if n >= max_attempts then raise (Acquire_failed token);
     let granted, witness =
@@ -211,7 +212,7 @@ let retries t = t.retries
 let revocations_honored t = t.revocations_honored
 
 (* RPC-based acquire/release through the token service. *)
-let rpc_acquire ?(max_attempts = 64) transport ~server ~token =
+let rpc_acquire transport ~server ~token =
   let rec attempt n backoff =
     if n >= max_attempts then raise (Acquire_failed token);
     let args = Rpckit.Xdr.create () in

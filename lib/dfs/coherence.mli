@@ -8,8 +8,7 @@ val default_tokens : int
 
 type manager
 
-val export_tokens :
-  names:Names.Clerk.t -> ?tokens:int -> unit -> manager
+val export_tokens : names:Names.Clerk.t -> unit -> manager
 (** Export the token table (one word per token, 0 = free). *)
 
 val holder_of : manager -> token:int -> int
@@ -30,12 +29,13 @@ val connect :
 (** Also exports this client's revocation segment (one "wanted" word per
     token, written by competitors with notification). *)
 
-val acquire :
-  ?max_attempts:int -> ?revoke_after:int -> client -> token:int -> unit
+val acquire : ?revoke_after:int -> client -> token:int -> unit
 (** CAS(0 -> me) with exponential backoff; no server control transfer.
     After [revoke_after] failed attempts, sends the current holder one
     revocation request (§5.1's Calypso-style alternative to spinning).
-    Raises {!Acquire_failed} after [max_attempts]. *)
+    Raises {!Acquire_failed} after 64 attempts.
+    Test-only ?revoke_after: the only way to reach delayed revocation,
+    which the coherence tests check. *)
 
 val release : client -> token:int -> unit
 (** CAS(me -> 0); fails loudly if the token is not held by this client. *)
@@ -58,11 +58,6 @@ val revocations_honored : client -> int
 
 (** {1 RPC baseline} *)
 
-val rpc_acquire :
-  ?max_attempts:int ->
-  Rpckit.Transport.t ->
-  server:Atm.Addr.t ->
-  token:int ->
-  unit
+val rpc_acquire : Rpckit.Transport.t -> server:Atm.Addr.t -> token:int -> unit
 
 val rpc_release : Rpckit.Transport.t -> server:Atm.Addr.t -> token:int -> unit

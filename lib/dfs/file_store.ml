@@ -113,13 +113,13 @@ let add_entry t ~dir ~name ~inode =
   d.entries <- d.entries @ [ (name, inode) ];
   d.attr <- { d.attr with size = d.attr.size + 1; mtime = tick t }
 
-let create_file t ~dir ~name ?(mode = 0o644) () =
-  let inode, _ = fresh_node t ~kind:Regular ~mode ~size:0 in
+let create_file t ~dir ~name () =
+  let inode, _ = fresh_node t ~kind:Regular ~mode:0o644 ~size:0 in
   add_entry t ~dir ~name ~inode;
   inode
 
-let mkdir t ~dir ~name ?(mode = 0o755) () =
-  let inode, _ = fresh_node t ~kind:Directory ~mode ~size:0 in
+let mkdir t ~dir ~name () =
+  let inode, _ = fresh_node t ~kind:Directory ~mode:0o755 ~size:0 in
   add_entry t ~dir ~name ~inode;
   inode
 

@@ -36,8 +36,8 @@ val root : t -> int
 
 (** {1 Namespace} *)
 
-val create_file : t -> dir:int -> name:string -> ?mode:int -> unit -> int
-val mkdir : t -> dir:int -> name:string -> ?mode:int -> unit -> int
+val create_file : t -> dir:int -> name:string -> unit -> int
+val mkdir : t -> dir:int -> name:string -> unit -> int
 val symlink : t -> dir:int -> name:string -> target:string -> int
 val lookup : t -> dir:int -> name:string -> int
 (** Raises {!No_such_file} when absent. *)

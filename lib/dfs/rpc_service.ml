@@ -2,7 +2,7 @@
    reached through the classic RPC stack — the structure the paper's
    Table 1 systems use. *)
 
-let start transport ~store ?(threads = 2) () =
+let start transport ~store () =
   let node = Rpckit.Transport.node transport in
   let costs = Cluster.Node.costs node in
   let cpu = Cluster.Node.cpu node in
@@ -13,5 +13,5 @@ let start transport ~store ?(threads = 2) () =
     Rpc_codec.marshal_result (Server.execute store op)
   in
   ignore
-    (Rpckit.Server.create transport ~prog:Rpc_codec.prog ~threads ~handler ()
+    (Rpckit.Server.create transport ~prog:Rpc_codec.prog ~threads:2 ~handler ()
       : Rpckit.Server.t)

@@ -1,5 +1,4 @@
 (** The RPC-baseline file service: the same operations as {!Server},
     reached through the classic RPC stack. *)
 
-val start :
-  Rpckit.Transport.t -> store:File_store.t -> ?threads:int -> unit -> unit
+val start : Rpckit.Transport.t -> store:File_store.t -> unit -> unit

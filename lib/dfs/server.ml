@@ -188,15 +188,16 @@ let push_block t ~fh ~block =
         Bytes.sub image Slot_cache.header_bytes
           (Bytes.length image - Slot_cache.header_bytes)
       in
-      Hashtbl.iter
-        (fun _ desc ->
-          (* Body first, header (with the valid flag) second. *)
-          Rmem.Remote_memory.write t.rmem desc
-            ~off:(slot_off + Slot_cache.header_bytes)
-            payload;
-          Rmem.Remote_memory.write t.rmem desc ~off:slot_off header;
-          t.blocks_pushed <- t.blocks_pushed + 1)
-        t.push_targets
+      (* Push to subscribers in address order, not bucket order. *)
+      Hashtbl.fold (fun addr desc acc -> (addr, desc) :: acc) t.push_targets []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.iter (fun (_, desc) ->
+             (* Body first, header (with the valid flag) second. *)
+             Rmem.Remote_memory.write t.rmem desc
+               ~off:(slot_off + Slot_cache.header_bytes)
+               payload;
+             Rmem.Remote_memory.write t.rmem desc ~off:slot_off header;
+             t.blocks_pushed <- t.blocks_pushed + 1)
 
 (* Apply clerk-pushed file blocks back to the store (write-back).  A
    pushed slot is newer than the store when its contents differ; applied

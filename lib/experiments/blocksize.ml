@@ -39,10 +39,8 @@ let measure fixture clerk scheme bytes =
   in
   elapsed
 
-let run ?fixture () =
-  let fixture =
-    match fixture with Some f -> f | None -> Fixture.create ()
-  in
+let run () =
+  let fixture = Fixture.create () in
   (* The bench file holds 16 KB; extend it (and the server cache) so
      64 KB transfers stay warm. *)
   Fixture.run fixture (fun () ->

@@ -5,5 +5,5 @@ type point = { bytes : int; hy_us : float; dx_us : float; ratio : float }
 
 type result = point list
 
-val run : ?fixture:Fixture.t -> unit -> result
+val run : unit -> result
 val render : result -> string

@@ -12,4 +12,7 @@ type point = {
 type result = point list
 
 val run : ?sharer_counts:int list -> unit -> result
+(** Test-only ?sharer_counts: tier-1 runs the sweep at one sharer
+    count. *)
+
 val render : result -> string

@@ -264,45 +264,39 @@ let run_cfg ?(structures = structures) cfg =
   in
   { nodes = cfg.leaves * cfg.hosts_per_leaf; points }
 
-let make_cfg ~spines ~leaves ~hosts_per_leaf ~low_clients ~high_clients
-    ~low_zipf ~high_zipf ~low_mutate_pct ~high_mutate_pct ~ops_per_client ~keys
-    ~slots ~seed =
+(* The full sweep: a 2x8x4 Clos; 2 clients at Zipf(0.2) with 5%
+   mutations against 12 at Zipf(1.5) with 80%. *)
+let full_cfg ~seed =
   {
-    spines;
-    leaves;
-    hosts_per_leaf;
-    ops_per_client;
-    keys;
-    slots;
+    spines = 2;
+    leaves = 8;
+    hosts_per_leaf = 4;
+    ops_per_client = 24;
+    keys = 8;
+    slots = 16;
     seed;
     low =
-      {
-        leg_label = "low";
-        leg_clients = low_clients;
-        leg_zipf = low_zipf;
-        leg_mutate_pct = low_mutate_pct;
-      };
+      { leg_label = "low"; leg_clients = 2; leg_zipf = 0.2; leg_mutate_pct = 5 };
     high =
       {
         leg_label = "high";
-        leg_clients = high_clients;
-        leg_zipf = high_zipf;
-        leg_mutate_pct = high_mutate_pct;
+        leg_clients = 12;
+        leg_zipf = 1.5;
+        leg_mutate_pct = 80;
       };
   }
 
-let run ?(spines = 2) ?(leaves = 8) ?(hosts_per_leaf = 4) ?(low_clients = 2)
-    ?(high_clients = 12) ?(low_zipf = 0.2) ?(high_zipf = 1.5)
-    ?(low_mutate_pct = 5) ?(high_mutate_pct = 80) ?(ops_per_client = 24)
-    ?(keys = 8) ?(slots = 16) ?(seed = 10) ?structures () =
-  run_cfg ?structures
-    (make_cfg ~spines ~leaves ~hosts_per_leaf ~low_clients ~high_clients
-       ~low_zipf ~high_zipf ~low_mutate_pct ~high_mutate_pct ~ops_per_client
-       ~keys ~slots ~seed)
+let run ?(seed = 10) ?structures () = run_cfg ?structures (full_cfg ~seed)
 
 let smoke ?(seed = 10) ?structures () =
-  run ~spines:2 ~leaves:4 ~hosts_per_leaf:4 ~low_clients:2 ~high_clients:10
-    ~ops_per_client:16 ~seed ?structures ()
+  let c = full_cfg ~seed in
+  run_cfg ?structures
+    {
+      c with
+      leaves = 4;
+      ops_per_client = 16;
+      high = { c.high with leg_clients = 10 };
+    }
 
 (* ------------------------------- gates ------------------------------ *)
 

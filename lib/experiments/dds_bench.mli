@@ -34,24 +34,8 @@ val structures : string list
 (** ["hashtable"; "queue"; "register"] — the sweep's full scope and
     the valid [?structures] elements. *)
 
-val run :
-  ?spines:int ->
-  ?leaves:int ->
-  ?hosts_per_leaf:int ->
-  ?low_clients:int ->
-  ?high_clients:int ->
-  ?low_zipf:float ->
-  ?high_zipf:float ->
-  ?low_mutate_pct:int ->
-  ?high_mutate_pct:int ->
-  ?ops_per_client:int ->
-  ?keys:int ->
-  ?slots:int ->
-  ?seed:int ->
-  ?structures:string list ->
-  unit ->
-  result
-(** Defaults: a 2x8x4 Clos (32 hosts); the low leg runs 2 clients at
+val run : ?seed:int -> ?structures:string list -> unit -> result
+(** A 2x8x4 Clos (32 hosts); the low leg runs 2 clients at
     Zipf(0.2) with a 5% mutation share, the high leg 12 clients at
     Zipf(1.5) with 80%; 24 operations per client over 8 keys in a
     16-slot table (load factor high enough that mutation churn

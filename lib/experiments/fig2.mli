@@ -6,6 +6,9 @@ type row = { op : string; hy_us : float; dx_us : float }
 type result = row list
 
 val run : ?fixture:Fixture.t -> unit -> result
+(** Test-only ?fixture: tier-1 shares one fixture across the figure
+    tests instead of building one per run. *)
+
 val dx_wins_everywhere : result -> bool
 (** Test-only: the Figure 2 band test. *)
 

@@ -13,6 +13,8 @@ type row = { op : string; hy : breakdown; dx : breakdown }
 type result = row list
 
 val run : ?fixture:Fixture.t -> unit -> result
+(** Test-only ?fixture: tier-1 shares one fixture across the figure
+    tests instead of building one per run. *)
 
 val average_load_ratio : result -> float
 (** Mean DX/HY server-load ratio over the ops (paper: < 0.5).

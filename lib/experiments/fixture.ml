@@ -51,8 +51,7 @@ let add_bench_objects store =
   in
   (file, wide, link)
 
-let create ?(clients = 1) ?(seed = 7) ?(tree_dirs = 24) ?(files_per_dir = 16)
-    ?costs ?net_config () =
+let create ?(clients = 1) ?(seed = 7) ?costs ?net_config () =
   let nodes = clients + 1 in
   let testbed =
     Cluster.Testbed.create ?costs ?config:net_config ~nodes ~seed ()
@@ -67,7 +66,7 @@ let create ?(clients = 1) ?(seed = 7) ?(tree_dirs = 24) ?(files_per_dir = 16)
         Rpckit.Transport.attach (Cluster.Testbed.node testbed i))
   in
   let prng = Sim.Prng.create (seed * 1_000_003) in
-  let tree = Workload.File_tree.build ~dirs:tree_dirs ~files_per_dir prng in
+  let tree = Workload.File_tree.build prng in
   let store = Workload.File_tree.store tree in
   let bench_file, bench_dir, bench_link = add_bench_objects store in
   let fixture = ref None in

@@ -21,8 +21,6 @@ type t = {
 val create :
   ?clients:int ->
   ?seed:int ->
-  ?tree_dirs:int ->
-  ?files_per_dir:int ->
   ?costs:Cluster.Costs.t ->
   ?net_config:Atm.Config.t ->
   unit ->

@@ -10,6 +10,9 @@ type result = {
 }
 
 val run : ?fixture:Fixture.t -> ?scale:int -> unit -> result
+(** Test-only ?fixture: tier-1 shares one fixture across the figure
+    tests instead of building one per run. Test-only ?scale: tier-1
+    runs a shorter trace. *)
 
 val reduction : result -> float
 (** 1 - DX/HY server CPU (paper: ~0.5). Test-only: the headline band test. *)

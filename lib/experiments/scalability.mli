@@ -12,4 +12,7 @@ type point = {
 type result = point list
 
 val run : ?client_counts:int list -> unit -> result
+(** Test-only ?client_counts: tier-1 runs the sweep at one client
+    count. *)
+
 val render : result -> string

@@ -315,31 +315,41 @@ let run_campaign ~label ~sharded cfg =
     convergence_us = !convergence_us;
   }
 
-let run ?(spines = 4) ?(leaves = 8) ?(hosts_per_leaf = 16) ?(shard_hosts = 8)
-    ?(clients = 48) ?(names = 256) ?(lookups_per_client = 16) ?(slots = 1024)
-    ?(zipf = 1.5) ?(seed = 9) () =
-  let cfg =
-    {
-      spines;
-      leaves;
-      hosts_per_leaf;
-      shard_hosts;
-      clients;
-      names;
-      lookups_per_client;
-      slots;
-      zipf;
-      seed;
-    }
-  in
+let run_cfg cfg =
   {
     baseline = run_campaign ~label:"single registry" ~sharded:false cfg;
     sharded = run_campaign ~label:"sharded" ~sharded:true cfg;
   }
 
+let run ?(seed = 9) () =
+  run_cfg
+    {
+      spines = 4;
+      leaves = 8;
+      hosts_per_leaf = 16;
+      shard_hosts = 8;
+      clients = 48;
+      names = 256;
+      lookups_per_client = 16;
+      slots = 1024;
+      zipf = 1.5;
+      seed;
+    }
+
 let smoke ?(seed = 9) () =
-  run ~spines:2 ~leaves:4 ~hosts_per_leaf:4 ~shard_hosts:4 ~clients:10
-    ~names:48 ~lookups_per_client:12 ~slots:256 ~seed ()
+  run_cfg
+    {
+      spines = 2;
+      leaves = 4;
+      hosts_per_leaf = 4;
+      shard_hosts = 4;
+      clients = 10;
+      names = 48;
+      lookups_per_client = 12;
+      slots = 256;
+      zipf = 1.5;
+      seed;
+    }
 
 let check { baseline; sharded } =
   let failures = ref [] in

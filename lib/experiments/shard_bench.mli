@@ -37,26 +37,13 @@ type campaign = {
 
 type result = { baseline : campaign; sharded : campaign }
 
-val run :
-  ?spines:int ->
-  ?leaves:int ->
-  ?hosts_per_leaf:int ->
-  ?shard_hosts:int ->
-  ?clients:int ->
-  ?names:int ->
-  ?lookups_per_client:int ->
-  ?slots:int ->
-  ?zipf:float ->
-  ?seed:int ->
-  unit ->
-  result
-(** Defaults: a 4x8x16 Clos (128 hosts), 8 shard hosts, 48 clients,
+val run : ?seed:int -> unit -> result
+(** A 4x8x16 Clos (128 hosts), 8 shard hosts, 48 clients,
     256 names, 16 lookups per client under a Zipf(1.5) key mix,
     seed 9. The baseline leg runs the same load against one shard on
     one host and never rebalances. *)
 
-val smoke :
-  ?seed:int -> unit -> result
+val smoke : ?seed:int -> unit -> result
 (** The golden-file configuration: a 2-spine, 4-leaf, 4-host/leaf
     (16-node) Clos, 4 shard hosts, 10 clients, 48 names, 12 lookups
     per client — small enough for the test suite, still end to end

@@ -15,8 +15,10 @@ type row = {
 
 type result = { rows : row list; trace_total : int; scale : int }
 
-let run ?(scale = 1000) ?(seed = 11) () =
-  let prng = Sim.Prng.create seed in
+let scale = 1000
+
+let run () =
+  let prng = Sim.Prng.create 11 in
   let tree = Workload.File_tree.build prng in
   let events = Workload.Trace.generate ~scale tree prng in
   let counts = Workload.Trace.counts_by_label events in
@@ -94,7 +96,8 @@ type phase_row = {
 
 type decomposition = { phase_rows : phase_row list; trace : Obs.Trace.t }
 
-let decompose ?(bytes = 1024) () =
+let decompose () =
+  let bytes = 1024 in
   let testbed = Cluster.Testbed.create ~nodes:2 () in
   let engine = Cluster.Testbed.engine testbed in
   let node0 = Cluster.Testbed.node testbed 0 in

@@ -11,7 +11,9 @@ type row = {
 
 type result = { rows : row list; trace_total : int; scale : int }
 
-val run : ?scale:int -> ?seed:int -> unit -> result
+val run : unit -> result
+(** Seed 11; the trace holds Table 1a's call count divided by 1000. *)
+
 val render : result -> string
 
 (** {1 Span-derived latency decomposition}
@@ -30,5 +32,7 @@ type phase_row = {
 
 type decomposition = { phase_rows : phase_row list; trace : Obs.Trace.t }
 
-val decompose : ?bytes:int -> unit -> decomposition
+val decompose : unit -> decomposition
+(** 1 KB operations. *)
+
 val render_decomposition : decomposition -> string

@@ -24,10 +24,10 @@ let row_of (r : Workload.Traffic.row) =
     ratio = Workload.Traffic.ratio r;
   }
 
-let run ?(scale = 1000) ?(seed = 11) () =
-  let prng = Sim.Prng.create seed in
+let run () =
+  let prng = Sim.Prng.create 11 in
   let tree = Workload.File_tree.build prng in
-  let events = Workload.Trace.generate ~scale tree prng in
+  let events = Workload.Trace.generate ~scale:1000 tree prng in
   let rows = Workload.Traffic.of_trace (Workload.File_tree.store tree) events in
   {
     rows = List.map row_of rows;

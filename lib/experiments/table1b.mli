@@ -10,7 +10,7 @@ type result = {
   paper_control_fraction : float;
 }
 
-val run : ?scale:int -> ?seed:int -> unit -> result
+val run : unit -> result
 
 val control_fraction : result -> float
 (** Control bytes as a fraction of all bytes (paper: ~0.12).

@@ -27,7 +27,6 @@ type outcome = {
 type workload =
   plan:Plan.t ->
   seed:int ->
-  pipelined:bool ->
   sampler:Sim.Time.t option ->
   outcome
 
@@ -50,12 +49,6 @@ let attach node =
    {!Obs.Timeseries} documents and the @faults digest test enforces:
    the plane's event digest must be bit-identical with sampling on or
    off. *)
-
-(* Pipelines are created mid-run (sometimes per spawned producer), so
-   their gauges register against the current run's sampler through this
-   run-scoped state — same shape as [rmem_probe] above. *)
-let current_sampler : Obs.Timeseries.t option ref = ref None
-let pipeline_seq = ref 0
 
 let fgauge ts name read =
   Obs.Timeseries.register ts name (fun () -> float_of_int (read ()))
@@ -126,9 +119,7 @@ let wire_gauges ts testbed ~rmems plane =
     ]
 
 let sampler_for ~sampler testbed ~rmems plane =
-  pipeline_seq := 0;
-  let ts =
-    Option.map
+  Option.map
       (fun interval ->
         let config = { Obs.Timeseries.default_config with interval } in
         let ts =
@@ -138,9 +129,6 @@ let sampler_for ~sampler testbed ~rmems plane =
         Obs.Timeseries.start ts;
         ts)
       sampler
-  in
-  current_sampler := ts;
-  ts
 
 (* Generous enough for 10% frame loss: per-attempt failure is a few
    tenths, ten attempts leave no realistic seed stranded. *)
@@ -169,37 +157,6 @@ let clerk_for rmem =
   Names.Clerk.serve_lookup_requests clerk;
   Names.Clerk.set_probe_timeout clerk (Some (Sim.Time.ms 2));
   clerk
-
-(* Pipelined mode: the same workloads with their remote writes routed
-   through the batching issue engine (and lookup probes through its
-   window). The convergence checks are unchanged — that equivalence is
-   what the differential suite asserts. *)
-let pipeline_for ~pipelined rmem =
-  if pipelined then begin
-    let p =
-      Rmem.Pipeline.create ~config:(Rmem.Pipeline.pipelined_config ()) rmem
-    in
-    Option.iter
-      (fun ts ->
-        let k = !pipeline_seq in
-        incr pipeline_seq;
-        let g suffix read =
-          fgauge ts (Printf.sprintf "pipeline.%d.%s" k suffix) read
-        in
-        g "window" (fun () -> Rmem.Pipeline.window_occupancy p);
-        g "staged_extents" (fun () -> Rmem.Pipeline.staged_extents p);
-        g "staged_bytes" (fun () -> Rmem.Pipeline.staged_bytes p))
-      !current_sampler;
-    Some p
-  end
-  else None
-
-let push ?policy ?pipeline rmem desc ~off data =
-  match pipeline with
-  | Some p ->
-      Rmem.Pipeline.write p desc ~off data;
-      Rmem.Pipeline.flush ?policy p desc
-  | None -> Rmem.Remote_memory.write ?policy rmem desc ~off data
 
 let outcome ~workload ~seed ~plane ~timeseries ~engine_events ~survived
     ~converged ~detail =
@@ -239,7 +196,6 @@ let guarded ~workload ~seed ~plane ~timeseries testbed body =
         detail := Printexc.to_string exn;
         false
   in
-  current_sampler := None;
   outcome ~workload ~seed ~plane ~timeseries
     ~engine_events:(Sim.Engine.events_fired (Cluster.Testbed.engine testbed))
     ~survived ~converged:!converged ~detail:!detail
@@ -247,7 +203,7 @@ let guarded ~workload ~seed ~plane ~timeseries testbed body =
 (* ------------------------------------------------------------------ *)
 (* quickstart: 2 nodes, named export/import, WRITE, READ back, CAS.    *)
 
-let quickstart ~plan ~seed ~pipelined ~sampler =
+let quickstart ~plan ~seed ~sampler =
   let testbed = Cluster.Testbed.create ~nodes:2 () in
   let node0 = Cluster.Testbed.node testbed 0 in
   let node1 = Cluster.Testbed.node testbed 1 in
@@ -260,8 +216,6 @@ let quickstart ~plan ~seed ~pipelined ~sampler =
     (fun converged detail ->
       let names0 = clerk_for rmem0 in
       let names1 = clerk_for rmem1 in
-      let pipeline = pipeline_for ~pipelined rmem0 in
-      Names.Clerk.set_pipeline names0 pipeline;
       let space1 = Cluster.Node.new_address_space node1 in
       let (_ : Rmem.Segment.t) =
         Names.Api.export names1 ~space:space1 ~base:0 ~len:4096
@@ -276,7 +230,7 @@ let quickstart ~plan ~seed ~pipelined ~sampler =
           (Names.Api.revalidator ~hint names0 "shared.buffer")
       in
       let message = Bytes.of_string "hello, remote memory" in
-      push ~policy ?pipeline rmem0 desc ~off:0 message;
+      Rmem.Remote_memory.write rmem0 ~policy desc ~off:0 message;
       let space0 = Cluster.Node.new_address_space node0 in
       let buf = Rmem.Remote_memory.buffer ~space:space0 ~base:0 ~len:4096 in
       Rmem.Remote_memory.read_wait rmem0 ~policy desc ~soff:0
@@ -308,7 +262,7 @@ let quickstart ~plan ~seed ~pipelined ~sampler =
 (* ------------------------------------------------------------------ *)
 (* name_service: batch export, imports, revoke/re-export recovery.     *)
 
-let name_service ~plan ~seed ~pipelined ~sampler =
+let name_service ~plan ~seed ~sampler =
   let testbed = Cluster.Testbed.create ~nodes:3 () in
   let rmems =
     Array.init 3 (fun i ->
@@ -320,8 +274,6 @@ let name_service ~plan ~seed ~pipelined ~sampler =
   guarded ~workload:"name_service" ~seed ~plane ~timeseries testbed
     (fun converged detail ->
       let clerks = Array.map clerk_for rmems in
-      let pipeline = pipeline_for ~pipelined rmems.(0) in
-      Names.Clerk.set_pipeline clerks.(0) pipeline;
       let exporter = Cluster.Testbed.node testbed 2 in
       let hint = Cluster.Node.addr exporter in
       let space = Cluster.Node.new_address_space exporter in
@@ -352,7 +304,8 @@ let name_service ~plan ~seed ~pipelined ~sampler =
         retrying (fun () -> Names.Api.import ~force:true ~hint clerks.(0) name0)
       in
       let payload = Bytes.of_string "shard zero, first generation" in
-      push ~policy:(policy name0) ?pipeline rmems.(0) stale ~off:0 payload;
+      Rmem.Remote_memory.write rmems.(0) ~policy:(policy name0) stale ~off:0
+        payload;
       (* The exporter revokes and re-exports shard-00: a NEW segment id,
          so the stale descriptor is beyond revalidation (the revalidator
          correctly refuses to splice a different segment under it) and
@@ -397,7 +350,7 @@ let name_service ~plan ~seed ~pipelined ~sampler =
 (* producer_consumer: two producers fill disjoint slots, one CAS race,
    a polling consumer.                                                 *)
 
-let producer_consumer ~plan ~seed ~pipelined ~sampler =
+let producer_consumer ~plan ~seed ~sampler =
   let slots = 8 in
   let slot_base = 256 in
   let slot_bytes = 64 in
@@ -427,32 +380,15 @@ let producer_consumer ~plan ~seed ~pipelined ~sampler =
             in
             (* Producer 0 owns even slots, producer 2 odd ones. *)
             let mine = if idx = 0 then 0 else 1 in
-            let pipeline = pipeline_for ~pipelined rmems.(idx) in
-            (match pipeline with
-            | Some p ->
-                (* All four slot writes stage into one scatter-gather
-                   burst per producer; the flush verifies and retries
-                   under the policy. *)
-                for slot = 0 to slots - 1 do
-                  if slot mod 2 = mine then begin
-                    let item = Bytes.make slot_bytes '\000' in
-                    Bytes.set_int32_le item 0 (Int32.of_int (100 + slot));
-                    Rmem.Pipeline.write p desc
-                      ~off:(slot_base + (slot * slot_bytes))
-                      item
-                  end
-                done;
-                Rmem.Pipeline.flush ~policy p desc
-            | None ->
-                for slot = 0 to slots - 1 do
-                  if slot mod 2 = mine then begin
-                    let item = Bytes.make slot_bytes '\000' in
-                    Bytes.set_int32_le item 0 (Int32.of_int (100 + slot));
-                    Rmem.Remote_memory.write rmems.(idx) ~policy desc
-                      ~off:(slot_base + (slot * slot_bytes))
-                      item
-                  end
-                done);
+            for slot = 0 to slots - 1 do
+              if slot mod 2 = mine then begin
+                let item = Bytes.make slot_bytes '\000' in
+                Bytes.set_int32_le item 0 (Int32.of_int (100 + slot));
+                Rmem.Remote_memory.write rmems.(idx) ~policy desc
+                  ~off:(slot_base + (slot * slot_bytes))
+                  item
+              end
+            done;
             (* Race for the winner word; memory decides, not the
                (ambiguous under loss) return value. *)
             let (_ : bool * int32) =
@@ -501,7 +437,7 @@ let producer_consumer ~plan ~seed ~pipelined ~sampler =
 (* ------------------------------------------------------------------ *)
 (* replica: anti-entropy convergence across a partition heal.          *)
 
-let replica ~plan ~seed ~pipelined ~sampler =
+let replica ~plan ~seed ~sampler =
   let testbed = Cluster.Testbed.create ~nodes:3 () in
   let nodes = Array.init 3 (Cluster.Testbed.node testbed) in
   let rmems = Array.map attach nodes in
@@ -512,10 +448,6 @@ let replica ~plan ~seed ~pipelined ~sampler =
     (fun converged detail ->
       let clerks = Array.map clerk_for rmems in
       let members = Array.map Replica.create clerks in
-      Array.iteri
-        (fun i member ->
-          Replica.set_pipeline member (pipeline_for ~pipelined rmems.(i)))
-        members;
       Array.iteri
         (fun i member ->
           (* Anti-entropy remote-reads the whole replica — 19 reply
@@ -574,7 +506,7 @@ let replica ~plan ~seed ~pipelined ~sampler =
 (* ------------------------------------------------------------------ *)
 (* crash_restart: generation bump, Stale_generation, clerk re-import.  *)
 
-let crash_restart ~plan ~seed ~pipelined ~sampler =
+let crash_restart ~plan ~seed ~sampler =
   (* The point of this workload is the crash; supply the canonical one
      if the caller's plan has none. *)
   let plan =
@@ -614,8 +546,6 @@ let crash_restart ~plan ~seed ~pipelined ~sampler =
       let names0 = clerk_for rmem0 in
       let names1 = clerk_for rmem1 in
       clerk1 := Some names1;
-      let pipeline = pipeline_for ~pipelined rmem0 in
-      Names.Clerk.set_pipeline names0 pipeline;
       let space1 = Cluster.Node.new_address_space node1 in
       let (_ : Rmem.Segment.t) =
         Names.Api.export names1 ~space:space1 ~base:0 ~len:4096
@@ -628,7 +558,7 @@ let crash_restart ~plan ~seed ~pipelined ~sampler =
           (Names.Api.revalidator ~hint names0 "store")
       in
       let payload = Bytes.of_string "written before the crash" in
-      push ~policy ?pipeline rmem0 desc ~off:0 payload;
+      Rmem.Remote_memory.write rmem0 ~policy desc ~off:0 payload;
       let generation_before = Rmem.Descriptor.generation desc in
       let engine = Cluster.Testbed.engine testbed in
       (* Sit out the crash [5 ms] and restart [8 ms], then read through
@@ -658,9 +588,8 @@ let crash_restart ~plan ~seed ~pipelined ~sampler =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(plan = Plan.none) ?(pipelined = false) ?sampler ~seed
-    (workload : workload) =
-  workload ~plan ~seed ~pipelined ~sampler
+let run ?(plan = Plan.none) ?sampler ~seed (workload : workload) =
+  workload ~plan ~seed ~sampler
 
 (* The canonical CI plans. *)
 

@@ -32,7 +32,6 @@ type outcome = {
 type workload =
   plan:Plan.t ->
   seed:int ->
-  pipelined:bool ->
   sampler:Sim.Time.t option ->
   outcome
 (** A campaign workload; call it through {!run}. *)
@@ -55,23 +54,13 @@ val set_rmem_probe : (Rmem.Remote_memory.t -> unit) option -> unit
     from this library back onto the analyzer; global — set it to [None]
     when done. *)
 
-val run :
-  ?plan:Plan.t ->
-  ?pipelined:bool ->
-  ?sampler:Sim.Time.t ->
-  seed:int ->
-  workload ->
-  outcome
-(** Run one workload (default plan: {!Plan.none}). With [pipelined]
-    (default false) the workload's remote writes route through a
-    {!Rmem.Pipeline} engine (and lookup probes through its read window);
-    the convergence checks are identical — the differential suite holds
-    the two modes against each other.
+val run : ?plan:Plan.t -> ?sampler:Sim.Time.t -> seed:int -> workload -> outcome
+(** Run one workload (default plan: {!Plan.none}).
 
     With [sampler] the workload runs under an {!Obs.Timeseries} sampler
     at that interval, every layer's gauges registered (link/switch
     depth and drops, NIC receive FIFOs, per-node in-flight and
-    notification backlog, pipeline occupancy, cumulative fault and
+    notification backlog, cumulative fault and
     recovery counters); the outcome carries it for SLO evaluation.
     Sampling is perturbation-free: the digest is bit-identical with or
     without it — asserted by the @faults tests. *)

@@ -25,7 +25,6 @@ type link_faults = {
   corrupt : float;
   duplicate : float;
   jitter : float;
-  jitter_max : Sim.Time.t;
   windows : window list;
 }
 
@@ -35,7 +34,6 @@ let calm =
     corrupt = 0.;
     duplicate = 0.;
     jitter = 0.;
-    jitter_max = Sim.Time.zero;
     windows = [];
   }
 
@@ -45,13 +43,12 @@ let probability label p =
   p
 
 let link_faults ?(loss = 0.) ?(corrupt = 0.) ?(duplicate = 0.) ?(jitter = 0.)
-    ?(jitter_max = Sim.Time.us 50) ?(windows = []) () =
+    ?(windows = []) () =
   {
     loss = probability "loss" loss;
     corrupt = probability "corrupt" corrupt;
     duplicate = probability "duplicate" duplicate;
     jitter = probability "jitter" jitter;
-    jitter_max;
     windows;
   }
 

@@ -24,8 +24,9 @@ type link_faults = {
   loss : float;
   corrupt : float;  (** payload damage; NICs detect it by AAL checksum *)
   duplicate : float;
-  jitter : float;  (** extra-delay probability — induces reordering *)
-  jitter_max : Sim.Time.t;  (** delay drawn uniformly in [0, jitter_max) *)
+  jitter : float;
+      (** extra-delay probability — induces reordering; the delay is
+          drawn uniformly in [0, 50 us) *)
   windows : window list;  (** [[]] = the whole run *)
 }
 
@@ -34,12 +35,14 @@ val link_faults :
   ?corrupt:float ->
   ?duplicate:float ->
   ?jitter:float ->
-  ?jitter_max:Sim.Time.t ->
   ?windows:window list ->
   unit ->
   link_faults
-(** Defaults: all probabilities 0, [jitter_max] 50 us. Raises
-    [Invalid_argument] for probabilities outside [0, 1]. *)
+(** Defaults: all probabilities 0; a jittered frame is delayed up to
+    50 us. Raises
+    [Invalid_argument] for probabilities outside [0, 1].
+    Test-only ?windows: a bounded loss window is the only way to reach
+    a heal mid-run, which the heartbeat tests check. *)
 
 type partition = { group : int list; windows : window list }
 (** While any window is active, frames between a group member and a

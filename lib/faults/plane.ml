@@ -27,6 +27,9 @@ let partitioned t now ~src ~dst =
       && List.mem src p.Plan.group <> List.mem dst p.Plan.group)
     t.plan.Plan.partitions
 
+(* The ceiling of a jittered frame's extra delay. *)
+let jitter_max = Sim.Time.us 50
+
 (* One frame, one verdict.  The draws happen unconditionally and in a
    fixed order: a frame that ends up cut by a partition consumes exactly
    as much of the link's stream as one that sails through, so toggling
@@ -69,7 +72,7 @@ let judge t prng frame =
     else if u_jitter < f.Plan.jitter then begin
       count t "delays";
       log t (tag "delay");
-      Atm.Link.Delay (Sim.Time.scale f.Plan.jitter_max u_amount)
+      Atm.Link.Delay (Sim.Time.scale jitter_max u_amount)
     end
     else Atm.Link.Deliver
   end

@@ -39,7 +39,9 @@ let char_for labels label =
   in
   fill_chars.(index 0 labels mod Array.length fill_chars)
 
-let render ?title ?(unit_label = "") ?(width = 60) groups =
+let width = 60
+
+let render ?title ?(unit_label = "") groups =
   let labels = collect_labels groups in
   let max_total =
     List.fold_left

@@ -8,6 +8,5 @@ type segment = { label : string; value : float }
 type bar = { name : string; segments : segment list }
 type group = { group_name : string; bars : bar list }
 
-val render :
-  ?title:string -> ?unit_label:string -> ?width:int -> group list -> string
-(** Bars share a common scale (the largest total maps to [width] cells). *)
+val render : ?title:string -> ?unit_label:string -> group list -> string
+(** Bars share a common scale (the largest total maps to 60 cells). *)

@@ -12,15 +12,15 @@ type t = {
   summary : Summary.t;
 }
 
-let default_buckets = 128
+let bucket_count = 128
 
-let create ?(least = 0.1) ?(growth = 1.15) ?(buckets = default_buckets) () =
+let create ?(least = 0.1) ?(growth = 1.15) () =
   if least <= 0. then invalid_arg "Histogram.create: least must be positive";
   if growth <= 1. then invalid_arg "Histogram.create: growth must exceed 1";
   {
     least;
     growth;
-    counts = Array.make buckets 0;
+    counts = Array.make bucket_count 0;
     underflow = 0;
     n = 0;
     summary = Summary.create ();

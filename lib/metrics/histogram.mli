@@ -3,9 +3,10 @@
 
 type t
 
-val create : ?least:float -> ?growth:float -> ?buckets:int -> unit -> t
+val create : ?least:float -> ?growth:float -> unit -> t
 (** [least] is the smallest resolvable value (default 0.1), [growth] the
-    geometric bucket ratio (default 1.15, i.e. ~15% relative error). *)
+    geometric bucket ratio (default 1.15, i.e. ~15% relative error);
+    128 buckets, the last absorbing everything above its bound. *)
 
 val add : t -> float -> unit
 val count : t -> int

@@ -30,7 +30,6 @@ type t = {
   mutable probe_timeout : Sim.Time.t option;
   (* bound each remote probe READ under the fault plane; None (the
      default) keeps the legacy unbounded wait and its exact schedule *)
-  mutable pipeline : Rmem.Pipeline.t option;
   (* when set (and enabled), lookup probe chains issue a window of
      concurrent probe READs instead of one round trip per probe *)
   import_cache : (string, cached_import) Hashtbl.t;
@@ -48,8 +47,8 @@ let cpu t = Cluster.Node.cpu t.node
 
 let charge t cost = Cluster.Cpu.use (cpu t) ~category:"name clerk" cost
 
-let create ?(slots = Bootstrap.default_slots)
-    ?(probe_policy = Probe_until_found) rmem =
+let create rmem =
+  let slots = Bootstrap.default_slots in
   let node = Rmem.Remote_memory.node rmem in
   let space = Cluster.Node.new_address_space node in
   let registry =
@@ -91,9 +90,8 @@ let create ?(slots = Bootstrap.default_slots)
       space;
       registry;
       request_segment;
-      probe_policy;
+      probe_policy = Probe_until_found;
       probe_timeout = None;
-      pipeline = None;
       import_cache = Hashtbl.create 64;
       remote_registries = Hashtbl.create 8;
       remote_requests = Hashtbl.create 8;
@@ -110,7 +108,6 @@ let registry t = t.registry
 let stats t = t.stats
 let set_probe_policy t policy = t.probe_policy <- policy
 let set_probe_timeout t timeout = t.probe_timeout <- timeout
-let set_pipeline t pipeline = t.pipeline <- pipeline
 
 (* ------------------------------------------------------------------ *)
 (* Lazy import of other clerks' well-known segments.                   *)
@@ -196,22 +193,7 @@ let remote_probe t desc ~probe_index ~name =
     (Cluster.Address_space.read t.space ~addr:Bootstrap.probe_buffer_base
        ~len:Record.slot_bytes)
 
-(* Windowed probing: instead of one blocked round trip per probe, issue
-   a window of concurrent probe READs into distinct probe-buffer slots,
-   drain, and scan the results in probe order.  The chain semantics are
-   unchanged — an empty slot still terminates the chain, a foreign
-   record still moves to the next probe — the window only overlaps the
-   wire latency of probes the serial path would have issued one by one
-   (probing a few slots past the end of a short chain is the price of
-   the overlap).
-
-   Under fault pressure the overlap inverts into a liability: a batch
-   issues a window of round trips where a short chain needed one or
-   two, so the chance that at least one frame is lost grows with the
-   window, not the chain.  When a batch drain fails we therefore fall
-   back to serial probing for the rest of the lookup — one round trip
-   of exposure per probe, the same as the unpipelined path. *)
-let by_probing_serial t desc ~name ~start limit =
+let by_probing t desc ~name limit =
   let rec go i =
     if i >= limit then None
     else
@@ -221,58 +203,7 @@ let by_probing_serial t desc ~name ~start limit =
           if String.equal record.Record.name name then Some (Some record)
           else go (i + 1)
   in
-  go start
-
-let by_probing_windowed t pipeline desc ~name limit =
-  let window = (Rmem.Pipeline.config pipeline).Rmem.Pipeline.window in
-  let slot_cap = Bootstrap.probe_buffer_bytes / Record.slot_bytes in
-  let batch_size = Stdlib.max 1 (Stdlib.min window slot_cap) in
-  let buf =
-    Rmem.Remote_memory.buffer ~space:t.space
-      ~base:Bootstrap.probe_buffer_base ~len:Bootstrap.probe_buffer_bytes
-  in
-  let rec batch start =
-    if start >= limit then None
-    else begin
-      let n = Stdlib.min batch_size (limit - start) in
-      match
-        for j = 0 to n - 1 do
-          let index = Registry.slot_index t.registry name (start + j) in
-          Rmem.Pipeline.read_submit ?timeout:t.probe_timeout pipeline desc
-            ~soff:(Registry.slot_offset t.registry index)
-            ~count:Record.slot_bytes ~dst:buf
-            ~doff:(j * Record.slot_bytes)
-            ();
-          Metrics.Account.add t.stats ~category:"remote probes" 1.
-        done;
-        Rmem.Pipeline.drain pipeline
-      with
-      | exception (Rmem.Status.Timeout | Rmem.Status.Remote_error _) ->
-          (* A lost probe invalidates the whole batch (the buffer slot it
-             owned is stale); the drain above left the window empty, so
-             serial probing resumes from this batch's first slot. *)
-          by_probing_serial t desc ~name ~start limit
-      | () ->
-      let rec scan j =
-        if j >= n then batch (start + n)
-        else begin
-          charge t (costs t).Cluster.Costs.hash_lookup;
-          match
-            Record.decode
-              (Cluster.Address_space.read t.space
-                 ~addr:(Bootstrap.probe_buffer_base + (j * Record.slot_bytes))
-                 ~len:Record.slot_bytes)
-          with
-          | None -> Some None (* chain ended: definitely absent *)
-          | Some record ->
-              if String.equal record.Record.name name then Some (Some record)
-              else scan (j + 1)
-        end
-      in
-      scan 0
-    end
-  in
-  batch 0
+  go 0
 
 (* Scratch-slot rendezvous, shared by this clerk's control-transfer
    lookup and any other control-plane exchange (the sharding layer's
@@ -287,7 +218,8 @@ let alloc_scratch_slot t =
     Bootstrap.reply_pending;
   slot
 
-let await_scratch_reply ?(timeout = Sim.Time.ms 50) t ~slot =
+let await_scratch_reply t ~slot =
+  let timeout = Sim.Time.ms 50 in
   let reply_off = slot * Bootstrap.scratch_slot_bytes in
   (* User-level spin wait on the flag word. *)
   let deadline =
@@ -398,11 +330,7 @@ let lookup ?(force = false) ?hint t name =
       | None -> raise (Name_not_found name)
       | Some remote -> (
           let desc = registry_descriptor t ~remote in
-          let by_probing limit =
-            match t.pipeline with
-            | Some p -> by_probing_windowed t p desc ~name limit
-            | None -> by_probing_serial t desc ~name ~start:0 limit
-          in
+          let by_probing limit = by_probing t desc ~name limit in
           let result =
             match t.probe_policy with
             | Probe_until_found -> (
@@ -425,8 +353,11 @@ let lookup ?(force = false) ?hint t name =
 (* Cache refresh.                                                      *)
 
 let refresh_once t =
+  (* Probe in name order: the import cache's bucket order depends on the
+     hash seed, and the probes' order is visible on the wire. *)
   let entries =
     Hashtbl.fold (fun name entry acc -> (name, entry) :: acc) t.import_cache []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   List.iter
     (fun (name, entry) ->
@@ -497,3 +428,4 @@ let start_refresh_daemon t ~period =
 
 let cached_names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.import_cache []
+  |> List.sort String.compare

@@ -16,7 +16,7 @@ type probe_policy =
   | Probe_then_control of int  (** probe [n] times, then transfer control *)
   | Control_immediately
 
-val create : ?slots:int -> ?probe_policy:probe_policy -> Rmem.Remote_memory.t -> t
+val create : Rmem.Remote_memory.t -> t
 (** Create the clerk on a node. Must be the node's first exporter (the
     well-known generation contract); call from within a process. *)
 
@@ -31,14 +31,6 @@ val set_probe_timeout : t -> Sim.Time.t option -> unit
     schedule; under the fault plane a lost probe must surface as
     {!Rmem.Status.Timeout} so lookups (and the recovery layer's
     revalidation) can retry instead of hanging. *)
-
-val set_pipeline : t -> Rmem.Pipeline.t option -> unit
-(** Route lookup probe chains through a pipelined issue engine: up to
-    [window] probe READs go out concurrently into distinct probe-buffer
-    slots and are scanned in probe order, overlapping the round trips
-    the serial path pays one by one. Chain semantics are unchanged; a
-    short chain may cost a few probes past its end (the price of the
-    overlap). [None] keeps the serial path. *)
 
 (** {1 Service procedures (reached via local RPC from the kernel)} *)
 
@@ -74,8 +66,8 @@ val alloc_scratch_slot : t -> int
     pending; the returned index times {!Bootstrap.scratch_slot_bytes} is
     the reply offset a request should advertise. *)
 
-val await_scratch_reply : ?timeout:Sim.Time.t -> t -> slot:int -> Record.t option
-(** Spin (5 us steps, default 50 ms deadline) on the slot's flag word
+val await_scratch_reply : t -> slot:int -> Record.t option
+(** Spin (5 us steps, 50 ms deadline) on the slot's flag word
     until a reply lands: [Some record] on a found reply carrying a
     decodable record, [None] on an absent/refused reply. Raises
     {!Rmem.Status.Timeout} at the deadline. *)

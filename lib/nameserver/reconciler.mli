@@ -55,7 +55,9 @@ val create :
     that exported its destination segment in-line would block that
     host's foreground probes for the whole pinning burst. Splits draw
     from the pool and restock it only after the source-side retire
-    completes. *)
+    completes.
+    Test-only ?policy: a recovery policy is the only way the
+    reconciler runs under loss, which the shard tests check. *)
 
 val serve_registrations : t -> unit
 (** Install the request-segment signal handler: each notified slot

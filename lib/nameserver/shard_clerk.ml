@@ -357,7 +357,7 @@ let load_descriptor t =
   t.load_desc <- !cache;
   desc
 
-let register ?(attempts = 4) t record =
+let register t record =
   Metrics.Account.add t.stats ~category:"register" 1.;
   let req = request_descriptor t in
   let my = Atm.Addr.to_int (Cluster.Node.addr t.node) in
@@ -379,7 +379,7 @@ let register ?(attempts = 4) t record =
         Metrics.Account.add t.stats ~category:"register retries" 1.;
         go (n - 1)
   in
-  go attempts
+  go 8
 
 let report_load t =
   match t.map with

@@ -22,11 +22,11 @@ val lookup : t -> string -> Record.t
     rounds in between). Raises {!Rmem.Status.Timeout} if the fabric
     eats the probes and no recovery policy is set. *)
 
-val register : ?attempts:int -> t -> Record.t -> unit
+val register : t -> Record.t -> unit
 (** Register through the reconciler: remote WRITE with notification
     into the request segment, ack awaited on this clerk's scratch
-    segment; lost exchanges are reissued (idempotent) up to [attempts]
-    (default 4) before {!Rmem.Status.Timeout} escapes. Raises [Failure]
+    segment; a lost exchange is reissued (idempotent), 8 tries in all,
+    before {!Rmem.Status.Timeout} escapes. Raises [Failure]
     if the reconciler refuses (shard full). *)
 
 val report_load : t -> unit

@@ -33,21 +33,15 @@ let chrome_json trace =
     if !first then first := false else Buffer.add_string buf ",\n";
     Buffer.add_string buf s
   in
-  (* Process-name metadata rows, one per distinct pid. *)
-  let pids = Hashtbl.create 8 in
+  (* Process-name metadata rows, one per distinct pid, in pid order. *)
   List.iter
-    (fun (s : Span.t) ->
-      let pid = pid_of s in
-      if not (Hashtbl.mem pids pid) then Hashtbl.replace pids pid ())
-    spans;
-  Hashtbl.iter
-    (fun pid () ->
+    (fun pid ->
       let label = if pid = net_pid then "network" else Printf.sprintf "node%d" pid in
       event
         (Printf.sprintf
            "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
            pid label))
-    pids;
+    (List.sort_uniq Int.compare (List.map pid_of spans));
   List.iter
     (fun (s : Span.t) ->
       let args =

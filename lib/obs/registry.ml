@@ -12,10 +12,12 @@ type t = {
 
 let create () = { counters = Hashtbl.create 32; series = Hashtbl.create 32 }
 
-let incr t ?(by = 1.) name =
+let add t name by =
   match Hashtbl.find_opt t.counters name with
   | Some r -> r := !r +. by
   | None -> Hashtbl.replace t.counters name (ref by)
+
+let incr t name = add t name 1.
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0.
@@ -45,22 +47,24 @@ let series t =
   Hashtbl.fold (fun key h acc -> (key, h) :: acc) t.series []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+(* Merged in key order: a histogram merge combines float moments, so the
+   order of the fold shows in the low bits. *)
 let aggregate t ~op =
-  Hashtbl.fold
-    (fun key h acc ->
+  List.fold_left
+    (fun acc (key, h) ->
       if String.equal key.op op then
         match acc with
         | None -> Some h
         | Some m -> Some (Metrics.Histogram.merge m h)
       else acc)
-    t.series None
+    None (series t)
 
 let ops t =
   Hashtbl.fold (fun key _ acc -> key.op :: acc) t.series []
   |> List.sort_uniq compare
 
 let merge_into t other =
-  List.iter (fun (name, v) -> incr t ~by:v name) (counters other);
+  List.iter (fun (name, v) -> add t name v) (counters other);
   Hashtbl.iter
     (fun key h ->
       match Hashtbl.find_opt t.series key with
@@ -73,7 +77,8 @@ let pct h p = Metrics.Histogram.percentile h p
 
 (* Plain-text report: cluster-wide aggregates per op, the top-N
    (node, segment, op) series by sample count, and every counter. *)
-let report ?(top = 10) t =
+let report t =
+  let top = 10 in
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "== cluster-wide latency by op (us) ==";

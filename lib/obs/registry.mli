@@ -12,7 +12,7 @@ val create : unit -> t
 
 (** {1 Counters} *)
 
-val incr : t -> ?by:float -> string -> unit
+val incr : t -> string -> unit
 val counter : t -> string -> float
 (** 0 if never incremented. *)
 
@@ -38,6 +38,6 @@ val merge_into : t -> t -> unit
     (e.g. one registry per node, aggregated at report time).
     Test-only: the registry unit tests. *)
 
-val report : ?top:int -> t -> string
+val report : t -> string
 (** Plain-text report: per-op cluster aggregates with p50/p95/p99, the
     top-N series by sample count, and all counters. *)

@@ -11,7 +11,7 @@
      rate faults.drops < 500
 
      # gauges: whole-run max / mean / last of a sampled time series
-     max pipeline.0.window <= 8
+     max nic.0.rx_fifo < 1024
      mean link.mesh:0->1.depth < 4
      last rmem.0.inflight <= 0
 

@@ -8,7 +8,7 @@
     p99 recover:read < 400 us         # latency percentile, microseconds
     counter faults.drops <= 0         # final registry counter
     rate faults.drops < 500           # counter slope per second
-    max pipeline.0.window <= 8        # sampled gauge, whole run
+    max nic.0.rx_fifo < 1024          # sampled gauge, whole run
     mean switch.depth < 4 over 5 ms   # ... or a trailing window
     last rmem.0.inflight <= 0
     v}

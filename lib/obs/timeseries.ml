@@ -195,7 +195,9 @@ let glyphs = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
                 "\xe2\x96\x85"; "\xe2\x96\x86"; "\xe2\x96\x87"; "\xe2\x96\x88" |]
 (* ▁▂▃▄▅▆▇█ *)
 
-let sparkline ?(width = 32) t name =
+let width = 32
+
+let sparkline t name =
   match Hashtbl.find_opt t.table name with
   | None -> ""
   | Some s when s.len = 0 -> ""
@@ -224,7 +226,7 @@ let sparkline ?(width = 32) t name =
       done;
       Buffer.contents buf
 
-let report ?(width = 32) t =
+let report t =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "== time series (%d tick(s) @ %s) ==" t.ticks
@@ -237,6 +239,6 @@ let report ?(width = 32) t =
       | Some st ->
           line "%-28s %7d %10.1f %10.1f %10.1f  %s" name st.count st.last
             st.max st.mean
-            (sparkline ~width t name))
+            (sparkline t name))
     (gauges t);
   Buffer.contents buf

@@ -77,9 +77,9 @@ val rate : ?window:Sim.Time.t -> t -> string -> float option
 
 (** {1 Rendering} *)
 
-val sparkline : ?width:int -> t -> string -> string
+val sparkline : t -> string -> string
 (** The ring as a unicode block-glyph trend line (empty for unknown or
     unsampled gauges). Test-only: the sampler tests. *)
 
-val report : ?width:int -> t -> string
+val report : t -> string
 (** Per-gauge count/last/max/mean plus sparkline, one line each. *)

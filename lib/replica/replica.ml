@@ -29,7 +29,6 @@ type t = {
   names : Names.Clerk.t;
   node : Cluster.Node.t;
   space : Cluster.Address_space.t;
-  slots : int;
   peers : (int, Rmem.Descriptor.t) Hashtbl.t; (* peer addr -> its replica *)
   scratch_base : int;
   mutable updates_sent : int;
@@ -37,12 +36,12 @@ type t = {
   mutable recovery : Rmem.Recovery.policy option;
   (* None (default): legacy one-way pushes and unbounded anti-entropy
      reads, bit-identical to the fault-free build *)
-  mutable pipeline : Rmem.Pipeline.t option;
   (* when set, pushes go through the batching engine: body and version
      word of one update merge into a single burst extent per peer *)
 }
 
-let slot_of t key = Names.Record.fnv_hash key land (t.slots - 1)
+let slots = 64
+let slot_of key = Names.Record.fnv_hash key land (slots - 1)
 let slot_addr (_ : t) index = index * slot_bytes
 
 let encode_entry e =
@@ -73,9 +72,7 @@ let decode_entry b =
     else Some { version; writer; key; value = Bytes.sub b 44 len }
   end
 
-let create ?(slots = 64) names =
-  if slots land (slots - 1) <> 0 then
-    invalid_arg "Replica.create: slots must be a power of two";
+let create names =
   let rmem = Names.Clerk.rmem names in
   let node = Rmem.Remote_memory.node rmem in
   let space = Cluster.Node.new_address_space node in
@@ -90,13 +87,11 @@ let create ?(slots = 64) names =
     names;
     node;
     space;
-    slots;
     peers = Hashtbl.create 8;
     scratch_base = slots * slot_bytes * 2;
     updates_sent = 0;
     repairs = 0;
     recovery = None;
-    pipeline = None;
   }
 
 let join t ~peer =
@@ -109,7 +104,6 @@ let join t ~peer =
 let members t = Hashtbl.length t.peers + 1
 
 let set_recovery t policy = t.recovery <- policy
-let set_pipeline t pipeline = t.pipeline <- pipeline
 
 (* The per-peer policy: the base policy plus a revalidator that
    re-imports the peer's replica by name (forced lookup, hinted at the
@@ -136,7 +130,7 @@ let read_local_slot t index =
     (Cluster.Address_space.read t.space ~addr:(slot_addr t index) ~len:slot_bytes)
 
 let install_local t entry =
-  let index = slot_of t entry.key in
+  let index = slot_of entry.key in
   let image = encode_entry entry in
   (* Body first, version word last: remote readers never see a torn
      entry with a plausible version. *)
@@ -148,12 +142,12 @@ let install_local t entry =
     entry.version
 
 let get t key =
-  match read_local_slot t (slot_of t key) with
+  match read_local_slot t (slot_of key) with
   | Some entry when String.equal entry.key key -> Some entry.value
   | Some _ | None -> None
 
 let version_of t key =
-  match read_local_slot t (slot_of t key) with
+  match read_local_slot t (slot_of key) with
   | Some entry when String.equal entry.key key -> entry.version
   | Some _ | None -> 0
 
@@ -168,17 +162,12 @@ let set t key value =
   in
   install_local t entry;
   (* Propagate with one-way remote writes: body then version word. *)
-  let index = slot_of t key in
+  let index = slot_of key in
   let image = encode_entry entry in
   let body = Bytes.sub image 4 (slot_bytes - 4) in
   let version_word = Bytes.create 4 in
   Bytes.set_int32_le version_word 0 (Int32.of_int entry.version);
-  (* Through a pipeline, body and version word stage as adjacent
-     extents and merge, so each peer receives the whole update in one
-     burst frame — deposited as a unit, the version word can never
-     become visible ahead of its body (the discipline the two-write
-     order exists for, made structural).  Under a recovery policy each
-     push is verified and reissued on loss — re-depositing is idempotent
+  (* Under a recovery policy each push is verified and reissued on loss — re-depositing is idempotent
      (same version, same bytes) — and a peer that stays unreachable
      is skipped, not an exception: anti-entropy repairs it after the
      heal.  Every push visits peers in address order, for
@@ -192,21 +181,11 @@ let set t key value =
     (fun (addr, desc) ->
       let policy = peer_policy t ~peer:(Atm.Addr.of_int addr) in
       match
-        match t.pipeline with
-        | Some pipeline ->
-            Rmem.Pipeline.write pipeline desc
-              ~off:(slot_addr t index + 4)
-              body;
-            Rmem.Pipeline.write pipeline desc ~off:(slot_addr t index)
-              version_word;
-            Rmem.Pipeline.flush ?policy pipeline desc
-        | None ->
-            Rmem.Remote_memory.write ?policy t.rmem desc
-              ~off:(slot_addr t index + 4)
-              body;
-            Rmem.Remote_memory.write ?policy t.rmem desc
-              ~off:(slot_addr t index)
-              version_word
+        Rmem.Remote_memory.write ?policy t.rmem desc
+          ~off:(slot_addr t index + 4)
+          body;
+        Rmem.Remote_memory.write ?policy t.rmem desc ~off:(slot_addr t index)
+          version_word
       with
       | () -> t.updates_sent <- t.updates_sent + 1
       | exception (Rmem.Status.Timeout | Rmem.Status.Remote_error _)
@@ -221,14 +200,14 @@ let anti_entropy_with t ~peer =
   match Hashtbl.find_opt t.peers (Atm.Addr.to_int peer) with
   | None -> invalid_arg "Replica.anti_entropy_with: unknown peer"
   | Some desc ->
-      let len = t.slots * slot_bytes in
+      let len = slots * slot_bytes in
       let buf =
         Rmem.Remote_memory.buffer ~space:t.space ~base:t.scratch_base ~len
       in
       Rmem.Remote_memory.read_wait
         ?policy:(peer_policy t ~peer)
         t.rmem desc ~soff:0 ~count:len ~dst:buf ~doff:0 ();
-      for index = 0 to t.slots - 1 do
+      for index = 0 to slots - 1 do
         let image =
           Cluster.Address_space.read t.space
             ~addr:(t.scratch_base + slot_addr t index)

@@ -10,9 +10,9 @@
 
 type t
 
-val create : ?slots:int -> Names.Clerk.t -> t
-(** Export this member's replica (registered with the name service).
-    [slots] must be a power of two (default 64). *)
+val create : Names.Clerk.t -> t
+(** Export this member's replica (registered with the name service):
+    64 slots. *)
 
 val join : t -> peer:Atm.Addr.t -> unit
 (** Import a peer's replica so updates and anti-entropy reach it. *)
@@ -42,13 +42,6 @@ val set_recovery : t -> Rmem.Recovery.policy option -> unit
     through every retry is a counted failure instead of an exception.
     The default [None] keeps the legacy one-way behavior, bit-identical
     to the fault-free build. *)
-
-val set_pipeline : t -> Rmem.Pipeline.t option -> unit
-(** Route pushes through a pipelined issue engine: an update's body and
-    version word stage as adjacent extents, merge, and reach each peer
-    as one burst frame, deposited as a unit — the body-before-version
-    torn-read discipline made structural. Composes with {!set_recovery}
-    (the flush then verifies and retries under the per-peer policy). *)
 
 (** {1 Repair} *)
 

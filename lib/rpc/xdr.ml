@@ -26,11 +26,11 @@ let int ?(cls = `Control) t v =
   Atm.Codec.put_u32 t.w (v land 0xFFFFFFFF);
   account t cls 4
 
-let hyper ?(cls = `Control) t v =
+let hyper t v =
   Atm.Codec.put_u64 t.w v;
-  account t cls 8
+  account t `Control 8
 
-let bool ?(cls = `Control) t v = int ~cls t (if v then 1 else 0)
+let bool t v = int t (if v then 1 else 0)
 
 let padding_of n = (4 - (n land 3)) land 3
 

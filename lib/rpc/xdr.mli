@@ -14,10 +14,10 @@ val create : unit -> t
 val int : ?cls:cls -> t -> int -> unit
 (** 4-byte unsigned. *)
 
-val hyper : ?cls:cls -> t -> int -> unit
+val hyper : t -> int -> unit
 (** 8-byte. Test-only: the XDR round-trip property. *)
 
-val bool : ?cls:cls -> t -> bool -> unit
+val bool : t -> bool -> unit
 
 val opaque : ?cls:cls -> t -> bytes -> unit
 (** Variable-length opaque (length word + body + padding). Body bytes

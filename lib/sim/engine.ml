@@ -19,7 +19,6 @@
 type blocked = {
   process : string;
   resource : string;
-  daemon : bool;
   since : Time.t;
 }
 
@@ -139,16 +138,15 @@ let unblock w =
   w.prev <- w;
   w.next <- w
 
-let blocked ?(daemons = false) t =
+let blocked t =
   let rec collect w acc =
     if w == t.registry then List.rev acc
     else
       let acc =
-        if daemons || not w.is_daemon then
+        if not w.is_daemon then
           {
             process = label_to_string w.who;
             resource = label_to_string w.what;
-            daemon = w.is_daemon;
             since = w.blocked_at;
           }
           :: acc

@@ -7,9 +7,6 @@
 type blocked = {
   process : string;  (** the blocked process, as named at [Proc.spawn] *)
   resource : string;  (** what it waits on, e.g. [ivar "done"] *)
-  daemon : bool;
-      (** daemon waiters (a NIC receive loop, an RPC server queue) idle
-          between requests by design and never indicate deadlock *)
   since : Time.t;  (** when it blocked *)
 }
 
@@ -52,7 +49,8 @@ val run : ?until:Time.t -> t -> unit
     beyond [until]. When a limit is given and the queue drains early, the
     clock still advances to the limit. With no limit, a drain that
     leaves non-daemon blocked waiters raises {!Deadlock} (disable with
-    {!set_deadlock_detection}). *)
+    {!set_deadlock_detection}).
+    Test-only ?until: the engine tests stop a run at a given instant. *)
 
 val stop : t -> unit
 (** Make [run] return after the current event completes.
@@ -116,9 +114,10 @@ val block : t -> waiter -> resource:label -> daemon:bool -> unit
 val unblock : waiter -> unit
 (** Take the waiter out of the registry; a no-op if it is not blocked. *)
 
-val blocked : ?daemons:bool -> t -> blocked list
-(** Currently blocked waiters in registration order; [daemons] includes
-    daemon waiters too (default false). *)
+val blocked : t -> blocked list
+(** Currently blocked non-daemon waiters in registration order.  Daemon
+    waiters (a NIC receive loop, an RPC server queue) idle between
+    requests by design and never indicate deadlock. *)
 
 val set_deadlock_detection : t -> bool -> unit
 (** Default on. *)

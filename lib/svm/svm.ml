@@ -87,8 +87,10 @@ let fetch_from_owner t page =
   end
 
 let invalidate_copies t page ~except =
+  (* Invalidate in address order, not the copyset's bucket order. *)
   let members =
     Hashtbl.fold (fun addr () acc -> addr :: acc) t.copysets.(page) []
+    |> List.sort Int.compare
   in
   List.iter
     (fun addr_int ->

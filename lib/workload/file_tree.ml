@@ -22,8 +22,12 @@ let pick_size prng =
   else if u < 0.85 then 8192 + Sim.Prng.int prng 8192
   else 16384 + Sim.Prng.int prng 49152
 
-let build ?(dirs = 24) ?(files_per_dir = 16) ?(symlinks_per_dir = 2)
-    ?(zipf_exponent = 1.05) prng =
+let dirs = 24
+let files_per_dir = 16
+let symlinks_per_dir = 2
+let zipf_exponent = 1.05
+
+let build prng =
   let store = Dfs.File_store.create () in
   let root = Dfs.File_store.root store in
   let files = ref [] and dir_list = ref [] and links = ref [] in

@@ -4,13 +4,8 @@
 
 type t
 
-val build :
-  ?dirs:int ->
-  ?files_per_dir:int ->
-  ?symlinks_per_dir:int ->
-  ?zipf_exponent:float ->
-  Sim.Prng.t ->
-  t
+val build : Sim.Prng.t -> t
+(** 24 directories of 16 files and 2 symbolic links each. *)
 
 val store : t -> Dfs.File_store.t
 val file_count : t -> int

@@ -14,6 +14,13 @@
    no "Test-only: <reason>" marker; and when a marked export is
    referenced outside test/ (a stale marker).
 
+   The same three rules hold for every optional argument an export's
+   type declares: [?label] must be passed by an application in another
+   unit, one passed only from test/ needs a "Test-only ?label: <reason>"
+   marker in the value's doc comment, and a marked label passed outside
+   test/ is stale.  An omitted optional argument appears in the typed
+   tree as a ghost-located [None]; it does not count as passing.
+
    Usage: deadcode.exe ROOT, where ROOT holds the built lib/, bin/,
    bench/, examples/ and test/ trees. *)
 
@@ -21,7 +28,12 @@ module Uid = Shape.Uid
 
 let marker = "Test-only:"
 
-type export = { name : string; loc : Location.t; marked : bool }
+type export = {
+  name : string;
+  loc : Location.t;
+  marked : bool;
+  labels : (string * bool) list;  (** each [?label], and whether marked *)
+}
 
 (* Where a referencing unit lives. *)
 type place = Test | Other
@@ -60,19 +72,33 @@ let read path =
       (Printexc.to_string e);
     exit 2
 
-(* Whether a doc comment among [attrs] carries the marker. *)
-let marked attrs =
-  List.exists
+(* The doc comments among [attrs], joined. *)
+let doc attrs =
+  List.filter_map
     (fun (a : Parsetree.attribute) ->
-      a.attr_name.txt = "ocaml.doc"
-      &&
       match a.attr_payload with
-      | PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] -> (
-          match e.pexp_desc with
-          | Pexp_constant (Pconst_string (s, _, _)) -> contains s marker
-          | _ -> false)
-      | _ -> false)
+      | PStr
+          [
+            {
+              pstr_desc =
+                Pstr_eval
+                  ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
+              _;
+            };
+          ]
+        when a.attr_name.txt = "ocaml.doc" ->
+          Some s
+      | _ -> None)
     attrs
+  |> String.concat "\n"
+
+(* The optional labels of a value's type, outermost first. *)
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Tarrow (Optional l, _, ret, _) -> l :: optional_labels ret
+  | Tarrow (_, _, ret, _) -> optional_labels ret
+  | Tpoly (ty, _) -> optional_labels ty
+  | _ -> []
 
 (* The values an interface exports, nested signatures included, keyed
    by the uid every reference to them carries. *)
@@ -82,11 +108,16 @@ let exports tbl modname (sg : Typedtree.signature) =
       (fun (item : Typedtree.signature_item) ->
         match item.sig_desc with
         | Tsig_value vd ->
+            let doc = doc vd.val_attributes in
             Uid.Tbl.replace tbl vd.val_val.val_uid
               {
                 name = prefix ^ "." ^ vd.val_name.txt;
                 loc = vd.val_loc;
-                marked = marked vd.val_attributes;
+                marked = contains doc marker;
+                labels =
+                  List.map
+                    (fun l -> (l, contains doc ("Test-only ?" ^ l ^ ":")))
+                    (optional_labels vd.val_val.val_type);
               }
         | Tsig_module
             {
@@ -100,16 +131,44 @@ let exports tbl modname (sg : Typedtree.signature) =
   in
   items (Str.global_replace (Str.regexp_string "__") "." modname) sg
 
-(* Every value uid unit [self]'s structure takes from another unit.
-   Uids are numbered per unit, so a unit's own [let]s can share a uid
-   with its interface's [val]s; those are skipped. *)
+(* An optional argument the application left out: the typer fills it
+   with a ghost-located [None]. *)
+let omitted (e : Typedtree.expression) =
+  e.exp_loc.loc_ghost
+  &&
+  match e.exp_desc with
+  | Texp_construct (_, { cstr_name = "None"; _ }, []) -> true
+  | _ -> false
+
+(* Every value uid unit [self]'s structure takes from another unit,
+   each with [None], and each application of one with [Some l] for
+   every optional label [l] it passes.  Uids are numbered per unit, so
+   a unit's own [let]s can share a uid with its interface's [val]s;
+   those are skipped. *)
 let references self (str : Typedtree.structure) =
   let seen = ref [] in
-  let expr sub (e : Typedtree.expression) =
-    (match e.exp_desc with
+  let foreign (e : Typedtree.expression) =
+    match e.exp_desc with
     | Texp_ident (_, _, { val_uid = Item { comp_unit; _ } as uid; _ })
       when comp_unit <> self ->
-        seen := uid :: !seen
+        Some uid
+    | _ -> None
+  in
+  let expr sub (e : Typedtree.expression) =
+    (match foreign e with
+    | Some uid -> seen := (uid, None) :: !seen
+    | None -> ());
+    (match e.exp_desc with
+    | Texp_apply (f, args) -> (
+        match foreign f with
+        | Some uid ->
+            List.iter
+              (function
+                | Asttypes.Optional l, Some a when not (omitted a) ->
+                    seen := (uid, Some l) :: !seen
+                | _ -> ())
+              args
+        | None -> ())
     | _ -> ());
     Tast_iterator.default_iterator.expr sub e
   in
@@ -150,8 +209,8 @@ let () =
       | Interface sg -> exports tbl cmt.cmt_modname sg
       | _ -> ())
     (annots (Filename.concat root "lib") ".cmti");
-  let refs = Uid.Tbl.create 4096 in
-  let places uid = Option.value ~default:[] (Uid.Tbl.find_opt refs uid) in
+  let refs = Hashtbl.create 4096 in
+  let places key = Option.value ~default:[] (Hashtbl.find_opt refs key) in
   List.iter
     (fun (dir, place) ->
       let cmts = annots (Filename.concat root dir) ".cmt" in
@@ -162,10 +221,10 @@ let () =
           match cmt.cmt_annots with
           | Implementation str ->
               List.iter
-                (fun uid ->
-                  let ps = places uid in
+                (fun key ->
+                  let ps = places key in
                   if not (List.mem place ps) then
-                    Uid.Tbl.replace refs uid (place :: ps))
+                    Hashtbl.replace refs key (place :: ps))
                 (references cmt.cmt_modname str)
           | _ -> ())
         cmts)
@@ -177,31 +236,54 @@ let () =
       ("test", Test);
     ];
   let all =
-    Uid.Tbl.fold (fun uid e acc -> (places uid, e) :: acc) tbl []
+    Uid.Tbl.fold (fun uid e acc -> (uid, e) :: acc) tbl []
     |> List.sort (fun (_, a) (_, b) -> compare a.name b.name)
   in
-  let count keep = List.length (List.filter keep all) in
-  let report what keep =
+  let values = List.map (fun (uid, e) -> (places (uid, None), e)) all in
+  (* Each optional label as a pseudo-export named [Value ?label]. *)
+  let labels =
+    List.concat_map
+      (fun (uid, e) ->
+        List.map
+          (fun (l, marked) ->
+            ( places (uid, Some l),
+              { e with name = e.name ^ " ?" ^ l; marked; labels = [] } ))
+          e.labels)
+      all
+  in
+  let count keep xs = List.length (List.filter keep xs) in
+  let report xs what keep =
     List.iter
       (fun (_, e) ->
         Printf.printf "%s:%d: %s %s\n" e.loc.Location.loc_start.pos_fname
           e.loc.loc_start.pos_lnum e.name what)
-      (List.filter keep all);
-    count keep
+      (List.filter keep xs);
+    count keep xs
   in
   let unreferenced (ps, _) = ps = [] in
   let test_only (ps, _) = ps = [ Test ] in
+  let unmarked x = test_only x && not (snd x).marked in
+  let marked x = test_only x && (snd x).marked in
+  let stale (ps, e) = e.marked && List.mem Other ps in
   let failures =
-    report "is referenced by no other compilation unit" unreferenced
-    + report
+    report values "is referenced by no other compilation unit" unreferenced
+    + report values
         ("is referenced only from test/ and has no " ^ marker ^ " marker")
-        (fun (ps, e) -> test_only (ps, e) && not e.marked)
-    + report
-        ("carries " ^ marker ^ " but is referenced outside test/")
-        (fun (ps, e) -> e.marked && List.mem Other ps)
+        unmarked
+    + report values ("carries " ^ marker ^ " but is referenced outside test/") stale
+    + report labels "is passed by no other compilation unit" unreferenced
+    + report labels
+        "is passed only from test/ and has no \"Test-only ?label:\" marker"
+        unmarked
+    + report labels "carries a Test-only marker but is passed outside test/"
+        stale
   in
   Printf.printf
     "deadcode: %d exports, %d unreferenced, %d test-only (%d marked)\n"
-    (List.length all) (count unreferenced) (count test_only)
-    (count (fun (ps, e) -> test_only (ps, e) && e.marked));
+    (List.length values) (count unreferenced values) (count test_only values)
+    (count marked values);
+  Printf.printf
+    "deadcode: %d optional labels, %d never passed, %d test-only (%d marked)\n"
+    (List.length labels) (count unreferenced labels) (count test_only labels)
+    (count marked labels);
   if failures > 0 then exit 1

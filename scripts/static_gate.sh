@@ -214,4 +214,60 @@ for f in $(find lib/sim lib/atm lib/cluster lib/core lib/amsg lib/dds -name '*.m
   fi
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float or ~after on the data path, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 15. No hidden order: in the libraries the simulation runs through,
+# no Hashtbl (or Sim.Int_table, a Hashtbl.Make) is iterated, folded or
+# turned into a sequence except at a site on the allow-list below.  A
+# table's bucket order depends on the hash seed (OCAMLRUNPARAM=R) and
+# on its size, so an iteration whose order reaches the wire, a digest
+# or an output moves them with no code-level cause.  Each entry names a
+# file and the iterating line (trimmed) and says why order cannot
+# matter: a sum, a for-all, a per-key update, or a result sorted
+# afterwards.  One entry allows one line, and an entry whose line is
+# gone fails too.
+order_allowed=$(mktemp)
+order_hits=$(mktemp)
+trap 'rm -f "$order_allowed" "$order_hits"' EXIT
+sed -e '/^#/d' -e 's/ @@ [^@]*$//' >"$order_allowed.raw" <<'ALLOWED'
+# file @@ iterating line @@ why order cannot matter
+lib/atm/switch.ml @@ Hashtbl.fold (fun _ down acc -> acc + Link.queue_depth down) t.downlinks 0 @@ a sum
+lib/atm/switch.ml @@ Hashtbl.fold (fun i l acc -> (i, l) :: acc) table [] |> List.sort by_port @@ sorted by port
+lib/core/pipeline.ml @@ let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.windows [] in @@ sorted before draining
+lib/core/remote_memory.ml @@ Sim.Int_table.fold @@ notification_backlog: a sum
+lib/core/remote_memory.ml @@ Sim.Int_table.fold (fun _ segment acc -> segment :: acc) t.exported [] @@ exports: sorted by segment id
+lib/core/remote_memory.ml @@ let pend = Sim.Int_table.fold (fun reqid p acc -> (reqid, p) :: acc) t.pending [] in @@ crash: sorted by request id
+lib/core/remote_memory.ml @@ let segs = Sim.Int_table.fold (fun _ segment acc -> segment :: acc) t.exported [] in @@ restart_exports: sorted by segment id
+lib/dfs/coherence.ml @@ Hashtbl.fold @@ holds_match: a for-all
+lib/dfs/file_store.ml @@ Hashtbl.fold (fun _ n acc -> acc + Hashtbl.length n.blocks) t.nodes 0 @@ a sum
+lib/dfs/file_store.ml @@ Hashtbl.iter @@ truncate: removes each block past the end, a per-key update
+lib/dfs/server.ml @@ Hashtbl.fold (fun addr desc acc -> (addr, desc) :: acc) t.push_targets [] @@ sorted by address
+lib/nameserver/clerk.ml @@ Hashtbl.fold (fun name _ acc -> name :: acc) t.import_cache [] @@ cached_names: sorted by name
+lib/nameserver/clerk.ml @@ Hashtbl.fold (fun name entry acc -> (name, entry) :: acc) t.import_cache [] @@ refresh_once: sorted by name
+lib/obs/registry.ml @@ Hashtbl.fold (fun key _ acc -> key.op :: acc) t.series [] @@ sorted
+lib/obs/registry.ml @@ Hashtbl.fold (fun key h acc -> (key, h) :: acc) t.series [] @@ sorted by key
+lib/obs/registry.ml @@ Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters [] @@ sorted
+lib/obs/registry.ml @@ Hashtbl.iter @@ merge_into: each key merged once, a per-key update
+lib/obs/trace.ml @@ Hashtbl.fold (fun name v acc -> (name, v) :: acc) totals [] @@ sorted
+lib/replica/replica.ml @@ (Hashtbl.fold (fun addr _ acc -> addr :: acc) t.peers []) @@ sorted by address
+lib/replica/replica.ml @@ (Hashtbl.fold (fun addr desc acc -> (addr, desc) :: acc) t.peers []) @@ sorted by address
+lib/svm/svm.ml @@ Hashtbl.fold (fun addr () acc -> addr :: acc) t.copysets.(page) [] @@ sorted by address
+ALLOWED
+sort "$order_allowed.raw" >"$order_allowed"
+rm -f "$order_allowed.raw"
+grep -rnE --include='*.ml' \
+  '(Hashtbl|Int_table)\.(iter|fold|to_seq[a-z_]*)([^A-Za-z0-9_]|$)' \
+  lib/sim lib/atm lib/cluster lib/core lib/dfs lib/nameserver lib/replica \
+  lib/svm lib/dds lib/amsg lib/rpc lib/obs |
+  sed -E 's/^([^:]*):[0-9]+:[[:space:]]*/\1 @@ /; s/[[:space:]]+$//' |
+  sort >"$order_hits"
+unlisted=$(comm -23 "$order_hits" "$order_allowed")
+if [ -n "$unlisted" ]; then
+  echo "$unlisted" >&2
+  fail "a hash table is iterated in bucket order — sort the result, or add the site to check 15's allow-list with why order cannot matter"
+fi
+stale=$(comm -13 "$order_hits" "$order_allowed")
+if [ -n "$stale" ]; then
+  echo "$stale" >&2
+  fail "check 15's allow-list names a site that no longer exists — delete the entry"
+fi
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float or ~after on the data path, no unlisted hash-table iteration, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

@@ -316,8 +316,9 @@ let late_reply_after_timeout_ignored () =
       let _segment, desc = Rig.shared_segment d in
       Cluster.Node.set_down d.Rig.node1 true;
       (match
-         Rmem.Remote_memory.cas_wait ~timeout:(Sim.Time.us 500) d.Rig.rmem0
-           desc ~doff:0 ~old_value:0l ~new_value:1l ()
+         Rmem.Remote_memory.cas_wait
+           ~policy:(Rmem.Recovery.policy ~attempts:1 ~timeout:(Sim.Time.us 500) ())
+           d.Rig.rmem0 desc ~doff:0 ~old_value:0l ~new_value:1l ()
        with
       | _ -> Alcotest.fail "cas against a dead server must time out"
       | exception Rmem.Status.Timeout -> ());

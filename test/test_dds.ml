@@ -145,8 +145,7 @@ let call_at_most_once_under_loss () =
         let b = Bytes.create 4 in
         Bytes.set_int32_le b 0 (Int32.of_int i);
         let reply =
-          Dds.Call.call ep ~timeout:(Sim.Time.us 300) ~attempts:40 ~dst
-            ~id:0x51 b
+          Dds.Call.call ep ~dst ~id:0x51 b
         in
         check_i32 "echoed" (Int32.of_int i) (Bytes.get_int32_le reply 0)
       done;
@@ -266,8 +265,9 @@ let htab_tombstone_chain () =
             (Dds.Hashtable.lookup t b = Some 21l)
       | _ -> assert false)
 
-(* One scripted op sequence applied through a fresh instance per kind;
-   final state must agree with the reference model key by key. *)
+(* One scripted op sequence applied through a fresh instance per kind
+   (each on its own home node); final state must agree with the
+   reference model key by key. *)
 let htab_differential ?plan ?plan_seed ?policy:pol name () =
   let r = rig ~seed:3 4 in
   let plane =
@@ -292,9 +292,10 @@ let htab_differential ?plan ?plan_seed ?policy:pol name () =
   run r (fun () ->
       List.iteri
         (fun i kind ->
+          let home = [| 0; 2; 3 |].(i) in
           let s =
-            Dds.Hashtable.server ~rmem:r.rmems.(0) ~amsg:r.amsgs.(0)
-              ~id:(0x60 + i) ~slots:64 ()
+            Dds.Hashtable.server ~rmem:r.rmems.(home) ~amsg:r.amsgs.(home)
+              ~slots:64 ()
           in
           let t =
             Dds.Hashtable.client ~rmem:r.rmems.(1) ~amsg:r.amsgs.(1) ~kind
@@ -455,18 +456,19 @@ let queue_mpmc () =
     [ 1; 2; 3 ]
 
 let queue_differential_under_jitter () =
-  let r = rig ~seed:3 3 in
+  let r = rig ~seed:3 4 in
   let plan =
     Faults.Plan.make
-      ~link:(Faults.Plan.link_faults ~jitter:0.4 ~jitter_max:(Sim.Time.us 80) ())
+      ~link:(Faults.Plan.link_faults ~jitter:0.4 ())
       ()
   in
   let plane = Faults.Plane.create ~plan ~seed:17 r.testbed in
   run r (fun () ->
       List.iteri
         (fun i kind ->
+          let home = [| 0; 2; 3 |].(i) in
           let s =
-            Dds.Queue.server ~rmem:r.rmems.(0) ~amsg:r.amsgs.(0) ~id:(0x70 + i)
+            Dds.Queue.server ~rmem:r.rmems.(home) ~amsg:r.amsgs.(home)
               ~capacity:64 ()
           in
           let t =
@@ -700,18 +702,18 @@ let reg_dx_under_loss () =
   Faults.Plane.uninstall plane
 
 let reg_differential () =
-  let r = rig ~seed:3 9 in
+  let r = rig ~seed:3 10 in
   run r (fun () ->
       let results =
         List.map
-          (fun (kind, base, id) ->
+          (fun (kind, base) ->
             let reps =
               Array.init 3 (fun k ->
                   Dds.Register.replica ~rmem:r.rmems.(base + k)
-                    ~amsg:r.amsgs.(base + k) ~id ())
+                    ~amsg:r.amsgs.(base + k) ())
             in
             let t =
-              Dds.Register.client ~rmem:r.rmems.(8) ~amsg:r.amsgs.(8) ~kind
+              Dds.Register.client ~rmem:r.rmems.(9) ~amsg:r.amsgs.(9) ~kind
                 ~rank:1 reps
             in
             List.map
@@ -720,9 +722,7 @@ let reg_differential () =
                 Dds.Register.read t)
               [ 5l; 9l; 13l ])
           [
-            (Dds.Kind.Dx, 0, 0x80);
-            (Dds.Kind.Rpc, 3, 0x81);
-            (Dds.Kind.Hybrid, 0, 0x82);
+            (Dds.Kind.Dx, 0); (Dds.Kind.Rpc, 3); (Dds.Kind.Hybrid, 6);
           ]
       in
       match results with
@@ -906,8 +906,7 @@ let suite =
          ~plan:
            (Faults.Plan.make
               ~link:
-                (Faults.Plan.link_faults ~jitter:0.4
-                   ~jitter_max:(Sim.Time.us 60) ())
+                (Faults.Plan.link_faults ~jitter:0.4 ())
               ()));
     Alcotest.test_case "hashtable: differential under loss" `Quick
       (htab_differential "loss"

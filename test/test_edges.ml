@@ -111,7 +111,7 @@ let link_busy_accounting () =
 
 let bar_chart_zero_values () =
   let out =
-    Metrics.Bar_chart.render ~width:20
+    Metrics.Bar_chart.render
       [
         {
           Metrics.Bar_chart.group_name = "empty";

@@ -33,7 +33,7 @@ let table3_within_band () =
     rows
 
 let table1a_mix_matches () =
-  let result = Experiments.Table1a.run ~scale:1000 () in
+  let result = Experiments.Table1a.run () in
   List.iter
     (fun (row : Experiments.Table1a.row) ->
       if

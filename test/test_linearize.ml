@@ -27,7 +27,7 @@ let known v = H.Known (Int32.of_int v)
 let is_violation = function L.Cell_violation _ -> true | _ -> false
 let is_ok = function L.Cell_ok _ -> true | _ -> false
 
-let check_cell ?mode evs = L.check_cell ?mode ~init:(known 0) evs
+let check_cell ?(mode = L.Linearizable) evs = L.check_cell ~mode ~init:(known 0) evs
 
 (* ---------------- the sequential specification ---------------- *)
 
@@ -109,7 +109,7 @@ let double_apply_shape () =
 
 let witness_is_one_minimal () =
   let evs = double_apply_events () in
-  let w = L.minimize ~init:(known 0) evs in
+  let w = L.minimize ~mode:L.Linearizable ~init:(known 0) evs in
   check_bool "witness still violates" true (is_violation (check_cell w));
   check_bool "witness nonempty" true (w <> []);
   List.iter
@@ -123,7 +123,7 @@ let witness_is_one_minimal () =
 
 let budget_is_not_a_verdict () =
   let evs = double_apply_events () in
-  match L.check_cell ~budget:1 ~init:(known 0) evs with
+  match L.check_cell ~mode:L.Linearizable ~budget:1 ~init:(known 0) evs with
   | L.Cell_budget _ -> ()
   | L.Cell_ok _ -> Alcotest.fail "budget 1 cannot finish the search"
   | L.Cell_violation _ ->
@@ -180,7 +180,7 @@ let qcheck_minimize_is_one_minimal =
       match check_cell evs with
       | L.Cell_ok _ | L.Cell_budget _ -> true
       | L.Cell_violation _ ->
-          let w = L.minimize ~init:(known 0) evs in
+          let w = L.minimize ~mode:L.Linearizable ~init:(known 0) evs in
           w <> []
           && is_violation (check_cell w)
           && List.for_all
@@ -239,7 +239,7 @@ let qcheck_corrupted_run_small_witness =
       in
       is_violation (check_cell corrupted)
       &&
-      let w = L.minimize ~init:(known 0) corrupted in
+      let w = L.minimize ~mode:L.Linearizable ~init:(known 0) corrupted in
       List.length w <= 6
       && is_violation (check_cell w)
       && List.for_all

@@ -43,7 +43,7 @@ let summary_merge =
       && close (Metrics.Summary.max merged) (Metrics.Summary.max whole))
 
 let histogram_percentiles () =
-  let h = Metrics.Histogram.create ~least:1.0 ~growth:1.05 ~buckets:256 () in
+  let h = Metrics.Histogram.create ~least:1.0 ~growth:1.1 () in
   for i = 1 to 1000 do
     Metrics.Histogram.add h (float_of_int i)
   done;
@@ -118,7 +118,7 @@ let bar_chart_renders () =
       };
     ]
   in
-  let out = Metrics.Bar_chart.render ~width:30 groups in
+  let out = Metrics.Bar_chart.render groups in
   Alcotest.(check bool) "mentions legend" true (contains out "legend");
   Alcotest.(check bool) "mentions both bars" true
     (contains out "HY" && contains out "DX")
@@ -130,7 +130,7 @@ let percentile_within_range =
         (list_of_size Gen.(1 -- 200) (float_range 0.5 10000.))
         (float_range 0. 100.))
     (fun (values, p) ->
-      let h = Metrics.Histogram.create ~least:0.1 ~buckets:256 () in
+      let h = Metrics.Histogram.create ~least:0.1 () in
       List.iter (Metrics.Histogram.add h) values;
       let v = Metrics.Histogram.percentile h p in
       let s = Metrics.Histogram.summary h in

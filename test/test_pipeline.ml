@@ -143,47 +143,6 @@ let differential_under_jitter () =
     ~plan:(Some (Faults.Plan.make ~link:(Faults.Plan.link_faults ~jitter:0.5 ()) ()))
     ()
 
-(* ---------------- Campaign differentials --------------------------- *)
-
-let outcome_ok (o : Faults.Campaign.outcome) = o.survived && o.converged
-
-(* Every campaign workload, fault-free: the pipelined build must pass
-   the same convergence checks as the legacy one. *)
-let campaigns_fault_free () =
-  List.iter
-    (fun (workload, (c : Catalog.campaign)) ->
-      let a = Faults.Campaign.run ~pipelined:false ~seed:7 c.run in
-      let b = Faults.Campaign.run ~pipelined:true ~seed:7 c.run in
-      check_bool (workload ^ " unbatched converges") true (outcome_ok a);
-      check_bool (workload ^ " pipelined converges") true (outcome_ok b))
-    Catalog.campaigns
-
-(* Under chaos: both modes converge, and the pipelined mode keeps the
-   determinism/replay contract (same plan+seed => same digest). *)
-let campaigns_under_chaos () =
-  let plan = Faults.Campaign.chaos_plan 0.10 in
-  List.iter
-    (fun (workload, run) ->
-      let a = Faults.Campaign.run ~plan ~pipelined:false ~seed:42 run in
-      let b = Faults.Campaign.run ~plan ~pipelined:true ~seed:42 run in
-      let b' = Faults.Campaign.run ~plan ~pipelined:true ~seed:42 run in
-      check_bool (workload ^ " unbatched converges under chaos") true
-        (outcome_ok a);
-      check_bool (workload ^ " pipelined converges under chaos") true
-        (outcome_ok b);
-      check_bool (workload ^ " pipelined replays the digest") true
-        (b.digest = b'.digest && b.events = b'.events))
-    [
-      ("quickstart", Faults.Campaign.quickstart);
-      ("producer_consumer", Faults.Campaign.producer_consumer);
-      ("replica", Faults.Campaign.replica);
-    ];
-  let o =
-    Faults.Campaign.run ~pipelined:true ~seed:42 Faults.Campaign.crash_restart
-  in
-  check_bool "crash_restart pipelined heals the generation bump" true
-    (outcome_ok o)
-
 (* ---------------- Ordering and the window -------------------------- *)
 
 (* Staged writes are invisible until their flush; an overlapping read
@@ -397,8 +356,7 @@ let policied_cas_not_flagged () =
 (* Failed CAS issues sharing one pipeline window cycle are ONE logical
    attempt (the client issued them before seeing any reply), not a
    retry chain: a full window of failures must not trip the
-   unbounded-retry lint, and each window cycle counts once toward the
-   unpolicied-issue tally. *)
+   unbounded-retry lint. *)
 let windowed_cas_failures_are_one_attempt () =
   let d = Rig.duo () in
   let monitor = Analysis.Monitor.create d.Rig.engine in
@@ -434,43 +392,7 @@ let windowed_cas_failures_are_one_attempt () =
     (fun (_, worst) ->
       check_bool "worst chain counts batches, not issues" true
         (worst <= cycles))
-    (Analysis.Monitor.worst_cas_retries monitor);
-  let cas_issues =
-    List.filter_map
-      (fun ((_, _, op), n) ->
-        if op = Rmem.Rights.Cas_op then Some n else None)
-      (Analysis.Monitor.unpolicied_issues monitor)
-  in
-  check_int "one unpolicied tally per window cycle" cycles
-    (List.fold_left ( + ) 0 cas_issues)
-
-(* Burst writes issued inside a recovery policy count as policied for
-   the fault-capable lint too. *)
-let policied_flush_no_retry_finding () =
-  let d = Rig.duo () in
-  let monitor = Analysis.Monitor.create d.Rig.engine in
-  Analysis.Monitor.attach_rmem monitor d.Rig.rmem0;
-  Analysis.Monitor.attach_rmem monitor d.Rig.rmem1;
-  Rig.run d (fun () ->
-      let _, desc = Rig.shared_segment d in
-      let p =
-        Rmem.Pipeline.create ~config:(Rmem.Pipeline.pipelined_config ()) d.Rig.rmem0
-      in
-      let policy =
-        Rmem.Recovery.policy ~attempts:3 ~timeout:(ms 2)
-          ~backoff:(Sim.Time.us 100) ()
-      in
-      Rmem.Pipeline.write p desc ~off:0 (Bytes.make 256 'p');
-      Rmem.Pipeline.write p desc ~off:256 (Bytes.make 256 'q');
-      Rmem.Pipeline.flush ~policy p desc;
-      Rmem.Pipeline.fence ~policy p desc);
-  let findings =
-    List.filter
-      (fun f -> String.equal f.Analysis.Lint.rule "no-retry-policy")
-      (Analysis.Lint.check ~fault_capable:true monitor)
-  in
-  check_int "policied flush leaves no no-retry-policy finding" 0
-    (List.length findings)
+    (Analysis.Monitor.worst_cas_retries monitor)
 
 (* ---------------- BENCH artifact sanity ---------------------------- *)
 
@@ -493,10 +415,6 @@ let suite =
       `Quick differential_fault_free;
     Alcotest.test_case "differential: batched == unbatched (under jitter)"
       `Quick differential_under_jitter;
-    Alcotest.test_case "differential: campaigns fault-free" `Quick
-      campaigns_fault_free;
-    Alcotest.test_case "differential: campaigns under chaos" `Quick
-      campaigns_under_chaos;
     Alcotest.test_case "visibility, program order, fence" `Quick
       visibility_and_fence;
     Alcotest.test_case "window stalls and extent merging" `Quick
@@ -508,7 +426,5 @@ let suite =
       `Quick policied_cas_not_flagged;
     Alcotest.test_case "windowed CAS failures count as one attempt" `Quick
       windowed_cas_failures_are_one_attempt;
-    Alcotest.test_case "policied flush satisfies fault-capable lint" `Quick
-      policied_flush_no_retry_finding;
     Alcotest.test_case "bench JSON artifact parses" `Quick bench_json_parses;
   ]

@@ -413,7 +413,7 @@ let test_loss_convergence () =
       Names.Shard_clerk.set_recovery sc4 (Some policy);
       Names.Shard_clerk.set_recovery sc5 (Some policy);
       for i = 0 to 23 do
-        Names.Shard_clerk.register ~attempts:8
+        Names.Shard_clerk.register
           (if i mod 2 = 0 then sc4 else sc5)
           (svc_record i)
       done;

@@ -492,7 +492,7 @@ let deadlock_order_after_middle_wake () =
          d blocked on ivar \"D\" since 2.00us"
         (Sim.Engine.deadlock_report blocked)
 
-let blocked_lists_daemons_on_request () =
+let blocked_hides_daemons () =
   let engine = Sim.Engine.create () in
   let inbox = Sim.Mailbox.create ~name:"inbox" ~daemon:true () in
   let reply = Sim.Ivar.create ~name:"reply" () in
@@ -501,19 +501,11 @@ let blocked_lists_daemons_on_request () =
   Sim.Proc.spawn ~name:"client" engine (fun () -> Sim.Ivar.read reply);
   Sim.Engine.set_deadlock_detection engine false;
   Sim.Engine.run engine;
-  let names bs =
-    List.map
-      (fun b -> (b.Sim.Engine.process, b.Sim.Engine.resource, b.Sim.Engine.daemon))
-      bs
-  in
-  Alcotest.(check (list (triple string string bool)))
-    "default hides daemons"
-    [ ("client", "ivar \"reply\"", false) ]
-    (names (Sim.Engine.blocked engine));
-  Alcotest.(check (list (triple string string bool)))
-    "daemons on request, in registration order"
-    [ ("server", "mailbox \"inbox\"", true); ("client", "ivar \"reply\"", false) ]
-    (names (Sim.Engine.blocked ~daemons:true engine))
+  Alcotest.(check (list (pair string string)))
+    "daemons hidden" [ ("client", "ivar \"reply\"") ]
+    (List.map
+       (fun b -> (b.Sim.Engine.process, b.Sim.Engine.resource))
+       (Sim.Engine.blocked engine))
 
 let second_resume_rejected () =
   let second_resume ~daemon =
@@ -604,10 +596,7 @@ let engine_daemons_never_deadlock () =
            ~daemon:true
           : int));
   Sim.Engine.run engine;
-  check_int "daemon listed only on request" 0
-    (List.length (Sim.Engine.blocked engine));
-  check_int "with daemons included" 1
-    (List.length (Sim.Engine.blocked ~daemons:true engine))
+  check_int "daemon not listed" 0 (List.length (Sim.Engine.blocked engine))
 
 (* ---------------- Proc ---------------- *)
 
@@ -990,8 +979,8 @@ let suite =
       deadlock_report_text_pinned;
     Alcotest.test_case "deadlock order survives a middle wake" `Quick
       deadlock_order_after_middle_wake;
-    Alcotest.test_case "blocked lists daemons on request" `Quick
-      blocked_lists_daemons_on_request;
+    Alcotest.test_case "blocked hides daemon waiters" `Quick
+      blocked_hides_daemons;
     Alcotest.test_case "second resume rejected" `Quick second_resume_rejected;
     Alcotest.test_case "stale wake rejected" `Quick stale_wake_rejected;
     Alcotest.test_case "suspend outside a process is unhandled" `Quick

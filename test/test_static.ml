@@ -262,16 +262,16 @@ let test_manifest_of_segment () =
       in
       entry :=
         Some
-          (Rmem.Manifest.of_segment ~exporter:1
-             ~grants:[ (0, Rmem.Rights.all) ]
-             segment));
+          (Rmem.Manifest.of_segment ~exporter:1 segment));
   match !entry with
   | None -> Alcotest.fail "no manifest entry extracted"
   | Some e ->
       Alcotest.(check string) "name" "live.seg" e.Rmem.Manifest.seg;
       Alcotest.(check int) "extent" 4096 e.Rmem.Manifest.len;
       Alcotest.(check int) "exporter" 1 e.Rmem.Manifest.exporter;
-      let m = [ e ] in
+      Alcotest.(check bool) "no grants on a live segment" true
+        (e.Rmem.Manifest.grants = []);
+      let m = [ { e with Rmem.Manifest.grants = [ (0, Rmem.Rights.all) ] } ] in
       Alcotest.(check (option string)) "default rights"
         (Some "r--")
         (Option.map Rmem.Manifest.rights_to_string

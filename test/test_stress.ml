@@ -271,6 +271,7 @@ let crash_mid_transfer_loses_only_tail () =
            (Bytes.make 16384 'D')))
 
 let cas_timeout_then_recovery () =
+  let once () = Rmem.Recovery.policy ~attempts:1 ~timeout:(Sim.Time.ms 2) () in
   let d = Rig.duo () in
   Rig.run d (fun () ->
       let _, desc = Rig.shared_segment d in
@@ -278,14 +279,14 @@ let cas_timeout_then_recovery () =
       check_bool "cas times out" true
         (try
            ignore
-             (Rmem.Remote_memory.cas_wait ~timeout:(Sim.Time.ms 2) d.Rig.rmem0
-                desc ~doff:0 ~old_value:0l ~new_value:1l ());
+             (Rmem.Remote_memory.cas_wait ~policy:(once ()) d.Rig.rmem0 desc
+                ~doff:0 ~old_value:0l ~new_value:1l ());
            false
          with Rmem.Status.Timeout -> true);
       Cluster.Node.set_down d.Rig.node1 false;
       let won, _ =
-        Rmem.Remote_memory.cas_wait ~timeout:(Sim.Time.ms 2) d.Rig.rmem0 desc
-          ~doff:0 ~old_value:0l ~new_value:1l ()
+        Rmem.Remote_memory.cas_wait ~policy:(once ()) d.Rig.rmem0 desc ~doff:0
+          ~old_value:0l ~new_value:1l ()
       in
       check_bool "cas works after revival" true won)
 

@@ -55,9 +55,9 @@ let mix_sampler_matches () =
 
 let tree_is_well_formed () =
   let prng = Sim.Prng.create 17 in
-  let tree = Workload.File_tree.build ~dirs:5 ~files_per_dir:4 prng in
-  check_int "files" 20 (Workload.File_tree.file_count tree);
-  check_int "dirs" 5 (Workload.File_tree.dir_count tree);
+  let tree = Workload.File_tree.build prng in
+  check_int "files" (24 * 16) (Workload.File_tree.file_count tree);
+  check_int "dirs" 24 (Workload.File_tree.dir_count tree);
   let store = Workload.File_tree.store tree in
   let fh = Workload.File_tree.pick_file tree prng in
   let attr = Dfs.File_store.getattr store fh in
