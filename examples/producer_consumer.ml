@@ -99,12 +99,12 @@ let () =
                 Rmem.Remote_memory.read_wait rmem desc ~soff:ticket_off
                   ~count:4 ~dst:buf ~doff:0 ();
                 let ticket = Cluster.Address_space.read_word my_space ~addr:0 in
-                let won, _witness =
+                let witness =
                   Rmem.Remote_memory.cas_wait rmem desc ~doff:ticket_off
-                    ~old_value:(Int32.of_int ticket)
-                    ~new_value:(Int32.of_int (ticket + 1)) ()
+                    ~old_value:ticket
+                    ~new_value:(ticket + 1) ()
                 in
-                if won then seq := ticket
+                if witness = ticket then seq := ticket
               done;
               (* Wait for ring space: head must be within K of seq. *)
               let rec wait_for_space () =

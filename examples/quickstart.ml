@@ -78,19 +78,19 @@ let () =
         (Bytes.to_string got);
 
       (* Remote compare-and-swap: the model's synchronization primitive. *)
-      let won, witness =
-        Rmem.Remote_memory.cas_wait rmem0 desc ~doff:1024 ~old_value:0l
-          ~new_value:42l ()
+      let witness =
+        Rmem.Remote_memory.cas_wait rmem0 desc ~doff:1024 ~old_value:0
+          ~new_value:42 ()
       in
-      printf "[%6.1f us] node0 CAS(0 -> 42): won=%b (witness %ld)\n"
+      printf "[%6.1f us] node0 CAS(0 -> 42): won=%b (witness %d)\n"
         (Sim.Time.to_us (Sim.Engine.now engine))
-        won witness;
-      let lost, witness =
-        Rmem.Remote_memory.cas_wait rmem0 desc ~doff:1024 ~old_value:0l
-          ~new_value:99l ()
+        (witness = 0) witness;
+      let witness =
+        Rmem.Remote_memory.cas_wait rmem0 desc ~doff:1024 ~old_value:0
+          ~new_value:99 ()
       in
-      printf "[%6.1f us] node0 CAS(0 -> 99): won=%b (witness %ld)\n"
+      printf "[%6.1f us] node0 CAS(0 -> 99): won=%b (witness %d)\n"
         (Sim.Time.to_us (Sim.Engine.now engine))
-        lost witness);
+        (witness = 0) witness);
   printf "simulation ended at %s\n"
     (Sim.Time.to_string (Sim.Engine.now engine))

@@ -7,13 +7,13 @@
    unlike the remote-memory model — computation does run on the
    destination processor for every message.  The paper contrasts this
    "interrupt driven messages" style with its own separation of data
-   from control. *)
+   from control.  Frames are built and parsed in place (see the .mli). *)
 
 let frame_tag = 0x28
 let header_bytes = 8
 (* [tag 1][handler 1][len 2][pad 4] *)
 
-type handler = src:Atm.Addr.t -> bytes -> unit
+type handler = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> unit
 
 type t = {
   node : Cluster.Node.t;
@@ -25,7 +25,7 @@ type t = {
 
 (* The free slot's handler; delivery reports an unregistered id instead
    of calling it. *)
-let unregistered ~src:_ _ = ()
+let unregistered ~src:_ _ ~pos:_ ~len:_ = ()
 
 let attach node =
   let t =
@@ -37,27 +37,25 @@ let attach node =
       handler_cpu = Sim.Time.zero;
     }
   in
-  Cluster.Node.set_handler node ~tag:frame_tag (fun ~src payload ->
-      let r = Atm.Codec.reader payload in
-      let (_ : int) = Atm.Codec.get_u8 r in
-      let id = Atm.Codec.get_u8 r in
-      let len = Atm.Codec.get_u16 r in
-      Atm.Codec.skip r 4;
-      let args = Atm.Codec.get_bytes r len in
+  Cluster.Node.set_handler node ~tag:frame_tag (fun ~src frame ->
+      let size = Bytes.length frame in
+      if size < header_bytes then raise Atm.Codec.Truncated;
+      let id = Bytes.get_uint8 frame 1 in
+      let len = Bytes.get_uint16_le frame 2 in
+      if size < header_bytes + len then raise Atm.Codec.Truncated;
       let c = Cluster.Node.costs node in
       (* Interrupt-level reception: drain the frame... *)
       Cluster.Cpu.use (Cluster.Node.cpu node)
         ~category:Cluster.Cpu.cat_data_reception
         (Sim.Time.add c.Cluster.Costs.rx_interrupt
-           (Cluster.Costs.frame_copy_cost c
-              ~payload_bytes:(Bytes.length payload)));
+           (Cluster.Costs.frame_copy_cost c ~payload_bytes:size));
       (* ...then run the handler upcall right here.  The handler charges
          its own computation (category: procedure). *)
       let handler = t.handlers.(id) in
       if handler == unregistered then
         failwith (Printf.sprintf "Amsg: no handler %d registered" id);
       let before = Cluster.Cpu.busy_time (Cluster.Node.cpu node) in
-      handler ~src args;
+      handler ~src frame ~pos:header_bytes ~len;
       t.delivered <- t.delivered + 1;
       t.handler_cpu <-
         Sim.Time.add t.handler_cpu
@@ -70,21 +68,29 @@ let register t ~id handler =
     invalid_arg "Amsg.register: id in use";
   t.handlers.(id) <- handler
 
-let send t ~dst ~handler args =
-  let len = Bytes.length args in
-  if len > 0xFFFF then invalid_arg "Amsg.send: message too large";
+let frame ~len = Bytes.create (header_bytes + len)
+
+let send_frame t ~dst ~handler frame =
+  if handler < 0 || handler > 0xFF then
+    invalid_arg "Amsg.send: handler out of range";
+  let len = Bytes.length frame - header_bytes in
+  if len < 0 || len > 0xFFFF then invalid_arg "Amsg.send: message too large";
+  Bytes.set_uint8 frame 0 frame_tag;
+  Bytes.set_uint8 frame 1 handler;
+  Bytes.set_uint16_le frame 2 len;
+  Bytes.set_int32_le frame 4 0l;
   let c = Cluster.Node.costs t.node in
-  let w = Atm.Codec.writer ~capacity:(header_bytes + len) () in
-  Atm.Codec.put_u8 w frame_tag;
-  Atm.Codec.put_u8 w handler;
-  Atm.Codec.put_u16 w len;
-  Atm.Codec.put_padding w 4;
-  Atm.Codec.put_bytes w args;
   Cluster.Cpu.use (Cluster.Node.cpu t.node) ~category:Cluster.Cpu.cat_client
     (Sim.Time.add c.Cluster.Costs.trap
        (Cluster.Costs.frame_copy_cost c ~payload_bytes:(header_bytes + len)));
   t.sent <- t.sent + 1;
-  Cluster.Node.transmit t.node ~dst (Atm.Codec.contents w)
+  Cluster.Node.transmit t.node ~dst frame
+
+let send t ~dst ~handler args =
+  let len = Bytes.length args in
+  let f = frame ~len in
+  Bytes.blit args 0 f header_bytes len;
+  send_frame t ~dst ~handler f
 
 let sent t = t.sent
 let delivered t = t.delivered

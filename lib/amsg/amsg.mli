@@ -2,21 +2,47 @@
     comparator: every message carries a handler id that the receiver
     runs at interrupt level. No scheduling, no blocked threads, but
     computation runs on the destination CPU for every message, which is
-    precisely what the remote-memory model avoids. *)
+    precisely what the remote-memory model avoids.
+
+    Allocation: a message costs its frame and nothing else on the host.
+    The sender writes the 8-byte header into a frame allocated at its
+    final size, and the receiver parses it in place, handing the handler
+    its arguments as a range of the arriving frame. {!send} copies its
+    arguments once; a caller that builds the frame itself with {!frame}
+    and {!send_frame} copies nothing. *)
 
 type t
 
-type handler = src:Atm.Addr.t -> bytes -> unit
+type handler = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> unit
+(** The arguments are the [len] bytes of the frame from [pos]. The frame
+    belongs to the sender: read it during the upcall, never write or
+    keep it. *)
 
 val attach : Cluster.Node.t -> t
-(** Claim the active-message frame tag on a node. *)
+(** Claim the active-message frame tag on a node. A frame shorter than
+    its header, or than the argument length it declares, raises
+    [Atm.Codec.Truncated] at the receiver. *)
 
 val register : t -> id:int -> handler -> unit
 (** Install a handler (ids 0–255). The handler runs at interrupt level
     on arrival: it should be short and charge its own computation. *)
 
+val header_bytes : int
+(** Where the arguments start in a frame (8). *)
+
+val frame : len:int -> bytes
+(** A frame with room for [len] argument bytes from {!header_bytes}; the
+    header is written by {!send_frame}. *)
+
+val send_frame : t -> dst:Atm.Addr.t -> handler:int -> bytes -> unit
+(** Fire-and-forget a frame from {!frame}: write its header, pay the
+    send-side trap and FIFO copy, then return. The frame may be sent
+    again (a retransmission) but not changed once sent. Raises
+    [Invalid_argument] for a handler id outside 0–255 or arguments
+    past 64 KB. *)
+
 val send : t -> dst:Atm.Addr.t -> handler:int -> bytes -> unit
-(** Fire-and-forget: pay the send-side trap and FIFO copy, then return. *)
+(** {!send_frame} of a new frame holding a copy of the arguments. *)
 
 (** {1 Statistics} *)
 

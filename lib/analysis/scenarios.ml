@@ -153,12 +153,12 @@ let producer_consumer () =
                 Rmem.Remote_memory.read_wait rmem desc ~soff:0 ~count:4
                   ~dst:buf ~doff:0 ();
                 let ticket = Cluster.Address_space.read_word my_space ~addr:0 in
-                let won, _ =
+                let witness =
                   Rmem.Remote_memory.cas_wait rmem desc ~doff:0
-                    ~old_value:(Int32.of_int ticket)
-                    ~new_value:(Int32.of_int (ticket + 1)) ()
+                    ~old_value:ticket
+                    ~new_value:(ticket + 1) ()
                 in
-                if won then seq := ticket
+                if witness = ticket then seq := ticket
               done;
               let slot = pc_slot_off !seq in
               let item = Printf.sprintf "item %d.%d" p i in
@@ -212,26 +212,26 @@ let file_service_with ~fence () =
               import_segment rmem ~from:(Cluster.Node.addr server) blocks
                 ~rights:Rmem.Rights.all
             in
-            let me = Int32.of_int c in
+            let me = c in
             for _round = 1 to 2 do
               (* Acquire the lock word at offset 0. *)
               let held = ref false in
               while not !held do
-                let won, _ =
-                  Rmem.Remote_memory.cas_wait rmem desc ~doff:0 ~old_value:0l
+                let witness =
+                  Rmem.Remote_memory.cas_wait rmem desc ~doff:0 ~old_value:0
                     ~new_value:me ()
                 in
-                if won then held := true
+                if witness = 0 then held := true
                 else Sim.Proc.wait (Sim.Time.us 200)
               done;
               Rmem.Remote_memory.write rmem desc ~off:1024
                 (Bytes.make 256 (Char.chr (0x40 + c)));
               if fence then Rmem.Remote_memory.fence rmem desc;
-              let released, _ =
+              let witness =
                 Rmem.Remote_memory.cas_wait rmem desc ~doff:0 ~old_value:me
-                  ~new_value:0l ()
+                  ~new_value:0 ()
               in
-              assert released
+              assert (witness = me)
             done;
             incr finished;
             if !finished = 2 then Sim.Ivar.fill done_ ())
@@ -443,18 +443,18 @@ let cas_missing_release () =
       let finished_clients = ref 0 in
       for c = 1 to 2 do
         Sim.Proc.spawn ~name:(Printf.sprintf "client%d" c) engine (fun () ->
-            let me = Int32.of_int c in
+            let me = c in
             let attempts = ref 1 in
             let won =
-              ref (fst (Rmem.Remote_memory.cas_wait rmem desc ~doff:0
-                          ~old_value:0l ~new_value:me ()))
+              ref (Rmem.Remote_memory.cas_wait rmem desc ~doff:0
+                     ~old_value:0 ~new_value:me () = 0)
             in
             while not !won do
               Sim.Mailbox.recv baton;
               incr attempts;
               won :=
-                fst (Rmem.Remote_memory.cas_wait rmem desc ~doff:0
-                       ~old_value:0l ~new_value:me ())
+                Rmem.Remote_memory.cas_wait rmem desc ~doff:0 ~old_value:0
+                  ~new_value:me () = 0
             done;
             Rmem.Remote_memory.write rmem desc ~off:64
               (Bytes.make 32 (Char.chr (0x40 + c)));
@@ -462,22 +462,22 @@ let cas_missing_release () =
                release CAS and the baton handoff. *)
             if !attempts > 1 then begin
               Rmem.Remote_memory.fence rmem desc;
-              let released, _ =
+              let witness =
                 Rmem.Remote_memory.cas_wait rmem desc ~doff:0 ~old_value:me
-                  ~new_value:0l ()
+                  ~new_value:0 ()
               in
-              assert released;
+              assert (witness = me);
               Sim.Mailbox.send baton ()
             end;
             incr finished_clients;
             if !finished_clients = 2 then Sim.Ivar.fill done_ ())
       done;
       Sim.Proc.spawn ~name:"init" engine (fun () ->
-          let released, _ =
-            Rmem.Remote_memory.cas_wait rmem desc ~doff:0 ~old_value:9l
-              ~new_value:0l ()
+          let witness =
+            Rmem.Remote_memory.cas_wait rmem desc ~doff:0 ~old_value:9
+              ~new_value:0 ()
           in
-          assert released;
+          assert (witness = 9);
           Sim.Mailbox.send baton ());
       Sim.Ivar.read done_)
 
@@ -540,32 +540,35 @@ let cas_double_apply () =
           (* The wrapper: one logical CAS(0->1) as far as its caller can
              tell, however many requests it put on the wire. *)
           Monitor.logical_begin monitor ~agent_name:agent_a;
-          let s1, _ =
-            Rmem.Remote_memory.cas_wait rmems.(1) desc_a ~doff:0 ~old_value:0l
-              ~new_value:1l ()
+          let s1 =
+            Rmem.Remote_memory.cas_wait rmems.(1) desc_a ~doff:0 ~old_value:0
+              ~new_value:1 ()
+            = 0
           in
           Sim.Ivar.fill a1_done ();
           Sim.Ivar.read go_a;
           (* THE BUG: the wrapper reissues the CAS as if the first reply
              had been lost, and treats a second win as the same win. *)
-          let s2, w2 =
-            Rmem.Remote_memory.cas_wait rmems.(1) desc_a ~doff:0 ~old_value:0l
-              ~new_value:1l ()
+          let w2 =
+            Rmem.Remote_memory.cas_wait rmems.(1) desc_a ~doff:0 ~old_value:0
+              ~new_value:1 ()
           in
-          let success = s1 || s2 in
-          let witness = if success then History.Known 0l else History.Known w2 in
+          let success = s1 || w2 = 0 in
+          let witness =
+            if success then History.Known 0l else History.Known (Int32.of_int w2)
+          in
           Monitor.logical_commit monitor ~agent_name:agent_a ~cell
             ~op:(History.Cas { expected = 0l; desired = 1l; success; witness });
           finish ());
       Cluster.Node.spawn (Cluster.Testbed.node testbed 2) (fun () ->
           Sim.Ivar.read go_b;
-          let _took, _ =
-            Rmem.Remote_memory.cas_wait rmems.(2) desc_b ~doff:0 ~old_value:1l
-              ~new_value:0l ()
+          let (_ : int) =
+            Rmem.Remote_memory.cas_wait rmems.(2) desc_b ~doff:0 ~old_value:1
+              ~new_value:0 ()
           in
-          let _reused, _ =
-            Rmem.Remote_memory.cas_wait rmems.(2) desc_b ~doff:0 ~old_value:0l
-              ~new_value:5l ()
+          let (_ : int) =
+            Rmem.Remote_memory.cas_wait rmems.(2) desc_b ~doff:0 ~old_value:0
+              ~new_value:5 ()
           in
           finish ());
       Sim.Proc.spawn ~name:"coordinator" engine (fun () ->
@@ -738,7 +741,9 @@ let dds_register_no_writeback () =
       in
       let agent_w = Printf.sprintf "node%d" (Atm.Addr.to_int (Cluster.Node.addr (node 3))) in
       let old_tag = Dds.Tag.pack { Dds.Tag.ts = 1; wr = 1 } in
-      let new_cell = Dds.Tag.encode { Dds.Tag.ts = 2; wr = 2 } 42l in
+      let new_cell =
+        Dds.Tag.encode (Dds.Tag.pack { Dds.Tag.ts = 2; wr = 2 }) 42
+      in
       Cluster.Node.spawn (node 3) (fun () ->
           let w1 =
             Dds.Register.client ~rmem:rmems.(3) ~amsg:amsgs.(3)
@@ -758,11 +763,11 @@ let dds_register_no_writeback () =
              (2, rank 2) — whose store phase pauses between replicas. *)
           Monitor.logical_begin monitor ~agent_name:agent_w;
           let store desc =
-            let won, _ =
+            let witness =
               Rmem.Remote_memory.cas_wait rmems.(3) desc ~doff:0
                 ~old_value:old_tag ~new_value:(Dds.Tag.busy_for 2) ()
             in
-            assert won;
+            assert (witness = old_tag);
             Rmem.Remote_memory.write rmems.(3) desc ~off:0 new_cell
           in
           store desc0;
@@ -796,7 +801,7 @@ let dds_register_no_writeback () =
              history. *)
           let settled k tagw v =
             let word addr = Cluster.Address_space.read_word spaces.(k) ~addr in
-            word 0 = Int32.to_int tagw && word 4 = Int32.to_int v
+            word 0 = tagw && word 4 = v
           in
           let rec await k tagw v =
             if not (settled k tagw v) then begin
@@ -808,11 +813,11 @@ let dds_register_no_writeback () =
           (* W1's blind deposits must all have landed, so phase 2
              starts from a rigid, replicated 10. *)
           for k = 0 to 2 do
-            await k old_tag 10l
+            await k old_tag 10
           done;
           Sim.Ivar.fill go_w2 ();
           (* Replica 0 holds the committed half of W2's write... *)
-          await 0 (Dds.Tag.pack { Dds.Tag.ts = 2; wr = 2 }) 42l;
+          await 0 (Dds.Tag.pack { Dds.Tag.ts = 2; wr = 2 }) 42;
           Sim.Ivar.fill go_r1 ();
           Sim.Ivar.read r1_done;
           (* ...and these two wake-ups land at the same instant: under

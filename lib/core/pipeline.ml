@@ -289,9 +289,7 @@ let cas_submit t desc ~doff ~old_value ~new_value () =
     {
       ready = (fun () -> Sim.Ivar.is_full ivar);
       await =
-        (fun () ->
-          let status, _ = Sim.Ivar.read ivar in
-          Status.check status);
+        (fun () -> Status.check (Remote_memory.cas_status (Sim.Ivar.read ivar)));
     }
     q
 

@@ -72,8 +72,8 @@ val cas_submit :
   t ->
   Descriptor.t ->
   doff:int ->
-  old_value:int32 ->
-  new_value:int32 ->
+  old_value:int ->
+  new_value:int ->
   unit ->
   unit
 (** Windowed CAS: flushes the staged batch ahead of itself (release
@@ -82,8 +82,8 @@ val cas_submit :
     Test-only: the paper's asynchronous CAS, exercised by the pipeline tests. *)
 
 val cas :
-  t -> Descriptor.t -> doff:int -> old_value:int32 -> new_value:int32 ->
-  unit -> bool * int32
+  t -> Descriptor.t -> doff:int -> old_value:int -> new_value:int -> unit ->
+  int
 (** Blocking CAS: flushes the staged batch ahead of itself, then behaves
     as {!Remote_memory.cas_wait}.
     Test-only: the pipeline tests check a pipelined CAS matches the serial

@@ -34,10 +34,21 @@ type pending =
       desc : Descriptor.t;
       cas_doff : int;
       result : (buffer * int) option; (* deposit a success word here *)
-      notify : bool;
-      old_value : int32;
-      completion : (Status.t * int32) Sim.Ivar.t;
+      old_value : int;
+      completion : int Sim.Ivar.t; (* a CAS outcome, below *)
     }
+
+(* A CAS completes with one int: the witness word, sign-extended, when
+   the CAS was served, or [unserved status], which no 32-bit word
+   equals.  No tuple and no boxed word per CAS. *)
+let unserved status = (1 + Status.to_code status) lsl 32
+
+let cas_status outcome =
+  if outcome >= 1 lsl 32 then Status.of_code ((outcome asr 32) - 1)
+  else Status.Ok
+
+(* [v] as the 32-bit word a CAS compares, sign-extended. *)
+let word32 v = (v lsl 31) asr 31
 
 type monitor_event =
   | Exported of Segment.t
@@ -393,7 +404,8 @@ let outside buf ~off ~len = off < 0 || off + len > buf.len
    the completion); and charges the trap, the descriptor check and
    [ctrl] of request formatting.  Returns the flow and the request id
    (0 without [pending]). *)
-let issue t desc op ~name ~off ~count ~notify ~cas ~extents ~ctrl pending =
+let issue t desc op ~name ~off ~count ~notify ~cas_old ~cas_new ~extents ~ctrl
+    pending =
   (match extents with
   | [] -> check_local t desc op ~off ~count
   | _ ->
@@ -418,7 +430,10 @@ let issue t desc op ~name ~off ~count ~notify ~cas ~extents ~ctrl pending =
            count;
            notify;
            policied = t.recovery_depth > 0;
-           cas;
+           cas =
+             (if op = Rights.Cas_op then
+                Some (Int32.of_int cas_old, Int32.of_int cas_new)
+              else None);
            batch = t.batch;
          });
   let fl =
@@ -477,8 +492,8 @@ let rec send_write_chunks t fl desc ~off ~notify ~swab data ~burst pos =
 let send_write t desc ~off ~notify ~swab data =
   let count = Bytes.length data in
   let fl, _ =
-    issue t desc Rights.Write_op ~name:"WRITE" ~off ~count ~notify ~cas:None
-      ~extents:[] ~ctrl:Sim.Time.zero None
+    issue t desc Rights.Write_op ~name:"WRITE" ~off ~count ~notify ~cas_old:0
+      ~cas_new:0 ~extents:[] ~ctrl:Sim.Time.zero None
   in
   Metrics.Account.add t.ops ~category:"write" 1.;
   Metrics.Account.add_int t.data_bytes ~category:"write" count;
@@ -510,8 +525,8 @@ let send_burst t desc ~notify ~swab extents =
   let total = Wire.burst_payload_bytes items in
   let fl, _ =
     issue t desc Rights.Write_op ~name:"WRITE_BURST"
-      ~off:(List.hd items).Wire.off ~count:total ~notify ~cas:None
-      ~extents:items ~ctrl:Sim.Time.zero None
+      ~off:(List.hd items).Wire.off ~count:total ~notify ~cas_old:0
+      ~cas_new:0 ~extents:items ~ctrl:Sim.Time.zero None
   in
   Metrics.Account.add t.ops ~category:"write burst" 1.;
   Metrics.Account.add_int t.data_bytes ~category:"write" total;
@@ -580,7 +595,7 @@ let send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?(swab = false)
   in
   let fl, reqid =
     issue t desc Rights.Read_op ~name:"READ" ~off:soff ~count ~notify
-      ~cas:None ~extents:[] ~ctrl:(tx_ctrl_cost c 14)
+      ~cas_old:0 ~cas_new:0 ~extents:[] ~ctrl:(tx_ctrl_cost c 14)
       (Some
          (Pending_read
             { desc; soff; buf = dst; doff; count; notify; received = 0;
@@ -600,16 +615,14 @@ let read ?timeout t desc ~soff ~count ~dst ~doff () =
   send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify:false ()
 
 let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
-  let notify = false in
   let c = costs t in
   let completion = Sim.Ivar.create ~name:"rmem CAS completion" () in
   let fl, reqid =
-    issue t desc Rights.Cas_op ~name:"CAS" ~off:doff ~count:4 ~notify
-      ~cas:(Some (old_value, new_value))
-      ~extents:[] ~ctrl:(tx_ctrl_cost c 18)
+    issue t desc Rights.Cas_op ~name:"CAS" ~off:doff ~count:4 ~notify:false
+      ~cas_old:old_value ~cas_new:new_value ~extents:[]
+      ~ctrl:(tx_ctrl_cost c 18)
       (Some
-         (Pending_cas
-            { desc; cas_doff = doff; result; notify; old_value; completion }))
+         (Pending_cas { desc; cas_doff = doff; result; old_value; completion }))
   in
   Metrics.Account.add t.ops ~category:"cas" 1.;
   Cluster.Node.transmit
@@ -617,8 +630,8 @@ let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
     t.node ~dst:(Descriptor.remote desc)
     (Wire.cas_frame ~seg:(Descriptor.segment_id desc)
        ~gen:(Descriptor.generation desc) ~doff ~old_value ~new_value ~reqid
-       ~notify);
-  arm_timeout t timeout reqid completion (Status.Timed_out, 0l);
+       ~notify:false);
+  arm_timeout t timeout reqid completion (unserved Status.Timed_out);
   completion
 
 let cas_async t desc ~doff ~old_value ~new_value () =
@@ -658,12 +671,12 @@ let await_fence ?timeout t desc =
   raise_write_failure t desc
 
 let await_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
-  let status, witness =
+  let outcome =
     Sim.Ivar.read
       (send_cas ?timeout t desc ~doff ~old_value ~new_value ?result ())
   in
-  Status.check status;
-  (Int32.equal witness old_value, witness)
+  Status.check (cas_status outcome);
+  outcome
 
 (* ------------------------------------------------------------------ *)
 (* Policy-driven recovery (§3.7).                                      *)
@@ -846,7 +859,7 @@ let crash t =
     (fun (_, p) ->
       match p with
       | Pending_read p -> Sim.Ivar.fill p.completion Status.Timed_out
-      | Pending_cas p -> Sim.Ivar.fill p.completion (Status.Timed_out, 0l))
+      | Pending_cas p -> Sim.Ivar.fill p.completion (unserved Status.Timed_out))
     pend
 
 (* Restart after a crash: every export comes back under a fresh
@@ -1179,8 +1192,7 @@ let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
       in
       let swapped =
         Cluster.Address_space.cas_word (Segment.space segment) ~addr
-          ~old_value:(Int32.to_int old_value)
-          ~new_value:(Int32.to_int new_value)
+          ~old_value ~new_value
       in
       if monitored t then emit t
         (Served
@@ -1204,15 +1216,14 @@ let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
              off = doff;
              count = 4;
            });
-      reply_cas t sv src ~reqid ~status:Status.Ok
-        ~witness:(Int32.of_int witness)
+      reply_cas t sv src ~reqid ~status:Status.Ok ~witness
   | status ->
       record_error t status;
       if monitored t then emit t
         (Serve_rejected
            { op = Rights.Cas_op; src; seg; gen; off = doff; count = 4; status });
       Obs.Trace.serve_arg sv "status" (Status.to_string status);
-      reply_cas t sv src ~reqid ~status ~witness:0l
+      reply_cas t sv src ~reqid ~status ~witness:0
 
 (* ------------------------------------------------------------------ *)
 (* Reply handling at the requester.                                    *)
@@ -1256,7 +1267,7 @@ let handle_read_reply t src ~status ~reqid ~chunk_off ~swab payload ~pos ~len =
       Sim.Int_table.remove t.pending reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
-      Sim.Ivar.fill p.completion (Status.Bad_segment, 0l)
+      Sim.Ivar.fill p.completion (unserved Status.Bad_segment)
   | Pending_read p ->
       if status <> Status.Ok then begin
         Sim.Int_table.remove t.pending reqid;
@@ -1290,7 +1301,7 @@ let handle_read_reply t src ~status ~reqid ~chunk_off ~swab payload ~pos ~len =
       end);
   Obs.Trace.serve_end sv
 
-let handle_cas_reply t src ~status ~reqid ~witness =
+let handle_cas_reply t _src ~status ~reqid ~witness =
   let c = costs t in
   let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"deliver" in
   Cluster.Cpu.use (cpu t) ~category:t.client_category
@@ -1314,20 +1325,10 @@ let handle_cas_reply t src ~status ~reqid ~witness =
           (* Deposit the paper's success/failure word locally. *)
           Cluster.Cpu.use (cpu t) ~category:t.client_category
             c.Cluster.Costs.vm_deliver;
-          let success = Int32.equal witness p.old_value in
+          let success = witness = word32 p.old_value in
           Cluster.Address_space.write_word buf.space ~addr:(buf.base + off)
             (if success then 1 else 0)
       | Some _ | None -> ());
-      (if p.notify then
-         Notification.post
-           ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
-           t.completion_fd
-           {
-             Notification.src;
-             kind = Notification.Cas_applied;
-             off = 0;
-             count = 4;
-           });
       if monitored t then emit t
         (Completed
            {
@@ -1337,10 +1338,11 @@ let handle_cas_reply t src ~status ~reqid ~witness =
              count = 4;
              status;
              cas_success =
-               Some (status = Status.Ok && Int32.equal witness p.old_value);
+               Some (status = Status.Ok && witness = word32 p.old_value);
            });
       Obs.Trace.root_close sv ~status:(Status.to_string status);
-      Sim.Ivar.fill p.completion (status, witness));
+      Sim.Ivar.fill p.completion
+        (if status = Status.Ok then witness else unserved status));
   Obs.Trace.serve_end sv
 
 (* A write nack at the issuer: count it and remember the latest status

@@ -198,28 +198,37 @@ val cas_async :
   t ->
   Descriptor.t ->
   doff:int ->
-  old_value:int32 ->
-  new_value:int32 ->
+  old_value:int ->
+  new_value:int ->
   unit ->
-  (Status.t * int32) Sim.Ivar.t
-(** Remote compare-and-swap; the ivar fills with (status, witness). *)
+  int Sim.Ivar.t
+(** Remote compare-and-swap of a 32-bit word, the values carried as
+    ints (sign-extended; only the low 32 bits are sent). The ivar fills
+    with the CAS's outcome, one int: the witness word, sign-extended,
+    when the CAS was served, or a code outside the 32-bit range when it
+    was not ({!cas_status}). Nothing is boxed per CAS. *)
+
+val cas_status : int -> Status.t
+(** The status of a CAS outcome: [Ok] for a witness. *)
 
 val cas_wait :
   ?policy:Recovery.policy ->
   t ->
   Descriptor.t ->
   doff:int ->
-  old_value:int32 ->
-  new_value:int32 ->
+  old_value:int ->
+  new_value:int ->
   ?result:buffer * int ->
   unit ->
-  bool * int32
-(** Blocking {!cas_async}: returns (succeeded, witness). Under [policy],
-    if a CAS applied but its reply was lost, the reissued CAS observes
-    [new_value] and reports failure — the usual lost-reply ambiguity;
-    callers must treat a false return as "not won by this call", not
-    "nothing happened". When [result] is given, a success/failure word
-    is deposited there, as in the paper's CAS signature.
+  int
+(** Blocking {!cas_async}: returns the witness, which equals
+    [old_value] (as a sign-extended 32-bit word) exactly when the swap
+    happened. Under [policy], if a CAS applied but its reply was lost,
+    the reissued CAS observes [new_value] and reports failure — the
+    usual lost-reply ambiguity; callers must treat a witness other than
+    [old_value] as "not won by this call", not "nothing happened". When
+    [result] is given, a success/failure word is deposited there, as in
+    the paper's CAS signature.
     Test-only ?result: the paper's result operand on CAS, which the
     remote-memory tests check. *)
 
@@ -250,7 +259,7 @@ val restart_exports : ?preserve:int list -> t -> unit
 (** {1 Notification and roles} *)
 
 val completion_fd : t -> Notification.t
-(** Where READ/CAS completions with the notify bit are posted on the
+(** Where READ completions with the notify bit are posted on the
     requesting node. (WRITE notifications post on the destination
     segment's own descriptor.) *)
 

@@ -50,13 +50,13 @@ type cas_req = {
   seg : int;
   gen : Generation.t;
   doff : int;
-  old_value : int32;
-  new_value : int32;
+  old_value : int;
+  new_value : int;
   reqid : int;
   notify : bool;
 }
 
-type cas_reply = { status : Status.t; reqid : int; witness : int32 }
+type cas_reply = { status : Status.t; reqid : int; witness : int }
 
 type write_nack = {
   status : Status.t;
@@ -183,14 +183,14 @@ let encode message =
       Atm.Codec.put_u8 w seg;
       Atm.Codec.put_u16 w (Generation.to_int gen);
       Atm.Codec.put_u32 w doff;
-      Atm.Codec.put_i32 w old_value;
-      Atm.Codec.put_i32 w new_value;
+      Atm.Codec.put_i32 w (Int32.of_int old_value);
+      Atm.Codec.put_i32 w (Int32.of_int new_value);
       Atm.Codec.put_u16 w reqid
   | Cas_reply { status; reqid; witness } ->
       Atm.Codec.put_u8 w (tag ~op:op_cas_reply ~notify:false ~swab:false);
       Atm.Codec.put_u8 w (Status.to_code status);
       Atm.Codec.put_u16 w reqid;
-      Atm.Codec.put_i32 w witness
+      Atm.Codec.put_i32 w (Int32.of_int witness)
   | Write_nack { status; seg; gen; off; count } ->
       Atm.Codec.put_u8 w (tag ~op:op_write_nack ~notify:false ~swab:false);
       Atm.Codec.put_u8 w (Status.to_code status);
@@ -259,8 +259,8 @@ let cas_frame ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
   set_header frame
     ~tag:(tag ~op:op_cas ~notify ~swab:false)
     ~b1:seg ~u16:(Generation.to_int gen) ~u32:doff;
-  Bytes.set_int32_le frame 8 old_value;
-  Bytes.set_int32_le frame 12 new_value;
+  Bytes.set_int32_le frame 8 (Int32.of_int old_value);
+  Bytes.set_int32_le frame 12 (Int32.of_int new_value);
   Bytes.set_uint16_le frame 16 reqid;
   frame
 
@@ -270,7 +270,7 @@ let cas_reply_frame ~status ~reqid ~witness =
   Bytes.set_uint8 frame 0 (tag ~op:op_cas_reply ~notify:false ~swab:false);
   Bytes.set_uint8 frame 1 (Status.to_code status);
   Bytes.set_uint16_le frame 2 reqid;
-  Bytes.set_int32_le frame 4 witness;
+  Bytes.set_int32_le frame 4 (Int32.of_int witness);
   frame
 
 (* The server's READ reply, with the data left for the caller to copy
@@ -302,9 +302,9 @@ type ('a, 'b, 'r) handlers = {
     'a -> 'b -> status:Status.t -> reqid:int -> chunk_off:int -> swab:bool ->
     bytes -> pos:int -> len:int -> 'r;
   cas :
-    'a -> 'b -> seg:int -> gen:Generation.t -> doff:int -> old_value:int32 ->
-    new_value:int32 -> reqid:int -> notify:bool -> 'r;
-  cas_reply : 'a -> 'b -> status:Status.t -> reqid:int -> witness:int32 -> 'r;
+    'a -> 'b -> seg:int -> gen:Generation.t -> doff:int -> old_value:int ->
+    new_value:int -> reqid:int -> notify:bool -> 'r;
+  cas_reply : 'a -> 'b -> status:Status.t -> reqid:int -> witness:int -> 'r;
   write_nack :
     'a -> 'b -> status:Status.t -> seg:int -> gen:Generation.t -> off:int ->
     count:int -> 'r;
@@ -316,6 +316,7 @@ type ('a, 'b, 'r) handlers = {
 let u8 payload pos = Bytes.get_uint8 payload pos
 let u16 payload pos = Bytes.get_uint16_le payload pos
 let u32 payload pos = Int32.to_int (Bytes.get_int32_le payload pos) land 0xFFFFFFFF
+let i32 payload pos = Int32.to_int (Bytes.get_int32_le payload pos)
 let gen_at payload pos = Generation.of_int (u16 payload pos)
 
 (* Every field of a fixed-size frame is checked at once: the frame must
@@ -378,15 +379,14 @@ let dispatch h a b payload =
     need payload 18;
     h.cas a b ~seg:(u8 payload 1) ~gen:(gen_at payload 2)
       ~doff:(u32 payload 4)
-      ~old_value:(Bytes.get_int32_le payload 8)
-      ~new_value:(Bytes.get_int32_le payload 12)
+      ~old_value:(i32 payload 8) ~new_value:(i32 payload 12)
       ~reqid:(u16 payload 16) ~notify
   end
   else if op = op_cas_reply then begin
     let status = status_at payload in
     need payload 8;
     h.cas_reply a b ~status ~reqid:(u16 payload 2)
-      ~witness:(Bytes.get_int32_le payload 4)
+      ~witness:(i32 payload 4)
   end
   else if op = op_write_nack then begin
     let status = status_at payload in

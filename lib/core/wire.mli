@@ -41,17 +41,18 @@ type read_reply = {
   data : view;
 }
 
+(** CAS words travel as 32 bits and are carried as ints, sign-extended. *)
 type cas_req = {
   seg : int;
   gen : Generation.t;
   doff : int;
-  old_value : int32;
-  new_value : int32;
+  old_value : int;
+  new_value : int;
   reqid : int;
   notify : bool;
 }
 
-type cas_reply = { status : Status.t; reqid : int; witness : int32 }
+type cas_reply = { status : Status.t; reqid : int; witness : int }
 
 type write_nack = {
   status : Status.t;
@@ -135,11 +136,11 @@ val read_frame :
 (** A READ request frame. *)
 
 val cas_frame :
-  seg:int -> gen:Generation.t -> doff:int -> old_value:int32 ->
-  new_value:int32 -> reqid:int -> notify:bool -> bytes
+  seg:int -> gen:Generation.t -> doff:int -> old_value:int ->
+  new_value:int -> reqid:int -> notify:bool -> bytes
 (** A CAS request frame. *)
 
-val cas_reply_frame : status:Status.t -> reqid:int -> witness:int32 -> bytes
+val cas_reply_frame : status:Status.t -> reqid:int -> witness:int -> bytes
 (** A CAS reply frame. *)
 
 val read_reply_frame :
@@ -163,9 +164,9 @@ type ('a, 'b, 'r) handlers = {
     'a -> 'b -> status:Status.t -> reqid:int -> chunk_off:int -> swab:bool ->
     bytes -> pos:int -> len:int -> 'r;
   cas :
-    'a -> 'b -> seg:int -> gen:Generation.t -> doff:int -> old_value:int32 ->
-    new_value:int32 -> reqid:int -> notify:bool -> 'r;
-  cas_reply : 'a -> 'b -> status:Status.t -> reqid:int -> witness:int32 -> 'r;
+    'a -> 'b -> seg:int -> gen:Generation.t -> doff:int -> old_value:int ->
+    new_value:int -> reqid:int -> notify:bool -> 'r;
+  cas_reply : 'a -> 'b -> status:Status.t -> reqid:int -> witness:int -> 'r;
   write_nack :
     'a -> 'b -> status:Status.t -> seg:int -> gen:Generation.t -> off:int ->
     count:int -> 'r;

@@ -10,20 +10,34 @@
 
    Timeouts are the client's only failure signal (the paper's §3.7
    argument): each attempt arms a one-shot timer that fills the reply
-   ivar with [None]; a late reply for attempt [k] finds attempt [k+1]'s
-   ivar under the same request id and — because the server dedups — fills
-   it with the identical answer. *)
+   ivar with [expired]; a late reply for attempt [k] finds attempt
+   [k+1]'s ivar under the same request id and — because the server
+   dedups — fills it with the identical answer.  Ids are ints: the 32
+   wire bits, sign-extended. *)
 
 let reply_id = 0xC7
 let header_bytes = 4
+let word b off = Int32.to_int (Bytes.get_int32_le b off)
+let set_word b off v = Bytes.set_int32_le b off (Int32.of_int v)
+
+(* An active-message frame carrying [req] and the one copy of [body]. *)
+let frame ~req body =
+  let len = Bytes.length body in
+  let f = Amsg.frame ~len:(header_bytes + len) in
+  set_word f Amsg.header_bytes req;
+  Bytes.blit body 0 f (Amsg.header_bytes + header_bytes) len;
+  f
 
 type endpoint = {
   amsg : Amsg.t;
   node : Cluster.Node.t;
   mutable next_req : int;
-  pending : bytes option Sim.Ivar.t Sim.Int_table.t; (* by request id *)
+  pending : bytes Sim.Ivar.t Sim.Int_table.t; (* by request id *)
   mutable timeouts : int;
 }
+
+(* What a timed-out attempt's ivar holds: no reply is this block. *)
+let expired = Bytes.create 0
 
 (* One endpoint per active-message plane, keyed by physical identity so
    distinct testbeds never collide; the reply handler is registered
@@ -52,18 +66,16 @@ let endpoint amsg =
           timeouts = 0;
         }
       in
-      Amsg.register amsg ~id:reply_id (fun ~src:_ body ->
-          if Bytes.length body >= header_bytes then begin
-            let req = Int32.to_int (Bytes.get_int32_le body 0) in
-            match Sim.Int_table.find_opt ep.pending req with
-            | None -> ()
-            | Some iv ->
+      Amsg.register amsg ~id:reply_id (fun ~src:_ f ~pos ~len ->
+          if len >= header_bytes then begin
+            let req = word f pos in
+            match Sim.Int_table.find ep.pending req with
+            | exception Not_found -> ()
+            | iv ->
                 Sim.Int_table.remove ep.pending req;
                 ignore
                   (Sim.Ivar.try_fill iv
-                     (Some
-                        (Bytes.sub body header_bytes
-                           (Bytes.length body - header_bytes))))
+                     (Bytes.sub f (pos + header_bytes) (len - header_bytes)))
           end);
       Planes.replace endpoints amsg ep;
       ep
@@ -72,45 +84,55 @@ let timeouts ep = ep.timeouts
 
 type service = src:Atm.Addr.t -> bytes -> bytes
 
-(* Replies a source might still retransmit requests for.  Clients issue
-   calls sequentially per endpoint, so a small window suffices. *)
+(* Replies a source might still retransmit requests for, in a ring per
+   source.  Clients issue calls sequentially per endpoint, so a small
+   window suffices. *)
 let history_cap = 16
 
-(* The reply a source's history holds for [req]. *)
-let rec cached req = function
-  | [] -> None
-  | (r, reply) :: past ->
-      if Int32.equal r req then Some reply else cached req past
+type history = { ids : int array; replies : bytes array; mutable next : int }
+
+(* The free slot's id: no sign-extended 32-bit request id equals it. *)
+let no_id = min_int
+
+let history () =
+  {
+    ids = Array.make history_cap no_id;
+    replies = Array.make history_cap Bytes.empty;
+    next = 0;
+  }
+
+(* The ring slot holding [req], or -1. *)
+let rec slot h req i =
+  if i = history_cap then -1 else if h.ids.(i) = req then i else slot h req (i + 1)
 
 let serve amsg ~id (f : service) =
-  let recent : (int32 * bytes) list Sim.Int_table.t = Sim.Int_table.create 16 in
-  Amsg.register amsg ~id (fun ~src body ->
-      if Bytes.length body >= header_bytes then begin
-        let req = Bytes.get_int32_le body 0 in
+  let recent : history Sim.Int_table.t = Sim.Int_table.create 16 in
+  Amsg.register amsg ~id (fun ~src body ~pos ~len ->
+      if len >= header_bytes then begin
+        let req = word body pos in
         let who = Atm.Addr.to_int src in
-        let past = Option.value ~default:[] (Sim.Int_table.find_opt recent who) in
-        let reply =
-          match cached req past with
-          | Some r -> r
-          | None ->
-              let r =
-                f ~src
-                  (Bytes.sub body header_bytes
-                     (Bytes.length body - header_bytes))
-              in
-              let keep = (req, r) :: past in
-              let keep =
-                if List.length keep > history_cap then
-                  List.filteri (fun i _ -> i < history_cap) keep
-                else keep
-              in
-              Sim.Int_table.replace recent who keep;
-              r
+        let h =
+          match Sim.Int_table.find recent who with
+          | h -> h
+          | exception Not_found ->
+              let h = history () in
+              Sim.Int_table.replace recent who h;
+              h
         in
-        let frame = Bytes.create (header_bytes + Bytes.length reply) in
-        Bytes.set_int32_le frame 0 req;
-        Bytes.blit reply 0 frame header_bytes (Bytes.length reply);
-        Amsg.send amsg ~dst:src ~handler:reply_id frame
+        let i = slot h req 0 in
+        let reply =
+          if i >= 0 then h.replies.(i)
+          else begin
+            let r =
+              f ~src (Bytes.sub body (pos + header_bytes) (len - header_bytes))
+            in
+            h.ids.(h.next) <- req;
+            h.replies.(h.next) <- r;
+            h.next <- (h.next + 1) mod history_cap;
+            r
+          end
+        in
+        Amsg.send_frame amsg ~dst:src ~handler:reply_id (frame ~req reply)
       end)
 
 let timeout = Sim.Time.us 400
@@ -120,9 +142,7 @@ let call ep ~dst ~id body =
   (* The id as the reply will carry it back: 32 bits, sign-extended. *)
   let req = Int32.to_int (Int32.of_int ep.next_req) in
   ep.next_req <- ep.next_req + 1;
-  let frame = Bytes.create (header_bytes + Bytes.length body) in
-  Bytes.set_int32_le frame 0 (Int32.of_int req);
-  Bytes.blit body 0 frame header_bytes (Bytes.length body);
+  let f = frame ~req body in
   let engine = Cluster.Node.engine ep.node in
   let rec attempt k =
     if k >= attempts then begin
@@ -131,18 +151,20 @@ let call ep ~dst ~id body =
     end;
     let iv = Sim.Ivar.create () in
     Sim.Int_table.replace ep.pending req iv;
-    Amsg.send ep.amsg ~dst ~handler:id frame;
+    Amsg.send_frame ep.amsg ~dst ~handler:id f;
     (* [schedule_at], not [schedule ~after]: the optional argument
        would box the span on every attempt. *)
     Sim.Engine.schedule_at engine
       (Sim.Time.add (Sim.Engine.now engine) timeout)
-      (fun () -> ignore (Sim.Ivar.try_fill iv None));
-    match Sim.Ivar.read iv with
-    | Some reply ->
-        Sim.Int_table.remove ep.pending req;
-        reply
-    | None ->
-        ep.timeouts <- ep.timeouts + 1;
-        attempt (k + 1)
+      (fun () -> ignore (Sim.Ivar.try_fill iv expired));
+    let reply = Sim.Ivar.read iv in
+    if reply != expired then begin
+      Sim.Int_table.remove ep.pending req;
+      reply
+    end
+    else begin
+      ep.timeouts <- ep.timeouts + 1;
+      attempt (k + 1)
+    end
   in
   attempt 0

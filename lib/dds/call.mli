@@ -5,7 +5,19 @@
     operation on the home node's CPU and sends the reply back.  This
     module supplies the request-id plumbing both sides share: per-call
     ids, timeout-driven retransmission on the client, and a per-source
-    duplicate cache on the server making retried calls at-most-once. *)
+    duplicate cache on the server making retried calls at-most-once.
+
+    Allocation: a call allocates its request frame, the server's copy
+    of the request payload, the reply frame and the client's copy of
+    the reply payload; ids are ints and each source's cache is a fixed
+    16-slot ring. *)
+
+val word : bytes -> int -> int
+(** The 32-bit little-endian word at a byte offset, sign-extended: ids
+    and the structures' request and reply fields are such words. *)
+
+val set_word : bytes -> int -> int -> unit
+(** Store the low 32 bits of an int there. *)
 
 type endpoint
 (** Client-side state for one node's active-message plane. *)
@@ -27,8 +39,9 @@ type service = src:Atm.Addr.t -> bytes -> bytes
 
 val serve : Amsg.t -> id:int -> service -> unit
 (** Install a service under an active-message handler id.  Duplicate
-    requests (same source and request id) are answered from a bounded
-    per-source cache without re-running the service. *)
+    requests (same source and request id) are answered without
+    re-running the service while the id is among the source's last 16
+    served. *)
 
 val call : endpoint -> dst:Atm.Addr.t -> id:int -> bytes -> bytes
 (** Issue a request and block for the reply, retransmitting every

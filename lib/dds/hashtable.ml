@@ -11,23 +11,30 @@
    CASing the key word, then deposits the value with a blind WRITE.
    Losing the CAS to the {e same} key means a concurrent insert of this
    key won the slot — depositing over it is exactly the overwrite
-   semantics; losing it to a different key restarts the probe walk. *)
+   semantics; losing it to a different key restarts the probe walk.
+
+   Keys and values are ints inside — the 32-bit words, sign-extended —
+   and become int32s only at the client-facing operations. *)
 
 let rpc_id = 0xC0
 let slot_bytes = 8
-let empty_key = 0l
-let tombstone_key = Int32.minus_one
+let empty_key = 0
+let tombstone_key = -1
 
 exception Full
 
-let check_key key =
-  if Int32.equal key empty_key || Int32.equal key tombstone_key then
-    invalid_arg "Dds.Hashtable: keys 0 and -1 are reserved"
+(* The key as a word; raises on the two reserved keys. *)
+let key_word key =
+  let k = Int32.to_int key in
+  if k = empty_key || k = tombstone_key then
+    invalid_arg "Dds.Hashtable: keys 0 and -1 are reserved";
+  k
 
 (* Fibonacci scrambling into the non-negative range: every clerk hashes
    identically, so a key's home slot is the same on every node. *)
-let hash_key key = Int32.to_int key * 0x9E3779B1 land 0x3FFFFFFF
-let home_index ~slots key = hash_key key land (slots - 1)
+let hash_key key = key * 0x9E3779B1 land 0x3FFFFFFF
+let home_slot ~slots key = hash_key key land (slots - 1)
+let home_index ~slots key = home_slot ~slots (Int32.to_int key)
 
 type server = {
   snode : Cluster.Node.t;
@@ -42,50 +49,58 @@ let key_at s index =
 let value_at s index =
   Cluster.Address_space.read_word s.sspace ~addr:((index * slot_bytes) + 4)
 
-(* The server's own walks read the slot words as ints: the reserved keys
-   0 and -1 are [empty_key] and [tombstone_key] sign-extended. *)
-let local_walk s key =
-  let key_word = Int32.to_int key in
-  Probe.walk ~slots:s.sslots ~hash:(hash_key key)
-    ~classify:(fun ~index ~probe:_ ->
-      let k = key_at s index in
-      if k = 0 then Probe.Free
-      else if k = -1 then Probe.Tombstone None
-      else if k = key_word then Probe.Hit
-      else Probe.Other)
+let classify key k =
+  if k = empty_key then Probe.Free
+  else if k = tombstone_key then Probe.Tombstone None
+  else if k = key then Probe.Hit
+  else Probe.Other
 
-let local_insert s ~key ~value =
+let local_walk s key =
+  Probe.walk ~slots:s.sslots ~hash:(hash_key key)
+    ~classify:(fun ~index ~probe:_ -> classify key (key_at s index))
+
+let insert_words s ~key ~value =
   match local_walk s key with
   | Probe.Found { index; _ } ->
       Cluster.Address_space.write_word s.sspace
         ~addr:((index * slot_bytes) + 4)
-        (Int32.to_int value);
+        value;
       true
   | Probe.Absent { reusable = Some index; _ }
   | Probe.Absent { reusable = None; free = Some index; _ } ->
-      Cluster.Address_space.write_word s.sspace ~addr:(index * slot_bytes)
-        (Int32.to_int key);
+      Cluster.Address_space.write_word s.sspace ~addr:(index * slot_bytes) key;
       Cluster.Address_space.write_word s.sspace
         ~addr:((index * slot_bytes) + 4)
-        (Int32.to_int value);
+        value;
       true
   | Probe.Absent { reusable = None; free = None; _ } -> false
 
+let local_insert s ~key ~value =
+  insert_words s ~key:(Int32.to_int key) ~value:(Int32.to_int value)
+
+(* The key's value word, 0 when absent. *)
 let local_lookup s key =
   match local_walk s key with
-  | Probe.Found { index; _ } ->
-      let v = value_at s index in
-      if v = 0 then None else Some (Int32.of_int v)
-  | Probe.Absent _ -> None
+  | Probe.Found { index; _ } -> value_at s index
+  | Probe.Absent _ -> 0
 
 let local_delete s key =
   match local_walk s key with
   | Probe.Found { index; _ } ->
       let v = value_at s index in
       Cluster.Address_space.write_word s.sspace ~addr:(index * slot_bytes)
-        (Int32.to_int tombstone_key);
+        tombstone_key;
       v <> 0
   | Probe.Absent _ -> false
+
+let word = Call.word
+let set_word = Call.set_word
+
+let reply st v =
+  let b = Bytes.create 8 in
+  set_word b 0 st;
+  set_word b 4 v;
+  b
 
 (* RPC service cost: stub overhead plus the measured per-operation hash
    cost, charged {e after} the mutation so serves cannot interleave. *)
@@ -105,32 +120,26 @@ let server ~rmem ~amsg ~slots () =
   in
   let s = { snode; sspace; sslots = slots; segment } in
   Call.serve amsg ~id:rpc_id (fun ~src:_ body ->
-      let reply st v =
-        let b = Bytes.create 8 in
-        Bytes.set_int32_le b 0 st;
-        Bytes.set_int32_le b 4 v;
-        b
-      in
-      if Bytes.length body < 12 then reply 3l 0l
+      if Bytes.length body < 12 then reply 3 0
       else begin
-        let op = Int32.to_int (Bytes.get_int32_le body 0) in
-        let key = Bytes.get_int32_le body 4 in
-        let value = Bytes.get_int32_le body 8 in
+        let op = word body 0 in
+        let key = word body 4 in
+        let value = word body 8 in
         let c = Cluster.Node.costs snode in
         match op with
         | 1 ->
-            let ok = local_insert s ~key ~value in
+            let ok = insert_words s ~key ~value in
             charge snode c.Cluster.Costs.hash_insert;
-            if ok then reply 0l 0l else reply 2l 0l
-        | 2 -> (
-            let r = local_lookup s key in
+            if ok then reply 0 0 else reply 2 0
+        | 2 ->
+            let v = local_lookup s key in
             charge snode c.Cluster.Costs.hash_lookup;
-            match r with Some v -> reply 0l v | None -> reply 1l 0l)
+            if v <> 0 then reply 0 v else reply 1 0
         | 3 ->
             let present = local_delete s key in
             charge snode c.Cluster.Costs.hash_delete;
-            reply (if present then 0l else 1l) 0l
-        | _ -> reply 3l 0l
+            reply (if present then 0 else 1) 0
+        | _ -> reply 3 0
       end);
   s
 
@@ -147,6 +156,7 @@ type t = {
   tslots : int;
   hook : Hook.t option;
   hkey : int * int * int;
+  mutable found : int; (* the value word the last DX walk hit *)
   mutable cas_losses : int;
   mutable rpc_fallbacks : int;
 }
@@ -167,6 +177,7 @@ let client ~rmem ~amsg ~kind ?policy ?hook s =
     tslots = s.sslots;
     hook;
     hkey = server_key s;
+    found = 0;
     cas_losses = 0;
     rpc_fallbacks = 0;
   }
@@ -174,152 +185,136 @@ let client ~rmem ~amsg ~kind ?policy ?hook s =
 let cas_losses t = t.cas_losses
 let rpc_fallbacks t = t.rpc_fallbacks
 
-(* DX fast path *)
-
-let fetch_slot t index =
-  let b = Plane.read_bytes t.plane ~soff:(index * slot_bytes) ~len:slot_bytes in
-  (Bytes.get_int32_le b 0, Bytes.get_int32_le b 4)
+(* DX fast path: each probe READs one slot into the plane's scratch
+   buffer and classifies its key word in place. *)
 
 let dx_walk t key =
-  let found = ref 0l in
-  let outcome =
-    Probe.walk ~slots:t.tslots ~hash:(hash_key key)
-      ~classify:(fun ~index ~probe:_ ->
-        let k, v = fetch_slot t index in
-        if Int32.equal k empty_key then Probe.Free
-        else if Int32.equal k tombstone_key then Probe.Tombstone None
-        else if Int32.equal k key then begin
-          found := v;
+  Probe.walk ~slots:t.tslots ~hash:(hash_key key)
+    ~classify:(fun ~index ~probe:_ ->
+      Plane.read t.plane ~soff:(index * slot_bytes) ~len:slot_bytes;
+      match classify key (Plane.word t.plane ~off:0) with
+      | Probe.Hit ->
+          t.found <- Plane.word t.plane ~off:4;
           Probe.Hit
-        end
-        else Probe.Other)
-  in
-  (outcome, !found)
+      | step -> step)
 
 let deposit_value t index value =
   let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 value;
+  set_word b 0 value;
   Plane.write t.plane ~off:((index * slot_bytes) + 4) b
 
+(* The key's value word, 0 when absent. *)
 let dx_lookup t key =
-  match dx_walk t key with
-  | Probe.Found _, v -> if Int32.equal v 0l then None else Some v
-  | Probe.Absent _, _ -> None
+  match dx_walk t key with Probe.Found _ -> t.found | Probe.Absent _ -> 0
 
 let rec dx_insert t ~budget key value =
   match dx_walk t key with
-  | Probe.Found { index; _ }, _ ->
+  | Probe.Found { index; _ } ->
       deposit_value t index value;
       `Ok
-  | Probe.Absent { reusable; free; _ }, _ -> (
-      match
-        match (reusable, free) with
-        | Some i, _ -> Some (i, tombstone_key)
-        | None, Some i -> Some (i, empty_key)
-        | None, None -> None
-      with
-      | None -> `Full
-      | Some (index, expect) ->
-          let won, witness =
-            Plane.cas t.plane ~doff:(index * slot_bytes) ~old_value:expect
-              ~new_value:key
-          in
-          if won then begin
-            deposit_value t index value;
-            `Ok
-          end
-          else begin
-            t.cas_losses <- t.cas_losses + 1;
-            if Int32.equal witness key then begin
-              (* A concurrent insert of the same key won the claim:
-                 depositing over its slot is the overwrite semantics. *)
-              deposit_value t index value;
-              `Ok
-            end
-            else if budget <= 0 then `Contended
-            else dx_insert t ~budget:(budget - 1) key value
-          end)
+  | Probe.Absent { reusable = Some index; _ } ->
+      dx_claim t ~budget key value ~index ~expect:tombstone_key
+  | Probe.Absent { reusable = None; free = Some index; _ } ->
+      dx_claim t ~budget key value ~index ~expect:empty_key
+  | Probe.Absent { reusable = None; free = None; _ } -> `Full
+
+and dx_claim t ~budget key value ~index ~expect =
+  let witness =
+    Plane.cas t.plane ~doff:(index * slot_bytes) ~old_value:expect
+      ~new_value:key
+  in
+  if witness = expect then begin
+    deposit_value t index value;
+    `Ok
+  end
+  else begin
+    t.cas_losses <- t.cas_losses + 1;
+    if witness = key then begin
+      (* A concurrent insert of the same key won the claim: depositing
+         over its slot is the overwrite semantics. *)
+      deposit_value t index value;
+      `Ok
+    end
+    else if budget <= 0 then `Contended
+    else dx_insert t ~budget:(budget - 1) key value
+  end
 
 let rec dx_delete t ~budget key =
   match dx_walk t key with
-  | Probe.Absent _, _ -> `Ok false
-  | Probe.Found { index; _ }, v ->
-      let won, witness =
+  | Probe.Absent _ -> `Ok false
+  | Probe.Found { index; _ } ->
+      let v = t.found in
+      let witness =
         Plane.cas t.plane ~doff:(index * slot_bytes) ~old_value:key
           ~new_value:tombstone_key
       in
-      if won then `Ok (not (Int32.equal v 0l))
+      if witness = key then `Ok (v <> 0)
       else begin
         t.cas_losses <- t.cas_losses + 1;
-        if Int32.equal witness tombstone_key || Int32.equal witness empty_key
-        then `Ok false
+        if witness = tombstone_key || witness = empty_key then `Ok false
         else if budget <= 0 then `Contended
         else dx_delete t ~budget:(budget - 1) key
       end
 
-(* RPC path *)
+(* RPC path: the reply's status word; its value word is read in place. *)
 
 let rpc_op t ~op ~key ~value =
   let b = Bytes.create 12 in
-  Bytes.set_int32_le b 0 (Int32.of_int op);
-  Bytes.set_int32_le b 4 key;
-  Bytes.set_int32_le b 8 value;
-  let r = Call.call t.ep ~dst:t.home ~id:rpc_id b in
-  if Bytes.length r < 8 then (3l, 0l)
-  else (Bytes.get_int32_le r 0, Bytes.get_int32_le r 4)
+  set_word b 0 op;
+  set_word b 4 key;
+  set_word b 8 value;
+  Call.call t.ep ~dst:t.home ~id:rpc_id b
+
+let status r = if Bytes.length r < 8 then 3 else word r 0
 
 let rpc_insert t key value =
-  match rpc_op t ~op:1 ~key ~value with
-  | 0l, _ -> ()
-  | 2l, _ -> raise Full
+  match status (rpc_op t ~op:1 ~key ~value) with
+  | 0 -> ()
+  | 2 -> raise Full
   | _ -> failwith "Dds.Hashtable: malformed insert reply"
 
+(* The value word, 0 when absent. *)
 let rpc_lookup t key =
-  match rpc_op t ~op:2 ~key ~value:0l with
-  | 0l, v -> Some v
-  | 1l, _ -> None
+  let r = rpc_op t ~op:2 ~key ~value:0 in
+  match status r with
+  | 0 -> word r 4
+  | 1 -> 0
   | _ -> failwith "Dds.Hashtable: malformed lookup reply"
 
 let rpc_delete t key =
-  match rpc_op t ~op:3 ~key ~value:0l with
-  | 0l, _ -> true
-  | 1l, _ -> false
+  match status (rpc_op t ~op:3 ~key ~value:0) with
+  | 0 -> true
+  | 1 -> false
   | _ -> failwith "Dds.Hashtable: malformed delete reply"
 
 (* Client-facing operations *)
 
 let node_id t = Atm.Addr.to_int (Cluster.Node.addr t.plane.Plane.node)
 
-let begin_hook t =
-  match t.hook with
-  | Some h -> h (Hook.Begin { node = node_id t })
-  | None -> ()
+let begin_hook t = Hook.begin_op t.hook ~node:(node_id t)
 
-let commit_hook t key op =
-  match t.hook with
-  | None -> ()
-  | Some h ->
-      let home, seg, gen = t.hkey in
-      let word = (home_index ~slots:t.tslots key * slot_bytes) + 4 in
-      h (Hook.Commit { node = node_id t; home; seg; gen; word; op })
+let commit_hook t key ~read v =
+  Hook.commit t.hook ~node:(node_id t) ~cell:t.hkey
+    ~word:((home_slot ~slots:t.tslots key * slot_bytes) + 4)
+    ~read v
 
 let hybrid_budget = 2
 
 let lookup t key =
-  check_key key;
+  let key = key_word key in
   begin_hook t;
-  let r =
+  let v =
     match t.kind with
     | Kind.Dx | Kind.Hybrid -> dx_lookup t key
     | Kind.Rpc -> rpc_lookup t key
   in
-  commit_hook t key (Hook.Read (Option.value r ~default:0l));
-  r
+  commit_hook t key ~read:true v;
+  if v = 0 then None else Some (Int32.of_int v)
 
 let insert t ~key ~value =
-  check_key key;
-  if Int32.equal value 0l then
-    invalid_arg "Dds.Hashtable.insert: value 0 is reserved";
+  let key = key_word key in
+  let value = Int32.to_int value in
+  if value = 0 then invalid_arg "Dds.Hashtable.insert: value 0 is reserved";
   begin_hook t;
   (match t.kind with
   | Kind.Dx -> (
@@ -334,10 +329,10 @@ let insert t ~key ~value =
       | `Contended ->
           t.rpc_fallbacks <- t.rpc_fallbacks + 1;
           rpc_insert t key value));
-  commit_hook t key (Hook.Write value)
+  commit_hook t key ~read:false value
 
 let delete t key =
-  check_key key;
+  let key = key_word key in
   begin_hook t;
   let present =
     match t.kind with
@@ -353,7 +348,7 @@ let delete t key =
             t.rpc_fallbacks <- t.rpc_fallbacks + 1;
             rpc_delete t key)
   in
-  commit_hook t key (Hook.Write 0l);
+  commit_hook t key ~read:false 0;
   present
 
 (* The fence's physical READ must not leak into a monitored history as
@@ -365,10 +360,4 @@ let flush t =
   | Kind.Dx | Kind.Hybrid ->
       begin_hook t;
       Plane.fence t.plane;
-      (match t.hook with
-      | None -> ()
-      | Some h ->
-          let home, seg, gen = t.hkey in
-          h
-            (Hook.Commit
-               { node = node_id t; home; seg; gen; word = 0; op = Hook.Sync }))
+      Hook.sync t.hook ~node:(node_id t) ~cell:t.hkey

@@ -22,3 +22,21 @@ type event =
     }
 
 type t = event -> unit
+
+(* Each emitter builds its event only when a hook is attached. *)
+
+let begin_op hook ~node =
+  match hook with None -> () | Some h -> h (Begin { node })
+
+let commit hook ~node ~cell:(home, seg, gen) ~word ~read v =
+  match hook with
+  | None -> ()
+  | Some h ->
+      let v = Int32.of_int v in
+      let op = if read then Read v else Write v in
+      h (Commit { node; home; seg; gen; word; op })
+
+let sync hook ~node ~cell:(home, seg, gen) =
+  match hook with
+  | None -> ()
+  | Some h -> h (Commit { node; home; seg; gen; word = 0; op = Sync })

@@ -28,3 +28,16 @@ type event =
     }
 
 type t = event -> unit
+
+(** {1 Emitting} Each builds its event only when a hook is attached. *)
+
+val begin_op : t option -> node:int -> unit
+
+val commit :
+  t option -> node:int -> cell:int * int * int -> word:int -> read:bool ->
+  int -> unit
+(** A [Read] (with [read]) or [Write] of the value at [word] of [cell],
+    which is (home, seg, gen). *)
+
+val sync : t option -> node:int -> cell:int * int * int -> unit
+(** A [Sync] at word 0 of [cell]. *)

@@ -1,7 +1,9 @@
 (* The client side of the data-transfer plane: one imported descriptor
    plus a local scratch buffer, with every meta-instruction optionally
    run under a §3.7 recovery policy.  The DX and hybrid structurings
-   build their fast paths from these. *)
+   build their fast paths from these.  Words are read out of the
+   scratch buffer as ints, so a probe allocates no bytes and no boxed
+   word. *)
 
 type t = {
   rmem : Rmem.Remote_memory.t;
@@ -22,12 +24,15 @@ let connect rmem ?policy ~remote ~segment_id ~generation ~size ~scratch () =
   let buf = Rmem.Remote_memory.buffer ~space ~base:0 ~len:scratch in
   { rmem; node; desc; space; buf; policy }
 
-let read_bytes t ~soff ~len =
+let read t ~soff ~len =
   Rmem.Remote_memory.read_wait ?policy:t.policy t.rmem t.desc ~soff ~count:len
-    ~dst:t.buf ~doff:0 ();
-  Cluster.Address_space.read t.space ~addr:0 ~len
+    ~dst:t.buf ~doff:0 ()
 
-let read_word t ~soff = Bytes.get_int32_le (read_bytes t ~soff ~len:4) 0
+let word t ~off = Cluster.Address_space.read_word t.space ~addr:off
+
+let read_word t ~soff =
+  read t ~soff ~len:4;
+  word t ~off:0
 
 let cas t ~doff ~old_value ~new_value =
   Rmem.Remote_memory.cas_wait ?policy:t.policy t.rmem t.desc ~doff ~old_value

@@ -2,7 +2,12 @@
     descriptor for the home segment plus a private scratch buffer, with
     every meta-instruction optionally run under a recovery policy
     (§3.7).  The DX and hybrid structurings issue all their remote
-    operations through this. *)
+    operations through this.
+
+    Allocation: words travel as ints. A READ lands in the scratch
+    buffer and is read from there in place, and a CAS returns its
+    witness unboxed, so a probe or a CAS allocates only what the
+    remote-memory layer does for the meta-instruction itself. *)
 
 type t = {
   rmem : Rmem.Remote_memory.t;
@@ -26,14 +31,19 @@ val connect :
 (** Import the home segment with full rights and allocate a [scratch]-
     byte local buffer for READ replies and CAS results. *)
 
-val read_bytes : t -> soff:int -> len:int -> bytes
-(** Blocking remote READ into the scratch buffer; raises like
-    [Rmem.Remote_memory.read_wait] (or retries under the policy). *)
+val read : t -> soff:int -> len:int -> unit
+(** Blocking remote READ of [len] bytes into the scratch buffer; raises
+    like [Rmem.Remote_memory.read_wait] (or retries under the policy). *)
 
-val read_word : t -> soff:int -> int32
+val word : t -> off:int -> int
+(** The scratch buffer's 32-bit word at [off], sign-extended. *)
 
-val cas : t -> doff:int -> old_value:int32 -> new_value:int32 -> bool * int32
-(** Blocking remote CAS: (succeeded, witness). *)
+val read_word : t -> soff:int -> int
+(** {!read} of one word, then that word. *)
+
+val cas : t -> doff:int -> old_value:int -> new_value:int -> int
+(** Blocking remote CAS of sign-extended 32-bit words: returns the
+    witness, which equals [old_value] exactly when the swap happened. *)
 
 val write : t -> off:int -> bytes -> unit
 (** Remote WRITE: unacknowledged fire-and-forget without a policy,

@@ -19,7 +19,10 @@
    some enqueuer owns the ticket, so the deposit is coming.  The RPC
    service runs the same state machine locally and answers "not ready"
    for a branded counter or a claimed-but-undeposited head slot rather
-   than blocking the interrupt handler. *)
+   than blocking the interrupt handler.
+
+   Words are ints inside — the 32 bits, sign-extended — and values
+   become int32s only at the client-facing operations. *)
 
 let rpc_id = 0xC1
 let slot_bytes = 8
@@ -43,8 +46,7 @@ let local_enqueue s value =
   if tl < 0 then `Not_ready
   else if tl >= s.cap then `Full
   else begin
-    Cluster.Address_space.write_word s.sspace ~addr:(slot_off tl + 4)
-      (Int32.to_int value);
+    Cluster.Address_space.write_word s.sspace ~addr:(slot_off tl + 4) value;
     Cluster.Address_space.write_word s.sspace ~addr:(slot_off tl) 1;
     Cluster.Address_space.write_word s.sspace ~addr:4 (tl + 1);
     `Ok tl
@@ -60,8 +62,18 @@ let local_dequeue s =
   else begin
     let v = Cluster.Address_space.read_word s.sspace ~addr:(slot_off h + 4) in
     Cluster.Address_space.write_word s.sspace ~addr:0 (h + 1);
-    `Ok (Int32.of_int v, h)
+    `Ok (v, h)
   end
+
+let word = Call.word
+let set_word = Call.set_word
+
+let reply st v tk =
+  let b = Bytes.create 12 in
+  set_word b 0 st;
+  set_word b 4 v;
+  set_word b 8 tk;
+  b
 
 let charge node =
   let c = Cluster.Node.costs node in
@@ -79,33 +91,26 @@ let server ~rmem ~amsg ~capacity () =
   in
   let s = { snode; sspace; cap = capacity; segment } in
   Call.serve amsg ~id:rpc_id (fun ~src:_ body ->
-      let reply st v tk =
-        let b = Bytes.create 12 in
-        Bytes.set_int32_le b 0 st;
-        Bytes.set_int32_le b 4 v;
-        Bytes.set_int32_le b 8 (Int32.of_int tk);
-        b
-      in
-      if Bytes.length body < 8 then reply 4l 0l 0
+      if Bytes.length body < 8 then reply 4 0 0
       else begin
-        let op = Int32.to_int (Bytes.get_int32_le body 0) in
-        let value = Bytes.get_int32_le body 4 in
+        let op = word body 0 in
+        let value = word body 4 in
         match op with
         | 1 -> (
             let r = local_enqueue s value in
             charge snode;
             match r with
-            | `Ok ticket -> reply 0l 0l ticket
-            | `Full -> reply 2l 0l 0
-            | `Not_ready -> reply 3l 0l 0)
+            | `Ok ticket -> reply 0 0 ticket
+            | `Full -> reply 2 0 0
+            | `Not_ready -> reply 3 0 0)
         | 2 -> (
             let r = local_dequeue s in
             charge snode;
             match r with
-            | `Ok (v, ticket) -> reply 0l v ticket
-            | `Empty -> reply 1l 0l 0
-            | `Not_ready -> reply 3l 0l 0)
-        | _ -> reply 4l 0l 0
+            | `Ok (v, ticket) -> reply 0 v ticket
+            | `Empty -> reply 1 0 0
+            | `Not_ready -> reply 3 0 0)
+        | _ -> reply 4 0 0
       end);
   s
 
@@ -120,9 +125,10 @@ type t = {
   ep : Call.endpoint;
   home : Atm.Addr.t;
   cap : int;
-  brand : int32;
+  brand : int;
   hook : Hook.t option;
   hkey : int * int * int;
+  mutable dequeued : int; (* the value the last dequeue claimed *)
   mutable cas_losses : int;
   mutable rpc_fallbacks : int;
 }
@@ -149,9 +155,10 @@ let client ~rmem ~amsg ~kind ?policy ?hook s =
     cap = s.cap;
     brand =
       (incr next_brand;
-       Int32.of_int (- !next_brand));
+       - !next_brand);
     hook;
     hkey = server_key s;
+    dequeued = 0;
     cas_losses = 0;
     rpc_fallbacks = 0;
   }
@@ -160,25 +167,23 @@ let cas_losses t = t.cas_losses
 let rpc_fallbacks t = t.rpc_fallbacks
 let node_id t = Atm.Addr.to_int (Cluster.Node.addr t.plane.Plane.node)
 
-let begin_hook t =
-  match t.hook with
-  | Some h -> h (Hook.Begin { node = node_id t })
-  | None -> ()
+let begin_hook t = Hook.begin_op t.hook ~node:(node_id t)
 
 (* The designated cell of a committed enqueue/dequeue is its ticket's
    value word; an observed-empty dequeue commits a read of the (always
    untouched-in-history) head word instead, so the pair stays
    balanced. *)
-let commit_hook t ~word op =
-  match t.hook with
-  | None -> ()
-  | Some h ->
-      let home, seg, gen = t.hkey in
-      h (Hook.Commit { node = node_id t; home; seg; gen; word; op })
+let commit_hook t ~word ~read v =
+  Hook.commit t.hook ~node:(node_id t) ~cell:t.hkey ~word ~read v
 
 (* DX fast path *)
 
 let poll_interval = Sim.Time.us 2
+
+(* What a claim returns instead of a ticket: the counter reached its
+   bound, or the CAS budget ran out. *)
+let exhausted = -1
+let contended = -2
 
 (* Claim a ticket from the counter at [word]: CAS counter -> brand,
    then CAS brand -> ticket+1 to release.  Both CASes are loss-proof:
@@ -186,96 +191,95 @@ let poll_interval = Sim.Time.us 2
    and a failed release proves an earlier lost-reply release landed
    (only we can displace our brand). *)
 let rec claim_ticket t ~word ~bound ~budget =
-  let release ticket =
-    ignore
-      (Plane.cas t.plane ~doff:word ~old_value:t.brand
-         ~new_value:(Int32.of_int (ticket + 1)))
-  in
   let cur = Plane.read_word t.plane ~soff:word in
-  if Int32.compare cur 0l < 0 then begin
+  if cur < 0 then begin
     (* Another client's claim: its release is coming. *)
     Sim.Proc.wait poll_interval;
     claim_ticket t ~word ~bound ~budget
   end
-  else if Int32.to_int cur >= bound then None
+  else if cur >= bound then exhausted
   else begin
-    let won, witness =
+    let witness =
       Plane.cas t.plane ~doff:word ~old_value:cur ~new_value:t.brand
     in
-    if won || Int32.equal witness t.brand then begin
-      let ticket = Int32.to_int cur in
-      release ticket;
-      Some (`Ok ticket)
+    if witness = cur || witness = t.brand then begin
+      ignore
+        (Plane.cas t.plane ~doff:word ~old_value:t.brand ~new_value:(cur + 1)
+          : int);
+      cur
     end
     else begin
       t.cas_losses <- t.cas_losses + 1;
-      if budget <= 0 then Some `Contended
+      if budget <= 0 then contended
       else claim_ticket t ~word ~bound ~budget:(budget - 1)
     end
   end
 
+(* The ticket, or [exhausted] (the queue is full) or [contended]. *)
 let dx_enqueue t ~budget value =
-  match claim_ticket t ~word:4 ~bound:t.cap ~budget with
-  | None -> `Full
-  | Some `Contended -> `Contended
-  | Some (`Ok ticket) ->
-      let b = Bytes.create slot_bytes in
-      Bytes.set_int32_le b 0 1l;
-      Bytes.set_int32_le b 4 value;
-      Plane.write t.plane ~off:(slot_off ticket) b;
-      `Ok ticket
+  let ticket = claim_ticket t ~word:4 ~bound:t.cap ~budget in
+  if ticket >= 0 then begin
+    let b = Bytes.create slot_bytes in
+    set_word b 0 1;
+    set_word b 4 value;
+    Plane.write t.plane ~off:(slot_off ticket) b
+  end;
+  ticket
 
 let await_deposit t ticket =
   let rec spin tries =
     if tries > 200_000 then raise Rmem.Status.Timeout;
-    let b = Plane.read_bytes t.plane ~soff:(slot_off ticket) ~len:slot_bytes in
-    if Int32.equal (Bytes.get_int32_le b 0) 0l then begin
+    Plane.read t.plane ~soff:(slot_off ticket) ~len:slot_bytes;
+    if Plane.word t.plane ~off:0 = 0 then begin
       Sim.Proc.wait poll_interval;
       spin (tries + 1)
     end
-    else Bytes.get_int32_le b 4
+    else Plane.word t.plane ~off:4
   in
   spin 0
 
+(* The ticket claimed, its value left in [t.dequeued]; or [exhausted]
+   when the queue is empty, or [contended]. *)
 let rec dx_try_dequeue t ~budget =
   (* One atomic 8-byte read of [head; tail]: h >= tl in a single frame
      is a true instant of emptiness. *)
-  let b = Plane.read_bytes t.plane ~soff:0 ~len:8 in
-  let h = Bytes.get_int32_le b 0 in
-  let tl = Bytes.get_int32_le b 4 in
-  if Int32.compare h 0l < 0 || Int32.compare tl 0l < 0 then begin
+  Plane.read t.plane ~soff:0 ~len:8;
+  let h = Plane.word t.plane ~off:0 in
+  let tl = Plane.word t.plane ~off:4 in
+  if h < 0 || tl < 0 then begin
     Sim.Proc.wait poll_interval;
     dx_try_dequeue t ~budget
   end
-  else if Int32.compare h tl >= 0 then `Empty
+  else if h >= tl then exhausted
   else
-    match claim_ticket t ~word:0 ~bound:(Int32.to_int tl) ~budget with
-    | None ->
-        (* Head caught up with our tail snapshot: re-read the pair. *)
-        dx_try_dequeue t ~budget
-    | Some `Contended -> `Contended
-    | Some (`Ok ticket) -> `Ok (await_deposit t ticket, ticket)
+    let ticket = claim_ticket t ~word:0 ~bound:tl ~budget in
+    if ticket = exhausted then
+      (* Head caught up with our tail snapshot: re-read the pair. *)
+      dx_try_dequeue t ~budget
+    else begin
+      if ticket >= 0 then t.dequeued <- await_deposit t ticket;
+      ticket
+    end
 
-(* RPC path *)
+(* RPC path: the reply's status word; its value and ticket words are
+   read in place. *)
 
 let rpc_op t ~op ~value =
   let b = Bytes.create 8 in
-  Bytes.set_int32_le b 0 (Int32.of_int op);
-  Bytes.set_int32_le b 4 value;
-  let r = Call.call t.ep ~dst:t.home ~id:rpc_id b in
-  if Bytes.length r < 12 then (4l, 0l, 0)
-  else
-    ( Bytes.get_int32_le r 0,
-      Bytes.get_int32_le r 4,
-      Int32.to_int (Bytes.get_int32_le r 8) )
+  set_word b 0 op;
+  set_word b 4 value;
+  Call.call t.ep ~dst:t.home ~id:rpc_id b
+
+let status r = if Bytes.length r < 12 then 4 else word r 0
 
 let rpc_enqueue t value =
   let rec go attempt =
     if attempt > 5000 then raise Rmem.Status.Timeout;
-    match rpc_op t ~op:1 ~value with
-    | 0l, _, ticket -> ticket
-    | 2l, _, _ -> raise Full
-    | 3l, _, _ ->
+    let r = rpc_op t ~op:1 ~value in
+    match status r with
+    | 0 -> word r 8
+    | 2 -> raise Full
+    | 3 ->
         (* A DX claim holds the tail; its release is coming. *)
         Sim.Proc.wait (Sim.Time.us 5);
         go (attempt + 1)
@@ -283,13 +287,17 @@ let rpc_enqueue t value =
   in
   go 0
 
+(* As [dx_try_dequeue], never [contended]. *)
 let rpc_try_dequeue t =
-  match rpc_op t ~op:2 ~value:0l with
-  | 0l, v, ticket -> `Ok (v, ticket)
-  | 1l, _, _ | 3l, _, _ ->
+  let r = rpc_op t ~op:2 ~value:0 in
+  match status r with
+  | 0 ->
+      t.dequeued <- word r 4;
+      word r 8
+  | 1 | 3 ->
       (* Empty, or the head ticket's deposit is still in flight — the
          claiming enqueue has not committed, so "empty" linearizes. *)
-      `Empty
+      exhausted
   | _ -> failwith "Dds.Queue: malformed dequeue reply"
 
 (* Client-facing operations *)
@@ -297,49 +305,49 @@ let rpc_try_dequeue t =
 let hybrid_budget = 2
 
 let enqueue t value =
+  let value = Int32.to_int value in
   begin_hook t;
   let ticket =
     match t.kind with
-    | Kind.Dx -> (
-        match dx_enqueue t ~budget:max_int value with
-        | `Ok ticket -> ticket
-        | `Full | `Contended -> raise Full)
+    | Kind.Dx ->
+        let ticket = dx_enqueue t ~budget:max_int value in
+        if ticket < 0 then raise Full;
+        ticket
     | Kind.Rpc -> rpc_enqueue t value
-    | Kind.Hybrid -> (
-        match dx_enqueue t ~budget:hybrid_budget value with
-        | `Ok ticket -> ticket
-        | `Full -> raise Full
-        | `Contended ->
-            t.rpc_fallbacks <- t.rpc_fallbacks + 1;
-            rpc_enqueue t value)
+    | Kind.Hybrid ->
+        let ticket = dx_enqueue t ~budget:hybrid_budget value in
+        if ticket = exhausted then raise Full
+        else if ticket = contended then begin
+          t.rpc_fallbacks <- t.rpc_fallbacks + 1;
+          rpc_enqueue t value
+        end
+        else ticket
   in
-  commit_hook t ~word:(slot_off ticket + 4) (Hook.Write value);
+  commit_hook t ~word:(slot_off ticket + 4) ~read:false value;
   ticket
 
 let try_dequeue t =
   begin_hook t;
-  let r =
+  let ticket =
     match t.kind with
-    | Kind.Dx -> (
-        match dx_try_dequeue t ~budget:max_int with
-        | `Ok (v, ticket) -> Some (v, ticket)
-        | `Empty | `Contended -> None)
-    | Kind.Rpc -> (
-        match rpc_try_dequeue t with `Ok (v, tk) -> Some (v, tk) | `Empty -> None)
-    | Kind.Hybrid -> (
-        match dx_try_dequeue t ~budget:hybrid_budget with
-        | `Ok (v, ticket) -> Some (v, ticket)
-        | `Empty -> None
-        | `Contended -> (
-            t.rpc_fallbacks <- t.rpc_fallbacks + 1;
-            match rpc_try_dequeue t with
-            | `Ok (v, tk) -> Some (v, tk)
-            | `Empty -> None))
+    | Kind.Dx -> dx_try_dequeue t ~budget:max_int
+    | Kind.Rpc -> rpc_try_dequeue t
+    | Kind.Hybrid ->
+        let ticket = dx_try_dequeue t ~budget:hybrid_budget in
+        if ticket = contended then begin
+          t.rpc_fallbacks <- t.rpc_fallbacks + 1;
+          rpc_try_dequeue t
+        end
+        else ticket
   in
-  (match r with
-  | Some (v, ticket) -> commit_hook t ~word:(slot_off ticket + 4) (Hook.Read v)
-  | None -> commit_hook t ~word:0 (Hook.Read 0l));
-  Option.map fst r
+  if ticket >= 0 then begin
+    commit_hook t ~word:(slot_off ticket + 4) ~read:true t.dequeued;
+    Some (Int32.of_int t.dequeued)
+  end
+  else begin
+    commit_hook t ~word:0 ~read:true 0;
+    None
+  end
 
 let rec dequeue t =
   match try_dequeue t with
@@ -356,4 +364,4 @@ let flush t =
   | Kind.Dx | Kind.Hybrid ->
       begin_hook t;
       Plane.fence t.plane;
-      commit_hook t ~word:0 Hook.Sync
+      Hook.sync t.hook ~node:(node_id t) ~cell:t.hkey

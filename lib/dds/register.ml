@@ -15,7 +15,11 @@
    the writer's rank-specific {!Tag.busy_for} sentinel, then releases it
    with one atomic 8-byte WRITE of the new cell; a cell already at or
    past the new tag is left alone.  Readers treat a busy cell as a
-   non-response and retry. *)
+   non-response and retry.
+
+   Tag and value words are ints inside — the 32 bits, sign-extended;
+   packed tags order as ints — and values become int32s only at the
+   client-facing operations. *)
 
 let rpc_id = 0xC2
 
@@ -24,6 +28,16 @@ type replica = {
   rspace : Cluster.Address_space.t;
   rsegment : Rmem.Segment.t;
 }
+
+let word = Call.word
+let set_word = Call.set_word
+
+let payload op tagw v =
+  let b = Bytes.create 12 in
+  set_word b 0 op;
+  set_word b 4 tagw;
+  set_word b 8 v;
+  b
 
 let charge node extra =
   let c = Cluster.Node.costs node in
@@ -39,43 +53,31 @@ let replica ~rmem ~amsg () =
   in
   Call.serve amsg ~id:rpc_id (fun ~src:_ body ->
       let c = Cluster.Node.costs rnode in
-      let reply st tagw v =
-        let b = Bytes.create 12 in
-        Bytes.set_int32_le b 0 st;
-        Bytes.set_int32_le b 4 tagw;
-        Bytes.set_int32_le b 8 v;
-        b
-      in
-      if Bytes.length body < 12 then reply 4l 0l 0l
+      if Bytes.length body < 12 then payload 4 0 0
       else begin
-        let op = Int32.to_int (Bytes.get_int32_le body 0) in
-        let cur =
-          Int32.of_int (Cluster.Address_space.read_word rspace ~addr:0)
-        in
+        let op = word body 0 in
+        let cur = Cluster.Address_space.read_word rspace ~addr:0 in
         match op with
         | 1 ->
             let v = Cluster.Address_space.read_word rspace ~addr:4 in
             charge rnode c.Cluster.Costs.hash_lookup;
-            if Tag.is_busy cur then reply 3l 0l 0l
-            else reply 0l cur (Int32.of_int v)
+            if Tag.is_busy cur then payload 3 0 0 else payload 0 cur v
         | 2 ->
-            let tagw = Bytes.get_int32_le body 4 in
-            let value = Bytes.get_int32_le body 8 in
+            let tagw = word body 4 in
+            let value = word body 8 in
             if Tag.is_busy cur then begin
               charge rnode c.Cluster.Costs.cas_execute;
-              reply 3l 0l 0l
+              payload 3 0 0
             end
             else begin
-              if Int32.compare tagw cur > 0 then begin
-                Cluster.Address_space.write_word rspace ~addr:4
-                  (Int32.to_int value);
-                Cluster.Address_space.write_word rspace ~addr:0
-                  (Int32.to_int tagw)
+              if tagw > cur then begin
+                Cluster.Address_space.write_word rspace ~addr:4 value;
+                Cluster.Address_space.write_word rspace ~addr:0 tagw
               end;
               charge rnode c.Cluster.Costs.cas_execute;
-              reply 0l 0l 0l
+              payload 0 0 0
             end
-        | _ -> reply 4l 0l 0l
+        | _ -> payload 4 0 0
       end);
   { rnode; rspace; rsegment }
 
@@ -95,14 +97,21 @@ type t = {
   ep : Call.endpoint;
   planes : Plane.t array;
   homes : Atm.Addr.t array;
-  quorum : int list;  (** replica indices this client can reach *)
+  quorum : int array;  (** replica indices this client can reach *)
   majority : int;
   write_back : bool;
   hook : Hook.t option;
   hkey : int * int * int;
+  reads : Rmem.Status.t Sim.Ivar.t array;  (** a DX collect round's READs *)
+  tags : int array;
+      (** per replica, the tag word the last collect got, or [no_tag] *)
+  values : int array;  (** ... and the value word beside it *)
   mutable cas_losses : int;
   mutable rpc_fallbacks : int;
 }
+
+(* No packed tag is negative. *)
+let no_tag = -1
 
 let client ~rmem ~amsg ~kind ~rank ?policy ?hook ?(write_back = true) ?quorum
     replicas =
@@ -139,11 +148,14 @@ let client ~rmem ~amsg ~kind ~rank ?policy ?hook ?(write_back = true) ?quorum
     ep = Call.endpoint amsg;
     planes;
     homes = Array.map (fun r -> Cluster.Node.addr r.rnode) replicas;
-    quorum;
+    quorum = Array.of_list quorum;
     majority;
     write_back;
     hook;
     hkey = replica_key replicas.(0);
+    reads = Array.init n (fun _ -> Sim.Ivar.create ());
+    tags = Array.make n no_tag;
+    values = Array.make n 0;
     cas_losses = 0;
     rpc_fallbacks = 0;
   }
@@ -152,92 +164,84 @@ let cas_losses t = t.cas_losses
 let rpc_fallbacks t = t.rpc_fallbacks
 let node_id t = Atm.Addr.to_int (Cluster.Node.addr t.node)
 
-let begin_hook t =
-  match t.hook with
-  | Some h -> h (Hook.Begin { node = node_id t })
-  | None -> ()
+let begin_hook t = Hook.begin_op t.hook ~node:(node_id t)
 
 (* The register's designated cell is replica 0's value word. *)
-let commit_hook t op =
-  match t.hook with
-  | None -> ()
-  | Some h ->
-      let home, seg, gen = t.hkey in
-      h (Hook.Commit { node = node_id t; home; seg; gen; word = 4; op })
+let commit_hook t ~read v =
+  Hook.commit t.hook ~node:(node_id t) ~cell:t.hkey ~word:4 ~read v
 
-(* DX collect: one parallel READ round over all replicas, retried until
-   a majority answers with a released (non-busy) cell. *)
+(* A collect fills [t.tags] and [t.values] for the replicas that answer
+   with a released (non-busy) cell, retrying until a majority do.  The
+   DX collect is one parallel READ round over all replicas. *)
 
 let read_timeout = Sim.Time.us 300
 
 let dx_collect t =
   let rec round attempt =
     if attempt > 400 then raise Rmem.Status.Timeout;
-    let ivs =
-      List.map
-        (fun k ->
+    for i = 0 to Array.length t.quorum - 1 do
+      let p = t.planes.(t.quorum.(i)) in
+      t.reads.(t.quorum.(i)) <-
+        Rmem.Remote_memory.read ~timeout:read_timeout p.Plane.rmem
+          p.Plane.desc ~soff:0 ~count:Tag.cell_bytes ~dst:p.Plane.buf ~doff:0
+          ()
+    done;
+    let got = ref 0 in
+    for i = 0 to Array.length t.quorum - 1 do
+      let k = t.quorum.(i) in
+      t.tags.(k) <- no_tag;
+      match Sim.Ivar.read t.reads.(k) with
+      | Rmem.Status.Ok ->
           let p = t.planes.(k) in
-          ( k,
-            Rmem.Remote_memory.read ~timeout:read_timeout p.Plane.rmem
-              p.Plane.desc ~soff:0 ~count:Tag.cell_bytes ~dst:p.Plane.buf
-              ~doff:0 () ))
-        t.quorum
-    in
-    let got = ref [] in
-    List.iter
-      (fun (k, iv) ->
-        match Sim.Ivar.read iv with
-        | Rmem.Status.Ok -> (
-            let b =
-              Cluster.Address_space.read t.planes.(k).Plane.space ~addr:0
-                ~len:Tag.cell_bytes
-            in
-            match Tag.decode b with
-            | Some (tag, v) -> got := (k, tag, v) :: !got
-            | None -> ())
-        | _ -> ())
-      ivs;
-    if List.length !got >= t.majority then !got
-    else begin
+          let w = Plane.word p ~off:0 in
+          if not (Tag.is_busy w) then begin
+            t.tags.(k) <- w;
+            t.values.(k) <- Plane.word p ~off:4;
+            incr got
+          end
+      | _ -> ()
+    done;
+    if !got < t.majority then begin
       Sim.Proc.wait (Sim.Time.us 10);
       round (attempt + 1)
     end
   in
   round 0
 
-let highest got =
-  match got with
-  | [] -> invalid_arg "Dds.Register.highest: empty quorum"
-  | (_, tag0, v0) :: rest ->
-      List.fold_left
-        (fun (bt, bv) (_, tag, v) ->
-          if Tag.compare tag bt > 0 then (tag, v) else (bt, bv))
-        (tag0, v0) rest
+(* The replica holding the highest collected tag: of equal tags, the
+   last in quorum order. *)
+let highest t =
+  let best = ref (-1) in
+  for i = 0 to Array.length t.quorum - 1 do
+    let k = t.quorum.(i) in
+    if t.tags.(k) <> no_tag && (!best < 0 || t.tags.(k) >= t.tags.(!best)) then
+      best := k
+  done;
+  if !best < 0 then invalid_arg "Dds.Register.highest: empty quorum";
+  !best
 
 (* DX conditional store to one replica. *)
-let dx_store t k tag value =
+let dx_store t k packed value =
   let p = t.planes.(k) in
-  let packed = Tag.pack tag in
   let mine = Tag.busy_for t.rank in
-  let deposit () = Plane.write p ~off:0 (Tag.encode tag value) in
   let rec go attempt =
     if attempt > 5000 then raise Rmem.Status.Timeout;
     let w0 = Plane.read_word p ~soff:0 in
-    if Int32.equal w0 mine then deposit ()
+    if w0 = mine then Plane.write p ~off:0 (Tag.encode packed value)
     else if Tag.is_busy w0 then begin
       (* Another writer's claim: its releasing deposit is coming. *)
       Sim.Proc.wait (Sim.Time.us 5);
       go (attempt + 1)
     end
-    else if Int32.compare w0 packed >= 0 then ()
+    else if w0 >= packed then ()
     else begin
-      let won, witness = Plane.cas p ~doff:0 ~old_value:w0 ~new_value:mine in
-      if won then deposit ()
+      let witness = Plane.cas p ~doff:0 ~old_value:w0 ~new_value:mine in
+      if witness = w0 then Plane.write p ~off:0 (Tag.encode packed value)
       else begin
         t.cas_losses <- t.cas_losses + 1;
-        if Int32.equal witness mine then
+        if witness = mine then
           (* Our claim landed but the reply was lost (§3.7). *)
-          deposit ()
+          Plane.write p ~off:0 (Tag.encode packed value)
         else begin
           Sim.Proc.wait (Sim.Time.us 2);
           go (attempt + 1)
@@ -250,47 +254,41 @@ let dx_store t k tag value =
 (* RPC phases. *)
 
 let rpc_get t k =
-  let b = Bytes.create 12 in
-  Bytes.set_int32_le b 0 1l;
-  match Call.call t.ep ~dst:t.homes.(k) ~id:rpc_id b with
-  | exception Rmem.Status.Timeout -> None
+  t.tags.(k) <- no_tag;
+  match Call.call t.ep ~dst:t.homes.(k) ~id:rpc_id (payload 1 0 0) with
+  | exception Rmem.Status.Timeout -> false
   | r ->
-      if Bytes.length r < 12 then None
-      else if Int32.equal (Bytes.get_int32_le r 0) 0l then
-        Some (Tag.unpack (Bytes.get_int32_le r 4), Bytes.get_int32_le r 8)
-      else None
+      Bytes.length r >= 12
+      && word r 0 = 0
+      && begin
+           t.tags.(k) <- word r 4;
+           t.values.(k) <- word r 8;
+           true
+         end
 
 let rpc_collect t =
   let rec round attempt =
     if attempt > 64 then raise Rmem.Status.Timeout;
-    let got = ref [] in
-    List.iter
-      (fun k ->
-        match rpc_get t k with
-        | Some (tag, v) -> got := (k, tag, v) :: !got
-        | None -> ())
-      t.quorum;
-    if List.length !got >= t.majority then !got
-    else begin
+    let got = ref 0 in
+    for i = 0 to Array.length t.quorum - 1 do
+      if rpc_get t t.quorum.(i) then incr got
+    done;
+    if !got < t.majority then begin
       Sim.Proc.wait (Sim.Time.us 10);
       round (attempt + 1)
     end
   in
   round 0
 
-let rpc_set t k tag value =
-  let b = Bytes.create 12 in
-  Bytes.set_int32_le b 0 2l;
-  Bytes.set_int32_le b 4 (Tag.pack tag);
-  Bytes.set_int32_le b 8 value;
+let rpc_set t k packed value =
+  let b = payload 2 packed value in
   let rec go attempt =
     if attempt > 64 then false
     else
       match Call.call t.ep ~dst:t.homes.(k) ~id:rpc_id b with
       | exception Rmem.Status.Timeout -> false
       | r ->
-          if Bytes.length r >= 4 && Int32.equal (Bytes.get_int32_le r 0) 0l
-          then true
+          if Bytes.length r >= 4 && word r 0 = 0 then true
           else begin
             Sim.Proc.wait (Sim.Time.us 5);
             go (attempt + 1)
@@ -303,44 +301,46 @@ let collect t =
   | Kind.Dx | Kind.Hybrid -> dx_collect t
   | Kind.Rpc -> rpc_collect t
 
-(* Push (tag, value) to every replica outside [skip]; a majority must
-   end up holding it. *)
-let store_all t tag value ~skip =
+(* Push (packed, value) to every replica, except, with [skip_holders],
+   those the last collect found already holding [packed]; a majority
+   must end up holding it. *)
+let store_all t packed value ~skip_holders =
   if t.kind = Kind.Hybrid then t.rpc_fallbacks <- t.rpc_fallbacks + 1;
   let ok = ref 0 in
-  List.iter
-    (fun k ->
-      if List.mem k skip then incr ok
-      else
-        match t.kind with
-        | Kind.Dx ->
-            dx_store t k tag value;
-            incr ok
-        | Kind.Rpc | Kind.Hybrid -> if rpc_set t k tag value then incr ok)
-    t.quorum;
+  for i = 0 to Array.length t.quorum - 1 do
+    let k = t.quorum.(i) in
+    if skip_holders && t.tags.(k) = packed then incr ok
+    else
+      match t.kind with
+      | Kind.Dx ->
+          dx_store t k packed value;
+          incr ok
+      | Kind.Rpc | Kind.Hybrid -> if rpc_set t k packed value then incr ok
+  done;
   if !ok < t.majority then raise Rmem.Status.Timeout
 
 let read t =
   begin_hook t;
-  let got = collect t in
-  let tag, v = highest got in
-  let have =
-    List.filter_map
-      (fun (k, tg, _) -> if Tag.compare tg tag = 0 then Some k else None)
-      got
-  in
+  collect t;
+  let best = highest t in
+  let packed = t.tags.(best) and v = t.values.(best) in
+  let holders = ref 0 in
+  for i = 0 to Array.length t.quorum - 1 do
+    if t.tags.(t.quorum.(i)) = packed then incr holders
+  done;
   (* Write-back until a majority is known to hold the adopted pair, so
      no later read can observe an older one. *)
-  if t.write_back && List.length have < t.majority then
-    store_all t tag v ~skip:have;
-  commit_hook t (Hook.Read v);
-  v
+  if t.write_back && !holders < t.majority then
+    store_all t packed v ~skip_holders:true;
+  commit_hook t ~read:true v;
+  Int32.of_int v
 
 let write t v =
+  let v = Int32.to_int v in
   begin_hook t;
-  let got = collect t in
-  let mt, _ = highest got in
+  collect t;
+  let mt = Tag.unpack t.tags.(highest t) in
   let tag = { Tag.ts = mt.Tag.ts + 1; wr = t.rank } in
-  store_all t tag v ~skip:[];
-  commit_hook t (Hook.Write v);
+  store_all t (Tag.pack tag) v ~skip_holders:false;
+  commit_hook t ~read:false v;
   tag

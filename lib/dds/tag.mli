@@ -4,9 +4,12 @@
     writer rank as the tie-break — exactly the [highest()] comparison
     of the ABD read phase.
 
-    A replica mid-update carries the {!busy} sentinel in its tag word;
-    {!decode} refuses such a cell so readers retry instead of pairing a
-    new tag with an old value. *)
+    A replica mid-update carries a {!busy_for} sentinel in its tag word;
+    {!unpack} refuses it, so readers retry instead of pairing a new tag
+    with an old value.
+
+    Words are ints — the cell's 32 bits, sign-extended — so reading and
+    comparing them boxes nothing. *)
 
 type t = { ts : int; wr : int }
 (** A write tag: logical timestamp [ts >= 0] and writer rank
@@ -15,40 +18,35 @@ type t = { ts : int; wr : int }
 val ranks : int
 (** Distinct writer ranks the packing supports (16). *)
 
-val compare : t -> t -> int
-(** Timestamp-major, rank-minor — the quorum's total order. *)
-
-val pack : t -> int32
-(** Injective into the non-negative int32s; order-preserving
-    ({!compare} agrees with [Int32.compare] of the packings). Raises
+val pack : t -> int
+(** Injective into the non-negative 32-bit words; order-preserving:
+    [Int.compare] of the packings is the quorum's total order,
+    timestamp-major and rank-minor. Raises
     [Invalid_argument] outside the representable range. *)
 
-val unpack : int32 -> t
+val unpack : int -> t
 (** Inverse of {!pack}. Raises [Invalid_argument] on {!busy} or any
     negative word. *)
 
-val busy : int32
+val busy : int
 (** The claim sentinel a writer CASes into the tag word while it
     deposits the new cell; never a valid packing.  Equal to
     [busy_for 0].
     Test-only: the tests check the claim sentinel is rank 0's. *)
 
-val busy_for : int -> int32
+val busy_for : int -> int
 (** Rank-specific claim sentinel [-(1 + wr)].  A writer that lost the
     reply to its claiming CAS (loss, §3.7) re-reads the tag word: seeing
     its {e own} sentinel proves the claim landed and the deposit may
     proceed, where a shared sentinel would leave it waiting on itself
     forever.  Raises [Invalid_argument] outside [0 <= wr < ranks]. *)
 
-val is_busy : int32 -> bool
+val is_busy : int -> bool
 (** Whether a tag word is any writer's claim sentinel. *)
 
 val cell_bytes : int
 (** Replica cell size: tag word + value word (8). *)
 
-val encode : t -> int32 -> bytes
-(** [encode tag value] — the 8-byte replica cell. *)
-
-val decode : bytes -> (t * int32) option
-(** [None] when the tag word is {!busy} (or unparseable): the replica
-    is mid-update and the reader must retry. *)
+val encode : int -> int -> bytes
+(** [encode packed value] — the 8-byte replica cell of a {!pack}ed tag
+    and a value word. *)

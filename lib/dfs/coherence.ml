@@ -78,7 +78,7 @@ type client = {
   node : Cluster.Node.t;
   names : Names.Clerk.t;
   desc : Rmem.Descriptor.t;
-  me : int32;
+  me : int;
   revoke_space : Cluster.Address_space.t;
   revoke_descs : (int, Rmem.Descriptor.t) Hashtbl.t; (* peer -> its revoke seg *)
   held : (int, Sim.Time.t) Hashtbl.t; (* token -> acquired at *)
@@ -103,7 +103,7 @@ let connect ~names ~server () =
     node;
     names;
     desc;
-    me = Int32.of_int (Atm.Addr.to_int (Cluster.Node.addr node) + 1);
+    me = Atm.Addr.to_int (Cluster.Node.addr node) + 1;
     revoke_space;
     revoke_descs = Hashtbl.create 4;
     held = Hashtbl.create 4;
@@ -127,7 +127,7 @@ let clear_wanted t ~token =
 let holds_match manager client =
   Hashtbl.fold
     (fun token _ ok ->
-      ok && holder_of manager ~token = Int32.to_int client.me)
+      ok && holder_of manager ~token = client.me)
     client.held true
 
 let invariant manager ~clients = List.for_all (holds_match manager) clients
@@ -139,16 +139,16 @@ exception Acquire_failed of int
    bit set — one control transfer instead of an unbounded CAS spin
    (the Calypso-style revocation of §5.1). *)
 let request_revocation t ~holder ~token =
-  let holder_addr = Atm.Addr.of_int (Int32.to_int holder - 1) in
+  let holder_addr = Atm.Addr.of_int (holder - 1) in
   let desc =
-    match Hashtbl.find_opt t.revoke_descs (Int32.to_int holder) with
+    match Hashtbl.find_opt t.revoke_descs holder with
     | Some desc -> desc
     | None ->
         let desc =
           Names.Api.import ~hint:holder_addr t.names
             (revoke_name_for holder_addr)
         in
-        Hashtbl.replace t.revoke_descs (Int32.to_int holder) desc;
+        Hashtbl.replace t.revoke_descs holder desc;
         desc
   in
   let word = Bytes.create 4 in
@@ -160,16 +160,16 @@ let request_revocation t ~holder ~token =
 let acquire ?(revoke_after = max_int) t ~token =
   let rec attempt n backoff =
     if n >= max_attempts then raise (Acquire_failed token);
-    let granted, witness =
+    let witness =
       Rmem.Remote_memory.cas_wait t.rmem t.desc ~doff:(token * 4)
-        ~old_value:0l ~new_value:t.me ()
+        ~old_value:0 ~new_value:t.me ()
     in
-    if granted then begin
+    if witness = 0 then begin
       Hashtbl.replace t.held token (Sim.Engine.now (Cluster.Node.engine t.node))
     end
     else begin
       t.retries <- t.retries + 1;
-      if n + 1 = revoke_after && not (Int32.equal witness 0l) then
+      if n + 1 = revoke_after then
         request_revocation t ~holder:witness ~token;
       Sim.Proc.wait backoff;
       attempt (n + 1) (Sim.Time.min (Sim.Time.scale backoff 2.) (Sim.Time.ms 5))
@@ -180,13 +180,13 @@ let acquire ?(revoke_after = max_int) t ~token =
 let release t ~token =
   Hashtbl.remove t.held token;
   clear_wanted t ~token;
-  let released, witness =
+  let witness =
     Rmem.Remote_memory.cas_wait t.rmem t.desc ~doff:(token * 4)
-      ~old_value:t.me ~new_value:0l ()
+      ~old_value:t.me ~new_value:0 ()
   in
-  if not released then
+  if witness <> t.me then
     failwith
-      (Printf.sprintf "Coherence.release: token %d held by %ld, not %ld" token
+      (Printf.sprintf "Coherence.release: token %d held by %d, not %d" token
          witness t.me)
 
 (* Hold a token for up to [lease], but give it back early if somebody

@@ -134,8 +134,8 @@ let measure_amsg () =
       let client_space = Cluster.Node.new_address_space rig.client in
       (* Server handler: parse the name, look it up (charging the same
          hash cost the clerk pays), reply with another active message. *)
-      Amsg.register am_server ~id:am_lookup (fun ~src args ->
-          let name = Bytes.to_string (Bytes.sub args 0 (Bytes.length args)) in
+      Amsg.register am_server ~id:am_lookup (fun ~src args ~pos ~len ->
+          let name = Bytes.sub_string args pos len in
           let c = Cluster.Node.costs rig.server in
           Cluster.Cpu.use (Cluster.Node.cpu rig.server)
             ~category:Cluster.Cpu.cat_procedure c.Cluster.Costs.hash_lookup;
@@ -145,8 +145,8 @@ let measure_amsg () =
                 (Names.Record.encode record)
           | None -> failwith "amsg lookup: name absent");
       (* Client handler: deposit the answer and flip the flag word. *)
-      Amsg.register am_client ~id:am_reply (fun ~src:_ args ->
-          Cluster.Address_space.write client_space ~addr:4 args;
+      Amsg.register am_client ~id:am_reply (fun ~src:_ args ~pos ~len ->
+          Cluster.Address_space.write_from client_space ~addr:4 args ~pos ~len;
           Cluster.Address_space.write_word client_space ~addr:0 1);
       let lookup name =
         Cluster.Address_space.write_word client_space ~addr:0 0;

@@ -140,9 +140,9 @@ let decompose () =
           t_read := Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now engine) t1);
           t_write := Sim.Time.to_us (Sim.Time.diff !write_served t0);
           let t2 = Sim.Engine.now engine in
-          let (_ : bool * int32) =
-            Rmem.Remote_memory.cas_wait rmem0 desc ~doff:4096 ~old_value:0l
-              ~new_value:1l ()
+          let (_ : int) =
+            Rmem.Remote_memory.cas_wait rmem0 desc ~doff:4096 ~old_value:0
+              ~new_value:1 ()
           in
           t_cas := Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now engine) t2)));
   Obs.Trace.finalize trace;

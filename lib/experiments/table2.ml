@@ -54,9 +54,9 @@ let run () =
 
       (* CAS latency. *)
       let t0 = now () in
-      let (_ : bool * int32) =
-        Rmem.Remote_memory.cas_wait r0 desc ~doff:128 ~old_value:0l
-          ~new_value:1l ()
+      let (_ : int) =
+        Rmem.Remote_memory.cas_wait r0 desc ~doff:128 ~old_value:0
+          ~new_value:1 ()
       in
       let cas_latency = Sim.Time.to_us (Sim.Time.diff (now ()) t0) in
 

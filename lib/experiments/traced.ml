@@ -54,13 +54,13 @@ let quickstart () =
           in
           Rmem.Remote_memory.read_wait rmem0 desc ~soff:0
             ~count:(Bytes.length message) ~dst:buf ~doff:0 ();
-          let (_ : bool * int32) =
-            Rmem.Remote_memory.cas_wait rmem0 desc ~doff:1024 ~old_value:0l
-              ~new_value:42l ()
+          let (_ : int) =
+            Rmem.Remote_memory.cas_wait rmem0 desc ~doff:1024 ~old_value:0
+              ~new_value:42 ()
           in
-          let (_ : bool * int32) =
-            Rmem.Remote_memory.cas_wait rmem0 desc ~doff:1024 ~old_value:0l
-              ~new_value:99l ()
+          let (_ : int) =
+            Rmem.Remote_memory.cas_wait rmem0 desc ~doff:1024 ~old_value:0
+              ~new_value:99 ()
           in
           ()))
 
@@ -196,12 +196,12 @@ let producer_consumer () =
                     let ticket =
                       Cluster.Address_space.read_word my_space ~addr:0
                     in
-                    let won, _witness =
+                    let witness =
                       Rmem.Remote_memory.cas_wait rmem desc ~doff:ticket_off
-                        ~old_value:(Int32.of_int ticket)
-                        ~new_value:(Int32.of_int (ticket + 1)) ()
+                        ~old_value:ticket
+                        ~new_value:(ticket + 1) ()
                     in
-                    if won then seq := ticket
+                    if witness = ticket then seq := ticket
                   done;
                   let rec wait_for_space () =
                     Rmem.Remote_memory.read_wait rmem desc ~soff:head_off

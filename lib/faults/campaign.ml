@@ -241,13 +241,13 @@ let quickstart ~plan ~seed ~sampler =
       (* Both CAS calls race the lost-reply ambiguity, so the authority
          is the memory word itself: the first CAS saw 0 and must have
          installed 42; the second saw 42 and must have left it alone. *)
-      let (_ : bool * int32) =
+      let (_ : int) =
         Rmem.Remote_memory.cas_wait rmem0 ~policy desc ~doff:1024
-          ~old_value:0l ~new_value:42l ()
+          ~old_value:0 ~new_value:42 ()
       in
-      let (_ : bool * int32) =
+      let (_ : int) =
         Rmem.Remote_memory.cas_wait rmem0 ~policy desc ~doff:1024
-          ~old_value:0l ~new_value:99l ()
+          ~old_value:0 ~new_value:99 ()
       in
       Rmem.Remote_memory.read_wait rmem0 ~policy desc ~soff:1024 ~count:4
         ~dst:buf ~doff:1024 ();
@@ -391,10 +391,10 @@ let producer_consumer ~plan ~seed ~sampler =
             done;
             (* Race for the winner word; memory decides, not the
                (ambiguous under loss) return value. *)
-            let (_ : bool * int32) =
+            let (_ : int) =
               Rmem.Remote_memory.cas_wait rmems.(idx) ~policy desc ~doff:8
-                ~old_value:0l
-                ~new_value:(Int32.of_int (500 + idx))
+                ~old_value:0
+                ~new_value:(500 + idx)
                 ()
             in
             Sim.Ivar.fill done_ ())

@@ -39,7 +39,11 @@ val sleep : 'a sleepers -> resource:Engine.label -> daemon:bool -> 'a
     requests by design (a server loop) and never count as deadlocked.
     A sleep and its wake allocate two continuations (one finds the
     process, one is the sleep), a queue node and the box that carries
-    the value: no closure. *)
+    the value: no closure. The value itself is handed over as is (as
+    an [Ivar] stores it as is), so an immediate one — an int such as a
+    CAS outcome, a constant constructor such as a READ status — adds
+    nothing, where a tuple or a boxed [int32] adds its own blocks to
+    every handoff. *)
 
 val wake : 'a sleepers -> 'a -> unit
 (** Take the oldest sleeper off the queue, hand it the value and schedule

@@ -202,7 +202,11 @@ done
 # float_of_int; and an event is scheduled at an absolute instant with
 # Engine.schedule_at, not Engine.schedule ~after (the optional argument
 # boxes the span).  Each file is read as one line with its comments
-# dropped, so a call split across lines is still seen.
+# dropped, so a call split across lines is still seen.  And the CAS
+# path carries its words as ints: no int32 in lib/dds/plane.mli, nor in
+# any val cas_* of lib/core/remote_memory.mli (an int32 argument or
+# result is boxed per call).  The monitor's event types are exempt:
+# they are built only when a monitor is attached.
 for f in $(find lib/sim lib/atm lib/cluster lib/core lib/amsg lib/dds -name '*.ml' | sort); do
   hits=$(tr '\n' ' ' <"$f" | sed -E 's/\(\*([^*]|\*+[^*)])*\*+\)//g' | grep -Eo \
     -e "Time\.scale[[:space:]]+([A-Za-z0-9_.']+|\([^()]*\))[[:space:]]+\(float_of_int" \
@@ -213,6 +217,22 @@ for f in $(find lib/sim lib/atm lib/cluster lib/core lib/amsg lib/dds -name '*.m
     fail "$f passes a boxed value across a module boundary — use Sim.Time.mul, Account.add_int or Engine.schedule_at"
   fi
 done
+strip_comments() {
+  tr '\n' ' ' <"$1" | sed -E 's/\(\*([^*]|\*+[^*)])*\*+\)//g'
+}
+int32_word="(^|[^A-Za-z0-9_.'])(int32|Int32\.t)([^A-Za-z0-9_']|\$)"
+hits=$(strip_comments lib/dds/plane.mli | grep -Eo "$int32_word" || true)
+if [ -n "$hits" ]; then
+  echo "$hits" | sed "s|^|lib/dds/plane.mli: |" >&2
+  fail "lib/dds/plane.mli names int32 — carry words as ints"
+fi
+hits=$(strip_comments lib/core/remote_memory.mli |
+  sed -E 's/[[:space:]](val|type|exception|module|external) /\n\1 /g' |
+  grep -E "^val cas_" | grep -E "$int32_word" || true)
+if [ -n "$hits" ]; then
+  echo "$hits" | sed "s|^|lib/core/remote_memory.mli: |" >&2
+  fail "a CAS verb in lib/core/remote_memory.mli names int32 — carry words as ints"
+fi
 
 # 15. No hidden order: in the libraries the simulation runs through,
 # no Hashtbl (or Sim.Int_table, a Hashtbl.Make) is iterated, folded or
@@ -270,4 +290,4 @@ if [ -n "$stale" ]; then
   fail "check 15's allow-list names a site that no longer exists — delete the entry"
 fi
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float or ~after on the data path, no unlisted hash-table iteration, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, no unlisted hash-table iteration, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

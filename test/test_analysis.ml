@@ -166,9 +166,10 @@ let unbounded_retry_flagged () =
       (* Park the lock word at a value no CAS will match, then spin. *)
       Cluster.Address_space.write_word d.Rig.space1 ~addr:0 9;
       for _ = 1 to Analysis.Lint.poll_threshold + 2 do
-        let ok, _ =
-          Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:0 ~old_value:0l
-            ~new_value:1l ()
+        let ok =
+          Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:0 ~old_value:0
+            ~new_value:1 ()
+          = 0
         in
         assert (not ok)
       done);
@@ -182,9 +183,10 @@ let backoff_retry_clean () =
       let _, desc = Rig.shared_segment d in
       Cluster.Address_space.write_word d.Rig.space1 ~addr:0 9;
       for _ = 1 to Analysis.Lint.poll_threshold + 2 do
-        let ok, _ =
-          Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:0 ~old_value:0l
-            ~new_value:1l ()
+        let ok =
+          Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:0 ~old_value:0
+            ~new_value:1 ()
+          = 0
         in
         assert (not ok);
         (* Pausing past the backoff floor resets the consecutive run. *)
@@ -301,7 +303,7 @@ let mismatched_reply_fails_request () =
         ~dst:(Cluster.Node.addr d.Rig.node0)
         (Rmem.Wire.encode
            (Rmem.Wire.Cas_reply
-              { status = Rmem.Status.Ok; reqid = 1; witness = 0l }));
+              { status = Rmem.Status.Ok; reqid = 1; witness = 0 }));
       match Sim.Ivar.read completion with
       | Rmem.Status.Bad_segment -> ()
       | s -> Alcotest.failf "expected Bad_segment, got %s"
@@ -318,7 +320,7 @@ let late_reply_after_timeout_ignored () =
       (match
          Rmem.Remote_memory.cas_wait
            ~policy:(Rmem.Recovery.policy ~attempts:1 ~timeout:(Sim.Time.us 500) ())
-           d.Rig.rmem0 desc ~doff:0 ~old_value:0l ~new_value:1l ()
+           d.Rig.rmem0 desc ~doff:0 ~old_value:0 ~new_value:1 ()
        with
       | _ -> Alcotest.fail "cas against a dead server must time out"
       | exception Rmem.Status.Timeout -> ());
@@ -327,12 +329,13 @@ let late_reply_after_timeout_ignored () =
         ~dst:(Cluster.Node.addr d.Rig.node0)
         (Rmem.Wire.encode
            (Rmem.Wire.Cas_reply
-              { status = Rmem.Status.Ok; reqid = 1; witness = 0l }));
+              { status = Rmem.Status.Ok; reqid = 1; witness = 0 }));
       (* Survives only if the straggler was dropped. *)
       Sim.Proc.wait (Sim.Time.us 300);
-      let ok, _ =
-        Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:0 ~old_value:0l
-          ~new_value:1l ()
+      let ok =
+        Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:0 ~old_value:0
+          ~new_value:1 ()
+        = 0
       in
       check_bool "endpoint still functional" true ok)
 

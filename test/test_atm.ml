@@ -400,6 +400,35 @@ let addr_validation () =
   Alcotest.check_raises "negative" (Invalid_argument "Addr.of_int: negative address")
     (fun () -> ignore (Atm.Addr.of_int (-1)))
 
+(* The checksum takes 16-byte blocks in four lanes, then the words
+   past the last block, then a short tail word: every single-bit flip
+   of every payload of 0-64 bytes (blocks, leftover words and every
+   tail length) changes it. *)
+let checksum_sees_every_bit_flip () =
+  for len = 0 to 64 do
+    let payload = Bytes.init len (fun i -> Char.chr (((i * 151) + 7) land 0xFF)) in
+    let digest = Atm.Aal.checksum payload in
+    for bit = 0 to (8 * len) - 1 do
+      let flip () =
+        let i = bit / 8 in
+        Bytes.set payload i
+          (Char.chr (Char.code (Bytes.get payload i) lxor (1 lsl (bit mod 8))))
+      in
+      flip ();
+      if Atm.Aal.checksum payload = digest then
+        Alcotest.failf "length %d: flipping bit %d left the checksum" len bit;
+      flip ()
+    done
+  done
+
+let checksum_allocates_nothing () =
+  let payload = Bytes.make 4100 'c' in
+  let words =
+    Rig.words_per_op ~n:1000 (fun () ->
+        ignore (Atm.Aal.checksum payload : int))
+  in
+  Rig.within_budget "Aal.checksum, 4100 bytes" ~words ~budget:0.1
+
 let suite =
   [
     Alcotest.test_case "aal cell arithmetic" `Quick aal_cells;
@@ -427,4 +456,8 @@ let suite =
     Alcotest.test_case "addr validation" `Quick addr_validation;
     QCheck_alcotest.to_alcotest aal_monotone;
     QCheck_alcotest.to_alcotest codec_roundtrip;
+    Alcotest.test_case "AAL checksum sees every bit flip" `Quick
+      checksum_sees_every_bit_flip;
+    Alcotest.test_case "AAL checksum allocates nothing" `Quick
+      checksum_allocates_nothing;
   ]

@@ -633,20 +633,20 @@ let coherence_invariant_tracks_table () =
          the invariant must notice the drift. *)
       let thief = Names.Api.import ~hint:server names.(2) "dfs:tokens" in
       let me1 =
-        Int32.of_int
-          (Atm.Addr.to_int (Cluster.Node.addr (Cluster.Testbed.node testbed 1))
-          + 1)
+        Atm.Addr.to_int (Cluster.Node.addr (Cluster.Testbed.node testbed 1)) + 1
       in
-      let stolen, _ =
+      let stolen =
         Rmem.Remote_memory.cas_wait rmems.(2) thief ~doff:0 ~old_value:me1
-          ~new_value:0l ()
+          ~new_value:0 ()
+        = me1
       in
       check_bool "steal succeeded" true stolen;
       check_bool "drift detected" false
         (Dfs.Coherence.invariant manager ~clients:[ c1 ]);
-      let restored, _ =
-        Rmem.Remote_memory.cas_wait rmems.(2) thief ~doff:0 ~old_value:0l
+      let restored =
+        Rmem.Remote_memory.cas_wait rmems.(2) thief ~doff:0 ~old_value:0
           ~new_value:me1 ()
+        = 0
       in
       check_bool "restored" true restored;
       Dfs.Coherence.release c1 ~token:0;

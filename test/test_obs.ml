@@ -252,10 +252,10 @@ let measure_with_tracer traced =
                 Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0
                   ~count:256 ~dst:buf ~doff:0 ())
           in
-          let _swap, c_us =
+          let _witness, c_us =
             Rig.elapsed_us d (fun () ->
                 Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:512
-                  ~old_value:0l ~new_value:7l ())
+                  ~old_value:0 ~new_value:7 ())
           in
           timings := [ w_us; r_us; c_us ]);
       ignore trace;

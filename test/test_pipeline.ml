@@ -39,7 +39,7 @@ let scripted ~plan ~pipelined () =
   Analysis.Monitor.attach_rmem monitor d.Rig.rmem1;
   let image = ref Bytes.empty in
   let observed = ref Bytes.empty in
-  let cas_witness = ref 0l in
+  let cas_witness = ref 0 in
   let notified = ref 0 in
   Rig.run d (fun () ->
       let segment, desc = Rig.shared_segment d in
@@ -62,14 +62,15 @@ let scripted ~plan ~pipelined () =
       write ~off:32 (Bytes.make 64 'c');
       write ~off:1000 (Bytes.make 40 'd');
       write ~off:0 ~notify:true (Bytes.make 8 'e');
-      let ok, witness =
+      let witness =
         match p with
         | Some p ->
-            Rmem.Pipeline.cas p desc ~doff:2048 ~old_value:0l ~new_value:7l ()
+            Rmem.Pipeline.cas p desc ~doff:2048 ~old_value:0 ~new_value:7 ()
         | None ->
-            Rmem.Remote_memory.cas_wait rmem desc ~doff:2048 ~old_value:0l
-              ~new_value:7l ()
+            Rmem.Remote_memory.cas_wait rmem desc ~doff:2048 ~old_value:0
+              ~new_value:7 ()
       in
+      let ok = witness = 0 in
       check_bool "cas applied" true ok;
       cas_witness := witness;
       (match p with
@@ -118,7 +119,7 @@ let differential ?(compare_observed = true) ~plan () =
   if compare_observed then
     check_string "read-back observed program order in both modes"
       (digest observed_u) (digest observed_p);
-  check_bool "cas witness identical" true (Int32.equal witness_u witness_p);
+  check_bool "cas witness identical" true (witness_u = witness_p);
   (* One notify request, one coalescing flush: both modes post exactly
      once.  Coalescing may only ever reduce the count. *)
   check_int "unbatched posts the notify" 1 notified_u;
@@ -337,13 +338,13 @@ let policied_cas_not_flagged () =
           if policied then
             ignore
               (Rmem.Remote_memory.cas_wait d.Rig.rmem0 ~policy desc ~doff:4096
-                 ~old_value:9l ~new_value:1l ()
-                : bool * int32)
+                 ~old_value:9 ~new_value:1 ()
+                : int)
           else
             ignore
               (Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:4096
-                 ~old_value:9l ~new_value:1l ()
-                : bool * int32)
+                 ~old_value:9 ~new_value:1 ()
+                : int)
         done);
     List.filter
       (fun f -> String.equal f.Analysis.Lint.rule "unbounded-retry")
@@ -376,8 +377,8 @@ let windowed_cas_failures_are_one_attempt () =
            swallows every issue without blocking, so all [window] of
            them ride one batch. *)
         for _ = 1 to window do
-          Rmem.Pipeline.cas_submit p desc ~doff:4096 ~old_value:9l
-            ~new_value:1l ()
+          Rmem.Pipeline.cas_submit p desc ~doff:4096 ~old_value:9
+            ~new_value:1 ()
         done;
         Rmem.Pipeline.drain p
       done);

@@ -280,13 +280,14 @@ let cas_timeout_then_recovery () =
         (try
            ignore
              (Rmem.Remote_memory.cas_wait ~policy:(once ()) d.Rig.rmem0 desc
-                ~doff:0 ~old_value:0l ~new_value:1l ());
+                ~doff:0 ~old_value:0 ~new_value:1 ());
            false
          with Rmem.Status.Timeout -> true);
       Cluster.Node.set_down d.Rig.node1 false;
-      let won, _ =
+      let won =
         Rmem.Remote_memory.cas_wait ~policy:(once ()) d.Rig.rmem0 desc ~doff:0
-          ~old_value:0l ~new_value:1l ()
+          ~old_value:0 ~new_value:1 ()
+        = 0
       in
       check_bool "cas works after revival" true won)
 
