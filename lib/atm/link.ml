@@ -12,7 +12,9 @@
    function consulted once per offered frame, and [set_overflow] switches
    the queue bound to drop-with-counter.  With no interposer installed
    and the legacy overflow policy, [send] follows exactly the original
-   code path, so fault-free runs are bit-identical.
+   code path, so fault-free runs are bit-identical.  A frame offered to
+   an interposer is pinned first: the interposer may keep it, or have it
+   delivered twice or late, so it must never be recycled.
 
    Un-jittered frames wait for their arrival in a per-link in-flight
    ring, and every one of their arrival events runs the link's single
@@ -159,6 +161,7 @@ let send t frame =
   match t.interposer with
   | None -> enqueue t frame ~jitter:Sim.Time.zero
   | Some f -> (
+      Frame.pin frame;
       match f frame with
       | Deliver -> enqueue t frame ~jitter:Sim.Time.zero
       | Drop _reason -> t.drops <- t.drops + 1

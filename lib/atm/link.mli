@@ -33,8 +33,8 @@ val create :
 val send : t -> Frame.t -> unit
 (** Queue a frame for transmission. Never blocks the caller; the frame is
     delivered when its last cell would have arrived. With an interposer
-    installed, the frame is first submitted to it and its verdict is
-    applied. *)
+    installed, the frame is first pinned ({!Frame.pin}), then submitted
+    to it and its verdict applied. *)
 
 val set_interposer : t -> (Frame.t -> verdict) option -> unit
 (** Install (or remove, with [None]) the fault plane's per-frame verdict

@@ -187,8 +187,9 @@ let build_fat_tree engine config nics ~k =
 
 let create ?(config = Config.default) ?(topology = Back_to_back) engine ~nodes =
   if nodes < 2 then invalid_arg "Network.create: need at least two nodes";
+  let pool = Frame.pool () in
   let nics =
-    Array.init nodes (fun i -> Nic.create config (Addr.of_int i))
+    Array.init nodes (fun i -> Nic.create config ~pool (Addr.of_int i))
   in
   let switches, mesh_edges =
     match topology with

@@ -19,6 +19,7 @@ type t = {
   config : Config.t;
   mutable route : Addr.t -> Link.t option;
   rx : Frame.t Sim.Mailbox.t;
+  pool : Frame.pool; (* the network's *)
   mutable rx_cells_pending : int;
   mutable frames_tx : int;
   mutable frames_rx : int;
@@ -29,12 +30,13 @@ type t = {
 
 let no_route _ = failwith "Nic: route not installed"
 
-let create config addr =
+let create config ~pool addr =
   {
     addr;
     config;
     route = no_route;
     rx = Sim.Mailbox.create ~name:(Addr.to_string addr ^ " rx fifo") ~daemon:true ();
+    pool;
     rx_cells_pending = 0;
     frames_tx = 0;
     frames_rx = 0;
@@ -44,13 +46,10 @@ let create config addr =
   }
 
 let addr t = t.addr
+let pool t = t.pool
 let set_route t route = t.route <- route
 
-let transmit ?ctx t ~dst payload =
-  if Addr.equal dst t.addr then
-    invalid_arg "Nic.transmit: destination is self";
-  Obs.Trace.frame_sent ctx ~node:(Addr.to_int t.addr);
-  let frame = Frame.make ?ctx ~src:t.addr ~dst payload in
+let route_frame t ~dst frame =
   match t.route dst with
   | None -> t.route_drops <- t.route_drops + 1
   | Some link ->
@@ -58,6 +57,19 @@ let transmit ?ctx t ~dst payload =
       t.frames_tx <- t.frames_tx + 1;
       t.bytes_tx <- t.bytes_tx + len;
       Link.send link frame
+
+let transmit ?ctx t ~dst payload =
+  if Addr.equal dst t.addr then
+    invalid_arg "Nic.transmit: destination is self";
+  Obs.Trace.frame_sent ctx ~node:(Addr.to_int t.addr);
+  route_frame t ~dst (Frame.make ?ctx ~src:t.addr ~dst payload)
+
+let send ?ctx t ~dst frame =
+  if Addr.equal dst t.addr then
+    invalid_arg "Nic.transmit: destination is self";
+  Obs.Trace.frame_sent ctx ~node:(Addr.to_int t.addr);
+  Frame.stamp frame ~src:t.addr ~dst ctx;
+  route_frame t ~dst frame
 
 let deliver t frame =
   if not (Frame.intact frame) then

@@ -11,8 +11,13 @@ exception Rx_overflow of Addr.t
 
 type t
 
-val create : Config.t -> Addr.t -> t
+val create : Config.t -> pool:Frame.pool -> Addr.t -> t
+(** [pool] is the network's frame pool, shared by every NIC on it. *)
+
 val addr : t -> Addr.t
+
+val pool : t -> Frame.pool
+(** The pool the remote-memory frame builders take their frames from. *)
 
 val set_route : t -> (Addr.t -> Link.t option) -> unit
 (** Install the outbound routing function (done by {!Network}). [None]
@@ -24,6 +29,10 @@ val transmit : ?ctx:Obs.Ctx.t -> t -> dst:Addr.t -> bytes -> unit
 (** Route a payload onto the appropriate link. Does not block; wire-rate
     serialization happens inside the link. [ctx] rides the frame header
     for tracing and opens the frame's wire span. *)
+
+val send : ?ctx:Obs.Ctx.t -> t -> dst:Addr.t -> Frame.t -> unit
+(** {!transmit} a frame already built, a pooled one taken from {!pool}:
+    it is addressed and checksummed here. *)
 
 val deliver : t -> Frame.t -> unit
 (** Called by links at frame arrival; queues into the receive FIFO. A

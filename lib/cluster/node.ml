@@ -6,7 +6,9 @@
    and hands the frame to the owning protocol.  By convention a handler
    performs only bounded, interrupt-level work inline (charging the CPU
    as it goes) and spawns processes for anything longer, so the
-   dispatcher is never blocked behind a long service. *)
+   dispatcher is never blocked behind a long service.  A handler reads
+   the payload only until it returns, so the dispatcher then releases
+   the frame: this is the one place a pooled frame is recycled. *)
 
 type handler = src:Atm.Addr.t -> bytes -> unit
 
@@ -66,6 +68,7 @@ let set_handler t ~tag handler =
   t.handlers.(tag) <- handler
 
 let transmit ?ctx t ~dst payload = Atm.Nic.transmit ?ctx t.nic ~dst payload
+let transmit_frame ?ctx t ~dst frame = Atm.Nic.send ?ctx t.nic ~dst frame
 
 let set_down t down = t.down <- down
 
@@ -84,7 +87,8 @@ let dispatch t frame =
   let node = Atm.Addr.to_int t.addr in
   Obs.Trace.dispatch_begin ~node (Atm.Frame.ctx frame);
   handler ~src:(Atm.Frame.src frame) payload;
-  Obs.Trace.dispatch_end ~node
+  Obs.Trace.dispatch_end ~node;
+  Atm.Frame.release frame
 
 let start t =
   if not t.started then begin

@@ -4,7 +4,9 @@
     Protocols claim tag bytes (the first byte of every frame payload);
     the node's receive-dispatcher process routes each inbound frame to
     the owning protocol's handler. Handlers do bounded interrupt-level
-    work inline and spawn processes for longer service. *)
+    work inline and spawn processes for longer service. A handler must
+    not keep the payload past its return: the frame is then released
+    ({!Atm.Frame.release}) and a pooled one is reused. *)
 
 type t
 
@@ -32,6 +34,11 @@ val set_handler : t -> tag:int -> handler -> unit
 val transmit : ?ctx:Obs.Ctx.t -> t -> dst:Atm.Addr.t -> bytes -> unit
 (** Hand a payload (whose first byte must be a claimed-by-someone tag on
     the receiving side) to the NIC. [ctx] rides the frame for tracing. *)
+
+val transmit_frame :
+  ?ctx:Obs.Ctx.t -> t -> dst:Atm.Addr.t -> Atm.Frame.t -> unit
+(** {!transmit} a frame already built, a pooled one from the NIC's pool.
+    The receiving node releases it once its handler returns. *)
 
 val start : t -> unit
 (** Start the receive dispatcher. Idempotent. *)

@@ -45,10 +45,12 @@ type stats = {
 (* One staging buffer: the WRITEs absorbed since the last flush toward
    one (remote, segment, generation), kept as a sorted list of merged,
    non-overlapping extents — exactly the scatter-gather list the burst
-   frame will carry. *)
+   frame will carry.  An extent keeps the writes it is made of, not a
+   copy of their bytes: each staged byte is copied once, into the burst
+   frame, when the buffer is flushed. *)
 type staged = {
   desc : Descriptor.t;
-  mutable extents : (int * bytes) list;
+  mutable extents : Wire.extent list;
   mutable bytes : int;
   mutable ops : int;
   mutable notify : bool;
@@ -98,34 +100,41 @@ let key_of desc : key =
     Generation.to_int (Descriptor.generation desc) )
 
 (* Insert one write into a sorted extent list, merging every extent it
-   overlaps or abuts.  The new data is blitted last: within one staging
-   buffer the last writer wins, as it would have on the wire. *)
+   overlaps or abuts.  The new write is the newest of the merged
+   extent's writes: within one staging buffer the last writer wins, as
+   it would have on the wire.  The extents it merges are disjoint, so
+   the order of their writes against each other does not matter. *)
 let insert_extent extents ~off data ~merged =
   let lo = off and hi = off + Bytes.length data in
   let before, rest =
-    List.partition (fun (o, d) -> o + Bytes.length d < lo) extents
+    List.partition (fun (e : Wire.extent) -> e.off + e.len < lo) extents
   in
-  let touching, after = List.partition (fun (o, _) -> o <= hi) rest in
+  let touching, after =
+    List.partition (fun (e : Wire.extent) -> e.off <= hi) rest
+  in
+  let write = (off, data) in
   match touching with
-  | [] -> before @ ((off, data) :: after)
+  | [] -> before @ ({ Wire.off; len = hi - lo; writes = [ write ] } :: after)
   | _ ->
       merged := !merged + List.length touching;
-      let new_lo = List.fold_left (fun acc (o, _) -> Int.min acc o) lo touching in
+      let new_lo =
+        List.fold_left (fun acc (e : Wire.extent) -> Int.min acc e.off) lo touching
+      in
       let new_hi =
         List.fold_left
-          (fun acc (o, d) -> Int.max acc (o + Bytes.length d))
+          (fun acc (e : Wire.extent) -> Int.max acc (e.off + e.len))
           hi touching
       in
-      let buf = Bytes.create (new_hi - new_lo) in
-      List.iter
-        (fun (o, d) -> Bytes.blit d 0 buf (o - new_lo) (Bytes.length d))
-        touching;
-      Bytes.blit data 0 buf (lo - new_lo) (Bytes.length data);
-      before @ ((new_lo, buf) :: after)
+      let writes =
+        match touching with
+        | [ e ] -> write :: e.writes
+        | _ -> write :: List.concat_map (fun (e : Wire.extent) -> e.writes) touching
+      in
+      before @ ({ off = new_lo; len = new_hi - new_lo; writes } :: after)
 
 let staged_overlaps s ~soff ~count =
   List.exists
-    (fun (o, d) -> o < soff + count && soff < o + Bytes.length d)
+    (fun (e : Wire.extent) -> e.off < soff + count && soff < e.off + e.len)
     s.extents
 
 (* Send one staging buffer as a single burst frame. *)
@@ -172,8 +181,7 @@ let write t desc ~off ?(notify = false) data =
     let merged = ref 0 in
     s.extents <- insert_extent s.extents ~off data ~merged;
     t.stats.merged_extents <- t.stats.merged_extents + !merged;
-    s.bytes <-
-      List.fold_left (fun acc (_, d) -> acc + Bytes.length d) 0 s.extents;
+    s.bytes <- List.fold_left (fun acc (e : Wire.extent) -> acc + e.len) 0 s.extents;
     s.ops <- s.ops + 1;
     if notify then s.notify <- true;
     if s.bytes >= t.cfg.max_batch_bytes || s.ops >= max_batch_ops then

@@ -50,7 +50,8 @@ val write : t -> Descriptor.t -> off:int -> ?notify:bool -> bytes -> unit
     bound, a read overlaps it, or a CAS or doorbell forces it out. Local validation (staleness, rights, bounds)
     still happens here, so failures surface at the same program point as
     {!Remote_memory.write}. Zero-length doorbell writes are never
-    staged. *)
+    staged. The bytes are copied into the burst frame at the flush, not
+    here: [data] must not change until then. *)
 
 val read_submit :
   t ->

@@ -99,6 +99,7 @@ type monitor_event =
 
 type t = {
   node : Cluster.Node.t;
+  frames : Atm.Frame.pool; (* the network's, for the in-place frames *)
   mutable rx_request_category : string;
   mutable tx_reply_category : string;
   mutable client_category : string;
@@ -196,6 +197,7 @@ let scratch_space () = Cluster.Address_space.create ~asid:0 ()
 let create node =
   {
     node;
+    frames = Atm.Nic.pool (Cluster.Node.nic node);
     rx_request_category = Cluster.Cpu.cat_emulation;
     tx_reply_category = Cluster.Cpu.cat_emulation;
     client_category = Cluster.Cpu.cat_emulation;
@@ -410,8 +412,7 @@ let issue t desc op ~name ~off ~count ~notify ~cas_old ~cas_new ~extents ~ctrl
   | [] -> check_local t desc op ~off ~count
   | _ ->
       List.iter
-        (fun (it : Wire.burst_item) ->
-          check_local t desc op ~off:it.off ~count:it.data.Wire.len)
+        (fun (e : Wire.extent) -> check_local t desc op ~off:e.off ~count:e.len)
         extents);
   (match pending with
   | Some (Pending_read p) when outside p.buf ~off:p.doff ~len:p.count ->
@@ -465,9 +466,11 @@ let send_write_chunk t fl desc ~off ~notify ~swab data ~pos ~len =
   let gen = Descriptor.generation desc in
   let frame =
     match t.crypto with
-    | None -> Wire.write_frame ~seg ~gen ~off:(off + pos) ~notify ~swab data ~pos ~len
+    | None ->
+        Wire.write_frame t.frames ~seg ~gen ~off:(off + pos) ~notify ~swab data
+          ~pos ~len
     | Some crypto ->
-        Wire.write_frame ~seg ~gen ~off:(off + pos) ~notify ~swab
+        Wire.write_frame t.frames ~seg ~gen ~off:(off + pos) ~notify ~swab
           (Crypto.transform crypto ~pos ~len data)
           ~pos:0 ~len
   in
@@ -475,7 +478,7 @@ let send_write_chunk t fl desc ~off ~notify ~swab data ~pos ~len =
   Cluster.Cpu.use (cpu t) ~category:t.client_category (tx_data_cost (costs t) len);
   charge_crypto t ~category:t.client_category len;
   Obs.Trace.phase_end fl;
-  Cluster.Node.transmit ?ctx:(Obs.Trace.wire_ctx fl) t.node
+  Cluster.Node.transmit_frame ?ctx:(Obs.Trace.wire_ctx fl) t.node
     ~dst:(Descriptor.remote desc) frame
 
 (* The WRITE's frames from [pos] on, [burst] bytes each; the notify bit
@@ -505,6 +508,16 @@ let send_write t desc ~off ~notify ~swab data =
     send_write_chunks t fl desc ~off ~notify ~swab data
       ~burst:(burst_data_bytes (costs t)) 0
 
+(* Encrypt each extent's data in the burst frame in place, charging the
+   CPU it costs. *)
+let rec crypt_extents t crypto frame pos = function
+  | [] -> ()
+  | (e : Wire.extent) :: rest ->
+      charge_crypto t ~category:t.client_category e.len;
+      let pos = pos + Wire.burst_item_header_bytes in
+      Bytes.blit (Crypto.transform crypto ~pos ~len:e.len frame) 0 frame pos e.len;
+      crypt_extents t crypto frame (pos + e.len) rest
+
 (* A scatter-gather WRITE burst: several extents of one segment framed
    once at the AAL layer, so the whole batch costs one trap, one
    descriptor check and one FIFO setup per [burst_cells] group instead
@@ -512,48 +525,34 @@ let send_write t desc ~off ~notify ~swab data =
    the total byte count; the serve side emits one Served per extent,
    which sum back to it.  Extents must be non-empty; overlapping
    extents deposit in list order (last writer wins). *)
-let send_burst t desc ~notify ~swab extents =
+let send_burst t desc ~notify ~swab (extents : Wire.extent list) =
   let c = costs t in
-  let items =
-    List.map
-      (fun (off, data) ->
-        if Bytes.length data = 0 then
-          invalid_arg "Remote_memory.write_burst: empty extent";
-        { Wire.off; data = Wire.view data })
-      extents
-  in
-  let total = Wire.burst_payload_bytes items in
+  let total = List.fold_left (fun acc (e : Wire.extent) -> acc + e.len) 0 extents in
   let fl, _ =
     issue t desc Rights.Write_op ~name:"WRITE_BURST"
-      ~off:(List.hd items).Wire.off ~count:total ~notify ~cas_old:0
-      ~cas_new:0 ~extents:items ~ctrl:Sim.Time.zero None
+      ~off:(List.hd extents).off ~count:total ~notify ~cas_old:0
+      ~cas_new:0 ~extents ~ctrl:Sim.Time.zero None
   in
   Metrics.Account.add t.ops ~category:"write burst" 1.;
   Metrics.Account.add_int t.data_bytes ~category:"write" total;
-  let items =
-    List.map
-      (fun it ->
-        charge_crypto t ~category:t.client_category it.Wire.data.Wire.len;
-        { it with Wire.data = crypt t it.Wire.data })
-      items
+  let frame =
+    Wire.write_burst_frame t.frames ~seg:(Descriptor.segment_id desc)
+      ~gen:(Descriptor.generation desc) ~notify ~swab extents
   in
+  (match t.crypto with
+  | None -> ()
+  | Some crypto ->
+      crypt_extents t crypto (Atm.Frame.payload frame) Wire.burst_header_bytes
+        extents);
   Obs.Trace.phase fl "nic";
   Cluster.Cpu.use (cpu t) ~category:t.client_category
-    (tx_burst_cost c (Wire.burst_frame_bytes items));
+    (tx_burst_cost c (Atm.Frame.length frame));
   Obs.Trace.phase_end fl;
-  Cluster.Node.transmit
+  Cluster.Node.transmit_frame
     ?ctx:(Obs.Trace.wire_ctx fl)
     t.node
     ~dst:(Descriptor.remote desc)
-    (Wire.encode
-       (Wire.Write_burst
-          {
-            seg = Descriptor.segment_id desc;
-            gen = Descriptor.generation desc;
-            notify;
-            swab;
-            items;
-          }))
+    frame
 
 (* Run [check] [span] after now, as two plain events: one at now that
    schedules the check.  That is the event shape of a watchdog process
@@ -603,10 +602,10 @@ let send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?(swab = false)
   in
   Metrics.Account.add t.ops ~category:"read" 1.;
   Metrics.Account.add_int t.data_bytes ~category:"read" count;
-  Cluster.Node.transmit
+  Cluster.Node.transmit_frame
     ?ctx:(Obs.Trace.wire_ctx fl)
     t.node ~dst:(Descriptor.remote desc)
-    (Wire.read_frame ~seg:(Descriptor.segment_id desc)
+    (Wire.read_frame t.frames ~seg:(Descriptor.segment_id desc)
        ~gen:(Descriptor.generation desc) ~soff ~count ~reqid ~notify ~swab);
   arm_timeout t timeout reqid completion Status.Timed_out;
   completion
@@ -625,10 +624,10 @@ let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
          (Pending_cas { desc; cas_doff = doff; result; old_value; completion }))
   in
   Metrics.Account.add t.ops ~category:"cas" 1.;
-  Cluster.Node.transmit
+  Cluster.Node.transmit_frame
     ?ctx:(Obs.Trace.wire_ctx fl)
     t.node ~dst:(Descriptor.remote desc)
-    (Wire.cas_frame ~seg:(Descriptor.segment_id desc)
+    (Wire.cas_frame t.frames ~seg:(Descriptor.segment_id desc)
        ~gen:(Descriptor.generation desc) ~doff ~old_value ~new_value ~reqid
        ~notify:false);
   arm_timeout t timeout reqid completion (unserved Status.Timed_out);
@@ -818,6 +817,8 @@ let write ?policy t desc ~off ?(notify = false) ?(swab = false) data =
 
 let write_burst t desc ?(notify = false) ?(swab = false) extents =
   if extents = [] then invalid_arg "Remote_memory.write_burst: empty burst";
+  if List.exists (fun (e : Wire.extent) -> e.len = 0) extents then
+    invalid_arg "Remote_memory.write_burst: empty extent";
   send_burst t desc ~notify ~swab extents
 
 let read_wait ?timeout ?policy t desc ~soff ~count ~dst ~doff ?notify ?swab ()
@@ -1078,7 +1079,7 @@ let handle_write_burst t src ~seg ~gen ~notify ~swab items =
           Obs.Trace.serve_end sv)
 
 let transmit_reply t sv src frame =
-  Cluster.Node.transmit
+  Cluster.Node.transmit_frame
     ?ctx:(Obs.Trace.serve_ctx sv ~label:"reply")
     t.node ~dst:src frame
 
@@ -1087,7 +1088,8 @@ let transmit_reply t sv src frame =
    charged. *)
 let send_read_chunk t sv src segment ~soff ~reqid ~swab ~pos ~len =
   let c = costs t in
-  let frame = Wire.read_reply_frame ~reqid ~chunk_off:pos ~swab ~len in
+  let f = Wire.read_reply_frame t.frames ~reqid ~chunk_off:pos ~swab ~len in
+  let frame = Atm.Frame.payload f in
   Cluster.Address_space.read_into (Segment.space segment)
     ~addr:(Segment.base segment + soff + pos)
     ~len frame ~pos:Wire.header_bytes;
@@ -1100,7 +1102,7 @@ let send_read_chunk t sv src segment ~soff ~reqid ~swab ~pos ~len =
       Bytes.blit
         (Crypto.transform crypto ~pos:Wire.header_bytes ~len frame)
         0 frame Wire.header_bytes len);
-  transmit_reply t sv src frame
+  transmit_reply t sv src f
 
 (* The READ's reply chunks from [pos] on, [burst] bytes each. *)
 let rec send_read_chunks t sv src segment ~soff ~count ~reqid ~swab ~burst pos =
@@ -1157,7 +1159,9 @@ let handle_read t src ~seg ~gen ~soff ~count ~reqid ~notify:_ ~swab =
            { op = Rights.Read_op; src; seg; gen; off = soff; count; status });
       Obs.Trace.serve_arg sv "status" (Status.to_string status);
       Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 8);
-      transmit_reply t sv src
+      Cluster.Node.transmit
+        ?ctx:(Obs.Trace.serve_ctx sv ~label:"reply")
+        t.node ~dst:src
         (Wire.encode
            (Wire.Read_reply
               {
@@ -1172,7 +1176,8 @@ let handle_read t src ~seg ~gen ~soff ~count ~reqid ~notify:_ ~swab =
 let reply_cas t sv src ~reqid ~status ~witness =
   Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
     (tx_ctrl_cost (costs t) 8);
-  transmit_reply t sv src (Wire.cas_reply_frame ~status ~reqid ~witness);
+  transmit_reply t sv src
+    (Wire.cas_reply_frame t.frames ~status ~reqid ~witness);
   Obs.Trace.serve_end sv
 
 let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =

@@ -125,10 +125,11 @@ val write_burst :
   Descriptor.t ->
   ?notify:bool ->
   ?swab:bool ->
-  (int * bytes) list ->
+  Wire.extent list ->
   unit
-(** Scatter-gather remote write: every [(off, data)] extent targets the
-    same segment and the whole batch is framed {e once} at the AAL layer
+(** Scatter-gather remote write: every extent (its offset, length and
+    the writes it is made of, copied into the frame once each) targets
+    the same segment and the whole batch is framed {e once} at the AAL layer
     — one trap, one descriptor check, one FIFO setup per burst group and
     48 payload bytes per cell, amortizing the per-frame costs {!write}
     pays per 40-byte-payload cell. The destination validates every

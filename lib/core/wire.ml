@@ -211,11 +211,11 @@ let encode message =
         items);
   Atm.Codec.contents w
 
-(* Frames built in place: each is allocated at its final size and its
-   fields are set with [Bytes.set_*], in [encode]'s layout, without a
-   codec writer or a message record.  These are on every request's and
-   every reply's path; [encode] stays the reference they are tested
-   against. *)
+(* Frames built in place: each is a pooled frame of its final size
+   (see {!Atm.Frame.take}) whose fields are set with [Bytes.set_*], in
+   [encode]'s layout, without a codec writer or a message record.  These
+   are on every request's and every reply's path; [encode] stays the
+   reference they are tested against. *)
 
 let in_range name v max = if v < 0 || v > max then invalid_arg name
 
@@ -228,62 +228,105 @@ let set_header frame ~tag ~b1 ~u16 ~u32 =
   Bytes.set_uint16_le frame 2 u16;
   Bytes.set_int32_le frame 4 (Int32.of_int u32)
 
-let write_frame ~seg ~gen ~off ~notify ~swab buf ~pos ~len =
+let write_frame pool ~seg ~gen ~off ~notify ~swab buf ~pos ~len =
   in_range "Wire.write_frame" seg 0xFF;
   in_range "Wire.write_frame" off 0xFFFFFFFF;
-  let frame = Bytes.create (header_bytes + len) in
+  let f = Atm.Frame.take pool (header_bytes + len) in
+  let frame = Atm.Frame.payload f in
   set_header frame
     ~tag:(tag ~op:op_write ~notify ~swab)
     ~b1:seg ~u16:(Generation.to_int gen) ~u32:off;
   Bytes.blit buf pos frame header_bytes len;
-  frame
+  f
 
-let read_frame ~seg ~gen ~soff ~count ~reqid ~notify ~swab =
+let read_frame pool ~seg ~gen ~soff ~count ~reqid ~notify ~swab =
   in_range "Wire.read_frame" seg 0xFF;
   in_range "Wire.read_frame" soff 0xFFFFFFFF;
   in_range "Wire.read_frame" count 0xFFFFFFFF;
   in_range "Wire.read_frame" reqid 0xFFFF;
-  let frame = Bytes.create 14 in
+  let f = Atm.Frame.take pool 14 in
+  let frame = Atm.Frame.payload f in
   set_header frame
     ~tag:(tag ~op:op_read ~notify ~swab)
     ~b1:seg ~u16:(Generation.to_int gen) ~u32:soff;
   Bytes.set_int32_le frame 8 (Int32.of_int count);
   Bytes.set_uint16_le frame 12 reqid;
-  frame
+  f
 
-let cas_frame ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
+let cas_frame pool ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
   in_range "Wire.cas_frame" seg 0xFF;
   in_range "Wire.cas_frame" doff 0xFFFFFFFF;
   in_range "Wire.cas_frame" reqid 0xFFFF;
-  let frame = Bytes.create 18 in
+  let f = Atm.Frame.take pool 18 in
+  let frame = Atm.Frame.payload f in
   set_header frame
     ~tag:(tag ~op:op_cas ~notify ~swab:false)
     ~b1:seg ~u16:(Generation.to_int gen) ~u32:doff;
   Bytes.set_int32_le frame 8 (Int32.of_int old_value);
   Bytes.set_int32_le frame 12 (Int32.of_int new_value);
   Bytes.set_uint16_le frame 16 reqid;
-  frame
+  f
 
-let cas_reply_frame ~status ~reqid ~witness =
+let cas_reply_frame pool ~status ~reqid ~witness =
   in_range "Wire.cas_reply_frame" reqid 0xFFFF;
-  let frame = Bytes.create 8 in
+  let f = Atm.Frame.take pool 8 in
+  let frame = Atm.Frame.payload f in
   Bytes.set_uint8 frame 0 (tag ~op:op_cas_reply ~notify:false ~swab:false);
   Bytes.set_uint8 frame 1 (Status.to_code status);
   Bytes.set_uint16_le frame 2 reqid;
   Bytes.set_int32_le frame 4 (Int32.of_int witness);
-  frame
+  f
 
 (* The server's READ reply, with the data left for the caller to copy
    segment memory straight into, at [header_bytes]. *)
-let read_reply_frame ~reqid ~chunk_off ~swab ~len =
+let read_reply_frame pool ~reqid ~chunk_off ~swab ~len =
   in_range "Wire.read_reply_frame" reqid 0xFFFF;
   in_range "Wire.read_reply_frame" chunk_off 0xFFFFFFFF;
   if len < 0 then invalid_arg "Wire.read_reply_frame";
-  let frame = Bytes.create (header_bytes + len) in
-  set_header frame
+  let f = Atm.Frame.take pool (header_bytes + len) in
+  set_header (Atm.Frame.payload f)
     ~tag:(tag ~op:op_read_reply ~notify:false ~swab)
     ~b1:(Status.to_code Status.Ok) ~u16:reqid ~u32:chunk_off;
-  frame
+  f
+
+type extent = { off : int; len : int; writes : (int * bytes) list }
+
+(* The writes of one extent, oldest first, each to its place in the
+   frame ([base] is where segment offset 0 would fall). *)
+let rec copy_writes frame ~base ~lo ~hi = function
+  | [] -> ()
+  | (off, data) :: older ->
+      copy_writes frame ~base ~lo ~hi older;
+      let len = Bytes.length data in
+      if off < lo || off + len > hi then invalid_arg "Wire.write_burst_frame";
+      Bytes.blit data 0 frame (base + off) len
+
+let rec copy_extents frame pos = function
+  | [] -> ()
+  | e :: rest ->
+      in_range "Wire.write_burst_frame" e.off 0xFFFFFFFF;
+      Bytes.set_int32_le frame pos (Int32.of_int e.off);
+      Bytes.set_int32_le frame (pos + 4) (Int32.of_int e.len);
+      let data = pos + burst_item_header_bytes in
+      copy_writes frame ~base:(data - e.off) ~lo:e.off ~hi:(e.off + e.len)
+        e.writes;
+      copy_extents frame (data + e.len) rest
+
+let write_burst_frame pool ~seg ~gen ~notify ~swab extents =
+  in_range "Wire.write_burst_frame" seg 0xFF;
+  let f =
+    Atm.Frame.take pool
+      (List.fold_left
+         (fun acc e -> acc + burst_item_header_bytes + e.len)
+         burst_header_bytes extents)
+  in
+  let frame = Atm.Frame.payload f in
+  Bytes.set_uint8 frame 0 (tag ~op:op_write_burst ~notify ~swab);
+  Bytes.set_uint8 frame 1 seg;
+  Bytes.set_uint16_le frame 2 (Generation.to_int gen);
+  Bytes.set_uint16_le frame 4 (List.length extents);
+  copy_extents frame burst_header_bytes extents;
+  f
 
 exception Bad_message of string
 

@@ -107,12 +107,10 @@ val data_cells : int -> int
 (** Cells needed to carry [len] data bytes at 40 per cell (min 1). *)
 
 val burst_header_bytes : int
-(** 6 — tag, segment, generation and extent count of a burst frame.
-    Test-only: the burst-frame size tests. *)
+(** 6 — tag, segment, generation and extent count of a burst frame. *)
 
 val burst_item_header_bytes : int
-(** 8 — the (offset, length) descriptor ahead of each extent's data.
-    Test-only: the burst-frame size tests. *)
+(** 8 — the (offset, length) descriptor ahead of each extent's data. *)
 
 val burst_payload_bytes : burst_item list -> int
 (** Total data bytes carried by the extents, excluding framing. *)
@@ -125,29 +123,51 @@ val encode : message -> bytes
     encoder: the frames below are built in place, without a message
     record, and are identical to its output. *)
 
+(** {1 Frames built in place}
+
+    Each builder takes a frame of its final size from the network's
+    pool and sets its fields in {!encode}'s layout. The receiving node
+    releases the frame to the pool once its handler returns. *)
+
 val write_frame :
-  seg:int -> gen:Generation.t -> off:int -> notify:bool -> swab:bool ->
-  bytes -> pos:int -> len:int -> bytes
+  Atm.Frame.pool -> seg:int -> gen:Generation.t -> off:int -> notify:bool ->
+  swab:bool -> bytes -> pos:int -> len:int -> Atm.Frame.t
 (** The WRITE frame carrying [len] bytes of the buffer from [pos]. *)
 
 val read_frame :
-  seg:int -> gen:Generation.t -> soff:int -> count:int -> reqid:int ->
-  notify:bool -> swab:bool -> bytes
+  Atm.Frame.pool -> seg:int -> gen:Generation.t -> soff:int -> count:int ->
+  reqid:int -> notify:bool -> swab:bool -> Atm.Frame.t
 (** A READ request frame. *)
 
 val cas_frame :
-  seg:int -> gen:Generation.t -> doff:int -> old_value:int ->
-  new_value:int -> reqid:int -> notify:bool -> bytes
+  Atm.Frame.pool -> seg:int -> gen:Generation.t -> doff:int ->
+  old_value:int -> new_value:int -> reqid:int -> notify:bool -> Atm.Frame.t
 (** A CAS request frame. *)
 
-val cas_reply_frame : status:Status.t -> reqid:int -> witness:int -> bytes
+val cas_reply_frame :
+  Atm.Frame.pool -> status:Status.t -> reqid:int -> witness:int -> Atm.Frame.t
 (** A CAS reply frame. *)
 
 val read_reply_frame :
-  reqid:int -> chunk_off:int -> swab:bool -> len:int -> bytes
+  Atm.Frame.pool -> reqid:int -> chunk_off:int -> swab:bool -> len:int ->
+  Atm.Frame.t
 (** An [Ok] READ reply frame of [len] data bytes, identical to {!encode}'s
     once the caller has filled the data, which is left unwritten at
     [header_bytes]: the server copies segment memory straight in. *)
+
+type extent = { off : int; len : int; writes : (int * bytes) list }
+(** One extent of a burst as its issuer stages it: [len] bytes at
+    segment offset [off], made of [writes], each a segment offset and
+    the bytes written there, newest first. The writes lie inside the
+    extent and cover all of it. *)
+
+val write_burst_frame :
+  Atm.Frame.pool -> seg:int -> gen:Generation.t -> notify:bool -> swab:bool ->
+  extent list -> Atm.Frame.t
+(** The [Write_burst] frame of the extents, in list order. Each extent's
+    writes are copied into it oldest first, once each, so where they
+    overlap the newest wins. Raises [Invalid_argument] if a write lies
+    outside its extent. *)
 
 (** What to do with each kind of received frame: one function per
     message kind, given two context values passed through from

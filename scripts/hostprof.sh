@@ -86,7 +86,10 @@ HOSTPROF_OUT="$tmp/samples" LD_PRELOAD="$tmp/sampler.so" \
   "$exe" --child --workload "$workload" --seed "$seed" --per-client "$full" >/dev/null
 
 # Text symbols of the executable, as "address name", sorted by address.
-nm "$exe" | awk '$2 ~ /^[Tt]$/ { print $1, $3 }' | sort >"$tmp/symbols"
+# Weak ones count too: the runtime defines caml_modify and
+# caml_initialize weak, and without them their samples would be charged
+# to whichever symbol precedes them.
+nm "$exe" | awk '$2 ~ /^[TtWw]$/ { print $1, $3 }' | sort >"$tmp/symbols"
 
 awk -v exe_base="$(basename "$exe")" -v symbols="$tmp/symbols" '
   function hex(s,   i, c, v) {

@@ -290,4 +290,33 @@ if [ -n "$stale" ]; then
   fail "check 15's allow-list names a site that no longer exists — delete the entry"
 fi
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, no unlisted hash-table iteration, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 16. A recycled frame has one owner at a time.  A pooled frame goes
+# back to its pool only in Cluster.Node.dispatch, after the protocol
+# handler has returned, so nothing reads it once a later frame may have
+# been built in its buffer; and the pool itself (Frame.take, Frame.pin,
+# the pool type and its counters, Nic.pool) is reachable only from
+# lib/atm and the remote-memory frame builders in lib/core/wire.ml and
+# lib/core/remote_memory.ml.  Comments are dropped first.
+release_word="(^|[^A-Za-z0-9_'])Frame\.release([^A-Za-z0-9_']|\$)"
+pool_word="(^|[^A-Za-z0-9_'])(Frame\.(take|pin|pool|outstanding|created)|Nic\.pool)([^A-Za-z0-9_']|\$)"
+in_dispatch=$(awk '/^let dispatch /{on=1; print; next} on && /^let /{on=0} on' \
+  lib/cluster/node.ml | tr '\n' ' ' | sed -E 's/\(\*([^*]|\*+[^*)])*\*+\)//g' |
+  grep -Eo "$release_word" | wc -l)
+[ "$in_dispatch" -eq 1 ] ||
+  fail "lib/cluster/node.ml: Node.dispatch must release each frame exactly once, after its handler (found $in_dispatch release(s))"
+for f in $(find lib -path lib/atm -prune -o \( -name '*.ml' -o -name '*.mli' \) -print | sort); do
+  releases=$(strip_comments "$f" | grep -Eo "$release_word" | wc -l)
+  if [ "$f" = lib/cluster/node.ml ]; then releases=$((releases - 1)); fi
+  [ "$releases" -eq 0 ] ||
+    fail "$f releases a frame — only Cluster.Node.dispatch gives frames back to the pool"
+  case "$f" in
+    lib/core/wire.ml | lib/core/wire.mli | lib/core/remote_memory.ml) ;;
+    *)
+      if strip_comments "$f" | grep -Eq "$pool_word"; then
+        fail "$f reaches the frame pool — only lib/atm and the remote-memory frame builders may"
+      fi
+      ;;
+  esac
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem builders, no unlisted hash-table iteration, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

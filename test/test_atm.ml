@@ -429,6 +429,27 @@ let checksum_allocates_nothing () =
   in
   Rig.within_budget "Aal.checksum, 4100 bytes" ~words ~budget:0.1
 
+(* The pool's ownership word: a frame given back twice goes on the free
+   stack once, so the next two takes of its length are two different
+   frames; a pinned frame is never given back at all. *)
+let pool_owns_each_frame_once () =
+  let pool = Atm.Frame.pool () in
+  let a = Atm.Frame.take pool 64 in
+  Atm.Frame.release a;
+  Atm.Frame.release a;
+  let b = Atm.Frame.take pool 64 and c = Atm.Frame.take pool 64 in
+  Alcotest.(check bool) "the released frame is reused" true (b == a || c == a);
+  Alcotest.(check bool) "and handed out once" true (b != c);
+  Atm.Frame.pin b;
+  Atm.Frame.release b;
+  Atm.Frame.release c;
+  let d = Atm.Frame.take pool 64 and e = Atm.Frame.take pool 64 in
+  Alcotest.(check bool) "a pinned frame is never reused" true (d != b && e != b);
+  Alcotest.(check bool) "another length is another stack" true
+    (Atm.Frame.take pool 63 != d);
+  Alcotest.(check int) "outstanding: d, e and the 63-byte frame" 3
+    (Atm.Frame.outstanding pool)
+
 let suite =
   [
     Alcotest.test_case "aal cell arithmetic" `Quick aal_cells;
@@ -460,4 +481,6 @@ let suite =
       checksum_sees_every_bit_flip;
     Alcotest.test_case "AAL checksum allocates nothing" `Quick
       checksum_allocates_nothing;
+    Alcotest.test_case "frame pool owns each frame once" `Quick
+      pool_owns_each_frame_once;
   ]

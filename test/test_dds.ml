@@ -234,7 +234,8 @@ let call_cache_free_slots_match_no_id () =
 (* The host cost of one active-message RPC: the request frame, the
    server's copy of the payload, the reply frame and the client's copy
    of the reply, plus the ivar, the timeout event and the waits; 10%
-   above the measured 92 words (187 with a codec writer and reader per
+   above the 92 words measured before each frame record carried its
+   ownership word (94 since; 187 with a codec writer and reader per
    frame, two copies per side and a reply history rebuilt as a list).
    Any of those back fails here. *)
 let call_allocation_budget () =

@@ -243,7 +243,11 @@ let crypto_swab_match_copying_path =
       Rig.run d (fun () ->
           let _, desc = Rig.shared_segment ~len:16384 d in
           Rmem.Remote_memory.write d.Rig.rmem0 desc ~off ~swab data;
-          Rmem.Remote_memory.write_burst d.Rig.rmem0 desc ~swab extents;
+          Rmem.Remote_memory.write_burst d.Rig.rmem0 desc ~swab
+            (List.map
+               (fun (off, data) ->
+                 { Rmem.Wire.off; len = Bytes.length data; writes = [ (off, data) ] })
+               extents);
           Rmem.Remote_memory.fence d.Rig.rmem0 desc;
           let stored = Cluster.Address_space.read d.Rig.space1 ~addr:off ~len:size in
           Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:off ~count:size
