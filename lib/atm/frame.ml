@@ -114,6 +114,37 @@ let pin t =
     pool.outstanding <- pool.outstanding - 1
   end
 
+(* ---------------- Rings ---------------- *)
+
+(* A FIFO of frames in a circular array whose capacity stays a power of
+   two, doubled (in FIFO order) when full.  A popped slot gets [vacant]
+   back, so the ring keeps no frame it has handed on alive. *)
+type ring = { mutable slots : t array; mutable head : int; mutable length : int }
+
+let ring () = { slots = Array.make 8 vacant; head = 0; length = 0 }
+let ring_length r = r.length
+
+let ring_push r frame =
+  let capacity = Array.length r.slots in
+  if r.length = capacity then begin
+    let grown = Array.make (2 * capacity) vacant in
+    for i = 0 to capacity - 1 do
+      grown.(i) <- r.slots.((r.head + i) land (capacity - 1))
+    done;
+    r.slots <- grown;
+    r.head <- 0
+  end;
+  r.slots.((r.head + r.length) land (Array.length r.slots - 1)) <- frame;
+  r.length <- r.length + 1
+
+let ring_pop r =
+  if r.length = 0 then invalid_arg "Frame.ring_pop: empty ring";
+  let frame = r.slots.(r.head) in
+  r.slots.(r.head) <- vacant;
+  r.head <- (r.head + 1) land (Array.length r.slots - 1);
+  r.length <- r.length - 1;
+  frame
+
 let outstanding pool = pool.outstanding
 let created pool = pool.created
 

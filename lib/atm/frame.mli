@@ -44,6 +44,24 @@ val pin : t -> unit
     still hold it (an interposer that duplicates, delays or inspects
     it). No effect on a frame that is not pooled. *)
 
+(** {1 Rings} *)
+
+type ring
+(** A FIFO of frames that grows as needed. *)
+
+val ring : unit -> ring
+(** An empty ring. *)
+
+val ring_push : ring -> t -> unit
+(** Append a frame. *)
+
+val ring_pop : ring -> t
+(** Remove and return the oldest frame; the ring no longer holds it.
+    Raises [Invalid_argument] on an empty ring. *)
+
+val ring_length : ring -> int
+(** Frames in the ring. *)
+
 val outstanding : pool -> int
 (** Frames taken and neither released nor pinned. A frame dropped on
     the way (no route, a full queue, a bad checksum, a crashed

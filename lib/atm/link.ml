@@ -45,9 +45,7 @@ type t = {
   mutable next_free : Sim.Time.t;
   mutable queued : int; (* frames accepted but not yet delivered *)
   mutable queued_cells : int; (* their cells, held to the bound *)
-  mutable ring : Frame.t array; (* un-jittered frames in flight, FIFO *)
-  mutable ring_head : int;
-  mutable ring_length : int;
+  ring : Frame.ring; (* un-jittered frames in flight *)
   arrive : unit -> unit; (* delivers the ring's head *)
   mutable frames_sent : int;
   mutable cells_sent : int;
@@ -59,14 +57,8 @@ type t = {
   mutable overflow_drops : int; (* frames refused by a full queue *)
 }
 
-(* Fills the ring's free slots, so a delivered frame is not retained. *)
-let vacant = Frame.make ~src:(Addr.of_int 0) ~dst:(Addr.of_int 0) Bytes.empty
-
 let arrive t () =
-  let frame = t.ring.(t.ring_head) in
-  t.ring.(t.ring_head) <- vacant;
-  t.ring_head <- (t.ring_head + 1) land (Array.length t.ring - 1);
-  t.ring_length <- t.ring_length - 1;
+  let frame = Frame.ring_pop t.ring in
   t.queued <- t.queued - 1;
   t.queued_cells <- t.queued_cells - Aal.cells_of_len (Frame.length frame);
   t.deliver frame
@@ -84,9 +76,7 @@ let create ?(name = "link") engine config ~deliver =
       next_free = Sim.Time.zero;
       queued = 0;
       queued_cells = 0;
-      ring = Array.make 8 vacant;
-      ring_head = 0;
-      ring_length = 0;
+      ring = Frame.ring ();
       arrive = (fun () -> arrive t ());
       frames_sent = 0;
       cells_sent = 0;
@@ -99,21 +89,6 @@ let create ?(name = "link") engine config ~deliver =
     }
   in
   t
-
-(* Append to the ring, doubling it (in FIFO order) when full; the
-   capacity stays a power of two. *)
-let push t frame =
-  let capacity = Array.length t.ring in
-  if t.ring_length = capacity then begin
-    let grown = Array.make (2 * capacity) vacant in
-    for i = 0 to capacity - 1 do
-      grown.(i) <- t.ring.((t.ring_head + i) land (capacity - 1))
-    done;
-    t.ring <- grown;
-    t.ring_head <- 0
-  end;
-  t.ring.((t.ring_head + t.ring_length) land (Array.length t.ring - 1)) <- frame;
-  t.ring_length <- t.ring_length + 1
 
 let set_interposer t f = t.interposer <- f
 let set_overflow t policy = t.overflow <- policy
@@ -147,7 +122,7 @@ let enqueue t frame ~jitter =
     in
     Obs.Trace.link_hop (Frame.ctx frame) ~name:t.name ~start ~finish:arrival;
     if jitter = Sim.Time.zero then begin
-      push t frame;
+      Frame.ring_push t.ring frame;
       Sim.Engine.schedule_at t.engine arrival t.arrive
     end
     else

@@ -10,7 +10,13 @@
    destination (a crashed or partitioned peer) counts a tx route drop
    instead of aborting, and an arriving frame whose AAL checksum no
    longer matches its payload counts a receive error and is discarded —
-   corruption surfaces as loss, never as silent bad data. *)
+   corruption surfaces as loss, never as silent bad data.
+
+   The receive FIFO is a frame ring with one reader.  A reader that
+   finds it empty parks, and the next frame to arrive is handed straight
+   to it, never queued (so it is not pending), and the reader unparked.
+   The handoff slot gets [vacant] back once taken, as a popped ring slot
+   does, so neither keeps a frame alive. *)
 
 exception Rx_overflow of Addr.t
 
@@ -18,7 +24,11 @@ type t = {
   addr : Addr.t;
   config : Config.t;
   mutable route : Addr.t -> Link.t option;
-  rx : Frame.t Sim.Mailbox.t;
+  rx : Frame.ring;
+  rx_label : Sim.Engine.label;
+  mutable reader : Sim.Proc.t option; (* the last process to park here *)
+  mutable parked : bool; (* [reader] waits in [receive] for a handoff *)
+  mutable handed : Frame.t;
   pool : Frame.pool; (* the network's *)
   mutable rx_cells_pending : int;
   mutable frames_tx : int;
@@ -30,12 +40,19 @@ type t = {
 
 let no_route _ = failwith "Nic: route not installed"
 
+(* Fills the handoff slot while no frame is being handed over. *)
+let vacant = Frame.make ~src:(Addr.of_int 0) ~dst:(Addr.of_int 0) Bytes.empty
+
 let create config ~pool addr =
   {
     addr;
     config;
     route = no_route;
-    rx = Sim.Mailbox.create ~name:(Addr.to_string addr ^ " rx fifo") ~daemon:true ();
+    rx = Frame.ring ();
+    rx_label = Sim.Engine.Quoted ("ring", Addr.to_string addr ^ " rx fifo");
+    reader = None;
+    parked = false;
+    handed = vacant;
     pool;
     rx_cells_pending = 0;
     frames_tx = 0;
@@ -83,15 +100,36 @@ let deliver t frame =
     Obs.Trace.frame_delivered (Frame.ctx frame) ~node:(Addr.to_int t.addr);
     t.rx_cells_pending <- t.rx_cells_pending + cells;
     t.frames_rx <- t.frames_rx + 1;
-    Sim.Mailbox.send t.rx frame
+    match t.reader with
+    | Some reader when t.parked ->
+        t.parked <- false;
+        t.handed <- frame;
+        Sim.Proc.unpark reader
+    | Some _ | None -> Frame.ring_push t.rx frame
   end
 
+(* The reader names itself once: its [Some] is built when another
+   process reads, not per park. *)
+let take_handoff t =
+  if t.parked then invalid_arg "Nic.receive: the receive FIFO has one reader";
+  let me = Sim.Proc.self () in
+  (match t.reader with
+  | Some reader when reader == me -> ()
+  | Some _ | None -> t.reader <- Some me);
+  t.parked <- true;
+  Sim.Proc.park ~resource:t.rx_label ~daemon:true;
+  let frame = t.handed in
+  t.handed <- vacant;
+  frame
+
 let receive t =
-  let frame = Sim.Mailbox.recv t.rx in
+  let frame =
+    if Frame.ring_length t.rx > 0 then Frame.ring_pop t.rx else take_handoff t
+  in
   t.rx_cells_pending <- t.rx_cells_pending - Aal.cells_of_len (Frame.length frame);
   frame
 
-let pending_frames t = Sim.Mailbox.length t.rx
+let pending_frames t = Frame.ring_length t.rx
 
 let frames_tx t = t.frames_tx
 let frames_rx t = t.frames_rx

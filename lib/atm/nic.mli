@@ -35,15 +35,20 @@ val send : ?ctx:Obs.Ctx.t -> t -> dst:Addr.t -> Frame.t -> unit
     it is addressed and checksummed here. *)
 
 val deliver : t -> Frame.t -> unit
-(** Called by links at frame arrival; queues into the receive FIFO. A
-    frame whose AAL checksum no longer matches its payload is discarded
+(** Called by links at frame arrival; queues into the receive FIFO, or
+    hands the frame straight to a reader blocked on it. A frame whose
+    AAL checksum no longer matches its payload is discarded
     as a receive error ({!crc_errors}) — corruption surfaces as loss. *)
 
 val receive : t -> Frame.t
 (** Drain the oldest received frame, blocking the calling process while
-    the FIFO is empty. *)
+    the FIFO is empty. The FIFO has one reader at a time: a second
+    process calling while the first is blocked raises
+    [Invalid_argument]. *)
 
 val pending_frames : t -> int
+(** Frames queued in the receive FIFO. A frame handed straight to a
+    blocked reader is not pending. *)
 
 (** {1 Statistics} *)
 

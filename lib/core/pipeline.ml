@@ -56,16 +56,14 @@ type staged = {
   mutable notify : bool;
 }
 
-(* One windowed operation in flight; [await] raises on failure. *)
-type inflight = { ready : unit -> bool; await : unit -> unit }
-
 type key = int * int * int (* remote node, segment id, generation *)
 
 type t = {
   rmem : Remote_memory.t;
   cfg : config;
   staged : (key, staged) Hashtbl.t;
-  windows : (key, inflight Queue.t) Hashtbl.t;
+  windows : (key, Remote_memory.completion Queue.t) Hashtbl.t;
+  (* the READs and CASes in flight per key, oldest first *)
   batches : (key, int) Hashtbl.t;
   (* the current window cycle's batch tag per key: a fresh batch opens
      whenever a submit finds its window empty, so every issue sharing a
@@ -188,10 +186,12 @@ let write t desc ~off ?(notify = false) data =
       flush_key t (key_of desc)
   end
 
+(* [find], not [find_opt], on the per-issue lookups: the option would
+   be allocated on every issue. *)
 let window_q t key =
-  match Hashtbl.find_opt t.windows key with
-  | Some q -> q
-  | None ->
+  match Hashtbl.find t.windows key with
+  | q -> q
+  | exception Not_found ->
       let q = Queue.create () in
       Hashtbl.replace t.windows key q;
       q
@@ -203,8 +203,8 @@ let window_q t key =
    could issue anything fresh.  So every retirement path below empties
    what it owes first and raises the remembered failure only once the
    window is consistent again. *)
-let retire fl first =
-  match fl.await () with
+let retire c first =
+  match Status.check (Remote_memory.await c) with
   | () -> ()
   | exception exn -> if Option.is_none !first then first := Some exn
 
@@ -215,8 +215,8 @@ let clear q first =
 
 let reraise first = match !first with Some exn -> raise exn | None -> ()
 
-(* Retire completed operations from the front of the window (their
-   [await] cannot block but still raises on failure), then make room by
+(* Retire completed operations from the front of the window (awaiting
+   them cannot block, but a failure still raises), then make room by
    waiting on the oldest until the window has a free slot.  On failure
    the whole window is drained before raising, so the caller retries
    from an empty window. *)
@@ -225,15 +225,15 @@ let window_admit t q =
   while
     Option.is_none !first
     && (not (Queue.is_empty q))
-    && (Queue.peek q).ready ()
+    && Remote_memory.completed (Queue.peek q)
   do
     retire (Queue.pop q) first
   done;
   while Option.is_none !first && Queue.length q >= t.cfg.window do
-    let fl = Queue.pop q in
-    if not (fl.ready ()) then
+    let c = Queue.pop q in
+    if not (Remote_memory.completed c) then
       t.stats.window_stalls <- t.stats.window_stalls + 1;
-    retire fl first
+    retire c first
   done;
   if Option.is_some !first then begin
     clear q first;
@@ -252,9 +252,9 @@ let window_batch t ~key ~q =
     b
   end
   else
-    match Hashtbl.find_opt t.batches key with
-    | Some b -> b
-    | None ->
+    match Hashtbl.find t.batches key with
+    | b -> b
+    | exception Not_found ->
         let b = Remote_memory.fresh_batch t.rmem in
         Hashtbl.replace t.batches key b;
         b
@@ -270,15 +270,9 @@ let read_submit t desc ~soff ~count ~dst ~doff () =
   let q = window_q t key in
   window_admit t q;
   let batch = window_batch t ~key ~q in
-  let ivar =
-    Remote_memory.with_batch t.rmem ~batch (fun () ->
-        Remote_memory.read t.rmem desc ~soff ~count ~dst ~doff ())
-  in
   Queue.push
-    {
-      ready = (fun () -> Sim.Ivar.is_full ivar);
-      await = (fun () -> Status.check (Sim.Ivar.read ivar));
-    }
+    (Remote_memory.with_batch t.rmem ~batch (fun () ->
+         Remote_memory.read t.rmem desc ~soff ~count ~dst ~doff ()))
     q
 
 let cas_submit t desc ~doff ~old_value ~new_value () =
@@ -289,16 +283,9 @@ let cas_submit t desc ~doff ~old_value ~new_value () =
   let q = window_q t key in
   window_admit t q;
   let batch = window_batch t ~key ~q in
-  let ivar =
-    Remote_memory.with_batch t.rmem ~batch (fun () ->
-        Remote_memory.cas_async t.rmem desc ~doff ~old_value ~new_value ())
-  in
   Queue.push
-    {
-      ready = (fun () -> Sim.Ivar.is_full ivar);
-      await =
-        (fun () -> Status.check (Remote_memory.cas_status (Sim.Ivar.read ivar)));
-    }
+    (Remote_memory.with_batch t.rmem ~batch (fun () ->
+         Remote_memory.cas_async t.rmem desc ~doff ~old_value ~new_value ()))
     q
 
 let cas t desc ~doff ~old_value ~new_value () =

@@ -16,36 +16,65 @@ let buffer ~space ~base ~len =
   if base < 0 || len <= 0 then invalid_arg "Remote_memory.buffer";
   { space; base; len }
 
-type pending =
-  | Pending_read of {
-      desc : Descriptor.t;
-      soff : int;
-      buf : buffer;
-      doff : int;
-      count : int;
-      notify : bool;
-      mutable received : int;
-      chunks : Bytes.t;
-          (* one bit per reply chunk, set when it is counted; empty for
-             a READ that fits one chunk *)
-      completion : Status.t Sim.Ivar.t;
-    }
-  | Pending_cas of {
-      desc : Descriptor.t;
-      cas_doff : int;
-      result : (buffer * int) option; (* deposit a success word here *)
-      old_value : int;
-      completion : int Sim.Ivar.t; (* a CAS outcome, below *)
-    }
+(* A READ's or CAS's completion is its pending record itself: entered
+   in the pending table under its request id at issue, filled once with
+   one int outcome, and awaited by one process, which parks on it.
 
-(* A CAS completes with one int: the witness word, sign-extended, when
-   the CAS was served, or [unserved status], which no 32-bit word
-   equals.  No tuple and no boxed word per CAS. *)
+   The outcome is [empty] until filled.  Then it is the witness word,
+   sign-extended, of a served CAS; 0 for a served READ; or [unserved
+   status], which no 32-bit word equals, for either one not served.  No
+   tuple, option or boxed word per completion. *)
+type completion = {
+  desc : Descriptor.t;
+  cas : bool;
+  off : int; (* in the segment: a READ's source, a CAS's word *)
+  count : int; (* 4 for a CAS *)
+  buf : buffer; (* where a READ deposits, or a CAS its success word *)
+  doff : int; (* in [buf]; negative for a CAS that deposits nothing *)
+  notify : bool;
+  old_value : int; (* a CAS's expected word *)
+  reqid : int;
+  mutable received : int;
+  chunks : Bytes.t;
+      (* one bit per reply chunk, set when it is counted; empty for a
+         READ that fits one chunk *)
+  mutable outcome : int;
+  mutable waiter : Sim.Proc.t; (* parked on the completion if [awaited] *)
+  mutable awaited : bool;
+}
+
+let empty = min_int
 let unserved status = (1 + Status.to_code status) lsl 32
 
 let cas_status outcome =
   if outcome >= 1 lsl 32 then Status.of_code ((outcome asr 32) - 1)
   else Status.Ok
+
+(* What a blocked waiter is reported blocked on, built once. *)
+let read_label = Sim.Engine.Quoted ("ivar", "rmem READ completion")
+let cas_label = Sim.Engine.Quoted ("ivar", "rmem CAS completion")
+
+let completed c = c.outcome <> empty
+
+let fill c outcome =
+  if completed c then invalid_arg "Remote_memory: completion filled twice";
+  c.outcome <- outcome;
+  if c.awaited then begin
+    c.awaited <- false;
+    Sim.Proc.unpark c.waiter
+  end
+
+let outcome c =
+  if not (completed c) then begin
+    if c.awaited then invalid_arg "Remote_memory.await: already awaited";
+    c.waiter <- Sim.Proc.self ();
+    c.awaited <- true;
+    Sim.Proc.park ~resource:(if c.cas then cas_label else read_label)
+      ~daemon:false
+  end;
+  c.outcome
+
+let await c = cas_status (outcome c)
 
 (* [v] as the 32-bit word a CAS compares, sign-extended. *)
 let word32 v = (v lsl 31) asr 31
@@ -106,7 +135,7 @@ type t = {
   exported : Segment.t Sim.Int_table.t;
   mutable next_segment_id : int;
   mutable next_generation : Generation.t;
-  pending : pending Sim.Int_table.t;
+  pending : completion Sim.Int_table.t;
   mutable next_reqid : int;
   completion_fd : Notification.t;
   ops : Metrics.Account.t;
@@ -124,9 +153,10 @@ type t = {
      layer can treat a pipelined window of issues as one logical attempt *)
   mutable next_batch : int;
   mutable fault_registry : Obs.Registry.t option;
-  fence_space : Cluster.Address_space.t;
-  (* where fences deposit the word they read and discard; never
-     registered in the node, so fencing does not grow it *)
+  fence_buf : buffer;
+  (* where fences deposit the word they read and discard, in a space
+     never registered in the node, so fencing does not grow it; also the
+     [buf] of a CAS that deposits nothing *)
 }
 
 (* The analysis layer's hook.  Every site builds its event under
@@ -217,7 +247,7 @@ let create node =
     batch = None;
     next_batch = 1;
     fault_registry = None;
-    fence_space = scratch_space ();
+    fence_buf = buffer ~space:(scratch_space ()) ~base:0 ~len:4;
   }
 
 let node t = t.node
@@ -260,7 +290,13 @@ let fresh_batch t =
 let with_batch t ~batch f =
   let saved = t.batch in
   t.batch <- Some batch;
-  Fun.protect ~finally:(fun () -> t.batch <- saved) f
+  match f () with
+  | v ->
+      t.batch <- saved;
+      v
+  | exception exn ->
+      t.batch <- saved;
+      raise exn
 
 let set_crypto t crypto = t.crypto <- crypto
 
@@ -399,28 +435,20 @@ let burst_data_bytes c = c.Cluster.Costs.burst_cells * Wire.data_bytes_per_cell
 let outside buf ~off ~len = off < 0 || off + len > buf.len
 
 (* The prologue every meta-instruction shares.  It validates the
-   descriptor for [off, count] (or for each extent of a burst), then the
-   local buffer range a READ's or CAS's [pending] completion deposits
-   into; emits Issued; opens the trace flow; enters the completion under
-   a fresh request id (before the trap, so a crash during it still fails
-   the completion); and charges the trap, the descriptor check and
-   [ctrl] of request formatting.  Returns the flow and the request id
-   (0 without [pending]). *)
-let issue t desc op ~name ~off ~count ~notify ~cas_old ~cas_new ~extents ~ctrl
-    pending =
+   descriptor for [off, count] (or for each extent of a burst), then
+   (when [local_outside]) rejects the local buffer range a READ or CAS
+   deposits into; emits Issued; and opens the trace flow, which it
+   returns.  A READ or CAS then enters its completion in the pending
+   table, before the [trap], so a crash during the trap still fails it. *)
+let issue t desc op ~name ~off ~count ~notify ~cas_old ~cas_new ~extents
+    ~local_outside =
   (match extents with
   | [] -> check_local t desc op ~off ~count
   | _ ->
       List.iter
         (fun (e : Wire.extent) -> check_local t desc op ~off:e.off ~count:e.len)
         extents);
-  (match pending with
-  | Some (Pending_read p) when outside p.buf ~off:p.doff ~len:p.count ->
-      reject t desc op ~off ~count Status.Bounds
-  | Some (Pending_cas { result = Some (buf, off); _ })
-    when outside buf ~off ~len:4 ->
-      reject t desc op ~off ~count Status.Bounds
-  | Some _ | None -> ());
+  if local_outside then reject t desc op ~off ~count Status.Bounds;
   if monitored t then
     emit t
       (Issued
@@ -437,26 +465,18 @@ let issue t desc op ~name ~off ~count ~notify ~cas_old ~cas_new ~extents ~ctrl
               else None);
            batch = t.batch;
          });
-  let fl =
-    Obs.Trace.issue_begin ~node:(nid t) ~op:name
-      ~seg:(Descriptor.segment_id desc) ~off ~count
-  in
-  let reqid =
-    match pending with
-    | None -> 0
-    | Some p ->
-        let reqid = alloc_reqid t in
-        Sim.Int_table.replace t.pending reqid p;
-        reqid
-  in
+  Obs.Trace.issue_begin ~node:(nid t) ~op:name
+    ~seg:(Descriptor.segment_id desc) ~off ~count
+
+(* The trap, the descriptor check and [ctrl] of request formatting. *)
+let trap t fl ~ctrl =
   let c = costs t in
   Obs.Trace.phase fl "trap";
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.trap c.Cluster.Costs.descriptor_check)
        ctrl);
-  Obs.Trace.phase_end fl;
-  (fl, reqid)
+  Obs.Trace.phase_end fl
 
 (* One WRITE frame: [len] bytes of [data] from [pos], framed before the
    FIFO copy is charged, so the frame holds the caller's bytes as they
@@ -494,10 +514,11 @@ let rec send_write_chunks t fl desc ~off ~notify ~swab data ~burst pos =
 
 let send_write t desc ~off ~notify ~swab data =
   let count = Bytes.length data in
-  let fl, _ =
+  let fl =
     issue t desc Rights.Write_op ~name:"WRITE" ~off ~count ~notify ~cas_old:0
-      ~cas_new:0 ~extents:[] ~ctrl:Sim.Time.zero None
+      ~cas_new:0 ~extents:[] ~local_outside:false
   in
+  trap t fl ~ctrl:Sim.Time.zero;
   Metrics.Account.add t.ops ~category:"write" 1.;
   Metrics.Account.add_int t.data_bytes ~category:"write" count;
   if count = 0 then
@@ -528,11 +549,12 @@ let rec crypt_extents t crypto frame pos = function
 let send_burst t desc ~notify ~swab (extents : Wire.extent list) =
   let c = costs t in
   let total = List.fold_left (fun acc (e : Wire.extent) -> acc + e.len) 0 extents in
-  let fl, _ =
+  let fl =
     issue t desc Rights.Write_op ~name:"WRITE_BURST"
       ~off:(List.hd extents).off ~count:total ~notify ~cas_old:0
-      ~cas_new:0 ~extents ~ctrl:Sim.Time.zero None
+      ~cas_new:0 ~extents ~local_outside:false
   in
+  trap t fl ~ctrl:Sim.Time.zero;
   Metrics.Account.add t.ops ~category:"write burst" 1.;
   Metrics.Account.add_int t.data_bytes ~category:"write" total;
   let frame =
@@ -568,46 +590,60 @@ let watchdog t span check =
         (Sim.Time.add (Sim.Engine.now engine) span)
         check)
 
-(* The timeout of a READ or CAS: if [completion] is still empty [span]
-   from now, drop the pending entry (so a reply that straggles in later
-   is discarded instead of double-filling it) and fill it with
-   [timed_out]. *)
-let arm_timeout t timeout reqid completion timed_out =
+(* The timeout of a READ or CAS: if [c] is still empty [span] from now,
+   drop its pending entry (so a reply that straggles in later is
+   discarded instead of filling it twice) and fill it with [Timed_out]. *)
+let arm_timeout t timeout c =
   match timeout with
   | None -> ()
   | Some span ->
       watchdog t span (fun () ->
-          if not (Sim.Ivar.is_full completion) then begin
-            Sim.Int_table.remove t.pending reqid;
+          if not (completed c) then begin
+            Sim.Int_table.remove t.pending c.reqid;
             Metrics.Account.add t.errors ~category:"timeout" 1.;
-            Sim.Ivar.fill completion timed_out
+            fill c (unserved Status.Timed_out)
           end)
 
 let send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?(swab = false)
     () =
   let c = costs t in
-  let completion = Sim.Ivar.create ~name:"rmem READ completion" () in
-  let burst = burst_data_bytes c in
-  let chunks =
-    if count <= burst then Bytes.empty
-    else Bytes.make (((count + burst - 1) / burst + 7) / 8) '\000'
-  in
-  let fl, reqid =
+  let fl =
     issue t desc Rights.Read_op ~name:"READ" ~off:soff ~count ~notify
-      ~cas_old:0 ~cas_new:0 ~extents:[] ~ctrl:(tx_ctrl_cost c 14)
-      (Some
-         (Pending_read
-            { desc; soff; buf = dst; doff; count; notify; received = 0;
-              chunks; completion }))
+      ~cas_old:0 ~cas_new:0 ~extents:[]
+      ~local_outside:(outside dst ~off:doff ~len:count)
   in
+  let burst = burst_data_bytes c in
+  let completion =
+    {
+      desc;
+      cas = false;
+      off = soff;
+      count;
+      buf = dst;
+      doff;
+      notify;
+      old_value = 0;
+      reqid = alloc_reqid t;
+      received = 0;
+      chunks =
+        (if count <= burst then Bytes.empty
+         else Bytes.make (((count + burst - 1) / burst + 7) / 8) '\000');
+      outcome = empty;
+      waiter = Sim.Proc.self ();
+      awaited = false;
+    }
+  in
+  Sim.Int_table.replace t.pending completion.reqid completion;
+  trap t fl ~ctrl:(tx_ctrl_cost c 14);
   Metrics.Account.add t.ops ~category:"read" 1.;
   Metrics.Account.add_int t.data_bytes ~category:"read" count;
   Cluster.Node.transmit_frame
     ?ctx:(Obs.Trace.wire_ctx fl)
     t.node ~dst:(Descriptor.remote desc)
     (Wire.read_frame t.frames ~seg:(Descriptor.segment_id desc)
-       ~gen:(Descriptor.generation desc) ~soff ~count ~reqid ~notify ~swab);
-  arm_timeout t timeout reqid completion Status.Timed_out;
+       ~gen:(Descriptor.generation desc) ~soff ~count ~reqid:completion.reqid
+       ~notify ~swab);
+  arm_timeout t timeout completion;
   completion
 
 let read ?timeout t desc ~soff ~count ~dst ~doff () =
@@ -615,22 +651,42 @@ let read ?timeout t desc ~soff ~count ~dst ~doff () =
 
 let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
   let c = costs t in
-  let completion = Sim.Ivar.create ~name:"rmem CAS completion" () in
-  let fl, reqid =
+  let fl =
     issue t desc Rights.Cas_op ~name:"CAS" ~off:doff ~count:4 ~notify:false
       ~cas_old:old_value ~cas_new:new_value ~extents:[]
-      ~ctrl:(tx_ctrl_cost c 18)
-      (Some
-         (Pending_cas { desc; cas_doff = doff; result; old_value; completion }))
+      ~local_outside:
+        (match result with
+        | Some (buf, off) -> outside buf ~off ~len:4
+        | None -> false)
   in
+  let completion =
+    {
+      desc;
+      cas = true;
+      off = doff;
+      count = 4;
+      buf = (match result with Some (buf, _) -> buf | None -> t.fence_buf);
+      doff = (match result with Some (_, off) -> off | None -> -1);
+      notify = false;
+      old_value;
+      reqid = alloc_reqid t;
+      received = 0;
+      chunks = Bytes.empty;
+      outcome = empty;
+      waiter = Sim.Proc.self ();
+      awaited = false;
+    }
+  in
+  Sim.Int_table.replace t.pending completion.reqid completion;
+  trap t fl ~ctrl:(tx_ctrl_cost c 18);
   Metrics.Account.add t.ops ~category:"cas" 1.;
   Cluster.Node.transmit_frame
     ?ctx:(Obs.Trace.wire_ctx fl)
     t.node ~dst:(Descriptor.remote desc)
     (Wire.cas_frame t.frames ~seg:(Descriptor.segment_id desc)
-       ~gen:(Descriptor.generation desc) ~doff ~old_value ~new_value ~reqid
-       ~notify:false);
-  arm_timeout t timeout reqid completion (unserved Status.Timed_out);
+       ~gen:(Descriptor.generation desc) ~doff ~old_value ~new_value
+       ~reqid:completion.reqid ~notify:false);
+  arm_timeout t timeout completion;
   completion
 
 let cas_async t desc ~doff ~old_value ~new_value () =
@@ -656,8 +712,7 @@ let raise_write_failure t desc =
 let await_read ?timeout t desc ~soff ~count ~dst ~doff ?(notify = false) ?swab
     () =
   Status.check
-    (Sim.Ivar.read
-       (send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?swab ()))
+    (await (send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?swab ()))
 
 (* Writes are unacknowledged; links are FIFO.  A fence is therefore one
    minimal read round trip: when it returns, every WRITE this node
@@ -665,14 +720,12 @@ let await_read ?timeout t desc ~soff ~count ~dst ~doff ?(notify = false) ?swab
    the destination had to drop one, its nack has arrived and the fence
    reports the loss instead of succeeding silently. *)
 let await_fence ?timeout t desc =
-  let dst = buffer ~space:t.fence_space ~base:0 ~len:4 in
-  await_read ?timeout t desc ~soff:0 ~count:4 ~dst ~doff:0 ();
+  await_read ?timeout t desc ~soff:0 ~count:4 ~dst:t.fence_buf ~doff:0 ();
   raise_write_failure t desc
 
 let await_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
   let outcome =
-    Sim.Ivar.read
-      (send_cas ?timeout t desc ~doff ~old_value ~new_value ?result ())
+    outcome (send_cas ?timeout t desc ~doff ~old_value ~new_value ?result ())
   in
   Status.check (cas_status outcome);
   outcome
@@ -856,12 +909,7 @@ let crash t =
   let pend = List.sort (fun (a, _) (b, _) -> compare (a : int) b) pend in
   Sim.Int_table.reset t.pending;
   Hashtbl.reset t.write_failures;
-  List.iter
-    (fun (_, p) ->
-      match p with
-      | Pending_read p -> Sim.Ivar.fill p.completion Status.Timed_out
-      | Pending_cas p -> Sim.Ivar.fill p.completion (unserved Status.Timed_out))
-    pend
+  List.iter (fun (_, c) -> fill c (unserved Status.Timed_out)) pend
 
 (* Restart after a crash: every export comes back under a fresh
    generation (in segment-id order), so requests against descriptors
@@ -1266,20 +1314,20 @@ let handle_read_reply t src ~status ~reqid ~chunk_off ~swab payload ~pos ~len =
        (Sim.Time.add c.Cluster.Costs.reply_match c.Cluster.Costs.vm_deliver));
   (match Sim.Int_table.find t.pending reqid with
   | exception Not_found -> () (* late reply after a timeout: dropped *)
-  | Pending_cas p ->
+  | p when p.cas ->
       (* A READ reply matched a pending CAS: protocol violation. Fail
          the operation instead of leaving the issuer blocked forever. *)
       Sim.Int_table.remove t.pending reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
-      Sim.Ivar.fill p.completion (unserved Status.Bad_segment)
-  | Pending_read p ->
+      fill p (unserved Status.Bad_segment)
+  | p ->
       if status <> Status.Ok then begin
         Sim.Int_table.remove t.pending reqid;
         record_error t status;
-        read_completed t p.desc ~soff:p.soff ~count:p.count status;
+        read_completed t p.desc ~soff:p.off ~count:p.count status;
         Obs.Trace.root_close sv ~status:(Status.to_string status);
-        Sim.Ivar.fill p.completion status
+        fill p (unserved status)
       end
       else begin
         deposit_received t ~category:t.client_category ~swab p.buf.space
@@ -1299,9 +1347,9 @@ let handle_read_reply t src ~status ~reqid ~chunk_off ~swab payload ~pos ~len =
                 off = p.doff;
                 count = p.count;
               };
-          read_completed t p.desc ~soff:p.soff ~count:p.count Status.Ok;
+          read_completed t p.desc ~soff:p.off ~count:p.count Status.Ok;
           Obs.Trace.root_close sv ~status:"ok";
-          Sim.Ivar.fill p.completion Status.Ok
+          fill p 0
         end
       end);
   Obs.Trace.serve_end sv
@@ -1315,39 +1363,38 @@ let handle_cas_reply t _src ~status ~reqid ~witness =
        c.Cluster.Costs.reply_match);
   (match Sim.Int_table.find t.pending reqid with
   | exception Not_found -> ()
-  | Pending_read p ->
+  | p when not p.cas ->
       (* A CAS reply matched a pending READ: fail it rather than letting
          the issuer hang until its timeout (if it even set one). *)
       Sim.Int_table.remove t.pending reqid;
       record_error t Status.Bad_segment;
       Obs.Trace.root_close sv ~status:"mismatched";
-      Sim.Ivar.fill p.completion Status.Bad_segment
-  | Pending_cas p ->
+      fill p (unserved Status.Bad_segment)
+  | p ->
       Sim.Int_table.remove t.pending reqid;
       if status <> Status.Ok then record_error t status;
-      (match p.result with
-      | Some (buf, off) when status = Status.Ok ->
-          (* Deposit the paper's success/failure word locally. *)
-          Cluster.Cpu.use (cpu t) ~category:t.client_category
-            c.Cluster.Costs.vm_deliver;
-          let success = witness = word32 p.old_value in
-          Cluster.Address_space.write_word buf.space ~addr:(buf.base + off)
-            (if success then 1 else 0)
-      | Some _ | None -> ());
+      if p.doff >= 0 && status = Status.Ok then begin
+        (* Deposit the paper's success/failure word locally. *)
+        Cluster.Cpu.use (cpu t) ~category:t.client_category
+          c.Cluster.Costs.vm_deliver;
+        let success = witness = word32 p.old_value in
+        Cluster.Address_space.write_word p.buf.space
+          ~addr:(p.buf.base + p.doff)
+          (if success then 1 else 0)
+      end;
       if monitored t then emit t
         (Completed
            {
              op = Rights.Cas_op;
              desc = p.desc;
-             off = p.cas_doff;
+             off = p.off;
              count = 4;
              status;
              cas_success =
                Some (status = Status.Ok && witness = word32 p.old_value);
            });
       Obs.Trace.root_close sv ~status:(Status.to_string status);
-      Sim.Ivar.fill p.completion
-        (if status = Status.Ok then witness else unserved status));
+      fill p (if status = Status.Ok then witness else unserved status));
   Obs.Trace.serve_end sv
 
 (* A write nack at the issuer: count it and remember the latest status

@@ -141,6 +141,19 @@ val write_burst :
     Test-only ?swab: the §3.6 swab operand on the burst form of WRITE,
     which the heterogeneity tests check. *)
 
+type completion
+(** The completion of one READ or CAS issued with {!read} or
+    {!cas_async}: filled once with its final status, and awaited by one
+    process at a time. *)
+
+val completed : completion -> bool
+(** Filled: {!await} will not block. *)
+
+val await : completion -> Status.t
+(** The final status, blocking the calling process until it is filled.
+    Raises [Invalid_argument] if another process is already blocked on
+    the same completion. *)
+
 val read :
   ?timeout:Sim.Time.t ->
   t ->
@@ -150,12 +163,12 @@ val read :
   dst:buffer ->
   doff:int ->
   unit ->
-  Status.t Sim.Ivar.t
+  completion
 (** Non-blocking remote read: data is deposited into [dst] as reply
-    bursts arrive; the returned ivar fills with the final status. With
-    [timeout], the ivar fills with [Timed_out] if the reply has not
-    completed in time (late replies are then dropped) — this is what
-    lets a pipelined window of reads bound loss without blocking. *)
+    bursts arrive; the completion fills with the final status. With
+    [timeout], it fills with [Timed_out] if the reply has not completed
+    in time (late replies are then dropped) — this is what lets a
+    pipelined window of reads bound loss without blocking. *)
 
 val read_wait :
   ?timeout:Sim.Time.t ->
@@ -202,15 +215,11 @@ val cas_async :
   old_value:int ->
   new_value:int ->
   unit ->
-  int Sim.Ivar.t
+  completion
 (** Remote compare-and-swap of a 32-bit word, the values carried as
-    ints (sign-extended; only the low 32 bits are sent). The ivar fills
-    with the CAS's outcome, one int: the witness word, sign-extended,
-    when the CAS was served, or a code outside the 32-bit range when it
-    was not ({!cas_status}). Nothing is boxed per CAS. *)
-
-val cas_status : int -> Status.t
-(** The status of a CAS outcome: [Ok] for a witness. *)
+    ints (sign-extended; only the low 32 bits are sent). The completion
+    fills with the CAS's final status; {!cas_wait} returns its witness
+    too. Nothing is boxed per CAS. *)
 
 val cas_wait :
   ?policy:Recovery.policy ->

@@ -102,7 +102,8 @@ type t = {
   write_back : bool;
   hook : Hook.t option;
   hkey : int * int * int;
-  reads : Rmem.Status.t Sim.Ivar.t array;  (** a DX collect round's READs *)
+  mutable reads : Rmem.Remote_memory.completion array;
+      (** a DX collect round's READs; empty before the first round *)
   tags : int array;
       (** per replica, the tag word the last collect got, or [no_tag] *)
   values : int array;  (** ... and the value word beside it *)
@@ -153,7 +154,7 @@ let client ~rmem ~amsg ~kind ~rank ?policy ?hook ?(write_back = true) ?quorum
     write_back;
     hook;
     hkey = replica_key replicas.(0);
-    reads = Array.init n (fun _ -> Sim.Ivar.create ());
+    reads = [||];
     tags = Array.make n no_tag;
     values = Array.make n 0;
     cas_losses = 0;
@@ -181,16 +182,20 @@ let dx_collect t =
     if attempt > 400 then raise Rmem.Status.Timeout;
     for i = 0 to Array.length t.quorum - 1 do
       let p = t.planes.(t.quorum.(i)) in
-      t.reads.(t.quorum.(i)) <-
+      let read =
         Rmem.Remote_memory.read ~timeout:read_timeout p.Plane.rmem
           p.Plane.desc ~soff:0 ~count:Tag.cell_bytes ~dst:p.Plane.buf ~doff:0
           ()
+      in
+      if Array.length t.reads = 0 then
+        t.reads <- Array.make (Array.length t.planes) read;
+      t.reads.(t.quorum.(i)) <- read
     done;
     let got = ref 0 in
     for i = 0 to Array.length t.quorum - 1 do
       let k = t.quorum.(i) in
       t.tags.(k) <- no_tag;
-      match Sim.Ivar.read t.reads.(k) with
+      match Rmem.Remote_memory.await t.reads.(k) with
       | Rmem.Status.Ok ->
           let p = t.planes.(k) in
           let w = Plane.word p ~off:0 in

@@ -91,7 +91,7 @@ let run () =
               ~count:4096 ~dst:buf ~doff:((i land 15) * 4096) ())
       in
       List.iter
-        (fun completion -> Rmem.Status.check (Sim.Ivar.read completion))
+        (fun completion -> Rmem.Status.check (Rmem.Remote_memory.await completion))
         completions;
       let read_throughput =
         float_of_int (16 * 4096 * 8) /. Sim.Time.to_us (Sim.Time.diff (now ()) t0)

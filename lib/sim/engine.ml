@@ -6,8 +6,9 @@
 
    Two additions ride on the basic loop:
 
-   - a registry of blocked waiters (filled in by [Proc.sleep], the one
-     way Ivar, Mailbox, Resource and every other queue block a process)
+   - a registry of blocked waiters (filled in by [Proc.sleep] and
+     [Proc.park], the ways Ivar, Mailbox, Resource, the NIC and every
+     other queue block a process)
      so that a drained queue with live waiters is recognized as a
      deadlock and reported by name;
    - a pluggable same-instant scheduler: when more than one event is

@@ -90,7 +90,7 @@ val step_seq : t -> int -> bool
 (** {1 Blocked-waiter registry}
 
     Synchronization primitives register who is blocked on what (via
-    [Proc.sleep]) so deadlocks can be reported by name. *)
+    [Proc.sleep] or [Proc.park]) so deadlocks can be reported by name. *)
 
 type label =
   | Text of string  (** printed as is *)

@@ -22,7 +22,7 @@ let fill t v =
       t.state <- Full v;
       (* Wake in blocking order for determinism. *)
       while not (Proc.is_empty t.readers) do
-        Proc.wake t.readers ()
+        Proc.signal t.readers
       done
 
 let try_fill t v =

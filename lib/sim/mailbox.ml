@@ -15,8 +15,6 @@ let create ?(name = "mailbox") ?(daemon = false) () =
     daemon;
   }
 
-let length t = Queue.length t.messages
-
 let send t msg =
   if Proc.is_empty t.readers then Queue.push msg t.messages
   else Proc.wake t.readers msg

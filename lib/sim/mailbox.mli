@@ -8,8 +8,7 @@ type 'a t
 val create : ?name:string -> ?daemon:bool -> unit -> 'a t
 (** [name] labels the mailbox in deadlock reports. [daemon] marks a
     queue whose blocked receivers idle between requests by design (a
-    NIC receive FIFO, a server request queue): they are excluded from
-    deadlock detection. *)
+    server request queue): they are excluded from deadlock detection. *)
 
 val send : 'a t -> 'a -> unit
 (** Never blocks. Wakes the oldest blocked receiver, if any. *)
@@ -19,5 +18,3 @@ val recv : 'a t -> 'a
 
 val try_recv : 'a t -> 'a option
 (** Test-only: the mailbox unit tests. *)
-
-val length : 'a t -> int

@@ -3,7 +3,8 @@
     A process is direct-style OCaml code running under an effect handler
     installed by {!spawn}. Within a process, {!wait} advances simulated
     time and {!sleep} blocks on a {!sleepers} queue until some other
-    activity {!wake}s it. Calling either outside a process raises the
+    activity {!wake}s it, or {!park}s until some other activity
+    {!unpark}s it. Calling any of them outside a process raises the
     runtime's unhandled-effect exception. *)
 
 val spawn : ?after:Time.t -> ?name:string -> Engine.t -> (unit -> unit) -> unit
@@ -18,6 +19,13 @@ val wait : Time.t -> unit
 
 val yield : unit -> unit
 (** Reschedule the current process behind already-queued same-time events. *)
+
+type t
+(** A process. *)
+
+val self : unit -> t
+(** The running process. Raises the runtime's unhandled-effect
+    exception outside every process. *)
 
 type 'a sleepers
 (** Processes blocked on one queue, oldest first, each waiting to be
@@ -37,19 +45,32 @@ val sleep : 'a sleepers -> resource:Engine.label -> daemon:bool -> 'a
     and [resource], and cleared on the wake — the raw material of
     {!Engine.Deadlock} reports. [daemon] marks waits that idle between
     requests by design (a server loop) and never count as deadlocked.
-    A sleep and its wake allocate two continuations (one finds the
-    process, one is the sleep), a queue node and the box that carries
-    the value: no closure. The value itself is handed over as is (as
-    an [Ivar] stores it as is), so an immediate one — an int such as a
-    CAS outcome, a constant constructor such as a READ status — adds
-    nothing, where a tuple or a boxed [int32] adds its own blocks to
-    every handoff. *)
+    A sleep and its wake allocate the sleep's continuation, a queue
+    node and the box that carries the value ({!signal} shares one box
+    for every unit wake): no closure, and nothing to find the process,
+    which a sleep reads from the register every resume sets. The value
+    itself is handed over as is, so an immediate one — an int such as a
+    CAS outcome, a constant constructor — adds nothing, where a tuple
+    or a boxed [int32] adds its own blocks to every handoff. *)
 
 val wake : 'a sleepers -> 'a -> unit
 (** Take the oldest sleeper off the queue, hand it the value and schedule
     it to run now, behind already-queued same-time events. Each sleep is
     woken once: a wake that finds the queue empty — a second or stale
     wake — raises [Invalid_argument] and wakes nothing. *)
+
+val signal : unit sleepers -> unit
+(** [wake q ()], with one box shared by every such wake. *)
+
+val park : resource:Engine.label -> daemon:bool -> unit
+(** Block the current process until an {!unpark} names it: a wait with
+    one consumer, which whoever ends it finds through {!self}. The block
+    is recorded as {!sleep} records it. A park and its unpark allocate
+    the park's continuation and nothing else. *)
+
+val unpark : t -> unit
+(** Schedule a parked process to run now, exactly where {!wake} would
+    schedule it. Raises [Invalid_argument] if it is not parked. *)
 
 val run : Engine.t -> (unit -> 'a) -> 'a
 (** [run engine body] spawns [body], drives the engine until quiescence

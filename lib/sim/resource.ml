@@ -39,7 +39,7 @@ let release t =
   if Proc.is_empty t.waiters then t.busy <- false
   else
     (* Hand the resource directly to the next waiter; [busy] stays set. *)
-    Proc.wake t.waiters ()
+    Proc.signal t.waiters
 
 let with_resource t f =
   acquire t;

@@ -319,4 +319,33 @@ for f in $(find lib -path lib/atm -prune -o \( -name '*.ml' -o -name '*.mli' \) 
   esac
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem builders, no unlisted hash-table iteration, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 17. A wait on the rmem data path is one continuation.  A READ's or
+# CAS's pending record is its own completion, so lib/core/remote_memory.ml
+# and lib/core/pipeline.ml name no Sim.Ivar; the NIC's receive FIFO is a
+# frame ring its dispatcher parks on, so lib/atm names no Sim.Mailbox;
+# and Proc.park and Proc.unpark, single-consumer waits that a second
+# waiter would break, are named only in lib/sim, lib/atm/nic.ml and
+# lib/core/remote_memory.ml (bin included).
+# Comments are dropped first.
+for f in lib/core/remote_memory.ml lib/core/pipeline.ml; do
+  if strip_comments "$f" | grep -Eq "(^|[^A-Za-z0-9_'])Sim\.Ivar([^A-Za-z0-9_']|\$)"; then
+    fail "$f names Sim.Ivar — a READ or CAS completes through its own pending record"
+  fi
+done
+for f in $(find lib/atm -name '*.ml' -o -name '*.mli' | sort); do
+  if strip_comments "$f" | grep -Eq "(^|[^A-Za-z0-9_'])Sim\.Mailbox([^A-Za-z0-9_']|\$)"; then
+    fail "$f names Sim.Mailbox — the receive FIFO is a frame ring its reader parks on"
+  fi
+done
+for f in $(find lib bin -path lib/sim -prune -o \( -name '*.ml' -o -name '*.mli' \) -print | sort); do
+  case "$f" in
+    lib/atm/nic.ml | lib/core/remote_memory.ml) ;;
+    *)
+      if strip_comments "$f" | grep -Eq "(^|[^A-Za-z0-9_'])Proc\.(park|unpark)([^A-Za-z0-9_']|\$)"; then
+        fail "$f parks or unparks a process — only lib/sim, lib/atm/nic.ml and lib/core/remote_memory.ml may"
+      fi
+      ;;
+  esac
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem builders, rmem completions free of Ivar and the NIC of Mailbox, park/unpark only in sim, nic and rmem, no unlisted hash-table iteration, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

@@ -304,7 +304,7 @@ let mismatched_reply_fails_request () =
         (Rmem.Wire.encode
            (Rmem.Wire.Cas_reply
               { status = Rmem.Status.Ok; reqid = 1; witness = 0 }));
-      match Sim.Ivar.read completion with
+      match Rmem.Remote_memory.await completion with
       | Rmem.Status.Bad_segment -> ()
       | s -> Alcotest.failf "expected Bad_segment, got %s"
                (Rmem.Status.to_string s))

@@ -450,6 +450,65 @@ let pool_owns_each_frame_once () =
   Alcotest.(check int) "outstanding: d, e and the 63-byte frame" 3
     (Atm.Frame.outstanding pool)
 
+(* A frame delivered to a receiver parked on its empty FIFO is handed
+   straight over: the receiver's park costs its continuation and nothing
+   else (2 words), against a budget 10% above that.  A queue node or a
+   box per frame, or a handoff closure, fails here. *)
+let handoff_budget () =
+  let engine = Sim.Engine.create () in
+  let network = Atm.Network.create engine ~nodes:2 in
+  let nic0 = Atm.Network.nic_of_int network 0 in
+  let frame =
+    Atm.Frame.make ~src:(Atm.Addr.of_int 1) ~dst:(Atm.Addr.of_int 0)
+      (Bytes.make 40 'x')
+  in
+  let deliver () = Atm.Nic.deliver nic0 frame in
+  let words =
+    Sim.Proc.run engine (fun () ->
+        Rig.words_per_op ~n:2000 (fun () ->
+            Sim.Engine.schedule_at engine (Sim.Engine.now engine + 1) deliver;
+            ignore (Atm.Nic.receive nic0 : Atm.Frame.t)))
+  in
+  check_int "every frame handed over, none queued" 0
+    (Atm.Nic.pending_frames nic0);
+  Rig.within_budget "frame handoff to a parked dispatcher" ~words ~budget:2.2
+
+(* [pending_frames] counts the frames queued in the receive FIFO: one
+   handed to a parked receiver is not pending, and frames arriving while
+   the receiver is busy queue behind it, in order. *)
+let pending_frames_counts_the_queue () =
+  let engine = Sim.Engine.create () in
+  let network = Atm.Network.create engine ~nodes:2 in
+  let nic0 = Atm.Network.nic_of_int network 0 in
+  let frame i =
+    Atm.Frame.make ~src:(Atm.Addr.of_int 1) ~dst:(Atm.Addr.of_int 0)
+      (Bytes.make 8 (Char.chr (Char.code 'a' + i)))
+  in
+  let got = ref [] and pending = ref [] in
+  let note () = pending := Atm.Nic.pending_frames nic0 :: !pending in
+  Sim.Proc.spawn ~name:"dispatcher" engine (fun () ->
+      for _ = 0 to 3 do
+        let f = Atm.Nic.receive nic0 in
+        got := Bytes.get (Atm.Frame.payload f) 0 :: !got;
+        (* busy with the frame *)
+        Sim.Proc.wait (Sim.Time.us 10)
+      done);
+  Sim.Engine.schedule_at engine (Sim.Time.us 1) (fun () ->
+      Atm.Nic.deliver nic0 (frame 0);
+      note ());
+  Sim.Engine.schedule_at engine (Sim.Time.us 2) (fun () ->
+      for i = 1 to 3 do
+        Atm.Nic.deliver nic0 (frame i)
+      done;
+      note ());
+  Sim.Engine.run engine;
+  note ();
+  Alcotest.(check (list int))
+    "handed over: 0; three behind a busy receiver: 3; drained: 0" [ 0; 3; 0 ]
+    (List.rev !pending);
+  Alcotest.(check (list char)) "received in order" [ 'a'; 'b'; 'c'; 'd' ]
+    (List.rev !got)
+
 let suite =
   [
     Alcotest.test_case "aal cell arithmetic" `Quick aal_cells;
@@ -483,4 +542,8 @@ let suite =
       checksum_allocates_nothing;
     Alcotest.test_case "frame pool owns each frame once" `Quick
       pool_owns_each_frame_once;
+    Alcotest.test_case "frame handoff to a parked dispatcher allocation budget"
+      `Quick handoff_budget;
+    Alcotest.test_case "pending frames count the queue, not the handoff" `Quick
+      pending_frames_counts_the_queue;
   ]

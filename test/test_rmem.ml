@@ -323,15 +323,17 @@ let wire_in_place_frames =
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The host cost of the two data-path shapes, 4 KB each, against a
-   budget 10% above what they allocate (237 and 214 words, with frames
+   budget 10% above what they allocate (120 and 171 words, with frames
    recycled through the network's pool, the single-copy data path, the
    allocation-lean control path, monitor events built only when a
    monitor is attached, allocation-free frame hops, in-place dispatch,
-   closure-free waits and sleeps, and integer cost arithmetic that
-   boxes no float per frame): a frame buffer or record allocated per
-   frame (13 reply frames of 328 bytes), a reintroduced copy of the
-   payload (4 KB is 512 words) or a per-frame closure fails here rather
-   than waiting for the benchmark. *)
+   closure-free waits and sleeps, a receive FIFO that hands each frame
+   to its parked dispatcher, and integer cost arithmetic that boxes no
+   float per frame): a frame buffer or record allocated per frame (13
+   reply frames of 328 bytes), a queue node or box per received frame,
+   a reintroduced copy of the payload (4 KB is 512 words) or a
+   per-frame closure fails here rather than waiting for the
+   benchmark. *)
 let allocation_budget () =
   let d = Rig.duo () in
   let data = Bytes.make 4096 'w' in
@@ -354,16 +356,18 @@ let allocation_budget () =
         in
         (read, write))
   in
-  Rig.within_budget "4 KB READ" ~words:read_words ~budget:261.;
+  Rig.within_budget "4 KB READ" ~words:read_words ~budget:132.;
   Rig.within_budget "4 KB pipelined write + fence" ~words:write_words
-    ~budget:236.
+    ~budget:188.
 
 (* The fixed cost of one meta-instruction round trip: a 4-byte READ,
    one request frame and one reply, against a budget 10% above what it
-   allocates (78 words; 96 with a fresh frame per message).  A per-sleep handler closure or wake thunk, a
-   per-wait wake thunk, a decoded message record, a per-request codec
-   writer or a float boxed by the cost arithmetic on the fixed path
-   fails here. *)
+   allocates (45 words; 78 with an ivar as the completion, an optioned
+   pending record and a mailbox node per received frame; 96 with a
+   fresh frame per message).  A per-sleep handler closure or wake
+   thunk, a per-wait wake thunk, a decoded message record, a
+   per-request codec writer or a float boxed by the cost arithmetic on
+   the fixed path fails here. *)
 let round_trip_budget () =
   let d = Rig.duo () in
   let words =
@@ -374,11 +378,12 @@ let round_trip_budget () =
             Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4 ~dst
               ~doff:0 ()))
   in
-  Rig.within_budget "4-byte READ round trip" ~words ~budget:86.
+  Rig.within_budget "4-byte READ round trip" ~words ~budget:50.
 
 (* The fixed cost of one remote CAS: the request frame, the reply, the
-   completion ivar and the waits, 10% above the measured 74 words (93
-   with a fresh frame per message, 117 with int32 words).  The CAS carries its words as ints end to end, so
+   completion and the waits, 10% above the measured 45 words (74 with
+   an ivar as the completion, 93 with a fresh frame per message, 117
+   with int32 words).  The CAS carries its words as ints end to end, so
    a boxed witness, a result tuple or an [Issued] argument pair built
    without a monitor fails here. *)
 let cas_round_trip_budget () =
@@ -392,7 +397,7 @@ let cas_round_trip_budget () =
                  ~old_value:0 ~new_value:0 ()
                 : int)))
   in
-  Rig.within_budget "CAS round trip" ~words ~budget:82.
+  Rig.within_budget "CAS round trip" ~words ~budget:50.
 
 (* A duplicated reply chunk must not count twice towards a READ's byte
    total: the first reply frame of a 4 KB READ is delivered twice, and
@@ -1014,7 +1019,7 @@ let pool_drained () =
 (* A whole 64 KB file written through the pipeline, 4 KB at a time as
    the bulk benchmark does, then fenced: each staged byte is copied once,
    into one pooled burst frame, against a budget 10% above what it
-   allocates (1,179 words; 45,353 with a staging buffer re-copied per
+   allocates (1,126 words; 45,353 with a staging buffer re-copied per
    write and a codec-built burst). A staging buffer re-copied on every abutting write, or a
    burst framed through a growing codec writer, fails here. *)
 let file_write_budget () =
@@ -1032,7 +1037,94 @@ let file_write_budget () =
               blocks;
             Rmem.Pipeline.fence p desc))
   in
-  Rig.within_budget "64 KB pipelined file write + fence" ~words ~budget:1298.
+  Rig.within_budget "64 KB pipelined file write + fence" ~words ~budget:1239.
+
+(* A crash fills a completion a process is blocked on with [Timed_out]
+   and unblocks it there and then; the READ leaves the pending table. *)
+let crash_fills_awaited_completion () =
+  let d = Rig.duo () in
+  Rig.run d (fun () ->
+      let _, desc = Rig.shared_segment d in
+      (* The server swallows the READ, so only the crash can end it. *)
+      Cluster.Node.set_down d.Rig.node1 true;
+      let c =
+        Rmem.Remote_memory.read d.Rig.rmem0 desc ~soff:0 ~count:16
+          ~dst:(Rig.buffer0 d) ~doff:0 ()
+      in
+      let crash_at = Sim.Time.add (Sim.Engine.now d.Rig.engine) (Sim.Time.us 100) in
+      Sim.Engine.schedule_at d.Rig.engine crash_at (fun () ->
+          Rmem.Remote_memory.crash d.Rig.rmem0);
+      check_bool "empty before the crash" false (Rmem.Remote_memory.completed c);
+      (match Rmem.Remote_memory.await c with
+      | Rmem.Status.Timed_out -> ()
+      | s -> Alcotest.failf "expected Timed_out, got %s" (Rmem.Status.to_string s));
+      check_int "woken at the crash" crash_at (Sim.Engine.now d.Rig.engine);
+      check_int "nothing in flight" 0 (Rmem.Remote_memory.inflight d.Rig.rmem0))
+
+(* A READ that timed out has left the pending table, so its reply, when
+   it straggles in, is dropped: the completion keeps [Timed_out], the
+   bytes are not deposited, and the endpoint keeps working. *)
+let late_read_reply_dropped () =
+  let d = Rig.duo () in
+  Rig.run d (fun () ->
+      let _, desc = Rig.shared_segment d in
+      Cluster.Node.set_down d.Rig.node1 true;
+      let c =
+        Rmem.Remote_memory.read ~timeout:(Sim.Time.us 200) d.Rig.rmem0 desc
+          ~soff:0 ~count:4 ~dst:(Rig.buffer0 d) ~doff:0 ()
+      in
+      (match Rmem.Remote_memory.await c with
+      | Rmem.Status.Timed_out -> ()
+      | s -> Alcotest.failf "expected Timed_out, got %s" (Rmem.Status.to_string s));
+      Cluster.Node.set_down d.Rig.node1 false;
+      (* A fresh endpoint's first request id is 1. *)
+      Cluster.Node.transmit d.Rig.node1
+        ~dst:(Cluster.Node.addr d.Rig.node0)
+        (Rmem.Wire.encode
+           (Rmem.Wire.Read_reply
+              {
+                status = Rmem.Status.Ok;
+                reqid = 1;
+                chunk_off = 0;
+                swab = false;
+                data = Rmem.Wire.view (Bytes.of_string "late");
+              }));
+      Sim.Proc.wait (Sim.Time.us 300);
+      (match Rmem.Remote_memory.await c with
+      | Rmem.Status.Timed_out -> ()
+      | s -> Alcotest.failf "late reply refilled it: %s" (Rmem.Status.to_string s));
+      check_bool "late bytes not deposited" true
+        (Bytes.equal (Cluster.Address_space.read d.Rig.space0 ~addr:0 ~len:4)
+           (Bytes.make 4 '\000'));
+      Cluster.Address_space.write d.Rig.space1 ~addr:0 (Bytes.of_string "live");
+      Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4
+        ~dst:(Rig.buffer0 d) ~doff:0 ();
+      Alcotest.(check string) "endpoint still works" "live"
+        (Bytes.to_string (Cluster.Address_space.read d.Rig.space0 ~addr:0 ~len:4)))
+
+(* A 4-byte READ through the pipeline's window: the window holds the
+   completion itself, so a windowed READ costs what a blocking one does
+   and its window bookkeeping, against a budget 10% above what it
+   allocates (75 words).  A closure pair, an ivar or a tuple per
+   windowed issue fails here. *)
+let windowed_read_budget () =
+  let d = Rig.duo () in
+  let words =
+    Rig.run d (fun () ->
+        let _, desc = Rig.shared_segment d in
+        let dst = Rig.buffer0 d in
+        let p =
+          Rmem.Pipeline.create ~config:(Rmem.Pipeline.pipelined_config ()) d.Rig.rmem0
+        in
+        Rig.words_per_op ~n:200 (fun () ->
+            for i = 0 to 3 do
+              Rmem.Pipeline.read_submit p desc ~soff:(4 * i) ~count:4 ~dst
+                ~doff:(4 * i) ()
+            done;
+            Rmem.Pipeline.drain p)
+        /. 4.)
+  in
+  Rig.within_budget "windowed 4-byte READ through Pipeline" ~words ~budget:82.
 
 let suite =
   [
@@ -1084,4 +1176,10 @@ let suite =
     Alcotest.test_case "frame pool drained after a run" `Quick pool_drained;
     Alcotest.test_case "64 KB pipelined file write allocation budget" `Quick
       file_write_budget;
+    Alcotest.test_case "crash fills an awaited completion" `Quick
+      crash_fills_awaited_completion;
+    Alcotest.test_case "late READ reply after a timeout dropped" `Quick
+      late_read_reply_dropped;
+    Alcotest.test_case "windowed 4-byte READ allocation budget" `Quick
+      windowed_read_budget;
   ]

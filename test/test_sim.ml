@@ -818,11 +818,11 @@ let resource_exception_safe () =
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The control path's host cost, against budgets 10% above what the
-   allocation-lean path measures (2 words per wait, 25 per blocked read
-   and its fill with the ivar and the fill event, 11 per contended
+   allocation-lean path measures (2 words per wait, 21 per blocked read
+   and its fill with the ivar and the fill event, 7 per contended
    charge, none per event): a reintroduced per-wait closure or effect,
-   registry entry, per-event record or per-sleep handler or wake thunk
-   fails here. *)
+   registry entry, per-event record, per-sleep handler, wake thunk or
+   effect to find the sleeper, or a box per unit wake, fails here. *)
 let control_path_budget () =
   let n = 2000 in
   let engine = Sim.Engine.create () in
@@ -859,8 +859,8 @@ let control_path_budget () =
   in
   Rig.within_budget "schedule + step" ~words:event ~budget:0.4;
   Rig.within_budget "Proc.wait" ~words:wait ~budget:2.2;
-  Rig.within_budget "blocked Ivar.read + fill" ~words:blocked_read ~budget:27.5;
-  Rig.within_budget "contended Cpu.use" ~words:contended ~budget:12.1
+  Rig.within_budget "blocked Ivar.read + fill" ~words:blocked_read ~budget:23.1;
+  Rig.within_budget "contended Cpu.use" ~words:contended ~budget:7.7
 
 (* The event queue at steady state in the hold model: take the minimum,
    push a new entry a pseudo-random 1 to [2 * depth] ns later.  At depth
@@ -891,8 +891,9 @@ let event_queue_budget () =
     ~budget:0.1
 
 (* A receiver blocked on an empty mailbox and the send that wakes it,
-   against a budget 10% above what they allocate (9 words): a
-   per-receive wake closure or handler fails here. *)
+   against a budget 10% above what they allocate (7 words): a
+   per-receive wake closure, handler or effect to find the receiver
+   fails here. *)
 let mailbox_budget () =
   let n = 2000 in
   let engine = Sim.Engine.create () in
@@ -904,7 +905,7 @@ let mailbox_budget () =
             Sim.Engine.schedule_at engine (Sim.Engine.now engine + 1) send;
             Sim.Mailbox.recv mailbox))
   in
-  Rig.within_budget "blocked Mailbox.recv + send" ~words ~budget:9.9
+  Rig.within_budget "blocked Mailbox.recv + send" ~words ~budget:7.7
 
 (* An uncontended CPU charge is one wait plus bookkeeping: attributing
    the time to its category must not box a float on top of the wait. *)
@@ -931,6 +932,53 @@ let engine_pending_counts () =
   check_int "two pending" 2 (Sim.Engine.pending engine);
   ignore (Sim.Engine.step engine : bool);
   check_int "one left" 1 (Sim.Engine.pending engine)
+
+(* Outside every process — at top level once a run has ended, or in a
+   plain event — a sleep or a park raises before it touches anything:
+   the queue stays empty and nothing is left registered as blocked. *)
+let sleep_outside_leaves_queue_empty () =
+  let unhandled f =
+    match f () with
+    | () -> false
+    | exception Effect.Unhandled _ -> true
+  in
+  let engine = Sim.Engine.create () in
+  Sim.Proc.run engine (fun () -> Sim.Proc.wait 1);
+  let q = Sim.Proc.sleepers () in
+  let sleep () = Sim.Proc.sleep q ~resource:(Sim.Engine.Text "x") ~daemon:false in
+  check_bool "sleep after a run raises" true (unhandled sleep);
+  check_bool "queue left empty" true (Sim.Proc.is_empty q);
+  Sim.Engine.schedule engine sleep;
+  check_bool "sleep in a plain event raises" true
+    (unhandled (fun () -> Sim.Engine.run engine));
+  check_bool "queue still empty" true (Sim.Proc.is_empty q);
+  check_bool "park raises" true
+    (unhandled (fun () ->
+         Sim.Proc.park ~resource:(Sim.Engine.Text "x") ~daemon:false));
+  check_int "nothing blocked" 0 (List.length (Sim.Engine.blocked engine))
+
+(* A process that runs a nested engine — whose own process blocks in it
+   for good — and then sleeps is the one a wake resumes. *)
+let nested_engine_then_sleep () =
+  let outer = Sim.Engine.create () in
+  let q = Sim.Proc.sleepers () in
+  let got = ref 0 in
+  Sim.Proc.spawn ~name:"outer" outer (fun () ->
+      let inner = Sim.Engine.create () in
+      let inner_q = Sim.Proc.sleepers () in
+      Sim.Proc.spawn ~name:"inner" inner (fun () ->
+          ignore
+            (Sim.Proc.sleep inner_q ~resource:(Sim.Engine.Text "inner")
+               ~daemon:true
+              : int));
+      Sim.Engine.run inner;
+      got := Sim.Proc.sleep q ~resource:(Sim.Engine.Text "outer") ~daemon:false);
+  Sim.Proc.spawn ~name:"waker" outer (fun () ->
+      Sim.Proc.wait 10;
+      Sim.Proc.wake q 7);
+  Sim.Engine.run outer;
+  check_int "the outer process got the value" 7 !got;
+  check_bool "queue empty" true (Sim.Proc.is_empty q)
 
 let suite =
   [
@@ -1000,4 +1048,8 @@ let suite =
     QCheck_alcotest.to_alcotest heap_overflow_matches_sorted_list;
     QCheck_alcotest.to_alcotest prng_bounds;
     QCheck_alcotest.to_alcotest prng_float_range;
+    Alcotest.test_case "sleep outside a process leaves the queue empty" `Quick
+      sleep_outside_leaves_queue_empty;
+    Alcotest.test_case "nested engine, then sleep: the sleeper is woken" `Quick
+      nested_engine_then_sleep;
   ]

@@ -207,7 +207,7 @@ let many_outstanding_reads_complete () =
       in
       List.iter
         (fun (i, completion) ->
-          (match Sim.Ivar.read completion with
+          (match Rmem.Remote_memory.await completion with
           | Rmem.Status.Ok -> ()
           | status -> Alcotest.failf "read %d: %s" i (Rmem.Status.to_string status));
           let got =
