@@ -56,15 +56,15 @@ type staged = {
   mutable notify : bool;
 }
 
-type key = int * int * int (* remote node, segment id, generation *)
-
+(* Every table is keyed by {!Remote_memory.stream_key}: the (remote
+   node, segment id, generation) as one int, in the triple's order. *)
 type t = {
   rmem : Remote_memory.t;
   cfg : config;
-  staged : (key, staged) Hashtbl.t;
-  windows : (key, Remote_memory.completion Queue.t) Hashtbl.t;
+  staged : staged Sim.Int_table.t;
+  windows : Remote_memory.completion Queue.t Sim.Int_table.t;
   (* the READs and CASes in flight per key, oldest first *)
-  batches : (key, int) Hashtbl.t;
+  batches : int Sim.Int_table.t;
   (* the current window cycle's batch tag per key: a fresh batch opens
      whenever a submit finds its window empty, so every issue sharing a
      window cycle carries the same batch id in its Issued event *)
@@ -75,9 +75,9 @@ let create ~config rmem =
   {
     rmem;
     cfg = config;
-    staged = Hashtbl.create 8;
-    windows = Hashtbl.create 8;
-    batches = Hashtbl.create 8;
+    staged = Sim.Int_table.create 8;
+    windows = Sim.Int_table.create 8;
+    batches = Sim.Int_table.create 8;
     stats =
       { merged_extents = 0; flushes = 0; window_stalls = 0 };
   }
@@ -92,10 +92,7 @@ let stats t =
 let nid t =
   Atm.Addr.to_int (Cluster.Node.addr (Remote_memory.node t.rmem))
 
-let key_of desc : key =
-  ( Atm.Addr.to_int (Descriptor.remote desc),
-    Descriptor.segment_id desc,
-    Generation.to_int (Descriptor.generation desc) )
+let key_of = Remote_memory.stream_key
 
 (* Insert one write into a sorted extent list, merging every extent it
    overlaps or abuts.  The new write is the newest of the merged
@@ -137,10 +134,10 @@ let staged_overlaps s ~soff ~count =
 
 (* Send one staging buffer as a single burst frame. *)
 let flush_key t key =
-  match Hashtbl.find_opt t.staged key with
+  match Sim.Int_table.find_opt t.staged key with
   | None -> ()
   | Some s ->
-      Hashtbl.remove t.staged key;
+      Sim.Int_table.remove t.staged key;
       if s.extents <> [] then begin
         let scope =
           Obs.Trace.scope_begin ~node:(nid t) ~name:"pipeline:flush"
@@ -157,11 +154,11 @@ let flush t desc = flush_key t (key_of desc)
 
 let staged_for t desc =
   let key = key_of desc in
-  match Hashtbl.find_opt t.staged key with
+  match Sim.Int_table.find_opt t.staged key with
   | Some s -> s
   | None ->
       let s = { desc; extents = []; bytes = 0; ops = 0; notify = false } in
-      Hashtbl.replace t.staged key s;
+      Sim.Int_table.replace t.staged key s;
       s
 
 let write t desc ~off ?(notify = false) data =
@@ -189,11 +186,11 @@ let write t desc ~off ?(notify = false) data =
 (* [find], not [find_opt], on the per-issue lookups: the option would
    be allocated on every issue. *)
 let window_q t key =
-  match Hashtbl.find t.windows key with
+  match Sim.Int_table.find t.windows key with
   | q -> q
   | exception Not_found ->
       let q = Queue.create () in
-      Hashtbl.replace t.windows key q;
+      Sim.Int_table.replace t.windows key q;
       q
 
 (* Retire one in-flight op, remembering the first failure instead of
@@ -248,20 +245,20 @@ let window_admit t q =
 let window_batch t ~key ~q =
   if Queue.is_empty q then begin
     let b = Remote_memory.fresh_batch t.rmem in
-    Hashtbl.replace t.batches key b;
+    Sim.Int_table.replace t.batches key b;
     b
   end
   else
-    match Hashtbl.find t.batches key with
+    match Sim.Int_table.find t.batches key with
     | b -> b
     | exception Not_found ->
         let b = Remote_memory.fresh_batch t.rmem in
-        Hashtbl.replace t.batches key b;
+        Sim.Int_table.replace t.batches key b;
         b
 
 let read_submit t desc ~soff ~count ~dst ~doff () =
   let key = key_of desc in
-  (match Hashtbl.find_opt t.staged key with
+  (match Sim.Int_table.find_opt t.staged key with
   | Some s when staged_overlaps s ~soff ~count ->
       (* Store-buffer forwarding discipline: the read must observe the
          process's own earlier writes, so they go out first. *)
@@ -269,11 +266,14 @@ let read_submit t desc ~soff ~count ~dst ~doff () =
   | _ -> ());
   let q = window_q t key in
   window_admit t q;
-  let batch = window_batch t ~key ~q in
-  Queue.push
-    (Remote_memory.with_batch t.rmem ~batch (fun () ->
-         Remote_memory.read t.rmem desc ~soff ~count ~dst ~doff ()))
-    q
+  Remote_memory.set_batch t.rmem (window_batch t ~key ~q);
+  match Remote_memory.read t.rmem desc ~soff ~count ~dst ~doff () with
+  | c ->
+      Remote_memory.set_batch t.rmem 0;
+      Queue.push c q
+  | exception exn ->
+      Remote_memory.set_batch t.rmem 0;
+      raise exn
 
 let cas_submit t desc ~doff ~old_value ~new_value () =
   let key = key_of desc in
@@ -282,18 +282,21 @@ let cas_submit t desc ~doff ~old_value ~new_value () =
   flush_key t key;
   let q = window_q t key in
   window_admit t q;
-  let batch = window_batch t ~key ~q in
-  Queue.push
-    (Remote_memory.with_batch t.rmem ~batch (fun () ->
-         Remote_memory.cas_async t.rmem desc ~doff ~old_value ~new_value ()))
-    q
+  Remote_memory.set_batch t.rmem (window_batch t ~key ~q);
+  match Remote_memory.cas_async t.rmem desc ~doff ~old_value ~new_value () with
+  | c ->
+      Remote_memory.set_batch t.rmem 0;
+      Queue.push c q
+  | exception exn ->
+      Remote_memory.set_batch t.rmem 0;
+      raise exn
 
 let cas t desc ~doff ~old_value ~new_value () =
   flush_key t (key_of desc);
   Remote_memory.cas_wait t.rmem desc ~doff ~old_value ~new_value ()
 
 let drain_key t key =
-  match Hashtbl.find_opt t.windows key with
+  match Sim.Int_table.find_opt t.windows key with
   | None -> ()
   | Some q ->
       let first = ref None in
@@ -301,14 +304,14 @@ let drain_key t key =
       reraise first
 
 let drain t =
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.windows [] in
+  let keys = Sim.Int_table.fold (fun k _ acc -> k :: acc) t.windows [] in
   let first = ref None in
   List.iter
     (fun key ->
       match drain_key t key with
       | () -> ()
       | exception exn -> if Option.is_none !first then first := Some exn)
-    (List.sort compare keys);
+    (List.sort Int.compare keys);
   reraise first
 
 let fence t desc =

@@ -142,15 +142,16 @@ type t = {
   data_bytes : Metrics.Account.t;
   errors : Metrics.Account.t;
   mutable crypto : Crypto.t option; (* link encryption, section 3.5 *)
-  write_failures : (int * int * int, Status.t) Hashtbl.t;
-  (* (remote, seg, gen) -> latest nacked WRITE status, cleared on take *)
+  write_failures : Status.t Sim.Int_table.t;
+  (* {!stream_key} -> latest nacked WRITE status, cleared on take *)
   mutable monitor : (monitor_event -> unit) option;
   mutable recovery_depth : int;
   (* > 0 while a recovery policy drives the current issue: marks the
      Issued events it produces as policied for the lint layer *)
-  mutable batch : int option;
-  (* the {!with_batch} context: Issued events carry it so the analysis
-     layer can treat a pipelined window of issues as one logical attempt *)
+  mutable batch : int;
+  (* the {!set_batch} tag, 0 for none: Issued events carry it so the
+     analysis layer can treat a pipelined window of issues as one
+     logical attempt *)
   mutable next_batch : int;
   mutable fault_registry : Obs.Registry.t option;
   fence_buf : buffer;
@@ -241,10 +242,10 @@ let create node =
     data_bytes = Metrics.Account.create ~name:"rmem bytes" ();
     errors = Metrics.Account.create ~name:"rmem errors" ();
     crypto = None;
-    write_failures = Hashtbl.create 4;
+    write_failures = Sim.Int_table.create 4;
     monitor = None;
     recovery_depth = 0;
-    batch = None;
+    batch = 0;
     next_batch = 1;
     fault_registry = None;
     fence_buf = buffer ~space:(scratch_space ()) ~base:0 ~len:4;
@@ -283,20 +284,17 @@ let fresh_batch t =
   t.next_batch <- id + 1;
   id
 
-(* Tag every Issued event raised inside [f] with [batch].  The pipeline
-   engine opens one batch per window cycle so the analysis layer can
-   fold a window of reissues into one logical attempt; nesting keeps the
-   innermost tag. *)
-let with_batch t ~batch f =
-  let saved = t.batch in
-  t.batch <- Some batch;
-  match f () with
-  | v ->
-      t.batch <- saved;
-      v
-  | exception exn ->
-      t.batch <- saved;
-      raise exn
+let set_batch t batch = t.batch <- batch
+
+(* A (remote, segment, generation) stream as one int: segment ids are 8
+   bits and generations 16, so the ints order as the triples do. *)
+let key ~remote ~seg ~gen = (remote lsl 24) lor (seg lsl 16) lor gen
+
+let stream_key desc =
+  key
+    ~remote:(Atm.Addr.to_int (Descriptor.remote desc))
+    ~seg:(Descriptor.segment_id desc)
+    ~gen:(Generation.to_int (Descriptor.generation desc))
 
 let set_crypto t crypto = t.crypto <- crypto
 
@@ -463,7 +461,7 @@ let issue t desc op ~name ~off ~count ~notify ~cas_old ~cas_new ~extents
              (if op = Rights.Cas_op then
                 Some (Int32.of_int cas_old, Int32.of_int cas_new)
               else None);
-           batch = t.batch;
+           batch = (if t.batch = 0 then None else Some t.batch);
          });
   Obs.Trace.issue_begin ~node:(nid t) ~op:name
     ~seg:(Descriptor.segment_id desc) ~off ~count
@@ -693,15 +691,11 @@ let cas_async t desc ~doff ~old_value ~new_value () =
   send_cas t desc ~doff ~old_value ~new_value ()
 
 let take_write_failure t desc =
-  let key =
-    ( Atm.Addr.to_int (Descriptor.remote desc),
-      Descriptor.segment_id desc,
-      Generation.to_int (Descriptor.generation desc) )
-  in
-  match Hashtbl.find_opt t.write_failures key with
+  let key = stream_key desc in
+  match Sim.Int_table.find_opt t.write_failures key with
   | None -> None
   | Some status ->
-      Hashtbl.remove t.write_failures key;
+      Sim.Int_table.remove t.write_failures key;
       Some status
 
 let raise_write_failure t desc =
@@ -908,7 +902,7 @@ let crash t =
   let pend = Sim.Int_table.fold (fun reqid p acc -> (reqid, p) :: acc) t.pending [] in
   let pend = List.sort (fun (a, _) (b, _) -> compare (a : int) b) pend in
   Sim.Int_table.reset t.pending;
-  Hashtbl.reset t.write_failures;
+  Sim.Int_table.reset t.write_failures;
   List.iter (fun (_, c) -> fill c (unserved Status.Timed_out)) pend
 
 (* Restart after a crash: every export comes back under a fresh
@@ -1406,8 +1400,8 @@ let handle_write_nack t src ~status ~seg ~gen ~off ~count =
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 12));
   record_error t status;
-  Hashtbl.replace t.write_failures
-    (Atm.Addr.to_int src, seg, Generation.to_int gen)
+  Sim.Int_table.replace t.write_failures
+    (key ~remote:(Atm.Addr.to_int src) ~seg ~gen:(Generation.to_int gen))
     status;
   if monitored t then
     emit t (Nacked { src; nack = { Wire.status; seg; gen; off; count } });

@@ -305,8 +305,8 @@ type monitor_event =
               history checker can reconstruct the operation's semantics
               without reading the wire *)
       batch : int option;
-          (** the enclosing {!with_batch} context, if any — issues
-              sharing a batch id are one logical attempt *)
+          (** the {!set_batch} tag, if any — issues sharing a batch id
+              are one logical attempt *)
     }  (** Local validation passed; the request is going on the wire. *)
   | Issue_rejected of {
       op : Rights.op;
@@ -356,13 +356,18 @@ val set_monitor : t -> (monitor_event -> unit) option -> unit
     cost a single [None] field test and build no event. *)
 
 val fresh_batch : t -> int
-(** Allocate a batch id for {!with_batch} (unique per node). *)
+(** Allocate a batch id for {!set_batch} (unique per node, never 0). *)
 
-val with_batch : t -> batch:int -> (unit -> 'a) -> 'a
-(** Run [f] with every [Issued] event it raises tagged [batch = Some
-    id]: the {!Rmem.Pipeline} engine opens one batch per window cycle so
-    the analysis layer counts a windowed group of issues as one logical
-    attempt. Nested calls keep the innermost tag. *)
+val set_batch : t -> int -> unit
+(** Tag every [Issued] event from now on [batch = Some id]; 0 clears the
+    tag. The {!Rmem.Pipeline} engine sets one batch per window cycle
+    around each windowed issue, and clears it after, so the analysis
+    layer counts a windowed group of issues as one logical attempt. *)
+
+val stream_key : Descriptor.t -> int
+(** The descriptor's (remote node, segment id, generation) as one int,
+    [remote lsl 24 lor segment lsl 16 lor generation]: segment ids are 8
+    bits and generations 16, so the ints order as the triples do. *)
 
 (** {1 Statistics} *)
 

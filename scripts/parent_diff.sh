@@ -8,11 +8,8 @@
 # there from scratch; the working tree is built in place.  On both trees
 # the script runs:
 #
-#   - `dune runtest --force`, normalised by scripts/normalize.sh;
-#   - every examples/*.exe;
-#   - the paper's Table 2 (`rnet repro table2`, or `bin/repro.exe table2`
-#     in a tree from before the single `rnet` command), with its exit
-#     status;
+#   - `dune runtest --force`, normalised by scripts/normalize.sh (its
+#     golden runner pins every example and every paper figure);
 #   - bench/suite/suite.exe --seed 11 --seconds 2, once with --trace 0
 #     (end-to-end) and once with --trace 1 (per layer), keeping its
 #     sim-clock records ("clock":"sim"), the correct/attempted/failed
@@ -52,17 +49,6 @@ surfaces() {
     echo "dune runtest exit $?" >>"$2/runtest.raw"
     sh "$here/scripts/normalize.sh" "$2/runtest.raw" >"$2/runtest"
     rm "$2/runtest.raw"
-    for ex in examples/*.ml; do
-      name=$(basename "$ex" .ml)
-      dune exec --display=quiet "examples/$name.exe" >"$2/example.$name" 2>&1
-      echo "exit $?" >>"$2/example.$name"
-    done
-    if [ -f bin/rnet.ml ]; then
-      dune exec --display=quiet bin/rnet.exe -- repro table2 >"$2/table2" 2>&1
-    else
-      dune exec --display=quiet bin/repro.exe -- table2 >"$2/table2" 2>&1
-    fi
-    echo "exit $?" >>"$2/table2"
     for trace in 0 1; do
       dune exec --display=quiet bench/suite/suite.exe -- --seed 11 \
         --seconds 2 --trace "$trace" >"$2/suite.raw" 2>&1

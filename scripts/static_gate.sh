@@ -193,6 +193,22 @@ for f in $(find lib/sim lib/atm lib/core lib/cluster \( -name '*.ml' -o -name '*
   fi
 done
 
+# strip_comments FILE: FILE of lib/ or bin/ as one line (each newline a
+# space) with its comments dropped; made here for every file in one
+# pass, read by checks 14, 16 and 17.
+stripped=$(mktemp -d)
+trap 'rm -rf "$stripped"' EXIT
+mkdir -p $(find lib bin -type d | sed "s|^|$stripped/|")
+awk 'FNR == 1 { if (NR > 1) print ""; printf "%s\t", FILENAME }
+     { printf "%s ", $0 } END { print "" }' \
+  $(find lib bin \( -name '*.ml' -o -name '*.mli' \)) |
+  sed -E 's/\(\*([^*]|\*+[^*)])*\*+\)//g' |
+  awk -v dir="$stripped" '{ tab = index($0, "\t"); f = dir "/" substr($0, 1, tab - 1)
+    print substr($0, tab + 1) >f; close(f) }'
+strip_comments() {
+  cat "$stripped/$1"
+}
+
 # 14. No boxed value crosses a module boundary on the data path.  The
 # dev profile compiles every library with -opaque, so a float passed to
 # another module's function is boxed on every call.  In lib/sim,
@@ -208,7 +224,7 @@ done
 # result is boxed per call).  The monitor's event types are exempt:
 # they are built only when a monitor is attached.
 for f in $(find lib/sim lib/atm lib/cluster lib/core lib/amsg lib/dds -name '*.ml' | sort); do
-  hits=$(tr '\n' ' ' <"$f" | sed -E 's/\(\*([^*]|\*+[^*)])*\*+\)//g' | grep -Eo \
+  hits=$(strip_comments "$f" | grep -Eo \
     -e "Time\.scale[[:space:]]+([A-Za-z0-9_.']+|\([^()]*\))[[:space:]]+\(float_of_int" \
     -e "Account\.add([[:space:]]+(~category:)?([A-Za-z0-9_.']+|\"[^\"]*\"|\([^()]*\))){1,2}[[:space:]]+\(float_of_int" \
     -e "Engine\.schedule[[:space:]]+~after" || true)
@@ -217,9 +233,6 @@ for f in $(find lib/sim lib/atm lib/cluster lib/core lib/amsg lib/dds -name '*.m
     fail "$f passes a boxed value across a module boundary — use Sim.Time.mul, Account.add_int or Engine.schedule_at"
   fi
 done
-strip_comments() {
-  tr '\n' ' ' <"$1" | sed -E 's/\(\*([^*]|\*+[^*)])*\*+\)//g'
-}
 int32_word="(^|[^A-Za-z0-9_.'])(int32|Int32\.t)([^A-Za-z0-9_']|\$)"
 hits=$(strip_comments lib/dds/plane.mli | grep -Eo "$int32_word" || true)
 if [ -n "$hits" ]; then
@@ -246,12 +259,12 @@ fi
 # gone fails too.
 order_allowed=$(mktemp)
 order_hits=$(mktemp)
-trap 'rm -f "$order_allowed" "$order_hits"' EXIT
+trap 'rm -rf "$stripped" "$order_allowed" "$order_hits"' EXIT
 sed -e '/^#/d' -e 's/ @@ [^@]*$//' >"$order_allowed.raw" <<'ALLOWED'
 # file @@ iterating line @@ why order cannot matter
 lib/atm/switch.ml @@ Hashtbl.fold (fun _ down acc -> acc + Link.queue_depth down) t.downlinks 0 @@ a sum
 lib/atm/switch.ml @@ Hashtbl.fold (fun i l acc -> (i, l) :: acc) table [] |> List.sort by_port @@ sorted by port
-lib/core/pipeline.ml @@ let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.windows [] in @@ sorted before draining
+lib/core/pipeline.ml @@ let keys = Sim.Int_table.fold (fun k _ acc -> k :: acc) t.windows [] in @@ sorted before draining
 lib/core/remote_memory.ml @@ Sim.Int_table.fold @@ notification_backlog: a sum
 lib/core/remote_memory.ml @@ Sim.Int_table.fold (fun _ segment acc -> segment :: acc) t.exported [] @@ exports: sorted by segment id
 lib/core/remote_memory.ml @@ let pend = Sim.Int_table.fold (fun reqid p acc -> (reqid, p) :: acc) t.pending [] in @@ crash: sorted by request id
@@ -304,18 +317,16 @@ in_dispatch=$(awk '/^let dispatch /{on=1; print; next} on && /^let /{on=0} on' \
   grep -Eo "$release_word" | wc -l)
 [ "$in_dispatch" -eq 1 ] ||
   fail "lib/cluster/node.ml: Node.dispatch must release each frame exactly once, after its handler (found $in_dispatch release(s))"
-for f in $(find lib -path lib/atm -prune -o \( -name '*.ml' -o -name '*.mli' \) -print | sort); do
-  releases=$(strip_comments "$f" | grep -Eo "$release_word" | wc -l)
-  if [ "$f" = lib/cluster/node.ml ]; then releases=$((releases - 1)); fi
-  [ "$releases" -eq 0 ] ||
-    fail "$f releases a frame — only Cluster.Node.dispatch gives frames back to the pool"
+# Each file is grepped in its stripped copy, all in one pass per word.
+for f in $(cd "$stripped" && grep -El "$release_word" $(find lib -path lib/atm -prune -o \( -name '*.ml' -o -name '*.mli' \) -print | sort)); do
+  [ "$f" = lib/cluster/node.ml ] &&
+    [ "$(grep -Eo "$release_word" "$stripped/$f" | wc -l)" -eq 1 ] && continue
+  fail "$f releases a frame — only Cluster.Node.dispatch gives frames back to the pool"
+done
+for f in $(cd "$stripped" && grep -El "$pool_word" $(find lib -path lib/atm -prune -o \( -name '*.ml' -o -name '*.mli' \) -print | sort)); do
   case "$f" in
     lib/core/wire.ml | lib/core/wire.mli | lib/core/remote_memory.ml) ;;
-    *)
-      if strip_comments "$f" | grep -Eq "$pool_word"; then
-        fail "$f reaches the frame pool — only lib/atm and the remote-memory frame builders may"
-      fi
-      ;;
+    *) fail "$f reaches the frame pool — only lib/atm and the remote-memory frame builders may" ;;
   esac
 done
 
@@ -337,14 +348,11 @@ for f in $(find lib/atm -name '*.ml' -o -name '*.mli' | sort); do
     fail "$f names Sim.Mailbox — the receive FIFO is a frame ring its reader parks on"
   fi
 done
-for f in $(find lib bin -path lib/sim -prune -o \( -name '*.ml' -o -name '*.mli' \) -print | sort); do
+park_word="(^|[^A-Za-z0-9_'])Proc\.(park|unpark)([^A-Za-z0-9_']|\$)"
+for f in $(cd "$stripped" && grep -El "$park_word" $(find lib bin -path lib/sim -prune -o \( -name '*.ml' -o -name '*.mli' \) -print | sort)); do
   case "$f" in
     lib/atm/nic.ml | lib/core/remote_memory.ml) ;;
-    *)
-      if strip_comments "$f" | grep -Eq "(^|[^A-Za-z0-9_'])Proc\.(park|unpark)([^A-Za-z0-9_']|\$)"; then
-        fail "$f parks or unparks a process — only lib/sim, lib/atm/nic.ml and lib/core/remote_memory.ml may"
-      fi
-      ;;
+    *) fail "$f parks or unparks a process — only lib/sim, lib/atm/nic.ml and lib/core/remote_memory.ml may" ;;
   esac
 done
 

@@ -323,7 +323,7 @@ let wire_in_place_frames =
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The host cost of the two data-path shapes, 4 KB each, against a
-   budget 10% above what they allocate (120 and 171 words, with frames
+   budget 10% above what they allocate (120 and 155 words, with frames
    recycled through the network's pool, the single-copy data path, the
    allocation-lean control path, monitor events built only when a
    monitor is attached, allocation-free frame hops, in-place dispatch,
@@ -358,7 +358,7 @@ let allocation_budget () =
   in
   Rig.within_budget "4 KB READ" ~words:read_words ~budget:132.;
   Rig.within_budget "4 KB pipelined write + fence" ~words:write_words
-    ~budget:188.
+    ~budget:171.
 
 (* The fixed cost of one meta-instruction round trip: a 4-byte READ,
    one request frame and one reply, against a budget 10% above what it
@@ -1019,7 +1019,7 @@ let pool_drained () =
 (* A whole 64 KB file written through the pipeline, 4 KB at a time as
    the bulk benchmark does, then fenced: each staged byte is copied once,
    into one pooled burst frame, against a budget 10% above what it
-   allocates (1,126 words; 45,353 with a staging buffer re-copied per
+   allocates (1,042 words; 45,353 with a staging buffer re-copied per
    write and a codec-built burst). A staging buffer re-copied on every abutting write, or a
    burst framed through a growing codec writer, fails here. *)
 let file_write_budget () =
@@ -1037,7 +1037,7 @@ let file_write_budget () =
               blocks;
             Rmem.Pipeline.fence p desc))
   in
-  Rig.within_budget "64 KB pipelined file write + fence" ~words ~budget:1239.
+  Rig.within_budget "64 KB pipelined file write + fence" ~words ~budget:1147.
 
 (* A crash fills a completion a process is blocked on with [Timed_out]
    and unblocks it there and then; the READ leaves the pending table. *)
@@ -1105,8 +1105,8 @@ let late_read_reply_dropped () =
 (* A 4-byte READ through the pipeline's window: the window holds the
    completion itself, so a windowed READ costs what a blocking one does
    and its window bookkeeping, against a budget 10% above what it
-   allocates (75 words).  A closure pair, an ivar or a tuple per
-   windowed issue fails here. *)
+   allocates (60 words).  A closure pair, an ivar, a tuple key or an
+   optioned batch tag per windowed issue fails here. *)
 let windowed_read_budget () =
   let d = Rig.duo () in
   let words =
@@ -1124,7 +1124,7 @@ let windowed_read_budget () =
             Rmem.Pipeline.drain p)
         /. 4.)
   in
-  Rig.within_budget "windowed 4-byte READ through Pipeline" ~words ~budget:82.
+  Rig.within_budget "windowed 4-byte READ through Pipeline" ~words ~budget:66.
 
 let suite =
   [
