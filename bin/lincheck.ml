@@ -11,7 +11,7 @@
 
    Histories are the workload catalog's lin view: FIFO runs of the
    example workloads and data structures, and the fault-free recovery
-   campaigns observed through the campaign's rmem probe. --ci asserts
+   campaigns observed through the campaign's testbed observer. --ci asserts
    the catalog's expectations, as the --ci doc below states. *)
 
 let escape = Analysis.Report.json_escape
@@ -25,31 +25,17 @@ type check = {
 }
 
 (* Run one campaign workload fault-free with a monitor subscribed to
-   every endpoint through the campaign's rmem probe. *)
+   every node of its testbed. *)
 let campaign_monitor name workload =
   let monitor = ref None in
-  Faults.Campaign.set_rmem_probe
-    (Some
-       (fun rmem ->
-         let m =
-           match !monitor with
-           | Some m -> m
-           | None ->
-               let m =
-                 Analysis.Monitor.create
-                   (Cluster.Node.engine (Rmem.Remote_memory.node rmem))
-               in
-               monitor := Some m;
-               m
-         in
-         Analysis.Monitor.attach_rmem m rmem));
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Faults.Campaign.set_rmem_probe None)
-      (fun () -> Faults.Campaign.run ~seed:1 workload)
+  let observe testbed =
+    let m = Analysis.Monitor.create (Cluster.Testbed.engine testbed) in
+    List.iter (Analysis.Monitor.attach m) (Cluster.Testbed.nodes testbed);
+    monitor := Some m
   in
+  let outcome = Faults.Campaign.run ~observe ~seed:1 workload in
   match !monitor with
-  | None -> failwith (name ^ ": campaign attached no endpoint")
+  | None -> failwith (name ^ ": campaign built no testbed")
   | Some m ->
       ( m,
         if outcome.Faults.Campaign.survived && outcome.Faults.Campaign.converged

@@ -128,6 +128,8 @@ let run_one (m : Cli.mode) ~out ~tree (name, (t : Catalog.trace)) =
   end
 
 let main workload out tree (m : Cli.mode) =
+  if not (Sys.file_exists out && Sys.is_directory out) then
+    Cli.usage "no such output directory: %s" out;
   let items = Cli.select ~name:fst Catalog.trace workload in
   let ok = Cli.run_all (run_one m ~out ~tree) items in
   if m.ci || m.json then begin

@@ -154,125 +154,124 @@ exception Certificate_mismatch of string
    wakes them. *)
 let execute prepare ~directed ~sleep:branch_sleep ~max_events =
   let prep : Scenarios.prep = prepare () in
-  Fun.protect ~finally:prep.teardown (fun () ->
-      let engine = Cluster.Testbed.engine prep.testbed in
-      Sim.Engine.set_parent_tracking engine true;
-      Sim.Engine.set_deadlock_detection engine false;
-      let monitor = prep.monitor in
-      let directed = Array.of_list directed in
-      let decisions = ref [] in
-      let cps = ref [] in
-      let events = ref [] in
-      let sleep = ref (if Array.length directed = 0 then branch_sleep else []) in
-      let fired = ref 0 in
-      let status = ref Completed in
-      (try
-         let running = ref true in
-         while !running do
-           if !fired >= max_events then begin
-             status := Ran_off;
+  let engine = Cluster.Testbed.engine prep.testbed in
+  Sim.Engine.set_parent_tracking engine true;
+  Sim.Engine.set_deadlock_detection engine false;
+  let monitor = prep.monitor in
+  let directed = Array.of_list directed in
+  let decisions = ref [] in
+  let cps = ref [] in
+  let events = ref [] in
+  let sleep = ref (if Array.length directed = 0 then branch_sleep else []) in
+  let fired = ref 0 in
+  let status = ref Completed in
+  (try
+     let running = ref true in
+     while !running do
+       if !fired >= max_events then begin
+         status := Ran_off;
+         running := false
+       end
+       else
+         match Sim.Engine.next_enabled engine with
+         | None ->
+             if not (prep.finished ()) then
+               status :=
+                 Deadlocked
+                   (Sim.Engine.deadlock_report (Sim.Engine.blocked engine));
              running := false
-           end
-           else
-             match Sim.Engine.next_enabled engine with
-             | None ->
-                 if not (prep.finished ()) then
-                   status :=
-                     Deadlocked
-                       (Sim.Engine.deadlock_report (Sim.Engine.blocked engine));
-                 running := false
-             | Some { Sim.Engine.enabled; _ } ->
-                 let seq =
-                   match enabled with
-                   | [ seq ] -> seq
-                   | _ ->
-                       let position = List.length !cps in
-                       let count = List.length enabled in
-                       let index =
-                         if position < Array.length directed then begin
-                           let d = directed.(position) in
-                           if d.Schedule.count <> count || d.Schedule.index >= count
-                           then
-                             raise
-                               (Certificate_mismatch
-                                  (Printf.sprintf
-                                     "choice point %d: certificate says %d/%d, \
-                                      run offers %d enabled events"
-                                     position d.Schedule.index d.Schedule.count
-                                     count));
-                           d.Schedule.index
-                         end
-                         else 0
-                       in
-                       (* The sleep set belongs to the branch point: it
-                          starts mattering at the last directed choice. *)
-                       if position = Array.length directed - 1 then
-                         sleep := branch_sleep;
-                       cps :=
-                         { position; enabled; chosen = index; asleep = !sleep }
-                         :: !cps;
-                       decisions := { Schedule.index; count } :: !decisions;
-                       List.nth enabled index
-                 in
-                 let before = Monitor.access_count monitor in
-                 let stepped = Sim.Engine.step_seq engine seq in
-                 assert stepped;
-                 let own =
-                   summarize (Monitor.accesses_from monitor ~id:before)
-                 in
-                 if own <> [] then
-                   sleep :=
-                     List.filter
-                       (fun (_, cone) -> not (summaries_conflict own cone))
-                       !sleep;
-                 events := { seq; own } :: !events;
-                 incr fired
-         done
-       with
-      | Certificate_mismatch _ as exn -> raise exn
-      | exn -> status := Raised (Printexc.to_string exn));
-      let events = List.rev !events in
-      (* Causal cones: every access charges the event that recorded it
-         and all its scheduling ancestors. *)
-      let cones = Hashtbl.create 64 in
-      List.iter
-        (fun e ->
-          if e.own <> [] then begin
-            let rec charge seq =
-              let cur = Option.value (Hashtbl.find_opt cones seq) ~default:[] in
-              Hashtbl.replace cones seq (e.own @ cur);
-              match Sim.Engine.parent engine seq with
-              | Some p -> charge p
-              | None -> ()
-            in
-            charge e.seq
-          end)
-        events;
-      let races, findings, invariant_failures, lin_failure =
-        match !status with
-        | Completed ->
-            ( Race.find monitor,
-              Lint.check monitor,
-              List.filter_map
-                (fun (name, check) -> if check () then None else Some name)
-                prep.invariants,
-              match Linearize.check (Monitor.history monitor) with
-              | Linearize.Pass _ -> None
-              | Linearize.Fail _ as verdict ->
-                  Some (Linearize.describe verdict) )
-        | _ -> ([], [], [], None)
-      in
-      {
-        decisions = List.rev !decisions;
-        cps = List.rev !cps;
-        events;
-        cones;
-        status = !status;
-        invariant_failures;
-        lin_failure;
-        races;
-        findings;
-      })
+         | Some { Sim.Engine.enabled; _ } ->
+             let seq =
+               match enabled with
+               | [ seq ] -> seq
+               | _ ->
+                   let position = List.length !cps in
+                   let count = List.length enabled in
+                   let index =
+                     if position < Array.length directed then begin
+                       let d = directed.(position) in
+                       if d.Schedule.count <> count || d.Schedule.index >= count
+                       then
+                         raise
+                           (Certificate_mismatch
+                              (Printf.sprintf
+                                 "choice point %d: certificate says %d/%d, \
+                                  run offers %d enabled events"
+                                 position d.Schedule.index d.Schedule.count
+                                 count));
+                       d.Schedule.index
+                     end
+                     else 0
+                   in
+                   (* The sleep set belongs to the branch point: it
+                      starts mattering at the last directed choice. *)
+                   if position = Array.length directed - 1 then
+                     sleep := branch_sleep;
+                   cps :=
+                     { position; enabled; chosen = index; asleep = !sleep }
+                     :: !cps;
+                   decisions := { Schedule.index; count } :: !decisions;
+                   List.nth enabled index
+             in
+             let before = Monitor.access_count monitor in
+             let stepped = Sim.Engine.step_seq engine seq in
+             assert stepped;
+             let own =
+               summarize (Monitor.accesses_from monitor ~id:before)
+             in
+             if own <> [] then
+               sleep :=
+                 List.filter
+                   (fun (_, cone) -> not (summaries_conflict own cone))
+                   !sleep;
+             events := { seq; own } :: !events;
+             incr fired
+     done
+   with
+  | Certificate_mismatch _ as exn -> raise exn
+  | exn -> status := Raised (Printexc.to_string exn));
+  let events = List.rev !events in
+  (* Causal cones: every access charges the event that recorded it
+     and all its scheduling ancestors. *)
+  let cones = Hashtbl.create 64 in
+  List.iter
+    (fun e ->
+      if e.own <> [] then begin
+        let rec charge seq =
+          let cur = Option.value (Hashtbl.find_opt cones seq) ~default:[] in
+          Hashtbl.replace cones seq (e.own @ cur);
+          match Sim.Engine.parent engine seq with
+          | Some p -> charge p
+          | None -> ()
+        in
+        charge e.seq
+      end)
+    events;
+  let races, findings, invariant_failures, lin_failure =
+    match !status with
+    | Completed ->
+        ( Race.find monitor,
+          Lint.check monitor,
+          List.filter_map
+            (fun (name, check) -> if check () then None else Some name)
+            prep.invariants,
+          match Linearize.check (Monitor.history monitor) with
+          | Linearize.Pass _ -> None
+          | Linearize.Fail _ as verdict ->
+              Some (Linearize.describe verdict) )
+    | _ -> ([], [], [], None)
+  in
+  {
+    decisions = List.rev !decisions;
+    cps = List.rev !cps;
+    events;
+    cones;
+    status = !status;
+    invariant_failures;
+    lin_failure;
+    races;
+    findings;
+  }
 
 (* ---------------- trace-equivalence hashing ---------------- *)
 

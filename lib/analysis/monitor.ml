@@ -77,6 +77,9 @@ type t = {
   locks : (Access.seg_key * int, Vclock.t) Hashtbl.t;
   declared_sync : (Access.seg_key * int, unit) Hashtbl.t;
   policies : (Access.seg_key, Rmem.Segment.notify_policy) Hashtbl.t;
+  exports : (int * int, Access.seg_key) Hashtbl.t;
+  (* (home, segment id) -> the key of its latest export, which names the
+     segment's notification deliveries *)
   retries : (string * Access.seg_key * int, retry_chain) Hashtbl.t;
   (* (agent name, segment, word offset) -> failed-CAS run lengths *)
   history : History.t;
@@ -99,6 +102,7 @@ let create engine =
     locks = Hashtbl.create 8;
     declared_sync = Hashtbl.create 8;
     policies = Hashtbl.create 8;
+    exports = Hashtbl.create 8;
     retries = Hashtbl.create 8;
     history = History.create ();
     rejections = [];
@@ -253,7 +257,7 @@ let break_cas_retries t ~agent_name ~key =
 (* A notification record became visible to user code on the segment's
    home node: join the sender's stamp, and witness the accesses the
    serve-side end of the channel captured. *)
-let on_delivery t ~key (_ : Rmem.Notification.record) =
+let on_delivery t ~key =
   let dest = agent_for t key.Access.home in
   (match pop t.channels key with
   | Some (stamp, to_witness) ->
@@ -277,13 +281,34 @@ let on_export t ~home segment =
   in
   if locally_mutated then History.exclude t.history ~key
   else History.note_export t.history ~key segment;
-  Rmem.Notification.set_monitor
-    (Rmem.Segment.notification segment)
-    (Some (fun record -> on_delivery t ~key record))
+  Hashtbl.replace t.exports (home, Rmem.Segment.id segment) key
 
-let on_rmem_event t ~self_addr event =
+let logical_begin t ~agent_name =
+  History.scope_begin t.history ~agent:agent_name ~now:(now t)
+
+let logical_commit t ~agent_name ~cell ~op =
+  History.scope_end t.history ~agent:agent_name ~cell ~op ~now:(now t)
+
+let dds_op = function
+  | Dds.Plane.Read v -> History.Read (History.Known (Int32.of_int v))
+  | Dds.Plane.Write v -> History.Write (History.Known (Int32.of_int v))
+  | Dds.Plane.Sync -> History.Read History.Unknown
+
+let on_event t ~self_addr event =
   let self () = agent_for t self_addr in
   match event with
+  | Rmem.Notification.Delivered { segment; record = _ } -> (
+      match Hashtbl.find_opt t.exports (self_addr, segment) with
+      | Some key -> on_delivery t ~key
+      | None -> ())
+  | Cluster.Lrpc.Called ->
+      tick (self ());
+      t.lrpc_calls <- t.lrpc_calls + 1
+  | Dds.Plane.Begin -> logical_begin t ~agent_name:(self ()).name
+  | Dds.Plane.Commit { home; seg; gen; word; op } ->
+      logical_commit t ~agent_name:(self ()).name
+        ~cell:{ History.key = { Access.home; seg; gen }; word }
+        ~op:(dds_op op)
   | Rmem.Remote_memory.Exported segment -> on_export t ~home:self_addr segment
   | Rmem.Remote_memory.Issued
       { op; desc; off = _; count; notify = _; policied; cas; batch } ->
@@ -431,24 +456,12 @@ let on_rmem_event t ~self_addr event =
       witness !l w;
       l := [];
       ignore off
+  | _ -> ()
 
-let attach_rmem t rmem =
-  let node = Rmem.Remote_memory.node rmem in
+let attach t node =
   let self_addr = Atm.Addr.to_int (Cluster.Node.addr node) in
   ignore (agent_for t self_addr);
-  List.iter
-    (fun segment -> on_export t ~home:self_addr segment)
-    (Rmem.Remote_memory.exports rmem);
-  Rmem.Remote_memory.set_monitor rmem
-    (Some (fun event -> on_rmem_event t ~self_addr event))
-
-let attach_lrpc t =
-  Cluster.Lrpc.set_monitor
-    (Some
-       (fun node ->
-         let a = agent_for t (Atm.Addr.to_int (Cluster.Node.addr node)) in
-         tick a;
-         t.lrpc_calls <- t.lrpc_calls + 1))
+  Cluster.Node.subscribe node (on_event t ~self_addr)
 
 let local_access t ~node ~segment ~kind ~off ~count ?value () =
   let home = Atm.Addr.to_int (Cluster.Node.addr node) in
@@ -464,31 +477,8 @@ let local_access t ~node ~segment ~kind ~off ~count ?value () =
 
 let history t = t.history
 
-let logical_begin t ~agent_name =
-  History.scope_begin t.history ~agent:agent_name ~now:(now t)
-
-let logical_commit t ~agent_name ~cell ~op =
-  History.scope_end t.history ~agent:agent_name ~cell ~op ~now:(now t)
-
 let declare_sync_word t ~key ~off =
   Hashtbl.replace t.declared_sync (key, off) ()
-
-(* Adapter for the distributed data structures' instrumentation hooks:
-   every client operation becomes one logical event on the structure's
-   designated cell, with the physical traffic suppressed inside the
-   scope. *)
-let dds_hook t : Dds.Hook.t = function
-  | Dds.Hook.Begin { node } ->
-      logical_begin t ~agent_name:(Printf.sprintf "node%d" node)
-  | Dds.Hook.Commit { node; home; seg; gen; word; op } ->
-      let cell = { History.key = { Access.home; seg; gen }; word } in
-      let op =
-        match op with
-        | Dds.Hook.Read v -> History.Read (History.Known v)
-        | Dds.Hook.Write v -> History.Write (History.Known v)
-        | Dds.Hook.Sync -> History.Read History.Unknown
-      in
-      logical_commit t ~agent_name:(Printf.sprintf "node%d" node) ~cell ~op
 
 let accesses t = List.rev t.accesses
 let access_count t = t.next_access_id

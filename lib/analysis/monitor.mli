@@ -1,7 +1,8 @@
-(** The dynamic instrumentation hub: attaches to the hooks exposed by
-    {!Rmem.Remote_memory}, {!Rmem.Notification} and {!Cluster.Lrpc},
-    maintains a vector clock per node agent, and records every
-    shared-memory access with its happens-before stamps.
+(** The dynamic instrumentation hub: subscribes to node event streams
+    ({!Cluster.Node.event}: remote-memory, notification, LRPC and
+    data-structure events), maintains a vector clock per node agent,
+    and records every shared-memory access with its happens-before
+    stamps.
 
     The clock model, briefly: each node is one agent (the simulator's
     cooperative scheduling makes a node's activities sequential). Every
@@ -20,14 +21,12 @@ type t
 
 val create : Sim.Engine.t -> t
 
-val attach_rmem : t -> Rmem.Remote_memory.t -> unit
-(** Subscribe to a node's remote-memory events (and, transitively, to
-    the notification descriptors of every segment it exports). *)
-
-val attach_lrpc : t -> unit
-(** Count same-node LRPC control transfers (ticks the calling agent).
-    The hook is global to {!Cluster.Lrpc}; the latest attached monitor
-    wins. *)
+val attach : t -> Cluster.Node.t -> unit
+(** Register the node's agent and subscribe to its stream, before it
+    exports anything: remote-memory events, the notification deliveries
+    of the segments it exports, LRPC entries (each ticks the agent) and
+    {!Dds.Plane} operation brackets (each [Begin]/[Commit] pair becomes
+    one logical history event). *)
 
 val local_access :
   t ->
@@ -40,7 +39,7 @@ val local_access :
   unit ->
   unit
 (** Record a direct touch of exported memory on its home node (the
-    address-space loads/stores the hooks cannot see). Call it where the
+    address-space loads/stores the stream cannot see). Call it where the
     workload touches the segment. With [value] and a single fully
     covered word, the history records the known word value; without it
     the touched cells record {!History.Unknown}. *)
@@ -59,11 +58,6 @@ val logical_begin : t -> agent_name:string -> unit
 val logical_commit :
   t -> agent_name:string -> cell:History.cell -> op:History.operation -> unit
 (** Close the scope with the wrapper's client-facing result. *)
-
-val dds_hook : t -> Dds.Hook.t
-(** Adapter for {!Dds.Hook}: [Begin] opens a logical-operation scope
-    for agent ["node<addr>"], [Commit] closes it with the operation's
-    designated cell and result. *)
 
 val declare_sync_word : t -> key:Access.seg_key -> off:int -> unit
 (** Mark the aligned word at [off] as a synchronization word: races

@@ -8,7 +8,6 @@ type prep = {
   monitor : Monitor.t;
   finished : unit -> bool;
   invariants : (string * (unit -> bool)) list;
-  teardown : unit -> unit;
 }
 
 let setup ~nodes =
@@ -18,8 +17,7 @@ let setup ~nodes =
         Rmem.Remote_memory.attach (Cluster.Testbed.node testbed i))
   in
   let monitor = Monitor.create (Cluster.Testbed.engine testbed) in
-  Array.iter (Monitor.attach_rmem monitor) rmems;
-  Monitor.attach_lrpc monitor;
+  List.iter (Monitor.attach monitor) (Cluster.Testbed.nodes testbed);
   (testbed, rmems, monitor)
 
 let import_segment rmem ~from segment ~rights =
@@ -28,8 +26,6 @@ let import_segment rmem ~from segment ~rights =
     ~generation:(Rmem.Segment.generation segment)
     ~size:(Rmem.Segment.length segment)
     ~rights ()
-
-let teardown () = Cluster.Lrpc.set_monitor None
 
 (* Spawn the workload main process and package the prep record.  The
    spawn happens exactly where [Proc.run] used to spawn its main
@@ -42,7 +38,7 @@ let wrap ~testbed ~monitor ?(invariants = []) body =
     (fun () ->
       body ();
       finished := true);
-  { testbed; monitor; finished = (fun () -> !finished); invariants; teardown }
+  { testbed; monitor; finished = (fun () -> !finished); invariants }
 
 (* ------------------------------------------------------------------ *)
 (* kv_store: each client owns disjoint slots of the server table and
@@ -708,7 +704,6 @@ let dds_register_no_writeback () =
   let node i = Cluster.Testbed.node testbed i in
   let amsgs = Array.init 5 (fun i -> Amsg.attach (node i)) in
   wrap ~testbed ~monitor (fun () ->
-      let hook = Monitor.dds_hook monitor in
       let reps =
         Array.init 3 (fun k ->
             Dds.Register.replica ~rmem:rmems.(k) ~amsg:amsgs.(k) ())
@@ -722,7 +717,7 @@ let dds_register_no_writeback () =
         reps;
       let spaces = Array.map Dds.Register.replica_space reps in
       (* The register's designated history cell: replica 0's value
-         word, the same one [Dds.Register]'s own hook commits to. *)
+         word, the same one [Dds.Register]'s own Commit names. *)
       let cell =
         let home, seg, gen = Dds.Register.replica_key reps.(0) in
         { History.key = { Access.home; seg; gen }; word = 4 }
@@ -747,7 +742,7 @@ let dds_register_no_writeback () =
       Cluster.Node.spawn (node 3) (fun () ->
           let w1 =
             Dds.Register.client ~rmem:rmems.(3) ~amsg:amsgs.(3)
-              ~kind:Dds.Kind.Dx ~rank:1 ~hook reps
+              ~kind:Dds.Kind.Dx ~rank:1 reps
           in
           let desc k =
             import_segment rmems.(3)
@@ -779,7 +774,7 @@ let dds_register_no_writeback () =
       Cluster.Node.spawn (node 4) (fun () ->
           let client ~quorum rank =
             Dds.Register.client ~rmem:rmems.(4) ~amsg:amsgs.(4)
-              ~kind:Dds.Kind.Dx ~rank ~hook ~write_back:false ~quorum reps
+              ~kind:Dds.Kind.Dx ~rank ~write_back:false ~quorum reps
           in
           let r1 = client ~quorum:[ 0; 2 ] 3 in
           let r2 = client ~quorum:[ 1; 2 ] 4 in
@@ -832,17 +827,13 @@ let file_service_nofence = file_service_with ~fence:false
 
 (* ------------------------------------------------------------------ *)
 (* The distributed data structures, observed through remote memory and
-   the logical-operation hook only: unlike [setup], no LRPC monitor. *)
+   their clients' operation brackets. *)
 
 let dds_rig n body =
-  let testbed = Cluster.Testbed.create ~nodes:n () in
+  let testbed, rmems, monitor = setup ~nodes:n in
   let nodes = Array.init n (Cluster.Testbed.node testbed) in
-  let rmems = Array.map Rmem.Remote_memory.attach nodes in
-  let monitor = Monitor.create (Cluster.Testbed.engine testbed) in
-  Array.iter (Monitor.attach_rmem monitor) rmems;
   let amsgs = Array.map Amsg.attach nodes in
-  let hook = Monitor.dds_hook monitor in
-  wrap ~testbed ~monitor (fun () -> body ~nodes ~rmems ~amsgs ~hook)
+  wrap ~testbed ~monitor (fun () -> body ~nodes ~rmems ~amsgs)
 
 let dds_join ~target counter =
   let rec join () =
@@ -856,7 +847,7 @@ let dds_join ~target counter =
 (* Three clients — one per structuring — hammer a shared key and a
    private key of one server table. *)
 let dds_hashtable () =
-  dds_rig 4 (fun ~nodes ~rmems ~amsgs ~hook ->
+  dds_rig 4 (fun ~nodes ~rmems ~amsgs ->
       let s = Dds.Hashtable.server ~rmem:rmems.(0) ~amsg:amsgs.(0) ~slots:64 () in
       let done_ = ref 0 in
       for c = 1 to 3 do
@@ -864,7 +855,7 @@ let dds_hashtable () =
             let t =
               Dds.Hashtable.client ~rmem:rmems.(c) ~amsg:amsgs.(c)
                 ~kind:(List.nth Dds.Kind.all (c - 1))
-                ~hook s
+                s
             in
             for i = 1 to 5 do
               Dds.Hashtable.insert t ~key:9l
@@ -879,7 +870,7 @@ let dds_hashtable () =
 
 (* Two mixed-kind producers, one hybrid consumer draining everything. *)
 let dds_queue () =
-  dds_rig 4 (fun ~nodes ~rmems ~amsgs ~hook ->
+  dds_rig 4 (fun ~nodes ~rmems ~amsgs ->
       let s = Dds.Queue.server ~rmem:rmems.(0) ~amsg:amsgs.(0) ~capacity:64 () in
       let consumed = ref 0 in
       for p = 1 to 2 do
@@ -887,7 +878,7 @@ let dds_queue () =
             let t =
               Dds.Queue.client ~rmem:rmems.(p) ~amsg:amsgs.(p)
                 ~kind:(if p = 1 then Dds.Kind.Dx else Dds.Kind.Rpc)
-                ~hook s
+                s
             in
             for i = 0 to 9 do
               ignore (Dds.Queue.enqueue t (Int32.of_int ((p * 100) + i)))
@@ -897,7 +888,7 @@ let dds_queue () =
       Cluster.Node.spawn nodes.(3) (fun () ->
           let t =
             Dds.Queue.client ~rmem:rmems.(3) ~amsg:amsgs.(3)
-              ~kind:Dds.Kind.Hybrid ~hook s
+              ~kind:Dds.Kind.Hybrid s
           in
           for _ = 1 to 20 do
             ignore (Dds.Queue.dequeue t);
@@ -908,7 +899,7 @@ let dds_queue () =
 (* Three writer/reader clients — one per structuring — over one
    3-replica ABD register. *)
 let dds_register () =
-  dds_rig 6 (fun ~nodes ~rmems ~amsgs ~hook ->
+  dds_rig 6 (fun ~nodes ~rmems ~amsgs ->
       let reps =
         Array.init 3 (fun k ->
             Dds.Register.replica ~rmem:rmems.(k) ~amsg:amsgs.(k) ())
@@ -919,7 +910,7 @@ let dds_register () =
           Cluster.Node.spawn nodes.(c) (fun () ->
               let t =
                 Dds.Register.client ~rmem:rmems.(c) ~amsg:amsgs.(c) ~kind
-                  ~rank:(i + 1) ~hook reps
+                  ~rank:(i + 1) reps
               in
               for v = 1 to 4 do
                 ignore (Dds.Register.write t (Int32.of_int ((c * 10) + v)));
@@ -931,6 +922,5 @@ let dds_register () =
 
 let run prepare =
   let prep = prepare () in
-  Fun.protect ~finally:prep.teardown (fun () ->
-      Sim.Engine.run (Cluster.Testbed.engine prep.testbed));
+  Sim.Engine.run (Cluster.Testbed.engine prep.testbed);
   prep.monitor

@@ -17,8 +17,6 @@ type prep = {
   invariants : (string * (unit -> bool)) list;
       (** named workload-state predicates, checked after a completed
           run *)
-  teardown : unit -> unit;
-      (** detach global hooks; call once per prepared run *)
 }
 
 (** {1 Example workloads} *)
@@ -44,8 +42,8 @@ val dds_register_no_writeback : unit -> prep
 (** {1 Distributed data structures}
 
     Each {!Dds} structure driven by clients in all three structurings
-    at once, observed through the logical-operation hook. Unlike the
-    workloads above, these attach no LRPC monitor. *)
+    at once, observed through the clients' operation brackets
+    ({!Dds.Plane.Begin}/{!Dds.Plane.Commit}). *)
 
 val dds_hashtable : unit -> prep
 val dds_queue : unit -> prep
@@ -53,4 +51,4 @@ val dds_register : unit -> prep
 
 val run : (unit -> prep) -> Monitor.t
 (** Prepare, run the engine to quiescence under the default FIFO order,
-    tear down, and return the monitor for checking. *)
+    and return the monitor for checking. *)

@@ -5,11 +5,10 @@
    style of LRPC [Bershad et al. 1990].  We model it as one CPU charge in
    each direction around the callee's execution. *)
 
-let monitor : (Node.t -> unit) option ref = ref None
-let set_monitor m = monitor := m
+type Node.event += Called
 
 let call node f arg =
-  (match !monitor with None -> () | Some observe -> observe node);
+  Node.emit node Called;
   let span = Obs.Trace.lrpc_begin ~node:(Atm.Addr.to_int (Node.addr node)) in
   let half = (Node.costs node).Costs.lrpc_half in
   Cpu.use (Node.cpu node) ~category:Cpu.cat_client half;

@@ -9,8 +9,9 @@ val call : Node.t -> ('a -> 'b) -> 'a -> 'b
     (which may block or consume CPU), charges the other half, and
     returns the result. Must run within a simulation process. *)
 
-val set_monitor : (Node.t -> unit) option -> unit
-(** Instrumentation hook, invoked with the node at every {!call} entry
-    (a same-node synchronization point); the race monitor attaches here.
-    The tracer observes calls through its own span instead, so the two
-    compose. No-cost no-op when nothing is attached. *)
+type Node.event +=
+  | Called
+        (** Emitted at every {!call} entry on the calling node (a
+            same-node synchronization point); the race monitor ticks
+            the node's clock on it. The tracer observes calls through
+            its own span instead, so the two compose. *)

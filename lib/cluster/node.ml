@@ -12,6 +12,8 @@
 
 type handler = src:Atm.Addr.t -> bytes -> unit
 
+type event = ..
+
 type t = {
   addr : Atm.Addr.t;
   engine : Sim.Engine.t;
@@ -24,6 +26,7 @@ type t = {
   prng : Sim.Prng.t;
   mutable started : bool;
   mutable down : bool;
+  mutable subscribers : (event -> unit) list; (* in subscription order *)
 }
 
 (* The free slot's handler; [dispatch] reports an unclaimed tag instead
@@ -43,6 +46,7 @@ let create engine ~costs ~nic ~prng =
     prng;
     started = false;
     down = false;
+    subscribers = [];
   }
 
 let addr t = t.addr
@@ -71,6 +75,22 @@ let transmit ?ctx t ~dst payload = Atm.Nic.transmit ?ctx t.nic ~dst payload
 let transmit_frame ?ctx t ~dst frame = Atm.Nic.send ?ctx t.nic ~dst frame
 
 let set_down t down = t.down <- down
+
+(* The node's event stream.  Every emitter builds its event under
+   [if observed t] (a constant constructor needs no test), so with no
+   subscriber an instrumented path costs one field test and allocates
+   nothing. *)
+let observed t = t.subscribers != []
+let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
+let unsubscribe t f = t.subscribers <- List.filter (fun g -> g != f) t.subscribers
+
+let rec deliver event = function
+  | [] -> ()
+  | f :: rest ->
+      f event;
+      deliver event rest
+
+let emit t event = deliver event t.subscribers
 
 let dispatch t frame =
   let payload = Atm.Frame.payload frame in

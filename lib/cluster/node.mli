@@ -43,6 +43,29 @@ val transmit_frame :
 val start : t -> unit
 (** Start the receive dispatcher. Idempotent. *)
 
+(** {1 Event stream}
+
+    Everything an observer may watch on a node (remote-memory issues and
+    serves, notification deliveries, recovery outcomes, LRPC entries,
+    data-structure operations) is one stream per node. Each layer adds
+    its own constructors to {!event}. *)
+
+type event = ..
+
+val subscribe : t -> (event -> unit) -> unit
+(** Add a subscriber: it sees every later event, after the subscribers
+    already attached. Subscribers ignore constructors they do not know. *)
+
+val unsubscribe : t -> (event -> unit) -> unit
+(** Remove a subscriber (compared physically). *)
+
+val observed : t -> bool
+(** Whether anyone subscribes. Emitters build an event only when this
+    holds, so an unobserved path allocates nothing. *)
+
+val emit : t -> event -> unit
+(** Hand an event to every subscriber, in subscription order. *)
+
 val set_down : t -> bool -> unit
 (** Crash (or revive) the node: while down, inbound frames are absorbed
     without any reaction, so peers observe the failure only through

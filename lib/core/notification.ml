@@ -13,34 +13,35 @@ type record = { src : Atm.Addr.t; kind : kind; off : int; count : int }
 
 type t = {
   node : Cluster.Node.t;
+  segment : int; (* the exported segment's id; 0 for a completion fd *)
   delivery : string; (* the name of each delivery process *)
   queue : record Queue.t;
   waiters : record Sim.Proc.sleepers;
   label : Sim.Engine.label;
   mutable signal_handler : (record -> unit) option;
   mutable posted : int;
-  mutable monitor : (record -> unit) option;
 }
 
-let create ?(name = "fd") node =
+type Cluster.Node.event += Delivered of { segment : int; record : record }
+
+let create ?(name = "fd") ?(segment = 0) node =
   {
     node;
+    segment;
     delivery = name ^ " delivery";
     queue = Queue.create ();
     waiters = Sim.Proc.sleepers ();
     label = Sim.Engine.Quoted ("notification", name);
     signal_handler = None;
     posted = 0;
-    monitor = None;
   }
 
-let set_monitor t monitor = t.monitor <- monitor
-
-(* The analysis hook observes the instant a record becomes visible to
-   user code (waiter resumed, signal upcall, or queue pop) — that is the
+(* Subscribers see the instant a record becomes visible to user code
+   (waiter resumed, signal upcall, or queue pop) — that is the
    happens-before edge notification induces. *)
 let observed t record =
-  match t.monitor with None -> () | Some f -> f record
+  if Cluster.Node.observed t.node then
+    Cluster.Node.emit t.node (Delivered { segment = t.segment; record })
 
 let kind_to_string = function
   | Write_arrived -> "write"

@@ -14,8 +14,17 @@ type record = { src : Atm.Addr.t; kind : kind; off : int; count : int }
 
 type t
 
-val create : ?name:string -> Cluster.Node.t -> t
-(** [name] labels the descriptor in deadlock reports. *)
+val create : ?name:string -> ?segment:int -> Cluster.Node.t -> t
+(** [name] labels the descriptor in deadlock reports; [segment] is the
+    id of the exported segment it belongs to (none for a completion
+    descriptor). *)
+
+type Cluster.Node.event +=
+  | Delivered of { segment : int; record : record }
+        (** A record became visible to user code on the descriptor of
+            segment [segment] (0 for a completion descriptor): a
+            blocked {!wait} resumed, a signal upcall ran, or a queued
+            record was popped. *)
 
 val post : ?ctx:Obs.Ctx.t -> t -> record -> unit
 (** Called by the kernel emulation on request arrival. Non-blocking for
@@ -36,9 +45,3 @@ val set_signal_handler : t -> (record -> unit) option -> unit
 val pending : t -> int
 val posted : t -> int
 val kind_to_string : kind -> string
-
-val set_monitor : t -> (record -> unit) option -> unit
-(** Instrumentation hook for the analysis layer, invoked at the instant
-    a record becomes visible to user code (a blocked {!wait} resumes, a
-    signal upcall runs, or a queued record is popped). No-cost no-op
-    when unset. *)

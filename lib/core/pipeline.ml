@@ -56,14 +56,22 @@ type staged = {
   mutable notify : bool;
 }
 
+(* The READs and CASes in flight toward one key, oldest first: a ring
+   of [window] slots, made at the first issue (a completion has no
+   placeholder value). *)
+type window = {
+  mutable ring : Remote_memory.completion array;
+  mutable head : int;
+  mutable len : int;
+}
+
 (* Every table is keyed by {!Remote_memory.stream_key}: the (remote
    node, segment id, generation) as one int, in the triple's order. *)
 type t = {
   rmem : Remote_memory.t;
   cfg : config;
   staged : staged Sim.Int_table.t;
-  windows : Remote_memory.completion Queue.t Sim.Int_table.t;
-  (* the READs and CASes in flight per key, oldest first *)
+  windows : window Sim.Int_table.t;
   batches : int Sim.Int_table.t;
   (* the current window cycle's batch tag per key: a fresh batch opens
      whenever a submit finds its window empty, so every issue sharing a
@@ -185,76 +193,70 @@ let write t desc ~off ?(notify = false) data =
 
 (* [find], not [find_opt], on the per-issue lookups: the option would
    be allocated on every issue. *)
-let window_q t key =
+let window_of t key =
   match Sim.Int_table.find t.windows key with
-  | q -> q
+  | w -> w
   | exception Not_found ->
-      let q = Queue.create () in
-      Sim.Int_table.replace t.windows key q;
-      q
+      let w = { ring = [||]; head = 0; len = 0 } in
+      Sim.Int_table.replace t.windows key w;
+      w
 
-(* Retire one in-flight op, remembering the first failure instead of
-   raising on the spot.  Failures must not poison the window: if a
-   retirement raised mid-queue, the entries behind it would linger as
-   stale state and the caller's *retry* would trip over them before it
-   could issue anything fresh.  So every retirement path below empties
-   what it owes first and raises the remembered failure only once the
-   window is consistent again. *)
-let retire c first =
-  match Status.check (Remote_memory.await c) with
-  | () -> ()
-  | exception exn -> if Option.is_none !first then first := Some exn
+let push t w c =
+  if Array.length w.ring = 0 then w.ring <- Array.make t.cfg.window c;
+  w.ring.((w.head + w.len) mod t.cfg.window) <- c;
+  w.len <- w.len + 1
 
-let clear q first =
-  while not (Queue.is_empty q) do
-    retire (Queue.pop q) first
-  done
+let pop t w =
+  let c = w.ring.(w.head) in
+  w.head <- (w.head + 1) mod t.cfg.window;
+  w.len <- w.len - 1;
+  c
 
-let reraise first = match !first with Some exn -> raise exn | None -> ()
+let retire c = Status.check (Remote_memory.await c)
+
+(* Retire everything in the window, then raise the first failure.
+   Failures must not poison the window: if a retirement raised
+   mid-window, the entries behind it would linger as stale state and the
+   caller's *retry* would trip over them before it could issue anything
+   fresh.  So every failing path empties the window first. *)
+let rec retire_all t w first =
+  if w.len > 0 then
+    match retire (pop t w) with
+    | () -> retire_all t w first
+    | exception exn ->
+        retire_all t w (if Option.is_none first then Some exn else first)
+  else Option.iter raise first
 
 (* Retire completed operations from the front of the window (awaiting
    them cannot block, but a failure still raises), then make room by
    waiting on the oldest until the window has a free slot.  On failure
    the whole window is drained before raising, so the caller retries
    from an empty window. *)
-let window_admit t q =
-  let first = ref None in
-  while
-    Option.is_none !first
-    && (not (Queue.is_empty q))
-    && Remote_memory.completed (Queue.peek q)
-  do
-    retire (Queue.pop q) first
-  done;
-  while Option.is_none !first && Queue.length q >= t.cfg.window do
-    let c = Queue.pop q in
-    if not (Remote_memory.completed c) then
-      t.stats.window_stalls <- t.stats.window_stalls + 1;
-    retire c first
-  done;
-  if Option.is_some !first then begin
-    clear q first;
-    reraise first
-  end
+let window_admit t w =
+  try
+    while w.len > 0 && Remote_memory.completed w.ring.(w.head) do
+      retire (pop t w)
+    done;
+    while w.len >= t.cfg.window do
+      let c = pop t w in
+      if not (Remote_memory.completed c) then
+        t.stats.window_stalls <- t.stats.window_stalls + 1;
+      retire c
+    done
+  with exn -> retire_all t w (Some exn)
 
 (* The batch tag for the next windowed issue toward [key]: reuse the
    window cycle's tag while operations are still in flight, open a fresh
    one when the window has gone empty (each cycle of a caller's retry
    loop drains the window first, so one cycle = one batch = one logical
    attempt for the lint layer). *)
-let window_batch t ~key ~q =
-  if Queue.is_empty q then begin
-    let b = Remote_memory.fresh_batch t.rmem in
-    Sim.Int_table.replace t.batches key b;
-    b
-  end
-  else
-    match Sim.Int_table.find t.batches key with
-    | b -> b
-    | exception Not_found ->
-        let b = Remote_memory.fresh_batch t.rmem in
-        Sim.Int_table.replace t.batches key b;
-        b
+let window_batch t ~key ~w =
+  match Sim.Int_table.find t.batches key with
+  | b when w.len > 0 -> b
+  | _ | (exception Not_found) ->
+      let b = Remote_memory.fresh_batch t.rmem in
+      Sim.Int_table.replace t.batches key b;
+      b
 
 let read_submit t desc ~soff ~count ~dst ~doff () =
   let key = key_of desc in
@@ -264,13 +266,13 @@ let read_submit t desc ~soff ~count ~dst ~doff () =
          process's own earlier writes, so they go out first. *)
       flush_key t key
   | _ -> ());
-  let q = window_q t key in
-  window_admit t q;
-  Remote_memory.set_batch t.rmem (window_batch t ~key ~q);
+  let w = window_of t key in
+  window_admit t w;
+  Remote_memory.set_batch t.rmem (window_batch t ~key ~w);
   match Remote_memory.read t.rmem desc ~soff ~count ~dst ~doff () with
   | c ->
       Remote_memory.set_batch t.rmem 0;
-      Queue.push c q
+      push t w c
   | exception exn ->
       Remote_memory.set_batch t.rmem 0;
       raise exn
@@ -280,13 +282,13 @@ let cas_submit t desc ~doff ~old_value ~new_value () =
   (* CAS is a synchronization point: staged writes it releases must be
      on the wire (FIFO links order them) before the CAS lands. *)
   flush_key t key;
-  let q = window_q t key in
-  window_admit t q;
-  Remote_memory.set_batch t.rmem (window_batch t ~key ~q);
+  let w = window_of t key in
+  window_admit t w;
+  Remote_memory.set_batch t.rmem (window_batch t ~key ~w);
   match Remote_memory.cas_async t.rmem desc ~doff ~old_value ~new_value () with
   | c ->
       Remote_memory.set_batch t.rmem 0;
-      Queue.push c q
+      push t w c
   | exception exn ->
       Remote_memory.set_batch t.rmem 0;
       raise exn
@@ -298,21 +300,17 @@ let cas t desc ~doff ~old_value ~new_value () =
 let drain_key t key =
   match Sim.Int_table.find_opt t.windows key with
   | None -> ()
-  | Some q ->
-      let first = ref None in
-      clear q first;
-      reraise first
+  | Some w -> retire_all t w None
 
 let drain t =
   let keys = Sim.Int_table.fold (fun k _ acc -> k :: acc) t.windows [] in
-  let first = ref None in
-  List.iter
-    (fun key ->
+  List.fold_left
+    (fun first key ->
       match drain_key t key with
-      | () -> ()
-      | exception exn -> if Option.is_none !first then first := Some exn)
-    (List.sort Int.compare keys);
-  reraise first
+      | () -> first
+      | exception exn -> if Option.is_none first then Some exn else first)
+    None (List.sort Int.compare keys)
+  |> Option.iter raise
 
 let fence t desc =
   flush_key t (key_of desc);

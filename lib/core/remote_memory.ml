@@ -79,7 +79,7 @@ let await c = cas_status (outcome c)
 (* [v] as the 32-bit word a CAS compares, sign-extended. *)
 let word32 v = (v lsl 31) asr 31
 
-type monitor_event =
+type Cluster.Node.event +=
   | Exported of Segment.t
   | Issued of {
       op : Rights.op;
@@ -125,6 +125,10 @@ type monitor_event =
       status : Status.t;
       cas_success : bool option;
     }
+  | Retried
+  | Recovered of { seg : int; op : string; elapsed : Sim.Time.t }
+  | Gave_up
+  | Revalidated
 
 type t = {
   node : Cluster.Node.t;
@@ -144,7 +148,6 @@ type t = {
   mutable crypto : Crypto.t option; (* link encryption, section 3.5 *)
   write_failures : Status.t Sim.Int_table.t;
   (* {!stream_key} -> latest nacked WRITE status, cleared on take *)
-  mutable monitor : (monitor_event -> unit) option;
   mutable recovery_depth : int;
   (* > 0 while a recovery policy drives the current issue: marks the
      Issued events it produces as policied for the lint layer *)
@@ -153,19 +156,17 @@ type t = {
      analysis layer can treat a pipelined window of issues as one
      logical attempt *)
   mutable next_batch : int;
-  mutable fault_registry : Obs.Registry.t option;
   fence_buf : buffer;
   (* where fences deposit the word they read and discard, in a space
      never registered in the node, so fencing does not grow it; also the
      [buf] of a CAS that deposits nothing *)
 }
 
-(* The analysis layer's hook.  Every site builds its event under
-   [if monitored t]: without flambda the record would otherwise be
-   allocated before [emit] could discard it, so with no monitor the
-   instrumented paths cost one field test and allocate nothing. *)
-let monitored t = Option.is_some t.monitor
-let emit t event = match t.monitor with None -> () | Some f -> f event
+(* Events go out on the node's stream.  Every site that builds an event
+   does so under [if observed t]: without flambda the record would
+   otherwise be allocated before [emit] could discard it. *)
+let observed t = Cluster.Node.observed t.node
+let emit t event = Cluster.Node.emit t.node event
 
 (* ------------------------------------------------------------------ *)
 (* Cost arithmetic.                                                    *)
@@ -243,11 +244,9 @@ let create node =
     errors = Metrics.Account.create ~name:"rmem errors" ();
     crypto = None;
     write_failures = Sim.Int_table.create 4;
-    monitor = None;
     recovery_depth = 0;
     batch = 0;
     next_batch = 1;
-    fault_registry = None;
     fence_buf = buffer ~space:(scratch_space ()) ~base:0 ~len:4;
   }
 
@@ -276,8 +275,6 @@ let set_server_role t =
      clerk's reply segment) are its data-reply work too. *)
   set_categories t ~rx_request:Cluster.Cpu.cat_data_reception
     ~tx_reply:Cluster.Cpu.cat_data_reply ~client:Cluster.Cpu.cat_data_reply ()
-
-let set_monitor t monitor = t.monitor <- monitor
 
 let fresh_batch t =
   let id = t.next_batch in
@@ -362,14 +359,16 @@ let export t ~space ~base ~len ?id ?(policy = Segment.Conditional)
   Cluster.Cpu.use (cpu t) ~category:t.client_category
     (Sim.Time.add c.Cluster.Costs.segment_export_kernel
        (Sim.Time.mul c.Cluster.Costs.page_pin pages));
-  let notification = Notification.create ~name:(name ^ " fd") t.node in
+  let notification =
+    Notification.create ~name:(name ^ " fd") ~segment:id t.node
+  in
   let segment =
     Segment.create ~id ~name ~space ~base ~len ~generation
       ~default_rights:rights ~notification ~policy
   in
   Sim.Int_table.replace t.exported id segment;
   Metrics.Account.add t.ops ~category:"export" 1.;
-  if monitored t then emit t (Exported segment);
+  if observed t then emit t (Exported segment);
   segment
 
 let revoke t segment =
@@ -398,7 +397,7 @@ let import t ~remote ~segment_id ~generation ~size
 (* Local (issue-side) validation.                                      *)
 
 let reject t desc op ~off ~count status =
-  if monitored t then emit t (Issue_rejected { op; desc; off; count; status });
+  if observed t then emit t (Issue_rejected { op; desc; off; count; status });
   raise (Status.Remote_error status)
 
 let check_local t desc op ~off ~count =
@@ -447,7 +446,7 @@ let issue t desc op ~name ~off ~count ~notify ~cas_old ~cas_new ~extents
         (fun (e : Wire.extent) -> check_local t desc op ~off:e.off ~count:e.len)
         extents);
   if local_outside then reject t desc op ~off ~count Status.Bounds;
-  if monitored t then
+  if observed t then
     emit t
       (Issued
          {
@@ -727,13 +726,6 @@ let await_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
 (* ------------------------------------------------------------------ *)
 (* Policy-driven recovery (§3.7).                                      *)
 
-let set_fault_registry t registry = t.fault_registry <- registry
-
-let fault_incr t name =
-  match t.fault_registry with
-  | None -> ()
-  | Some registry -> Obs.Registry.incr registry name
-
 (* Execute one blocking operation under a recovery policy: reissue on
    retryable failures with exponential backoff, run the policy's
    revalidator on stale-descriptor failures, re-raise terminal ones.
@@ -773,26 +765,26 @@ let run_policy t (policy : Recovery.policy) desc ~op attempt_fn =
     | Ok v ->
         if attempt > 0 then begin
           Metrics.Account.add t.errors ~category:"recovered" 1.;
-          fault_incr t "rmem.recovered";
-          match t.fault_registry with
-          | None -> ()
-          | Some registry ->
-              Obs.Registry.observe registry ~node:(nid t)
-                ~seg:(Descriptor.segment_id desc) ~op:("recover:" ^ op)
-                (Sim.Time.to_us
-                   (Sim.Time.diff (Sim.Engine.now engine) started))
+          if observed t then
+            emit t
+              (Recovered
+                 {
+                   seg = Descriptor.segment_id desc;
+                   op;
+                   elapsed = Sim.Time.diff (Sim.Engine.now engine) started;
+                 })
         end;
         v
     | Error status ->
         let give_up () =
           Metrics.Account.add t.errors ~category:"gave-up" 1.;
-          fault_incr t "rmem.gave_up";
+          emit t Gave_up;
           Status.check status;
           assert false
         in
         let retry () =
           Metrics.Account.add t.errors ~category:"retry" 1.;
-          fault_incr t "rmem.retries";
+          emit t Retried;
           Sim.Proc.wait (Recovery.backoff_after policy ~attempt);
           go (attempt + 1)
         in
@@ -805,7 +797,7 @@ let run_policy t (policy : Recovery.policy) desc ~op attempt_fn =
               match policy.Recovery.revalidate with
               | None -> give_up ()
               | Some revalidate ->
-                  fault_incr t "rmem.revalidations";
+                  emit t Revalidated;
                   if revalidate desc then retry () else give_up ())
         end
   in
@@ -941,7 +933,7 @@ let restart_exports ?(preserve = []) t =
       in
       Sim.Int_table.replace t.exported id segment;
       Metrics.Account.add t.ops ~category:"re-export" 1.;
-      if monitored t then emit t (Exported segment))
+      if observed t then emit t (Exported segment))
     segs
 
 (* ------------------------------------------------------------------ *)
@@ -982,7 +974,7 @@ let serve_status t ~src ~seg ~gen ~off ~count op =
    success path stays unacknowledged, as in the paper). *)
 let nack_write t sv src ~seg ~gen ~off ~count status =
   record_error t status;
-  if monitored t then
+  if observed t then
     emit t
       (Serve_rejected
          { op = Rights.Write_op; src; seg; gen; off; count; status });
@@ -1014,7 +1006,7 @@ let handle_write t src ~seg ~gen ~off ~notify ~swab payload ~pos ~len =
           payload ~pos ~len;
         Metrics.Account.add_int t.data_bytes ~category:"write served" len;
         let notified = Segment.should_notify segment ~requested:notify in
-        if monitored t then emit t
+        if observed t then emit t
           (Served
              {
                op = Rights.Write_op;
@@ -1067,7 +1059,7 @@ let rec deposit_extents t src segment ~notified ~last i = function
       deposit (Segment.space segment) ~addr:(Segment.base segment + off) data;
       let count = data.Wire.len in
       Metrics.Account.add_int t.data_bytes ~category:"write served" count;
-      if monitored t then emit t
+      if observed t then emit t
         (Served
            {
              op = Rights.Write_op;
@@ -1166,7 +1158,7 @@ let handle_read t src ~seg ~gen ~soff ~count ~reqid ~notify:_ ~swab =
   | Status.Ok ->
       let segment = Sim.Int_table.find t.exported seg in
       Metrics.Account.add_int t.data_bytes ~category:"read served" count;
-      if monitored t then emit t
+      if observed t then emit t
         (Served
            {
              op = Rights.Read_op;
@@ -1196,7 +1188,7 @@ let handle_read t src ~seg ~gen ~soff ~count ~reqid ~notify:_ ~swab =
       Obs.Trace.serve_end sv
   | status ->
       record_error t status;
-      if monitored t then emit t
+      if observed t then emit t
         (Serve_rejected
            { op = Rights.Read_op; src; seg; gen; off = soff; count; status });
       Obs.Trace.serve_arg sv "status" (Status.to_string status);
@@ -1241,7 +1233,7 @@ let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
         Cluster.Address_space.cas_word (Segment.space segment) ~addr
           ~old_value ~new_value
       in
-      if monitored t then emit t
+      if observed t then emit t
         (Served
            {
              op = Rights.Cas_op;
@@ -1266,7 +1258,7 @@ let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
       reply_cas t sv src ~reqid ~status:Status.Ok ~witness
   | status ->
       record_error t status;
-      if monitored t then emit t
+      if observed t then emit t
         (Serve_rejected
            { op = Rights.Cas_op; src; seg; gen; off = doff; count = 4; status });
       Obs.Trace.serve_arg sv "status" (Status.to_string status);
@@ -1276,7 +1268,7 @@ let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
 (* Reply handling at the requester.                                    *)
 
 let read_completed t desc ~soff ~count status =
-  if monitored t then emit t
+  if observed t then emit t
     (Completed
        { op = Rights.Read_op; desc; off = soff; count; status; cas_success = None })
 
@@ -1376,7 +1368,7 @@ let handle_cas_reply t _src ~status ~reqid ~witness =
           ~addr:(p.buf.base + p.doff)
           (if success then 1 else 0)
       end;
-      if monitored t then emit t
+      if observed t then emit t
         (Completed
            {
              op = Rights.Cas_op;
@@ -1403,7 +1395,7 @@ let handle_write_nack t src ~status ~seg ~gen ~off ~count =
   Sim.Int_table.replace t.write_failures
     (key ~remote:(Atm.Addr.to_int src) ~seg ~gen:(Generation.to_int gen))
     status;
-  if monitored t then
+  if observed t then
     emit t (Nacked { src; nack = { Wire.status; seg; gen; off; count } });
   Obs.Trace.root_close sv ~status:(Status.to_string status);
   Obs.Trace.serve_end sv

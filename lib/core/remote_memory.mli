@@ -242,12 +242,6 @@ val cas_wait :
     Test-only ?result: the paper's result operand on CAS, which the
     remote-memory tests check. *)
 
-val set_fault_registry : t -> Obs.Registry.t option -> unit
-(** Attach a metrics registry for recovery counters ("rmem.retries",
-    "rmem.recovered", "rmem.gave_up", "rmem.revalidations") and
-    per-(node, seg) "recover:OP" latency series measuring issue-to-
-    success across all attempts. *)
-
 (** {1 Crash and restart (driven by the fault plane)} *)
 
 val crash : t -> unit
@@ -283,13 +277,14 @@ val set_crypto : t -> Crypto.t option -> unit
     enable the same key, or receivers observe ciphertext — exactly the
     property encryption is for. *)
 
-(** {1 Monitoring}
+(** {1 Events}
 
-    Zero-cost-when-disabled event stream for the analysis layer
-    ([lib/analysis]): every issued, served, and rejected
-    meta-instruction, plus exports and write nacks. *)
+    What this layer emits on its node's stream ({!Cluster.Node.event}),
+    built only while someone subscribes: every issued, served and
+    rejected meta-instruction, exports, write nacks and the outcomes of
+    policy-driven recovery. *)
 
-type monitor_event =
+type Cluster.Node.event +=
   | Exported of Segment.t
   | Issued of {
       op : Rights.op;
@@ -350,10 +345,13 @@ type monitor_event =
           node — the issuer now knows the serve happened, and (links
           being FIFO) that every earlier request it sent the same remote
           was processed. Not emitted for local timeouts. *)
-
-val set_monitor : t -> (monitor_event -> unit) option -> unit
-(** Install (or clear) the event hook. When unset the instrumented paths
-    cost a single [None] field test and build no event. *)
+  | Retried  (** A policy reissues a failed attempt after its backoff. *)
+  | Recovered of { seg : int; op : string; elapsed : Sim.Time.t }
+      (** A policied [op] ("WRITE", "READ", ...) on segment [seg]
+          succeeded after retrying; [elapsed] runs from its first issue. *)
+  | Gave_up  (** A policy stopped retrying and re-raised the failure. *)
+  | Revalidated
+      (** A policy ran its revalidator on a stale-descriptor failure. *)
 
 val fresh_batch : t -> int
 (** Allocate a batch id for {!set_batch} (unique per node, never 0). *)

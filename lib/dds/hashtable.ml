@@ -154,14 +154,13 @@ type t = {
   ep : Call.endpoint;
   home : Atm.Addr.t;
   tslots : int;
-  hook : Hook.t option;
   hkey : int * int * int;
   mutable found : int; (* the value word the last DX walk hit *)
   mutable cas_losses : int;
   mutable rpc_fallbacks : int;
 }
 
-let client ~rmem ~amsg ~kind ?policy ?hook s =
+let client ~rmem ~amsg ~kind ?policy s =
   let home = Cluster.Node.addr s.snode in
   let plane =
     Plane.connect rmem ?policy ~remote:home
@@ -175,7 +174,6 @@ let client ~rmem ~amsg ~kind ?policy ?hook s =
     ep = Call.endpoint amsg;
     home;
     tslots = s.sslots;
-    hook;
     hkey = server_key s;
     found = 0;
     cas_losses = 0;
@@ -289,12 +287,10 @@ let rpc_delete t key =
 
 (* Client-facing operations *)
 
-let node_id t = Atm.Addr.to_int (Cluster.Node.addr t.plane.Plane.node)
+let op_begin t = Plane.begin_op t.plane.Plane.node
 
-let begin_hook t = Hook.begin_op t.hook ~node:(node_id t)
-
-let commit_hook t key ~read v =
-  Hook.commit t.hook ~node:(node_id t) ~cell:t.hkey
+let op_commit t key ~read v =
+  Plane.commit t.plane.Plane.node ~cell:t.hkey
     ~word:((home_slot ~slots:t.tslots key * slot_bytes) + 4)
     ~read v
 
@@ -302,20 +298,20 @@ let hybrid_budget = 2
 
 let lookup t key =
   let key = key_word key in
-  begin_hook t;
+  op_begin t;
   let v =
     match t.kind with
     | Kind.Dx | Kind.Hybrid -> dx_lookup t key
     | Kind.Rpc -> rpc_lookup t key
   in
-  commit_hook t key ~read:true v;
+  op_commit t key ~read:true v;
   if v = 0 then None else Some (Int32.of_int v)
 
 let insert t ~key ~value =
   let key = key_word key in
   let value = Int32.to_int value in
   if value = 0 then invalid_arg "Dds.Hashtable.insert: value 0 is reserved";
-  begin_hook t;
+  op_begin t;
   (match t.kind with
   | Kind.Dx -> (
       match dx_insert t ~budget:max_int key value with
@@ -329,11 +325,11 @@ let insert t ~key ~value =
       | `Contended ->
           t.rpc_fallbacks <- t.rpc_fallbacks + 1;
           rpc_insert t key value));
-  commit_hook t key ~read:false value
+  op_commit t key ~read:false value
 
 let delete t key =
   let key = key_word key in
-  begin_hook t;
+  op_begin t;
   let present =
     match t.kind with
     | Kind.Dx -> (
@@ -348,16 +344,16 @@ let delete t key =
             t.rpc_fallbacks <- t.rpc_fallbacks + 1;
             rpc_delete t key)
   in
-  commit_hook t key ~read:false 0;
+  op_commit t key ~read:false 0;
   present
 
 (* The fence's physical READ must not leak into a monitored history as
-   an unscoped access, so flush is hooked like any other operation and
+   an unscoped access, so flush is bracketed like any other operation and
    commits as a [Sync] (constrains nothing). *)
 let flush t =
   match t.kind with
   | Kind.Rpc -> ()
   | Kind.Dx | Kind.Hybrid ->
-      begin_hook t;
+      op_begin t;
       Plane.fence t.plane;
-      Hook.sync t.hook ~node:(node_id t) ~cell:t.hkey
+      Plane.sync t.plane.Plane.node ~cell:t.hkey

@@ -51,13 +51,13 @@ val client :
   amsg:Amsg.t ->
   kind:Kind.t ->
   ?policy:Rmem.Recovery.policy ->
-  ?hook:Hook.t ->
   server ->
   t
 (** Import the table segment and build a handle of the given kind.
-    [policy] governs the DX path's remote operations under faults;
-    [hook] receives {!Hook.event}s around every operation, with the
-    designated cell being the key's {e home} slot value word.
+    [policy] governs the DX path's remote operations under faults.
+    Every operation is bracketed by {!Plane.Begin}/{!Plane.Commit} on
+    the client's node, with the designated cell being the key's
+    {e home} slot value word.
     Test-only ?policy: a §3.7 recovery policy is the only way the DX
     path runs under loss, which the fault tests check. *)
 

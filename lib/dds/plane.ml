@@ -42,3 +42,23 @@ let write t ~off data =
   Rmem.Remote_memory.write ?policy:t.policy t.rmem t.desc ~off data
 
 let fence t = Rmem.Remote_memory.fence ?policy:t.policy t.rmem t.desc
+
+(* Each client operation is bracketed on its node's stream, built only
+   while someone subscribes. *)
+type op = Read of int | Write of int | Sync
+
+type Cluster.Node.event +=
+  | Begin
+  | Commit of { home : int; seg : int; gen : int; word : int; op : op }
+
+let begin_op node = Cluster.Node.emit node Begin
+
+let commit_op node ~cell:(home, seg, gen) ~word op =
+  Cluster.Node.emit node (Commit { home; seg; gen; word; op })
+
+let commit node ~cell ~word ~read v =
+  if Cluster.Node.observed node then
+    commit_op node ~cell ~word (if read then Read v else Write v)
+
+let sync node ~cell =
+  if Cluster.Node.observed node then commit_op node ~cell ~word:0 Sync

@@ -51,3 +51,36 @@ val write : t -> off:int -> bytes -> unit
 
 val fence : t -> unit
 (** Await deposit of all prior WRITEs on this descriptor. *)
+
+(** {1 Operation events}
+
+    Every client-facing operation of a structure is bracketed on the
+    client's node stream ({!Cluster.Node.event}): [Begin] when it
+    starts, [Commit] when it completes, carrying the linearizable
+    result as one logical read or write of the structure's designated
+    cell ([word] is a byte offset within segment [seg]/generation [gen]
+    exported at node [home]). The analysis layer turns each pair into
+    one logical history event in place of the physical traffic. *)
+
+type op =
+  | Read of int
+  | Write of int
+  | Sync
+      (** a flush/fence: observes nothing the history can constrain,
+          but must still be scoped so its physical round trip is
+          suppressed *)
+
+type Cluster.Node.event +=
+  | Begin
+  | Commit of { home : int; seg : int; gen : int; word : int; op : op }
+
+val begin_op : Cluster.Node.t -> unit
+(** A [Begin] on the client's node. *)
+
+val commit :
+  Cluster.Node.t -> cell:int * int * int -> word:int -> read:bool -> int -> unit
+(** A [Read] (with [read]) or [Write] of the value at [word] of [cell],
+    which is (home, seg, gen). *)
+
+val sync : Cluster.Node.t -> cell:int * int * int -> unit
+(** A [Sync] at word 0 of [cell]. *)

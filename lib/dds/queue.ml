@@ -126,7 +126,6 @@ type t = {
   home : Atm.Addr.t;
   cap : int;
   brand : int;
-  hook : Hook.t option;
   hkey : int * int * int;
   mutable dequeued : int; (* the value the last dequeue claimed *)
   mutable cas_losses : int;
@@ -138,7 +137,7 @@ type t = {
    every counter value the claim CAS could displace. *)
 let next_brand = ref 0
 
-let client ~rmem ~amsg ~kind ?policy ?hook s =
+let client ~rmem ~amsg ~kind ?policy s =
   let home = Cluster.Node.addr s.snode in
   let plane =
     Plane.connect rmem ?policy ~remote:home
@@ -156,7 +155,6 @@ let client ~rmem ~amsg ~kind ?policy ?hook s =
     brand =
       (incr next_brand;
        - !next_brand);
-    hook;
     hkey = server_key s;
     dequeued = 0;
     cas_losses = 0;
@@ -165,16 +163,15 @@ let client ~rmem ~amsg ~kind ?policy ?hook s =
 
 let cas_losses t = t.cas_losses
 let rpc_fallbacks t = t.rpc_fallbacks
-let node_id t = Atm.Addr.to_int (Cluster.Node.addr t.plane.Plane.node)
 
-let begin_hook t = Hook.begin_op t.hook ~node:(node_id t)
+let op_begin t = Plane.begin_op t.plane.Plane.node
 
 (* The designated cell of a committed enqueue/dequeue is its ticket's
    value word; an observed-empty dequeue commits a read of the (always
    untouched-in-history) head word instead, so the pair stays
    balanced. *)
-let commit_hook t ~word ~read v =
-  Hook.commit t.hook ~node:(node_id t) ~cell:t.hkey ~word ~read v
+let op_commit t ~word ~read v =
+  Plane.commit t.plane.Plane.node ~cell:t.hkey ~word ~read v
 
 (* DX fast path *)
 
@@ -306,7 +303,7 @@ let hybrid_budget = 2
 
 let enqueue t value =
   let value = Int32.to_int value in
-  begin_hook t;
+  op_begin t;
   let ticket =
     match t.kind with
     | Kind.Dx ->
@@ -323,11 +320,11 @@ let enqueue t value =
         end
         else ticket
   in
-  commit_hook t ~word:(slot_off ticket + 4) ~read:false value;
+  op_commit t ~word:(slot_off ticket + 4) ~read:false value;
   ticket
 
 let try_dequeue t =
-  begin_hook t;
+  op_begin t;
   let ticket =
     match t.kind with
     | Kind.Dx -> dx_try_dequeue t ~budget:max_int
@@ -341,11 +338,11 @@ let try_dequeue t =
         else ticket
   in
   if ticket >= 0 then begin
-    commit_hook t ~word:(slot_off ticket + 4) ~read:true t.dequeued;
+    op_commit t ~word:(slot_off ticket + 4) ~read:true t.dequeued;
     Some (Int32.of_int t.dequeued)
   end
   else begin
-    commit_hook t ~word:0 ~read:true 0;
+    op_commit t ~word:0 ~read:true 0;
     None
   end
 
@@ -356,12 +353,12 @@ let rec dequeue t =
       Sim.Proc.wait (Sim.Time.us 5);
       dequeue t
 
-(* Hooked like any other operation so the fence's physical READ of the
+(* Bracketed like any other operation so the fence's physical READ of the
    header cannot leak into a monitored history unscoped. *)
 let flush t =
   match t.kind with
   | Kind.Rpc -> ()
   | Kind.Dx | Kind.Hybrid ->
-      begin_hook t;
+      op_begin t;
       Plane.fence t.plane;
-      Hook.sync t.hook ~node:(node_id t) ~cell:t.hkey
+      Plane.sync t.plane.Plane.node ~cell:t.hkey

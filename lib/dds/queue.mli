@@ -36,7 +36,6 @@ val client :
   amsg:Amsg.t ->
   kind:Kind.t ->
   ?policy:Rmem.Recovery.policy ->
-  ?hook:Hook.t ->
   server ->
   t
 (** Test-only ?policy: a §3.7 recovery policy is the only way the DX

@@ -100,7 +100,6 @@ type t = {
   quorum : int array;  (** replica indices this client can reach *)
   majority : int;
   write_back : bool;
-  hook : Hook.t option;
   hkey : int * int * int;
   mutable reads : Rmem.Remote_memory.completion array;
       (** a DX collect round's READs; empty before the first round *)
@@ -114,7 +113,7 @@ type t = {
 (* No packed tag is negative. *)
 let no_tag = -1
 
-let client ~rmem ~amsg ~kind ~rank ?policy ?hook ?(write_back = true) ?quorum
+let client ~rmem ~amsg ~kind ~rank ?policy ?(write_back = true) ?quorum
     replicas =
   let n = Array.length replicas in
   if n = 0 then invalid_arg "Dds.Register.client: no replicas";
@@ -152,7 +151,6 @@ let client ~rmem ~amsg ~kind ~rank ?policy ?hook ?(write_back = true) ?quorum
     quorum = Array.of_list quorum;
     majority;
     write_back;
-    hook;
     hkey = replica_key replicas.(0);
     reads = [||];
     tags = Array.make n no_tag;
@@ -163,13 +161,12 @@ let client ~rmem ~amsg ~kind ~rank ?policy ?hook ?(write_back = true) ?quorum
 
 let cas_losses t = t.cas_losses
 let rpc_fallbacks t = t.rpc_fallbacks
-let node_id t = Atm.Addr.to_int (Cluster.Node.addr t.node)
 
-let begin_hook t = Hook.begin_op t.hook ~node:(node_id t)
+let op_begin t = Plane.begin_op t.node
 
 (* The register's designated cell is replica 0's value word. *)
-let commit_hook t ~read v =
-  Hook.commit t.hook ~node:(node_id t) ~cell:t.hkey ~word:4 ~read v
+let op_commit t ~read v =
+  Plane.commit t.node ~cell:t.hkey ~word:4 ~read v
 
 (* A collect fills [t.tags] and [t.values] for the replicas that answer
    with a released (non-busy) cell, retrying until a majority do.  The
@@ -325,7 +322,7 @@ let store_all t packed value ~skip_holders =
   if !ok < t.majority then raise Rmem.Status.Timeout
 
 let read t =
-  begin_hook t;
+  op_begin t;
   collect t;
   let best = highest t in
   let packed = t.tags.(best) and v = t.values.(best) in
@@ -337,15 +334,15 @@ let read t =
      no later read can observe an older one. *)
   if t.write_back && !holders < t.majority then
     store_all t packed v ~skip_holders:true;
-  commit_hook t ~read:true v;
+  op_commit t ~read:true v;
   Int32.of_int v
 
 let write t v =
   let v = Int32.to_int v in
-  begin_hook t;
+  op_begin t;
   collect t;
   let mt = Tag.unpack t.tags.(highest t) in
   let tag = { Tag.ts = mt.Tag.ts + 1; wr = t.rank } in
   store_all t (Tag.pack tag) v ~skip_holders:false;
-  commit_hook t ~read:false v;
+  op_commit t ~read:false v;
   tag

@@ -44,7 +44,6 @@ val client :
   kind:Kind.t ->
   rank:int ->
   ?policy:Rmem.Recovery.policy ->
-  ?hook:Hook.t ->
   ?write_back:bool ->
   ?quorum:int list ->
   replica array ->

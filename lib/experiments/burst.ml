@@ -40,27 +40,28 @@ let measure burst_cells =
       (* 8K write latency to first full deposit. *)
       let received = ref 0 in
       let done_8k = Sim.Ivar.create () in
-      Fixture.on_write_served r1
-        (Some
-           (fun count ->
-             received := !received + count;
-             if !received >= 8192 then
-               ignore (Sim.Ivar.try_fill done_8k (Sim.Engine.now engine) : bool)));
+      let detach =
+        Fixture.on_write_served r1 (fun count ->
+            received := !received + count;
+            if !received >= 8192 then
+              ignore (Sim.Ivar.try_fill done_8k (Sim.Engine.now engine) : bool))
+      in
       let t0 = Sim.Engine.now engine in
       Rmem.Remote_memory.write r0 desc ~off:0 (Bytes.make 8192 'w');
       let latency =
         Sim.Time.to_us (Sim.Time.diff (Sim.Ivar.read done_8k) t0)
       in
+      detach ();
       (* Streamed throughput to last deposit. *)
       let total = blocks * 4096 in
       received := 0;
       let done_all = Sim.Ivar.create () in
-      Fixture.on_write_served r1
-        (Some
-           (fun count ->
-             received := !received + count;
-             if !received >= total then
-               ignore (Sim.Ivar.try_fill done_all (Sim.Engine.now engine) : bool)));
+      let detach =
+        Fixture.on_write_served r1 (fun count ->
+            received := !received + count;
+            if !received >= total then
+              ignore (Sim.Ivar.try_fill done_all (Sim.Engine.now engine) : bool))
+      in
       let t0 = Sim.Engine.now engine in
       let block = Bytes.make 4096 'y' in
       for i = 0 to blocks - 1 do
@@ -70,7 +71,7 @@ let measure burst_cells =
         float_of_int (total * 8)
         /. Sim.Time.to_us (Sim.Time.diff (Sim.Ivar.read done_all) t0)
       in
-      Fixture.on_write_served r1 None;
+      detach ();
       out := Some (throughput, latency));
   let throughput_mbps, write_8k_latency_us = Option.get !out in
   { burst_cells; throughput_mbps; write_8k_latency_us }

@@ -59,26 +59,6 @@ type cfg = {
   high : legcfg;
 }
 
-(* Zipf(s) over ranks 1..n by inverse CDF, as in {!Shard_bench}. *)
-let zipf_cdf ~n ~s =
-  let cdf = Array.make n 0. in
-  let total = ref 0. in
-  for r = 0 to n - 1 do
-    total := !total +. (float_of_int (r + 1) ** -.s);
-    cdf.(r) <- !total
-  done;
-  (cdf, !total)
-
-let zipf_sample (cdf, total) prng =
-  let u = Sim.Prng.float prng *. total in
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if cdf.(mid) < u then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Array.length cdf - 1)
-
 (* One operation issued by client [k]: [i] counts the client's ops and
    decides the mutation flavor deterministically (insert/delete and
    enqueue/dequeue alternate, so mutation-heavy legs exercise claim
@@ -110,7 +90,7 @@ let run_point cfg ~structure ~kind (leg : legcfg) =
   let hist = Metrics.Histogram.create () in
   let completed = ref 0 in
   let losses = ref 0 and fallbacks = ref 0 in
-  let dist = zipf_cdf ~n:cfg.keys ~s:leg.leg_zipf in
+  let dist = Workload.Zipf.create ~exponent:leg.leg_zipf cfg.keys in
   let key_of rank = Int32.of_int (1 + rank) in
   Cluster.Testbed.run testbed (fun () ->
       (* The structure under test, as one uniform op driver. *)
@@ -133,7 +113,7 @@ let run_point cfg ~structure ~kind (leg : legcfg) =
             {
               op =
                 (fun ~prng ~k ~i ->
-                  let key = key_of (zipf_sample dist prng) in
+                  let key = key_of (Workload.Zipf.sample dist prng) in
                   if Sim.Prng.int prng 100 < leg.leg_mutate_pct then
                     if i mod 2 = 0 then ignore (Dds.Hashtable.delete ts.(k) key)
                     else

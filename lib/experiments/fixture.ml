@@ -167,10 +167,11 @@ let figure_ops t =
   ]
 
 let on_write_served rmem f =
-  Rmem.Remote_memory.set_monitor rmem
-    (Option.map
-       (fun f -> function
-         | Rmem.Remote_memory.Served { op = Rmem.Rights.Write_op; count; _ } ->
-             f count
-         | _ -> ())
-       f)
+  let node = Rmem.Remote_memory.node rmem in
+  let subscriber = function
+    | Rmem.Remote_memory.Served { op = Rmem.Rights.Write_op; count; _ } ->
+        f count
+    | _ -> ()
+  in
+  Cluster.Node.subscribe node subscriber;
+  fun () -> Cluster.Node.unsubscribe node subscriber

@@ -51,9 +51,9 @@ val recache_bench : t -> unit
 val figure_ops : t -> (string * Dfs.Nfs_ops.op) list
 (** The twelve operations of Figures 2 and 3, in the paper's order. *)
 
-val on_write_served : Rmem.Remote_memory.t -> (int -> unit) option -> unit
-(** [on_write_served rmem (Some f)] calls [f count] at the instant each
-    inbound WRITE (or burst extent) has deposited its [count] bytes on
-    [rmem], before any notification cost; the calibration experiments
-    time one-way delivery with it. It occupies [rmem]'s monitor slot;
-    [None] clears it. *)
+val on_write_served : Rmem.Remote_memory.t -> (int -> unit) -> unit -> unit
+(** [on_write_served rmem f] subscribes [f] to [rmem]'s node: it is
+    called with [count] at the instant each inbound WRITE (or burst
+    extent) has deposited its [count] bytes, before any notification
+    cost; the calibration experiments time one-way delivery with it.
+    The result detaches it. *)

@@ -121,16 +121,16 @@ let write_stream ~mode ~window ~batch_bytes ~payload ~ops ~notify () =
       let next = ref 0 in
       let received = ref 0 in
       let done_ = Sim.Ivar.create () in
-      Fixture.on_write_served r1
-        (Some
-           (fun count ->
-             received := !received + count;
-             while !next < ops && !received >= (!next + 1) * payload do
-               completed.(!next) <- now ();
-               incr next
-             done;
-             if !received >= total then
-               ignore (Sim.Ivar.try_fill done_ (now ()) : bool)));
+      let detach =
+        Fixture.on_write_served r1 (fun count ->
+            received := !received + count;
+            while !next < ops && !received >= (!next + 1) * payload do
+              completed.(!next) <- now ();
+              incr next
+            done;
+            if !received >= total then
+              ignore (Sim.Ivar.try_fill done_ (now ()) : bool))
+      in
       let traps0 = traps r0 in
       let fd = Rmem.Segment.notification segment in
       let notifies0 = float_of_int (Rmem.Notification.posted fd) in
@@ -156,7 +156,7 @@ let write_stream ~mode ~window ~batch_bytes ~payload ~ops ~notify () =
           done;
           Rmem.Pipeline.flush p desc);
       let t_end = Sim.Ivar.read done_ in
-      Fixture.on_write_served r1 None;
+      detach ();
       let latencies =
         Array.init ops (fun i ->
             Sim.Time.to_us (Sim.Time.diff completed.(i) issue.(i)))

@@ -44,12 +44,14 @@ let measure crypto =
       let now () = Sim.Engine.now engine in
       (* Write latency: issue to deposit. *)
       let arrival = Sim.Ivar.create () in
-      Fixture.on_write_served r1
-        (Some (fun _ -> ignore (Sim.Ivar.try_fill arrival (now ()) : bool)));
+      let detach =
+        Fixture.on_write_served r1 (fun _ ->
+            ignore (Sim.Ivar.try_fill arrival (now ()) : bool))
+      in
       let t0 = now () in
       Rmem.Remote_memory.write r0 desc ~off:0 (Bytes.make 40 'x');
       let write_us = Sim.Time.to_us (Sim.Time.diff (Sim.Ivar.read arrival) t0) in
-      Fixture.on_write_served r1 None;
+      detach ();
       (* Read latency. *)
       let t0 = now () in
       Rmem.Remote_memory.read_wait r0 desc ~soff:0 ~count:40 ~dst:buf ~doff:0 ();

@@ -61,27 +61,6 @@ let svc_record ~shard_hosts i =
     ~generation:(Rmem.Generation.of_int 1)
     ~size:4096 ~rights:Rmem.Rights.read_only
 
-(* Zipf(s) over ranks 1..n by inverse CDF; rank r maps to name r, whose
-   bucket the FNV hash scatters — the hot key lands in one shard. *)
-let zipf_cdf ~n ~s =
-  let cdf = Array.make n 0. in
-  let total = ref 0. in
-  for r = 0 to n - 1 do
-    total := !total +. (float_of_int (r + 1) ** -.s);
-    cdf.(r) <- !total
-  done;
-  (cdf, !total)
-
-let zipf_sample (cdf, total) prng =
-  let u = Sim.Prng.float prng *. total in
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if cdf.(mid) < u then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Array.length cdf - 1)
-
 let run_campaign ~label ~sharded cfg =
   let nodes = cfg.leaves * cfg.hosts_per_leaf in
   let shard_hosts = if sharded then cfg.shard_hosts else 1 in
@@ -154,7 +133,9 @@ let run_campaign ~label ~sharded cfg =
       Array.iter
         (fun sc -> ignore (Names.Shard_clerk.lookup sc (svc_name 0)))
         scs;
-      let dist = zipf_cdf ~n:cfg.names ~s:cfg.zipf in
+      (* Rank r maps to name r, whose bucket the FNV hash scatters: the
+         hot key lands in one shard. *)
+      let dist = Workload.Zipf.create ~exponent:cfg.zipf cfg.names in
       let verify sc idx =
         match Names.Shard_clerk.lookup sc (svc_name idx) with
         | exception Names.Clerk.Name_not_found _ -> incr lost
@@ -192,7 +173,7 @@ let run_campaign ~label ~sharded cfg =
               Sim.Proc.wait (Sim.Time.us (1 + (k * 2) + Sim.Prng.int prng 400));
               for i = 1 to cfg.lookups_per_client do
                 Sim.Proc.wait (Sim.Time.us (1 + Sim.Prng.int prng 40));
-                measured_lookup sc (zipf_sample dist prng);
+                measured_lookup sc (Workload.Zipf.sample dist prng);
                 if i mod report_every = 0 then Names.Shard_clerk.report_load sc;
                 if i = half then incr phase1_done
               done;

@@ -105,8 +105,10 @@ let decompose () =
   let rmem0 = Rmem.Remote_memory.attach node0 in
   let rmem1 = Rmem.Remote_memory.attach node1 in
   let write_served = ref Sim.Time.zero in
-  Fixture.on_write_served rmem1
-    (Some (fun _ -> write_served := Sim.Engine.now engine));
+  let (_detach : unit -> unit) =
+    Fixture.on_write_served rmem1 (fun _ ->
+        write_served := Sim.Engine.now engine)
+  in
   let registry = Obs.Registry.create () in
   let trace = Obs.Trace.create ~registry engine in
   Obs.Trace.attach trace;

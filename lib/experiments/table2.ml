@@ -38,14 +38,16 @@ let run () =
 
       (* Write latency: issue to deposit. *)
       let arrival = Sim.Ivar.create () in
-      Fixture.on_write_served r1
-        (Some (fun _ -> Sim.Ivar.try_fill arrival (now ()) |> ignore));
+      let detach =
+        Fixture.on_write_served r1 (fun _ ->
+            Sim.Ivar.try_fill arrival (now ()) |> ignore)
+      in
       let t0 = now () in
       Rmem.Remote_memory.write r0 desc ~off:0 (Bytes.make 40 'x');
       let write_latency =
         Sim.Time.to_us (Sim.Time.diff (Sim.Ivar.read arrival) t0)
       in
-      Fixture.on_write_served r1 None;
+      detach ();
 
       (* Read latency: one-cell round trip. *)
       let t0 = now () in
@@ -65,19 +67,19 @@ let run () =
       let total_bytes = blocks_for_throughput * 4096 in
       let received = ref 0 in
       let done_ = Sim.Ivar.create () in
-      Fixture.on_write_served r1
-        (Some
-           (fun count ->
-             received := !received + count;
-             if !received >= total_bytes then
-               ignore (Sim.Ivar.try_fill done_ (now ()) : bool)));
+      let detach =
+        Fixture.on_write_served r1 (fun count ->
+            received := !received + count;
+            if !received >= total_bytes then
+              ignore (Sim.Ivar.try_fill done_ (now ()) : bool))
+      in
       let t0 = now () in
       let block = Bytes.make 4096 'y' in
       for i = 0 to blocks_for_throughput - 1 do
         Rmem.Remote_memory.write r0 desc ~off:(4096 * (i land 15)) block
       done;
       let t_end = Sim.Ivar.read done_ in
-      Fixture.on_write_served r1 None;
+      detach ();
       let throughput =
         float_of_int (total_bytes * 8) /. Sim.Time.to_us (Sim.Time.diff t_end t0)
       in

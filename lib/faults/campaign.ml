@@ -28,19 +28,17 @@ type workload =
   plan:Plan.t ->
   seed:int ->
   sampler:Sim.Time.t option ->
+  observe:(Cluster.Testbed.t -> unit) ->
   outcome
 
-(* External observer hook: every remote-memory endpoint a workload
-   attaches is offered to the probe, so an analysis tool can subscribe
-   its monitor without this library depending on it (the dependency
-   points analysis -> faults, not back). *)
-let rmem_probe : (Rmem.Remote_memory.t -> unit) option ref = ref None
-let set_rmem_probe p = rmem_probe := p
-
-let attach node =
-  let rmem = Rmem.Remote_memory.attach node in
-  Option.iter (fun f -> f rmem) !rmem_probe;
-  rmem
+(* A workload's testbed, offered to the caller's observer before any
+   endpoint attaches, so an analysis tool can subscribe to its nodes
+   without this library depending on it (the dependency points
+   analysis -> faults, not back). *)
+let testbed ~observe nodes =
+  let testbed = Cluster.Testbed.create ~nodes () in
+  observe testbed;
+  testbed
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: when a sampling interval is given, each workload gets a
@@ -203,12 +201,12 @@ let guarded ~workload ~seed ~plane ~timeseries testbed body =
 (* ------------------------------------------------------------------ *)
 (* quickstart: 2 nodes, named export/import, WRITE, READ back, CAS.    *)
 
-let quickstart ~plan ~seed ~sampler =
-  let testbed = Cluster.Testbed.create ~nodes:2 () in
+let quickstart ~plan ~seed ~sampler ~observe =
+  let testbed = testbed ~observe 2 in
   let node0 = Cluster.Testbed.node testbed 0 in
   let node1 = Cluster.Testbed.node testbed 1 in
-  let rmem0 = attach node0 in
-  let rmem1 = attach node1 in
+  let rmem0 = Rmem.Remote_memory.attach node0 in
+  let rmem1 = Rmem.Remote_memory.attach node1 in
   let rmems = [ (0, rmem0); (1, rmem1) ] in
   let plane = Plane.create ~plan ~rmems ~seed testbed in
   let timeseries = sampler_for ~sampler testbed ~rmems plane in
@@ -262,11 +260,11 @@ let quickstart ~plan ~seed ~sampler =
 (* ------------------------------------------------------------------ *)
 (* name_service: batch export, imports, revoke/re-export recovery.     *)
 
-let name_service ~plan ~seed ~sampler =
-  let testbed = Cluster.Testbed.create ~nodes:3 () in
+let name_service ~plan ~seed ~sampler ~observe =
+  let testbed = testbed ~observe 3 in
   let rmems =
     Array.init 3 (fun i ->
-        attach (Cluster.Testbed.node testbed i))
+        Rmem.Remote_memory.attach (Cluster.Testbed.node testbed i))
   in
   let indexed = Array.to_list (Array.mapi (fun i r -> (i, r)) rmems) in
   let plane = Plane.create ~plan ~rmems:indexed ~seed testbed in
@@ -350,13 +348,13 @@ let name_service ~plan ~seed ~sampler =
 (* producer_consumer: two producers fill disjoint slots, one CAS race,
    a polling consumer.                                                 *)
 
-let producer_consumer ~plan ~seed ~sampler =
+let producer_consumer ~plan ~seed ~sampler ~observe =
   let slots = 8 in
   let slot_base = 256 in
   let slot_bytes = 64 in
-  let testbed = Cluster.Testbed.create ~nodes:3 () in
+  let testbed = testbed ~observe 3 in
   let nodes = Array.init 3 (Cluster.Testbed.node testbed) in
-  let rmems = Array.map attach nodes in
+  let rmems = Array.map Rmem.Remote_memory.attach nodes in
   let indexed = Array.to_list (Array.mapi (fun i r -> (i, r)) rmems) in
   let plane = Plane.create ~plan ~rmems:indexed ~seed testbed in
   let timeseries = sampler_for ~sampler testbed ~rmems:indexed plane in
@@ -437,10 +435,10 @@ let producer_consumer ~plan ~seed ~sampler =
 (* ------------------------------------------------------------------ *)
 (* replica: anti-entropy convergence across a partition heal.          *)
 
-let replica ~plan ~seed ~sampler =
-  let testbed = Cluster.Testbed.create ~nodes:3 () in
+let replica ~plan ~seed ~sampler ~observe =
+  let testbed = testbed ~observe 3 in
   let nodes = Array.init 3 (Cluster.Testbed.node testbed) in
-  let rmems = Array.map attach nodes in
+  let rmems = Array.map Rmem.Remote_memory.attach nodes in
   let indexed = Array.to_list (Array.mapi (fun i r -> (i, r)) rmems) in
   let plane = Plane.create ~plan ~rmems:indexed ~seed testbed in
   let timeseries = sampler_for ~sampler testbed ~rmems:indexed plane in
@@ -506,7 +504,7 @@ let replica ~plan ~seed ~sampler =
 (* ------------------------------------------------------------------ *)
 (* crash_restart: generation bump, Stale_generation, clerk re-import.  *)
 
-let crash_restart ~plan ~seed ~sampler =
+let crash_restart ~plan ~seed ~sampler ~observe =
   (* The point of this workload is the crash; supply the canonical one
      if the caller's plan has none. *)
   let plan =
@@ -524,11 +522,11 @@ let crash_restart ~plan ~seed ~sampler =
           ];
       }
   in
-  let testbed = Cluster.Testbed.create ~nodes:2 () in
+  let testbed = testbed ~observe 2 in
   let node0 = Cluster.Testbed.node testbed 0 in
   let node1 = Cluster.Testbed.node testbed 1 in
-  let rmem0 = attach node0 in
-  let rmem1 = attach node1 in
+  let rmem0 = Rmem.Remote_memory.attach node0 in
+  let rmem1 = Rmem.Remote_memory.attach node1 in
   let clerk1 = ref None in
   let rmems = [ (0, rmem0); (1, rmem1) ] in
   let plane =
@@ -588,8 +586,9 @@ let crash_restart ~plan ~seed ~sampler =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(plan = Plan.none) ?sampler ~seed (workload : workload) =
-  workload ~plan ~seed ~sampler
+let run ?(plan = Plan.none) ?sampler ?(observe = ignore) ~seed
+    (workload : workload) =
+  workload ~plan ~seed ~sampler ~observe
 
 (* The canonical CI plans. *)
 

@@ -33,6 +33,7 @@ type workload =
   plan:Plan.t ->
   seed:int ->
   sampler:Sim.Time.t option ->
+  observe:(Cluster.Testbed.t -> unit) ->
   outcome
 (** A campaign workload; call it through {!run}. *)
 
@@ -47,15 +48,18 @@ val crash_restart : workload
 (** Adds its canonical crash/restart schedule ({!crash_plan}) when the
     plan carries none. *)
 
-val set_rmem_probe : (Rmem.Remote_memory.t -> unit) option -> unit
-(** Observe every remote-memory endpoint the campaign workloads attach
-    (called once per endpoint, before the workload issues anything).
-    Lets an analysis tool subscribe its monitor without a dependency
-    from this library back onto the analyzer; global — set it to [None]
-    when done. *)
-
-val run : ?plan:Plan.t -> ?sampler:Sim.Time.t -> seed:int -> workload -> outcome
+val run :
+  ?plan:Plan.t ->
+  ?sampler:Sim.Time.t ->
+  ?observe:(Cluster.Testbed.t -> unit) ->
+  seed:int ->
+  workload ->
+  outcome
 (** Run one workload (default plan: {!Plan.none}).
+
+    [observe] gets the workload's testbed before any endpoint attaches
+    or anything is issued: the place to subscribe to its nodes'
+    streams.
 
     With [sampler] the workload runs under an {!Obs.Timeseries} sampler
     at that interval, every layer's gauges registered (link/switch

@@ -117,6 +117,20 @@ let schedule_crashes t testbed ~rmems ~preserve ~on_restart =
         c.Plan.restart_at)
     t.plan.Plan.crashes
 
+(* Policy-driven recovery on a node, as the plane's registry counters
+   and per-(node, segment) "recover:OP" latency series. *)
+let on_recovery t node = function
+  | Rmem.Remote_memory.Retried -> Obs.Registry.incr t.registry "rmem.retries"
+  | Rmem.Remote_memory.Gave_up -> Obs.Registry.incr t.registry "rmem.gave_up"
+  | Rmem.Remote_memory.Revalidated ->
+      Obs.Registry.incr t.registry "rmem.revalidations"
+  | Rmem.Remote_memory.Recovered { seg; op; elapsed } ->
+      Obs.Registry.incr t.registry "rmem.recovered";
+      Obs.Registry.observe t.registry
+        ~node:(Atm.Addr.to_int (Cluster.Node.addr node))
+        ~seg ~op:("recover:" ^ op) (Sim.Time.to_us elapsed)
+  | _ -> ()
+
 let create ?(plan = Plan.none) ?(rmems = []) ?(preserve = [])
     ?(on_restart = fun (_ : int) -> ()) ~seed testbed =
   let engine = Cluster.Testbed.engine testbed in
@@ -132,7 +146,9 @@ let create ?(plan = Plan.none) ?(rmems = []) ?(preserve = [])
   let root = Sim.Prng.create seed in
   List.iter (install t root) (Atm.Network.links (Cluster.Testbed.network testbed));
   List.iter
-    (fun (_, rmem) -> Rmem.Remote_memory.set_fault_registry rmem (Some t.registry))
+    (fun (_, rmem) ->
+      let node = Rmem.Remote_memory.node rmem in
+      Cluster.Node.subscribe node (on_recovery t node))
     rmems;
   schedule_crashes t testbed ~rmems ~preserve ~on_restart;
   t

@@ -157,6 +157,7 @@ exitcodes 1 bin/rnet.exe lin -w dds_register_no_writeback --replay 0/6,0/5,0/4,0
 exitcodes 2 bin/rnet.exe model -w torn_record --replay 0/5
 exitcodes 2 bin/rnet.exe lin -w cas_double_apply --replay 0/5
 exitcodes 2 bin/rnet.exe trace --json -w no_such_workload
+exitcodes 2 bin/rnet.exe trace -o no_such_directory
 exitcodes 2 bin/rnet.exe obs --ci -w no_such_workload
 # The crossover gate needs two structures or more in scope, so a
 # single-structure --ci sweep is a deterministic gate miss.

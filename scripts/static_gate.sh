@@ -221,8 +221,8 @@ strip_comments() {
 # dropped, so a call split across lines is still seen.  And the CAS
 # path carries its words as ints: no int32 in lib/dds/plane.mli, nor in
 # any val cas_* of lib/core/remote_memory.mli (an int32 argument or
-# result is boxed per call).  The monitor's event types are exempt:
-# they are built only when a monitor is attached.
+# result is boxed per call).  The node stream's event types are exempt:
+# they are built only while someone subscribes.
 for f in $(find lib/sim lib/atm lib/cluster lib/core lib/amsg lib/dds -name '*.ml' | sort); do
   hits=$(strip_comments "$f" | grep -Eo \
     -e "Time\.scale[[:space:]]+([A-Za-z0-9_.']+|\([^()]*\))[[:space:]]+\(float_of_int" \
@@ -356,4 +356,24 @@ for f in $(cd "$stripped" && grep -El "$park_word" $(find lib bin -path lib/sim 
   esac
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem builders, rmem completions free of Ivar and the NIC of Mailbox, park/unpark only in sim, nic and rmem, no unlisted hash-table iteration, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 18. One way to observe.  An observer subscribes to a node's event
+# stream (Cluster.Node.subscribe); no library keeps a process-global
+# observer slot, a top-level binding typed `option ref` or bound to
+# `ref None`, except the tracer in lib/obs/trace.ml, and nothing in lib/
+# or bin/ defines a set_monitor.  A top-level item is a line starting in
+# column 0 with its indented continuation lines.
+slots=$(awk 'function flush() { if (item ~ /^let /) print file ": " item; item = "" }
+    FNR == 1 { flush(); file = FILENAME }
+    /^[^ \t]/ { flush() }
+    { item = item " " $0; sub(/^ +/, "", item) }
+    END { flush() }' $(find lib -name '*.ml' ! -path lib/obs/trace.ml | sort) |
+  grep -E "^[^:]*: let [a-z_][A-Za-z0-9_']*[[:space:]]*(:[^=]*option[[:space:]]+ref|(:[^=]*)?=[[:space:]]*ref[[:space:]]*\(?None)" || true)
+if [ -n "$slots" ]; then
+  echo "$slots" | cut -c1-160 >&2
+  fail "a library keeps a global observer slot — subscribe to the node's event stream instead"
+fi
+for f in $(cd "$stripped" && grep -El "(^|[^A-Za-z0-9_'])(let|val|and)[[:space:]]+(rec[[:space:]]+)?set_monitor([^A-Za-z0-9_']|\$)" $(find lib bin \( -name '*.ml' -o -name '*.mli' \) | sort)); do
+  fail "$f defines a set_monitor — observers subscribe to the node's event stream"
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem builders, rmem completions free of Ivar and the NIC of Mailbox, park/unpark only in sim, nic and rmem, no unlisted hash-table iteration, observers only on the node stream, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

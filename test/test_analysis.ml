@@ -125,8 +125,8 @@ let schedule_roundtrip () =
 let monitored_duo () =
   let d = Rig.duo () in
   let monitor = Analysis.Monitor.create d.Rig.engine in
-  Analysis.Monitor.attach_rmem monitor d.Rig.rmem0;
-  Analysis.Monitor.attach_rmem monitor d.Rig.rmem1;
+  Analysis.Monitor.attach monitor d.Rig.node0;
+  Analysis.Monitor.attach monitor d.Rig.node1;
   (d, monitor)
 
 let rules findings = List.map (fun f -> f.Analysis.Lint.rule) findings
@@ -339,6 +339,75 @@ let late_reply_after_timeout_ignored () =
       in
       check_bool "endpoint still functional" true ok)
 
+(* ---------------- The node event stream -------------------------- *)
+
+(* Two subscribers on one node see the same events, in subscription
+   order.  A Table 2-style one-way WRITE: the write-served waiter,
+   subscribed first, runs before the monitor records the store, and a
+   subscriber attached after the monitor sees it recorded.  The waiter
+   times the same WRITE with the monitor attached as without. *)
+let subscribers_share_a_write () =
+  let write ~monitored =
+    let d = Rig.duo () in
+    let monitor = Analysis.Monitor.create d.Rig.engine in
+    let seen = ref [] in
+    let note who = seen := (who, Analysis.Monitor.access_count monitor) :: !seen in
+    let arrival = Sim.Ivar.create () in
+    let detach =
+      Experiments.Fixture.on_write_served d.Rig.rmem1 (fun count ->
+          note (Printf.sprintf "waiter %d" count);
+          ignore (Sim.Ivar.try_fill arrival (Sim.Engine.now d.Rig.engine) : bool))
+    in
+    if monitored then begin
+      Analysis.Monitor.attach monitor d.Rig.node0;
+      Analysis.Monitor.attach monitor d.Rig.node1;
+      Cluster.Node.subscribe d.Rig.node1 (function
+        | Rmem.Remote_memory.Served { count; _ } ->
+            note (Printf.sprintf "after %d" count)
+        | _ -> ())
+    end;
+    let latency =
+      Rig.run d (fun () ->
+          let _, desc = Rig.shared_segment d in
+          let t0 = Sim.Engine.now d.Rig.engine in
+          Rmem.Remote_memory.write d.Rig.rmem0 desc ~off:0 (Bytes.make 40 'x');
+          Sim.Time.diff (Sim.Ivar.read arrival) t0)
+    in
+    detach ();
+    (latency, List.rev !seen, Analysis.Monitor.access_count monitor)
+  in
+  let plain, plain_seen, _ = write ~monitored:false in
+  let observed, seen, accesses = write ~monitored:true in
+  Alcotest.(check (list (pair string int)))
+    "waiter, monitor, then the late subscriber"
+    [ ("waiter 40", 0); ("after 40", 1) ]
+    seen;
+  Alcotest.(check (list (pair string int))) "waiter alone" [ ("waiter 40", 0) ]
+    plain_seen;
+  check_int "the monitor recorded the store" 1 accesses;
+  check_int "observing leaves the WRITE latency alone" (Sim.Time.to_ns plain)
+    (Sim.Time.to_ns observed)
+
+(* A monitor belongs to the nodes it subscribed to: once its testbed's
+   run is over, a second testbed's LRPC calls and remote-memory traffic
+   do not reach it, with nothing to detach in between. *)
+let monitor_stays_with_its_testbed () =
+  let monitor = Analysis.Scenarios.run Analysis.Scenarios.name_service in
+  let lrpc = Analysis.Monitor.lrpc_calls monitor in
+  let accesses = Analysis.Monitor.access_count monitor in
+  let agents = Analysis.Monitor.agent_count monitor in
+  check_bool "its own run's LRPC calls counted" true (lrpc > 0);
+  let d = Rig.duo () in
+  Rig.run d (fun () ->
+      ignore (Cluster.Lrpc.call d.Rig.node0 Fun.id ());
+      let _, desc = Rig.shared_segment d in
+      Rmem.Remote_memory.write d.Rig.rmem0 desc ~off:0 (Bytes.make 4 'x');
+      Rmem.Remote_memory.fence d.Rig.rmem0 desc);
+  check_int "no LRPC call leaked in" lrpc (Analysis.Monitor.lrpc_calls monitor);
+  check_int "no access leaked in" accesses
+    (Analysis.Monitor.access_count monitor);
+  check_int "no agent leaked in" agents (Analysis.Monitor.agent_count monitor)
+
 let suite =
   [
     Alcotest.test_case "vclock orders" `Quick vclock_orders;
@@ -367,4 +436,8 @@ let suite =
       mismatched_reply_fails_request;
     Alcotest.test_case "late reply after timeout ignored" `Quick
       late_reply_after_timeout_ignored;
+    Alcotest.test_case "two subscribers share one WRITE" `Quick
+      subscribers_share_a_write;
+    Alcotest.test_case "monitor stays with its testbed" `Quick
+      monitor_stays_with_its_testbed;
   ]

@@ -822,7 +822,7 @@ let analysis_rig n =
   let nodes = Array.init n (Cluster.Testbed.node testbed) in
   let rmems = Array.map Rmem.Remote_memory.attach nodes in
   let monitor = Analysis.Monitor.create (Cluster.Testbed.engine testbed) in
-  Array.iter (Analysis.Monitor.attach_rmem monitor) rmems;
+  Array.iter (Analysis.Monitor.attach monitor) nodes;
   let amsgs = Array.map Amsg.attach nodes in
   ({ testbed; nodes; rmems; amsgs }, monitor)
 
@@ -835,7 +835,6 @@ let assert_linearizable name monitor =
 
 let lin_hashtable () =
   let r, monitor = analysis_rig 4 in
-  let hook = Analysis.Monitor.dds_hook monitor in
   run r (fun () ->
       let s =
         Dds.Hashtable.server ~rmem:r.rmems.(0) ~amsg:r.amsgs.(0) ~slots:64 ()
@@ -846,7 +845,7 @@ let lin_hashtable () =
             let t =
               Dds.Hashtable.client ~rmem:r.rmems.(c) ~amsg:r.amsgs.(c)
                 ~kind:(List.nth Dds.Kind.all (c - 1))
-                ~hook s
+                s
             in
             (* Everyone hammers key 9 and a private key. *)
             for i = 1 to 5 do
@@ -869,7 +868,6 @@ let lin_hashtable () =
 
 let lin_queue () =
   let r, monitor = analysis_rig 4 in
-  let hook = Analysis.Monitor.dds_hook monitor in
   run r (fun () ->
       let s =
         Dds.Queue.server ~rmem:r.rmems.(0) ~amsg:r.amsgs.(0) ~capacity:64 ()
@@ -880,7 +878,7 @@ let lin_queue () =
             let t =
               Dds.Queue.client ~rmem:r.rmems.(p) ~amsg:r.amsgs.(p)
                 ~kind:(if p = 1 then Dds.Kind.Dx else Dds.Kind.Rpc)
-                ~hook s
+                s
             in
             for i = 0 to 9 do
               ignore (Dds.Queue.enqueue t (Int32.of_int ((p * 100) + i)))
@@ -890,7 +888,7 @@ let lin_queue () =
       Cluster.Node.spawn r.nodes.(3) (fun () ->
           let t =
             Dds.Queue.client ~rmem:r.rmems.(3) ~amsg:r.amsgs.(3)
-              ~kind:Dds.Kind.Hybrid ~hook s
+              ~kind:Dds.Kind.Hybrid s
           in
           for _ = 1 to 20 do
             ignore (Dds.Queue.dequeue t);
@@ -907,7 +905,6 @@ let lin_queue () =
 
 let lin_register () =
   let r, monitor = analysis_rig 6 in
-  let hook = Analysis.Monitor.dds_hook monitor in
   run r (fun () ->
       let reps =
         Array.init 3 (fun k ->
@@ -919,7 +916,7 @@ let lin_register () =
           Cluster.Node.spawn r.nodes.(c) (fun () ->
               let t =
                 Dds.Register.client ~rmem:r.rmems.(c) ~amsg:r.amsgs.(c) ~kind
-                  ~rank:(i + 1) ~hook reps
+                  ~rank:(i + 1) reps
               in
               for v = 1 to 4 do
                 ignore (Dds.Register.write t (Int32.of_int ((c * 10) + v)));

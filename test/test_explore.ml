@@ -26,9 +26,7 @@ let default_equals_explicit_fifo () =
         if explicit then
           Sim.Engine.set_scheduler engine
             (Some (fun c -> List.hd c.Sim.Engine.enabled));
-        Fun.protect
-          ~finally:prep.Analysis.Scenarios.teardown
-          (fun () -> Sim.Engine.run engine);
+        Sim.Engine.run engine;
         check_bool
           (Printf.sprintf "%s finished" name)
           true

@@ -414,14 +414,15 @@ let histogram_underflow () =
   Alcotest.(check int) "underflow tracked" 1 (Metrics.Histogram.underflow h)
 
 (* ------------------------------------------------------------------ *)
-(* LRPC observers compose: the race monitor's slot and the tracer's    *)
+(* LRPC observers compose: a node-stream subscriber and the tracer's   *)
 (* span both see every call.                                           *)
 
 let lrpc_monitor_compose () =
   let d = Rig.duo () in
   let slot = ref 0 in
   let tracer = Obs.Trace.create d.Rig.engine in
-  Cluster.Lrpc.set_monitor (Some (fun _node -> incr slot));
+  let subscriber = function Cluster.Lrpc.Called -> incr slot | _ -> () in
+  Cluster.Node.subscribe d.Rig.node0 subscriber;
   Obs.Trace.attach tracer;
   let lrpc_spans () =
     List.length
@@ -429,19 +430,15 @@ let lrpc_monitor_compose () =
          (fun (s : Obs.Span.t) -> s.cat = "lrpc")
          (Obs.Trace.spans tracer))
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Cluster.Lrpc.set_monitor None;
-      Obs.Trace.detach ())
-    (fun () ->
+  Fun.protect ~finally:Obs.Trace.detach (fun () ->
       Rig.run d (fun () ->
           ignore (Cluster.Lrpc.call d.Rig.node0 (fun x -> x + 1) 1));
-      Alcotest.(check int) "monitor slot fired" 1 !slot;
+      Alcotest.(check int) "subscriber fired" 1 !slot;
       Alcotest.(check int) "tracer saw the call" 1 (lrpc_spans ());
-      Cluster.Lrpc.set_monitor None;
+      Cluster.Node.unsubscribe d.Rig.node0 subscriber;
       Rig.run d (fun () ->
           ignore (Cluster.Lrpc.call d.Rig.node0 (fun x -> x + 1) 2));
-      Alcotest.(check int) "detached slot silent" 1 !slot;
+      Alcotest.(check int) "unsubscribed, silent" 1 !slot;
       Alcotest.(check int) "tracer still sees calls" 2 (lrpc_spans ()))
 
 (* ------------------------------------------------------------------ *)

@@ -35,8 +35,8 @@ let scripted ~plan ~pipelined () =
       in
       ());
   let monitor = Analysis.Monitor.create d.Rig.engine in
-  Analysis.Monitor.attach_rmem monitor d.Rig.rmem0;
-  Analysis.Monitor.attach_rmem monitor d.Rig.rmem1;
+  Analysis.Monitor.attach monitor d.Rig.node0;
+  Analysis.Monitor.attach monitor d.Rig.node1;
   let image = ref Bytes.empty in
   let observed = ref Bytes.empty in
   let cas_witness = ref 0 in
@@ -325,8 +325,8 @@ let policied_cas_not_flagged () =
   let spin ~policied =
     let d = Rig.duo () in
     let monitor = Analysis.Monitor.create d.Rig.engine in
-    Analysis.Monitor.attach_rmem monitor d.Rig.rmem0;
-    Analysis.Monitor.attach_rmem monitor d.Rig.rmem1;
+    Analysis.Monitor.attach monitor d.Rig.node0;
+    Analysis.Monitor.attach monitor d.Rig.node1;
     Rig.run d (fun () ->
         let _, desc = Rig.shared_segment d in
         let policy =
@@ -361,8 +361,8 @@ let policied_cas_not_flagged () =
 let windowed_cas_failures_are_one_attempt () =
   let d = Rig.duo () in
   let monitor = Analysis.Monitor.create d.Rig.engine in
-  Analysis.Monitor.attach_rmem monitor d.Rig.rmem0;
-  Analysis.Monitor.attach_rmem monitor d.Rig.rmem1;
+  Analysis.Monitor.attach monitor d.Rig.node0;
+  Analysis.Monitor.attach monitor d.Rig.node1;
   let window = Analysis.Lint.poll_threshold in
   let cycles = 2 in
   Rig.run d (fun () ->

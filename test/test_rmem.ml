@@ -602,7 +602,7 @@ let bounds_checked () =
 let local_buffer_bounds_rejected () =
   let d = Rig.duo () in
   let monitor = Analysis.Monitor.create d.Rig.engine in
-  Analysis.Monitor.attach_rmem monitor d.Rig.rmem0;
+  Analysis.Monitor.attach monitor d.Rig.node0;
   Rig.run d (fun () ->
       let _, desc = Rig.shared_segment ~len:4096 d in
       local_check "read destination too small" Rmem.Status.Bounds (fun () ->
@@ -1105,8 +1105,9 @@ let late_read_reply_dropped () =
 (* A 4-byte READ through the pipeline's window: the window holds the
    completion itself, so a windowed READ costs what a blocking one does
    and its window bookkeeping, against a budget 10% above what it
-   allocates (60 words).  A closure pair, an ivar, a tuple key or an
-   optioned batch tag per windowed issue fails here. *)
+   allocates (54 words).  A closure pair, an ivar, a tuple key, an
+   optioned batch tag, a queue cell or a failure ref per windowed issue
+   fails here. *)
 let windowed_read_budget () =
   let d = Rig.duo () in
   let words =
@@ -1124,7 +1125,7 @@ let windowed_read_budget () =
             Rmem.Pipeline.drain p)
         /. 4.)
   in
-  Rig.within_budget "windowed 4-byte READ through Pipeline" ~words ~budget:66.
+  Rig.within_budget "windowed 4-byte READ through Pipeline" ~words ~budget:59.
 
 let suite =
   [
