@@ -22,8 +22,8 @@ type t = {
 let create ~asid () =
   {
     asid;
-    pages = Sim.Int_table.create 64;
-    pin_counts = Sim.Int_table.create 16;
+    pages = Sim.Int_table.create 16;
+    pin_counts = Sim.Int_table.create 8;
   }
 
 let asid t = t.asid
@@ -39,7 +39,7 @@ let page t index =
   | bytes -> bytes
   | exception Not_found ->
       let bytes = Bytes.make page_bytes '\000' in
-      Sim.Int_table.add t.pages index bytes;
+      Sim.Int_table.replace t.pages index bytes;
       bytes
 
 (* Copy [remaining] bytes between the pages from address [cursor] and
@@ -137,16 +137,16 @@ let unpin t ~addr ~len =
     | Some n -> Sim.Int_table.replace t.pin_counts index (n - 1)
   done
 
+(* Pages [index] to [last] all pinned; allocation-free, as every serve asks. *)
+let rec pinned_from t index last =
+  index > last
+  ||
+  match Sim.Int_table.find t.pin_counts index with
+  | n -> n > 0 && pinned_from t (index + 1) last
+  | exception Not_found -> false
+
 let is_pinned t ~addr ~len =
   check_range t ~addr ~len;
-  let first = page_of addr and last = page_of (addr + Int.max 0 (len - 1)) in
-  let rec check index =
-    if index > last then true
-    else
-      match Sim.Int_table.find_opt t.pin_counts index with
-      | Some n when n > 0 -> check (index + 1)
-      | _ -> false
-  in
-  check first
+  pinned_from t (page_of addr) (page_of (addr + Int.max 0 (len - 1)))
 
 let resident_pages t = Sim.Int_table.length t.pages

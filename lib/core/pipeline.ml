@@ -58,7 +58,8 @@ type staged = {
 
 (* The READs and CASes in flight toward one key, oldest first: a ring
    of [window] slots, made at the first issue (a completion has no
-   placeholder value). *)
+   placeholder value).  Retiring awaits, which recycles: a slot outside
+   the [len] live ones may hold another issue's completion, unread. *)
 type window = {
   mutable ring : Remote_memory.completion array;
   mutable head : int;

@@ -23,27 +23,37 @@ let buffer ~space ~base ~len =
    The outcome is [empty] until filled.  Then it is the witness word,
    sign-extended, of a served CAS; 0 for a served READ; or [unserved
    status], which no 32-bit word equals, for either one not served.  No
-   tuple, option or boxed word per completion. *)
+   tuple, option or boxed word per completion.  Reading it marks it
+   [spent].  It returns to its node's [pool] when its [holds] (its
+   awaiter's until read, its watchdog's until fired, thunks built once)
+   drop to 0, so no watchdog fires into a reused record. *)
 type completion = {
-  desc : Descriptor.t;
-  cas : bool;
-  off : int; (* in the segment: a READ's source, a CAS's word *)
-  count : int; (* 4 for a CAS *)
-  buf : buffer; (* where a READ deposits, or a CAS its success word *)
-  doff : int; (* in [buf]; negative for a CAS that deposits nothing *)
-  notify : bool;
-  old_value : int; (* a CAS's expected word *)
-  reqid : int;
+  pool : pool;
+  mutable desc : Descriptor.t;
+  mutable cas : bool;
+  mutable off : int; (* in the segment: a READ's source, a CAS's word *)
+  mutable count : int; (* 4 for a CAS *)
+  mutable buf : buffer; (* where a READ deposits, or a CAS its success word *)
+  mutable doff : int; (* in [buf]; negative for a CAS that deposits nothing *)
+  mutable notify : bool;
+  mutable old_value : int; (* a CAS's expected word *)
+  mutable reqid : int;
   mutable received : int;
-  chunks : Bytes.t;
-      (* one bit per reply chunk, set when it is counted; empty for a
-         READ that fits one chunk *)
+  mutable chunks : Bytes.t; (* a bit per reply chunk, set when counted *)
   mutable outcome : int;
   mutable waiter : Sim.Proc.t; (* parked on the completion if [awaited] *)
   mutable awaited : bool;
+  mutable holds : int;
+  mutable span : Sim.Time.t;
+  mutable arm : unit -> unit; (* the watchdog's first event: schedules [expire] *)
+  mutable expire : unit -> unit;
 }
 
+(* A node's free records, a stack in [free.(0 .. top - 1)]. *)
+and pool = { mutable free : completion array; mutable top : int }
+
 let empty = min_int
+let spent = min_int + 1
 let unserved status = (1 + Status.to_code status) lsl 32
 
 let cas_status outcome =
@@ -53,6 +63,8 @@ let cas_status outcome =
 (* What a blocked waiter is reported blocked on, built once. *)
 let read_label = Sim.Engine.Quoted ("ivar", "rmem READ completion")
 let cas_label = Sim.Engine.Quoted ("ivar", "rmem CAS completion")
+
+let unarmed () = ()
 
 let completed c = c.outcome <> empty
 
@@ -64,7 +76,18 @@ let fill c outcome =
     Sim.Proc.unpark c.waiter
   end
 
+let release c =
+  c.holds <- c.holds - 1;
+  if c.holds = 0 then begin
+    let p = c.pool in
+    if p.top = Array.length p.free then
+      p.free <- Array.append p.free (Array.make (p.top + 4) c);
+    p.free.(p.top) <- c;
+    p.top <- p.top + 1
+  end
+
 let outcome c =
+  if c.outcome = spent then invalid_arg "Remote_memory.await: already spent";
   if not (completed c) then begin
     if c.awaited then invalid_arg "Remote_memory.await: already awaited";
     c.waiter <- Sim.Proc.self ();
@@ -72,7 +95,10 @@ let outcome c =
     Sim.Proc.park ~resource:(if c.cas then cas_label else read_label)
       ~daemon:false
   end;
-  c.outcome
+  let outcome = c.outcome in
+  c.outcome <- spent;
+  release c;
+  outcome
 
 let await c = cas_status (outcome c)
 
@@ -140,6 +166,7 @@ type t = {
   mutable next_segment_id : int;
   mutable next_generation : Generation.t;
   pending : completion Sim.Int_table.t;
+  completions : pool;
   mutable next_reqid : int;
   completion_fd : Notification.t;
   ops : Metrics.Account.t;
@@ -237,6 +264,7 @@ let create node =
     next_segment_id = 1;
     next_generation = Generation.initial;
     pending = Sim.Int_table.create 16;
+    completions = { free = [||]; top = 0 };
     next_reqid = 1;
     completion_fd = Notification.create ~name:"completion fd" node;
     ops = Metrics.Account.create ~name:"rmem ops" ();
@@ -411,16 +439,17 @@ let check_local t desc op ~off ~count =
 let check_write t desc ~off ~count =
   check_local t desc Rights.Write_op ~off ~count
 
+(* The first request id from [candidate] on that no pending operation holds. *)
+let rec free_reqid t attempts candidate =
+  if attempts > 0x10000 then failwith "Remote_memory: out of request ids"
+  else
+    let candidate = if candidate = 0 then 1 else candidate in
+    if Sim.Int_table.mem t.pending candidate then
+      free_reqid t (attempts + 1) ((candidate + 1) land 0xFFFF)
+    else candidate
+
 let alloc_reqid t =
-  let rec probe attempts candidate =
-    if attempts > 0x10000 then failwith "Remote_memory: out of request ids"
-    else
-      let candidate = if candidate = 0 then 1 else candidate in
-      if Sim.Int_table.mem t.pending candidate then
-        probe (attempts + 1) ((candidate + 1) land 0xFFFF)
-      else candidate
-  in
-  let id = probe 0 (t.next_reqid land 0xFFFF) in
+  let id = free_reqid t 0 (t.next_reqid land 0xFFFF) in
   t.next_reqid <- (id + 1) land 0xFFFF;
   id
 
@@ -573,33 +602,68 @@ let send_burst t desc ~notify ~swab (extents : Wire.extent list) =
     ~dst:(Descriptor.remote desc)
     frame
 
-(* Run [check] [span] after now, as two plain events: one at now that
-   schedules the check.  That is the event shape of a watchdog process
-   that starts now and waits [span], without the process.  A single
-   event at now + span would be cheaper, but it would take its sequence
-   number earlier, reorder it against other events of that instant and
-   shift every later seq, moving the model checker's choice points and
-   invalidating recorded schedules. *)
-let watchdog t span check =
-  let engine = Cluster.Node.engine t.node in
-  Sim.Engine.schedule engine (fun () ->
-      Sim.Engine.schedule_at engine
-        (Sim.Time.add (Sim.Engine.now engine) span)
-        check)
+(* A READ's or CAS's timeout: if still empty, [c] leaves the pending table
+   (a straggling reply is dropped) and fills with [Timed_out]. *)
+let expire t c =
+  if not (completed c) then begin
+    Sim.Int_table.remove t.pending c.reqid;
+    Metrics.Account.add t.errors ~category:"timeout" 1.;
+    fill c (unserved Status.Timed_out)
+  end;
+  release c
 
-(* The timeout of a READ or CAS: if [c] is still empty [span] from now,
-   drop its pending entry (so a reply that straggles in later is
-   discarded instead of filling it twice) and fill it with [Timed_out]. *)
-let arm_timeout t timeout c =
-  match timeout with
+(* Arm [c]'s watchdog as two plain events: one at now that schedules
+   [expire] [span] later.  That is the event shape of a watchdog
+   process that starts now and waits [span], without the process.  A
+   single event at now + span would be cheaper, but it would take its
+   sequence number earlier, reorder it against other events of that
+   instant and shift every later seq, moving the model checker's choice
+   points and invalidating recorded schedules. *)
+let arm_timeout t c = function
   | None -> ()
   | Some span ->
-      watchdog t span (fun () ->
-          if not (completed c) then begin
-            Sim.Int_table.remove t.pending c.reqid;
-            Metrics.Account.add t.errors ~category:"timeout" 1.;
-            fill c (unserved Status.Timed_out)
-          end)
+      let engine = Cluster.Node.engine t.node in
+      if c.arm == unarmed then begin
+        c.expire <- (fun () -> expire t c);
+        c.arm <-
+          (fun () ->
+            Sim.Engine.schedule_at engine
+              (Sim.Time.add (Sim.Engine.now engine) c.span)
+              c.expire)
+      end;
+      c.span <- span;
+      Sim.Engine.schedule engine c.arm
+
+(* A READ's or CAS's record, pooled if one is free, with a fresh reqid. *)
+let take t ~desc ~cas ~off ~count ~buf ~doff ~notify ~old_value ~timed =
+  let p = t.completions and burst = burst_data_bytes (costs t) in
+  let bytes = if count <= burst then 0 else ((count + burst - 1) / burst + 7) / 8 in
+  let c =
+    if p.top > 0 then begin
+      p.top <- p.top - 1;
+      p.free.(p.top)
+    end
+    else
+      { pool = p; desc; cas; off; count; buf; doff; notify; old_value;
+        reqid = 0; received = 0; chunks = Bytes.empty; outcome = empty;
+        waiter = Sim.Proc.self (); awaited = false; holds = 0;
+        span = Sim.Time.zero; arm = unarmed; expire = unarmed }
+  in
+  c.desc <- desc;
+  c.cas <- cas;
+  c.off <- off;
+  c.count <- count;
+  c.buf <- buf;
+  c.doff <- doff;
+  c.notify <- notify;
+  c.old_value <- old_value;
+  c.reqid <- alloc_reqid t;
+  c.received <- 0;
+  if Bytes.length c.chunks < bytes then c.chunks <- Bytes.make bytes '\000'
+  else Bytes.fill c.chunks 0 (Bytes.length c.chunks) '\000';
+  c.outcome <- empty;
+  c.holds <- (if timed then 2 else 1);
+  c
 
 let send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?(swab = false)
     () =
@@ -609,26 +673,9 @@ let send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?(swab = false)
       ~cas_old:0 ~cas_new:0 ~extents:[]
       ~local_outside:(outside dst ~off:doff ~len:count)
   in
-  let burst = burst_data_bytes c in
   let completion =
-    {
-      desc;
-      cas = false;
-      off = soff;
-      count;
-      buf = dst;
-      doff;
-      notify;
-      old_value = 0;
-      reqid = alloc_reqid t;
-      received = 0;
-      chunks =
-        (if count <= burst then Bytes.empty
-         else Bytes.make (((count + burst - 1) / burst + 7) / 8) '\000');
-      outcome = empty;
-      waiter = Sim.Proc.self ();
-      awaited = false;
-    }
+    take t ~desc ~cas:false ~off:soff ~count ~buf:dst ~doff ~notify
+      ~old_value:0 ~timed:(Option.is_some timeout)
   in
   Sim.Int_table.replace t.pending completion.reqid completion;
   trap t fl ~ctrl:(tx_ctrl_cost c 14);
@@ -640,7 +687,7 @@ let send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?(swab = false)
     (Wire.read_frame t.frames ~seg:(Descriptor.segment_id desc)
        ~gen:(Descriptor.generation desc) ~soff ~count ~reqid:completion.reqid
        ~notify ~swab);
-  arm_timeout t timeout completion;
+  arm_timeout t completion timeout;
   completion
 
 let read ?timeout t desc ~soff ~count ~dst ~doff () =
@@ -657,22 +704,10 @@ let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
         | None -> false)
   in
   let completion =
-    {
-      desc;
-      cas = true;
-      off = doff;
-      count = 4;
-      buf = (match result with Some (buf, _) -> buf | None -> t.fence_buf);
-      doff = (match result with Some (_, off) -> off | None -> -1);
-      notify = false;
-      old_value;
-      reqid = alloc_reqid t;
-      received = 0;
-      chunks = Bytes.empty;
-      outcome = empty;
-      waiter = Sim.Proc.self ();
-      awaited = false;
-    }
+    take t ~desc ~cas:true ~off:doff ~count:4
+      ~buf:(match result with Some (buf, _) -> buf | None -> t.fence_buf)
+      ~doff:(match result with Some (_, off) -> off | None -> -1)
+      ~notify:false ~old_value ~timed:(Option.is_some timeout)
   in
   Sim.Int_table.replace t.pending completion.reqid completion;
   trap t fl ~ctrl:(tx_ctrl_cost c 18);
@@ -683,7 +718,7 @@ let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
     (Wire.cas_frame t.frames ~seg:(Descriptor.segment_id desc)
        ~gen:(Descriptor.generation desc) ~doff ~old_value ~new_value
        ~reqid:completion.reqid ~notify:false);
-  arm_timeout t timeout completion;
+  arm_timeout t completion timeout;
   completion
 
 let cas_async t desc ~doff ~old_value ~new_value () =
@@ -1275,8 +1310,8 @@ let read_completed t desc ~soff ~count status =
 (* Whether reply chunk [i] of a READ is counted for the first time, and
    mark it: a duplicated reply frame must not count twice towards the
    READ's byte total, or the READ would complete with a chunk missing.
-   A READ that fits one chunk has no bitmap, and completes (and leaves
-   the pending table) on its first reply. *)
+   A READ that fits one chunk may have no bitmap (or a recycled one):
+   it completes, and leaves the pending table, on its first reply. *)
 let first_arrival chunks i =
   let byte = i lsr 3 in
   if byte >= Bytes.length chunks then true

@@ -143,16 +143,19 @@ val write_burst :
 
 type completion
 (** The completion of one READ or CAS issued with {!read} or
-    {!cas_async}: filled once with its final status, and awaited by one
-    process at a time. *)
+    {!cas_async}: filled once with its final status, and awaited once.
+    Completions are recycled: {!await} gives it back to its node's pool
+    (once its timeout, if it has one, has fired), so it must not be
+    used after. *)
 
 val completed : completion -> bool
 (** Filled: {!await} will not block. *)
 
 val await : completion -> Status.t
-(** The final status, blocking the calling process until it is filled.
-    Raises [Invalid_argument] if another process is already blocked on
-    the same completion. *)
+(** The final status, blocking the calling process until it is filled;
+    then the completion is released. Raises [Invalid_argument] if
+    another process is already blocked on it, or if it was already
+    awaited and is still in the pool. *)
 
 val read :
   ?timeout:Sim.Time.t ->

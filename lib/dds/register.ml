@@ -102,7 +102,8 @@ type t = {
   write_back : bool;
   hkey : int * int * int;
   mutable reads : Rmem.Remote_memory.completion array;
-      (** a DX collect round's READs; empty before the first round *)
+      (** a DX collect round's READs, each awaited (so recycled) once in
+          its round; empty before the first round *)
   tags : int array;
       (** per replica, the tag word the last collect got, or [no_tag] *)
   values : int array;  (** ... and the value word beside it *)

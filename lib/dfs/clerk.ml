@@ -42,8 +42,7 @@ type t = {
   d_dir : Rmem.Descriptor.t;
   d_file : Rmem.Descriptor.t;
   d_req : Rmem.Descriptor.t;
-  reply_base : int;
-  probe_base : int;
+  probe : Rmem.Remote_memory.buffer; (* 16 KB at [probe_base]: DX reads land here *)
   rpc : Rpckit.Transport.t option;
   stats : Metrics.Account.t;
 }
@@ -81,8 +80,7 @@ let create ?rpc ?(export_local_cache = false) ~names ~server () =
       d_dir = import Layout.dir_name;
       d_file = import Layout.file_name;
       d_req = import Layout.request_name;
-      reply_base;
-      probe_base;
+      probe = Rmem.Remote_memory.buffer ~space ~base:probe_base ~len:16384;
       rpc;
       stats = Metrics.Account.create ~name:"dfs clerk" ();
     }
@@ -114,12 +112,8 @@ let node t = t.node
 let set_scheme t scheme = t.scheme <- scheme
 let stats t = t.stats
 
-let probe_buffer t =
-  Rmem.Remote_memory.buffer ~space:t.space ~base:t.probe_base ~len:16384
-
 let dx_read t desc ~soff ~count =
-  Rmem.Remote_memory.read_wait t.rmem desc ~soff ~count ~dst:(probe_buffer t)
-    ~doff:0 ()
+  Rmem.Remote_memory.read_wait t.rmem desc ~soff ~count ~dst:t.probe ~doff:0 ()
 
 let dx_write t desc ~off data = Rmem.Remote_memory.write t.rmem desc ~off data
 
@@ -130,7 +124,7 @@ let name_key name = Names.Record.fnv_hash name
 
 let hybrid_fetch t op =
   Metrics.Account.add t.stats ~category:"hybrid requests" 1.;
-  Cluster.Address_space.write_word t.space ~addr:t.reply_base
+  Cluster.Address_space.write_word t.space ~addr:reply_base
     Layout.reply_pending;
   let encoded = Nfs_ops.encode_op op in
   let request = Bytes.create (4 + Bytes.length encoded) in
@@ -144,13 +138,13 @@ let hybrid_fetch t op =
     Sim.Time.add (Sim.Engine.now (Cluster.Node.engine t.node)) (Sim.Time.ms 100)
   in
   let rec spin () =
-    let flag = Cluster.Address_space.read_word t.space ~addr:t.reply_base in
+    let flag = Cluster.Address_space.read_word t.space ~addr:reply_base in
     if flag = Layout.reply_ready then begin
       let len =
-        Cluster.Address_space.read_word t.space ~addr:(t.reply_base + 4)
+        Cluster.Address_space.read_word t.space ~addr:(reply_base + 4)
       in
       Nfs_ops.decode_result
-        (Cluster.Address_space.read t.space ~addr:(t.reply_base + 8) ~len)
+        (Cluster.Address_space.read t.space ~addr:(reply_base + 8) ~len)
     end
     else if Sim.Time.(Sim.Engine.now (Cluster.Node.engine t.node) > deadline)
     then raise Rmem.Status.Timeout
@@ -188,7 +182,7 @@ let dx_fetch_slot t desc config ~key1 ~key2 ~len =
   let fetch = Slot_cache.header_bytes + len in
   dx_read t desc ~soff:off ~count:fetch;
   Metrics.Account.add t.stats ~category:"dx reads" 1.;
-  let slot = Cluster.Address_space.read t.space ~addr:t.probe_base ~len:fetch in
+  let slot = Cluster.Address_space.read t.space ~addr:probe_base ~len:fetch in
   decode_slot slot ~key1 ~key2 ~len
 
 let synthesized_attr ~fh ~size =
@@ -223,7 +217,7 @@ let dx_fetch t op =
         Some Nfs_ops.R_null
     | Nfs_ops.Statfs -> (
         dx_read t t.d_stat ~soff:0 ~count:20;
-        let b = Cluster.Address_space.read t.space ~addr:t.probe_base ~len:20 in
+        let b = Cluster.Address_space.read t.space ~addr:probe_base ~len:20 in
         if not (Int32.equal (Bytes.get_int32_le b 0) 1l) then miss ()
         else
           let field i = Int32.to_int (Bytes.get_int32_le b (i * 4)) in

@@ -26,6 +26,7 @@ type t = {
   rmem : Rmem.Remote_memory.t;
   node : Cluster.Node.t;
   space : Cluster.Address_space.t;
+  scratch : Rmem.Remote_memory.buffer; (* [space] up to the epoch word *)
   map_hint : Atm.Addr.t;
   reconciler_hint : Atm.Addr.t;
   mutable map_desc : Rmem.Descriptor.t option;
@@ -43,11 +44,13 @@ type t = {
 
 let create ~map_hint ~reconciler_hint clerk =
   let node = Clerk.node clerk in
+  let space = Cluster.Node.new_address_space node in
   {
     clerk;
     rmem = Clerk.rmem clerk;
     node;
-    space = Cluster.Node.new_address_space node;
+    space;
+    scratch = Rmem.Remote_memory.buffer ~space ~base:0 ~len:(epoch_base + 4);
     map_hint;
     reconciler_hint;
     map_desc = None;
@@ -66,9 +69,8 @@ let create ~map_hint ~reconciler_hint clerk =
 let now t = Sim.Engine.now (Cluster.Node.engine t.node)
 
 let rd t desc ~soff ~count ~doff =
-  let buf = Rmem.Remote_memory.buffer ~space:t.space ~base:doff ~len:count in
   Rmem.Remote_memory.read_wait ?policy:t.policy t.rmem desc ~soff ~count
-    ~dst:buf ~doff:0 ()
+    ~dst:t.scratch ~doff ()
 
 (* The well-known imports happen once per client; under the fault plane
    a lost probe frame surfaces as Timeout and the import is simply

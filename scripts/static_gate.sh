@@ -248,11 +248,12 @@ if [ -n "$hits" ]; then
 fi
 
 # 15. No hidden order: in the libraries the simulation runs through,
-# no Hashtbl (or Sim.Int_table, a Hashtbl.Make) is iterated, folded or
-# turned into a sequence except at a site on the allow-list below.  A
-# table's bucket order depends on the hash seed (OCAMLRUNPARAM=R) and
-# on its size, so an iteration whose order reaches the wire, a digest
-# or an output moves them with no code-level cause.  Each entry names a
+# no Hashtbl or Sim.Int_table is iterated, folded or turned into a
+# sequence except at a site on the allow-list below.  A Hashtbl's
+# bucket order depends on the hash seed (OCAMLRUNPARAM=R) and on its
+# size, an Int_table's slot order on its size and history, so an
+# iteration whose order reaches the wire, a digest or an output moves
+# them with no code-level cause.  Each entry names a
 # file and the iterating line (trimmed) and says why order cannot
 # matter: a sum, a for-all, a per-key update, or a result sorted
 # afterwards.  One entry allows one line, and an entry whose line is

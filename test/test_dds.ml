@@ -234,7 +234,8 @@ let call_cache_free_slots_match_no_id () =
 (* The host cost of one active-message RPC: the request frame, the
    server's copy of the payload, the reply frame and the client's copy
    of the reply, plus the ivar, the timeout event and the waits; 10%
-   above the 76 words measured with the receive FIFO a frame ring (94
+   above the 72 words measured with an open-addressed pending table (76
+   with a cons cell per pending call; 94
    with a mailbox node and a box per received frame and a [Self] effect
    per sleep; 187 with a codec writer and reader per frame, two copies
    per side and a reply history rebuilt as a list). Any of those back
@@ -250,7 +251,7 @@ let call_allocation_budget () =
         Rig.words_per_op ~n:200 (fun () ->
             ignore (Dds.Call.call ep ~dst ~id:0x54 body : bytes)))
   in
-  Rig.within_budget "Call.call + serve round trip" ~words ~budget:84.
+  Rig.within_budget "Call.call + serve round trip" ~words ~budget:79.
 
 (* --------------------------- Hashtable ----------------------------- *)
 

@@ -323,8 +323,9 @@ let wire_in_place_frames =
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The host cost of the two data-path shapes, 4 KB each, against a
-   budget 10% above what they allocate (120 and 155 words, with frames
-   recycled through the network's pool, the single-copy data path, the
+   budget 10% above what they allocate (87 and 113 words, with
+   completions recycled through the node's pool, frames recycled
+   through the network's pool, the single-copy data path, the
    allocation-lean control path, monitor events built only when a
    monitor is attached, allocation-free frame hops, in-place dispatch,
    closure-free waits and sleeps, a receive FIFO that hands each frame
@@ -356,15 +357,18 @@ let allocation_budget () =
         in
         (read, write))
   in
-  Rig.within_budget "4 KB READ" ~words:read_words ~budget:132.;
+  Rig.within_budget "4 KB READ" ~words:read_words ~budget:96.;
   Rig.within_budget "4 KB pipelined write + fence" ~words:write_words
-    ~budget:171.
+    ~budget:125.
 
 (* The fixed cost of one meta-instruction round trip: a 4-byte READ,
    one request frame and one reply, against a budget 10% above what it
-   allocates (45 words; 78 with an ivar as the completion, an optioned
-   pending record and a mailbox node per received frame; 96 with a
-   fresh frame per message).  A per-sleep handler closure or wake
+   allocates (14 words, the continuations of its waits; 45 with a fresh
+   completion per issue, a request-id probe closure, a cons cell per
+   pending entry and a closure and an option per serve-side pin check;
+   78 with an ivar as the completion, an optioned pending record and a
+   mailbox node per received frame; 96 with a fresh frame per
+   message).  Any of those back, a per-sleep handler closure or wake
    thunk, a per-wait wake thunk, a decoded message record, a
    per-request codec writer or a float boxed by the cost arithmetic on
    the fixed path fails here. *)
@@ -378,12 +382,12 @@ let round_trip_budget () =
             Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4 ~dst
               ~doff:0 ()))
   in
-  Rig.within_budget "4-byte READ round trip" ~words ~budget:50.
+  Rig.within_budget "4-byte READ round trip" ~words ~budget:15.5
 
 (* The fixed cost of one remote CAS: the request frame, the reply, the
-   completion and the waits, 10% above the measured 45 words (74 with
-   an ivar as the completion, 93 with a fresh frame per message, 117
-   with int32 words).  The CAS carries its words as ints end to end, so
+   completion and the waits, 10% above the measured 14 words (45 with
+   a fresh completion per CAS, 74 with an ivar as the completion, 93
+   with a fresh frame per message, 117 with int32 words).  The CAS carries its words as ints end to end, so
    a boxed witness, a result tuple or an [Issued] argument pair built
    without a monitor fails here. *)
 let cas_round_trip_budget () =
@@ -397,7 +401,7 @@ let cas_round_trip_budget () =
                  ~old_value:0 ~new_value:0 ()
                 : int)))
   in
-  Rig.within_budget "CAS round trip" ~words ~budget:50.
+  Rig.within_budget "CAS round trip" ~words ~budget:15.5
 
 (* A duplicated reply chunk must not count twice towards a READ's byte
    total: the first reply frame of a 4 KB READ is delivered twice, and
@@ -1019,7 +1023,9 @@ let pool_drained () =
 (* A whole 64 KB file written through the pipeline, 4 KB at a time as
    the bulk benchmark does, then fenced: each staged byte is copied once,
    into one pooled burst frame, against a budget 10% above what it
-   allocates (1,042 words; 45,353 with a staging buffer re-copied per
+   allocates (961 words; 1,042 with a fresh completion per fence and
+   a cons cell per staged-table entry; 45,353 with a staging buffer
+   re-copied per
    write and a codec-built burst). A staging buffer re-copied on every abutting write, or a
    burst framed through a growing codec writer, fails here. *)
 let file_write_budget () =
@@ -1037,7 +1043,7 @@ let file_write_budget () =
               blocks;
             Rmem.Pipeline.fence p desc))
   in
-  Rig.within_budget "64 KB pipelined file write + fence" ~words ~budget:1147.
+  Rig.within_budget "64 KB pipelined file write + fence" ~words ~budget:1057.
 
 (* A crash fills a completion a process is blocked on with [Timed_out]
    and unblocks it there and then; the READ leaves the pending table. *)
@@ -1062,7 +1068,7 @@ let crash_fills_awaited_completion () =
       check_int "nothing in flight" 0 (Rmem.Remote_memory.inflight d.Rig.rmem0))
 
 (* A READ that timed out has left the pending table, so its reply, when
-   it straggles in, is dropped: the completion keeps [Timed_out], the
+   it straggles in, is dropped: the completion is not refilled, the
    bytes are not deposited, and the endpoint keeps working. *)
 let late_read_reply_dropped () =
   let d = Rig.duo () in
@@ -1090,8 +1096,11 @@ let late_read_reply_dropped () =
                 data = Rmem.Wire.view (Bytes.of_string "late");
               }));
       Sim.Proc.wait (Sim.Time.us 300);
+      (* Awaited once, the record is back in the node's pool: a second
+         await is refused, and would return a status had the late reply
+         refilled it. *)
       (match Rmem.Remote_memory.await c with
-      | Rmem.Status.Timed_out -> ()
+      | exception Invalid_argument _ -> ()
       | s -> Alcotest.failf "late reply refilled it: %s" (Rmem.Status.to_string s));
       check_bool "late bytes not deposited" true
         (Bytes.equal (Cluster.Address_space.read d.Rig.space0 ~addr:0 ~len:4)
@@ -1105,7 +1114,8 @@ let late_read_reply_dropped () =
 (* A 4-byte READ through the pipeline's window: the window holds the
    completion itself, so a windowed READ costs what a blocking one does
    and its window bookkeeping, against a budget 10% above what it
-   allocates (54 words).  A closure pair, an ivar, a tuple key, an
+   allocates (22 words; 54 with a fresh completion per issue and a cons
+   cell per window or pending entry).  A closure pair, an ivar, a tuple key, an
    optioned batch tag, a queue cell or a failure ref per windowed issue
    fails here. *)
 let windowed_read_budget () =
@@ -1125,7 +1135,153 @@ let windowed_read_budget () =
             Rmem.Pipeline.drain p)
         /. 4.)
   in
-  Rig.within_budget "windowed 4-byte READ through Pipeline" ~words ~budget:59.
+  Rig.within_budget "windowed 4-byte READ through Pipeline" ~words ~budget:23.7
+
+(* A timed READ's record stays held by its watchdog after its awaiter
+   is done with it, so the watchdog, firing at the first READ's
+   deadline, finds the record it was armed for.  The first READ is
+   answered at once; the second READ's reply is held past that
+   deadline by the link.  Had the first record gone back to the pool at
+   its await, the second READ would have reused it and its stale
+   watchdog would have timed the second READ out. *)
+let stale_watchdog_never_fires_into_reuse () =
+  let d = Rig.duo () in
+  let replies = ref 0 in
+  Atm.Link.set_interposer (link_towards d ~dst:0)
+    (Some
+       (fun frame ->
+         let payload = Atm.Frame.payload frame in
+         if (Bytes.get_uint8 payload 0 lsr 1) land 0x7 = 3 then begin
+           incr replies;
+           if !replies = 2 then Atm.Link.Delay (Sim.Time.us 400)
+           else Atm.Link.Deliver
+         end
+         else Atm.Link.Deliver));
+  Rig.run d (fun () ->
+      let _, desc = Rig.shared_segment d in
+      Cluster.Address_space.write d.Rig.space1 ~addr:0 (Bytes.of_string "seen");
+      let dst = Rig.buffer0 d in
+      let t0 = Sim.Engine.now d.Rig.engine in
+      let deadline = Sim.Time.add t0 (Sim.Time.us 200) in
+      let first =
+        Rmem.Remote_memory.read ~timeout:(Sim.Time.us 200) d.Rig.rmem0 desc
+          ~soff:0 ~count:4 ~dst ~doff:0 ()
+      in
+      check_bool "first READ served" true
+        (Rmem.Remote_memory.await first = Rmem.Status.Ok);
+      check_bool "answered before its deadline" true
+        (Sim.Engine.now d.Rig.engine < deadline);
+      let second =
+        Rmem.Remote_memory.read d.Rig.rmem0 desc ~soff:0 ~count:4 ~dst ~doff:4 ()
+      in
+      (match Rmem.Remote_memory.await second with
+      | Rmem.Status.Ok -> ()
+      | s -> Alcotest.failf "second READ: %s" (Rmem.Status.to_string s));
+      check_bool "second reply held past the first deadline" true
+        (Sim.Engine.now d.Rig.engine > deadline);
+      Alcotest.(check string) "second READ deposited" "seen"
+        (Bytes.to_string (Cluster.Address_space.read d.Rig.space0 ~addr:4 ~len:4));
+      check_int "nothing in flight" 0 (Rmem.Remote_memory.inflight d.Rig.rmem0))
+
+(* A completion is awaited once: awaiting it again, once it is back in
+   its node's pool, raises [Invalid_argument] (for a READ and a CAS). *)
+let released_completion_refused () =
+  let d = Rig.duo () in
+  Rig.run d (fun () ->
+      let _, desc = Rig.shared_segment d in
+      let refused c =
+        match Rmem.Remote_memory.await c with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      let read =
+        Rmem.Remote_memory.read d.Rig.rmem0 desc ~soff:0 ~count:4
+          ~dst:(Rig.buffer0 d) ~doff:0 ()
+      in
+      check_bool "READ served" true (Rmem.Remote_memory.await read = Rmem.Status.Ok);
+      check_bool "READ awaited twice refused" true (refused read);
+      let cas =
+        Rmem.Remote_memory.cas_async d.Rig.rmem0 desc ~doff:0 ~old_value:0
+          ~new_value:1 ()
+      in
+      check_bool "CAS served" true (Rmem.Remote_memory.await cas = Rmem.Status.Ok);
+      check_bool "CAS awaited twice refused" true (refused cas))
+
+(* The pending table empties however operations end: by timeout (with
+   their watchdogs fired and their records recycled), by a crash, and
+   by replies to the records recycled after both. *)
+let inflight_drains () =
+  let d = Rig.duo () in
+  Rig.run d (fun () ->
+      let _, desc = Rig.shared_segment d in
+      let dst = Rig.buffer0 d in
+      let issue ?timeout i =
+        Rmem.Remote_memory.read ?timeout d.Rig.rmem0 desc ~soff:(4 * i) ~count:4
+          ~dst ~doff:(4 * i) ()
+      in
+      let expect status c =
+        match Rmem.Remote_memory.await c with
+        | s when s = status -> ()
+        | s -> Alcotest.failf "expected %s, got %s" (Rmem.Status.to_string status)
+                 (Rmem.Status.to_string s)
+      in
+      Cluster.Node.set_down d.Rig.node1 true;
+      let timed = List.init 4 (issue ~timeout:(Sim.Time.us 100)) in
+      check_int "four in flight" 4 (Rmem.Remote_memory.inflight d.Rig.rmem0);
+      List.iter (expect Rmem.Status.Timed_out) timed;
+      check_int "none in flight after the timeouts" 0
+        (Rmem.Remote_memory.inflight d.Rig.rmem0);
+      let crashed = List.init 4 (fun i -> issue i) in
+      check_int "four in flight again" 4 (Rmem.Remote_memory.inflight d.Rig.rmem0);
+      Sim.Engine.schedule d.Rig.engine (fun () -> Rmem.Remote_memory.crash d.Rig.rmem0);
+      List.iter (expect Rmem.Status.Timed_out) crashed;
+      check_int "none in flight after the crash" 0
+        (Rmem.Remote_memory.inflight d.Rig.rmem0);
+      Cluster.Node.set_down d.Rig.node1 false;
+      List.iter (expect Rmem.Status.Ok)
+        (List.init 4 (issue ~timeout:(Sim.Time.ms 1)));
+      check_int "none in flight after recycled READs" 0
+        (Rmem.Remote_memory.inflight d.Rig.rmem0))
+
+(* A READ with a timeout arms a watchdog: two engine events whose
+   thunks its record built at its first timed issue and keeps, so a
+   timed READ costs what an untimed one does plus the [Some] of its
+   timeout, against a budget 10% above what it allocates (17 words;
+   58 with a fresh completion and the two thunks built per issue).  Three timed READs
+   issued together, then awaited, are a register's DX collect round
+   (45 words; 170 with a fresh completion, cons cell and watchdog
+   closures per READ). *)
+let timed_read_budget () =
+  let d = Rig.duo () in
+  let timed, three =
+    Rig.run d (fun () ->
+        let _, desc = Rig.shared_segment d in
+        let dst = Rig.buffer0 d in
+        let timeout = Sim.Time.us 300 in
+        let timed =
+          Rig.words_per_op ~n:200 (fun () ->
+              Rmem.Remote_memory.read_wait ~timeout d.Rig.rmem0 desc ~soff:0
+                ~count:4 ~dst ~doff:0 ())
+        in
+        let reads = ref [||] in
+        let three =
+          Rig.words_per_op ~n:200 (fun () ->
+              for i = 0 to 2 do
+                let c =
+                  Rmem.Remote_memory.read ~timeout d.Rig.rmem0 desc
+                    ~soff:(4 * i) ~count:4 ~dst ~doff:(4 * i) ()
+                in
+                if Array.length !reads = 0 then reads := Array.make 3 c;
+                !reads.(i) <- c
+              done;
+              Array.iter
+                (fun c -> Rmem.Status.check (Rmem.Remote_memory.await c))
+                !reads)
+        in
+        (timed, three))
+  in
+  Rig.within_budget "timed 4-byte READ round trip" ~words:timed ~budget:18.8;
+  Rig.within_budget "three timed READs awaited" ~words:three ~budget:49.
 
 let suite =
   [
@@ -1183,4 +1339,11 @@ let suite =
       late_read_reply_dropped;
     Alcotest.test_case "windowed 4-byte READ allocation budget" `Quick
       windowed_read_budget;
+    Alcotest.test_case "stale watchdog never fires into a reused completion"
+      `Quick stale_watchdog_never_fires_into_reuse;
+    Alcotest.test_case "released completion awaited again refused" `Quick
+      released_completion_refused;
+    Alcotest.test_case "inflight drains after timeouts and a crash" `Quick
+      inflight_drains;
+    Alcotest.test_case "timed READ allocation budget" `Quick timed_read_budget;
   ]

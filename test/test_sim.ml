@@ -755,6 +755,80 @@ let prng_float_range =
       let f = Sim.Prng.float prng in
       f >= 0. && f < 1.)
 
+(* Sim.Int_table against a Hashtbl oracle.  Keys come from a narrow
+   range (so probe clusters form and removals land inside them) and
+   from a few far-apart stream-key-like values; the table starts at its
+   smallest size, so a run grows it several times.  Every step's answer
+   must match, and so must the final bindings and length. *)
+type int_table_op =
+  | Set of int * int
+  | Del of int
+  | Get of int
+  | Has of int
+  | Len
+
+let print_int_table_op = function
+  | Set (k, v) -> Printf.sprintf "set %d %d" k v
+  | Del k -> Printf.sprintf "del %d" k
+  | Get k -> Printf.sprintf "get %d" k
+  | Has k -> Printf.sprintf "has %d" k
+  | Len -> "len"
+
+let int_table_matches_hashtbl =
+  let key =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, int_range (-8) 40);
+          (1, map (fun r -> (r lsl 24) lor (1 lsl 16) lor 1) (int_bound 7));
+          (1, int_range (-(1 lsl 40)) (1 lsl 40));
+        ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map2 (fun k v -> Set (k, v)) key small_nat);
+          (3, map (fun k -> Del k) key);
+          (2, map (fun k -> Get k) key);
+          (1, map (fun k -> Has k) key);
+          (1, return Len);
+        ])
+  in
+  QCheck.Test.make ~name:"Int_table agrees with a Hashtbl oracle" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_int_table_op)
+       QCheck.Gen.(list_size (0 -- 300) op))
+    (fun ops ->
+      let t = Sim.Int_table.create 1 and oracle = Hashtbl.create 1 in
+      let step = function
+        | Set (k, v) ->
+            Sim.Int_table.replace t k v;
+            Hashtbl.replace oracle k v;
+            true
+        | Del k ->
+            Sim.Int_table.remove t k;
+            Hashtbl.remove oracle k;
+            true
+        | Get k ->
+            Sim.Int_table.find_opt t k = Hashtbl.find_opt oracle k
+            && (match Sim.Int_table.find t k with
+               | v -> Hashtbl.find_opt oracle k = Some v
+               | exception Not_found -> not (Hashtbl.mem oracle k))
+        | Has k -> Sim.Int_table.mem t k = Hashtbl.mem oracle k
+        | Len -> Sim.Int_table.length t = Hashtbl.length oracle
+      in
+      let bindings fold tbl =
+        List.sort compare (fold (fun k v acc -> (k, v) :: acc) tbl [])
+      in
+      List.for_all step ops
+      && Sim.Int_table.length t = Hashtbl.length oracle
+      && bindings Sim.Int_table.fold t = bindings Hashtbl.fold oracle
+      &&
+      (Sim.Int_table.reset t;
+       Sim.Int_table.length t = 0
+       && Sim.Int_table.fold (fun _ _ n -> n + 1) t 0 = 0
+       && Hashtbl.fold (fun k _ ok -> ok && not (Sim.Int_table.mem t k)) oracle true))
+
 let mailbox_readers_fifo () =
   let engine = Sim.Engine.create () in
   let mailbox = Sim.Mailbox.create () in
@@ -1052,4 +1126,5 @@ let suite =
       sleep_outside_leaves_queue_empty;
     Alcotest.test_case "nested engine, then sleep: the sleeper is woken" `Quick
       nested_engine_then_sleep;
+    QCheck_alcotest.to_alcotest int_table_matches_hashtbl;
   ]
