@@ -7,7 +7,7 @@
    unlike the remote-memory model — computation does run on the
    destination processor for every message.  The paper contrasts this
    "interrupt driven messages" style with its own separation of data
-   from control.  Frames are built and parsed in place (see the .mli). *)
+   from control.  Frames are pooled, built and parsed in place (.mli). *)
 
 let frame_tag = 0x28
 let header_bytes = 8
@@ -17,6 +17,7 @@ type handler = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> unit
 
 type t = {
   node : Cluster.Node.t;
+  frames : Atm.Frame.pool; (* the network's *)
   handlers : handler array; (* indexed by handler id; [unregistered] if free *)
   mutable sent : int;
   mutable delivered : int;
@@ -31,6 +32,7 @@ let attach node =
   let t =
     {
       node;
+      frames = Atm.Nic.pool (Cluster.Node.nic node);
       handlers = Array.make 256 unregistered;
       sent = 0;
       delivered = 0;
@@ -68,28 +70,34 @@ let register t ~id handler =
     invalid_arg "Amsg.register: id in use";
   t.handlers.(id) <- handler
 
-let frame ~len = Bytes.create (header_bytes + len)
+let check_handler handler =
+  if handler < 0 || handler > 0xFF then
+    invalid_arg "Amsg.send: handler out of range"
+
+let frame t ~len =
+  if len < 0 || len > 0xFFFF then invalid_arg "Amsg.send: message too large";
+  Atm.Frame.take t.frames (header_bytes + len)
 
 let send_frame t ~dst ~handler frame =
-  if handler < 0 || handler > 0xFF then
-    invalid_arg "Amsg.send: handler out of range";
-  let len = Bytes.length frame - header_bytes in
-  if len < 0 || len > 0xFFFF then invalid_arg "Amsg.send: message too large";
-  Bytes.set_uint8 frame 0 frame_tag;
-  Bytes.set_uint8 frame 1 handler;
-  Bytes.set_uint16_le frame 2 len;
-  Bytes.set_int32_le frame 4 0l;
+  check_handler handler;
+  let f = Atm.Frame.payload frame in
+  let len = Bytes.length f - header_bytes in
+  Bytes.set_uint8 f 0 frame_tag;
+  Bytes.set_uint8 f 1 handler;
+  Bytes.set_uint16_le f 2 len;
+  Bytes.set_int32_le f 4 0l;
   let c = Cluster.Node.costs t.node in
   Cluster.Cpu.use (Cluster.Node.cpu t.node) ~category:Cluster.Cpu.cat_client
     (Sim.Time.add c.Cluster.Costs.trap
        (Cluster.Costs.frame_copy_cost c ~payload_bytes:(header_bytes + len)));
   t.sent <- t.sent + 1;
-  Cluster.Node.transmit t.node ~dst frame
+  Cluster.Node.transmit_frame t.node ~dst frame
 
 let send t ~dst ~handler args =
+  check_handler handler;
   let len = Bytes.length args in
-  let f = frame ~len in
-  Bytes.blit args 0 f header_bytes len;
+  let f = frame t ~len in
+  Bytes.blit args 0 (Atm.Frame.payload f) header_bytes len;
   send_frame t ~dst ~handler f
 
 let sent t = t.sent

@@ -4,19 +4,19 @@
     computation runs on the destination CPU for every message, which is
     precisely what the remote-memory model avoids.
 
-    Allocation: a message costs its frame and nothing else on the host.
-    The sender writes the 8-byte header into a frame allocated at its
-    final size, and the receiver parses it in place, handing the handler
-    its arguments as a range of the arriving frame. {!send} copies its
-    arguments once; a caller that builds the frame itself with {!frame}
-    and {!send_frame} copies nothing. *)
+    Allocation: none per message on the host. A frame comes from the
+    node NIC's pool, the sender writes the 8-byte header into it, the
+    receiver hands the handler its arguments as a range of it, and the
+    receiving dispatcher gives it back once the handler returns. {!send}
+    copies its arguments once; a caller that fills the frame itself
+    through {!frame} and {!send_frame} copies nothing. *)
 
 type t
 
 type handler = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> unit
 (** The arguments are the [len] bytes of the frame from [pos]. The frame
-    belongs to the sender: read it during the upcall, never write or
-    keep it. *)
+    goes back to the pool when the upcall returns: read it during the
+    upcall, never write or keep it. *)
 
 val attach : Cluster.Node.t -> t
 (** Claim the active-message frame tag on a node. A frame shorter than
@@ -30,19 +30,21 @@ val register : t -> id:int -> handler -> unit
 val header_bytes : int
 (** Where the arguments start in a frame (8). *)
 
-val frame : len:int -> bytes
-(** A frame with room for [len] argument bytes from {!header_bytes}; the
-    header is written by {!send_frame}. *)
+val frame : t -> len:int -> Atm.Frame.t
+(** A pooled frame with room for [len] argument bytes from
+    {!header_bytes} of its payload, which the caller writes; the header
+    is written by {!send_frame}. Its contents are unspecified until
+    then. Raises [Invalid_argument] for [len] outside 0–64 KB. *)
 
-val send_frame : t -> dst:Atm.Addr.t -> handler:int -> bytes -> unit
+val send_frame : t -> dst:Atm.Addr.t -> handler:int -> Atm.Frame.t -> unit
 (** Fire-and-forget a frame from {!frame}: write its header, pay the
-    send-side trap and FIFO copy, then return. The frame may be sent
-    again (a retransmission) but not changed once sent. Raises
-    [Invalid_argument] for a handler id outside 0–255 or arguments
-    past 64 KB. *)
+    send-side trap and FIFO copy, then hand it to the network, which
+    owns it from then on: the sender neither changes nor sends it again
+    (a retransmission takes a new frame). Raises [Invalid_argument] for
+    a handler id outside 0–255. *)
 
 val send : t -> dst:Atm.Addr.t -> handler:int -> bytes -> unit
-(** {!send_frame} of a new frame holding a copy of the arguments. *)
+(** {!send_frame} of a pooled frame holding a copy of the arguments. *)
 
 (** {1 Statistics} *)
 

@@ -61,6 +61,7 @@ type staged = {
    placeholder value).  Retiring awaits, which recycles: a slot outside
    the [len] live ones may hold another issue's completion, unread. *)
 type window = {
+  key : int;
   mutable ring : Remote_memory.completion array;
   mutable head : int;
   mutable len : int;
@@ -73,6 +74,7 @@ type t = {
   cfg : config;
   staged : staged Sim.Int_table.t;
   windows : window Sim.Int_table.t;
+  mutable order : window array; (* every window by key, replaced on growth *)
   batches : int Sim.Int_table.t;
   (* the current window cycle's batch tag per key: a fresh batch opens
      whenever a submit finds its window empty, so every issue sharing a
@@ -86,6 +88,7 @@ let create ~config rmem =
     cfg = config;
     staged = Sim.Int_table.create 8;
     windows = Sim.Int_table.create 8;
+    order = [||];
     batches = Sim.Int_table.create 8;
     stats =
       { merged_extents = 0; flushes = 0; window_stalls = 0 };
@@ -198,8 +201,11 @@ let window_of t key =
   match Sim.Int_table.find t.windows key with
   | w -> w
   | exception Not_found ->
-      let w = { ring = [||]; head = 0; len = 0 } in
+      let w = { key; ring = [||]; head = 0; len = 0 } in
       Sim.Int_table.replace t.windows key w;
+      let order = Array.append t.order [| w |] in
+      Array.sort (fun a b -> Int.compare a.key b.key) order;
+      t.order <- order;
       w
 
 let push t w c =
@@ -303,15 +309,18 @@ let drain_key t key =
   | None -> ()
   | Some w -> retire_all t w None
 
-let drain t =
-  let keys = Sim.Int_table.fold (fun k _ acc -> k :: acc) t.windows [] in
-  List.fold_left
-    (fun first key ->
-      match drain_key t key with
-      | () -> first
-      | exception exn -> if Option.is_none first then Some exn else first)
-    None (List.sort Int.compare keys)
-  |> Option.iter raise
+(* Retire the windows the drain found, in key order, then raise the
+   first failure. *)
+let rec drain_from t order i first =
+  if i = Array.length order then Option.iter raise first
+  else
+    match retire_all t order.(i) None with
+    | () -> drain_from t order (i + 1) first
+    | exception exn ->
+        drain_from t order (i + 1)
+          (if Option.is_none first then Some exn else first)
+
+let drain t = drain_from t t.order 0 None
 
 let fence t desc =
   flush_key t (key_of desc);

@@ -41,8 +41,7 @@ type completion = {
   mutable received : int;
   mutable chunks : Bytes.t; (* a bit per reply chunk, set when counted *)
   mutable outcome : int;
-  mutable waiter : Sim.Proc.t; (* parked on the completion if [awaited] *)
-  mutable awaited : bool;
+  wait : Sim.Wait.t; (* its one awaiter parks here *)
   mutable holds : int;
   mutable span : Sim.Time.t;
   mutable arm : unit -> unit; (* the watchdog's first event: schedules [expire] *)
@@ -71,10 +70,7 @@ let completed c = c.outcome <> empty
 let fill c outcome =
   if completed c then invalid_arg "Remote_memory: completion filled twice";
   c.outcome <- outcome;
-  if c.awaited then begin
-    c.awaited <- false;
-    Sim.Proc.unpark c.waiter
-  end
+  Sim.Wait.unpark c.wait
 
 let release c =
   c.holds <- c.holds - 1;
@@ -88,13 +84,8 @@ let release c =
 
 let outcome c =
   if c.outcome = spent then invalid_arg "Remote_memory.await: already spent";
-  if not (completed c) then begin
-    if c.awaited then invalid_arg "Remote_memory.await: already awaited";
-    c.waiter <- Sim.Proc.self ();
-    c.awaited <- true;
-    Sim.Proc.park ~resource:(if c.cas then cas_label else read_label)
-      ~daemon:false
-  end;
+  if not (completed c) then
+    Sim.Wait.park c.wait ~resource:(if c.cas then cas_label else read_label);
   let outcome = c.outcome in
   c.outcome <- spent;
   release c;
@@ -646,7 +637,7 @@ let take t ~desc ~cas ~off ~count ~buf ~doff ~notify ~old_value ~timed =
     else
       { pool = p; desc; cas; off; count; buf; doff; notify; old_value;
         reqid = 0; received = 0; chunks = Bytes.empty; outcome = empty;
-        waiter = Sim.Proc.self (); awaited = false; holds = 0;
+        wait = Sim.Wait.create (); holds = 0;
         span = Sim.Time.zero; arm = unarmed; expire = unarmed }
   in
   c.desc <- desc;

@@ -9,35 +9,77 @@
    calls are at-most-once even when the operation is not idempotent.
 
    Timeouts are the client's only failure signal (the paper's §3.7
-   argument): each attempt arms a one-shot timer that fills the reply
-   ivar with [expired]; a late reply for attempt [k] finds attempt
-   [k+1]'s ivar under the same request id and — because the server
-   dedups — fills it with the identical answer.  Ids are ints: the 32
-   wire bits, sign-extended. *)
+   argument): each attempt takes a call record and arms a one-shot
+   timer that marks it [expired]; a late reply for attempt [k] finds
+   attempt [k+1]'s record under the same request id and — because the
+   server dedups — fills it with the identical answer.  Ids are ints:
+   the 32 wire bits, sign-extended. *)
 
 let reply_id = 0xC7
 let header_bytes = 4
 let word b off = Int32.to_int (Bytes.get_int32_le b off)
 let set_word b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-(* An active-message frame carrying [req] and the one copy of [body]. *)
-let frame ~req body =
-  let len = Bytes.length body in
-  let f = Amsg.frame ~len:(header_bytes + len) in
-  set_word f Amsg.header_bytes req;
-  Bytes.blit body 0 f (Amsg.header_bytes + header_bytes) len;
-  f
+(* A call attempt's record, from its endpoint's free stack.  [state] is
+   the reply's length once it is in [reply] (the caller's buffer), or a
+   marker below.  It goes back to the stack when its [holds] (the
+   awaiter's until it reads [state], the timer's until it fires) drop to
+   0, so a timer never fires into a reused record. *)
+type record = {
+  ep : endpoint;
+  wait : Sim.Wait.t;
+  mutable reply : bytes;
+  mutable state : int;
+  mutable holds : int;
+  mutable fire : unit -> unit; (* the timer's thunk, built once *)
+}
 
-type endpoint = {
+and endpoint = {
   amsg : Amsg.t;
   node : Cluster.Node.t;
   mutable next_req : int;
-  pending : bytes Sim.Ivar.t Sim.Int_table.t; (* by request id *)
+  pending : record Sim.Int_table.t; (* the current attempt's, by request id *)
+  mutable free : record array; (* a stack in [free.(0 .. top - 1)] *)
+  mutable top : int;
   mutable timeouts : int;
 }
 
-(* What a timed-out attempt's ivar holds: no reply is this block. *)
-let expired = Bytes.create 0
+let waiting = -1
+let expired = -2
+let overflowed = -3 (* the reply did not fit the caller's buffer *)
+let label = Sim.Engine.Quoted ("ivar", "RPC reply")
+
+let release r =
+  r.holds <- r.holds - 1;
+  if r.holds = 0 then begin
+    let ep = r.ep in
+    if ep.top = Array.length ep.free then
+      ep.free <- Array.append ep.free (Array.make (ep.top + 4) r);
+    ep.free.(ep.top) <- r;
+    ep.top <- ep.top + 1
+  end
+
+let expire r =
+  if r.state = waiting then begin
+    r.state <- expired;
+    Sim.Wait.unpark r.wait
+  end;
+  release r
+
+let take ep reply =
+  let r =
+    if ep.top > 0 then (ep.top <- ep.top - 1; ep.free.(ep.top))
+    else
+      let r =
+        { ep; wait = Sim.Wait.create (); reply; state = 0; holds = 0; fire = ignore }
+      in
+      r.fire <- (fun () -> expire r);
+      r
+  in
+  r.reply <- reply;
+  r.state <- waiting;
+  r.holds <- 2;
+  r
 
 (* One endpoint per active-message plane, keyed by physical identity so
    distinct testbeds never collide; the reply handler is registered
@@ -63,6 +105,8 @@ let endpoint amsg =
           node = Amsg.node amsg;
           next_req = 1;
           pending = Sim.Int_table.create 16;
+          free = [||];
+          top = 0;
           timeouts = 0;
         }
       in
@@ -71,35 +115,45 @@ let endpoint amsg =
             let req = word f pos in
             match Sim.Int_table.find ep.pending req with
             | exception Not_found -> ()
-            | iv ->
+            | r ->
                 Sim.Int_table.remove ep.pending req;
-                ignore
-                  (Sim.Ivar.try_fill iv
-                     (Bytes.sub f (pos + header_bytes) (len - header_bytes)))
+                let n = len - header_bytes in
+                if r.state = waiting then begin
+                  if n > Bytes.length r.reply then r.state <- overflowed
+                  else (Bytes.blit f (pos + header_bytes) r.reply 0 n; r.state <- n);
+                  Sim.Wait.unpark r.wait
+                end
           end);
       Planes.replace endpoints amsg ep;
       ep
 
 let timeouts ep = ep.timeouts
 
-type service = src:Atm.Addr.t -> bytes -> bytes
+type service = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> reply:bytes -> int
+
+(* [len] bytes of [body] under [req], copied into one pooled frame. *)
+let send amsg ~dst ~handler ~req body ~len =
+  let f = Amsg.frame amsg ~len:(header_bytes + len) in
+  let b = Atm.Frame.payload f in
+  set_word b Amsg.header_bytes req;
+  Bytes.blit body 0 b (Amsg.header_bytes + header_bytes) len;
+  Amsg.send_frame amsg ~dst ~handler f
 
 (* Replies a source might still retransmit requests for, in a ring per
    source.  Clients issue calls sequentially per endpoint, so a small
-   window suffices. *)
+   window suffices.  Each slot owns a buffer its service writes the
+   reply into. *)
 let history_cap = 16
+let reply_bytes = 64
 
-type history = { ids : int array; replies : bytes array; mutable next : int }
+type history = { ids : int array; replies : bytes array; lens : int array; mutable next : int }
 
 (* The free slot's id: no sign-extended 32-bit request id equals it. *)
 let no_id = min_int
 
 let history () =
-  {
-    ids = Array.make history_cap no_id;
-    replies = Array.make history_cap Bytes.empty;
-    next = 0;
-  }
+  { ids = Array.make history_cap no_id; lens = Array.make history_cap 0; next = 0;
+    replies = Array.init history_cap (fun _ -> Bytes.create reply_bytes) }
 
 (* The ring slot holding [req], or -1. *)
 let rec slot h req i =
@@ -120,51 +174,54 @@ let serve amsg ~id (f : service) =
               h
         in
         let i = slot h req 0 in
-        let reply =
-          if i >= 0 then h.replies.(i)
+        let i =
+          if i >= 0 then i
           else begin
-            let r =
-              f ~src (Bytes.sub body (pos + header_bytes) (len - header_bytes))
+            (* The slot forgets its old id before its reply is overwritten. *)
+            let i = h.next in
+            h.ids.(i) <- no_id;
+            let n =
+              f ~src body ~pos:(pos + header_bytes) ~len:(len - header_bytes)
+                ~reply:h.replies.(i)
             in
-            h.ids.(h.next) <- req;
-            h.replies.(h.next) <- r;
-            h.next <- (h.next + 1) mod history_cap;
-            r
+            h.lens.(i) <- n;
+            h.ids.(i) <- req;
+            h.next <- (i + 1) mod history_cap;
+            i
           end
         in
-        Amsg.send_frame amsg ~dst:src ~handler:reply_id (frame ~req reply)
+        send amsg ~dst:src ~handler:reply_id ~req h.replies.(i) ~len:h.lens.(i)
       end)
 
 let timeout = Sim.Time.us 400
 let attempts = 12
 
-let call ep ~dst ~id body =
+let rec attempt ep ~dst ~id ~req body reply k =
+  if k >= attempts then begin
+    Sim.Int_table.remove ep.pending req;
+    raise Rmem.Status.Timeout
+  end;
+  let r = take ep reply in
+  Sim.Int_table.replace ep.pending req r;
+  send ep.amsg ~dst ~handler:id ~req body ~len:(Bytes.length body);
+  let engine = Cluster.Node.engine ep.node in
+  (* [schedule_at], not [schedule ~after]: the optional argument would
+     box the span on every attempt. *)
+  Sim.Engine.schedule_at engine
+    (Sim.Time.add (Sim.Engine.now engine) timeout)
+    r.fire;
+  if r.state = waiting then Sim.Wait.park r.wait ~resource:label;
+  let n = r.state in
+  release r;
+  if n >= 0 then n
+  else if n = expired then begin
+    ep.timeouts <- ep.timeouts + 1;
+    attempt ep ~dst ~id ~req body reply (k + 1)
+  end
+  else invalid_arg "Dds.Call.call: reply longer than its buffer"
+
+let call ep ~dst ~id body ~reply =
   (* The id as the reply will carry it back: 32 bits, sign-extended. *)
   let req = Int32.to_int (Int32.of_int ep.next_req) in
   ep.next_req <- ep.next_req + 1;
-  let f = frame ~req body in
-  let engine = Cluster.Node.engine ep.node in
-  let rec attempt k =
-    if k >= attempts then begin
-      Sim.Int_table.remove ep.pending req;
-      raise Rmem.Status.Timeout
-    end;
-    let iv = Sim.Ivar.create () in
-    Sim.Int_table.replace ep.pending req iv;
-    Amsg.send_frame ep.amsg ~dst ~handler:id f;
-    (* [schedule_at], not [schedule ~after]: the optional argument
-       would box the span on every attempt. *)
-    Sim.Engine.schedule_at engine
-      (Sim.Time.add (Sim.Engine.now engine) timeout)
-      (fun () -> ignore (Sim.Ivar.try_fill iv expired));
-    let reply = Sim.Ivar.read iv in
-    if reply != expired then begin
-      Sim.Int_table.remove ep.pending req;
-      reply
-    end
-    else begin
-      ep.timeouts <- ep.timeouts + 1;
-      attempt (k + 1)
-    end
-  in
-  attempt 0
+  attempt ep ~dst ~id ~req body reply 0

@@ -7,10 +7,12 @@
     ids, timeout-driven retransmission on the client, and a per-source
     duplicate cache on the server making retried calls at-most-once.
 
-    Allocation: a call allocates its request frame, the server's copy
-    of the request payload, the reply frame and the client's copy of
-    the reply payload; ids are ints and each source's cache is a fixed
-    16-slot ring. *)
+    Allocation: a call allocates only its waits. Frames come from the
+    network's pool ({!Amsg.frame}), an attempt's record (reply buffer,
+    wait, holds, timer thunk) from a per-endpoint free stack; the
+    request is copied into each attempt's frame, the reply into the
+    caller's buffer. Ids are ints; each source's reply cache is a fixed
+    16-slot ring of preallocated buffers. *)
 
 val word : bytes -> int -> int
 (** The 32-bit little-endian word at a byte offset, sign-extended: ids
@@ -30,8 +32,10 @@ val timeouts : endpoint -> int
 (** Attempts that expired without a reply (each triggers a retry).
     Test-only: the fault tests check lost replies are retried. *)
 
-type service = src:Atm.Addr.t -> bytes -> bytes
-(** A server operation: request payload in, reply payload out.  Runs at
+type service = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> reply:bytes -> int
+(** A server operation: the request is [len] bytes of the arriving
+    frame from [pos] (never kept); it writes its reply into [reply], its
+    ring slot's 64-byte buffer, and returns the reply's length. Runs at
     interrupt level in the arrival upcall — it must mutate state first
     (the mutation is atomic: no yield points) and charge its own CPU
     after, so concurrent remote-memory serves cannot interleave with a
@@ -39,11 +43,14 @@ type service = src:Atm.Addr.t -> bytes -> bytes
 
 val serve : Amsg.t -> id:int -> service -> unit
 (** Install a service under an active-message handler id.  Duplicate
-    requests (same source and request id) are answered without
-    re-running the service while the id is among the source's last 16
-    served. *)
+    requests (same source and request id) are answered by resending
+    the reply their slot holds, without re-running the service, while
+    the id is among the source's last 16 served. A reply length
+    outside 0–64 raises [Invalid_argument] in the upcall. *)
 
-val call : endpoint -> dst:Atm.Addr.t -> id:int -> bytes -> bytes
-(** Issue a request and block for the reply, retransmitting every
-    400 µs up to 12 times; raises [Rmem.Status.Timeout] when
-    the budget is exhausted.  Must run in a simulated process. *)
+val call : endpoint -> dst:Atm.Addr.t -> id:int -> bytes -> reply:bytes -> int
+(** Send the request and block for the reply, retransmitting every
+    400 µs up to 12 times; copy the reply into [reply] and return its
+    length. Raises [Invalid_argument] if the reply is longer than
+    [reply], and [Rmem.Status.Timeout] when the budget is exhausted.
+    Must run in a simulated process. *)

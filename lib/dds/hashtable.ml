@@ -96,11 +96,11 @@ let local_delete s key =
 let word = Call.word
 let set_word = Call.set_word
 
-let reply st v =
-  let b = Bytes.create 8 in
+(* Write a reply: its status word and a value word. *)
+let reply b st v =
   set_word b 0 st;
   set_word b 4 v;
-  b
+  8
 
 (* RPC service cost: stub overhead plus the measured per-operation hash
    cost, charged {e after} the mutation so serves cannot interleave. *)
@@ -119,27 +119,27 @@ let server ~rmem ~amsg ~slots () =
       ~len:(slots * slot_bytes) ~rights:Rmem.Rights.all ~name:"dds.htab" ()
   in
   let s = { snode; sspace; sslots = slots; segment } in
-  Call.serve amsg ~id:rpc_id (fun ~src:_ body ->
-      if Bytes.length body < 12 then reply 3 0
+  Call.serve amsg ~id:rpc_id (fun ~src:_ body ~pos ~len ~reply:r ->
+      if len < 12 then reply r 3 0
       else begin
-        let op = word body 0 in
-        let key = word body 4 in
-        let value = word body 8 in
+        let op = word body pos in
+        let key = word body (pos + 4) in
+        let value = word body (pos + 8) in
         let c = Cluster.Node.costs snode in
         match op with
         | 1 ->
             let ok = insert_words s ~key ~value in
             charge snode c.Cluster.Costs.hash_insert;
-            if ok then reply 0 0 else reply 2 0
+            if ok then reply r 0 0 else reply r 2 0
         | 2 ->
             let v = local_lookup s key in
             charge snode c.Cluster.Costs.hash_lookup;
-            if v <> 0 then reply 0 v else reply 1 0
+            if v <> 0 then reply r 0 v else reply r 1 0
         | 3 ->
             let present = local_delete s key in
             charge snode c.Cluster.Costs.hash_delete;
-            reply (if present then 0 else 1) 0
-        | _ -> reply 3 0
+            reply r (if present then 0 else 1) 0
+        | _ -> reply r 3 0
       end);
   s
 
@@ -155,6 +155,8 @@ type t = {
   home : Atm.Addr.t;
   tslots : int;
   hkey : int * int * int;
+  request : bytes; (* the RPC path's, rewritten per call *)
+  reply : bytes;
   mutable found : int; (* the value word the last DX walk hit *)
   mutable cas_losses : int;
   mutable rpc_fallbacks : int;
@@ -175,6 +177,8 @@ let client ~rmem ~amsg ~kind ?policy s =
     home;
     tslots = s.sslots;
     hkey = server_key s;
+    request = Bytes.create 12;
+    reply = Bytes.create 8;
     found = 0;
     cas_losses = 0;
     rpc_fallbacks = 0;
@@ -257,30 +261,27 @@ let rec dx_delete t ~budget key =
 (* RPC path: the reply's status word; its value word is read in place. *)
 
 let rpc_op t ~op ~key ~value =
-  let b = Bytes.create 12 in
-  set_word b 0 op;
-  set_word b 4 key;
-  set_word b 8 value;
-  Call.call t.ep ~dst:t.home ~id:rpc_id b
-
-let status r = if Bytes.length r < 8 then 3 else word r 0
+  set_word t.request 0 op;
+  set_word t.request 4 key;
+  set_word t.request 8 value;
+  if Call.call t.ep ~dst:t.home ~id:rpc_id t.request ~reply:t.reply < 8 then 3
+  else word t.reply 0
 
 let rpc_insert t key value =
-  match status (rpc_op t ~op:1 ~key ~value) with
+  match rpc_op t ~op:1 ~key ~value with
   | 0 -> ()
   | 2 -> raise Full
   | _ -> failwith "Dds.Hashtable: malformed insert reply"
 
 (* The value word, 0 when absent. *)
 let rpc_lookup t key =
-  let r = rpc_op t ~op:2 ~key ~value:0 in
-  match status r with
-  | 0 -> word r 4
+  match rpc_op t ~op:2 ~key ~value:0 with
+  | 0 -> word t.reply 4
   | 1 -> 0
   | _ -> failwith "Dds.Hashtable: malformed lookup reply"
 
 let rpc_delete t key =
-  match status (rpc_op t ~op:3 ~key ~value:0) with
+  match rpc_op t ~op:3 ~key ~value:0 with
   | 0 -> true
   | 1 -> false
   | _ -> failwith "Dds.Hashtable: malformed delete reply"

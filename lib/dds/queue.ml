@@ -68,12 +68,12 @@ let local_dequeue s =
 let word = Call.word
 let set_word = Call.set_word
 
-let reply st v tk =
-  let b = Bytes.create 12 in
+(* Write a reply: its status, value and ticket words. *)
+let reply b st v tk =
   set_word b 0 st;
   set_word b 4 v;
   set_word b 8 tk;
-  b
+  12
 
 let charge node =
   let c = Cluster.Node.costs node in
@@ -90,27 +90,27 @@ let server ~rmem ~amsg ~capacity () =
       ~rights:Rmem.Rights.all ~name:"dds.queue" ()
   in
   let s = { snode; sspace; cap = capacity; segment } in
-  Call.serve amsg ~id:rpc_id (fun ~src:_ body ->
-      if Bytes.length body < 8 then reply 4 0 0
+  Call.serve amsg ~id:rpc_id (fun ~src:_ body ~pos ~len ~reply:b ->
+      if len < 8 then reply b 4 0 0
       else begin
-        let op = word body 0 in
-        let value = word body 4 in
+        let op = word body pos in
+        let value = word body (pos + 4) in
         match op with
         | 1 -> (
             let r = local_enqueue s value in
             charge snode;
             match r with
-            | `Ok ticket -> reply 0 0 ticket
-            | `Full -> reply 2 0 0
-            | `Not_ready -> reply 3 0 0)
+            | `Ok ticket -> reply b 0 0 ticket
+            | `Full -> reply b 2 0 0
+            | `Not_ready -> reply b 3 0 0)
         | 2 -> (
             let r = local_dequeue s in
             charge snode;
             match r with
-            | `Ok (v, ticket) -> reply 0 v ticket
-            | `Empty -> reply 1 0 0
-            | `Not_ready -> reply 3 0 0)
-        | _ -> reply 4 0 0
+            | `Ok (v, ticket) -> reply b 0 v ticket
+            | `Empty -> reply b 1 0 0
+            | `Not_ready -> reply b 3 0 0)
+        | _ -> reply b 4 0 0
       end);
   s
 
@@ -127,6 +127,8 @@ type t = {
   cap : int;
   brand : int;
   hkey : int * int * int;
+  request : bytes; (* the RPC path's, rewritten per call *)
+  reply : bytes;
   mutable dequeued : int; (* the value the last dequeue claimed *)
   mutable cas_losses : int;
   mutable rpc_fallbacks : int;
@@ -156,6 +158,8 @@ let client ~rmem ~amsg ~kind ?policy s =
       (incr next_brand;
        - !next_brand);
     hkey = server_key s;
+    request = Bytes.create 8;
+    reply = Bytes.create 12;
     dequeued = 0;
     cas_losses = 0;
     rpc_fallbacks = 0;
@@ -262,19 +266,16 @@ let rec dx_try_dequeue t ~budget =
    read in place. *)
 
 let rpc_op t ~op ~value =
-  let b = Bytes.create 8 in
-  set_word b 0 op;
-  set_word b 4 value;
-  Call.call t.ep ~dst:t.home ~id:rpc_id b
-
-let status r = if Bytes.length r < 12 then 4 else word r 0
+  set_word t.request 0 op;
+  set_word t.request 4 value;
+  if Call.call t.ep ~dst:t.home ~id:rpc_id t.request ~reply:t.reply < 12 then 4
+  else word t.reply 0
 
 let rpc_enqueue t value =
   let rec go attempt =
     if attempt > 5000 then raise Rmem.Status.Timeout;
-    let r = rpc_op t ~op:1 ~value in
-    match status r with
-    | 0 -> word r 8
+    match rpc_op t ~op:1 ~value with
+    | 0 -> word t.reply 8
     | 2 -> raise Full
     | 3 ->
         (* A DX claim holds the tail; its release is coming. *)
@@ -286,11 +287,10 @@ let rpc_enqueue t value =
 
 (* As [dx_try_dequeue], never [contended]. *)
 let rpc_try_dequeue t =
-  let r = rpc_op t ~op:2 ~value:0 in
-  match status r with
+  match rpc_op t ~op:2 ~value:0 with
   | 0 ->
-      t.dequeued <- word r 4;
-      word r 8
+      t.dequeued <- word t.reply 4;
+      word t.reply 8
   | 1 | 3 ->
       (* Empty, or the head ticket's deposit is still in flight — the
          claiming enqueue has not committed, so "empty" linearizes. *)

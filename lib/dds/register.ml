@@ -32,12 +32,12 @@ type replica = {
 let word = Call.word
 let set_word = Call.set_word
 
-let payload op tagw v =
-  let b = Bytes.create 12 in
+(* Write a request or reply: op or status, tag and value words. *)
+let payload b op tagw v =
   set_word b 0 op;
   set_word b 4 tagw;
   set_word b 8 v;
-  b
+  12
 
 let charge node extra =
   let c = Cluster.Node.costs node in
@@ -51,23 +51,23 @@ let replica ~rmem ~amsg () =
     Rmem.Remote_memory.export rmem ~space:rspace ~base:0 ~len:Tag.cell_bytes
       ~rights:Rmem.Rights.all ~name:"dds.reg" ()
   in
-  Call.serve amsg ~id:rpc_id (fun ~src:_ body ->
+  Call.serve amsg ~id:rpc_id (fun ~src:_ body ~pos ~len ~reply:b ->
       let c = Cluster.Node.costs rnode in
-      if Bytes.length body < 12 then payload 4 0 0
+      if len < 12 then payload b 4 0 0
       else begin
-        let op = word body 0 in
+        let op = word body pos in
         let cur = Cluster.Address_space.read_word rspace ~addr:0 in
         match op with
         | 1 ->
             let v = Cluster.Address_space.read_word rspace ~addr:4 in
             charge rnode c.Cluster.Costs.hash_lookup;
-            if Tag.is_busy cur then payload 3 0 0 else payload 0 cur v
+            if Tag.is_busy cur then payload b 3 0 0 else payload b 0 cur v
         | 2 ->
-            let tagw = word body 4 in
-            let value = word body 8 in
+            let tagw = word body (pos + 4) in
+            let value = word body (pos + 8) in
             if Tag.is_busy cur then begin
               charge rnode c.Cluster.Costs.cas_execute;
-              payload 3 0 0
+              payload b 3 0 0
             end
             else begin
               if tagw > cur then begin
@@ -75,9 +75,9 @@ let replica ~rmem ~amsg () =
                 Cluster.Address_space.write_word rspace ~addr:0 tagw
               end;
               charge rnode c.Cluster.Costs.cas_execute;
-              payload 0 0 0
+              payload b 0 0 0
             end
-        | _ -> payload 4 0 0
+        | _ -> payload b 4 0 0
       end);
   { rnode; rspace; rsegment }
 
@@ -101,6 +101,8 @@ type t = {
   majority : int;
   write_back : bool;
   hkey : int * int * int;
+  request : bytes; (* the RPC path's, rewritten per call *)
+  reply : bytes;
   mutable reads : Rmem.Remote_memory.completion array;
       (** a DX collect round's READs, each awaited (so recycled) once in
           its round; empty before the first round *)
@@ -153,6 +155,8 @@ let client ~rmem ~amsg ~kind ~rank ?policy ?(write_back = true) ?quorum
     majority;
     write_back;
     hkey = replica_key replicas.(0);
+    request = Bytes.create 12;
+    reply = Bytes.create 12;
     reads = [||];
     tags = Array.make n no_tag;
     values = Array.make n 0;
@@ -256,18 +260,22 @@ let dx_store t k packed value =
 
 (* RPC phases. *)
 
+(* The reply's length, or -1 for a call that timed out. *)
+let rpc t k =
+  match Call.call t.ep ~dst:t.homes.(k) ~id:rpc_id t.request ~reply:t.reply with
+  | n -> n
+  | exception Rmem.Status.Timeout -> -1
+
 let rpc_get t k =
   t.tags.(k) <- no_tag;
-  match Call.call t.ep ~dst:t.homes.(k) ~id:rpc_id (payload 1 0 0) with
-  | exception Rmem.Status.Timeout -> false
-  | r ->
-      Bytes.length r >= 12
-      && word r 0 = 0
-      && begin
-           t.tags.(k) <- word r 4;
-           t.values.(k) <- word r 8;
-           true
-         end
+  ignore (payload t.request 1 0 0 : int);
+  rpc t k >= 12
+  && word t.reply 0 = 0
+  && begin
+       t.tags.(k) <- word t.reply 4;
+       t.values.(k) <- word t.reply 8;
+       true
+     end
 
 let rpc_collect t =
   let rec round attempt =
@@ -283,21 +291,19 @@ let rpc_collect t =
   in
   round 0
 
-let rpc_set t k packed value =
-  let b = payload 2 packed value in
-  let rec go attempt =
-    if attempt > 64 then false
-    else
-      match Call.call t.ep ~dst:t.homes.(k) ~id:rpc_id b with
-      | exception Rmem.Status.Timeout -> false
-      | r ->
-          if Bytes.length r >= 4 && word r 0 = 0 then true
-          else begin
-            Sim.Proc.wait (Sim.Time.us 5);
-            go (attempt + 1)
-          end
-  in
-  go 0
+(* Store (packed, value) at replica [k], waiting out a busy cell; false
+   if a call times out. *)
+let rec rpc_set t k packed value attempt =
+  ignore (payload t.request 2 packed value : int);
+  if attempt > 64 then false
+  else
+    let n = rpc t k in
+    if n < 0 then false
+    else if n >= 4 && word t.reply 0 = 0 then true
+    else begin
+      Sim.Proc.wait (Sim.Time.us 5);
+      rpc_set t k packed value (attempt + 1)
+    end
 
 let collect t =
   match t.kind with
@@ -318,7 +324,7 @@ let store_all t packed value ~skip_holders =
       | Kind.Dx ->
           dx_store t k packed value;
           incr ok
-      | Kind.Rpc | Kind.Hybrid -> if rpc_set t k packed value then incr ok
+      | Kind.Rpc | Kind.Hybrid -> if rpc_set t k packed value 0 then incr ok
   done;
   if !ok < t.majority then raise Rmem.Status.Timeout
 

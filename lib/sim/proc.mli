@@ -27,6 +27,10 @@ val self : unit -> t
 (** The running process. Raises the runtime's unhandled-effect
     exception outside every process. *)
 
+val nobody : t
+(** No process, never run nor parked: a placeholder for a field that
+    names a process only some of the time. *)
+
 type 'a sleepers
 (** Processes blocked on one queue, oldest first, each waiting to be
     handed an ['a]. The blocking primitive under [Ivar], [Mailbox],

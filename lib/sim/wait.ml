@@ -1,0 +1,16 @@
+(* The parked process, or [Proc.nobody]. *)
+type t = { mutable waiter : Proc.t }
+
+let create () = { waiter = Proc.nobody }
+
+let park t ~resource =
+  if t.waiter != Proc.nobody then invalid_arg "Sim.Wait.park: already awaited";
+  t.waiter <- Proc.self ();
+  Proc.park ~resource ~daemon:false
+
+let unpark t =
+  let p = t.waiter in
+  if p != Proc.nobody then begin
+    t.waiter <- Proc.nobody;
+    Proc.unpark p
+  end

@@ -265,7 +265,6 @@ sed -e '/^#/d' -e 's/ @@ [^@]*$//' >"$order_allowed.raw" <<'ALLOWED'
 # file @@ iterating line @@ why order cannot matter
 lib/atm/switch.ml @@ Hashtbl.fold (fun _ down acc -> acc + Link.queue_depth down) t.downlinks 0 @@ a sum
 lib/atm/switch.ml @@ Hashtbl.fold (fun i l acc -> (i, l) :: acc) table [] |> List.sort by_port @@ sorted by port
-lib/core/pipeline.ml @@ let keys = Sim.Int_table.fold (fun k _ acc -> k :: acc) t.windows [] in @@ sorted before draining
 lib/core/remote_memory.ml @@ Sim.Int_table.fold @@ notification_backlog: a sum
 lib/core/remote_memory.ml @@ Sim.Int_table.fold (fun _ segment acc -> segment :: acc) t.exported [] @@ exports: sorted by segment id
 lib/core/remote_memory.ml @@ let pend = Sim.Int_table.fold (fun reqid p acc -> (reqid, p) :: acc) t.pending [] in @@ crash: sorted by request id
@@ -309,8 +308,9 @@ fi
 # handler has returned, so nothing reads it once a later frame may have
 # been built in its buffer; and the pool itself (Frame.take, Frame.pin,
 # the pool type and its counters, Nic.pool) is reachable only from
-# lib/atm and the remote-memory frame builders in lib/core/wire.ml and
-# lib/core/remote_memory.ml.  Comments are dropped first.
+# lib/atm, the remote-memory frame builders in lib/core/wire.ml and
+# lib/core/remote_memory.ml, and the active-message frame builder in
+# lib/amsg/amsg.ml.  Comments are dropped first.
 release_word="(^|[^A-Za-z0-9_'])Frame\.release([^A-Za-z0-9_']|\$)"
 pool_word="(^|[^A-Za-z0-9_'])(Frame\.(take|pin|pool|outstanding|created)|Nic\.pool)([^A-Za-z0-9_']|\$)"
 in_dispatch=$(awk '/^let dispatch /{on=1; print; next} on && /^let /{on=0} on' \
@@ -326,22 +326,23 @@ for f in $(cd "$stripped" && grep -El "$release_word" $(find lib -path lib/atm -
 done
 for f in $(cd "$stripped" && grep -El "$pool_word" $(find lib -path lib/atm -prune -o \( -name '*.ml' -o -name '*.mli' \) -print | sort)); do
   case "$f" in
-    lib/core/wire.ml | lib/core/wire.mli | lib/core/remote_memory.ml) ;;
-    *) fail "$f reaches the frame pool — only lib/atm and the remote-memory frame builders may" ;;
+    lib/core/wire.ml | lib/core/wire.mli | lib/core/remote_memory.ml | lib/amsg/amsg.ml) ;;
+    *) fail "$f reaches the frame pool — only lib/atm and the remote-memory and active-message frame builders may" ;;
   esac
 done
 
-# 17. A wait on the rmem data path is one continuation.  A READ's or
-# CAS's pending record is its own completion, so lib/core/remote_memory.ml
-# and lib/core/pipeline.ml name no Sim.Ivar; the NIC's receive FIFO is a
-# frame ring its dispatcher parks on, so lib/atm names no Sim.Mailbox;
-# and Proc.park and Proc.unpark, single-consumer waits that a second
-# waiter would break, are named only in lib/sim, lib/atm/nic.ml and
-# lib/core/remote_memory.ml (bin included).
+# 17. A wait on the rmem and RPC data paths is one continuation.  A
+# READ's or CAS's pending record is its own completion, and an RPC
+# attempt's call record its own, so lib/core/remote_memory.ml,
+# lib/core/pipeline.ml and lib/dds/call.ml name no Sim.Ivar; the NIC's
+# receive FIFO is a frame ring its dispatcher parks on, so lib/atm names
+# no Sim.Mailbox; and Proc.park and Proc.unpark, single-consumer waits
+# that a second waiter would break, are named only in lib/sim (whose
+# Sim.Wait the records embed) and lib/atm/nic.ml (bin included).
 # Comments are dropped first.
-for f in lib/core/remote_memory.ml lib/core/pipeline.ml; do
+for f in lib/core/remote_memory.ml lib/core/pipeline.ml lib/dds/call.ml; do
   if strip_comments "$f" | grep -Eq "(^|[^A-Za-z0-9_'])Sim\.Ivar([^A-Za-z0-9_']|\$)"; then
-    fail "$f names Sim.Ivar — a READ or CAS completes through its own pending record"
+    fail "$f names Sim.Ivar — a READ, CAS or RPC completes through its own pending record"
   fi
 done
 for f in $(find lib/atm -name '*.ml' -o -name '*.mli' | sort); do
@@ -352,8 +353,8 @@ done
 park_word="(^|[^A-Za-z0-9_'])Proc\.(park|unpark)([^A-Za-z0-9_']|\$)"
 for f in $(cd "$stripped" && grep -El "$park_word" $(find lib bin -path lib/sim -prune -o \( -name '*.ml' -o -name '*.mli' \) -print | sort)); do
   case "$f" in
-    lib/atm/nic.ml | lib/core/remote_memory.ml) ;;
-    *) fail "$f parks or unparks a process — only lib/sim, lib/atm/nic.ml and lib/core/remote_memory.ml may" ;;
+    lib/atm/nic.ml) ;;
+    *) fail "$f parks or unparks a process — only lib/sim and lib/atm/nic.ml may" ;;
   esac
 done
 
@@ -377,4 +378,4 @@ for f in $(cd "$stripped" && grep -El "(^|[^A-Za-z0-9_'])(let|val|and)[[:space:]
   fail "$f defines a set_monitor — observers subscribe to the node's event stream"
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem builders, rmem completions free of Ivar and the NIC of Mailbox, park/unpark only in sim, nic and rmem, no unlisted hash-table iteration, observers only on the node stream, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem and amsg builders, rmem and RPC completions free of Ivar and the NIC of Mailbox, park/unpark only in sim and nic, no unlisted hash-table iteration, observers only on the node stream, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

@@ -120,25 +120,39 @@ let tag_busy_cells_refused () =
 
 (* ----------------------------- Call -------------------------------- *)
 
+(* A service that answers with its request. *)
+let echo ~src:_ body ~pos ~len ~reply =
+  Bytes.blit body pos reply 0 len;
+  len
+
+(* [echo], counting its runs. *)
+let counted runs ~src body ~pos ~len ~reply =
+  incr runs;
+  echo ~src body ~pos ~len ~reply
+
 let call_round_trip () =
   let r = rig 2 in
-  Dds.Call.serve r.amsgs.(0) ~id:0x50 (fun ~src:_ body ->
-      Bytes.map (fun c -> Char.chr (Char.code c + 1)) body);
+  Dds.Call.serve r.amsgs.(0) ~id:0x50 (fun ~src:_ body ~pos ~len ~reply ->
+      for i = 0 to len - 1 do
+        Bytes.set reply i (Char.chr (Char.code (Bytes.get body (pos + i)) + 1))
+      done;
+      len);
   run r (fun () ->
       let ep = Dds.Call.endpoint r.amsgs.(1) in
-      let reply =
+      let reply = Bytes.make 8 '.' in
+      let n =
         Dds.Call.call ep
           ~dst:(Cluster.Node.addr r.nodes.(0))
-          ~id:0x50 (Bytes.of_string "abc")
+          ~id:0x50 (Bytes.of_string "abc") ~reply
       in
-      Alcotest.(check string) "service applied" "bcd" (Bytes.to_string reply))
+      Alcotest.(check string) "service applied" "bcd....."
+        (Bytes.to_string reply);
+      check_int "reply length" 3 n)
 
 let call_at_most_once_under_loss () =
   let r = rig ~seed:5 2 in
   let executions = ref 0 in
-  Dds.Call.serve r.amsgs.(0) ~id:0x51 (fun ~src:_ body ->
-      incr executions;
-      body);
+  Dds.Call.serve r.amsgs.(0) ~id:0x51 (counted executions);
   let plan =
     Faults.Plan.make ~link:(Faults.Plan.link_faults ~loss:0.25 ()) ()
   in
@@ -146,12 +160,11 @@ let call_at_most_once_under_loss () =
   run r (fun () ->
       let ep = Dds.Call.endpoint r.amsgs.(1) in
       let dst = Cluster.Node.addr r.nodes.(0) in
+      let reply = Bytes.create 4 in
       for i = 1 to 20 do
         let b = Bytes.create 4 in
         Bytes.set_int32_le b 0 (Int32.of_int i);
-        let reply =
-          Dds.Call.call ep ~dst ~id:0x51 b
-        in
+        check_int "reply length" 4 (Dds.Call.call ep ~dst ~id:0x51 b ~reply);
         check_i32 "echoed" (Int32.of_int i) (Bytes.get_int32_le reply 0)
       done;
       check_bool "losses actually forced retries" true
@@ -183,6 +196,9 @@ let raw_request r ~id ~req body =
   Amsg.send r.amsgs.(1) ~dst:(Cluster.Node.addr r.nodes.(0)) ~handler:id b;
   Sim.Proc.wait (Sim.Time.ms 1)
 
+let call_x ep ~dst ~id =
+  ignore (Dds.Call.call ep ~dst ~id (Bytes.of_string "x") ~reply:(Bytes.create 1) : int)
+
 (* Each source's replies sit in a 16-slot ring: a retransmitted id
    among the last 16 gets its cached reply without running the service
    again, and an id 16 calls older has been overwritten and runs it
@@ -190,21 +206,19 @@ let raw_request r ~id ~req body =
 let call_reply_cache_ring () =
   let r = rig 2 in
   let runs = ref 0 in
-  Dds.Call.serve r.amsgs.(0) ~id:0x52 (fun ~src:_ body ->
-      incr runs;
-      body);
+  Dds.Call.serve r.amsgs.(0) ~id:0x52 (counted runs);
   run r (fun () ->
       let ep = Dds.Call.endpoint r.amsgs.(1) in
       let dst = Cluster.Node.addr r.nodes.(0) in
       (* A fresh endpoint stamps ids 1, 2, ... *)
       for _ = 1 to 16 do
-        ignore (Dds.Call.call ep ~dst ~id:0x52 (Bytes.of_string "x") : bytes)
+        call_x ep ~dst ~id:0x52
       done;
       check_int "16 calls, 16 runs" 16 !runs;
       raw_request r ~id:0x52 ~req:1l (Bytes.of_string "x");
       raw_request r ~id:0x52 ~req:16l (Bytes.of_string "x");
       check_int "ids 1 and 16 answered from the cache" 16 !runs;
-      ignore (Dds.Call.call ep ~dst ~id:0x52 (Bytes.of_string "x") : bytes);
+      call_x ep ~dst ~id:0x52;
       check_int "id 17 runs" 17 !runs;
       raw_request r ~id:0x52 ~req:2l (Bytes.of_string "x");
       check_int "id 2 still cached" 17 !runs;
@@ -217,9 +231,7 @@ let call_reply_cache_ring () =
 let call_cache_free_slots_match_no_id () =
   let r = rig 2 in
   let runs = ref 0 in
-  Dds.Call.serve r.amsgs.(0) ~id:0x53 (fun ~src:_ body ->
-      incr runs;
-      body);
+  Dds.Call.serve r.amsgs.(0) ~id:0x53 (counted runs);
   run r (fun () ->
       ignore (Dds.Call.endpoint r.amsgs.(1) : Dds.Call.endpoint);
       raw_request r ~id:0x53 ~req:(-1l) (Bytes.of_string "x");
@@ -231,27 +243,107 @@ let call_cache_free_slots_match_no_id () =
       raw_request r ~id:0x53 ~req:(-1l) (Bytes.of_string "x");
       check_int "id -1 again is cached" 3 !runs)
 
-(* The host cost of one active-message RPC: the request frame, the
-   server's copy of the payload, the reply frame and the client's copy
-   of the reply, plus the ivar, the timeout event and the waits; 10%
-   above the 72 words measured with an open-addressed pending table (76
-   with a cons cell per pending call; 94
-   with a mailbox node and a box per received frame and a [Self] effect
-   per sleep; 187 with a codec writer and reader per frame, two copies
-   per side and a reply history rebuilt as a list). Any of those back
-   fails here. *)
+(* A call's record goes back to its endpoint's free stack only once its
+   timer has fired as well.  The first call is answered at once; the
+   second, on the same endpoint, has its reply held on the link past
+   the first call's deadline (but within its own).  A timer that fired
+   into the reused record would time the second call out there. *)
+let call_stale_timer_never_fires_into_reuse () =
+  let r = rig 2 in
+  let runs = ref 0 in
+  Dds.Call.serve r.amsgs.(0) ~id:0x55 (fun ~src:_ _ ~pos:_ ~len:_ ~reply ->
+      incr runs;
+      Dds.Call.set_word reply 0 !runs;
+      4);
+  let replies = ref 0 in
+  let towards_client =
+    List.find_map
+      (fun (_, to_, link) -> if to_ = Some 1 then Some link else None)
+      (Atm.Network.links (Cluster.Testbed.network r.testbed))
+    |> Option.get
+  in
+  Atm.Link.set_interposer towards_client
+    (Some
+       (fun frame ->
+         let payload = Atm.Frame.payload frame in
+         if Bytes.get_uint8 payload 0 = 0x28 && Bytes.get_uint8 payload 1 = 0xC7
+         then begin
+           incr replies;
+           if !replies = 2 then Atm.Link.Delay (Sim.Time.us 300)
+           else Atm.Link.Deliver
+         end
+         else Atm.Link.Deliver));
+  run r (fun () ->
+      let ep = Dds.Call.endpoint r.amsgs.(1) in
+      let dst = Cluster.Node.addr r.nodes.(0) in
+      let reply = Bytes.create 4 in
+      let engine = Cluster.Testbed.engine r.testbed in
+      let deadline = Sim.Time.add (Sim.Engine.now engine) (Sim.Time.us 400) in
+      ignore (Dds.Call.call ep ~dst ~id:0x55 (Bytes.of_string "a") ~reply : int);
+      check_int "first call's reply" 1 (Dds.Call.word reply 0);
+      Sim.Proc.wait (Sim.Time.us 200);
+      ignore (Dds.Call.call ep ~dst ~id:0x55 (Bytes.of_string "b") ~reply : int);
+      check_bool "second reply held past the first deadline" true
+        (Sim.Engine.now engine > deadline);
+      check_int "second call's own reply" 2 (Dds.Call.word reply 0);
+      check_int "no attempt timed out" 0 (Dds.Call.timeouts ep));
+  check_int "each call ran once" 2 !runs
+
+(* A reply longer than the caller's buffer is refused, and the endpoint
+   keeps working. *)
+let call_reply_longer_than_buffer () =
+  let r = rig 2 in
+  Dds.Call.serve r.amsgs.(0) ~id:0x56 echo;
+  run r (fun () ->
+      let ep = Dds.Call.endpoint r.amsgs.(1) in
+      let dst = Cluster.Node.addr r.nodes.(0) in
+      let body = Bytes.of_string "twelve bytes" in
+      check_bool "refused" true
+        (match Dds.Call.call ep ~dst ~id:0x56 body ~reply:(Bytes.create 4) with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      let reply = Bytes.create 12 in
+      check_int "a buffer that fits" 12 (Dds.Call.call ep ~dst ~id:0x56 body ~reply);
+      Alcotest.(check string) "reply" "twelve bytes" (Bytes.to_string reply))
+
+(* Every request and reply frame, and every duplicate answered from the
+   cache, goes back to the network's frame pool. *)
+let call_frames_back_to_pool () =
+  let r = rig ~seed:5 2 in
+  Dds.Call.serve r.amsgs.(0) ~id:0x57 echo;
+  let pool = Atm.Nic.pool (Cluster.Node.nic r.nodes.(0)) in
+  let baseline = Atm.Frame.outstanding pool in
+  run r (fun () ->
+      let ep = Dds.Call.endpoint r.amsgs.(1) in
+      let dst = Cluster.Node.addr r.nodes.(0) in
+      let reply = Bytes.create 8 in
+      for _ = 1 to 20 do
+        ignore (Dds.Call.call ep ~dst ~id:0x57 (Bytes.make 8 'q') ~reply : int)
+      done;
+      raw_request r ~id:0x57 ~req:3l (Bytes.of_string "dup"));
+  check_int "frames outstanding" baseline (Atm.Frame.outstanding pool)
+
+(* The host cost of one active-message RPC: its waits (the park, the
+   timeout event and the CPU waits on both sides); 10% above the 15
+   words measured with pooled frames and call records (72 with fresh
+   frames, a copy of each payload and an ivar per call; 76 with a cons
+   cell per pending call; 94 with a mailbox node and a box per received
+   frame and a [Self] effect per sleep; 187 with a codec writer and
+   reader per frame, two copies per side and a reply history rebuilt as
+   a list). Any of those back fails here. *)
 let call_allocation_budget () =
   let r = rig 2 in
-  Dds.Call.serve r.amsgs.(0) ~id:0x54 (fun ~src:_ body -> body);
+  Dds.Call.serve r.amsgs.(0) ~id:0x54 echo;
   let words =
     run r (fun () ->
         let ep = Dds.Call.endpoint r.amsgs.(1) in
         let dst = Cluster.Node.addr r.nodes.(0) in
         let body = Bytes.make 12 'q' in
+        let reply = Bytes.create 12 in
         Rig.words_per_op ~n:200 (fun () ->
-            ignore (Dds.Call.call ep ~dst ~id:0x54 body : bytes)))
+            ignore (Dds.Call.call ep ~dst ~id:0x54 body ~reply : int)))
   in
-  Rig.within_budget "Call.call + serve round trip" ~words ~budget:79.
+  Rig.within_budget "Call.call + serve round trip" ~words ~budget:16.2
 
 (* --------------------------- Hashtable ----------------------------- *)
 
@@ -449,6 +541,27 @@ let htab_concurrent_disjoint () =
 
 (* ----------------------------- Queue ------------------------------- *)
 
+(* The host cost of an RPC-structured enqueue: one call and the
+   operation's bracket; 10% above the 25 words measured with pooled
+   frames and call records and the client's own request and reply
+   buffers (87 with fresh frames, payload copies, a request and a reply
+   buffer and an ivar per call). *)
+let queue_rpc_enqueue_budget () =
+  let r = rig 2 in
+  let words =
+    run r (fun () ->
+        let s =
+          Dds.Queue.server ~rmem:r.rmems.(0) ~amsg:r.amsgs.(0) ~capacity:256 ()
+        in
+        let t =
+          Dds.Queue.client ~rmem:r.rmems.(1) ~amsg:r.amsgs.(1)
+            ~kind:Dds.Kind.Rpc s
+        in
+        Rig.words_per_op ~n:200 (fun () ->
+            ignore (Dds.Queue.enqueue t 7l : int)))
+  in
+  Rig.within_budget "RPC queue enqueue" ~words ~budget:27.
+
 let queue_basic kind () =
   let r = rig 3 in
   run r (fun () ->
@@ -638,6 +751,25 @@ let reg_rig ?seed () =
   (r, fun () ->
     Array.init 3 (fun k ->
         Dds.Register.replica ~rmem:r.rmems.(k) ~amsg:r.amsgs.(k) ()))
+
+(* The host cost of a hybrid register write: a DX collect (one timed
+   READ per replica) and an RPC store to each replica; 10% above the
+   104 words measured with pooled frames and call records (313 with
+   fresh frames, payload copies, a request and a reply buffer and an
+   ivar per call). *)
+let reg_hybrid_write_budget () =
+  let r, mk = reg_rig () in
+  let words =
+    run r (fun () ->
+        let reps = mk () in
+        let t =
+          Dds.Register.client ~rmem:r.rmems.(3) ~amsg:r.amsgs.(3)
+            ~kind:Dds.Kind.Hybrid ~rank:1 reps
+        in
+        Rig.words_per_op ~n:100 (fun () ->
+            ignore (Dds.Register.write t 42l : Dds.Tag.t)))
+  in
+  Rig.within_budget "hybrid register write" ~words ~budget:114.
 
 let reg_basic kind () =
   let r, mk = reg_rig () in
@@ -1042,4 +1174,14 @@ let suite =
       call_cache_free_slots_match_no_id;
     Alcotest.test_case "call: RPC round-trip allocation budget" `Quick
       call_allocation_budget;
+    Alcotest.test_case "call: stale timer never fires into a reused record"
+      `Quick call_stale_timer_never_fires_into_reuse;
+    Alcotest.test_case "call: reply longer than the buffer refused" `Quick
+      call_reply_longer_than_buffer;
+    Alcotest.test_case "call: frames back to the pool after calls" `Quick
+      call_frames_back_to_pool;
+    Alcotest.test_case "queue: RPC enqueue allocation budget" `Quick
+      queue_rpc_enqueue_budget;
+    Alcotest.test_case "register: hybrid write allocation budget" `Quick
+      reg_hybrid_write_budget;
   ]

@@ -1112,10 +1112,11 @@ let late_read_reply_dropped () =
         (Bytes.to_string (Cluster.Address_space.read d.Rig.space0 ~addr:0 ~len:4)))
 
 (* A 4-byte READ through the pipeline's window: the window holds the
-   completion itself, so a windowed READ costs what a blocking one does
-   and its window bookkeeping, against a budget 10% above what it
-   allocates (22 words; 54 with a fresh completion per issue and a cons
-   cell per window or pending entry).  A closure pair, an ivar, a tuple key, an
+   completion itself and the drain walks a key-sorted window array, so a
+   windowed READ costs what a blocking one does, against a budget 10%
+   above what it allocates (13.8 words; 21.5 with a drain that sorted a
+   key list, 54 with a fresh completion per issue and a cons cell per
+   window or pending entry).  A closure pair, an ivar, a tuple key, an
    optioned batch tag, a queue cell or a failure ref per windowed issue
    fails here. *)
 let windowed_read_budget () =
@@ -1135,7 +1136,7 @@ let windowed_read_budget () =
             Rmem.Pipeline.drain p)
         /. 4.)
   in
-  Rig.within_budget "windowed 4-byte READ through Pipeline" ~words ~budget:23.7
+  Rig.within_budget "windowed 4-byte READ through Pipeline" ~words ~budget:15.2
 
 (* A timed READ's record stays held by its watchdog after its awaiter
    is done with it, so the watchdog, firing at the first READ's
