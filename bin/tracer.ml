@@ -1,15 +1,16 @@
-(* rnet trace — replay the example workloads under the span tracer and
-   emit Chrome trace-event JSON plus the cluster metrics report.
+(* rnet trace — run the example workloads' bodies under the span tracer
+   and emit Chrome trace-event JSON plus the cluster metrics report.
 
      rnet trace -w quickstart
      rnet trace --ci      # assert span-tree invariants
      rnet trace --ci --json
 
-   In --ci mode every replay's span tree must validate (no orphans, no
-   open spans, monotone timestamps), the quickstart WRITE must decompose
-   into its trap/nic/wire/serve children summing to the end-to-end
-   latency within 1%, and the span-derived Table 1 decomposition must
-   agree with direct engine-clock accounting within 1%.
+   In --ci mode every run's span tree must validate (no orphans, no
+   open spans, monotone timestamps) and its body's verdict must hold,
+   the quickstart WRITE must decompose into its trap/nic/wire/serve
+   children summing to the end-to-end latency within 1%, and the
+   span-derived Table 1 decomposition must agree with direct
+   engine-clock accounting within 1%.
 
    --json replaces the text output with one schema-versioned JSON object
    per workload on stdout (diagnostics on stderr) and, like --ci, makes
@@ -22,14 +23,14 @@ let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("   FAIL " ^ s); false) 
 
 (* The acceptance check: a WRITE root whose phase children (trap, nic,
    wire, serve, ...) are contiguous and sum to its end-to-end latency. *)
-let write_decomposes (run : Experiments.Traced.run) =
+let write_decomposes (run : Catalog.replay) =
   let writes =
     List.filter
       (fun (s : Obs.Span.t) -> s.Obs.Span.name = "WRITE")
-      (Obs.Trace.roots run.trace)
+      (Obs.Trace.roots run.spans)
   in
   let decomposes (root : Obs.Span.t) =
-    let children = Obs.Trace.children run.trace root in
+    let children = Obs.Trace.children run.spans root in
     let names =
       List.sort_uniq compare
         (List.map (fun (s : Obs.Span.t) -> s.Obs.Span.name) children)
@@ -44,18 +45,23 @@ let write_decomposes (run : Experiments.Traced.run) =
   in
   List.exists decomposes writes
 
-(* Every problem a replay's trace can exhibit, as data — the text and
-   JSON reporters render the same list. *)
-let problems_of (t : Catalog.trace) (run : Experiments.Traced.run) =
+(* Every problem a traced run can exhibit, as data — the text and JSON
+   reporters render the same list. *)
+let problems_of (t : Catalog.trace) (run : Catalog.replay) =
   let validation =
-    match Obs.Trace.validate run.trace with Ok () -> [] | Error ps -> ps
+    match Obs.Trace.validate run.spans with Ok () -> [] | Error ps -> ps
   in
   let decomposition =
     if t.decomposes && not (write_decomposes run) then
       [ "no WRITE root decomposes into >= 4 contiguous phases" ]
     else []
   in
-  validation @ decomposition
+  let verdict =
+    match run.verdict with
+    | Ok () -> []
+    | Error detail -> [ "verdict: " ^ detail ]
+  in
+  validation @ decomposition @ verdict
 
 let check_decompose_agreement ~quiet =
   let d = Experiments.Table1a.decompose () in
@@ -69,26 +75,26 @@ let check_decompose_agreement ~quiet =
            r.Experiments.Table1a.direct_us)
     d.Experiments.Table1a.phase_rows
 
-let emit name ~out ~tree (run : Experiments.Traced.run) =
-  let json = Obs.Export.chrome_json run.trace in
+let emit name ~out ~tree (run : Catalog.replay) =
+  let json = Obs.Export.chrome_json run.spans in
   let path = Filename.concat out (name ^ ".trace.json") in
   let oc = open_out path in
   output_string oc json;
   close_out oc;
   Printf.printf "%s: %d spans -> %s\n" name
-    (Obs.Trace.span_count run.trace)
+    (Obs.Trace.span_count run.spans)
     path;
-  if tree then print_string (Obs.Export.render_tree run.trace);
+  if tree then print_string (Obs.Export.render_tree run.spans);
   print_string (Obs.Registry.report run.registry)
 
 (* ---------------- JSON report ---------------- *)
 
-let run_json name (t : Catalog.trace) (run : Experiments.Traced.run) problems =
+let run_json name (t : Catalog.trace) (run : Catalog.replay) problems =
   Printf.sprintf
     "{\"schema\":%d,\"tool\":\"tracer\",\"workload\":\"%s\",\"spans\":%d,\"roots\":%d,\"valid\":%b,\"write_decomposition\":%s,\"problems\":[%s]}"
     Analysis.Report.schema_version (escape name)
-    (Obs.Trace.span_count run.trace)
-    (List.length (Obs.Trace.roots run.trace))
+    (Obs.Trace.span_count run.spans)
+    (List.length (Obs.Trace.roots run.spans))
     (problems = [])
     (if t.decomposes then string_of_bool (write_decomposes run) else "null")
     (String.concat ","
@@ -118,7 +124,7 @@ let run_one (m : Cli.mode) ~out ~tree (name, (t : Catalog.trace)) =
     if m.json then print_json (run_json name t run problems)
     else
       Printf.printf "%s: %d spans, %s\n" name
-        (Obs.Trace.span_count run.trace)
+        (Obs.Trace.span_count run.spans)
         (if problems = [] then "valid" else "INVALID");
     Cli.run_all (fun p -> fail "%s: %s" name p) problems
   end

@@ -1,79 +1,8 @@
-(* The distributed file service end to end (§5).
-
-   One server, two client machines.  Each client's clerk runs the same
-   operation script under all three transfer schemes — pure data
-   transfer (DX), the RPC-like Hybrid-1 (HY) and classic RPC — and we
-   compare client-seen latency and server CPU.  Client 1 then updates a
-   file with a pure-data write push and client 2 reads the new contents
-   through the server's cache.
+(* The distributed file service end to end (§5): one clerk's script
+   under RPC, Hybrid-1 and pure data transfer, then a write push one
+   client makes and another reads through the server's cache.  The
+   body is Catalog.Body.file_service.
 
      dune exec examples/file_service.exe *)
 
-let printf = Printf.printf
-
-let () =
-  let fixture = Experiments.Fixture.create ~clients:2 () in
-  let server_cpu = Experiments.Fixture.server_cpu fixture in
-  let store = fixture.Experiments.Fixture.store in
-  let fh = fixture.Experiments.Fixture.bench_file in
-  let dir = fixture.Experiments.Fixture.bench_dir in
-  let script =
-    [
-      Dfs.Nfs_ops.Get_attr { fh };
-      Dfs.Nfs_ops.Lookup { dir; name = "entry0001" };
-      Dfs.Nfs_ops.Read { fh; off = 0; count = 4096 };
-      Dfs.Nfs_ops.Read_dir { fh = dir; count = 1024 };
-      Dfs.Nfs_ops.Write { fh; off = 8192; data = Bytes.make 4096 'v' };
-      Dfs.Nfs_ops.Get_attr { fh };
-    ]
-  in
-  Experiments.Fixture.run fixture (fun () ->
-      let clerk = Experiments.Fixture.clerk fixture 0 in
-      List.iter
-        (fun scheme ->
-          Dfs.Clerk.set_scheme clerk scheme;
-          Experiments.Fixture.reset_accounting fixture;
-          let _, elapsed =
-            Experiments.Fixture.time fixture (fun () ->
-                List.iter
-                  (fun op ->
-                    match Dfs.Clerk.perform clerk op with
-                    | Dfs.Nfs_ops.R_error code ->
-                        failwith (Printf.sprintf "op failed: %d" code)
-                    | _ -> ())
-                  script)
-          in
-          Sim.Proc.wait (Sim.Time.ms 5);
-          printf "%-4s script: %7.0f us total, server CPU %6.0f us\n"
-            (Dfs.Clerk.scheme_to_string scheme)
-            elapsed
-            (Sim.Time.to_us (Cluster.Cpu.busy_time server_cpu));
-          Cluster.Cpu.reset_accounting server_cpu)
-        [ Dfs.Clerk.Rpc_baseline; Dfs.Clerk.Hybrid1; Dfs.Clerk.Dx ];
-
-      (* Cross-client data flow: client 1 pushes, the server writes the
-         block back, client 2 reads it through the server cache. *)
-      let writer = Experiments.Fixture.clerk fixture 0 in
-      let reader = Experiments.Fixture.clerk fixture 1 in
-      Dfs.Clerk.set_scheme writer Dfs.Clerk.Dx;
-      Dfs.Clerk.set_scheme reader Dfs.Clerk.Dx;
-      let payload = Bytes.make 8192 '!' in
-      (match
-         Dfs.Clerk.perform writer
-           (Dfs.Nfs_ops.Write { fh; off = 0; data = payload })
-       with
-      | Dfs.Nfs_ops.R_write _ -> ()
-      | _ -> failwith "write failed");
-      Sim.Proc.wait (Sim.Time.ms 2);
-      Dfs.Server.writeback fixture.Experiments.Fixture.server ~fh ~block:0;
-      match
-        Dfs.Clerk.perform reader (Dfs.Nfs_ops.Read { fh; off = 0; count = 64 })
-      with
-      | Dfs.Nfs_ops.R_data data ->
-          printf
-            "client2 observes client1's push through the server cache: %S...\n"
-            (Bytes.to_string (Bytes.sub data 0 8));
-          assert (Bytes.equal data (Bytes.sub payload 0 64))
-      | _ -> failwith "read failed");
-  let back = Dfs.File_store.read store fh ~off:0 ~count:4 in
-  printf "store contents after write-back: %S\n" (Bytes.to_string back)
+let () = Catalog.Body.(main file_service)

@@ -1,102 +1,8 @@
-(* The segment name service at work (§4).
-
-   Three machines; machine 2 exports a batch of named segments, the
-   others look them up — by remote probing and by control transfer —
-   then one name is revoked and re-exported, and the refresh daemon
-   detects the stale import and fails subsequent operations locally.
+(* The segment name service at work (§4): imports by remote probing
+   and by control transfer, then a revoke and re-export that the
+   refresh pass turns into local failures.  The body is
+   Catalog.Body.name_service.
 
      dune exec examples/name_service.exe *)
 
-let printf = Printf.printf
-
-let () =
-  let testbed = Cluster.Testbed.create ~nodes:3 () in
-  let engine = Cluster.Testbed.engine testbed in
-  let rmems =
-    Array.init 3 (fun i ->
-        Rmem.Remote_memory.attach (Cluster.Testbed.node testbed i))
-  in
-  Cluster.Testbed.run testbed (fun () ->
-      let clerks = Array.map Names.Clerk.create rmems in
-      Array.iter Names.Clerk.serve_lookup_requests clerks;
-      let exporter = Cluster.Testbed.node testbed 2 in
-      let hint = Cluster.Node.addr exporter in
-      let space = Cluster.Node.new_address_space exporter in
-
-      (* Export a batch of named segments on node 2. *)
-      let names =
-        List.init 8 (fun i -> Printf.sprintf "service/db/shard-%02d" i)
-      in
-      let segments =
-        List.mapi
-          (fun i name ->
-            ( name,
-              Names.Api.export clerks.(2) ~space ~base:(i * 8192) ~len:8192
-                ~rights:Rmem.Rights.all ~name () ))
-          names
-      in
-      printf "node2 exported %d segments\n" (List.length segments);
-
-      (* Node 0 imports them all by remote probing. *)
-      List.iter
-        (fun name ->
-          let t0 = Sim.Engine.now engine in
-          let (_ : Rmem.Descriptor.t) =
-            Names.Api.import ~hint clerks.(0) name
-          in
-          printf "node0 imported %-22s in %6.0f us\n" name
-            (Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now engine) t0)))
-        names;
-
-      (* Node 1 uses the control-transfer path for one of them. *)
-      let t0 = Sim.Engine.now engine in
-      let (_ : Rmem.Descriptor.t) =
-        Names.Api.import_with_control_transfer ~hint clerks.(1)
-          "service/db/shard-03"
-      in
-      printf "node1 imported shard-03 via control transfer in %.0f us\n"
-        (Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now engine) t0));
-
-      (* Cached re-import is cheap. *)
-      let t0 = Sim.Engine.now engine in
-      let desc = Names.Api.import ~hint clerks.(0) "service/db/shard-00" in
-      printf "node0 cached re-import of shard-00: %.0f us\n"
-        (Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now engine) t0));
-
-      (* Revoke and re-export shard-00 on node 2: the old descriptor is
-         now a stale generation. *)
-      let name, segment = List.hd segments in
-      Names.Api.revoke clerks.(2) segment;
-      let (_ : Rmem.Segment.t) =
-        Names.Api.export clerks.(2) ~space ~base:0 ~len:8192
-          ~rights:Rmem.Rights.all ~name ()
-      in
-      printf "node2 revoked and re-exported %s\n" name;
-
-      (* Before refresh, a remote op with the old descriptor fails at
-         the destination; after refresh, it fails locally at the
-         source — the paper's recovery path. *)
-      let space0 =
-        Cluster.Node.new_address_space (Cluster.Testbed.node testbed 0)
-      in
-      let buf = Rmem.Remote_memory.buffer ~space:space0 ~base:0 ~len:64 in
-      (try
-         Rmem.Remote_memory.read_wait ~timeout:(Sim.Time.ms 5) rmems.(0) desc
-           ~soff:0 ~count:16 ~dst:buf ~doff:0 ()
-       with Rmem.Status.Remote_error status ->
-         printf "pre-refresh read rejected remotely: %s\n"
-           (Rmem.Status.to_string status));
-      Names.Clerk.refresh_once clerks.(0);
-      (try
-         Rmem.Remote_memory.read_wait rmems.(0) desc ~soff:0 ~count:16
-           ~dst:buf ~doff:0 ()
-       with Rmem.Status.Remote_error status ->
-         printf "post-refresh read failed locally: %s\n"
-           (Rmem.Status.to_string status));
-
-      (* A fresh import picks up the new generation and works. *)
-      let desc = Names.Api.import ~force:true ~hint clerks.(0) name in
-      Rmem.Remote_memory.read_wait rmems.(0) desc ~soff:0 ~count:16 ~dst:buf
-        ~doff:0 ();
-      printf "fresh import works: read 16 bytes from re-exported %s\n" name);
-  printf "done at %s\n" (Sim.Time.to_string (Sim.Engine.now engine))
+let () = Catalog.Body.(main ~ends:"done at" (launch name_service))

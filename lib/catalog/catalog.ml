@@ -3,6 +3,8 @@
    serves.  Record order is output order; a view that mixes builder
    kinds groups them in order of first appearance. *)
 
+module Body = Body
+
 type prepare = unit -> Analysis.Scenarios.prep
 type race = { prepare : prepare; races : bool; findings : bool }
 type expect = Clean | Fails of string
@@ -22,7 +24,14 @@ type program = {
 
 type leg = { label : string; plan : Faults.Plan.t; seed : int; chain : bool }
 type campaign = { run : Faults.Campaign.workload; legs : leg list }
-type trace = { replay : unit -> Experiments.Traced.run; decomposes : bool }
+
+type replay = {
+  spans : Obs.Trace.t;
+  registry : Obs.Registry.t;
+  verdict : Body.verdict;
+}
+
+type trace = { replay : unit -> replay; decomposes : bool }
 
 type t = {
   name : string;
@@ -86,7 +95,19 @@ let program ?(rules = []) ?(ordered = false) ?(confirmed = false) kind p e =
   let p = { kind; program = p; rules; ordered; confirm } in
   { e with proto = e.proto @ [ p ] }
 
-let traced ?(decomposes = false) replay e =
+(* An example body for trace: it runs silently, the tracer attached
+   after the rig is built (after a fixture's warm-up) and detached once
+   the run is quiescent. *)
+let traced ?(decomposes = false) (launch : Body.launch) e =
+  let replay () =
+    let engine, run = launch ~say:ignore in
+    let registry = Obs.Registry.create () in
+    let spans = Obs.Trace.create ~registry engine in
+    Obs.Trace.attach spans;
+    let verdict = Fun.protect ~finally:Obs.Trace.detach run in
+    Obs.Trace.finalize spans;
+    { spans; registry; verdict }
+  in
   { e with trace = Some { replay; decomposes } }
 
 let leg ?(chain = false) label plan seed = { label; plan; seed; chain }
@@ -105,7 +126,7 @@ let lossy base =
 module S = Analysis.Scenarios
 module P = Workload.Programs
 module C = Faults.Campaign
-module T = Experiments.Traced
+module B = Body
 
 let all =
   [
@@ -118,12 +139,12 @@ let all =
     |> program ~ordered:true "scenario" P.producer_consumer
     |> campaign (lossy 1034) C.producer_consumer
     |> program "campaign" P.campaign_producer_consumer
-    |> traced T.producer_consumer;
+    |> traced (B.launch B.producer_consumer);
     entry "file_service"
       "two clients update one block under a CAS lock, fencing before release"
     |> scenario ~explore:Clean S.file_service
     |> program "scenario" P.file_service
-    |> traced T.file_service;
+    |> traced B.file_service;
     entry "file_service_nofence"
       "file_service without the fence: WRITEs in flight as the lock moves on"
     |> scenario ~races:true S.file_service_nofence
@@ -133,9 +154,9 @@ let all =
       "name lookups, a stale descriptor kept across a revoke, a poll-never read"
     |> scenario ~findings:true ~explore:Clean S.name_service
     |> program "scenario" P.name_service
-    |> campaign (lossy 1017) C.name_service
+    |> campaign (lossy 1017) (B.campaign B.name_service)
     |> program "campaign" P.campaign_name_service
-    |> traced T.name_service;
+    |> traced (B.launch B.name_service);
     entry "racy" "two unsynchronized writers to one range"
     |> scenario ~races:true S.racy
     |> program "scenario" P.racy;
@@ -162,9 +183,9 @@ let all =
     |> scenario ~explore:(Fails "linearizability") S.dds_register_no_writeback
     |> program "scenario" P.dds_register_no_writeback;
     entry "quickstart" "named export/import, WRITE, READ back, two CASes"
-    |> campaign (lossy 1000) C.quickstart
+    |> campaign (lossy 1000) (B.campaign B.quickstart)
     |> program "campaign" P.campaign_quickstart
-    |> traced ~decomposes:true T.quickstart;
+    |> traced ~decomposes:true (B.launch B.quickstart);
     entry "replica" "the replicated config store, healed across a partition"
     |> campaign
          (lossy 1051 @ [ leg "partition heal" (C.partition_plan ()) 2100 ])

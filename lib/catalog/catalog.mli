@@ -4,6 +4,9 @@
     resolve names against these views only, so adding a workload is one
     entry here. *)
 
+module Body = Body
+(** The example workloads, one body each. *)
+
 type prepare = unit -> Analysis.Scenarios.prep
 
 type race = { prepare : prepare; races : bool; findings : bool }
@@ -36,7 +39,16 @@ type leg = { label : string; plan : Faults.Plan.t; seed : int; chain : bool }
     pinned: the leg's fault digest depends on it. *)
 
 type campaign = { run : Faults.Campaign.workload; legs : leg list }
-type trace = { replay : unit -> Experiments.Traced.run; decomposes : bool }
+
+type replay = {
+  spans : Obs.Trace.t;
+  registry : Obs.Registry.t;
+  verdict : Body.verdict;
+}
+(** A body's silent run under the tracer and a metrics registry, both
+    finalized, with the body's own verdict. *)
+
+type trace = { replay : unit -> replay; decomposes : bool }
 
 type t = {
   name : string;

@@ -1,5 +1,5 @@
-(* Recovery campaigns: small end-to-end workloads run under a fault
-   plan, each with an explicit convergence check on final state.
+(* Recovery campaigns: end-to-end workload bodies run under a fault
+   plan, each returning an explicit convergence verdict on final state.
 
    Every workload is deterministic given (plan, seed): the outcome
    carries the plane's event digest so a replay with the same inputs
@@ -30,15 +30,6 @@ type workload =
   sampler:Sim.Time.t option ->
   observe:(Cluster.Testbed.t -> unit) ->
   outcome
-
-(* A workload's testbed, offered to the caller's observer before any
-   endpoint attaches, so an analysis tool can subscribe to its nodes
-   without this library depending on it (the dependency points
-   analysis -> faults, not back). *)
-let testbed ~observe nodes =
-  let testbed = Cluster.Testbed.create ~nodes () in
-  observe testbed;
-  testbed
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: when a sampling interval is given, each workload gets a
@@ -146,6 +137,26 @@ let rec retrying ?(attempts = 12) ?(pause = Sim.Time.us 400) f =
       Sim.Proc.wait pause;
       retrying ~attempts:(attempts - 1) ~pause f
 
+(* The policy for the data operations on [name]'s segment: retry, and
+   re-import the name on a stale descriptor. *)
+let policy clerk ~hint name =
+  Rmem.Recovery.with_revalidate (campaign_policy ())
+    (Names.Api.revalidator ~hint clerk name)
+
+type hooks = {
+  retry : 'a. (unit -> 'a) -> 'a;
+  policy :
+    Names.Clerk.t -> hint:Atm.Addr.t -> string -> Rmem.Recovery.policy option;
+  probe_timeout : Sim.Time.t option;
+}
+
+let hooks =
+  {
+    retry = (fun f -> retrying f);
+    policy = (fun clerk ~hint name -> Some (policy clerk ~hint name));
+    probe_timeout = Some (Sim.Time.ms 2);
+  }
+
 let wait_until engine time =
   let now = Sim.Engine.now engine in
   if Sim.Time.(now < time) then Sim.Proc.wait (Sim.Time.diff time now)
@@ -153,19 +164,44 @@ let wait_until engine time =
 let clerk_for rmem =
   let clerk = Names.Clerk.create rmem in
   Names.Clerk.serve_lookup_requests clerk;
-  Names.Clerk.set_probe_timeout clerk (Some (Sim.Time.ms 2));
+  Names.Clerk.set_probe_timeout clerk hooks.probe_timeout;
   clerk
 
-let outcome ~workload ~seed ~plane ~timeseries ~engine_events ~survived
-    ~converged ~detail =
+(* The harness: a fresh [nodes]-node testbed, one endpoint per node,
+   the fault plane and the sampler, then the body run to quiescence.
+   The observer gets the testbed before any endpoint attaches, so an
+   analysis tool can subscribe to its nodes without this library
+   depending on it (the dependency points analysis -> faults, not
+   back).  The two failure modes a fault plan can force — a deadlocked
+   wait or an escaped status — become a non-survival verdict instead of
+   a crash of the harness. *)
+let harness ?preserve ?on_restart workload ~nodes body ~plan ~seed ~sampler
+    ~observe =
+  let testbed = Cluster.Testbed.create ~nodes () in
+  observe testbed;
+  let rmems =
+    Array.init nodes (fun i ->
+        Rmem.Remote_memory.attach (Cluster.Testbed.node testbed i))
+  in
+  let indexed = Array.to_list (Array.mapi (fun i r -> (i, r)) rmems) in
+  let plane =
+    Plane.create ~plan ~rmems:indexed ?preserve ?on_restart ~seed testbed
+  in
+  let timeseries = sampler_for ~sampler testbed ~rmems:indexed plane in
+  let survived, verdict =
+    match Cluster.Testbed.run testbed (fun () -> body testbed rmems) with
+    | verdict -> (true, verdict)
+    | exception Sim.Engine.Deadlock _ -> (false, Error "deadlock")
+    | exception exn -> (false, Error (Printexc.to_string exn))
+  in
   let registry = Plane.registry plane in
   let c name = Obs.Registry.counter registry name in
   {
     workload;
     seed;
     survived;
-    converged;
-    detail;
+    converged = Result.is_ok verdict;
+    detail = (match verdict with Ok () -> "" | Error detail -> detail);
     digest = Plane.digest plane;
     events = Plane.event_count plane;
     retries = c "rmem.retries";
@@ -175,191 +211,21 @@ let outcome ~workload ~seed ~plane ~timeseries ~engine_events ~survived
     counters = Obs.Registry.counters registry;
     registry;
     timeseries;
-    engine_events;
+    engine_events = Sim.Engine.events_fired (Cluster.Testbed.engine testbed);
   }
 
-(* Run a workload body to quiescence, translating the two failure modes
-   a fault plan can force — a deadlocked wait or an escaped status —
-   into a non-survival verdict instead of a crash of the harness. *)
-let guarded ~workload ~seed ~plane ~timeseries testbed body =
-  let detail = ref "" in
-  let converged = ref false in
-  let survived =
-    match Cluster.Testbed.run testbed (fun () -> body converged detail) with
-    | () -> true
-    | exception Sim.Engine.Deadlock _ ->
-        detail := "deadlock";
-        false
-    | exception exn ->
-        detail := Printexc.to_string exn;
-        false
-  in
-  outcome ~workload ~seed ~plane ~timeseries
-    ~engine_events:(Sim.Engine.events_fired (Cluster.Testbed.engine testbed))
-    ~survived ~converged:!converged ~detail:!detail
-
-(* ------------------------------------------------------------------ *)
-(* quickstart: 2 nodes, named export/import, WRITE, READ back, CAS.    *)
-
-let quickstart ~plan ~seed ~sampler ~observe =
-  let testbed = testbed ~observe 2 in
-  let node0 = Cluster.Testbed.node testbed 0 in
-  let node1 = Cluster.Testbed.node testbed 1 in
-  let rmem0 = Rmem.Remote_memory.attach node0 in
-  let rmem1 = Rmem.Remote_memory.attach node1 in
-  let rmems = [ (0, rmem0); (1, rmem1) ] in
-  let plane = Plane.create ~plan ~rmems ~seed testbed in
-  let timeseries = sampler_for ~sampler testbed ~rmems plane in
-  guarded ~workload:"quickstart" ~seed ~plane ~timeseries testbed
-    (fun converged detail ->
-      let names0 = clerk_for rmem0 in
-      let names1 = clerk_for rmem1 in
-      let space1 = Cluster.Node.new_address_space node1 in
-      let (_ : Rmem.Segment.t) =
-        Names.Api.export names1 ~space:space1 ~base:0 ~len:4096
-          ~rights:Rmem.Rights.all ~name:"shared.buffer" ()
-      in
-      let hint = Cluster.Node.addr node1 in
-      let desc =
-        retrying (fun () -> Names.Api.import ~hint names0 "shared.buffer")
-      in
-      let policy =
-        Rmem.Recovery.with_revalidate (campaign_policy ())
-          (Names.Api.revalidator ~hint names0 "shared.buffer")
-      in
-      let message = Bytes.of_string "hello, remote memory" in
-      Rmem.Remote_memory.write rmem0 ~policy desc ~off:0 message;
-      let space0 = Cluster.Node.new_address_space node0 in
-      let buf = Rmem.Remote_memory.buffer ~space:space0 ~base:0 ~len:4096 in
-      Rmem.Remote_memory.read_wait rmem0 ~policy desc ~soff:0
-        ~count:(Bytes.length message) ~dst:buf ~doff:0 ();
-      let echoed =
-        Cluster.Address_space.read space0 ~addr:0 ~len:(Bytes.length message)
-      in
-      (* Both CAS calls race the lost-reply ambiguity, so the authority
-         is the memory word itself: the first CAS saw 0 and must have
-         installed 42; the second saw 42 and must have left it alone. *)
-      let (_ : int) =
-        Rmem.Remote_memory.cas_wait rmem0 ~policy desc ~doff:1024
-          ~old_value:0 ~new_value:42 ()
-      in
-      let (_ : int) =
-        Rmem.Remote_memory.cas_wait rmem0 ~policy desc ~doff:1024
-          ~old_value:0 ~new_value:99 ()
-      in
-      Rmem.Remote_memory.read_wait rmem0 ~policy desc ~soff:1024 ~count:4
-        ~dst:buf ~doff:1024 ();
-      let word = Cluster.Address_space.read_word space0 ~addr:1024 in
-      let ok_bytes = Bytes.equal echoed message in
-      let ok_word = word = 42 in
-      converged := ok_bytes && ok_word;
-      if not !converged then
-        detail :=
-          Printf.sprintf "echo=%b word=%d (want 42)" ok_bytes word)
-
-(* ------------------------------------------------------------------ *)
-(* name_service: batch export, imports, revoke/re-export recovery.     *)
-
-let name_service ~plan ~seed ~sampler ~observe =
-  let testbed = testbed ~observe 3 in
-  let rmems =
-    Array.init 3 (fun i ->
-        Rmem.Remote_memory.attach (Cluster.Testbed.node testbed i))
-  in
-  let indexed = Array.to_list (Array.mapi (fun i r -> (i, r)) rmems) in
-  let plane = Plane.create ~plan ~rmems:indexed ~seed testbed in
-  let timeseries = sampler_for ~sampler testbed ~rmems:indexed plane in
-  guarded ~workload:"name_service" ~seed ~plane ~timeseries testbed
-    (fun converged detail ->
-      let clerks = Array.map clerk_for rmems in
-      let exporter = Cluster.Testbed.node testbed 2 in
-      let hint = Cluster.Node.addr exporter in
-      let space = Cluster.Node.new_address_space exporter in
-      let shard_names =
-        List.init 4 (fun i -> Printf.sprintf "service/db/shard-%02d" i)
-      in
-      let segments =
-        List.mapi
-          (fun i name ->
-            ( name,
-              Names.Api.export clerks.(2) ~space ~base:(i * 8192) ~len:8192
-                ~rights:Rmem.Rights.all ~name () ))
-          shard_names
-      in
-      List.iter
-        (fun name ->
-          let (_ : Rmem.Descriptor.t) =
-            retrying (fun () -> Names.Api.import ~hint clerks.(0) name)
-          in
-          ())
-        shard_names;
-      let policy name =
-        Rmem.Recovery.with_revalidate (campaign_policy ())
-          (Names.Api.revalidator ~hint clerks.(0) name)
-      in
-      let name0 = "service/db/shard-00" in
-      let stale =
-        retrying (fun () -> Names.Api.import ~force:true ~hint clerks.(0) name0)
-      in
-      let payload = Bytes.of_string "shard zero, first generation" in
-      Rmem.Remote_memory.write rmems.(0) ~policy:(policy name0) stale ~off:0
-        payload;
-      (* The exporter revokes and re-exports shard-00: a NEW segment id,
-         so the stale descriptor is beyond revalidation (the revalidator
-         correctly refuses to splice a different segment under it) and
-         the client must re-import — the clerk-mediated recovery path. *)
-      let (_, first) = List.hd segments in
-      Names.Api.revoke clerks.(2) first;
-      let (_ : Rmem.Segment.t) =
-        Names.Api.export clerks.(2) ~space ~base:0 ~len:8192
-          ~rights:Rmem.Rights.all ~name:name0 ()
-      in
-      let space0 =
-        Cluster.Node.new_address_space (Cluster.Testbed.node testbed 0)
-      in
-      let buf =
-        Rmem.Remote_memory.buffer ~space:space0 ~base:0 ~len:8192
-      in
-      let stale_rejected =
-        match
-          Rmem.Remote_memory.read_wait rmems.(0) ~policy:(policy name0) stale
-            ~soff:0 ~count:(Bytes.length payload) ~dst:buf ~doff:0 ()
-        with
-        | () -> false
-        | exception (Rmem.Status.Timeout | Rmem.Status.Remote_error _) -> true
-      in
-      let fresh =
-        retrying (fun () -> Names.Api.import ~force:true ~hint clerks.(0) name0)
-      in
-      Rmem.Remote_memory.read_wait rmems.(0) ~policy:(policy name0) fresh
-        ~soff:0 ~count:(Bytes.length payload) ~dst:buf ~doff:0 ();
-      let echoed =
-        Cluster.Address_space.read space0 ~addr:0 ~len:(Bytes.length payload)
-      in
-      (* The re-export covers the same server memory, so the first
-         generation's payload is still there. *)
-      let ok_bytes = Bytes.equal echoed payload in
-      converged := stale_rejected && ok_bytes;
-      if not !converged then
-        detail :=
-          Printf.sprintf "stale_rejected=%b echo=%b" stale_rejected ok_bytes)
+let workload name ~nodes body = harness name ~nodes body
 
 (* ------------------------------------------------------------------ *)
 (* producer_consumer: two producers fill disjoint slots, one CAS race,
    a polling consumer.                                                 *)
 
-let producer_consumer ~plan ~seed ~sampler ~observe =
+let producer_consumer =
   let slots = 8 in
   let slot_base = 256 in
   let slot_bytes = 64 in
-  let testbed = testbed ~observe 3 in
-  let nodes = Array.init 3 (Cluster.Testbed.node testbed) in
-  let rmems = Array.map Rmem.Remote_memory.attach nodes in
-  let indexed = Array.to_list (Array.mapi (fun i r -> (i, r)) rmems) in
-  let plane = Plane.create ~plan ~rmems:indexed ~seed testbed in
-  let timeseries = sampler_for ~sampler testbed ~rmems:indexed plane in
-  guarded ~workload:"producer_consumer" ~seed ~plane ~timeseries testbed
-    (fun converged detail ->
+  workload "producer_consumer" ~nodes:3 (fun testbed rmems ->
+      let nodes = Array.init 3 (Cluster.Testbed.node testbed) in
       let clerks = Array.map clerk_for rmems in
       let ring_space = Cluster.Node.new_address_space nodes.(1) in
       let (_ : Rmem.Segment.t) =
@@ -372,10 +238,7 @@ let producer_consumer ~plan ~seed ~sampler ~observe =
             let desc =
               retrying (fun () -> Names.Api.import ~hint clerks.(idx) "pc.ring")
             in
-            let policy =
-              Rmem.Recovery.with_revalidate (campaign_policy ())
-                (Names.Api.revalidator ~hint clerks.(idx) "pc.ring")
-            in
+            let policy = policy clerks.(idx) ~hint "pc.ring" in
             (* Producer 0 owns even slots, producer 2 odd ones. *)
             let mine = if idx = 0 then 0 else 1 in
             for slot = 0 to slots - 1 do
@@ -427,23 +290,15 @@ let producer_consumer ~plan ~seed ~sampler ~observe =
       in
       let filled = poll () in
       let winner = Cluster.Address_space.read_word ring_space ~addr:8 in
-      let ok_winner = winner = 500 || winner = 502 in
-      converged := filled && ok_winner;
-      if not !converged then
-        detail := Printf.sprintf "filled=%b winner=%d" filled winner)
+      if filled && (winner = 500 || winner = 502) then Ok ()
+      else Error (Printf.sprintf "filled=%b winner=%d" filled winner))
 
 (* ------------------------------------------------------------------ *)
 (* replica: anti-entropy convergence across a partition heal.          *)
 
-let replica ~plan ~seed ~sampler ~observe =
-  let testbed = testbed ~observe 3 in
-  let nodes = Array.init 3 (Cluster.Testbed.node testbed) in
-  let rmems = Array.map Rmem.Remote_memory.attach nodes in
-  let indexed = Array.to_list (Array.mapi (fun i r -> (i, r)) rmems) in
-  let plane = Plane.create ~plan ~rmems:indexed ~seed testbed in
-  let timeseries = sampler_for ~sampler testbed ~rmems:indexed plane in
-  guarded ~workload:"replica" ~seed ~plane ~timeseries testbed
-    (fun converged detail ->
+let replica =
+  workload "replica" ~nodes:3 (fun testbed rmems ->
+      let nodes = Array.init 3 (Cluster.Testbed.node testbed) in
       let clerks = Array.map clerk_for rmems in
       let members = Array.map Replica.create clerks in
       Array.iteri
@@ -495,54 +350,44 @@ let replica ~plan ~seed ~sampler ~observe =
         | _ -> false
       in
       let keys = [ "alpha"; "beta"; "gamma"; "delta" ] in
-      let disagreeing = List.filter (fun k -> not (agree k)) keys in
-      converged := disagreeing = [];
-      if not !converged then
-        detail :=
-          Printf.sprintf "diverged keys: %s" (String.concat ", " disagreeing))
+      match List.filter (fun k -> not (agree k)) keys with
+      | [] -> Ok ()
+      | disagreeing ->
+          Error
+            (Printf.sprintf "diverged keys: %s"
+               (String.concat ", " disagreeing)))
 
 (* ------------------------------------------------------------------ *)
 (* crash_restart: generation bump, Stale_generation, clerk re-import.  *)
 
-let crash_restart ~plan ~seed ~sampler ~observe =
+let crash_plan () =
+  Plan.make
+    ~crashes:
+      [
+        { Plan.node = 1; at = Sim.Time.ms 5; restart_at = Some (Sim.Time.ms 8) };
+      ]
+    ()
+
+let crash_restart ~plan =
   (* The point of this workload is the crash; supply the canonical one
      if the caller's plan has none. *)
   let plan =
     if plan.Plan.crashes <> [] then plan
-    else
-      {
-        plan with
-        Plan.crashes =
-          [
-            {
-              Plan.node = 1;
-              at = Sim.Time.ms 5;
-              restart_at = Some (Sim.Time.ms 8);
-            };
-          ];
-      }
+    else { plan with Plan.crashes = (crash_plan ()).Plan.crashes }
   in
-  let testbed = testbed ~observe 2 in
-  let node0 = Cluster.Testbed.node testbed 0 in
-  let node1 = Cluster.Testbed.node testbed 1 in
-  let rmem0 = Rmem.Remote_memory.attach node0 in
-  let rmem1 = Rmem.Remote_memory.attach node1 in
   let clerk1 = ref None in
-  let rmems = [ (0, rmem0); (1, rmem1) ] in
-  let plane =
-    Plane.create ~plan ~rmems
-        (* The clerks' well-known bootstrap segments keep their
-           generations across the restart, so probing keeps working. *)
-      ~preserve:[ 0; 1; 2 ]
-      ~on_restart:(fun n ->
-        if n = 1 then Option.iter Names.Clerk.reannounce !clerk1)
-      ~seed testbed
-  in
-  let timeseries = sampler_for ~sampler testbed ~rmems plane in
-  guarded ~workload:"crash_restart" ~seed ~plane ~timeseries testbed
-    (fun converged detail ->
+  harness "crash_restart" ~nodes:2
+    (* The clerks' well-known bootstrap segments keep their generations
+       across the restart, so probing keeps working. *)
+    ~preserve:[ 0; 1; 2 ]
+    ~on_restart:(fun n ->
+      if n = 1 then Option.iter Names.Clerk.reannounce !clerk1)
+    (fun testbed rmems ->
+      let node0 = Cluster.Testbed.node testbed 0 in
+      let node1 = Cluster.Testbed.node testbed 1 in
+      let rmem0 = rmems.(0) in
       let names0 = clerk_for rmem0 in
-      let names1 = clerk_for rmem1 in
+      let names1 = clerk_for rmems.(1) in
       clerk1 := Some names1;
       let space1 = Cluster.Node.new_address_space node1 in
       let (_ : Rmem.Segment.t) =
@@ -551,10 +396,7 @@ let crash_restart ~plan ~seed ~sampler ~observe =
       in
       let hint = Cluster.Node.addr node1 in
       let desc = retrying (fun () -> Names.Api.import ~hint names0 "store") in
-      let policy =
-        Rmem.Recovery.with_revalidate (campaign_policy ())
-          (Names.Api.revalidator ~hint names0 "store")
-      in
+      let policy = policy names0 ~hint "store" in
       let payload = Bytes.of_string "written before the crash" in
       Rmem.Remote_memory.write rmem0 ~policy desc ~off:0 payload;
       let generation_before = Rmem.Descriptor.generation desc in
@@ -574,15 +416,16 @@ let crash_restart ~plan ~seed ~sampler ~observe =
       in
       let generation_after = Rmem.Descriptor.generation desc in
       let ok_bytes = Bytes.equal echoed payload in
-      let ok_generation =
+      let bumped =
         not (Rmem.Generation.equal generation_after generation_before)
       in
-      converged := ok_bytes && ok_generation;
-      if not !converged then
-        detail :=
-          Printf.sprintf "echo=%b generation %d -> %d" ok_bytes
-            (Rmem.Generation.to_int generation_before)
-            (Rmem.Generation.to_int generation_after))
+      if ok_bytes && bumped then Ok ()
+      else
+        Error
+          (Printf.sprintf "echo=%b generation %d -> %d" ok_bytes
+             (Rmem.Generation.to_int generation_before)
+             (Rmem.Generation.to_int generation_after)))
+    ~plan
 
 (* ------------------------------------------------------------------ *)
 
@@ -612,10 +455,4 @@ let partition_plan () =
             [ Plan.window ~from_:(Sim.Time.ms 10) ~until:(Sim.Time.ms 30) ];
         };
       ]
-    ()
-
-let crash_plan () =
-  Plan.make
-    ~crashes:
-      [ { Plan.node = 1; at = Sim.Time.ms 5; restart_at = Some (Sim.Time.ms 8) } ]
     ()

@@ -1,11 +1,11 @@
-(** Recovery campaigns: end-to-end workloads under a fault plan.
+(** Recovery campaigns: end-to-end workload bodies under a fault plan.
 
-    Each workload builds its own testbed, installs a {!Plane} from the
-    given plan and seed, runs to quiescence and checks an explicit
-    final-state convergence condition. Outcomes carry the plane's event
-    digest: running the same (workload, plan, seed) twice must produce
-    equal digests — the determinism/replay contract [chaoscheck] and
-    the @faults tests assert. *)
+    The harness ({!workload}) builds each run's testbed, installs a
+    {!Plane} from the given plan and seed, runs the body to quiescence
+    and reports its final-state convergence verdict. Outcomes carry the
+    plane's event digest: running the same (workload, plan, seed) twice
+    must produce equal digests — the determinism/replay contract
+    [chaoscheck] and the @faults tests assert. *)
 
 type outcome = {
   workload : string;
@@ -37,10 +37,34 @@ type workload =
   outcome
 (** A campaign workload; call it through {!run}. *)
 
+val workload :
+  string ->
+  nodes:int ->
+  (Cluster.Testbed.t -> Rmem.Remote_memory.t array -> (unit, string) result) ->
+  workload
+(** [workload name ~nodes body] is the harness around a body: a fresh
+    [nodes]-node testbed, one endpoint per node (in node order), the
+    plane and the sampler, then [body] run to quiescence. Its verdict
+    is [Ok ()] when the final state converged, [Error detail]
+    otherwise; a deadlock or an escaped exception is a non-survival. *)
+
+(** The recovery a campaign body runs under. *)
+type hooks = {
+  retry : 'a. (unit -> 'a) -> 'a;
+      (** around a name-service call: reissue on a timeout, an error
+          status or an unknown name, after a pause *)
+  policy :
+    Names.Clerk.t -> hint:Atm.Addr.t -> string -> Rmem.Recovery.policy option;
+      (** for the data operations on a name's segment: retry, and
+          re-import the name on a stale descriptor *)
+  probe_timeout : Sim.Time.t option;  (** for every name clerk's probes *)
+}
+
+val hooks : hooks
+(** The campaigns' own: every field set. *)
+
 (** {1 Workloads}, each documented in its workload-catalog entry *)
 
-val quickstart : workload
-val name_service : workload
 val producer_consumer : workload
 val replica : workload
 

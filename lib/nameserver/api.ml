@@ -51,12 +51,10 @@ let import_with_control_transfer ~hint clerk name =
       let record =
         Cluster.Lrpc.call node
           (fun () ->
-            let saved = Clerk.Probe_until_found in
-            ignore saved;
+            let saved = Clerk.probe_policy clerk in
             Clerk.set_probe_policy clerk Clerk.Control_immediately;
             Fun.protect
-              ~finally:(fun () ->
-                Clerk.set_probe_policy clerk Clerk.Probe_until_found)
+              ~finally:(fun () -> Clerk.set_probe_policy clerk saved)
               (fun () -> Clerk.lookup ~force:true ~hint clerk name))
           ()
       in

@@ -106,6 +106,7 @@ let node t = t.node
 let rmem t = t.rmem
 let registry t = t.registry
 let stats t = t.stats
+let probe_policy t = t.probe_policy
 let set_probe_policy t policy = t.probe_policy <- policy
 let set_probe_timeout t timeout = t.probe_timeout <- timeout
 
@@ -378,6 +379,9 @@ let refresh_once t =
             Rmem.Generation.equal record.Record.generation
               entry.record.Record.generation
         | None -> false
+        (* A probe that timed out proves nothing either way: the name
+           stays cached until a later pass reaches its home. *)
+        | exception Rmem.Status.Timeout -> true
       in
       if not still_valid then begin
         Metrics.Account.add t.stats ~category:"purged on refresh" 1.;

@@ -23,6 +23,7 @@ val create : Rmem.Remote_memory.t -> t
 val node : t -> Cluster.Node.t
 val rmem : t -> Rmem.Remote_memory.t
 val registry : t -> Registry.t
+val probe_policy : t -> probe_policy
 val set_probe_policy : t -> probe_policy -> unit
 
 val set_probe_timeout : t -> Sim.Time.t option -> unit
@@ -81,7 +82,8 @@ val scratch_descriptor : t -> remote:Atm.Addr.t -> Rmem.Descriptor.t
 
 val refresh_once : t -> unit
 (** Revalidate every cached imported name against its home registry;
-    purge the gone/re-exported ones and mark their descriptors stale. *)
+    purge the gone/re-exported ones and mark their descriptors stale. A
+    name whose probe times out stays cached for a later pass. *)
 
 val reannounce : t -> unit
 (** After a crash/restart re-exported this node's segments under fresh

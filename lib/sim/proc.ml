@@ -267,7 +267,12 @@ let run engine body =
       match body () with
       | v -> result := Some v
       | exception exn -> failure := Some exn);
-  Engine.run engine;
+  (* A body that failed explains the run better than the waiters it
+     left blocked behind it. *)
+  (match Engine.run engine with
+  | () -> ()
+  | exception (Engine.Deadlock _ as deadlock) ->
+      if Option.is_none !failure then raise deadlock);
   match (!result, !failure) with
   | Some v, _ -> v
   | None, Some exn -> raise exn

@@ -350,6 +350,10 @@ let dds_register_no_writeback =
    by read-back, declared as write-then-fence; policied CAS wrappers
    re-read the authoritative word, declared verified. *)
 
+(* quickstart and name_service are the example bodies under the
+   campaign hooks (Catalog.Body); their verdicts read home memory and
+   issue nothing.  quickstart: the notifying WRITE, its READ back, two
+   CASes on one word; node 1 waits for the doorbell. *)
 let campaign_quickstart =
   {
     name = "quickstart";
@@ -361,34 +365,71 @@ let campaign_quickstart =
           name = "client";
           body =
             [
-              write ~seg:"shared.buffer" ~off:(c 0) ~len:(c 20) ();
+              write ~notify:true ~seg:"shared.buffer" ~off:(c 0) ~len:(c 20) ();
               fence "shared.buffer";
               read ~seg:"shared.buffer" ~off:(c 0) ~len:(c 20);
               retry ~attempts:10 ~backoff:true
                 [ cas "shared.buffer" ~off:(c 1024) ];
               retry ~attempts:10 ~backoff:true
                 [ cas "shared.buffer" ~off:(c 1024) ];
-              read ~seg:"shared.buffer" ~off:(c 1024) ~len:(c 4);
             ];
         };
+        { node = 1; name = "exporter"; body = [ wait "shared.buffer" ] };
       ];
   }
 
+(* name_service: node 1's control-transfer import writes its request,
+   doorbell on it, into the exporter clerk's request slot and polls its
+   own scratch segment, retrying the whole exchange; the exporter's
+   clerk answers with one WRITE at the reply offset the request names.
+   Node 0 reads shard-00 through the stale descriptor before and after
+   refresh, then through a fresh one. *)
 let campaign_name_service =
-  let shard i = Printf.sprintf "service/db/shard-%02d" i in
+  let shard0 = "service/db/shard-00" in
+  let scratch_len = 1152 (* 16 slots x 72 bytes *) in
   {
     name = "name_service";
-    manifest = List.init 4 (fun i -> seg ~exporter:2 ~len:8192 (shard i));
+    manifest =
+      [
+        seg ~exporter:2 ~len:8192 shard0;
+        seg ~rights:Rmem.Rights.write_only ~exporter:2
+          ~len:1536 (* 32 nodes x 48 bytes *) "wk:request";
+        seg ~rights:Rmem.Rights.write_only ~exporter:1 ~len:scratch_len
+          "wk:scratch";
+      ];
     nodes =
       [
         {
           node = 0;
           name = "client";
           body =
+            List.init 3 (fun _ ->
+                retry ~attempts:10 ~backoff:true
+                  [ read ~seg:shard0 ~off:(c 0) ~len:(c 16) ]);
+        };
+        {
+          node = 1;
+          name = "importer";
+          body =
             [
-              write ~seg:(shard 0) ~off:(c 0) ~len:(c 28) ();
-              fence (shard 0);
-              read ~seg:(shard 0) ~off:(c 0) ~len:(c 28);
+              retry ~attempts:12 ~backoff:true
+                [
+                  write ~notify:true ~seg:"wk:request" ~off:(c 48) ~len:(c 40)
+                    ();
+                  local_read ~seg:"wk:scratch" ~off:(c 0) ~len:(c scratch_len);
+                ];
+            ];
+        };
+        {
+          node = 2;
+          name = "exporter clerk";
+          body =
+            [
+              wait "wk:request";
+              local_read ~seg:"wk:request" ~off:(c 48) ~len:(c 40);
+              read_word ~seg:"wk:request" ~off:(c 84) ~var:"reply" ~lo:0
+                ~hi:(scratch_len - 72);
+              write ~seg:"wk:scratch" ~off:(v "reply") ~len:(c 72) ();
             ];
         };
       ];

@@ -89,13 +89,13 @@ deps_within lib/atm "the ATM fabric" sim obs
 
 # 9a. Checkers and campaigns meet only in the workload catalog: the
 # fault plane does not name the analyzers, the analyzers name neither
-# the fault plane nor the experiments, and nothing but bin/ and test/
-# depends on lib/catalog.
+# the fault plane nor the experiments, and no library depends on
+# lib/catalog (bin/, examples/ and test/ do).
 deps_without lib/faults "the fault plane must not depend on the analyzers (join them in lib/catalog)" analysis
 deps_without lib/analysis "the analyzers must not depend on campaigns or experiments (join them in lib/catalog)" faults experiments
 for d in $(find lib -name dune); do
   [ "$d" = lib/catalog/dune ] && continue
-  deps_without "$(dirname "$d")" "only bin/ and test/ may use the workload catalog" catalog
+  deps_without "$(dirname "$d")" "only bin/, examples/ and test/ may use the workload catalog" catalog
 done
 
 # 7. Every subcommand of the one CLI (bin/rnet.exe) speaks the common

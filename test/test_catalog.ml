@@ -156,6 +156,35 @@ let programs_named () =
     "one record per name" (List.length all)
     (List.length (List.sort_uniq compare all))
 
+(* Narration is output only: for every example body, a narrated run
+   and a silent one fire the same events, end at the same instant and
+   reach the same verdict, and that verdict holds. *)
+let narration_is_free () =
+  List.iter
+    (fun (name, (launch : Catalog.Body.launch)) ->
+      let run say =
+        let engine, run = launch ~say in
+        let verdict = run () in
+        (Sim.Engine.now engine, Sim.Engine.events_fired engine, verdict)
+      in
+      let said = Buffer.create 1024 in
+      let now, events, verdict = run (Buffer.add_string said) in
+      let now', events', verdict' = run ignore in
+      Alcotest.(check bool) (name ^ " narrates") true (Buffer.length said > 0);
+      Alcotest.(check bool) (name ^ " converges") true (verdict = Ok ());
+      Alcotest.(check bool) (name ^ " same verdict silent") true
+        (verdict = verdict');
+      Alcotest.(check int) (name ^ " same events silent") events events';
+      Alcotest.(check bool) (name ^ " same end silent") true
+        (Sim.Time.equal now now'))
+    Catalog.Body.
+      [
+        ("quickstart", launch quickstart);
+        ("name_service", launch name_service);
+        ("producer_consumer", launch producer_consumer);
+        ("file_service", file_service);
+      ]
+
 let suite =
   [
     Alcotest.test_case "race set" `Quick race_set;
@@ -164,6 +193,8 @@ let suite =
     Alcotest.test_case "proto programs" `Quick proto_set;
     Alcotest.test_case "chaos, obs and the CI matrix" `Quick chaos_set;
     Alcotest.test_case "trace set" `Quick trace_set;
+    Alcotest.test_case "narration never perturbs a run" `Quick
+      narration_is_free;
     Alcotest.test_case "programs carry their entry's name" `Quick
       programs_named;
   ]

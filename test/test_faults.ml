@@ -192,7 +192,8 @@ let campaigns_replay_identically () =
       check_int (workload ^ " replays the event count") a.events b.events;
       check_bool (workload ^ " replays the digest") true (a.digest = b.digest))
     [
-      ("quickstart", Faults.Campaign.quickstart);
+      ("quickstart", Catalog.Body.(campaign quickstart));
+      ("name_service", Catalog.Body.(campaign name_service));
       ("replica", Faults.Campaign.replica);
     ];
   let a = Faults.Campaign.run ~plan ~seed:42 Faults.Campaign.replica in
@@ -204,8 +205,9 @@ let campaigns_replay_identically () =
    empty whatever the seed — the bit-identical-when-disabled contract
    at the campaign level. *)
 let empty_plan_is_inert () =
-  let a = Faults.Campaign.run ~seed:1 Faults.Campaign.quickstart in
-  let b = Faults.Campaign.run ~seed:99 Faults.Campaign.quickstart in
+  let quickstart = Catalog.Body.(campaign quickstart) in
+  let a = Faults.Campaign.run ~seed:1 quickstart in
+  let b = Faults.Campaign.run ~seed:99 quickstart in
   check_bool "converges" true (outcome_ok a && outcome_ok b);
   check_int "no faults, any seed" 0 (a.events + b.events);
   check_bool "empty digests agree" true (a.digest = b.digest)

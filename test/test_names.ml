@@ -239,11 +239,24 @@ let probe_then_control_policy () =
         (Names.Clerk.Probe_then_control 0);
       let desc = Names.Api.import ~force:true ~hint rig.Rig.clerk0 "ptc" in
       check_int "found" 4096 (Rmem.Descriptor.size desc);
-      Alcotest.(check bool) "used control transfer" true
-        (Metrics.Account.total_of
-           (Names.Clerk.stats rig.Rig.clerk0)
-           "control-transfer lookups"
-        >= 1.);
+      let transfers () =
+        Metrics.Account.total_of
+          (Names.Clerk.stats rig.Rig.clerk0)
+          "control-transfer lookups"
+      in
+      Alcotest.(check bool) "used control transfer" true (transfers () >= 1.);
+      (* A control-transfer import puts back the policy it found: the
+         next forced import still falls back at once. *)
+      let (_ : Rmem.Descriptor.t) =
+        Names.Api.import_with_control_transfer ~hint rig.Rig.clerk0 "ptc"
+      in
+      let before = transfers () in
+      let (_ : Rmem.Descriptor.t) =
+        Names.Api.import ~force:true ~hint rig.Rig.clerk0 "ptc"
+      in
+      Alcotest.(check bool) "policy kept across a control-transfer import"
+        true
+        (transfers () > before);
       (* With a large budget it resolves by probing alone. *)
       let served_before =
         Metrics.Account.total_of

@@ -41,16 +41,17 @@ let sum_children trace root =
     (Obs.Trace.children trace root)
 
 (* Replays are deterministic; share one run per workload across tests. *)
-let quickstart = lazy (Experiments.Traced.quickstart ())
-let file_service = lazy (Experiments.Traced.file_service ())
+let replay name = (List.assoc name Catalog.trace).Catalog.replay ()
+let quickstart = lazy (replay "quickstart")
+let file_service = lazy (replay "file_service")
 
 (* ------------------------------------------------------------------ *)
 (* Span-tree shapes.                                                   *)
 
 let write_tree () =
   let run = Lazy.force quickstart in
-  assert_valid "quickstart" run.Experiments.Traced.trace;
-  let trace = run.Experiments.Traced.trace in
+  assert_valid "quickstart" run.Catalog.spans;
+  let trace = run.Catalog.spans in
   let w = root_named trace "WRITE" in
   let children = Obs.Trace.children trace w in
   Alcotest.(check bool)
@@ -87,7 +88,7 @@ let write_tree () =
 
 let read_and_cas_trees () =
   let run = Lazy.force quickstart in
-  let trace = run.Experiments.Traced.trace in
+  let trace = run.Catalog.spans in
   List.iter
     (fun op ->
       let root = root_named trace op in
@@ -109,8 +110,8 @@ let read_and_cas_trees () =
 
 let file_service_scopes () =
   let run = Lazy.force file_service in
-  assert_valid "file_service" run.Experiments.Traced.trace;
-  let trace = run.Experiments.Traced.trace in
+  assert_valid "file_service" run.Catalog.spans;
+  let trace = run.Catalog.spans in
   let roots = Obs.Trace.roots trace in
   let scoped prefix op =
     List.exists
@@ -131,7 +132,7 @@ let all_replays_validate () =
   List.iter
     (fun (name, (t : Catalog.trace)) ->
       let run = t.replay () in
-      let trace = run.Experiments.Traced.trace in
+      let trace = run.Catalog.spans in
       assert_valid name trace;
       Alcotest.(check bool)
         (Printf.sprintf "%s records spans" name)
@@ -158,7 +159,7 @@ let all_replays_validate () =
 
 let chrome_export () =
   let run = Lazy.force quickstart in
-  let json = Obs.Export.chrome_json run.Experiments.Traced.trace in
+  let json = Obs.Export.chrome_json run.Catalog.spans in
   List.iter
     (fun needle ->
       Alcotest.(check bool)
@@ -177,7 +178,7 @@ let chrome_export () =
    exported file vary between runs. *)
 let chrome_process_rows_sorted () =
   let run = Lazy.force quickstart in
-  let json = Obs.Export.chrome_json run.Experiments.Traced.trace in
+  let json = Obs.Export.chrome_json run.Catalog.spans in
   let events =
     match Metrics.Json.parse json with
     | Error e -> Alcotest.failf "chrome trace is not valid JSON: %s" e
@@ -348,7 +349,7 @@ let registry_merge () =
 
 let quickstart_feeds_registry () =
   let run = Lazy.force quickstart in
-  let r = run.Experiments.Traced.registry in
+  let r = run.Catalog.registry in
   List.iter
     (fun op ->
       match Obs.Registry.aggregate r ~op with
@@ -613,7 +614,7 @@ let json_reader () =
 
 let chrome_trace_roundtrip () =
   let run = Lazy.force quickstart in
-  let json = Obs.Export.chrome_json run.Experiments.Traced.trace in
+  let json = Obs.Export.chrome_json run.Catalog.spans in
   match Metrics.Json.parse json with
   | Error e -> Alcotest.failf "chrome trace is not valid JSON: %s" e
   | Ok v ->
