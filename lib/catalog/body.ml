@@ -2,7 +2,7 @@
    body follows its example line for line; the narration is [say], and
    the recovery hooks wrap what a fault run must retry: the name-service
    calls ([retry]) and the data operations ([policy]).  Outside a
-   campaign they are the identity and [None], so the run is the
+   campaign they are the example's own settings, so the run is the
    example's, event for event. *)
 
 type verdict = (unit, string) result
@@ -19,9 +19,14 @@ type launch = say:(string -> unit) -> Sim.Engine.t * (unit -> verdict)
 
 let no_hooks =
   {
-    Faults.Campaign.retry = (fun f -> f ());
+    Faults.Campaign.clerk =
+      (fun rmem ->
+        let clerk = Names.Clerk.create rmem in
+        Names.Clerk.serve_lookup_requests clerk;
+        clerk);
+    retry = (fun f -> f ());
     policy = (fun _ ~hint:_ _ -> None);
-    probe_timeout = None;
+    timeout = Some (Sim.Time.ms 5);
   }
 
 let say rig fmt = Printf.ksprintf rig.say fmt
@@ -32,14 +37,7 @@ let since_us rig t0 =
   Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now (engine rig)) t0)
 
 (* Name-service clerks boot first on every machine. *)
-let clerks rig =
-  let clerks = Array.map Names.Clerk.create rig.rmems in
-  Array.iter
-    (fun clerk ->
-      Names.Clerk.serve_lookup_requests clerk;
-      Names.Clerk.set_probe_timeout clerk rig.hooks.probe_timeout)
-    clerks;
-  clerks
+let clerks rig = Array.map rig.hooks.clerk rig.rmems
 
 (* ------------------------------------------------------------------ *)
 (* quickstart: node 1 exports a segment through the name service; node
@@ -166,6 +164,10 @@ let name_service_body rig =
         Names.Api.import ~hint clerks.(0) "service/db/shard-00")
   in
   say rig "node0 cached re-import of shard-00: %.0f us\n" (since_us rig t0);
+  (* Node 2's process fills shard-00's first bytes (a local store), so
+     the fresh import below must read them back. *)
+  let record = Bytes.of_string "shard-00 record:" in
+  Cluster.Address_space.write space ~addr:0 record;
   (* Revoke and re-export shard-00 on node 2: the old descriptor is now
      a stale generation. *)
   let name, segment = List.hd segments in
@@ -185,7 +187,7 @@ let name_service_body rig =
   let policy = rig.hooks.policy clerks.(0) ~hint name in
   let read ?timeout desc =
     Rmem.Remote_memory.read_wait ?timeout ?policy rig.rmems.(0) desc ~soff:0
-      ~count:16 ~dst:buf ~doff:0 ()
+      ~count:(Bytes.length record) ~dst:buf ~doff:0 ()
   in
   let rejected ?timeout what =
     match read ?timeout desc with
@@ -194,9 +196,9 @@ let name_service_body rig =
         say rig "%s: %s\n" what (Rmem.Status.to_string status);
         true
   in
-  (* A policy carries its own per-attempt timeout. *)
-  let timeout = if Option.is_none policy then Some (Sim.Time.ms 5) else None in
-  let before = rejected ?timeout "pre-refresh read rejected remotely" in
+  let before =
+    rejected ?timeout:rig.hooks.timeout "pre-refresh read rejected remotely"
+  in
   Names.Clerk.refresh_once clerks.(0);
   let after = rejected "post-refresh read failed locally" in
   (* A fresh import picks up the new generation and works. *)
@@ -207,8 +209,8 @@ let name_service_body rig =
   (* The re-export covers the same exporter memory. *)
   let echo =
     Bytes.equal
-      (Cluster.Address_space.read space0 ~addr:0 ~len:16)
-      (Cluster.Address_space.read space ~addr:0 ~len:16)
+      (Cluster.Address_space.read space0 ~addr:0 ~len:(Bytes.length record))
+      record
   in
   if before && after && echo then Ok ()
   else

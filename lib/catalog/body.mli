@@ -14,8 +14,9 @@ type verdict = (unit, string) result
 type t
 (** A named body. It runs on a rig of its own size: a testbed, one
     endpoint per node, a narrator (silent outside an example) and
-    recovery hooks ({!Faults.Campaign.hooks} in a campaign, the
-    identity and [None] elsewhere). *)
+    recovery hooks ({!Faults.Campaign.hooks} in a campaign; elsewhere
+    plain clerks, no retry or policy, and the example's 5 ms bound on
+    its one read that may go unanswered). *)
 
 val quickstart : t
 (** Two nodes: named export/import, WRITE with notification, READ back,

@@ -143,29 +143,33 @@ let policy clerk ~hint name =
   Rmem.Recovery.with_revalidate (campaign_policy ())
     (Names.Api.revalidator ~hint clerk name)
 
+(* A name clerk serving lookups, whose probes give up after a bounded
+   wait so [retrying] can reissue them. *)
+let clerk_for rmem =
+  let clerk = Names.Clerk.create rmem in
+  Names.Clerk.serve_lookup_requests clerk;
+  Names.Clerk.set_probe_timeout clerk (Some (Sim.Time.ms 2));
+  clerk
+
 type hooks = {
+  clerk : Rmem.Remote_memory.t -> Names.Clerk.t;
   retry : 'a. (unit -> 'a) -> 'a;
   policy :
     Names.Clerk.t -> hint:Atm.Addr.t -> string -> Rmem.Recovery.policy option;
-  probe_timeout : Sim.Time.t option;
+  timeout : Sim.Time.t option;
 }
 
 let hooks =
   {
+    clerk = clerk_for;
     retry = (fun f -> retrying f);
     policy = (fun clerk ~hint name -> Some (policy clerk ~hint name));
-    probe_timeout = Some (Sim.Time.ms 2);
+    timeout = None;
   }
 
 let wait_until engine time =
   let now = Sim.Engine.now engine in
   if Sim.Time.(now < time) then Sim.Proc.wait (Sim.Time.diff time now)
-
-let clerk_for rmem =
-  let clerk = Names.Clerk.create rmem in
-  Names.Clerk.serve_lookup_requests clerk;
-  Names.Clerk.set_probe_timeout clerk hooks.probe_timeout;
-  clerk
 
 (* The harness: a fresh [nodes]-node testbed, one endpoint per node,
    the fault plane and the sampler, then the body run to quiescence.
@@ -214,6 +218,9 @@ let harness ?preserve ?on_restart workload ~nodes body ~plan ~seed ~sampler
     engine_events = Sim.Engine.events_fired (Cluster.Testbed.engine testbed);
   }
 
+(* The export drops [?preserve] and [?on_restart]: only crash_restart,
+   below, passes them, and the export gate rejects an exported optional
+   argument no other compilation unit passes. *)
 let workload name ~nodes body = harness name ~nodes body
 
 (* ------------------------------------------------------------------ *)

@@ -50,6 +50,9 @@ val workload :
 
 (** The recovery a campaign body runs under. *)
 type hooks = {
+  clerk : Rmem.Remote_memory.t -> Names.Clerk.t;
+      (** a name clerk on the endpoint, serving lookups; its probes
+          time out after 2 ms *)
   retry : 'a. (unit -> 'a) -> 'a;
       (** around a name-service call: reissue on a timeout, an error
           status or an unknown name, after a pause *)
@@ -57,11 +60,14 @@ type hooks = {
     Names.Clerk.t -> hint:Atm.Addr.t -> string -> Rmem.Recovery.policy option;
       (** for the data operations on a name's segment: retry, and
           re-import the name on a stale descriptor *)
-  probe_timeout : Sim.Time.t option;  (** for every name clerk's probes *)
+  timeout : Sim.Time.t option;
+      (** the bound on a data operation issued without a policy that
+          may go unanswered; [None] here, since the campaign's policy
+          bounds every attempt itself *)
 }
 
 val hooks : hooks
-(** The campaigns' own: every field set. *)
+(** The campaigns' own. *)
 
 (** {1 Workloads}, each documented in its workload-catalog entry *)
 

@@ -382,8 +382,9 @@ let campaign_quickstart =
    doorbell on it, into the exporter clerk's request slot and polls its
    own scratch segment, retrying the whole exchange; the exporter's
    clerk answers with one WRITE at the reply offset the request names.
-   Node 0 reads shard-00 through the stale descriptor before and after
-   refresh, then through a fresh one. *)
+   Node 2 stores a record in shard-00 locally; node 0 reads it through
+   the stale descriptor before and after refresh, then through a fresh
+   one. *)
 let campaign_name_service =
   let shard0 = "service/db/shard-00" in
   let scratch_len = 1152 (* 16 slots x 72 bytes *) in
@@ -419,6 +420,11 @@ let campaign_name_service =
                   local_read ~seg:"wk:scratch" ~off:(c 0) ~len:(c scratch_len);
                 ];
             ];
+        };
+        {
+          node = 2;
+          name = "exporter";
+          body = [ local_write ~seg:shard0 ~off:(c 0) ~len:(c 16) ];
         };
         {
           node = 2;

@@ -622,6 +622,11 @@ let proc_suspend_resume () =
   in
   check_int "resumed with value" 42 result
 
+(* A process blocked for good on an ivar no one fills. *)
+let stranded_waiter engine =
+  let never = Sim.Ivar.create () in
+  Sim.Proc.spawn engine (fun () -> Sim.Ivar.read never)
+
 let proc_run_deadlock () =
   let engine = Sim.Engine.create () in
   check_bool "deadlock raised" true
@@ -631,15 +636,32 @@ let proc_run_deadlock () =
               Sim.Proc.sleep (Sim.Proc.sleepers ())
                 ~resource:(Sim.Engine.Text "x") ~daemon:false));
        false
+     with Sim.Engine.Deadlock _ -> true);
+  let engine = Sim.Engine.create () in
+  check_bool "deadlock after a body that returned" true
+    (try
+       Sim.Proc.run engine (fun () -> stranded_waiter engine);
+       false
      with Sim.Engine.Deadlock _ -> true)
 
+(* A failed body explains the run, even when a process it spawned is
+   left blocked behind it. *)
 let proc_exception_propagates () =
-  let engine = Sim.Engine.create () in
-  check_bool "exception surfaced" true
-    (try
-       let () = Sim.Proc.run engine (fun () -> failwith "boom") in
-       false
-     with Failure msg -> String.equal msg "boom")
+  List.iter
+    (fun (what, body) ->
+      let engine = Sim.Engine.create () in
+      check_bool what true
+        (try
+           let () = Sim.Proc.run engine (body engine) in
+           false
+         with Failure msg -> String.equal msg "boom"))
+    [
+      ("exception surfaced", fun _ () -> failwith "boom");
+      ( "exception surfaced over a blocked waiter",
+        fun engine () ->
+          stranded_waiter engine;
+          failwith "boom" );
+    ]
 
 (* ---------------- Ivar ---------------- *)
 
