@@ -64,27 +64,23 @@ let summary ~scale ~seed ~json ~ci =
                        counts) );
               ])))
   else begin
-    let table =
-      Metrics.Table.create
-        ~title:
-          (Printf.sprintf "Trace summary (%d events)" (Array.length events))
-        [
-          ("Activity", Metrics.Table.Left);
-          ("Calls", Metrics.Table.Right);
-          ("%", Metrics.Table.Right);
-        ]
-    in
-    List.iter
-      (fun (label, count) ->
-        Metrics.Table.add_row table
-          [
-            label;
-            string_of_int count;
-            Printf.sprintf "%.1f"
-              (100. *. float_of_int count /. float_of_int (Array.length events));
-          ])
-      counts;
-    Metrics.Table.print table
+    Metrics.Table.(
+      print
+        (make
+           ~title:
+             (Printf.sprintf "Trace summary (%d events)" (Array.length events))
+           [ label "Activity"; label ~align:Right "Calls"; label ~align:Right "%" ]
+           (List.map
+              (fun (label, count) ->
+                List.map text
+                  [
+                    label;
+                    string_of_int count;
+                    Printf.sprintf "%.1f"
+                      (100. *. float_of_int count
+                      /. float_of_int (Array.length events));
+                  ])
+              counts)))
   end;
   (not ci) || assert_trace ~command:"summary" events
 
@@ -170,34 +166,21 @@ let traffic ~scale ~seed ~json ~ci =
                     (Printf.sprintf "%.3f" (Workload.Traffic.ratio total)) );
               ])))
   else begin
-    let table =
-      Metrics.Table.create
-        ~title:"Traffic split (per the paper's Table 1b rules)"
-        [
-          ("Activity", Metrics.Table.Left);
-          ("Control (KB)", Metrics.Table.Right);
-          ("Data (KB)", Metrics.Table.Right);
-        ]
+    let kb bytes = Printf.sprintf "%.1f" (float_of_int bytes /. 1024.) in
+    let row label (r : Workload.Traffic.row) =
+      List.map Metrics.Table.text
+        [ label; kb r.Workload.Traffic.control; kb r.Workload.Traffic.data ]
     in
-    List.iter
-      (fun (r : Workload.Traffic.row) ->
-        Metrics.Table.add_row table
-          [
-            r.Workload.Traffic.label;
-            Printf.sprintf "%.1f"
-              (float_of_int r.Workload.Traffic.control /. 1024.);
-            Printf.sprintf "%.1f" (float_of_int r.Workload.Traffic.data /. 1024.);
-          ])
-      rows;
-    Metrics.Table.add_separator table;
-    Metrics.Table.add_row table
-      [
-        "Total";
-        Printf.sprintf "%.1f"
-          (float_of_int total.Workload.Traffic.control /. 1024.);
-        Printf.sprintf "%.1f" (float_of_int total.Workload.Traffic.data /. 1024.);
-      ];
-    Metrics.Table.print table;
+    Metrics.Table.(
+      print
+        (make ~title:"Traffic split (per the paper's Table 1b rules)"
+           [
+             label "Activity";
+             label ~align:Right "Control (KB)";
+             label ~align:Right "Data (KB)";
+           ]
+           (List.map (fun r -> row r.Workload.Traffic.label r) rows)
+           ~total:(row "Total" total)));
     Printf.printf "overall control/data ratio: %.3f\n"
       (Workload.Traffic.ratio total)
   end;

@@ -4,61 +4,37 @@ let access_cell (a : Access.t) =
     a.off (a.off + a.count)
 
 let races_table races =
-  let table =
-    Metrics.Table.create ~title:"data races"
-      [
-        ("segment", Metrics.Table.Left);
-        ("first access", Metrics.Table.Left);
-        ("second access", Metrics.Table.Left);
-        ("at", Metrics.Table.Right);
-      ]
-  in
-  List.iter
-    (fun (r : Race.t) ->
-      Metrics.Table.add_row table
-        [
-          Printf.sprintf "%s (%s)" r.seg_name (Access.key_to_string r.key);
-          access_cell r.a;
-          access_cell r.b;
-          Sim.Time.to_string r.b.Access.time;
-        ])
-    races;
-  Metrics.Table.render table
+  Metrics.Table.(
+    render
+      (make ~title:"data races"
+         [ label "segment"; label "first access"; label "second access";
+           label ~align:Right "at" ]
+         (List.map
+            (fun (r : Race.t) ->
+              List.map text
+                [
+                  Printf.sprintf "%s (%s)" r.seg_name
+                    (Access.key_to_string r.key);
+                  access_cell r.a;
+                  access_cell r.b;
+                  Sim.Time.to_string r.b.Access.time;
+                ])
+            races)))
 
 let findings_table findings =
-  let table =
-    Metrics.Table.create ~title:"protocol findings"
-      [
-        ("rule", Metrics.Table.Left);
-        ("agent", Metrics.Table.Left);
-        ("segment", Metrics.Table.Left);
-        ("detail", Metrics.Table.Left);
-      ]
-  in
-  List.iter
-    (fun (f : Lint.finding) ->
-      Metrics.Table.add_row table
-        [ f.rule; f.agent; Access.key_to_string f.key; f.detail ])
-    findings;
-  Metrics.Table.render table
+  Metrics.Table.(
+    render
+      (make ~title:"protocol findings"
+         [ label "rule"; label "agent"; label "segment"; label "detail" ]
+         (List.map
+            (fun (f : Lint.finding) ->
+              List.map text
+                [ f.rule; f.agent; Access.key_to_string f.key; f.detail ])
+            findings)))
 
 let schema_version = 1
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Metrics.Json.escape
 
 let json_string s = "\"" ^ json_escape s ^ "\""
 

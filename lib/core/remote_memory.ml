@@ -145,6 +145,7 @@ type Cluster.Node.event +=
   | Retried
   | Recovered of { seg : int; op : string; elapsed : Sim.Time.t }
   | Gave_up
+  | Refused
   | Revalidated
 
 type t = {
@@ -802,12 +803,13 @@ let run_policy t (policy : Recovery.policy) desc ~op attempt_fn =
         end;
         v
     | Error status ->
-        let give_up () =
-          Metrics.Account.add t.errors ~category:"gave-up" 1.;
-          emit t Gave_up;
+        let stop category event =
+          Metrics.Account.add t.errors ~category 1.;
+          emit t event;
           Status.check status;
           assert false
         in
+        let give_up () = stop "gave-up" Gave_up in
         let retry () =
           Metrics.Account.add t.errors ~category:"retry" 1.;
           emit t Retried;
@@ -824,7 +826,8 @@ let run_policy t (policy : Recovery.policy) desc ~op attempt_fn =
               | None -> give_up ()
               | Some revalidate ->
                   emit t Revalidated;
-                  if revalidate desc then retry () else give_up ())
+                  (* A refused revalidation is an answer, not lost work. *)
+                  if revalidate desc then retry () else stop "refused" Refused)
         end
   in
   try finish (go 0)

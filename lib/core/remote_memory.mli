@@ -79,9 +79,9 @@ val import :
     the policy's revalidator (typically a forced name-service re-import)
     before the next attempt, and terminal failures ([Protection],
     [Bounds], ...) re-raise immediately. Retries are counted in
-    {!errors} (categories "retry" / "recovered" / "gave-up") and in the
-    fault registry when one is attached. A policied call must run in a
-    simulated process, and passing [timeout] as well raises
+    {!errors} (categories "retry" / "recovered" / "gave-up" / "refused")
+    and in the fault registry when one is attached. A policied call must
+    run in a simulated process, and passing [timeout] as well raises
     [Invalid_argument]: the per-attempt timeout is the policy's. *)
 
 val write :
@@ -353,6 +353,9 @@ type Cluster.Node.event +=
       (** A policied [op] ("WRITE", "READ", ...) on segment [seg]
           succeeded after retrying; [elapsed] runs from its first issue. *)
   | Gave_up  (** A policy stopped retrying and re-raised the failure. *)
+  | Refused
+      (** A policy's revalidator refused a stale descriptor (the name no
+          longer maps to this segment), and the failure was re-raised. *)
   | Revalidated
       (** A policy ran its revalidator on a stale-descriptor failure. *)
 

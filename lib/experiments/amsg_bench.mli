@@ -1,13 +1,4 @@
 (** Ablation G: the same name lookup served by pure data transfer,
     Active Messages, and RPC — the §6 design space. *)
 
-type point = {
-  scheme : string;
-  mean_lookup_us : float;
-  server_cpu_per_lookup_us : float;
-}
-
-type result = point list
-
-val run : unit -> result
-val render : result -> string
+val run : unit -> Metrics.Table.t

@@ -1,15 +1,9 @@
 (* Ablation B: where the control transfer amortizes (§5.2's closing
    observation).  Read latency under HY and DX across transfer sizes;
-   multi-block transfers issue one operation per 8 KB block. *)
+   multi-block transfers issue one operation per 8 KB block.  HY/DX must
+   stay at least 1 and never grow with size. *)
 
-type point = {
-  bytes : int;
-  hy_us : float;
-  dx_us : float;
-  ratio : float; (* HY / DX *)
-}
-
-type result = point list
+module T = Metrics.Table
 
 let sizes = [ 64; 256; 1024; 4096; 8192; 16384; 32768; 65536 ]
 
@@ -52,32 +46,25 @@ let run () =
       done;
       Dfs.Server.cache_attr fixture.Fixture.server fh;
       let clerk = Fixture.clerk fixture 0 in
-      List.map
-        (fun bytes ->
-          let hy = measure fixture clerk Dfs.Clerk.Hybrid1 bytes in
-          let dx = measure fixture clerk Dfs.Clerk.Dx bytes in
-          { bytes; hy_us = hy; dx_us = dx; ratio = hy /. dx })
-        sizes)
-
-let render points =
-  let table =
-    Metrics.Table.create
-      ~title:"Ablation B: read latency vs transfer size (control amortization)"
-      [
-        ("Bytes", Metrics.Table.Right);
-        ("HY (us)", Metrics.Table.Right);
-        ("DX (us)", Metrics.Table.Right);
-        ("HY/DX", Metrics.Table.Right);
-      ]
-  in
-  List.iter
-    (fun p ->
-      Metrics.Table.add_row table
+      let previous = ref [] in
+      T.make
+        ~title:"Ablation B: read latency vs transfer size (control amortization)"
         [
-          string_of_int p.bytes;
-          Printf.sprintf "%.0f" p.hy_us;
-          Printf.sprintf "%.0f" p.dx_us;
-          Printf.sprintf "%.2f" p.ratio;
-        ])
-    points;
-  Metrics.Table.render table
+          T.number ~unit_:"B" "Bytes" (Fixed 0);
+          T.number ~unit_:"us" ~better:Lower "HY (us)" (Fixed 0);
+          T.number ~unit_:"us" ~better:Lower "DX (us)" (Fixed 0);
+          T.number ~unit_:"ratio" "HY/DX" (Fixed 2);
+        ]
+        (List.map
+           (fun bytes ->
+             let hy = measure fixture clerk Dfs.Clerk.Hybrid1 bytes in
+             let dx = measure fixture clerk Dfs.Clerk.Dx bytes in
+             let band = T.Ge 1. :: !previous in
+             previous := [ T.Le (hy /. dx) ];
+             [
+               T.num (float_of_int bytes);
+               T.num hy;
+               T.num dx;
+               T.num ~band (hy /. dx);
+             ])
+           sizes))

@@ -4,15 +4,11 @@
    transfers as bursts of cells per frame.  Small bursts interleave
    sender, wire and receiver more finely but pay more per-frame
    overhead; large bursts amortize the interrupt but serialize the
-   pipeline.  This pins the burst_cells=8 choice in Cluster.Costs. *)
+   pipeline.  This pins the burst_cells=8 choice in Cluster.Costs:
+   one-cell bursts must give the lowest throughput, and the lowest 8K
+   latency must fall at 4 or 8 cells. *)
 
-type row = {
-  burst_cells : int;
-  throughput_mbps : float;
-  write_8k_latency_us : float;
-}
-
-type result = row list
+module T = Metrics.Table
 
 let blocks = 32
 
@@ -73,28 +69,29 @@ let measure burst_cells =
       in
       detach ();
       out := Some (throughput, latency));
-  let throughput_mbps, write_8k_latency_us = Option.get !out in
-  { burst_cells; throughput_mbps; write_8k_latency_us }
+  Option.get !out
 
-let run () = List.map measure [ 1; 2; 4; 8; 16; 32 ]
-
-let render rows =
-  let table =
-    Metrics.Table.create
-      ~title:"Ablation I: block-transfer burst size (design choice)"
-      [
-        ("Burst (cells)", Metrics.Table.Right);
-        ("Throughput (Mb/s)", Metrics.Table.Right);
-        ("8K write latency (us)", Metrics.Table.Right);
-      ]
+let run () =
+  let points =
+    List.map (fun cells -> (cells, measure cells)) [ 1; 2; 4; 8; 16; 32 ]
   in
-  List.iter
-    (fun r ->
-      Metrics.Table.add_row table
-        [
-          string_of_int r.burst_cells;
-          Printf.sprintf "%.1f" r.throughput_mbps;
-          Printf.sprintf "%.0f" r.write_8k_latency_us;
-        ])
-    rows;
-  Metrics.Table.render table
+  let one_cell = fst (List.assoc 1 points) in
+  let plateau =
+    Float.min (snd (List.assoc 4 points)) (snd (List.assoc 8 points))
+  in
+  T.make ~title:"Ablation I: block-transfer burst size (design choice)"
+    [
+      T.number ~unit_:"cells" "Burst (cells)" (Fixed 0);
+      T.number ~unit_:"Mb/s" ~better:Higher "Throughput (Mb/s)" (Fixed 1);
+      T.number ~unit_:"us" ~better:Lower "8K write latency (us)" (Fixed 0);
+    ]
+    (List.map
+       (fun (cells, (mbps, latency)) ->
+         [
+           T.num (float_of_int cells);
+           T.num ~band:(if cells = 1 then [] else [ Gt one_cell ]) mbps;
+           T.num
+             ~band:(if cells = 4 || cells = 8 then [] else [ Gt plateau ])
+             latency;
+         ])
+       points)

@@ -1,13 +1,4 @@
 (** Ablation I: block-transfer burst size — the trade between per-frame
     overhead and pipeline granularity that pins [Costs.burst_cells]. *)
 
-type row = {
-  burst_cells : int;
-  throughput_mbps : float;
-  write_8k_latency_us : float;
-}
-
-type result = row list
-
-val run : unit -> result
-val render : result -> string
+val run : unit -> Metrics.Table.t

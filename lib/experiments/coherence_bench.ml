@@ -1,15 +1,9 @@
 (* Ablation D: cache-coherence token management (§5.1) — acquire/release
    as remote compare-and-swap (no server control transfer) versus an
-   RPC token service over the same table. *)
+   RPC token service over the same table.  At every sharer count CAS
+   must acquire faster and cost the server under half the RPC CPU. *)
 
-type point = {
-  sharers : int;
-  scheme : string;
-  mean_acquire_us : float;
-  server_us_per_pair : float; (* server CPU per acquire+release pair *)
-}
-
-type result = point list
+module T = Metrics.Table
 
 let pairs_per_sharer = 50
 
@@ -25,7 +19,6 @@ let measure ~sharers ~use_rpc =
     Array.init nodes (fun i ->
         Rpckit.Transport.attach (Cluster.Testbed.node testbed i))
   in
-  let point = ref None in
   Cluster.Testbed.run testbed (fun () ->
       let names =
         Array.init nodes (fun i -> Names.Clerk.create rmems.(i))
@@ -79,44 +72,32 @@ let measure ~sharers ~use_rpc =
         Sim.Time.to_us (Cluster.Cpu.busy_time (Cluster.Node.cpu server_node))
       in
       let pairs = float_of_int (sharers * pairs_per_sharer) in
-      point :=
-        Some
-          {
-            sharers;
-            scheme = (if use_rpc then "RPC tokens" else "CAS tokens");
-            mean_acquire_us = Metrics.Summary.mean latencies;
-            server_us_per_pair = busy /. pairs;
-          });
-  match !point with Some p -> p | None -> assert false
+      (Metrics.Summary.mean latencies, busy /. pairs))
 
-let run ?(sharer_counts = [ 2; 4; 8 ]) () =
-  List.concat_map
-    (fun sharers ->
-      [
-        measure ~sharers ~use_rpc:false;
-        measure ~sharers ~use_rpc:true;
-      ])
-    sharer_counts
-
-let render points =
-  let table =
-    Metrics.Table.create
-      ~title:"Ablation D: token coherence via CAS vs RPC"
-      [
-        ("Sharers", Metrics.Table.Right);
-        ("Scheme", Metrics.Table.Left);
-        ("Mean acquire (us)", Metrics.Table.Right);
-        ("Server CPU / pair (us)", Metrics.Table.Right);
-      ]
+let run () =
+  let row sharers scheme ?(acquire = []) ?(server = []) (mean, per_pair) =
+    [
+      T.num (float_of_int sharers);
+      T.text scheme;
+      T.num ~band:acquire mean;
+      T.num ~band:server per_pair;
+    ]
   in
-  List.iter
-    (fun p ->
-      Metrics.Table.add_row table
-        [
-          string_of_int p.sharers;
-          p.scheme;
-          Printf.sprintf "%.0f" p.mean_acquire_us;
-          Printf.sprintf "%.0f" p.server_us_per_pair;
-        ])
-    points;
-  Metrics.Table.render table
+  T.make ~title:"Ablation D: token coherence via CAS vs RPC"
+    [
+      T.number "Sharers" (Fixed 0);
+      T.label "Scheme";
+      T.number ~unit_:"us" ~better:Lower "Mean acquire (us)" (Fixed 0);
+      T.number ~unit_:"us" ~better:Lower "Server CPU / pair (us)" (Fixed 0);
+    ]
+    (List.concat_map
+       (fun sharers ->
+         let cas = measure ~sharers ~use_rpc:false in
+         let ((rpc_mean, rpc_per_pair) as rpc) = measure ~sharers ~use_rpc:true in
+         [
+           row sharers "CAS tokens" ~acquire:[ Lt rpc_mean ]
+             ~server:[ Lt (rpc_per_pair /. 2.) ]
+             cas;
+           row sharers "RPC tokens" rpc;
+         ])
+       [ 2; 4; 8 ])

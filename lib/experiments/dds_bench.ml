@@ -392,41 +392,43 @@ let to_json result =
     ]
 
 let render result =
+  let module T = Metrics.Table in
+  let right = T.label ~align:Right in
   let table =
-    Metrics.Table.create
+    T.make
       ~title:
         "DDS campaign: DX vs RPC vs hybrid at two operating points (PR10)"
       [
-        ("Structure", Metrics.Table.Left);
-        ("Kind", Metrics.Table.Left);
-        ("Leg", Metrics.Table.Left);
-        ("Clients", Metrics.Table.Right);
-        ("Mutate %", Metrics.Table.Right);
-        ("Ops", Metrics.Table.Right);
-        ("Mean us", Metrics.Table.Right);
-        ("p95 us", Metrics.Table.Right);
-        ("Losses", Metrics.Table.Right);
-        ("Fallbacks", Metrics.Table.Right);
+        T.label "Structure";
+        T.label "Kind";
+        T.label "Leg";
+        right "Clients";
+        right "Mutate %";
+        right "Ops";
+        right "Mean us";
+        right "p95 us";
+        right "Losses";
+        right "Fallbacks";
       ]
+      (List.map
+         (fun p ->
+           List.map T.text
+             [
+               p.structure;
+               p.kind;
+               p.leg;
+               string_of_int p.clients;
+               string_of_int p.mutate_pct;
+               string_of_int p.ops;
+               Printf.sprintf "%.1f" p.mean_us;
+               Printf.sprintf "%.1f" p.p95_us;
+               string_of_int p.cas_losses;
+               string_of_int p.rpc_fallbacks;
+             ])
+         result.points)
   in
-  List.iter
-    (fun p ->
-      Metrics.Table.add_row table
-        [
-          p.structure;
-          p.kind;
-          p.leg;
-          string_of_int p.clients;
-          string_of_int p.mutate_pct;
-          string_of_int p.ops;
-          Printf.sprintf "%.1f" p.mean_us;
-          Printf.sprintf "%.1f" p.p95_us;
-          string_of_int p.cas_losses;
-          string_of_int p.rpc_fallbacks;
-        ])
-    result.points;
   let failures = check result in
-  Metrics.Table.render table
+  T.render table
   ^
   match failures with
   | [] -> "  dds bench gates: all passed (crossover reproduced)\n"

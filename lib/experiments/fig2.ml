@@ -5,11 +5,10 @@
    Warm server caches, client-clerk communication excluded — the
    paper's best-case regime.  The claim to reproduce: DX beats HY on
    every operation, with the relative gap narrowing as transfer size
-   grows (control transfer amortizes). *)
+   grows (control transfer amortizes): the HY/DX ratio on GetAttribute
+   must exceed twice the ratio on Readfile(8K). *)
 
-type row = { op : string; hy_us : float; dx_us : float }
-
-type result = row list
+module T = Metrics.Table
 
 let iterations = 5
 
@@ -28,55 +27,57 @@ let measure fixture clerk scheme op =
   done;
   !total /. float_of_int iterations
 
-let run ?fixture () =
-  let fixture =
-    match fixture with Some f -> f | None -> Fixture.create ()
-  in
+let run () =
+  let fixture = Fixture.create () in
   let clerk = Fixture.clerk fixture 0 in
-  Fixture.run fixture (fun () ->
-      Fixture.recache_bench fixture;
-      List.map
-        (fun (name, op) ->
-          let hy = measure fixture clerk Dfs.Clerk.Hybrid1 op in
-          let dx = measure fixture clerk Dfs.Clerk.Dx op in
-          { op = name; hy_us = hy; dx_us = dx })
-        (Fixture.figure_ops fixture))
-
-let dx_wins_everywhere rows = List.for_all (fun r -> r.dx_us < r.hy_us) rows
-
-let render rows =
-  let groups =
-    List.map
-      (fun row ->
-        {
-          Metrics.Bar_chart.group_name = row.op;
-          bars =
-            [
-              {
-                Metrics.Bar_chart.name = "HY";
-                segments = [ { Metrics.Bar_chart.label = "latency"; value = row.hy_us } ];
-              };
-              {
-                Metrics.Bar_chart.name = "DX";
-                segments = [ { Metrics.Bar_chart.label = "latency"; value = row.dx_us } ];
-              };
-            ];
-        })
-      rows
+  let rows =
+    Fixture.run fixture (fun () ->
+        Fixture.recache_bench fixture;
+        List.map
+          (fun (name, op) ->
+            let hy = measure fixture clerk Dfs.Clerk.Hybrid1 op in
+            (name, hy, measure fixture clerk Dfs.Clerk.Dx op))
+          (Fixture.figure_ops fixture))
   in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Metrics.Bar_chart.render
-       ~title:"Figure 2: Request Processing Latency Seen by Client"
-       ~unit_label:"us" groups);
-  Buffer.add_string buf
-    (Printf.sprintf "DX faster on every operation: %b (paper: yes)\n"
-       (dx_wins_everywhere rows));
-  let small = List.hd rows and large = List.nth rows 3 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "HY/DX ratio: %.1fx on %s vs %.1fx on %s (gap narrows with size)\n"
-       (small.hy_us /. small.dx_us) small.op
-       (large.hy_us /. large.dx_us)
-       large.op);
-  Buffer.contents buf
+  let ratio = T.number ~better:Higher "HY/DX" (Fixed 1) in
+  let small, small_hy, small_dx = List.hd rows
+  and large, large_hy, large_dx = List.nth rows 3 in
+  T.make ~title:"Figure 2: Request Processing Latency Seen by Client"
+    ~layout:Bars
+    [
+      T.label "Operation";
+      T.label "Scheme";
+      T.number ~unit_:"us" ~better:Lower "latency" (Fixed 1);
+    ]
+    (List.concat_map
+       (fun (op, hy, dx) ->
+         [
+           [ T.text op; T.text "HY"; T.num hy ];
+           [ T.text op; T.text "DX"; T.num ~band:[ Lt hy ] dx ];
+         ])
+       rows)
+    ~notes:
+      [
+        [
+          Lit "DX faster on every operation: ";
+          Val
+            ( T.label "DX faster everywhere",
+              {
+                value = Flag (List.for_all (fun (_, hy, dx) -> dx < hy) rows);
+                paper = None;
+                band = [];
+              } );
+          Lit " (paper: yes)";
+        ];
+        [
+          Lit "HY/DX ratio: ";
+          Val
+            ( ratio,
+              T.num
+                ~band:[ Gt (2. *. (large_hy /. large_dx)) ]
+                (small_hy /. small_dx) );
+          Lit ("x on " ^ small ^ " vs ");
+          Val (ratio, T.num (large_hy /. large_dx));
+          Lit ("x on " ^ large ^ " (gap narrows with size)");
+        ];
+      ]

@@ -4,32 +4,20 @@
    (notification + dispatch), procedure invocation and data reply; under
    pure data transfer it pays only the emulation of incoming and
    outgoing remote memory operations (reception + reply).  The paper's
-   claim: on average DX imposes less than half the HY server load. *)
+   claim: on average DX imposes less than half the HY server load.  DX
+   must also show no procedure or control-transfer time (at most 1 us)
+   and HY at least 200 us of control transfer per operation. *)
 
-type breakdown = {
-  reception_us : float;
-  control_us : float;
-  procedure_us : float;
-  reply_us : float;
-}
-
-let total b = b.reception_us +. b.control_us +. b.procedure_us +. b.reply_us
-
-type row = { op : string; hy : breakdown; dx : breakdown }
-
-type result = row list
+module T = Metrics.Table
 
 let iterations = 8
 
 let read_breakdown fixture ~per =
   let account = Cluster.Cpu.account (Fixture.server_cpu fixture) in
-  let get category = Metrics.Account.total_of account category /. per in
-  {
-    reception_us = get Cluster.Cpu.cat_data_reception;
-    control_us = get Cluster.Cpu.cat_control_transfer;
-    procedure_us = get Cluster.Cpu.cat_procedure;
-    reply_us = get Cluster.Cpu.cat_data_reply;
-  }
+  List.map
+    (fun category -> Metrics.Account.total_of account category /. per)
+    Cluster.Cpu.
+      [ cat_data_reception; cat_control_transfer; cat_procedure; cat_data_reply ]
 
 let measure fixture clerk scheme op =
   Dfs.Clerk.set_scheme clerk scheme;
@@ -45,55 +33,53 @@ let measure fixture clerk scheme op =
   Sim.Proc.wait (Sim.Time.ms 5);
   read_breakdown fixture ~per:(float_of_int iterations)
 
-let run ?fixture () =
-  let fixture =
-    match fixture with Some f -> f | None -> Fixture.create ()
-  in
+let run () =
+  let fixture = Fixture.create () in
   let clerk = Fixture.clerk fixture 0 in
-  Fixture.run fixture (fun () ->
-      Fixture.recache_bench fixture;
-      List.map
-        (fun (name, op) ->
-          let hy = measure fixture clerk Dfs.Clerk.Hybrid1 op in
-          let dx = measure fixture clerk Dfs.Clerk.Dx op in
-          { op = name; hy; dx })
-        (Fixture.figure_ops fixture))
-
-(* Average DX/HY server-load ratio across the twelve operations. *)
-let average_load_ratio rows =
-  let sum =
-    List.fold_left (fun acc r -> acc +. (total r.dx /. total r.hy)) 0. rows
+  let rows =
+    Fixture.run fixture (fun () ->
+        Fixture.recache_bench fixture;
+        List.map
+          (fun (name, op) ->
+            let hy = measure fixture clerk Dfs.Clerk.Hybrid1 op in
+            (name, hy, measure fixture clerk Dfs.Clerk.Dx op))
+          (Fixture.figure_ops fixture))
   in
-  sum /. float_of_int (List.length rows)
-
-let render rows =
-  let segments b =
+  let total = List.fold_left ( +. ) 0. in
+  let load_ratio =
+    List.fold_left
+      (fun acc (_, hy, dx) -> acc +. (total dx /. total hy))
+      0. rows
+    /. float_of_int (List.length rows)
+  in
+  let segment = T.number ~unit_:"us" ~better:Lower in
+  let bar op scheme bands b =
+    T.text op :: T.text scheme
+    :: List.map2 (fun band us -> T.num ~band us) bands b
+  in
+  T.make ~title:"Figure 3: Breakdown of Server Activity" ~layout:Bars
     [
-      { Metrics.Bar_chart.label = "data reception"; value = b.reception_us };
-      { Metrics.Bar_chart.label = "control transfer"; value = b.control_us };
-      { Metrics.Bar_chart.label = "procedure invocation"; value = b.procedure_us };
-      { Metrics.Bar_chart.label = "data reply"; value = b.reply_us };
+      T.label "Operation";
+      T.label "Scheme";
+      segment "data reception" (Fixed 1);
+      segment "control transfer" (Fixed 1);
+      segment "procedure invocation" (Fixed 1);
+      segment "data reply" (Fixed 1);
     ]
-  in
-  let groups =
-    List.map
-      (fun row ->
-        {
-          Metrics.Bar_chart.group_name = row.op;
-          bars =
-            [
-              { Metrics.Bar_chart.name = "HY"; segments = segments row.hy };
-              { Metrics.Bar_chart.name = "DX"; segments = segments row.dx };
-            ];
-        })
-      rows
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Metrics.Bar_chart.render ~title:"Figure 3: Breakdown of Server Activity"
-       ~unit_label:"us" groups);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "average DX/HY server-load ratio over the 12 ops: %.2f (paper: < 0.5)\n"
-       (average_load_ratio rows));
-  Buffer.contents buf
+    (List.concat_map
+       (fun (op, hy, dx) ->
+         [
+           bar op "HY" [ []; [ Ge 200. ]; []; [] ] hy;
+           bar op "DX" [ []; [ Le 1. ]; [ Le 1. ]; [] ] dx;
+         ])
+       rows)
+    ~notes:
+      [
+        [
+          Lit "average DX/HY server-load ratio over the 12 ops: ";
+          Val
+            ( T.number ~better:Lower "DX/HY server load" (Fixed 2),
+              T.num ~paper:0.5 ~band:[ Gt 0.1; Lt 0.5 ] load_ratio );
+          Lit " (paper: < 0.5)";
+        ];
+      ]

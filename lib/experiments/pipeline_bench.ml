@@ -343,40 +343,41 @@ let json_valid text =
 (* ------------------------------------------------------------------ *)
 
 let render samples =
+  let module T = Metrics.Table in
+  let right = T.label ~align:Right in
   let table =
-    Metrics.Table.create
-      ~title:"Pipeline bench: batched/windowed issue vs synchronous (PR5)"
+    T.make ~title:"Pipeline bench: batched/windowed issue vs synchronous (PR5)"
       [
-        ("Workload", Metrics.Table.Left);
-        ("Mode", Metrics.Table.Left);
-        ("Win", Metrics.Table.Right);
-        ("Batch", Metrics.Table.Right);
-        ("Payload", Metrics.Table.Right);
-        ("p50 us", Metrics.Table.Right);
-        ("p95 us", Metrics.Table.Right);
-        ("Mb/s", Metrics.Table.Right);
-        ("Traps/KB", Metrics.Table.Right);
-        ("Ntf/op", Metrics.Table.Right);
+        T.label "Workload";
+        T.label "Mode";
+        right "Win";
+        right "Batch";
+        right "Payload";
+        right "p50 us";
+        right "p95 us";
+        right "Mb/s";
+        right "Traps/KB";
+        right "Ntf/op";
       ]
+      (List.map
+         (fun s ->
+           List.map T.text
+             [
+               s.workload;
+               s.mode;
+               string_of_int s.window;
+               string_of_int s.batch_bytes;
+               string_of_int s.payload;
+               Printf.sprintf "%.1f" s.p50_us;
+               Printf.sprintf "%.1f" s.p95_us;
+               Printf.sprintf "%.1f" s.throughput_mbps;
+               Printf.sprintf "%.2f" s.traps_per_kb;
+               Printf.sprintf "%.2f" s.notifies_per_op;
+             ])
+         samples)
   in
-  List.iter
-    (fun s ->
-      Metrics.Table.add_row table
-        [
-          s.workload;
-          s.mode;
-          string_of_int s.window;
-          string_of_int s.batch_bytes;
-          string_of_int s.payload;
-          Printf.sprintf "%.1f" s.p50_us;
-          Printf.sprintf "%.1f" s.p95_us;
-          Printf.sprintf "%.1f" s.throughput_mbps;
-          Printf.sprintf "%.2f" s.traps_per_kb;
-          Printf.sprintf "%.2f" s.notifies_per_op;
-        ])
-    samples;
   let failures = check samples in
-  Metrics.Table.render table
+  T.render table
   ^ (match failures with
     | [] -> "  checks: all passed\n"
     | fs ->

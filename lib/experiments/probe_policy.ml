@@ -3,15 +3,9 @@
    beats transferring control unless seven or more hash collisions must
    be chased.  We build collision chains of increasing length and
    measure the uncached lookup under both policies, locating the
-   crossover. *)
+   crossover, which must fall at a single-digit chain length (2 to 9). *)
 
-type point = {
-  chain : int; (* probes needed to reach the name *)
-  probing_us : float;
-  control_us : float;
-}
-
-type result = { points : point list; crossover : int option }
+module T = Metrics.Table
 
 (* Find [n] distinct names that all hash to the same registry slot. *)
 let colliding_names ~slots ~target n =
@@ -35,82 +29,81 @@ let run () =
   let n1 = Cluster.Testbed.node testbed 1 in
   let r0 = Rmem.Remote_memory.attach n0 in
   let r1 = Rmem.Remote_memory.attach n1 in
-  let points = ref [] in
-  Cluster.Testbed.run testbed (fun () ->
-      let c0 = Names.Clerk.create r0 in
-      let c1 = Names.Clerk.create r1 in
-      Names.Clerk.serve_lookup_requests c0;
-      Names.Clerk.serve_lookup_requests c1;
-      let slots = Names.Registry.slots (Names.Clerk.registry c1) in
-      let names = colliding_names ~slots ~target:17 (max_chain + 1) in
-      let space1 = Cluster.Node.new_address_space n1 in
-      (* Export the chain in order: name k needs k probes to reach. *)
-      List.iteri
-        (fun i name ->
-          ignore
-            (Names.Api.export c1 ~space:space1 ~base:(i * 4096) ~len:64 ~name ()
-              : Rmem.Segment.t))
-        names;
-      (* Warm bootstrap descriptors. *)
-      let hint = Cluster.Node.addr n1 in
-      let (_ : Rmem.Descriptor.t) =
-        Names.Api.import ~hint c0 (List.hd names)
-      in
-      let (_ : Rmem.Descriptor.t) =
-        Names.Api.import_with_control_transfer ~hint c0 (List.hd names)
-      in
-      let time body =
-        let t0 = Sim.Engine.now engine in
-        let (_ : Rmem.Descriptor.t) = body () in
-        Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now engine) t0)
-      in
-      List.iteri
-        (fun chain name ->
-          Names.Clerk.set_probe_policy c0 Names.Clerk.Probe_until_found;
-          let probing_us =
-            time (fun () -> Names.Api.import ~force:true ~hint c0 name)
-          in
-          let control_us =
-            time (fun () ->
-                Names.Api.import_with_control_transfer ~hint c0 name)
-          in
-          points := { chain; probing_us; control_us } :: !points)
-        names);
-  let points = List.rev !points in
+  let points =
+    Cluster.Testbed.run testbed (fun () ->
+        let c0 = Names.Clerk.create r0 in
+        let c1 = Names.Clerk.create r1 in
+        Names.Clerk.serve_lookup_requests c0;
+        Names.Clerk.serve_lookup_requests c1;
+        let slots = Names.Registry.slots (Names.Clerk.registry c1) in
+        let names = colliding_names ~slots ~target:17 (max_chain + 1) in
+        let space1 = Cluster.Node.new_address_space n1 in
+        (* Export the chain in order: name k needs k probes to reach. *)
+        List.iteri
+          (fun i name ->
+            ignore
+              (Names.Api.export c1 ~space:space1 ~base:(i * 4096) ~len:64 ~name ()
+                : Rmem.Segment.t))
+          names;
+        (* Warm bootstrap descriptors. *)
+        let hint = Cluster.Node.addr n1 in
+        let (_ : Rmem.Descriptor.t) =
+          Names.Api.import ~hint c0 (List.hd names)
+        in
+        let (_ : Rmem.Descriptor.t) =
+          Names.Api.import_with_control_transfer ~hint c0 (List.hd names)
+        in
+        let time body =
+          let t0 = Sim.Engine.now engine in
+          let (_ : Rmem.Descriptor.t) = body () in
+          Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now engine) t0)
+        in
+        List.mapi
+          (fun chain name ->
+            Names.Clerk.set_probe_policy c0 Names.Clerk.Probe_until_found;
+            let probing =
+              time (fun () -> Names.Api.import ~force:true ~hint c0 name)
+            in
+            ( chain,
+              probing,
+              time (fun () ->
+                  Names.Api.import_with_control_transfer ~hint c0 name) ))
+          names)
+  in
   let crossover =
     List.find_map
-      (fun p -> if p.probing_us > p.control_us then Some p.chain else None)
+      (fun (chain, probing, control) ->
+        if probing > control then Some chain else None)
       points
   in
-  { points; crossover }
-
-let render result =
-  let table =
-    Metrics.Table.create
-      ~title:
-        "Ablation C: remote probing vs control transfer in name lookup (us)"
-      [
-        ("Collisions", Metrics.Table.Right);
-        ("Probing", Metrics.Table.Right);
-        ("Control transfer", Metrics.Table.Right);
-      ]
+  let crossover_cell value =
+    T.Val
+      ( T.number "crossover" (Fixed 0),
+        { value; paper = Some 7.; band = [ Ge 2.; Le 9. ] } )
   in
-  List.iter
-    (fun p ->
-      Metrics.Table.add_row table
-        [
-          string_of_int p.chain;
-          Printf.sprintf "%.0f" p.probing_us;
-          Printf.sprintf "%.0f" p.control_us;
-        ])
-    result.points;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Metrics.Table.render table);
-  (match result.crossover with
-  | Some chain ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "control transfer wins from %d collisions (paper: ~7)\n" chain)
-  | None ->
-      Buffer.add_string buf "probing won at every measured chain length\n");
-  Buffer.contents buf
+  T.make
+    ~title:"Ablation C: remote probing vs control transfer in name lookup (us)"
+    [
+      T.number ~unit_:"probes" "Collisions" (Fixed 0);
+      T.number ~unit_:"us" ~better:Lower "Probing" (Fixed 0);
+      T.number ~unit_:"us" ~better:Lower "Control transfer" (Fixed 0);
+    ]
+    (List.map
+       (fun (chain, probing, control) ->
+         [ T.num (float_of_int chain); T.num probing; T.num control ])
+       points)
+    ~notes:
+      [
+        (match crossover with
+        | Some chain ->
+            [
+              Lit "control transfer wins from ";
+              crossover_cell (Num (float_of_int chain));
+              Lit " collisions (paper: ~7)";
+            ]
+        | None ->
+            [
+              Lit "probing won at every measured chain length";
+              crossover_cell Missing;
+            ]);
+      ]

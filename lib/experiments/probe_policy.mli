@@ -2,9 +2,4 @@
     across hash-collision chain lengths; the paper expects the
     crossover near seven collisions. *)
 
-type point = { chain : int; probing_us : float; control_us : float }
-
-type result = { points : point list; crossover : int option }
-
-val run : unit -> result
-val render : result -> string
+val run : unit -> Metrics.Table.t

@@ -2,17 +2,10 @@
    lower server involvement per request supports more clients).
 
    N clients concurrently replay mixed operations; we report makespan,
-   mean client-seen latency and server CPU utilization per scheme. *)
+   mean client-seen latency and server CPU utilization per scheme.  At
+   every client count DX must show the lower latency and finish sooner. *)
 
-type point = {
-  clients : int;
-  scheme : Dfs.Clerk.scheme;
-  mean_latency_us : float;
-  makespan_us : float;
-  server_utilization : float;
-}
-
-type result = point list
+module T = Metrics.Table
 
 let ops_per_client = 150
 
@@ -46,46 +39,39 @@ let measure fixture scheme ~clients =
       let makespan = Sim.Time.diff (Fixture.now fixture) t0 in
       Sim.Proc.wait (Sim.Time.ms 10);
       let busy = Cluster.Cpu.busy_time (Fixture.server_cpu fixture) in
-      {
-        clients;
-        scheme;
-        mean_latency_us = Metrics.Summary.mean latencies;
-        makespan_us = Sim.Time.to_us makespan;
-        server_utilization = Sim.Time.to_us busy /. Sim.Time.to_us makespan;
-      })
+      ( Metrics.Summary.mean latencies,
+        Sim.Time.to_us makespan /. 1000.,
+        Sim.Time.to_us busy /. Sim.Time.to_us makespan ))
 
-let run ?(client_counts = [ 1; 2; 4; 8 ]) () =
-  List.concat_map
-    (fun clients ->
-      let fixture = Fixture.create ~clients () in
-      [
-        measure fixture Dfs.Clerk.Hybrid1 ~clients;
-        measure fixture Dfs.Clerk.Dx ~clients;
-      ])
-    client_counts
-
-let render points =
-  let table =
-    Metrics.Table.create
-      ~title:
-        "Ablation A: scalability with client count (Table 1a mix, warm caches)"
-      [
-        ("Clients", Metrics.Table.Right);
-        ("Scheme", Metrics.Table.Left);
-        ("Mean latency (us)", Metrics.Table.Right);
-        ("Makespan (ms)", Metrics.Table.Right);
-        ("Server CPU util", Metrics.Table.Right);
-      ]
+let run () =
+  let row clients scheme ?(latency = []) ?(makespan = []) (mean, ms, util) =
+    [
+      T.num (float_of_int clients);
+      T.text scheme;
+      T.num ~band:latency mean;
+      T.num ~band:makespan ms;
+      T.num util;
+    ]
   in
-  List.iter
-    (fun p ->
-      Metrics.Table.add_row table
-        [
-          string_of_int p.clients;
-          Dfs.Clerk.scheme_to_string p.scheme;
-          Printf.sprintf "%.0f" p.mean_latency_us;
-          Printf.sprintf "%.1f" (p.makespan_us /. 1000.);
-          Printf.sprintf "%.2f" p.server_utilization;
-        ])
-    points;
-  Metrics.Table.render table
+  T.make
+    ~title:"Ablation A: scalability with client count (Table 1a mix, warm caches)"
+    [
+      T.number "Clients" (Fixed 0);
+      T.label "Scheme";
+      T.number ~unit_:"us" ~better:Lower "Mean latency (us)" (Fixed 0);
+      T.number ~unit_:"ms" ~better:Lower "Makespan (ms)" (Fixed 1);
+      T.number ~unit_:"ratio" "Server CPU util" (Fixed 2);
+    ]
+    (List.concat_map
+       (fun clients ->
+         let fixture = Fixture.create ~clients () in
+         (* DX runs first on the fresh fixture, then HY on the same one. *)
+         let dx = measure fixture Dfs.Clerk.Dx ~clients in
+         let ((hy_mean, hy_ms, _) as hy) =
+           measure fixture Dfs.Clerk.Hybrid1 ~clients
+         in
+         [
+           row clients "HY" hy;
+           row clients "DX" ~latency:[ Lt hy_mean ] ~makespan:[ Lt hy_ms ] dx;
+         ])
+       [ 1; 2; 4; 8 ])

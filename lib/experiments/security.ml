@@ -6,16 +6,10 @@
    AN1-style hardware that transforms data as it streams through the
    controller keeps the model viable.  We run the Table-2 micro
    operations under no encryption, hardware encryption and software
-   encryption. *)
+   encryption: software must be slower than hardware, and hardware at
+   least as slow as none. *)
 
-type row = {
-  mode : string;
-  write_us : float;
-  read_us : float;
-  throughput_mbps : float;
-}
-
-type result = row list
+module T = Metrics.Table
 
 let measure crypto =
   let testbed = Cluster.Testbed.create ~nodes:2 () in
@@ -28,7 +22,6 @@ let measure crypto =
   Rmem.Remote_memory.set_crypto r1 crypto;
   let space0 = Cluster.Node.new_address_space n0 in
   let space1 = Cluster.Node.new_address_space n1 in
-  let out = ref None in
   Cluster.Testbed.run testbed (fun () ->
       let segment =
         Rmem.Remote_memory.export r1 ~space:space1 ~base:0 ~len:65536
@@ -65,38 +58,27 @@ let measure crypto =
       done;
       let elapsed = Sim.Time.to_us (Sim.Time.diff (now ()) t0) in
       let throughput_mbps = float_of_int (blocks * 4096 * 8) /. elapsed in
-      out := Some (write_us, read_us, throughput_mbps));
-  match !out with
-  | Some (write_us, read_us, throughput_mbps) ->
-      { mode = ""; write_us; read_us; throughput_mbps }
-  | None -> assert false
+      (write_us, read_us, throughput_mbps))
 
 let run () =
-  [
-    { (measure None) with mode = "no encryption" };
-    { (measure (Some Rmem.Crypto.hardware_an1)) with mode = "AN1 hardware" };
-    { (measure (Some Rmem.Crypto.software_des)) with mode = "software DES" };
-  ]
-
-let render rows =
-  let table =
-    Metrics.Table.create
-      ~title:"Ablation E: the cost of link encryption (section 3.5)"
-      [
-        ("Mode", Metrics.Table.Left);
-        ("Write (us)", Metrics.Table.Right);
-        ("Read (us)", Metrics.Table.Right);
-        ("Throughput (Mb/s)", Metrics.Table.Right);
-      ]
+  let ((none_w, none_r, none_mbps) as none) = measure None in
+  let ((an1_w, an1_r, an1_mbps) as an1) =
+    measure (Some Rmem.Crypto.hardware_an1)
   in
-  List.iter
-    (fun row ->
-      Metrics.Table.add_row table
-        [
-          row.mode;
-          Printf.sprintf "%.1f" row.write_us;
-          Printf.sprintf "%.1f" row.read_us;
-          Printf.sprintf "%.1f" row.throughput_mbps;
-        ])
-    rows;
-  Metrics.Table.render table
+  let des = measure (Some Rmem.Crypto.software_des) in
+  let row mode ?(bands = [ []; []; [] ]) (write, read, mbps) =
+    T.text mode :: List.map2 (fun band v -> T.num ~band v) bands [ write; read; mbps ]
+  in
+  T.make ~title:"Ablation E: the cost of link encryption (section 3.5)"
+    [
+      T.label "Mode";
+      T.number ~unit_:"us" ~better:Lower "Write (us)" (Fixed 1);
+      T.number ~unit_:"us" ~better:Lower "Read (us)" (Fixed 1);
+      T.number ~unit_:"Mb/s" ~better:Higher "Throughput (Mb/s)" (Fixed 1);
+    ]
+    [
+      row "no encryption" none;
+      row "AN1 hardware" an1
+        ~bands:[ [ Ge none_w ]; [ Ge none_r ]; [ Le none_mbps ] ];
+      row "software DES" des ~bands:[ [ Gt an1_w ]; [ Gt an1_r ]; [ Lt an1_mbps ] ];
+    ]

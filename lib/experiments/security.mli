@@ -1,14 +1,4 @@
 (** Ablation E: Table-2 micro-operations under no / hardware / software
     link encryption (§3.5). *)
 
-type row = {
-  mode : string;
-  write_us : float;
-  read_us : float;
-  throughput_mbps : float;
-}
-
-type result = row list
-
-val run : unit -> result
-val render : result -> string
+val run : unit -> Metrics.Table.t

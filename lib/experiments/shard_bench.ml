@@ -388,42 +388,44 @@ let to_json result =
     ]
 
 let render result =
+  let module T = Metrics.Table in
+  let right = T.label ~align:Right in
   let table =
-    Metrics.Table.create
+    T.make
       ~title:"Scale-out campaign: sharded name service vs single registry (PR9)"
       [
-        ("Leg", Metrics.Table.Left);
-        ("Shards", Metrics.Table.Right);
-        ("Lookups", Metrics.Table.Right);
-        ("p50 us", Metrics.Table.Right);
-        ("p95 us", Metrics.Table.Right);
-        ("p99 us", Metrics.Table.Right);
-        ("Drops", Metrics.Table.Right);
-        ("Queue", Metrics.Table.Right);
-        ("Epoch", Metrics.Table.Right);
-        ("Refetch", Metrics.Table.Right);
-        ("Conv us", Metrics.Table.Right);
+        T.label "Leg";
+        right "Shards";
+        right "Lookups";
+        right "p50 us";
+        right "p95 us";
+        right "p99 us";
+        right "Drops";
+        right "Queue";
+        right "Epoch";
+        right "Refetch";
+        right "Conv us";
       ]
+      (List.map
+         (fun c ->
+           List.map T.text
+             [
+               c.label;
+               Printf.sprintf "%d->%d" c.shards_start c.shards_end;
+               string_of_int c.lookups;
+               Printf.sprintf "%.1f" c.p50_us;
+               Printf.sprintf "%.1f" c.p95_us;
+               Printf.sprintf "%.1f" c.p99_us;
+               string_of_int c.switch_drops;
+               string_of_int c.max_queue_depth;
+               string_of_int c.epoch;
+               string_of_int c.stale_refetches;
+               Printf.sprintf "%.1f" c.convergence_us;
+             ])
+         [ result.baseline; result.sharded ])
   in
-  List.iter
-    (fun c ->
-      Metrics.Table.add_row table
-        [
-          c.label;
-          Printf.sprintf "%d->%d" c.shards_start c.shards_end;
-          string_of_int c.lookups;
-          Printf.sprintf "%.1f" c.p50_us;
-          Printf.sprintf "%.1f" c.p95_us;
-          Printf.sprintf "%.1f" c.p99_us;
-          string_of_int c.switch_drops;
-          string_of_int c.max_queue_depth;
-          string_of_int c.epoch;
-          string_of_int c.stale_refetches;
-          Printf.sprintf "%.1f" c.convergence_us;
-        ])
-    [ result.baseline; result.sharded ];
   let failures = check result in
-  Metrics.Table.render table
+  T.render table
   ^
   match failures with
   | [] -> "  shard bench gates: all passed\n"

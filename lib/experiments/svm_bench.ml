@@ -10,17 +10,11 @@
    faults 4 KB back through the manager.  Under remote memory the
    reader moves 64 bytes, unaffected by the writer.  A read-mostly
    scenario is included for honesty: once cached, SVM reads are local
-   and effectively free, which is exactly the regime SVM was built for. *)
+   and effectively free, which is exactly the regime SVM was built for.
+   Remote memory must read faster under false sharing, SVM when the
+   page stays put. *)
 
-type point = {
-  scenario : string;
-  scheme : string;
-  mean_read_us : float;
-  wire_kb : float;
-  faults : int;
-}
-
-type result = point list
+module T = Metrics.Table
 
 let iterations = 40
 let record_a = 0
@@ -66,14 +60,7 @@ let measure_svm ~false_sharing =
           ( Metrics.Summary.mean reads,
             float_of_int (wire_bytes testbed - base_bytes) /. 1024.,
             Svm.read_faults reader ));
-  let mean_read_us, wire_kb, faults = Option.get !out in
-  {
-    scenario = (if false_sharing then "false sharing" else "read-mostly");
-    scheme = "SVM (Ivy)";
-    mean_read_us;
-    wire_kb;
-    faults;
-  }
+  Option.get !out
 
 let measure_rmem ~false_sharing =
   let testbed = Cluster.Testbed.create ~nodes:3 () in
@@ -124,44 +111,37 @@ let measure_rmem ~false_sharing =
           ( Metrics.Summary.mean reads,
             float_of_int (wire_bytes testbed - base_bytes) /. 1024. ));
   let mean_read_us, wire_kb = Option.get !out in
-  {
-    scenario = (if false_sharing then "false sharing" else "read-mostly");
-    scheme = "remote memory";
-    mean_read_us;
-    wire_kb;
-    faults = 0;
-  }
+  (mean_read_us, wire_kb, 0)
 
 let run () =
-  [
-    measure_svm ~false_sharing:true;
-    measure_rmem ~false_sharing:true;
-    measure_svm ~false_sharing:false;
-    measure_rmem ~false_sharing:false;
-  ]
-
-let render points =
-  let table =
-    Metrics.Table.create
-      ~title:
-        "Ablation F: SVM (page-grain, manager-based) vs remote memory (section 6)"
-      [
-        ("Scenario", Metrics.Table.Left);
-        ("Scheme", Metrics.Table.Left);
-        ("Mean read (us)", Metrics.Table.Right);
-        ("Wire traffic (KB)", Metrics.Table.Right);
-        ("Reader faults", Metrics.Table.Right);
-      ]
+  let row scenario scheme ?(band = []) (mean_read_us, wire_kb, faults) =
+    [
+      T.text scenario;
+      T.text scheme;
+      T.num ~band mean_read_us;
+      T.num wire_kb;
+      T.num (float_of_int faults);
+    ]
   in
-  List.iter
-    (fun p ->
-      Metrics.Table.add_row table
-        [
-          p.scenario;
-          p.scheme;
-          Printf.sprintf "%.0f" p.mean_read_us;
-          Printf.sprintf "%.1f" p.wire_kb;
-          string_of_int p.faults;
-        ])
-    points;
-  Metrics.Table.render table
+  let scenario name false_sharing =
+    let ((svm_us, _, _) as svm) = measure_svm ~false_sharing in
+    let ((rmem_us, _, _) as rmem) = measure_rmem ~false_sharing in
+    (* Under false sharing remote memory wins; read-mostly, SVM does. *)
+    let svm_band, rmem_band =
+      if false_sharing then ([], [ T.Lt svm_us ]) else ([ T.Lt rmem_us ], [])
+    in
+    [
+      row name "SVM (Ivy)" ~band:svm_band svm;
+      row name "remote memory" ~band:rmem_band rmem;
+    ]
+  in
+  T.make
+    ~title:"Ablation F: SVM (page-grain, manager-based) vs remote memory (section 6)"
+    [
+      T.label "Scenario";
+      T.label "Scheme";
+      T.number ~unit_:"us" ~better:Lower "Mean read (us)" (Fixed 0);
+      T.number ~unit_:"KB" ~better:Lower "Wire traffic (KB)" (Fixed 1);
+      T.number ~unit_:"faults" ~better:Lower "Reader faults" (Fixed 0);
+    ]
+    (scenario "false sharing" true @ scenario "read-mostly" false)

@@ -1,15 +1,4 @@
 (** Ablation F: Ivy-style SVM vs remote memory under false sharing and
     under read-mostly sharing (§6's related-work argument). *)
 
-type point = {
-  scenario : string;
-  scheme : string;
-  mean_read_us : float;
-  wire_kb : float;
-  faults : int;
-}
-
-type result = point list
-
-val run : unit -> result
-val render : result -> string
+val run : unit -> Metrics.Table.t

@@ -5,77 +5,53 @@
    default) over a synthetic namespace and report the same table,
    side by side with the paper's counts. *)
 
-type row = {
-  label : string;
-  paper_calls : int;
-  paper_pct : float;
-  trace_calls : int;
-  trace_pct : float;
-}
-
-type result = { rows : row list; trace_total : int; scale : int }
+module T = Metrics.Table
 
 let scale = 1000
 
+(* Every row's share must land within one percentage point of the
+   paper's. *)
 let run () =
   let prng = Sim.Prng.create 11 in
   let tree = Workload.File_tree.build prng in
   let events = Workload.Trace.generate ~scale tree prng in
   let counts = Workload.Trace.counts_by_label events in
   let total = Array.length events in
-  let rows =
-    List.map
-      (fun (r : Workload.Mix.row) ->
-        let trace_calls =
-          Option.value ~default:0 (List.assoc_opt r.Workload.Mix.label counts)
-        in
-        {
-          label = r.Workload.Mix.label;
-          paper_calls = r.Workload.Mix.calls;
-          paper_pct = Workload.Mix.percentage r;
-          trace_calls;
-          trace_pct = 100. *. float_of_int trace_calls /. float_of_int total;
-        })
-      Workload.Mix.table_1a
-  in
-  { rows; trace_total = total; scale }
-
-let render result =
-  let table =
-    Metrics.Table.create
-      ~title:
-        (Printf.sprintf
-           "Table 1a: Summary of NFS RPC Activity (trace scaled 1/%d)"
-           result.scale)
-      [
-        ("Activity", Metrics.Table.Left);
-        ("Paper calls", Metrics.Table.Right);
-        ("Paper %", Metrics.Table.Right);
-        ("Trace calls", Metrics.Table.Right);
-        ("Trace %", Metrics.Table.Right);
-      ]
-  in
-  List.iter
-    (fun row ->
-      Metrics.Table.add_row table
-        [
-          row.label;
-          string_of_int row.paper_calls;
-          Printf.sprintf "%.1f" row.paper_pct;
-          string_of_int row.trace_calls;
-          Printf.sprintf "%.1f" row.trace_pct;
-        ])
-    result.rows;
-  Metrics.Table.add_separator table;
-  Metrics.Table.add_row table
+  let num_int n = T.num (float_of_int n) in
+  T.make
+    ~title:
+      (Printf.sprintf "Table 1a: Summary of NFS RPC Activity (trace scaled 1/%d)"
+         scale)
     [
-      "Total";
-      string_of_int Workload.Mix.total_calls;
-      "100.0";
-      string_of_int result.trace_total;
-      "100.0";
-    ];
-  Metrics.Table.render table
+      T.label "Activity";
+      T.number ~unit_:"calls" "Paper calls" (Fixed 0);
+      T.number ~unit_:"%" "Paper %" (Fixed 1);
+      T.number ~unit_:"calls" "Trace calls" (Fixed 0);
+      T.number ~unit_:"%" "Trace %" (Fixed 1);
+    ]
+    (List.map
+       (fun (r : Workload.Mix.row) ->
+         let calls =
+           Option.value ~default:0 (List.assoc_opt r.Workload.Mix.label counts)
+         in
+         let paper = Workload.Mix.percentage r in
+         [
+           T.text r.Workload.Mix.label;
+           num_int r.Workload.Mix.calls;
+           T.num paper;
+           num_int calls;
+           T.num ~paper ~band:[ Near 1.0 ]
+             (100. *. float_of_int calls /. float_of_int total);
+         ])
+       Workload.Mix.table_1a)
+    ~total:
+      [
+        T.text "Total";
+        num_int Workload.Mix.total_calls;
+        T.num 100.;
+        num_int total;
+        T.num 100.;
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Span-derived latency decomposition.
@@ -173,27 +149,24 @@ let decompose () =
   }
 
 let render_decomposition d =
-  let table =
-    Metrics.Table.create
-      ~title:"Latency decomposition from spans (unloaded, 2 nodes)"
-      [
-        ("Op", Metrics.Table.Left);
-        ("Direct us", Metrics.Table.Right);
-        ("Spans us", Metrics.Table.Right);
-        ("Phases", Metrics.Table.Left);
-      ]
-  in
-  List.iter
-    (fun r ->
-      Metrics.Table.add_row table
-        [
-          r.op;
-          Printf.sprintf "%.2f" r.direct_us;
-          Printf.sprintf "%.2f" r.span_us;
-          String.concat ", "
-            (List.map
-               (fun (name, us) -> Printf.sprintf "%s %.2f" name us)
-               r.phases);
-        ])
-    d.phase_rows;
-  Metrics.Table.render table
+  T.render
+    (T.make ~title:"Latency decomposition from spans (unloaded, 2 nodes)"
+       [
+         T.label "Op";
+         T.number ~unit_:"us" "Direct us" (Fixed 2);
+         T.number ~unit_:"us" "Spans us" (Fixed 2);
+         T.label "Phases";
+       ]
+       (List.map
+          (fun r ->
+            [
+              T.text r.op;
+              T.num r.direct_us;
+              T.num r.span_us;
+              T.text
+                (String.concat ", "
+                   (List.map
+                      (fun (name, us) -> Printf.sprintf "%s %.2f" name us)
+                      r.phases));
+            ])
+          d.phase_rows))

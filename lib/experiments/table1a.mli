@@ -1,20 +1,8 @@
 (** Table 1a: summary of NFS RPC activity — the paper's measured op mix
     next to our scaled synthetic trace. *)
 
-type row = {
-  label : string;
-  paper_calls : int;
-  paper_pct : float;
-  trace_calls : int;
-  trace_pct : float;
-}
-
-type result = { rows : row list; trace_total : int; scale : int }
-
-val run : unit -> result
+val run : unit -> Metrics.Table.t
 (** Seed 11; the trace holds Table 1a's call count divided by 1000. *)
-
-val render : result -> string
 
 (** {1 Span-derived latency decomposition}
 

@@ -2,9 +2,4 @@
     block throughput, notification overhead) against the paper's
     measurements. *)
 
-type row = { name : string; paper : float; measured : float; unit_ : string }
-
-type result = row list
-
-val run : unit -> result
-val render : result -> string
+val run : unit -> Metrics.Table.t

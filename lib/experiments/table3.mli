@@ -1,9 +1,4 @@
 (** Table 3: name server performance (export / import cached /
     import uncached / revoke / lookup-with-notification). *)
 
-type row = { name : string; paper : float; measured : float }
-
-type result = row list
-
-val run : unit -> result
-val render : result -> string
+val run : unit -> Metrics.Table.t

@@ -4,17 +4,10 @@
    switched networks permit — and demand — tighter coupling.  We rerun
    the HY/DX comparison on two machines: the 1994 testbed (DECstation +
    140 Mb/s FORE ATM) and a mid-90s projection (5x faster CPU, 622 Mb/s
-   OC-12 fabric), and check how the separation dividend moves. *)
+   OC-12 fabric), and check how the separation dividend moves: DX must
+   win on every operation in both. *)
 
-type row = {
-  profile : string;
-  op : string;
-  hy_us : float;
-  dx_us : float;
-  ratio : float;
-}
-
-type result = row list
+module T = Metrics.Table
 
 let sample_ops fixture =
   List.filter
@@ -26,46 +19,41 @@ let sample_ops fixture =
 let measure ~profile ?costs ?net_config () =
   let fixture = Fixture.create ?costs ?net_config () in
   let clerk = Fixture.clerk fixture 0 in
+  let time op =
+    snd (Fixture.time fixture (fun () -> Dfs.Clerk.remote_fetch clerk op))
+  in
   Fixture.run fixture (fun () ->
       Fixture.recache_bench fixture;
       List.map
         (fun (name, op) ->
           Dfs.Clerk.set_scheme clerk Dfs.Clerk.Hybrid1;
-          let _, hy = Fixture.time fixture (fun () -> Dfs.Clerk.remote_fetch clerk op) in
+          let hy = time op in
           Dfs.Clerk.set_scheme clerk Dfs.Clerk.Dx;
-          let _, dx = Fixture.time fixture (fun () -> Dfs.Clerk.remote_fetch clerk op) in
-          { profile; op = name; hy_us = hy; dx_us = dx; ratio = hy /. dx })
+          let dx = time op in
+          [
+            T.text profile;
+            T.text name;
+            T.num hy;
+            T.num ~band:[ Lt hy ] dx;
+            T.num (hy /. dx);
+          ])
         (sample_ops fixture))
 
 let oc12 =
   { Atm.Config.default with Atm.Config.bandwidth_mbps = 622.0 }
 
 let run () =
-  measure ~profile:"1994 testbed" ()
-  @ measure ~profile:"next-gen (5x CPU, OC-12)"
+  let today = measure ~profile:"1994 testbed" () in
+  let next =
+    measure ~profile:"next-gen (5x CPU, OC-12)"
       ~costs:Cluster.Costs.next_generation ~net_config:oc12 ()
-
-let render rows =
-  let table =
-    Metrics.Table.create
-      ~title:"Ablation H: the HY/DX trade-off across technology generations"
-      [
-        ("Profile", Metrics.Table.Left);
-        ("Operation", Metrics.Table.Left);
-        ("HY (us)", Metrics.Table.Right);
-        ("DX (us)", Metrics.Table.Right);
-        ("HY/DX", Metrics.Table.Right);
-      ]
   in
-  List.iter
-    (fun r ->
-      Metrics.Table.add_row table
-        [
-          r.profile;
-          r.op;
-          Printf.sprintf "%.0f" r.hy_us;
-          Printf.sprintf "%.0f" r.dx_us;
-          Printf.sprintf "%.2f" r.ratio;
-        ])
-    rows;
-  Metrics.Table.render table
+  T.make ~title:"Ablation H: the HY/DX trade-off across technology generations"
+    [
+      T.label "Profile";
+      T.label "Operation";
+      T.number ~unit_:"us" ~better:Lower "HY (us)" (Fixed 0);
+      T.number ~unit_:"us" ~better:Lower "DX (us)" (Fixed 0);
+      T.number ~unit_:"ratio" "HY/DX" (Fixed 2);
+    ]
+    (today @ next)

@@ -2,15 +2,4 @@
     (5x CPU, 622 Mb/s fabric) — does the separation dividend survive the
     technology trend the paper bets on? *)
 
-type row = {
-  profile : string;
-  op : string;
-  hy_us : float;
-  dx_us : float;
-  ratio : float;
-}
-
-type result = row list
-
-val run : unit -> result
-val render : result -> string
+val run : unit -> Metrics.Table.t

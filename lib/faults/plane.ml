@@ -122,6 +122,7 @@ let schedule_crashes t testbed ~rmems ~preserve ~on_restart =
 let on_recovery t node = function
   | Rmem.Remote_memory.Retried -> Obs.Registry.incr t.registry "rmem.retries"
   | Rmem.Remote_memory.Gave_up -> Obs.Registry.incr t.registry "rmem.gave_up"
+  | Rmem.Remote_memory.Refused -> Obs.Registry.incr t.registry "rmem.refused"
   | Rmem.Remote_memory.Revalidated ->
       Obs.Registry.incr t.registry "rmem.revalidations"
   | Rmem.Remote_memory.Recovered { seg; op; elapsed } ->

@@ -41,7 +41,8 @@ val registry : t -> Obs.Registry.t
     [faults.duplicates], [faults.delays], [faults.partition_drops],
     [faults.crashes], [faults.restarts]) plus the retry/recovery
     counters of every registered rmem ([rmem.retries],
-    [rmem.revalidations], [rmem.recovered], [rmem.gave_up]). *)
+    [rmem.revalidations], [rmem.recovered], [rmem.gave_up],
+    [rmem.refused]). *)
 
 (** {1 The replay contract} *)
 

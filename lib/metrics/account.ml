@@ -67,9 +67,12 @@ let total_of t category =
   | c -> c.total
   | exception Not_found -> 0.
 
-let grand_total t = Hashtbl.fold (fun _ c acc -> acc +. c.total) t.totals 0.
-
 let categories t = List.rev t.order
+
+(* Summed in first-seen order: a fold over the table would make the
+   float sum depend on its hash seed (OCAMLRUNPARAM=R). *)
+let grand_total t =
+  List.fold_left (fun acc c -> acc +. total_of t c) 0. (categories t)
 
 let to_list t = List.map (fun c -> (c, total_of t c)) (categories t)
 

@@ -1,4 +1,4 @@
-(* A minimal RFC 8259 JSON reader.
+(* A minimal RFC 8259 JSON reader, and the writer for its value tree.
 
    Every tool in this repository emits JSON by hand; until now the only
    check on those bytes was a structural validator that proved they
@@ -222,3 +222,41 @@ let rec find json = function
       match member key json with
       | Some v -> find v rest
       | None -> None)
+
+(* ---------------- Writer ---------------- *)
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* The shortest of %.15g / %.17g that reads back as the same float;
+   JSON has no infinity or NaN, so those are null. *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let rec write = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Number f -> number f
+  | String s -> "\"" ^ escape s ^ "\""
+  | List items -> "[" ^ String.concat "," (List.map write items) ^ "]"
+  | Obj fields ->
+      "{"
+      ^ String.concat ","
+          (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ write v) fields)
+      ^ "}"

@@ -1,4 +1,4 @@
-(** A minimal RFC 8259 JSON reader, so tests and CLIs can round-trip the
+(** A minimal RFC 8259 JSON reader and writer, so tests and CLIs can round-trip the
     hand-emitted artifacts (Chrome traces, bench bands, obsreport
     output) and assert on their content, not just their shape.
 
@@ -29,3 +29,14 @@ val to_number : t -> float option
 val find : t -> string list -> t option
 (** [find json path] walks nested object members.
     Test-only: the JSON reader tests. *)
+
+(** {1 Writer} *)
+
+val escape : string -> string
+(** Escape a string for inclusion inside a JSON string literal (without
+    the surrounding quotes). *)
+
+val write : t -> string
+(** One line, no trailing newline. A number is written with the fewest
+    digits (15 or 17 significant) that parse back to the same float; a
+    non-finite one is written [null]. *)

@@ -110,20 +110,12 @@ let link_busy_accounting () =
 (* ---------------- metrics edges ---------------- *)
 
 let bar_chart_zero_values () =
+  let module T = Metrics.Table in
   let out =
-    Metrics.Bar_chart.render
-      [
-        {
-          Metrics.Bar_chart.group_name = "empty";
-          bars =
-            [
-              {
-                Metrics.Bar_chart.name = "z";
-                segments = [ { Metrics.Bar_chart.label = "a"; value = 0. } ];
-              };
-            ];
-        };
-      ]
+    T.render
+      (T.make ~layout:Bars
+         [ T.label "group"; T.label "bar"; T.number "a" (Fixed 1) ]
+         [ [ T.text "empty"; T.text "z"; T.num 0. ] ])
   in
   check_bool "renders without dividing by zero" true (String.length out > 0)
 

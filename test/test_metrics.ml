@@ -78,47 +78,36 @@ let account_accumulation () =
 
 let table_renders () =
   let t =
-    Metrics.Table.create ~title:"T"
-      [ ("name", Metrics.Table.Left); ("value", Metrics.Table.Right) ]
+    Metrics.Table.make ~title:"T"
+      [ Metrics.Table.label "name"; Metrics.Table.number "value" (Fixed 0) ]
+      [ [ Metrics.Table.text "alpha"; Metrics.Table.num 1. ] ]
+      ~total:[ Metrics.Table.text "total"; Metrics.Table.num 1. ]
   in
-  Metrics.Table.add_row t [ "alpha"; "1" ];
-  Metrics.Table.add_separator t;
-  Metrics.Table.add_row t [ "total"; "1" ];
   let out = Metrics.Table.render t in
   Alcotest.(check bool) "has title" true (String.length out > 0);
   Alcotest.(check bool) "contains row" true
     (contains out "alpha" && contains out "value")
 
 let table_validates_width () =
-  let t = Metrics.Table.create [ ("a", Metrics.Table.Left) ] in
   Alcotest.check_raises "cell count"
-    (Invalid_argument "Table.add_row: wrong number of cells") (fun () ->
-      Metrics.Table.add_row t [ "1"; "2" ])
+    (Invalid_argument "Table.make: wrong number of cells") (fun () ->
+      ignore
+        (Metrics.Table.make
+           [ Metrics.Table.label "a" ]
+           [ [ Metrics.Table.text "1"; Metrics.Table.text "2" ] ]
+          : Metrics.Table.t))
 
 let bar_chart_renders () =
-  let groups =
-    [
-      {
-        Metrics.Bar_chart.group_name = "op";
-        bars =
-          [
-            {
-              Metrics.Bar_chart.name = "HY";
-              segments =
-                [
-                  { Metrics.Bar_chart.label = "a"; value = 10. };
-                  { Metrics.Bar_chart.label = "b"; value = 20. };
-                ];
-            };
-            {
-              Metrics.Bar_chart.name = "DX";
-              segments = [ { Metrics.Bar_chart.label = "a"; value = 15. } ];
-            };
-          ];
-      };
-    ]
+  let module T = Metrics.Table in
+  let out =
+    T.render
+      (T.make ~layout:Bars
+         [ T.label "op"; T.label "scheme"; T.number "a" (Fixed 1); T.number "b" (Fixed 1) ]
+         [
+           [ T.text "op"; T.text "HY"; T.num 10.; T.num 20. ];
+           [ T.text "op"; T.text "DX"; T.num 15.; T.num 0. ];
+         ])
   in
-  let out = Metrics.Bar_chart.render groups in
   Alcotest.(check bool) "mentions legend" true (contains out "legend");
   Alcotest.(check bool) "mentions both bars" true
     (contains out "HY" && contains out "DX")

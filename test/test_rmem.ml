@@ -1284,6 +1284,37 @@ let timed_read_budget () =
   Rig.within_budget "timed 4-byte READ round trip" ~words:timed ~budget:18.8;
   Rig.within_budget "three timed READs awaited" ~words:three ~budget:49.
 
+(* A revalidator that refuses a stale descriptor is an answer, not lost
+   work: it counts "refused", while a READ that exhausts its attempts
+   still counts "gave-up" (what the built-in SLO holds at zero). *)
+let refused_revalidation_is_not_gave_up () =
+  let d = Rig.duo () in
+  let count category =
+    Metrics.Account.total_of (Rmem.Remote_memory.errors d.Rig.rmem0) category
+  in
+  let policy = Rmem.Recovery.policy ~attempts:2 ~timeout:(Sim.Time.ms 1) () in
+  let dst = Rig.buffer0 d in
+  let read desc policy =
+    match
+      Rmem.Remote_memory.read_wait ~policy d.Rig.rmem0 desc ~soff:0 ~count:4
+        ~dst ~doff:0 ()
+    with
+    | () -> false
+    | exception (Rmem.Status.Remote_error _ | Rmem.Status.Timeout) -> true
+  in
+  Rig.run d (fun () ->
+      let segment, desc = Rig.shared_segment d in
+      Rmem.Remote_memory.revoke d.Rig.rmem1 segment;
+      check_bool "refused READ still raises" true
+        (read desc (Rmem.Recovery.with_revalidate policy (fun _ -> false)));
+      check_bool "counted refused" true (count "refused" = 1.);
+      check_bool "not gave-up" true (count "gave-up" = 0.);
+      let _, live = Rig.shared_segment d in
+      Cluster.Node.set_down d.Rig.node1 true;
+      check_bool "exhausted READ raises" true (read live policy);
+      check_bool "counted gave-up" true (count "gave-up" = 1.);
+      check_bool "refused unchanged" true (count "refused" = 1.))
+
 let suite =
   [
     Alcotest.test_case "wire write header is 8 bytes" `Quick wire_write_header_size;
@@ -1347,4 +1378,6 @@ let suite =
     Alcotest.test_case "inflight drains after timeouts and a crash" `Quick
       inflight_drains;
     Alcotest.test_case "timed READ allocation budget" `Quick timed_read_budget;
+    Alcotest.test_case "refused revalidation is not gave-up" `Quick
+      refused_revalidation_is_not_gave_up;
   ]

@@ -26,8 +26,8 @@ let engine_trace_deterministic =
       run () = run ())
 
 let fig2_is_deterministic () =
-  let run () = Experiments.Fig2.run ~fixture:(Experiments.Fixture.create ()) () in
-  let a = run () and b = run () in
+  (* Each run builds a fresh fixture. *)
+  let a = Experiments.Fig2.run () and b = Experiments.Fig2.run () in
   check_bool "two fresh fixtures, identical figure" true (a = b)
 
 let trace_generation_deterministic () =
