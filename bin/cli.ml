@@ -103,29 +103,6 @@ let cmd name ~doc ~ci term =
   let info = Cmd.info name ~doc ~exits in
   Cmd.v info Term.(const run $ json_flag $ ci_flag $ term)
 
-(* The campaign benches (shard, dds, pipeline) share one shape: a full
-   or --smoke sweep, rendered as text or JSON, gated under --ci. *)
-let bench name ~doc ~ci ~render ~to_json ~check sweep =
-  let smoke =
-    let doc = "Run the small golden-file configuration." in
-    Arg.(value & flag & info [ "smoke" ] ~doc)
-  in
-  let run sweep smoke m =
-    let result = sweep ~smoke in
-    let json = to_json result in
-    print_string (if m.json then json else render result);
-    let failures =
-      check result
-      @
-      match Metrics.Json.parse json with
-      | Ok _ -> []
-      | Error e -> [ "emitted JSON failed self-validation: " ^ e ]
-    in
-    if m.ci then List.iter (Printf.eprintf "   GATE FAILED: %s\n") failures;
-    (not m.ci) || failures = []
-  in
-  cmd name ~doc ~ci Term.(const run $ sweep $ smoke)
-
 let main ~doc cmds =
   exit
     (Cmd.eval' (Cmd.group (Cmd.info "rnet" ~version:"1.0.0" ~doc ~exits) cmds))

@@ -1,6 +1,8 @@
-(* rnet repro — regenerate every table and figure of the paper.
+(* rnet repro — regenerate every table and figure of the paper, its
+   ablations and the campaigns that carry its crossover further.
 
      rnet repro table2
+     rnet repro dds        # DX vs RPC vs hybrid per data structure
      rnet repro all        # the lot, in the paper's order
 
    Each experiment returns a report whose cells carry the paper's bands;
@@ -62,7 +64,8 @@ let cmd =
   Cli.cmd "repro"
     ~doc:
       "Reproduce the tables and figures of 'Separating Data and Control \
-       Transfer in Distributed Operating Systems' (ASPLOS 1994)"
+       Transfer in Distributed Operating Systems' (ASPLOS 1994), its \
+       ablations and the campaigns beyond it"
     ~ci:
       "Gate mode: suppress the rendered report, assert the experiment \
        completes with every paper band holding, exit 1 otherwise."

@@ -14,9 +14,6 @@ let () =
       Protocheck.cmd;
       Obsreport.cmd;
       Tracer.cmd;
-      Benches.shard;
-      Benches.dds;
-      Benches.pipeline;
       Repro.cmd;
       Nfstrace.cmd;
       Clustersim.cmd;

@@ -1,4 +1,4 @@
-(* The distributed data-structure campaign (PR10): DX vs RPC vs hybrid
+(* Campaign: the distributed data structures, DX vs RPC vs hybrid
    for the hash table, the ticket queue and the ABD register, on a Clos
    fabric at two operating points.
 
@@ -16,16 +16,18 @@
    high-contention mutation-heavy leg control transfer wins it back
    (the home CPU serializes mutations for the price of one round trip,
    where DX burns extra wire transactions on probe walks, CAS claims
-   and busy-retry backoff against the same hot words). *)
+   and busy-retry backoff against the same hot words).  The crossover
+   must hold on at least two of the three structures. *)
+
+module T = Metrics.Table
 
 type point = {
-  structure : string;  (** "hashtable" | "queue" | "register" *)
-  kind : string;  (** "dx" | "rpc" | "hybrid" *)
-  leg : string;  (** "low" | "high" *)
+  structure : string;
+  kind : string;
+  leg : string;
   clients : int;
-  zipf : float;
   mutate_pct : int;
-  ops : int;  (** completed operations across all clients *)
+  ops : int;
   mean_us : float;
   p50_us : float;
   p95_us : float;
@@ -34,11 +36,6 @@ type point = {
   rpc_fallbacks : int;
   switch_drops : int;
 }
-
-type result = { nodes : int; points : point list }
-
-let schema_version = 1
-let structures = [ "hashtable"; "queue"; "register" ]
 
 type legcfg = {
   leg_label : string;
@@ -87,7 +84,7 @@ let run_point cfg ~structure ~kind (leg : legcfg) =
   let node i = Cluster.Testbed.node testbed i in
   let rmems = Array.init (3 + clients) (fun i -> Rmem.Remote_memory.attach (node i)) in
   let amsgs = Array.init (3 + clients) (fun i -> Amsg.attach (node i)) in
-  let hist = Metrics.Histogram.create () in
+  let latency = Metrics.Summary.create () and samples = ref [] in
   let completed = ref 0 in
   let losses = ref 0 and fallbacks = ref 0 in
   let dist = Workload.Zipf.create ~exponent:leg.leg_zipf cfg.keys in
@@ -196,8 +193,11 @@ let run_point cfg ~structure ~kind (leg : legcfg) =
               Sim.Proc.wait (Sim.Time.us (1 + Sim.Prng.int prng 10));
               let t0 = Sim.Engine.now engine in
               driver.op ~prng ~k ~i;
-              Metrics.Histogram.add hist
-                (Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now engine) t0));
+              let us =
+                Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now engine) t0)
+              in
+              Metrics.Summary.add latency us;
+              samples := us :: !samples;
               incr completed
             done;
             incr finished)
@@ -213,40 +213,29 @@ let run_point cfg ~structure ~kind (leg : legcfg) =
       0
       (Atm.Network.switches (Cluster.Testbed.network testbed))
   in
+  let sorted = Array.of_list !samples in
+  Array.sort compare sorted;
   {
     structure;
     kind = Dds.Kind.to_string kind;
     leg = leg.leg_label;
     clients;
-    zipf = leg.leg_zipf;
     mutate_pct = leg.leg_mutate_pct;
     ops = !completed;
-    mean_us = Metrics.Summary.mean (Metrics.Histogram.summary hist);
-    p50_us = Metrics.Histogram.percentile hist 50.;
-    p95_us = Metrics.Histogram.percentile hist 95.;
-    p99_us = Metrics.Histogram.percentile hist 99.;
+    mean_us = Metrics.Summary.mean latency;
+    p50_us = Metrics.Summary.percentile sorted 0.50;
+    p95_us = Metrics.Summary.percentile sorted 0.95;
+    p99_us = Metrics.Summary.percentile sorted 0.99;
     cas_losses = !losses;
     rpc_fallbacks = !fallbacks;
     switch_drops;
   }
 
-let run_cfg ?(structures = structures) cfg =
-  let points =
-    List.concat_map
-      (fun structure ->
-        List.concat_map
-          (fun kind ->
-            List.map
-              (fun leg -> run_point cfg ~structure ~kind leg)
-              [ cfg.low; cfg.high ])
-          Dds.Kind.all)
-      structures
-  in
-  { nodes = cfg.leaves * cfg.hosts_per_leaf; points }
-
-(* The full sweep: a 2x8x4 Clos; 2 clients at Zipf(0.2) with 5%
-   mutations against 12 at Zipf(1.5) with 80%. *)
-let full_cfg ~seed =
+(* A 2x8x4 Clos; 2 clients at Zipf(0.2) with 5% mutations against 12
+   at Zipf(1.5) with 80%; 24 operations per client over 8 keys in a
+   16-slot table (load factor high enough that mutation churn lengthens
+   the probe chains DX pays for one wire transaction per step). *)
+let cfg =
   {
     spines = 2;
     leaves = 8;
@@ -254,7 +243,7 @@ let full_cfg ~seed =
     ops_per_client = 24;
     keys = 8;
     slots = 16;
-    seed;
+    seed = 10;
     low =
       { leg_label = "low"; leg_clients = 2; leg_zipf = 0.2; leg_mutate_pct = 5 };
     high =
@@ -266,170 +255,132 @@ let full_cfg ~seed =
       };
   }
 
-let run ?(seed = 10) ?structures () = run_cfg ?structures (full_cfg ~seed)
+let structures = [ "hashtable"; "queue"; "register" ]
 
-let smoke ?(seed = 10) ?structures () =
-  let c = full_cfg ~seed in
-  run_cfg ?structures
-    {
-      c with
-      leaves = 4;
-      ops_per_client = 16;
-      high = { c.high with leg_clients = 10 };
-    }
+let sweep () =
+  List.concat_map
+    (fun structure ->
+      List.concat_map
+        (fun kind ->
+          List.map
+            (fun leg -> run_point cfg ~structure ~kind leg)
+            [ cfg.low; cfg.high ])
+        Dds.Kind.all)
+    structures
 
-(* ------------------------------- gates ------------------------------ *)
-
-let find result ~structure ~kind ~leg =
-  List.find_opt
-    (fun p -> p.structure = structure && p.kind = kind && p.leg = leg)
-    result.points
-
-let crossover result structure =
-  match
-    ( find result ~structure ~kind:"dx" ~leg:"low",
-      find result ~structure ~kind:"rpc" ~leg:"low",
-      find result ~structure ~kind:"dx" ~leg:"high",
-      find result ~structure ~kind:"rpc" ~leg:"high",
-      find result ~structure ~kind:"hybrid" ~leg:"high" )
-  with
-  | Some dl, Some rl, Some dh, Some rh, Some hh ->
-      let dx_wins_low = dl.mean_us < rl.mean_us in
-      let ct_wins_high = Float.min rh.mean_us hh.mean_us < dh.mean_us in
-      Some (dx_wins_low, ct_wins_high)
-  | _ -> None
-
-let min_crossovers = 2
-
-let check result =
-  let sanity = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> sanity := m :: !sanity) fmt in
-  List.iter
-    (fun p ->
-      if p.ops <= 0 then
-        fail "%s/%s/%s: no operations completed" p.structure p.kind p.leg;
-      if p.mean_us <= 0. then
-        fail "%s/%s/%s: non-positive mean latency" p.structure p.kind p.leg)
-    result.points;
-  let in_scope =
+let report points =
+  (* A missing point's mean is nan, so no comparison with it holds. *)
+  let mean structure kind leg =
+    match
+      List.find_opt
+        (fun p -> p.structure = structure && p.kind = kind && p.leg = leg)
+        points
+    with
+    | Some p -> p.mean_us
+    | None -> Float.nan
+  in
+  let structures =
     List.filter
-      (fun s -> find result ~structure:s ~kind:"dx" ~leg:"low" <> None)
+      (fun s -> List.exists (fun p -> p.structure = s) points)
       structures
   in
-  let crossed =
-    List.filter
-      (fun s ->
-        match crossover result s with Some (true, true) -> true | _ -> false)
-      in_scope
+  let flag name b =
+    T.Val (T.label name, { T.value = Flag b; paper = None; band = [] })
   in
-  (* The headline gate: the crossover must reproduce on at least two of
-     the three structures.  On a miss, the per-structure detail says
-     which leg each non-crossing structure lost. *)
-  let headline =
-    if List.length crossed >= min_crossovers then []
-    else
-      Printf.sprintf "crossover reproduced on %d structure(s) [%s], need >= %d"
-        (List.length crossed) (String.concat ", " crossed) min_crossovers
-      :: List.concat_map
-           (fun s ->
-             match crossover result s with
-             | Some (true, true) -> []
-             | Some (dx_low, ct_high) ->
-                 (if dx_low then []
-                  else
-                    [
-                      s ^ ": DX did not win the low-contention lookup-heavy leg";
-                    ])
-                 @
-                 if ct_high then []
-                 else
-                   [
-                     s
-                     ^ ": neither RPC nor hybrid won the high-contention \
-                        mutation-heavy leg";
-                   ]
-             | None -> [ s ^ ": incomplete sweep (missing points)" ])
-           in_scope
+  let crossover s =
+    let dx_low = mean s "dx" "low" < mean s "rpc" "low" in
+    let ct_high =
+      Float.min (mean s "rpc" "high") (mean s "hybrid" "high")
+      < mean s "dx" "high"
+    in
+    (dx_low && ct_high, [
+      T.Lit (s ^ ": DX wins the low leg ");
+      flag (s ^ " DX wins low") dx_low;
+      Lit ", RPC or hybrid wins the high leg ";
+      flag (s ^ " control wins high") ct_high;
+      Lit ", crossed ";
+      flag (s ^ " crossed") (dx_low && ct_high);
+    ])
   in
-  List.rev !sanity @ headline
-
-(* ------------------------------- report ----------------------------- *)
-
-let json_of_point p =
-  Printf.sprintf
-    "    {\"structure\": \"%s\", \"kind\": \"%s\", \"leg\": \"%s\", \
-     \"clients\": %d, \"zipf\": %.2f, \"mutate_pct\": %d, \"ops\": %d, \
-     \"mean_us\": %.2f, \"p50_us\": %.2f, \"p95_us\": %.2f, \"p99_us\": \
-     %.2f, \"cas_losses\": %d, \"rpc_fallbacks\": %d, \"switch_drops\": %d}"
-    p.structure p.kind p.leg p.clients p.zipf p.mutate_pct p.ops p.mean_us
-    p.p50_us p.p95_us p.p99_us p.cas_losses p.rpc_fallbacks p.switch_drops
-
-let to_json result =
-  let failures = check result in
-  let crossed =
-    List.filter
-      (fun s -> match crossover result s with Some (true, true) -> true | _ -> false)
-      structures
-  in
-  String.concat "\n"
-    [
-      "{";
-      "  \"bench\": \"dds\",";
-      Printf.sprintf "  \"schema_version\": %d," schema_version;
-      Printf.sprintf "  \"nodes\": %d," result.nodes;
-      Printf.sprintf "  \"checks_passed\": %b," (failures = []);
-      Printf.sprintf "  \"failures\": [%s],"
-        (String.concat ", "
-           (List.map (fun f -> Printf.sprintf "\"%s\"" f) failures));
-      Printf.sprintf "  \"crossover_structures\": [%s],"
-        (String.concat ", "
-           (List.map (fun s -> Printf.sprintf "\"%s\"" s) crossed));
-      "  \"points\": [";
-      String.concat ",\n" (List.map json_of_point result.points);
-      "  ]";
-      "}";
-      "";
-    ]
-
-let render result =
-  let module T = Metrics.Table in
-  let right = T.label ~align:Right in
-  let table =
-    T.make
-      ~title:
-        "DDS campaign: DX vs RPC vs hybrid at two operating points (PR10)"
-      [
-        T.label "Structure";
-        T.label "Kind";
-        T.label "Leg";
-        right "Clients";
-        right "Mutate %";
-        right "Ops";
-        right "Mean us";
-        right "p95 us";
-        right "Losses";
-        right "Fallbacks";
-      ]
-      (List.map
+  (* The tails the grid leaves out: p50/p99 per kind, low leg then high. *)
+  let tails s =
+    let us name v = T.Val (T.number ~unit_:"us" name (Fixed 1), T.num v) in
+    T.Lit (s ^ " p50/p99 us, low then high:")
+    :: List.concat_map
          (fun p ->
-           List.map T.text
-             [
-               p.structure;
-               p.kind;
-               p.leg;
-               string_of_int p.clients;
-               string_of_int p.mutate_pct;
-               string_of_int p.ops;
-               Printf.sprintf "%.1f" p.mean_us;
-               Printf.sprintf "%.1f" p.p95_us;
-               string_of_int p.cas_losses;
-               string_of_int p.rpc_fallbacks;
-             ])
-         result.points)
+           let name = String.concat " " [ s; p.kind; p.leg ] in
+           [
+             T.Lit
+               (if p.leg = "low" then
+                  (if p.kind = "dx" then " " else "; ") ^ p.kind ^ " "
+                else ", ");
+             us (name ^ " p50") p.p50_us;
+             Lit "/";
+             us (name ^ " p99") p.p99_us;
+           ])
+         (List.filter (fun p -> p.structure = s) points)
   in
-  let failures = check result in
-  T.render table
-  ^
-  match failures with
-  | [] -> "  dds bench gates: all passed (crossover reproduced)\n"
-  | fs -> String.concat "" (List.map (Printf.sprintf "  GATE FAILED: %s\n") fs)
+  let crossed, per_structure =
+    List.fold_right
+      (fun s (n, notes) ->
+        let crossed, note = crossover s in
+        ((if crossed then n + 1 else n), note :: tails s :: notes))
+      structures (0, [])
+  in
+  let count ?band name v =
+    T.Val (T.number name (Fixed 0), T.num ?band (float_of_int v))
+  in
+  let int v = T.num (float_of_int v) in
+  T.make ~title:"DDS campaign: DX vs RPC vs hybrid at two operating points"
+    [
+      T.label "Structure";
+      T.label "Kind";
+      T.label "Leg";
+      T.number "Clients" (Fixed 0);
+      T.number ~unit_:"%" "Mutate %" (Fixed 0);
+      T.number ~better:Higher "Ops" (Fixed 0);
+      T.number ~unit_:"us" ~better:Lower "Mean us" (Fixed 1);
+      T.number ~unit_:"us" ~better:Lower "p95 us" (Fixed 1);
+      T.number ~better:Lower "Losses" (Fixed 0);
+      T.number "Fallbacks" (Fixed 0);
+    ]
+    (List.map
+       (fun p ->
+         [
+           T.text p.structure;
+           T.text p.kind;
+           T.text p.leg;
+           int p.clients;
+           int p.mutate_pct;
+           T.num ~band:[ Gt 0. ] (float_of_int p.ops);
+           T.num ~band:[ Gt 0. ] p.mean_us;
+           T.num p.p95_us;
+           int p.cas_losses;
+           int p.rpc_fallbacks;
+         ])
+       points)
+    ~notes:
+      ([
+         [
+           count "hosts" (cfg.leaves * cfg.hosts_per_leaf);
+           Lit " hosts; keys Zipf(";
+           Val (T.number "low zipf" (Fixed 1), T.num cfg.low.leg_zipf);
+           Lit ") on the low leg, Zipf(";
+           Val (T.number "high zipf" (Fixed 1), T.num cfg.high.leg_zipf);
+           Lit ") on the high; ";
+           count "switch drops"
+             (List.fold_left (fun acc p -> acc + p.switch_drops) 0 points);
+           Lit " switch drops";
+         ];
+       ]
+      @ per_structure
+      @ [
+          [
+            Lit "structures crossed: ";
+            count ~band:[ Ge 2. ] "structures crossed" crossed;
+            Lit " of ";
+            count "structures" (List.length structures);
+          ];
+        ])
+
+let run () = report (sweep ())

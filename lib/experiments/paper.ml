@@ -1,6 +1,6 @@
-(* Every table and figure of the paper's evaluation, and the ablations,
-   in the paper's order: what [rnet repro] runs and EXPERIMENTS.md
-   quotes. *)
+(* Every table and figure of the paper's evaluation, the ablations in
+   the paper's order, then the campaigns that carry its crossover past
+   its own tables: what [rnet repro] runs and EXPERIMENTS.md quotes. *)
 
 let all =
   [
@@ -24,4 +24,11 @@ let all =
       "Ablation H: the trade-off across technology generations",
       Technology.run );
     ("burst", "Ablation I: block-transfer burst size", Burst.run);
+    ( "pipeline",
+      "Campaign: pipelined issue engine vs the synchronous path",
+      Pipeline_bench.run );
+    ( "shard",
+      "Campaign: sharded name service vs one registry on a Clos fabric",
+      Shard_bench.run );
+    ("dds", "Campaign: data structures, DX vs RPC vs hybrid", Dds_bench.run);
   ]

@@ -1,6 +1,6 @@
-(* The PR5 pipeline bench: batched/windowed issue vs the synchronous
-   path, swept over window x batch x payload on the Table-2 workload
-   shapes.
+(* Campaign: the pipelined issue engine (batched, windowed) against the
+   synchronous path, swept over window x batch x payload on the Table-2
+   workload shapes.
 
    Three workloads, two nodes back to back (the paper's testbed):
 
@@ -16,7 +16,11 @@
    Every sample carries op latency (p50/p95), stream throughput, traps
    per KB (issue-side kernel crossings) and notifications per op — the
    four axes the paper's Table 2/4 discussion trades against each
-   other. *)
+   other.  The unbatched 4 KB write must stay in Table 2's band, the
+   best pipelined write at 1.5x it or more, coalescing must cut the
+   doorbell's notifications, and windowed reads must beat serial. *)
+
+module T = Metrics.Table
 
 type sample = {
   workload : string;
@@ -24,15 +28,12 @@ type sample = {
   window : int;
   batch_bytes : int;
   payload : int;
-  ops : int;
   p50_us : float;
   p95_us : float;
   throughput_mbps : float;
   traps_per_kb : float;
   notifies_per_op : float;
 }
-
-type result = sample list
 
 (* The stream segment; [Workload.Programs.pipeline_*] declare it. *)
 let segment_len = 1 lsl 20
@@ -46,14 +47,6 @@ let traps rmem =
     0.
     [ "write"; "write burst"; "read"; "cas"; "fence" ]
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else begin
-    let rank = int_of_float (p *. float_of_int (n - 1)) in
-    sorted.(Stdlib.min (n - 1) (Stdlib.max 0 rank))
-  end
-
 let finish ~workload ~mode ~window ~batch_bytes ~payload ~ops ~latencies
     ~elapsed_us ~traps ~notifies =
   Array.sort compare latencies;
@@ -64,9 +57,8 @@ let finish ~workload ~mode ~window ~batch_bytes ~payload ~ops ~latencies
     window;
     batch_bytes;
     payload;
-    ops;
-    p50_us = percentile latencies 0.50;
-    p95_us = percentile latencies 0.95;
+    p50_us = Metrics.Summary.percentile latencies 0.50;
+    p95_us = Metrics.Summary.percentile latencies 0.95;
     throughput_mbps =
       (if elapsed_us > 0. then float_of_int (total_bytes * 8) /. elapsed_us
        else 0.);
@@ -220,8 +212,9 @@ let read_stream ~mode ~window ~payload ~ops () =
         ~traps:(traps r0 -. traps0)
         ~notifies:0.)
 
-let run ?(ops = 64) ?(windows = [ 1; 2; 4; 8; 16 ])
-    ?(batches = [ 4096; 8192; 32768; 65536 ]) ?(payloads = [ 512; 4096 ]) () =
+let ops = 64
+
+let sweep () =
   let samples = ref [] in
   let add s = samples := s :: !samples in
   List.iter
@@ -234,12 +227,12 @@ let run ?(ops = 64) ?(windows = [ 1; 2; 4; 8; 16 ])
           add
             (write_stream ~mode:`Pipelined ~window:8 ~batch_bytes ~payload
                ~ops ~notify:false ()))
-        batches)
-    payloads;
+        [ 4096; 8192; 32768; 65536 ])
+    [ 512; 4096 ];
   add (read_stream ~mode:`Unbatched ~window:1 ~payload:4096 ~ops ());
   List.iter
     (fun window -> add (read_stream ~mode:`Pipelined ~window ~payload:4096 ~ops ()))
-    windows;
+    [ 1; 2; 4; 8; 16 ];
   add
     (write_stream ~mode:`Unbatched ~window:1 ~batch_bytes:0 ~payload:4096 ~ops
        ~notify:true ());
@@ -248,137 +241,88 @@ let run ?(ops = 64) ?(windows = [ 1; 2; 4; 8; 16 ])
        ~ops ~notify:true ());
   List.rev !samples
 
-(* ------------------------------------------------------------------ *)
-(* Regression checks: the PR's acceptance bar.                         *)
-
-let find samples ~workload ~mode ~payload =
-  List.filter
-    (fun s ->
-      String.equal s.workload workload
-      && String.equal s.mode mode
-      && s.payload = payload)
-    samples
-
-let best_throughput = function
-  | [] -> 0.
-  | samples -> List.fold_left (fun acc s -> Stdlib.max acc s.throughput_mbps) 0. samples
-
 let table2_throughput_mbps = 35.4
 
-let check samples =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  (match find samples ~workload:"write_stream" ~mode:"unbatched" ~payload:4096 with
-  | [] -> fail "no unbatched 4K write_stream sample"
-  | base :: _ ->
-      let lo = table2_throughput_mbps *. 0.9
-      and hi = table2_throughput_mbps *. 1.1 in
-      if base.throughput_mbps < lo || base.throughput_mbps > hi then
-        fail
-          "unbatched 4K write throughput %.1f Mb/s outside Table-2 band [%.1f, %.1f]"
-          base.throughput_mbps lo hi;
-      let piped =
-        best_throughput
-          (find samples ~workload:"write_stream" ~mode:"pipelined" ~payload:4096)
-      in
-      if piped < 1.5 *. base.throughput_mbps then
-        fail
-          "pipelined 4K write throughput %.1f Mb/s < 1.5x unbatched %.1f Mb/s"
-          piped base.throughput_mbps);
-  (match
-     ( find samples ~workload:"doorbell" ~mode:"unbatched" ~payload:4096,
-       find samples ~workload:"doorbell" ~mode:"pipelined" ~payload:4096 )
-   with
-  | base :: _, piped :: _ ->
-      if base.notifies_per_op < 0.99 then
-        fail "unbatched doorbell posted %.2f notifies/op, want 1.0"
-          base.notifies_per_op;
-      if piped.notifies_per_op >= base.notifies_per_op then
-        fail "coalescing did not reduce notifications (%.2f >= %.2f per op)"
-          piped.notifies_per_op base.notifies_per_op
-  | _ -> fail "missing doorbell samples");
-  (match
-     ( find samples ~workload:"read_stream" ~mode:"unbatched" ~payload:4096,
-       find samples ~workload:"read_stream" ~mode:"pipelined" ~payload:4096 )
-   with
-  | base :: _, piped ->
-      if best_throughput piped <= base.throughput_mbps then
-        fail "windowed reads no faster than serial (%.1f <= %.1f Mb/s)"
-          (best_throughput piped) base.throughput_mbps
-  | _ -> fail "missing read_stream samples");
-  List.rev !failures
-
-(* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled; schema in DESIGN.md §12).               *)
-
-let json_of_sample s =
-  Printf.sprintf
-    "    {\"workload\": \"%s\", \"mode\": \"%s\", \"window\": %d, \
-     \"batch_bytes\": %d, \"payload\": %d, \"ops\": %d, \"p50_us\": %.3f, \
-     \"p95_us\": %.3f, \"throughput_mbps\": %.3f, \"traps_per_kb\": %.4f, \
-     \"notifies_per_op\": %.4f}"
-    s.workload s.mode s.window s.batch_bytes s.payload s.ops s.p50_us s.p95_us
-    s.throughput_mbps s.traps_per_kb s.notifies_per_op
-
-let to_json samples =
-  let failures = check samples in
-  String.concat "\n"
-    ([
-       "{";
-       "  \"bench\": \"pipeline\",";
-       "  \"paper\": \"Separating Data and Control Transfer (ASPLOS 1994)\",";
-       Printf.sprintf "  \"table2_reference_mbps\": %.1f," table2_throughput_mbps;
-       Printf.sprintf "  \"checks_passed\": %b," (failures = []);
-       Printf.sprintf "  \"failures\": [%s],"
-         (String.concat ", "
-            (List.map (fun f -> Printf.sprintf "\"%s\"" f) failures));
-       "  \"samples\": [";
-     ]
-    @ [ String.concat ",\n" (List.map json_of_sample samples) ]
-    @ [ "  ]"; "}"; "" ])
-
-let json_valid text =
-  match Metrics.Json.parse text with Ok _ -> true | Error _ -> false
-
-(* ------------------------------------------------------------------ *)
-
-let render samples =
-  let module T = Metrics.Table in
-  let right = T.label ~align:Right in
-  let table =
-    T.make ~title:"Pipeline bench: batched/windowed issue vs synchronous (PR5)"
-      [
-        T.label "Workload";
-        T.label "Mode";
-        right "Win";
-        right "Batch";
-        right "Payload";
-        right "p50 us";
-        right "p95 us";
-        right "Mb/s";
-        right "Traps/KB";
-        right "Ntf/op";
-      ]
-      (List.map
-         (fun s ->
-           List.map T.text
-             [
-               s.workload;
-               s.mode;
-               string_of_int s.window;
-               string_of_int s.batch_bytes;
-               string_of_int s.payload;
-               Printf.sprintf "%.1f" s.p50_us;
-               Printf.sprintf "%.1f" s.p95_us;
-               Printf.sprintf "%.1f" s.throughput_mbps;
-               Printf.sprintf "%.2f" s.traps_per_kb;
-               Printf.sprintf "%.2f" s.notifies_per_op;
-             ])
-         samples)
+let run () =
+  let samples = sweep () in
+  let find workload mode =
+    List.filter
+      (fun s -> s.workload = workload && s.mode = mode && s.payload = 4096)
+      samples
   in
-  let failures = check samples in
-  T.render table
-  ^ (match failures with
-    | [] -> "  checks: all passed\n"
-    | fs ->
-        String.concat "" (List.map (Printf.sprintf "  CHECK FAILED: %s\n") fs))
+  let best = List.fold_left (fun acc s -> Float.max acc s.throughput_mbps) 0. in
+  let write = List.hd (find "write_stream" "unbatched")
+  and read = List.hd (find "read_stream" "unbatched")
+  and bell = List.hd (find "doorbell" "unbatched") in
+  let mbps = T.number ~unit_:"Mb/s" ~better:Higher "Mb/s" (Fixed 1) in
+  let row s =
+    let int v = T.num (float_of_int v) in
+    let throughput =
+      match (s.workload, s.mode, s.payload) with
+      | "write_stream", "unbatched", 4096 ->
+          T.num ~paper:table2_throughput_mbps ~band:[ Within 0.10 ]
+            s.throughput_mbps
+      | _ -> T.num s.throughput_mbps
+    in
+    let notifies =
+      match (s.workload, s.mode) with
+      | "doorbell", "unbatched" -> [ T.Ge 0.99 ]
+      | "doorbell", _ -> [ Lt bell.notifies_per_op ]
+      | _ -> []
+    in
+    [
+      T.text s.workload;
+      T.text s.mode;
+      int s.window;
+      int s.batch_bytes;
+      int s.payload;
+      T.num s.p50_us;
+      T.num s.p95_us;
+      throughput;
+      T.num s.traps_per_kb;
+      T.num ~band:notifies s.notifies_per_op;
+    ]
+  in
+  let us = T.number ~unit_:"us" ~better:Lower in
+  T.make ~title:"Pipeline bench: batched/windowed issue vs synchronous"
+    [
+      T.label "Workload";
+      T.label "Mode";
+      T.number "Win" (Fixed 0);
+      T.number ~unit_:"B" "Batch" (Fixed 0);
+      T.number ~unit_:"B" "Payload" (Fixed 0);
+      us "p50 us" (Fixed 1);
+      us "p95 us" (Fixed 1);
+      mbps;
+      T.number ~better:Lower "Traps/KB" (Fixed 2);
+      T.number ~better:Lower "Ntf/op" (Fixed 2);
+    ]
+    (List.map row samples)
+    ~notes:
+      [
+        [
+          Lit "best pipelined 4 KB write: ";
+          Val
+            ( T.number ~unit_:"ratio" ~better:Higher "pipelined/unbatched"
+                (Fixed 2),
+              T.num ~band:[ Ge 1.5 ]
+                (best (find "write_stream" "pipelined") /. write.throughput_mbps)
+            );
+          Lit "x unbatched";
+        ];
+        [
+          Lit "best windowed 4 KB read: ";
+          Val
+            ( { mbps with name = "best windowed read" },
+              T.num
+                ~band:[ Gt read.throughput_mbps ]
+                (best (find "read_stream" "pipelined")) );
+          Lit " Mb/s (serial: ";
+          Val ({ mbps with name = "serial read" }, T.num read.throughput_mbps);
+          Lit " Mb/s)";
+        ];
+        [
+          Val (T.number "ops per sample" (Fixed 0), T.num (float_of_int ops));
+          Lit " ops per sample, each on a fresh two-node testbed";
+        ];
+      ]

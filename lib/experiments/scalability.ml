@@ -64,12 +64,11 @@ let run () =
     ]
     (List.concat_map
        (fun clients ->
-         let fixture = Fixture.create ~clients () in
-         (* DX runs first on the fresh fixture, then HY on the same one. *)
-         let dx = measure fixture Dfs.Clerk.Dx ~clients in
-         let ((hy_mean, hy_ms, _) as hy) =
-           measure fixture Dfs.Clerk.Hybrid1 ~clients
+         let measure scheme =
+           measure (Fixture.create ~clients ()) scheme ~clients
          in
+         let dx = measure Dfs.Clerk.Dx in
+         let ((hy_mean, hy_ms, _) as hy) = measure Dfs.Clerk.Hybrid1 in
          [
            row clients "HY" hy;
            row clients "DX" ~latency:[ Lt hy_mean ] ~makespan:[ Lt hy_ms ] dx;

@@ -1,5 +1,5 @@
-(* The scale-out campaign (PR9): sharded name service vs a single
-   registry on a Clos fabric, at equal Zipf-keyed load.
+(* Campaign: the sharded name service vs a single registry on a Clos
+   fabric, at equal Zipf-keyed load.
 
    Each leg builds its own testbed: node 0 hosts the map segment,
    node 1 runs the reconciler, nodes 2..2+H-1 host the shard registry
@@ -9,7 +9,10 @@
    registry host(s).  Halfway through, every client reports its load
    and the reconciler rebalances — the sharded leg's mid-campaign
    split, which clients must heal from — by forwarding-tombstone patch
-   or map refetch — with nothing lost and nothing served stale. *)
+   or map refetch — with nothing lost and nothing served stale.  The
+   sharded p99 must beat the baseline's, with no switch drop. *)
+
+module T = Metrics.Table
 
 type campaign = {
   label : string;
@@ -31,13 +34,9 @@ type campaign = {
   stale_served : int;
   stale_refetches : int;
   mid_splits : int;
-  converged : bool;
+  on_final_epoch : int;  (* clients whose map ended on the final epoch *)
   convergence_us : float;
 }
-
-type result = { baseline : campaign; sharded : campaign }
-
-let schema_version = 1
 
 type cfg = {
   spines : int;
@@ -77,7 +76,7 @@ let run_campaign ~label ~sharded cfg =
   in
   let testbed = Cluster.Testbed.create ~topology ~nodes () in
   let engine = Cluster.Testbed.engine testbed in
-  let hist = Metrics.Histogram.create () in
+  let latency = Metrics.Summary.create () and samples = ref [] in
   let lost = ref 0 and stale = ref 0 and completed = ref 0 in
   let mid_splits = ref 0 in
   let max_depth = ref 0 in
@@ -85,7 +84,7 @@ let run_campaign ~label ~sharded cfg =
   let final_epoch = ref 1 in
   let live = ref 0 in
   let refetches = ref 0 in
-  let converged = ref true in
+  let on_final_epoch = ref 0 in
   let convergence_us = ref 0. in
   Cluster.Testbed.run testbed (fun () ->
       let clerk i =
@@ -150,8 +149,9 @@ let run_campaign ~label ~sharded cfg =
       let measured_lookup sc idx =
         let t0 = Sim.Engine.now engine in
         verify sc idx;
-        Metrics.Histogram.add hist
-          (Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now engine) t0));
+        let us = Sim.Time.to_us (Sim.Time.diff (Sim.Engine.now engine) t0) in
+        Metrics.Summary.add latency us;
+        samples := us :: !samples;
         incr completed
       in
       (* Clients never pause: each reports its load every few lookups
@@ -254,7 +254,7 @@ let run_campaign ~label ~sharded cfg =
       Array.iter
         (fun sc ->
           refetches := !refetches + Names.Shard_clerk.stale_refetches sc;
-          if Names.Shard_clerk.epoch sc <> !final_epoch then converged := false;
+          if Names.Shard_clerk.epoch sc = !final_epoch then incr on_final_epoch;
           Option.iter
             (fun st ->
               List.iter
@@ -272,6 +272,8 @@ let run_campaign ~label ~sharded cfg =
       0
       (Atm.Network.switches (Cluster.Testbed.network testbed))
   in
+  let sorted = Array.of_list !samples in
+  Array.sort compare sorted;
   {
     label;
     nodes;
@@ -280,10 +282,10 @@ let run_campaign ~label ~sharded cfg =
     clients = cfg.clients;
     names = cfg.names;
     lookups = !completed;
-    mean_us = Metrics.Summary.mean (Metrics.Histogram.summary hist);
-    p50_us = Metrics.Histogram.percentile hist 50.;
-    p95_us = Metrics.Histogram.percentile hist 95.;
-    p99_us = Metrics.Histogram.percentile hist 99.;
+    mean_us = Metrics.Summary.mean latency;
+    p50_us = Metrics.Summary.percentile sorted 0.50;
+    p95_us = Metrics.Summary.percentile sorted 0.95;
+    p99_us = Metrics.Summary.percentile sorted 0.99;
     switch_drops;
     max_queue_depth = !max_depth;
     epoch = !final_epoch;
@@ -292,141 +294,118 @@ let run_campaign ~label ~sharded cfg =
     stale_served = !stale;
     stale_refetches = !refetches;
     mid_splits = !mid_splits;
-    converged = !converged;
+    on_final_epoch = !on_final_epoch;
     convergence_us = !convergence_us;
   }
 
-let run_cfg cfg =
+(* A 4x8x16 Clos (128 hosts), 8 shard hosts, 48 clients, 256 names,
+   16 lookups per client under a Zipf(1.5) key mix.  The baseline leg
+   runs the same load against one shard on one host and never
+   rebalances. *)
+let cfg =
   {
-    baseline = run_campaign ~label:"single registry" ~sharded:false cfg;
-    sharded = run_campaign ~label:"sharded" ~sharded:true cfg;
+    spines = 4;
+    leaves = 8;
+    hosts_per_leaf = 16;
+    shard_hosts = 8;
+    clients = 48;
+    names = 256;
+    lookups_per_client = 16;
+    slots = 1024;
+    zipf = 1.5;
+    seed = 9;
   }
 
-let run ?(seed = 9) () =
-  run_cfg
-    {
-      spines = 4;
-      leaves = 8;
-      hosts_per_leaf = 16;
-      shard_hosts = 8;
-      clients = 48;
-      names = 256;
-      lookups_per_client = 16;
-      slots = 1024;
-      zipf = 1.5;
-      seed;
-    }
-
-let smoke ?(seed = 9) () =
-  run_cfg
-    {
-      spines = 2;
-      leaves = 4;
-      hosts_per_leaf = 4;
-      shard_hosts = 4;
-      clients = 10;
-      names = 48;
-      lookups_per_client = 12;
-      slots = 256;
-      zipf = 1.5;
-      seed;
-    }
-
-let check { baseline; sharded } =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  if not (sharded.p99_us < baseline.p99_us) then
-    fail "sharded p99 %.1fus not below single-registry p99 %.1fus"
-      sharded.p99_us baseline.p99_us;
-  if sharded.switch_drops <> 0 then
-    fail "%d switch drop(s) at the gated operating point" sharded.switch_drops;
-  List.iter
-    (fun c ->
-      if c.lost <> 0 then fail "%s: %d lookup(s) lost a registration" c.label c.lost;
-      if c.stale_served <> 0 then
-        fail "%s: %d lookup(s) served stale coordinates" c.label c.stale_served;
-      if c.live <> c.names then
-        fail "%s: %d live record(s), expected %d" c.label c.live c.names)
-    [ baseline; sharded ];
-  if sharded.mid_splits < 1 then fail "no mid-campaign rebalance split";
-  if sharded.shards_end <= sharded.shards_start then
-    fail "rebalance did not grow the shard count";
-  if not sharded.converged then
-    fail "a client finished off the final epoch (no convergence)";
-  List.rev !failures
-
-let json_of_campaign c =
-  Printf.sprintf
-    "    {\"label\": \"%s\", \"nodes\": %d, \"shards_start\": %d, \
-     \"shards_end\": %d, \"clients\": %d, \"names\": %d, \"lookups\": %d, \
-     \"mean_us\": %.2f, \"p50_us\": %.2f, \"p95_us\": %.2f, \"p99_us\": %.2f, \
-     \"switch_drops\": %d, \"max_queue_depth\": %d, \"epoch\": %d, \
-     \"live\": %d, \"lost\": %d, \"stale_served\": %d, \"stale_refetches\": \
-     %d, \"mid_splits\": %d, \"converged\": %b, \"convergence_us\": %.2f}"
-    c.label c.nodes c.shards_start c.shards_end c.clients c.names c.lookups
-    c.mean_us c.p50_us c.p95_us c.p99_us c.switch_drops c.max_queue_depth
-    c.epoch c.live c.lost c.stale_served c.stale_refetches c.mid_splits
-    c.converged c.convergence_us
-
-let to_json result =
-  let failures = check result in
-  String.concat "\n"
-    [
-      "{";
-      "  \"bench\": \"shard\",";
-      Printf.sprintf "  \"schema_version\": %d," schema_version;
-      Printf.sprintf "  \"checks_passed\": %b," (failures = []);
-      Printf.sprintf "  \"failures\": [%s],"
-        (String.concat ", "
-           (List.map (fun f -> Printf.sprintf "\"%s\"" f) failures));
-      "  \"campaigns\": [";
-      json_of_campaign result.baseline ^ ",";
-      json_of_campaign result.sharded;
-      "  ]";
-      "}";
-      "";
-    ]
-
-let render result =
-  let module T = Metrics.Table in
-  let right = T.label ~align:Right in
-  let table =
-    T.make
-      ~title:"Scale-out campaign: sharded name service vs single registry (PR9)"
-      [
-        T.label "Leg";
-        right "Shards";
-        right "Lookups";
-        right "p50 us";
-        right "p95 us";
-        right "p99 us";
-        right "Drops";
-        right "Queue";
-        right "Epoch";
-        right "Refetch";
-        right "Conv us";
-      ]
-      (List.map
-         (fun c ->
-           List.map T.text
-             [
-               c.label;
-               Printf.sprintf "%d->%d" c.shards_start c.shards_end;
-               string_of_int c.lookups;
-               Printf.sprintf "%.1f" c.p50_us;
-               Printf.sprintf "%.1f" c.p95_us;
-               Printf.sprintf "%.1f" c.p99_us;
-               string_of_int c.switch_drops;
-               string_of_int c.max_queue_depth;
-               string_of_int c.epoch;
-               string_of_int c.stale_refetches;
-               Printf.sprintf "%.1f" c.convergence_us;
-             ])
-         [ result.baseline; result.sharded ])
+let run () =
+  let baseline = run_campaign ~label:"single registry" ~sharded:false cfg in
+  let sharded = run_campaign ~label:"sharded" ~sharded:true cfg in
+  let us = T.number ~unit_:"us" ~better:Lower in
+  let count ?band name v =
+    T.Val (T.number name (Fixed 0), T.num ?band (float_of_int v))
   in
-  let failures = check result in
-  T.render table
-  ^
-  match failures with
-  | [] -> "  shard bench gates: all passed\n"
-  | fs -> String.concat "" (List.map (Printf.sprintf "  GATE FAILED: %s\n") fs)
+  let int v = T.num (float_of_int v) in
+  let row ?(p99 = []) ?(drops = []) c =
+    [
+      T.text c.label;
+      T.text (Printf.sprintf "%d->%d" c.shards_start c.shards_end);
+      int c.lookups;
+      T.num c.p50_us;
+      T.num c.p95_us;
+      T.num ~band:p99 c.p99_us;
+      T.num ~band:drops (float_of_int c.switch_drops);
+      int c.max_queue_depth;
+      int c.epoch;
+      int c.stale_refetches;
+      T.num c.convergence_us;
+    ]
+  in
+  let integrity c =
+    let none what v = count ~band:[ Le 0. ] (c.label ^ " " ^ what) v in
+    let names = float_of_int c.names in
+    [
+      T.Lit (c.label ^ ": ");
+      none "lost" c.lost;
+      Lit " lost, ";
+      none "stale-served" c.stale_served;
+      Lit " stale-served, ";
+      count ~band:[ Ge names; Le names ] (c.label ^ " live") c.live;
+      Lit " of ";
+      count (c.label ^ " names") c.names;
+      Lit " names live, mean lookup ";
+      Val (us (c.label ^ " mean") (Fixed 1), T.num c.mean_us);
+      Lit " us";
+    ]
+  in
+  (* Only the sharded leg rebalances, so only its line carries bands. *)
+  let rebalance ?(gated = false) c =
+    let band b = if gated then Some [ b ] else None in
+    [
+      T.Lit (c.label ^ ": ");
+      count
+        ?band:(band (T.Ge 1.))
+        (c.label ^ " mid-campaign splits") c.mid_splits;
+      Lit " mid-campaign split(s) to ";
+      count
+        ?band:(band (T.Gt (float_of_int c.shards_start)))
+        (c.label ^ " shards at the end") c.shards_end;
+      Lit " shard(s), ";
+      count
+        ?band:(band (T.Ge (float_of_int c.clients)))
+        (c.label ^ " clients on the final epoch") c.on_final_epoch;
+      Lit " of ";
+      count (c.label ^ " clients") c.clients;
+      Lit " clients on the final epoch";
+    ]
+  in
+  T.make
+    ~title:"Scale-out campaign: sharded name service vs single registry"
+    [
+      T.label "Leg";
+      T.label ~align:Right "Shards";
+      T.number "Lookups" (Fixed 0);
+      us "p50 us" (Fixed 1);
+      us "p95 us" (Fixed 1);
+      us "p99 us" (Fixed 1);
+      T.number ~better:Lower "Drops" (Fixed 0);
+      T.number ~better:Lower "Queue" (Fixed 0);
+      T.number "Epoch" (Fixed 0);
+      T.number ~better:Lower "Refetch" (Fixed 0);
+      us "Conv us" (Fixed 1);
+    ]
+    [
+      row baseline;
+      row ~p99:[ Lt baseline.p99_us ] ~drops:[ Le 0. ] sharded;
+    ]
+    ~notes:
+      [
+        [
+          count "hosts" sharded.nodes;
+          Lit
+            (Printf.sprintf " hosts, Zipf(%.1f) keys, %d lookups per client"
+               cfg.zipf cfg.lookups_per_client);
+        ];
+        integrity baseline;
+        integrity sharded;
+        rebalance baseline;
+        rebalance ~gated:true sharded;
+      ]

@@ -49,6 +49,13 @@ let merge a b =
     t
   end
 
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.
+  else
+    let rank = int_of_float (p *. float_of_int (n - 1)) in
+    sorted.(Stdlib.min (n - 1) (Stdlib.max 0 rank))
+
 let pp ppf t =
   if t.n = 0 then Format.fprintf ppf "n=0"
   else

@@ -23,5 +23,9 @@ val variance : t -> float
 val merge : t -> t -> t
 (** Exact summary of the concatenation of two streams. *)
 
+val percentile : float array -> float -> float
+(** [percentile sorted p], [p] in [\[0,1\]]: the exact order statistic
+    [sorted.(floor (p (n-1)))] of ascending samples; 0 when empty. *)
+
 val pp : Format.formatter -> t -> unit
 (** Test-only: the metrics unit tests. *)

@@ -1,5 +1,5 @@
 (** Reports: what every [rnet repro] experiment returns, and the
-    plain-text tables the campaign benches and checkers print.
+    plain-text tables the checkers print.
 
     A report is data: a title, typed columns, rows of typed cells, an
     optional totals row and notes (lines of text with typed values in

@@ -130,9 +130,6 @@ golden bin/golden/modelcheck_torn_record_replay.json bin/rnet.exe model --json -
 golden bin/golden/lincheck_kv_store.json bin/rnet.exe lin --json -w kv_store
 golden bin/golden/protocheck_quickstart.json bin/rnet.exe proto --json -w quickstart
 golden bin/golden/chaoscheck_replica_ci.json bin/rnet.exe chaos --ci --json -w replica
-golden bin/golden/shardsim_smoke.json bin/rnet.exe shard --smoke --json
-golden bin/golden/ddsbench_smoke.json bin/rnet.exe dds --smoke --json
-golden bin/golden/pipeline_smoke.json bin/rnet.exe pipeline --smoke --json
 golden bin/golden/obsreport_quickstart.json bin/rnet.exe obs --json -w quickstart --seed 1
 golden bin/golden/trace/ bin/rnet.exe trace -o
 golden examples/golden/quickstart.out examples/quickstart.exe
@@ -159,10 +156,7 @@ exitcodes 2 bin/rnet.exe lin -w cas_double_apply --replay 0/5
 exitcodes 2 bin/rnet.exe trace --json -w no_such_workload
 exitcodes 2 bin/rnet.exe trace -o no_such_directory
 exitcodes 2 bin/rnet.exe obs --ci -w no_such_workload
-# The crossover gate needs two structures or more in scope, so a
-# single-structure --ci sweep is a deterministic gate miss.
-exitcodes 1 bin/rnet.exe dds --smoke --ci --structure register
-exitcodes 2 bin/rnet.exe dds --structure no_such_structure
+exitcodes 2 bin/rnet.exe repro no_such_experiment
 # Every checker rejects an unknown workload as a usage error, --explore
 # resolves -w against the explorable workloads only, and cmdliner
 # rejects an unknown subcommand.

@@ -9,9 +9,18 @@ module T = Metrics.Table
 let check_bool = Alcotest.(check bool)
 
 (* Each experiment runs once; the band checks and the EXPERIMENTS.md
-   check share the reports. *)
+   check share the reports, and the dds report and its forced-miss case
+   share one sweep. *)
+let dds_points = lazy (Experiments.Dds_bench.sweep ())
+
 let reports =
-  List.map (fun (name, _, run) -> (name, lazy (run ()))) Experiments.Paper.all
+  List.map
+    (fun (name, _, run) ->
+      ( name,
+        lazy
+          (if name = "dds" then Experiments.Dds_bench.report (Lazy.force dds_points)
+           else run ()) ))
+    Experiments.Paper.all
 
 let report name = Lazy.force (List.assoc name reports)
 
@@ -177,6 +186,22 @@ let ablation_holds name () =
   check_bool "carries a claim" true banded;
   in_band r
 
+(* The crossover needs two structures or more: the report of a real
+   sweep's points with two structures dropped names its crossover cell. *)
+let dds_forced_miss () =
+  let points =
+    List.filter
+      (fun (p : Experiments.Dds_bench.point) -> p.structure = "register")
+      (Lazy.force dds_points)
+  in
+  let r = Experiments.Dds_bench.report points in
+  has_band "crossover on two structures" [ Ge 2. ] (note r "structures crossed");
+  match T.violations r with
+  | [ v ] ->
+      let prefix = Option.get r.title ^ ": note: structures crossed = 1 " in
+      check_bool "names the crossover cell" true (String.starts_with ~prefix v)
+  | vs -> Alcotest.failf "want one violation, got:\n%s" (String.concat "\n" vs)
+
 (* Every report's JSON parses back to the same tree: same numbers, with
    the non-finite ones (which JSON cannot hold) as null. *)
 let json_round_trips () =
@@ -260,8 +285,13 @@ let suite =
         ("amsg", "RPC costs most");
         ("technology", "DX wins in both generations");
         ("burst", "one cell slowest, plateau at 4-8");
+        ("pipeline", "pipelined issue beats synchronous");
+        ("shard", "sharded p99 below one registry");
+        ("dds", "crossover on two structures");
       ]
   @ [
+      Alcotest.test_case "dds: one structure cannot cross" `Slow
+        dds_forced_miss;
       Alcotest.test_case "report JSON round-trips" `Slow json_round_trips;
       Alcotest.test_case "EXPERIMENTS.md quotes every report" `Slow
         experiments_md_quotes_reports;

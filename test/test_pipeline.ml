@@ -395,21 +395,6 @@ let windowed_cas_failures_are_one_attempt () =
         (worst <= cycles))
     (Analysis.Monitor.worst_cas_retries monitor)
 
-(* ---------------- BENCH artifact sanity ---------------------------- *)
-
-(* The emitted JSON document parses (structural RFC 8259 validator) and
-   the smoke sweep passes the PR's regression gates. *)
-let bench_json_parses () =
-  let samples =
-    Experiments.Pipeline_bench.run ~ops:16 ~windows:[ 1; 4 ] ~batches:[ 4096 ]
-      ~payloads:[ 4096 ] ()
-  in
-  let json = Experiments.Pipeline_bench.to_json samples in
-  check_bool "emitted JSON parses" true
-    (Experiments.Pipeline_bench.json_valid json);
-  check_bool "known-bad JSON rejected" false
-    (Experiments.Pipeline_bench.json_valid "{\"a\": [1, 2,}")
-
 let suite =
   [
     Alcotest.test_case "differential: batched == unbatched (fault-free)"
@@ -427,5 +412,4 @@ let suite =
       `Quick policied_cas_not_flagged;
     Alcotest.test_case "windowed CAS failures count as one attempt" `Quick
       windowed_cas_failures_are_one_attempt;
-    Alcotest.test_case "bench JSON artifact parses" `Quick bench_json_parses;
   ]
