@@ -1,15 +1,13 @@
 (* The plumbing every rnet subcommand shares, so each one states only
    what it checks: the -w NAME|all selection, the --json and --ci
-   flags, run-every-item-then-combine verdicts, and the exit policy —
-   0 on a pass, 1 on a failed verdict or CI mismatch, 2 on a usage
-   error (cmdliner itself answers 124 for a malformed command line). *)
+   flags, one banded report per item with one JSON envelope, and the
+   exit policy — 0 on a pass, 1 on a violated band or a failed run, 2
+   on a usage error (cmdliner itself answers 124 for a malformed
+   command line). *)
 
 open Cmdliner
 
 type mode = { json : bool; ci : bool }
-
-(* Diagnostics go to stderr under --json, so stdout stays parseable. *)
-let diag m = if m.json then stderr else stdout
 
 exception Usage of string
 
@@ -71,10 +69,52 @@ let replay ?config prepare cert =
    for_all would skip (and hide) everything after the first failure. *)
 let run_all f items = List.for_all Fun.id (List.map f items)
 
-(* Under --ci, close with one [pass] or [fail] line. *)
-let verdict m ok ~pass ~fail =
-  if m.ci then Printf.fprintf (diag m) "%s\n" (if ok then pass else fail);
-  ok
+(* Run one item's report under the output mode: its text; or, under
+   --json, one envelope {"schema","tool",KEY,"status","report","data"}
+   whose status is ok, violated (a band does not hold) or error (the
+   run raised; "detail" says why); or, under --ci alone, one ok line.
+   Every violated band goes to stderr.  True when the run completed and
+   every band holds, or, unless [gated], when it completed at all. *)
+let report ?(gated = true) m ~tool ~key name run =
+  let envelope status fields =
+    if m.json then
+      print_endline
+        (Metrics.Json.write
+           (Obj
+              ([
+                 ("schema", Metrics.Json.Number 1.);
+                 ("tool", String tool);
+                 (key, String name);
+                 ("status", String status);
+               ]
+              @ fields)))
+  in
+  match run () with
+  | report ->
+      let text = Metrics.Table.render report in
+      let violations = Metrics.Table.violations report in
+      envelope
+        (if violations = [] then "ok" else "violated")
+        [
+          ("report", String (if m.ci then "" else text));
+          ("data", Metrics.Table.to_json report);
+        ];
+      if (not m.json) && m.ci && violations = [] then
+        Printf.printf "%s: %s ok\n" tool name
+      else if not (m.json || m.ci) then print_string text;
+      List.iter (Printf.eprintf "%s: %s: band violated: %s\n" tool name) violations;
+      violations = [] || not gated
+  | exception (Usage _ as usage) -> raise usage
+  | exception exn ->
+      envelope "error" [ ("detail", String (Printexc.to_string exn)) ];
+      Printf.eprintf "%s: %s failed: %s\n" tool name (Printexc.to_string exn);
+      false
+
+(* [report] over every item, each named by [name] and run by [run]. *)
+let check ?gated m ~tool ~key ~name run items =
+  run_all
+    (fun item -> report ?gated m ~tool ~key (name item) (fun () -> run item))
+    items
 
 let json_flag =
   let doc =
@@ -85,7 +125,9 @@ let json_flag =
 
 let exits =
   Cmd.Exit.info 1
-    ~doc:"on a failed verdict or, with $(b,--ci), a breached gate."
+    ~doc:
+      "on a violated band (for $(b,obs), $(b,nfstrace) and $(b,cluster) \
+       only with $(b,--ci)) or a failed run."
   :: Cmd.Exit.info 2 ~doc:"on a usage error, such as an unknown workload."
   :: Cmd.Exit.defaults
 

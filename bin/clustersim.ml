@@ -4,12 +4,12 @@
 
    A parameterized driver around the experiment fixture: choose client
    count, transfer scheme, operation count and seed; get client latency
-   and the server's CPU breakdown.  --json emits the same numbers as a
-   self-validated object; --ci sanity-asserts them (positive latency,
-   utilization within [0,1]) and exits 1 on violation. *)
+   and the server's CPU breakdown.  The report's sanity bands (positive
+   makespan and latency, the mean between min and max, utilization
+   within [0,1]) exit 1 only under --ci. *)
 
 open Cmdliner
-module J = Analysis.Report.Json
+module T = Metrics.Table
 
 let scheme_conv =
   let parse = function
@@ -24,91 +24,9 @@ let scheme_conv =
   in
   Arg.conv (parse, print)
 
-type stats = {
-  makespan_ms : float;
-  latency_mean_us : float;
-  latency_min_us : float;
-  latency_max_us : float;
-  server_cpu_ms : float;
-  utilization : float;
-  breakdown : (string * float) list;
-}
-
-let report ~clients ~scheme ~ops ~seed (m : Cli.mode) s =
-  if m.json then
-    Analysis.Report.emit ~tool:"clustersim"
-      (J.to_string
-         (J.obj
-            [
-              ("schema", J.int Analysis.Report.schema_version);
-              ("tool", J.str "clustersim");
-              ( "scheme",
-                J.str
-                  (String.lowercase_ascii (Dfs.Clerk.scheme_to_string scheme))
-              );
-              ("clients", J.int clients);
-              ("ops_per_client", J.int ops);
-              ("seed", J.int seed);
-              ("makespan_ms", J.raw (Printf.sprintf "%.1f" s.makespan_ms));
-              ( "latency_mean_us",
-                J.raw (Printf.sprintf "%.0f" s.latency_mean_us) );
-              ("latency_min_us", J.raw (Printf.sprintf "%.0f" s.latency_min_us));
-              ("latency_max_us", J.raw (Printf.sprintf "%.0f" s.latency_max_us));
-              ("server_cpu_ms", J.raw (Printf.sprintf "%.1f" s.server_cpu_ms));
-              ("utilization", J.raw (Printf.sprintf "%.3f" s.utilization));
-              ( "breakdown",
-                J.list
-                  (List.map
-                     (fun (category, us) ->
-                       J.obj
-                         [
-                           ("category", J.str category);
-                           ("us", J.raw (Printf.sprintf "%.0f" us));
-                         ])
-                     s.breakdown) );
-            ]))
-  else begin
-    Printf.printf "scheme      : %s\n" (Dfs.Clerk.scheme_to_string scheme);
-    Printf.printf "clients     : %d x %d ops\n" clients ops;
-    Printf.printf "makespan    : %.1f ms of cluster time\n" s.makespan_ms;
-    Printf.printf "latency     : mean %.0f us, min %.0f, max %.0f\n"
-      s.latency_mean_us s.latency_min_us s.latency_max_us;
-    Printf.printf "server CPU  : %.1f ms (utilization %.2f)\n" s.server_cpu_ms
-      s.utilization;
-    List.iter
-      (fun (category, us) -> Printf.printf "  %-22s %10.0f us\n" category us)
-      s.breakdown
-  end;
-  (not m.ci)
-  ||
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "clustersim: %s\n" msg;
-        false)
-      fmt
-  in
-  if s.makespan_ms <= 0. then fail "non-positive makespan %.1f ms" s.makespan_ms
-  else if s.latency_mean_us <= 0. then
-    fail "non-positive mean latency %.0f us" s.latency_mean_us
-  else if
-    s.latency_min_us > s.latency_mean_us || s.latency_mean_us > s.latency_max_us
-  then
-    fail "latency order violated: min %.0f, mean %.0f, max %.0f"
-      s.latency_min_us s.latency_mean_us s.latency_max_us
-  else if s.utilization < 0. || s.utilization > 1. then
-    fail "utilization %.3f outside [0,1]" s.utilization
-  else begin
-    Printf.eprintf "clustersim: ok (%d clients, %s, mean %.0f us)\n" clients
-      (String.lowercase_ascii (Dfs.Clerk.scheme_to_string scheme))
-      s.latency_mean_us;
-    true
-  end
-
-let run clients scheme ops seed (m : Cli.mode) =
+let run ~clients ~scheme ~ops ~seed =
   let fixture = Experiments.Fixture.create ~clients ~seed () in
   let latencies = Metrics.Summary.create () in
-  let stats = ref None in
   Experiments.Fixture.run fixture (fun () ->
       Experiments.Fixture.reset_accounting fixture;
       let t_start = Experiments.Fixture.now fixture in
@@ -140,22 +58,39 @@ let run clients scheme ops seed (m : Cli.mode) =
         Sim.Time.diff (Experiments.Fixture.now fixture) t_start
       in
       let cpu = Experiments.Fixture.server_cpu fixture in
-      stats :=
-        Some
-          {
-            makespan_ms = Sim.Time.to_ms makespan;
-            latency_mean_us = Metrics.Summary.mean latencies;
-            latency_min_us = Metrics.Summary.min latencies;
-            latency_max_us = Metrics.Summary.max latencies;
-            server_cpu_ms = Sim.Time.to_ms (Cluster.Cpu.busy_time cpu);
-            utilization = Cluster.Cpu.utilization cpu ~window:makespan;
-            breakdown = Metrics.Account.to_list (Cluster.Cpu.account cpu);
-          });
-  match !stats with
-  | None ->
-      Printf.eprintf "clustersim: simulation ended without producing stats\n";
-      false
-  | Some s -> report ~clients ~scheme ~ops ~seed m s
+      let min = Metrics.Summary.min latencies in
+      let max = Metrics.Summary.max latencies in
+      T.make
+        ~title:
+          (Printf.sprintf "cluster: %s, %d clients x %d ops, seed %d"
+             (Dfs.Clerk.scheme_to_string scheme)
+             clients ops seed)
+        ~notes:
+          [
+            T.fields
+              [
+                ("makespan_ms", T.num ~band:[ Gt 0. ] (Sim.Time.to_ms makespan));
+                ( "latency_mean_us",
+                  T.num ~band:[ Gt 0.; Ge min; Le max ]
+                    (Metrics.Summary.mean latencies) );
+                ("latency_min_us", T.num min);
+                ("latency_max_us", T.num max);
+                ( "server_cpu_ms",
+                  T.num (Sim.Time.to_ms (Cluster.Cpu.busy_time cpu)) );
+                ( "utilization",
+                  T.num ~band:[ Ge 0.; Le 1. ]
+                    (Cluster.Cpu.utilization cpu ~window:makespan) );
+              ];
+          ]
+        [ T.label "Server CPU"; T.number ~unit_:"us" "us" (Fixed 0) ]
+        (List.map
+           (fun (category, us) -> [ T.text category; T.num us ])
+           (Metrics.Account.to_list (Cluster.Cpu.account cpu))))
+
+let main clients scheme ops seed (m : Cli.mode) =
+  let name = String.lowercase_ascii (Dfs.Clerk.scheme_to_string scheme) in
+  Cli.report ~gated:m.ci m ~tool:"clustersim" ~key:"workload" name (fun () ->
+      run ~clients ~scheme ~ops ~seed)
 
 let cmd =
   let clients =
@@ -175,4 +110,4 @@ let cmd =
   Cli.cmd "cluster"
     ~doc:"Run a parameterized file-service scenario on the simulated cluster"
     ~ci:"Sanity-assert the run's statistics; exit 1 on violation."
-    Term.(const run $ clients $ scheme $ ops $ Cli.seed 7)
+    Term.(const main $ clients $ scheme $ ops $ Cli.seed 7)

@@ -11,13 +11,13 @@
    perturbation: the fault digest is bit-identical with sampling off),
    then the SLO spec — percentile latencies from the registry, counter
    totals and rates, gauge max/mean/last over the run or a trailing
-   window — is evaluated against the series recorded every 50 us.
-   Text mode prints per-gauge sparklines and one ok/FAIL line per
-   clause; --json emits one schema-versioned object per workload.  With
-   --ci any violation (or a workload dying) makes the exit status
-   nonzero — the SLO file is the merge gate. *)
+   window — is evaluated against the series recorded every 50 us.  The
+   report is one row per clause, banded by it, then the run (which must
+   survive and converge) and every gauge with its sparkline.  Only
+   with --ci does a violation (or a workload dying) make the exit
+   status nonzero — the SLO file is the merge gate. *)
 
-let escape = Analysis.Report.json_escape
+module T = Metrics.Table
 
 (* The built-in gate when no --slo file is given: the run must reach
    quiescence fully drained and fully recovered. *)
@@ -39,83 +39,50 @@ let duration_of ts =
       | (t_us, _) :: _ -> Sim.Time.of_us_float t_us
       | [] -> Sim.Time.zero)
 
-let run_one ~plan ~seed ~spec workload =
-  let outcome =
+let gauge ts name =
+  match Obs.Timeseries.stat ts name with
+  | None -> T.fields [ ("gauge", T.text name); ("count", T.num 0.) ]
+  | Some st ->
+      T.fields
+        [
+          ("gauge", T.text name);
+          ("count", T.num (float_of_int st.count));
+          ("last", T.num st.last);
+          ("max", T.num st.max);
+          ("mean", T.num st.mean);
+        ]
+      @ [ T.Lit ("  " ^ Obs.Timeseries.sparkline ts name) ]
+
+let report ~plan ~seed ~spec workload =
+  let o =
     Faults.Campaign.run ~plan ~sampler:(Sim.Time.of_us_float 50.0) ~seed
       workload
   in
-  let ts = Option.get outcome.Faults.Campaign.timeseries in
-  let ctx =
-    {
-      Obs.Slo.registry = Some outcome.Faults.Campaign.registry;
-      series = Some ts;
-      duration = duration_of ts;
-    }
+  let ts = Option.get o.timeseries in
+  let slo =
+    Obs.Slo.eval
+      { registry = Some o.registry; series = Some ts; duration = duration_of ts }
+      spec
   in
-  (outcome, ts, Obs.Slo.eval ctx spec)
-
-let healthy (outcome, _, verdicts) =
-  outcome.Faults.Campaign.survived
-  && outcome.Faults.Campaign.converged
-  && Obs.Slo.violations verdicts = []
-
-(* ---------------- Text report ---------------- *)
-
-let print_text (outcome, ts, verdicts) =
-  Printf.printf "== %-17s seed %-4d %s%s  [%d fault(s), digest %x, %d tick(s)]\n"
-    outcome.Faults.Campaign.workload outcome.Faults.Campaign.seed
-    (if outcome.Faults.Campaign.survived && outcome.Faults.Campaign.converged
-     then "ok"
-     else if outcome.Faults.Campaign.survived then "DIVERGED"
-     else "DIED")
-    (if outcome.Faults.Campaign.detail = "" then ""
-     else " — " ^ outcome.Faults.Campaign.detail)
-    outcome.Faults.Campaign.events outcome.Faults.Campaign.digest
-    (Obs.Timeseries.ticks ts);
-  print_string (Obs.Timeseries.report ts);
-  print_string (Obs.Slo.render verdicts);
-  print_newline ()
-
-(* ---------------- JSON report ---------------- *)
-
-let verdict_json (v : Obs.Slo.verdict) =
-  Printf.sprintf "{\"clause\":\"%s\",\"ok\":%b,\"value\":%s,\"detail\":\"%s\"}"
-    (escape (Obs.Slo.clause_to_string v.Obs.Slo.clause))
-    v.Obs.Slo.ok
-    (match v.Obs.Slo.value with
-    | Some f -> Printf.sprintf "%g" f
-    | None -> "null")
-    (escape v.Obs.Slo.detail)
-
-let gauge_json ts name =
-  match Obs.Timeseries.stat ts name with
-  | None -> Printf.sprintf "\"%s\":null" (escape name)
-  | Some st ->
-      Printf.sprintf
-        "\"%s\":{\"count\":%d,\"last\":%g,\"max\":%g,\"mean\":%g}"
-        (escape name) st.Obs.Timeseries.count st.Obs.Timeseries.last
-        st.Obs.Timeseries.max st.Obs.Timeseries.mean
-
-let report_json (outcome, ts, verdicts) =
-  let o = outcome in
-  Printf.sprintf
-    "{\"schema\":%d,\"tool\":\"obsreport\",\"workload\":\"%s\",\"seed\":%d,\"survived\":%b,\"converged\":%b,\"detail\":\"%s\",\"digest\":%d,\"faults\":%d,\"ticks\":%d,\"interval_us\":%g,\"slo_passed\":%b,\"slo\":[%s],\"gauges\":{%s}}"
-    Analysis.Report.schema_version
-    (escape o.Faults.Campaign.workload)
-    o.Faults.Campaign.seed o.Faults.Campaign.survived
-    o.Faults.Campaign.converged
-    (escape o.Faults.Campaign.detail)
-    o.Faults.Campaign.digest o.Faults.Campaign.events
-    (Obs.Timeseries.ticks ts)
-    (Sim.Time.to_us (Obs.Timeseries.config ts).Obs.Timeseries.interval)
-    (Obs.Slo.violations verdicts = [])
-    (String.concat "," (List.map verdict_json verdicts))
-    (String.concat "," (List.map (gauge_json ts) (Obs.Timeseries.gauges ts)))
-
-let print_json report =
-  Analysis.Report.emit ~tool:"obsreport" (report_json report)
-
-(* ---------------- Driver ---------------- *)
+  let holds b = T.is (Flag true) (Flag b) in
+  {
+    slo with
+    title = Some ("obs " ^ o.workload);
+    notes =
+      T.fields
+        [
+          ("seed", T.num (float_of_int o.seed));
+          ("survived", holds o.survived);
+          ("converged", holds o.converged);
+          ("detail", T.text o.detail);
+          ("digest", T.text (string_of_int o.digest));
+          ("faults", T.num (float_of_int o.events));
+          ("ticks", T.num (float_of_int (Obs.Timeseries.ticks ts)));
+          ( "interval_us",
+            T.num (Sim.Time.to_us (Obs.Timeseries.config ts).interval) );
+        ]
+      :: List.map (gauge ts) (Obs.Timeseries.gauges ts);
+  }
 
 let main workload seed loss chaos slo_file (m : Cli.mode) =
   let selected = Cli.select ~name:fst Catalog.campaigns workload in
@@ -133,35 +100,9 @@ let main workload seed loss chaos slo_file (m : Cli.mode) =
     | Ok spec -> spec
     | Error e -> Cli.usage "obsreport: bad SLO spec:\n%s" e
   in
-  let run (_, (c : Catalog.campaign)) = run_one ~plan ~seed ~spec c.run in
-  let reports = List.map run selected in
-  List.iter (if m.json then print_json else print_text) reports;
-  let out = Cli.diag m in
-  List.iter
-    (fun ((outcome, _, verdicts) as report) ->
-      if not (healthy report) then begin
-        let o = outcome.Faults.Campaign.workload in
-        if not outcome.Faults.Campaign.survived then
-          Printf.fprintf out "   FAIL %s: did not survive — %s\n" o
-            outcome.Faults.Campaign.detail
-        else if not outcome.Faults.Campaign.converged then
-          Printf.fprintf out "   FAIL %s: did not converge — %s\n" o
-            outcome.Faults.Campaign.detail;
-        List.iter
-          (fun v ->
-            Printf.fprintf out "   FAIL %s: SLO %s (%s)\n" o
-              (Obs.Slo.clause_to_string v.Obs.Slo.clause)
-              v.Obs.Slo.detail)
-          (Obs.Slo.violations verdicts)
-      end)
-    reports;
-  Cli.verdict m
-    (List.for_all healthy reports)
-    ~pass:
-      (Printf.sprintf "obsreport: %d workload(s) within SLO"
-         (List.length reports))
-    ~fail:"obsreport: SLO violations"
-  || not m.ci
+  Cli.check ~gated:m.ci m ~tool:"obsreport" ~key:"workload" ~name:fst
+    (fun (_, (c : Catalog.campaign)) -> report ~plan ~seed ~spec c.run)
+    selected
 
 open Cmdliner
 

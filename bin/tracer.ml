@@ -5,21 +5,16 @@
      rnet trace --ci      # assert span-tree invariants
      rnet trace --ci --json
 
-   In --ci mode every run's span tree must validate (no orphans, no
-   open spans, monotone timestamps) and its body's verdict must hold,
-   the quickstart WRITE must decompose into its trap/nic/wire/serve
-   children summing to the end-to-end latency within 1%, and the
-   span-derived Table 1 decomposition must agree with direct
-   engine-clock accounting within 1%.
+   With --ci or --json the trace files are not written; instead each
+   run reports whether its span tree validates (no orphans, no open
+   spans, monotone timestamps) and its body's verdict holds, and
+   whether the quickstart WRITE decomposes into its trap/nic/wire/serve
+   children summing to the end-to-end latency within 1%; a last report
+   holds the span-derived Table 1 decomposition against direct
+   engine-clock accounting, each row within 1%.  Any of these that
+   fails exits 1. *)
 
-   --json replaces the text output with one schema-versioned JSON object
-   per workload on stdout (diagnostics on stderr) and, like --ci, makes
-   any finding fatal: a tree that fails to validate exits 1 whether or
-   not --ci was given. *)
-
-let escape = Analysis.Report.json_escape
-
-let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("   FAIL " ^ s); false) fmt
+module T = Metrics.Table
 
 (* The acceptance check: a WRITE root whose phase children (trap, nic,
    wire, serve, ...) are contiguous and sum to its end-to-end latency. *)
@@ -45,35 +40,28 @@ let write_decomposes (run : Catalog.replay) =
   in
   List.exists decomposes writes
 
-(* Every problem a traced run can exhibit, as data — the text and JSON
-   reporters render the same list. *)
-let problems_of (t : Catalog.trace) (run : Catalog.replay) =
-  let validation =
-    match Obs.Trace.validate run.spans with Ok () -> [] | Error ps -> ps
+let report name (t : Catalog.trace) =
+  let run = t.replay () in
+  let problems =
+    (match Obs.Trace.validate run.spans with Ok () -> [] | Error ps -> ps)
+    @ match run.verdict with Ok () -> [] | Error detail -> [ "verdict: " ^ detail ]
   in
-  let decomposition =
-    if t.decomposes && not (write_decomposes run) then
-      [ "no WRITE root decomposes into >= 4 contiguous phases" ]
-    else []
-  in
-  let verdict =
-    match run.verdict with
-    | Ok () -> []
-    | Error detail -> [ "verdict: " ^ detail ]
-  in
-  validation @ decomposition @ verdict
-
-let check_decompose_agreement ~quiet =
-  let d = Experiments.Table1a.decompose () in
-  if not quiet then print_string (Experiments.Table1a.render_decomposition d);
-  List.for_all
-    (fun (r : Experiments.Table1a.phase_row) ->
-      Float.abs (r.Experiments.Table1a.span_us -. r.Experiments.Table1a.direct_us)
-      <= 0.01 *. r.Experiments.Table1a.direct_us
-      || fail "decompose %s: spans %.2f us vs direct %.2f us"
-           r.Experiments.Table1a.op r.Experiments.Table1a.span_us
-           r.Experiments.Table1a.direct_us)
-    d.Experiments.Table1a.phase_rows
+  let holds b = T.is (Flag true) (Flag b) in
+  T.make ~title:("trace " ^ name)
+    ~notes:
+      (T.fields
+         ([
+            ("spans", T.num (float_of_int (Obs.Trace.span_count run.spans)));
+            ( "roots",
+              T.num (float_of_int (List.length (Obs.Trace.roots run.spans))) );
+            ("valid", holds (problems = []));
+          ]
+         @
+         if t.decomposes then
+           [ ("write_decomposition", holds (write_decomposes run)) ]
+         else [])
+      :: List.map (fun p -> [ T.Lit ("problem: " ^ p) ]) problems)
+    [] []
 
 let emit name ~out ~tree (run : Catalog.replay) =
   let json = Obs.Export.chrome_json run.spans in
@@ -87,64 +75,27 @@ let emit name ~out ~tree (run : Catalog.replay) =
   if tree then print_string (Obs.Export.render_tree run.spans);
   print_string (Obs.Registry.report run.registry)
 
-(* ---------------- JSON report ---------------- *)
-
-let run_json name (t : Catalog.trace) (run : Catalog.replay) problems =
-  Printf.sprintf
-    "{\"schema\":%d,\"tool\":\"tracer\",\"workload\":\"%s\",\"spans\":%d,\"roots\":%d,\"valid\":%b,\"write_decomposition\":%s,\"problems\":[%s]}"
-    Analysis.Report.schema_version (escape name)
-    (Obs.Trace.span_count run.spans)
-    (List.length (Obs.Trace.roots run.spans))
-    (problems = [])
-    (if t.decomposes then string_of_bool (write_decomposes run) else "null")
-    (String.concat ","
-       (List.map (fun p -> Printf.sprintf "\"%s\"" (escape p)) problems))
-
-let decompose_json ok =
-  let d = Experiments.Table1a.decompose () in
-  Printf.sprintf
-    "{\"schema\":%d,\"tool\":\"tracer\",\"check\":\"decompose_agreement\",\"ok\":%b,\"phases\":[%s]}"
-    Analysis.Report.schema_version ok
-    (String.concat ","
-       (List.map
-          (fun (r : Experiments.Table1a.phase_row) ->
-            Printf.sprintf "{\"op\":\"%s\",\"span_us\":%g,\"direct_us\":%g}"
-              (escape r.Experiments.Table1a.op) r.Experiments.Table1a.span_us
-              r.Experiments.Table1a.direct_us)
-          d.Experiments.Table1a.phase_rows))
-
-let print_json line = Analysis.Report.emit ~tool:"tracer" line
-
-(* ---------------- Driver ---------------- *)
-
-let run_one (m : Cli.mode) ~out ~tree (name, (t : Catalog.trace)) =
-  let run = t.replay () in
-  if m.json || m.ci then begin
-    let problems = problems_of t run in
-    if m.json then print_json (run_json name t run problems)
-    else
-      Printf.printf "%s: %d spans, %s\n" name
-        (Obs.Trace.span_count run.spans)
-        (if problems = [] then "valid" else "INVALID");
-    Cli.run_all (fun p -> fail "%s: %s" name p) problems
-  end
-  else begin
-    emit name ~out ~tree run;
-    true
-  end
-
 let main workload out tree (m : Cli.mode) =
   if not (Sys.file_exists out && Sys.is_directory out) then
     Cli.usage "no such output directory: %s" out;
   let items = Cli.select ~name:fst Catalog.trace workload in
-  let ok = Cli.run_all (run_one m ~out ~tree) items in
-  if m.ci || m.json then begin
-    let agree = check_decompose_agreement ~quiet:m.json in
-    if m.json then print_json (decompose_json agree);
-    Cli.verdict m (ok && agree) ~pass:"tracer: all span trees valid"
-      ~fail:"tracer: check failed"
+  if m.ci || m.json then
+    let traced =
+      Cli.check m ~tool:"tracer" ~key:"workload" ~name:fst
+        (fun (name, t) -> report name t)
+        items
+    in
+    let agree =
+      Cli.report m ~tool:"tracer" ~key:"experiment" "decompose"
+        Experiments.Table1a.decompose
+    in
+    traced && agree
+  else begin
+    List.iter
+      (fun (name, (t : Catalog.trace)) -> emit name ~out ~tree (t.replay ()))
+      items;
+    true
   end
-  else ok
 
 open Cmdliner
 

@@ -31,7 +31,6 @@ type flight = {
                       must not extend an unbounded-retry chain *)
   issued_at : Sim.Time.t; (* the history event's invocation time *)
   cas : (int32 * int32) option; (* CAS (expected, desired) arguments *)
-  batch : int option; (* pipeline window cycle carrying the issue *)
   mutable remaining : int;
   mutable accesses : Access.t list;
   mutable acquired : Vclock.t option; (* CAS: lock clock captured at serve *)
@@ -41,13 +40,10 @@ type flight = {
 (* One run of consecutive failed CAS attempts by one agent on one word.
    [len] is the current run, [worst] the longest seen; a success, an
    intervening non-CAS access to the segment by the same agent, or a
-   pause longer than [retry_backoff_floor] resets [len].  Reissues
-   sharing one pipeline batch (one window cycle) are one logical
-   attempt: they extend the run once, not per issue. *)
+   pause longer than [retry_backoff_floor] resets [len]. *)
 type retry_chain = {
   mutable len : int;
   mutable last : Sim.Time.t;
-  mutable last_batch : int option;
   mutable worst : int;
 }
 
@@ -206,15 +202,13 @@ let kind_of_op = function
    faster retries extend a failed-CAS run. *)
 let retry_backoff_floor = Sim.Time.us 150
 
-let note_cas_retry t ~agent_name ~key ~off ~policied ~batch ~success =
+let note_cas_retry t ~agent_name ~key ~off ~policied ~success =
   let chain_key = (agent_name, key, off) in
   let chain =
     match Hashtbl.find_opt t.retries chain_key with
     | Some c -> c
     | None ->
-        let c =
-          { len = 0; last = Sim.Time.zero; last_batch = None; worst = 0 }
-        in
+        let c = { len = 0; last = Sim.Time.zero; worst = 0 } in
         Hashtbl.replace t.retries chain_key c;
         c
   in
@@ -227,26 +221,13 @@ let note_cas_retry t ~agent_name ~key ~off ~policied ~batch ~success =
     chain.last <- now t
   end
   else begin
-    let same_batch =
-      match (batch, chain.last_batch) with
-      | Some b, Some b' -> b = b'
-      | _ -> false
-    in
-    if same_batch && chain.len > 0 then
-      (* Another failure out of the same pipeline window cycle: the
-         caller made one logical attempt, however many issues the
-         window carried. *)
-      chain.last <- now t
-    else begin
-      let gap = Sim.Time.diff (now t) chain.last in
-      chain.len <-
-        (if chain.len > 0 && Sim.Time.(gap <= retry_backoff_floor) then
-           chain.len + 1
-         else 1);
-      chain.last <- now t;
-      chain.last_batch <- batch;
-      if chain.len > chain.worst then chain.worst <- chain.len
-    end
+    let gap = Sim.Time.diff (now t) chain.last in
+    chain.len <-
+      (if chain.len > 0 && Sim.Time.(gap <= retry_backoff_floor) then
+         chain.len + 1
+       else 1);
+    chain.last <- now t;
+    if chain.len > chain.worst then chain.worst <- chain.len
   end
 
 let break_cas_retries t ~agent_name ~key =
@@ -311,7 +292,7 @@ let on_event t ~self_addr event =
         ~op:(dds_op op)
   | Rmem.Remote_memory.Exported segment -> on_export t ~home:self_addr segment
   | Rmem.Remote_memory.Issued
-      { op; desc; off = _; count; notify = _; policied; cas; batch } ->
+      { op; desc; off = _; count; notify = _; policied; cas } ->
       let a = self () in
       tick a;
       let key = key_of_desc desc in
@@ -321,7 +302,6 @@ let on_event t ~self_addr event =
           policied;
           issued_at = now t;
           cas;
-          batch;
           remaining = (if op = Rmem.Rights.Write_op then Stdlib.max count 1 else 1);
           accesses = [];
           acquired = None;
@@ -363,7 +343,6 @@ let on_event t ~self_addr event =
       | Rmem.Rights.Cas_op ->
           note_cas_retry t ~agent_name:issuer.name ~key ~off
             ~policied:(match flight with Some f -> f.policied | None -> false)
-            ~batch:(match flight with Some f -> f.batch | None -> None)
             ~success:(cas_success = Some true)
       | Rmem.Rights.Read_op | Rmem.Rights.Write_op ->
           break_cas_retries t ~agent_name:issuer.name ~key);

@@ -255,3 +255,270 @@ let chaos_matrix selected =
     selected
   |> List.stable_sort (fun (_, _, a) (_, _, b) -> compare a.seed b.seed)
   |> grouped (fun (_, _, leg) -> leg.label)
+
+(* ------------------------------------------------------------------ *)
+(* Checks: one view entry's check as a report.  An expectation is the
+   band on the cell it constrains — the entry's own under [ci], a clean
+   run's otherwise. *)
+
+module T = Metrics.Table
+
+let int ?band n = T.num ?band (float_of_int n)
+let count ?band l = int ?band (List.length l)
+let ok = T.Text "ok"
+
+let race_report ~ci (name, (e : race)) =
+  let monitor = S.run e.prepare in
+  let races = Analysis.Race.find monitor in
+  let findings = Analysis.Lint.check monitor in
+  let band expected = [ (if ci && expected then T.Ge 1. else T.Le 0.) ] in
+  let access (a : Analysis.Access.t) =
+    Printf.sprintf "%s %s [%d..%d) at %s" a.agent_name
+      (Analysis.Access.kind_to_string a.kind)
+      a.off (a.off + a.count)
+      (Sim.Time.to_string a.time)
+  in
+  let key = Analysis.Access.key_to_string in
+  T.make ~title:("race " ^ name)
+    ~notes:
+      [
+        T.fields
+          [
+            ("agents", int (Analysis.Monitor.agent_count monitor));
+            ("accesses", count (Analysis.Monitor.accesses monitor));
+            ("lrpc_calls", int (Analysis.Monitor.lrpc_calls monitor));
+            ("races", count ~band:(band e.races) races);
+            ("findings", count ~band:(band e.findings) findings);
+          ];
+      ]
+    [ T.label "finding"; T.label "segment"; T.label "detail" ]
+    (List.map
+       (fun (r : Analysis.Race.t) ->
+         List.map T.text
+           [
+             "race";
+             Printf.sprintf "%s (%s)" r.seg_name (key r.key);
+             access r.a ^ " vs " ^ access r.b;
+           ])
+       races
+    @ List.map
+        (fun (f : Analysis.Lint.finding) ->
+          List.map T.text [ f.rule; key f.key; f.agent ^ ": " ^ f.detail ])
+        findings)
+
+let outcome_columns =
+  [
+    T.label "outcome";
+    T.label "status";
+    T.label "detail";
+    T.label "schedule";
+    T.number "choice_points" Plain;
+  ]
+
+let outcome_row ?band label (o : Analysis.Explore.outcome) =
+  let kind, detail = Analysis.Explore.outcome_status o in
+  [
+    T.text label;
+    T.cell ?band (Text kind);
+    T.text detail;
+    T.text (Analysis.Schedule.to_string o.schedule);
+    int o.choice_points;
+  ]
+
+let replay_report name outcome =
+  T.make ~title:("replay " ^ name) outcome_columns
+    [ outcome_row ~band:[ T.Is ok ] "replay" outcome ]
+
+(* A seeded bug's contract ({!Analysis.Explore.confirm}) as a cell that
+   reads "ok", or why not; the certificate that replays, when one does. *)
+let confirmation ?config ~kind prepare result =
+  match Analysis.Explore.confirm ?config ~kind prepare result with
+  | Ok first ->
+      [
+        ("confirm", T.is ok ok);
+        ("certificate", T.text (Analysis.Schedule.to_string first.schedule));
+      ]
+  | Error msg -> [ ("confirm", T.is ok (Text msg)) ]
+
+let model_report ?config ~ci (name, (e : model)) =
+  let r = Analysis.Explore.explore ?config name e.prepare in
+  let s = r.stats in
+  let expect = if ci then e.expect else Clean in
+  let of_kind kind =
+    List.filter
+      (fun o -> fst (Analysis.Explore.outcome_status o) = kind)
+      r.failures
+  in
+  T.make ~title:("model " ^ name)
+    ~notes:
+      [
+        T.fields
+          ([
+             ("executed", int s.executed);
+             ("distinct", int s.distinct);
+             ("redundant", int s.redundant);
+             ("pruned_dpor", int s.pruned_dpor);
+             ("pruned_sleep", int s.pruned_sleep);
+             ("deferred", int s.deferred);
+             ( "failing",
+               int ~band:(if expect = Clean then [ T.Le 0. ] else []) s.failing
+             );
+             ("max_choice_points", int s.max_choice_points);
+             ("budget_exhausted", T.cell (Flag s.budget_exhausted));
+           ]
+          @
+          match expect with
+          | Clean -> []
+          | Fails kind ->
+              (kind, count ~band:[ T.Ge 1. ] (of_kind kind))
+              :: confirmation ?config ~kind e.prepare r);
+      ]
+    outcome_columns
+    (outcome_row "baseline" r.baseline
+    :: List.map (outcome_row "failure") r.failures)
+
+(* Run one campaign workload fault-free with a monitor subscribed to
+   every node of its testbed; the detail is why its history is suspect. *)
+let campaign_monitor name workload =
+  let monitor = ref None in
+  let observe testbed =
+    let m = Analysis.Monitor.create (Cluster.Testbed.engine testbed) in
+    List.iter (Analysis.Monitor.attach m) (Cluster.Testbed.nodes testbed);
+    monitor := Some m
+  in
+  let outcome = C.run ~observe ~seed:1 workload in
+  match !monitor with
+  | None -> failwith (name ^ ": campaign built no testbed")
+  | Some m ->
+      ( m,
+        if outcome.survived && outcome.converged then ""
+        else "campaign did not converge: " ^ outcome.detail )
+
+let lin_report ~mode (name, history) =
+  let module L = Analysis.Linearize in
+  let monitor, detail =
+    match history with
+    | Fifo { prepare; _ } -> (S.run prepare, "")
+    | Fault_free workload -> campaign_monitor name workload
+  in
+  let verdict = L.check ~mode (Analysis.Monitor.history monitor) in
+  let stats, status, witness =
+    match verdict with
+    | Pass stats -> (stats, (if detail = "" then "ok" else "error"), [])
+    | Fail { stats; witness; _ } -> (stats, "violation", witness)
+  in
+  T.make
+    ~title:(Printf.sprintf "lin %s (%s)" name (source history))
+    ~notes:
+      [
+        T.fields
+          [
+            ("source", T.text (source history));
+            ("mode", T.text (L.mode_to_string mode));
+            ("status", T.is ok (Text status));
+            ( "detail",
+              T.text
+                (match verdict with
+                | Fail _ when detail = "" -> L.describe verdict
+                | _ -> detail) );
+            ("cells", int stats.cells);
+            ("events", int stats.events);
+            ("explored", int stats.explored);
+            ("skipped", int stats.skipped);
+          ];
+      ]
+    [ T.label "witness" ]
+    (List.map
+       (fun e -> [ T.text (Analysis.History.event_to_string e) ])
+       witness)
+
+let proto_report ~ci (e : program) =
+  let p = e.program in
+  let findings = Analysis.Static.Verify.check p in
+  let verdict = Analysis.Static.Pipesafe.classify p in
+  let rules l = T.Text (String.concat ", " l) in
+  let got =
+    List.sort_uniq compare
+      (List.map (fun (f : Analysis.Static.Finding.t) -> f.rule) findings)
+  in
+  let confirmed =
+    match e.confirm with
+    | Some (prepare, kind) when ci ->
+        confirmation ~kind prepare (Analysis.Explore.explore p.name prepare)
+    | _ -> []
+  in
+  let obligations =
+    match verdict with Batchable -> [] | Ordered reasons -> reasons
+  in
+  T.make
+    ~title:(Printf.sprintf "proto %s %s" e.kind p.name)
+    ~notes:
+      (T.fields
+         ([
+            ("kind", T.text e.kind);
+            ( "instructions",
+              int
+                (List.fold_left
+                   (fun acc (np : Workload.Program.node_program) ->
+                     acc + Workload.Program.instr_count np.body)
+                   0 p.nodes) );
+            ( "rules",
+              T.is
+                (rules (if ci then List.sort compare e.rules else []))
+                (rules got) );
+            ( "pipelining",
+              T.cell
+                ~band:
+                  (if ci then
+                     [ T.Is (Text (if e.ordered then "ordered" else "batchable")) ]
+                   else [])
+                (Text (Analysis.Static.Pipesafe.verdict_to_string verdict)) );
+          ]
+         @ confirmed)
+      :: List.map (fun r -> [ T.Lit ("ordering obligation: " ^ r) ]) obligations
+      )
+    [
+      T.label "rule";
+      T.number "node" Plain;
+      T.label "node_name";
+      T.label "segment";
+      T.label "detail";
+    ]
+    (List.map
+       (fun (f : Analysis.Static.Finding.t) ->
+         [
+           T.text f.rule;
+           int f.node;
+           T.text f.node_name;
+           T.text f.seg;
+           T.text f.detail;
+         ])
+       findings)
+
+let chaos_report (leg : leg) workload =
+  let first = C.run ~plan:leg.plan ~seed:leg.seed workload in
+  let second = C.run ~plan:leg.plan ~seed:leg.seed workload in
+  let holds b = T.is (Flag true) (Flag b) in
+  T.make
+    ~title:(Printf.sprintf "chaos %s, %s" first.workload leg.label)
+    ~notes:
+      (T.fields
+         [
+           ("leg", T.text leg.label);
+           ("seed", int first.seed);
+           ("survived", holds first.survived);
+           ("converged", holds first.converged);
+           ("replayed", holds (first.digest = second.digest));
+           ( "chained",
+             (if leg.chain then holds else fun b -> T.cell (Flag b))
+               (first.revalidations >= 1. && first.recovered >= 1.) );
+           ("detail", T.text first.detail);
+           ("digest", T.text (string_of_int first.digest));
+           ("events", int first.events);
+           ("retries", T.num first.retries);
+           ("recovered", T.num first.recovered);
+           ("revalidations", T.num first.revalidations);
+           ("gave_up", T.num first.gave_up);
+         ]
+      :: [ T.fields (List.map (fun (name, v) -> (name, T.num v)) first.counters) ])
+    [] []

@@ -70,6 +70,8 @@ val model : (string * model) list
 val campaigns : (string * campaign) list
 val trace : (string * trace) list
 val source : history -> string
+(** ["campaign"] for a fault-free history, else its FIFO source.
+    Test-only: the catalog tests check the lin view's grouping by it. *)
 
 val lin : (string * history) list
 (** Grouped by {!source}; a name may carry two histories. *)
@@ -81,3 +83,39 @@ val chaos_matrix :
   (string * campaign) list -> (string * Faults.Campaign.workload * leg) list
 (** The legs of the given campaigns, grouped by fault class, each class
     in seed order. *)
+
+(** {1 Checks}
+
+    Each checker's run of one view entry as a {!Metrics.Table} report.
+    An expectation is the band on the cell it constrains: the entry's
+    own under [~ci:true], a clean run's otherwise (no race, no failing
+    schedule, no rule tripped). A text or flag expectation is an
+    {!Metrics.Table.Is} band. *)
+
+val race_report : ci:bool -> string * race -> Metrics.Table.t
+(** A FIFO run's races and lint findings as rows; the race and finding
+    counts banded [Ge 1] where expected, [Le 0] otherwise. *)
+
+val model_report :
+  ?config:Analysis.Explore.config -> ci:bool -> string * model -> Metrics.Table.t
+(** The explored schedules: the baseline and failures as rows, the
+    statistics as a note. [Clean] bands the failing count [Le 0];
+    [Fails kind] bands the count of failures of [kind] [Ge 1] and
+    confirms the first ({!Analysis.Explore.confirm}). *)
+
+val replay_report : string -> Analysis.Explore.outcome -> Metrics.Table.t
+(** One replayed certificate, whose status must read "ok". *)
+
+val lin_report :
+  mode:Analysis.Linearize.mode -> string * history -> Metrics.Table.t
+(** The history's status ("ok", "violation", or "error" when its
+    campaign diverged) banded "ok"; a violation's witness as rows. *)
+
+val proto_report : ci:bool -> program -> Metrics.Table.t
+(** The static findings as rows; the tripped rule set and, under [ci],
+    the pipelining verdict banded by the entry, and a [confirm]ed
+    finding cross-checked by exploration. *)
+
+val chaos_report : leg -> Faults.Campaign.workload -> Metrics.Table.t
+(** The leg run twice: survived, converged and replayed (equal
+    digests) must hold, and chained with [chain]; then its counters. *)

@@ -12,9 +12,8 @@
      staging buffer as ONE scatter-gather burst frame
      ({!Remote_memory.write_burst}): one trap, one descriptor check, one
      FIFO setup per burst group, 48 payload bytes per cell;
-   - keeps up to [window] READ/CAS meta-instructions in flight per
-     (node, segment) instead of one, stalling only when the window
-     fills;
+   - keeps up to [window] READs in flight per (node, segment) instead
+     of one, stalling only when the window fills;
    - coalesces notify bits so a flush raises at most one notification
      per segment (the destination segment's policy still decides);
    - preserves the synchronous path's ordering guarantees at [flush] /
@@ -56,7 +55,7 @@ type staged = {
   mutable notify : bool;
 }
 
-(* The READs and CASes in flight toward one key, oldest first: a ring
+(* The READs in flight toward one key, oldest first: a ring
    of [window] slots, made at the first issue (a completion has no
    placeholder value).  Retiring awaits, which recycles: a slot outside
    the [len] live ones may hold another issue's completion, unread. *)
@@ -75,10 +74,6 @@ type t = {
   staged : staged Sim.Int_table.t;
   windows : window Sim.Int_table.t;
   mutable order : window array; (* every window by key, replaced on growth *)
-  batches : int Sim.Int_table.t;
-  (* the current window cycle's batch tag per key: a fresh batch opens
-     whenever a submit finds its window empty, so every issue sharing a
-     window cycle carries the same batch id in its Issued event *)
   stats : stats;
 }
 
@@ -89,7 +84,6 @@ let create ~config rmem =
     staged = Sim.Int_table.create 8;
     windows = Sim.Int_table.create 8;
     order = [||];
-    batches = Sim.Int_table.create 8;
     stats =
       { merged_extents = 0; flushes = 0; window_stalls = 0 };
   }
@@ -252,19 +246,6 @@ let window_admit t w =
     done
   with exn -> retire_all t w (Some exn)
 
-(* The batch tag for the next windowed issue toward [key]: reuse the
-   window cycle's tag while operations are still in flight, open a fresh
-   one when the window has gone empty (each cycle of a caller's retry
-   loop drains the window first, so one cycle = one batch = one logical
-   attempt for the lint layer). *)
-let window_batch t ~key ~w =
-  match Sim.Int_table.find t.batches key with
-  | b when w.len > 0 -> b
-  | _ | (exception Not_found) ->
-      let b = Remote_memory.fresh_batch t.rmem in
-      Sim.Int_table.replace t.batches key b;
-      b
-
 let read_submit t desc ~soff ~count ~dst ~doff () =
   let key = key_of desc in
   (match Sim.Int_table.find_opt t.staged key with
@@ -275,34 +256,7 @@ let read_submit t desc ~soff ~count ~dst ~doff () =
   | _ -> ());
   let w = window_of t key in
   window_admit t w;
-  Remote_memory.set_batch t.rmem (window_batch t ~key ~w);
-  match Remote_memory.read t.rmem desc ~soff ~count ~dst ~doff () with
-  | c ->
-      Remote_memory.set_batch t.rmem 0;
-      push t w c
-  | exception exn ->
-      Remote_memory.set_batch t.rmem 0;
-      raise exn
-
-let cas_submit t desc ~doff ~old_value ~new_value () =
-  let key = key_of desc in
-  (* CAS is a synchronization point: staged writes it releases must be
-     on the wire (FIFO links order them) before the CAS lands. *)
-  flush_key t key;
-  let w = window_of t key in
-  window_admit t w;
-  Remote_memory.set_batch t.rmem (window_batch t ~key ~w);
-  match Remote_memory.cas_async t.rmem desc ~doff ~old_value ~new_value () with
-  | c ->
-      Remote_memory.set_batch t.rmem 0;
-      push t w c
-  | exception exn ->
-      Remote_memory.set_batch t.rmem 0;
-      raise exn
-
-let cas t desc ~doff ~old_value ~new_value () =
-  flush_key t (key_of desc);
-  Remote_memory.cas_wait t.rmem desc ~doff ~old_value ~new_value ()
+  push t w (Remote_memory.read t.rmem desc ~soff ~count ~dst ~doff ())
 
 let drain_key t key =
   match Sim.Int_table.find_opt t.windows key with

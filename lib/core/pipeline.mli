@@ -11,7 +11,7 @@
       sends each batch as one scatter-gather burst frame
       ({!Remote_memory.write_burst}): one trap, one FIFO setup per burst
       group, 48 payload bytes per cell instead of 40;
-    - {b windows} READs and CASes, keeping up to [window] in flight per
+    - {b windows} READs, keeping up to [window] in flight per
       (node, segment) and stalling only when the window fills;
     - {b coalesces} notify bits: a flush raises at most one notification
       per segment (the destination's per-segment policy still has the
@@ -22,17 +22,17 @@
 
     {b Ordering model.} Within one pipeline: a staged write is observed
     by the issuing process's own later reads (reads overlapping staged
-    bytes force a flush first); a CAS flushes the batch ahead of itself,
-    so the release-ordering of the synchronous path is kept; {!flush}
-    puts every staged byte on the wire; {!fence} additionally drains the
-    read/CAS window and runs a {!Remote_memory.fence} round trip, after
+    bytes force a flush first); {!flush} puts every staged byte on the
+    wire, so a {!Remote_memory.cas_wait} after it keeps the
+    release-ordering of the synchronous path; {!fence} additionally
+    drains the read window and runs a {!Remote_memory.fence} round trip, after
     which every prior write has been deposited (or its nack raised).
     Between {!flush} points, staged writes are {e not yet visible} to
     remote readers — the race detector models this: a batched write's
     visibility witness is its flush. *)
 
 type config = {
-  window : int;  (** max in-flight READ/CAS per (node, segment) *)
+  window : int;  (** max in-flight READs per (node, segment) *)
   max_batch_bytes : int;
       (** flush a staging buffer at this many bytes (or at 64 absorbed
           writes) *)
@@ -47,7 +47,7 @@ val create : config:config -> Remote_memory.t -> t
 val write : t -> Descriptor.t -> off:int -> ?notify:bool -> bytes -> unit
 (** Stage a write. It reaches the wire at the next {!flush} of its
     (node, segment) — or sooner, when the staging buffer hits a batch
-    bound, a read overlaps it, or a CAS or doorbell forces it out. Local validation (staleness, rights, bounds)
+    bound, a read overlaps it, or a doorbell forces it out. Local validation (staleness, rights, bounds)
     still happens here, so failures surface at the same program point as
     {!Remote_memory.write}. Zero-length doorbell writes are never
     staged. The bytes are copied into the burst frame at the flush, not
@@ -69,33 +69,12 @@ val read_submit :
     staged writes are flushed first, so the read observes program
     order. *)
 
-val cas_submit :
-  t ->
-  Descriptor.t ->
-  doff:int ->
-  old_value:int ->
-  new_value:int ->
-  unit ->
-  unit
-(** Windowed CAS: flushes the staged batch ahead of itself (release
-    ordering), then issues without waiting for the reply; a failure
-    raises when the window retires it.
-    Test-only: the paper's asynchronous CAS, exercised by the pipeline tests. *)
-
-val cas :
-  t -> Descriptor.t -> doff:int -> old_value:int -> new_value:int -> unit ->
-  int
-(** Blocking CAS: flushes the staged batch ahead of itself, then behaves
-    as {!Remote_memory.cas_wait}.
-    Test-only: the pipeline tests check a pipelined CAS matches the serial
-    one. *)
-
 val flush : t -> Descriptor.t -> unit
 (** Send the staging buffer for the descriptor's (node, segment) as one
     burst frame. No-op when nothing is staged. *)
 
 val drain : t -> unit
-(** Wait for every windowed READ/CAS to retire, raising the first
+(** Wait for every windowed READ to retire, raising the first
     failure encountered (in issue order per (node, segment)). *)
 
 val fence : t -> Descriptor.t -> unit

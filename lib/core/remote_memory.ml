@@ -106,7 +106,6 @@ type Cluster.Node.event +=
       notify : bool;
       policied : bool;
       cas : (int32 * int32) option;
-      batch : int option;
     }
   | Issue_rejected of {
       op : Rights.op;
@@ -170,11 +169,6 @@ type t = {
   mutable recovery_depth : int;
   (* > 0 while a recovery policy drives the current issue: marks the
      Issued events it produces as policied for the lint layer *)
-  mutable batch : int;
-  (* the {!set_batch} tag, 0 for none: Issued events carry it so the
-     analysis layer can treat a pipelined window of issues as one
-     logical attempt *)
-  mutable next_batch : int;
   fence_buf : buffer;
   (* where fences deposit the word they read and discard, in a space
      never registered in the node, so fencing does not grow it; also the
@@ -265,8 +259,6 @@ let create node =
     crypto = None;
     write_failures = Sim.Int_table.create 4;
     recovery_depth = 0;
-    batch = 0;
-    next_batch = 1;
     fence_buf = buffer ~space:(scratch_space ()) ~base:0 ~len:4;
   }
 
@@ -295,13 +287,6 @@ let set_server_role t =
      clerk's reply segment) are its data-reply work too. *)
   set_categories t ~rx_request:Cluster.Cpu.cat_data_reception
     ~tx_reply:Cluster.Cpu.cat_data_reply ~client:Cluster.Cpu.cat_data_reply ()
-
-let fresh_batch t =
-  let id = t.next_batch in
-  t.next_batch <- id + 1;
-  id
-
-let set_batch t batch = t.batch <- batch
 
 (* A (remote, segment, generation) stream as one int: segment ids are 8
    bits and generations 16, so the ints order as the triples do. *)
@@ -481,7 +466,6 @@ let issue t desc op ~name ~off ~count ~notify ~cas_old ~cas_new ~extents
              (if op = Rights.Cas_op then
                 Some (Int32.of_int cas_old, Int32.of_int cas_new)
               else None);
-           batch = (if t.batch = 0 then None else Some t.batch);
          });
   Obs.Trace.issue_begin ~node:(nid t) ~op:name
     ~seg:(Descriptor.segment_id desc) ~off ~count
@@ -712,9 +696,6 @@ let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
        ~reqid:completion.reqid ~notify:false);
   arm_timeout t completion timeout;
   completion
-
-let cas_async t desc ~doff ~old_value ~new_value () =
-  send_cas t desc ~doff ~old_value ~new_value ()
 
 let take_write_failure t desc =
   let key = stream_key desc in

@@ -142,8 +142,8 @@ val write_burst :
     which the heterogeneity tests check. *)
 
 type completion
-(** The completion of one READ or CAS issued with {!read} or
-    {!cas_async}: filled once with its final status, and awaited once.
+(** The completion of one READ issued with {!read}: filled once with
+    its final status, and awaited once.
     Completions are recycled: {!await} gives it back to its node's pool
     (once its timeout, if it has one, has fired), so it must not be
     used after. *)
@@ -211,19 +211,6 @@ val take_write_failure : t -> Descriptor.t -> Status.t option
     Test-only: the paper's negative ack for a dropped WRITE, exercised by the
     analysis tests. *)
 
-val cas_async :
-  t ->
-  Descriptor.t ->
-  doff:int ->
-  old_value:int ->
-  new_value:int ->
-  unit ->
-  completion
-(** Remote compare-and-swap of a 32-bit word, the values carried as
-    ints (sign-extended; only the low 32 bits are sent). The completion
-    fills with the CAS's final status; {!cas_wait} returns its witness
-    too. Nothing is boxed per CAS. *)
-
 val cas_wait :
   ?policy:Recovery.policy ->
   t ->
@@ -234,7 +221,9 @@ val cas_wait :
   ?result:buffer * int ->
   unit ->
   int
-(** Blocking {!cas_async}: returns the witness, which equals
+(** Remote compare-and-swap of a 32-bit word, the values carried as
+    ints (sign-extended; only the low 32 bits are sent); nothing is
+    boxed per CAS. Blocks and returns the witness, which equals
     [old_value] (as a sign-extended 32-bit word) exactly when the swap
     happened. Under [policy], if a CAS applied but its reply was lost,
     the reissued CAS observes [new_value] and reports failure — the
@@ -302,9 +291,6 @@ type Cluster.Node.event +=
           (** CAS only: the (expected, desired) argument pair, so a
               history checker can reconstruct the operation's semantics
               without reading the wire *)
-      batch : int option;
-          (** the {!set_batch} tag, if any — issues sharing a batch id
-              are one logical attempt *)
     }  (** Local validation passed; the request is going on the wire. *)
   | Issue_rejected of {
       op : Rights.op;
@@ -359,14 +345,6 @@ type Cluster.Node.event +=
   | Revalidated
       (** A policy ran its revalidator on a stale-descriptor failure. *)
 
-val fresh_batch : t -> int
-(** Allocate a batch id for {!set_batch} (unique per node, never 0). *)
-
-val set_batch : t -> int -> unit
-(** Tag every [Issued] event from now on [batch = Some id]; 0 clears the
-    tag. The {!Rmem.Pipeline} engine sets one batch per window cycle
-    around each windowed issue, and clears it after, so the analysis
-    layer counts a windowed group of issues as one logical attempt. *)
 
 val stream_key : Descriptor.t -> int
 (** The descriptor's (remote node, segment id, generation) as one int,

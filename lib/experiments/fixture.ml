@@ -37,8 +37,7 @@ let add_bench_objects store =
   let root = Dfs.File_store.root store in
   let dir = Dfs.File_store.mkdir store ~dir:root ~name:"bench" () in
   let file = Dfs.File_store.create_file store ~dir ~name:"big.dat" () in
-  Dfs.File_store.write store file ~off:0
-    (Bytes.init 16384 (fun i -> Char.chr (i land 0xFF)));
+  Dfs.File_store.write store file ~off:0 (Workload.File_tree.pattern 0 16384);
   let wide = Dfs.File_store.mkdir store ~dir ~name:"wide" () in
   for i = 0 to 299 do
     ignore

@@ -59,18 +59,9 @@ let run () =
    One unloaded WRITE / READ / CAS between two nodes, measured twice:
    directly ([Engine.now] around the operation, with the server's
    served-write monitor timestamping the unacknowledged WRITE's deposit) and
-   from the tracer's span tree.  The two must agree — the tests hold
-   them to within 1% — which pins the tracer to the cost model instead
-   of letting the two drift apart. *)
-
-type phase_row = {
-  op : string;
-  direct_us : float; (* measured with Engine.now around the op *)
-  span_us : float; (* the root span's duration *)
-  phases : (string * float) list; (* per-child-name summed durations *)
-}
-
-type decomposition = { phase_rows : phase_row list; trace : Obs.Trace.t }
+   from the tracer's span tree.  The two must agree — each span total
+   is banded within 1% of its direct timing — which pins the tracer to
+   the cost model instead of letting the two drift apart. *)
 
 let decompose () =
   let bytes = 1024 in
@@ -135,38 +126,30 @@ let decompose () =
   in
   let row op direct =
     let s = root op in
-    {
-      op;
-      direct_us = direct;
-      span_us = Obs.Span.duration_us s;
-      phases = Obs.Trace.phase_totals trace s;
-    }
+    [
+      T.text op;
+      T.num direct;
+      T.num ~paper:direct ~band:[ Within 0.01 ] (Obs.Span.duration_us s);
+      T.text
+        (String.concat ", "
+           (List.map
+              (fun (name, us) -> Printf.sprintf "%s %.2f" name us)
+              (Obs.Trace.phase_totals trace s)));
+    ]
   in
-  {
-    phase_rows =
-      [ row "WRITE" !t_write; row "READ" !t_read; row "CAS" !t_cas ];
-    trace;
-  }
-
-let render_decomposition d =
-  T.render
-    (T.make ~title:"Latency decomposition from spans (unloaded, 2 nodes)"
-       [
-         T.label "Op";
-         T.number ~unit_:"us" "Direct us" (Fixed 2);
-         T.number ~unit_:"us" "Spans us" (Fixed 2);
-         T.label "Phases";
-       ]
-       (List.map
-          (fun r ->
-            [
-              T.text r.op;
-              T.num r.direct_us;
-              T.num r.span_us;
-              T.text
-                (String.concat ", "
-                   (List.map
-                      (fun (name, us) -> Printf.sprintf "%s %.2f" name us)
-                      r.phases));
-            ])
-          d.phase_rows))
+  T.make ~title:"Latency decomposition from spans (unloaded, 2 nodes)"
+    ~notes:
+      [
+        T.fields
+          [
+            ( "valid",
+              T.is (Flag true) (Flag (Obs.Trace.validate trace = Ok ())) );
+          ];
+      ]
+    [
+      T.label "Op";
+      T.number ~unit_:"us" "Direct us" (Fixed 2);
+      T.number ~unit_:"us" "Spans us" (Fixed 2);
+      T.label "Phases";
+    ]
+    [ row "WRITE" !t_write; row "READ" !t_read; row "CAS" !t_cas ]

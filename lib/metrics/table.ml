@@ -21,6 +21,8 @@ type column = {
   align : align;
 }
 
+type value = Num of float | Text of string | Flag of bool | Missing
+
 type limit =
   | Within of float
   | Near of float
@@ -28,8 +30,7 @@ type limit =
   | Ge of float
   | Lt of float
   | Le of float
-
-type value = Num of float | Text of string | Flag of bool | Missing
+  | Is of value
 type cell = { value : value; paper : float option; band : limit list }
 type piece = Lit of string | Val of column * cell
 type layout = Grid | Bars
@@ -56,8 +57,20 @@ let label ?(align = Left) name =
 let number ?(unit_ = "") ?(better = Neither) name format =
   { name; unit_; better; format; align = Right }
 
-let text s = { value = Text s; paper = None; band = [] }
+let cell ?(band = []) value = { value; paper = None; band }
+let is want got = cell ~band:[ Is want ] got
+let text s = cell (Text s)
 let num ?paper ?(band = []) v = { value = Num v; paper; band }
+
+let fields pairs =
+  List.concat
+    (List.mapi
+       (fun i (name, cell) ->
+         [
+           Lit ((if i = 0 then "" else ", ") ^ name ^ " ");
+           Val (label name, cell);
+         ])
+       pairs)
 
 let show format cell =
   match (cell.value, format) with
@@ -178,26 +191,27 @@ let render t =
   let buf = Buffer.create 2048 in
   Option.iter (Printf.bprintf buf "%s\n") t.title;
   (match t.layout with
-  | _ when t.columns = [] -> ()
+  | _ when t.rows = [] && t.total = None -> ()
   | Grid -> render_grid buf t
   | Bars -> render_bars buf t);
   List.iter (fun note -> Printf.bprintf buf "%s\n" (note_text note)) t.notes;
   Buffer.contents buf
 
-let print t = print_string (render t)
-
 (* ---------------- Bands and JSON ---------------- *)
 
-(* A relative or absolute band without a paper value never holds. *)
-let holds paper v limit =
-  match (limit, paper) with
-  | Within x, Some p -> Float.abs (v -. p) <= x *. Float.abs p
-  | Near x, Some p -> Float.abs (v -. p) <= x
-  | (Within _ | Near _), None -> false
-  | Gt x, _ -> v > x
-  | Ge x, _ -> v >= x
-  | Lt x, _ -> v < x
-  | Le x, _ -> v <= x
+(* A missing value fails every band, a text or flag every numeric one,
+   and a relative or absolute band without a paper value never holds. *)
+let holds paper value limit =
+  match (value, limit, paper) with
+  | Missing, _, _ -> false
+  | _, Is x, _ -> value = x
+  | Num v, Within x, Some p -> Float.abs (v -. p) <= x *. Float.abs p
+  | Num v, Near x, Some p -> Float.abs (v -. p) <= x
+  | Num v, Gt x, _ -> v > x
+  | Num v, Ge x, _ -> v >= x
+  | Num v, Lt x, _ -> v < x
+  | Num v, Le x, _ -> v <= x
+  | _ -> false
 
 let value_json = function
   | Num v -> Json.Number v
@@ -213,6 +227,7 @@ let claim_json cell =
     | Ge x -> ("ge", Json.Number x)
     | Lt x -> ("lt", Json.Number x)
     | Le x -> ("le", Json.Number x)
+    | Is v -> ("is", value_json v)
   in
   Option.fold ~none:[] ~some:(fun p -> [ ("paper", Json.Number p) ]) cell.paper
   @ if cell.band = [] then [] else [ ("band", Json.Obj (List.map limit cell.band)) ]
@@ -220,14 +235,12 @@ let claim_json cell =
 let violations t =
   let title = Option.value ~default:"report" t.title in
   let check where (c : column) cell =
-    match cell.value with
-    | Num v when List.for_all (holds cell.paper v) cell.band -> None
-    | _ when cell.band = [] -> None
-    | _ ->
-        Some
-          (Printf.sprintf "%s: %s%s = %s outside %s" title where c.name
-             (show c.format cell)
-             (Json.write (Json.Obj (claim_json cell))))
+    if List.for_all (holds cell.paper cell.value) cell.band then None
+    else
+      Some
+        (Printf.sprintf "%s: %s%s = %s outside %s" title where c.name
+           (show c.format cell)
+           (Json.write (Json.Obj (claim_json cell))))
   in
   let row cells =
     let where =

@@ -26,8 +26,14 @@ type column = {
   align : align;
 }
 
+type value =
+  | Num of float
+  | Text of string
+  | Flag of bool
+  | Missing  (** renders empty; fails any band *)
+
 (** One bound on a cell's value; a band is a list of them, all of
-    which must hold. *)
+    which must hold. The numeric bounds fail on a text or flag value. *)
 type limit =
   | Within of float  (** [|v - paper| <= x |paper|] *)
   | Near of float  (** [|v - paper| <= x] *)
@@ -35,12 +41,9 @@ type limit =
   | Ge of float
   | Lt of float
   | Le of float
-
-type value =
-  | Num of float
-  | Text of string
-  | Flag of bool
-  | Missing  (** renders empty; fails any band *)
+  | Is of value
+      (** the value itself: a checker's expected rule set, verdict or
+          flag, which a count would hide from the violation line *)
 
 type cell = { value : value; paper : float option; band : limit list }
 
@@ -72,7 +75,8 @@ val make :
   cell list list ->
   t
 (** Raises [Invalid_argument] if a row's cell count mismatches the
-    columns. With no columns only the title and notes are drawn. *)
+    columns. With no rows and no total only the title and notes are
+    drawn. *)
 
 val label : ?align:align -> string -> column
 (** A text column, left-aligned unless [align] says otherwise. *)
@@ -80,11 +84,18 @@ val label : ?align:align -> string -> column
 val number : ?unit_:string -> ?better:better -> string -> format -> column
 (** A right-aligned numeric column. *)
 
+val cell : ?band:limit list -> value -> cell
+val is : value -> value -> cell
+(** [is want got]: [got], banded [Is want]. *)
+
 val text : string -> cell
 val num : ?paper:float -> ?band:limit list -> float -> cell
 
+val fields : (string * cell) list -> piece list
+(** A note of [name value] pairs joined by commas, each value under a
+    plain column of its name. *)
+
 val render : t -> string
-val print : t -> unit
 
 val to_json : t -> Json.t
 (** Columns with their unit, direction and format; rows and the total

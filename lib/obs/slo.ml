@@ -45,13 +45,6 @@ type clause = {
 
 type spec = clause list
 
-type verdict = {
-  clause : clause;
-  value : float option;  (* None: the source was missing *)
-  ok : bool;
-  detail : string;
-}
-
 (* ---------------- Parsing ---------------- *)
 
 let cmp_of_string = function
@@ -183,13 +176,6 @@ type context = {
   duration : Sim.Time.t;  (** whole-run span, for unwindowed rates *)
 }
 
-let compare_value cmp value bound =
-  match cmp with
-  | Lt -> value < bound
-  | Le -> value <= bound
-  | Gt -> value > bound
-  | Ge -> value >= bound
-
 let measure ctx clause =
   match clause.source with
   | Latency { op; percentile } -> (
@@ -258,32 +244,34 @@ let measure ctx clause =
                         /. float_of_int (List.length values))
                   | Last -> Ok (List.nth values (List.length values - 1))))))
 
+(* One row per clause: its banded measurement, or Missing. *)
 let eval ctx spec =
-  List.map
-    (fun clause ->
-      match measure ctx clause with
-      | Ok value ->
-          let ok = compare_value clause.cmp value clause.bound in
-          {
-            clause;
-            value = Some value;
-            ok;
-            detail =
-              Printf.sprintf "%g %s %g" value (cmp_to_string clause.cmp)
-                clause.bound;
-          }
-      | Error why -> { clause; value = None; ok = false; detail = why })
-    spec
-
-let violations verdicts = List.filter (fun v -> not v.ok) verdicts
-
-let render verdicts =
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun v ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s %-46s %s\n"
-           (if v.ok then "  ok  " else " FAIL ")
-           (clause_to_string v.clause) v.detail))
-    verdicts;
-  Buffer.contents buf
+  let module T = Metrics.Table in
+  let band clause =
+    let limit =
+      match clause.cmp with
+      | Lt -> T.Lt clause.bound
+      | Le -> T.Le clause.bound
+      | Gt -> T.Gt clause.bound
+      | Ge -> T.Ge clause.bound
+    in
+    [ limit ]
+  in
+  T.make
+    [ T.label "clause"; T.number "value" Plain; T.label "detail" ]
+    (List.map
+       (fun clause ->
+         let value, detail =
+           match measure ctx clause with
+           | Ok v ->
+               ( T.Num v,
+                 Printf.sprintf "%g %s %g" v (cmp_to_string clause.cmp)
+                   clause.bound )
+           | Error why -> (T.Missing, why)
+         in
+         [
+           T.text (clause_to_string clause);
+           T.cell ~band:(band clause) value;
+           T.text detail;
+         ])
+       spec)

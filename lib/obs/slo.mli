@@ -41,17 +41,8 @@ type clause = {
 
 type spec = clause list
 
-type verdict = {
-  clause : clause;
-  value : float option;  (** [None] when the source was missing *)
-  ok : bool;
-  detail : string;  (** measured comparison, or why it could not be *)
-}
-
 val parse : string -> (spec, string) result
 (** Parse a whole spec; [Error] aggregates every bad line. *)
-
-val clause_to_string : clause -> string
 
 (** {1 Evaluation} *)
 
@@ -63,10 +54,9 @@ type context = {
           when no sampled series covers the counter *)
 }
 
-val eval : context -> spec -> verdict list
-(** One verdict per clause, in spec order. *)
-
-val violations : verdict list -> verdict list
-
-val render : verdict list -> string
-(** One line per verdict: ok/FAIL, the clause, the measurement. *)
+val eval : context -> spec -> Metrics.Table.t
+(** One row per clause, in spec order: the clause, its measurement
+    banded by the clause's comparator ({!Metrics.Table.Missing}, which
+    fails any band, when the source was missing), and the comparison
+    made or why none could be. {!Metrics.Table.violations} names every
+    clause that does not hold. *)

@@ -225,20 +225,3 @@ let sparkline t name =
         Buffer.add_string buf glyphs.(level)
       done;
       Buffer.contents buf
-
-let report t =
-  let buf = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "== time series (%d tick(s) @ %s) ==" t.ticks
-    (Sim.Time.to_string t.cfg.interval);
-  line "%-28s %7s %10s %10s %10s  %s" "gauge" "n" "last" "max" "mean" "trend";
-  List.iter
-    (fun name ->
-      match stat t name with
-      | None -> line "%-28s %7d %10s %10s %10s" name 0 "-" "-" "-"
-      | Some st ->
-          line "%-28s %7d %10.1f %10.1f %10.1f  %s" name st.count st.last
-            st.max st.mean
-            (sparkline t name))
-    (gauges t);
-  Buffer.contents buf

@@ -79,7 +79,4 @@ val rate : ?window:Sim.Time.t -> t -> string -> float option
 
 val sparkline : t -> string -> string
 (** The ring as a unicode block-glyph trend line (empty for unknown or
-    unsampled gauges). Test-only: the sampler tests. *)
-
-val report : t -> string
-(** Per-gauge count/last/max/mean plus sparkline, one line each. *)
+    unsampled gauges). *)

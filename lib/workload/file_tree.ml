@@ -22,6 +22,22 @@ let pick_size prng =
   else if u < 0.85 then 8192 + Sim.Prng.int prng 8192
   else 16384 + Sim.Prng.int prng 49152
 
+(* [n] bytes, byte [i] being [(start + i) land 0xFF]: one 256-byte
+   period is written byte by byte, then doubled by blits, since a
+   per-byte fill of the tree's 4 MB is most of a fixture's build. *)
+let pattern start n =
+  let b = Bytes.create n in
+  for i = 0 to Int.min n 256 - 1 do
+    Bytes.unsafe_set b i (Char.unsafe_chr ((start + i) land 0xFF))
+  done;
+  let filled = ref (Int.min n 256) in
+  while !filled < n do
+    let len = Int.min !filled (n - !filled) in
+    Bytes.blit b 0 b !filled len;
+    filled := !filled + len
+  done;
+  b
+
 let dirs = 24
 let files_per_dir = 16
 let symlinks_per_dir = 2
@@ -44,8 +60,7 @@ let build prng =
       in
       let size = pick_size prng in
       (* Deterministic contents so replays can verify reads. *)
-      let data = Bytes.init size (fun i -> Char.chr ((fh + i) land 0xFF)) in
-      Dfs.File_store.write store fh ~off:0 data;
+      Dfs.File_store.write store fh ~off:0 (pattern fh size);
       files := fh :: !files
     done;
     for s = 0 to symlinks_per_dir - 1 do

@@ -7,6 +7,10 @@ type t
 val build : Sim.Prng.t -> t
 (** 24 directories of 16 files and 2 symbolic links each. *)
 
+val pattern : int -> int -> bytes
+(** [pattern start n]: [n] bytes, byte [i] being [(start + i) land 0xFF]
+    — every file's contents, so a replay can verify what it reads. *)
+
 val store : t -> Dfs.File_store.t
 val file_count : t -> int
 (** Test-only: the workload tests check the generated tree's shape. *)

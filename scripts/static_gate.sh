@@ -378,4 +378,19 @@ for f in $(cd "$stripped" && grep -El "(^|[^A-Za-z0-9_'])(let|val|and)[[:space:]
   fail "$f defines a set_monitor — observers subscribe to the node's event stream"
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem and amsg builders, rmem and RPC completions free of Ivar and the NIC of Mailbox, park/unpark only in sim and nic, no unlisted hash-table iteration, observers only on the node stream, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 19. One JSON writer for rnet.  Every subcommand's --json line is the
+# envelope bin/cli.ml's report writes around a Metrics.Table, as a
+# Metrics.Json tree: no bin/*.ml writes a JSON object by hand (a string
+# literal opening one with {\") or names Analysis.Report.Json, the
+# string-fragment writer only the system benchmark keeps.  Comments are
+# dropped first.
+for f in $(find bin -name '*.ml' | sort); do
+  if strip_comments "$f" | grep -Fq '{\"'; then
+    fail "$f writes a JSON object by hand — return a Metrics.Table report and let Cli.report write the envelope"
+  fi
+  if strip_comments "$f" | grep -Eq "(^|[^A-Za-z0-9_'])(Analysis\.)?Report\.Json([^A-Za-z0-9_']|\$)"; then
+    fail "$f names Analysis.Report.Json — return a Metrics.Table report and let Cli.report write the envelope"
+  fi
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem and amsg builders, rmem and RPC completions free of Ivar and the NIC of Mailbox, park/unpark only in sim and nic, no unlisted hash-table iteration, observers only on the node stream, no hand-written JSON in bin/, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

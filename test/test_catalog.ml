@@ -185,6 +185,68 @@ let narration_is_free () =
         ("file_service", file_service);
       ]
 
+(* Each checker's expectation is the band on the cell it constrains:
+   the catalog's own holds, and flipping it names exactly that cell. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let flips what ~cell ~holds ~flipped =
+  Alcotest.(check (list string))
+    (what ^ ": the catalog's expectation holds")
+    [] (Metrics.Table.violations holds);
+  match Metrics.Table.violations flipped with
+  | [ v ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %s" what v cell)
+        true
+        (contains v (": " ^ cell ^ " = "))
+  | vs ->
+      Alcotest.failf "%s: want one violation, got [%s]" what
+        (String.concat "; " vs)
+
+let race_flip () =
+  let racy = List.assoc "racy" Catalog.race in
+  flips "racy" ~cell:"races"
+    ~holds:(Catalog.race_report ~ci:true ("racy", racy))
+    ~flipped:(Catalog.race_report ~ci:true ("racy", { racy with races = false }))
+
+let model_flip () =
+  let torn = List.assoc "torn_record" Catalog.model in
+  flips "torn_record" ~cell:"failing"
+    ~holds:(Catalog.model_report ~ci:true ("torn_record", torn))
+    ~flipped:
+      (Catalog.model_report ~ci:true ("torn_record", { torn with expect = Clean }))
+
+(* lin --ci's seeded explorations are model reports expecting a
+   linearizability failure. *)
+let lin_flip () =
+  let name = "dds_register_no_writeback" in
+  let bug = List.assoc name Catalog.model in
+  flips name ~cell:"failing"
+    ~holds:(Catalog.model_report ~ci:true (name, bug))
+    ~flipped:(Catalog.model_report ~ci:true (name, { bug with expect = Clean }))
+
+let proto_flip () =
+  let overrun =
+    List.find
+      (fun (p : Catalog.program) -> p.program.name = "frame_overrun")
+      Catalog.proto
+  in
+  flips "frame_overrun" ~cell:"rules"
+    ~holds:(Catalog.proto_report ~ci:true overrun)
+    ~flipped:(Catalog.proto_report ~ci:true { overrun with rules = [] })
+
+let chaos_flip () =
+  let replica = List.assoc "replica" Catalog.campaigns in
+  let leg = List.hd replica.legs in
+  flips "replica" ~cell:"chained"
+    ~holds:(Catalog.chaos_report leg replica.run)
+    ~flipped:(Catalog.chaos_report { leg with chain = true } replica.run)
+
 let suite =
   [
     Alcotest.test_case "race set" `Quick race_set;
@@ -197,4 +259,14 @@ let suite =
       narration_is_free;
     Alcotest.test_case "programs carry their entry's name" `Quick
       programs_named;
+    Alcotest.test_case "race: a flipped expectation names its cell" `Quick
+      race_flip;
+    Alcotest.test_case "model: a flipped expectation names its cell" `Quick
+      model_flip;
+    Alcotest.test_case "lin: a flipped exploration names its cell" `Quick
+      lin_flip;
+    Alcotest.test_case "proto: a flipped expectation names its cell" `Quick
+      proto_flip;
+    Alcotest.test_case "chaos: a flipped expectation names its cell" `Quick
+      chaos_flip;
   ]

@@ -205,22 +205,21 @@ let chrome_process_rows_sorted () =
 
 let decompose_agreement () =
   let d = Experiments.Table1a.decompose () in
-  assert_valid "decompose" d.Experiments.Table1a.trace;
+  (* The spans' tree validates, and each op's span total sits within 1%
+     of the direct timing: the report's bands. *)
+  Alcotest.(check (list string)) "every band holds" []
+    (Metrics.Table.violations d);
+  Alcotest.(check int) "WRITE, READ and CAS" 3 (List.length d.rows);
   List.iter
-    (fun (r : Experiments.Table1a.phase_row) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: spans %.2f us agree with direct %.2f us"
-           r.Experiments.Table1a.op r.Experiments.Table1a.span_us
-           r.Experiments.Table1a.direct_us)
-        true
-        (Float.abs
-           (r.Experiments.Table1a.span_us -. r.Experiments.Table1a.direct_us)
-        <= 0.01 *. r.Experiments.Table1a.direct_us);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s decomposes into phases" r.Experiments.Table1a.op)
-        true
-        (r.Experiments.Table1a.phases <> []))
-    d.Experiments.Table1a.phase_rows
+    (fun row ->
+      match row with
+      | Metrics.Table.
+          [ { value = Text op; _ }; _; _; { value = Text phases; _ } ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s decomposes into phases" op)
+            true (phases <> "")
+      | _ -> Alcotest.fail "decomposition row: op, direct, spans, phases")
+    d.rows
 
 (* ------------------------------------------------------------------ *)
 (* Zero perturbation: the same run, attached or detached, takes the    *)
@@ -480,10 +479,7 @@ let timeseries_sampling () =
     (Obs.Timeseries.running ts);
   Alcotest.(check bool)
     "sparkline renders" true
-    (Obs.Timeseries.sparkline ts "g" <> "");
-  Alcotest.(check bool)
-    "report mentions the gauge" true
-    (contains (Obs.Timeseries.report ts) "g")
+    (Obs.Timeseries.sparkline ts "g" <> "")
 
 let timeseries_window_and_rate () =
   let engine = Sim.Engine.create () in
@@ -546,17 +542,10 @@ let slo_parse_and_pass () =
     | Error e -> Alcotest.failf "spec did not parse: %s" e
   in
   Alcotest.(check int) "five clauses" 5 (List.length spec);
-  let verdicts = Obs.Slo.eval (slo_context ()) spec in
-  List.iter
-    (fun v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "clause passes: %s (%s)"
-           (Obs.Slo.clause_to_string v.Obs.Slo.clause)
-           v.Obs.Slo.detail)
-        true v.Obs.Slo.ok)
-    verdicts;
-  Alcotest.(check int) "no violations" 0
-    (List.length (Obs.Slo.violations verdicts))
+  let report = Obs.Slo.eval (slo_context ()) spec in
+  Alcotest.(check int) "one row per clause" 5 (List.length report.rows);
+  Alcotest.(check (list string)) "no violations" []
+    (Metrics.Table.violations report)
 
 let slo_violations_and_fail_closed () =
   let ctx = slo_context () in
@@ -569,21 +558,26 @@ let slo_violations_and_fail_closed () =
     | Ok s -> s
     | Error e -> Alcotest.failf "spec did not parse: %s" e
   in
-  let verdicts = Obs.Slo.eval ctx spec in
-  Alcotest.(check int) "every clause violated" 5
-    (List.length (Obs.Slo.violations verdicts));
+  let report = Obs.Slo.eval ctx spec in
+  let violations = Metrics.Table.violations report in
+  Alcotest.(check int) "every clause violated" 5 (List.length violations);
   (* The last three are fail-closed: no measurement at all. *)
   List.iteri
-    (fun i v ->
+    (fun i row ->
       if i >= 2 then
         Alcotest.(check bool)
           (Printf.sprintf "clause %d fails closed" i)
           true
-          (v.Obs.Slo.value = None))
-    verdicts;
+          ((List.nth row 1).Metrics.Table.value = Missing))
+    report.rows;
   Alcotest.(check bool)
-    "render marks failures" true
-    (contains (Obs.Slo.render verdicts) "FAIL");
+    "each violation names its clause" true
+    (List.for_all2
+       (fun row v ->
+         match row with
+         | Metrics.Table.{ value = Text clause; _ } :: _ -> contains v clause
+         | _ -> false)
+       report.rows violations);
   (match Obs.Slo.parse "bogus clause here" with
   | Ok _ -> Alcotest.fail "nonsense parsed"
   | Error e ->

@@ -1185,7 +1185,7 @@ let stale_watchdog_never_fires_into_reuse () =
       check_int "nothing in flight" 0 (Rmem.Remote_memory.inflight d.Rig.rmem0))
 
 (* A completion is awaited once: awaiting it again, once it is back in
-   its node's pool, raises [Invalid_argument] (for a READ and a CAS). *)
+   its node's pool, raises [Invalid_argument]. *)
 let released_completion_refused () =
   let d = Rig.duo () in
   Rig.run d (fun () ->
@@ -1200,13 +1200,7 @@ let released_completion_refused () =
           ~dst:(Rig.buffer0 d) ~doff:0 ()
       in
       check_bool "READ served" true (Rmem.Remote_memory.await read = Rmem.Status.Ok);
-      check_bool "READ awaited twice refused" true (refused read);
-      let cas =
-        Rmem.Remote_memory.cas_async d.Rig.rmem0 desc ~doff:0 ~old_value:0
-          ~new_value:1 ()
-      in
-      check_bool "CAS served" true (Rmem.Remote_memory.await cas = Rmem.Status.Ok);
-      check_bool "CAS awaited twice refused" true (refused cas))
+      check_bool "READ awaited twice refused" true (refused read))
 
 (* The pending table empties however operations end: by timeout (with
    their watchdogs fired and their records recycled), by a crash, and
