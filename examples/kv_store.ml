@@ -37,30 +37,24 @@ let get c key =
   let buf = Rmem.Remote_memory.buffer ~space:c.space ~base:0 ~len:fetch in
   Rmem.Remote_memory.read_wait c.rmem c.data ~soff:off ~count:fetch ~dst:buf
     ~doff:0 ();
-  let slot = Cluster.Address_space.read c.space ~addr:0 ~len:fetch in
-  Dfs.Slot_cache.decode_slot slot ~key1:k ~key2:0
+  let len =
+    Dfs.Slot_cache.payload_length cache_config c.space ~addr:0 ~key1:k ~key2:0
+      ~len:cache_config.payload_bytes
+  in
+  if len = Dfs.Slot_cache.miss then None
+  else
+    Some
+      (Cluster.Address_space.read c.space ~addr:Dfs.Slot_cache.header_bytes ~len)
 
 let put c key value =
   let k = key_hash key in
   let off = Dfs.Slot_cache.offset_of_key_cfg cache_config ~key1:k ~key2:0 in
-  let image =
-    (* A slot image with the right keys; flag travels in the header. *)
-    let b = Bytes.make (Dfs.Slot_cache.header_bytes + Bytes.length value) '\000' in
-    Bytes.set_int32_le b 0 1l;
-    Bytes.set_int32_le b 4 (Int32.of_int k);
-    Bytes.set_int32_le b 12 (Int32.of_int (Bytes.length value));
-    Bytes.blit value 0 b Dfs.Slot_cache.header_bytes (Bytes.length value);
-    b
-  in
-  let header = Bytes.sub image 0 Dfs.Slot_cache.header_bytes in
-  let payload =
-    Bytes.sub image Dfs.Slot_cache.header_bytes
-      (Bytes.length image - Dfs.Slot_cache.header_bytes)
-  in
+  (* Body first, then the header with the valid flag. *)
   Rmem.Remote_memory.write c.rmem c.data
     ~off:(off + Dfs.Slot_cache.header_bytes)
-    payload;
-  Rmem.Remote_memory.write c.rmem c.data ~off header
+    value;
+  Rmem.Remote_memory.write c.rmem c.data ~off
+    (Dfs.Slot_cache.header ~key1:k ~key2:0 ~len:(Bytes.length value))
 
 (* Atomic read-modify-write under the key's token. *)
 let increment c key =

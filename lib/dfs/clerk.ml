@@ -32,7 +32,6 @@ type t = {
   l_attr : Slot_cache.t;
   l_name : Slot_cache.t;
   l_link : Slot_cache.t;
-  l_dir : Slot_cache.t;
   l_file : Slot_cache.t;
   (* imported server segments *)
   d_stat : Rmem.Descriptor.t;
@@ -71,7 +70,6 @@ let create ?rpc ?(export_local_cache = false) ~names ~server () =
       l_attr = cache Layout.attr_base Layout.attr_cache;
       l_name = cache Layout.name_base Layout.name_cache;
       l_link = cache Layout.link_base Layout.link_cache;
-      l_dir = cache Layout.dir_base Layout.dir_cache;
       l_file = cache Layout.file_base Layout.file_cache;
       d_stat = import Layout.statfs_name;
       d_attr = import Layout.attr_name;
@@ -158,32 +156,64 @@ let hybrid_fetch t op =
 (* ------------------------------------------------------------------ *)
 (* DX: pure data transfer against the server's cache slots.            *)
 
-(* Validate a fetched slot image: flag and keys; accept a stored length
-   of at least [len] even though only a prefix of the payload was
-   fetched. *)
-let decode_slot slot ~key1 ~key2 ~len =
-  if Bytes.length slot < Slot_cache.header_bytes then None
-  else if not (Int32.equal (Bytes.get_int32_le slot 0) 1l) then None
-  else if
-    not
-      (Int32.to_int (Bytes.get_int32_le slot 4) = key1
-      && Int32.to_int (Bytes.get_int32_le slot 8) = key2)
-  then None
-  else begin
-    let stored = Int32.to_int (Bytes.get_int32_le slot 12) in
-    let usable = Stdlib.min stored len in
-    Some (Bytes.sub slot Slot_cache.header_bytes usable)
-  end
+(* Fetch the head of a server cache slot into the probe buffer and
+   validate it where it landed: the usable length of the [len] payload
+   bytes we need, or [Slot_cache.miss].  The caller copies what it keeps
+   from [payload_base], once. *)
+let payload_base = probe_base + Slot_cache.header_bytes
 
-(* Fetch the head of a server cache slot and validate it; [len] is how
-   many payload bytes we need. *)
 let dx_fetch_slot t desc config ~key1 ~key2 ~len =
   let off = Slot_cache.offset_of_key_cfg config ~key1 ~key2 in
-  let fetch = Slot_cache.header_bytes + len in
-  dx_read t desc ~soff:off ~count:fetch;
+  dx_read t desc ~soff:off ~count:(Slot_cache.header_bytes + len);
   Metrics.Account.add t.stats ~category:"dx reads" 1.;
-  let slot = Cluster.Address_space.read t.space ~addr:probe_base ~len:fetch in
-  decode_slot slot ~key1 ~key2 ~len
+  Slot_cache.payload_length config t.space ~addr:probe_base ~key1 ~key2 ~len
+
+let payload t ~off ~len =
+  Cluster.Address_space.read t.space ~addr:(payload_base + off) ~len
+
+(* Read's bytes from [pos] on: one slot read per touched block, its span
+   copied straight into [out]; [false] on a miss. *)
+let rec dx_read_blocks t ~fh ~off out ~pos =
+  pos >= Bytes.length out
+  ||
+  let abs = off + pos in
+  let block = abs / File_store.block_bytes in
+  let boff = abs mod File_store.block_bytes in
+  let span =
+    Int.min (Bytes.length out - pos) (File_store.block_bytes - boff)
+  in
+  dx_fetch_slot t t.d_file Layout.file_cache ~key1:fh ~key2:block
+    ~len:(boff + span)
+  >= boff + span
+  && begin
+       Cluster.Address_space.read_into t.space ~addr:(payload_base + boff)
+         ~len:span out ~pos;
+       dx_read_blocks t ~fh ~off out ~pos:(pos + span)
+     end
+
+(* ReadDir's listing from [chunk] (at [pos]) on: one slot read per 4 KB
+   chunk, copied straight into the result.  A short chunk ends it, and
+   so does a missing one after the first.  A listing that ends in its
+   first chunk is copied at its own length, a longer one into [count]
+   bytes, cut only if it ends early. *)
+let rec dx_read_dir t ~fh ~count out ~chunk ~pos =
+  if pos >= count then Some out
+  else
+    let want = Int.min Layout.dir_chunk_bytes (count - pos) in
+    let usable =
+      dx_fetch_slot t t.d_dir Layout.dir_cache ~key1:fh ~key2:chunk ~len:want
+    in
+    if usable = Slot_cache.miss then
+      if chunk = 0 then None else Some (Bytes.sub out 0 pos)
+    else if chunk = 0 && (usable < want || want = count) then
+      Some (payload t ~off:0 ~len:usable)
+    else begin
+      let out = if chunk = 0 then Bytes.create count else out in
+      Cluster.Address_space.read_into t.space ~addr:payload_base ~len:usable
+        out ~pos;
+      if usable < want then Some (Bytes.sub out 0 (pos + usable))
+      else dx_read_dir t ~fh ~count out ~chunk:(chunk + 1) ~pos:(pos + usable)
+    end
 
 let synthesized_attr ~fh ~size =
   {
@@ -207,143 +237,82 @@ let dx_fetch t op =
   charge t (Sim.Time.us 1);
   let miss () =
     Metrics.Account.add t.stats ~category:"dx misses -> control" 1.;
-    Some (hybrid_fetch t op)
+    hybrid_fetch t op
   in
-  let result =
-    match op with
-    | Nfs_ops.Null ->
-        (* Liveness probe: read a known word of the statfs area. *)
-        dx_read t t.d_stat ~soff:0 ~count:4;
-        Some Nfs_ops.R_null
-    | Nfs_ops.Statfs -> (
-        dx_read t t.d_stat ~soff:0 ~count:20;
-        let b = Cluster.Address_space.read t.space ~addr:probe_base ~len:20 in
-        if not (Int32.equal (Bytes.get_int32_le b 0) 1l) then miss ()
-        else
-          let field i = Int32.to_int (Bytes.get_int32_le b (i * 4)) in
-          Some
-            (Nfs_ops.R_statfs
-               {
-                 File_store.total_blocks = field 1;
-                 free_blocks = field 2;
-                 files = field 3;
-                 block_size = field 4;
-               }))
-    | Nfs_ops.Get_attr { fh } -> (
-        match
-          dx_fetch_slot t t.d_attr Layout.attr_cache ~key1:fh ~key2:0
-            ~len:File_store.attr_bytes
-        with
-        | Some payload -> Some (Nfs_ops.R_attr (Nfs_ops.decode_attr payload))
-        | None -> miss ())
-    | Nfs_ops.Lookup { dir; name } -> (
-        match
-          dx_fetch_slot t t.d_name Layout.name_cache ~key1:dir
-            ~key2:(name_key name)
-            ~len:(4 + File_store.attr_bytes)
-        with
-        | Some payload ->
-            let fh = Int32.to_int (Bytes.get_int32_le payload 0) in
-            Some
-              (Nfs_ops.R_lookup
-                 {
-                   fh;
-                   attr =
-                     Nfs_ops.decode_attr
-                       (Bytes.sub payload 4 File_store.attr_bytes);
-                 })
-        | None -> miss ())
-    | Nfs_ops.Read_link { fh } -> (
-        match
-          dx_fetch_slot t t.d_link Layout.link_cache ~key1:fh ~key2:0
-            ~len:Layout.link_cache.Slot_cache.payload_bytes
-        with
-        | Some payload -> Some (Nfs_ops.R_link (Bytes.to_string payload))
-        | None -> miss ())
-    | Nfs_ops.Read { fh; off; count } -> (
-        (* One slot read per touched block, assembled client-side. *)
-        let out = Bytes.create count in
-        let rec gather pos =
-          if pos >= count then Some (Nfs_ops.R_data out)
-          else begin
-            let abs = off + pos in
-            let block = abs / File_store.block_bytes in
-            let boff = abs mod File_store.block_bytes in
-            let span =
-              Stdlib.min (count - pos) (File_store.block_bytes - boff)
-            in
-            match
-              dx_fetch_slot t t.d_file Layout.file_cache ~key1:fh ~key2:block
-                ~len:(boff + span)
-            with
-            | Some payload when Bytes.length payload >= boff + span ->
-                Bytes.blit payload boff out pos span;
-                gather (pos + span)
-            | Some _ | None -> None
-          end
-        in
-        match gather 0 with Some r -> Some r | None -> miss ())
-    | Nfs_ops.Read_dir { fh; count } -> (
-        (* One slot read per 4 KB chunk of the packed listing; a short
-           chunk ends it. *)
-        let buffer = Buffer.create count in
-        let rec gather chunk =
-          if Buffer.length buffer >= count then
-            Some (Nfs_ops.R_entries (Bytes.sub (Buffer.to_bytes buffer) 0 count))
-          else
-            let want =
-              Stdlib.min Layout.dir_chunk_bytes (count - Buffer.length buffer)
-            in
-            match
-              dx_fetch_slot t t.d_dir Layout.dir_cache ~key1:fh ~key2:chunk
-                ~len:want
-            with
-            | Some payload ->
-                Buffer.add_bytes buffer payload;
-                if Bytes.length payload < want then
-                  (* The listing ended inside this chunk. *)
-                  Some (Nfs_ops.R_entries (Buffer.to_bytes buffer))
-                else gather (chunk + 1)
-            | None ->
-                if chunk = 0 then None
-                else
-                  (* Later chunks simply do not exist: the listing is
-                     shorter than asked for. *)
-                  Some (Nfs_ops.R_entries (Buffer.to_bytes buffer))
-        in
-        match gather 0 with Some r -> Some r | None -> miss ())
-    | Nfs_ops.Write { fh; off; data } ->
-        let block = off / File_store.block_bytes in
-        let boff = off mod File_store.block_bytes in
-        if boff <> 0 || Bytes.length data > File_store.block_bytes then
-          invalid_arg "Dfs clerk: unaligned write push";
-        let slot_off =
-          Slot_cache.offset_of_key_cfg Layout.file_cache ~key1:fh ~key2:block
-        in
-        (* Push the block into the server's file cache: body first, then
-           the header with the valid flag. *)
-        let header = Bytes.create Slot_cache.header_bytes in
-        Bytes.set_int32_le header 0 1l;
-        Bytes.set_int32_le header 4 (Int32.of_int fh);
-        Bytes.set_int32_le header 8 (Int32.of_int block);
-        Bytes.set_int32_le header 12 (Int32.of_int (Bytes.length data));
-        dx_write t t.d_file ~off:(slot_off + Slot_cache.header_bytes) data;
-        dx_write t t.d_file ~off:slot_off header;
-        Metrics.Account.add t.stats ~category:"dx writes" 1.;
-        Some
-          (Nfs_ops.R_write
-             (synthesized_attr ~fh ~size:(off + Bytes.length data)))
-    | Nfs_ops.Set_attr _ | Nfs_ops.Create _ | Nfs_ops.Remove _
-    | Nfs_ops.Rename _ | Nfs_ops.Mkdir _ | Nfs_ops.Rmdir _ ->
-        (* Namespace and attribute mutations need the server's namespace
-           procedures: control transfer by design (the paper's "Other"
-           activity, 0.4% of the mix). *)
-        Metrics.Account.add t.stats ~category:"dx mutations -> control" 1.;
-        Some (hybrid_fetch t op)
-  in
-  match result with
-  | Some r -> r
-  | None -> assert false
+  match op with
+  | Nfs_ops.Null ->
+      (* Liveness probe: read a known word of the statfs area. *)
+      dx_read t t.d_stat ~soff:0 ~count:4;
+      Nfs_ops.R_null
+  | Nfs_ops.Statfs ->
+      dx_read t t.d_stat ~soff:0 ~count:20;
+      let field i =
+        Cluster.Address_space.read_word t.space ~addr:(probe_base + (i * 4))
+      in
+      if field 0 <> 1 then miss ()
+      else
+        Nfs_ops.R_statfs
+          {
+            File_store.total_blocks = field 1;
+            free_blocks = field 2;
+            files = field 3;
+            block_size = field 4;
+          }
+  | Nfs_ops.Get_attr { fh } ->
+      let len = File_store.attr_bytes in
+      if dx_fetch_slot t t.d_attr Layout.attr_cache ~key1:fh ~key2:0 ~len < len
+      then miss ()
+      else Nfs_ops.R_attr (Nfs_ops.decode_attr (payload t ~off:0 ~len))
+  | Nfs_ops.Lookup { dir; name } ->
+      let len = File_store.attr_bytes in
+      if
+        dx_fetch_slot t t.d_name Layout.name_cache ~key1:dir
+          ~key2:(name_key name) ~len:(4 + len)
+        < 4 + len
+      then miss ()
+      else
+        Nfs_ops.R_lookup
+          {
+            fh = Cluster.Address_space.read_word t.space ~addr:payload_base;
+            attr = Nfs_ops.decode_attr (payload t ~off:4 ~len);
+          }
+  | Nfs_ops.Read_link { fh } ->
+      let len =
+        dx_fetch_slot t t.d_link Layout.link_cache ~key1:fh ~key2:0
+          ~len:Layout.link_cache.Slot_cache.payload_bytes
+      in
+      if len = Slot_cache.miss then miss ()
+      else Nfs_ops.R_link (Bytes.unsafe_to_string (payload t ~off:0 ~len))
+  | Nfs_ops.Read { fh; off; count } ->
+      let out = Bytes.create count in
+      if dx_read_blocks t ~fh ~off out ~pos:0 then Nfs_ops.R_data out
+      else miss ()
+  | Nfs_ops.Read_dir { fh; count } -> (
+      match dx_read_dir t ~fh ~count Bytes.empty ~chunk:0 ~pos:0 with
+      | Some entries -> Nfs_ops.R_entries entries
+      | None -> miss ())
+  | Nfs_ops.Write { fh; off; data } ->
+      let block = off / File_store.block_bytes in
+      if off mod File_store.block_bytes <> 0
+         || Bytes.length data > File_store.block_bytes
+      then invalid_arg "Dfs clerk: unaligned write push";
+      let slot_off =
+        Slot_cache.offset_of_key_cfg Layout.file_cache ~key1:fh ~key2:block
+      in
+      (* Push the block into the server's file cache: body first, then
+         the header with the valid flag. *)
+      dx_write t t.d_file ~off:(slot_off + Slot_cache.header_bytes) data;
+      dx_write t t.d_file ~off:slot_off
+        (Slot_cache.header ~key1:fh ~key2:block ~len:(Bytes.length data));
+      Metrics.Account.add t.stats ~category:"dx writes" 1.;
+      Nfs_ops.R_write (synthesized_attr ~fh ~size:(off + Bytes.length data))
+  | Nfs_ops.Set_attr _ | Nfs_ops.Create _ | Nfs_ops.Remove _
+  | Nfs_ops.Rename _ | Nfs_ops.Mkdir _ | Nfs_ops.Rmdir _ ->
+      (* Namespace and attribute mutations need the server's namespace
+         procedures: control transfer by design (the paper's "Other"
+         activity, 0.4% of the mix). *)
+      Metrics.Account.add t.stats ~category:"dx mutations -> control" 1.;
+      hybrid_fetch t op
 
 (* ------------------------------------------------------------------ *)
 (* RPC baseline.                                                       *)
@@ -418,13 +387,8 @@ let local_lookup t op =
           if Bytes.length p >= boff + count then
             Some (Nfs_ops.R_data (Bytes.sub p boff count))
           else None)
-  | Nfs_ops.Read_dir { fh; count } ->
-      Option.map
-        (fun p ->
-          Nfs_ops.R_entries (Bytes.sub p 0 (Stdlib.min count (Bytes.length p))))
-        (Slot_cache.lookup_local t.l_dir ~key1:fh ~key2:0)
-  | Nfs_ops.Null | Nfs_ops.Statfs | Nfs_ops.Write _ | Nfs_ops.Set_attr _
-  | Nfs_ops.Create _ | Nfs_ops.Remove _ | Nfs_ops.Rename _ | Nfs_ops.Mkdir _
+  | Nfs_ops.Null | Nfs_ops.Statfs | Nfs_ops.Read_dir _ | Nfs_ops.Write _
+  | Nfs_ops.Set_attr _ | Nfs_ops.Create _ | Nfs_ops.Remove _ | Nfs_ops.Rename _ | Nfs_ops.Mkdir _
   | Nfs_ops.Rmdir _ ->
       None
 

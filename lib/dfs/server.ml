@@ -182,11 +182,8 @@ let push_block t ~fh ~block =
       let slot_off =
         Slot_cache.offset_of_key_cfg Layout.file_cache ~key1:fh ~key2:block
       in
-      let image = Slot_cache.encode_slot t.file_cache ~key1:fh ~key2:block data in
-      let header = Bytes.sub image 0 Slot_cache.header_bytes in
-      let payload =
-        Bytes.sub image Slot_cache.header_bytes
-          (Bytes.length image - Slot_cache.header_bytes)
+      let header =
+        Slot_cache.header ~key1:fh ~key2:block ~len:(Bytes.length data)
       in
       (* Push to subscribers in address order, not bucket order. *)
       Hashtbl.fold (fun addr desc acc -> (addr, desc) :: acc) t.push_targets []
@@ -195,7 +192,7 @@ let push_block t ~fh ~block =
              (* Body first, header (with the valid flag) second. *)
              Rmem.Remote_memory.write t.rmem desc
                ~off:(slot_off + Slot_cache.header_bytes)
-               payload;
+               data;
              Rmem.Remote_memory.write t.rmem desc ~off:slot_off header;
              t.blocks_pushed <- t.blocks_pushed + 1)
 

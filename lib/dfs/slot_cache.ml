@@ -44,12 +44,8 @@ let mix k1 k2 =
 
 (* Pure addressing from a config alone: what a clerk uses to compute
    slot offsets inside the *server's* cache segment. *)
-let slot_of_key_cfg config ~key1 ~key2 = mix key1 key2 land (config.slots - 1)
-
-let offset_of_slot_cfg config slot = slot * slot_bytes config
-
 let offset_of_key_cfg config ~key1 ~key2 =
-  offset_of_slot_cfg config (slot_of_key_cfg config ~key1 ~key2)
+  (mix key1 key2 land (config.slots - 1)) * slot_bytes config
 
 let offset_of_key t ~key1 ~key2 = offset_of_key_cfg t.config ~key1 ~key2
 
@@ -71,40 +67,43 @@ let invalidate t ~key1 ~key2 =
   let addr = t.base + offset_of_key t ~key1 ~key2 in
   Cluster.Address_space.write_word t.space ~addr flag_invalid
 
-(* Decode a fetched (or local) slot image, validating flag and keys. *)
-let decode_slot slot ~key1 ~key2 =
-  if Bytes.length slot < header_bytes then None
-  else if Int32.to_int (Bytes.get_int32_le slot 0) <> flag_valid then None
-  else if
-    not
-      (Int32.to_int (Bytes.get_int32_le slot 4) = key1
-      && Int32.to_int (Bytes.get_int32_le slot 8) = key2)
-  then None
-  else begin
-    let len = Int32.to_int (Bytes.get_int32_le slot 12) in
-    if len < 0 || len > Bytes.length slot - header_bytes then None
-    else Some (Bytes.sub slot header_bytes len)
-  end
+(* The one slot rule, applied where the slot image lies: the slot image
+   at [addr] of [space] is usable when its flag word is valid, both keys
+   match and its stored length is neither negative nor longer than the
+   slot.  Four word reads, nothing copied or allocated.  The result is
+   the usable payload length, at most [len] (the payload bytes a reader
+   fetched), or [miss]. *)
+let miss = -1
+
+let payload_length config space ~addr ~key1 ~key2 ~len =
+  if
+    Cluster.Address_space.read_word space ~addr <> flag_valid
+    || Cluster.Address_space.read_word space ~addr:(addr + 4) <> key1
+    || Cluster.Address_space.read_word space ~addr:(addr + 8) <> key2
+  then miss
+  else
+    let stored = Cluster.Address_space.read_word space ~addr:(addr + 12) in
+    if stored < 0 || stored > config.payload_bytes then miss
+    else Int.min stored len
 
 let lookup_local t ~key1 ~key2 =
   let addr = t.base + offset_of_key t ~key1 ~key2 in
-  let slot =
-    Cluster.Address_space.read t.space ~addr ~len:(slot_bytes t.config)
+  let len =
+    payload_length t.config t.space ~addr ~key1 ~key2
+      ~len:t.config.payload_bytes
   in
-  decode_slot slot ~key1 ~key2
+  if len = miss then None
+  else
+    Some (Cluster.Address_space.read t.space ~addr:(addr + header_bytes) ~len)
 
-(* Build a slot image for pushing into a remote cache: the payload with
-   its header, flag already valid.  The pusher writes the body (header
-   excluded) first and the 16-byte header second, so a concurrent remote
-   reader never sees a valid flag over torn contents. *)
-let encode_slot t ~key1 ~key2 payload =
-  let len = Bytes.length payload in
-  if len > t.config.payload_bytes then
-    invalid_arg "Slot_cache.encode_slot: payload too large";
-  let b = Bytes.make (header_bytes + len) '\000' in
+(* The 16-byte header of a slot pushed into a remote cache, flag already
+   valid.  The pusher writes the payload first and this header second,
+   so a concurrent remote reader never sees a valid flag over torn
+   contents. *)
+let header ~key1 ~key2 ~len =
+  let b = Bytes.create header_bytes in
   Bytes.set_int32_le b 0 (Int32.of_int flag_valid);
   Bytes.set_int32_le b 4 (Int32.of_int key1);
   Bytes.set_int32_le b 8 (Int32.of_int key2);
   Bytes.set_int32_le b 12 (Int32.of_int len);
-  Bytes.blit payload 0 b header_bytes len;
   b

@@ -38,12 +38,20 @@ val offset_of_key_cfg : config -> key1:int -> key2:int -> int
 val install : t -> key1:int -> key2:int -> bytes -> unit
 val invalidate : t -> key1:int -> key2:int -> unit
 val lookup_local : t -> key1:int -> key2:int -> bytes option
+(** The payload of a usable slot ({!payload_length}), copied once. *)
 
 (** {1 Remote-access helpers} *)
 
-val decode_slot : bytes -> key1:int -> key2:int -> bytes option
-(** Validate a fetched slot image: flag set, keys matching, sane length. *)
+val miss : int
+(** [-1]: {!payload_length}'s answer for an unusable slot. *)
 
-val encode_slot : t -> key1:int -> key2:int -> bytes -> bytes
-(** A full slot image for pushing into a remote cache of the same
-    config. *)
+val payload_length :
+  config -> Cluster.Address_space.t -> addr:int -> key1:int -> key2:int ->
+  len:int -> int
+(** Validate the slot image at [addr] in place, allocating nothing: flag
+    valid, keys matching, stored length within [0, payload_bytes]. The
+    usable payload length, at most [len], or {!miss}. *)
+
+val header : key1:int -> key2:int -> len:int -> bytes
+(** A valid header for a slot pushed into a remote cache, written after
+    its payload. *)

@@ -246,7 +246,9 @@ let violations t =
     let where =
       String.concat ""
         (List.filter_map
-           (function { value = Text s; _ } -> Some (s ^ ": ") | _ -> None)
+           (function
+             | { value = Text s; _ } when s <> "" -> Some (s ^ ": ")
+             | _ -> None)
            cells)
     in
     List.filter_map Fun.id (List.map2 (check where) t.columns cells)

@@ -63,12 +63,9 @@ let encode t =
   Bytes.set_int32_le b 56 (Int32.of_int (Rmem.Rights.to_code t.rights));
   b
 
-let is_valid slot =
-  flag_of_slot slot = flag_valid
-
 let decode slot =
   if Bytes.length slot < slot_bytes then None
-  else if not (is_valid slot) then None
+  else if flag_of_slot slot <> flag_valid then None
   else begin
     let raw_name = Bytes.sub_string slot 8 name_bytes in
     let name =
@@ -87,6 +84,40 @@ let decode slot =
         rights = Rmem.Rights.of_code (field 56);
       }
   end
+
+(* [decode] followed by a name comparison, read in place from the slot
+   at [addr] of [space]: the name field must hold [name]'s bytes and
+   then a NUL (unless they fill all 32), so a longer name or one holding
+   a NUL never matches.  Nothing is copied; a hit's record shares
+   [name]. *)
+let word space addr off = Cluster.Address_space.read_word space ~addr:(addr + off)
+
+let rec name_from space addr name i =
+  i >= name_bytes
+  ||
+  let byte =
+    (word space addr (8 + (i land lnot 3)) lsr (8 * (i land 3))) land 0xff
+  in
+  if i = String.length name then byte = 0
+  else byte = Char.code name.[i] && name_from space addr name (i + 1)
+
+let lookup_at space ~addr name =
+  if
+    word space addr 0 = flag_valid
+    && String.length name <= name_bytes
+    && (not (String.contains name '\000'))
+    && name_from space addr name 0
+  then
+    Some
+      {
+        name;
+        node = word space addr 40;
+        segment_id = word space addr 44;
+        generation = Rmem.Generation.of_int (word space addr 48);
+        size = word space addr 52;
+        rights = Rmem.Rights.of_code (word space addr 56);
+      }
+  else None
 
 let invalid_slot () = Bytes.make slot_bytes '\000'
 

@@ -21,9 +21,6 @@ val flag_moved : int
     segment. Probe chains skip (rather than end at) a moved slot, and a
     remote reader that meets one knows its shard map may be stale. *)
 
-val flag_of_slot : bytes -> int
-(** The slot's leading flag word ([flag_invalid] on a short slot). *)
-
 val make :
   name:string ->
   node:int ->
@@ -42,7 +39,11 @@ val encode : t -> bytes
 val decode : bytes -> t option
 (** [None] when the slot is invalid (never exported or deleted). *)
 
-val is_valid : bytes -> bool
+val lookup_at : Cluster.Address_space.t -> addr:int -> string -> t option
+(** [decode] of the slot image at [addr] followed by a name comparison,
+    read in place: [Some] only for a valid slot holding exactly the
+    name, whose record then shares the caller's string. *)
+
 val invalid_slot : unit -> bytes
 (** Test-only: the record codec tests. *)
 

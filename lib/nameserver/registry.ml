@@ -28,26 +28,29 @@ let slot_index t name probe =
 
 let slot_offset (_ : t) index = index * Record.slot_bytes
 
+let lookup_at t index name =
+  Record.lookup_at t.space ~addr:(t.base + slot_offset t index) name
+
 let read_slot t index =
   Cluster.Address_space.read t.space
     ~addr:(t.base + slot_offset t index)
     ~len:Record.slot_bytes
 
-(* The shared probe walk ({!Dds.Probe}), classified over local slots:
-   an invalid slot is free (chain-ending), a moved tombstone is skipped
-   but reusable, and only a decodable record holding [name] is a hit. *)
+let flag t index =
+  Cluster.Address_space.read_word t.space ~addr:(t.base + slot_offset t index)
+
+(* The shared probe walk ({!Dds.Probe}), classified over local slots read
+   in place: an invalid slot is free (chain-ending), a moved tombstone is
+   skipped but reusable, and only a valid record holding [name] is a
+   hit. *)
 let walk t name =
   Dds.Probe.walk ~slots:t.slots ~hash:(Record.fnv_hash name)
     ~classify:(fun ~index ~probe:_ ->
-      let slot = read_slot t index in
-      let flag = Record.flag_of_slot slot in
+      let flag = flag t index in
       if flag = Record.flag_invalid then Dds.Probe.Free
       else if flag = Record.flag_moved then Dds.Probe.Tombstone None
-      else
-        match Record.decode slot with
-        | Some existing when String.equal existing.Record.name name ->
-            Dds.Probe.Hit
-        | Some _ | None -> Dds.Probe.Other)
+      else if Option.is_some (lookup_at t index name) then Dds.Probe.Hit
+      else Dds.Probe.Other)
 
 (* Insert: a valid slot already holding this name is overwritten
    (re-export replaces); otherwise the first tombstone along the chain
@@ -67,7 +70,7 @@ let insert t record =
   | Ok index ->
       let slot = Record.encode record in
       let body = Bytes.sub slot 4 (Record.slot_bytes - 4) in
-      let was_valid = Record.is_valid (read_slot t index) in
+      let was_valid = flag t index = Record.flag_valid in
       (* Invalidate, fill body, then set the flag word — the remote
          readers' consistency contract. *)
       Cluster.Address_space.write_word t.space
@@ -84,10 +87,8 @@ let insert t record =
 
 let lookup t name =
   match walk t name with
-  | Dds.Probe.Found { index; probes } -> (
-      match Record.decode (read_slot t index) with
-      | Some record -> Some (record, probes)
-      | None -> None)
+  | Dds.Probe.Found { index; probes } ->
+      Option.map (fun record -> (record, probes)) (lookup_at t index name)
   | Dds.Probe.Absent _ -> None
 
 let well_formed t =

@@ -215,21 +215,19 @@ let probe_shard t e name =
           ~soff:(index * Record.slot_bytes)
           ~count:Record.slot_bytes ~doff:probe_base;
         Metrics.Account.add t.stats ~category:"remote probes" 1.;
-        let slot =
-          Cluster.Address_space.read t.space ~addr:probe_base
-            ~len:Record.slot_bytes
-        in
-        let flag = Record.flag_of_slot slot in
-        if flag = Record.flag_invalid then Dds.Probe.Free
-        else if flag = Record.flag_moved then
-          Dds.Probe.Tombstone (Record.decode_forward slot)
+        let flag = Cluster.Address_space.read_word t.space ~addr:probe_base in
+        if flag = Record.flag_moved then
+          Dds.Probe.Tombstone
+            (Record.decode_forward
+               (Cluster.Address_space.read t.space ~addr:probe_base
+                  ~len:Record.slot_bytes))
+        else if flag <> Record.flag_valid then Dds.Probe.Free
         else
-          match Record.decode slot with
-          | Some r when String.equal r.Record.name name ->
+          match Record.lookup_at t.space ~addr:probe_base name with
+          | Some r ->
               found := Some r;
               Dds.Probe.Hit
-          | Some _ -> Dds.Probe.Other
-          | None -> Dds.Probe.Free)
+          | None -> Dds.Probe.Other)
   in
   match outcome with
   | Dds.Probe.Found _ -> (

@@ -15,10 +15,11 @@
 #     sim-clock records ("clock":"sim"), the correct/attempted/failed
 #     fields of each workload's summary line and its exit status.
 #
-# It also prints, as information and not as a difference, a table of
-# each workload's host_words_per_op from the --trace 0 runs, parent
-# against working tree: the count repeats exactly for one seed, so an
-# allocation claim can be checked with this one command.
+# It also prints, as information and not as a difference, two tables
+# of each workload's host figures from the --trace 0 runs, parent
+# against working tree: host_words_per_op and host_peak_heap_mb.  Both
+# repeat exactly for one seed, so an allocation or heap claim can be
+# checked with this one command.
 #
 # The simulator is deterministic, so a refactor that changes no
 # behaviour shows no difference beyond tests it adds or changes.  A
@@ -53,9 +54,12 @@ surfaces() {
       dune exec --display=quiet bench/suite/suite.exe -- --seed 11 \
         --seconds 2 --trace "$trace" >"$2/suite.raw" 2>&1
       status=$?
-      [ "$trace" -eq 0 ] &&
-        sed -n 's/.*"workload":"\([a-z_]*\)".*"metric":"host_words_per_op".*"value":\([^,]*\),.*/\1 \2/p' \
-          "$2/suite.raw" >"$2.words"
+      if [ "$trace" -eq 0 ]; then
+        for metric in host_words_per_op host_peak_heap_mb; do
+          sed -n "s/.*\"workload\":\"\([a-z_]*\)\".*\"metric\":\"$metric\".*\"value\":\([^,]*\),.*/\1 \2/p" \
+            "$2/suite.raw" >"$2.$metric"
+        done
+      fi
       out="$2/suite.trace$trace"
       sed -n -e '/"clock":"sim"/p' \
         -e 's/^\({"correct":[a-z]*,"attempted":[0-9]*,"failed":[0-9]*\).*/\1}/p' \
@@ -85,13 +89,15 @@ while read -r f; do
     status=1
   fi
 done <"$work/names"
-echo "host_words_per_op (--seed 11 --seconds 2 --trace 0; information, not a difference):"
-awk 'NR == FNR { parent[$1] = $2; next }
-     { p = parent[$1]
-       change = (p > 0) ? sprintf("%+.1f%%", 100 * ($2 - p) / p) : "-"
-       printf "  %-14s %12.1f %12.1f %8s\n", $1, p, $2, change }
-     BEGIN { printf "  %-14s %12s %12s %8s\n", "workload", "parent", "tree", "change" }' \
-  "$work/parent.words" "$work/current.words"
+for metric in host_words_per_op host_peak_heap_mb; do
+  echo "$metric (--seed 11 --seconds 2 --trace 0; information, not a difference):"
+  awk 'NR == FNR { parent[$1] = $2; next }
+       { p = parent[$1]
+         change = (p > 0) ? sprintf("%+.1f%%", 100 * ($2 - p) / p) : "-"
+         printf "  %-14s %12.1f %12.1f %8s\n", $1, p, $2, change }
+       BEGIN { printf "  %-14s %12s %12s %8s\n", "workload", "parent", "tree", "change" }' \
+    "$work/parent.$metric" "$work/current.$metric"
+done
 if [ -s "$work/empty" ]; then
   cat "$work/empty"
   status=1

@@ -137,20 +137,45 @@ let slot_cache_addressing_pure =
       Dfs.Slot_cache.offset_of_key c ~key1 ~key2
       = Dfs.Slot_cache.offset_of_key_cfg cfg ~key1 ~key2)
 
+(* The one slot rule, read in place: a valid flag, both keys, and a
+   stored length within the slot; the usable length is capped at what
+   the reader fetched. *)
 let slot_cache_decode_rejects () =
-  let c = slot_cache () in
-  Dfs.Slot_cache.install c ~key1:7 ~key2:8 (Bytes.of_string "data");
-  let cfg = Dfs.Slot_cache.config c in
   let space = Cluster.Address_space.create ~asid:3 () in
-  ignore space;
-  let slot_bytes = Dfs.Slot_cache.slot_bytes cfg in
-  ignore slot_bytes;
-  (* Decoding with the wrong keys fails even on a valid slot image. *)
-  let image = Dfs.Slot_cache.encode_slot c ~key1:7 ~key2:8 (Bytes.of_string "data") in
-  check_bool "right keys" true
-    (Dfs.Slot_cache.decode_slot image ~key1:7 ~key2:8 <> None);
-  check_bool "wrong keys" true
-    (Dfs.Slot_cache.decode_slot image ~key1:7 ~key2:9 = None)
+  let cfg = { Dfs.Slot_cache.slots = 64; payload_bytes = 128 } in
+  let c = Dfs.Slot_cache.create ~space ~base:0 cfg in
+  let addr = Dfs.Slot_cache.offset_of_key c ~key1:7 ~key2:8 in
+  let usable ?(key1 = 7) ?(key2 = 8) len =
+    Dfs.Slot_cache.payload_length cfg space ~addr ~key1 ~key2 ~len
+  in
+  let miss = Dfs.Slot_cache.miss in
+  check_int "empty slot" miss (usable 128);
+  Dfs.Slot_cache.install c ~key1:7 ~key2:8 (Bytes.of_string "data");
+  check_int "right keys" 4 (usable 128);
+  check_int "capped at the fetch" 2 (usable 2);
+  check_int "wrong key1" miss (usable ~key1:6 128);
+  check_int "wrong key2" miss (usable ~key2:9 128);
+  let set_word off v = Cluster.Address_space.write_word space ~addr:(addr + off) v in
+  set_word 0 5;
+  check_int "invalid flag" miss (usable 128);
+  check_bool "invalid flag, locally" true
+    (Dfs.Slot_cache.lookup_local c ~key1:7 ~key2:8 = None);
+  set_word 0 1;
+  set_word 12 (-4);
+  check_int "negative length" miss (usable 128);
+  check_bool "negative length, locally" true
+    (Dfs.Slot_cache.lookup_local c ~key1:7 ~key2:8 = None);
+  set_word 12 129;
+  check_int "length past the slot" miss (usable 128);
+  set_word 12 128;
+  check_int "a full slot" 128 (usable 128);
+  (* The header a pusher writes makes the same slot usable. *)
+  Cluster.Address_space.write space ~addr
+    (Dfs.Slot_cache.header ~key1:7 ~key2:8 ~len:3);
+  check_int "pushed header" 3 (usable 128);
+  match Dfs.Slot_cache.lookup_local c ~key1:7 ~key2:8 with
+  | Some p -> Alcotest.(check string) "payload copied once" "dat" (Bytes.to_string p)
+  | None -> Alcotest.fail "expected hit"
 
 (* ---------------- NFS op codecs ---------------- *)
 
@@ -464,6 +489,135 @@ let dx_readdir_multi_chunk () =
           check_bool "crossed the chunk boundary" true (Bytes.length a > 4096)
       | _ -> Alcotest.fail "expected entries")
 
+(* A DX ReadDir assembles the store's own listing, cut to [count], from
+   the chunks the server cached: one that ends inside its first chunk,
+   one that fills whole chunks exactly (so the next chunk is missing and
+   ends it), and one whose last chunk is short. *)
+let dx_misses clerk =
+  Metrics.Account.total_of (Dfs.Clerk.stats clerk) "dx misses -> control"
+
+let dx_readdir_chunk_ends () =
+  let fixture = Lazy.force fixture in
+  let clerk = Experiments.Fixture.clerk fixture 0 in
+  Experiments.Fixture.run fixture (fun () ->
+      Dfs.Clerk.set_scheme clerk Dfs.Clerk.Dx;
+      let store = fixture.Experiments.Fixture.store in
+      let root = Dfs.File_store.root store in
+      let dir_of name entries =
+        let d = Dfs.File_store.mkdir store ~dir:root ~name () in
+        for i = 0 to entries - 1 do
+          ignore
+            (Dfs.File_store.create_file store ~dir:d
+               ~name:(Printf.sprintf "f%07d" i) ()
+              : int)
+        done;
+        Dfs.Server.cache_dir fixture.Experiments.Fixture.server d;
+        d
+      in
+      let listing d = Dfs.File_store.encode_entries (Dfs.File_store.readdir store d) in
+      let check_dir tag d ~count ~expect_len =
+        let full = listing d in
+        let expected = Bytes.sub full 0 (Int.min count (Bytes.length full)) in
+        let before = dx_misses clerk in
+        (match
+           Dfs.Clerk.remote_fetch clerk (Dfs.Nfs_ops.Read_dir { fh = d; count })
+         with
+        | Dfs.Nfs_ops.R_entries got ->
+            check_int (tag ^ ": length") expect_len (Bytes.length got);
+            check_bool (tag ^ ": the store's bytes") true (Bytes.equal got expected)
+        | _ -> Alcotest.fail (tag ^ ": expected entries"));
+        Alcotest.(check (float 0.01)) (tag ^ ": served by DX") before (dx_misses clerk)
+      in
+      let small = dir_of "ends-in-chunk" 10 in
+      check_dir "inside the first chunk" small ~count:4096 ~expect_len:160;
+      check_dir "cut to count" small ~count:64 ~expect_len:64;
+      (* 16-byte entries: 256 fill the first 4 KB chunk exactly. *)
+      let exact = dir_of "one-full-chunk" 256 in
+      check_int "listing is one chunk" 4096 (Bytes.length (listing exact));
+      check_dir "later chunk missing" exact ~count:7000 ~expect_len:4096;
+      let longer = dir_of "short-second-chunk" 300 in
+      check_dir "short second chunk" longer ~count:8192 ~expect_len:4800;
+      check_dir "cut inside the second chunk" longer ~count:4500 ~expect_len:4500)
+
+(* A file slot whose stored length is shorter than the span a Read
+   needs is a DX miss: the clerk transfers control and still returns
+   the store's bytes. *)
+let dx_read_short_slot () =
+  let fixture = Lazy.force fixture in
+  let clerk = Experiments.Fixture.clerk fixture 0 in
+  Experiments.Fixture.run fixture (fun () ->
+      Dfs.Clerk.set_scheme clerk Dfs.Clerk.Dx;
+      let store = fixture.Experiments.Fixture.store in
+      let root = Dfs.File_store.root store in
+      let fh = Dfs.File_store.create_file store ~dir:root ~name:"short.dat" () in
+      Dfs.File_store.write store fh ~off:0 (Bytes.make 8192 's');
+      Dfs.Server.cache_file_block fixture.Experiments.Fixture.server fh ~block:0;
+      (* The clerk pushes a 100-byte block, then reads past it. *)
+      (match
+         Dfs.Clerk.remote_fetch clerk
+           (Dfs.Nfs_ops.Write { fh; off = 0; data = Bytes.make 100 'p' })
+       with
+      | Dfs.Nfs_ops.R_write _ -> ()
+      | _ -> Alcotest.fail "expected write ack");
+      Sim.Proc.wait (Sim.Time.ms 5);
+      let read count =
+        match
+          Dfs.Clerk.remote_fetch clerk (Dfs.Nfs_ops.Read { fh; off = 0; count })
+        with
+        | Dfs.Nfs_ops.R_data data -> data
+        | _ -> Alcotest.fail "expected data"
+      in
+      let before = dx_misses clerk in
+      check_bool "within the stored length: the pushed bytes" true
+        (Bytes.equal (read 100) (Bytes.make 100 'p'));
+      Alcotest.(check (float 0.01)) "served by DX" before (dx_misses clerk);
+      check_bool "past it: the store's bytes" true
+        (Bytes.equal (read 200) (Dfs.File_store.read store fh ~off:0 ~count:200));
+      Alcotest.(check (float 0.01)) "transferred control" (before +. 1.)
+        (dx_misses clerk))
+
+(* The host words of one DX op through the path the benchmark drives
+   (local RPC into the clerk, then the remote path) on a warmed server
+   cache: the waits of the READs and LRPC, the result, and the one copy
+   of its payload.  Budgets are the figures plus 10%. *)
+let dx_budget what ~budget op () =
+  let fixture = Lazy.force fixture in
+  let clerk = Experiments.Fixture.clerk fixture 0 in
+  let words =
+    Experiments.Fixture.run fixture (fun () ->
+        Experiments.Fixture.recache_bench fixture;
+        Dfs.Clerk.set_scheme clerk Dfs.Clerk.Dx;
+        let op = op fixture in
+        let before = dx_misses clerk in
+        let words =
+          Rig.words_per_op ~n:100 (fun () ->
+              ignore
+                (Cluster.Lrpc.call (Dfs.Clerk.node clerk)
+                   (Dfs.Clerk.remote_fetch clerk) op
+                  : Dfs.Nfs_ops.result))
+        in
+        Alcotest.(check (float 0.01)) (what ^ ": all DX hits") before
+          (dx_misses clerk);
+        words)
+  in
+  Rig.within_budget what ~words ~budget
+
+let dx_getattr_budget =
+  dx_budget "DX GetAttribute" ~budget:57.5 (fun f ->
+      Dfs.Nfs_ops.Get_attr { fh = f.Experiments.Fixture.bench_file })
+
+let dx_lookup_budget =
+  dx_budget "DX Lookup" ~budget:65.2 (fun f ->
+      Dfs.Nfs_ops.Lookup { dir = f.Experiments.Fixture.bench_dir; name = "entry0001" })
+
+let dx_read_budget =
+  dx_budget "DX Read 8K" ~budget:1321.4 (fun f ->
+      Dfs.Nfs_ops.Read { fh = f.Experiments.Fixture.bench_file; off = 0; count = 8192 })
+
+let dx_readdir_budget =
+  dx_budget "DX ReadDir 4K" ~budget:676.8 (fun f ->
+      Dfs.Nfs_ops.Read_dir { fh = f.Experiments.Fixture.bench_dir; count = 4096 })
+
 let clerk_local_cache_hits () =
   let fixture = Lazy.force fixture in
   let clerk = Experiments.Fixture.clerk fixture 0 in
@@ -674,6 +828,12 @@ let suite =
     Alcotest.test_case "clerk local cache hits" `Quick clerk_local_cache_hits;
     Alcotest.test_case "concurrent hybrid clients" `Slow concurrent_hybrid_clients;
     Alcotest.test_case "dx readdir multi-chunk" `Quick dx_readdir_multi_chunk;
+    Alcotest.test_case "dx readdir chunk ends" `Quick dx_readdir_chunk_ends;
+    Alcotest.test_case "dx read of a short slot" `Quick dx_read_short_slot;
+    Alcotest.test_case "dx getattr allocation budget" `Quick dx_getattr_budget;
+    Alcotest.test_case "dx lookup allocation budget" `Quick dx_lookup_budget;
+    Alcotest.test_case "dx read 8K allocation budget" `Quick dx_read_budget;
+    Alcotest.test_case "dx readdir 4K allocation budget" `Quick dx_readdir_budget;
     Alcotest.test_case "coherence mutual exclusion" `Quick coherence_mutual_exclusion;
     Alcotest.test_case "delayed revocation" `Quick delayed_revocation;
     Alcotest.test_case "lease expires without revocation" `Quick

@@ -112,6 +112,21 @@ let bar_chart_renders () =
   Alcotest.(check bool) "mentions both bars" true
     (contains out "HY" && contains out "DX")
 
+(* A violation line names its row by the row's text cells; an empty one
+   (a blank label) adds nothing, not a bare ": ". *)
+let violation_skips_empty_text () =
+  let module T = Metrics.Table in
+  let t =
+    T.make ~title:"t"
+      [ T.label "op"; T.label "note"; T.number "n" (Fixed 0) ]
+      [ [ T.text "read"; T.text ""; T.num ~band:[ T.Le 1. ] 2. ] ]
+  in
+  match T.violations t with
+  | [ line ] ->
+      Alcotest.(check bool) ("row named once: " ^ line) true
+        (String.length line > 12 && String.sub line 0 12 = "t: read: n =")
+  | lines -> Alcotest.failf "expected one violation, got %d" (List.length lines)
+
 let percentile_within_range =
   QCheck.Test.make ~name:"percentiles bounded by min/max" ~count:150
     QCheck.(
@@ -161,5 +176,7 @@ let suite =
     Alcotest.test_case "table renders" `Quick table_renders;
     Alcotest.test_case "table validates width" `Quick table_validates_width;
     Alcotest.test_case "bar chart renders" `Quick bar_chart_renders;
+    Alcotest.test_case "violation skips empty text cells" `Quick
+      violation_skips_empty_text;
     QCheck_alcotest.to_alcotest summary_merge;
   ]

@@ -25,6 +25,44 @@ let record_roundtrip =
       | Some back -> back = record
       | None -> false)
 
+(* [lookup_at] reads the slot in place and must say what [decode]
+   followed by [String.equal] says, for any query: the stored name, a
+   prefix or extension of it, one over 32 bytes, one holding a NUL, and
+   a slot with garbage after the name's terminator. *)
+let record_lookup_in_place =
+  let query =
+    QCheck.Gen.(
+      oneof
+        [
+          string_size ~gen:(char_range 'a' 'c') (0 -- 34);
+          string_size ~gen:(oneofl [ 'a'; 'b'; '\000' ]) (0 -- 34);
+        ])
+  in
+  QCheck.Test.make ~name:"record lookup in place agrees with decode" ~count:500
+    (QCheck.make
+       QCheck.Gen.(tup4 record_gen query (0 -- 4) (int_bound 255)))
+    (fun (record, query, how, garbage) ->
+      let slot = Names.Record.encode record in
+      let stored = record.Names.Record.name in
+      let query =
+        match how with
+        | 0 -> stored
+        | 1 -> String.sub stored 0 (String.length stored / 2)
+        | 2 -> stored ^ "a"
+        | 3 -> stored ^ "\000"
+        | _ -> query
+      in
+      if String.length stored < 31 then
+        Bytes.set slot (8 + String.length stored + 1) (Char.chr garbage);
+      let space = Cluster.Address_space.create ~asid:11 () in
+      Cluster.Address_space.write space ~addr:64 slot;
+      let expected =
+        match Names.Record.decode slot with
+        | Some r when String.equal r.Names.Record.name query -> Some r
+        | Some _ | None -> None
+      in
+      Names.Record.lookup_at space ~addr:64 query = expected)
+
 let record_invalid_slot () =
   Alcotest.(check bool) "invalid decodes to None" true
     (Names.Record.decode (Names.Record.invalid_slot ()) = None)
@@ -347,5 +385,6 @@ let suite =
     Alcotest.test_case "control transfer on absent name" `Quick
       control_transfer_absent_name;
     QCheck_alcotest.to_alcotest record_roundtrip;
+    QCheck_alcotest.to_alcotest record_lookup_in_place;
     QCheck_alcotest.to_alcotest registry_collisions_probe;
   ]

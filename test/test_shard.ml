@@ -327,6 +327,30 @@ let test_sharded_register_lookup () =
     (fun s -> check Alcotest.int "no switch drops" 0 (Atm.Switch.drops s))
     (Atm.Network.switches (Cluster.Testbed.network testbed))
 
+(* The host words of one shard lookup hit under a current map: the
+   READ waits and the record, which reuses the caller's name string.
+   The slot's flag, name and fields are read in place; 10% above the
+   figure (the probe buffer's slot copy, the decoded name and its
+   substrings cost 25 more words a lookup). *)
+let test_lookup_hit_budget () =
+  let testbed, setup = sharded_rig () in
+  let words =
+    Cluster.Testbed.run testbed (fun () ->
+        let _, _, sc4, sc5 = setup () in
+        for i = 0 to 7 do
+          Names.Shard_clerk.register sc4 (svc_record i)
+        done;
+        let name = svc_name 3 in
+        let words =
+          Rig.words_per_op ~n:200 (fun () ->
+              ignore (Names.Shard_clerk.lookup sc5 name : Names.Record.t))
+        in
+        check Alcotest.int "still the record"
+          103 (Names.Shard_clerk.lookup sc5 name).Names.Record.segment_id;
+        words)
+  in
+  Rig.within_budget "shard lookup hit" ~words ~budget:93.6
+
 (* A rebalance in the middle of a client's cached-epoch window: the
    client heals through the forwarding tombstone — a local map patch,
    no refetch from the map host — and a merge (which revokes the
@@ -449,6 +473,7 @@ let suite =
     ("shard map rejects torn images", `Quick, test_shardmap_rejects_torn);
     ("moved tombstones keep probe chains", `Quick, test_tombstone_keeps_chains);
     ("sharded register/lookup end to end", `Quick, test_sharded_register_lookup);
+    ("shard lookup hit allocation budget", `Quick, test_lookup_hit_budget);
     ("stale epoch heals across split and merge", `Quick, test_stale_epoch_heal);
     ("convergence under 10% loss", `Quick, test_loss_convergence);
   ]
