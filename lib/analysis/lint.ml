@@ -21,6 +21,23 @@ let op_name = function
   | Rmem.Rights.Write_op -> "WRITE"
   | Rmem.Rights.Cas_op -> "CAS"
 
+(* Each key with its number of occurrences, in first-occurrence
+   order. *)
+let tally keys =
+  let counts = Hashtbl.create 16 in
+  List.filter_map
+    (fun k ->
+      match Hashtbl.find_opt counts k with
+      | Some n ->
+          incr n;
+          None
+      | None ->
+          let n = ref 1 in
+          Hashtbl.replace counts k n;
+          Some (k, n))
+    keys
+  |> List.map (fun (k, n) -> (k, !n))
+
 let check monitor =
   let findings = ref [] in
   let seen = Hashtbl.create 16 in
@@ -46,18 +63,18 @@ let check monitor =
   (* Notify-policy misuse: a reader hammering one location of a segment
      whose policy can never notify it is polling where the control-
      transfer machinery was the point. *)
-  let polls = Hashtbl.create 16 in
+  let polls =
+    tally
+      (List.filter_map
+         (fun (a : Access.t) ->
+           match (a.kind, a.origin) with
+           | Access.Load, Access.Meta Rmem.Rights.Read_op ->
+               Some (a.agent_name, a.key, a.off, a.count)
+           | _ -> None)
+         (Monitor.accesses monitor))
+  in
   List.iter
-    (fun (a : Access.t) ->
-      match (a.kind, a.origin) with
-      | Access.Load, Access.Meta Rmem.Rights.Read_op ->
-          let k = (a.agent_name, a.key, a.off, a.count) in
-          Hashtbl.replace polls k
-            (1 + Option.value (Hashtbl.find_opt polls k) ~default:0)
-      | _ -> ())
-    (Monitor.accesses monitor);
-  Hashtbl.iter
-    (fun (agent, key, off, count) n ->
+    (fun ((agent, key, off, count), n) ->
       if n >= poll_threshold then
         match Monitor.policy_of monitor key with
         | Some Rmem.Segment.Never ->
@@ -70,21 +87,20 @@ let check monitor =
   (* The dual misuse: bulk WRITEs into a notify:always segment raise a
      control transfer per burst — the sender should have asked for
      notify:conditional and a single doorbell. *)
-  let storms = Hashtbl.create 16 in
+  let storms =
+    tally
+      (List.filter_map
+         (fun (a : Access.t) ->
+           match (a.kind, a.origin, Monitor.policy_of monitor a.key) with
+           | ( Access.Store,
+               Access.Meta Rmem.Rights.Write_op,
+               Some Rmem.Segment.Always ) ->
+               Some (a.agent_name, a.key)
+           | _ -> None)
+         (Monitor.accesses monitor))
+  in
   List.iter
-    (fun (a : Access.t) ->
-      match (a.kind, a.origin) with
-      | Access.Store, Access.Meta Rmem.Rights.Write_op -> (
-          match Monitor.policy_of monitor a.key with
-          | Some Rmem.Segment.Always ->
-              let k = (a.agent_name, a.key) in
-              Hashtbl.replace storms k
-                (1 + Option.value (Hashtbl.find_opt storms k) ~default:0)
-          | Some (Rmem.Segment.Never | Rmem.Segment.Conditional) | None -> ())
-      | _ -> ())
-    (Monitor.accesses monitor);
-  Hashtbl.iter
-    (fun (agent, key) n ->
+    (fun ((agent, key), n) ->
       if n >= poll_threshold then
         add "notify-storm" agent key
           (Printf.sprintf

@@ -18,6 +18,8 @@ val poll_threshold : int
     Test-only: the lint tests size their poll loops just past it. *)
 
 val check : Monitor.t -> finding list
-(** One finding per (rule, agent, region), in first-occurrence order. *)
+(** One finding per (rule, agent, region): the rejection, poll-never and
+    notify-storm findings in first-occurrence order, then the
+    unbounded-retry ones by agent, region and word. *)
 
 val describe : finding -> string

@@ -42,25 +42,31 @@ let exempt monitor ~key ~is_sync (a : Access.t) (b : Access.t) =
   let rec all byte = byte >= hi || (covered byte && all (byte + 1)) in
   all lo
 
-let find monitor =
+(* Regions in the order of their first access, each with its accesses
+   in order. *)
+let by_region accesses =
   let by_key = Hashtbl.create 8 in
-  List.iter
-    (fun (a : Access.t) ->
-      let l =
+  let keys =
+    List.filter
+      (fun (a : Access.t) ->
         match Hashtbl.find_opt by_key a.key with
-        | Some l -> l
+        | Some l ->
+            l := a :: !l;
+            false
         | None ->
-            let l = ref [] in
-            Hashtbl.replace by_key a.key l;
-            l
-      in
-      l := a :: !l)
-    (Monitor.accesses monitor);
+            Hashtbl.replace by_key a.key (ref [ a ]);
+            true)
+      accesses
+  in
+  List.map
+    (fun (a : Access.t) -> (a.key, List.rev !(Hashtbl.find by_key a.key)))
+    keys
+
+let find monitor =
   let races = ref [] in
   let seen = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun key l ->
-      let accesses = List.rev !l in
+  List.iter
+    (fun (key, accesses) ->
       let is_sync = sync_bytes accesses in
       let arr = Array.of_list accesses in
       for i = 0 to Array.length arr - 1 do
@@ -84,7 +90,7 @@ let find monitor =
           end
         done
       done)
-    by_key;
+    (by_region (Monitor.accesses monitor));
   List.rev !races
 
 let describe r =

@@ -18,6 +18,8 @@ type t = {
 
 val find : Monitor.t -> t list
 (** All race pairs, deduplicated per (region, agent pair, overlap
-    start), in discovery order. *)
+    start), in discovery order: regions in the order of their first
+    access, and within one region by the pair's earlier access, then
+    its later one. *)
 
 val describe : t -> string

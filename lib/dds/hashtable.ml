@@ -52,7 +52,7 @@ let value_at s index =
 let classify key k =
   if k = empty_key then Probe.Free
   else if k = tombstone_key then Probe.Tombstone None
-  else if k = key then Probe.Hit
+  else if k = key then Probe.Hit ()
   else Probe.Other
 
 let local_walk s key =
@@ -157,7 +157,6 @@ type t = {
   hkey : int * int * int;
   request : bytes; (* the RPC path's, rewritten per call *)
   reply : bytes;
-  mutable found : int; (* the value word the last DX walk hit *)
   mutable cas_losses : int;
   mutable rpc_fallbacks : int;
 }
@@ -179,7 +178,6 @@ let client ~rmem ~amsg ~kind ?policy s =
     hkey = server_key s;
     request = Bytes.create 12;
     reply = Bytes.create 8;
-    found = 0;
     cas_losses = 0;
     rpc_fallbacks = 0;
   }
@@ -188,17 +186,16 @@ let cas_losses t = t.cas_losses
 let rpc_fallbacks t = t.rpc_fallbacks
 
 (* DX fast path: each probe READs one slot into the plane's scratch
-   buffer and classifies its key word in place. *)
+   buffer and classifies its key word in place; a hit carries the
+   slot's value word. *)
 
 let dx_walk t key =
   Probe.walk ~slots:t.tslots ~hash:(hash_key key)
     ~classify:(fun ~index ~probe:_ ->
       Plane.read t.plane ~soff:(index * slot_bytes) ~len:slot_bytes;
       match classify key (Plane.word t.plane ~off:0) with
-      | Probe.Hit ->
-          t.found <- Plane.word t.plane ~off:4;
-          Probe.Hit
-      | step -> step)
+      | Probe.Hit () -> Probe.Hit (Plane.word t.plane ~off:4)
+      | (Probe.Free | Probe.Tombstone _ | Probe.Other) as step -> step)
 
 let deposit_value t index value =
   let b = Bytes.create 4 in
@@ -207,7 +204,7 @@ let deposit_value t index value =
 
 (* The key's value word, 0 when absent. *)
 let dx_lookup t key =
-  match dx_walk t key with Probe.Found _ -> t.found | Probe.Absent _ -> 0
+  match dx_walk t key with Probe.Found { hit; _ } -> hit | Probe.Absent _ -> 0
 
 let rec dx_insert t ~budget key value =
   match dx_walk t key with
@@ -244,8 +241,7 @@ and dx_claim t ~budget key value ~index ~expect =
 let rec dx_delete t ~budget key =
   match dx_walk t key with
   | Probe.Absent _ -> `Ok false
-  | Probe.Found { index; _ } ->
-      let v = t.found in
+  | Probe.Found { index; hit = v; _ } ->
       let witness =
         Plane.cas t.plane ~doff:(index * slot_bytes) ~old_value:key
           ~new_value:tombstone_key

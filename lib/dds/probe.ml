@@ -5,10 +5,10 @@
 
 let slot_index ~slots ~hash probe = (hash + probe) land (slots - 1)
 
-type 'note step = Hit | Free | Tombstone of 'note option | Other
+type ('hit, 'note) step = Hit of 'hit | Free | Tombstone of 'note option | Other
 
-type 'note outcome =
-  | Found of { index : int; probes : int }
+type ('hit, 'note) outcome =
+  | Found of { index : int; probes : int; hit : 'hit }
   | Absent of {
       free : int option;
       reusable : int option;
@@ -22,7 +22,7 @@ let walk ~slots ~hash ~classify =
     else begin
       let index = slot_index ~slots ~hash probe in
       match classify ~index ~probe with
-      | Hit -> Found { index; probes = probe }
+      | Hit hit -> Found { index; probes = probe; hit }
       | Free -> Absent { free = Some index; reusable; note; probes = probe }
       | Tombstone n ->
           let reusable =

@@ -1,7 +1,7 @@
 (** The open-addressing probe walk shared by every linear-probing table
-    in the tree: the name-service registry ({!Names.Registry}), the
-    sharded clerk's remote probe chain ({!Names.Shard_clerk}) and the
-    distributed hash table ({!Hashtable}) all follow the same
+    in the tree: the name-service registry ({!Names.Registry}, walked
+    in place by its owner and over remote READs by every other clerk)
+    and the distributed hash table ({!Hashtable}) follow the same
     discipline — walk [hash, hash+1, ...] modulo the table size, skip
     (but remember) tombstones, stop at the first free slot.
 
@@ -10,12 +10,10 @@
     the probe-sequence policy, so every table agrees on where a key can
     legally live. *)
 
-val slot_index : slots:int -> hash:int -> int -> int
-(** [slot_index ~slots ~hash i] — the i-th probe location for a key
-    with the given hash. [slots] must be a power of two. *)
-
-type 'note step =
-  | Hit  (** the slot holds the probed key: stop *)
+type ('hit, 'note) step =
+  | Hit of 'hit
+      (** the slot holds the probed key: stop, carrying what the
+          classifier read there *)
   | Free  (** an empty slot: every chain ends here *)
   | Tombstone of 'note option
       (** a deleted slot: skipped, not chain-ending; the first slot is
@@ -23,9 +21,10 @@ type 'note step =
           decodable forwarding record) is carried out *)
   | Other  (** a live slot holding another key: keep walking *)
 
-type 'note outcome =
-  | Found of { index : int; probes : int }
-      (** the key's slot, and the probe number that reached it *)
+type ('hit, 'note) outcome =
+  | Found of { index : int; probes : int; hit : 'hit }
+      (** the key's slot, the probe number that reached it, and the
+          hit's payload *)
   | Absent of {
       free : int option;
           (** the chain-ending empty slot, or [None] when the walk
@@ -38,8 +37,8 @@ type 'note outcome =
 val walk :
   slots:int ->
   hash:int ->
-  classify:(index:int -> probe:int -> 'note step) ->
-  'note outcome
+  classify:(index:int -> probe:int -> ('hit, 'note) step) ->
+  ('hit, 'note) outcome
 (** Walk the probe sequence, calling [classify] once per visited slot
     in probe order, stopping at the first [Hit] or [Free] (or after
     [slots] probes). Insertion policy on [Absent]: prefer [reusable]

@@ -98,23 +98,16 @@ let measure_rmem () =
       let buf = Rmem.Remote_memory.buffer ~space ~base:0 ~len:256 in
       let c = Cluster.Node.costs rig.client in
       let lookup name =
-        let rec probe i =
-          let index = Names.Registry.slot_index rig.registry name i in
-          Rmem.Remote_memory.read_wait r1 desc
-            ~soff:(Names.Registry.slot_offset rig.registry index)
-            ~count:Names.Record.slot_bytes ~dst:buf ~doff:0 ();
-          Cluster.Cpu.use (Cluster.Node.cpu rig.client)
-            ~category:Cluster.Cpu.cat_client c.Cluster.Costs.hash_lookup;
-          match
-            Names.Record.decode
-              (Cluster.Address_space.read space ~addr:0
-                 ~len:Names.Record.slot_bytes)
-          with
-          | Some record when String.equal record.Names.Record.name name -> ()
-          | Some _ -> probe (i + 1)
-          | None -> failwith "rmem lookup: name absent"
-        in
-        probe 0
+        match
+          Names.Registry.walk ~slots:registry_slots space name ~slot:(fun soff ->
+              Rmem.Remote_memory.read_wait r1 desc ~soff
+                ~count:Names.Record.slot_bytes ~dst:buf ~doff:0 ();
+              Cluster.Cpu.use (Cluster.Node.cpu rig.client)
+                ~category:Cluster.Cpu.cat_client c.Cluster.Costs.hash_lookup;
+              0)
+        with
+        | Dds.Probe.Found _ -> ()
+        | Dds.Probe.Absent _ -> failwith "rmem lookup: name absent"
       in
       out := Some (measure_loop rig ~lookup));
   Option.get !out

@@ -60,7 +60,6 @@ let run () =
         in
         List.mapi
           (fun chain name ->
-            Names.Clerk.set_probe_policy c0 Names.Clerk.Probe_until_found;
             let probing =
               time (fun () -> Names.Api.import ~force:true ~hint c0 name)
             in

@@ -25,8 +25,8 @@ type outcome = {
   timeseries : Obs.Timeseries.t option;
       (** the run's sampler, when one was requested *)
   engine_events : int;
-      (** every simulator event the run fired — the denominator of the
-          host-time events/sec baseline ([bench --host]) *)
+      (** every simulator event the run fired, the sampler's ticks
+          included *)
 }
 
 type workload =

@@ -43,19 +43,13 @@ let import ?force ?hint clerk name =
       in
       import_record clerk record ~name)
 
+(* The Table 3 "LOOKUP with notification" row. *)
 let import_with_control_transfer ~hint clerk name =
-  (* Force the clerk onto the control-transfer path for this one lookup:
-     the Table 3 "LOOKUP with notification" row. *)
   let node = Clerk.node clerk in
   Cluster.Kernel.syscall node ~name:"import_segment" (fun () ->
       let record =
         Cluster.Lrpc.call node
-          (fun () ->
-            let saved = Clerk.probe_policy clerk in
-            Clerk.set_probe_policy clerk Clerk.Control_immediately;
-            Fun.protect
-              ~finally:(fun () -> Clerk.set_probe_policy clerk saved)
-              (fun () -> Clerk.lookup ~force:true ~hint clerk name))
+          (fun () -> Clerk.lookup_by_control_transfer clerk ~remote:hint name)
           ()
       in
       import_record clerk record ~name)

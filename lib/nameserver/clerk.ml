@@ -10,11 +10,6 @@
    with the notify bit set, answered by a remote WRITE of the result
    into the requester's scratch segment. *)
 
-type probe_policy =
-  | Probe_until_found
-  | Probe_then_control of int
-  | Control_immediately
-
 type cached_import = {
   mutable record : Record.t;
   mutable descriptors : Rmem.Descriptor.t list;
@@ -26,12 +21,9 @@ type t = {
   space : Cluster.Address_space.t;
   registry : Registry.t;
   request_segment : Rmem.Segment.t;
-  mutable probe_policy : probe_policy;
   mutable probe_timeout : Sim.Time.t option;
   (* bound each remote probe READ under the fault plane; None (the
      default) keeps the legacy unbounded wait and its exact schedule *)
-  (* when set (and enabled), lookup probe chains issue a window of
-     concurrent probe READs instead of one round trip per probe *)
   import_cache : (string, cached_import) Hashtbl.t;
   remote_registries : (int, Rmem.Descriptor.t) Hashtbl.t;
   remote_requests : (int, Rmem.Descriptor.t) Hashtbl.t;
@@ -90,7 +82,6 @@ let create rmem =
       space;
       registry;
       request_segment;
-      probe_policy = Probe_until_found;
       probe_timeout = None;
       import_cache = Hashtbl.create 64;
       remote_registries = Hashtbl.create 8;
@@ -106,8 +97,6 @@ let node t = t.node
 let rmem t = t.rmem
 let registry t = t.registry
 let stats t = t.stats
-let probe_policy t = t.probe_policy
-let set_probe_policy t policy = t.probe_policy <- policy
 let set_probe_timeout t timeout = t.probe_timeout <- timeout
 
 (* ------------------------------------------------------------------ *)
@@ -161,7 +150,7 @@ let delete_name t name =
   charge t (costs t).Cluster.Costs.hash_delete;
   Metrics.Account.add t.stats ~category:"deletename" 1.;
   Hashtbl.remove t.import_cache name;
-  ignore (Registry.delete t.registry name : bool)
+  ignore (Registry.delete t.registry name : int option)
 
 let cache_record t record =
   match Hashtbl.find_opt t.import_cache record.Record.name with
@@ -178,33 +167,20 @@ let register_descriptor t ~name desc =
   | Some entry -> entry.descriptors <- desc :: entry.descriptors
   | None -> ()
 
-(* One remote probe: read the candidate slot and decode it. *)
-let remote_probe t desc ~probe_index ~name =
-  let index = Registry.slot_index t.registry name probe_index in
+(* Walk [name]'s chain in [desc]'s registry, one slot READ into the
+   probe buffer per probe, each charged as a hash lookup. *)
+let remote_walk t desc name =
   let buf =
     Rmem.Remote_memory.buffer ~space:t.space
       ~base:Bootstrap.probe_buffer_base ~len:Bootstrap.probe_buffer_bytes
   in
-  Rmem.Remote_memory.read_wait ?timeout:t.probe_timeout t.rmem desc
-    ~soff:(Registry.slot_offset t.registry index)
-    ~count:Record.slot_bytes ~dst:buf ~doff:0 ();
-  Metrics.Account.add t.stats ~category:"remote probes" 1.;
-  charge t (costs t).Cluster.Costs.hash_lookup;
-  Record.decode
-    (Cluster.Address_space.read t.space ~addr:Bootstrap.probe_buffer_base
-       ~len:Record.slot_bytes)
-
-let by_probing t desc ~name limit =
-  let rec go i =
-    if i >= limit then None
-    else
-      match remote_probe t desc ~probe_index:i ~name with
-      | None -> Some None (* chain ended: definitely absent *)
-      | Some record ->
-          if String.equal record.Record.name name then Some (Some record)
-          else go (i + 1)
-  in
-  go 0
+  Registry.walk ~slots:(Registry.slots t.registry) t.space name
+    ~slot:(fun soff ->
+      Rmem.Remote_memory.read_wait ?timeout:t.probe_timeout t.rmem desc ~soff
+        ~count:Record.slot_bytes ~dst:buf ~doff:0 ();
+      Metrics.Account.add t.stats ~category:"remote probes" 1.;
+      charge t (costs t).Cluster.Costs.hash_lookup;
+      Bootstrap.probe_buffer_base)
 
 (* Scratch-slot rendezvous, shared by this clerk's control-transfer
    lookup and any other control-plane exchange (the sharding layer's
@@ -246,10 +222,15 @@ let await_scratch_reply t ~slot =
   in
   spin ()
 
-(* The control-transfer fallback: write the lookup arguments (with
-   notification) into the exporter clerk's request segment and spin on a
-   local scratch slot until the exporter's reply write lands. *)
+(* LOOKUPNAME by control transfer, the paper's alternative to probing:
+   write the lookup arguments (with notification) into the exporter
+   clerk's request segment and spin on a local scratch slot until the
+   exporter's reply write lands.  It bypasses the cache, and imports
+   [remote]'s registry as a probing lookup would, so both paths charge
+   the same import. *)
 let lookup_by_control_transfer t ~remote name =
+  Metrics.Account.add t.stats ~category:"lookup" 1.;
+  let (_ : Rmem.Descriptor.t) = registry_descriptor t ~remote in
   Metrics.Account.add t.stats ~category:"control-transfer lookups" 1.;
   let slot = alloc_scratch_slot t in
   let reply_off = slot * Bootstrap.scratch_slot_bytes in
@@ -263,7 +244,11 @@ let lookup_by_control_transfer t ~remote name =
     Atm.Addr.to_int (Cluster.Node.addr t.node) * Bootstrap.request_slot_bytes
   in
   Rmem.Remote_memory.write t.rmem req_desc ~off:my_slot ~notify:true request;
-  await_scratch_reply t ~slot
+  match await_scratch_reply t ~slot with
+  | None -> raise (Name_not_found name)
+  | Some record ->
+      cache_record t record;
+      record
 
 (* Exporter-side handler for control-transfer lookups, attached to the
    request segment's notification descriptor as a signal handler. *)
@@ -330,25 +315,11 @@ let lookup ?(force = false) ?hint t name =
       match hint with
       | None -> raise (Name_not_found name)
       | Some remote -> (
-          let desc = registry_descriptor t ~remote in
-          let by_probing limit = by_probing t desc ~name limit in
-          let result =
-            match t.probe_policy with
-            | Probe_until_found -> (
-                match by_probing (Registry.slots t.registry) with
-                | Some outcome -> outcome
-                | None -> None)
-            | Control_immediately -> lookup_by_control_transfer t ~remote name
-            | Probe_then_control n -> (
-                match by_probing n with
-                | Some outcome -> outcome
-                | None -> lookup_by_control_transfer t ~remote name)
-          in
-          match result with
-          | None -> raise (Name_not_found name)
-          | Some record ->
+          match remote_walk t (registry_descriptor t ~remote) name with
+          | Dds.Probe.Found { hit = record; _ } ->
               cache_record t record;
-              record))
+              record
+          | Dds.Probe.Absent _ -> raise (Name_not_found name)))
 
 (* ------------------------------------------------------------------ *)
 (* Cache refresh.                                                      *)
@@ -363,22 +334,12 @@ let refresh_once t =
   List.iter
     (fun (name, entry) ->
       let remote = Atm.Addr.of_int entry.record.Record.node in
-      let desc = registry_descriptor t ~remote in
-      let rec go i =
-        if i >= Registry.slots t.registry then None
-        else
-          match remote_probe t desc ~probe_index:i ~name with
-          | None -> None
-          | Some record ->
-              if String.equal record.Record.name name then Some record
-              else go (i + 1)
-      in
       let still_valid =
-        match go 0 with
-        | Some record ->
+        match remote_walk t (registry_descriptor t ~remote) name with
+        | Dds.Probe.Found { hit = record; _ } ->
             Rmem.Generation.equal record.Record.generation
               entry.record.Record.generation
-        | None -> false
+        | Dds.Probe.Absent _ -> false
         (* A probe that timed out proves nothing either way: the name
            stays cached until a later pass reaches its home. *)
         | exception Rmem.Status.Timeout -> true

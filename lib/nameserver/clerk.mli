@@ -2,19 +2,15 @@
 
     Clerks communicate only through remote memory. Each clerk's registry
     is an open-addressed hash table inside its well-known exported
-    segment; importers probe it with remote READs, falling back to a
-    control-transfer lookup (remote WRITE with notification, answered by
-    a remote WRITE of the result) according to the probe policy —
-    exactly the three options §4.2 of the paper weighs. *)
+    segment; importers probe it with remote READs ({!lookup}), or ask
+    its clerk by control transfer (remote WRITE with notification,
+    answered by a remote WRITE of the result:
+    {!lookup_by_control_transfer}) — the two options §4.2 of the paper
+    weighs. *)
 
 type t
 
 exception Name_not_found of string
-
-type probe_policy =
-  | Probe_until_found  (** keep probing remotely (the paper's choice) *)
-  | Probe_then_control of int  (** probe [n] times, then transfer control *)
-  | Control_immediately
 
 val create : Rmem.Remote_memory.t -> t
 (** Create the clerk on a node. Must be the node's first exporter (the
@@ -23,8 +19,6 @@ val create : Rmem.Remote_memory.t -> t
 val node : t -> Cluster.Node.t
 val rmem : t -> Rmem.Remote_memory.t
 val registry : t -> Registry.t
-val probe_policy : t -> probe_policy
-val set_probe_policy : t -> probe_policy -> unit
 
 val set_probe_timeout : t -> Sim.Time.t option -> unit
 (** Bound each remote probe READ. The default [None] waits forever —
@@ -39,13 +33,19 @@ val add_name : t -> Record.t -> unit
 (** ADDNAME: insert into the local registry (local memory ops only). *)
 
 val delete_name : t -> string -> unit
-(** DELETENAME: invalidate the local slot; remote clerks discover the
+(** DELETENAME: tombstone the local slot; remote clerks discover the
     deletion on refresh or through generation mismatch. *)
 
 val lookup : ?force:bool -> ?hint:Atm.Addr.t -> t -> string -> Record.t
 (** LOOKUPNAME: local cache, then the local registry, then remote
-    probing of [hint]'s registry per the probe policy. [force] skips the
-    cache (the paper's explicit-remote-lookup escape hatch). Raises
+    probing of [hint]'s registry (the paper's choice). [force] skips the
+    cache and the local registry (the paper's explicit-remote-lookup
+    escape hatch). Raises {!Name_not_found}. *)
+
+val lookup_by_control_transfer : t -> remote:Atm.Addr.t -> string -> Record.t
+(** LOOKUPNAME by control transfer to [remote]'s clerk, which answers
+    from its registry: the lookup-with-notification variant. Skips the
+    cache like a forced {!lookup} and caches what it finds. Raises
     {!Name_not_found}. *)
 
 val register_descriptor : t -> name:string -> Rmem.Descriptor.t -> unit

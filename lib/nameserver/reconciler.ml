@@ -303,7 +303,7 @@ let retire t ~src ~dst moved =
   in
   List.iter
     (fun record ->
-      (match Registry.tombstone src.mirror record.Record.name with
+      (match Registry.delete src.mirror record.Record.name with
       | Some index -> push_forward t src index fwd
       | None -> ());
       paced t)

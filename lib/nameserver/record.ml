@@ -1,27 +1,19 @@
 (* Fixed-size registry records.
 
    Each record occupies one 64-byte slot of a clerk's registry segment.
-   The valid flag is a single word written last by the (single) local
+   The flag word is a single word written last by the (single) local
    writer, so remote readers — who fetch whole slots with remote READs —
    can rely on the paper's word-atomicity argument: a slot is either
-   visibly invalid or completely, consistently filled. *)
+   visibly not a record or completely, consistently filled.  What each
+   flag means to a reader is {!Registry}'s one slot rule; this module
+   only lays out the bytes. *)
 
 let slot_bytes = 64
 let name_bytes = 32
 
 let flag_invalid = 0
 let flag_valid = 1
-
 let flag_moved = 2
-(* The sharding layer's tombstone: the record migrated to another shard
-   segment.  Unlike [flag_invalid] — which ends every probe chain — a
-   moved slot is skipped, so tombstoning one name cannot orphan
-   colliding names that probed past it, and a remote reader that meets
-   one knows its shard map may be stale. *)
-
-let flag_of_slot slot =
-  if Bytes.length slot < 4 then flag_invalid
-  else Int32.to_int (Bytes.get_int32_le slot 0)
 
 type t = {
   name : string;
@@ -65,7 +57,7 @@ let encode t =
 
 let decode slot =
   if Bytes.length slot < slot_bytes then None
-  else if flag_of_slot slot <> flag_valid then None
+  else if Int32.to_int (Bytes.get_int32_le slot 0) <> flag_valid then None
   else begin
     let raw_name = Bytes.sub_string slot 8 name_bytes in
     let name =
@@ -85,39 +77,44 @@ let decode slot =
       }
   end
 
-(* [decode] followed by a name comparison, read in place from the slot
-   at [addr] of [space]: the name field must hold [name]'s bytes and
-   then a NUL (unless they fill all 32), so a longer name or one holding
-   a NUL never matches.  Nothing is copied; a hit's record shares
-   [name]. *)
+(* Slot images read in place at [addr] of [space], nothing copied.  The
+   flag word is not looked at here: {!Registry.classify} reads it first
+   and calls these only on a slot it holds to be a record or a
+   tombstone. *)
 let word space addr off = Cluster.Address_space.read_word space ~addr:(addr + off)
 
+let name_byte space addr i =
+  (word space addr (8 + (i land lnot 3)) lsr (8 * (i land 3))) land 0xff
+
+let name_at space ~addr =
+  let rec length i =
+    if i < name_bytes && name_byte space addr i <> 0 then length (i + 1) else i
+  in
+  String.init (length 0) (fun i -> Char.chr (name_byte space addr i))
+
+(* The name field must hold [name]'s bytes and then a NUL (unless they
+   fill all 32), so a longer name or one holding a NUL never matches. *)
 let rec name_from space addr name i =
   i >= name_bytes
   ||
-  let byte =
-    (word space addr (8 + (i land lnot 3)) lsr (8 * (i land 3))) land 0xff
-  in
+  let byte = name_byte space addr i in
   if i = String.length name then byte = 0
   else byte = Char.code name.[i] && name_from space addr name (i + 1)
 
-let lookup_at space ~addr name =
-  if
-    word space addr 0 = flag_valid
-    && String.length name <= name_bytes
-    && (not (String.contains name '\000'))
-    && name_from space addr name 0
-  then
-    Some
-      {
-        name;
-        node = word space addr 40;
-        segment_id = word space addr 44;
-        generation = Rmem.Generation.of_int (word space addr 48);
-        size = word space addr 52;
-        rights = Rmem.Rights.of_code (word space addr 56);
-      }
-  else None
+let holds_at space ~addr name =
+  String.length name <= name_bytes
+  && (not (String.contains name '\000'))
+  && name_from space addr name 0
+
+let body_at space ~addr name =
+  {
+    name;
+    node = word space addr 40;
+    segment_id = word space addr 44;
+    generation = Rmem.Generation.of_int (word space addr 48);
+    size = word space addr 52;
+    rights = Rmem.Rights.of_code (word space addr 56);
+  }
 
 let invalid_slot () = Bytes.make slot_bytes '\000'
 
@@ -129,8 +126,10 @@ let invalid_slot () = Bytes.make slot_bytes '\000'
    convoys the healing clients behind one segment.
 
    Layout: [flag=moved 4][epoch 4][lo 4][hi 4][node 4][seg 4][gen 4]
-   [slots 4] = 32 bytes, rest zero.  A bare 4-byte tombstone (epoch 0)
-   decodes to [None] and the reader falls back to a map refetch. *)
+   [slots 4] = 32 bytes, rest zero.  A tombstone whose spare bytes are
+   not a well-formed forward (a deletion's keeps the old record's
+   bytes) reads as [None] and the reader falls back to a map
+   refetch. *)
 
 type forward = {
   fwd_epoch : int;
@@ -154,26 +153,23 @@ let encode_forward f =
   Bytes.set_int32_le b 28 (Int32.of_int f.fwd_slots);
   b
 
-let decode_forward slot =
-  if Bytes.length slot < 32 then None
-  else if flag_of_slot slot <> flag_moved then None
-  else begin
-    let field off = Int32.to_int (Bytes.get_int32_le slot off) in
-    let f =
-      {
-        fwd_epoch = field 4;
-        fwd_lo = field 8;
-        fwd_hi = field 12;
-        fwd_node = field 16;
-        fwd_segment_id = field 20;
-        fwd_generation = Rmem.Generation.of_int (field 24);
-        fwd_slots = field 28;
-      }
-    in
-    if
-      f.fwd_epoch > 0 && f.fwd_lo >= 0 && f.fwd_hi >= f.fwd_lo && f.fwd_node >= 0
-      && f.fwd_segment_id >= 0 && f.fwd_slots > 0
-      && f.fwd_slots land (f.fwd_slots - 1) = 0
-    then Some f
-    else None
-  end
+let forward_at space ~addr =
+  let field off = word space addr off in
+  let epoch = field 4 and lo = field 8 and hi = field 12 in
+  let node = field 16 and segment_id = field 20 and slots = field 28 in
+  match Rmem.Generation.of_int (field 24) with
+  | generation
+    when epoch > 0 && lo >= 0 && hi >= lo && node >= 0 && segment_id >= 0
+         && slots > 0
+         && slots land (slots - 1) = 0 ->
+      Some
+        {
+          fwd_epoch = epoch;
+          fwd_lo = lo;
+          fwd_hi = hi;
+          fwd_node = node;
+          fwd_segment_id = segment_id;
+          fwd_generation = generation;
+          fwd_slots = slots;
+        }
+  | _ | (exception Invalid_argument _) -> None

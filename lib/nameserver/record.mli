@@ -1,5 +1,7 @@
-(** Fixed-size (64-byte) registry records with a valid-flag word written
-    last, so remote readers see slots either invalid or complete. *)
+(** Fixed-size (64-byte) registry records with a flag word written
+    last, so remote readers see a slot either not yet a record or
+    complete. This module lays out the bytes; what each flag means to a
+    reader is {!Registry.classify}, the one slot rule. *)
 
 type t = {
   name : string;
@@ -14,12 +16,14 @@ val slot_bytes : int
 (** 64. *)
 
 val flag_invalid : int
+(** A free slot. *)
+
 val flag_valid : int
+(** A complete record. *)
 
 val flag_moved : int
-(** The sharding layer's tombstone: the record migrated to another shard
-    segment. Probe chains skip (rather than end at) a moved slot, and a
-    remote reader that meets one knows its shard map may be stale. *)
+(** A tombstone: the record was deleted, or migrated to another shard
+    segment (its spare bytes may then carry a {!forward}). *)
 
 val make :
   name:string ->
@@ -37,12 +41,21 @@ val fnv_hash : string -> int
 
 val encode : t -> bytes
 val decode : bytes -> t option
-(** [None] when the slot is invalid (never exported or deleted). *)
+(** The record an {!encode} image carries — a control-transfer reply's
+    or a registration request's; [None] for any image {!encode} did not
+    write (short, or without the valid flag). *)
 
-val lookup_at : Cluster.Address_space.t -> addr:int -> string -> t option
-(** [decode] of the slot image at [addr] followed by a name comparison,
-    read in place: [Some] only for a valid slot holding exactly the
-    name, whose record then shares the caller's string. *)
+val holds_at : Cluster.Address_space.t -> addr:int -> string -> bool
+(** Whether the name field of the slot image at [addr], read in place,
+    holds exactly the name. The flag word is not read. *)
+
+val body_at : Cluster.Address_space.t -> addr:int -> string -> t
+(** The record of the slot image at [addr], read in place, under the
+    name {!holds_at} matched: the record shares the caller's string. *)
+
+val name_at : Cluster.Address_space.t -> addr:int -> string
+(** The name field of the slot image at [addr], up to its first NUL.
+    The flag word is not read. *)
 
 val invalid_slot : unit -> bytes
 (** Test-only: the record codec tests. *)
@@ -64,7 +77,9 @@ type forward = {
 val encode_forward : forward -> bytes
 (** A full 64-byte slot image, flag word [flag_moved]. *)
 
-val decode_forward : bytes -> forward option
-(** [None] unless the slot is a well-formed forwarding tombstone — in
-    particular a bare flag-only tombstone (epoch 0) yields [None] and
-    the reader falls back to a map refetch. *)
+val forward_at : Cluster.Address_space.t -> addr:int -> forward option
+(** The forward a tombstone image at [addr] carries, read in place;
+    [None] unless its spare bytes are well formed — a deletion's
+    tombstone keeps the old record's bytes, which almost never are, and
+    the reader falls back to a map refetch. The flag word is not
+    read. *)

@@ -1,10 +1,12 @@
 (* The open-addressed hash table serialized into a registry segment.
 
-   All operations here are *local* memory operations performed by the
-   clerk that owns the segment; remote clerks access the same bytes with
-   remote READs and decode them with {!Record}.  Linear probing; every
-   clerk uses the same hash function, so a name usually sits at the same
-   slot index on whichever registry holds it. *)
+   The clerk that owns the segment changes it with local memory
+   operations; remote clerks READ the same bytes.  Whoever reads, a
+   name's probe chain is walked one way: the shared {!Dds.Probe} walk
+   over slot images read in place under [classify], the one slot rule.
+   Linear probing; every clerk uses the same hash function, so a name
+   usually sits at the same slot index on whichever registry holds
+   it. *)
 
 type t = {
   space : Cluster.Address_space.t;
@@ -23,115 +25,86 @@ let create ~space ~base ~slots =
 let slots t = t.slots
 let live t = t.live
 
-let slot_index t name probe =
-  Dds.Probe.slot_index ~slots:t.slots ~hash:(Record.fnv_hash name) probe
+(* The one slot rule: the only reading of a slot's flag word.  A valid
+   slot is a record, a hit when it holds [name]; a moved slot is a
+   tombstone (deleted or migrated) that every walk skips, carrying the
+   forward its spare bytes may hold; any other flag is a free slot,
+   where every chain ends. *)
+let classify space ~addr name =
+  let flag = Cluster.Address_space.read_word space ~addr in
+  if flag = Record.flag_valid then
+    if Record.holds_at space ~addr name then
+      Dds.Probe.Hit (Record.body_at space ~addr name)
+    else Dds.Probe.Other
+  else if flag = Record.flag_moved then
+    Dds.Probe.Tombstone (Record.forward_at space ~addr)
+  else Dds.Probe.Free
 
-let slot_offset (_ : t) index = index * Record.slot_bytes
-
-let lookup_at t index name =
-  Record.lookup_at t.space ~addr:(t.base + slot_offset t index) name
-
-let read_slot t index =
-  Cluster.Address_space.read t.space
-    ~addr:(t.base + slot_offset t index)
-    ~len:Record.slot_bytes
-
-let flag t index =
-  Cluster.Address_space.read_word t.space ~addr:(t.base + slot_offset t index)
-
-(* The shared probe walk ({!Dds.Probe}), classified over local slots read
-   in place: an invalid slot is free (chain-ending), a moved tombstone is
-   skipped but reusable, and only a valid record holding [name] is a
-   hit. *)
-let walk t name =
-  Dds.Probe.walk ~slots:t.slots ~hash:(Record.fnv_hash name)
+let walk ~slots space ~slot name =
+  Dds.Probe.walk ~slots ~hash:(Record.fnv_hash name)
     ~classify:(fun ~index ~probe:_ ->
-      let flag = flag t index in
-      if flag = Record.flag_invalid then Dds.Probe.Free
-      else if flag = Record.flag_moved then Dds.Probe.Tombstone None
-      else if Option.is_some (lookup_at t index name) then Dds.Probe.Hit
-      else Dds.Probe.Other)
+      classify space ~addr:(slot (index * Record.slot_bytes)) name)
+
+let address t index = t.base + (index * Record.slot_bytes)
+let local_walk t name = walk ~slots:t.slots t.space ~slot:(( + ) t.base) name
 
 (* Insert: a valid slot already holding this name is overwritten
    (re-export replaces); otherwise the first tombstone along the chain
-   is preferred over the chain-ending free slot.  Write the body first,
-   flag last. *)
+   is preferred over the chain-ending free slot.  Invalidate, write the
+   body, then set the flag word — the remote readers' consistency
+   contract. *)
 let insert t record =
-  let name = record.Record.name in
   match
-    match walk t name with
-    | Dds.Probe.Found { index; _ } -> Ok index
+    match local_walk t record.Record.name with
+    | Dds.Probe.Found { index; _ } -> Ok (index, 0)
     | Dds.Probe.Absent { reusable = Some index; _ }
     | Dds.Probe.Absent { reusable = None; free = Some index; _ } ->
-        Ok index
+        Ok (index, 1)
     | Dds.Probe.Absent { reusable = None; free = None; _ } -> Error `Full
   with
   | Error `Full -> Error `Full
-  | Ok index ->
-      let slot = Record.encode record in
-      let body = Bytes.sub slot 4 (Record.slot_bytes - 4) in
-      let was_valid = flag t index = Record.flag_valid in
-      (* Invalidate, fill body, then set the flag word — the remote
-         readers' consistency contract. *)
-      Cluster.Address_space.write_word t.space
-        ~addr:(t.base + slot_offset t index)
-        Record.flag_invalid;
-      Cluster.Address_space.write t.space
-        ~addr:(t.base + slot_offset t index + 4)
-        body;
-      Cluster.Address_space.write_word t.space
-        ~addr:(t.base + slot_offset t index)
-        Record.flag_valid;
-      if not was_valid then t.live <- t.live + 1;
+  | Ok (index, added) ->
+      let addr = address t index in
+      Cluster.Address_space.write_word t.space ~addr Record.flag_invalid;
+      Cluster.Address_space.write_from t.space ~addr:(addr + 4)
+        (Record.encode record) ~pos:4 ~len:(Record.slot_bytes - 4);
+      Cluster.Address_space.write_word t.space ~addr Record.flag_valid;
+      t.live <- t.live + added;
       Ok index
 
 let lookup t name =
-  match walk t name with
-  | Dds.Probe.Found { index; probes } ->
-      Option.map (fun record -> (record, probes)) (lookup_at t index name)
+  match local_walk t name with
+  | Dds.Probe.Found { hit; probes; _ } -> Some (hit, probes)
   | Dds.Probe.Absent _ -> None
 
-let well_formed t =
-  let valid = ref 0 in
-  let sane = ref true in
-  for index = 0 to t.slots - 1 do
-    match Record.decode (read_slot t index) with
-    | None -> ()
-    | Some record ->
-        incr valid;
-        if String.length record.Record.name = 0 then sane := false
-  done;
-  !sane && !valid = t.live
-
+(* Deletion writes a tombstone over the flag word, so the chains that
+   run past the slot stay whole. *)
 let delete t name =
-  match lookup t name with
-  | None -> false
-  | Some (_, i) ->
-      let index = slot_index t name i in
-      Cluster.Address_space.write_word t.space
-        ~addr:(t.base + slot_offset t index)
-        Record.flag_invalid;
-      t.live <- t.live - 1;
-      true
-
-(* The sharding layer's deletion: mark the slot moved rather than
-   invalid, so probe chains running past it stay intact and remote
-   readers learn the record migrated.  Returns the slot index so the
-   caller can mirror the single flag word remotely. *)
-let tombstone t name =
-  match lookup t name with
-  | None -> None
-  | Some (_, i) ->
-      let index = slot_index t name i in
-      Cluster.Address_space.write_word t.space
-        ~addr:(t.base + slot_offset t index)
+  match local_walk t name with
+  | Dds.Probe.Absent _ -> None
+  | Dds.Probe.Found { index; _ } ->
+      Cluster.Address_space.write_word t.space ~addr:(address t index)
         Record.flag_moved;
       t.live <- t.live - 1;
       Some index
 
+(* Each slot's record, if the slot rule reads one there under the name
+   its name field holds. *)
+let record_at t index =
+  let addr = address t index in
+  match classify t.space ~addr (Record.name_at t.space ~addr) with
+  | Dds.Probe.Hit record -> Some record
+  | Dds.Probe.Free | Dds.Probe.Tombstone _ | Dds.Probe.Other -> None
+
 let iter t f =
   for index = 0 to t.slots - 1 do
-    match Record.decode (read_slot t index) with
-    | None -> ()
-    | Some record -> f index record
+    Option.iter (f index) (record_at t index)
   done
+
+let well_formed t =
+  let valid = ref 0 in
+  let sane = ref true in
+  iter t (fun _ record ->
+      incr valid;
+      if String.length record.Record.name = 0 then sane := false);
+  !sane && !valid = t.live

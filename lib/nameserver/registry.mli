@@ -1,12 +1,18 @@
 (** The open-addressed (linear-probing) hash table a clerk serializes
-    into its registry segment. Local operations only; remote clerks read
-    the same bytes with remote READs.
+    into its registry segment.
 
-    Deletion simply invalidates the slot. Because an invalid slot ends
-    every probe chain, a deletion can orphan colliding names that probed
-    past it; the paper's name service tolerates this the same way —
-    generation numbers and periodic refresh make stale or missed entries
-    recoverable, and re-export re-inserts. *)
+    The owning clerk changes it with local memory operations; remote
+    clerks READ the same bytes. Every reader walks a name's probe chain
+    through {!walk}, under one slot rule, by the slot's flag word:
+    {ul
+    {- {!Record.flag_valid}: a record — the hit when it holds the name,
+       else the walk goes on;}
+    {- {!Record.flag_moved}: a tombstone, left by a deletion or a
+       shard migration — skipped, the first one reusable by an insert,
+       carrying the {!Record.forward} its spare bytes may hold;}
+    {- any other flag: a free slot — every chain ends there.}}
+    Deletion leaves a tombstone, so it never orphans a colliding name
+    that probed past the deleted slot. *)
 
 type t
 
@@ -19,12 +25,18 @@ val create : space:Cluster.Address_space.t -> base:int -> slots:int -> t
 val slots : t -> int
 val live : t -> int
 
-val slot_index : t -> string -> int -> int
-(** [slot_index t name i] — the i-th probe location for [name]; the same
-    on every clerk (shared hash function). *)
-
-val slot_offset : t -> int -> int
-(** Byte offset of a slot within the registry segment. *)
+val walk :
+  slots:int ->
+  Cluster.Address_space.t ->
+  slot:(int -> int) ->
+  string ->
+  (Record.t, Record.forward) Dds.Probe.outcome
+(** [walk ~slots space ~slot name] walks [name]'s probe chain over a
+    table of [slots] slots. [slot off] brings the image of the slot at
+    byte offset [off] of the table into [space] — a remote READ into a
+    probe buffer, or nothing for a table [space] holds — and returns its
+    address there; the image is read in place under the slot rule. A
+    hit carries the record, a tombstone its forward. *)
 
 val insert : t -> Record.t -> (int, [ `Full ]) result
 (** Returns the slot index used. Re-inserting a live name overwrites it.
@@ -34,20 +46,15 @@ val insert : t -> Record.t -> (int, [ `Full ]) result
 val lookup : t -> string -> (Record.t * int) option
 (** Returns the record and the number of probes taken to reach it. *)
 
-val delete : t -> string -> bool
-
-val tombstone : t -> string -> int option
-(** Mark a name's slot moved ({!Record.flag_moved}) instead of invalid:
-    probe chains skip the slot (nothing is orphaned) and remote readers
-    that meet it know the record migrated to another shard. Returns the
-    slot index tombstoned so the caller can mirror the flag word
-    remotely, or [None] if the name is absent. *)
+val delete : t -> string -> int option
+(** Tombstone the name's slot ({!Record.flag_moved}): walks skip it and
+    an insert may reuse it. Returns the slot index, so the caller can
+    mirror the slot remotely, or [None] if the name is absent. *)
 
 val iter : t -> (int -> Record.t -> unit) -> unit
-(** Apply to every live (decodable) slot, in slot order. *)
+(** Apply to every live slot's record, in slot order. *)
 
 val well_formed : t -> bool
 (** Structural consistency of the serialized table: the live counter
-    matches the number of decodable slots and no valid slot carries a
-    torn (empty-name) record. Orphaned-but-valid entries after a
-    deletion are tolerated, as in the paper's name service. *)
+    matches the number of records the slot rule reads and no record
+    has an empty (torn) name. *)

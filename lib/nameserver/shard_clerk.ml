@@ -192,48 +192,16 @@ let shard_desc t e =
       Hashtbl.replace t.shard_descs key d;
       d
 
-type probe_outcome =
-  | Found of Record.t
-  | Absent
-  | Inconclusive of Record.forward option
-      (* the record migrated; the forwarding tombstone (when decodable)
-         names the destination shard, so the caller can heal in place *)
-
-(* Walk the probe chain with slot READs — the shared {!Dds.Probe} walk
-   classified over remote slots.  An invalid slot ends the chain; a
-   moved tombstone is skipped but remembered — absence after a
-   tombstone is inconclusive (the record migrated; the map may be
-   stale), and the first decodable forwarding record along the chain
-   names where. *)
+(* Walk the probe chain with slot READs under the registry's slot rule.
+   A hit is the record; absence with a tombstone on the chain is
+   inconclusive — the record may have migrated and the map be stale —
+   and the first decodable forward along the chain names where. *)
 let probe_shard t e name =
   let desc = shard_desc t e in
-  let found = ref None in
-  let outcome =
-    Dds.Probe.walk ~slots:e.Shardmap.slots ~hash:(Record.fnv_hash name)
-      ~classify:(fun ~index ~probe:_ ->
-        rd t desc
-          ~soff:(index * Record.slot_bytes)
-          ~count:Record.slot_bytes ~doff:probe_base;
-        Metrics.Account.add t.stats ~category:"remote probes" 1.;
-        let flag = Cluster.Address_space.read_word t.space ~addr:probe_base in
-        if flag = Record.flag_moved then
-          Dds.Probe.Tombstone
-            (Record.decode_forward
-               (Cluster.Address_space.read t.space ~addr:probe_base
-                  ~len:Record.slot_bytes))
-        else if flag <> Record.flag_valid then Dds.Probe.Free
-        else
-          match Record.lookup_at t.space ~addr:probe_base name with
-          | Some r ->
-              found := Some r;
-              Dds.Probe.Hit
-          | None -> Dds.Probe.Other)
-  in
-  match outcome with
-  | Dds.Probe.Found _ -> (
-      match !found with Some r -> Found r | None -> Absent)
-  | Dds.Probe.Absent { reusable = None; _ } -> Absent
-  | Dds.Probe.Absent { reusable = Some _; note; _ } -> Inconclusive note
+  Registry.walk ~slots:e.Shardmap.slots t.space name ~slot:(fun soff ->
+      rd t desc ~soff ~count:Record.slot_bytes ~doff:probe_base;
+      Metrics.Account.add t.stats ~category:"remote probes" 1.;
+      probe_base)
 
 (* Heal from a forwarding tombstone without touching the map host:
    carve the destination shard's bucket range out of the cached entries,
@@ -307,14 +275,14 @@ let lookup t name =
           end
         in
         match probe_shard t e name with
-        | Found record -> record
-        | Absent ->
+        | Dds.Probe.Found { hit = record; _ } -> record
+        | Dds.Probe.Absent { reusable = None; _ } ->
             (* Believe a miss only under a current map: one 4-byte READ
                of the epoch word distinguishes absent from stale. *)
             if remote_epoch t = m.Shardmap.epoch then
               raise (Clerk.Name_not_found name)
             else retry ()
-        | Inconclusive fwd -> (
+        | Dds.Probe.Absent { reusable = Some _; note = fwd; _ } -> (
             (* Prefer healing in place from the forwarding tombstone —
                it keeps a post-rebalance stampede of stale clients off
                the map host entirely. *)
@@ -335,27 +303,24 @@ let lookup t name =
 (* ------------------------------------------------------------------ *)
 (* Control plane: registration and load reporting.                     *)
 
-let control_descriptor t cache name =
-  match !cache with
-  | Some desc -> desc
-  | None ->
-      let desc =
-        importing (fun () -> Api.import ~hint:t.reconciler_hint t.clerk name)
-      in
-      cache := Some desc;
-      desc
+let control_import t name =
+  importing (fun () -> Api.import ~hint:t.reconciler_hint t.clerk name)
 
 let request_descriptor t =
-  let cache = ref t.req_desc in
-  let desc = control_descriptor t cache Reconciler.request_segment_name in
-  t.req_desc <- !cache;
-  desc
+  match t.req_desc with
+  | Some desc -> desc
+  | None ->
+      let desc = control_import t Reconciler.request_segment_name in
+      t.req_desc <- Some desc;
+      desc
 
 let load_descriptor t =
-  let cache = ref t.load_desc in
-  let desc = control_descriptor t cache Reconciler.load_segment_name in
-  t.load_desc <- !cache;
-  desc
+  match t.load_desc with
+  | Some desc -> desc
+  | None ->
+      let desc = control_import t Reconciler.load_segment_name in
+      t.load_desc <- Some desc;
+      desc
 
 let register t record =
   Metrics.Account.add t.stats ~category:"register" 1.;

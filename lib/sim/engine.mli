@@ -27,8 +27,8 @@ val pending : t -> int
 (** Number of events still queued. *)
 
 val events_fired : t -> int
-(** Total events executed since [create] — the denominator of the
-    host-time events/sec baseline ([bench --host]). *)
+(** Total events executed since [create]; the system benchmark
+    ([bench/suite]) reports it per operation. *)
 
 val schedule : ?after:Time.t -> t -> (unit -> unit) -> unit
 (** [schedule ~after t thunk] runs [thunk] [after] nanoseconds from now

@@ -248,7 +248,8 @@ if [ -n "$hits" ]; then
 fi
 
 # 15. No hidden order: in the libraries the simulation runs through,
-# no Hashtbl or Sim.Int_table is iterated, folded or turned into a
+# and in the analysis library that reports on it, no Hashtbl or
+# Sim.Int_table is iterated, folded or turned into a
 # sequence except at a site on the allow-list below.  A Hashtbl's
 # bucket order depends on the hash seed (OCAMLRUNPARAM=R) and on its
 # size, an Int_table's slot order on its size and history, so an
@@ -263,6 +264,8 @@ order_hits=$(mktemp)
 trap 'rm -rf "$stripped" "$order_allowed" "$order_hits"' EXIT
 sed -e '/^#/d' -e 's/ @@ [^@]*$//' >"$order_allowed.raw" <<'ALLOWED'
 # file @@ iterating line @@ why order cannot matter
+lib/analysis/monitor.ml @@ Hashtbl.fold @@ worst_cas_retries: sorted
+lib/analysis/monitor.ml @@ Hashtbl.iter @@ break_cas_retries: resets each matching chain, a per-key update
 lib/atm/switch.ml @@ Hashtbl.fold (fun _ down acc -> acc + Link.queue_depth down) t.downlinks 0 @@ a sum
 lib/atm/switch.ml @@ Hashtbl.fold (fun i l acc -> (i, l) :: acc) table [] |> List.sort by_port @@ sorted by port
 lib/core/remote_memory.ml @@ Sim.Int_table.fold @@ notification_backlog: a sum
@@ -289,7 +292,7 @@ rm -f "$order_allowed.raw"
 grep -rnE --include='*.ml' \
   '(Hashtbl|Int_table)\.(iter|fold|to_seq[a-z_]*)([^A-Za-z0-9_]|$)' \
   lib/sim lib/atm lib/cluster lib/core lib/dfs lib/nameserver lib/replica \
-  lib/svm lib/dds lib/amsg lib/rpc lib/obs |
+  lib/svm lib/dds lib/amsg lib/rpc lib/obs lib/analysis |
   sed -E 's/^([^:]*):[0-9]+:[[:space:]]*/\1 @@ /; s/[[:space:]]+$//' |
   sort >"$order_hits"
 unlisted=$(comm -23 "$order_hits" "$order_allowed")
@@ -393,4 +396,24 @@ for f in $(find bin -name '*.ml' | sort); do
   fi
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem and amsg builders, rmem and RPC completions free of Ivar and the NIC of Mailbox, park/unpark only in sim and nic, no unlisted hash-table iteration, observers only on the node stream, no hand-written JSON in bin/, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 20. One slot rule for the name registry.  Registry.classify is the
+# only reader of a registry slot's flag word, and every other reader
+# walks a chain through Registry.walk, so the flag values are named
+# only in lib/nameserver/record.ml(i) and registry.ml: Record.flag_valid,
+# flag_invalid and flag_moved nowhere else in lib/, bin/, test/,
+# examples/ or bench/, and no bare flag_* of them elsewhere in
+# lib/nameserver (lib/dfs/slot_cache.ml keeps flags of its own).
+# Comments are dropped first in lib/ and bin/.
+qualified_flag="(^|[^A-Za-z0-9_'])Record\.flag_(valid|invalid|moved)([^A-Za-z0-9_']|\$)"
+bare_flag="(^|[^A-Za-z0-9_'])flag_(valid|invalid|moved)([^A-Za-z0-9_']|\$)"
+for f in \
+  $(cd "$stripped" && grep -El "$qualified_flag" $(find lib bin \( -name '*.ml' -o -name '*.mli' \) -print | sort)) \
+  $(cd "$stripped" && grep -El "$bare_flag" $(find lib/nameserver \( -name '*.ml' -o -name '*.mli' \) -print | sort)) \
+  $(grep -rEl --include='*.ml' "$qualified_flag" test examples bench | sort); do
+  case "$f" in
+    lib/nameserver/record.ml | lib/nameserver/record.mli | lib/nameserver/registry.ml) ;;
+    *) fail "$f names a registry slot flag — walk the chain through Names.Registry.walk, the one slot rule" ;;
+  esac
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem and amsg builders, rmem and RPC completions free of Ivar and the NIC of Mailbox, park/unpark only in sim and nic, no unlisted hash-table iteration, observers only on the node stream, no hand-written JSON in bin/, registry slot flags read by one rule, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

@@ -197,6 +197,112 @@ let backoff_retry_clean () =
   check_bool "backed-off retries are fine" false
     (List.mem "unbounded-retry" (rules findings))
 
+(* ---------------- Findings in first-occurrence order ------------ *)
+
+(* Export one 4 KB segment per base on node 1 under [policy] and import
+   it on node 0, in list order. *)
+let segments_on_node1 d ~policy bases =
+  List.map
+    (fun base ->
+      let segment =
+        Rmem.Remote_memory.export d.Rig.rmem1 ~space:d.Rig.space1 ~base
+          ~len:4096 ~rights:Rmem.Rights.all ~policy
+          ~name:(Printf.sprintf "seg-%d" base) ()
+      in
+      ( Rmem.Segment.id segment,
+        Rmem.Remote_memory.import d.Rig.rmem0
+          ~remote:(Cluster.Node.addr d.Rig.node1)
+          ~segment_id:(Rmem.Segment.id segment)
+          ~generation:(Rmem.Segment.generation segment)
+          ~size:4096 ~rights:Rmem.Rights.all () ))
+    bases
+
+(* The segment ids of [keys], a run of one id counted once. *)
+let segment_ids keys =
+  List.fold_right
+    (fun (key : Analysis.Access.seg_key) acc ->
+      match acc with
+      | seg :: _ when seg = key.seg -> acc
+      | _ -> key.seg :: acc)
+    keys []
+
+(* Two notify:always segments stormed one after the other, the later
+   export first: the findings name them in the order the storms began,
+   not in the order a hash table keeps their keys. *)
+let lint_first_occurrence_order () =
+  let d, monitor = monitored_duo () in
+  let stormed =
+    Rig.run d (fun () ->
+        let segments =
+          List.rev
+            (segments_on_node1 d ~policy:Rmem.Segment.Always [ 0; 4096 ])
+        in
+        List.iter
+          (fun (_, desc) ->
+            for i = 0 to Analysis.Lint.poll_threshold + 1 do
+              Rmem.Remote_memory.write d.Rig.rmem0 desc ~off:(i * 8)
+                (Bytes.make 8 'x')
+            done;
+            Rmem.Remote_memory.fence d.Rig.rmem0 desc)
+          segments;
+        List.map fst segments)
+  in
+  let found =
+    List.filter_map
+      (fun f ->
+        if f.Analysis.Lint.rule = "notify-storm" then Some f.Analysis.Lint.key
+        else None)
+      (Analysis.Lint.check monitor)
+  in
+  Alcotest.(check (list int)) "storms in the order they began" stormed
+    (segment_ids found)
+
+(* Two agents write the same bytes of two segments, the later export
+   first, with nothing ordering them: the races name the segments in the
+   order they were first written. *)
+let race_first_occurrence_order () =
+  let testbed = Cluster.Testbed.create ~nodes:3 () in
+  let monitor = Analysis.Monitor.create (Cluster.Testbed.engine testbed) in
+  List.iter (Analysis.Monitor.attach monitor) (Cluster.Testbed.nodes testbed);
+  let home = Cluster.Testbed.node testbed 0 in
+  let space = Cluster.Node.new_address_space home in
+  let rmem =
+    Array.init 3 (fun i ->
+        Rmem.Remote_memory.attach (Cluster.Testbed.node testbed i))
+  in
+  let written = ref [] in
+  Cluster.Testbed.run testbed (fun () ->
+      let segments =
+        List.map
+          (fun base ->
+            Rmem.Remote_memory.export rmem.(0) ~space ~base ~len:4096
+              ~rights:Rmem.Rights.all ~name:(Printf.sprintf "seg-%d" base) ())
+          [ 0; 4096 ]
+        |> List.rev
+      in
+      written := List.map Rmem.Segment.id segments;
+      for c = 1 to 2 do
+        Cluster.Node.spawn (Cluster.Testbed.node testbed c) (fun () ->
+            List.iter
+              (fun segment ->
+                let desc =
+                  Rmem.Remote_memory.import rmem.(c)
+                    ~remote:(Cluster.Node.addr home)
+                    ~segment_id:(Rmem.Segment.id segment)
+                    ~generation:(Rmem.Segment.generation segment)
+                    ~size:4096 ~rights:Rmem.Rights.all ()
+                in
+                Rmem.Remote_memory.write rmem.(c) desc ~off:0
+                  (Bytes.make 64 (Char.chr (0x60 + c)));
+                Rmem.Remote_memory.fence rmem.(c) desc)
+              segments)
+      done);
+  let raced =
+    List.map (fun r -> r.Analysis.Race.key) (Analysis.Race.find monitor)
+  in
+  Alcotest.(check (list int)) "races in the order the segments were written"
+    !written (segment_ids raced)
+
 (* ---------------- Scenario expectations ---------------- *)
 
 let run_scenario prepare =
@@ -425,6 +531,10 @@ let suite =
       unbounded_retry_flagged;
     Alcotest.test_case "backed-off retry clean" `Quick backoff_retry_clean;
     Alcotest.test_case "racy workload flagged" `Quick racy_flagged;
+    Alcotest.test_case "lint findings in first-occurrence order" `Quick
+      lint_first_occurrence_order;
+    Alcotest.test_case "races in first-occurrence order" `Quick
+      race_first_occurrence_order;
     Alcotest.test_case "producer/consumer clean" `Quick
       producer_consumer_clean;
     Alcotest.test_case "kv store clean" `Quick kv_store_clean;

@@ -41,14 +41,14 @@ let walk_table table ~hash key =
       match table.(index) with
       | 0 -> Dds.Probe.Free
       | -1 -> Dds.Probe.Tombstone (Some index)
-      | k when k = key -> Dds.Probe.Hit
+      | k when k = key -> Dds.Probe.Hit ()
       | _ -> Dds.Probe.Other)
 
 let probe_hit_and_probes () =
   (* hash 2, chain [2]=9 [3]=7: finding 7 takes one displacement. *)
   let table = [| 0; 0; 9; 7; 0; 0; 0; 0 |] in
   match walk_table table ~hash:2 7 with
-  | Dds.Probe.Found { index; probes } ->
+  | Dds.Probe.Found { index; probes; hit = () } ->
       check_int "index" 3 index;
       check_int "probes" 1 probes
   | Dds.Probe.Absent _ -> Alcotest.fail "expected Found"
@@ -71,7 +71,7 @@ let probe_tombstone_reuse_and_note () =
 let probe_wraps_modulo () =
   let table = [| 7; 0; 0; 0; 0; 0; 9; 9 |] in
   match walk_table table ~hash:6 7 with
-  | Dds.Probe.Found { index = 0; probes = 2 } -> ()
+  | Dds.Probe.Found { index = 0; probes = 2; _ } -> ()
   | _ -> Alcotest.fail "expected wrap-around hit at slot 0"
 
 let probe_full_table () =

@@ -25,10 +25,10 @@ let record_roundtrip =
       | Some back -> back = record
       | None -> false)
 
-(* [lookup_at] reads the slot in place and must say what [decode]
-   followed by [String.equal] says, for any query: the stored name, a
-   prefix or extension of it, one over 32 bytes, one holding a NUL, and
-   a slot with garbage after the name's terminator. *)
+(* [holds_at] and [body_at] read the slot in place and must say what
+   [decode] followed by [String.equal] says, for any query: the stored
+   name, a prefix or extension of it, one over 32 bytes, one holding a
+   NUL, and a slot with garbage after the name's terminator. *)
 let record_lookup_in_place =
   let query =
     QCheck.Gen.(
@@ -61,7 +61,12 @@ let record_lookup_in_place =
         | Some r when String.equal r.Names.Record.name query -> Some r
         | Some _ | None -> None
       in
-      Names.Record.lookup_at space ~addr:64 query = expected)
+      let in_place =
+        if Names.Record.holds_at space ~addr:64 query then
+          Some (Names.Record.body_at space ~addr:64 query)
+        else None
+      in
+      in_place = expected)
 
 let record_invalid_slot () =
   Alcotest.(check bool) "invalid decodes to None" true
@@ -98,9 +103,9 @@ let registry_insert_lookup_delete () =
       check_int "direct hit" 0 probes
   | None -> Alcotest.fail "expected hit");
   check_int "live" 1 (Names.Registry.live r);
-  check_bool "deleted" true (Names.Registry.delete r "alpha");
+  check_bool "deleted" true (Names.Registry.delete r "alpha" <> None);
   check_bool "gone" true (Names.Registry.lookup r "alpha" = None);
-  check_bool "double delete" false (Names.Registry.delete r "alpha")
+  check_bool "double delete" false (Names.Registry.delete r "alpha" <> None)
 
 let registry_overwrite_same_name () =
   let r = registry () in
@@ -134,6 +139,36 @@ let registry_collisions_probe =
           | Some (record, _) -> String.equal record.Names.Record.name name
           | None -> false)
         names)
+
+(* Two names whose first probe lands on the same slot of a [slots]-slot
+   registry, so the second is inserted one slot past the first. *)
+let colliding ~slots =
+  let name i = Printf.sprintf "n%03d" i in
+  let home i = Names.Record.fnv_hash (name i) land (slots - 1) in
+  let rec find j = if home j = home 0 then (name 0, name j) else find (j + 1) in
+  find 1
+
+(* Deleting the first of two colliding names leaves a tombstone the
+   second's chain runs past: the second stays findable, and re-inserting
+   it overwrites it in place instead of making a second copy. *)
+let registry_delete_keeps_colliders () =
+  let space = Cluster.Address_space.create ~asid:9 () in
+  let r = Names.Registry.create ~space ~base:0 ~slots:8 in
+  let first, second = colliding ~slots:8 in
+  ignore (Names.Registry.insert r (sample_record ~name:first ()));
+  ignore (Names.Registry.insert r (sample_record ~name:second ()));
+  check_bool "first deleted" true (Names.Registry.delete r first <> None);
+  check_bool "second found past the tombstone" true
+    (Names.Registry.lookup r second <> None);
+  check_int "live" 1 (Names.Registry.live r);
+  check_bool "well-formed" true (Names.Registry.well_formed r);
+  ignore (Names.Registry.insert r (sample_record ~name:second ~gen:2 ()));
+  let copies = ref 0 in
+  Names.Registry.iter r (fun _ record ->
+      if String.equal record.Names.Record.name second then incr copies);
+  check_int "one copy after re-insert" 1 !copies;
+  check_int "live after re-insert" 1 (Names.Registry.live r);
+  check_bool "well-formed after re-insert" true (Names.Registry.well_formed r)
 
 let registry_full () =
   let space = Cluster.Address_space.create ~asid:9 () in
@@ -263,6 +298,10 @@ let refresh_daemon_runs () =
       (* Stop the simulation from running the daemon forever. *)
       Sim.Engine.stop rig.Rig.d.Rig.engine)
 
+(* The two lookup paths, one after the other: a control-transfer import
+   finds the name by asking the exporter's clerk, and a probing import
+   after it resolves by remote READs alone, without another control
+   transfer. *)
 let probe_then_control_policy () =
   let rig = Rig.named_duo () in
   Rig.run rig.Rig.d (fun () ->
@@ -271,45 +310,94 @@ let probe_then_control_policy () =
         Names.Api.export rig.Rig.clerk1 ~space ~base:0 ~len:4096 ~name:"ptc" ()
       in
       let hint = Cluster.Node.addr rig.Rig.d.Rig.node1 in
-      (* With a 0-probe budget the clerk must immediately fall back to
-         the control-transfer path — and still find the name. *)
-      Names.Clerk.set_probe_policy rig.Rig.clerk0
-        (Names.Clerk.Probe_then_control 0);
-      let desc = Names.Api.import ~force:true ~hint rig.Rig.clerk0 "ptc" in
-      check_int "found" 4096 (Rmem.Descriptor.size desc);
       let transfers () =
         Metrics.Account.total_of
           (Names.Clerk.stats rig.Rig.clerk0)
           "control-transfer lookups"
       in
-      Alcotest.(check bool) "used control transfer" true (transfers () >= 1.);
-      (* A control-transfer import puts back the policy it found: the
-         next forced import still falls back at once. *)
-      let (_ : Rmem.Descriptor.t) =
-        Names.Api.import_with_control_transfer ~hint rig.Rig.clerk0 "ptc"
-      in
-      let before = transfers () in
-      let (_ : Rmem.Descriptor.t) =
-        Names.Api.import ~force:true ~hint rig.Rig.clerk0 "ptc"
-      in
-      Alcotest.(check bool) "policy kept across a control-transfer import"
-        true
-        (transfers () > before);
-      (* With a large budget it resolves by probing alone. *)
-      let served_before =
+      let served () =
         Metrics.Account.total_of
           (Names.Clerk.stats rig.Rig.clerk1)
           "lookups served"
       in
-      Names.Clerk.set_probe_policy rig.Rig.clerk0
-        (Names.Clerk.Probe_then_control 32);
+      let desc =
+        Names.Api.import_with_control_transfer ~hint rig.Rig.clerk0 "ptc"
+      in
+      check_int "found" 4096 (Rmem.Descriptor.size desc);
+      Alcotest.(check bool) "used control transfer" true (transfers () >= 1.);
+      let transfers_before = transfers () and served_before = served () in
       let (_ : Rmem.Descriptor.t) =
         Names.Api.import ~force:true ~hint rig.Rig.clerk0 "ptc"
       in
+      Alcotest.(check (float 0.01)) "probing import transfers no control"
+        transfers_before (transfers ());
       Alcotest.(check (float 0.01)) "no extra control transfer" served_before
-        (Metrics.Account.total_of
-           (Names.Clerk.stats rig.Rig.clerk1)
-           "lookups served"))
+        (served ()))
+
+(* A second clerk's remote lookup walks past the slot its exporter's
+   DELETENAME tombstoned to the colliding name behind it. *)
+let remote_lookup_past_deleted_slot () =
+  let rig = Rig.named_duo () in
+  Rig.run rig.Rig.d (fun () ->
+      let space = Cluster.Node.new_address_space rig.Rig.d.Rig.node1 in
+      let slots = Names.Registry.slots (Names.Clerk.registry rig.Rig.clerk1) in
+      let first, second = colliding ~slots in
+      let gone =
+        Names.Api.export rig.Rig.clerk1 ~space ~base:0 ~len:4096 ~name:first ()
+      in
+      let kept =
+        Names.Api.export rig.Rig.clerk1 ~space ~base:4096 ~len:4096
+          ~name:second ()
+      in
+      Names.Api.revoke rig.Rig.clerk1 gone;
+      let desc =
+        Names.Api.import
+          ~hint:(Cluster.Node.addr rig.Rig.d.Rig.node1)
+          rig.Rig.clerk0 second
+      in
+      check_int "found past the deleted slot" (Rmem.Segment.id kept)
+        (Rmem.Descriptor.segment_id desc))
+
+(* The per-node clerk's remote walk skips a moved slot, here a shard
+   migration's forwarding tombstone, written into node 1's well-known
+   registry, which is built by hand so the test can write it. *)
+let remote_lookup_past_moved_slot () =
+  let d = Rig.duo () in
+  Rig.run d (fun () ->
+      let clerk0 = Names.Clerk.create d.Rig.rmem0 in
+      let slots = Names.Bootstrap.default_slots in
+      let registry = Names.Registry.create ~space:d.Rig.space1 ~base:0 ~slots in
+      let (_ : Rmem.Segment.t) =
+        Rmem.Remote_memory.export d.Rig.rmem1 ~space:d.Rig.space1 ~base:0
+          ~len:(Names.Registry.segment_bytes ~slots)
+          ~id:Names.Bootstrap.registry_segment_id
+          ~rights:(Rmem.Rights.make ~read:true ~write:true ())
+          ~name:"wk:registry" ()
+      in
+      let first, second = colliding ~slots in
+      let index =
+        match Names.Registry.insert registry (sample_record ~name:first ()) with
+        | Ok index -> index
+        | Error `Full -> Alcotest.fail "registry full"
+      in
+      ignore (Names.Registry.insert registry (sample_record ~name:second ()));
+      Cluster.Address_space.write d.Rig.space1
+        ~addr:(index * Names.Record.slot_bytes)
+        (Names.Record.encode_forward
+           {
+             Names.Record.fwd_epoch = 1;
+             fwd_lo = 0;
+             fwd_hi = 7;
+             fwd_node = 1;
+             fwd_segment_id = 9;
+             fwd_generation = Rmem.Generation.initial;
+             fwd_slots = 8;
+           });
+      let record =
+        Names.Clerk.lookup ~hint:(Cluster.Node.addr d.Rig.node1) clerk0 second
+      in
+      Alcotest.(check string) "found past the moved slot" second
+        record.Names.Record.name)
 
 let control_transfer_absent_name () =
   let rig = Rig.named_duo () in
@@ -348,9 +436,8 @@ let registry_well_formed () =
   ignore (Names.Registry.insert r (sample_record ~name:"alpha" ()));
   ignore (Names.Registry.insert r (sample_record ~name:"beta" ()));
   check_bool "after inserts" true (Names.Registry.well_formed r);
-  check_bool "deleted" true (Names.Registry.delete r "beta");
-  check_bool "orphans after deletion tolerated" true
-    (Names.Registry.well_formed r);
+  check_bool "deleted" true (Names.Registry.delete r "beta" <> None);
+  check_bool "after deletion" true (Names.Registry.well_formed r);
   (* Tear every slot's valid flag behind the registry's back: the live
      counter now exceeds the decodable records. *)
   for index = 0 to 7 do
@@ -370,6 +457,8 @@ let suite =
     Alcotest.test_case "registry overwrite same name" `Quick
       registry_overwrite_same_name;
     Alcotest.test_case "registry full" `Quick registry_full;
+    Alcotest.test_case "registry delete keeps colliding names" `Quick
+      registry_delete_keeps_colliders;
     Alcotest.test_case "export/import end to end" `Quick export_import_roundtrip;
     Alcotest.test_case "lookup not found" `Quick lookup_not_found;
     Alcotest.test_case "hintless lookup needs cache" `Quick
@@ -384,6 +473,10 @@ let suite =
       probe_then_control_policy;
     Alcotest.test_case "control transfer on absent name" `Quick
       control_transfer_absent_name;
+    Alcotest.test_case "remote lookup past a deleted slot" `Quick
+      remote_lookup_past_deleted_slot;
+    Alcotest.test_case "remote lookup past a moved slot" `Quick
+      remote_lookup_past_moved_slot;
     QCheck_alcotest.to_alcotest record_roundtrip;
     QCheck_alcotest.to_alcotest record_lookup_in_place;
     QCheck_alcotest.to_alcotest registry_collisions_probe;

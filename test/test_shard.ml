@@ -249,7 +249,7 @@ let test_tombstone_keeps_chains () =
   | Ok _ -> ()
   | Error `Full -> Alcotest.fail "b insert");
   (* Tombstone the chain head: the collider must stay reachable. *)
-  checkb "tombstoned" true (Names.Registry.tombstone reg a <> None);
+  checkb "tombstoned" true (Names.Registry.delete reg a <> None);
   checkb "a gone" true (Names.Registry.lookup reg a = None);
   checkb "b survives past the tombstone" true
     (match Names.Registry.lookup reg b with
@@ -349,7 +349,7 @@ let test_lookup_hit_budget () =
           103 (Names.Shard_clerk.lookup sc5 name).Names.Record.segment_id;
         words)
   in
-  Rig.within_budget "shard lookup hit" ~words ~budget:93.6
+  Rig.within_budget "shard lookup hit" ~words ~budget:92.5
 
 (* A rebalance in the middle of a client's cached-epoch window: the
    client heals through the forwarding tombstone — a local map patch,

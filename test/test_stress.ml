@@ -128,15 +128,12 @@ let registry_matches_reference =
           | Reg_delete name ->
               let was_there = Hashtbl.mem model name in
               Hashtbl.remove model name;
-              Names.Registry.delete registry name = was_there
+              Names.Registry.delete registry name <> None = was_there
           | Reg_lookup name ->
-              let found = Names.Registry.lookup registry name <> None in
-              (* Deletion may orphan colliding names that probed past the
-                 invalidated slot (documented behavior), so the registry
-                 may miss a name the model has — but it must never
-                 *invent* one. *)
-              (not found) || Hashtbl.mem model name)
-        ops)
+              Names.Registry.lookup registry name <> None
+              = Hashtbl.mem model name)
+        ops
+      && Names.Registry.live registry = Hashtbl.length model)
 
 (* ---------------- Concurrency stress ---------------- *)
 
