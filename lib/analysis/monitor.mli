@@ -59,6 +59,9 @@ val logical_commit :
   t -> agent_name:string -> cell:History.cell -> op:History.operation -> unit
 (** Close the scope with the wrapper's client-facing result. *)
 
+val key_of_segment : home:int -> Rmem.Segment.t -> Access.seg_key
+(** The key of [segment] as exported at node address [home]. *)
+
 val declare_sync_word : t -> key:Access.seg_key -> off:int -> unit
 (** Mark the aligned word at [off] as a synchronization word: races
     confined to it are exempt (in addition to the inferred CAS-only

@@ -708,20 +708,20 @@ let dds_register_no_writeback () =
         Array.init 3 (fun k ->
             Dds.Register.replica ~rmem:rmems.(k) ~amsg:amsgs.(k) ())
       in
+      let key r =
+        Monitor.key_of_segment
+          ~home:(Atm.Addr.to_int (Cluster.Node.addr (Dds.Register.replica_node r)))
+          (Dds.Register.replica_segment r)
+      in
       Array.iter
         (fun r ->
-          let home, seg, gen = Dds.Register.replica_key r in
-          let key = { Access.home; seg; gen } in
-          Monitor.declare_sync_word monitor ~key ~off:0;
-          Monitor.declare_sync_word monitor ~key ~off:4)
+          Monitor.declare_sync_word monitor ~key:(key r) ~off:0;
+          Monitor.declare_sync_word monitor ~key:(key r) ~off:4)
         reps;
       let spaces = Array.map Dds.Register.replica_space reps in
       (* The register's designated history cell: replica 0's value
          word, the same one [Dds.Register]'s own Commit names. *)
-      let cell =
-        let home, seg, gen = Dds.Register.replica_key reps.(0) in
-        { History.key = { Access.home; seg; gen }; word = 4 }
-      in
+      let cell = { History.key = key reps.(0); word = 4 } in
       let w1_done = Sim.Ivar.create ~name:"w1 done" () in
       let go_w2 = Sim.Ivar.create ~name:"go w2" () in
       let go_r1 = Sim.Ivar.create ~name:"go r1" () in

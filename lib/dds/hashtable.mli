@@ -12,8 +12,9 @@
       the key word and deposits the value with a blind WRITE — no home
       CPU beyond trap-and-emulate.
     - [Rpc] ships each operation to the home node over {!Call}.
-    - [Hybrid] runs the DX path and falls back to RPC after repeated
-      CAS losses. *)
+    - [Hybrid] runs lookups on the DX path outright, and inserts and
+      deletes on the DX path with a budget of two lost CASes, then RPC
+      ({!Plane.phase}). *)
 
 exception Full
 
@@ -79,4 +80,5 @@ val cas_losses : t -> int
 (** Slot-claim CASes lost to concurrent writers. *)
 
 val rpc_fallbacks : t -> int
-(** Hybrid operations that abandoned the DX path for RPC. *)
+(** [Hybrid] phases that ended on RPC, one per phase ({!Plane.phase}):
+    here, inserts and deletes whose DX path lost its CAS budget. *)

@@ -1,7 +1,7 @@
 (* The three structurings of one distributed data structure: pure
    remote-memory operations issued by the client (DX), remote procedure
-   calls served on the home node (RPC), and the hybrid that runs the
-   remote-memory fast path and falls back to RPC under contention. *)
+   calls served on the home node (RPC), and the hybrid that runs each
+   phase of an operation by that phase's rule ({!Plane.phase}). *)
 
 type t = Dx | Rpc | Hybrid
 

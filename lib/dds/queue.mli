@@ -8,8 +8,8 @@
     - [Dx] claims tickets with remote CAS and deposits/polls slots with
       remote WRITEs/READs.
     - [Rpc] ships enqueue/dequeue to the home node over {!Call}.
-    - [Hybrid] runs the DX path, falling back to RPC after repeated CAS
-      losses. *)
+    - [Hybrid] runs enqueues and dequeues on the DX path with a budget
+      of two lost CASes, then RPC ({!Plane.phase}). *)
 
 exception Full
 
@@ -57,4 +57,8 @@ val flush : t -> unit
 (** Fence the DX plane; a no-op for RPC handles. *)
 
 val cas_losses : t -> int
+(** Ticket-claim CASes lost to concurrent clients. *)
+
 val rpc_fallbacks : t -> int
+(** [Hybrid] phases that ended on RPC, one per phase ({!Plane.phase}):
+    here, enqueues and dequeues whose DX claim lost its CAS budget. *)

@@ -23,11 +23,7 @@
 
 let rpc_id = 0xC2
 
-type replica = {
-  rnode : Cluster.Node.t;
-  rspace : Cluster.Address_space.t;
-  rsegment : Rmem.Segment.t;
-}
+type replica = Plane.home
 
 let word = Call.word
 let set_word = Call.set_word
@@ -39,78 +35,55 @@ let payload b op tagw v =
   set_word b 8 v;
   12
 
-let charge node extra =
-  let c = Cluster.Node.costs node in
-  Cluster.Cpu.use (Cluster.Node.cpu node) ~category:Cluster.Cpu.cat_procedure
-    (Sim.Time.add c.Cluster.Costs.rpc_stub extra)
+let serve (h : replica) ~src:_ body ~pos ~len ~reply:b =
+  let c = Cluster.Node.costs h.hnode in
+  if len < 12 then payload b 4 0 0
+  else begin
+    let op = word body pos in
+    let cur = Cluster.Address_space.read_word h.hspace ~addr:0 in
+    match op with
+    | 1 ->
+        let v = Cluster.Address_space.read_word h.hspace ~addr:4 in
+        Plane.charge h c.Cluster.Costs.hash_lookup;
+        if Tag.is_busy cur then payload b 3 0 0 else payload b 0 cur v
+    | 2 ->
+        let tagw = word body (pos + 4) in
+        let value = word body (pos + 8) in
+        if Tag.is_busy cur then begin
+          Plane.charge h c.Cluster.Costs.cas_execute;
+          payload b 3 0 0
+        end
+        else begin
+          if tagw > cur then begin
+            Cluster.Address_space.write_word h.hspace ~addr:4 value;
+            Cluster.Address_space.write_word h.hspace ~addr:0 tagw
+          end;
+          Plane.charge h c.Cluster.Costs.cas_execute;
+          payload b 0 0 0
+        end
+    | _ -> payload b 4 0 0
+  end
 
 let replica ~rmem ~amsg () =
-  let rnode = Rmem.Remote_memory.node rmem in
-  let rspace = Cluster.Node.new_address_space rnode in
-  let rsegment =
-    Rmem.Remote_memory.export rmem ~space:rspace ~base:0 ~len:Tag.cell_bytes
-      ~rights:Rmem.Rights.all ~name:"dds.reg" ()
-  in
-  Call.serve amsg ~id:rpc_id (fun ~src:_ body ~pos ~len ~reply:b ->
-      let c = Cluster.Node.costs rnode in
-      if len < 12 then payload b 4 0 0
-      else begin
-        let op = word body pos in
-        let cur = Cluster.Address_space.read_word rspace ~addr:0 in
-        match op with
-        | 1 ->
-            let v = Cluster.Address_space.read_word rspace ~addr:4 in
-            charge rnode c.Cluster.Costs.hash_lookup;
-            if Tag.is_busy cur then payload b 3 0 0 else payload b 0 cur v
-        | 2 ->
-            let tagw = word body (pos + 4) in
-            let value = word body (pos + 8) in
-            if Tag.is_busy cur then begin
-              charge rnode c.Cluster.Costs.cas_execute;
-              payload b 3 0 0
-            end
-            else begin
-              if tagw > cur then begin
-                Cluster.Address_space.write_word rspace ~addr:4 value;
-                Cluster.Address_space.write_word rspace ~addr:0 tagw
-              end;
-              charge rnode c.Cluster.Costs.cas_execute;
-              payload b 0 0 0
-            end
-        | _ -> payload b 4 0 0
-      end);
-  { rnode; rspace; rsegment }
+  Plane.home rmem amsg ~name:"dds.reg" ~len:Tag.cell_bytes ~id:rpc_id serve
 
-let replica_node r = r.rnode
-let replica_space r = r.rspace
-let replica_segment r = r.rsegment
-
-let replica_key r =
-  ( Atm.Addr.to_int (Cluster.Node.addr r.rnode),
-    Rmem.Segment.id r.rsegment,
-    Rmem.Generation.to_int (Rmem.Segment.generation r.rsegment) )
+let replica_node (r : replica) = r.hnode
+let replica_space (r : replica) = r.hspace
+let replica_segment (r : replica) = r.segment
 
 type t = {
-  kind : Kind.t;
+  c : Plane.client;  (** over replica 0's plane, the designated cell's *)
   rank : int;
-  node : Cluster.Node.t;
-  ep : Call.endpoint;
   planes : Plane.t array;
-  homes : Atm.Addr.t array;
   quorum : int array;  (** replica indices this client can reach *)
   majority : int;
   write_back : bool;
-  hkey : int * int * int;
-  request : bytes; (* the RPC path's, rewritten per call *)
-  reply : bytes;
   mutable reads : Rmem.Remote_memory.completion array;
       (** a DX collect round's READs, each awaited (so recycled) once in
           its round; empty before the first round *)
   tags : int array;
       (** per replica, the tag word the last collect got, or [no_tag] *)
   values : int array;  (** ... and the value word beside it *)
-  mutable cas_losses : int;
-  mutable rpc_fallbacks : int;
 }
 
 (* No packed tag is negative. *)
@@ -136,42 +109,23 @@ let client ~rmem ~amsg ~kind ~rank ?policy ?(write_back = true) ?quorum
   in
   let planes =
     Array.map
-      (fun r ->
-        Plane.connect rmem ?policy
-          ~remote:(Cluster.Node.addr r.rnode)
-          ~segment_id:(Rmem.Segment.id r.rsegment)
-          ~generation:(Rmem.Segment.generation r.rsegment)
-          ~size:Tag.cell_bytes ~scratch:Tag.cell_bytes ())
+      (fun r -> Plane.connect rmem ?policy r ~scratch:Tag.cell_bytes)
       replicas
   in
   {
-    kind;
+    c = Plane.client amsg ~kind ~request:12 planes.(0);
     rank;
-    node = Rmem.Remote_memory.node rmem;
-    ep = Call.endpoint amsg;
     planes;
-    homes = Array.map (fun r -> Cluster.Node.addr r.rnode) replicas;
     quorum = Array.of_list quorum;
     majority;
     write_back;
-    hkey = replica_key replicas.(0);
-    request = Bytes.create 12;
-    reply = Bytes.create 12;
     reads = [||];
     tags = Array.make n no_tag;
     values = Array.make n 0;
-    cas_losses = 0;
-    rpc_fallbacks = 0;
   }
 
-let cas_losses t = t.cas_losses
-let rpc_fallbacks t = t.rpc_fallbacks
-
-let op_begin t = Plane.begin_op t.node
-
-(* The register's designated cell is replica 0's value word. *)
-let op_commit t ~read v =
-  Plane.commit t.node ~cell:t.hkey ~word:4 ~read v
+let cas_losses t = t.c.cas_losses
+let rpc_fallbacks t = t.c.rpc_fallbacks
 
 (* A collect fills [t.tags] and [t.values] for the replicas that answer
    with a released (non-busy) cell, retrying until a majority do.  The
@@ -179,7 +133,7 @@ let op_commit t ~read v =
 
 let read_timeout = Sim.Time.us 300
 
-let dx_collect t =
+let dx_collect t ~budget:_ _ _ =
   let rec round attempt =
     if attempt > 400 then raise Rmem.Status.Timeout;
     for i = 0 to Array.length t.quorum - 1 do
@@ -213,7 +167,8 @@ let dx_collect t =
       round (attempt + 1)
     end
   in
-  round 0
+  round 0;
+  0
 
 (* The replica holding the highest collected tag: of equal tags, the
    last in quorum order. *)
@@ -227,57 +182,60 @@ let highest t =
   if !best < 0 then invalid_arg "Dds.Register.highest: empty quorum";
   !best
 
-(* DX conditional store to one replica. *)
-let dx_store t k packed value =
+(* Release a claimed replica cell with the new pair. *)
+let release p packed value =
+  Plane.write p ~off:0 (Tag.encode packed value);
+  true
+
+(* DX conditional store to replica [k], from attempt [attempt]. *)
+let rec dx_set t k packed value attempt =
+  if attempt > 5000 then raise Rmem.Status.Timeout;
   let p = t.planes.(k) in
   let mine = Tag.busy_for t.rank in
-  let rec go attempt =
-    if attempt > 5000 then raise Rmem.Status.Timeout;
-    let w0 = Plane.read_word p ~soff:0 in
-    if w0 = mine then Plane.write p ~off:0 (Tag.encode packed value)
-    else if Tag.is_busy w0 then begin
-      (* Another writer's claim: its releasing deposit is coming. *)
-      Sim.Proc.wait (Sim.Time.us 5);
-      go (attempt + 1)
-    end
-    else if w0 >= packed then ()
+  let w0 = Plane.read_word p ~soff:0 in
+  if w0 = mine then release p packed value
+  else if Tag.is_busy w0 then begin
+    (* Another writer's claim: its releasing deposit is coming. *)
+    Sim.Proc.wait (Sim.Time.us 5);
+    dx_set t k packed value (attempt + 1)
+  end
+  else if w0 >= packed then true
+  else begin
+    let witness = Plane.cas p ~doff:0 ~old_value:w0 ~new_value:mine in
+    if witness = w0 then release p packed value
     else begin
-      let witness = Plane.cas p ~doff:0 ~old_value:w0 ~new_value:mine in
-      if witness = w0 then Plane.write p ~off:0 (Tag.encode packed value)
+      t.c.cas_losses <- t.c.cas_losses + 1;
+      if witness = mine then
+        (* Our claim landed but the reply was lost (§3.7). *)
+        release p packed value
       else begin
-        t.cas_losses <- t.cas_losses + 1;
-        if witness = mine then
-          (* Our claim landed but the reply was lost (§3.7). *)
-          Plane.write p ~off:0 (Tag.encode packed value)
-        else begin
-          Sim.Proc.wait (Sim.Time.us 2);
-          go (attempt + 1)
-        end
+        Sim.Proc.wait (Sim.Time.us 2);
+        dx_set t k packed value (attempt + 1)
       end
     end
-  in
-  go 0
+  end
 
 (* RPC phases. *)
 
 (* The reply's length, or -1 for a call that timed out. *)
 let rpc t k =
-  match Call.call t.ep ~dst:t.homes.(k) ~id:rpc_id t.request ~reply:t.reply with
+  match Plane.call t.c t.planes.(k) ~id:rpc_id with
   | n -> n
   | exception Rmem.Status.Timeout -> -1
 
 let rpc_get t k =
+  let c = t.c in
   t.tags.(k) <- no_tag;
-  ignore (payload t.request 1 0 0 : int);
+  ignore (payload c.request 1 0 0 : int);
   rpc t k >= 12
-  && word t.reply 0 = 0
+  && word c.reply 0 = 0
   && begin
-       t.tags.(k) <- word t.reply 4;
-       t.values.(k) <- word t.reply 8;
+       t.tags.(k) <- word c.reply 4;
+       t.values.(k) <- word c.reply 8;
        true
      end
 
-let rpc_collect t =
+let rpc_collect t _ _ =
   let rec round attempt =
     if attempt > 64 then raise Rmem.Status.Timeout;
     let got = ref 0 in
@@ -289,47 +247,54 @@ let rpc_collect t =
       round (attempt + 1)
     end
   in
-  round 0
+  round 0;
+  0
 
-(* Store (packed, value) at replica [k], waiting out a busy cell; false
-   if a call times out. *)
+(* Store (packed, value) at replica [k], waiting out a busy cell, from
+   attempt [attempt]; false if a call times out. *)
 let rec rpc_set t k packed value attempt =
-  ignore (payload t.request 2 packed value : int);
+  ignore (payload t.c.request 2 packed value : int);
   if attempt > 64 then false
   else
     let n = rpc t k in
     if n < 0 then false
-    else if n >= 4 && word t.reply 0 = 0 then true
+    else if n >= 4 && word t.c.reply 0 = 0 then true
     else begin
       Sim.Proc.wait (Sim.Time.us 5);
       rpc_set t k packed value (attempt + 1)
     end
 
-let collect t =
-  match t.kind with
-  | Kind.Dx | Kind.Hybrid -> dx_collect t
-  | Kind.Rpc -> rpc_collect t
-
-(* Push (packed, value) to every replica, except, with [skip_holders],
-   those the last collect found already holding [packed]; a majority
-   must end up holding it. *)
-let store_all t packed value ~skip_holders =
-  if t.kind = Kind.Hybrid then t.rpc_fallbacks <- t.rpc_fallbacks + 1;
+(* The store phase: push (packed, value) with [set] to every replica
+   the last collect did not find already holding it (a write's new tag
+   is above every collected one, so it skips none); a majority must
+   end up holding it. *)
+let store set t packed value =
   let ok = ref 0 in
   for i = 0 to Array.length t.quorum - 1 do
     let k = t.quorum.(i) in
-    if skip_holders && t.tags.(k) = packed then incr ok
-    else
-      match t.kind with
-      | Kind.Dx ->
-          dx_store t k packed value;
-          incr ok
-      | Kind.Rpc | Kind.Hybrid -> if rpc_set t k packed value 0 then incr ok
+    if t.tags.(k) = packed || set t k packed value 0 then incr ok
   done;
-  if !ok < t.majority then raise Rmem.Status.Timeout
+  if !ok < t.majority then raise Rmem.Status.Timeout;
+  0
 
+let dx_store t ~budget:_ packed value = store dx_set t packed value
+let rpc_store t packed value = store rpc_set t packed value
+
+(* Hybrid collects over the data plane and stores over RPC. *)
+let collect t =
+  ignore
+    (Plane.phase t.c Plane.Dx_outright ~dx:dx_collect ~rpc:rpc_collect t 0 0
+      : int)
+
+let store_phase t packed value =
+  ignore
+    (Plane.phase t.c Plane.Rpc_outright ~dx:dx_store ~rpc:rpc_store t packed
+       value
+      : int)
+
+(* The register's designated cell is replica 0's value word. *)
 let read t =
-  op_begin t;
+  Plane.op_begin t.c;
   collect t;
   let best = highest t in
   let packed = t.tags.(best) and v = t.values.(best) in
@@ -339,17 +304,16 @@ let read t =
   done;
   (* Write-back until a majority is known to hold the adopted pair, so
      no later read can observe an older one. *)
-  if t.write_back && !holders < t.majority then
-    store_all t packed v ~skip_holders:true;
-  op_commit t ~read:true v;
+  if t.write_back && !holders < t.majority then store_phase t packed v;
+  Plane.op_commit t.c ~word:4 ~read:true v;
   Int32.of_int v
 
 let write t v =
   let v = Int32.to_int v in
-  op_begin t;
+  Plane.op_begin t.c;
   collect t;
   let mt = Tag.unpack t.tags.(highest t) in
   let tag = { Tag.ts = mt.Tag.ts + 1; wr = t.rank } in
-  store_all t (Tag.pack tag) v ~skip_holders:false;
-  op_commit t ~read:false v;
+  store_phase t (Tag.pack tag) v;
+  Plane.op_commit t.c ~word:4 ~read:false v;
   tag

@@ -12,7 +12,8 @@
     - [Dx] collects with one parallel remote-READ round and stores with
       a CAS-claimed ({!Tag.busy_for}) conditional store per replica.
     - [Rpc] runs both phases as per-replica GET/SET calls.
-    - [Hybrid] collects over the data plane and stores over RPC. *)
+    - [Hybrid] collects over the data plane and stores over RPC
+      ({!Plane.phase}: collect DX outright, store RPC outright). *)
 
 (** {1 Replicas} *)
 
@@ -30,9 +31,6 @@ val replica_space : replica -> Cluster.Address_space.t
     final (tag, value) words directly. *)
 
 val replica_segment : replica -> Rmem.Segment.t
-
-val replica_key : replica -> int * int * int
-(** (home address, segment id, generation) of the replica's cell. *)
 
 (** {1 Clients} *)
 
@@ -70,5 +68,7 @@ val cas_losses : t -> int
 (** DX store claims lost to concurrent writers. *)
 
 val rpc_fallbacks : t -> int
-(** Hybrid store phases executed over RPC (one per operation that left
-    the data plane). *)
+(** [Hybrid] phases that ended on RPC, one per phase ({!Plane.phase}).
+    The register's store phase runs on RPC outright, so this counts
+    every store phase: one per write, and one per read that writes
+    back. *)

@@ -361,21 +361,25 @@ for f in $(cd "$stripped" && grep -El "$park_word" $(find lib bin -path lib/sim 
   esac
 done
 
-# 18. One way to observe.  An observer subscribes to a node's event
-# stream (Cluster.Node.subscribe); no library keeps a process-global
-# observer slot, a top-level binding typed `option ref` or bound to
-# `ref None`, except the tracer in lib/obs/trace.ml, and nothing in lib/
-# or bin/ defines a set_monitor.  A top-level item is a line starting in
-# column 0 with its indented continuation lines.
+# 18. One way to observe, and no process-global state.  An observer
+# subscribes to a node's event stream (Cluster.Node.subscribe); no
+# library keeps a top-level ref (an observer slot, or a counter whose
+# value would depend on what else the process ran before), except the
+# tracer in lib/obs/trace.ml and lib/sim/proc.ml's wait_span and
+# current (the scheduler's own: the running process and the span of the
+# wait it performs), and nothing in lib/ or bin/ defines a set_monitor.
+# A top-level item is a line starting in column 0 with its indented
+# continuation lines.
 slots=$(awk 'function flush() { if (item ~ /^let /) print file ": " item; item = "" }
     FNR == 1 { flush(); file = FILENAME }
     /^[^ \t]/ { flush() }
     { item = item " " $0; sub(/^ +/, "", item) }
     END { flush() }' $(find lib -name '*.ml' ! -path lib/obs/trace.ml | sort) |
-  grep -E "^[^:]*: let [a-z_][A-Za-z0-9_']*[[:space:]]*(:[^=]*option[[:space:]]+ref|(:[^=]*)?=[[:space:]]*ref[[:space:]]*\(?None)" || true)
+  grep -E "^[^:]*: let [a-z_][A-Za-z0-9_']*[[:space:]]*(:[^=]*[[:space:]]ref[[:space:]]*=|(:[^=]*)?=[[:space:]]*ref([^A-Za-z0-9_']|\$))" |
+  grep -Ev "^lib/sim/proc\.ml: let (wait_span|current) " || true)
 if [ -n "$slots" ]; then
   echo "$slots" | cut -c1-160 >&2
-  fail "a library keeps a global observer slot — subscribe to the node's event stream instead"
+  fail "a library keeps a top-level ref — subscribe to the node's event stream, or keep the state in a record its owner creates"
 fi
 for f in $(cd "$stripped" && grep -El "(^|[^A-Za-z0-9_'])(let|val|and)[[:space:]]+(rec[[:space:]]+)?set_monitor([^A-Za-z0-9_']|\$)" $(find lib bin \( -name '*.ml' -o -name '*.mli' \) | sort)); do
   fail "$f defines a set_monitor — observers subscribe to the node's event stream"
@@ -416,4 +420,17 @@ for f in \
   esac
 done
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem and amsg builders, rmem and RPC completions free of Ivar and the NIC of Mailbox, park/unpark only in sim and nic, no unlisted hash-table iteration, observers only on the node stream, no hand-written JSON in bin/, registry slot flags read by one rule, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 21. One structuring rule for the data-structure suite.  Plane.phase
+# runs every phase of an operation as DX or RPC by the client's kind,
+# and Plane.flush is the one other place the kinds differ, so within
+# lib/dds the constructors Kind.Dx, Kind.Rpc and Kind.Hybrid are named
+# only in kind.ml(i) and plane.ml(i).  Comments are dropped first.
+kind_word="(^|[^A-Za-z0-9_'])Kind\.(Dx|Rpc|Hybrid)([^A-Za-z0-9_']|\$)"
+for f in $(cd "$stripped" && grep -El "$kind_word" $(find lib/dds \( -name '*.ml' -o -name '*.mli' \) -print | sort)); do
+  case "$f" in
+    lib/dds/kind.ml | lib/dds/kind.mli | lib/dds/plane.ml | lib/dds/plane.mli) ;;
+    *) fail "$f names a Kind constructor — state the phase's rule to Dds.Plane.phase instead" ;;
+  esac
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, sim/atm/core free of Obj, effects only in Sim.Proc, no polymorphic min/max below the services, no boxed float, ~after or int32 CAS word on the data path, frames released only by Node.dispatch and pooled only by the rmem and amsg builders, rmem and RPC completions free of Ivar and the NIC of Mailbox, park/unpark only in sim and nic, no unlisted hash-table iteration, observers only on the node stream and no top-level ref, no hand-written JSON in bin/, registry slot flags read by one rule, dds kinds told apart only by Plane, $(grep -o 'Cli\.\(cmd\|bench\) "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

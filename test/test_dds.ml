@@ -368,6 +368,35 @@ let htab_basic kind () =
       check_bool "8 unaffected" true (Dds.Hashtable.lookup t 8l = Some 80l);
       Dds.Hashtable.flush t)
 
+(* The host cost of a hybrid hashtable operation on an uncontended
+   table: a lookup walks to a present key, an insert claims a fresh slot
+   with a CAS and deposits its value; 10% above the 38.1 and 61.7 words
+   measured with the phase's words passed as arguments to top-level DX
+   and RPC functions (a closure per lookup phase fails here). *)
+let htab_hybrid_budget op ~budget () =
+  let r = rig 2 in
+  let words =
+    run r (fun () ->
+        let s =
+          Dds.Hashtable.server ~rmem:r.rmems.(0) ~amsg:r.amsgs.(0) ~slots:1024 ()
+        in
+        let t =
+          Dds.Hashtable.client ~rmem:r.rmems.(1) ~amsg:r.amsgs.(1)
+            ~kind:Dds.Kind.Hybrid s
+        in
+        Dds.Hashtable.insert t ~key:7l ~value:70l;
+        let next = ref 100l in
+        Rig.words_per_op ~n:200 (fun () ->
+            match op with
+            | `Lookup -> ignore (Dds.Hashtable.lookup t 7l : int32 option)
+            | `Insert ->
+                next := Int32.succ !next;
+                Dds.Hashtable.insert t ~key:!next ~value:1l))
+  in
+  Rig.within_budget
+    ("hybrid hashtable " ^ match op with `Lookup -> "lookup" | `Insert -> "insert")
+    ~words ~budget
+
 let htab_reserved_keys () =
   let r = rig 2 in
   run r (fun () ->
@@ -406,6 +435,18 @@ let htab_full kind () =
       Dds.Hashtable.insert t ~key:5l ~value:5l;
       check_bool "reused" true (Dds.Hashtable.lookup t 5l = Some 5l))
 
+(* The first [n] keys sharing key 1's home slot. *)
+let colliding ~slots n =
+  let rec from k acc =
+    if List.length acc = n then List.rev acc
+    else
+      let same =
+        Dds.Hashtable.home_index ~slots k = Dds.Hashtable.home_index ~slots 1l
+      in
+      from (Int32.add k 1l) (if same then k :: acc else acc)
+  in
+  from 1l []
+
 let htab_tombstone_chain () =
   (* Delete a key in the middle of a collision chain: keys behind it
      must stay reachable for every structuring. *)
@@ -415,17 +456,7 @@ let htab_tombstone_chain () =
       let s =
         Dds.Hashtable.server ~rmem:r.rmems.(0) ~amsg:r.amsgs.(0) ~slots ()
       in
-      (* Find three keys sharing a home slot. *)
-      let colliding = ref [] in
-      let k = ref 1l in
-      while List.length !colliding < 3 do
-        if
-          Dds.Hashtable.home_index ~slots !k
-          = Dds.Hashtable.home_index ~slots 1l
-        then colliding := !k :: !colliding;
-        k := Int32.add !k 1l
-      done;
-      match !colliding with
+      match colliding ~slots 3 with
       | [ a; b; c ] ->
           let t =
             Dds.Hashtable.client ~rmem:r.rmems.(1) ~amsg:r.amsgs.(1)
@@ -561,6 +592,33 @@ let queue_rpc_enqueue_budget () =
             ignore (Dds.Queue.enqueue t 7l : int)))
   in
   Rig.within_budget "RPC queue enqueue" ~words ~budget:27.
+
+(* Claim brands come from the queue, -1 first: the same one-queue run
+   twice in one process issues the same first claim CAS (counter 0 to
+   brand -1), however many queue clients the process built before. *)
+let queue_brand_per_queue () =
+  let first_claim () =
+    let r = rig 2 in
+    let claim = ref None in
+    Cluster.Node.subscribe r.nodes.(1) (function
+      | Rmem.Remote_memory.Issued { cas = Some pair; _ } when !claim = None ->
+          claim := Some pair
+      | _ -> ());
+    run r (fun () ->
+        let s =
+          Dds.Queue.server ~rmem:r.rmems.(0) ~amsg:r.amsgs.(0) ~capacity:4 ()
+        in
+        let t =
+          Dds.Queue.client ~rmem:r.rmems.(1) ~amsg:r.amsgs.(1)
+            ~kind:Dds.Kind.Dx s
+        in
+        ignore (Dds.Queue.enqueue t 5l : int));
+    !claim
+  in
+  let first = first_claim () in
+  check_bool "first claim is counter 0 to brand -1" true
+    (first = Some (0l, -1l));
+  check_bool "a second identical run claims alike" true (first_claim () = first)
 
 let queue_basic kind () =
   let r = rig 3 in
@@ -712,37 +770,6 @@ let queue_dx_producer_under_loss () =
           (Dds.Queue.dequeue consumer)
       done);
   Faults.Plane.uninstall plane
-
-let hybrid_contention_falls_back () =
-  (* Four hybrid clients hammering one tail word: the CAS storms must
-     push at least one operation onto the RPC slow path. *)
-  let r = rig ~seed:2 5 in
-  let fallbacks = ref 0 in
-  run r (fun () ->
-      let s =
-        Dds.Queue.server ~rmem:r.rmems.(0) ~amsg:r.amsgs.(0) ~capacity:512 ()
-      in
-      let done_ = ref 0 in
-      for c = 1 to 4 do
-        Cluster.Node.spawn r.nodes.(c) (fun () ->
-            let t =
-              Dds.Queue.client ~rmem:r.rmems.(c) ~amsg:r.amsgs.(c)
-                ~kind:Dds.Kind.Hybrid s
-            in
-            for i = 0 to 63 do
-              ignore (Dds.Queue.enqueue t (Int32.of_int ((c * 1000) + i)))
-            done;
-            fallbacks := !fallbacks + Dds.Queue.rpc_fallbacks t;
-            incr done_)
-      done;
-      let rec join () =
-        if !done_ < 4 then begin
-          Sim.Proc.wait (Sim.Time.ms 1);
-          join ()
-        end
-      in
-      join ());
-  check_bool "contention reached the slow path" true (!fallbacks > 0)
 
 (* ---------------------------- Register ----------------------------- *)
 
@@ -948,6 +975,123 @@ let reg_differential () =
           check_bool "values" true (dx = [ 5l; 9l; 13l ])
       | _ -> assert false)
 
+(* ------------------------- One fallback rule ------------------------ *)
+
+(* Run [body c] on nodes 1 .. [clients] at once and wait for them all. *)
+let concurrently r ~clients body =
+  let done_ = ref 0 in
+  for c = 1 to clients do
+    Cluster.Node.spawn r.nodes.(c) (fun () ->
+        body c;
+        incr done_)
+  done;
+  let rec join () =
+    if !done_ < clients then begin
+      Sim.Proc.wait (Sim.Time.ms 1);
+      join ()
+    end
+  in
+  join ()
+
+(* Each scenario runs clients of one kind and answers their summed
+   fallbacks. *)
+
+(* One client writes three times, reading after each write: every read
+   finds all three replicas holding the written pair, so only the three
+   store phases of the writes can fall back. *)
+let reg_fallbacks kind () =
+  let r, mk = reg_rig () in
+  run r (fun () ->
+      let t =
+        Dds.Register.client ~rmem:r.rmems.(3) ~amsg:r.amsgs.(3) ~kind ~rank:1
+          (mk ())
+      in
+      for v = 1 to 3 do
+        ignore (Dds.Register.write t (Int32.of_int v) : Dds.Tag.t);
+        check_i32 "read back" (Int32.of_int v) (Dds.Register.read t)
+      done;
+      Dds.Register.rpc_fallbacks t)
+
+(* Four clients start at once and insert two keys each, all eight
+   sharing one home slot of a 16-slot table, so their claims race for
+   the same free slots and the last to win loses three times (two
+   claims do, in this schedule).  Every key is found afterwards. *)
+let htab_fallbacks kind () =
+  let r = rig 5 in
+  let slots = 16 in
+  let keys = Array.of_list (colliding ~slots 8) in
+  let fallbacks = ref 0 in
+  run r (fun () ->
+      let s =
+        Dds.Hashtable.server ~rmem:r.rmems.(0) ~amsg:r.amsgs.(0) ~slots ()
+      in
+      concurrently r ~clients:4 (fun c ->
+          let t =
+            Dds.Hashtable.client ~rmem:r.rmems.(c) ~amsg:r.amsgs.(c) ~kind s
+          in
+          for i = 0 to 1 do
+            let key = keys.((2 * (c - 1)) + i) in
+            Dds.Hashtable.insert t ~key ~value:(Int32.neg key)
+          done;
+          Dds.Hashtable.flush t;
+          fallbacks := !fallbacks + Dds.Hashtable.rpc_fallbacks t);
+      let t =
+        Dds.Hashtable.client ~rmem:r.rmems.(1) ~amsg:r.amsgs.(1)
+          ~kind:Dds.Kind.Rpc s
+      in
+      Array.iter
+        (fun key ->
+          check_bool "inserted key found" true
+            (Dds.Hashtable.lookup t key = Some (Int32.neg key)))
+        keys);
+  !fallbacks
+
+(* Four clients hammering one tail word: the CAS storms push hybrid
+   enqueues onto the RPC path. *)
+let queue_fallbacks kind () =
+  let r = rig ~seed:2 5 in
+  let fallbacks = ref 0 in
+  run r (fun () ->
+      let s =
+        Dds.Queue.server ~rmem:r.rmems.(0) ~amsg:r.amsgs.(0) ~capacity:512 ()
+      in
+      concurrently r ~clients:4 (fun c ->
+          let t =
+            Dds.Queue.client ~rmem:r.rmems.(c) ~amsg:r.amsgs.(c) ~kind s
+          in
+          for i = 0 to 63 do
+            ignore (Dds.Queue.enqueue t (Int32.of_int ((c * 1000) + i)) : int)
+          done;
+          fallbacks := !fallbacks + Dds.Queue.rpc_fallbacks t));
+  !fallbacks
+
+(* A client counts one fallback per hybrid phase that ended on RPC
+   (Dds.Plane.phase), and a DX or RPC client none. *)
+let fallback_rule () =
+  let rows =
+    [
+      ("register, hybrid", reg_fallbacks Dds.Kind.Hybrid, "exactly 3", ( = ) 3);
+      ("hashtable, hybrid", htab_fallbacks Dds.Kind.Hybrid, "some", ( < ) 0);
+      ("queue, hybrid", queue_fallbacks Dds.Kind.Hybrid, "some", ( < ) 0);
+    ]
+    @ List.concat_map
+        (fun kind ->
+          let k = Dds.Kind.to_string kind in
+          [
+            ("register, " ^ k, reg_fallbacks kind, "none", ( = ) 0);
+            ("hashtable, " ^ k, htab_fallbacks kind, "none", ( = ) 0);
+            ("queue, " ^ k, queue_fallbacks kind, "none", ( = ) 0);
+          ])
+        [ Dds.Kind.Dx; Dds.Kind.Rpc ]
+  in
+  List.iter
+    (fun (name, fallbacks, expected, ok) ->
+      let n = fallbacks () in
+      check_bool
+        (Printf.sprintf "%s: %d fallbacks, expected %s" name n expected)
+        true (ok n))
+    rows
+
 (* ------------------- linearizability (logical) --------------------- *)
 
 let analysis_rig n =
@@ -1143,8 +1287,7 @@ let suite =
       queue_differential_under_jitter;
     Alcotest.test_case "queue: dx producer under loss" `Quick
       queue_dx_producer_under_loss;
-    Alcotest.test_case "hybrid: contention falls back to rpc" `Quick
-      hybrid_contention_falls_back;
+    Alcotest.test_case "fallback: one rule per phase" `Quick fallback_rule;
     Alcotest.test_case "register: basic (dx)" `Quick (reg_basic Dds.Kind.Dx);
     Alcotest.test_case "register: basic (rpc)" `Quick (reg_basic Dds.Kind.Rpc);
     Alcotest.test_case "register: basic (hybrid)" `Quick
@@ -1180,6 +1323,12 @@ let suite =
       call_reply_longer_than_buffer;
     Alcotest.test_case "call: frames back to the pool after calls" `Quick
       call_frames_back_to_pool;
+    Alcotest.test_case "hashtable: hybrid lookup allocation budget" `Quick
+      (htab_hybrid_budget `Lookup ~budget:42.);
+    Alcotest.test_case "hashtable: hybrid insert allocation budget" `Quick
+      (htab_hybrid_budget `Insert ~budget:68.);
+    Alcotest.test_case "queue: brands come from the queue" `Quick
+      queue_brand_per_queue;
     Alcotest.test_case "queue: RPC enqueue allocation budget" `Quick
       queue_rpc_enqueue_budget;
     Alcotest.test_case "register: hybrid write allocation budget" `Quick
