@@ -205,9 +205,6 @@ let nic_of_int t i = t.nics.(i)
 let size t = Array.length t.nics
 let switches t = t.switches
 
-(* Back-compat view for single-switch (star) consumers. *)
-let switch t = match t.switches with [ s ] -> Some s | _ -> None
-
 let links t =
   match t.switches with
   | [] -> t.mesh_edges

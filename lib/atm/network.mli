@@ -24,10 +24,6 @@ val create :
 val nic_of_int : t -> int -> Nic.t
 val size : t -> int
 
-val switch : t -> Switch.t option
-(** The single switch of a [Star], [None] for every other topology
-    (multi-switch consumers use {!switches}). *)
-
 val switches : t -> Switch.t list
 (** Every switch in the fabric, in deterministic construction order:
     leaves then spines (Clos), edges then aggregations then cores

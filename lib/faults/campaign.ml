@@ -51,12 +51,7 @@ let wire_gauges ts testbed ~rmems plane =
       fgauge ts (prefix ^ ".drops") (fun () ->
           Atm.Link.drops link + Atm.Link.overflow_drops link))
     (Atm.Network.links net);
-  Option.iter
-    (fun switch ->
-      fgauge ts "switch.depth" (fun () -> Atm.Switch.queue_depth switch);
-      fgauge ts "switch.drops" (fun () -> Atm.Switch.drops switch))
-    (Atm.Network.switch net);
-  (* Per-switch gauges for multi-switch fabrics, plus always-present
+  (* Per-switch gauges for every switched fabric, plus always-present
      fabric aggregates so one SLO spec line covers every topology (a
      mesh reads 0 — the clean gate an author means, not a missing
      source). *)

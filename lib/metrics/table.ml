@@ -272,18 +272,20 @@ let format_json = function
   | Percent d -> Printf.sprintf "percent %%.%df" d
   | Delta d -> Printf.sprintf "delta %%+.%df" d
 
+(* A column's keys, each left out when it holds its default. *)
 let column_json c =
-  [
-    ("name", Json.String c.name);
-    ("unit", Json.String c.unit_);
-    ( "better",
-      Json.String
-        (match c.better with
-        | Higher -> "higher"
-        | Lower -> "lower"
-        | Neither -> "neither") );
-    ("format", Json.String (format_json c.format));
-  ]
+  ("name", Json.String c.name)
+  :: List.filter_map Fun.id
+       [
+         (if c.unit_ = "" then None else Some ("unit", Json.String c.unit_));
+         (match c.better with
+         | Higher -> Some ("better", Json.String "higher")
+         | Lower -> Some ("better", Json.String "lower")
+         | Neither -> None);
+         (match c.format with
+         | Plain -> None
+         | f -> Some ("format", Json.String (format_json f)));
+       ]
 
 let note_json note =
   let value = function

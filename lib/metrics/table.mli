@@ -101,7 +101,9 @@ val to_json : t -> Json.t
 (** Columns with their unit, direction and format; rows and the total
     as arrays of cells (a bare value, or [{"value", "paper", "band"}]
     when the cell carries a claim); notes as their text plus their
-    values. *)
+    values. A column or note value leaves out its ["unit"], ["better"]
+    and ["format"] keys when they hold their defaults: a missing key
+    reads as [""], ["neither"] and ["plain"]. *)
 
 val violations : t -> string list
 (** One line per cell whose band does not hold, empty when all do. *)

@@ -18,7 +18,7 @@
    Any gauge or rate clause may end with "over <N> us|ms|s" to evaluate
    the trailing window of retained samples instead of the whole run:
 
-     max switch.depth < 64 over 5 ms
+     max fabric.switch_depth < 64 over 5 ms
 
    Evaluation is fail-closed: a clause whose source does not exist (no
    such counter series ever observed, gauge never sampled) is a

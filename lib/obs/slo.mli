@@ -9,7 +9,7 @@
     counter faults.drops <= 0         # final registry counter
     rate faults.drops < 500           # counter slope per second
     max nic.0.rx_fifo < 1024          # sampled gauge, whole run
-    mean switch.depth < 4 over 5 ms   # ... or a trailing window
+    mean fabric.switch_depth < 4 over 5 ms  # ... or a trailing window
     last rmem.0.inflight <= 0
     v}
 

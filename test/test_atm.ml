@@ -260,9 +260,9 @@ let star_delivery () =
   let received = Sim.Proc.run engine (fun () -> Atm.Nic.receive nic3) in
   Alcotest.(check string) "payload" "star"
     (Bytes.to_string (Atm.Frame.payload received));
-  match Atm.Network.switch network with
-  | Some switch -> check_int "switched" 1 (Atm.Switch.frames_switched switch)
-  | None -> Alcotest.fail "star has a switch"
+  match Atm.Network.switches network with
+  | [ switch ] -> check_int "switched" 1 (Atm.Switch.frames_switched switch)
+  | _ -> Alcotest.fail "star has one switch"
 
 (* Two frames reach the switch at the same instant and a same-instant
    scheduler fires their forwarding events in reverse: each event must
@@ -320,9 +320,9 @@ let switch_hop_allocates_nothing () =
   let engine = Sim.Engine.create () in
   let network = Atm.Network.create ~topology:Atm.Network.Star engine ~nodes:2 in
   let switch =
-    match Atm.Network.switch network with
-    | Some switch -> switch
-    | None -> Alcotest.fail "star has a switch"
+    match Atm.Network.switches network with
+    | [ switch ] -> switch
+    | _ -> Alcotest.fail "star has one switch"
   in
   let down =
     match
