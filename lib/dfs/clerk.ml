@@ -124,34 +124,20 @@ let hybrid_fetch t op =
   Metrics.Account.add t.stats ~category:"hybrid requests" 1.;
   Cluster.Address_space.write_word t.space ~addr:reply_base
     Layout.reply_pending;
-  let encoded = Nfs_ops.encode_op op in
-  let request = Bytes.create (4 + Bytes.length encoded) in
-  Bytes.set_int32_le request 0 (Int32.of_int (Bytes.length encoded));
-  Bytes.blit encoded 0 request 4 (Bytes.length encoded);
   let my_slot =
     Atm.Addr.to_int (Cluster.Node.addr t.node) * Layout.request_slot_bytes
   in
-  Rmem.Remote_memory.write t.rmem t.d_req ~off:my_slot ~notify:true request;
+  Rmem.Remote_memory.write t.rmem t.d_req ~off:my_slot ~notify:true
+    (Nfs_ops.encode_request op);
   let deadline =
     Sim.Time.add (Sim.Engine.now (Cluster.Node.engine t.node)) (Sim.Time.ms 100)
   in
-  let rec spin () =
-    let flag = Cluster.Address_space.read_word t.space ~addr:reply_base in
-    if flag = Layout.reply_ready then begin
-      let len =
-        Cluster.Address_space.read_word t.space ~addr:(reply_base + 4)
-      in
-      Nfs_ops.decode_result
-        (Cluster.Address_space.read t.space ~addr:(reply_base + 8) ~len)
-    end
-    else if Sim.Time.(Sim.Engine.now (Cluster.Node.engine t.node) > deadline)
-    then raise Rmem.Status.Timeout
-    else begin
-      Sim.Proc.wait (Sim.Time.us 5);
-      spin ()
-    end
-  in
-  spin ()
+  if
+    Sim.Proc.spin ~every:(Sim.Time.us 5) ~deadline (fun () ->
+        Cluster.Address_space.read_word t.space ~addr:reply_base
+        = Layout.reply_ready)
+  then Nfs_ops.result_at t.space ~addr:(reply_base + 8)
+  else raise Rmem.Status.Timeout
 
 (* ------------------------------------------------------------------ *)
 (* DX: pure data transfer against the server's cache slots.            *)

@@ -202,24 +202,32 @@ let regular t inode =
   if n.attr.kind <> Regular then raise (Not_a_file inode);
   n
 
-let read t inode ~off ~count =
+let read_length t inode ~off ~count =
   let n = regular t inode in
   if off < 0 || count < 0 then invalid_arg "File_store.read";
-  let available = Stdlib.max 0 (n.attr.size - off) in
-  let count = Stdlib.min count available in
-  let out = Bytes.make count '\000' in
-  let rec copy pos =
-    if pos < count then begin
-      let abs = off + pos in
+  Stdlib.min count (Stdlib.max 0 (n.attr.size - off))
+
+(* One loop serves every read: each touched block's span is copied
+   straight into [out], a hole's is zeroed. *)
+let read_into t inode ~off ~count out ~pos =
+  let n = regular t inode in
+  let rec copy i =
+    if i < count then begin
+      let abs = off + i in
       let blk = abs / block_bytes and boff = abs mod block_bytes in
-      let span = Stdlib.min (count - pos) (block_bytes - boff) in
+      let span = Stdlib.min (count - i) (block_bytes - boff) in
       (match Hashtbl.find_opt n.blocks blk with
-      | Some data -> Bytes.blit data boff out pos span
-      | None -> () (* hole: zeros *));
-      copy (pos + span)
+      | Some data -> Bytes.blit data boff out (pos + i) span
+      | None -> Bytes.fill out (pos + i) span '\000');
+      copy (i + span)
     end
   in
-  copy 0;
+  copy 0
+
+let read t inode ~off ~count =
+  let count = read_length t inode ~off ~count in
+  let out = Bytes.create count in
+  read_into t inode ~off ~count out ~pos:0;
   out
 
 let write t inode ~off data =
@@ -269,15 +277,42 @@ let statfs t =
     block_size = block_bytes;
   }
 
-(* Serialize directory entries the way READDIR returns them: a packed
-   sequence of [inode 4][name len 2][name][pad to 4]. *)
+(* Directory entries as READDIR returns them: a packed sequence of
+   [inode 4][name len 2][name][pad to 4]. *)
+let entry_bytes name = (6 + String.length name + 3) land lnot 3
+
+let entries_length entries =
+  List.fold_left (fun acc (name, _) -> acc + entry_bytes name) 0 entries
+
+let put_entry out at (name, inode) =
+  let n = String.length name in
+  Bytes.set_int32_le out at (Int32.of_int inode);
+  Bytes.set_uint16_le out (at + 4) n;
+  Bytes.blit_string name 0 out (at + 6) n;
+  Bytes.fill out (at + 6 + n) (entry_bytes name - 6 - n) '\000'
+
+(* The first [len] bytes of the packing, at [pos] of [out]: whole
+   entries in place, and a cut last one through a scratch entry. *)
+let entries_into entries out ~pos ~len =
+  let stop = pos + len in
+  let rec go at = function
+    | ((name, _) as entry) :: rest when at < stop ->
+        let size = entry_bytes name in
+        if at + size <= stop then begin
+          put_entry out at entry;
+          go (at + size) rest
+        end
+        else begin
+          let one = Bytes.create size in
+          put_entry one 0 entry;
+          Bytes.blit one 0 out at (stop - at)
+        end
+    | _ -> ()
+  in
+  go pos entries
+
 let encode_entries entries =
-  let w = Atm.Codec.writer ~capacity:512 () in
-  List.iter
-    (fun (name, inode) ->
-      Atm.Codec.put_u32 w inode;
-      Atm.Codec.put_string w name;
-      let misalign = Atm.Codec.length w land 3 in
-      if misalign <> 0 then Atm.Codec.put_padding w (4 - misalign))
-    entries;
-  Atm.Codec.contents w
+  let len = entries_length entries in
+  let out = Bytes.create len in
+  entries_into entries out ~pos:0 ~len;
+  out

@@ -66,6 +66,13 @@ val getattr : t -> int -> attr
 val read : t -> int -> off:int -> count:int -> bytes
 (** Short reads at EOF; holes read as zeros. *)
 
+val read_length : t -> int -> off:int -> count:int -> int
+(** How many bytes {!read} returns: [count], cut at EOF. *)
+
+val read_into : t -> int -> off:int -> count:int -> bytes -> pos:int -> unit
+(** {!read}'s bytes, [count] at most {!read_length}, written at [pos] of
+    the buffer. *)
+
 val write : t -> int -> off:int -> bytes -> unit
 (** Extends the file as needed. *)
 
@@ -80,3 +87,9 @@ val statfs : t -> statfs
 
 val encode_entries : (string * int) list -> bytes
 (** Pack directory entries as READDIR returns them. *)
+
+val entries_length : (string * int) list -> int
+(** The length of their packing. *)
+
+val entries_into : (string * int) list -> bytes -> pos:int -> len:int -> unit
+(** The first [len] bytes of their packing, at [pos] of the buffer. *)

@@ -77,30 +77,34 @@ let kind_of_int = function
   | 5 -> File_store.Symlink
   | k -> invalid_arg (Printf.sprintf "Nfs_ops.kind_of_int: %d" k)
 
-let encode_attr (a : File_store.attr) =
-  let b = Bytes.make File_store.attr_bytes '\000' in
-  let put i v = Bytes.set_int32_le b (i * 4) (Int32.of_int v) in
-  put 0 (kind_to_int a.kind);
-  put 1 a.mode;
-  put 2 a.nlink;
-  put 3 a.uid;
-  put 4 a.gid;
-  put 5 a.size;
-  put 6 File_store.block_bytes;
-  put 7 0 (* rdev *);
-  put 8 ((a.size + File_store.block_bytes - 1) / File_store.block_bytes);
-  put 9 0 (* fsid *);
-  put 10 a.inode;
-  put 11 a.atime;
-  put 12 0;
-  put 13 a.mtime;
-  put 14 0;
-  put 15 a.ctime;
-  put 16 0;
-  b
+(* The fattr's seventeen words onto a writer. *)
+let put_attr w (a : File_store.attr) =
+  let put = Atm.Codec.put_u32 w in
+  put (kind_to_int a.kind);
+  put a.mode;
+  put a.nlink;
+  put a.uid;
+  put a.gid;
+  put a.size;
+  put File_store.block_bytes;
+  put 0 (* rdev *);
+  put ((a.size + File_store.block_bytes - 1) / File_store.block_bytes);
+  put 0 (* fsid *);
+  put a.inode;
+  put a.atime;
+  put 0;
+  put a.mtime;
+  put 0;
+  put a.ctime;
+  put 0
 
-let decode_attr b =
-  let get i = Int32.to_int (Bytes.get_int32_le b (i * 4)) in
+let encode_attr a =
+  let w = Atm.Codec.writer ~capacity:File_store.attr_bytes () in
+  put_attr w a;
+  Atm.Codec.contents w
+
+(* An fattr from its words, [get i] the [i]th. *)
+let attr_of get =
   {
     File_store.inode = get 10;
     kind = kind_of_int (get 0);
@@ -113,6 +117,11 @@ let decode_attr b =
     mtime = get 13;
     ctime = get 15;
   }
+
+let decode_attr b = attr_of (fun i -> Int32.to_int (Bytes.get_int32_le b (i * 4)))
+
+let attr_at space ~addr =
+  attr_of (fun i -> Cluster.Address_space.read_word space ~addr:(addr + (i * 4)))
 
 (* ------------------------------------------------------------------ *)
 (* Traffic classification (Table 1b).                                  *)
@@ -198,8 +207,27 @@ let op_code = function
   | Mkdir _ -> 12
   | Rmdir _ -> 13
 
-let encode_op op =
-  let w = Atm.Codec.writer ~capacity:64 () in
+(* The encoded size of an op, and of a result: one code byte and its
+   fields, a string behind a u16 length. *)
+let string_bytes s = 2 + String.length s
+
+let op_bytes = function
+  | Null | Statfs -> 1
+  | Get_attr _ | Read_link _ -> 5
+  | Read _ | Set_attr _ -> 13
+  | Read_dir _ -> 9
+  | Write { data; _ } -> 13 + Bytes.length data
+  | Lookup { name; _ } | Create { name; _ } | Remove { name; _ }
+  | Mkdir { name; _ } | Rmdir { name; _ } ->
+      5 + string_bytes name
+  | Rename { from_name; to_name; _ } ->
+      9 + string_bytes from_name + string_bytes to_name
+
+(* A Hybrid-1 request, [len][op], in one buffer of its exact size. *)
+let encode_request op =
+  let len = op_bytes op in
+  let w = Atm.Codec.writer ~capacity:(4 + len) () in
+  Atm.Codec.put_u32 w len;
   Atm.Codec.put_u8 w (op_code op);
   (match op with
   | Null | Statfs -> ()
@@ -290,22 +318,30 @@ let result_code = function
   | R_write _ -> 7
   | R_error _ -> 8
 
+let result_bytes = function
+  | R_null -> 1
+  | R_attr _ | R_write _ -> 1 + File_store.attr_bytes
+  | R_lookup _ -> 5 + File_store.attr_bytes
+  | R_link target -> 1 + string_bytes target
+  | R_data b | R_entries b -> 5 + Bytes.length b
+  | R_statfs _ -> 17
+  | R_error _ -> 5
+
+(* Every result is encoded at its exact size, in one buffer.  A Read's
+   or a ReadDir's reply is built by its server with {!bulk_reply}. *)
 let encode_result result =
-  let w = Atm.Codec.writer ~capacity:128 () in
+  let w = Atm.Codec.writer ~capacity:(result_bytes result) () in
   Atm.Codec.put_u8 w (result_code result);
   (match result with
   | R_null -> ()
-  | R_attr a | R_write a -> Atm.Codec.put_bytes w (encode_attr a)
+  | R_attr a | R_write a -> put_attr w a
   | R_lookup { fh; attr } ->
       Atm.Codec.put_u32 w fh;
-      Atm.Codec.put_bytes w (encode_attr attr)
+      put_attr w attr
   | R_link target -> Atm.Codec.put_string w target
-  | R_data data ->
+  | R_data data | R_entries data ->
       Atm.Codec.put_u32 w (Bytes.length data);
       Atm.Codec.put_bytes w data
-  | R_entries entries ->
-      Atm.Codec.put_u32 w (Bytes.length entries);
-      Atm.Codec.put_bytes w entries
   | R_statfs s ->
       Atm.Codec.put_u32 w s.File_store.total_blocks;
       Atm.Codec.put_u32 w s.File_store.free_blocks;
@@ -314,36 +350,43 @@ let encode_result result =
   | R_error code -> Atm.Codec.put_u32 w code);
   Atm.Codec.contents w
 
-let decode_result payload =
-  let r = Atm.Codec.reader payload in
-  match Atm.Codec.get_u8 r with
+let bulk_pos = 5
+
+let bulk_reply ~entries len =
+  let b = Bytes.create (bulk_pos + len) in
+  Bytes.set_uint8 b 0 (if entries then 5 (* R_entries *) else 4 (* R_data *));
+  Bytes.set_int32_le b 1 (Int32.of_int len);
+  b
+
+(* The result encoded at [addr], decoded where it lies: a Read's or a
+   ReadDir's bytes copied once, into the result's own, and every other
+   field read as a word. *)
+let result_at space ~addr =
+  let word off = Cluster.Address_space.read_word space ~addr:(addr + off) in
+  let u32 off = word off land 0xFFFFFFFF in
+  let bytes ~off len =
+    let b = Bytes.create len in
+    Cluster.Address_space.read_into space ~addr:(addr + off) ~len b ~pos:0;
+    b
+  in
+  match word 0 land 0xFF with
   | 0 -> R_null
-  | 1 -> R_attr (decode_attr (Atm.Codec.get_bytes r File_store.attr_bytes))
-  | 2 ->
-      let fh = Atm.Codec.get_u32 r in
-      R_lookup
-        { fh; attr = decode_attr (Atm.Codec.get_bytes r File_store.attr_bytes) }
-  | 3 -> R_link (Atm.Codec.get_string r)
-  | 4 ->
-      let len = Atm.Codec.get_u32 r in
-      R_data (Atm.Codec.get_bytes r len)
-  | 5 ->
-      let len = Atm.Codec.get_u32 r in
-      R_entries (Atm.Codec.get_bytes r len)
+  | 1 -> R_attr (attr_at space ~addr:(addr + 1))
+  | 2 -> R_lookup { fh = u32 1; attr = attr_at space ~addr:(addr + 5) }
+  | 3 -> R_link (Bytes.unsafe_to_string (bytes ~off:3 (word 1 land 0xFFFF)))
+  | 4 -> R_data (bytes ~off:bulk_pos (u32 1))
+  | 5 -> R_entries (bytes ~off:bulk_pos (u32 1))
   | 6 ->
-      let total_blocks = Atm.Codec.get_u32 r in
-      let free_blocks = Atm.Codec.get_u32 r in
-      let files = Atm.Codec.get_u32 r in
       R_statfs
         {
-          File_store.total_blocks;
-          free_blocks;
-          files;
-          block_size = Atm.Codec.get_u32 r;
+          File_store.total_blocks = u32 1;
+          free_blocks = u32 5;
+          files = u32 9;
+          block_size = u32 13;
         }
-  | 7 -> R_write (decode_attr (Atm.Codec.get_bytes r File_store.attr_bytes))
-  | 8 -> R_error (Atm.Codec.get_u32 r)
-  | c -> invalid_arg (Printf.sprintf "Nfs_ops.decode_result: %d" c)
+  | 7 -> R_write (attr_at space ~addr:(addr + 1))
+  | 8 -> R_error (u32 1)
+  | c -> invalid_arg (Printf.sprintf "Nfs_ops.result_at: %d" c)
 
 (* ------------------------------------------------------------------ *)
 (* Server procedure cost of an operation (the warm-cache Ultrix NFS

@@ -60,12 +60,30 @@ val fh_bytes : int
 val request_traffic : op -> traffic
 val reply_traffic : result -> traffic
 
-(** {1 Compact binary encoding (Hybrid-1 request segments, RPC bodies)} *)
+(** {1 Compact binary encoding (Hybrid-1 requests and replies)} *)
 
-val encode_op : op -> bytes
+val encode_request : op -> bytes
+(** [[len u32][op]]: the op's encoding behind its length, in one buffer
+    of its exact size, as the clerk writes it into its request slot. *)
+
 val decode_op : bytes -> op
+(** An op from its encoding, without the length. *)
+
 val encode_result : result -> bytes
-val decode_result : bytes -> result
+(** A result's encoding, in one buffer of its exact size. *)
+
+val bulk_reply : entries:bool -> int -> bytes
+(** An [R_entries] ([entries]) or [R_data] reply of [len] bytes with
+    only its header encoded: the server fills the [len] bytes from
+    {!bulk_pos} straight from its store. *)
+
+val bulk_pos : int
+
+val result_at : Cluster.Address_space.t -> addr:int -> result
+(** The result encoded at [addr], decoded where it landed: the bytes of
+    [R_data], [R_entries] and [R_link] are copied once, into the
+    result's own, and every other field is read as a word. *)
+
 val result_code : result -> int
 
 (** {1 Costs} *)

@@ -30,6 +30,15 @@ let cpu t = Cluster.Node.cpu t.node
 
 let name_key name = Names.Record.fnv_hash name
 
+(* The error code a failed file-store call answers with. *)
+let errno = function
+  | File_store.No_such_file _ -> 2
+  | File_store.Not_a_directory _ -> 20
+  | File_store.Not_a_symlink _ | File_store.Not_a_file _ -> 22
+  | File_store.Name_exists _ -> 17
+  | File_store.Not_empty _ -> 66
+  | exn -> raise exn
+
 (* Execute an operation against the local file store. *)
 let execute store op =
   try
@@ -43,9 +52,11 @@ let execute store op =
     | Nfs_ops.Read { fh; off; count } ->
         Nfs_ops.R_data (File_store.read store fh ~off ~count)
     | Nfs_ops.Read_dir { fh; count } ->
-        let packed = File_store.encode_entries (File_store.readdir store fh) in
-        let count = Stdlib.min count (Bytes.length packed) in
-        Nfs_ops.R_entries (Bytes.sub packed 0 count)
+        let entries = File_store.readdir store fh in
+        let count = Stdlib.min count (File_store.entries_length entries) in
+        let out = Bytes.create count in
+        File_store.entries_into entries out ~pos:0 ~len:count;
+        Nfs_ops.R_entries out
     | Nfs_ops.Statfs -> Nfs_ops.R_statfs (File_store.statfs store)
     | Nfs_ops.Write { fh; off; data } ->
         File_store.write store fh ~off data;
@@ -68,12 +79,7 @@ let execute store op =
     | Nfs_ops.Rename { from_dir; from_name; to_dir; to_name } ->
         File_store.rename store ~from_dir ~from_name ~to_dir ~to_name;
         Nfs_ops.R_null
-  with
-  | File_store.No_such_file _ -> Nfs_ops.R_error 2
-  | File_store.Not_a_directory _ -> Nfs_ops.R_error 20
-  | File_store.Not_a_symlink _ | File_store.Not_a_file _ -> Nfs_ops.R_error 22
-  | File_store.Name_exists _ -> Nfs_ops.R_error 17
-  | File_store.Not_empty _ -> Nfs_ops.R_error 66
+  with exn -> Nfs_ops.R_error (errno exn)
 
 (* ------------------------------------------------------------------ *)
 (* Cache maintenance (server side, local memory operations).           *)
@@ -253,6 +259,33 @@ let refresh_caches_for t op result =
       cache_dir t to_dir
   | _ -> ()
 
+(* The encoded reply to [op], built once.  A Read's bytes go straight
+   from the store's blocks into it, and a ReadDir's listing is packed
+   into it only as far as [count]; any other result is encoded at its
+   exact size. *)
+let reply t op =
+  match op with
+  | Nfs_ops.Read { fh; off; count } -> (
+      match File_store.read_length t.store fh ~off ~count with
+      | count ->
+          let payload = Nfs_ops.bulk_reply ~entries:false count in
+          File_store.read_into t.store fh ~off ~count payload
+            ~pos:Nfs_ops.bulk_pos;
+          payload
+      | exception exn -> Nfs_ops.encode_result (Nfs_ops.R_error (errno exn)))
+  | Nfs_ops.Read_dir { fh; count } -> (
+      match File_store.readdir t.store fh with
+      | entries ->
+          let len = Stdlib.min count (File_store.entries_length entries) in
+          let payload = Nfs_ops.bulk_reply ~entries:true len in
+          File_store.entries_into entries payload ~pos:Nfs_ops.bulk_pos ~len;
+          payload
+      | exception exn -> Nfs_ops.encode_result (Nfs_ops.R_error (errno exn)))
+  | _ ->
+      let result = execute t.store op in
+      refresh_caches_for t op result;
+      Nfs_ops.encode_result result
+
 let serve_hybrid_request t ~(record : Rmem.Notification.record) =
   let client = record.Rmem.Notification.src in
   let slot_base =
@@ -267,9 +300,7 @@ let serve_hybrid_request t ~(record : Rmem.Notification.record) =
   (* The service procedure itself. *)
   Cluster.Cpu.use (cpu t) ~category:Cluster.Cpu.cat_procedure
     (Nfs_ops.procedure_cost (costs t) op);
-  let result = execute t.store op in
-  refresh_caches_for t op result;
-  let payload = Nfs_ops.encode_result result in
+  let payload = reply t op in
   let desc = reply_descriptor t ~client in
   (* Body first, then the flag+len words, so the spinning clerk never
      sees a ready flag over incomplete data. *)

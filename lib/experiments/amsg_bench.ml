@@ -141,15 +141,10 @@ let measure_amsg () =
         Amsg.send am_client
           ~dst:(Cluster.Node.addr rig.server)
           ~handler:am_lookup (Bytes.of_string name);
-        let rec spin () =
-          if
-            Cluster.Address_space.read_word client_space ~addr:0 = 0
-          then begin
-            Sim.Proc.wait (Sim.Time.us 5);
-            spin ()
-          end
-        in
-        spin ()
+        ignore
+          (Sim.Proc.spin ~every:(Sim.Time.us 5) ~deadline:max_int (fun () ->
+               Cluster.Address_space.read_word client_space ~addr:0 <> 0)
+            : bool)
       in
       out := Some (measure_loop rig ~lookup));
   Option.get !out

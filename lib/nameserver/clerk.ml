@@ -196,31 +196,21 @@ let alloc_scratch_slot t =
   slot
 
 let await_scratch_reply t ~slot =
-  let timeout = Sim.Time.ms 50 in
-  let reply_off = slot * Bootstrap.scratch_slot_bytes in
-  (* User-level spin wait on the flag word. *)
+  let flag = Bootstrap.scratch_base + (slot * Bootstrap.scratch_slot_bytes) in
   let deadline =
-    Sim.Time.add (Sim.Engine.now (Cluster.Node.engine t.node)) timeout
+    Sim.Time.add (Sim.Engine.now (Cluster.Node.engine t.node)) (Sim.Time.ms 50)
   in
-  let rec spin () =
-    let flag =
-      Cluster.Address_space.read_word t.space
-        ~addr:(Bootstrap.scratch_base + reply_off)
-    in
-    if flag = Bootstrap.reply_pending then begin
-      if Sim.Time.(Sim.Engine.now (Cluster.Node.engine t.node) > deadline)
-      then raise Rmem.Status.Timeout;
-      Sim.Proc.wait (Sim.Time.us 5);
-      spin ()
-    end
-    else if flag = Bootstrap.reply_found then
-      Record.decode
-        (Cluster.Address_space.read t.space
-           ~addr:(Bootstrap.scratch_base + reply_off + 4)
-           ~len:Record.slot_bytes)
-    else None
-  in
-  spin ()
+  (* User-level spin wait on the flag word. *)
+  if
+    not
+      (Sim.Proc.spin ~every:(Sim.Time.us 5) ~deadline (fun () ->
+           Cluster.Address_space.read_word t.space ~addr:flag
+           <> Bootstrap.reply_pending))
+  then raise Rmem.Status.Timeout
+  else if
+    Cluster.Address_space.read_word t.space ~addr:flag = Bootstrap.reply_found
+  then Record.decode_at t.space ~addr:(flag + 4)
+  else None
 
 (* LOOKUPNAME by control transfer, the paper's alternative to probing:
    write the lookup arguments (with notification) into the exporter

@@ -116,6 +116,10 @@ let body_at space ~addr name =
     rights = Rmem.Rights.of_code (word space addr 56);
   }
 
+let decode_at space ~addr =
+  if word space addr 0 <> flag_valid then None
+  else Some (body_at space ~addr (name_at space ~addr))
+
 let invalid_slot () = Bytes.make slot_bytes '\000'
 
 (* A forwarding tombstone: the 60 bytes a moved slot no longer needs

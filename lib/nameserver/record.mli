@@ -57,6 +57,9 @@ val name_at : Cluster.Address_space.t -> addr:int -> string
 (** The name field of the slot image at [addr], up to its first NUL.
     The flag word is not read. *)
 
+val decode_at : Cluster.Address_space.t -> addr:int -> t option
+(** {!decode} of the image at [addr], read in place. *)
+
 val invalid_slot : unit -> bytes
 (** Test-only: the record codec tests. *)
 

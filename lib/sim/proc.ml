@@ -227,6 +227,35 @@ let unpark p =
   Engine.unblock p.waiter;
   Engine.schedule p.engine p.wake
 
+(* ---------------- Spinning ---------------- *)
+
+(* The process sleeps once; one callback, built per spin, polls for it at
+   exactly the instants a [wait every] loop would wake, re-arming itself
+   the way that loop's [on_wait] re-arms [wake], and resumes the process
+   inline, in the poll event that finds [ready] or the deadline passed.
+   So a spin fires the loop's events, at its instants and in its
+   same-instant order, and allocates nothing per poll.  Unlike a park
+   the spin registers no block: a poll is always pending, as a waiting
+   process's wake was. *)
+let spin ~every ~deadline ready =
+  let p = self () in
+  ready ()
+  || Time.(Engine.now p.engine <= deadline)
+     &&
+     let arrived = ref false in
+     let rec poll () =
+       let now = Engine.now p.engine in
+       if ready () then begin
+         arrived := true;
+         as_current p continue_waiting p
+       end
+       else if Time.(now > deadline) then as_current p continue_waiting p
+       else Engine.schedule_at p.engine (Time.add now every) poll
+     in
+     Engine.schedule_at p.engine (Time.add (Engine.now p.engine) every) poll;
+     perform Sleep;
+     !arrived
+
 let finished () = current := nobody
 
 let failed exn =

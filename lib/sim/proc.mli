@@ -76,6 +76,18 @@ val unpark : t -> unit
 (** Schedule a parked process to run now, exactly where {!wake} would
     schedule it. Raises [Invalid_argument] if it is not parked. *)
 
+val spin : every:Time.t -> deadline:Time.t -> (unit -> bool) -> bool
+(** [spin ~every ~deadline ready] polls [ready] now and then every
+    [every] until it holds ([true]) or a poll finds the clock past
+    [deadline] ([false]): the events, instants and same-instant order
+    of the loop [if ready () then true else if now > deadline then
+    false else (wait every; loop ())], which it replaces. The process
+    sleeps once, and one callback re-arms itself for each poll and
+    resumes the process inline, so a spin allocates the same few words
+    whatever its poll count. [ready] runs outside the process and must
+    not block; a spin registers no block, since a poll is always
+    pending. *)
+
 val run : Engine.t -> (unit -> 'a) -> 'a
 (** [run engine body] spawns [body], drives the engine until quiescence
     and returns [body]'s result. Raises {!Engine.Deadlock} if the queue

@@ -167,6 +167,13 @@ let rules =
     rule "kind" [ "Dds.Kind.Dx"; "Dds.Kind.Rpc"; "Dds.Kind.Hybrid" ] [ "lib/dds/" ]
       "state the phase's rule to Dds.Plane.phase"
       ~allow:[ ("lib/dds/plane.ml:", "Plane.phase and Plane.flush") ];
+    rule "spin" [ "Sim.Proc.wait" ]
+      [ "lib/dfs/clerk.ml:"; "lib/nameserver/clerk.ml:"; "lib/experiments/amsg_bench.ml:" ]
+      "poll a local word with Sim.Proc.spin: a Proc.wait loop allocates a \
+       continuation per poll"
+      ~allow:
+        [ ("lib/nameserver/clerk.ml:start_refresh_daemon:Sim.Proc.wait",
+           "the cache refresh period, not a poll") ];
   ]
 
 let rec walk dir f =
@@ -299,8 +306,13 @@ let scan exports (cmt : Cmt_format.cmt_infos) =
     if wanted decl then
       sites := { file; binding = !binding; decl; line = loc.loc_start.pos_lnum } :: !sites
   in
-  (* Local modules bound to a path or a functor application. *)
-  let aliases = Hashtbl.create 8 in
+  (* Local modules bound to a path or a functor application, and the
+     latter's names. *)
+  let aliases = Hashtbl.create 8 and instances = Hashtbl.create 8 in
+  let rec root = function
+    | Path.Pident id -> Ident.unique_name id
+    | Pdot (p, _) | Papply (p, _) | Pextra_ty (p, _) -> root p
+  in
   let rec path = function
     | Path.Pident id ->
         Option.value ~default:(Ident.name id)
@@ -312,25 +324,39 @@ let scan exports (cmt : Cmt_format.cmt_infos) =
   let rec alias id (m : module_expr) =
     match m.mod_desc with
     | Tmod_ident (p, _) -> Hashtbl.replace aliases (Ident.unique_name id) (path p)
-    | Tmod_apply (m, _, _) | Tmod_apply_unit m | Tmod_constraint (m, _, _, _) ->
+    | Tmod_apply (m, _, _) | Tmod_apply_unit m ->
+        Hashtbl.replace instances (Ident.unique_name id) ();
         alias id m
+    | Tmod_constraint (m, _, _, _) -> alias id m
     | _ -> ()
   in
-  let foreign uid last =
+  (* A value no interface under lib/ exports (the stdlib's, a test
+     library's) is named by its [full] path when that runs through its
+     unit, so [Effect.Deep.match_with] keeps its submodule; a
+     constructor, a value reached through a functor instance
+     ([By_length.find] of a [Hashtbl.Make]) or one through a unit's
+     alias keeps its unit and its own name ([Hashtbl.find]). *)
+  let foreign uid full last =
     match uid with
     | Uid.Item { comp_unit; _ } when comp_unit <> cmt.cmt_modname ->
         Some (uid, match Uid.Tbl.find_opt exports uid with
           | Some e -> e.name
-          | None -> norm (comp_unit ^ "." ^ last))
+          | None -> (
+              let unit = norm comp_unit in
+              match full with
+              | Some full when String.starts_with ~prefix:(unit ^ ".") full -> full
+              | _ -> unit ^ "." ^ last))
     | _ -> None
   in
   let value (e : expression) =
     match e.exp_desc with
-    | Texp_ident (p, _, vd) -> foreign vd.val_uid (Path.last p)
+    | Texp_ident (p, _, vd) ->
+        let full = if Hashtbl.mem instances (root p) then None else Some (path p) in
+        foreign vd.val_uid full (Path.last p)
     | _ -> None
   in
   let constructor loc (c : Types.constructor_description) =
-    Option.iter (fun (_, n) -> site loc n) (foreign c.cstr_uid c.cstr_name)
+    Option.iter (fun (_, n) -> site loc n) (foreign c.cstr_uid None c.cstr_name)
   in
   (* An argument [f] is applied to: a label passed, or an int made a
      float. *)

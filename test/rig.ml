@@ -73,15 +73,21 @@ let within ?(tolerance = 0.2) ~expected actual =
   Float.abs (actual -. expected) <= tolerance *. Float.abs expected
 
 (* Words allocated per call of [op], averaged over [n] calls after one
-   warm-up call.  The minor collection before each reading makes the
-   promoted and major counters current, so buffers big enough to skip
-   the minor heap are counted too.  The full major collection first
-   starts the window at the same point of the major cycle whatever ran
-   before: otherwise the major count of those large buffers varies with
-   the heap earlier tests left behind. *)
+   warm-up call.  A buffer over 256 words skips the minor heap, and the
+   runtime adds such direct major allocations to [major_words] only when
+   a major slice runs: after a minor collection alone the count lags by
+   whatever was allocated there since the last slice, in lumps that made
+   a figure differ between n = 100 and n = 400 on paths with large
+   buffers.  So each reading runs a minor collection (which makes the
+   promoted count current) and then a major slice, and is exact for
+   every size.  The full major collection first starts the window at
+   the same point of the major cycle whatever ran before.  A figure
+   still carries the rig's own reading, about 25 words over the window
+   (0.25 per call at n = 100). *)
 let words_per_op ~n op =
   let allocated () =
     Gc.minor ();
+    ignore (Gc.major_slice 0 : int);
     let s = Gc.quick_stat () in
     s.minor_words +. s.major_words -. s.promoted_words
   in

@@ -247,7 +247,10 @@ let op_gen =
 let op_roundtrip =
   QCheck.Test.make ~name:"nfs op encode/decode roundtrip" ~count:300
     (QCheck.make op_gen) (fun op ->
-      Dfs.Nfs_ops.decode_op (Dfs.Nfs_ops.encode_op op) = op)
+      let request = Dfs.Nfs_ops.encode_request op in
+      let len = Int32.to_int (Bytes.get_int32_le request 0) in
+      len = Bytes.length request - 4
+      && Dfs.Nfs_ops.decode_op (Bytes.sub request 4 len) = op)
 
 let result_roundtrip () =
   let results =
@@ -264,11 +267,53 @@ let result_roundtrip () =
       Dfs.Nfs_ops.R_error 13;
     ]
   in
+  let space = Cluster.Address_space.create ~asid:0 () in
   List.iter
     (fun result ->
-      check_bool "result roundtrip" true
-        (Dfs.Nfs_ops.decode_result (Dfs.Nfs_ops.encode_result result) = result))
+      let encoded = Dfs.Nfs_ops.encode_result result in
+      Cluster.Address_space.write space ~addr:3 encoded;
+      check_bool "result decoded in place" true
+        (Dfs.Nfs_ops.result_at space ~addr:3 = result);
+      let bulk ~entries data =
+        let reply = Dfs.Nfs_ops.bulk_reply ~entries (Bytes.length data) in
+        Bytes.blit data 0 reply Dfs.Nfs_ops.bulk_pos (Bytes.length data);
+        check_bool "a bulk reply encodes as its result" true
+          (Bytes.equal reply encoded)
+      in
+      match result with
+      | Dfs.Nfs_ops.R_data data -> bulk ~entries:false data
+      | Dfs.Nfs_ops.R_entries data -> bulk ~entries:true data
+      | _ -> ())
     results
+
+(* The listing packed by a writer, entry by entry, as READDIR defines
+   it; every prefix of it is what [entries_into] writes for its
+   length. *)
+let entries_prefixes () =
+  let entries = [ ("a", 1); ("bcd", 2); ("efgh", 300); ("", 4); ("ijklmnopq", 5) ] in
+  let w = Atm.Codec.writer () in
+  List.iter
+    (fun (name, inode) ->
+      Atm.Codec.put_u32 w inode;
+      Atm.Codec.put_string w name;
+      let misalign = Atm.Codec.length w land 3 in
+      if misalign <> 0 then Atm.Codec.put_padding w (4 - misalign))
+    entries;
+  let packed = Atm.Codec.contents w in
+  check_bool "encode_entries" true
+    (Bytes.equal packed (Dfs.File_store.encode_entries entries));
+  check_int "entries_length" (Bytes.length packed)
+    (Dfs.File_store.entries_length entries);
+  for len = 0 to Bytes.length packed do
+    let out = Bytes.make (len + 2) '*' in
+    Dfs.File_store.entries_into entries out ~pos:1 ~len;
+    check_bool
+      (Printf.sprintf "the first %d bytes" len)
+      true
+      (Bytes.equal out
+         (Bytes.concat Bytes.empty
+            [ Bytes.of_string "*"; Bytes.sub packed 0 len; Bytes.of_string "*" ]))
+  done
 
 let rpc_codec_roundtrip =
   QCheck.Test.make ~name:"rpc marshal/unmarshal roundtrip" ~count:200
@@ -618,6 +663,78 @@ let dx_readdir_budget =
   dx_budget "DX ReadDir 4K" ~budget:676.8 (fun f ->
       Dfs.Nfs_ops.Read_dir { fh = f.Experiments.Fixture.bench_dir; count = 4096 })
 
+(* The same path under Hybrid-1: the request in one buffer, the
+   server's one reply buffer, the spin, and the result decoded where it
+   landed.  Each figure repeats at n = 100 and n = 400.  A Read 8K holds
+   two 1,025-word buffers, the caller's result and the server's reply:
+   a third would take it past 3,400 words. *)
+let hy_budget what ~budget op () =
+  let fixture = Lazy.force fixture in
+  let clerk = Experiments.Fixture.clerk fixture 0 in
+  let measure n =
+    Experiments.Fixture.run fixture (fun () ->
+        Dfs.Clerk.set_scheme clerk Dfs.Clerk.Hybrid1;
+        let op = op fixture in
+        let words =
+          Rig.words_per_op ~n (fun () ->
+              ignore
+                (Cluster.Lrpc.call (Dfs.Clerk.node clerk)
+                   (Dfs.Clerk.remote_fetch clerk) op
+                  : Dfs.Nfs_ops.result))
+        in
+        Dfs.Clerk.set_scheme clerk Dfs.Clerk.Dx;
+        words)
+  in
+  let words = measure 100 in
+  Alcotest.(check (float 0.5)) (what ^ ": the same at n = 400") words (measure 400);
+  Rig.within_budget what ~words ~budget
+
+let hy_getattr_budget =
+  hy_budget "HY GetAttribute" ~budget:236.7 (fun f ->
+      Dfs.Nfs_ops.Get_attr { fh = f.Experiments.Fixture.bench_file })
+
+let hy_read_budget =
+  hy_budget "HY Read 8K" ~budget:2632.5 (fun f ->
+      Dfs.Nfs_ops.Read { fh = f.Experiments.Fixture.bench_file; off = 0; count = 8192 })
+
+let hy_readdir_budget =
+  hy_budget "HY ReadDir 1K" ~budget:507.3 (fun f ->
+      Dfs.Nfs_ops.Read_dir { fh = f.Experiments.Fixture.bench_dir; count = 1024 })
+
+
+(* A Hybrid-1 fetch whose reply never lands: the server takes the
+   request's notification and runs no procedure.  The clerk sets its
+   100 ms deadline when the request write returns, 13.2 us after the
+   call, polls every 5 us, and gives up at the first poll past the
+   deadline: 100.005 ms later, at the instant the poll loop it replaced
+   gave up. *)
+let hy_timeout () =
+  let fixture = Experiments.Fixture.create ~clients:1 () in
+  List.iter
+    (fun segment ->
+      if Rmem.Segment.name segment = Dfs.Layout.request_name then
+        Rmem.Notification.set_signal_handler (Rmem.Segment.notification segment)
+          (Some ignore))
+    (Rmem.Remote_memory.exports fixture.Experiments.Fixture.rmems.(0));
+  let clerk = Experiments.Fixture.clerk fixture 0 in
+  let called, raised =
+    Experiments.Fixture.run fixture (fun () ->
+        Dfs.Clerk.set_scheme clerk Dfs.Clerk.Hybrid1;
+        let called = Experiments.Fixture.now fixture in
+        match
+          Dfs.Clerk.remote_fetch clerk
+            (Dfs.Nfs_ops.Get_attr { fh = fixture.Experiments.Fixture.bench_file })
+        with
+        | _ -> Alcotest.fail "a reply landed"
+        | exception Rmem.Status.Timeout -> (called, Experiments.Fixture.now fixture))
+  in
+  let written = Sim.Time.add called (Sim.Time.ns 13_200) in
+  check_int "raised 100.005 ms after the request write returned"
+    (Sim.Time.add written (Sim.Time.ns 100_005_000))
+    raised;
+  check_int "at the instant the poll loop raised" 304_517_096 raised
+
+
 let clerk_local_cache_hits () =
   let fixture = Lazy.force fixture in
   let clerk = Experiments.Fixture.clerk fixture 0 in
@@ -819,6 +936,7 @@ let suite =
     Alcotest.test_case "slot cache decode validation" `Quick slot_cache_decode_rejects;
     Alcotest.test_case "attr codec" `Quick attr_roundtrip;
     Alcotest.test_case "result codec" `Quick result_roundtrip;
+    Alcotest.test_case "readdir packing prefixes" `Quick entries_prefixes;
     Alcotest.test_case "traffic classification" `Quick traffic_classification;
     Alcotest.test_case "all schemes agree on results" `Quick schemes_agree;
     Alcotest.test_case "dx returns real store bytes" `Quick dx_matches_store_contents;
@@ -834,7 +952,11 @@ let suite =
     Alcotest.test_case "dx lookup allocation budget" `Quick dx_lookup_budget;
     Alcotest.test_case "dx read 8K allocation budget" `Quick dx_read_budget;
     Alcotest.test_case "dx readdir 4K allocation budget" `Quick dx_readdir_budget;
+    Alcotest.test_case "hy getattr allocation budget" `Quick hy_getattr_budget;
+    Alcotest.test_case "hy read 8K allocation budget" `Quick hy_read_budget;
+    Alcotest.test_case "hy readdir 1K allocation budget" `Quick hy_readdir_budget;
     Alcotest.test_case "coherence mutual exclusion" `Quick coherence_mutual_exclusion;
+    Alcotest.test_case "hy fetch times out" `Quick hy_timeout;
     Alcotest.test_case "delayed revocation" `Quick delayed_revocation;
     Alcotest.test_case "lease expires without revocation" `Quick
       lease_expires_without_revocation;

@@ -911,6 +911,105 @@ let resource_exception_safe () =
   check_bool "released despite the exception" true !second_ran;
   check_bool "free at the end" false (Sim.Resource.is_busy resource)
 
+(* ---------------- Spin ---------------- *)
+
+(* The poll loop [Proc.spin] replaces, written with [Proc.wait]. *)
+let rec wait_loop ~engine ~every ~deadline ready =
+  if ready () then true
+  else if Sim.Time.(Sim.Engine.now engine > deadline) then false
+  else begin
+    Sim.Proc.wait every;
+    wait_loop ~engine ~every ~deadline ready
+  end
+
+(* One run of a spin on a flag a writer sets at [set_at] (never if
+   [None]), against competitors: an event scheduled before the spin
+   starts, and a process whose waits fall on every other poll instant,
+   scheduled after the poll's.  The trace holds every visible step, with
+   its instant, in firing order, then the outcome, the clock and the
+   events fired. *)
+let spin_trace ~set_at ~deadline spin =
+  let engine = Sim.Engine.create () in
+  let every = Sim.Time.us 5 in
+  let flag = ref (set_at = Some 0) in
+  let trace = ref [] in
+  let note what = trace := (what, Sim.Engine.now engine) :: !trace in
+  let ready () =
+    note "poll";
+    !flag
+  in
+  Option.iter
+    (fun at ->
+      if at > 0 then
+        Sim.Engine.schedule_at engine at (fun () ->
+            flag := true;
+            note "set"))
+    set_at;
+  Sim.Engine.schedule_at engine (3 * every) (fun () -> note "early competitor");
+  let outcome = ref None in
+  Sim.Proc.spawn engine (fun () ->
+      outcome := Some (spin engine ~every ~deadline ready);
+      note "resumed");
+  Sim.Proc.spawn engine (fun () ->
+      for _ = 1 to 4 do
+        Sim.Proc.wait (2 * every);
+        note "late competitor"
+      done);
+  Sim.Engine.run engine;
+  (List.rev !trace, !outcome, Sim.Engine.now engine, Sim.Engine.events_fired engine)
+
+let spin_matches_wait_loop () =
+  let every = Sim.Time.us 5 in
+  let case what ~set_at ~deadline =
+    let loop =
+      spin_trace ~set_at ~deadline (fun engine ~every ~deadline ready ->
+          wait_loop ~engine ~every ~deadline ready)
+    in
+    let spin =
+      spin_trace ~set_at ~deadline (fun _ ~every ~deadline ready ->
+          Sim.Proc.spin ~every ~deadline ready)
+    in
+    let trace, outcome, now, fired = spin in
+    let trace', outcome', now', fired' = loop in
+    Alcotest.(check (list (pair string int))) (what ^ ": same steps") trace' trace;
+    Alcotest.(check (option bool)) (what ^ ": same outcome") outcome' outcome;
+    check_int (what ^ ": same clock") now' now;
+    check_int (what ^ ": same events fired") fired' fired
+  in
+  case "ready at once" ~set_at:(Some 0) ~deadline:(Sim.Time.ms 1);
+  case "ready after 4 polls" ~set_at:(Some ((4 * every) - 1)) ~deadline:(Sim.Time.ms 1);
+  (* Written by an event scheduled before the spin started: it fires
+     ahead of the poll at that instant, which sees the flag. *)
+  case "written on a poll instant" ~set_at:(Some (3 * every)) ~deadline:(Sim.Time.ms 1);
+  case "deadline passes" ~set_at:None ~deadline:(7 * every);
+  case "written after the deadline poll" ~set_at:(Some (9 * every))
+    ~deadline:(7 * every)
+
+(* A spin's host words do not depend on how many polls it makes: the
+   sleep, the one poll callback and its outcome, 10 polls or 1,000. *)
+let spin_budget () =
+  let n = 200 in
+  let engine = Sim.Engine.create () in
+  let flag = ref false in
+  let set () = flag := true in
+  let ready () = !flag in
+  let spin polls () =
+    flag := false;
+    let every = Sim.Time.us 5 in
+    Sim.Engine.schedule_at engine
+      (Sim.Engine.now engine + (polls * every) - 1)
+      set;
+    ignore (Sim.Proc.spin ~every ~deadline:max_int ready : bool)
+  in
+  let few, many =
+    Sim.Proc.run engine (fun () ->
+        let few = Rig.words_per_op ~n (spin 10) in
+        (few, Rig.words_per_op ~n (spin 1000)))
+  in
+  Rig.within_budget "Proc.spin, 10 polls" ~words:few ~budget:13.3;
+  Rig.within_budget "Proc.spin, 1,000 polls (10 polls + 0.1)" ~words:many
+    ~budget:(few +. 0.1)
+
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The control path's host cost, against budgets 10% above what the
@@ -1137,6 +1236,8 @@ let suite =
       control_path_budget;
     Alcotest.test_case "mailbox allocation budget" `Quick mailbox_budget;
     Alcotest.test_case "event queue allocation budget" `Quick event_queue_budget;
+    Alcotest.test_case "spin matches its wait loop" `Quick spin_matches_wait_loop;
+    Alcotest.test_case "spin allocation budget" `Quick spin_budget;
     QCheck_alcotest.to_alcotest time_mul_matches_scale;
     QCheck_alcotest.to_alcotest heap_pop_sorted;
     QCheck_alcotest.to_alcotest heap_same_time_seq_order;
