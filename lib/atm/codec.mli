@@ -46,6 +46,9 @@ val get_i32 : reader -> int32
 val get_u64 : reader -> int
 val get_bytes : reader -> int -> bytes
 val get_string : reader -> string
+(** Test-only: the codec round-trip property reads back a string (the
+    Hybrid-1 server reads its names in place). *)
+
 val skip : reader -> int -> unit
 
 val rest : reader -> bytes

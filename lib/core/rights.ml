@@ -26,5 +26,10 @@ let to_code t =
   lor (if t.write then 2 else 0)
   lor (if t.cas then 4 else 0)
 
-let of_code c =
-  { read = c land 1 <> 0; write = c land 2 <> 0; cas = c land 4 <> 0 }
+(* The eight codes' rights, built once: a decoded record shares one
+   instead of allocating its own. *)
+let by_code =
+  Array.init 8 (fun c ->
+      { read = c land 1 <> 0; write = c land 2 <> 0; cas = c land 4 <> 0 })
+
+let of_code c = Array.unsafe_get by_code (c land 7)

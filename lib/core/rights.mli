@@ -22,3 +22,4 @@ val to_code : t -> int
 (** 3-bit wire encoding. *)
 
 val of_code : int -> t
+(** The rights of the code's low 3 bits, shared: nothing is allocated. *)

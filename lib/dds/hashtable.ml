@@ -52,9 +52,11 @@ let classify key k =
   else if k = key then Probe.Hit ()
   else Probe.Other
 
+let classify_local h key index = classify key (key_at h index)
+
 let local_walk h key =
-  Probe.walk ~slots:(slots h) ~hash:(hash_key key)
-    ~classify:(fun ~index ~probe:_ -> classify key (key_at h index))
+  Probe.walk ~slots:(slots h) ~hash:(hash_key key) ~classify:classify_local h
+    key
 
 let insert_words h ~key ~value =
   match local_walk h key with
@@ -142,14 +144,15 @@ let rpc_fallbacks t = t.c.rpc_fallbacks
    and classifies its key word in place; a hit carries the slot's
    value word. *)
 
+let classify_remote p key index =
+  Plane.read p ~soff:(index * slot_bytes) ~len:slot_bytes;
+  match classify key (Plane.word p ~off:0) with
+  | Probe.Hit () -> Probe.Hit (Plane.word p ~off:4)
+  | (Probe.Free | Probe.Tombstone _ | Probe.Other) as step -> step
+
 let dx_walk t key =
-  let p = t.c.plane in
-  Probe.walk ~slots:t.tslots ~hash:(hash_key key)
-    ~classify:(fun ~index ~probe:_ ->
-      Plane.read p ~soff:(index * slot_bytes) ~len:slot_bytes;
-      match classify key (Plane.word p ~off:0) with
-      | Probe.Hit () -> Probe.Hit (Plane.word p ~off:4)
-      | (Probe.Free | Probe.Tombstone _ | Probe.Other) as step -> step)
+  Probe.walk ~slots:t.tslots ~hash:(hash_key key) ~classify:classify_remote
+    t.c.plane key
 
 let deposit_value t index value =
   let b = Bytes.create 4 in

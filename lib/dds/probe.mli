@@ -37,9 +37,15 @@ type ('hit, 'note) outcome =
 val walk :
   slots:int ->
   hash:int ->
-  classify:(index:int -> probe:int -> ('hit, 'note) step) ->
+  classify:('env -> 'key -> int -> ('hit, 'note) step) ->
+  'env ->
+  'key ->
   ('hit, 'note) outcome
-(** Walk the probe sequence, calling [classify] once per visited slot
-    in probe order, stopping at the first [Hit] or [Free] (or after
-    [slots] probes). Insertion policy on [Absent]: prefer [reusable]
-    over [free]; both [None] means the table is full for this key. *)
+(** [walk ~slots ~hash ~classify env key] walks the probe sequence,
+    calling [classify env key index] once per visited slot in probe
+    order, stopping at the first [Hit] or [Free] (or after [slots]
+    probes). [classify] is a top-level function and [env] (the table,
+    or whatever reads its slots) and [key] its arguments, so a walk
+    builds no closure: one that ends on a hit allocates only its
+    [Found]. Insertion policy on [Absent]: prefer [reusable] over
+    [free]; both [None] means the table is full for this key. *)

@@ -230,9 +230,10 @@ let read t inode ~off ~count =
   read_into t inode ~off ~count out ~pos:0;
   out
 
-let write t inode ~off data =
+(* One loop serves every write: [fill pos block boff span] copies the
+   source's bytes from [pos] into each touched block's span. *)
+let write_with t inode ~off ~count fill =
   let n = regular t inode in
-  let count = Bytes.length data in
   if off < 0 then invalid_arg "File_store.write";
   let rec copy pos =
     if pos < count then begin
@@ -247,7 +248,7 @@ let write t inode ~off data =
             Hashtbl.replace n.blocks blk b;
             b
       in
-      Bytes.blit data pos block boff span;
+      fill pos block boff span;
       copy (pos + span)
     end
   in
@@ -258,6 +259,15 @@ let write t inode ~off data =
       size = Stdlib.max n.attr.size (off + count);
       mtime = tick t;
     }
+
+let write t inode ~off data =
+  write_with t inode ~off ~count:(Bytes.length data) (fun pos block boff span ->
+      Bytes.blit data pos block boff span)
+
+let write_from t inode ~off space ~addr ~len =
+  write_with t inode ~off ~count:len (fun pos block boff span ->
+      Cluster.Address_space.read_into space ~addr:(addr + pos) ~len:span block
+        ~pos:boff)
 
 type statfs = {
   total_blocks : int;

@@ -76,6 +76,11 @@ val read_into : t -> int -> off:int -> count:int -> bytes -> pos:int -> unit
 val write : t -> int -> off:int -> bytes -> unit
 (** Extends the file as needed. *)
 
+val write_from :
+  t -> int -> off:int -> Cluster.Address_space.t -> addr:int -> len:int -> unit
+(** {!write} of the [len] bytes at [addr] of the space, copied straight
+    into the file's blocks. *)
+
 type statfs = {
   total_blocks : int;
   free_blocks : int;

@@ -262,50 +262,59 @@ let encode_request op =
       Atm.Codec.put_string w to_name);
   Atm.Codec.contents w
 
-let decode_op payload =
-  let r = Atm.Codec.reader payload in
-  match Atm.Codec.get_u8 r with
-  | 0 -> Null
-  | 1 -> Get_attr { fh = Atm.Codec.get_u32 r }
-  | 2 ->
-      let dir = Atm.Codec.get_u32 r in
-      Lookup { dir; name = Atm.Codec.get_string r }
-  | 3 -> Read_link { fh = Atm.Codec.get_u32 r }
+type request =
+  | Op of op
+  | Write_at of { fh : int; off : int; len : int; data : int }
+
+let u32_at space addr =
+  Cluster.Address_space.read_word space ~addr land 0xFFFFFFFF
+
+(* A string behind its u16 length at [addr]. *)
+let name_at space addr =
+  Bytes.unsafe_to_string
+    (Cluster.Address_space.read space ~addr:(addr + 2)
+       ~len:(Cluster.Address_space.read_word space ~addr land 0xFFFF))
+
+(* The op encoded at [addr], decoded where it landed: every field read
+   as a word, a name copied once into its string, and a Write's data
+   left where it lies. *)
+let request_at space ~addr =
+  let a = addr + 1 and b = addr + 5 and c = addr + 9 in
+  match Cluster.Address_space.read_word space ~addr land 0xFF with
+  | 0 -> Op Null
+  | 1 -> Op (Get_attr { fh = u32_at space a })
+  | 2 -> Op (Lookup { dir = u32_at space a; name = name_at space b })
+  | 3 -> Op (Read_link { fh = u32_at space a })
   | 4 ->
-      let fh = Atm.Codec.get_u32 r in
-      let off = Atm.Codec.get_u32 r in
-      Read { fh; off; count = Atm.Codec.get_u32 r }
-  | 5 ->
-      let fh = Atm.Codec.get_u32 r in
-      Read_dir { fh; count = Atm.Codec.get_u32 r }
-  | 6 -> Statfs
+      Op
+        (Read { fh = u32_at space a; off = u32_at space b; count = u32_at space c })
+  | 5 -> Op (Read_dir { fh = u32_at space a; count = u32_at space b })
+  | 6 -> Op Statfs
   | 7 ->
-      let fh = Atm.Codec.get_u32 r in
-      let off = Atm.Codec.get_u32 r in
-      let len = Atm.Codec.get_u32 r in
-      Write { fh; off; data = Atm.Codec.get_bytes r len }
+      Write_at
+        { fh = u32_at space a; off = u32_at space b; len = u32_at space c;
+          data = addr + 13 }
   | 8 ->
-      let fh = Atm.Codec.get_u32 r in
-      let mode = Atm.Codec.get_u32 r in
-      Set_attr { fh; mode; size = Atm.Codec.get_u32 r }
-  | 9 ->
-      let dir = Atm.Codec.get_u32 r in
-      Create { dir; name = Atm.Codec.get_string r }
-  | 10 ->
-      let dir = Atm.Codec.get_u32 r in
-      Remove { dir; name = Atm.Codec.get_string r }
+      Op
+        (Set_attr
+           { fh = u32_at space a; mode = u32_at space b; size = u32_at space c })
+  | 9 -> Op (Create { dir = u32_at space a; name = name_at space b })
+  | 10 -> Op (Remove { dir = u32_at space a; name = name_at space b })
   | 11 ->
-      let from_dir = Atm.Codec.get_u32 r in
-      let from_name = Atm.Codec.get_string r in
-      let to_dir = Atm.Codec.get_u32 r in
-      Rename { from_dir; from_name; to_dir; to_name = Atm.Codec.get_string r }
-  | 12 ->
-      let dir = Atm.Codec.get_u32 r in
-      Mkdir { dir; name = Atm.Codec.get_string r }
-  | 13 ->
-      let dir = Atm.Codec.get_u32 r in
-      Rmdir { dir; name = Atm.Codec.get_string r }
-  | c -> invalid_arg (Printf.sprintf "Nfs_ops.decode_op: %d" c)
+      let to_dir =
+        b + 2 + (Cluster.Address_space.read_word space ~addr:b land 0xFFFF)
+      in
+      Op
+        (Rename
+           {
+             from_dir = u32_at space a;
+             from_name = name_at space b;
+             to_dir = u32_at space to_dir;
+             to_name = name_at space (to_dir + 4);
+           })
+  | 12 -> Op (Mkdir { dir = u32_at space a; name = name_at space b })
+  | 13 -> Op (Rmdir { dir = u32_at space a; name = name_at space b })
+  | code -> invalid_arg (Printf.sprintf "Nfs_ops.request_at: %d" code)
 
 let result_code = function
   | R_null -> 0
@@ -392,6 +401,10 @@ let result_at space ~addr =
 (* Server procedure cost of an operation (the warm-cache Ultrix NFS
    measurements the paper uses for the Hybrid-1 comparison).           *)
 
+let write_cost (c : Cluster.Costs.t) len =
+  Cluster.Costs.proc_cost c ~base:c.proc_write_base ~per_kb:c.proc_write_per_kb
+    ~bytes:len
+
 let procedure_cost (c : Cluster.Costs.t) op =
   match op with
   | Null -> c.proc_null
@@ -410,6 +423,4 @@ let procedure_cost (c : Cluster.Costs.t) op =
   | Read_dir { count; _ } ->
       Cluster.Costs.proc_cost c ~base:c.proc_readdir_base
         ~per_kb:c.proc_readdir_per_kb ~bytes:count
-  | Write { data; _ } ->
-      Cluster.Costs.proc_cost c ~base:c.proc_write_base
-        ~per_kb:c.proc_write_per_kb ~bytes:(Bytes.length data)
+  | Write { data; _ } -> write_cost c (Bytes.length data)

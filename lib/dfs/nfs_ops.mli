@@ -66,8 +66,16 @@ val encode_request : op -> bytes
 (** [[len u32][op]]: the op's encoding behind its length, in one buffer
     of its exact size, as the clerk writes it into its request slot. *)
 
-val decode_op : bytes -> op
-(** An op from its encoding, without the length. *)
+type request =
+  | Op of op
+  | Write_at of { fh : int; off : int; len : int; data : int }
+      (** a Write, whose [len] bytes lie at address [data] *)
+
+val request_at : Cluster.Address_space.t -> addr:int -> request
+(** The op encoded at [addr] (behind its length), decoded where it
+    landed: every field is read as a word, a name copied once into its
+    string, and a Write's data left in place for the store to take
+    straight from there. *)
 
 val encode_result : result -> bytes
 (** A result's encoding, in one buffer of its exact size. *)
@@ -91,3 +99,6 @@ val result_code : result -> int
 val procedure_cost : Cluster.Costs.t -> op -> Sim.Time.t
 (** The server CPU cost of executing this operation with warm caches —
     the paper's measured Ultrix NFS procedure times. *)
+
+val write_cost : Cluster.Costs.t -> int -> Sim.Time.t
+(** {!procedure_cost} of a Write of that many bytes. *)

@@ -20,6 +20,7 @@ type t = {
   dir_cache : Slot_cache.t;
   file_cache : Slot_cache.t;
   reply_descriptors : (int, Rmem.Descriptor.t) Hashtbl.t;
+  headers : bytes Sim.Int_table.t;  (* Hybrid-1 reply headers, by length *)
   push_targets : (int, Rmem.Descriptor.t) Hashtbl.t;
   mutable hybrid_served : int;
   mutable blocks_pushed : int;
@@ -235,9 +236,7 @@ let reply_descriptor t ~client =
    metadata. *)
 let refresh_caches_for t op result =
   match (op, result) with
-  | Nfs_ops.Write { fh; _ }, Nfs_ops.R_write _ | Nfs_ops.Set_attr { fh; _ }, _
-    ->
-      cache_attr t fh
+  | Nfs_ops.Set_attr { fh; _ }, _ -> cache_attr t fh
   | ( (Nfs_ops.Create { dir; name } | Nfs_ops.Mkdir { dir; name }),
       Nfs_ops.R_lookup { fh; _ } ) ->
       cache_name t ~dir ~name;
@@ -262,7 +261,7 @@ let refresh_caches_for t op result =
 (* The encoded reply to [op], built once.  A Read's bytes go straight
    from the store's blocks into it, and a ReadDir's listing is packed
    into it only as far as [count]; any other result is encoded at its
-   exact size. *)
+   exact size.  A Write is {!write_reply}'s. *)
 let reply t op =
   match op with
   | Nfs_ops.Read { fh; off; count } -> (
@@ -286,29 +285,53 @@ let reply t op =
       refresh_caches_for t op result;
       Nfs_ops.encode_result result
 
+(* A Write's reply: its data goes straight from the request slot into
+   the store's blocks. *)
+let write_reply t ~fh ~off ~len ~data =
+  Nfs_ops.encode_result
+    (match File_store.write_from t.store fh ~off t.space ~addr:data ~len with
+    | () ->
+        cache_attr t fh;
+        Nfs_ops.R_write (File_store.getattr t.store fh)
+    | exception exn -> Nfs_ops.R_error (errno exn))
+
+(* The ready flag and a payload length: one header per length, built
+   once.  A write copies its bytes into the frame and nothing changes
+   them after, so requests share it. *)
+let header t len =
+  match Sim.Int_table.find t.headers len with
+  | h -> h
+  | exception Not_found ->
+      let h = Bytes.create 8 in
+      Bytes.set_int32_le h 0 (Int32.of_int Layout.reply_ready);
+      Bytes.set_int32_le h 4 (Int32.of_int len);
+      Sim.Int_table.replace t.headers len h;
+      h
+
+(* The request is decoded where it landed in its slot. *)
 let serve_hybrid_request t ~(record : Rmem.Notification.record) =
   let client = record.Rmem.Notification.src in
   let slot_base =
     Layout.request_base
     + (Atm.Addr.to_int client * Layout.request_slot_bytes)
   in
-  let len = Cluster.Address_space.read_word t.space ~addr:slot_base in
-  let op =
-    Nfs_ops.decode_op
-      (Cluster.Address_space.read t.space ~addr:(slot_base + 4) ~len)
+  (* The service procedure itself, then its reply. *)
+  let payload =
+    match Nfs_ops.request_at t.space ~addr:(slot_base + 4) with
+    | Nfs_ops.Op op ->
+        Cluster.Cpu.use (cpu t) ~category:Cluster.Cpu.cat_procedure
+          (Nfs_ops.procedure_cost (costs t) op);
+        reply t op
+    | Nfs_ops.Write_at { fh; off; len; data } ->
+        Cluster.Cpu.use (cpu t) ~category:Cluster.Cpu.cat_procedure
+          (Nfs_ops.write_cost (costs t) len);
+        write_reply t ~fh ~off ~len ~data
   in
-  (* The service procedure itself. *)
-  Cluster.Cpu.use (cpu t) ~category:Cluster.Cpu.cat_procedure
-    (Nfs_ops.procedure_cost (costs t) op);
-  let payload = reply t op in
   let desc = reply_descriptor t ~client in
   (* Body first, then the flag+len words, so the spinning clerk never
      sees a ready flag over incomplete data. *)
   Rmem.Remote_memory.write t.rmem desc ~off:8 payload;
-  let header = Bytes.create 8 in
-  Bytes.set_int32_le header 0 (Int32.of_int Layout.reply_ready);
-  Bytes.set_int32_le header 4 (Int32.of_int (Bytes.length payload));
-  Rmem.Remote_memory.write t.rmem desc ~off:0 header;
+  Rmem.Remote_memory.write t.rmem desc ~off:0 (header t (Bytes.length payload));
   t.hybrid_served <- t.hybrid_served + 1
 
 (* ------------------------------------------------------------------ *)
@@ -359,6 +382,7 @@ let create ~rmem ~clerk ~store () =
       dir_cache = cache Layout.dir_base Layout.dir_cache;
       file_cache = cache Layout.file_base Layout.file_cache;
       reply_descriptors = Hashtbl.create 8;
+      headers = Sim.Int_table.create 8;
       push_targets = Hashtbl.create 8;
       hybrid_served = 0;
       blocks_pushed = 0;

@@ -74,7 +74,22 @@ let measure_loop rig ~lookup =
   let busy = Sim.Time.to_us (Cluster.Cpu.busy_time (Cluster.Node.cpu rig.server)) in
   (Metrics.Summary.mean latencies, busy /. float_of_int iterations)
 
-(* (a) Pure data transfer. *)
+(* (a) Pure data transfer: the client READs each probed slot into its
+   buffer and charges itself the hash lookup. *)
+type prober = {
+  rmem : Rmem.Remote_memory.t;
+  desc : Rmem.Descriptor.t;
+  buf : Rmem.Remote_memory.buffer;
+  node : Cluster.Node.t;
+}
+
+let probe_slot p soff =
+  Rmem.Remote_memory.read_wait p.rmem p.desc ~soff
+    ~count:Names.Record.slot_bytes ~dst:p.buf ~doff:0 ();
+  Cluster.Cpu.use (Cluster.Node.cpu p.node) ~category:Cluster.Cpu.cat_client
+    (Cluster.Node.costs p.node).Cluster.Costs.hash_lookup;
+  0
+
 let measure_rmem () =
   let rig = make_rig () in
   let r0 = Rmem.Remote_memory.attach rig.server in
@@ -96,16 +111,12 @@ let measure_rmem () =
       in
       let space = Cluster.Node.new_address_space rig.client in
       let buf = Rmem.Remote_memory.buffer ~space ~base:0 ~len:256 in
-      let c = Cluster.Node.costs rig.client in
+      let reader =
+        Names.Registry.reader space ~slot:probe_slot
+          { rmem = r1; desc; buf; node = rig.client }
+      in
       let lookup name =
-        match
-          Names.Registry.walk ~slots:registry_slots space name ~slot:(fun soff ->
-              Rmem.Remote_memory.read_wait r1 desc ~soff
-                ~count:Names.Record.slot_bytes ~dst:buf ~doff:0 ();
-              Cluster.Cpu.use (Cluster.Node.cpu rig.client)
-                ~category:Cluster.Cpu.cat_client c.Cluster.Costs.hash_lookup;
-              0)
-        with
+        match Names.Registry.walk ~slots:registry_slots reader name with
         | Dds.Probe.Found _ -> ()
         | Dds.Probe.Absent _ -> failwith "rmem lookup: name absent"
       in

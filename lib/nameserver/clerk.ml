@@ -24,13 +24,17 @@ type t = {
   mutable probe_timeout : Sim.Time.t option;
   (* bound each remote probe READ under the fault plane; None (the
      default) keeps the legacy unbounded wait and its exact schedule *)
+  probe_buf : Rmem.Remote_memory.buffer;  (* every remote probe lands here *)
   import_cache : (string, cached_import) Hashtbl.t;
-  remote_registries : (int, Rmem.Descriptor.t) Hashtbl.t;
+  remote_registries : remote Registry.reader Sim.Int_table.t;
   remote_requests : (int, Rmem.Descriptor.t) Hashtbl.t;
   remote_scratches : (int, Rmem.Descriptor.t) Hashtbl.t;
   mutable next_scratch_slot : int;
   stats : Metrics.Account.t;
 }
+
+(* An imported registry, as its probe walk reads it. *)
+and remote = { clerk : t; desc : Rmem.Descriptor.t }
 
 exception Name_not_found of string
 
@@ -83,8 +87,11 @@ let create rmem =
       registry;
       request_segment;
       probe_timeout = None;
+      probe_buf =
+        Rmem.Remote_memory.buffer ~space ~base:Bootstrap.probe_buffer_base
+          ~len:Bootstrap.probe_buffer_bytes;
       import_cache = Hashtbl.create 64;
-      remote_registries = Hashtbl.create 8;
+      remote_registries = Sim.Int_table.create 8;
       remote_requests = Hashtbl.create 8;
       remote_scratches = Hashtbl.create 8;
       next_scratch_slot = 0;
@@ -115,11 +122,32 @@ let well_known ?(rights = Rmem.Rights.make ~read:true ~write:true ()) t table
       Hashtbl.replace table key desc;
       desc
 
-let registry_descriptor t ~remote =
-  well_known t t.remote_registries ~remote
-    ~segment_id:Bootstrap.registry_segment_id
-    ~generation:Bootstrap.registry_generation
-    ~size:(Registry.segment_bytes ~slots:(Registry.slots t.registry))
+(* Walk a name's chain in a remote registry, one slot READ into the
+   probe buffer per probe, each charged as a hash lookup. *)
+let probe_slot { clerk = t; desc } soff =
+  Rmem.Remote_memory.read_wait ?timeout:t.probe_timeout t.rmem desc ~soff
+    ~count:Record.slot_bytes ~dst:t.probe_buf ~doff:0 ();
+  Metrics.Account.add t.stats ~category:"remote probes" 1.;
+  charge t (costs t).Cluster.Costs.hash_lookup;
+  Bootstrap.probe_buffer_base
+
+(* [remote]'s registry, imported on first use, with its reader. *)
+let registry_reader t ~remote =
+  let key = Atm.Addr.to_int remote in
+  match Sim.Int_table.find t.remote_registries key with
+  | r -> r
+  | exception Not_found ->
+      let desc =
+        Rmem.Remote_memory.import t.rmem ~remote
+          ~segment_id:Bootstrap.registry_segment_id
+          ~generation:Bootstrap.registry_generation
+          ~size:(Registry.segment_bytes ~slots:(Registry.slots t.registry))
+          ~rights:(Rmem.Rights.make ~read:true ~write:true ())
+          ()
+      in
+      let r = Registry.reader t.space ~slot:probe_slot { clerk = t; desc } in
+      Sim.Int_table.replace t.remote_registries key r;
+      r
 
 let request_descriptor t ~remote =
   well_known t t.remote_requests ~remote
@@ -167,20 +195,8 @@ let register_descriptor t ~name desc =
   | Some entry -> entry.descriptors <- desc :: entry.descriptors
   | None -> ()
 
-(* Walk [name]'s chain in [desc]'s registry, one slot READ into the
-   probe buffer per probe, each charged as a hash lookup. *)
-let remote_walk t desc name =
-  let buf =
-    Rmem.Remote_memory.buffer ~space:t.space
-      ~base:Bootstrap.probe_buffer_base ~len:Bootstrap.probe_buffer_bytes
-  in
-  Registry.walk ~slots:(Registry.slots t.registry) t.space name
-    ~slot:(fun soff ->
-      Rmem.Remote_memory.read_wait ?timeout:t.probe_timeout t.rmem desc ~soff
-        ~count:Record.slot_bytes ~dst:buf ~doff:0 ();
-      Metrics.Account.add t.stats ~category:"remote probes" 1.;
-      charge t (costs t).Cluster.Costs.hash_lookup;
-      Bootstrap.probe_buffer_base)
+let remote_walk t r name =
+  Registry.walk ~slots:(Registry.slots t.registry) r name
 
 (* Scratch-slot rendezvous, shared by this clerk's control-transfer
    lookup and any other control-plane exchange (the sharding layer's
@@ -220,7 +236,7 @@ let await_scratch_reply t ~slot =
    the same import. *)
 let lookup_by_control_transfer t ~remote name =
   Metrics.Account.add t.stats ~category:"lookup" 1.;
-  let (_ : Rmem.Descriptor.t) = registry_descriptor t ~remote in
+  let (_ : remote Registry.reader) = registry_reader t ~remote in
   Metrics.Account.add t.stats ~category:"control-transfer lookups" 1.;
   let slot = alloc_scratch_slot t in
   let reply_off = slot * Bootstrap.scratch_slot_bytes in
@@ -305,7 +321,7 @@ let lookup ?(force = false) ?hint t name =
       match hint with
       | None -> raise (Name_not_found name)
       | Some remote -> (
-          match remote_walk t (registry_descriptor t ~remote) name with
+          match remote_walk t (registry_reader t ~remote) name with
           | Dds.Probe.Found { hit = record; _ } ->
               cache_record t record;
               record
@@ -325,7 +341,7 @@ let refresh_once t =
     (fun (name, entry) ->
       let remote = Atm.Addr.of_int entry.record.Record.node in
       let still_valid =
-        match remote_walk t (registry_descriptor t ~remote) name with
+        match remote_walk t (registry_reader t ~remote) name with
         | Dds.Probe.Found { hit = record; _ } ->
             Rmem.Generation.equal record.Record.generation
               entry.record.Record.generation

@@ -8,11 +8,25 @@
    usually sits at the same slot index on whichever registry holds
    it. *)
 
+(* How a walk reaches the slot images: [slot env off] brings the slot
+   at byte offset [off] of the table into [space] and returns its
+   address there.  Built once per table a reader walks, so a walk
+   builds no closure. *)
+type 'env reader = {
+  space : Cluster.Address_space.t;
+  slot : 'env -> int -> int;
+  env : 'env;
+}
+
+let reader space ~slot env = { space; slot; env }
+let env (r : _ reader) = r.env
+
 type t = {
   space : Cluster.Address_space.t;
   base : int;
   slots : int;
   mutable live : int;
+  local : int reader;  (* the table in place: slot [off] is at [base + off] *)
 }
 
 let segment_bytes ~slots = slots * Record.slot_bytes
@@ -20,7 +34,7 @@ let segment_bytes ~slots = slots * Record.slot_bytes
 let create ~space ~base ~slots =
   if slots <= 0 || slots land (slots - 1) <> 0 then
     invalid_arg "Registry.create: slots must be a positive power of two";
-  { space; base; slots; live = 0 }
+  { space; base; slots; live = 0; local = reader space ~slot:( + ) base }
 
 let slots t = t.slots
 let live t = t.live
@@ -40,13 +54,15 @@ let classify space ~addr name =
     Dds.Probe.Tombstone (Record.forward_at space ~addr)
   else Dds.Probe.Free
 
-let walk ~slots space ~slot name =
-  Dds.Probe.walk ~slots ~hash:(Record.fnv_hash name)
-    ~classify:(fun ~index ~probe:_ ->
-      classify space ~addr:(slot (index * Record.slot_bytes)) name)
+let classify_slot (r : _ reader) name index =
+  classify r.space ~addr:(r.slot r.env (index * Record.slot_bytes)) name
+
+let walk ~slots r name =
+  Dds.Probe.walk ~slots ~hash:(Record.fnv_hash name) ~classify:classify_slot r
+    name
 
 let address t index = t.base + (index * Record.slot_bytes)
-let local_walk t name = walk ~slots:t.slots t.space ~slot:(( + ) t.base) name
+let local_walk t name = walk ~slots:t.slots t.local name
 
 (* Insert: a valid slot already holding this name is overwritten
    (re-export replaces); otherwise the first tombstone along the chain

@@ -25,18 +25,28 @@ val create : space:Cluster.Address_space.t -> base:int -> slots:int -> t
 val slots : t -> int
 val live : t -> int
 
+type 'env reader
+(** How a walk reaches a table's slot images: built once per table a
+    reader walks (per registry, per imported shard), so a walk builds
+    no closure. *)
+
+val reader :
+  Cluster.Address_space.t -> slot:('env -> int -> int) -> 'env -> 'env reader
+(** [reader space ~slot env]: [slot env off] brings the image of the
+    slot at byte offset [off] of the table into [space] — a remote READ
+    into a probe buffer, or nothing for a table [space] holds — and
+    returns its address there. [slot] is a top-level function and [env]
+    whatever it reads with (a clerk and a descriptor). *)
+
+val env : 'env reader -> 'env
+
 val walk :
-  slots:int ->
-  Cluster.Address_space.t ->
-  slot:(int -> int) ->
-  string ->
-  (Record.t, Record.forward) Dds.Probe.outcome
-(** [walk ~slots space ~slot name] walks [name]'s probe chain over a
-    table of [slots] slots. [slot off] brings the image of the slot at
-    byte offset [off] of the table into [space] — a remote READ into a
-    probe buffer, or nothing for a table [space] holds — and returns its
-    address there; the image is read in place under the slot rule. A
-    hit carries the record, a tombstone its forward. *)
+  slots:int -> 'env reader -> string -> (Record.t, Record.forward) Dds.Probe.outcome
+(** [walk ~slots r name] walks [name]'s probe chain over a table of
+    [slots] slots through [r]; each image is read in place under the
+    slot rule. A hit carries the record, a tombstone its forward. Past
+    what [r]'s [slot] allocates, a hit costs its outcome, the
+    classify's [Hit] and the record, and nothing else. *)
 
 val insert : t -> Record.t -> (int, [ `Full ]) result
 (** Returns the slot index used. Re-inserting a live name overwrites it.

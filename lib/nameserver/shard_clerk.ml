@@ -33,7 +33,7 @@ type t = {
   mutable req_desc : Rmem.Descriptor.t option;
   mutable load_desc : Rmem.Descriptor.t option;
   mutable map : Shardmap.t option;
-  shard_descs : (int * int, Rmem.Descriptor.t) Hashtbl.t;
+  shards : shard Registry.reader Sim.Int_table.t;  (* by [shard_key] *)
   mutable policy : Rmem.Recovery.policy option;
   counts : int array;  (* lookups per map-entry index since last report *)
   mutable stale_refetches : int;
@@ -41,6 +41,9 @@ type t = {
   mutable refreshes : (int * Sim.Time.t) list;  (* newest first *)
   stats : Metrics.Account.t;
 }
+
+(* An imported shard segment, as its probe walk reads it. *)
+and shard = { client : t; desc : Rmem.Descriptor.t }
 
 let create ~map_hint ~reconciler_hint clerk =
   let node = Clerk.node clerk in
@@ -57,7 +60,7 @@ let create ~map_hint ~reconciler_hint clerk =
     req_desc = None;
     load_desc = None;
     map = None;
-    shard_descs = Hashtbl.create 16;
+    shards = Sim.Int_table.create 16;
     policy = None;
     counts = Array.make Shardmap.max_entries 0;
     stale_refetches = 0;
@@ -174,34 +177,40 @@ let set_recovery t policy =
       (fun p -> Rmem.Recovery.with_revalidate p (fun d -> revalidate t d))
       policy
 
-let shard_desc t e =
-  let key = (e.Shardmap.node, e.Shardmap.segment_id) in
-  match Hashtbl.find_opt t.shard_descs key with
-  | Some d
-    when Rmem.Generation.equal (Rmem.Descriptor.generation d)
+(* One key per shard segment: a decoded node address and segment id
+   both lie in [0, 2^31), so keys differ and none is [min_int]. *)
+let shard_key e = (e.Shardmap.node lsl 31) lor e.Shardmap.segment_id
+
+(* The probe walk's slot READ: under the registry's slot rule, a hit is
+   the record; absence with a tombstone on the chain is inconclusive —
+   the record may have migrated and the map be stale — and the first
+   decodable forward along the chain names where. *)
+let shard_slot { client = t; desc } soff =
+  rd t desc ~soff ~count:Record.slot_bytes ~doff:probe_base;
+  Metrics.Account.add t.stats ~category:"remote probes" 1.;
+  probe_base
+
+(* The entry's shard, imported again when the map advertises another
+   generation. *)
+let shard_reader t e =
+  let key = shard_key e in
+  match Sim.Int_table.find t.shards key with
+  | r
+    when Rmem.Generation.equal
+           (Rmem.Descriptor.generation (Registry.env r).desc)
            e.Shardmap.generation ->
-      d
-  | _ ->
-      let d =
+      r
+  | _ | (exception Not_found) ->
+      let desc =
         Rmem.Remote_memory.import t.rmem
           ~remote:(Atm.Addr.of_int e.Shardmap.node)
           ~segment_id:e.Shardmap.segment_id ~generation:e.Shardmap.generation
           ~size:(e.Shardmap.slots * Record.slot_bytes)
           ~rights:Rmem.Rights.read_only ()
       in
-      Hashtbl.replace t.shard_descs key d;
-      d
-
-(* Walk the probe chain with slot READs under the registry's slot rule.
-   A hit is the record; absence with a tombstone on the chain is
-   inconclusive — the record may have migrated and the map be stale —
-   and the first decodable forward along the chain names where. *)
-let probe_shard t e name =
-  let desc = shard_desc t e in
-  Registry.walk ~slots:e.Shardmap.slots t.space name ~slot:(fun soff ->
-      rd t desc ~soff ~count:Record.slot_bytes ~doff:probe_base;
-      Metrics.Account.add t.stats ~category:"remote probes" 1.;
-      probe_base)
+      let r = Registry.reader t.space ~slot:shard_slot { client = t; desc } in
+      Sim.Int_table.replace t.shards key r;
+      r
 
 (* Heal from a forwarding tombstone without touching the map host:
    carve the destination shard's bucket range out of the cached entries,
@@ -254,51 +263,51 @@ let patch_map t (f : Record.forward) =
       else false
   | _ -> false
 
+(* One lookup round under the cached map (a fresh one if [fresh]);
+   each stale round costs one of [rounds]. *)
+let rec attempt t name bucket rounds ~fresh =
+  let m = match t.map with Some m when not fresh -> m | _ -> fetch_map t in
+  let ei = Shardmap.owner_index m bucket in
+  if ei < 0 then raise (Clerk.Name_not_found name) (* decode guarantees total *)
+  else begin
+    let e = Shardmap.entry_at m ei in
+    if ei < Array.length t.counts then t.counts.(ei) <- t.counts.(ei) + 1;
+    match Registry.walk ~slots:e.Shardmap.slots (shard_reader t e) name with
+    | Dds.Probe.Found { hit = record; _ } -> record
+    | Dds.Probe.Absent { reusable = None; _ } ->
+        (* Believe a miss only under a current map: one 4-byte READ of
+           the epoch word distinguishes absent from stale. *)
+        if remote_epoch t = m.Shardmap.epoch then
+          raise (Clerk.Name_not_found name)
+        else retry t name bucket rounds
+    | Dds.Probe.Absent { reusable = Some _; note = fwd; _ } -> (
+        (* Prefer healing in place from the forwarding tombstone — it
+           keeps a post-rebalance stampede of stale clients off the map
+           host entirely. *)
+        match fwd with
+        | Some f when patch_map t f ->
+            if rounds <= 0 then raise (Clerk.Name_not_found name)
+            else attempt t name bucket (rounds - 1) ~fresh:false
+        | _ -> retry t name bucket rounds)
+    | exception Rmem.Status.Remote_error _ ->
+        (* Stale or revoked shard descriptor: drop it, heal by map
+           refetch. *)
+        Sim.Int_table.remove t.shards (shard_key e);
+        retry t name bucket rounds
+  end
+
+and retry t name bucket rounds =
+  if rounds <= 0 then raise (Clerk.Name_not_found name)
+  else begin
+    t.stale_refetches <- t.stale_refetches + 1;
+    Metrics.Account.add t.stats ~category:"stale refetches" 1.;
+    Sim.Proc.wait (Sim.Time.us 5);
+    attempt t name bucket (rounds - 1) ~fresh:true
+  end
+
 let lookup t name =
   Metrics.Account.add t.stats ~category:"lookup" 1.;
-  let bucket = Shardmap.bucket_of_name name in
-  let rec attempt rounds ~fresh =
-    let m =
-      match t.map with Some m when not fresh -> m | _ -> fetch_map t
-    in
-    match Shardmap.owner_index m bucket with
-    | None -> raise (Clerk.Name_not_found name) (* decode guarantees total *)
-    | Some (ei, e) -> (
-        if ei < Array.length t.counts then t.counts.(ei) <- t.counts.(ei) + 1;
-        let retry () =
-          if rounds <= 0 then raise (Clerk.Name_not_found name)
-          else begin
-            t.stale_refetches <- t.stale_refetches + 1;
-            Metrics.Account.add t.stats ~category:"stale refetches" 1.;
-            Sim.Proc.wait (Sim.Time.us 5);
-            attempt (rounds - 1) ~fresh:true
-          end
-        in
-        match probe_shard t e name with
-        | Dds.Probe.Found { hit = record; _ } -> record
-        | Dds.Probe.Absent { reusable = None; _ } ->
-            (* Believe a miss only under a current map: one 4-byte READ
-               of the epoch word distinguishes absent from stale. *)
-            if remote_epoch t = m.Shardmap.epoch then
-              raise (Clerk.Name_not_found name)
-            else retry ()
-        | Dds.Probe.Absent { reusable = Some _; note = fwd; _ } -> (
-            (* Prefer healing in place from the forwarding tombstone —
-               it keeps a post-rebalance stampede of stale clients off
-               the map host entirely. *)
-            match fwd with
-            | Some f when patch_map t f ->
-                if rounds <= 0 then raise (Clerk.Name_not_found name)
-                else attempt (rounds - 1) ~fresh:false
-            | _ -> retry ())
-        | exception Rmem.Status.Remote_error _ ->
-            (* Stale or revoked shard descriptor: drop it, heal by map
-               refetch. *)
-            Hashtbl.remove t.shard_descs
-              (e.Shardmap.node, e.Shardmap.segment_id);
-            retry ())
-  in
-  attempt 4 ~fresh:false
+  attempt t name (Shardmap.bucket_of_name name) 4 ~fresh:false
 
 (* ------------------------------------------------------------------ *)
 (* Control plane: registration and load reporting.                     *)

@@ -68,15 +68,15 @@ let total entries =
   in
   go 0 entries
 
-let owner_index t bucket =
-  let rec go i = function
-    | [] -> None
-    | e :: rest ->
-        if e.lo <= bucket && bucket <= e.hi then Some (i, e) else go (i + 1) rest
-  in
-  go 0 t.entries
+let rec owner_from bucket i = function
+  | [] -> -1
+  | e :: rest -> if e.lo <= bucket && bucket <= e.hi then i else owner_from bucket (i + 1) rest
 
-let owner t bucket = Option.map snd (owner_index t bucket)
+let owner_index t bucket = owner_from bucket 0 t.entries
+let entry_at t i = List.nth t.entries i
+
+let owner t bucket =
+  match owner_index t bucket with -1 -> None | i -> Some (entry_at t i)
 
 let encode_entry b off e =
   let w i v = Bytes.set_int32_le b (off + (4 * i)) (Int32.of_int v) in

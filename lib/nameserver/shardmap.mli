@@ -45,9 +45,15 @@ val total : entry list -> bool
 (** Sorted, gap-free, covering the whole bucket space. *)
 
 val owner : t -> int -> entry option
-val owner_index : t -> int -> (int * entry) option
-(** The entry owning a bucket (with its position in the sorted list —
-    the index load reports are keyed by). *)
+(** The entry owning a bucket. *)
+
+val owner_index : t -> int -> int
+(** The position in the sorted list of the entry owning a bucket — the
+    index load reports are keyed by — or -1 if none does; allocates
+    nothing. *)
+
+val entry_at : t -> int -> entry
+(** The entry at a position {!owner_index} returned. *)
 
 val encode : t -> bytes
 (** The full segment image. Raises [Invalid_argument] past

@@ -47,7 +47,9 @@ type place = Test | Other
    value or constructor is named by its uid ([Sim.Proc.park],
    [Hashtbl.iter]), a type or module by its path through aliases and
    opens ([Sim.Ivar.t], [int32], [Obj]); [scan] also names a few
-   shapes: [F ~l] (label [l] passed to [F]), [F (float_of_int _)],
+   shapes: [F ~l] (label [l] passed to [F]), [F ~l closure] (an
+   argument for [l] other than a value bound at a unit's top level: a
+   closure built per call), [F (float_of_int _)],
    [top-level T] (a top-level value of type [T]), [set_monitor] (a
    binding of that name) and [JSON literal] (a string that opens a JSON
    object).  A
@@ -167,6 +169,9 @@ let rules =
     rule "kind" [ "Dds.Kind.Dx"; "Dds.Kind.Rpc"; "Dds.Kind.Hybrid" ] [ "lib/dds/" ]
       "state the phase's rule to Dds.Plane.phase"
       ~allow:[ ("lib/dds/plane.ml:", "Plane.phase and Plane.flush") ];
+    rule "classify" [ "Dds.Probe.walk ~classify closure" ] [ "lib/" ]
+      "pass the walk a top-level classify function and its arguments: a \
+       closure allocates per walk";
     rule "spin" [ "Sim.Proc.wait" ]
       [ "lib/dfs/clerk.ml:"; "lib/nameserver/clerk.ml:"; "lib/experiments/amsg_bench.ml:" ]
       "poll a local word with Sim.Proc.spin: a Proc.wait loop allocates a \
@@ -358,8 +363,31 @@ let scan exports (cmt : Cmt_format.cmt_infos) =
   let constructor loc (c : Types.constructor_description) =
     Option.iter (fun (_, n) -> site loc n) (foreign c.cstr_uid None c.cstr_name)
   in
-  (* An argument [f] is applied to: a label passed, or an int made a
-     float. *)
+  (* The unit's top-level values: a function bound there is built once. *)
+  let toplevel = Hashtbl.create 64 in
+  (match cmt.cmt_annots with
+  | Implementation str ->
+      List.iter
+        (fun (x : structure_item) ->
+          match x.str_desc with
+          | Tstr_value (_, vbs) ->
+              List.iter
+                (fun vb ->
+                  List.iter
+                    (fun id -> Hashtbl.replace toplevel (Ident.unique_name id) ())
+                    (pat_bound_idents vb.vb_pat))
+                vbs
+          | _ -> ())
+        str.str_items
+  | _ -> ());
+  let static (e : expression) =
+    match e.exp_desc with
+    | Texp_ident (Path.Pident id, _, _) -> Hashtbl.mem toplevel (Ident.unique_name id)
+    | Texp_ident _ -> true
+    | _ -> false
+  in
+  (* An argument [f] is applied to: a label passed (and whether a
+     closure is built for it), or an int made a float. *)
   let argument (uid, f) ((label : Asttypes.arg_label), arg) =
     match arg with
     | Some a when not (omitted a) -> (
@@ -367,7 +395,9 @@ let scan exports (cmt : Cmt_format.cmt_infos) =
         | Optional l ->
             refs := (uid, Some l) :: !refs;
             site a.exp_loc (f ^ " ~" ^ l)
-        | Labelled l -> site a.exp_loc (f ^ " ~" ^ l)
+        | Labelled l ->
+            site a.exp_loc (f ^ " ~" ^ l);
+            if not (static a) then site a.exp_loc (f ^ " ~" ^ l ^ " closure")
         | Nolabel -> ());
         match a.exp_desc with
         | Texp_apply (g, _)

@@ -249,8 +249,16 @@ let op_roundtrip =
     (QCheck.make op_gen) (fun op ->
       let request = Dfs.Nfs_ops.encode_request op in
       let len = Int32.to_int (Bytes.get_int32_le request 0) in
+      let space = Cluster.Address_space.create ~asid:3 () in
+      Cluster.Address_space.write space ~addr:100 request;
       len = Bytes.length request - 4
-      && Dfs.Nfs_ops.decode_op (Bytes.sub request 4 len) = op)
+      &&
+      match (Dfs.Nfs_ops.request_at space ~addr:104, op) with
+      | Dfs.Nfs_ops.Op decoded, _ -> decoded = op
+      | Dfs.Nfs_ops.Write_at { fh; off; len; data }, Dfs.Nfs_ops.Write w ->
+          fh = w.fh && off = w.off
+          && Bytes.equal (Cluster.Address_space.read space ~addr:data ~len) w.data
+      | Dfs.Nfs_ops.Write_at _, _ -> false)
 
 let result_roundtrip () =
   let results =
@@ -652,7 +660,7 @@ let dx_getattr_budget =
       Dfs.Nfs_ops.Get_attr { fh = f.Experiments.Fixture.bench_file })
 
 let dx_lookup_budget =
-  dx_budget "DX Lookup" ~budget:65.2 (fun f ->
+  dx_budget "DX Lookup" ~budget:58.6 (fun f ->
       Dfs.Nfs_ops.Lookup { dir = f.Experiments.Fixture.bench_dir; name = "entry0001" })
 
 let dx_read_budget =
@@ -663,11 +671,16 @@ let dx_readdir_budget =
   dx_budget "DX ReadDir 4K" ~budget:676.8 (fun f ->
       Dfs.Nfs_ops.Read_dir { fh = f.Experiments.Fixture.bench_dir; count = 4096 })
 
-(* The same path under Hybrid-1: the request in one buffer, the
-   server's one reply buffer, the spin, and the result decoded where it
-   landed.  Each figure repeats at n = 100 and n = 400.  A Read 8K holds
-   two 1,025-word buffers, the caller's result and the server's reply:
-   a third would take it past 3,400 words. *)
+(* The same path under Hybrid-1: the request in one buffer, decoded by
+   the server where it landed in its slot, the server's one reply buffer
+   behind a header shared by every reply of its length, the spin, and
+   the result decoded where it landed.  Each figure repeats at n = 100
+   and n = 400.  A Read 8K holds two 1,025-word buffers, the caller's
+   result and the server's reply: a third would take it past 3,400
+   words.  A Write 8K holds one, the clerk's request, whose data the
+   server copies from the slot straight into the store's blocks (3,485
+   words with the request copied out of the slot and its data out of
+   that copy). *)
 let hy_budget what ~budget op () =
   let fixture = Lazy.force fixture in
   let clerk = Experiments.Fixture.clerk fixture 0 in
@@ -690,16 +703,21 @@ let hy_budget what ~budget op () =
   Rig.within_budget what ~words ~budget
 
 let hy_getattr_budget =
-  hy_budget "HY GetAttribute" ~budget:236.7 (fun f ->
+  hy_budget "HY GetAttribute" ~budget:230.2 (fun f ->
       Dfs.Nfs_ops.Get_attr { fh = f.Experiments.Fixture.bench_file })
 
 let hy_read_budget =
-  hy_budget "HY Read 8K" ~budget:2632.5 (fun f ->
+  hy_budget "HY Read 8K" ~budget:2624.9 (fun f ->
       Dfs.Nfs_ops.Read { fh = f.Experiments.Fixture.bench_file; off = 0; count = 8192 })
 
 let hy_readdir_budget =
-  hy_budget "HY ReadDir 1K" ~budget:507.3 (fun f ->
+  hy_budget "HY ReadDir 1K" ~budget:499.7 (fun f ->
       Dfs.Nfs_ops.Read_dir { fh = f.Experiments.Fixture.bench_dir; count = 1024 })
+
+let hy_write_budget =
+  hy_budget "HY Write 8K" ~budget:1576.6 (fun f ->
+      Dfs.Nfs_ops.Write
+        { fh = f.Experiments.Fixture.bench_file; off = 0; data = Bytes.make 8192 'w' })
 
 
 (* A Hybrid-1 fetch whose reply never lands: the server takes the
@@ -955,6 +973,7 @@ let suite =
     Alcotest.test_case "hy getattr allocation budget" `Quick hy_getattr_budget;
     Alcotest.test_case "hy read 8K allocation budget" `Quick hy_read_budget;
     Alcotest.test_case "hy readdir 1K allocation budget" `Quick hy_readdir_budget;
+    Alcotest.test_case "hy write 8K allocation budget" `Quick hy_write_budget;
     Alcotest.test_case "coherence mutual exclusion" `Quick coherence_mutual_exclusion;
     Alcotest.test_case "hy fetch times out" `Quick hy_timeout;
     Alcotest.test_case "delayed revocation" `Quick delayed_revocation;

@@ -447,6 +447,43 @@ let registry_well_formed () =
   done;
   check_bool "torn table detected" false (Names.Registry.well_formed r)
 
+(* The owner's lookup of one of its own names: the walk reads each slot
+   in place and allocates its [Found], the hit and the record (which
+   shares the caller's name string), and the lookup the pair and option
+   it returns. *)
+let registry_lookup_budget () =
+  let r = registry () in
+  List.iter
+    (fun name -> ignore (Names.Registry.insert r (sample_record ~name ())))
+    [ "alpha"; "beta"; "gamma"; "delta" ];
+  let words =
+    Rig.words_per_op ~n:1000 (fun () ->
+        ignore (Names.Registry.lookup r "gamma" : (Names.Record.t * int) option))
+  in
+  check_bool "still found" true (Names.Registry.lookup r "gamma" <> None);
+  Rig.within_budget "local Registry.lookup" ~words ~budget:19.8
+
+(* A lookup forced past the import cache to the exporter's registry:
+   one slot READ into the clerk's probe buffer, the walk's outcome and
+   the record, the CPU charges' waits, the cache entry's option, and
+   the caller's [Some hint]. *)
+let forced_remote_lookup_budget () =
+  let rig = Rig.named_duo () in
+  let words =
+    Rig.run rig.Rig.d (fun () ->
+        let space = Cluster.Node.new_address_space rig.Rig.d.Rig.node1 in
+        let (_ : Rmem.Segment.t) =
+          Names.Api.export rig.Rig.clerk1 ~space ~base:0 ~len:8192
+            ~rights:Rmem.Rights.all ~name:"svc" ()
+        in
+        let hint = Cluster.Node.addr rig.Rig.d.Rig.node1 in
+        Rig.words_per_op ~n:200 (fun () ->
+            ignore
+              (Names.Clerk.lookup ~force:true ~hint rig.Rig.clerk0 "svc"
+                : Names.Record.t)))
+  in
+  Rig.within_budget "forced remote Clerk.lookup" ~words ~budget:36.4
+
 let suite =
   [
     Alcotest.test_case "record invalid slot" `Quick record_invalid_slot;
@@ -477,6 +514,10 @@ let suite =
       remote_lookup_past_deleted_slot;
     Alcotest.test_case "remote lookup past a moved slot" `Quick
       remote_lookup_past_moved_slot;
+    Alcotest.test_case "registry local lookup allocation budget" `Quick
+      registry_lookup_budget;
+    Alcotest.test_case "forced remote lookup allocation budget" `Quick
+      forced_remote_lookup_budget;
     QCheck_alcotest.to_alcotest record_roundtrip;
     QCheck_alcotest.to_alcotest record_lookup_in_place;
     QCheck_alcotest.to_alcotest registry_collisions_probe;

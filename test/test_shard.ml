@@ -327,11 +327,15 @@ let test_sharded_register_lookup () =
     (fun s -> check Alcotest.int "no switch drops" 0 (Atm.Switch.drops s))
     (Atm.Network.switches (Cluster.Testbed.network testbed))
 
-(* The host words of one shard lookup hit under a current map: the
-   READ waits and the record, which reuses the caller's name string.
-   The slot's flag, name and fields are read in place; 10% above the
-   figure (the probe buffer's slot copy, the decoded name and its
-   substrings cost 25 more words a lookup). *)
+(* The host words of one shard lookup hit under a current map, 27.13:
+   the slot READ's own 14.13 (its waits), the walk's [Found] (4), the
+   classify's [Hit] (2) and the record (7), which shares the caller's
+   name string and the decoded rights.  Nothing else: the name is
+   hashed in a loop, the owner found by position, the shard's reader
+   (its descriptor and top-level slot function) found by an int key,
+   and the walk and its rounds are top-level functions.  10% above the
+   figure; 84.13 words with a closure per walk, per round and per hash,
+   a key tuple and two options per lookup. *)
 let test_lookup_hit_budget () =
   let testbed, setup = sharded_rig () in
   let words =
@@ -349,7 +353,35 @@ let test_lookup_hit_budget () =
           103 (Names.Shard_clerk.lookup sc5 name).Names.Record.segment_id;
         words)
   in
-  Rig.within_budget "shard lookup hit" ~words ~budget:92.5
+  Rig.within_budget "shard lookup hit" ~words ~budget:29.8
+
+(* The host words of one shard lookup miss under a current map: the
+   walk's two slot READs (its chain passes one live slot before the
+   free one that ends it), its outcome, the 4-byte READ of the map's
+   epoch word that confirms the miss, and the exception that reports
+   it. *)
+let test_lookup_miss_budget () =
+  let testbed, setup = sharded_rig () in
+  let words =
+    Cluster.Testbed.run testbed (fun () ->
+        let _, _, sc4, sc5 = setup () in
+        for i = 0 to 7 do
+          Names.Shard_clerk.register sc4 (svc_record i)
+        done;
+        let miss () =
+          match Names.Shard_clerk.lookup sc5 "no.such.name" with
+          | _ -> Alcotest.fail "absent name found"
+          | exception Names.Clerk.Name_not_found _ -> ()
+        in
+        let reads () =
+          Metrics.Account.total_of (Names.Shard_clerk.stats sc5) "remote probes"
+        in
+        let before = reads () in
+        miss ();
+        check (Alcotest.float 0.) "two probes" 2. (reads () -. before);
+        Rig.words_per_op ~n:200 miss)
+  in
+  Rig.within_budget "shard lookup miss" ~words ~budget:57.3
 
 (* A rebalance in the middle of a client's cached-epoch window: the
    client heals through the forwarding tombstone — a local map patch,
@@ -474,6 +506,7 @@ let suite =
     ("moved tombstones keep probe chains", `Quick, test_tombstone_keeps_chains);
     ("sharded register/lookup end to end", `Quick, test_sharded_register_lookup);
     ("shard lookup hit allocation budget", `Quick, test_lookup_hit_budget);
+    ("shard lookup miss allocation budget", `Quick, test_lookup_miss_budget);
     ("stale epoch heals across split and merge", `Quick, test_stale_epoch_heal);
     ("convergence under 10% loss", `Quick, test_loss_convergence);
   ]
