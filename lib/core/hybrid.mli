@@ -1,0 +1,61 @@
+(** Hybrid-1, the paper's control transfer, and the one request-slot /
+    reply-slot exchange of every control-transfer path: one WRITE with
+    notification into the server's request slot, the server procedure
+    run from that notification, and reply WRITEs into the caller's
+    memory. A request is [[reply offset 4][argument]]; a reply slot is
+    [[flag 4][len 4][payload]], and [len = 0] is an absent or refused
+    answer. *)
+
+type endpoint
+(** A caller's ring of reply slots in its own memory, which its service
+    exports. The ring keeps a reply that lands after its call timed out
+    out of the next call's slot. *)
+
+val endpoint :
+  Remote_memory.t ->
+  space:Cluster.Address_space.t ->
+  base:int ->
+  slots:int ->
+  reply_bytes:int ->
+  timeout:Sim.Time.t ->
+  endpoint
+(** [slots] reply slots of [reply_bytes] each at [base] of [space]; a
+    call gives up [timeout] after its request write returns. *)
+
+val call :
+  endpoint ->
+  Descriptor.t ->
+  slot_bytes:int ->
+  bytes ->
+  (Cluster.Address_space.t -> addr:int -> len:int -> 'a) ->
+  'a
+(** [call ep req ~slot_bytes request decode] arms the ring's next slot,
+    fills word 0 of [request] with its offset, writes [request] with
+    notify at [my node * slot_bytes] of the request segment [req], polls
+    the flag every 5 us, and decodes the reply where it landed: [len]
+    payload bytes at [addr]. Raises {!Status.Timeout} at the deadline. *)
+
+type server
+(** Where a server's replies go: its callers' reply slots. *)
+
+type ticket
+(** One request's requester and reply slot. *)
+
+val server :
+  Remote_memory.t ->
+  reply_bytes:int ->
+  reply_to:(Atm.Addr.t -> Descriptor.t) ->
+  server
+(** Replies into callers' slots of [reply_bytes], in the segment
+    [reply_to requester] imports, once per requester. *)
+
+val serve : Segment.t -> slot_bytes:int -> (ticket -> int -> unit) -> unit
+(** Install the request segment's signal handler: a request, in the
+    [slot_bytes] slot of the node that sent it, runs [service ticket
+    arg], [arg] the address of its argument (slot + 4). *)
+
+val reply : server -> ticket -> bytes -> unit
+(** Write a payload (empty for absent or refused) into the ticket's
+    slot. A slot that fits one burst frame is written whole, in one
+    WRITE; a larger one body first, then its header, so that its flag
+    lands last. *)

@@ -41,6 +41,7 @@ type t = {
   d_dir : Rmem.Descriptor.t;
   d_file : Rmem.Descriptor.t;
   d_req : Rmem.Descriptor.t;
+  hy : Rmem.Hybrid.endpoint; (* one reply slot at [reply_base] *)
   probe : Rmem.Remote_memory.buffer; (* 16 KB at [probe_base]: DX reads land here *)
   rpc : Rpckit.Transport.t option;
   stats : Metrics.Account.t;
@@ -78,6 +79,9 @@ let create ?rpc ?(export_local_cache = false) ~names ~server () =
       d_dir = import Layout.dir_name;
       d_file = import Layout.file_name;
       d_req = import Layout.request_name;
+      hy =
+        Rmem.Hybrid.endpoint rmem ~space ~base:reply_base ~slots:1
+          ~reply_bytes:Layout.reply_slot_bytes ~timeout:(Sim.Time.ms 100);
       probe = Rmem.Remote_memory.buffer ~space ~base:probe_base ~len:16384;
       rpc;
       stats = Metrics.Account.create ~name:"dfs clerk" ();
@@ -118,26 +122,14 @@ let dx_write t desc ~off data = Rmem.Remote_memory.write t.rmem desc ~off data
 let name_key name = Names.Record.fnv_hash name
 
 (* ------------------------------------------------------------------ *)
-(* Hybrid-1: request write with notification, reply spin.              *)
+(* Hybrid-1: the request in one control transfer.                     *)
+
+let result space ~addr ~len:_ = Nfs_ops.result_at space ~addr
 
 let hybrid_fetch t op =
   Metrics.Account.add t.stats ~category:"hybrid requests" 1.;
-  Cluster.Address_space.write_word t.space ~addr:reply_base
-    Layout.reply_pending;
-  let my_slot =
-    Atm.Addr.to_int (Cluster.Node.addr t.node) * Layout.request_slot_bytes
-  in
-  Rmem.Remote_memory.write t.rmem t.d_req ~off:my_slot ~notify:true
-    (Nfs_ops.encode_request op);
-  let deadline =
-    Sim.Time.add (Sim.Engine.now (Cluster.Node.engine t.node)) (Sim.Time.ms 100)
-  in
-  if
-    Sim.Proc.spin ~every:(Sim.Time.us 5) ~deadline (fun () ->
-        Cluster.Address_space.read_word t.space ~addr:reply_base
-        = Layout.reply_ready)
-  then Nfs_ops.result_at t.space ~addr:(reply_base + 8)
-  else raise Rmem.Status.Timeout
+  Rmem.Hybrid.call t.hy t.d_req ~slot_bytes:Layout.request_slot_bytes
+    (Nfs_ops.encode_request op) result
 
 (* ------------------------------------------------------------------ *)
 (* DX: pure data transfer against the server's cache slots.            *)

@@ -29,16 +29,13 @@ let file_base = dir_base + Slot_cache.segment_bytes dir_cache
 let request_base = file_base + Slot_cache.segment_bytes file_cache
 
 let request_slot_bytes = 8320
-(* [len 4][encoded op <= 8K + overhead][slack] *)
+(* [reply offset 4][encoded op <= 8K + overhead][slack] *)
 
 let max_clients = 32
 let request_bytes = max_clients * request_slot_bytes
 
 let reply_slot_bytes = 8288
-(* [flag 4][len 4][encoded result <= 8K + overhead] *)
-
-let reply_pending = 0
-let reply_ready = 1
+(* [flag 4][len 4][encoded result <= 8K + overhead]: an Rmem.Hybrid slot *)
 
 (* Published segment names (registered with the name service). *)
 let statfs_name = "dfs:stat"

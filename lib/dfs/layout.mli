@@ -26,15 +26,13 @@ val file_base : int
 val request_base : int
 
 val request_slot_bytes : int
-(** [len 4][encoded op <= 8K + overhead][slack]. *)
+(** [reply offset 4][encoded op <= 8K + overhead][slack]. *)
 
 val request_bytes : int
 
 val reply_slot_bytes : int
-(** [flag 4][len 4][encoded result <= 8K + overhead]. *)
-
-val reply_pending : int
-val reply_ready : int
+(** [flag 4][len 4][encoded result <= 8K + overhead]: an {!Rmem.Hybrid}
+    reply slot. *)
 
 (** Published segment names (registered with the name service). *)
 

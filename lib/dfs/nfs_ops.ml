@@ -223,11 +223,12 @@ let op_bytes = function
   | Rename { from_name; to_name; _ } ->
       9 + string_bytes from_name + string_bytes to_name
 
-(* A Hybrid-1 request, [len][op], in one buffer of its exact size. *)
+(* A Hybrid-1 request, [reply offset][op], in one buffer of its exact
+   size; {!Rmem.Hybrid.call} fills word 0. *)
 let encode_request op =
   let len = op_bytes op in
   let w = Atm.Codec.writer ~capacity:(4 + len) () in
-  Atm.Codec.put_u32 w len;
+  Atm.Codec.put_u32 w 0;
   Atm.Codec.put_u8 w (op_code op);
   (match op with
   | Null | Statfs -> ()

@@ -63,8 +63,9 @@ val reply_traffic : result -> traffic
 (** {1 Compact binary encoding (Hybrid-1 requests and replies)} *)
 
 val encode_request : op -> bytes
-(** [[len u32][op]]: the op's encoding behind its length, in one buffer
-    of its exact size, as the clerk writes it into its request slot. *)
+(** [[reply offset u32][op]]: the op's encoding behind a word that
+    {!Rmem.Hybrid.call} fills, in one buffer of its exact size, as the
+    clerk writes it into its request slot. *)
 
 type request =
   | Op of op
@@ -72,7 +73,7 @@ type request =
       (** a Write, whose [len] bytes lie at address [data] *)
 
 val request_at : Cluster.Address_space.t -> addr:int -> request
-(** The op encoded at [addr] (behind its length), decoded where it
+(** The op encoded at [addr] (past the request's first word), decoded where it
     landed: every field is read as a word, a name copied once into its
     string, and a Write's data left in place for the store to take
     straight from there. *)

@@ -19,8 +19,6 @@ type t = {
   link_cache : Slot_cache.t;
   dir_cache : Slot_cache.t;
   file_cache : Slot_cache.t;
-  reply_descriptors : (int, Rmem.Descriptor.t) Hashtbl.t;
-  headers : bytes Sim.Int_table.t;  (* Hybrid-1 reply headers, by length *)
   push_targets : (int, Rmem.Descriptor.t) Hashtbl.t;
   mutable hybrid_served : int;
   mutable blocks_pushed : int;
@@ -220,17 +218,6 @@ let writeback t ~fh ~block =
 (* ------------------------------------------------------------------ *)
 (* Hybrid-1 service.                                                   *)
 
-let reply_descriptor t ~client =
-  let key = Atm.Addr.to_int client in
-  match Hashtbl.find_opt t.reply_descriptors key with
-  | Some desc -> desc
-  | None ->
-      let desc =
-        Names.Api.import ~hint:client t.clerk (Layout.reply_name_for client)
-      in
-      Hashtbl.replace t.reply_descriptors key desc;
-      desc
-
 (* Keep the exported cache areas coherent with namespace mutations the
    service procedures perform, so later DX probes never see stale
    metadata. *)
@@ -295,29 +282,11 @@ let write_reply t ~fh ~off ~len ~data =
         Nfs_ops.R_write (File_store.getattr t.store fh)
     | exception exn -> Nfs_ops.R_error (errno exn))
 
-(* The ready flag and a payload length: one header per length, built
-   once.  A write copies its bytes into the frame and nothing changes
-   them after, so requests share it. *)
-let header t len =
-  match Sim.Int_table.find t.headers len with
-  | h -> h
-  | exception Not_found ->
-      let h = Bytes.create 8 in
-      Bytes.set_int32_le h 0 (Int32.of_int Layout.reply_ready);
-      Bytes.set_int32_le h 4 (Int32.of_int len);
-      Sim.Int_table.replace t.headers len h;
-      h
-
 (* The request is decoded where it landed in its slot. *)
-let serve_hybrid_request t ~(record : Rmem.Notification.record) =
-  let client = record.Rmem.Notification.src in
-  let slot_base =
-    Layout.request_base
-    + (Atm.Addr.to_int client * Layout.request_slot_bytes)
-  in
+let serve_hybrid_request t hy ticket arg =
   (* The service procedure itself, then its reply. *)
   let payload =
-    match Nfs_ops.request_at t.space ~addr:(slot_base + 4) with
+    match Nfs_ops.request_at t.space ~addr:arg with
     | Nfs_ops.Op op ->
         Cluster.Cpu.use (cpu t) ~category:Cluster.Cpu.cat_procedure
           (Nfs_ops.procedure_cost (costs t) op);
@@ -327,11 +296,7 @@ let serve_hybrid_request t ~(record : Rmem.Notification.record) =
           (Nfs_ops.write_cost (costs t) len);
         write_reply t ~fh ~off ~len ~data
   in
-  let desc = reply_descriptor t ~client in
-  (* Body first, then the flag+len words, so the spinning clerk never
-     sees a ready flag over incomplete data. *)
-  Rmem.Remote_memory.write t.rmem desc ~off:8 payload;
-  Rmem.Remote_memory.write t.rmem desc ~off:0 (header t (Bytes.length payload));
+  Rmem.Hybrid.reply hy ticket payload;
   t.hybrid_served <- t.hybrid_served + 1
 
 (* ------------------------------------------------------------------ *)
@@ -381,17 +346,19 @@ let create ~rmem ~clerk ~store () =
       link_cache = cache Layout.link_base Layout.link_cache;
       dir_cache = cache Layout.dir_base Layout.dir_cache;
       file_cache = cache Layout.file_base Layout.file_cache;
-      reply_descriptors = Hashtbl.create 8;
-      headers = Sim.Int_table.create 8;
       push_targets = Hashtbl.create 8;
       hybrid_served = 0;
       blocks_pushed = 0;
     }
   in
   Rmem.Remote_memory.set_server_role rmem;
-  Rmem.Notification.set_signal_handler
-    (Rmem.Segment.notification request_segment)
-    (Some (fun record -> serve_hybrid_request t ~record));
+  let hy =
+    Rmem.Hybrid.server rmem ~reply_bytes:Layout.reply_slot_bytes
+      ~reply_to:(fun client ->
+        Names.Api.import ~hint:client clerk (Layout.reply_name_for client))
+  in
+  Rmem.Hybrid.serve request_segment ~slot_bytes:Layout.request_slot_bytes
+    (serve_hybrid_request t hy);
   t
 
 let hybrid_served t = t.hybrid_served

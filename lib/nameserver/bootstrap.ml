@@ -20,16 +20,12 @@ let max_nodes = 32
 (* bound on cluster size implied by the request table layout *)
 
 let request_slot_bytes = 48
-(* [name 32][reply node 4][reply offset 4][pad 8]; the useful 40 bytes
-   ride in a single ATM cell. *)
+(* [reply offset 4][name 32][pad 12]; the 40 bytes written ride in a
+   single ATM cell. *)
 
 let scratch_slots = 16
 let scratch_slot_bytes = 72
-(* [flag 4][record 64][pad 4]; flag: 0 pending / 1 found / 2 absent. *)
-
-let reply_pending = 0
-let reply_found = 1
-let reply_absent = 2
+(* An Rmem.Hybrid reply slot: [flag 4][len 4][record 64]. *)
 
 (* Clerk address-space layout. *)
 let registry_base = 0

@@ -21,19 +21,13 @@ val max_nodes : int
 (** Bound on cluster size implied by the request table layout. *)
 
 val request_slot_bytes : int
-(** [name 32][reply node 4][reply offset 4][pad 8]; the useful 40 bytes
-    ride in a single ATM cell. *)
+(** [reply offset 4][name 32][pad 12]; the 40 bytes written ride in a
+    single ATM cell. *)
 
 val scratch_slots : int
 
 val scratch_slot_bytes : int
-(** [flag 4][record 64][pad 4]. *)
-
-(** Scratch-slot reply flags. *)
-
-val reply_pending : int
-val reply_found : int
-val reply_absent : int
+(** An {!Rmem.Hybrid} reply slot: [flag 4][len 4][record 64]. *)
 
 (** Clerk address-space layout. *)
 

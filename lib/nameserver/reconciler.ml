@@ -19,18 +19,16 @@
    stale readers heal in place rather than convoying at the map host.
 
    Registration is control transfer by design (the paper's §4.2
-   fallback as the common case): a client remote-WRITEs an encoded
-   record into its slot of the reconciler's request segment with
-   notification; the handler spawns a worker that applies the insert,
-   fences the shard, and remote-WRITEs an ack into the client clerk's
-   scratch segment. *)
+   fallback as the common case): an {!Rmem.Hybrid} call carrying an
+   encoded record; the handler spawns a worker that applies the insert,
+   fences the shard, and replies into the client clerk's scratch ring. *)
 
 let request_segment_name = "shard.req"
 let load_segment_name = "shard.load"
 
 let request_slot_bytes = 80
-(* [record 64][reply offset 4][pad 12]; the requester is identified by
-   its slot index (= its network address). *)
+(* [reply offset 4][record 64][pad 12], in the slot of the requester's
+   network address. *)
 
 let load_row_bytes = 8 + (4 * Shardmap.max_entries)
 (* [epoch 4][pad 4][per-entry-index lookup counts]; rows from other
@@ -380,47 +378,22 @@ let rebalance_once t =
   end
 
 (* Exporter-side registration handler: bounded interrupt work only — the
-   insert, the slot push, the fence, and the ack all happen in a spawned
-   worker process. *)
+   insert, the slot push, the fence, and the reply all happen in a
+   spawned worker process.  The reply is fire-and-forget: the scratch
+   segment is write-only, so it cannot be read back or fenced.  A lost
+   reply is healed end to end — the requester times out and reissues
+   the (idempotent) registration. *)
 let serve_registrations t =
-  Rmem.Notification.set_signal_handler
-    (Rmem.Segment.notification t.request_segment)
-    (Some
-       (fun record ->
-         let slot_off = record.Rmem.Notification.off in
-         Cluster.Node.spawn t.node ~name:"reconciler" (fun () ->
-             let requester = slot_off / request_slot_bytes in
-             let request =
-               Cluster.Address_space.read t.space
-                 ~addr:(request_base + slot_off)
-                 ~len:request_slot_bytes
-             in
-             let reply_off =
-               Int32.to_int (Bytes.get_int32_le request Record.slot_bytes)
-             in
-             let reply = Bytes.make Bootstrap.scratch_slot_bytes '\000' in
-             (match Record.decode (Bytes.sub request 0 Record.slot_bytes) with
-             | None -> Bytes.set_int32_le reply 0
-                         (Int32.of_int Bootstrap.reply_absent)
-             | Some record -> (
-                 match register t record with
-                 | Ok () ->
-                     Bytes.set_int32_le reply 0
-                       (Int32.of_int Bootstrap.reply_found);
-                     Bytes.blit (Record.encode record) 0 reply 4
-                       Record.slot_bytes
-                 | Error `Full ->
-                     Bytes.set_int32_le reply 0
-                       (Int32.of_int Bootstrap.reply_absent)));
-             let scratch =
-               Clerk.scratch_descriptor t.clerk
-                 ~remote:(Atm.Addr.of_int requester)
-             in
-             (* Fire-and-forget: the scratch segment is write-only, so
-                the ack cannot be read back or fenced.  A lost ack is
-                healed end to end — the requester times out and
-                reissues the (idempotent) registration. *)
-             Rmem.Remote_memory.write t.rmem scratch ~off:reply_off reply)))
+  Rmem.Hybrid.serve t.request_segment ~slot_bytes:request_slot_bytes
+    (fun ticket arg ->
+      Cluster.Node.spawn t.node ~name:"reconciler" (fun () ->
+          Clerk.reply t.clerk ticket
+            (match Record.decode_at t.space ~addr:arg with
+            | None -> None
+            | Some record -> (
+                match register t record with
+                | Ok () -> Some record
+                | Error `Full -> None))))
 
 let create ?(slots = Bootstrap.default_slots) ?(max_clients = 128) ?policy
     ?pace ~map_clerk ~hosts clerk =

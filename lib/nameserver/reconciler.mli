@@ -24,8 +24,8 @@ val load_segment_name : string
 (** ["shard.load"] — per-client lookup-count rows, one per address. *)
 
 val request_slot_bytes : int
-(** [[record 64][reply offset 4][pad]] = 80; the requester is its slot
-    index. *)
+(** [[reply offset 4][record 64][pad]] = 80, in the slot of the
+    requester's network address. *)
 
 val load_row_bytes : int
 (** [[epoch 4][pad 4][per-entry-index counts]]; rows from other epochs
@@ -60,10 +60,9 @@ val create :
     reconciler runs under loss, which the shard tests check. *)
 
 val serve_registrations : t -> unit
-(** Install the request-segment signal handler: each notified slot
+(** Serve the request segment ({!Rmem.Hybrid.serve}): each request
     spawns a worker that inserts the record, pushes and fences the
-    shard slot, and remote-WRITEs an ack into the requester clerk's
-    scratch segment. *)
+    shard slot, and replies into the requester clerk's scratch ring. *)
 
 val split : t -> int -> int option
 (** Split a shard at its range midpoint onto the next host: copy + fence

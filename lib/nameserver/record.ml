@@ -56,28 +56,6 @@ let encode t =
   Bytes.set_int32_le b 56 (Int32.of_int (Rmem.Rights.to_code t.rights));
   b
 
-let decode slot =
-  if Bytes.length slot < slot_bytes then None
-  else if Int32.to_int (Bytes.get_int32_le slot 0) <> flag_valid then None
-  else begin
-    let raw_name = Bytes.sub_string slot 8 name_bytes in
-    let name =
-      match String.index_opt raw_name '\000' with
-      | Some i -> String.sub raw_name 0 i
-      | None -> raw_name
-    in
-    let field off = Int32.to_int (Bytes.get_int32_le slot off) in
-    Some
-      {
-        name;
-        node = field 40;
-        segment_id = field 44;
-        generation = Rmem.Generation.of_int (field 48);
-        size = field 52;
-        rights = Rmem.Rights.of_code (field 56);
-      }
-  end
-
 (* Slot images read in place at [addr] of [space], nothing copied.  The
    flag word is not looked at here: {!Registry.classify} reads it first
    and calls these only on a slot it holds to be a record or a
@@ -120,8 +98,6 @@ let body_at space ~addr name =
 let decode_at space ~addr =
   if word space addr 0 <> flag_valid then None
   else Some (body_at space ~addr (name_at space ~addr))
-
-let invalid_slot () = Bytes.make slot_bytes '\000'
 
 (* A forwarding tombstone: the 60 bytes a moved slot no longer needs
    carry the destination shard's coordinates, its bucket range, and the

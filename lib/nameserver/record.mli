@@ -40,11 +40,6 @@ val fnv_hash : string -> int
     registries — the paper's single-remote-read optimization. *)
 
 val encode : t -> bytes
-val decode : bytes -> t option
-(** The record an {!encode} image carries — a control-transfer reply's
-    or a registration request's; [None] for any image {!encode} did not
-    write (short, or without the valid flag). *)
-
 val holds_at : Cluster.Address_space.t -> addr:int -> string -> bool
 (** Whether the name field of the slot image at [addr], read in place,
     holds exactly the name. The flag word is not read. *)
@@ -58,10 +53,8 @@ val name_at : Cluster.Address_space.t -> addr:int -> string
     The flag word is not read. *)
 
 val decode_at : Cluster.Address_space.t -> addr:int -> t option
-(** {!decode} of the image at [addr], read in place. *)
-
-val invalid_slot : unit -> bytes
-(** Test-only: the record codec tests. *)
+(** The record the {!encode} image at [addr] carries, read in place;
+    [None] for an image without the valid flag. *)
 
 type forward = {
   fwd_epoch : int;  (** the epoch that published the migration *)

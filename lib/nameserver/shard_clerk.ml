@@ -12,9 +12,8 @@
    (never touching the map host); a bare tombstone or a stale/revoked
    shard descriptor forces a map refetch and another round — the PR 4
    revalidation chain, with the map (not a name lookup) as the
-   revalidator.  Registration goes through the reconciler: a remote
-   WRITE with notification into the request segment, answered by a
-   remote WRITE into this clerk's scratch segment. *)
+   revalidator.  Registration goes through the reconciler: an
+   {!Rmem.Hybrid} call through the name clerk's scratch ring. *)
 
 (* Client address-space layout. *)
 let map_base = 0
@@ -334,17 +333,12 @@ let load_descriptor t =
 let register t record =
   Metrics.Account.add t.stats ~category:"register" 1.;
   let req = request_descriptor t in
-  let my = Atm.Addr.to_int (Cluster.Node.addr t.node) in
   let rec go n =
-    let slot = Clerk.alloc_scratch_slot t.clerk in
     let request = Bytes.make Reconciler.request_slot_bytes '\000' in
-    Bytes.blit (Record.encode record) 0 request 0 Record.slot_bytes;
-    Bytes.set_int32_le request Record.slot_bytes
-      (Int32.of_int (slot * Bootstrap.scratch_slot_bytes));
-    Rmem.Remote_memory.write t.rmem req
-      ~off:(my * Reconciler.request_slot_bytes)
-      ~notify:true request;
-    match Clerk.await_scratch_reply t.clerk ~slot with
+    Bytes.blit (Record.encode record) 0 request 4 Record.slot_bytes;
+    match
+      Clerk.call t.clerk req ~slot_bytes:Reconciler.request_slot_bytes request
+    with
     | Some _ -> ()
     | None -> failwith "shard clerk: registration refused (shard full)"
     | exception Rmem.Status.Timeout when n > 1 ->

@@ -52,6 +52,17 @@ type t = {
   wake : unit -> unit; (* resumes [waiting] *)
   on_wait : ((unit, unit) continuation -> unit) option;
   on_sleep : ((unit, unit) continuation -> unit) option;
+  mutable spinner : spinner; (* built by the process's first [spin] *)
+}
+
+(* A process's running [spin]: its condition, period, deadline and
+   outcome, and the callback that polls it, built once per process. *)
+and spinner = {
+  mutable ready : unit -> bool;
+  mutable every : Time.t;
+  mutable deadline : Time.t;
+  mutable arrived : bool;
+  poll : unit -> unit;
 }
 
 type _ Effect.t += Wait : unit Effect.t | Sleep : unit Effect.t
@@ -88,6 +99,10 @@ let spent =
       k
   | None -> assert false
 
+let no_spinner =
+  { ready = (fun () -> false); every = Time.zero; deadline = Time.zero;
+    arrived = false; poll = ignore }
+
 (* The running process, or [nobody] outside every process. *)
 let nobody =
   {
@@ -99,6 +114,7 @@ let nobody =
     wake = ignore;
     on_wait = None;
     on_sleep = None;
+    spinner = no_spinner;
   }
 
 let current = ref nobody
@@ -121,6 +137,17 @@ let as_current p f x =
         raise exn
 
 let continue_waiting p = continue p.waiting ()
+
+(* One poll of [p]'s spin [s]: resume [p] inline if its condition holds
+   or the clock is past its deadline, else poll again [every] later. *)
+let poll p s =
+  let now = Engine.now p.engine in
+  if s.ready () then begin
+    s.arrived <- true;
+    as_current p continue_waiting p
+  end
+  else if Time.(now > s.deadline) then as_current p continue_waiting p
+  else Engine.schedule_at p.engine (Time.add now s.every) s.poll
 
 let self () =
   let p = !current in
@@ -151,6 +178,7 @@ let create engine who =
           (fun k ->
             current := nobody;
             p.waiting <- k);
+      spinner = no_spinner;
     }
   in
   p
@@ -229,32 +257,40 @@ let unpark p =
 
 (* ---------------- Spinning ---------------- *)
 
-(* The process sleeps once; one callback, built per spin, polls for it at
+(* The process sleeps once, and its spinner's [poll] polls for it at
    exactly the instants a [wait every] loop would wake, re-arming itself
    the way that loop's [on_wait] re-arms [wake], and resumes the process
    inline, in the poll event that finds [ready] or the deadline passed.
    So a spin fires the loop's events, at its instants and in its
-   same-instant order, and allocates nothing per poll.  Unlike a park
-   the spin registers no block: a poll is always pending, as a waiting
-   process's wake was. *)
+   same-instant order, and allocates nothing per poll.  The callback is
+   built once per process, so a long-lived process's is long-lived: one
+   built per spin would be young, and writing it into the queue's
+   long-lived payload array on every poll would add a remembered-set
+   entry per poll.  Unlike a park the spin registers no block: a poll is
+   always pending, as a waiting process's wake was. *)
+let spinner p =
+  if p.spinner == no_spinner then begin
+    let rec s =
+      { ready = no_spinner.ready; every = Time.zero; deadline = Time.zero;
+        arrived = false; poll = (fun () -> poll p s) }
+    in
+    p.spinner <- s
+  end;
+  p.spinner
+
 let spin ~every ~deadline ready =
   let p = self () in
   ready ()
   || Time.(Engine.now p.engine <= deadline)
      &&
-     let arrived = ref false in
-     let rec poll () =
-       let now = Engine.now p.engine in
-       if ready () then begin
-         arrived := true;
-         as_current p continue_waiting p
-       end
-       else if Time.(now > deadline) then as_current p continue_waiting p
-       else Engine.schedule_at p.engine (Time.add now every) poll
-     in
-     Engine.schedule_at p.engine (Time.add (Engine.now p.engine) every) poll;
+     let s = spinner p in
+     s.ready <- ready;
+     s.every <- every;
+     s.deadline <- deadline;
+     s.arrived <- false;
+     Engine.schedule_at p.engine (Time.add (Engine.now p.engine) every) s.poll;
      perform Sleep;
-     !arrived
+     s.arrived
 
 let finished () = current := nobody
 

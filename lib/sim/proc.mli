@@ -82,11 +82,11 @@ val spin : every:Time.t -> deadline:Time.t -> (unit -> bool) -> bool
     [deadline] ([false]): the events, instants and same-instant order
     of the loop [if ready () then true else if now > deadline then
     false else (wait every; loop ())], which it replaces. The process
-    sleeps once, and one callback re-arms itself for each poll and
-    resumes the process inline, so a spin allocates the same few words
-    whatever its poll count. [ready] runs outside the process and must
-    not block; a spin registers no block, since a poll is always
-    pending. *)
+    sleeps once, and a callback built with the process re-arms itself
+    for each poll and resumes the process inline, so a spin allocates
+    only its sleep, whatever its poll count. [ready] runs outside the
+    process and must not block; a spin registers no block, since a poll
+    is always pending. *)
 
 val run : Engine.t -> (unit -> 'a) -> 'a
 (** [run engine body] spawns [body], drives the engine until quiescence

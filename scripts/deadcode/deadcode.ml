@@ -173,12 +173,16 @@ let rules =
       "pass the walk a top-level classify function and its arguments: a \
        closure allocates per walk";
     rule "spin" [ "Sim.Proc.wait" ]
-      [ "lib/dfs/clerk.ml:"; "lib/nameserver/clerk.ml:"; "lib/experiments/amsg_bench.ml:" ]
+      [ "lib/core/hybrid.ml:"; "lib/experiments/amsg_bench.ml:" ]
       "poll a local word with Sim.Proc.spin: a Proc.wait loop allocates a \
-       continuation per poll"
+       continuation per poll";
+    rule "hybrid" [ "Sim.Proc.spin" ] [ "lib/" ]
+      "transfer control through Rmem.Hybrid, the one request-slot/reply-slot \
+       exchange"
       ~allow:
-        [ ("lib/nameserver/clerk.ml:start_refresh_daemon:Sim.Proc.wait",
-           "the cache refresh period, not a poll") ];
+        [ ("lib/core/hybrid.ml:call:", "the exchange's reply wait");
+          ("lib/experiments/amsg_bench.ml:",
+           "Ablation G's active-message reply flag") ];
   ]
 
 let rec walk dir f =

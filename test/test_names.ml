@@ -18,12 +18,37 @@ let record_gen =
             (string_size ~gen:(char_range 'a' 'z') (1 -- 32)))
          (0 -- 100) (0 -- 255) (1 -- 0xFFFF) (0 -- 100000)))
 
+(* The image [slot] at address 64 of a fresh space. *)
+let slot_space slot =
+  let space = Cluster.Address_space.create ~asid:11 () in
+  Cluster.Address_space.write space ~addr:64 slot;
+  space
+
 let record_roundtrip =
   QCheck.Test.make ~name:"record encode/decode roundtrip" ~count:300
     (QCheck.make record_gen) (fun record ->
-      match Names.Record.decode (Names.Record.encode record) with
+      match
+        Names.Record.decode_at (slot_space (Names.Record.encode record)) ~addr:64
+      with
       | Some back -> back = record
       | None -> false)
+
+(* A copying decoder of a slot image: the reference the in-place
+   readers are checked against. *)
+let decode slot =
+  if Int32.to_int (Bytes.get_int32_le slot 0) <> 1 then None
+  else
+    let raw_name = Bytes.sub_string slot 8 32 in
+    let name =
+      match String.index_opt raw_name '\000' with
+      | Some i -> String.sub raw_name 0 i
+      | None -> raw_name
+    in
+    let field off = Int32.to_int (Bytes.get_int32_le slot off) in
+    Some
+      (Names.Record.make ~name ~node:(field 40) ~segment_id:(field 44)
+         ~generation:(Rmem.Generation.of_int (field 48)) ~size:(field 52)
+         ~rights:(Rmem.Rights.of_code (field 56)))
 
 (* [holds_at] and [body_at] read the slot in place and must say what
    [decode] followed by [String.equal] says, for any query: the stored
@@ -54,10 +79,9 @@ let record_lookup_in_place =
       in
       if String.length stored < 31 then
         Bytes.set slot (8 + String.length stored + 1) (Char.chr garbage);
-      let space = Cluster.Address_space.create ~asid:11 () in
-      Cluster.Address_space.write space ~addr:64 slot;
+      let space = slot_space slot in
       let expected =
-        match Names.Record.decode slot with
+        match decode slot with
         | Some r when String.equal r.Names.Record.name query -> Some r
         | Some _ | None -> None
       in
@@ -70,7 +94,10 @@ let record_lookup_in_place =
 
 let record_invalid_slot () =
   Alcotest.(check bool) "invalid decodes to None" true
-    (Names.Record.decode (Names.Record.invalid_slot ()) = None)
+    (Names.Record.decode_at
+       (slot_space (Bytes.make Names.Record.slot_bytes '\000'))
+       ~addr:64
+    = None)
 
 let record_validation () =
   check_bool "long name rejected" true

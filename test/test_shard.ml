@@ -327,6 +327,22 @@ let test_sharded_register_lookup () =
     (fun s -> check Alcotest.int "no switch drops" 0 (Atm.Switch.drops s))
     (Atm.Network.switches (Cluster.Testbed.network testbed))
 
+(* A shard with no free slot refuses a registration: the reconciler
+   answers with an empty reply, and the clerk raises. *)
+let test_register_refused () =
+  let testbed, setup = sharded_rig ~slots:4 () in
+  Cluster.Testbed.run testbed (fun () ->
+      let _, reconciler, sc4, _ = setup () in
+      for i = 0 to 3 do
+        Names.Shard_clerk.register sc4 (svc_record i)
+      done;
+      check Alcotest.int "the shard is full" 4 (Names.Reconciler.live reconciler);
+      checkb "a fifth registration is refused" true
+        (match Names.Shard_clerk.register sc4 (svc_record 4) with
+        | () -> false
+        | exception Failure msg ->
+            String.equal msg "shard clerk: registration refused (shard full)"))
+
 (* The host words of one shard lookup hit under a current map, 27.13:
    the slot READ's own 14.13 (its waits), the walk's [Found] (4), the
    classify's [Hit] (2) and the record (7), which shares the caller's
@@ -505,6 +521,7 @@ let suite =
     ("shard map rejects torn images", `Quick, test_shardmap_rejects_torn);
     ("moved tombstones keep probe chains", `Quick, test_tombstone_keeps_chains);
     ("sharded register/lookup end to end", `Quick, test_sharded_register_lookup);
+    ("a refused registration raises", `Quick, test_register_refused);
     ("shard lookup hit allocation budget", `Quick, test_lookup_hit_budget);
     ("shard lookup miss allocation budget", `Quick, test_lookup_miss_budget);
     ("stale epoch heals across split and merge", `Quick, test_stale_epoch_heal);
