@@ -23,8 +23,7 @@ val lookup : t -> string -> Record.t
     eats the probes and no recovery policy is set. *)
 
 val register : t -> Record.t -> unit
-(** Register through the reconciler: remote WRITE with notification
-    into the request segment, ack awaited on this clerk's scratch
+(** Register through the reconciler: a {!Clerk.call} into its request
     segment; a lost exchange is reissued (idempotent), 8 tries in all,
     before {!Rmem.Status.Timeout} escapes. Raises [Failure]
     if the reconciler refuses (shard full). *)
