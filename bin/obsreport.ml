@@ -29,16 +29,6 @@ let default_slo =
       "last rmem.0.inflight <= 0";
     ]
 
-(* Every gauge is read at every tick, so any one ring's newest sample
-   carries the run's last sampled instant. *)
-let duration_of ts =
-  match Obs.Timeseries.gauges ts with
-  | [] -> Sim.Time.zero
-  | gauge :: _ -> (
-      match List.rev (Obs.Timeseries.samples ts gauge) with
-      | (t_us, _) :: _ -> Sim.Time.of_us_float t_us
-      | [] -> Sim.Time.zero)
-
 let gauge ts name =
   match Obs.Timeseries.stat ts name with
   | None -> T.fields [ ("gauge", T.text name); ("count", T.num 0.) ]
@@ -59,11 +49,7 @@ let report ~plan ~seed ~spec workload =
       workload
   in
   let ts = Option.get o.timeseries in
-  let slo =
-    Obs.Slo.eval
-      { registry = Some o.registry; series = Some ts; duration = duration_of ts }
-      spec
-  in
+  let slo = Obs.Slo.eval { registry = Some o.registry; series = Some ts } spec in
   let holds b = T.is (Flag true) (Flag b) in
   {
     slo with

@@ -63,7 +63,7 @@ let report name (t : Catalog.trace) =
       :: List.map (fun p -> [ T.Lit ("problem: " ^ p) ]) problems)
     [] []
 
-let emit name ~out ~tree (run : Catalog.replay) =
+let emit name ~out (run : Catalog.replay) =
   let json = Obs.Export.chrome_json run.spans in
   let path = Filename.concat out (name ^ ".trace.json") in
   let oc = open_out path in
@@ -72,10 +72,9 @@ let emit name ~out ~tree (run : Catalog.replay) =
   Printf.printf "%s: %d spans -> %s\n" name
     (Obs.Trace.span_count run.spans)
     path;
-  if tree then print_string (Obs.Export.render_tree run.spans);
   print_string (Obs.Registry.report run.registry)
 
-let main workload out tree (m : Cli.mode) =
+let main workload out (m : Cli.mode) =
   if not (Sys.file_exists out && Sys.is_directory out) then
     Cli.usage "no such output directory: %s" out;
   let items = Cli.select ~name:fst Catalog.trace workload in
@@ -92,7 +91,7 @@ let main workload out tree (m : Cli.mode) =
     traced && agree
   else begin
     List.iter
-      (fun (name, (t : Catalog.trace)) -> emit name ~out ~tree (t.replay ()))
+      (fun (name, (t : Catalog.trace)) -> emit name ~out (t.replay ()))
       items;
     true
   end
@@ -103,10 +102,6 @@ let out =
   let doc = "Directory for the emitted $(i,NAME).trace.json files." in
   Arg.(value & opt string "." & info [ "o"; "out" ] ~docv:"DIR" ~doc)
 
-let tree =
-  let doc = "Also print the plain-text span trees." in
-  Arg.(value & flag & info [ "tree" ] ~doc)
-
 let cmd =
   Cli.cmd "trace" ~doc:"span tracer for the remote-memory example workloads"
     ~ci:
@@ -116,4 +111,4 @@ let cmd =
       const main
       $ Cli.workload ~doc:"Example workload to replay and trace"
           (List.map fst Catalog.trace)
-      $ out $ tree)
+      $ out)

@@ -10,10 +10,8 @@
 type t
 
 val create : ?name:string -> Sim.Engine.t -> Config.t -> t
-(** [name] (default ["switch"]) labels this switch's trace hops, trunk
-    link names and telemetry gauges. *)
-
-val name : t -> string
+(** [name] (default ["switch"]) labels this switch's trace hops and
+    trunk link names. *)
 
 val attach_port : t -> Nic.t -> unit
 (** Create the downlink that delivers to this NIC. *)

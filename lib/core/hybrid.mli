@@ -2,14 +2,15 @@
     reply-slot exchange of every control-transfer path: one WRITE with
     notification into the server's request slot, the server procedure
     run from that notification, and reply WRITEs into the caller's
-    memory. A request is [[reply offset 4][argument]]; a reply slot is
-    [[flag 4][len 4][payload]], and [len = 0] is an absent or refused
-    answer. *)
+    memory. A request is [[call tag 2][reply offset 2][argument]]; a reply
+    slot is [[flag 4][len 4][payload]], the flag the call's tag + 1, and
+    [len = 0] is an absent or refused answer. *)
 
 type endpoint
 (** A caller's ring of reply slots in its own memory, which its service
-    exports. The ring keeps a reply that lands after its call timed out
-    out of the next call's slot. *)
+    exports, and its count of calls. A reply that lands after its call
+    timed out carries that call's tag, so no later call takes it, even
+    one that re-armed the same slot. *)
 
 val endpoint :
   Remote_memory.t ->
@@ -19,8 +20,8 @@ val endpoint :
   reply_bytes:int ->
   timeout:Sim.Time.t ->
   endpoint
-(** [slots] reply slots of [reply_bytes] each at [base] of [space]; a
-    call gives up [timeout] after its request write returns. *)
+(** [slots] reply slots of [reply_bytes] each at [base] of [space], 64 KB
+    at most; a call gives up [timeout] after its request write returns. *)
 
 val call :
   endpoint ->
@@ -30,10 +31,11 @@ val call :
   (Cluster.Address_space.t -> addr:int -> len:int -> 'a) ->
   'a
 (** [call ep req ~slot_bytes request decode] arms the ring's next slot,
-    fills word 0 of [request] with its offset, writes [request] with
-    notify at [my node * slot_bytes] of the request segment [req], polls
-    the flag every 5 us, and decodes the reply where it landed: [len]
-    payload bytes at [addr]. Raises {!Status.Timeout} at the deadline. *)
+    fills word 0 of [request] with the call's tag and the slot's offset,
+    writes [request] with notify at [my node * slot_bytes] of the request
+    segment [req], polls the flag every 5 us until it holds the tag + 1,
+    and decodes the reply where it landed: [len] payload bytes at
+    [addr]. Raises {!Status.Timeout} at the deadline. *)
 
 type server
 (** Where a server's replies go: its callers' reply slots. *)
@@ -56,6 +58,6 @@ val serve : Segment.t -> slot_bytes:int -> (ticket -> int -> unit) -> unit
 
 val reply : server -> ticket -> bytes -> unit
 (** Write a payload (empty for absent or refused) into the ticket's
-    slot. A slot that fits one burst frame is written whole, in one
-    WRITE; a larger one body first, then its header, so that its flag
-    lands last. *)
+    slot, flagged with its call's tag + 1. A slot that fits one burst
+    frame is written whole, in one WRITE; a larger one body first, then
+    its header, so that its flag lands last. *)

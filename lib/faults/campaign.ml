@@ -51,17 +51,10 @@ let wire_gauges ts testbed ~rmems plane =
       fgauge ts (prefix ^ ".drops") (fun () ->
           Atm.Link.drops link + Atm.Link.overflow_drops link))
     (Atm.Network.links net);
-  (* Per-switch gauges for every switched fabric, plus always-present
-     fabric aggregates so one SLO spec line covers every topology (a
-     mesh reads 0 — the clean gate an author means, not a missing
-     source). *)
+  (* Fabric aggregates over the switches, so one SLO spec line covers
+     every topology: a mesh, as every campaign builds, reads 0 — the
+     clean gate an author means, not a missing source. *)
   let switches = Atm.Network.switches net in
-  List.iter
-    (fun switch ->
-      let prefix = "switch." ^ Atm.Switch.name switch in
-      fgauge ts (prefix ^ ".depth") (fun () -> Atm.Switch.queue_depth switch);
-      fgauge ts (prefix ^ ".drops") (fun () -> Atm.Switch.drops switch))
-    switches;
   fgauge ts "fabric.switch_depth" (fun () ->
       List.fold_left (fun acc s -> acc + Atm.Switch.queue_depth s) 0 switches);
   fgauge ts "fabric.switch_drops" (fun () ->

@@ -6,26 +6,26 @@
      # latency: percentile of a registry op series, microseconds
      p99 recover:read < 400 us
 
-     # counters: final registry value, or per-second rate
+     # counters: final registry value, or per-second rate of a sampled
+     # counter gauge
      counter faults.drops <= 0
      rate faults.drops < 500
 
-     # gauges: whole-run max / mean / last of a sampled time series
+     # gauges: whole-run max / last of a sampled time series
      max nic.0.rx_fifo < 1024
-     mean link.mesh:0->1.depth < 4
      last rmem.0.inflight <= 0
 
-   Any gauge or rate clause may end with "over <N> us|ms|s" to evaluate
-   the trailing window of retained samples instead of the whole run:
+   A rate clause may end with "over <N> us|ms" to evaluate the trailing
+   window of retained samples instead of the whole run:
 
-     max fabric.switch_depth < 64 over 5 ms
+     rate faults.drops < 500 over 5 ms
 
    Evaluation is fail-closed: a clause whose source does not exist (no
    such counter series ever observed, gauge never sampled) is a
    violation with a diagnosis, not a silent pass — a CI gate that
    silently measured nothing would be worse than none. *)
 
-type stat = Max | Mean | Last
+type stat = Max | Last
 
 type source =
   | Latency of { op : string; percentile : float }
@@ -56,7 +56,7 @@ let cmp_of_string = function
 
 let cmp_to_string = function Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
 
-let stat_to_string = function Max -> "max" | Mean -> "mean" | Last -> "last"
+let stat_to_string = function Max -> "max" | Last -> "last"
 
 let source_to_string = function
   | Latency { op; percentile } -> Printf.sprintf "p%g %s" percentile op
@@ -83,7 +83,6 @@ let parse_window = function
       match (float_of_string_opt n, unit_) with
       | Some v, "us" -> Ok (Some (Sim.Time.of_us_float v))
       | Some v, "ms" -> Ok (Some (Sim.Time.of_ms_float v))
-      | Some v, "s" -> Ok (Some (Sim.Time.of_sec_float v))
       | _ -> Error (Printf.sprintf "bad window %S %S" n unit_))
   | rest -> Error ("trailing tokens: " ^ String.concat " " rest)
 
@@ -113,14 +112,14 @@ let parse_clause line =
             match parse_window tail with
             | Error e -> fail "%s: %s" line e
             | Ok (Some _) when not windowed ->
-                fail "%s: only gauge and rate clauses take a window" line
+                fail "%s: only rate clauses take a window" line
             | Ok window -> Ok { text = line; source; cmp; bound = value; window })
         | None, _ -> fail "%s: bad comparator %S" line op
         | _, None -> fail "%s: bad bound %S" line bound)
     | _ -> fail "%s: expected '<cmp> <bound>'" line
   in
   match tokens line with
-  | [] -> Ok { text = ""; source = Counter ""; cmp = Le; bound = 0.; window = None }
+  | [] -> assert false (* [parse] skips blank lines *)
   | first :: rest -> (
       match (parse_percentile first, rest) with
       | Some percentile, op :: rest ->
@@ -132,18 +131,11 @@ let parse_clause line =
               finish ~source:(Counter name) ~windowed:false rest
           | "rate", name :: rest ->
               finish ~source:(Rate name) ~windowed:true rest
-          | ("max" | "mean" | "last"), name :: rest ->
-              let stat =
-                match first with
-                | "max" -> Max
-                | "mean" -> Mean
-                | _ -> Last
-              in
-              finish ~source:(Gauge { name; stat }) ~windowed:true rest
+          | ("max" | "last"), name :: rest ->
+              let stat = if first = "max" then Max else Last in
+              finish ~source:(Gauge { name; stat }) ~windowed:false rest
           | _ ->
-              fail
-                "%s: unknown clause head %S (want pNN, counter, rate, max, \
-                 mean, last)"
+              fail "%s: unknown clause head %S (want pNN, counter, rate, max, last)"
                 line first))
 
 let strip_comment line =
@@ -170,11 +162,7 @@ let parse text =
 
 (* ---------------- Evaluation ---------------- *)
 
-type context = {
-  registry : Registry.t option;
-  series : Timeseries.t option;
-  duration : Sim.Time.t;  (** whole-run span, for unwindowed rates *)
-}
+type context = { registry : Registry.t option; series : Timeseries.t option }
 
 let measure ctx clause =
   match clause.source with
@@ -201,48 +189,16 @@ let measure ctx clause =
           then Error (Printf.sprintf "counter %S never observed" name)
           else Ok v)
   | Rate name -> (
-      (* Prefer the sampled series (windowable, sees bursts); fall back
-         to final-counter / duration for unwindowed clauses. *)
       match
         Option.bind ctx.series (fun ts ->
             Timeseries.rate ?window:clause.window ts name)
       with
       | Some r -> Ok r
-      | None -> (
-          match (clause.window, ctx.registry) with
-          | None, Some registry
-            when List.mem_assoc name (Registry.counters registry) ->
-              let seconds = Sim.Time.to_sec ctx.duration in
-              if seconds > 0. then
-                Ok (Registry.counter registry name /. seconds)
-              else Error "zero-duration run"
-          | _ -> Error (Printf.sprintf "no samples for rate of %S" name)))
+      | None -> Error (Printf.sprintf "no samples for rate of %S" name))
   | Gauge { name; stat } -> (
-      match ctx.series with
-      | None -> Error "no time series attached"
-      | Some ts -> (
-          match clause.window with
-          | None -> (
-              match Timeseries.stat ts name with
-              | None -> Error (Printf.sprintf "gauge %S never sampled" name)
-              | Some st ->
-                  Ok
-                    (match stat with
-                    | Max -> st.Timeseries.max
-                    | Mean -> st.Timeseries.mean
-                    | Last -> st.Timeseries.last))
-          | Some span -> (
-              match Timeseries.window ts name span with
-              | [] -> Error (Printf.sprintf "gauge %S has no windowed samples" name)
-              | points -> (
-                  let values = List.map snd points in
-                  match stat with
-                  | Max -> Ok (List.fold_left Stdlib.max (List.hd values) values)
-                  | Mean ->
-                      Ok
-                        (List.fold_left ( +. ) 0. values
-                        /. float_of_int (List.length values))
-                  | Last -> Ok (List.nth values (List.length values - 1))))))
+      match Option.bind ctx.series (fun ts -> Timeseries.stat ts name) with
+      | None -> Error (Printf.sprintf "gauge %S never sampled" name)
+      | Some st -> Ok (match stat with Max -> st.Timeseries.max | Last -> st.Timeseries.last))
 
 (* One row per clause: its banded measurement, or Missing. *)
 let eval ctx spec =

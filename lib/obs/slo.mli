@@ -7,21 +7,20 @@
     {v
     p99 recover:read < 400 us         # latency percentile, microseconds
     counter faults.drops <= 0         # final registry counter
-    rate faults.drops < 500           # counter slope per second
+    rate faults.drops < 500 over 5 ms # sampled counter's slope per second
     max nic.0.rx_fifo < 1024          # sampled gauge, whole run
-    mean fabric.switch_depth < 4 over 5 ms  # ... or a trailing window
     last rmem.0.inflight <= 0
     v}
 
-    Comparators are [<] [<=] [>] [>=]. Gauge stats are [max], [mean],
-    [last]. Gauge and rate clauses accept [over N us|ms|s] to restrict
-    evaluation to the trailing window of retained samples.
+    Comparators are [<] [<=] [>] [>=]. Gauge stats are [max] and [last].
+    A rate clause accepts [over N us|ms] to restrict evaluation to the
+    trailing window of retained samples.
 
     Evaluation {b fails closed}: a clause whose source is missing (op
     never timed, gauge never sampled) is a violation carrying a
     diagnosis, never a silent pass. *)
 
-type stat = Max | Mean | Last
+type stat = Max | Last
 
 type source =
   | Latency of { op : string; percentile : float }
@@ -46,13 +45,7 @@ val parse : string -> (spec, string) result
 
 (** {1 Evaluation} *)
 
-type context = {
-  registry : Registry.t option;
-  series : Timeseries.t option;
-  duration : Sim.Time.t;
-      (** whole-run span; the denominator for unwindowed [rate] clauses
-          when no sampled series covers the counter *)
-}
+type context = { registry : Registry.t option; series : Timeseries.t option }
 
 val eval : context -> spec -> Metrics.Table.t
 (** One row per clause, in spec order: the clause, its measurement

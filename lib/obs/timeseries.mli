@@ -64,11 +64,13 @@ val stat : t -> string -> stat option
 
 val samples : t -> string -> (float * float) list
 (** Ring contents as [(time_us, value)], oldest first — at most
-    [capacity] points. *)
+    [capacity] points.
+    Test-only: the ring tests check its bound; {!rate} reads it. *)
 
 val window : t -> string -> Sim.Time.t -> (float * float) list
 (** The trailing [span] of {!samples}, measured back from the latest
-    retained sample. *)
+    retained sample.
+    Test-only: the ring tests check it; {!rate} reads it. *)
 
 val rate : ?window:Sim.Time.t -> t -> string -> float option
 (** Per-second slope of a cumulative-counter gauge across the retained

@@ -15,12 +15,10 @@ let sec n = n * 1_000_000_000
 
 let of_us_float f = int_of_float (Float.round (f *. 1_000.))
 let of_ms_float f = int_of_float (Float.round (f *. 1_000_000.))
-let of_sec_float f = int_of_float (Float.round (f *. 1_000_000_000.))
 
 let to_ns t = t
 let to_us t = float_of_int t /. 1_000.
 let to_ms t = float_of_int t /. 1_000_000.
-let to_sec t = float_of_int t /. 1_000_000_000.
 
 let add = ( + )
 let diff = ( - )
@@ -38,7 +36,7 @@ let max = Int.max
 let min = Int.min
 
 let pp ppf t =
-  if t >= 1_000_000_000 then Format.fprintf ppf "%.3fs" (to_sec t)
+  if t >= 1_000_000_000 then Format.fprintf ppf "%.3fs" (float_of_int t /. 1e9)
   else if t >= 1_000_000 then Format.fprintf ppf "%.3fms" (to_ms t)
   else if t >= 1_000 then Format.fprintf ppf "%.2fus" (to_us t)
   else Format.fprintf ppf "%dns" t

@@ -19,14 +19,12 @@ val of_us_float : float -> t
     reports in microseconds. *)
 
 val of_ms_float : float -> t
-val of_sec_float : float -> t
 
 (** {1 Conversions} *)
 
 val to_ns : t -> int
 val to_us : t -> float
 val to_ms : t -> float
-val to_sec : t -> float
 
 (** {1 Arithmetic and comparison} *)
 

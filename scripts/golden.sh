@@ -167,6 +167,23 @@ exitcodes 2 bin/rnet.exe lin -w no_such_workload
 exitcodes 2 bin/rnet.exe lin --explore -w quickstart
 exitcodes 2 bin/rnet.exe lin --explore -w no_such_workload
 exitcodes 124 bin/rnet.exe no_such_command
+# The trace generator and the cluster simulation pass their own --ci
+# checks under every scheme, and an unknown scheme is a usage error.
+exitcodes 0 bin/rnet.exe nfstrace --ci all
+exitcodes 0 bin/rnet.exe cluster --ci --scheme dx
+exitcodes 0 bin/rnet.exe cluster --ci --scheme hy
+exitcodes 0 bin/rnet.exe cluster --ci --scheme rpc
+exitcodes 124 bin/rnet.exe cluster --scheme no_such_scheme
+# The ad-hoc fault flags build their plans, the sequential-consistency
+# and explore-all modes run, and a certificate without one workload is a
+# usage error.
+exitcodes 0 bin/rnet.exe chaos -w replica --chaos --partition --loss 0.01
+exitcodes 0 bin/rnet.exe chaos -w crash_restart --crash
+exitcodes 0 bin/rnet.exe obs -w quickstart --chaos --loss 0.01 --seed 1
+exitcodes 0 bin/rnet.exe lin --sc -w kv_store
+exitcodes 0 bin/rnet.exe lin --explore
+exitcodes 2 bin/rnet.exe lin --replay 0/1
+exitcodes 2 bin/rnet.exe model --replay 0/1
 # A gate that cannot fail is no gate: @exitcodes also runs each of these
 # one-row groups and expects exit 1 (a golden one byte off, a wrong exit
 # code, a missing golden).

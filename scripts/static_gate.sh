@@ -140,4 +140,13 @@ if grep -q 'Shard_clerk' lib/nameserver/reconciler.ml lib/nameserver/reconciler.
   fail "lib/nameserver/reconciler names Shard_clerk — the control plane must not reach into the data plane"
 fi
 
-echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, $(grep -o 'Cli\.cmd "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"
+# 13. Tier-1, the suite and the goldens build uninstrumented: no dune
+# file of theirs names an instrumentation backend.  Only the scratch copy
+# that scripts/coverage.sh builds adds one.
+for d in $(find lib bin bench examples test -name dune); do
+  if grep -q 'instrumentation' "$d"; then
+    fail "$d names an instrumentation backend (only scripts/coverage.sh adds one, to a scratch copy)"
+  fi
+done
+
+echo "static gate: warn-error strict, $(find lib -name '*.ml' | wc -l) modules all covered by interfaces, obs/static-verifier/workload/atm/dds dependency floors intact, checkers and campaigns joined only in the catalog, reconciler clear of the shard clerk, no instrumentation backend, $(grep -o 'Cli\.cmd "' bin/*.ml | wc -l) rnet subcommands all speak --json/--ci"

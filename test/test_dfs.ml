@@ -377,6 +377,55 @@ let mutations_through_all_schemes () =
         [ Dfs.Clerk.Dx; Dfs.Clerk.Hybrid1; Dfs.Clerk.Rpc_baseline ])
 
 
+(* Directory mutations and failing ops through every scheme: each one
+   carries the op to the server and its answer back, a failure as the
+   store's errno, so a failed op is an answer and the server keeps
+   serving. *)
+let directory_ops_and_errors () =
+  let fixture = Lazy.force fixture in
+  let clerk = Experiments.Fixture.clerk fixture 0 in
+  let root = Dfs.File_store.root fixture.Experiments.Fixture.store in
+  Experiments.Fixture.run fixture (fun () ->
+      List.iter
+        (fun scheme ->
+          Dfs.Clerk.set_scheme clerk scheme;
+          let tag = Dfs.Clerk.scheme_to_string scheme in
+          let perform op = Dfs.Clerk.perform clerk op in
+          let fh what = function
+            | Dfs.Nfs_ops.R_lookup { fh; _ } -> fh
+            | _ -> Alcotest.failf "%s: %s failed" tag what
+          in
+          let answers what expected got =
+            check_bool (Printf.sprintf "%s: %s" tag what) true (got = expected)
+          in
+          let name = "dir-" ^ tag in
+          let dir = fh "mkdir" (perform (Dfs.Nfs_ops.Mkdir { dir = root; name })) in
+          let f = fh "create" (perform (Dfs.Nfs_ops.Create { dir; name = "f" })) in
+          (match perform (Dfs.Nfs_ops.Set_attr { fh = f; mode = 0o600; size = 3 }) with
+          | Dfs.Nfs_ops.R_attr a -> check_int (tag ^ ": set size") 3 a.Dfs.File_store.size
+          | _ -> Alcotest.failf "%s: set_attr failed" tag);
+          answers "rename" Dfs.Nfs_ops.R_null
+            (perform
+               (Dfs.Nfs_ops.Rename { from_dir = dir; from_name = "f"; to_dir = dir; to_name = "g" }));
+          answers "lookup of the old name" (Dfs.Nfs_ops.R_error 2)
+            (perform (Dfs.Nfs_ops.Lookup { dir; name = "f" }));
+          answers "mkdir over a name" (Dfs.Nfs_ops.R_error 17)
+            (perform (Dfs.Nfs_ops.Mkdir { dir = root; name }));
+          answers "rmdir of a full directory" (Dfs.Nfs_ops.R_error 66)
+            (perform (Dfs.Nfs_ops.Rmdir { dir = root; name }));
+          answers "read of a directory" (Dfs.Nfs_ops.R_error 22)
+            (perform (Dfs.Nfs_ops.Read { fh = dir; off = 0; count = 16 }));
+          answers "listing of a file" (Dfs.Nfs_ops.R_error 20)
+            (perform (Dfs.Nfs_ops.Read_dir { fh = f; count = 64 }));
+          (* A DX write pushes its block into the server's cache
+             unchecked, so only the control-transfer schemes refuse it. *)
+          if scheme <> Dfs.Clerk.Dx then
+            answers "write to a directory" (Dfs.Nfs_ops.R_error 22)
+              (perform (Dfs.Nfs_ops.Write { fh = dir; off = 0; data = Bytes.of_string "x" }));
+          answers "remove" Dfs.Nfs_ops.R_null (perform (Dfs.Nfs_ops.Remove { dir; name = "g" }));
+          answers "rmdir" Dfs.Nfs_ops.R_null (perform (Dfs.Nfs_ops.Rmdir { dir = root; name })))
+        [ Dfs.Clerk.Dx; Dfs.Clerk.Hybrid1; Dfs.Clerk.Rpc_baseline ])
+
 let schemes_agree () =
   let fixture = Lazy.force fixture in
   let clerk = Experiments.Fixture.clerk fixture 0 in
@@ -987,4 +1036,6 @@ let suite =
     QCheck_alcotest.to_alcotest slot_cache_addressing_pure;
     QCheck_alcotest.to_alcotest op_roundtrip;
     QCheck_alcotest.to_alcotest rpc_codec_roundtrip;
+    Alcotest.test_case "directory ops and errors through all schemes" `Quick
+      directory_ops_and_errors;
   ]

@@ -21,7 +21,18 @@ let summary_known_values () =
 let summary_empty () =
   let s = Metrics.Summary.create () in
   Alcotest.(check bool) "mean nan" true (Float.is_nan (Metrics.Summary.mean s));
-  Alcotest.check feps "variance 0" 0. (Metrics.Summary.variance s)
+  Alcotest.check feps "variance 0" 0. (Metrics.Summary.variance s);
+  Alcotest.(check bool) "min and max nan" true
+    (Float.is_nan (Metrics.Summary.min s) && Float.is_nan (Metrics.Summary.max s));
+  Alcotest.check feps "percentile of nothing" 0. (Metrics.Summary.percentile [||] 0.5);
+  Alcotest.(check string) "printed" "n=0" (Format.asprintf "%a" Metrics.Summary.pp s);
+  let one = Metrics.Summary.create () in
+  Metrics.Summary.add one 4.;
+  List.iter
+    (fun m -> Alcotest.check feps "merge with empty" 4. (Metrics.Summary.mean m))
+    [ Metrics.Summary.merge s one; Metrics.Summary.merge one s ];
+  Alcotest.(check bool) "empty histogram percentile nan" true
+    (Float.is_nan (Metrics.Histogram.percentile (Metrics.Histogram.create ()) 50.))
 
 let summary_merge =
   QCheck.Test.make ~name:"summary merge equals concatenation" ~count:200
@@ -162,6 +173,31 @@ let account_add_int_allocates_nothing () =
   Alcotest.check feps "sum" (4096. *. 1001.) (Metrics.Account.total_of a "bytes");
   Rig.within_budget "Account.add_int" ~words ~budget:0.1
 
+(* The JSON reader and writer on every escape: a string with each
+   escaped character round-trips, the escapes only a foreign writer
+   emits decode (a surrogate to U+FFFD), a malformed document is an
+   error, and an accessor of the wrong shape is [None]. *)
+let json_escapes () =
+  let module J = Metrics.Json in
+  let parse_string text =
+    match J.parse text with Ok (J.String s) -> s | _ -> Alcotest.failf "no string: %s" text
+  in
+  let s = "q\"b\\s\r\t\001\n" in
+  Alcotest.(check string) "round trip" s (parse_string (J.write (J.String s)));
+  Alcotest.(check string) "foreign escapes" "/\b\012\xc3\xa9\xe2\x82\xac\xef\xbf\xbd"
+    (parse_string {|"\/\b\f\u00e9\u20ac\ud800"|});
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) ("rejects " ^ text) true (Result.is_error (J.parse text)))
+    [ {|"\|}; {|"\u12"|}; {|"\uzzzz"|}; {|"\q"|}; "tru"; "-" ];
+  let v = Result.get_ok (J.parse {|{"a": {}, "b": [1]}|}) in
+  Alcotest.(check bool) "wrong shapes" true
+    (J.find v [ "a"; "x" ] = None
+    && J.member "x" (J.Number 1.) = None
+    && J.index 0 (J.Number 1.) = None
+    && J.to_list (J.Number 1.) = None
+    && J.to_string (J.Number 1.) = None)
+
 let suite =
   [
     Alcotest.test_case "summary known values" `Quick summary_known_values;
@@ -179,4 +215,5 @@ let suite =
     Alcotest.test_case "violation skips empty text cells" `Quick
       violation_skips_empty_text;
     QCheck_alcotest.to_alcotest summary_merge;
+    Alcotest.test_case "json escapes" `Quick json_escapes;
   ]

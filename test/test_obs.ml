@@ -502,7 +502,17 @@ let timeseries_window_and_rate () =
   Alcotest.(check bool)
     "unknown gauge reads empty" true
     (Obs.Timeseries.samples ts "nope" = []
-    && Obs.Timeseries.stat ts "nope" = None)
+    && Obs.Timeseries.stat ts "nope" = None
+    && Obs.Timeseries.window ts "nope" (Sim.Time.us 30) = []
+    && Obs.Timeseries.rate ts "nope" = None
+    && Obs.Timeseries.sparkline ts "nope" = "");
+  let idle = Obs.Timeseries.create engine in
+  Obs.Timeseries.register idle "never" (fun () -> 0.);
+  Alcotest.(check bool)
+    "a gauge never sampled reads empty" true
+    (Obs.Timeseries.stat idle "never" = None
+    && Obs.Timeseries.window idle "never" (Sim.Time.us 30) = []
+    && Obs.Timeseries.sparkline idle "never" = "")
 
 let slo_spec =
   String.concat "\n"
@@ -532,7 +542,6 @@ let slo_context () =
   {
     Obs.Slo.registry = Some registry;
     series = Some ts;
-    duration = Sim.Time.us 100;
   }
 
 let slo_parse_and_pass () =
@@ -674,6 +683,32 @@ let sampling_is_free () =
     "sampling adds engine events" true
     (sampled.Faults.Campaign.engine_events > base.Faults.Campaign.engine_events)
 
+(* The checkers fail: [validate] names an empty trace, a span left open
+   and one that ends before it starts; [Slo.parse] names every malformed
+   clause, and [Slo.eval] without a registry or series fails closed. *)
+let malformed_traces_and_clauses () =
+  let problems trace =
+    match Obs.Trace.validate trace with Ok () -> [] | Error ps -> ps
+  in
+  Alcotest.(check (list string)) "empty trace" [ "empty trace" ]
+    (problems (Obs.Trace.create (Sim.Engine.create ())));
+  let trace = (replay "quickstart").Catalog.spans in
+  let s = List.find (fun (s : Obs.Span.t) -> s.Obs.Span.start > 0) (Obs.Trace.spans trace) in
+  s.Obs.Span.closed <- false;
+  s.Obs.Span.finish <- Sim.Time.zero;
+  Alcotest.(check int) "open, and ends before it starts" 2 (List.length (problems trace));
+  List.iter
+    (fun line ->
+      match Obs.Slo.parse line with
+      | Ok _ -> Alcotest.failf "parsed: %s" line
+      | Error e -> Alcotest.(check bool) ("names " ^ line) true (contains e line))
+    [ "p99"; "p0 read < 1 us"; "counter x ~ 1"; "counter x < y"; "counter x";
+      "rate x < 1 over 5 s"; "rate x < 1 over 5 ms now" ];
+  let spec = Result.get_ok (Obs.Slo.parse "p99 read < 1 us\ncounter x <= 0\nrate x < 1") in
+  let report = Obs.Slo.eval { Obs.Slo.registry = None; series = None } spec in
+  Alcotest.(check int) "each clause fails closed" 3
+    (List.length (Metrics.Table.violations report))
+
 let suite =
   [
     Alcotest.test_case "WRITE span tree decomposes" `Quick write_tree;
@@ -712,4 +747,6 @@ let suite =
     Alcotest.test_case "sampling is perturbation-free" `Quick sampling_is_free;
     Alcotest.test_case "chrome process rows in pid order" `Quick
       chrome_process_rows_sorted;
+    Alcotest.test_case "malformed traces and clauses" `Quick
+      malformed_traces_and_clauses;
   ]

@@ -222,6 +222,71 @@ let window_and_merge () =
         (Bytes.to_string
            (Cluster.Address_space.read d.Rig.space1 ~addr:8192 ~len:300)))
 
+(* A failure empties the whole window before it raises, so the
+   caller's retry starts from an empty window.  The server swallows the
+   READs, and a crash of the issuer fills them with [Timed_out]: [drain]
+   raises once for two failed windows, and a [read_submit] that finds
+   its full window failed raises after draining it.  Each time a second
+   [drain] finds nothing, and once the server is back the same stream
+   reads again. *)
+let drain_on_failure () =
+  let d = Rig.duo () in
+  Rig.run d (fun () ->
+      let _, a = Rig.shared_segment ~len:4096 d in
+      let _, b = Rig.shared_segment ~len:4096 d in
+      let p =
+        Rmem.Pipeline.create ~config:(Rmem.Pipeline.pipelined_config ~window:2 ())
+          d.Rig.rmem0
+      in
+      let buf = Rig.buffer0 d in
+      Cluster.Address_space.write d.Rig.space1 ~addr:0 (Bytes.make 1024 'r');
+      let submit desc i =
+        Rmem.Pipeline.read_submit p desc ~soff:(i * 256) ~count:256 ~dst:buf
+          ~doff:(i * 256) ()
+      in
+      let timed_out what f =
+        check_bool what true
+          (match f () with () -> false | exception Rmem.Status.Timeout -> true)
+      in
+      let crash_soon () =
+        Sim.Engine.schedule_at d.Rig.engine
+          (Sim.Time.add (Sim.Engine.now d.Rig.engine) (Sim.Time.us 100))
+          (fun () -> Rmem.Remote_memory.crash d.Rig.rmem0)
+      in
+      Cluster.Node.set_down d.Rig.node1 true;
+      List.iter (fun (desc, i) -> submit desc i) [ (a, 0); (a, 1); (b, 0); (b, 1) ];
+      crash_soon ();
+      timed_out "drain raises once" (fun () -> Rmem.Pipeline.drain p);
+      Rmem.Pipeline.drain p;
+      submit a 0;
+      submit a 1;
+      crash_soon ();
+      Sim.Proc.wait (Sim.Time.us 200);
+      timed_out "a submit into a failed window raises" (fun () -> submit a 2);
+      Rmem.Pipeline.drain p;
+      check_int "nothing in flight" 0 (Rmem.Remote_memory.inflight d.Rig.rmem0);
+      Cluster.Node.set_down d.Rig.node1 false;
+      List.iter (submit a) [ 0; 1; 2; 3 ];
+      Rmem.Pipeline.drain p;
+      check_string "the retried stream reads" (String.make 1024 'r')
+        (Bytes.to_string (Cluster.Address_space.read d.Rig.space0 ~addr:0 ~len:1024)))
+
+(* A zero-length doorbell is never staged: it flushes the writes
+   staged before it, so its notification finds their bytes in place. *)
+let doorbell_flushes_staged () =
+  let d = Rig.duo () in
+  Rig.run d (fun () ->
+      let segment, desc = Rig.shared_segment d in
+      let p =
+        Rmem.Pipeline.create ~config:(Rmem.Pipeline.pipelined_config ()) d.Rig.rmem0
+      in
+      Rmem.Pipeline.write p desc ~off:0 (Bytes.of_string "data");
+      Rmem.Pipeline.write p desc ~off:0 ~notify:true Bytes.empty;
+      let record = Rmem.Notification.wait (Rmem.Segment.notification segment) in
+      check_int "the doorbell" 0 record.Rmem.Notification.count;
+      check_string "finds the staged bytes" "data"
+        (Bytes.to_string (Cluster.Address_space.read d.Rig.space1 ~addr:0 ~len:4)))
+
 (* ---------------- Burst codec properties --------------------------- *)
 
 let burst_gen =
@@ -371,4 +436,7 @@ let suite =
     QCheck_alcotest.to_alcotest burst_frame_arithmetic;
     Alcotest.test_case "policied CAS retries are not an unbounded chain"
       `Quick policied_cas_not_flagged;
+    Alcotest.test_case "a failure drains the whole window" `Quick drain_on_failure;
+    Alcotest.test_case "a doorbell flushes the staged writes" `Quick
+      doorbell_flushes_staged;
   ]

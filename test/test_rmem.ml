@@ -523,6 +523,12 @@ let cas_result_deposit () =
           ~new_value:3 ~result:(buf, 12) ()
       in
       Alcotest.(check int) "success word deposited" 1
+        (Cluster.Address_space.read_word d.Rig.space0 ~addr:12);
+      let (_ : int) =
+        Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:0 ~old_value:0
+          ~new_value:4 ~result:(buf, 12) ()
+      in
+      Alcotest.(check int) "failure word deposited" 0
         (Cluster.Address_space.read_word d.Rig.space0 ~addr:12))
 
 (* ---------------- Protection and failure paths ---------------- *)
@@ -568,7 +574,14 @@ let rights_enforced_remotely () =
            "protection violation");
       check_bool "memory untouched" true
         (Bytes.equal (Bytes.make 4 '\000')
-           (Cluster.Address_space.read d.Rig.space1 ~addr:0 ~len:4)))
+           (Cluster.Address_space.read d.Rig.space1 ~addr:0 ~len:4));
+      (* A CAS has a reply path: the refusal comes back to the caller. *)
+      local_check "forged CAS refused" Rmem.Status.Protection (fun () ->
+          ignore
+            (Rmem.Remote_memory.cas_wait d.Rig.rmem0 forged ~doff:0 ~old_value:0
+               ~new_value:1 ()
+              : int));
+      check_int "word untouched" 0 (Cluster.Address_space.read_word d.Rig.space1 ~addr:0))
 
 let per_importer_grants () =
   let d = Rig.duo () in
@@ -1363,39 +1376,47 @@ let hybrid_reply_complete () =
 
 (* Call k times out, because the server answers it from a process only
    after the deadline; call k + 1 returns its own payload while call
-   k's lands, in slot k mod n. *)
+   k's lands, in slot k mod n.  With one slot, call k's reply lands in
+   the slot that call k + 1 re-armed, and its tag keeps call k + 1
+   waiting for its own. *)
 let hybrid_late_reply () =
-  let d = Rig.duo () in
-  let slots = 3 and reply_bytes = 72 and k = 4 in
-  Rig.run d (fun () ->
-      let served = ref 0 in
-      let answer n = Bytes.of_string (Printf.sprintf "reply %d" n) in
-      let call =
-        hybrid_pair d ~slots ~reply_bytes ~timeout:(Sim.Time.ms 5)
-          (fun hy ticket _ ->
-            let n = !served in
-            incr served;
-            if n < k then Rmem.Hybrid.reply hy ticket (answer n)
-            else
-              Cluster.Node.spawn d.Rig.node1 (fun () ->
-                  Sim.Proc.wait (Sim.Time.us (if n = k then 5500 else 1500));
-                  Rmem.Hybrid.reply hy ticket (answer n)))
-      in
-      for n = 0 to k - 1 do
-        check_bool "an answered call" true (Bytes.equal (call (Bytes.make 8 '\000')) (answer n))
-      done;
-      check_bool "call k times out" true
-        (match call (Bytes.make 8 '\000') with
-        | _ -> false
-        | exception Rmem.Status.Timeout -> true);
-      check_bool "call k + 1 returns its own reply" true
-        (Bytes.equal (call (Bytes.make 8 '\000')) (answer (k + 1)));
-      let slot = 0x10000 + (k mod slots * reply_bytes) in
-      check_bool "call k's reply in slot k mod n" true
-        (Bytes.equal
-           (Cluster.Address_space.read d.Rig.space0 ~addr:(slot + 8)
-              ~len:(Bytes.length (answer k)))
-           (answer k)))
+  List.iter
+    (fun slots ->
+      let d = Rig.duo () in
+      let reply_bytes = 72 and k = 4 in
+      let what = Printf.sprintf "%d slot(s): " slots in
+      Rig.run d (fun () ->
+          let served = ref 0 in
+          let answer n = Bytes.of_string (Printf.sprintf "reply %d" n) in
+          let call =
+            hybrid_pair d ~slots ~reply_bytes ~timeout:(Sim.Time.ms 5)
+              (fun hy ticket _ ->
+                let n = !served in
+                incr served;
+                if n < k then Rmem.Hybrid.reply hy ticket (answer n)
+                else
+                  Cluster.Node.spawn d.Rig.node1 (fun () ->
+                      Sim.Proc.wait (Sim.Time.us (if n = k then 5500 else 1500));
+                      Rmem.Hybrid.reply hy ticket (answer n)))
+          in
+          for n = 0 to k - 1 do
+            check_bool (what ^ "an answered call") true
+              (Bytes.equal (call (Bytes.make 8 '\000')) (answer n))
+          done;
+          check_bool (what ^ "call k times out") true
+            (match call (Bytes.make 8 '\000') with
+            | _ -> false
+            | exception Rmem.Status.Timeout -> true);
+          check_bool (what ^ "call k + 1 returns its own reply") true
+            (Bytes.equal (call (Bytes.make 8 '\000')) (answer (k + 1)));
+          if slots > 1 then
+            let slot = 0x10000 + (k mod slots * reply_bytes) in
+            check_bool (what ^ "call k's reply in slot k mod n") true
+              (Bytes.equal
+                 (Cluster.Address_space.read d.Rig.space0 ~addr:(slot + 8)
+                    ~len:(Bytes.length (answer k)))
+                 (answer k))))
+    [ 3; 1 ]
 
 let suite =
   [

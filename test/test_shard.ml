@@ -52,11 +52,9 @@ let test_clos_delivers () =
   let net = Cluster.Testbed.network testbed in
   let switches = Atm.Network.switches net in
   check Alcotest.int "leaves + spines" 5 (List.length switches);
-  List.iter
-    (fun s ->
-      check Alcotest.int
-        (Printf.sprintf "switch %s clean" (Atm.Switch.name s))
-        0 (Atm.Switch.drops s))
+  List.iteri
+    (fun i s ->
+      check Alcotest.int (Printf.sprintf "switch %d clean" i) 0 (Atm.Switch.drops s))
     switches
 
 let test_fat_tree_delivers () =
@@ -511,6 +509,45 @@ let test_loss_convergence () =
         (Faults.Plane.event_count plane > 0));
   Faults.Plane.uninstall plane
 
+(* The map-as-revalidator under a recovery policy: client 5 holds a
+   descriptor to the shard a merge revokes, so its READ fails
+   Bad_segment and the policy calls the revalidator; the refetched map
+   no longer lists that segment, so the revalidator refuses, and the
+   lookup heals by map refetch. *)
+let test_revalidator_gives_up () =
+  let testbed, setup = sharded_rig () in
+  Cluster.Testbed.run testbed (fun () ->
+      let clerks, reconciler, sc4, sc5 = setup () in
+      Names.Shard_clerk.set_recovery sc5
+        (Some (Rmem.Recovery.policy ~attempts:4 ~timeout:(Sim.Time.ms 2) ()));
+      for i = 0 to 39 do
+        Names.Shard_clerk.register sc4 (svc_record i)
+      done;
+      let moved =
+        let rec go i =
+          if Names.Shardmap.bucket_of_name (svc_name i) > 32767 then i else go (i + 1)
+        in
+        go 0
+      in
+      (match Names.Reconciler.split reconciler 0 with
+      | Some (_ : int) -> ()
+      | None -> Alcotest.fail "split refused");
+      ignore (Names.Shard_clerk.lookup sc5 (svc_name moved) : Names.Record.t);
+      check Alcotest.int "client 5 at epoch 2" 2 (Names.Shard_clerk.epoch sc5);
+      (match Names.Reconciler.merge reconciler with
+      | Some (_, _) -> ()
+      | None -> Alcotest.fail "merge refused");
+      let refused () =
+        Metrics.Account.total_of
+          (Rmem.Remote_memory.errors (Names.Clerk.rmem clerks.(5)))
+          "refused"
+      in
+      let r = Names.Shard_clerk.lookup sc5 (svc_name moved) in
+      check Alcotest.int "record found after merge" (100 + moved)
+        r.Names.Record.segment_id;
+      check Alcotest.int "client 5 at epoch 3" 3 (Names.Shard_clerk.epoch sc5);
+      checkb "the revalidator refused the revoked shard" true (refused () = 1.))
+
 let suite =
   [
     ("clos: all pairs deliver", `Quick, test_clos_delivers);
@@ -526,4 +563,5 @@ let suite =
     ("shard lookup miss allocation budget", `Quick, test_lookup_miss_budget);
     ("stale epoch heals across split and merge", `Quick, test_stale_epoch_heal);
     ("convergence under 10% loss", `Quick, test_loss_convergence);
+    ("a merged-away shard: the revalidator refuses", `Quick, test_revalidator_gives_up);
   ]
