@@ -6,14 +6,20 @@
 
 exception Truncated
 
-type writer = { mutable buf : bytes; mutable pos : int }
+(* A writer over a caller's buffer ([writer_at]) never grows it: the
+   bytes are the caller's only where they land in place. *)
+type writer = { mutable buf : bytes; mutable pos : int; grows : bool }
 
-let writer ?(capacity = 64) () = { buf = Bytes.create capacity; pos = 0 }
+let writer ?(capacity = 64) () =
+  { buf = Bytes.create capacity; pos = 0; grows = true }
+
+let writer_at buf ~pos = { buf; pos; grows = false }
 
 let ensure w extra =
   let needed = w.pos + extra in
   let capacity = Bytes.length w.buf in
   if needed > capacity then begin
+    if not w.grows then invalid_arg "Codec: writer_at buffer full";
     let next = Int.max needed (capacity * 2) in
     let buf = Bytes.make next '\000' in
     Bytes.blit w.buf 0 buf 0 w.pos;

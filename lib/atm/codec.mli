@@ -8,6 +8,11 @@ exception Truncated
 type writer
 
 val writer : ?capacity:int -> unit -> writer
+val writer_at : bytes -> pos:int -> writer
+(** A writer that fills the buffer in place from [pos]; a put past its
+    end raises [Invalid_argument]. Its {!length} counts from byte 0 of
+    the buffer. *)
+
 val put_u8 : writer -> int -> unit
 val put_u16 : writer -> int -> unit
 val put_u32 : writer -> int -> unit

@@ -27,15 +27,22 @@ val call :
   endpoint ->
   Descriptor.t ->
   slot_bytes:int ->
-  bytes ->
-  (Cluster.Address_space.t -> addr:int -> len:int -> 'a) ->
-  'a
-(** [call ep req ~slot_bytes request decode] arms the ring's next slot,
-    fills word 0 of [request] with the call's tag and the slot's offset,
-    writes [request] with notify at [my node * slot_bytes] of the request
-    segment [req], polls the flag every 5 us until it holds the tag + 1,
-    and decodes the reply where it landed: [len] payload bytes at
-    [addr]. Raises {!Status.Timeout} at the deadline. *)
+  ('a -> bytes -> int) ->
+  'a ->
+  (Cluster.Address_space.t -> addr:int -> len:int -> 'b) ->
+  'b
+(** [call ep req ~slot_bytes encode arg decode] arms the ring's next
+    slot, has [encode arg request] write the argument from byte 4 of a
+    request buffer of at least [slot_bytes] (holding whatever an earlier
+    call left) and return the request's length, fills word 0 with the
+    call's tag and the slot's offset, writes the request with notify at
+    [my node * slot_bytes] of the request segment [req], polls the flag
+    every 5 us until it holds the tag + 1, and decodes the reply where
+    it landed: [len] payload bytes at [addr]. Raises {!Status.Timeout}
+    at the deadline. The request buffer and the poll's condition are
+    the endpoint's, one per call in flight, so a call allocates neither;
+    [encode] should be a top-level function, which allocates nothing
+    either. *)
 
 type server
 (** Where a server's replies go: its callers' reply slots. *)
@@ -56,8 +63,19 @@ val serve : Segment.t -> slot_bytes:int -> (ticket -> int -> unit) -> unit
     [slot_bytes] slot of the node that sent it, runs [service ticket
     arg], [arg] the address of its argument (slot + 4). *)
 
-val reply : server -> ticket -> bytes -> unit
-(** Write a payload (empty for absent or refused) into the ticket's
-    slot, flagged with its call's tag + 1. A slot that fits one burst
-    frame is written whole, in one WRITE; a larger one body first, then
+val payload_pos : int
+(** 8: where a reply's payload starts in its {!buffer}. *)
+
+val buffer : server -> bytes
+(** A reply buffer, the image of one reply slot ([reply_bytes] long, its
+    contents whatever an earlier reply left): the server encodes its
+    payload into it from {!payload_pos}, once, and hands it to {!reply}.
+    Concurrent replies each get their own. *)
+
+val reply : server -> ticket -> bytes -> len:int -> unit
+(** Send the [len]-byte payload of a {!buffer} (0 for absent or refused)
+    into the ticket's slot, flagged with its call's tag + 1, and take
+    the buffer back. The header is written in front of the payload, in
+    the same buffer. A slot that fits one burst frame is written whole,
+    in one WRITE, past the payload zeroed; a larger one body first, then
     its header, so that its flag lands last. *)

@@ -14,7 +14,8 @@ type record = { src : Atm.Addr.t; kind : kind; off : int; count : int }
 type t = {
   node : Cluster.Node.t;
   segment : int; (* the exported segment's id; 0 for a completion fd *)
-  delivery : string; (* the name of each delivery process *)
+  deliveries : (Obs.Ctx.t option, record) Sim.Pool.t;
+  deliver : Obs.Ctx.t option -> record -> unit; (* [deliver] on this fd *)
   queue : record Queue.t;
   waiters : record Sim.Proc.sleepers;
   label : Sim.Engine.label;
@@ -23,18 +24,6 @@ type t = {
 }
 
 type Cluster.Node.event += Delivered of { segment : int; record : record }
-
-let create ?(name = "fd") ?(segment = 0) node =
-  {
-    node;
-    segment;
-    delivery = name ^ " delivery";
-    queue = Queue.create ();
-    waiters = Sim.Proc.sleepers ();
-    label = Sim.Engine.Quoted ("notification", name);
-    signal_handler = None;
-    posted = 0;
-  }
 
 (* Subscribers see the instant a record becomes visible to user code
    (waiter resumed, signal upcall, or queue pop) — that is the
@@ -48,31 +37,52 @@ let kind_to_string = function
   | Read_served -> "read"
   | Cas_applied -> "cas"
 
+(* Delivery runs as its own kernel activity on the destination node:
+   it charges the notification cost to "control transfer" and only then
+   lets user level see the record. *)
+let deliver t ctx record =
+  let span =
+    Obs.Trace.ctx_span_begin ctx ~node:(Atm.Addr.to_int (Cluster.Node.addr t.node))
+  in
+  Cluster.Cpu.use
+    (Cluster.Node.cpu t.node)
+    ~category:Cluster.Cpu.cat_control_transfer
+    (Cluster.Node.costs t.node).Cluster.Costs.notification;
+  Obs.Trace.span_end_opt span;
+  if not (Sim.Proc.is_empty t.waiters) then begin
+    observed t record;
+    Sim.Proc.wake t.waiters record
+  end
+  else
+    match t.signal_handler with
+    | Some handler ->
+        observed t record;
+        handler record
+    | None -> Queue.push record t.queue
+
+let create ?(name = "fd") ?(segment = 0) node =
+  let deliveries =
+    Sim.Pool.create (Cluster.Node.engine node) ~name:(name ^ " delivery")
+  in
+  let rec t =
+    {
+      node;
+      segment;
+      deliveries;
+      deliver = (fun ctx record -> deliver t ctx record);
+      queue = Queue.create ();
+      waiters = Sim.Proc.sleepers ();
+      label = Sim.Engine.Quoted ("notification", name);
+      signal_handler = None;
+      posted = 0;
+    }
+  in
+  t
+
+(* Each post is a delivery process of its own, a pooled one. *)
 let post ?ctx t record =
   t.posted <- t.posted + 1;
-  (* Delivery runs as its own kernel activity on the destination node:
-     it charges the notification cost to "control transfer" and only
-     then lets user level see the record. *)
-  Cluster.Node.spawn t.node ~name:t.delivery (fun () ->
-      let span =
-        Obs.Trace.ctx_span_begin ctx
-          ~node:(Atm.Addr.to_int (Cluster.Node.addr t.node))
-      in
-      Cluster.Cpu.use
-        (Cluster.Node.cpu t.node)
-        ~category:Cluster.Cpu.cat_control_transfer
-        (Cluster.Node.costs t.node).Cluster.Costs.notification;
-      Obs.Trace.span_end_opt span;
-      if not (Sim.Proc.is_empty t.waiters) then begin
-        observed t record;
-        Sim.Proc.wake t.waiters record
-      end
-      else
-        match t.signal_handler with
-        | Some handler ->
-            observed t record;
-            handler record
-        | None -> Queue.push record t.queue)
+  Sim.Pool.post t.deliveries t.deliver ctx record
 
 let wait t =
   if not (Queue.is_empty t.queue) then begin

@@ -28,8 +28,15 @@ type Cluster.Node.event +=
 
 val post : ?ctx:Obs.Ctx.t -> t -> record -> unit
 (** Called by the kernel emulation on request arrival. Non-blocking for
-    the caller; delivery happens as its own activity on the node's CPU.
-    [ctx] parents the delivery span under the originating operation. *)
+    the caller; delivery happens as its own activity on the node's CPU:
+    a process named ["NAME delivery"] per post, concurrent with the
+    others, which charges the delivery cost and then hands the record
+    to a waiting reader, the signal handler or the queue. The processes
+    are {!Sim.Pool}ed per descriptor, so a post reuses one whose
+    delivery finished, with the clock and events of a fresh spawn; an
+    idle one is never reported blocked, and a handler that raises takes
+    its process down and propagates out of the run. [ctx] parents the
+    delivery span under the originating operation. *)
 
 val wait : t -> record
 (** Block the current process until a record is deliverable

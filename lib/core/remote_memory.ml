@@ -503,19 +503,19 @@ let send_write_chunk t fl desc ~off ~notify ~swab data ~pos ~len =
   Cluster.Node.transmit_frame ?ctx:(Obs.Trace.wire_ctx fl) t.node
     ~dst:(Descriptor.remote desc) frame
 
-(* The WRITE's frames from [pos] on, [burst] bytes each; the notify bit
-   rides on the last. *)
-let rec send_write_chunks t fl desc ~off ~notify ~swab data ~burst pos =
-  let count = Bytes.length data in
-  if pos < count then begin
-    let len = Int.min burst (count - pos) in
-    send_write_chunk t fl desc ~off ~notify:(notify && pos + len >= count) ~swab
+(* The WRITE's frames from [pos] to [stop], [burst] bytes each, byte
+   [pos] at [off + pos]; the notify bit rides on the last. *)
+let rec send_write_chunks t fl desc ~off ~notify ~swab data ~burst ~stop pos =
+  if pos < stop then begin
+    let len = Int.min burst (stop - pos) in
+    send_write_chunk t fl desc ~off ~notify:(notify && pos + len >= stop) ~swab
       data ~pos ~len;
-    send_write_chunks t fl desc ~off ~notify ~swab data ~burst (pos + len)
+    send_write_chunks t fl desc ~off ~notify ~swab data ~burst ~stop (pos + len)
   end
 
-let send_write t desc ~off ~notify ~swab data =
-  let count = Bytes.length data in
+(* A WRITE of [count] bytes of [data] from [pos] to [off]: framed as a
+   write of a buffer holding only them. *)
+let send_write t desc ~off ~notify ~swab data ~pos ~count =
   let fl =
     issue t desc Rights.Write_op ~name:"WRITE" ~off ~count ~notify ~cas_old:0
       ~cas_new:0 ~extents:[] ~local_outside:false
@@ -526,10 +526,10 @@ let send_write t desc ~off ~notify ~swab data =
   if count = 0 then
     (* A zero-length write still sends its header cell — useful as a
        doorbell when combined with the notify bit. *)
-    send_write_chunk t fl desc ~off ~notify ~swab data ~pos:0 ~len:0
+    send_write_chunk t fl desc ~off:(off - pos) ~notify ~swab data ~pos ~len:0
   else
-    send_write_chunks t fl desc ~off ~notify ~swab data
-      ~burst:(burst_data_bytes (costs t)) 0
+    send_write_chunks t fl desc ~off:(off - pos) ~notify ~swab data
+      ~burst:(burst_data_bytes (costs t)) ~stop:(pos + count) pos
 
 (* Encrypt each extent's data in the burst frame in place, charging the
    CPU it costs. *)
@@ -857,12 +857,16 @@ let verify_written ?timeout t desc ~swab ~off data =
    or, given a [policy], under {!run_policy}. *)
 
 let write ?policy t desc ~off ?(notify = false) ?(swab = false) data =
+  let count = Bytes.length data in
   match policy with
-  | None -> send_write t desc ~off ~notify ~swab data
+  | None -> send_write t desc ~off ~notify ~swab data ~pos:0 ~count
   | Some policy ->
       run_policy t policy desc ~op:"WRITE" (fun timeout ->
-          send_write t desc ~off ~notify ~swab data;
+          send_write t desc ~off ~notify ~swab data ~pos:0 ~count;
           verify_written ?timeout t desc ~swab ~off data)
+
+let write_sub t desc ~off ?(notify = false) data ~pos ~len =
+  send_write t desc ~off ~notify ~swab:false data ~pos ~count:len
 
 let write_burst t desc ?(notify = false) ?(swab = false) extents =
   if extents = [] then invalid_arg "Remote_memory.write_burst: empty burst";

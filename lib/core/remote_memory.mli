@@ -112,6 +112,13 @@ val write :
     Test-only ?swab: the paper's §3.6 swab operand on WRITE, which the
     heterogeneity tests check. *)
 
+val write_sub :
+  t -> Descriptor.t -> off:int -> ?notify:bool -> bytes -> pos:int -> len:int ->
+  unit
+(** {!write} of the [len] bytes of a buffer from [pos], with no policy:
+    the frames, events and charges of a write of a buffer holding only
+    those bytes. *)
+
 val check_write :
   t -> Descriptor.t -> off:int -> count:int -> unit
 (** Run only the local (issue-side) WRITE validation — staleness,

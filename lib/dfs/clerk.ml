@@ -129,7 +129,7 @@ let result space ~addr ~len:_ = Nfs_ops.result_at space ~addr
 let hybrid_fetch t op =
   Metrics.Account.add t.stats ~category:"hybrid requests" 1.;
   Rmem.Hybrid.call t.hy t.d_req ~slot_bytes:Layout.request_slot_bytes
-    (Nfs_ops.encode_request op) result
+    Nfs_ops.request_into op result
 
 (* ------------------------------------------------------------------ *)
 (* DX: pure data transfer against the server's cache slots.            *)
@@ -149,25 +149,29 @@ let dx_fetch_slot t desc config ~key1 ~key2 ~len =
 let payload t ~off ~len =
   Cluster.Address_space.read t.space ~addr:(payload_base + off) ~len
 
-(* Read's bytes from [pos] on: one slot read per touched block, its span
-   copied straight into [out]; [false] on a miss. *)
-let rec dx_read_blocks t ~fh ~off out ~pos =
-  pos >= Bytes.length out
-  ||
-  let abs = off + pos in
-  let block = abs / File_store.block_bytes in
-  let boff = abs mod File_store.block_bytes in
-  let span =
-    Int.min (Bytes.length out - pos) (File_store.block_bytes - boff)
-  in
-  dx_fetch_slot t t.d_file Layout.file_cache ~key1:fh ~key2:block
-    ~len:(boff + span)
-  >= boff + span
-  && begin
-       Cluster.Address_space.read_into t.space ~addr:(payload_base + boff)
-         ~len:span out ~pos;
-       dx_read_blocks t ~fh ~off out ~pos:(pos + span)
-     end
+exception Miss
+
+(* Read's [count] bytes from [pos] on: one slot read per touched block,
+   its span copied straight into [out], which the first block allocates
+   once it hits, so a miss there allocates nothing.  Raises [Miss]. *)
+let rec dx_read_blocks t ~fh ~off ~count out ~pos =
+  if pos >= count then out
+  else
+    let abs = off + pos in
+    let block = abs / File_store.block_bytes in
+    let boff = abs mod File_store.block_bytes in
+    let span = Int.min (count - pos) (File_store.block_bytes - boff) in
+    if
+      dx_fetch_slot t t.d_file Layout.file_cache ~key1:fh ~key2:block
+        ~len:(boff + span)
+      < boff + span
+    then raise Miss
+    else begin
+      let out = if pos = 0 then Bytes.create count else out in
+      Cluster.Address_space.read_into t.space ~addr:(payload_base + boff)
+        ~len:span out ~pos;
+      dx_read_blocks t ~fh ~off ~count out ~pos:(pos + span)
+    end
 
 (* ReadDir's listing from [chunk] (at [pos]) on: one slot read per 4 KB
    chunk, copied straight into the result.  A short chunk ends it, and
@@ -240,7 +244,7 @@ let dx_fetch t op =
       let len = File_store.attr_bytes in
       if dx_fetch_slot t t.d_attr Layout.attr_cache ~key1:fh ~key2:0 ~len < len
       then miss ()
-      else Nfs_ops.R_attr (Nfs_ops.decode_attr (payload t ~off:0 ~len))
+      else Nfs_ops.R_attr (Nfs_ops.attr_at t.space ~addr:payload_base)
   | Nfs_ops.Lookup { dir; name } ->
       let len = File_store.attr_bytes in
       if
@@ -252,7 +256,7 @@ let dx_fetch t op =
         Nfs_ops.R_lookup
           {
             fh = Cluster.Address_space.read_word t.space ~addr:payload_base;
-            attr = Nfs_ops.decode_attr (payload t ~off:4 ~len);
+            attr = Nfs_ops.attr_at t.space ~addr:(payload_base + 4);
           }
   | Nfs_ops.Read_link { fh } ->
       let len =
@@ -261,10 +265,10 @@ let dx_fetch t op =
       in
       if len = Slot_cache.miss then miss ()
       else Nfs_ops.R_link (Bytes.unsafe_to_string (payload t ~off:0 ~len))
-  | Nfs_ops.Read { fh; off; count } ->
-      let out = Bytes.create count in
-      if dx_read_blocks t ~fh ~off out ~pos:0 then Nfs_ops.R_data out
-      else miss ()
+  | Nfs_ops.Read { fh; off; count } -> (
+      match dx_read_blocks t ~fh ~off ~count Bytes.empty ~pos:0 with
+      | out -> Nfs_ops.R_data out
+      | exception Miss -> miss ())
   | Nfs_ops.Read_dir { fh; count } -> (
       match dx_read_dir t ~fh ~count Bytes.empty ~chunk:0 ~pos:0 with
       | Some entries -> Nfs_ops.R_entries entries

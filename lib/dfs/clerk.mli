@@ -38,4 +38,13 @@ val perform : t -> Nfs_ops.op -> Nfs_ops.result
 
 val remote_fetch : t -> Nfs_ops.op -> Nfs_ops.result
 (** The miss path only (no local caches, no client-clerk local RPC) —
-    what Figures 2 and 3 measure. *)
+    what Figures 2 and 3 measure.
+
+    Under [Dx] a [Write] is a push of its block into the server's file
+    cache, acknowledged with [R_write] and attributes synthesized from
+    the write itself. A push cannot see the kind of its handle, so a
+    write to a directory (or a symlink) is acknowledged too, where
+    [Hybrid1] and [Rpc_baseline] answer [R_error 22]; the server's
+    {!Server.writeback} then drops the pushed block. A DX Read whose
+    first block misses allocates nothing before it transfers
+    control. *)

@@ -103,25 +103,28 @@ let encode_attr a =
   put_attr w a;
   Atm.Codec.contents w
 
-(* An fattr from its words, [get i] the [i]th. *)
-let attr_of get =
+(* An fattr from its words, the one at byte [i] read as
+   [get env (base + i)]: [get] is a top-level reader, so a decode
+   allocates only the record. *)
+let attr_of get env base =
   {
-    File_store.inode = get 10;
-    kind = kind_of_int (get 0);
-    mode = get 1;
-    nlink = get 2;
-    uid = get 3;
-    gid = get 4;
-    size = get 5;
-    atime = get 11;
-    mtime = get 13;
-    ctime = get 15;
+    File_store.inode = get env (base + 40);
+    kind = kind_of_int (get env base);
+    mode = get env (base + 4);
+    nlink = get env (base + 8);
+    uid = get env (base + 12);
+    gid = get env (base + 16);
+    size = get env (base + 20);
+    atime = get env (base + 44);
+    mtime = get env (base + 52);
+    ctime = get env (base + 60);
   }
 
-let decode_attr b = attr_of (fun i -> Int32.to_int (Bytes.get_int32_le b (i * 4)))
+let bytes_word b off = Int32.to_int (Bytes.get_int32_le b off)
+let space_word space addr = Cluster.Address_space.read_word space ~addr
 
-let attr_at space ~addr =
-  attr_of (fun i -> Cluster.Address_space.read_word space ~addr:(addr + (i * 4)))
+let decode_attr b = attr_of bytes_word b 0
+let attr_at space ~addr = attr_of space_word space addr
 
 (* ------------------------------------------------------------------ *)
 (* Traffic classification (Table 1b).                                  *)
@@ -207,28 +210,11 @@ let op_code = function
   | Mkdir _ -> 12
   | Rmdir _ -> 13
 
-(* The encoded size of an op, and of a result: one code byte and its
-   fields, a string behind a u16 length. *)
-let string_bytes s = 2 + String.length s
-
-let op_bytes = function
-  | Null | Statfs -> 1
-  | Get_attr _ | Read_link _ -> 5
-  | Read _ | Set_attr _ -> 13
-  | Read_dir _ -> 9
-  | Write { data; _ } -> 13 + Bytes.length data
-  | Lookup { name; _ } | Create { name; _ } | Remove { name; _ }
-  | Mkdir { name; _ } | Rmdir { name; _ } ->
-      5 + string_bytes name
-  | Rename { from_name; to_name; _ } ->
-      9 + string_bytes from_name + string_bytes to_name
-
-(* A Hybrid-1 request, [reply offset][op], in one buffer of its exact
-   size; {!Rmem.Hybrid.call} fills word 0. *)
-let encode_request op =
-  let len = op_bytes op in
-  let w = Atm.Codec.writer ~capacity:(4 + len) () in
-  Atm.Codec.put_u32 w 0;
+(* A Hybrid-1 request, [reply offset][op], the op encoded in place from
+   byte 4 of the caller's request buffer; {!Rmem.Hybrid.call} fills
+   word 0. *)
+let request_into op b =
+  let w = Atm.Codec.writer_at b ~pos:4 in
   Atm.Codec.put_u8 w (op_code op);
   (match op with
   | Null | Statfs -> ()
@@ -261,7 +247,7 @@ let encode_request op =
       Atm.Codec.put_string w from_name;
       Atm.Codec.put_u32 w to_dir;
       Atm.Codec.put_string w to_name);
-  Atm.Codec.contents w
+  Atm.Codec.length w
 
 type request =
   | Op of op
@@ -328,19 +314,10 @@ let result_code = function
   | R_write _ -> 7
   | R_error _ -> 8
 
-let result_bytes = function
-  | R_null -> 1
-  | R_attr _ | R_write _ -> 1 + File_store.attr_bytes
-  | R_lookup _ -> 5 + File_store.attr_bytes
-  | R_link target -> 1 + string_bytes target
-  | R_data b | R_entries b -> 5 + Bytes.length b
-  | R_statfs _ -> 17
-  | R_error _ -> 5
-
-(* Every result is encoded at its exact size, in one buffer.  A Read's
-   or a ReadDir's reply is built by its server with {!bulk_reply}. *)
-let encode_result result =
-  let w = Atm.Codec.writer ~capacity:(result_bytes result) () in
+(* A result encoded in place at [pos] of the caller's buffer.  A Read's
+   or a ReadDir's reply is built by its server with {!bulk_header}. *)
+let result_into result b ~pos =
+  let w = Atm.Codec.writer_at b ~pos in
   Atm.Codec.put_u8 w (result_code result);
   (match result with
   | R_null -> ()
@@ -358,15 +335,14 @@ let encode_result result =
       Atm.Codec.put_u32 w s.File_store.files;
       Atm.Codec.put_u32 w s.File_store.block_size
   | R_error code -> Atm.Codec.put_u32 w code);
-  Atm.Codec.contents w
+  Atm.Codec.length w - pos
 
 let bulk_pos = 5
 
-let bulk_reply ~entries len =
-  let b = Bytes.create (bulk_pos + len) in
-  Bytes.set_uint8 b 0 (if entries then 5 (* R_entries *) else 4 (* R_data *));
-  Bytes.set_int32_le b 1 (Int32.of_int len);
-  b
+let bulk_header ~entries len b ~pos =
+  Bytes.set_uint8 b pos (if entries then 5 (* R_entries *) else 4 (* R_data *));
+  Bytes.set_int32_le b (pos + 1) (Int32.of_int len);
+  bulk_pos + len
 
 (* The result encoded at [addr], decoded where it lies: a Read's or a
    ReadDir's bytes copied once, into the result's own, and every other

@@ -47,6 +47,10 @@ val all_labels : string list
 val encode_attr : File_store.attr -> bytes
 val decode_attr : bytes -> File_store.attr
 
+val attr_at : Cluster.Address_space.t -> addr:int -> File_store.attr
+(** The fattr encoded at [addr], decoded where it lies: no intermediate
+    buffer and no closure, only the record. *)
+
 (** {1 Traffic classification (Table 1b)}
 
     Data is what a direct memory-to-memory primitive would have to move;
@@ -62,10 +66,11 @@ val reply_traffic : result -> traffic
 
 (** {1 Compact binary encoding (Hybrid-1 requests and replies)} *)
 
-val encode_request : op -> bytes
-(** [[reply offset u32][op]]: the op's encoding behind a word that
-    {!Rmem.Hybrid.call} fills, in one buffer of its exact size, as the
-    clerk writes it into its request slot. *)
+val request_into : op -> bytes -> int
+(** [[reply offset u32][op]]: the op encoded in place from byte 4 of a
+    request buffer, behind the word {!Rmem.Hybrid.call} fills; the
+    request's length, 4 + the op's. Raises [Invalid_argument] if it
+    does not fit. *)
 
 type request =
   | Op of op
@@ -78,13 +83,15 @@ val request_at : Cluster.Address_space.t -> addr:int -> request
     string, and a Write's data left in place for the store to take
     straight from there. *)
 
-val encode_result : result -> bytes
-(** A result's encoding, in one buffer of its exact size. *)
+val result_into : result -> bytes -> pos:int -> int
+(** A result encoded in place at [pos] of a buffer; its length. Raises
+    [Invalid_argument] if it does not fit. *)
 
-val bulk_reply : entries:bool -> int -> bytes
-(** An [R_entries] ([entries]) or [R_data] reply of [len] bytes with
-    only its header encoded: the server fills the [len] bytes from
-    {!bulk_pos} straight from its store. *)
+val bulk_header : entries:bool -> int -> bytes -> pos:int -> int
+(** [bulk_header ~entries len b ~pos]: the header of an [R_entries]
+    ([entries]) or [R_data] result of [len] bytes at [pos] of [b]; the
+    result's length. The server fills the [len] bytes from
+    [pos + bulk_pos] straight from its store. *)
 
 val bulk_pos : int
 

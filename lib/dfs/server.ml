@@ -22,6 +22,7 @@ type t = {
   push_targets : (int, Rmem.Descriptor.t) Hashtbl.t;
   mutable hybrid_served : int;
   mutable blocks_pushed : int;
+  mutable dropped_writebacks : int;
 }
 
 let costs t = Cluster.Node.costs t.node
@@ -203,17 +204,23 @@ let push_block t ~fh ~block =
 
 (* Apply clerk-pushed file blocks back to the store (write-back).  A
    pushed slot is newer than the store when its contents differ; applied
-   blocks are then eagerly pushed to subscribed clerks. *)
+   blocks are then eagerly pushed to subscribed clerks.  A push cannot
+   see its handle's kind, so a block pushed under a handle that names no
+   regular file is dropped from the cache, unapplied, and counted. *)
 let writeback t ~fh ~block =
   match Slot_cache.lookup_local t.file_cache ~key1:fh ~key2:block with
   | None -> ()
-  | Some data ->
+  | Some data -> (
       let off = block * File_store.block_bytes in
-      let current = File_store.read t.store fh ~off ~count:(Bytes.length data) in
-      if not (Bytes.equal current data) then begin
-        File_store.write t.store fh ~off data;
-        push_block t ~fh ~block
-      end
+      match File_store.read t.store fh ~off ~count:(Bytes.length data) with
+      | current ->
+          if not (Bytes.equal current data) then begin
+            File_store.write t.store fh ~off data;
+            push_block t ~fh ~block
+          end
+      | exception (File_store.Not_a_file _ | File_store.No_such_file _) ->
+          Slot_cache.invalidate t.file_cache ~key1:fh ~key2:block;
+          t.dropped_writebacks <- t.dropped_writebacks + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Hybrid-1 service.                                                   *)
@@ -245,58 +252,59 @@ let refresh_caches_for t op result =
       cache_dir t to_dir
   | _ -> ()
 
-(* The encoded reply to [op], built once.  A Read's bytes go straight
-   from the store's blocks into it, and a ReadDir's listing is packed
-   into it only as far as [count]; any other result is encoded at its
-   exact size.  A Write is {!write_reply}'s. *)
-let reply t op =
+(* The reply to [op], encoded once, at [pos] of the reply buffer [b];
+   its length.  A Read's bytes go straight from the store's blocks into
+   it, and a ReadDir's listing is packed into it only as far as
+   [count]. *)
+let reply t op b ~pos =
   match op with
   | Nfs_ops.Read { fh; off; count } -> (
       match File_store.read_length t.store fh ~off ~count with
       | count ->
-          let payload = Nfs_ops.bulk_reply ~entries:false count in
-          File_store.read_into t.store fh ~off ~count payload
-            ~pos:Nfs_ops.bulk_pos;
-          payload
-      | exception exn -> Nfs_ops.encode_result (Nfs_ops.R_error (errno exn)))
+          File_store.read_into t.store fh ~off ~count b
+            ~pos:(pos + Nfs_ops.bulk_pos);
+          Nfs_ops.bulk_header ~entries:false count b ~pos
+      | exception exn -> Nfs_ops.result_into (Nfs_ops.R_error (errno exn)) b ~pos)
   | Nfs_ops.Read_dir { fh; count } -> (
       match File_store.readdir t.store fh with
       | entries ->
           let len = Stdlib.min count (File_store.entries_length entries) in
-          let payload = Nfs_ops.bulk_reply ~entries:true len in
-          File_store.entries_into entries payload ~pos:Nfs_ops.bulk_pos ~len;
-          payload
-      | exception exn -> Nfs_ops.encode_result (Nfs_ops.R_error (errno exn)))
+          File_store.entries_into entries b ~pos:(pos + Nfs_ops.bulk_pos) ~len;
+          Nfs_ops.bulk_header ~entries:true len b ~pos
+      | exception exn -> Nfs_ops.result_into (Nfs_ops.R_error (errno exn)) b ~pos)
   | _ ->
       let result = execute t.store op in
       refresh_caches_for t op result;
-      Nfs_ops.encode_result result
+      Nfs_ops.result_into result b ~pos
 
 (* A Write's reply: its data goes straight from the request slot into
    the store's blocks. *)
-let write_reply t ~fh ~off ~len ~data =
-  Nfs_ops.encode_result
+let write_reply t ~fh ~off ~len ~data b ~pos =
+  Nfs_ops.result_into
     (match File_store.write_from t.store fh ~off t.space ~addr:data ~len with
     | () ->
         cache_attr t fh;
         Nfs_ops.R_write (File_store.getattr t.store fh)
     | exception exn -> Nfs_ops.R_error (errno exn))
+    b ~pos
 
-(* The request is decoded where it landed in its slot. *)
+(* The request is decoded where it landed in its slot; once the service
+   procedure's CPU is charged, its reply is encoded once, into a reply
+   buffer the kernel sends and takes back. *)
 let serve_hybrid_request t hy ticket arg =
-  (* The service procedure itself, then its reply. *)
-  let payload =
-    match Nfs_ops.request_at t.space ~addr:arg with
-    | Nfs_ops.Op op ->
-        Cluster.Cpu.use (cpu t) ~category:Cluster.Cpu.cat_procedure
-          (Nfs_ops.procedure_cost (costs t) op);
-        reply t op
+  let request = Nfs_ops.request_at t.space ~addr:arg in
+  Cluster.Cpu.use (cpu t) ~category:Cluster.Cpu.cat_procedure
+    (match request with
+    | Nfs_ops.Op op -> Nfs_ops.procedure_cost (costs t) op
+    | Nfs_ops.Write_at { len; _ } -> Nfs_ops.write_cost (costs t) len);
+  let b = Rmem.Hybrid.buffer hy and pos = Rmem.Hybrid.payload_pos in
+  let len =
+    match request with
+    | Nfs_ops.Op op -> reply t op b ~pos
     | Nfs_ops.Write_at { fh; off; len; data } ->
-        Cluster.Cpu.use (cpu t) ~category:Cluster.Cpu.cat_procedure
-          (Nfs_ops.write_cost (costs t) len);
-        write_reply t ~fh ~off ~len ~data
+        write_reply t ~fh ~off ~len ~data b ~pos
   in
-  Rmem.Hybrid.reply hy ticket payload;
+  Rmem.Hybrid.reply hy ticket b ~len;
   t.hybrid_served <- t.hybrid_served + 1
 
 (* ------------------------------------------------------------------ *)
@@ -349,6 +357,7 @@ let create ~rmem ~clerk ~store () =
       push_targets = Hashtbl.create 8;
       hybrid_served = 0;
       blocks_pushed = 0;
+      dropped_writebacks = 0;
     }
   in
   Rmem.Remote_memory.set_server_role rmem;
@@ -363,3 +372,4 @@ let create ~rmem ~clerk ~store () =
 
 let hybrid_served t = t.hybrid_served
 let blocks_pushed t = t.blocks_pushed
+let dropped_writebacks t = t.dropped_writebacks

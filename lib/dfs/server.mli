@@ -36,7 +36,13 @@ val cache_file_block : t -> int -> block:int -> unit
 
 val writeback : t -> fh:int -> block:int -> unit
 (** Apply a clerk-pushed file block back to the store if it differs,
-    then eagerly push it to subscribed clerks. *)
+    then eagerly push it to subscribed clerks. A block pushed under a
+    handle that names no regular file (a directory's, a symlink's, a
+    removed file's) is dropped from the cache instead, unapplied, and
+    counted in {!dropped_writebacks}. *)
+
+val dropped_writebacks : t -> int
+(** Test-only: the DFS tests count the blocks {!writeback} dropped. *)
 
 (** {1 Eager push (§3.2)} *)
 

@@ -204,12 +204,25 @@ let remote_walk t r name =
 let record_reply space ~addr ~len =
   if len = 0 then None else Record.decode_at space ~addr
 
-let call t desc ~slot_bytes request =
-  Rmem.Hybrid.call t.hy desc ~slot_bytes request record_reply
+let call t desc ~slot_bytes encode arg =
+  Rmem.Hybrid.call t.hy desc ~slot_bytes encode arg record_reply
 
-let reply t ticket = function
-  | Some record -> Rmem.Hybrid.reply t.replies ticket (Record.encode record)
-  | None -> Rmem.Hybrid.reply t.replies ticket Bytes.empty
+let reply t ticket record =
+  let b = Rmem.Hybrid.buffer t.replies in
+  let len =
+    match record with
+    | Some record ->
+        Record.encode_into record b ~pos:Rmem.Hybrid.payload_pos;
+        Record.slot_bytes
+    | None -> 0
+  in
+  Rmem.Hybrid.reply t.replies ticket b ~len
+
+(* A LOOKUPNAME request, [[reply offset 4][name 32][pad 4]]. *)
+let name_request name b =
+  Bytes.fill b 4 36 '\000';
+  Bytes.blit_string name 0 b 4 (String.length name);
+  40
 
 (* LOOKUPNAME by control transfer, the paper's alternative to probing:
    the name, [[reply offset 4][name 32][pad 4]], to the exporter clerk's
@@ -217,11 +230,9 @@ let reply t ticket = function
 let lookup_by_control_transfer t ~remote name =
   Metrics.Account.add t.stats ~category:"lookup" 1.;
   Metrics.Account.add t.stats ~category:"control-transfer lookups" 1.;
-  let request = Bytes.make 40 '\000' in
-  Bytes.blit_string name 0 request 4 (String.length name);
   match
     call t (request_descriptor t ~remote)
-      ~slot_bytes:Bootstrap.request_slot_bytes request
+      ~slot_bytes:Bootstrap.request_slot_bytes name_request name
   with
   | None -> raise (Name_not_found name)
   | Some record ->

@@ -63,8 +63,10 @@ val serve_lookup_requests : t -> unit
     registrations. *)
 
 val call :
-  t -> Rmem.Descriptor.t -> slot_bytes:int -> bytes -> Record.t option
-(** {!Rmem.Hybrid.call} through the scratch ring (50 ms deadline):
+  t -> Rmem.Descriptor.t -> slot_bytes:int -> ('a -> bytes -> int) -> 'a ->
+  Record.t option
+(** {!Rmem.Hybrid.call} through the scratch ring (50 ms deadline), the
+    request encoded as that call encodes it:
     [Some record] on a reply carrying one, [None] on an absent or
     refused one. Raises {!Rmem.Status.Timeout} at the deadline. *)
 

@@ -44,16 +44,21 @@ let fnv_hash name =
   done;
   !h
 
+let encode_into t b ~pos =
+  Bytes.fill b pos slot_bytes '\000';
+  Bytes.set_int32_le b pos (Int32.of_int flag_valid);
+  Bytes.set_int32_le b (pos + 4) (Int32.of_int (fnv_hash t.name));
+  Bytes.blit_string t.name 0 b (pos + 8) (String.length t.name);
+  Bytes.set_int32_le b (pos + 40) (Int32.of_int t.node);
+  Bytes.set_int32_le b (pos + 44) (Int32.of_int t.segment_id);
+  Bytes.set_int32_le b (pos + 48)
+    (Int32.of_int (Rmem.Generation.to_int t.generation));
+  Bytes.set_int32_le b (pos + 52) (Int32.of_int t.size);
+  Bytes.set_int32_le b (pos + 56) (Int32.of_int (Rmem.Rights.to_code t.rights))
+
 let encode t =
-  let b = Bytes.make slot_bytes '\000' in
-  Bytes.set_int32_le b 0 (Int32.of_int flag_valid);
-  Bytes.set_int32_le b 4 (Int32.of_int (fnv_hash t.name));
-  Bytes.blit_string t.name 0 b 8 (String.length t.name);
-  Bytes.set_int32_le b 40 (Int32.of_int t.node);
-  Bytes.set_int32_le b 44 (Int32.of_int t.segment_id);
-  Bytes.set_int32_le b 48 (Int32.of_int (Rmem.Generation.to_int t.generation));
-  Bytes.set_int32_le b 52 (Int32.of_int t.size);
-  Bytes.set_int32_le b 56 (Int32.of_int (Rmem.Rights.to_code t.rights));
+  let b = Bytes.create slot_bytes in
+  encode_into t b ~pos:0;
   b
 
 (* Slot images read in place at [addr] of [space], nothing copied.  The

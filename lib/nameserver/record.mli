@@ -40,6 +40,10 @@ val fnv_hash : string -> int
     registries — the paper's single-remote-read optimization. *)
 
 val encode : t -> bytes
+
+val encode_into : t -> bytes -> pos:int -> unit
+(** {!encode}'s [slot_bytes] image, written in place at [pos]. *)
+
 val holds_at : Cluster.Address_space.t -> addr:int -> string -> bool
 (** Whether the name field of the slot image at [addr], read in place,
     holds exactly the name. The flag word is not read. *)

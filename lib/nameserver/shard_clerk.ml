@@ -330,14 +330,19 @@ let load_descriptor t =
       t.load_desc <- Some desc;
       desc
 
+(* A registration request, [[reply offset 4][record 64][pad]]. *)
+let registration record b =
+  Bytes.fill b 4 (Reconciler.request_slot_bytes - 4) '\000';
+  Record.encode_into record b ~pos:4;
+  Reconciler.request_slot_bytes
+
 let register t record =
   Metrics.Account.add t.stats ~category:"register" 1.;
   let req = request_descriptor t in
   let rec go n =
-    let request = Bytes.make Reconciler.request_slot_bytes '\000' in
-    Bytes.blit (Record.encode record) 0 request 4 Record.slot_bytes;
     match
-      Clerk.call t.clerk req ~slot_bytes:Reconciler.request_slot_bytes request
+      Clerk.call t.clerk req ~slot_bytes:Reconciler.request_slot_bytes
+        registration record
     with
     | Some _ -> ()
     | None -> failwith "shard clerk: registration refused (shard full)"

@@ -153,7 +153,6 @@ let allow =
     ("lib/dfs/nfs_ops.ml:reply_traffic:", "the traffic of an error reply, which Table 1b never counts");
     ("lib/dfs/nfs_ops.ml:request_traffic:", "the traffic of directory mutations, which the Table 1a mix never issues");
     ("lib/dfs/server.ml:push_block:", "a block the cache dropped, and a block with two subscribers");
-    ("lib/dfs/server.ml:writeback:", "a block the cache dropped");
     (* Empty inputs and printers. *)
     ("lib/cluster/cpu.ml:use:", "a charge cut short by an exception");
     ("lib/cluster/cpu.ml:utilization:", "utilization over an empty window");

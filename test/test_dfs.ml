@@ -247,11 +247,14 @@ let op_gen =
 let op_roundtrip =
   QCheck.Test.make ~name:"nfs op encode/decode roundtrip" ~count:300
     (QCheck.make op_gen) (fun op ->
-      let request = Dfs.Nfs_ops.encode_request op in
+      let request = Bytes.make Dfs.Layout.request_slot_bytes '\255' in
+      let len = Dfs.Nfs_ops.request_into op request in
       let space = Cluster.Address_space.create ~asid:3 () in
-      Cluster.Address_space.write space ~addr:100 request;
-      (* Word 0 is the reply offset, Rmem.Hybrid.call's to fill. *)
-      Bytes.get_int32_le request 0 = 0l
+      Cluster.Address_space.write space ~addr:100 (Bytes.sub request 0 len);
+      (* Word 0 is the reply offset, Rmem.Hybrid.call's to fill: left as
+         it was, and the op ends at the length returned. *)
+      Bytes.get_int32_le request 0 = -1l
+      && Bytes.get request len = '\255'
       &&
       match (Dfs.Nfs_ops.request_at space ~addr:104, op) with
       | Dfs.Nfs_ops.Op decoded, _ -> decoded = op
@@ -278,15 +281,20 @@ let result_roundtrip () =
   let space = Cluster.Address_space.create ~asid:0 () in
   List.iter
     (fun result ->
-      let encoded = Dfs.Nfs_ops.encode_result result in
+      let buffer = Bytes.make 128 '\255' in
+      let len = Dfs.Nfs_ops.result_into result buffer ~pos:2 in
+      let encoded = Bytes.sub buffer 2 len in
       Cluster.Address_space.write space ~addr:3 encoded;
       check_bool "result decoded in place" true
         (Dfs.Nfs_ops.result_at space ~addr:3 = result);
+      check_bool "encoded within its length" true
+        (Bytes.get buffer 1 = '\255' && Bytes.get buffer (2 + len) = '\255');
       let bulk ~entries data =
-        let reply = Dfs.Nfs_ops.bulk_reply ~entries (Bytes.length data) in
-        Bytes.blit data 0 reply Dfs.Nfs_ops.bulk_pos (Bytes.length data);
+        let reply = Bytes.make 64 '\255' in
+        let n = Dfs.Nfs_ops.bulk_header ~entries (Bytes.length data) reply ~pos:1 in
+        Bytes.blit data 0 reply (1 + Dfs.Nfs_ops.bulk_pos) (Bytes.length data);
         check_bool "a bulk reply encodes as its result" true
-          (Bytes.equal reply encoded)
+          (Bytes.equal (Bytes.sub reply 1 n) encoded)
       in
       match result with
       | Dfs.Nfs_ops.R_data data -> bulk ~entries:false data
@@ -418,10 +426,25 @@ let directory_ops_and_errors () =
           answers "listing of a file" (Dfs.Nfs_ops.R_error 20)
             (perform (Dfs.Nfs_ops.Read_dir { fh = f; count = 64 }));
           (* A DX write pushes its block into the server's cache
-             unchecked, so only the control-transfer schemes refuse it. *)
+             unchecked, so only the control-transfer schemes refuse it:
+             DX acknowledges it, and the server's writeback drops the
+             block from its cache. *)
+          let write = Dfs.Nfs_ops.Write { fh = dir; off = 0; data = Bytes.of_string "x" } in
           if scheme <> Dfs.Clerk.Dx then
-            answers "write to a directory" (Dfs.Nfs_ops.R_error 22)
-              (perform (Dfs.Nfs_ops.Write { fh = dir; off = 0; data = Bytes.of_string "x" }));
+            answers "write to a directory" (Dfs.Nfs_ops.R_error 22) (perform write)
+          else begin
+            let server = fixture.Experiments.Fixture.server in
+            let dropped = Dfs.Server.dropped_writebacks server in
+            check_bool "DX: write to a directory acknowledged" true
+              (match perform write with Dfs.Nfs_ops.R_write _ -> true | _ -> false);
+            Sim.Proc.wait (Sim.Time.ms 5);
+            Dfs.Server.writeback server ~fh:dir ~block:0;
+            check_int "DX: its writeback dropped" (dropped + 1)
+              (Dfs.Server.dropped_writebacks server);
+            Dfs.Server.writeback server ~fh:dir ~block:0;
+            check_int "DX: and gone from the cache" (dropped + 1)
+              (Dfs.Server.dropped_writebacks server)
+          end;
           answers "remove" Dfs.Nfs_ops.R_null (perform (Dfs.Nfs_ops.Remove { dir; name = "g" }));
           answers "rmdir" Dfs.Nfs_ops.R_null (perform (Dfs.Nfs_ops.Rmdir { dir = root; name })))
         [ Dfs.Clerk.Dx; Dfs.Clerk.Hybrid1; Dfs.Clerk.Rpc_baseline ])
@@ -705,11 +728,11 @@ let dx_budget what ~budget op () =
   Rig.within_budget what ~words ~budget
 
 let dx_getattr_budget =
-  dx_budget "DX GetAttribute" ~budget:57.5 (fun f ->
+  dx_budget "DX GetAttribute" ~budget:42.1 (fun f ->
       Dfs.Nfs_ops.Get_attr { fh = f.Experiments.Fixture.bench_file })
 
 let dx_lookup_budget =
-  dx_budget "DX Lookup" ~budget:58.6 (fun f ->
+  dx_budget "DX Lookup" ~budget:43.2 (fun f ->
       Dfs.Nfs_ops.Lookup { dir = f.Experiments.Fixture.bench_dir; name = "entry0001" })
 
 let dx_read_budget =
@@ -720,17 +743,23 @@ let dx_readdir_budget =
   dx_budget "DX ReadDir 4K" ~budget:676.8 (fun f ->
       Dfs.Nfs_ops.Read_dir { fh = f.Experiments.Fixture.bench_dir; count = 4096 })
 
-(* The same path under Hybrid-1: the request in one buffer, decoded by
-   the server where it landed in its slot, the server's one reply buffer
-   behind a header shared by every reply of its length, the spin's
-   condition (its poll callback is the process's, built once), and the
-   result decoded where it landed.  Each figure repeats at n = 100
-   and n = 400.  A Read 8K holds two 1,025-word buffers, the caller's
-   result and the server's reply: a third would take it past 3,400
-   words.  A Write 8K holds one, the clerk's request, whose data the
-   server copies from the slot straight into the store's blocks (3,485
-   words with the request copied out of the slot and its data out of
-   that copy). *)
+let dx_null_budget = dx_budget "DX Null" ~budget:27.8 (fun _ -> Dfs.Nfs_ops.Null)
+let dx_statfs_budget = dx_budget "DX Statfs" ~budget:39.9 (fun _ -> Dfs.Nfs_ops.Statfs)
+
+let dx_readlink_budget =
+  dx_budget "DX ReadLink" ~budget:34.4 (fun f ->
+      Dfs.Nfs_ops.Read_link { fh = f.Experiments.Fixture.bench_link })
+
+(* The same path under Hybrid-1: the request encoded into the
+   endpoint's request buffer, decoded by the server where it landed in
+   its slot, the server's reply encoded once into a pooled reply buffer
+   with its header in front, the delivery in a pooled process, and the
+   result decoded where it landed.  Each figure repeats at n = 100 and
+   n = 400.  A Read 8K holds one 1,025-word buffer, the caller's
+   result: the server's reply buffer, a second, took it to 2,381
+   words.  A Write 8K holds none: the clerk encodes its data into the
+   request buffer, and the server copies it from the slot straight into
+   the store's blocks (1,428 words with the request built per call). *)
 let hy_budget what ~budget op () =
   let fixture = Lazy.force fixture in
   let clerk = Experiments.Fixture.clerk fixture 0 in
@@ -753,22 +782,66 @@ let hy_budget what ~budget op () =
   Rig.within_budget what ~words ~budget
 
 let hy_getattr_budget =
-  hy_budget "HY GetAttribute" ~budget:220.3 (fun f ->
+  hy_budget "HY GetAttribute" ~budget:102.6 (fun f ->
       Dfs.Nfs_ops.Get_attr { fh = f.Experiments.Fixture.bench_file })
 
 let hy_read_budget =
-  hy_budget "HY Read 8K" ~budget:2615.0 (fun f ->
+  hy_budget "HY Read 8K" ~budget:1385.2 (fun f ->
       Dfs.Nfs_ops.Read { fh = f.Experiments.Fixture.bench_file; off = 0; count = 8192 })
 
 let hy_readdir_budget =
-  hy_budget "HY ReadDir 1K" ~budget:489.8 (fun f ->
+  hy_budget "HY ReadDir 1K" ~budget:246.7 (fun f ->
       Dfs.Nfs_ops.Read_dir { fh = f.Experiments.Fixture.bench_dir; count = 1024 })
 
 let hy_write_budget =
-  hy_budget "HY Write 8K" ~budget:1566.7 (fun f ->
+  hy_budget "HY Write 8K" ~budget:322.6 (fun f ->
       Dfs.Nfs_ops.Write
         { fh = f.Experiments.Fixture.bench_file; off = 0; data = Bytes.make 8192 'w' })
 
+(* A DX Read 8K that misses the server cache (its block never cached)
+   and transfers control.  The miss allocates no result, so the fetch
+   allocates its DX hit's words (1,201: the result, 1,025, and the READ)
+   plus the Hybrid-1 exchange without its result, a per-call constant
+   of at most [hy_constant] words (222): the call's fixed part (HY
+   GetAttribute's 93 words, its result included) and the reply's 26
+   frames.  Both figures come from one fresh fixture; the hit reads the
+   benchmark file. *)
+let hy_constant = 240.
+
+let dx_read_miss_budget () =
+  let fixture = Experiments.Fixture.create ~clients:1 () in
+  let clerk = Experiments.Fixture.clerk fixture 0 in
+  let measure op =
+    Rig.words_per_op ~n:100 (fun () ->
+        ignore
+          (Cluster.Lrpc.call (Dfs.Clerk.node clerk) (Dfs.Clerk.remote_fetch clerk) op
+            : Dfs.Nfs_ops.result))
+  in
+  let hit, miss, misses =
+    Experiments.Fixture.run fixture (fun () ->
+        Dfs.Clerk.set_scheme clerk Dfs.Clerk.Dx;
+        let store = fixture.Experiments.Fixture.store in
+        let fh =
+          Dfs.File_store.create_file store ~dir:(Dfs.File_store.root store)
+            ~name:"uncached.dat" ()
+        in
+        Dfs.File_store.write store fh ~off:0 (Bytes.make 8192 'u');
+        let hit =
+          measure
+            (Dfs.Nfs_ops.Read
+               { fh = fixture.Experiments.Fixture.bench_file; off = 0; count = 8192 })
+        in
+        let before = dx_misses clerk in
+        let miss = measure (Dfs.Nfs_ops.Read { fh; off = 0; count = 8192 }) in
+        (hit, miss, dx_misses clerk -. before))
+  in
+  Alcotest.(check (float 0.01)) "every read a miss, the warm-up's too" 101.
+    misses;
+  Rig.within_budget "DX Read 8K miss, then HY" ~words:miss ~budget:1565.6;
+  check_bool
+    (Printf.sprintf "within its DX hit (%.2f words) + %g" hit hy_constant)
+    true
+    (miss <= hit +. hy_constant)
 
 (* A Hybrid-1 fetch whose reply never lands: the server takes the
    request's notification and runs no procedure.  The clerk sets its
@@ -1038,4 +1111,8 @@ let suite =
     QCheck_alcotest.to_alcotest rpc_codec_roundtrip;
     Alcotest.test_case "directory ops and errors through all schemes" `Quick
       directory_ops_and_errors;
+    Alcotest.test_case "dx null allocation budget" `Quick dx_null_budget;
+    Alcotest.test_case "dx statfs allocation budget" `Quick dx_statfs_budget;
+    Alcotest.test_case "dx readlink allocation budget" `Quick dx_readlink_budget;
+    Alcotest.test_case "dx read 8K miss allocation budget" `Quick dx_read_miss_budget;
   ]
