@@ -1,9 +1,12 @@
 (* Per-process virtual address spaces.
 
-   Sparse, demand-zero, paged byte stores.  Remote-memory operations move
-   real bytes between these, so higher layers (the name-server registry,
-   the file-service caches) genuinely serialize their data structures
-   into memory and decode what a remote READ returns.
+   Sparse, demand-zero, paged byte stores: a page materializes on its
+   first touch, zero-filled, except when that touch is a write covering
+   the whole page, whose bytes are then all the write's.  Remote-memory
+   operations move real bytes between these, so higher layers (the
+   name-server registry, the file-service caches) genuinely serialize
+   their data structures into memory and decode what a remote READ
+   returns.
 
    Pinning mirrors the paper's application-controlled pinning of virtual
    pages backing exported segments: the simulated kernel refuses remote
@@ -42,6 +45,20 @@ let page t index =
       Sim.Int_table.replace t.pages index bytes;
       bytes
 
+let blit_page pg ~off buf ~at ~span ~to_buf =
+  if to_buf then Bytes.blit pg off buf at span else Bytes.blit buf at pg off span
+
+(* A page's first touch: a write that covers it whole fills it from
+   [buf] alone, with no zero fill first, and enters it only once filled;
+   any other touch enters a zero page. *)
+let first_touch t index ~off buf ~at ~span ~to_buf =
+  if (not to_buf) && span = page_bytes then begin
+    let pg = Bytes.create page_bytes in
+    Bytes.blit buf at pg 0 page_bytes;
+    Sim.Int_table.replace t.pages index pg
+  end
+  else blit_page (page t index) ~off buf ~at ~span ~to_buf
+
 (* Copy [remaining] bytes between the pages from address [cursor] and
    [buf] from [at]: out of the pages when [to_buf], into them otherwise.
    A top-level loop rather than an iterator taking a closure: a copy is
@@ -50,8 +67,10 @@ let rec copy_pages t ~cursor ~remaining buf ~at ~to_buf =
   if remaining > 0 then begin
     let off = cursor mod page_bytes in
     let span = Int.min remaining (page_bytes - off) in
-    let pg = page t (page_of cursor) in
-    if to_buf then Bytes.blit pg off buf at span else Bytes.blit buf at pg off span;
+    let index = page_of cursor in
+    (match Sim.Int_table.find t.pages index with
+    | pg -> blit_page pg ~off buf ~at ~span ~to_buf
+    | exception Not_found -> first_touch t index ~off buf ~at ~span ~to_buf);
     copy_pages t ~cursor:(cursor + span) ~remaining:(remaining - span) buf
       ~at:(at + span) ~to_buf
   end

@@ -1,6 +1,13 @@
 (** Per-process virtual address spaces: sparse, demand-zero, paged byte
     stores. Remote-memory operations move real bytes between these.
 
+    Demand zero: a page materializes on its first touch, by any read,
+    write, word access or compare-and-swap, and every byte no write has
+    stored reads as zero. A write that covers a whole page it creates
+    stores that page's bytes straight from its source, with no zero fill
+    first; a partial write fills the rest of a page it creates with
+    zeros, and a read creates a zero page.
+
     Pinning mirrors the paper's application-controlled pinning of the
     pages backing exported segments. *)
 

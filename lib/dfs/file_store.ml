@@ -230,25 +230,53 @@ let read t inode ~off ~count =
   read_into t inode ~off ~count out ~pos:0;
   out
 
+(* What a hole and the bytes past the end read as; never written. *)
+let zeros = Bytes.make block_bytes '\000'
+
+(* Each span goes from its block straight to the space: a hole's and
+   one past the end from [zeros], so a span is cut at the end. *)
+let read_to t inode ~off ~count space ~addr =
+  let live = read_length t inode ~off ~count in
+  let n = regular t inode in
+  let rec copy i =
+    if i < count then begin
+      let abs = off + i in
+      let blk = abs / block_bytes and boff = abs mod block_bytes in
+      let span = Stdlib.min (count - i) (block_bytes - boff) in
+      let span = if i < live then Stdlib.min span (live - i) else span in
+      (match Hashtbl.find_opt n.blocks blk with
+      | Some data when i < live ->
+          Cluster.Address_space.write_from space ~addr:(addr + i) data
+            ~pos:boff ~len:span
+      | _ ->
+          Cluster.Address_space.write_from space ~addr:(addr + i) zeros ~pos:0
+            ~len:span);
+      copy (i + span)
+    end
+  in
+  copy 0
+
 (* One loop serves every write: [fill pos block boff span] copies the
-   source's bytes from [pos] into each touched block's span. *)
-let write_with t inode ~off ~count fill =
+   source's bytes from [pos] into each touched block's span.  A block
+   the write creates and covers whole is not zero-filled first, and is
+   entered only once filled. *)
+let write_with t inode ~off ~len fill =
   let n = regular t inode in
   if off < 0 then invalid_arg "File_store.write";
   let rec copy pos =
-    if pos < count then begin
+    if pos < len then begin
       let abs = off + pos in
       let blk = abs / block_bytes and boff = abs mod block_bytes in
-      let span = Stdlib.min (count - pos) (block_bytes - boff) in
-      let block =
-        match Hashtbl.find_opt n.blocks blk with
-        | Some b -> b
-        | None ->
-            let b = Bytes.make block_bytes '\000' in
-            Hashtbl.replace n.blocks blk b;
-            b
-      in
-      fill pos block boff span;
+      let span = Stdlib.min (len - pos) (block_bytes - boff) in
+      (match Hashtbl.find_opt n.blocks blk with
+      | Some block -> fill pos block boff span
+      | None ->
+          let block =
+            if span = block_bytes then Bytes.create block_bytes
+            else Bytes.make block_bytes '\000'
+          in
+          fill pos block boff span;
+          Hashtbl.replace n.blocks blk block);
       copy (pos + span)
     end
   in
@@ -256,16 +284,16 @@ let write_with t inode ~off ~count fill =
   n.attr <-
     {
       n.attr with
-      size = Stdlib.max n.attr.size (off + count);
+      size = Stdlib.max n.attr.size (off + len);
       mtime = tick t;
     }
 
 let write t inode ~off data =
-  write_with t inode ~off ~count:(Bytes.length data) (fun pos block boff span ->
+  write_with t inode ~off ~len:(Bytes.length data) (fun pos block boff span ->
       Bytes.blit data pos block boff span)
 
 let write_from t inode ~off space ~addr ~len =
-  write_with t inode ~off ~count:len (fun pos block boff span ->
+  write_with t inode ~off ~len (fun pos block boff span ->
       Cluster.Address_space.read_into space ~addr:(addr + pos) ~len:span block
         ~pos:boff)
 
@@ -320,9 +348,3 @@ let entries_into entries out ~pos ~len =
     | _ -> ()
   in
   go pos entries
-
-let encode_entries entries =
-  let len = entries_length entries in
-  let out = Bytes.create len in
-  entries_into entries out ~pos:0 ~len;
-  out

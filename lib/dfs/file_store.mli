@@ -73,8 +73,21 @@ val read_into : t -> int -> off:int -> count:int -> bytes -> pos:int -> unit
 (** {!read}'s bytes, [count] at most {!read_length}, written at [pos] of
     the buffer. *)
 
+val read_to :
+  t -> int -> off:int -> count:int -> Cluster.Address_space.t -> addr:int ->
+  unit
+(** [count] bytes from [off] at [addr] of the space, copied straight from
+    the file's blocks: {!read}'s bytes, then zeros up to [count]. *)
+
 val write : t -> int -> off:int -> bytes -> unit
 (** Extends the file as needed. *)
+
+val write_with :
+  t -> int -> off:int -> len:int -> (int -> bytes -> int -> int -> unit) -> unit
+(** {!write} of [len] bytes that the caller stores itself: [fill pos
+    block boff span] puts the source's bytes [pos] to [pos + span - 1]
+    at [boff] of a file block. A block the write creates and covers
+    whole is handed over unfilled. *)
 
 val write_from :
   t -> int -> off:int -> Cluster.Address_space.t -> addr:int -> len:int -> unit
@@ -90,11 +103,8 @@ type statfs = {
 
 val statfs : t -> statfs
 
-val encode_entries : (string * int) list -> bytes
-(** Pack directory entries as READDIR returns them. *)
-
 val entries_length : (string * int) list -> int
-(** The length of their packing. *)
+(** The length of the entries' packing, as READDIR returns them. *)
 
 val entries_into : (string * int) list -> bytes -> pos:int -> len:int -> unit
 (** The first [len] bytes of their packing, at [pos] of the buffer. *)

@@ -98,10 +98,12 @@ let put_attr w (a : File_store.attr) =
   put a.ctime;
   put 0
 
+let attr_into a b ~pos = put_attr (Atm.Codec.writer_at b ~pos) a
+
 let encode_attr a =
-  let w = Atm.Codec.writer ~capacity:File_store.attr_bytes () in
-  put_attr w a;
-  Atm.Codec.contents w
+  let b = Bytes.create File_store.attr_bytes in
+  attr_into a b ~pos:0;
+  b
 
 (* An fattr from its words, the one at byte [i] read as
    [get env (base + i)]: [get] is a top-level reader, so a decode

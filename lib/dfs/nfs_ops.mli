@@ -45,6 +45,10 @@ val all_labels : string list
 (** {1 Attribute encoding (the 68-byte NFS fattr)} *)
 
 val encode_attr : File_store.attr -> bytes
+
+val attr_into : File_store.attr -> bytes -> pos:int -> unit
+(** {!encode_attr}'s 68 bytes, written at [pos] of the buffer. *)
+
 val decode_attr : bytes -> File_store.attr
 
 val attr_at : Cluster.Address_space.t -> addr:int -> File_store.attr

@@ -20,6 +20,10 @@ type t = {
   dir_cache : Slot_cache.t;
   file_cache : Slot_cache.t;
   push_targets : (int, Rmem.Descriptor.t) Hashtbl.t;
+  mutable scratch : bytes;
+      (* where an attribute, a name entry or a directory listing is
+         packed on its way into a cache slot: a name entry's size, grown
+         to the widest listing *)
   mutable hybrid_served : int;
   mutable blocks_pushed : int;
   mutable dropped_writebacks : int;
@@ -94,17 +98,19 @@ let publish_statfs t =
   Bytes.set_int32_le b 16 (Int32.of_int s.File_store.block_size);
   Cluster.Address_space.write t.space ~addr:Layout.statfs_base b
 
+(* Cache installs copy each byte once into its slot: from the store's
+   blocks, or from [scratch], where the payload is packed first. *)
 let cache_attr t fh =
-  let attr = File_store.getattr t.store fh in
-  Slot_cache.install t.attr_cache ~key1:fh ~key2:0 (Nfs_ops.encode_attr attr)
+  Nfs_ops.attr_into (File_store.getattr t.store fh) t.scratch ~pos:0;
+  Slot_cache.install_from t.attr_cache ~key1:fh ~key2:0 t.scratch ~pos:0
+    ~len:File_store.attr_bytes
 
 let cache_name t ~dir ~name =
   let fh = File_store.lookup t.store ~dir ~name in
-  let attr = File_store.getattr t.store fh in
-  let payload = Bytes.create (4 + File_store.attr_bytes) in
-  Bytes.set_int32_le payload 0 (Int32.of_int fh);
-  Bytes.blit (Nfs_ops.encode_attr attr) 0 payload 4 File_store.attr_bytes;
-  Slot_cache.install t.name_cache ~key1:dir ~key2:(name_key name) payload
+  Bytes.set_int32_le t.scratch 0 (Int32.of_int fh);
+  Nfs_ops.attr_into (File_store.getattr t.store fh) t.scratch ~pos:4;
+  Slot_cache.install_from t.name_cache ~key1:dir ~key2:(name_key name)
+    t.scratch ~pos:0 ~len:(4 + File_store.attr_bytes)
 
 let cache_link t fh =
   let target = File_store.readlink t.store fh in
@@ -112,33 +118,26 @@ let cache_link t fh =
     (Bytes.of_string target)
 
 let cache_dir t fh =
-  let packed = File_store.encode_entries (File_store.readdir t.store fh) in
-  let total = Bytes.length packed in
+  let entries = File_store.readdir t.store fh in
+  let total = File_store.entries_length entries in
+  if total > Bytes.length t.scratch then t.scratch <- Bytes.create total;
+  File_store.entries_into entries t.scratch ~pos:0 ~len:total;
   let chunk = Layout.dir_chunk_bytes in
   let rec go i =
     let off = i * chunk in
     if off < total || (total = 0 && i = 0) then begin
       let len = Stdlib.min chunk (total - off) in
-      Slot_cache.install t.dir_cache ~key1:fh ~key2:i (Bytes.sub packed off len);
+      Slot_cache.install_from t.dir_cache ~key1:fh ~key2:i t.scratch ~pos:off
+        ~len;
       go (i + 1)
     end
   in
   go 0
 
 let cache_file_block t fh ~block =
-  let data =
-    File_store.read t.store fh ~off:(block * File_store.block_bytes)
-      ~count:File_store.block_bytes
-  in
-  let data =
-    if Bytes.length data < File_store.block_bytes then begin
-      let b = Bytes.make File_store.block_bytes '\000' in
-      Bytes.blit data 0 b 0 (Bytes.length data);
-      b
-    end
-    else data
-  in
-  Slot_cache.install t.file_cache ~key1:fh ~key2:block data
+  let off = block * File_store.block_bytes and count = File_store.block_bytes in
+  Slot_cache.install_with t.file_cache ~key1:fh ~key2:block ~len:count
+    (fun space ~addr -> File_store.read_to t.store fh ~off ~count space ~addr)
 
 (* Walk the whole store and warm every cache area: the experiments'
    100%-server-cache-hit regime. *)
@@ -227,10 +226,10 @@ let writeback t ~fh ~block =
 
 (* Keep the exported cache areas coherent with namespace mutations the
    service procedures perform, so later DX probes never see stale
-   metadata. *)
+   metadata.  Only a mutation that succeeded changed anything. *)
 let refresh_caches_for t op result =
   match (op, result) with
-  | Nfs_ops.Set_attr { fh; _ }, _ -> cache_attr t fh
+  | Nfs_ops.Set_attr { fh; _ }, Nfs_ops.R_attr _ -> cache_attr t fh
   | ( (Nfs_ops.Create { dir; name } | Nfs_ops.Mkdir { dir; name }),
       Nfs_ops.R_lookup { fh; _ } ) ->
       cache_name t ~dir ~name;
@@ -355,6 +354,7 @@ let create ~rmem ~clerk ~store () =
       dir_cache = cache Layout.dir_base Layout.dir_cache;
       file_cache = cache Layout.file_base Layout.file_cache;
       push_targets = Hashtbl.create 8;
+      scratch = Bytes.create (4 + File_store.attr_bytes);
       hybrid_served = 0;
       blocks_pushed = 0;
       dropped_writebacks = 0;
@@ -373,3 +373,6 @@ let create ~rmem ~clerk ~store () =
 let hybrid_served t = t.hybrid_served
 let blocks_pushed t = t.blocks_pushed
 let dropped_writebacks t = t.dropped_writebacks
+
+let cached_block t ~fh ~block =
+  Slot_cache.lookup_local t.file_cache ~key1:fh ~key2:block

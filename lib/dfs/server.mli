@@ -44,6 +44,10 @@ val writeback : t -> fh:int -> block:int -> unit
 val dropped_writebacks : t -> int
 (** Test-only: the DFS tests count the blocks {!writeback} dropped. *)
 
+val cached_block : t -> fh:int -> block:int -> bytes option
+(** The payload of the file-cache slot holding [(fh, block)], if usable.
+    Test-only: the DFS tests compare warmed slots with the store. *)
+
 (** {1 Eager push (§3.2)} *)
 
 val enable_eager_push : t -> client:Atm.Addr.t -> unit

@@ -51,16 +51,30 @@ let offset_of_key t ~key1 ~key2 = offset_of_key_cfg t.config ~key1 ~key2
 
 (* Local (owner-side) operations. *)
 
-let install t ~key1 ~key2 payload =
-  let len = Bytes.length payload in
-  if len > t.config.payload_bytes then
+(* An install writes the header with its flag invalid, then the
+   payload, then the valid flag. *)
+let open_slot t ~key1 ~key2 ~len =
+  if len < 0 || len > t.config.payload_bytes then
     invalid_arg "Slot_cache.install: payload too large";
   let addr = t.base + offset_of_key t ~key1 ~key2 in
   Cluster.Address_space.write_word t.space ~addr flag_invalid;
   Cluster.Address_space.write_word t.space ~addr:(addr + 4) key1;
   Cluster.Address_space.write_word t.space ~addr:(addr + 8) key2;
   Cluster.Address_space.write_word t.space ~addr:(addr + 12) len;
-  Cluster.Address_space.write t.space ~addr:(addr + header_bytes) payload;
+  addr
+
+let install_from t ~key1 ~key2 src ~pos ~len =
+  let addr = open_slot t ~key1 ~key2 ~len in
+  Cluster.Address_space.write_from t.space ~addr:(addr + header_bytes) src ~pos
+    ~len;
+  Cluster.Address_space.write_word t.space ~addr flag_valid
+
+let install t ~key1 ~key2 payload =
+  install_from t ~key1 ~key2 payload ~pos:0 ~len:(Bytes.length payload)
+
+let install_with t ~key1 ~key2 ~len fill =
+  let addr = open_slot t ~key1 ~key2 ~len in
+  fill t.space ~addr:(addr + header_bytes);
   Cluster.Address_space.write_word t.space ~addr flag_valid
 
 let invalidate t ~key1 ~key2 =

@@ -36,6 +36,18 @@ val offset_of_key_cfg : config -> key1:int -> key2:int -> int
 (** {1 Owner-side operations} *)
 
 val install : t -> key1:int -> key2:int -> bytes -> unit
+
+val install_from :
+  t -> key1:int -> key2:int -> bytes -> pos:int -> len:int -> unit
+(** {!install} of the [len] bytes of the buffer from [pos]. *)
+
+val install_with :
+  t -> key1:int -> key2:int -> len:int ->
+  (Cluster.Address_space.t -> addr:int -> unit) -> unit
+(** {!install} of a [len]-byte payload that [fill space ~addr] stores
+    itself at [addr] of the cache's space, between the header and the
+    valid flag. *)
+
 val invalidate : t -> key1:int -> key2:int -> unit
 val lookup_local : t -> key1:int -> key2:int -> bytes option
 (** The payload of a usable slot ({!payload_length}), copied once. *)

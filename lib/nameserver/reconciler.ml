@@ -20,8 +20,9 @@
 
    Registration is control transfer by design (the paper's §4.2
    fallback as the common case): an {!Rmem.Hybrid} call carrying an
-   encoded record; the handler spawns a worker that applies the insert,
-   fences the shard, and replies into the client clerk's scratch ring. *)
+   encoded record; the handler posts it to a pooled worker that applies
+   the insert, fences the shard, and replies into the client clerk's
+   scratch ring. *)
 
 let request_segment_name = "shard.req"
 let load_segment_name = "shard.load"
@@ -377,23 +378,29 @@ let rebalance_once t =
     else Balanced
   end
 
-(* Exporter-side registration handler: bounded interrupt work only — the
-   insert, the slot push, the fence, and the reply all happen in a
-   spawned worker process.  The reply is fire-and-forget: the scratch
-   segment is write-only, so it cannot be read back or fenced.  A lost
-   reply is healed end to end — the requester times out and reissues
-   the (idempotent) registration. *)
+(* One registration, in a worker of its own: the insert, the slot
+   push, the fence and the reply.  The reply is fire-and-forget: the
+   scratch segment is write-only, so it cannot be read back or fenced.
+   A lost reply is healed end to end — the requester times out and
+   reissues the (idempotent) registration. *)
+let register_request t ticket arg =
+  Clerk.reply t.clerk ticket
+    (match Record.decode_at t.space ~addr:arg with
+    | None -> None
+    | Some record -> (
+        match register t record with
+        | Ok () -> Some record
+        | Error `Full -> None))
+
+(* Exporter-side registration handler: bounded interrupt work only — it
+   posts the request to a pooled worker, which starts at the instant a
+   spawned one would, with no process created per request. *)
 let serve_registrations t =
+  let workers =
+    Sim.Pool.create (Cluster.Node.engine t.node) ~name:"reconciler"
+  in
   Rmem.Hybrid.serve t.request_segment ~slot_bytes:request_slot_bytes
-    (fun ticket arg ->
-      Cluster.Node.spawn t.node ~name:"reconciler" (fun () ->
-          Clerk.reply t.clerk ticket
-            (match Record.decode_at t.space ~addr:arg with
-            | None -> None
-            | Some record -> (
-                match register t record with
-                | Ok () -> Some record
-                | Error `Full -> None))))
+    (Sim.Pool.post workers (register_request t))
 
 let create ?(slots = Bootstrap.default_slots) ?(max_clients = 128) ?policy
     ?pace ~map_clerk ~hosts clerk =

@@ -61,7 +61,8 @@ val create :
 
 val serve_registrations : t -> unit
 (** Serve the request segment ({!Rmem.Hybrid.serve}): each request
-    spawns a worker that inserts the record, pushes and fences the
+    runs in a pooled worker ({!Sim.Pool}), starting at the instant a
+    spawned one would, that inserts the record, pushes and fences the
     shard slot, and replies into the requester clerk's scratch ring. *)
 
 val split : t -> int -> int option

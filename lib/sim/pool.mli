@@ -1,7 +1,8 @@
 (** Reusable processes: each job runs in a process of its own,
     concurrently with the others, as if spawned for it; a process whose
     job finished parks, as a daemon, until a later job wakes it. A
-    notification descriptor delivers each record this way. *)
+    notification descriptor delivers each record this way, and the
+    name service's reconciler serves each registration so. *)
 
 type ('a, 'b) t
 (** Processes of one name that run jobs taking an ['a] and a ['b]. *)

@@ -22,21 +22,27 @@ let pick_size prng =
   else if u < 0.85 then 8192 + Sim.Prng.int prng 8192
   else 16384 + Sim.Prng.int prng 49152
 
-(* [n] bytes, byte [i] being [(start + i) land 0xFF]: one 256-byte
-   period is written byte by byte, then doubled by blits, since a
-   per-byte fill of the tree's 4 MB is most of a fixture's build. *)
-let pattern start n =
-  let b = Bytes.create n in
-  for i = 0 to Int.min n 256 - 1 do
-    Bytes.unsafe_set b i (Char.unsafe_chr ((start + i) land 0xFF))
+(* Bytes [from] to [from + len - 1] of the contents [start] names, at
+   [at] of [dst]: the first 256-byte period byte by byte, then doubled
+   by blits, since the period repeats. *)
+let pattern_into start dst ~at ~from ~len =
+  let period = Int.min len 256 in
+  for i = 0 to period - 1 do
+    Bytes.unsafe_set dst (at + i)
+      (Char.unsafe_chr ((start + from + i) land 0xFF))
   done;
-  let filled = ref (Int.min n 256) in
-  while !filled < n do
-    let len = Int.min !filled (n - !filled) in
-    Bytes.blit b 0 b !filled len;
-    filled := !filled + len
-  done;
-  b
+  let filled = ref period in
+  while !filled < len do
+    let n = Int.min !filled (len - !filled) in
+    Bytes.blit dst at dst (at + !filled) n;
+    filled := !filled + n
+  done
+
+(* Each block's span is filled where it lies in the store: no staging
+   copy of the file. *)
+let write_pattern store fh ~start ~len =
+  Dfs.File_store.write_with store fh ~off:0 ~len (fun from block boff span ->
+      pattern_into start block ~at:boff ~from ~len:span)
 
 let dirs = 24
 let files_per_dir = 16
@@ -60,7 +66,7 @@ let build prng =
       in
       let size = pick_size prng in
       (* Deterministic contents so replays can verify reads. *)
-      Dfs.File_store.write store fh ~off:0 (pattern fh size);
+      write_pattern store fh ~start:fh ~len:size;
       files := fh :: !files
     done;
     for s = 0 to symlinks_per_dir - 1 do

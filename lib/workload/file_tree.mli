@@ -7,9 +7,11 @@ type t
 val build : Sim.Prng.t -> t
 (** 24 directories of 16 files and 2 symbolic links each. *)
 
-val pattern : int -> int -> bytes
-(** [pattern start n]: [n] bytes, byte [i] being [(start + i) land 0xFF]
-    — every file's contents, so a replay can verify what it reads. *)
+val write_pattern : Dfs.File_store.t -> int -> start:int -> len:int -> unit
+(** [write_pattern store fh ~start ~len] writes [len] bytes at offset 0
+    of the file, byte [i] being [(start + i) land 0xFF], straight into
+    its blocks. Every tree file [fh] holds the [start = fh] pattern, so
+    a replay can verify what it reads. *)
 
 val store : t -> Dfs.File_store.t
 val file_count : t -> int

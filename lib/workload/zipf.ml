@@ -1,6 +1,17 @@
-(* Zipf-distributed sampling for skewed file popularity. *)
+(* Zipf-distributed sampling for skewed file popularity.
 
-type t = { cdf : float array }
+   A draw [u] maps to the first rank whose CDF covers it.  A guide
+   table (cut-point index) cuts [0, 1] into [n] equal buckets by [u *.
+   n], truncated, and keeps for each bucket the first rank whose CDF
+   lies in that bucket or a later one: every [u] of the bucket needs at
+   least that rank, so a draw starts there and steps up, about one step
+   on average, where a binary search took log n.  The bucket is
+   computed by the same float operation at both ends, so the table is
+   exact with no rounding margin. *)
+
+type t = { cdf : float array; cuts : float; guide : int array }
+
+let bucket cuts x = int_of_float (x *. cuts)
 
 let create ?(exponent = 1.05) n =
   if n <= 0 then invalid_arg "Zipf.create: need a positive population";
@@ -16,15 +27,24 @@ let create ?(exponent = 1.05) n =
       cdf.(i) <- !acc)
     weights;
   cdf.(n - 1) <- 1.0;
-  { cdf }
+  let cuts = float_of_int n in
+  (* Bucket [n] holds only a draw of 1.0, or one that rounds there. *)
+  let guide = Array.make (n + 1) 0 in
+  let rank = ref 0 in
+  for j = 0 to n do
+    while bucket cuts cdf.(!rank) < j do
+      incr rank
+    done;
+    guide.(j) <- !rank
+  done;
+  { cdf; cuts; guide }
 
-let sample t prng =
-  let u = Sim.Prng.float prng in
-  (* Binary search for the first index whose cdf covers u. *)
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if t.cdf.(mid) < u then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Array.length t.cdf - 1)
+let index t u =
+  let rank = ref t.guide.(bucket t.cuts u) in
+  while t.cdf.(!rank) < u do
+    incr rank
+  done;
+  !rank
+
+let sample t prng = index t (Sim.Prng.float prng)
+let cdf t = Array.copy t.cdf

@@ -7,4 +7,14 @@ val create : ?exponent:float -> int -> t
     (default exponent 1.05). *)
 
 val sample : t -> Sim.Prng.t -> int
-(** A rank in [\[0, n)], low ranks most popular. *)
+(** A rank in [\[0, n)], low ranks most popular: {!index} of one uniform
+    draw. *)
+
+val index : t -> float -> int
+(** [index t u], for [u] in [\[0, 1\]]: the first rank whose CDF is at
+    least [u], found through a guide table in O(1) expected steps.
+    Test-only: the Zipf tests hold it to a binary search over {!cdf}. *)
+
+val cdf : t -> float array
+(** A copy of the cumulative distribution, rank by rank; the last is 1.
+    Test-only: the Zipf tests search it for the reference answer. *)

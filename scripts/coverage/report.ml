@@ -132,8 +132,8 @@ let allow =
     ("lib/nameserver/reconciler.ml:merge:", "a merge with under two shards, or a later pair lighter than the first");
     ("lib/nameserver/reconciler.ml:rebalance_once:", "no load, or a skew under threshold");
     ("lib/nameserver/reconciler.ml:register:", "a bucket no shard covers: the map is total");
+    ("lib/nameserver/reconciler.ml:register_request:", "a registration that does not decode");
     ("lib/nameserver/reconciler.ml:retire:", "a moved record no longer in the source mirror");
-    ("lib/nameserver/reconciler.ml:serve_registrations:", "a registration that does not decode");
     ("lib/nameserver/reconciler.ml:split:", "an unknown shard, or one bucket wide");
     ("lib/nameserver/shard_clerk.ml:attempt:", "a stale miss with no forward to patch from");
     ("lib/nameserver/shard_clerk.ml:epoch:", "the epoch before any map");

@@ -100,8 +100,9 @@ let words_per_op ~n op =
   (allocated () -. w0) /. float_of_int n
 
 (* An allocation budget: prints the figure beside its budget on one line,
-   "budget: WHAT: W words (at most B)", the form scripts/allocs.sh
-   collects, and fails the test case when the figure is over it. *)
+   "budget: WHAT: W words (at most B)", B in plain digits even in the
+   millions, the form scripts/allocs.sh collects, and fails the test
+   case when the figure is over it. *)
 let within_budget what ~words ~budget =
-  Printf.printf "budget: %s: %.2f words (at most %g)\n" what words budget;
+  Printf.printf "budget: %s: %.2f words (at most %.12g)\n" what words budget;
   Alcotest.(check bool) (what ^ " within budget") true (words <= budget)

@@ -49,6 +49,40 @@ let space_demand_zero () =
   let b = Cluster.Address_space.read s ~addr:123456 ~len:64 in
   Alcotest.(check bytes) "zeros" (Bytes.make 64 '\000') b
 
+(* A write that covers whole pages it creates fills them from its
+   source alone: they read back exactly, the partial pages at its two
+   ends keep zeros outside it, and the pages around it read as zeros. *)
+let space_whole_page_write () =
+  let s = space () in
+  let page = Cluster.Address_space.page_size s in
+  let len = (2 * page) + 300 in
+  let data = Bytes.init len (fun i -> Char.chr (1 + (i mod 251))) in
+  let addr = (4 * page) - 100 in
+  Cluster.Address_space.write s ~addr data;
+  Alcotest.(check bytes) "reads back" data
+    (Cluster.Address_space.read s ~addr ~len);
+  check_int "four pages resident" 4 (Cluster.Address_space.resident_pages s);
+  let zeros n = Bytes.make n '\000' in
+  Alcotest.(check bytes) "before it, in its first page" (zeros (page - 100))
+    (Cluster.Address_space.read s ~addr:(3 * page) ~len:(page - 100));
+  let stop = addr + len in
+  Alcotest.(check bytes) "after it, in its last page"
+    (zeros ((7 * page) - stop))
+    (Cluster.Address_space.read s ~addr:stop ~len:((7 * page) - stop));
+  Alcotest.(check bytes) "the pages around it" (zeros page)
+    (Cluster.Address_space.read s ~addr:(2 * page) ~len:page);
+  Alcotest.(check bytes) "the page after it" (zeros page)
+    (Cluster.Address_space.read s ~addr:(7 * page) ~len:page);
+  (* A first write of exactly one whole page. *)
+  let one = Bytes.init page (fun i -> Char.chr (255 - (i mod 200))) in
+  Cluster.Address_space.write s ~addr:(10 * page) one;
+  Alcotest.(check bytes) "one whole page" one
+    (Cluster.Address_space.read s ~addr:(10 * page) ~len:page);
+  Alcotest.(check bytes) "its neighbours" (zeros (2 * page))
+    (Bytes.cat
+       (Cluster.Address_space.read s ~addr:(9 * page) ~len:page)
+       (Cluster.Address_space.read s ~addr:(11 * page) ~len:page))
+
 let space_cross_page () =
   let s = space () in
   let page = Cluster.Address_space.page_size s in
@@ -305,4 +339,6 @@ let suite =
     QCheck_alcotest.to_alcotest proc_cost_matches_float;
     QCheck_alcotest.to_alcotest space_roundtrip;
     QCheck_alcotest.to_alcotest space_offset_blits;
+    Alcotest.test_case "space whole-page first write" `Quick
+      space_whole_page_write;
   ]

@@ -261,6 +261,19 @@ let experiments_md_quotes_reports () =
             (String.concat "\n" quoted ^ "\n"))
     reports
 
+(* One fixture build: the store's blocks, the server's warmed pages and
+   the testbed, each byte copied once on its way, and a sim clock that
+   ends where the bootstrap round trips leave it. *)
+let fixture_create_budget () =
+  let clock = ref 0. in
+  let words =
+    Rig.words_per_op ~n:2 (fun () ->
+        let f = Experiments.Fixture.create () in
+        clock := Sim.Time.to_us (Experiments.Fixture.now f))
+  in
+  Alcotest.(check (float 0.0005)) "sim clock at the end, us" 204_498.896 !clock;
+  Rig.within_budget "fixture create" ~words ~budget:3_096_400.
+
 let suite =
   [
     Alcotest.test_case "Table 2 within 15% of paper" `Slow table2_within_band;
@@ -295,4 +308,6 @@ let suite =
       Alcotest.test_case "report JSON round-trips" `Slow json_round_trips;
       Alcotest.test_case "EXPERIMENTS.md quotes every report" `Slow
         experiments_md_quotes_reports;
+      Alcotest.test_case "fixture create allocation budget" `Quick
+        fixture_create_budget;
     ]

@@ -12,6 +12,44 @@ let zipf_bounds =
       let v = Workload.Zipf.sample z prng in
       v >= 0 && v < n)
 
+(* The guide table is exact: for every draw it answers what a binary
+   search over the CDF answers, on every CDF value, on each side of it,
+   on every bucket edge and on 100k random draws. *)
+let zipf_guide_matches_search () =
+  List.iter
+    (fun (n, exponent) ->
+      let z = Workload.Zipf.create ~exponent n in
+      let cdf = Workload.Zipf.cdf z in
+      let search u =
+        let rec go lo hi =
+          if lo >= hi then lo
+          else
+            let mid = (lo + hi) / 2 in
+            if cdf.(mid) < u then go (mid + 1) hi else go lo mid
+        in
+        go 0 (n - 1)
+      in
+      let agree u =
+        if u >= 0. && u < 1. && Workload.Zipf.index z u <> search u then
+          Alcotest.failf "n = %d, exponent %g: u = %h: guide %d, search %d" n
+            exponent u (Workload.Zipf.index z u) (search u)
+      in
+      Array.iter
+        (fun c -> List.iter agree [ Float.pred c; c; Float.succ c ])
+        cdf;
+      for j = 0 to n do
+        let edge = float_of_int j /. float_of_int n in
+        List.iter agree [ Float.pred edge; edge; Float.succ edge ]
+      done;
+      agree 0.;
+      agree (Float.pred 1.);
+      let prng = Sim.Prng.create (n + int_of_float (exponent *. 100.)) in
+      for _ = 1 to 100_000 do
+        agree (Sim.Prng.float prng)
+      done)
+    [ (1, 1.05); (8, 1.05); (256, 1.05); (384, 1.05);
+      (1, 1.5); (8, 1.5); (256, 1.5); (384, 1.5) ]
+
 let zipf_skew () =
   let z = Workload.Zipf.create 100 in
   let prng = Sim.Prng.create 5 in
@@ -64,6 +102,35 @@ let tree_is_well_formed () =
   check_bool "picked a regular file with contents" true
     (attr.Dfs.File_store.kind = Dfs.File_store.Regular
     && attr.Dfs.File_store.size > 0)
+
+(* Every file the tree builds holds exactly its pattern: byte [i] of
+   file [fh] is [(fh + i) land 0xFF], for its whole size. *)
+let tree_files_hold_their_pattern () =
+  let tree = Workload.File_tree.build (Sim.Prng.create 7_000_021) in
+  let store = Workload.File_tree.store tree in
+  let files = ref 0 in
+  let rec walk dir =
+    List.iter
+      (fun (_, fh) ->
+        let attr = Dfs.File_store.getattr store fh in
+        match attr.Dfs.File_store.kind with
+        | Dfs.File_store.Regular ->
+            incr files;
+            let size = attr.Dfs.File_store.size in
+            let expected =
+              Bytes.init size (fun i -> Char.chr ((fh + i) land 0xFF))
+            in
+            if
+              not
+                (Bytes.equal expected
+                   (Dfs.File_store.read store fh ~off:0 ~count:(size + 100)))
+            then Alcotest.failf "file %d (%d bytes) is not its pattern" fh size
+        | Dfs.File_store.Directory -> walk fh
+        | Dfs.File_store.Symlink -> ())
+      (Dfs.File_store.readdir store dir)
+  in
+  walk (Dfs.File_store.root store);
+  check_int "every file checked" (Workload.File_tree.file_count tree) !files
 
 let trace_respects_mix () =
   let prng = Sim.Prng.create 23 in
@@ -121,4 +188,8 @@ let suite =
     Alcotest.test_case "trace events executable" `Quick trace_events_are_executable;
     Alcotest.test_case "traffic ratios in band" `Quick traffic_ratios_in_band;
     QCheck_alcotest.to_alcotest zipf_bounds;
+    Alcotest.test_case "file tree files hold their pattern" `Quick
+      tree_files_hold_their_pattern;
+    Alcotest.test_case "zipf guide table matches binary search" `Quick
+      zipf_guide_matches_search;
   ]
