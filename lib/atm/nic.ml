@@ -12,9 +12,11 @@
    longer matches its payload counts a receive error and is discarded —
    corruption surfaces as loss, never as silent bad data.
 
-   The receive FIFO is a frame ring with one reader.  A reader that
-   finds it empty parks, and the next frame to arrive is handed straight
-   to it, never queued (so it is not pending), and the reader unparked.
+   The receive FIFO is a frame ring with one reader, a callback waiter
+   (the node's dispatch, which runs at interrupt level).  A reader that
+   finds the FIFO empty listens, and the next frame to arrive is handed
+   straight to it, never queued (so it is not pending): the reader's
+   callback is scheduled at the arrival instant, and reads the frame.
    The handoff slot gets [vacant] back once taken, as a popped ring slot
    does, so neither keeps a frame alive. *)
 
@@ -26,9 +28,9 @@ type t = {
   mutable route : Addr.t -> Link.t option;
   rx : Frame.ring;
   rx_label : Sim.Engine.label;
-  mutable reader : Sim.Proc.t option; (* the last process to park here *)
-  mutable parked : bool; (* [reader] waits in [receive] for a handoff *)
-  mutable handed : Frame.t;
+  mutable reader : Sim.Proc.t; (* the last reader to listen here *)
+  mutable listening : bool; (* [reader] waits to be handed a frame *)
+  mutable handed : Frame.t; (* handed to [reader], not yet read *)
   pool : Frame.pool; (* the network's *)
   mutable rx_cells_pending : int;
   mutable frames_tx : int;
@@ -50,8 +52,8 @@ let create config ~pool addr =
     route = no_route;
     rx = Frame.ring ();
     rx_label = Sim.Engine.Quoted ("ring", Addr.to_string addr ^ " rx fifo");
-    reader = None;
-    parked = false;
+    reader = Sim.Proc.nobody;
+    listening = false;
     handed = vacant;
     pool;
     rx_cells_pending = 0;
@@ -100,34 +102,34 @@ let deliver t frame =
     Obs.Trace.frame_delivered (Frame.ctx frame) ~node:(Addr.to_int t.addr);
     t.rx_cells_pending <- t.rx_cells_pending + cells;
     t.frames_rx <- t.frames_rx + 1;
-    match t.reader with
-    | Some reader when t.parked ->
-        t.parked <- false;
-        t.handed <- frame;
-        Sim.Proc.unpark reader
-    | Some _ | None -> Frame.ring_push t.rx frame
+    if t.listening then begin
+      t.listening <- false;
+      t.handed <- frame;
+      Sim.Proc.unpark t.reader
+    end
+    else Frame.ring_push t.rx frame
   end
 
-(* The reader names itself once: its [Some] is built when another
-   process reads, not per park. *)
-let take_handoff t =
-  if t.parked then invalid_arg "Nic.receive: the receive FIFO has one reader";
-  let me = Sim.Proc.self () in
-  (match t.reader with
-  | Some reader when reader == me -> ()
-  | Some _ | None -> t.reader <- Some me);
-  t.parked <- true;
-  Sim.Proc.park ~resource:t.rx_label ~daemon:true;
-  let frame = t.handed in
-  t.handed <- vacant;
-  frame
+let none = vacant
 
-let receive t =
-  let frame =
-    if Frame.ring_length t.rx > 0 then Frame.ring_pop t.rx else take_handoff t
-  in
+let taken t frame =
   t.rx_cells_pending <- t.rx_cells_pending - Aal.cells_of_len (Frame.length frame);
   frame
+
+let read t reader =
+  if t.listening then invalid_arg "Nic.read: the receive FIFO has one reader";
+  if t.handed != vacant then begin
+    let frame = t.handed in
+    t.handed <- vacant;
+    taken t frame
+  end
+  else if Frame.ring_length t.rx > 0 then taken t (Frame.ring_pop t.rx)
+  else begin
+    t.reader <- reader;
+    t.listening <- true;
+    Sim.Proc.listen reader ~resource:t.rx_label ~daemon:true;
+    none
+  end
 
 let pending_frames t = Frame.ring_length t.rx
 

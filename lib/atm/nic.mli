@@ -36,19 +36,26 @@ val send : ?ctx:Obs.Ctx.t -> t -> dst:Addr.t -> Frame.t -> unit
 
 val deliver : t -> Frame.t -> unit
 (** Called by links at frame arrival; queues into the receive FIFO, or
-    hands the frame straight to a reader blocked on it. A frame whose
-    AAL checksum no longer matches its payload is discarded
-    as a receive error ({!crc_errors}) — corruption surfaces as loss. *)
+    hands the frame straight to a listening reader, scheduling its
+    callback now. A frame whose AAL checksum no longer matches its
+    payload is discarded as a receive error ({!crc_errors}) —
+    corruption surfaces as loss. *)
 
-val receive : t -> Frame.t
-(** Drain the oldest received frame, blocking the calling process while
-    the FIFO is empty. The FIFO has one reader at a time: a second
-    process calling while the first is blocked raises
-    [Invalid_argument]. *)
+val none : Frame.t
+(** What {!read} returns when it has no frame: no received frame is it. *)
+
+val read : t -> Sim.Proc.t -> Frame.t
+(** [read t reader] drains the next received frame: the one handed to
+    [reader], else the oldest queued. With none, it returns {!none} and
+    [reader], a {!Sim.Proc.callback} waiter, listens (recorded as a
+    daemon wait): the next frame to arrive is handed to it and its
+    callback scheduled at the arrival instant, which reads that frame
+    with [read]. The FIFO has one reader at a time: reading while a
+    reader listens raises [Invalid_argument]. *)
 
 val pending_frames : t -> int
 (** Frames queued in the receive FIFO. A frame handed straight to a
-    blocked reader is not pending. *)
+    listening reader is not pending. *)
 
 (** {1 Statistics} *)
 

@@ -3,12 +3,34 @@
 
    The per-category totals are the raw material of the paper's Figure 3
    (server CPU broken into data reception / control transfer / procedure
-   invocation / data reply) and of the "50% server load" headline. *)
+   invocation / data reply) and of the "50% server load" headline.
+
+   A charge takes two forms with one schedule.  A process's [use]
+   acquires the CPU and waits out the span.  An interrupt-level
+   handler's [charge] acquires it for a callback waiter (queued behind
+   the processes, in the same FIFO, when the CPU is busy), then
+   schedules the charger's prebuilt [finish] at the end of the span,
+   where the process's wait would end: the same events at the same
+   instants, and no continuation.  What a charge needs after its span
+   (its category, span and next step, a top-level function applied to
+   the charger's [arg]) waits in the charger's fields, so a charge
+   allocates nothing.  Both forms book the span in [book]. *)
 
 type t = {
   resource : Sim.Resource.t;
   account : Metrics.Account.t;
   mutable busy : Sim.Time.t;
+}
+
+type 'a charger = {
+  cpu : t;
+  engine : Sim.Engine.t;
+  arg : 'a;
+  mutable waiter : Sim.Proc.t; (* its callback begins the span *)
+  finish : unit -> unit;
+  mutable category : string;
+  mutable span : Sim.Time.t;
+  mutable next : 'a -> unit;
 }
 
 (* Category names used across the system; keeping them here avoids
@@ -27,6 +49,10 @@ let create ?(name = "cpu") () =
     busy = Sim.Time.zero;
   }
 
+let book t ~category span =
+  t.busy <- Sim.Time.add t.busy span;
+  Metrics.Account.add_us_of_ns t.account ~category (Sim.Time.to_ns span)
+
 let use t ~category duration =
   if duration < 0 then invalid_arg "Cpu.use: negative duration";
   (* [Resource.with_resource] inlined: its closure would be allocated on
@@ -34,13 +60,38 @@ let use t ~category duration =
   Sim.Resource.acquire t.resource;
   match
     Sim.Proc.wait duration;
-    t.busy <- Sim.Time.add t.busy duration;
-    Metrics.Account.add_us_of_ns t.account ~category (Sim.Time.to_ns duration)
+    book t ~category duration
   with
   | () -> Sim.Resource.release t.resource
   | exception exn ->
       Sim.Resource.release t.resource;
       raise exn
+
+let begin_span c =
+  Sim.Engine.schedule_at c.engine
+    (Sim.Time.add (Sim.Engine.now c.engine) c.span)
+    c.finish
+
+let finish c =
+  book c.cpu ~category:c.category c.span;
+  Sim.Resource.release c.cpu.resource;
+  c.next c.arg
+
+let charger t engine who arg =
+  let rec c =
+    { cpu = t; engine; arg; waiter = Sim.Proc.nobody;
+      finish = (fun () -> finish c); category = cat_emulation;
+      span = Sim.Time.zero; next = ignore }
+  in
+  c.waiter <- Sim.Proc.callback engine who (fun () -> begin_span c);
+  c
+
+let charge c ~category span next =
+  if span < 0 then invalid_arg "Cpu.charge: negative duration";
+  c.category <- category;
+  c.span <- span;
+  c.next <- next;
+  if Sim.Resource.acquire_by c.cpu.resource c.waiter then begin_span c
 
 let busy_time t = t.busy
 let account t = t.account

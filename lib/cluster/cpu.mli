@@ -13,6 +13,25 @@ val use : t -> category:string -> Sim.Time.t -> unit
     and attribute the time (in microseconds) to [category]. Must be
     called from within a simulation process. *)
 
+type 'a charger
+(** The CPU as code outside every process charges it: an interrupt-level
+    handler's chain of steps, each a function of the charger's ['a]. *)
+
+val charger : t -> Sim.Engine.t -> Sim.Engine.label -> 'a -> 'a charger
+(** [charger t engine who arg]: a charger on the CPU whose steps take
+    [arg], named in the engine's registry (and so in a deadlock report)
+    as [who] while it waits for the CPU. *)
+
+val charge : 'a charger -> category:string -> Sim.Time.t -> ('a -> unit) -> unit
+(** [charge c ~category span next] occupies the CPU for [span] as {!use}
+    would, with the same events at the same instants and in the same
+    FIFO order among processes and chargers, attributes it to
+    [category], and then, in the event that ends the span, releases the
+    CPU and applies [next] (a top-level function, so that a charge
+    builds no closure) to the charger's argument. It returns at once
+    and suspends nothing. The charger holds one charge at a time: [next]
+    may charge again. *)
+
 val busy_time : t -> Sim.Time.t
 val account : t -> Metrics.Account.t
 

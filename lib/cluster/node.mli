@@ -2,11 +2,12 @@
     protocol demultiplexer.
 
     Protocols claim tag bytes (the first byte of every frame payload);
-    the node's receive-dispatcher process routes each inbound frame to
-    the owning protocol's handler. Handlers do bounded interrupt-level
-    work inline and spawn processes for longer service. A handler must
-    not keep the payload past its return: the frame is then released
-    ({!Atm.Frame.release}) and a pooled one is reused. *)
+    the node routes each inbound frame, in arrival order, to the owning
+    protocol's handler. An interrupt-level handler runs outside every
+    process, from the event that takes its frame; a process-level one
+    runs in the node's receive-dispatcher process and may block. A
+    handler must not keep the payload past its end: the frame is then
+    released ({!Atm.Frame.release}) and a pooled one is reused. *)
 
 type t
 
@@ -28,8 +29,26 @@ val spawn : ?name:string -> t -> (unit -> unit) -> unit
 val new_address_space : t -> Address_space.t
 
 val set_handler : t -> tag:int -> handler -> unit
-(** Claim a protocol tag byte. Raises [Invalid_argument] if already
-    claimed or out of [0..255]. *)
+(** Claim a protocol tag byte for a process-level handler: it runs in
+    the receive-dispatcher process, and the next frame is taken when it
+    returns. Raises [Invalid_argument] if already claimed or out of
+    [0..255]. *)
+
+val set_interrupt_handler : t -> tag:int -> handler -> unit
+(** {!set_handler} for an interrupt-level handler: it runs in the event
+    that takes its frame, outside every process, and must not block. It
+    charges the CPU with {!Cpu.charge} on a {!charger}, one step after
+    another, and after its last step calls {!dispatched} once; the next
+    frame is taken only then. *)
+
+val charger : t -> 'a -> 'a Cpu.charger
+(** A charger on the node's CPU for an interrupt-level handler whose
+    steps take the argument; while it waits for the CPU it is listed as
+    the node's rx-dispatcher. *)
+
+val dispatched : t -> unit
+(** End the running interrupt-level handler: release its frame and
+    dispatch the next one. *)
 
 val transmit : ?ctx:Obs.Ctx.t -> t -> dst:Atm.Addr.t -> bytes -> unit
 (** Hand a payload (whose first byte must be a claimed-by-someone tag on
@@ -41,7 +60,8 @@ val transmit_frame :
     The receiving node releases it once its handler returns. *)
 
 val start : t -> unit
-(** Start the receive dispatcher. Idempotent. *)
+(** Start the receive dispatcher: take received frames from now on.
+    Idempotent. *)
 
 (** {1 Event stream}
 

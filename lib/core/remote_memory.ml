@@ -147,6 +147,36 @@ type Cluster.Node.event +=
   | Refused
   | Revalidated
 
+(* The frame a node is serving, with its fields as {!Wire.dispatch}
+   read them, and how far its handler has got.  The handlers run at
+   interrupt level, as chains of CPU charges, and a node serves one
+   frame at a time, so this one record carries each handler's state
+   across its charges.  Which fields a handler uses is said at the
+   handler. *)
+type rx = {
+  mutable src : Atm.Addr.t;
+  mutable seg : int;
+  mutable gen : Generation.t;
+  mutable off : int;
+  mutable count : int;
+  mutable notify : bool;
+  mutable swab : bool;
+  mutable payload : bytes;
+  mutable pos : int;
+  mutable len : int;
+  mutable reqid : int;
+  mutable status : Status.t;
+  mutable old_value : int;
+  mutable new_value : int;
+  mutable witness : int;
+  mutable items : Wire.burst_item list;
+  mutable extents : (int * Wire.view) list; (* newest first *)
+  mutable segment : Segment.t;
+  mutable reply : Atm.Frame.t;
+  mutable pending : completion;
+  mutable sv : Obs.Trace.serve option;
+}
+
 type t = {
   node : Cluster.Node.t;
   frames : Atm.Frame.pool; (* the network's, for the in-place frames *)
@@ -173,6 +203,9 @@ type t = {
   (* where fences deposit the word they read and discard, in a space
      never registered in the node, so fencing does not grow it; also the
      [buf] of a CAS that deposits nothing *)
+  rx : rx;
+  mutable irq : t Cluster.Cpu.charger option;
+  (* the CPU as the serve side's steps charge it, from {!attach} on *)
 }
 
 (* Events go out on the node's stream.  Every site that builds an event
@@ -237,9 +270,41 @@ let rx_ctrl_cost c payload_bytes =
    the node's lifetime. *)
 let scratch_space () = Cluster.Address_space.create ~asid:0 ()
 
+(* A completion record, blank until [take] fills it. *)
+let blank pool ~desc ~buf =
+  { pool; desc; cas = false; off = 0; count = 0; buf; doff = 0; notify = false;
+    old_value = 0; reqid = 0; received = 0; chunks = Bytes.empty;
+    outcome = empty; wait = Sim.Wait.create (); holds = 0;
+    span = Sim.Time.zero; arm = unarmed; expire = unarmed }
+
+(* The in-service record of a node, its fields placeholders until the
+   first frame. *)
+let rx node completions fence_buf completion_fd =
+  let addr = Cluster.Node.addr node in
+  {
+    src = addr; seg = 0; gen = Generation.initial; off = 0; count = 0;
+    notify = false; swab = false; payload = Bytes.empty; pos = 0; len = 0;
+    reqid = 0; status = Status.Ok; old_value = 0; new_value = 0; witness = 0;
+    items = []; extents = [];
+    segment =
+      Segment.create ~id:0 ~name:"" ~space:fence_buf.space ~base:0 ~len:1
+        ~generation:Generation.initial ~default_rights:Rights.read_only
+        ~notification:completion_fd ~policy:Segment.Conditional;
+    reply = Atm.Nic.none;
+    pending =
+      blank completions ~buf:fence_buf
+        ~desc:
+          (Descriptor.create ~remote:addr ~segment_id:0
+             ~generation:Generation.initial ~size:1 ~rights:Rights.read_only);
+    sv = None;
+  }
+
 (* The state of a node's remote memory; {!attach} also claims the
    protocol's frame tags, once the handlers are defined. *)
 let create node =
+  let completions = { free = [||]; top = 0 } in
+  let completion_fd = Notification.create ~name:"completion fd" node in
+  let fence_buf = buffer ~space:(scratch_space ()) ~base:0 ~len:4 in
   {
     node;
     frames = Atm.Nic.pool (Cluster.Node.nic node);
@@ -250,16 +315,18 @@ let create node =
     next_segment_id = 1;
     next_generation = Generation.initial;
     pending = Sim.Int_table.create 16;
-    completions = { free = [||]; top = 0 };
+    completions;
     next_reqid = 1;
-    completion_fd = Notification.create ~name:"completion fd" node;
+    completion_fd;
     ops = Metrics.Account.create ~name:"rmem ops" ();
     data_bytes = Metrics.Account.create ~name:"rmem bytes" ();
     errors = Metrics.Account.create ~name:"rmem errors" ();
     crypto = None;
     write_failures = Sim.Int_table.create 4;
     recovery_depth = 0;
-    fence_buf = buffer ~space:(scratch_space ()) ~base:0 ~len:4;
+    fence_buf;
+    rx = rx node completions fence_buf completion_fd;
+    irq = None;
   }
 
 let node t = t.node
@@ -313,10 +380,10 @@ let charge_crypto t ~category bytes =
   | None -> ()
   | Some crypto -> Cluster.Cpu.use (cpu t) ~category (Crypto.cost crypto ~bytes)
 
-(* Received data as it is deposited: the view into the frame itself,
-   unless decryption or the swab bit transforms it into a fresh buffer. *)
-let received t ~category ~swab (v : Wire.view) =
-  charge_crypto t ~category v.Wire.len;
+(* Received data as it is deposited, once its decryption is charged:
+   the view into the frame itself, unless decryption or the swab bit
+   transforms it into a fresh buffer. *)
+let received t ~swab (v : Wire.view) =
   let v = crypt t v in
   if swab then Wire.view (Wire.swap_words ~pos:v.Wire.pos ~len:v.Wire.len v.Wire.buf)
   else v
@@ -327,11 +394,11 @@ let deposit space ~addr (v : Wire.view) =
 
 (* [received] then [deposit] for the [len] bytes of a frame from [pos],
    building no view when the data is deposited as it came. *)
-let deposit_received t ~category ~swab space ~addr buf ~pos ~len =
+let deposit_received t ~swab space ~addr buf ~pos ~len =
   match t.crypto with
   | None when not swab ->
       Cluster.Address_space.write_from space ~addr buf ~pos ~len
-  | _ -> deposit space ~addr (received t ~category ~swab { Wire.buf; pos; len })
+  | _ -> deposit space ~addr (received t ~swab { Wire.buf; pos; len })
 
 (* ------------------------------------------------------------------ *)
 (* Segment export / revoke / import.                                   *)
@@ -435,7 +502,7 @@ let alloc_reqid t =
 
 let burst_data_bytes c = c.Cluster.Costs.burst_cells * Wire.data_bytes_per_cell
 
-let outside buf ~off ~len = off < 0 || off + len > buf.len
+let outside (buf : buffer) ~off ~len = off < 0 || off + len > buf.len
 
 (* The prologue every meta-instruction shares.  It validates the
    descriptor for [off, count] (or for each extent of a burst), then
@@ -619,11 +686,7 @@ let take t ~desc ~cas ~off ~count ~buf ~doff ~notify ~old_value ~timed =
       p.top <- p.top - 1;
       p.free.(p.top)
     end
-    else
-      { pool = p; desc; cas; off; count; buf; doff; notify; old_value;
-        reqid = 0; received = 0; chunks = Bytes.empty; outcome = empty;
-        wait = Sim.Wait.create (); holds = 0;
-        span = Sim.Time.zero; arm = unarmed; expire = unarmed }
+    else blank p ~desc ~buf
   in
   c.desc <- desc;
   c.cas <- cas;
@@ -953,6 +1016,36 @@ let restart_exports ?(preserve = []) t =
 (* ------------------------------------------------------------------ *)
 (* Service side: incoming requests.                                    *)
 
+(* The seven handlers below run at interrupt level, as the paper's
+   kernel serves a request: from the event that takes the frame, with
+   no process.  Each is a chain of steps.  A step that charges the CPU
+   ([charge], on the charger [t.irq]) ends there, and its next step
+   runs in the event that ends the span, where a process's [Cpu.use]
+   would have returned; what the next step needs waits in [t.rx].  The
+   last step ends the dispatch ([served]), and the node then takes its
+   next frame.  So a frame is served with the events, instants and CPU
+   order of a process running the same code, and costs no
+   continuation.  The handlers take the frame's fields as
+   {!Wire.dispatch} reads them in place, and every step and helper is a
+   top-level function: serving a request allocates no closure, option
+   or message record. *)
+
+let charge t ~category span next =
+  match t.irq with
+  | Some irq -> Cluster.Cpu.charge irq ~category span next
+  | None -> invalid_arg "Remote_memory: serving before attach"
+
+(* [next] once [bytes] received bytes' decryption is charged: at once
+   without a key. *)
+let charge_crypto_then t ~category bytes next =
+  match t.crypto with
+  | None -> next t
+  | Some crypto -> charge t ~category (Crypto.cost crypto ~bytes) next
+
+let served t =
+  Obs.Trace.serve_end t.rx.sv;
+  Cluster.Node.dispatched t.node
+
 let record_error t status =
   Metrics.Account.add t.errors ~category:(Status.to_string status) 1.
 
@@ -978,72 +1071,102 @@ let serve_status t ~src ~seg ~gen ~off ~count op =
       then Status.Unpinned
       else Status.Ok
 
-(* The serve handlers below take the frame's fields as {!Wire.dispatch}
-   reads them in place, and every helper they call is a top-level
-   function: serving a request allocates no closure, option or message
-   record. *)
+let nacked t =
+  let rx = t.rx in
+  Cluster.Node.transmit
+    ?ctx:(Obs.Trace.serve_ctx rx.sv ~label:"nack")
+    t.node ~dst:rx.src
+    (Wire.encode
+       (Wire.Write_nack
+          { status = rx.status; seg = rx.seg; gen = rx.gen; off = rx.off;
+            count = rx.count }));
+  served t
 
 (* A write this node cannot apply is data silently lost unless the
    issuer hears about it: report the drop with a negative ack (the
-   success path stays unacknowledged, as in the paper). *)
-let nack_write t sv src ~seg ~gen ~off ~count status =
+   success path stays unacknowledged, as in the paper).  Uses [src],
+   [seg], [gen]; sets [off], [count] and [status] to the nack's. *)
+let nack_write t ~off ~count status =
+  let rx = t.rx in
   record_error t status;
   if observed t then
     emit t
       (Serve_rejected
-         { op = Rights.Write_op; src; seg; gen; off; count; status });
-  Obs.Trace.serve_arg sv "status" (Status.to_string status);
-  Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
-    (tx_ctrl_cost (costs t) 12);
-  Cluster.Node.transmit
-    ?ctx:(Obs.Trace.serve_ctx sv ~label:"nack")
-    t.node ~dst:src
-    (Wire.encode (Wire.Write_nack { status; seg; gen; off; count }));
-  Obs.Trace.serve_end sv
+         { op = Rights.Write_op; src = rx.src; seg = rx.seg; gen = rx.gen; off;
+           count; status });
+  Obs.Trace.serve_arg rx.sv "status" (Status.to_string status);
+  rx.off <- off;
+  rx.count <- count;
+  rx.status <- status;
+  charge t ~category:t.tx_reply_category (tx_ctrl_cost (costs t) 12) nacked
 
+let write_decrypted t =
+  let rx = t.rx in
+  let segment = rx.segment and len = rx.count in
+  deposit_received t ~swab:rx.swab (Segment.space segment)
+    ~addr:(Segment.base segment + rx.off)
+    rx.payload ~pos:rx.pos ~len;
+  Metrics.Account.add_int t.data_bytes ~category:"write served" len;
+  let notified = Segment.should_notify segment ~requested:rx.notify in
+  if observed t then emit t
+    (Served
+       {
+         op = Rights.Write_op;
+         src = rx.src;
+         segment;
+         off = rx.off;
+         count = len;
+         notified;
+         cas_success = None;
+       });
+  (if notified then
+     Notification.post
+       ?ctx:(Obs.Trace.serve_ctx rx.sv ~label:"notify")
+       (Segment.notification segment)
+       {
+         Notification.src = rx.src;
+         kind = Notification.Write_arrived;
+         off = rx.off;
+         count = len;
+       });
+  served t
+
+let write_received t =
+  let rx = t.rx in
+  match
+    serve_status t ~src:rx.src ~seg:rx.seg ~gen:rx.gen ~off:rx.off
+      ~count:rx.count Rights.Write_op
+  with
+  | Status.Ok ->
+      let segment = Sim.Int_table.find t.exported rx.seg in
+      if Segment.write_inhibited segment then
+        nack_write t ~off:rx.off ~count:rx.count Status.Write_inhibited
+      else begin
+        rx.segment <- segment;
+        charge_crypto_then t ~category:t.rx_request_category rx.count
+          write_decrypted
+      end
+  | status -> nack_write t ~off:rx.off ~count:rx.count status
+
+(* A WRITE: [count] bytes of [payload] from [pos] to [off] of segment
+   [seg] (found in [segment] once checked). *)
 let handle_write t src ~seg ~gen ~off ~notify ~swab payload ~pos ~len =
-  let c = costs t in
-  let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
-  Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
+  let c = costs t and rx = t.rx in
+  rx.src <- src;
+  rx.seg <- seg;
+  rx.gen <- gen;
+  rx.off <- off;
+  rx.count <- len;
+  rx.notify <- notify;
+  rx.swab <- swab;
+  rx.payload <- payload;
+  rx.pos <- pos;
+  rx.sv <- Obs.Trace.serve_begin ~node:(nid t) ~name:"serve";
+  charge t ~category:t.rx_request_category
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c len))
-       c.Cluster.Costs.vm_deliver);
-  match serve_status t ~src ~seg ~gen ~off ~count:len Rights.Write_op with
-  | Status.Ok ->
-      let segment = Sim.Int_table.find t.exported seg in
-      if Segment.write_inhibited segment then
-        nack_write t sv src ~seg ~gen ~off ~count:len Status.Write_inhibited
-      else begin
-        deposit_received t ~category:t.rx_request_category ~swab
-          (Segment.space segment)
-          ~addr:(Segment.base segment + off)
-          payload ~pos ~len;
-        Metrics.Account.add_int t.data_bytes ~category:"write served" len;
-        let notified = Segment.should_notify segment ~requested:notify in
-        if observed t then emit t
-          (Served
-             {
-               op = Rights.Write_op;
-               src;
-               segment;
-               off;
-               count = len;
-               notified;
-               cas_success = None;
-             });
-        (if notified then
-           Notification.post
-             ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
-             (Segment.notification segment)
-             {
-               Notification.src;
-               kind = Notification.Write_arrived;
-               off;
-               count = len;
-             });
-        Obs.Trace.serve_end sv
-      end
-  | status -> nack_write t sv src ~seg ~gen ~off ~count:len status
+       c.Cluster.Costs.vm_deliver)
+    write_received
 
 (* A burst's first extent this node cannot apply, with its status, or
    [None] when every extent can be applied. *)
@@ -1058,18 +1181,12 @@ let rec burst_rejection t src ~seg ~gen = function
           else burst_rejection t src ~seg ~gen rest
       | status -> Some (status, it.off, count))
 
-(* Each extent's data as it is deposited, in frame order. *)
-let rec received_extents t ~swab = function
-  | [] -> []
-  | (it : Wire.burst_item) :: rest ->
-      let data = received t ~category:t.rx_request_category ~swab it.data in
-      (it.off, data) :: received_extents t ~swab rest
-
-(* Deposit extents [i] onwards; the notification, if any, is reported
-   on the last one, [last]. *)
-let rec deposit_extents t src segment ~notified ~last i = function
+(* Deposit [extents], newest first, oldest first; the notification, if
+   any, is reported on the newest. *)
+let rec deposit_extents t src segment ~notified ~newest = function
   | [] -> ()
-  | (off, (data : Wire.view)) :: rest ->
+  | (off, (data : Wire.view)) :: older ->
+      deposit_extents t src segment ~notified ~newest:false older;
       deposit (Segment.space segment) ~addr:(Segment.base segment + off) data;
       let count = data.Wire.len in
       Metrics.Account.add_int t.data_bytes ~category:"write served" count;
@@ -1081,102 +1198,151 @@ let rec deposit_extents t src segment ~notified ~last i = function
              segment;
              off;
              count;
-             notified = notified && i = last;
+             notified = notified && newest;
              cas_success = None;
-           });
-      deposit_extents t src segment ~notified ~last (i + 1) rest
+           })
+
+let deposit_burst t =
+  let rx = t.rx in
+  let segment = rx.segment in
+  let notified = Segment.should_notify segment ~requested:rx.notify in
+  deposit_extents t rx.src segment ~notified ~newest:true rx.extents;
+  (if notified then
+     Notification.post
+       ?ctx:(Obs.Trace.serve_ctx rx.sv ~label:"notify")
+       (Segment.notification segment)
+       {
+         Notification.src = rx.src;
+         kind = Notification.Write_arrived;
+         off = rx.off;
+         count = rx.count;
+       });
+  served t
+
+let rec receive_extents t =
+  match t.rx.items with
+  | [] -> deposit_burst t
+  | (it : Wire.burst_item) :: _ ->
+      charge_crypto_then t ~category:t.rx_request_category it.data.Wire.len
+        extent_decrypted
+
+and extent_decrypted t =
+  let rx = t.rx in
+  match rx.items with
+  | [] -> assert false
+  | (it : Wire.burst_item) :: rest ->
+      rx.extents <- (it.off, received t ~swab:rx.swab it.data) :: rx.extents;
+      rx.items <- rest;
+      receive_extents t
+
+let burst_received t =
+  let rx = t.rx in
+  match rx.items with
+  | [] -> nack_write t ~off:0 ~count:0 Status.Bounds
+  | first :: _ -> (
+      match burst_rejection t rx.src ~seg:rx.seg ~gen:rx.gen rx.items with
+      | Some (status, off, count) -> nack_write t ~off ~count status
+      | None ->
+          rx.segment <- Sim.Int_table.find t.exported rx.seg;
+          rx.off <- first.Wire.off;
+          rx.count <- Wire.burst_payload_bytes rx.items;
+          rx.extents <- [];
+          receive_extents t)
 
 (* Serving a burst: one interrupt and one FIFO drain for the whole
    frame, every extent validated before any byte is deposited (the burst
    applies atomically or not at all — a single nack names the first
-   offending extent), then all deposits happen back-to-back with no CPU
-   charge in between, so in simulated time the burst lands as a unit.
-   At most one notification is raised, covering the whole burst. *)
+   offending extent), then each extent's decryption charged in frame
+   order, then all deposits back-to-back with no CPU charge in between,
+   so in simulated time the burst lands as a unit.  At most one
+   notification is raised, covering the whole burst.  Uses [items]
+   (the extents still to receive) and [extents] (those received); [off]
+   and [count] are the first extent's offset and the burst's bytes. *)
 let handle_write_burst t src ~seg ~gen ~notify ~swab items =
-  let c = costs t in
-  let total = Wire.burst_payload_bytes items in
-  let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
-  Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
+  let c = costs t and rx = t.rx in
+  rx.src <- src;
+  rx.seg <- seg;
+  rx.gen <- gen;
+  rx.notify <- notify;
+  rx.swab <- swab;
+  rx.items <- items;
+  rx.sv <- Obs.Trace.serve_begin ~node:(nid t) ~name:"serve";
+  charge t ~category:t.rx_request_category
     (Sim.Time.add
        (Sim.Time.add c.Cluster.Costs.rx_interrupt
           (rx_burst_cost c (Wire.burst_frame_bytes items)))
-       c.Cluster.Costs.vm_deliver);
-  match items with
-  | [] -> nack_write t sv src ~seg ~gen ~off:0 ~count:0 Status.Bounds
-  | first :: _ -> (
-      match burst_rejection t src ~seg ~gen items with
-      | Some (status, off, count) ->
-          nack_write t sv src ~seg ~gen ~off ~count status
-      | None ->
-          let segment = Sim.Int_table.find t.exported seg in
-          let extents = received_extents t ~swab items in
-          let notified = Segment.should_notify segment ~requested:notify in
-          deposit_extents t src segment ~notified
-            ~last:(List.length extents - 1)
-            0 extents;
-          (if notified then
-             Notification.post
-               ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
-               (Segment.notification segment)
-               {
-                 Notification.src;
-                 kind = Notification.Write_arrived;
-                 off = first.Wire.off;
-                 count = total;
-               });
-          Obs.Trace.serve_end sv)
+       c.Cluster.Costs.vm_deliver)
+    burst_received
 
-let transmit_reply t sv src frame =
+let transmit_reply t frame =
   Cluster.Node.transmit_frame
-    ?ctx:(Obs.Trace.serve_ctx sv ~label:"reply")
-    t.node ~dst:src frame
+    ?ctx:(Obs.Trace.serve_ctx t.rx.sv ~label:"reply")
+    t.node ~dst:t.rx.src frame
 
-(* One READ reply chunk: the one copy of the data, segment memory
-   straight into the reply frame, taken before the copy's CPU is
-   charged. *)
-let send_read_chunk t sv src segment ~soff ~reqid ~swab ~pos ~len =
-  let c = costs t in
-  let f = Wire.read_reply_frame t.frames ~reqid ~chunk_off:pos ~swab ~len in
-  let frame = Atm.Frame.payload f in
+(* One READ reply chunk, from [pos]: the one copy of the data, segment
+   memory straight into the reply frame, taken before the copy's CPU is
+   charged.  A READ of nothing still sends one empty chunk. *)
+let rec send_read_chunk t =
+  let c = costs t and rx = t.rx in
+  let segment = rx.segment in
+  let len = Int.min (burst_data_bytes c) (rx.count - rx.pos) in
+  let f = Wire.read_reply_frame t.frames ~reqid:rx.reqid ~chunk_off:rx.pos ~swab:rx.swab ~len in
   Cluster.Address_space.read_into (Segment.space segment)
-    ~addr:(Segment.base segment + soff + pos)
-    ~len frame ~pos:Wire.header_bytes;
-  Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
-    (Sim.Time.add c.Cluster.Costs.vm_read (tx_data_cost c len));
-  charge_crypto t ~category:t.tx_reply_category len;
+    ~addr:(Segment.base segment + rx.off + rx.pos)
+    ~len (Atm.Frame.payload f) ~pos:Wire.header_bytes;
+  rx.reply <- f;
+  rx.len <- len;
+  charge t ~category:t.tx_reply_category
+    (Sim.Time.add c.Cluster.Costs.vm_read (tx_data_cost c len))
+    chunk_copied
+
+and chunk_copied t =
+  charge_crypto_then t ~category:t.tx_reply_category t.rx.len chunk_encrypted
+
+and chunk_encrypted t =
+  let rx = t.rx in
   (match t.crypto with
   | None -> ()
   | Some crypto ->
+      let frame = Atm.Frame.payload rx.reply in
       Bytes.blit
-        (Crypto.transform crypto ~pos:Wire.header_bytes ~len frame)
-        0 frame Wire.header_bytes len);
-  transmit_reply t sv src f
+        (Crypto.transform crypto ~pos:Wire.header_bytes ~len:rx.len frame)
+        0 frame Wire.header_bytes rx.len);
+  transmit_reply t rx.reply;
+  rx.pos <- rx.pos + rx.len;
+  if rx.pos < rx.count then send_read_chunk t else served t
 
-(* The READ's reply chunks from [pos] on, [burst] bytes each. *)
-let rec send_read_chunks t sv src segment ~soff ~count ~reqid ~swab ~burst pos =
-  if pos < count then begin
-    let len = Int.min burst (count - pos) in
-    send_read_chunk t sv src segment ~soff ~reqid ~swab ~pos ~len;
-    send_read_chunks t sv src segment ~soff ~count ~reqid ~swab ~burst
-      (pos + len)
-  end
+let read_refused t =
+  let rx = t.rx in
+  Cluster.Node.transmit
+    ?ctx:(Obs.Trace.serve_ctx rx.sv ~label:"reply")
+    t.node ~dst:rx.src
+    (Wire.encode
+       (Wire.Read_reply
+          {
+            status = rx.status;
+            reqid = rx.reqid;
+            chunk_off = 0;
+            swab = rx.swab;
+            data = Wire.view Bytes.empty;
+          }));
+  served t
 
-let handle_read t src ~seg ~gen ~soff ~count ~reqid ~notify:_ ~swab =
-  let c = costs t in
-  let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
-  Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
-    (Sim.Time.add
-       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 14))
-       c.Cluster.Costs.descriptor_check);
-  match serve_status t ~src ~seg ~gen ~off:soff ~count Rights.Read_op with
+let read_received t =
+  let c = costs t and rx = t.rx in
+  let soff = rx.off and count = rx.count in
+  match
+    serve_status t ~src:rx.src ~seg:rx.seg ~gen:rx.gen ~off:soff ~count
+      Rights.Read_op
+  with
   | Status.Ok ->
-      let segment = Sim.Int_table.find t.exported seg in
+      let segment = Sim.Int_table.find t.exported rx.seg in
       Metrics.Account.add_int t.data_bytes ~category:"read served" count;
       if observed t then emit t
         (Served
            {
              op = Rights.Read_op;
-             src;
+             src = rx.src;
              segment;
              off = soff;
              count;
@@ -1186,97 +1352,126 @@ let handle_read t src ~seg ~gen ~soff ~count ~reqid ~notify:_ ~swab =
       (if Segment.should_notify segment ~requested:false then
          (* An Always-notify segment also reports served reads. *)
          Notification.post
-           ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
+           ?ctx:(Obs.Trace.serve_ctx rx.sv ~label:"notify")
            (Segment.notification segment)
            {
-             Notification.src;
+             Notification.src = rx.src;
              kind = Notification.Read_served;
              off = soff;
              count;
            });
-      (if count = 0 then
-         send_read_chunk t sv src segment ~soff ~reqid ~swab ~pos:0 ~len:0
-       else
-         send_read_chunks t sv src segment ~soff ~count ~reqid ~swab
-           ~burst:(burst_data_bytes c) 0);
-      Obs.Trace.serve_end sv
+      rx.segment <- segment;
+      rx.pos <- 0;
+      send_read_chunk t
   | status ->
       record_error t status;
       if observed t then emit t
         (Serve_rejected
-           { op = Rights.Read_op; src; seg; gen; off = soff; count; status });
-      Obs.Trace.serve_arg sv "status" (Status.to_string status);
-      Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category (tx_ctrl_cost c 8);
-      Cluster.Node.transmit
-        ?ctx:(Obs.Trace.serve_ctx sv ~label:"reply")
-        t.node ~dst:src
-        (Wire.encode
-           (Wire.Read_reply
-              {
-                status;
-                reqid;
-                chunk_off = 0;
-                swab;
-                data = Wire.view Bytes.empty;
-              }));
-      Obs.Trace.serve_end sv
+           { op = Rights.Read_op; src = rx.src; seg = rx.seg; gen = rx.gen;
+             off = soff; count; status });
+      Obs.Trace.serve_arg rx.sv "status" (Status.to_string status);
+      rx.status <- status;
+      charge t ~category:t.tx_reply_category (tx_ctrl_cost c 8) read_refused
 
-let reply_cas t sv src ~reqid ~status ~witness =
-  Cluster.Cpu.use (cpu t) ~category:t.tx_reply_category
-    (tx_ctrl_cost (costs t) 8);
-  transmit_reply t sv src
-    (Wire.cas_reply_frame t.frames ~status ~reqid ~witness);
-  Obs.Trace.serve_end sv
-
-let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
-  let c = costs t in
-  let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"serve" in
-  Cluster.Cpu.use (cpu t) ~category:t.rx_request_category
+(* A READ of [count] bytes at [off] of [segment] for [reqid], sent in
+   reply chunks of at most a burst each: the chunk from [pos], [len]
+   bytes, in [reply]. *)
+let handle_read t src ~seg ~gen ~soff ~count ~reqid ~notify:_ ~swab =
+  let c = costs t and rx = t.rx in
+  rx.src <- src;
+  rx.seg <- seg;
+  rx.gen <- gen;
+  rx.off <- soff;
+  rx.count <- count;
+  rx.reqid <- reqid;
+  rx.swab <- swab;
+  rx.sv <- Obs.Trace.serve_begin ~node:(nid t) ~name:"serve";
+  charge t ~category:t.rx_request_category
     (Sim.Time.add
-       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 18))
-       (Sim.Time.add c.Cluster.Costs.descriptor_check
-          c.Cluster.Costs.cas_execute));
-  match serve_status t ~src ~seg ~gen ~off:doff ~count:4 Rights.Cas_op with
+       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 14))
+       c.Cluster.Costs.descriptor_check)
+    read_received
+
+let cas_replied t =
+  let rx = t.rx in
+  transmit_reply t
+    (Wire.cas_reply_frame t.frames ~status:rx.status ~reqid:rx.reqid
+       ~witness:rx.witness);
+  served t
+
+let reply_cas t ~status ~witness =
+  t.rx.status <- status;
+  t.rx.witness <- witness;
+  charge t ~category:t.tx_reply_category (tx_ctrl_cost (costs t) 8) cas_replied
+
+let cas_received t =
+  let rx = t.rx in
+  let doff = rx.off in
+  match
+    serve_status t ~src:rx.src ~seg:rx.seg ~gen:rx.gen ~off:doff ~count:4
+      Rights.Cas_op
+  with
   | Status.Ok ->
-      let segment = Sim.Int_table.find t.exported seg in
+      let segment = Sim.Int_table.find t.exported rx.seg in
       let addr = Segment.base segment + doff in
       let witness =
         Cluster.Address_space.read_word (Segment.space segment) ~addr
       in
       let swapped =
         Cluster.Address_space.cas_word (Segment.space segment) ~addr
-          ~old_value ~new_value
+          ~old_value:rx.old_value ~new_value:rx.new_value
       in
       if observed t then emit t
         (Served
            {
              op = Rights.Cas_op;
-             src;
+             src = rx.src;
              segment;
              off = doff;
              count = 4;
-             notified = Segment.should_notify segment ~requested:notify;
+             notified = Segment.should_notify segment ~requested:rx.notify;
              cas_success = Some swapped;
            });
-      Obs.Trace.serve_arg sv "cas" (string_of_bool swapped);
-      (if Segment.should_notify segment ~requested:notify then
+      Obs.Trace.serve_arg rx.sv "cas" (string_of_bool swapped);
+      (if Segment.should_notify segment ~requested:rx.notify then
          Notification.post
-           ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
+           ?ctx:(Obs.Trace.serve_ctx rx.sv ~label:"notify")
            (Segment.notification segment)
            {
-             Notification.src;
+             Notification.src = rx.src;
              kind = Notification.Cas_applied;
              off = doff;
              count = 4;
            });
-      reply_cas t sv src ~reqid ~status:Status.Ok ~witness
+      reply_cas t ~status:Status.Ok ~witness
   | status ->
       record_error t status;
       if observed t then emit t
         (Serve_rejected
-           { op = Rights.Cas_op; src; seg; gen; off = doff; count = 4; status });
-      Obs.Trace.serve_arg sv "status" (Status.to_string status);
-      reply_cas t sv src ~reqid ~status ~witness:0
+           { op = Rights.Cas_op; src = rx.src; seg = rx.seg; gen = rx.gen;
+             off = doff; count = 4; status });
+      Obs.Trace.serve_arg rx.sv "status" (Status.to_string status);
+      reply_cas t ~status ~witness:0
+
+(* A CAS of the word at [off] from [old_value] to [new_value] for
+   [reqid]; its reply carries [status] and [witness]. *)
+let handle_cas t src ~seg ~gen ~doff ~old_value ~new_value ~reqid ~notify =
+  let c = costs t and rx = t.rx in
+  rx.src <- src;
+  rx.seg <- seg;
+  rx.gen <- gen;
+  rx.off <- doff;
+  rx.old_value <- old_value;
+  rx.new_value <- new_value;
+  rx.reqid <- reqid;
+  rx.notify <- notify;
+  rx.sv <- Obs.Trace.serve_begin ~node:(nid t) ~name:"serve";
+  charge t ~category:t.rx_request_category
+    (Sim.Time.add
+       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 18))
+       (Sim.Time.add c.Cluster.Costs.descriptor_check
+          c.Cluster.Costs.cas_execute))
+    cas_received
 
 (* ------------------------------------------------------------------ *)
 (* Reply handling at the requester.                                    *)
@@ -1303,116 +1498,172 @@ let first_arrival chunks i =
          true
        end
 
+let reply_decrypted t =
+  let rx = t.rx in
+  let p = rx.pending in
+  deposit_received t ~swab:rx.swab p.buf.space
+    ~addr:(p.buf.base + p.doff + rx.off)
+    rx.payload ~pos:rx.pos ~len:rx.len;
+  if first_arrival p.chunks (rx.off / burst_data_bytes (costs t)) then
+    p.received <- p.received + rx.len;
+  if p.received >= p.count then begin
+    Sim.Int_table.remove t.pending rx.reqid;
+    if p.notify then
+      Notification.post
+        ?ctx:(Obs.Trace.serve_ctx rx.sv ~label:"notify")
+        t.completion_fd
+        {
+          Notification.src = rx.src;
+          kind = Notification.Read_served;
+          off = p.doff;
+          count = p.count;
+        };
+    read_completed t p.desc ~soff:p.off ~count:p.count Status.Ok;
+    Obs.Trace.root_close rx.sv ~status:"ok";
+    fill p 0
+  end;
+  served t
+
 (* The pending-table lookups below use [Sim.Int_table.find], not [find_opt]:
    every reply frame passes here, and the option would be allocated. *)
-let handle_read_reply t src ~status ~reqid ~chunk_off ~swab payload ~pos ~len =
-  let c = costs t in
-  let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"deliver" in
-  Cluster.Cpu.use (cpu t) ~category:t.client_category
-    (Sim.Time.add
-       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c len))
-       (Sim.Time.add c.Cluster.Costs.reply_match c.Cluster.Costs.vm_deliver));
-  (match Sim.Int_table.find t.pending reqid with
-  | exception Not_found -> () (* late reply after a timeout: dropped *)
+let reply_received t =
+  let rx = t.rx in
+  match Sim.Int_table.find t.pending rx.reqid with
+  | exception Not_found -> served t (* late reply after a timeout: dropped *)
   | p when p.cas ->
       (* A READ reply matched a pending CAS: protocol violation. Fail
          the operation instead of leaving the issuer blocked forever. *)
-      Sim.Int_table.remove t.pending reqid;
+      Sim.Int_table.remove t.pending rx.reqid;
       record_error t Status.Bad_segment;
-      Obs.Trace.root_close sv ~status:"mismatched";
-      fill p (unserved Status.Bad_segment)
+      Obs.Trace.root_close rx.sv ~status:"mismatched";
+      fill p (unserved Status.Bad_segment);
+      served t
   | p ->
-      if status <> Status.Ok then begin
-        Sim.Int_table.remove t.pending reqid;
-        record_error t status;
-        read_completed t p.desc ~soff:p.off ~count:p.count status;
-        Obs.Trace.root_close sv ~status:(Status.to_string status);
-        fill p (unserved status)
+      if rx.status <> Status.Ok then begin
+        Sim.Int_table.remove t.pending rx.reqid;
+        record_error t rx.status;
+        read_completed t p.desc ~soff:p.off ~count:p.count rx.status;
+        Obs.Trace.root_close rx.sv ~status:(Status.to_string rx.status);
+        fill p (unserved rx.status);
+        served t
       end
       else begin
-        deposit_received t ~category:t.client_category ~swab p.buf.space
-          ~addr:(p.buf.base + p.doff + chunk_off)
-          payload ~pos ~len;
-        if first_arrival p.chunks (chunk_off / burst_data_bytes c) then
-          p.received <- p.received + len;
-        if p.received >= p.count then begin
-          Sim.Int_table.remove t.pending reqid;
-          if p.notify then
-            Notification.post
-              ?ctx:(Obs.Trace.serve_ctx sv ~label:"notify")
-              t.completion_fd
-              {
-                Notification.src;
-                kind = Notification.Read_served;
-                off = p.doff;
-                count = p.count;
-              };
-          read_completed t p.desc ~soff:p.off ~count:p.count Status.Ok;
-          Obs.Trace.root_close sv ~status:"ok";
-          fill p 0
-        end
-      end);
-  Obs.Trace.serve_end sv
+        rx.pending <- p;
+        charge_crypto_then t ~category:t.client_category rx.len reply_decrypted
+      end
 
-let handle_cas_reply t _src ~status ~reqid ~witness =
-  let c = costs t in
-  let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"deliver" in
-  Cluster.Cpu.use (cpu t) ~category:t.client_category
+(* A READ reply chunk: [len] bytes of [payload] from [pos], at [off] of
+   the READ [reqid] (its record in [pending] once matched), or its
+   [status]. *)
+let handle_read_reply t src ~status ~reqid ~chunk_off ~swab payload ~pos ~len =
+  let c = costs t and rx = t.rx in
+  rx.src <- src;
+  rx.status <- status;
+  rx.reqid <- reqid;
+  rx.off <- chunk_off;
+  rx.swab <- swab;
+  rx.payload <- payload;
+  rx.pos <- pos;
+  rx.len <- len;
+  rx.sv <- Obs.Trace.serve_begin ~node:(nid t) ~name:"deliver";
+  charge t ~category:t.client_category
     (Sim.Time.add
-       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 8))
-       c.Cluster.Costs.reply_match);
-  (match Sim.Int_table.find t.pending reqid with
-  | exception Not_found -> ()
+       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_data_cost c len))
+       (Sim.Time.add c.Cluster.Costs.reply_match c.Cluster.Costs.vm_deliver))
+    reply_received
+
+let cas_completed t =
+  let rx = t.rx in
+  let p = rx.pending and status = rx.status and witness = rx.witness in
+  if observed t then emit t
+    (Completed
+       {
+         op = Rights.Cas_op;
+         desc = p.desc;
+         off = p.off;
+         count = 4;
+         status;
+         cas_success =
+           Some (status = Status.Ok && witness = word32 p.old_value);
+       });
+  Obs.Trace.root_close rx.sv ~status:(Status.to_string status);
+  fill p (if status = Status.Ok then witness else unserved status);
+  served t
+
+(* Deposit the paper's success/failure word locally. *)
+let cas_deposited t =
+  let p = t.rx.pending in
+  let success = t.rx.witness = word32 p.old_value in
+  Cluster.Address_space.write_word p.buf.space
+    ~addr:(p.buf.base + p.doff)
+    (if success then 1 else 0);
+  cas_completed t
+
+let cas_reply_received t =
+  let rx = t.rx in
+  match Sim.Int_table.find t.pending rx.reqid with
+  | exception Not_found -> served t
   | p when not p.cas ->
       (* A CAS reply matched a pending READ: fail it rather than letting
          the issuer hang until its timeout (if it even set one). *)
-      Sim.Int_table.remove t.pending reqid;
+      Sim.Int_table.remove t.pending rx.reqid;
       record_error t Status.Bad_segment;
-      Obs.Trace.root_close sv ~status:"mismatched";
-      fill p (unserved Status.Bad_segment)
+      Obs.Trace.root_close rx.sv ~status:"mismatched";
+      fill p (unserved Status.Bad_segment);
+      served t
   | p ->
-      Sim.Int_table.remove t.pending reqid;
-      if status <> Status.Ok then record_error t status;
-      if p.doff >= 0 && status = Status.Ok then begin
-        (* Deposit the paper's success/failure word locally. *)
-        Cluster.Cpu.use (cpu t) ~category:t.client_category
-          c.Cluster.Costs.vm_deliver;
-        let success = witness = word32 p.old_value in
-        Cluster.Address_space.write_word p.buf.space
-          ~addr:(p.buf.base + p.doff)
-          (if success then 1 else 0)
-      end;
-      if observed t then emit t
-        (Completed
-           {
-             op = Rights.Cas_op;
-             desc = p.desc;
-             off = p.off;
-             count = 4;
-             status;
-             cas_success =
-               Some (status = Status.Ok && witness = word32 p.old_value);
-           });
-      Obs.Trace.root_close sv ~status:(Status.to_string status);
-      fill p (if status = Status.Ok then witness else unserved status));
-  Obs.Trace.serve_end sv
+      Sim.Int_table.remove t.pending rx.reqid;
+      if rx.status <> Status.Ok then record_error t rx.status;
+      rx.pending <- p;
+      if p.doff >= 0 && rx.status = Status.Ok then
+        charge t ~category:t.client_category (costs t).Cluster.Costs.vm_deliver
+          cas_deposited
+      else cas_completed t
+
+(* A CAS reply: [status] and [witness] for the CAS [reqid] (its record
+   in [pending] once matched). *)
+let handle_cas_reply t _src ~status ~reqid ~witness =
+  let c = costs t and rx = t.rx in
+  rx.status <- status;
+  rx.reqid <- reqid;
+  rx.witness <- witness;
+  rx.sv <- Obs.Trace.serve_begin ~node:(nid t) ~name:"deliver";
+  charge t ~category:t.client_category
+    (Sim.Time.add
+       (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 8))
+       c.Cluster.Costs.reply_match)
+    cas_reply_received
+
+let nack_received t =
+  let rx = t.rx in
+  record_error t rx.status;
+  Sim.Int_table.replace t.write_failures
+    (key ~remote:(Atm.Addr.to_int rx.src) ~seg:rx.seg ~gen:(Generation.to_int rx.gen))
+    rx.status;
+  if observed t then
+    emit t
+      (Nacked
+         { src = rx.src;
+           nack = { Wire.status = rx.status; seg = rx.seg; gen = rx.gen;
+                    off = rx.off; count = rx.count } });
+  Obs.Trace.root_close rx.sv ~status:(Status.to_string rx.status);
+  served t
 
 (* A write nack at the issuer: count it and remember the latest status
    per (destination, segment, generation) so a later [fence] or an
    explicit [take_write_failure] surfaces the loss to the caller. *)
 let handle_write_nack t src ~status ~seg ~gen ~off ~count =
-  let c = costs t in
-  let sv = Obs.Trace.serve_begin ~node:(nid t) ~name:"nack" in
-  Cluster.Cpu.use (cpu t) ~category:t.client_category
-    (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 12));
-  record_error t status;
-  Sim.Int_table.replace t.write_failures
-    (key ~remote:(Atm.Addr.to_int src) ~seg ~gen:(Generation.to_int gen))
-    status;
-  if observed t then
-    emit t (Nacked { src; nack = { Wire.status; seg; gen; off; count } });
-  Obs.Trace.root_close sv ~status:(Status.to_string status);
-  Obs.Trace.serve_end sv
+  let c = costs t and rx = t.rx in
+  rx.src <- src;
+  rx.status <- status;
+  rx.seg <- seg;
+  rx.gen <- gen;
+  rx.off <- off;
+  rx.count <- count;
+  rx.sv <- Obs.Trace.serve_begin ~node:(nid t) ~name:"nack";
+  charge t ~category:t.client_category
+    (Sim.Time.add c.Cluster.Costs.rx_interrupt (rx_ctrl_cost c 12))
+    nack_received
 
 let handlers =
   {
@@ -1427,9 +1678,10 @@ let handlers =
 
 let attach node =
   let t = create node in
+  t.irq <- Some (Cluster.Node.charger node t);
   List.iter
     (fun tag ->
-      Cluster.Node.set_handler node ~tag (fun ~src payload ->
+      Cluster.Node.set_interrupt_handler node ~tag (fun ~src payload ->
           Wire.dispatch handlers t src payload))
     Wire.tags;
   t

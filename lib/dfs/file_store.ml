@@ -32,6 +32,7 @@ type node = {
   mutable attr : attr;
   blocks : (int, bytes) Hashtbl.t; (* block # -> data, Regular *)
   mutable entries : (string * int) list; (* Directory, insertion order *)
+  mutable added : (string * int) list; (* Directory, newest first *)
   mutable target : string; (* Symlink *)
 }
 
@@ -62,6 +63,7 @@ let fresh_node t ~kind ~mode ~size =
       attr = make_attr t ~inode ~kind ~mode ~size;
       blocks = Hashtbl.create 4;
       entries = [];
+      added = [];
       target = "";
     }
   in
@@ -87,6 +89,7 @@ let create () =
         };
       blocks = Hashtbl.create 1;
       entries = [];
+      added = [];
       target = "";
     }
   in
@@ -107,10 +110,23 @@ let directory t inode =
   if n.attr.kind <> Directory then raise (Not_a_directory inode);
   n
 
+(* A directory's entries in insertion order.  An addition goes on the
+   head of [added], in O(1), and the additions are moved to the end of
+   [entries] here, once, by the next reader. *)
+let entries d =
+  if d.added <> [] then begin
+    d.entries <- d.entries @ List.rev d.added;
+    d.added <- []
+  end;
+  d.entries
+
+let add d entry = d.added <- entry :: d.added
+
 let add_entry t ~dir ~name ~inode =
   let d = directory t dir in
-  if List.mem_assoc name d.entries then raise (Name_exists name);
-  d.entries <- d.entries @ [ (name, inode) ];
+  if List.mem_assoc name d.entries || List.mem_assoc name d.added then
+    raise (Name_exists name);
+  add d (name, inode);
   d.attr <- { d.attr with size = d.attr.size + 1; mtime = tick t }
 
 let create_file t ~dir ~name () =
@@ -131,7 +147,7 @@ let symlink t ~dir ~name ~target =
 
 let lookup t ~dir ~name =
   let d = directory t dir in
-  match List.assoc_opt name d.entries with
+  match List.assoc_opt name (entries d) with
   | Some inode -> inode
   | None -> raise (No_such_file dir)
 
@@ -142,7 +158,7 @@ let remove t ~dir ~name =
   let inode = lookup t ~dir ~name in
   let n = node t inode in
   if n.attr.kind = Directory then raise (Not_a_file inode);
-  d.entries <- List.remove_assoc name d.entries;
+  d.entries <- List.remove_assoc name (entries d);
   d.attr <- { d.attr with size = d.attr.size - 1; mtime = tick t };
   if n.attr.nlink <= 1 then Hashtbl.remove t.nodes inode
   else n.attr <- { n.attr with nlink = n.attr.nlink - 1 }
@@ -151,8 +167,8 @@ let rmdir t ~dir ~name =
   let d = directory t dir in
   let inode = lookup t ~dir ~name in
   let n = directory t inode in
-  if n.entries <> [] then raise (Not_empty inode);
-  d.entries <- List.remove_assoc name d.entries;
+  if entries n <> [] then raise (Not_empty inode);
+  d.entries <- List.remove_assoc name (entries d);
   d.attr <- { d.attr with size = d.attr.size - 1; mtime = tick t };
   Hashtbl.remove t.nodes inode
 
@@ -160,10 +176,10 @@ let rename t ~from_dir ~from_name ~to_dir ~to_name =
   let src = directory t from_dir in
   let inode = lookup t ~dir:from_dir ~name:from_name in
   let dst = directory t to_dir in
-  if List.mem_assoc to_name dst.entries then raise (Name_exists to_name);
-  src.entries <- List.remove_assoc from_name src.entries;
+  if List.mem_assoc to_name (entries dst) then raise (Name_exists to_name);
+  src.entries <- List.remove_assoc from_name (entries src);
   src.attr <- { src.attr with size = src.attr.size - 1; mtime = tick t };
-  dst.entries <- dst.entries @ [ (to_name, inode) ];
+  add dst (to_name, inode);
   dst.attr <- { dst.attr with size = dst.attr.size + 1; mtime = tick t }
 
 let set_attr t inode ?mode ?size () =
@@ -195,7 +211,7 @@ let readlink t inode =
   if n.attr.kind <> Symlink then raise (Not_a_symlink inode);
   n.target
 
-let readdir t inode = (directory t inode).entries
+let readdir t inode = entries (directory t inode)
 
 let regular t inode =
   let n = node t inode in

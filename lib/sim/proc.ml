@@ -183,6 +183,11 @@ let create engine who =
   in
   p
 
+(* A waiter that is not a fiber: it never performs an effect, so it
+   needs no handler, and its [wake] is the callback itself. *)
+let callback engine who wake =
+  { nobody with engine; waiter = Engine.waiter who; wake }
+
 (* ---------------- Sleeping ---------------- *)
 
 (* One node per sleep, linked oldest first.  A wake takes the node off
@@ -211,8 +216,8 @@ let is_empty q =
   | Sleeper { next = Nil | Sleeper _; _ } -> false
   | Sleeper { next = Handed _; _ } | Nil | Handed _ -> true
 
-let sleep q ~resource ~daemon =
-  let p = self () in
+(* Link [p] in at the tail of [q], blocked on [resource]: its node. *)
+let join q p ~resource ~daemon =
   Engine.block p.engine p.waiter ~resource ~daemon;
   let node = Sleeper { proc = p; next = Nil } in
   (if is_empty q then q.oldest <- node
@@ -221,10 +226,16 @@ let sleep q ~resource ~daemon =
      | Sleeper last -> last.next <- node
      | Nil | Handed _ -> ());
   q.newest <- node;
+  node
+
+let sleep q ~resource ~daemon =
+  let node = join q (self ()) ~resource ~daemon in
   perform Sleep;
   match node with
   | Sleeper { next = Handed v; _ } -> v
   | Sleeper _ | Nil | Handed _ -> assert false
+
+let enqueue q p ~resource ~daemon = ignore (join q p ~resource ~daemon : unit node)
 
 let hand q handed =
   match q.oldest with
@@ -243,17 +254,26 @@ let signal q = hand q handed_unit
 
 (* ---------------- Parking ---------------- *)
 
-let park ~resource ~daemon =
-  let p = self () in
+let listen p ~resource ~daemon =
   Engine.block p.engine p.waiter ~resource ~daemon;
-  p.parked <- true;
+  p.parked <- true
+
+let park ~resource ~daemon =
+  listen (self ()) ~resource ~daemon;
   perform Sleep
 
-let unpark p =
-  if not p.parked then invalid_arg "Proc.unpark: not parked";
+let unparked p what =
+  if not p.parked then invalid_arg what;
   p.parked <- false;
-  Engine.unblock p.waiter;
+  Engine.unblock p.waiter
+
+let unpark p =
+  unparked p "Proc.unpark: not parked";
   Engine.schedule p.engine p.wake
+
+let resume p =
+  unparked p "Proc.resume: not parked";
+  p.wake ()
 
 (* ---------------- Spinning ---------------- *)
 

@@ -5,7 +5,9 @@
     time and {!sleep} blocks on a {!sleepers} queue until some other
     activity {!wake}s it, or {!park}s until some other activity
     {!unpark}s it. Calling any of them outside a process raises the
-    runtime's unhandled-effect exception. *)
+    runtime's unhandled-effect exception. Code that must not pay a
+    continuation per wait (an interrupt-level handler) waits instead as
+    a {!callback}: a waiter whose wake is a prebuilt callback. *)
 
 val spawn : ?after:Time.t -> ?name:string -> Engine.t -> (unit -> unit) -> unit
 (** [spawn engine body] schedules [body] to start as a process, [after]
@@ -30,6 +32,15 @@ val self : unit -> t
 val nobody : t
 (** No process, never run nor parked: a placeholder for a field that
     names a process only some of the time. *)
+
+val callback : Engine.t -> Engine.label -> (unit -> unit) -> t
+(** [callback engine who f] is a waiter that is not a fiber: it runs no
+    code of its own and suspends nothing, so it costs no continuation.
+    It waits as a process does, at the tail of a [unit] {!sleepers}
+    queue ({!enqueue}) or until an {!unpark} ({!listen}), recorded in
+    the engine's registry under [who]; the {!wake}, {!signal} or
+    {!unpark} that ends the wait schedules [f] where it would schedule a
+    process's resumption, and {!resume} calls [f] at once. *)
 
 type 'a sleepers
 (** Processes blocked on one queue, oldest first, each waiting to be
@@ -57,6 +68,11 @@ val sleep : 'a sleepers -> resource:Engine.label -> daemon:bool -> 'a
     CAS outcome, a constant constructor — adds nothing, where a tuple
     or a boxed [int32] adds its own blocks to every handoff. *)
 
+val enqueue : unit sleepers -> t -> resource:Engine.label -> daemon:bool -> unit
+(** Put a {!callback} waiter at the tail of the queue, recorded as
+    {!sleep} records a process, and return: the wake that takes it off
+    schedules its callback. *)
+
 val wake : 'a sleepers -> 'a -> unit
 (** Take the oldest sleeper off the queue, hand it the value and schedule
     it to run now, behind already-queued same-time events. Each sleep is
@@ -72,9 +88,17 @@ val park : resource:Engine.label -> daemon:bool -> unit
     is recorded as {!sleep} records it. A park and its unpark allocate
     the park's continuation and nothing else. *)
 
+val listen : t -> resource:Engine.label -> daemon:bool -> unit
+(** Park a {!callback} waiter, recorded as {!park} records a process,
+    and return: an {!unpark} schedules its callback. *)
+
 val unpark : t -> unit
 (** Schedule a parked process to run now, exactly where {!wake} would
     schedule it. Raises [Invalid_argument] if it is not parked. *)
+
+val resume : t -> unit
+(** {!unpark}, but run the process (or callback) now, inline, in the
+    event that calls it rather than in an event of its own. *)
 
 val spin : every:Time.t -> deadline:Time.t -> (unit -> bool) -> bool
 (** [spin ~every ~deadline ready] polls [ready] now and then every

@@ -1,7 +1,8 @@
 (* FIFO mutual-exclusion resources.
 
    Models a serially reusable piece of hardware (a CPU, a FIFO port):
-   one holder at a time, waiters served in arrival order. *)
+   one holder at a time, waiters served in arrival order, processes and
+   callback waiters in one queue. *)
 
 type t = {
   mutable busy : bool;
@@ -26,13 +27,27 @@ let acquisitions t = t.acquisitions
 
 let contended t = t.contended
 
-let acquire t =
+(* Count an acquisition and take the resource if it is free. *)
+let seize t =
   t.acquisitions <- t.acquisitions + 1;
-  if not t.busy then t.busy <- true
-  else begin
+  if t.busy then begin
     t.contended <- t.contended + 1;
-    Proc.sleep t.waiters ~resource:t.label ~daemon:false
+    false
   end
+  else begin
+    t.busy <- true;
+    true
+  end
+
+let acquire t =
+  if not (seize t) then Proc.sleep t.waiters ~resource:t.label ~daemon:false
+
+let acquire_by t waiter =
+  seize t
+  || begin
+       Proc.enqueue t.waiters waiter ~resource:t.label ~daemon:false;
+       false
+     end
 
 let release t =
   if not t.busy then invalid_arg "Resource.release: not held";

@@ -3,10 +3,15 @@ type t = { mutable waiter : Proc.t }
 
 let create () = { waiter = Proc.nobody }
 
-let park t ~resource =
+let park ?(daemon = false) t ~resource =
   if t.waiter != Proc.nobody then invalid_arg "Sim.Wait.park: already awaited";
   t.waiter <- Proc.self ();
-  Proc.park ~resource ~daemon:false
+  Proc.park ~resource ~daemon
+
+let resume t =
+  let p = t.waiter in
+  t.waiter <- Proc.nobody;
+  Proc.resume p
 
 let unpark t =
   let p = t.waiter in

@@ -7,11 +7,16 @@ type t
 
 val create : unit -> t
 
-val park : t -> resource:Engine.label -> unit
-(** Block the current process until {!unpark}, recorded as {!Proc.park}
-    records a non-daemon wait. Raises [Invalid_argument] if a process
-    already waits here. *)
+val park : ?daemon:bool -> t -> resource:Engine.label -> unit
+(** Block the current process until {!unpark} or {!resume}, recorded as
+    {!Proc.park} records it, a non-daemon wait unless [daemon] (one
+    that idles between requests, as a dispatcher does). Raises
+    [Invalid_argument] if a process already waits here. *)
 
 val unpark : t -> unit
 (** Schedule the waiting process, if any, to run now, as {!Proc.unpark}
     does. *)
+
+val resume : t -> unit
+(** Run the waiting process now, inline, as {!Proc.resume} does.
+    Raises [Invalid_argument] if no process waits here. *)

@@ -109,10 +109,9 @@ let allow =
     ("lib/core/recovery.ml:classify:", "a terminal status under a policy");
     ("lib/core/remote_memory.ml:burst_rejection:", "a burst into an inhibited or refusing segment");
     ("lib/core/remote_memory.ml:free_reqid:", "a request-id wrap with the next id in flight");
-    ("lib/core/remote_memory.ml:handle_cas:", "a CAS that a segment refuses, and a CAS notification");
-    ("lib/core/remote_memory.ml:handle_read:", "a zero-length READ");
-    ("lib/core/remote_memory.ml:handle_read_reply:", "a READ reply on a CAS request id");
-    ("lib/core/remote_memory.ml:handle_write_burst:", "an empty or refused burst");
+    ("lib/core/remote_memory.ml:cas_received:", "a CAS that a segment refuses, and a CAS notification");
+    ("lib/core/remote_memory.ml:reply_received:", "a READ reply on a CAS request id");
+    ("lib/core/remote_memory.ml:burst_received:", "an empty or refused burst");
     ("lib/core/remote_memory.ml:run_policy:", "a terminal status under a policy, and a traced recovery");
     ("lib/core/remote_memory.ml:serve_status:", "a request to a revoked, short or unpinned segment");
     ("lib/core/remote_memory.ml:verify_written:", "a fenced verify of a policied write");
@@ -183,7 +182,7 @@ let allow =
     ("lib/sim/prng.ml:int:", "bounds above 2^30: no caller draws so wide");
     ("lib/sim/proc.ml:as_current:", "effects of another handler, sleep-queue states, an exception in a nested resume");
     ("lib/sim/proc.ml:handler:", "effects of another handler, sleep-queue states, an exception in a nested resume");
-    ("lib/sim/proc.ml:sleep:", "effects of another handler, sleep-queue states, an exception in a nested resume");
+    ("lib/sim/proc.ml:join:", "effects of another handler, sleep-queue states, an exception in a nested resume");
     ("lib/sim/proc.ml:spent:", "effects of another handler, sleep-queue states, an exception in a nested resume");
     ("lib/sim/time.ml:pp:", "an instant past 1 s printed");
     ("lib/workload/program.ml:expr_to_string:", "expressions printed only in verifier errors")

@@ -236,6 +236,28 @@ let link_mixed_verdicts () =
 
 (* ---------------- NIC and networks ---------------- *)
 
+(* The next frame [nic] receives, from a process: the FIFO's reader is
+   a callback that resumes the process inline when the frame arrives,
+   as a node's reader resumes its dispatcher process. *)
+let receive engine nic =
+  let me = Sim.Proc.self () in
+  let reader =
+    Sim.Proc.callback engine (Sim.Engine.Text "reader") (fun () ->
+        Sim.Proc.resume me)
+  in
+  let frame = Atm.Nic.read nic reader in
+  if frame != Atm.Nic.none then frame
+  else begin
+    Sim.Proc.park ~resource:(Sim.Engine.Text "rx") ~daemon:true;
+    Atm.Nic.read nic reader
+  end
+
+(* The oldest frame queued in [nic]'s FIFO, read outside every process. *)
+let queued nic =
+  let frame = Atm.Nic.read nic Sim.Proc.nobody in
+  if frame == Atm.Nic.none then Alcotest.fail "no frame queued";
+  frame
+
 let mesh_delivery () =
   let engine = Sim.Engine.create () in
   let network = Atm.Network.create engine ~nodes:3 in
@@ -243,7 +265,7 @@ let mesh_delivery () =
   let nic2 = Atm.Network.nic_of_int network 2 in
   Atm.Nic.transmit nic0 ~dst:(Atm.Nic.addr nic2) (Bytes.of_string "ping");
   let received =
-    Sim.Proc.run engine (fun () -> Atm.Nic.receive nic2)
+    Sim.Proc.run engine (fun () -> receive engine nic2)
   in
   Alcotest.(check string) "payload" "ping"
     (Bytes.to_string (Atm.Frame.payload received));
@@ -257,7 +279,7 @@ let star_delivery () =
   let nic1 = Atm.Network.nic_of_int network 1 in
   let nic3 = Atm.Network.nic_of_int network 3 in
   Atm.Nic.transmit nic1 ~dst:(Atm.Nic.addr nic3) (Bytes.of_string "star");
-  let received = Sim.Proc.run engine (fun () -> Atm.Nic.receive nic3) in
+  let received = Sim.Proc.run engine (fun () -> receive engine nic3) in
   Alcotest.(check string) "payload" "star"
     (Bytes.to_string (Atm.Frame.payload received));
   match Atm.Network.switches network with
@@ -300,7 +322,7 @@ let switch_same_instant_reorder () =
   Sim.Engine.run engine;
   check_bool "scheduler chose at the switch instant" true !reordered;
   let received () =
-    let frame = Atm.Nic.receive (nic 0) in
+    let frame = queued (nic 0) in
     ( Atm.Addr.to_int (Atm.Frame.src frame),
       Bytes.to_string (Atm.Frame.payload frame),
       Atm.Frame.intact frame )
@@ -346,7 +368,7 @@ let switch_hop_allocates_nothing () =
       ()
     done;
     for _ = 1 to 32 do
-      ignore (Atm.Nic.receive nic0 : Atm.Frame.t)
+      ignore (queued nic0 : Atm.Frame.t)
     done
   in
   let per_frame send = Rig.words_per_op ~n:200 (burst send) /. 32. in
@@ -365,7 +387,7 @@ let star_slower_than_mesh () =
     let nic0 = Atm.Network.nic_of_int network 0 in
     let nic1 = Atm.Network.nic_of_int network 1 in
     Atm.Nic.transmit nic0 ~dst:(Atm.Nic.addr nic1) (Bytes.make 40 'x');
-    ignore (Sim.Proc.run engine (fun () -> Atm.Nic.receive nic1));
+    ignore (Sim.Proc.run engine (fun () -> receive engine nic1));
     Sim.Engine.now engine
   in
   Alcotest.(check bool) "switch adds latency" true
@@ -450,10 +472,12 @@ let pool_owns_each_frame_once () =
   Alcotest.(check int) "outstanding: d, e and the 63-byte frame" 3
     (Atm.Frame.outstanding pool)
 
-(* A frame delivered to a receiver parked on its empty FIFO is handed
-   straight over: the receiver's park costs its continuation and nothing
-   else (2 words), against a budget 10% above that.  A queue node or a
-   box per frame, or a handoff closure, fails here. *)
+(* A frame delivered to a reader listening on its empty FIFO is handed
+   straight over: the reader's callback is scheduled, reads it and
+   listens again, with nothing allocated, against a budget of 0.1
+   words.  A queue node or a box per frame, a handoff closure, or a
+   parked process's continuation (2 words, what a dispatcher process
+   paid per frame) fails here. *)
 let handoff_budget () =
   let engine = Sim.Engine.create () in
   let network = Atm.Network.create engine ~nodes:2 in
@@ -463,15 +487,24 @@ let handoff_budget () =
       (Bytes.make 40 'x')
   in
   let deliver () = Atm.Nic.deliver nic0 frame in
+  let reader = ref Sim.Proc.nobody and got = ref 0 in
+  let read () = Atm.Nic.read nic0 !reader in
+  reader :=
+    Sim.Proc.callback engine (Sim.Engine.Text "reader") (fun () ->
+        if read () == frame then incr got;
+        ignore (read () : Atm.Frame.t));
+  ignore (read () : Atm.Frame.t);
   let words =
-    Sim.Proc.run engine (fun () ->
-        Rig.words_per_op ~n:2000 (fun () ->
-            Sim.Engine.schedule_at engine (Sim.Engine.now engine + 1) deliver;
-            ignore (Atm.Nic.receive nic0 : Atm.Frame.t)))
+    Rig.words_per_op ~n:2000 (fun () ->
+        Sim.Engine.schedule_at engine (Sim.Engine.now engine + 1) deliver;
+        while Sim.Engine.step engine do
+          ()
+        done)
   in
+  check_int "every frame read" 2001 !got;
   check_int "every frame handed over, none queued" 0
     (Atm.Nic.pending_frames nic0);
-  Rig.within_budget "frame handoff to a parked dispatcher" ~words ~budget:2.2
+  Rig.within_budget "frame handoff to a listening reader" ~words ~budget:0.1
 
 (* [pending_frames] counts the frames queued in the receive FIFO: one
    handed to a parked receiver is not pending, and frames arriving while
@@ -488,7 +521,7 @@ let pending_frames_counts_the_queue () =
   let note () = pending := Atm.Nic.pending_frames nic0 :: !pending in
   Sim.Proc.spawn ~name:"dispatcher" engine (fun () ->
       for _ = 0 to 3 do
-        let f = Atm.Nic.receive nic0 in
+        let f = receive engine nic0 in
         got := Bytes.get (Atm.Frame.payload f) 0 :: !got;
         (* busy with the frame *)
         Sim.Proc.wait (Sim.Time.us 10)

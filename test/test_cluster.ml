@@ -219,6 +219,83 @@ let cpu_serializes () =
     [ (1, Sim.Time.us 10); (2, Sim.Time.us 20); (3, Sim.Time.us 30) ]
     (List.rev !finish)
 
+(* One CPU shared by process [Cpu.use] callers and interrupt-level
+   charge chains ([Cpu.charge]) keeps the schedule of an all-process
+   run: each user starts at its instant and makes its charges in turn,
+   logging (user, charge, instant) as each one ends.  The log (whose
+   order is the same-instant order too), the events fired, the busy
+   time and each category's account must equal those of the same users
+   all run as processes.  The users cover a chain queued behind a
+   process and a process queued behind a chain, a handoff to a queued
+   chain while the CPU is busy, a user arriving at the instant another's
+   span ends, a zero span, and a user charging again with nobody
+   queued; the kinds are run as given and swapped. *)
+let cpu_mixed_schedule () =
+  let users =
+    [ (`Chain, 0, [ ("a", 10); ("b", 3); ("a", 2) ]);
+      (`Proc, 0, [ ("b", 5); ("a", 4) ]);
+      (`Chain, 2, [ ("a", 1); ("a", 1) ]);
+      (`Proc, 10, [ ("b", 2) ]);
+      (`Chain, 13, [ ("a", 0); ("b", 1) ]);
+      (`Proc, 13, [ ("a", 1) ]);
+      (`Chain, 100, [ ("a", 1); ("b", 2) ]) ]
+  in
+  let run kinds =
+    let engine = Sim.Engine.create () in
+    let cpu = Cluster.Cpu.create () in
+    let log = ref [] in
+    let note u i = log := (u, i, Sim.Engine.now engine) :: !log in
+    List.iteri
+      (fun u (kind, start, charges) ->
+        let at = Sim.Time.us start in
+        match kinds u kind with
+        | `Proc ->
+            Sim.Engine.schedule_at engine at (fun () ->
+                Sim.Proc.spawn engine (fun () ->
+                    List.iteri
+                      (fun i (category, span) ->
+                        Cluster.Cpu.use cpu ~category (Sim.Time.us span);
+                        note u i)
+                      charges))
+        | `Chain ->
+            let c =
+              Cluster.Cpu.charger cpu engine (Sim.Engine.Text "chain") ()
+            in
+            let rec step i = function
+              | [] -> ()
+              | (category, span) :: rest ->
+                  Cluster.Cpu.charge c ~category (Sim.Time.us span) (fun () ->
+                      note u i;
+                      step (i + 1) rest)
+            in
+            Sim.Engine.schedule_at engine at (fun () ->
+                Sim.Engine.schedule engine (fun () -> step 0 charges)))
+      users;
+    Sim.Engine.run engine;
+    let total = Metrics.Account.total_of (Cluster.Cpu.account cpu) in
+    ( List.rev !log,
+      Sim.Engine.events_fired engine,
+      Sim.Time.to_ns (Cluster.Cpu.busy_time cpu),
+      (total "a", total "b") )
+  in
+  let all_proc = run (fun _ _ -> `Proc) in
+  let swap = function `Proc -> `Chain | `Chain -> `Proc in
+  List.iter
+    (fun (what, kinds) ->
+      let log, events, busy, accounts = run kinds in
+      let log0, events0, busy0, accounts0 = all_proc in
+      Alcotest.(check (list (triple int int int)))
+        (what ^ ": every charge ends at the same instant, in the same order")
+        log0 log;
+      check_int (what ^ ": the same events") events0 events;
+      check_int (what ^ ": busy time") busy0 busy;
+      Alcotest.(check (pair (float 0.) (float 0.)))
+        (what ^ ": per-category accounts") accounts0 accounts)
+    [ ("as given", fun _ kind -> kind); ("swapped", fun _ kind -> swap kind) ];
+  let log, _, busy, _ = all_proc in
+  check_int "busy 33us" (Sim.Time.us 33) busy;
+  check_int "every charge made" 13 (List.length log)
+
 (* ---------------- Kernel helpers and LRPC ---------------- *)
 
 let with_node body =
@@ -270,6 +347,77 @@ let node_demux_and_crash () =
       Cluster.Node.transmit node0 ~dst:(Cluster.Node.addr node1) payload;
       Sim.Proc.wait (Sim.Time.ms 1);
       check_int "delivered after revival" 2 !received)
+
+(* A node takes its frames in arrival order whatever their level: a
+   burst of interrupt-level (0x40) and process-level (0x41) frames
+   queued behind one another, then one of each reaching an idle node,
+   are served with the log, events, busy time and accounts they get
+   when both tags' handlers run in the dispatcher process, and those
+   are what a dispatcher process that parked per frame gave: the
+   instants each frame's first charge ends and the 33 events. *)
+let node_levels_keep_the_schedule () =
+  let run ~interrupt =
+    let testbed = Cluster.Testbed.create ~nodes:2 () in
+    let engine = Cluster.Testbed.engine testbed in
+    let node0 = Cluster.Testbed.node testbed 0 in
+    let node1 = Cluster.Testbed.node testbed 1 in
+    let cpu = Cluster.Node.cpu node1 in
+    let log = ref [] in
+    let note tag i step = log := (tag, i, step, Sim.Engine.now engine) :: !log in
+    let by_process tag =
+      Cluster.Node.set_handler node1 ~tag (fun ~src:_ payload ->
+          let i = Bytes.get_uint8 payload 1 in
+          Cluster.Cpu.use cpu ~category:"a" (Sim.Time.us 20);
+          note tag i 0;
+          Cluster.Cpu.use cpu ~category:"b" (Sim.Time.us 5);
+          note tag i 1)
+    in
+    by_process 0x41;
+    (if interrupt then
+       let c = Cluster.Node.charger node1 () in
+       Cluster.Node.set_interrupt_handler node1 ~tag:0x40 (fun ~src:_ payload ->
+           let i = Bytes.get_uint8 payload 1 in
+           Cluster.Cpu.charge c ~category:"a" (Sim.Time.us 20) (fun () ->
+               note 0x40 i 0;
+               Cluster.Cpu.charge c ~category:"b" (Sim.Time.us 5) (fun () ->
+                   note 0x40 i 1;
+                   Cluster.Node.dispatched node1)))
+     else by_process 0x40);
+    Cluster.Testbed.run testbed (fun () ->
+        let send tag i =
+          let payload = Bytes.create 2 in
+          Bytes.set_uint8 payload 0 tag;
+          Bytes.set_uint8 payload 1 i;
+          Cluster.Node.transmit node0 ~dst:(Cluster.Node.addr node1) payload
+        in
+        List.iteri (fun i tag -> send tag i) [ 0x40; 0x41; 0x41; 0x40; 0x40; 0x41 ];
+        Sim.Proc.wait (Sim.Time.ms 1);
+        send 0x40 6;
+        Sim.Proc.wait (Sim.Time.ms 1);
+        send 0x41 7;
+        Sim.Proc.wait (Sim.Time.ms 1));
+    let total = Metrics.Account.total_of (Cluster.Cpu.account cpu) in
+    ( List.rev !log,
+      Sim.Engine.events_fired engine,
+      Sim.Time.to_ns (Cluster.Cpu.busy_time cpu),
+      (total "a", total "b") )
+  in
+  let log0, events0, busy0, accounts0 = run ~interrupt:false in
+  let log, events, busy, accounts = run ~interrupt:true in
+  Alcotest.(check (list (list int)))
+    "each frame's steps at the same instants, in the same order"
+    (List.map (fun (tag, i, step, at) -> [ tag; i; step; at ]) log0)
+    (List.map (fun (tag, i, step, at) -> [ tag; i; step; at ]) log);
+  Alcotest.(check (list int)) "frames served in arrival order"
+    [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+    (List.filter_map (fun (_, i, step, _) -> if step = 0 then Some i else None) log);
+  Alcotest.(check (list int)) "first charges end as a parking dispatcher's did"
+    [ 23_529; 48_529; 73_529; 98_529; 123_529; 148_529; 1_023_529; 2_023_529 ]
+    (List.filter_map (fun (_, _, step, at) -> if step = 0 then Some at else None) log0);
+  check_int "a parking dispatcher's events" 33 events0;
+  check_int "the same events" events0 events;
+  check_int "busy time" busy0 busy;
+  Alcotest.(check (pair (float 0.) (float 0.))) "accounts" accounts0 accounts
 
 let costs_are_calibrated () =
   (* A sanity pin on the headline calibration constants. *)
@@ -329,6 +477,10 @@ let suite =
     Alcotest.test_case "space faults" `Quick space_fault;
     Alcotest.test_case "cpu accounting" `Quick cpu_accounting;
     Alcotest.test_case "cpu serializes holders" `Quick cpu_serializes;
+    Alcotest.test_case "cpu charge chains keep the process schedule" `Quick
+      cpu_mixed_schedule;
+    Alcotest.test_case "node levels keep the dispatch schedule" `Quick
+      node_levels_keep_the_schedule;
     Alcotest.test_case "kernel syscall cost" `Quick kernel_syscall_cost;
     Alcotest.test_case "lrpc round-trip cost" `Quick lrpc_cost;
     Alcotest.test_case "node demux and crash" `Quick node_demux_and_crash;

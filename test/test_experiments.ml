@@ -263,7 +263,9 @@ let experiments_md_quotes_reports () =
 
 (* One fixture build: the store's blocks, the server's warmed pages and
    the testbed, each byte copied once on its way, and a sim clock that
-   ends where the bootstrap round trips leave it. *)
+   ends where the bootstrap round trips leave it.  A directory entry is
+   added in O(1): appending each of [bench/wide]'s 300 entries to the
+   end of a list cost 1.1 MB more (2,814,974 words in all). *)
 let fixture_create_budget () =
   let clock = ref 0. in
   let words =
@@ -272,7 +274,7 @@ let fixture_create_budget () =
         clock := Sim.Time.to_us (Experiments.Fixture.now f))
   in
   Alcotest.(check (float 0.0005)) "sim clock at the end, us" 204_498.896 !clock;
-  Rig.within_budget "fixture create" ~words ~budget:3_096_400.
+  Rig.within_budget "fixture create" ~words ~budget:2_939_680.
 
 let suite =
   [

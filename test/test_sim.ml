@@ -1121,6 +1121,39 @@ let uncontended_charge_budget () =
   Rig.within_budget "uncontended Cpu.use (Proc.wait + 0.4)" ~words:charge
     ~budget:(wait +. 0.4)
 
+(* A charge at interrupt level is an engine callback with no
+   continuation: uncontended it allocates nothing, and queued behind a
+   busy CPU only its queue node (3 words), where a process's [Cpu.use]
+   pays 2 and 7.  A closure or box per charge fails here. *)
+let charger_budget () =
+  let n = 2000 in
+  let engine = Sim.Engine.create () in
+  let cpu = Cluster.Cpu.create () in
+  let drain () =
+    while Sim.Engine.step engine do
+      ()
+    done
+  in
+  let c = Cluster.Cpu.charger cpu engine (Sim.Engine.Text "c") () in
+  let d = Cluster.Cpu.charger cpu engine (Sim.Engine.Text "d") () in
+  let uncontended =
+    Rig.words_per_op ~n (fun () ->
+        Cluster.Cpu.charge c ~category:"c" 1 ignore;
+        drain ())
+  in
+  (* Two charges at one instant: the second finds the CPU busy. *)
+  let contended =
+    Rig.words_per_op ~n (fun () ->
+        Cluster.Cpu.charge c ~category:"c" 1 ignore;
+        Cluster.Cpu.charge d ~category:"c" 1 ignore;
+        drain ())
+  in
+  check_int "every charge booked" (Sim.Time.to_ns (Cluster.Cpu.busy_time cpu))
+    (3 * (n + 1));
+  Rig.within_budget "uncontended Cpu.charge" ~words:uncontended ~budget:0.1;
+  Rig.within_budget "Cpu.charge queued behind another" ~words:contended
+    ~budget:3.3
+
 let engine_pending_counts () =
   let engine = Sim.Engine.create () in
   Sim.Engine.schedule engine (fun () -> ());
@@ -1231,6 +1264,7 @@ let suite =
       suspend_outside_process;
     Alcotest.test_case "unnamed processes numbered" `Quick
       unnamed_processes_numbered;
+    Alcotest.test_case "Cpu.charge allocation budget" `Quick charger_budget;
     Alcotest.test_case "uncontended Cpu.use allocation budget" `Quick
       uncontended_charge_budget;
     Alcotest.test_case "control-path allocation budget" `Quick
