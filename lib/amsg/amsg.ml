@@ -7,7 +7,11 @@
    unlike the remote-memory model — computation does run on the
    destination processor for every message.  The paper contrasts this
    "interrupt driven messages" style with its own separation of data
-   from control.  Frames are pooled, built and parsed in place (.mli). *)
+   from control.  Here the tag is a process-level one
+   ([Cluster.Node.set_handler]): reception and the handler run in the
+   node's receive-dispatcher process, which blocks on the CPU for each
+   charge and takes the next frame only when the handler returns.
+   Frames are pooled, built and parsed in place (.mli). *)
 
 let frame_tag = 0x28
 let header_bytes = 8
@@ -18,24 +22,18 @@ type handler = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> unit
 type t = {
   node : Cluster.Node.t;
   frames : Atm.Frame.pool; (* the network's *)
-  handlers : handler array; (* indexed by handler id; [unregistered] if free *)
+  handlers : handler option array; (* indexed by handler id *)
   mutable sent : int;
-  mutable delivered : int;
   mutable handler_cpu : Sim.Time.t; (* receiver CPU spent in upcalls *)
 }
-
-(* The free slot's handler; delivery reports an unregistered id instead
-   of calling it. *)
-let unregistered ~src:_ _ ~pos:_ ~len:_ = ()
 
 let attach node =
   let t =
     {
       node;
       frames = Atm.Nic.pool (Cluster.Node.nic node);
-      handlers = Array.make 256 unregistered;
+      handlers = Array.make 256 None;
       sent = 0;
-      delivered = 0;
       handler_cpu = Sim.Time.zero;
     }
   in
@@ -46,19 +44,20 @@ let attach node =
       let len = Bytes.get_uint16_le frame 2 in
       if size < header_bytes + len then raise Atm.Codec.Truncated;
       let c = Cluster.Node.costs node in
-      (* Interrupt-level reception: drain the frame... *)
+      (* Reception, in the dispatcher process: drain the frame... *)
       Cluster.Cpu.use (Cluster.Node.cpu node)
         ~category:Cluster.Cpu.cat_data_reception
         (Sim.Time.add c.Cluster.Costs.rx_interrupt
            (Cluster.Costs.frame_copy_cost c ~payload_bytes:size));
-      (* ...then run the handler upcall right here.  The handler charges
-         its own computation (category: procedure). *)
-      let handler = t.handlers.(id) in
-      if handler == unregistered then
-        failwith (Printf.sprintf "Amsg: no handler %d registered" id);
+      (* ...then run the handler upcall in the same process.  The
+         handler charges its own computation (category: procedure). *)
+      let handler =
+        match t.handlers.(id) with
+        | Some handler -> handler
+        | None -> failwith (Printf.sprintf "Amsg: no handler %d registered" id)
+      in
       let before = Cluster.Cpu.busy_time (Cluster.Node.cpu node) in
       handler ~src frame ~pos:header_bytes ~len;
-      t.delivered <- t.delivered + 1;
       t.handler_cpu <-
         Sim.Time.add t.handler_cpu
           (Sim.Time.diff (Cluster.Cpu.busy_time (Cluster.Node.cpu node)) before));
@@ -66,9 +65,8 @@ let attach node =
 
 let register t ~id handler =
   if id < 0 || id > 255 then invalid_arg "Amsg.register: id out of range";
-  if t.handlers.(id) != unregistered then
-    invalid_arg "Amsg.register: id in use";
-  t.handlers.(id) <- handler
+  if Option.is_some t.handlers.(id) then invalid_arg "Amsg.register: id in use";
+  t.handlers.(id) <- Some handler
 
 let check_handler handler =
   if handler < 0 || handler > 0xFF then
@@ -101,6 +99,5 @@ let send t ~dst ~handler args =
   send_frame t ~dst ~handler f
 
 let sent t = t.sent
-let delivered t = t.delivered
 let handler_cpu t = t.handler_cpu
 let node t = t.node

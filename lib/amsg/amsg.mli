@@ -1,8 +1,10 @@
 (** Active Messages [von Eicken et al. 1992] — §6's second related-work
     comparator: every message carries a handler id that the receiver
-    runs at interrupt level. No scheduling, no blocked threads, but
-    computation runs on the destination CPU for every message, which is
-    precisely what the remote-memory model avoids.
+    runs on arrival (at interrupt level in the paper; here in the
+    node's receive-dispatcher process, see {!register}). No scheduling,
+    no blocked server threads, but computation runs on the destination
+    CPU for every message, which is precisely what the remote-memory
+    model avoids.
 
     Allocation: none per message on the host. A frame comes from the
     node NIC's pool, the sender writes the 8-byte header into it, the
@@ -24,8 +26,12 @@ val attach : Cluster.Node.t -> t
     [Atm.Codec.Truncated] at the receiver. *)
 
 val register : t -> id:int -> handler -> unit
-(** Install a handler (ids 0–255). The handler runs at interrupt level
-    on arrival: it should be short and charge its own computation. *)
+(** Install a handler (ids 0–255). The handler runs on arrival in the
+    node's receive-dispatcher process, not at interrupt level as the
+    paper's do: {!attach} claims a process-level tag
+    ({!Cluster.Node.set_handler}), so a handler may block on the CPU,
+    and the node takes its next frame only when the handler returns. It
+    should be short and charge its own computation. *)
 
 val header_bytes : int
 (** Where the arguments start in a frame (8). *)
@@ -49,8 +55,6 @@ val send : t -> dst:Atm.Addr.t -> handler:int -> bytes -> unit
 (** {1 Statistics} *)
 
 val sent : t -> int
-val delivered : t -> int
-(** Test-only: the active-message tests count handler upcalls. *)
 
 val handler_cpu : t -> Sim.Time.t
 (** Receiver CPU consumed inside handler upcalls. *)

@@ -56,7 +56,8 @@ val partition :
     cells in first-touch order. Precedence edges are preserved: two
     events of one cell are related in the sub-history exactly as in the
     whole history (precedence is defined pointwise on intervals and
-    agents). Test-only: the unit tests check the per-cell split on its own. *)
+    agents). Test-only: the split of one history into independent cells,
+    which a run shows only through {!check}'s whole verdict. *)
 
 val check_cell :
   mode:mode -> ?budget:int -> init:History.value ->
@@ -64,9 +65,10 @@ val check_cell :
 (** Check one cell's events (any order; sorted internally) against the
     sequential specification starting from [init]. [budget] bounds
     explored search states (default 200k).
-    Test-only: the linearizability unit tests check one cell's history
-    directly. Test-only ?budget: the tests reach the budget verdict
-    without a history of 200k search states. *)
+    Test-only: the verdict on a hand-built cell history, such as a pending
+    write or a failed CAS, which no recorded run produces on demand.
+    Test-only ?budget: the budget verdict, which no recorded history is
+    long enough to reach. *)
 
 val minimize :
   mode:mode -> init:History.value ->
@@ -75,8 +77,8 @@ val minimize :
     still violates, to a 1-minimal witness: removing any remaining
     event yields a linearizable history. Returns the input unchanged if
     it does not violate.
-    Test-only: the unit and property tests check witness shrinking on its
-    own. *)
+    Test-only: 1-minimality of a witness, which a failing run's report shows
+    only as its final text. *)
 
 val check : ?mode:mode -> History.t -> verdict
 (** Check a whole history cell by cell; the first violating cell (in

@@ -7,14 +7,16 @@ type finding = {
 
 let poll_threshold = 8
 
+(* A rejection's status: what a validation at the issuer or the
+   exporter refused, never [Ok] or the issuer's own timeout. *)
 let rule_of_status = function
-  | Rmem.Status.Stale_generation -> Some "stale-generation"
-  | Rmem.Status.Bad_segment -> Some "revoked-segment"
-  | Rmem.Status.Protection -> Some "rights"
-  | Rmem.Status.Bounds -> Some "bounds"
-  | Rmem.Status.Write_inhibited -> Some "write-inhibit"
-  | Rmem.Status.Unpinned -> Some "unpinned"
-  | _ -> None
+  | Rmem.Status.Stale_generation -> "stale-generation"
+  | Rmem.Status.Bad_segment -> "revoked-segment"
+  | Rmem.Status.Protection -> "rights"
+  | Rmem.Status.Bounds -> "bounds"
+  | Rmem.Status.Write_inhibited -> "write-inhibit"
+  | Rmem.Status.Unpinned -> "unpinned"
+  | Rmem.Status.Ok | Rmem.Status.Timed_out -> invalid_arg "Lint: not a rejection"
 
 let op_name = function
   | Rmem.Rights.Read_op -> "READ"
@@ -51,14 +53,11 @@ let check monitor =
      rights probe, an out-of-bounds request, a dropped write. *)
   List.iter
     (fun (r : Monitor.rejection) ->
-      match rule_of_status r.status with
-      | None -> ()
-      | Some rule ->
-          let site = match r.site with `Issue -> "locally" | `Serve -> "at the exporter" in
-          add rule r.agent_name r.key
-            (Printf.sprintf "%s [%d..%d) rejected %s: %s" (op_name r.op)
-               r.off (r.off + r.count) site
-               (Rmem.Status.to_string r.status)))
+      let site = match r.site with `Issue -> "locally" | `Serve -> "at the exporter" in
+      add (rule_of_status r.status) r.agent_name r.key
+        (Printf.sprintf "%s [%d..%d) rejected %s: %s" (op_name r.op)
+           r.off (r.off + r.count) site
+           (Rmem.Status.to_string r.status)))
     (Monitor.rejections monitor);
   (* Notify-policy misuse: a reader hammering one location of a segment
      whose policy can never notify it is polling where the control-

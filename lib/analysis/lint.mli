@@ -15,7 +15,8 @@ type finding = {
 val poll_threshold : int
 (** Repeated identical READs of one location before ["poll-never"]
     fires (8).
-    Test-only: the lint tests size their poll loops just past it. *)
+    Test-only: where poll-never begins, one READ past it, which no report
+    names. *)
 
 val check : Monitor.t -> finding list
 (** One finding per (rule, agent, region): the rejection, poll-never and

@@ -82,8 +82,7 @@ val accesses_from : t -> id:int -> Access.t list
 val retry_backoff_floor : Sim.Time.t
 (** A failed CAS retried after at least this pause counts as backing
     off; only faster retries extend a consecutive-failure run.
-    Test-only: the lint tests pause exactly this long to count as backing
-    off. *)
+    Test-only: the pause that ends a CAS retry chain, which no report names. *)
 
 val worst_cas_retries : t -> ((string * Access.seg_key * int) * int) list
 (** Per (agent, segment, word offset): the longest run of consecutive

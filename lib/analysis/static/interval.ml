@@ -21,12 +21,6 @@ let mul a b =
     hi = List.fold_left max min_int products;
   }
 
-let join a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
-
-let contains t n = t.lo <= n && n <= t.hi
-
-let overlaps a b = a.lo <= b.hi && b.lo <= a.hi
-
 let is_exact t = t.lo = t.hi
 
 let to_string t =

@@ -11,13 +11,4 @@ val add : t -> t -> t
 val mul : t -> t -> t
 (** Exact interval product (all four endpoint products considered). *)
 
-val join : t -> t -> t
-(** Test-only: the interval-domain unit tests. *)
-
-val contains : t -> int -> bool
-(** Test-only: the interval-domain unit tests. *)
-
-val overlaps : t -> t -> bool
-(** Test-only: the interval-domain unit tests. *)
-
 val to_string : t -> string

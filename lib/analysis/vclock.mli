@@ -9,7 +9,8 @@ val empty : t
 
 val get : t -> int -> int
 (** Component for agent [i] (0 when never ticked).
-    Test-only: the vector-clock unit tests read single components. *)
+    Test-only: a single component of a clock, which reports show only
+    through race verdicts. *)
 
 val tick : t -> int -> t
 (** Advance agent [i]'s component by one. *)
@@ -24,4 +25,5 @@ val leq : t -> t -> bool
 type order = Equal | Before | After | Concurrent
 
 val compare : t -> t -> order
-(** Test-only: the vector-clock unit tests check the partial order directly. *)
+(** Test-only: the partial order itself, concurrency included, which reports
+    show only through race verdicts. *)

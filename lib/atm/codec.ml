@@ -49,11 +49,6 @@ let put_i32 w v =
   Bytes.set_int32_le w.buf w.pos v;
   w.pos <- w.pos + 4
 
-let put_u64 w v =
-  ensure w 8;
-  Bytes.set_int64_le w.buf w.pos (Int64.of_int v);
-  w.pos <- w.pos + 8
-
 let put_sub w b ~pos ~len =
   ensure w len;
   Bytes.blit b pos w.buf w.pos len;
@@ -107,31 +102,12 @@ let get_u32 r =
   r.rpos <- r.rpos + 4;
   v
 
-let get_i32 r =
-  need r 4;
-  let v = Bytes.get_int32_le r.data r.rpos in
-  r.rpos <- r.rpos + 4;
-  v
-
-let get_u64 r =
-  need r 8;
-  let v = Int64.to_int (Bytes.get_int64_le r.data r.rpos) in
-  r.rpos <- r.rpos + 8;
-  v
-
 let get_bytes r n =
   if n < 0 then invalid_arg "Codec.get_bytes";
   need r n;
   let b = Bytes.sub r.data r.rpos n in
   r.rpos <- r.rpos + n;
   b
-
-let get_string r =
-  let n = get_u16 r in
-  need r n;
-  let s = Bytes.sub_string r.data r.rpos n in
-  r.rpos <- r.rpos + n;
-  s
 
 let skip r n =
   if n < 0 then invalid_arg "Codec.skip";

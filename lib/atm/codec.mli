@@ -17,7 +17,6 @@ val put_u8 : writer -> int -> unit
 val put_u16 : writer -> int -> unit
 val put_u32 : writer -> int -> unit
 val put_i32 : writer -> int32 -> unit
-val put_u64 : writer -> int -> unit
 val put_bytes : writer -> bytes -> unit
 
 val put_sub : writer -> bytes -> pos:int -> len:int -> unit
@@ -39,20 +38,10 @@ val contents : writer -> bytes
 type reader
 
 val reader : bytes -> reader
-val remaining : reader -> int
-(** Test-only: the codec tests check a reader is fully drained. *)
-
 val get_u8 : reader -> int
 val get_u16 : reader -> int
 val get_u32 : reader -> int
-val get_i32 : reader -> int32
-(** Test-only: the codec round-trip property reads back a signed word. *)
-
-val get_u64 : reader -> int
 val get_bytes : reader -> int -> bytes
-val get_string : reader -> string
-(** Test-only: the codec round-trip property reads back a string (the
-    Hybrid-1 server reads its names in place). *)
 
 val skip : reader -> int -> unit
 

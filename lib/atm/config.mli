@@ -17,4 +17,5 @@ val cell_wire_time : t -> Sim.Time.t
 
 val frame_wire_time : t -> int -> Sim.Time.t
 (** Serialization time of a frame of the given payload length.
-    Test-only: the calibration tests pin a 4 KB frame's serialization time. *)
+    Test-only: one frame's serialization time, which runs show only summed
+    into latencies. *)

@@ -66,12 +66,11 @@ val outstanding : pool -> int
 (** Frames taken and neither released nor pinned. A frame dropped on
     the way (no route, a full queue, a bad checksum, a crashed
     receiver) is left to the garbage collector and stays counted.
-    Test-only: the pool tests check a drained run gives every frame
-    back. *)
+    Test-only: a frame leak, which no run's output shows. *)
 
 val created : pool -> int
 (** Frames the pool has allocated: the most it ever retains.
-    Test-only: the pool tests check frames are reused. *)
+    Test-only: frame reuse, which no run's output shows. *)
 
 val intact : t -> bool
 (** Does the payload still match the AAL checksum computed when the

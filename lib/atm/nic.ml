@@ -33,8 +33,6 @@ type t = {
   mutable handed : Frame.t; (* handed to [reader], not yet read *)
   pool : Frame.pool; (* the network's *)
   mutable rx_cells_pending : int;
-  mutable frames_tx : int;
-  mutable frames_rx : int;
   mutable bytes_tx : int;
   mutable crc_errors : int;
   mutable route_drops : int;
@@ -57,8 +55,6 @@ let create config ~pool addr =
     handed = vacant;
     pool;
     rx_cells_pending = 0;
-    frames_tx = 0;
-    frames_rx = 0;
     bytes_tx = 0;
     crc_errors = 0;
     route_drops = 0;
@@ -73,7 +69,6 @@ let route_frame t ~dst frame =
   | None -> t.route_drops <- t.route_drops + 1
   | Some link ->
       let len = Frame.length frame in
-      t.frames_tx <- t.frames_tx + 1;
       t.bytes_tx <- t.bytes_tx + len;
       Link.send link frame
 
@@ -101,7 +96,6 @@ let deliver t frame =
       raise (Rx_overflow t.addr);
     Obs.Trace.frame_delivered (Frame.ctx frame) ~node:(Addr.to_int t.addr);
     t.rx_cells_pending <- t.rx_cells_pending + cells;
-    t.frames_rx <- t.frames_rx + 1;
     if t.listening then begin
       t.listening <- false;
       t.handed <- frame;
@@ -133,8 +127,6 @@ let read t reader =
 
 let pending_frames t = Frame.ring_length t.rx
 
-let frames_tx t = t.frames_tx
-let frames_rx t = t.frames_rx
 let bytes_tx t = t.bytes_tx
 let crc_errors t = t.crc_errors
 let route_drops t = t.route_drops

@@ -59,12 +59,6 @@ val pending_frames : t -> int
 
 (** {1 Statistics} *)
 
-val frames_tx : t -> int
-(** Test-only: the fabric tests check per-NIC frame counts. *)
-
-val frames_rx : t -> int
-(** Test-only: the fabric tests check per-NIC frame counts. *)
-
 val bytes_tx : t -> int
 
 val crc_errors : t -> int

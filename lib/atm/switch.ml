@@ -47,7 +47,6 @@ type t = {
   mutable trunks : Link.t list;
   mutable free : slot array; (* free forwarding slots, a stack *)
   mutable free_count : int;
-  mutable frames_switched : int;
   mutable drops : int;
 }
 
@@ -64,7 +63,6 @@ let create ?(name = "switch") engine config =
     trunks = [];
     free = [||];
     free_count = 0;
-    frames_switched = 0;
     drops = 0;
   }
 
@@ -123,7 +121,6 @@ let forward t frame =
   let link = route t (Addr.to_int (Frame.dst frame)) in
   if link == t.unrouted then t.drops <- t.drops + 1
   else begin
-    t.frames_switched <- t.frames_switched + 1;
     let now = Sim.Engine.now t.engine in
     let out = Sim.Time.add now t.config.Config.switch_latency in
     Obs.Trace.link_hop (Frame.ctx frame) ~name:t.name ~start:now ~finish:out;
@@ -154,7 +151,6 @@ let trunk_to t peer =
 let add_route t ~dst link =
   if not (Hashtbl.mem t.downlinks dst) then set_route t dst link
 
-let frames_switched t = t.frames_switched
 let drops t = t.drops
 
 (* Instantaneous backlog across every output this switch drives — host

@@ -32,11 +32,8 @@ val add_route : t -> dst:int -> Link.t -> unit
 val forward : t -> Frame.t -> unit
 (** Inject a frame into this switch's forwarding logic (as an arriving
     trunk does).
-    Test-only: the switch allocation budget injects frames at the switch
-    directly. *)
-
-val frames_switched : t -> int
-(** Test-only: the fabric tests check that frames crossed the switch. *)
+    Test-only: the host cost of one switch hop alone, with no link or NIC
+    around it. *)
 
 val drops : t -> int
 (** Frames discarded for a destination with no port and no route. *)

@@ -71,7 +71,8 @@ val campaigns : (string * campaign) list
 val trace : (string * trace) list
 val source : history -> string
 (** ["campaign"] for a fault-free history, else its FIFO source.
-    Test-only: the catalog tests check the lin view's grouping by it. *)
+    Test-only: each history's source label, which reports give only as one
+    cell of a run's report. *)
 
 val lin : (string * history) list
 (** Grouped by {!source}; a name may carry two histories. *)

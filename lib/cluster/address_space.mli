@@ -18,10 +18,11 @@ type t
 
 val create : asid:int -> unit -> t
 val asid : t -> int
-(** Test-only: the tests read the next asid to check no space was created. *)
+(** Test-only: how many spaces a node made, which no report counts. *)
 
 val page_size : t -> int
-(** Test-only: the address-space tests size their accesses by it. *)
+(** Test-only: the page size, which accesses that straddle a page boundary
+    are sized by. *)
 
 (** {1 Data access} *)
 
@@ -60,4 +61,4 @@ val unpin : t -> addr:int -> len:int -> unit
 
 val is_pinned : t -> addr:int -> len:int -> bool
 val resident_pages : t -> int
-(** Test-only: the tests check pages materialize on first touch. *)
+(** Test-only: how many pages a space materialized, which no report counts. *)

@@ -45,7 +45,7 @@ let cat_client = "client"
 let create ?(name = "cpu") () =
   {
     resource = Sim.Resource.create ~name ();
-    account = Metrics.Account.create ~name ();
+    account = Metrics.Account.create ();
     busy = Sim.Time.zero;
   }
 
@@ -55,8 +55,8 @@ let book t ~category span =
 
 let use t ~category duration =
   if duration < 0 then invalid_arg "Cpu.use: negative duration";
-  (* [Resource.with_resource] inlined: its closure would be allocated on
-     every charge. *)
+  (* An acquire/release bracket written out: a bracket taking a closure
+     would allocate it on every charge. *)
   Sim.Resource.acquire t.resource;
   match
     Sim.Proc.wait duration;

@@ -28,7 +28,7 @@ type t = {
   nic : Atm.Nic.t;
   spaces : (int, Address_space.t) Hashtbl.t;
   mutable next_asid : int;
-  handlers : handler array; (* indexed by tag byte; [unclaimed] if free *)
+  handlers : handler option array; (* indexed by tag byte *)
   interrupt : Bytes.t; (* by tag byte, 1 when its handler runs at interrupt level *)
   mutable reader : Sim.Proc.t; (* the receive FIFO's reader, built at [start] *)
   idle : Sim.Wait.t; (* the dispatcher process waits for a frame here *)
@@ -38,10 +38,6 @@ type t = {
   mutable down : bool;
   mutable subscribers : (event -> unit) list; (* in subscription order *)
 }
-
-(* The free slot's handler; [dispatch] reports an unclaimed tag instead
-   of calling it. *)
-let unclaimed ~src:_ _ = ()
 
 let idling = Sim.Engine.Text "idle"
 
@@ -56,7 +52,7 @@ let create engine ~costs ~nic ~prng =
     nic;
     spaces = Hashtbl.create 8;
     next_asid = 1;
-    handlers = Array.make 256 unclaimed;
+    handlers = Array.make 256 None;
     interrupt = Bytes.make 256 '\000';
     reader = Sim.Proc.nobody;
     idle = Sim.Wait.create ();
@@ -87,9 +83,9 @@ let new_address_space t =
 
 let set_handler t ~tag handler =
   if tag < 0 || tag > 255 then invalid_arg "Node.set_handler: tag out of range";
-  if t.handlers.(tag) != unclaimed then
+  if Option.is_some t.handlers.(tag) then
     invalid_arg "Node.set_handler: tag already claimed";
-  t.handlers.(tag) <- handler
+  t.handlers.(tag) <- Some handler
 
 let set_interrupt_handler t ~tag handler =
   set_handler t ~tag handler;
@@ -118,8 +114,9 @@ let emit t event = deliver event t.subscribers
 
 let tag frame = Char.code (Bytes.get (Atm.Frame.payload frame) 0)
 
+(* [next] has checked that the tag is claimed. *)
 let handle t frame =
-  t.handlers.(tag frame) ~src:(Atm.Frame.src frame) (Atm.Frame.payload frame)
+  Option.get t.handlers.(tag frame) ~src:(Atm.Frame.src frame) (Atm.Frame.payload frame)
 
 (* The end of [t.frame]'s dispatch, once its handler is done with the
    payload. *)
@@ -143,7 +140,7 @@ let rec next t =
   else begin
     if Atm.Frame.length frame = 0 then failwith "Node.dispatch: empty frame";
     let tag = tag frame in
-    if t.handlers.(tag) == unclaimed then
+    if Option.is_none t.handlers.(tag) then
       failwith
         (Printf.sprintf "%s: no protocol handler for tag 0x%02x"
            (Atm.Addr.to_string t.addr) tag);

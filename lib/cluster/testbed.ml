@@ -1,25 +1,12 @@
-(* One-call construction of a complete simulated cluster.
+(* One-call construction of a complete simulated cluster. *)
 
-   Node lookup by network address goes through a hash index rather than
-   a linear scan: fabric-scale testbeds (hundreds of nodes over a Clos
-   or fat tree) resolve addresses on hot paths — the fault plane, gauge
-   wiring, per-frame delivery hooks — and an O(n) scan there turns
-   quadratic with the node count. *)
-
-type t = {
-  engine : Sim.Engine.t;
-  network : Atm.Network.t;
-  nodes : Node.t array;
-  by_addr : (int, Node.t) Hashtbl.t;
-  costs : Costs.t;
-}
+type t = { engine : Sim.Engine.t; network : Atm.Network.t; nodes : Node.t array }
 
 let create ?(costs = Costs.default) ?(config = Atm.Config.default)
     ?(topology = Atm.Network.Back_to_back) ?(seed = 42) ~nodes:count () =
   let engine = Sim.Engine.create () in
   let network = Atm.Network.create ~config ~topology engine ~nodes:count in
   let root_prng = Sim.Prng.create seed in
-  let by_addr = Hashtbl.create (2 * count) in
   let nodes =
     Array.init count (fun i ->
         let nic = Atm.Network.nic_of_int network i in
@@ -27,18 +14,13 @@ let create ?(costs = Costs.default) ?(config = Atm.Config.default)
           Node.create engine ~costs ~nic ~prng:(Sim.Prng.split root_prng)
         in
         Node.start node;
-        Hashtbl.replace by_addr (Atm.Addr.to_int (Node.addr node)) node;
         node)
   in
-  { engine; network; nodes; by_addr; costs }
+  { engine; network; nodes }
 
 let engine t = t.engine
 let network t = t.network
-let costs t = t.costs
 let node t i = t.nodes.(i)
 let nodes t = Array.to_list t.nodes
-let size t = Array.length t.nodes
-
-let node_of_addr t addr = Hashtbl.find_opt t.by_addr (Atm.Addr.to_int addr)
 
 let run t body = Sim.Proc.run t.engine body

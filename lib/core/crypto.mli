@@ -6,7 +6,7 @@
 type t
 
 val make : key:int -> per_word_cost:Sim.Time.t -> t
-(** Test-only: the security tests build mismatched keys. *)
+(** Test-only: a key pair that does not match, which no workload builds. *)
 
 val transform : t -> ?pos:int -> ?len:int -> bytes -> bytes
 (** Encrypt/decrypt (involution) [len] bytes from [pos] (default: the

@@ -24,5 +24,4 @@ let of_int i =
   if i < 0 || i >= modulus then invalid_arg "Generation.of_int";
   i
 
-let is_valid g = g <> invalid
 let pp ppf g = Format.fprintf ppf "g%d" g

@@ -3,19 +3,13 @@
 
 type t = private int
 
-val invalid : t
-(** 0 — never assigned to a live export.
-    Test-only: the generation unit tests. *)
-
 val initial : t
 
 val next : t -> t
-(** Successor, wrapping around [invalid]. *)
+(** Successor, wrapping around 0, which no live export is assigned. *)
 
 val equal : t -> t -> bool
 val to_int : t -> int
 val of_int : int -> t
-val is_valid : t -> bool
-(** Test-only: the generation unit tests. *)
 
 val pp : Format.formatter -> t -> unit

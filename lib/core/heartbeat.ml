@@ -28,7 +28,6 @@ type t = {
   mutable strikes : int;
   mutable state : state;
   mutable stopped : bool;
-  mutable probes : int;
 }
 
 let publish rmem segment ~off ~period =
@@ -46,12 +45,10 @@ let publish rmem segment ~off ~period =
   fun () -> stopped := true
 
 let state t = t.state
-let probes t = t.probes
 let strikes t = t.strikes
 let stop t = t.stopped <- true
 
 let probe t =
-  t.probes <- t.probes + 1;
   match
     Remote_memory.read_wait ~timeout:t.timeout t.rmem t.desc ~soff:t.soff
       ~count:4 ~dst:t.buf ~doff:0 ()
@@ -90,7 +87,6 @@ let watch rmem desc ~soff ?(period = Sim.Time.ms 10)
       strikes = 0;
       state = Alive;
       stopped = false;
-      probes = 0;
     }
   in
   Cluster.Node.spawn node (fun () ->

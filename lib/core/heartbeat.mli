@@ -31,12 +31,11 @@ val watch :
     here; a lossy link accumulates them and a healed one clears them. *)
 
 val state : t -> state
-val probes : t -> int
-(** Test-only: the failure-detector tests count probes. *)
-
 val strikes : t -> int
 (** Consecutive misses since the counter last advanced.
-    Test-only: the failure-detector tests check strikes reset on heal. *)
+    Test-only: strikes that reset on a heal before the budget runs out,
+    which leave the state Alive. *)
 
 val stop : t -> unit
-(** Test-only: the failure-detector tests stop the watcher. *)
+(** Test-only: stopping a watcher, which every campaign leaves running to
+    the end. *)

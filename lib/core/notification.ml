@@ -93,14 +93,6 @@ let wait t =
   else
     Sim.Proc.sleep t.waiters ~resource:t.label ~daemon:false
 
-let try_read t =
-  if Queue.is_empty t.queue then None
-  else begin
-    let record = Queue.pop t.queue in
-    observed t record;
-    Some record
-  end
-
 let set_signal_handler t handler = t.signal_handler <- handler
 
 let pending t = Queue.length t.queue

@@ -42,10 +42,6 @@ val wait : t -> record
 (** Block the current process until a record is deliverable
     ("read" on the descriptor). *)
 
-val try_read : t -> record option
-(** Non-blocking poll ("select").
-    Test-only: the notification tests check a drained descriptor. *)
-
 val set_signal_handler : t -> (record -> unit) option -> unit
 (** Install (or clear) an upcall run at delivery when no reader waits. *)
 

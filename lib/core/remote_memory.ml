@@ -44,8 +44,8 @@ type completion = {
   wait : Sim.Wait.t; (* its one awaiter parks here *)
   mutable holds : int;
   mutable span : Sim.Time.t;
-  mutable arm : unit -> unit; (* the watchdog's first event: schedules [expire] *)
-  mutable expire : unit -> unit;
+  mutable arm : (unit -> unit) option;
+      (* the watchdog's first event, built by the first timed use *)
 }
 
 (* A node's free records, a stack in [free.(0 .. top - 1)]. *)
@@ -62,8 +62,6 @@ let cas_status outcome =
 (* What a blocked waiter is reported blocked on, built once. *)
 let read_label = Sim.Engine.Quoted ("ivar", "rmem READ completion")
 let cas_label = Sim.Engine.Quoted ("ivar", "rmem CAS completion")
-
-let unarmed () = ()
 
 let completed c = c.outcome <> empty
 
@@ -275,7 +273,7 @@ let blank pool ~desc ~buf =
   { pool; desc; cas = false; off = 0; count = 0; buf; doff = 0; notify = false;
     old_value = 0; reqid = 0; received = 0; chunks = Bytes.empty;
     outcome = empty; wait = Sim.Wait.create (); holds = 0;
-    span = Sim.Time.zero; arm = unarmed; expire = unarmed }
+    span = Sim.Time.zero; arm = None }
 
 (* The in-service record of a node, its fields placeholders until the
    first frame. *)
@@ -318,9 +316,9 @@ let create node =
     completions;
     next_reqid = 1;
     completion_fd;
-    ops = Metrics.Account.create ~name:"rmem ops" ();
-    data_bytes = Metrics.Account.create ~name:"rmem bytes" ();
-    errors = Metrics.Account.create ~name:"rmem errors" ();
+    ops = Metrics.Account.create ();
+    data_bytes = Metrics.Account.create ();
+    errors = Metrics.Account.create ();
     crypto = None;
     write_failures = Sim.Int_table.create 4;
     recovery_depth = 0;
@@ -666,16 +664,21 @@ let arm_timeout t c = function
   | None -> ()
   | Some span ->
       let engine = Cluster.Node.engine t.node in
-      if c.arm == unarmed then begin
-        c.expire <- (fun () -> expire t c);
-        c.arm <-
-          (fun () ->
-            Sim.Engine.schedule_at engine
-              (Sim.Time.add (Sim.Engine.now engine) c.span)
-              c.expire)
-      end;
+      let arm =
+        match c.arm with
+        | Some arm -> arm
+        | None ->
+            let expire () = expire t c in
+            let arm () =
+              Sim.Engine.schedule_at engine
+                (Sim.Time.add (Sim.Engine.now engine) c.span)
+                expire
+            in
+            c.arm <- Some arm;
+            arm
+      in
       c.span <- span;
-      Sim.Engine.schedule engine c.arm
+      Sim.Engine.schedule engine arm
 
 (* A READ's or CAS's record, pooled if one is free, with a fresh reqid. *)
 let take t ~desc ~cas ~off ~count ~buf ~doff ~notify ~old_value ~timed =

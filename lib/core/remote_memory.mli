@@ -109,8 +109,8 @@ val write :
     nack-flushing fence remains, and silent loss must be caught by an
     application-level read. Assumes no concurrent writer to the same
     region during verification.
-    Test-only ?swab: the paper's §3.6 swab operand on WRITE, which the
-    heterogeneity tests check. *)
+    Test-only ?swab: the §3.6 swab operand on WRITE, which no workload mixes
+    byte orders to need. *)
 
 val write_sub :
   t -> Descriptor.t -> off:int -> ?notify:bool -> bytes -> pos:int -> len:int ->
@@ -145,8 +145,8 @@ val write_burst :
     one notification covering the whole burst. Extents must be
     non-empty; overlapping extents deposit in list order. Raises
     [Invalid_argument] on an empty burst or extent.
-    Test-only ?swab: the §3.6 swab operand on the burst form of WRITE,
-    which the heterogeneity tests check. *)
+    Test-only ?swab: the §3.6 swab operand on the burst form of WRITE, which
+    no workload mixes byte orders to need. *)
 
 type completion
 (** The completion of one READ issued with {!read}: filled once with
@@ -197,8 +197,8 @@ val read_wait :
     {!Status.Timeout} if [timeout] passes first (late replies are then
     dropped). READ is idempotent, so under [policy] it is reissued
     blindly. With [notify], completion also posts on {!completion_fd}.
-    Test-only ?notify: the paper's notify operand on READ, which the
-    notification tests check. *)
+    Test-only ?notify: the paper's notify operand on READ, which no workload
+    sets. *)
 
 val fence : ?policy:Recovery.policy -> t -> Descriptor.t -> unit
 (** Block until every WRITE this node previously issued against the
@@ -215,8 +215,8 @@ val take_write_failure : t -> Descriptor.t -> Status.t option
     the latest such status recorded for the descriptor's
     (remote, segment, generation), or [None] if all writes landed.
     {!fence} consumes it automatically.
-    Test-only: the paper's negative ack for a dropped WRITE, exercised by the
-    analysis tests. *)
+    Test-only: the recorded nack before a fence consumes it, which no
+    workload reads but through {!fence}. *)
 
 val cas_wait :
   ?policy:Recovery.policy ->
@@ -238,8 +238,8 @@ val cas_wait :
     [old_value] as "not won by this call", not "nothing happened". When
     [result] is given, a success/failure word is deposited there, as in
     the paper's CAS signature.
-    Test-only ?result: the paper's result operand on CAS, which the
-    remote-memory tests check. *)
+    Test-only ?result: the paper's result operand on CAS, which no workload
+    sets. *)
 
 (** {1 Crash and restart (driven by the fault plane)} *)
 

@@ -16,11 +16,6 @@ let allows t = function
   | Write_op -> t.write
   | Cas_op -> t.cas
 
-let union a b =
-  { read = a.read || b.read; write = a.write || b.write; cas = a.cas || b.cas }
-
-let equal a b = a.read = b.read && a.write = b.write && a.cas = b.cas
-
 let to_code t =
   (if t.read then 1 else 0)
   lor (if t.write then 2 else 0)

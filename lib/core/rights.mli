@@ -12,12 +12,6 @@ val write_only : t
 val make : ?read:bool -> ?write:bool -> ?cas:bool -> unit -> t
 
 val allows : t -> op -> bool
-val union : t -> t -> t
-(** Test-only: the rights unit tests. *)
-
-val equal : t -> t -> bool
-(** Test-only: the rights unit tests. *)
-
 val to_code : t -> int
 (** 3-bit wire encoding. *)
 

@@ -42,11 +42,11 @@ val mark_revoked : t -> unit
 
 val write_inhibited : t -> bool
 val set_write_inhibit : t -> bool -> unit
-(** Test-only: the negative-ack tests make a segment drop WRITEs. *)
+(** Test-only: a segment that drops WRITEs, which no workload inhibits. *)
 
 val grant : t -> importer:Atm.Addr.t -> Rights.t -> unit
 (** Override the default rights for one importing node.
-    Test-only: the protection tests give one importer extra rights. *)
+    Test-only: per-importer rights, which no workload grants. *)
 
 val rights_for : t -> importer:Atm.Addr.t -> Rights.t
 

@@ -28,18 +28,16 @@ val endpoint : Amsg.t -> endpoint
 (** The endpoint for a plane, created (and its reply handler registered)
     on first use; subsequent calls return the same endpoint. *)
 
-val timeouts : endpoint -> int
-(** Attempts that expired without a reply (each triggers a retry).
-    Test-only: the fault tests check lost replies are retried. *)
-
 type service = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> reply:bytes -> int
 (** A server operation: the request is [len] bytes of the arriving
     frame from [pos] (never kept); it writes its reply into [reply], its
-    ring slot's 64-byte buffer, and returns the reply's length. Runs at
-    interrupt level in the arrival upcall — it must mutate state first
-    (the mutation is atomic: no yield points) and charge its own CPU
-    after, so concurrent remote-memory serves cannot interleave with a
-    half-applied operation. *)
+    ring slot's 64-byte buffer, and returns the reply's length. Runs in
+    the arrival upcall, in the node's receive-dispatcher process (an
+    {!Amsg} handler) — it must mutate state first (the mutation is
+    atomic: no yield points) and charge its own CPU after, since the
+    charge blocks that process and concurrent remote-memory serves, at
+    interrupt level, could otherwise interleave with a half-applied
+    operation. *)
 
 val serve : Amsg.t -> id:int -> service -> unit
 (** Install a service under an active-message handler id.  Duplicate

@@ -41,7 +41,7 @@ val local_insert : server -> key:int32 -> value:int32 -> bool
 
 val home_index : slots:int -> int32 -> int
 (** The key's home slot — where its probe chain starts on every node.
-    Test-only: the tests build colliding keys from it. *)
+    Test-only: which keys collide, which a workload meets only by chance. *)
 
 (** {1 Clients} *)
 
@@ -59,8 +59,8 @@ val client :
     Every operation is bracketed by {!Plane.Begin}/{!Plane.Commit} on
     the client's node, with the designated cell being the key's
     {e home} slot value word.
-    Test-only ?policy: a §3.7 recovery policy is the only way the DX
-    path runs under loss, which the fault tests check. *)
+    Test-only ?policy: the DX path under loss, which runs only under a §3.7
+    recovery policy; no campaign loses frames on it. *)
 
 val insert : t -> key:int32 -> value:int32 -> unit
 (** Insert or overwrite.  Raises {!Full} when the probe chain finds
@@ -73,8 +73,8 @@ val delete : t -> int32 -> bool
 val flush : t -> unit
 (** Fence the DX plane so every deposit this client issued is visible
     remotely; a no-op for RPC handles (replies already acknowledge).
-    Test-only: the tests fence a client's deposits before checking remote
-    state. *)
+    Test-only: a client's deposits fenced at a chosen point, which workloads
+    leave to their next operation. *)
 
 val cas_losses : t -> int
 (** Slot-claim CASes lost to concurrent writers. *)

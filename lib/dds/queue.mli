@@ -38,8 +38,8 @@ val client :
   ?policy:Rmem.Recovery.policy ->
   server ->
   t
-(** Test-only ?policy: a §3.7 recovery policy is the only way the DX
-    path runs under loss, which the fault tests check. *)
+(** Test-only ?policy: the DX path under loss, which runs only under a §3.7
+    recovery policy; no campaign loses frames on it. *)
 
 val enqueue : t -> int32 -> int
 (** Enqueue a value and return its ticket.  Raises {!Full} once the

@@ -54,8 +54,8 @@ val client :
     the deterministic model of a client that can reach only some
     replicas, which is exactly the adversarial corner the write-back
     phase exists for.
-    Test-only ?policy: a §3.7 recovery policy is the only way the DX
-    path runs under loss, which the fault tests check. *)
+    Test-only ?policy: the DX path under loss, which runs only under a §3.7
+    recovery policy; no campaign loses frames on it. *)
 
 val read : t -> int32
 (** Atomic read: collect from a majority, adopt the highest pair, write

@@ -18,8 +18,6 @@ let unpack w =
   if w < 0 then invalid_arg "Tag.unpack: not a tag word";
   { ts = w / ranks; wr = w mod ranks }
 
-let busy = -1
-
 let busy_for wr =
   if wr < 0 || wr >= ranks then invalid_arg "Tag.busy_for: rank out of range";
   -1 - wr

@@ -25,17 +25,12 @@ val pack : t -> int
     [Invalid_argument] outside the representable range. *)
 
 val unpack : int -> t
-(** Inverse of {!pack}. Raises [Invalid_argument] on {!busy} or any
-    negative word. *)
-
-val busy : int
-(** The claim sentinel a writer CASes into the tag word while it
-    deposits the new cell; never a valid packing.  Equal to
-    [busy_for 0].
-    Test-only: the tests check the claim sentinel is rank 0's. *)
+(** Inverse of {!pack}. Raises [Invalid_argument] on a claim sentinel
+    ({!busy_for}) or any negative word. *)
 
 val busy_for : int -> int
-(** Rank-specific claim sentinel [-(1 + wr)].  A writer that lost the
+(** Rank-specific claim sentinel [-(1 + wr)], which a writer CASes into
+    the tag word while it deposits the new cell; never a valid packing.  A writer that lost the
     reply to its claiming CAS (loss, §3.7) re-reads the tag word: seeing
     its {e own} sentinel proves the claim landed and the deposit may
     proceed, where a shared sentinel would leave it waiting on itself

@@ -84,7 +84,7 @@ let create ?rpc ?(export_local_cache = false) ~names ~server () =
           ~reply_bytes:Layout.reply_slot_bytes ~timeout:(Sim.Time.ms 100);
       probe = Rmem.Remote_memory.buffer ~space ~base:probe_base ~len:16384;
       rpc;
-      stats = Metrics.Account.create ~name:"dfs clerk" ();
+      stats = Metrics.Account.create ();
     }
   in
   (* Export the reply segment the server's Hybrid-1 path writes into. *)

@@ -24,9 +24,8 @@ val create :
     [rpc] is required only for the [Rpc_baseline] scheme.
     [export_local_cache] additionally exports the clerk's local file
     cache so the server can eagerly push updates into it (§3.2).
-    Test-only ?export_local_cache: the only way to reach the server's
-    eager push into a clerk cache (§3.2), which the extension tests
-    check. *)
+    Test-only ?export_local_cache: the server's eager push into a clerk
+    cache (§3.2), which no workload subscribes to. *)
 
 val node : t -> Cluster.Node.t
 val set_scheme : t -> scheme -> unit

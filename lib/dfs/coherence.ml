@@ -82,8 +82,6 @@ type client = {
   revoke_space : Cluster.Address_space.t;
   revoke_descs : (int, Rmem.Descriptor.t) Hashtbl.t; (* peer -> its revoke seg *)
   held : (int, Sim.Time.t) Hashtbl.t; (* token -> acquired at *)
-  mutable retries : int;
-  mutable revocations_honored : int;
 }
 
 let connect ~names ~server () =
@@ -107,8 +105,6 @@ let connect ~names ~server () =
     revoke_space;
     revoke_descs = Hashtbl.create 4;
     held = Hashtbl.create 4;
-    retries = 0;
-    revocations_honored = 0;
   }
 
 let wanted t ~token =
@@ -168,7 +164,6 @@ let acquire ?(revoke_after = max_int) t ~token =
       Hashtbl.replace t.held token (Sim.Engine.now (Cluster.Node.engine t.node))
     end
     else begin
-      t.retries <- t.retries + 1;
       if n + 1 = revoke_after then
         request_revocation t ~holder:witness ~token;
       Sim.Proc.wait backoff;
@@ -196,20 +191,16 @@ let hold_with_lease t ~token ~lease =
     Sim.Time.add (Sim.Engine.now (Cluster.Node.engine t.node)) lease
   in
   let rec wait_out () =
-    if Sim.Time.(Sim.Engine.now (Cluster.Node.engine t.node) >= deadline) then
-      ()
-    else if wanted t ~token then
-      t.revocations_honored <- t.revocations_honored + 1
-    else begin
+    if
+      Sim.Time.(Sim.Engine.now (Cluster.Node.engine t.node) < deadline)
+      && not (wanted t ~token)
+    then begin
       Sim.Proc.wait (Sim.Time.us 100);
       wait_out ()
     end
   in
   wait_out ();
   release t ~token
-
-let retries t = t.retries
-let revocations_honored t = t.revocations_honored
 
 (* RPC-based acquire/release through the token service. *)
 let rpc_acquire transport ~server ~token =

@@ -13,7 +13,7 @@ val export_tokens : names:Names.Clerk.t -> unit -> manager
 
 val holder_of : manager -> token:int -> int
 (** Current holder id (node address + 1), or 0 when free.
-    Test-only: the coherence tests check the server's token table. *)
+    Test-only: the server's token table, which no report shows. *)
 
 val start_rpc_manager : manager -> Rpckit.Transport.t -> Rpckit.Server.t
 (** The RPC token service over the same table. *)
@@ -34,8 +34,7 @@ val acquire : ?revoke_after:int -> client -> token:int -> unit
     After [revoke_after] failed attempts, sends the current holder one
     revocation request (§5.1's Calypso-style alternative to spinning).
     Raises {!Acquire_failed} after 64 attempts.
-    Test-only ?revoke_after: the only way to reach delayed revocation,
-    which the coherence tests check. *)
+    Test-only ?revoke_after: delayed revocation, which no workload asks for. *)
 
 val release : client -> token:int -> unit
 (** CAS(me -> 0); fails loudly if the token is not held by this client. *)
@@ -43,18 +42,13 @@ val release : client -> token:int -> unit
 val invariant : manager -> clients:client list -> bool
 (** Token-coherence invariant: every token a client holds locally is
     published as held by that client in the server's table.
-    Test-only: the coherence tests assert it after each run. *)
+    Test-only: agreement of every client with the server's table, which no
+    report shows. *)
 
 val hold_with_lease : client -> token:int -> lease:Sim.Time.t -> unit
 (** Delayed revocation: keep the token for up to [lease], but release as
     soon as a competitor's revocation request arrives.
-    Test-only: the coherence tests exercise delayed revocation. *)
-
-val retries : client -> int
-(** Test-only: the coherence tests read the retry count. *)
-
-val revocations_honored : client -> int
-(** Test-only: the coherence tests check revocations were honoured. *)
+    Test-only: delayed revocation, which no workload asks for. *)
 
 (** {1 RPC baseline} *)
 

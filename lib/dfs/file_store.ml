@@ -160,8 +160,8 @@ let remove t ~dir ~name =
   if n.attr.kind = Directory then raise (Not_a_file inode);
   d.entries <- List.remove_assoc name (entries d);
   d.attr <- { d.attr with size = d.attr.size - 1; mtime = tick t };
-  if n.attr.nlink <= 1 then Hashtbl.remove t.nodes inode
-  else n.attr <- { n.attr with nlink = n.attr.nlink - 1 }
+  (* No operation links a file twice: its one name is its last. *)
+  Hashtbl.remove t.nodes inode
 
 let rmdir t ~dir ~name =
   let d = directory t dir in

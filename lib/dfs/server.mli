@@ -38,28 +38,17 @@ val writeback : t -> fh:int -> block:int -> unit
 (** Apply a clerk-pushed file block back to the store if it differs,
     then eagerly push it to subscribed clerks. A block pushed under a
     handle that names no regular file (a directory's, a symlink's, a
-    removed file's) is dropped from the cache instead, unapplied, and
-    counted in {!dropped_writebacks}. *)
-
-val dropped_writebacks : t -> int
-(** Test-only: the DFS tests count the blocks {!writeback} dropped. *)
+    removed file's) is dropped from the cache instead, unapplied. *)
 
 val cached_block : t -> fh:int -> block:int -> bytes option
 (** The payload of the file-cache slot holding [(fh, block)], if usable.
-    Test-only: the DFS tests compare warmed slots with the store. *)
+    Test-only: a warmed slot's bytes against the store, which a client sees
+    only through a DX hit. *)
 
 (** {1 Eager push (§3.2)} *)
 
 val enable_eager_push : t -> client:Atm.Addr.t -> unit
 (** Subscribe a clerk (created with [~export_local_cache:true]) to
     one-way pushes of updated file blocks into its local cache.
-    Test-only: the paper's eager client-cache update (section 3.2), exercised
-    by the extension tests. *)
-
-val blocks_pushed : t -> int
-(** Test-only: the eager-push tests count pushed blocks. *)
-
-(** {1 Introspection} *)
-
-val hybrid_served : t -> int
-(** Test-only: the DFS tests count requests served on the Hybrid-1 path. *)
+    Test-only: the paper's eager client-cache update (section 3.2), which no
+    workload subscribes to. *)

@@ -35,8 +35,6 @@ let create ~space ~base config =
     invalid_arg "Slot_cache.create: payload must be a positive word multiple";
   { space; base; config }
 
-let config t = t.config
-
 let mix k1 k2 =
   (* A small integer hash both ends compute identically. *)
   let h = (k1 * 0x9E3779B1) lxor (k2 * 0x85EBCA77) in

@@ -20,15 +20,9 @@ val segment_bytes : config -> int
 val create : space:Cluster.Address_space.t -> base:int -> config -> t
 (** [slots] must be a power of two; [payload_bytes] a word multiple. *)
 
-val config : t -> config
-(** Test-only: the tests check client- and server-side slot offsets agree. *)
-
 (** {1 Addressing (identical on clerk and server)} *)
 
-val offset_of_key : t -> key1:int -> key2:int -> int
-(** Test-only: the tests check client- and server-side slot offsets agree. *)
-
-(** Pure variants usable without a local instance — how a clerk computes
+(** Pure, usable without a local instance — how a clerk computes
     offsets inside the server's cache segment. *)
 
 val offset_of_key_cfg : config -> key1:int -> key2:int -> int

@@ -24,7 +24,8 @@ val sweep : unit -> point list
 (** Every (structure, kind, leg) point: 2 clients at Zipf(0.2) with 5%
     mutations on the low leg, 12 at Zipf(1.5) with 80% on the high,
     24 operations per client, seed 10.
-    Test-only: the forced-miss test drops structures from a sweep. *)
+    Test-only: a sweep's raw points, which the report shows only as rendered
+    cells. *)
 
 val report : point list -> Metrics.Table.t
 (** The report of [points]. Its bands: every point completed operations
@@ -32,8 +33,8 @@ val report : point list -> Metrics.Table.t
     low leg; RPC or the hybrid beats DX on the high leg, by mean
     latency) holds on at least two structures — so points of one
     structure alone cannot clear it.
-    Test-only: the forced-miss test reports a sweep with structures
-    dropped. *)
+    Test-only: the crossover band failing on a sweep of one structure, which
+    no full sweep is. *)
 
 val run : unit -> Metrics.Table.t
 (** [report (sweep ())]. *)

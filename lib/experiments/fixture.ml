@@ -20,8 +20,7 @@ type t = {
   bench_link : int;
 }
 
-let server_node t = Cluster.Testbed.node t.testbed 0
-let server_cpu t = Cluster.Node.cpu (server_node t)
+let server_cpu t = Cluster.Node.cpu (Cluster.Testbed.node t.testbed 0)
 let clerk t c = t.clerks.(c)
 let run t body = Cluster.Testbed.run t.testbed body
 let now t = Sim.Engine.now t.engine

@@ -41,8 +41,8 @@ val link_faults :
 (** Defaults: all probabilities 0; a jittered frame is delayed up to
     50 us. Raises
     [Invalid_argument] for probabilities outside [0, 1].
-    Test-only ?windows: a bounded loss window is the only way to reach
-    a heal mid-run, which the heartbeat tests check. *)
+    Test-only ?windows: a heal mid-run, which only a bounded loss window
+    makes; every campaign loses frames to the end. *)
 
 type partition = { group : int list; windows : window list }
 (** While any window is active, frames between a group member and a

@@ -14,7 +14,6 @@ type t = {
   plan : Plan.t;
   registry : Obs.Registry.t;
   mutable events : (Sim.Time.t * string) list; (* newest first *)
-  mutable installed : Atm.Link.t list;
 }
 
 let log t label = t.events <- (Sim.Engine.now t.engine, label) :: t.events
@@ -80,8 +79,7 @@ let judge t prng frame =
 let install t root (_, _, link) =
   let prng = Sim.Prng.split root in
   Atm.Link.set_overflow link Atm.Link.Drop_on_overflow;
-  Atm.Link.set_interposer link (Some (judge t prng));
-  t.installed <- link :: t.installed
+  Atm.Link.set_interposer link (Some (judge t prng))
 
 let schedule_crashes t testbed ~rmems ~preserve ~on_restart =
   (* Hash-indexed: crash plans on fabric-scale testbeds would otherwise
@@ -113,7 +111,7 @@ let schedule_crashes t testbed ~rmems ~preserve ~on_restart =
               Option.iter
                 (Rmem.Remote_memory.restart_exports ~preserve)
                 (rmem_of c.Plan.node);
-              on_restart c.Plan.node))
+              Option.iter (fun f -> f c.Plan.node) on_restart))
         c.Plan.restart_at)
     t.plan.Plan.crashes
 
@@ -133,7 +131,7 @@ let on_recovery t node = function
   | _ -> ()
 
 let create ?(plan = Plan.none) ?(rmems = []) ?(preserve = [])
-    ?(on_restart = fun (_ : int) -> ()) ~seed testbed =
+    ?on_restart ~seed testbed =
   let engine = Cluster.Testbed.engine testbed in
   let t =
     {
@@ -141,7 +139,6 @@ let create ?(plan = Plan.none) ?(rmems = []) ?(preserve = [])
       plan;
       registry = Obs.Registry.create ();
       events = [];
-      installed = [];
     }
   in
   let root = Sim.Prng.create seed in
@@ -153,14 +150,6 @@ let create ?(plan = Plan.none) ?(rmems = []) ?(preserve = [])
     rmems;
   schedule_crashes t testbed ~rmems ~preserve ~on_restart;
   t
-
-let uninstall t =
-  List.iter
-    (fun link ->
-      Atm.Link.set_interposer link None;
-      Atm.Link.set_overflow link Atm.Link.Raise_on_overflow)
-    t.installed;
-  t.installed <- []
 
 let registry t = t.registry
 let events t = List.rev t.events

@@ -31,10 +31,6 @@ val create :
     generations to the name service
     (e.g. [Names.Clerk.reannounce clerk]). *)
 
-val uninstall : t -> unit
-(** Remove the interposers and restore raise-on-overflow.
-    Test-only: the fault tests restore the fabric between phases. *)
-
 val registry : t -> Obs.Registry.t
 (** Injection counters ([faults.frames] — every frame inspected —
     [faults.drops], [faults.corruptions],

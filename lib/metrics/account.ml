@@ -9,7 +9,6 @@
 type cell = { mutable total : float }
 
 type t = {
-  name : string;
   totals : (string, cell) Hashtbl.t;
   mutable order : string list; (* categories in first-seen order *)
   (* The last category charged and its cell, matched by physical
@@ -22,9 +21,8 @@ type t = {
 (* Never passed by a caller, so it matches nothing. *)
 let no_category = String.make 1 ' '
 
-let create ?(name = "account") () =
+let create () =
   {
-    name;
     totals = Hashtbl.create 16;
     order = [];
     last_category = no_category;
@@ -80,10 +78,3 @@ let reset t =
   Hashtbl.reset t.totals;
   t.order <- [];
   t.last_category <- no_category
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s:@," t.name;
-  List.iter
-    (fun (c, v) -> Format.fprintf ppf "  %-24s %12.3f@," c v)
-    (to_list t);
-  Format.fprintf ppf "  %-24s %12.3f@]" "total" (grand_total t)

@@ -6,7 +6,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
+val create : unit -> t
 
 val add : t -> category:string -> float -> unit
 
@@ -27,5 +27,3 @@ val categories : t -> string list
 
 val to_list : t -> (string * float) list
 val reset : t -> unit
-val pp : Format.formatter -> t -> unit
-(** Test-only: the metrics unit tests. *)

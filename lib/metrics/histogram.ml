@@ -43,16 +43,6 @@ let add t x =
 
 let count t = t.n
 let summary t = t.summary
-let underflow t = t.underflow
-let params t = (t.least, t.growth, Array.length t.counts)
-
-let buckets t =
-  let acc = ref [] in
-  for i = Array.length t.counts - 1 downto 0 do
-    if t.counts.(i) > 0 then acc := (bucket_upper t i, t.counts.(i)) :: !acc
-  done;
-  !acc
-
 let merge a b =
   if
     a.least <> b.least || a.growth <> b.growth
@@ -93,5 +83,3 @@ let percentile t p =
       !result
     end
   end
-
-let median t = percentile t 50.

@@ -208,20 +208,9 @@ let member name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None
 
-let index i = function
-  | List items -> List.nth_opt items i
-  | _ -> None
-
 let to_list = function List items -> Some items | _ -> None
 let to_string = function String s -> Some s | _ -> None
 let to_number = function Number f -> Some f | _ -> None
-
-let rec find json = function
-  | [] -> Some json
-  | key :: rest -> (
-      match member key json with
-      | Some v -> find v rest
-      | None -> None)
 
 (* ---------------- Writer ---------------- *)
 

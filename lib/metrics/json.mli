@@ -19,16 +19,10 @@ val parse : string -> (t, string) result
 (** {1 Accessors} — all total, [None] on kind/shape mismatch. *)
 
 val member : string -> t -> t option
-val index : int -> t -> t option
-(** Test-only: the JSON reader tests. *)
 
 val to_list : t -> t list option
 val to_string : t -> string option
 val to_number : t -> float option
-
-val find : t -> string list -> t option
-(** [find json path] walks nested object members.
-    Test-only: the JSON reader tests. *)
 
 (** {1 Writer} *)
 

@@ -3,32 +3,22 @@
 type t = {
   mutable n : int;
   mutable mean : float;
-  mutable m2 : float;
   mutable min : float;
   mutable max : float;
-  mutable total : float;
 }
 
-let create () =
-  { n = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; total = 0. }
+let create () = { n = 0; mean = 0.; min = infinity; max = neg_infinity }
 
 let add t x =
   t.n <- t.n + 1;
-  t.total <- t.total +. x;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
-let count t = t.n
-let total t = t.total
 let mean t = if t.n = 0 then nan else t.mean
 let min t = if t.n = 0 then nan else t.min
 let max t = if t.n = 0 then nan else t.max
-
-let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
 
 let merge a b =
   let t = create () in
@@ -39,11 +29,7 @@ let merge a b =
     let delta = b.mean -. a.mean in
     let nf = float_of_int n in
     t.n <- n;
-    t.total <- a.total +. b.total;
     t.mean <- a.mean +. (delta *. float_of_int b.n /. nf);
-    t.m2 <-
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. nf);
     t.min <- Float.min a.min b.min;
     t.max <- Float.max a.max b.max;
     t
@@ -55,9 +41,3 @@ let percentile sorted p =
   else
     let rank = int_of_float (p *. float_of_int (n - 1)) in
     sorted.(Stdlib.min (n - 1) (Stdlib.max 0 rank))
-
-let pp ppf t =
-  if t.n = 0 then Format.fprintf ppf "n=0"
-  else
-    Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t)
-      (stddev t) (min t) (max t)

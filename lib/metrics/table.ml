@@ -265,12 +265,13 @@ let cell_json cell =
   | [] -> value_json cell.value
   | claim -> Json.Obj (("value", value_json cell.value) :: claim)
 
+(* [None] for the default, [Plain], whose key is left out. *)
 let format_json = function
-  | Plain -> "plain"
-  | Fixed d -> Printf.sprintf "%%.%df" d
-  | Padded (w, d) -> Printf.sprintf "%%%d.%df" w d
-  | Percent d -> Printf.sprintf "percent %%.%df" d
-  | Delta d -> Printf.sprintf "delta %%+.%df" d
+  | Plain -> None
+  | Fixed d -> Some (Printf.sprintf "%%.%df" d)
+  | Padded (w, d) -> Some (Printf.sprintf "%%%d.%df" w d)
+  | Percent d -> Some (Printf.sprintf "percent %%.%df" d)
+  | Delta d -> Some (Printf.sprintf "delta %%+.%df" d)
 
 (* A column's keys, each left out when it holds its default. *)
 let column_json c =
@@ -282,9 +283,7 @@ let column_json c =
          | Higher -> Some ("better", Json.String "higher")
          | Lower -> Some ("better", Json.String "lower")
          | Neither -> None);
-         (match c.format with
-         | Plain -> None
-         | f -> Some ("format", Json.String (format_json f)));
+         Option.map (fun f -> ("format", Json.String f)) (format_json c.format);
        ]
 
 let note_json note =

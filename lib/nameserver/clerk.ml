@@ -29,7 +29,6 @@ type t = {
   import_cache : (string, cached_import) Hashtbl.t;
   remote_registries : remote Registry.reader Sim.Int_table.t;
   remote_requests : (int, Rmem.Descriptor.t) Hashtbl.t;
-  stats : Metrics.Account.t;
 }
 
 (* An imported registry, as its probe walk reads it. *)
@@ -107,7 +106,6 @@ let create rmem =
       import_cache = Hashtbl.create 64;
       remote_registries = Sim.Int_table.create 8;
       remote_requests = Hashtbl.create 8;
-      stats = Metrics.Account.create ~name:"name clerk" ();
     }
   in
   t
@@ -115,7 +113,6 @@ let create rmem =
 let node t = t.node
 let rmem t = t.rmem
 let registry t = t.registry
-let stats t = t.stats
 let set_probe_timeout t timeout = t.probe_timeout <- timeout
 
 (* ------------------------------------------------------------------ *)
@@ -126,7 +123,6 @@ let set_probe_timeout t timeout = t.probe_timeout <- timeout
 let probe_slot { clerk = t; desc } soff =
   Rmem.Remote_memory.read_wait ?timeout:t.probe_timeout t.rmem desc ~soff
     ~count:Record.slot_bytes ~dst:t.probe_buf ~doff:0 ();
-  Metrics.Account.add t.stats ~category:"remote probes" 1.;
   charge t (costs t).Cluster.Costs.hash_lookup;
   Bootstrap.probe_buffer_base
 
@@ -169,14 +165,12 @@ let request_descriptor t ~remote =
 
 let add_name t record =
   charge t (costs t).Cluster.Costs.hash_insert;
-  Metrics.Account.add t.stats ~category:"addname" 1.;
   match Registry.insert t.registry record with
   | Ok (_ : int) -> ()
   | Error `Full -> failwith "name clerk: registry full"
 
 let delete_name t name =
   charge t (costs t).Cluster.Costs.hash_delete;
-  Metrics.Account.add t.stats ~category:"deletename" 1.;
   Hashtbl.remove t.import_cache name;
   ignore (Registry.delete t.registry name : int option)
 
@@ -228,8 +222,6 @@ let name_request name b =
    the name, [[reply offset 4][name 32][pad 4]], to the exporter clerk's
    request segment.  It bypasses the cache and reads no registry. *)
 let lookup_by_control_transfer t ~remote name =
-  Metrics.Account.add t.stats ~category:"lookup" 1.;
-  Metrics.Account.add t.stats ~category:"control-transfer lookups" 1.;
   match
     call t (request_descriptor t ~remote)
       ~slot_bytes:Bootstrap.request_slot_bytes name_request name
@@ -250,14 +242,12 @@ let serve_lookup_requests t =
           (Option.value (Bytes.index_opt raw_name '\000') ~default:32)
       in
       charge t (costs t).Cluster.Costs.hash_lookup;
-      Metrics.Account.add t.stats ~category:"lookups served" 1.;
       reply t ticket (Option.map fst (Registry.lookup t.registry name)))
 
 (* ------------------------------------------------------------------ *)
 (* Lookup: the LOOKUPNAME service procedure.                           *)
 
 let lookup ?(force = false) ?hint t name =
-  Metrics.Account.add t.stats ~category:"lookup" 1.;
   let cached =
     if force then None
     else
@@ -274,7 +264,6 @@ let lookup ?(force = false) ?hint t name =
       (* A hit pays the full retrieve-and-copy; a miss only the cheaper
          absence check below. *)
       charge t (costs t).Cluster.Costs.hash_lookup;
-      Metrics.Account.add t.stats ~category:"lookup hits" 1.;
       record
   | None -> (
       if not force then charge t (costs t).Cluster.Costs.hash_miss;
@@ -311,7 +300,6 @@ let refresh_once t =
         | exception Rmem.Status.Timeout -> true
       in
       if not still_valid then begin
-        Metrics.Account.add t.stats ~category:"purged on refresh" 1.;
         List.iter Rmem.Descriptor.mark_stale entry.descriptors;
         Hashtbl.remove t.import_cache name
       end)
@@ -336,7 +324,6 @@ let reannounce t =
                  (Rmem.Segment.generation segment))
           then begin
             charge t (costs t).Cluster.Costs.hash_insert;
-            Metrics.Account.add t.stats ~category:"reannounced" 1.;
             match
               Registry.insert t.registry
                 {
@@ -356,7 +343,3 @@ let start_refresh_daemon t ~period =
         Sim.Proc.wait period;
         refresh_once t
       done)
-
-let cached_names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.import_cache []
-  |> List.sort String.compare

@@ -88,10 +88,4 @@ val reannounce : t -> unit
     remote lookups and forced re-imports see the new ones. *)
 
 val start_refresh_daemon : t -> period:Sim.Time.t -> unit
-(** Test-only: the name-service tests exercise periodic cache refresh. *)
-
-val cached_names : t -> string list
-(** Test-only: the refresh-daemon tests check what the clerk caches. *)
-
-val stats : t -> Metrics.Account.t
-(** Test-only: the name-service tests read the clerk's counters. *)
+(** Test-only: periodic cache refresh, which no workload runs. *)

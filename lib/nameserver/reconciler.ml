@@ -71,14 +71,11 @@ type t = {
          hundreds of microseconds) in the middle of live traffic *)
   mutable shards : shard list;  (* sorted by [lo] *)
   mutable epoch : int;
-  mutable doorbells : int;  (* consumed at the map host *)
-  mutable moves : int;  (* records migrated across shards *)
   policy : Rmem.Recovery.policy option;
   pace : Sim.Time.t option;
       (* spacing between background migration writes, so a split's slot
          pushes and tombstones interleave with foreground probes instead
          of monopolizing the destination host's ingress link *)
-  stats : Metrics.Account.t;
 }
 
 type verdict = Balanced | Split of int
@@ -138,10 +135,11 @@ let loads t =
   done;
   List.mapi (fun i s -> (s, acc.(i))) sorted
 
+(* [h]'s index in [t.hosts]: every shard is made on one of them. *)
 let host_index t h =
   let addr = Atm.Addr.to_int (Cluster.Node.addr (Clerk.node h)) in
   let rec go i =
-    if i >= Array.length t.hosts then -1
+    if i >= Array.length t.hosts then invalid_arg "Reconciler: a shard on no host"
     else if Atm.Addr.to_int (Cluster.Node.addr (Clerk.node t.hosts.(i))) = addr
     then i
     else go (i + 1)
@@ -159,12 +157,12 @@ let pick_host t =
   List.iter
     (fun s ->
       let i = host_index t s.host in
-      if i >= 0 then shards_on.(i) <- shards_on.(i) + 1)
+      shards_on.(i) <- shards_on.(i) + 1)
     t.shards;
   List.iter
     (fun (s, l) ->
       let i = host_index t s.host in
-      if i >= 0 then load_on.(i) <- load_on.(i) + l)
+      load_on.(i) <- load_on.(i) + l)
     (loads t);
   let best = ref (t.next_host mod nh) in
   for k = 1 to nh - 1 do
@@ -232,7 +230,6 @@ let create_shard t ~lo ~hi =
    body and bell — the link is FIFO. *)
 let publish t =
   t.epoch <- t.epoch + 1;
-  Metrics.Account.add t.stats ~category:"publishes" 1.;
   let body = Shardmap.encode_body (map t) in
   (* One burst frame per policy-backed write: a multi-frame body would
      need every frame of the deposit AND the verify read-back to survive
@@ -255,7 +252,6 @@ let shard_for t bucket =
   List.find_opt (fun s -> s.lo <= bucket && bucket <= s.hi) t.shards
 
 let register t record =
-  Metrics.Account.add t.stats ~category:"registrations" 1.;
   Cluster.Cpu.use (Cluster.Node.cpu t.node) ~category:"reconciler"
     (Cluster.Node.costs t.node).Cluster.Costs.hash_insert;
   let bucket = Shardmap.bucket_of_name record.Record.name in
@@ -307,9 +303,7 @@ let retire t ~src ~dst moved =
       | None -> ());
       paced t)
     moved;
-  if moved <> [] then fence t src.desc;
-  t.moves <- t.moves + List.length moved;
-  Metrics.Account.add_int t.stats ~category:"moves" (List.length moved)
+  if moved <> [] then fence t src.desc
 
 let find_shard t id = List.find_opt (fun s -> s.id = id) t.shards
 
@@ -350,14 +344,13 @@ let merge t =
           (List.hd (pairs shards))
           (pairs shards)
       in
-      let moved = move_records t ~src:b ~dst:a ~lo:b.lo ~hi:b.hi in
+      ignore (move_records t ~src:b ~dst:a ~lo:b.lo ~hi:b.hi : Record.t list);
       a.hi <- b.hi;
       t.shards <- List.filter (fun s -> s.id <> b.id) t.shards;
       publish t;
       (* Revoking the absorbed segment makes every stale client
          descriptor fail cleanly; the map refetch heals them. *)
       Api.revoke b.host b.segment;
-      t.moves <- t.moves + List.length moved;
       Some (b.id, a.id)
 
 let rebalance_once t =
@@ -449,18 +442,15 @@ let create ?(slots = Bootstrap.default_slots) ?(max_clients = 128) ?policy
       spares = [];
       shards = [];
       epoch = 0;
-      doorbells = 0;
-      moves = 0;
       policy;
       pace;
-      stats = Metrics.Account.create ~name:"reconciler" ();
     }
   in
   (* The map host consumes epoch doorbells — the only control transfer
      on the publication path. *)
   Rmem.Notification.set_signal_handler
     (Rmem.Segment.notification map_segment)
-    (Some (fun (_ : Rmem.Notification.record) -> t.doorbells <- t.doorbells + 1));
+    (Some (fun (_ : Rmem.Notification.record) -> ()));
   let s0 = create_shard t ~lo:0 ~hi:(Shardmap.buckets - 1) in
   t.shards <- [ s0 ];
   publish t;
@@ -474,8 +464,6 @@ let shard_id_of_bucket t bucket =
   Option.map (fun s -> s.id) (shard_for t bucket)
 
 let epoch t = t.epoch
-let doorbells t = t.doorbells
-let moves t = t.moves
 let shard_count t = List.length t.shards
 
 let live t =

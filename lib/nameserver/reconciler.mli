@@ -56,8 +56,8 @@ val create :
     host's foreground probes for the whole pinning burst. Splits draw
     from the pool and restock it only after the source-side retire
     completes.
-    Test-only ?policy: a recovery policy is the only way the
-    reconciler runs under loss, which the shard tests check. *)
+    Test-only ?policy: the reconciler under loss, which runs only under a
+    recovery policy; no campaign loses frames on it. *)
 
 val serve_registrations : t -> unit
 (** Serve the request segment ({!Rmem.Hybrid.serve}): each request
@@ -76,7 +76,7 @@ val merge : t -> (int * int) option
     right shard into the left, publish, then revoke the absorbed
     segment (stale client descriptors fail cleanly and heal by map
     refetch). Returns [(absorbed, into)].
-    Test-only: the shard tests exercise merging; the campaigns only split. *)
+    Test-only: merging, which no campaign does; the campaigns only split. *)
 
 val rebalance_once : t -> verdict
 (** Read the load rows for the current epoch and split the hottest
@@ -92,17 +92,9 @@ val map : t -> Shardmap.t
 val epoch : t -> int
 val shard_count : t -> int
 
-val doorbells : t -> int
-(** Epoch doorbells consumed at the map host.
-    Test-only: the shard tests check map publishes rang the doorbell. *)
-
-val moves : t -> int
-(** Records migrated across shards over all splits and merges.
-    Test-only: the shard tests check records migrated. *)
-
 val live : t -> int
 (** Live records across all shard mirrors. *)
 
 val well_formed : t -> bool
 (** Every mirror structurally consistent and the ranges total.
-    Test-only: the shard tests assert it after every split and merge. *)
+    Test-only: mirror consistency, which no report shows. *)

@@ -65,7 +65,7 @@ let create ~map_hint ~reconciler_hint clerk =
     stale_refetches = 0;
     forward_patches = 0;
     refreshes = [];
-    stats = Metrics.Account.create ~name:"shard clerk" ();
+    stats = Metrics.Account.create ();
   }
 
 let now t = Sim.Engine.now (Cluster.Node.engine t.node)

@@ -36,8 +36,8 @@ val report_load : t -> unit
 val set_recovery : t -> Rmem.Recovery.policy option -> unit
 (** Run every remote READ under the policy, with the map refetch wired
     in as the revalidator for stale shard descriptors.
-    Test-only: the shard clerk's fault recovery, exercised by the shard fault
-    tests. *)
+    Test-only: the shard clerk's recovery policy, which no campaign
+    installs. *)
 
 val epoch : t -> int
 (** Epoch of the cached map (0 before the first fetch). *)
@@ -50,7 +50,8 @@ val forward_patches : t -> int
 (** Lookups healed in place from a forwarding tombstone — the cached
     map patched locally with the destination shard's coordinates, no
     refetch from the map host.
-    Test-only: the shard tests check lookups healed from a tombstone. *)
+    Test-only: a clerk's own heals, which the suite reports only summed over
+    clerks. *)
 
 val refreshes : t -> (int * Sim.Time.t) list
 (** (epoch, adoption time) pairs, oldest first — the convergence

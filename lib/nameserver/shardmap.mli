@@ -57,7 +57,8 @@ val entry_at : t -> int -> entry
 
 val encode : t -> bytes
 (** The full segment image. Raises [Invalid_argument] past
-    [max_entries]. Test-only: the shard-map round-trip property. *)
+    [max_entries]. Test-only: a whole-map image at once, which the
+    reconciler writes as body then epoch word. *)
 
 val encode_body : t -> bytes
 (** The image from [body_off] on — what a publish writes before ringing

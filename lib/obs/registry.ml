@@ -41,8 +41,6 @@ let observe t ~node ~seg ~op value =
   in
   Metrics.Histogram.add h value
 
-let histogram t ~node ~seg ~op = Hashtbl.find_opt t.series { node; seg; op }
-
 let series t =
   Hashtbl.fold (fun key h acc -> (key, h) :: acc) t.series []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -63,16 +61,6 @@ let ops t =
   Hashtbl.fold (fun key _ acc -> key.op :: acc) t.series []
   |> List.sort_uniq compare
 
-let merge_into t other =
-  List.iter (fun (name, v) -> add t name v) (counters other);
-  Hashtbl.iter
-    (fun key h ->
-      match Hashtbl.find_opt t.series key with
-      | None -> Hashtbl.replace t.series key h
-      | Some mine ->
-          Hashtbl.replace t.series key (Metrics.Histogram.merge mine h))
-    other.series
-
 let pct h p = Metrics.Histogram.percentile h p
 
 (* Plain-text report: cluster-wide aggregates per op, the top-N
@@ -83,15 +71,16 @@ let report t =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "== cluster-wide latency by op (us) ==";
   line "%-12s %8s %10s %10s %10s %10s" "op" "count" "mean" "p50" "p95" "p99";
+  (* Every op named by a series has an aggregate. *)
   List.iter
     (fun op ->
-      match aggregate t ~op with
-      | None -> ()
-      | Some h ->
+      Option.iter
+        (fun h ->
           line "%-12s %8d %10.1f %10.1f %10.1f %10.1f" op
             (Metrics.Histogram.count h)
             (Metrics.Summary.mean (Metrics.Histogram.summary h))
             (pct h 50.) (pct h 95.) (pct h 99.))
+        (aggregate t ~op))
     (ops t);
   line "";
   line "== top %d series by sample count ==" top;

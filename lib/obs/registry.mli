@@ -24,19 +24,8 @@ val counters : t -> (string * float) list
 val observe : t -> node:int -> seg:int -> op:string -> float -> unit
 (** Record one latency sample (microseconds) for the series. *)
 
-val histogram : t -> node:int -> seg:int -> op:string -> Metrics.Histogram.t option
-(** Test-only: the registry unit tests. *)
-
-val ops : t -> string list
-(** Test-only: the registry unit tests. *)
-
 val aggregate : t -> op:string -> Metrics.Histogram.t option
 (** Merge every node's histogram for [op] into one cluster-wide series. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into t other] folds [other]'s counters and series into [t]
-    (e.g. one registry per node, aggregated at report time).
-    Test-only: the registry unit tests. *)
 
 val report : t -> string
 (** Plain-text report: per-op cluster aggregates with p50/p95/p99, the

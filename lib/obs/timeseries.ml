@@ -169,13 +169,9 @@ let window t name span =
   | None -> []
   | Some s when s.len = 0 -> []
   | Some s ->
-      let all = ring s in
-      let horizon =
-        match List.rev all with
-        | (latest, _) :: _ -> latest -. Sim.Time.to_us span
-        | [] -> 0.
-      in
-      List.filter (fun (time, _) -> time >= horizon) all
+      let latest = (s.head - 1 + Array.length s.values) mod Array.length s.values in
+      let horizon = s.times.(latest) -. Sim.Time.to_us span in
+      List.filter (fun (time, _) -> time >= horizon) (ring s)
 
 (* Per-second rate of a cumulative counter gauge over the ring (or a
    trailing window of it): slope between the first and last retained

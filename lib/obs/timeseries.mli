@@ -39,7 +39,8 @@ val stop : t -> unit
 (** Stop after the current tick; {!start} may be called again. *)
 
 val running : t -> bool
-(** Test-only: the sampler tests check start and stop. *)
+(** Test-only: that the sampler parks itself at quiescence, which no report
+    shows. *)
 
 val gauges : t -> string list
 (** Registration order. *)
@@ -65,12 +66,13 @@ val stat : t -> string -> stat option
 val samples : t -> string -> (float * float) list
 (** Ring contents as [(time_us, value)], oldest first — at most
     [capacity] points.
-    Test-only: the ring tests check its bound; {!rate} reads it. *)
+    Test-only: the ring's bound, which reports show only through {!rate} and
+    {!sparkline}. *)
 
 val window : t -> string -> Sim.Time.t -> (float * float) list
 (** The trailing [span] of {!samples}, measured back from the latest
     retained sample.
-    Test-only: the ring tests check it; {!rate} reads it. *)
+    Test-only: the window's edges, which reports show only through {!rate}. *)
 
 val rate : ?window:Sim.Time.t -> t -> string -> float option
 (** Per-second slope of a cumulative-counter gauge across the retained

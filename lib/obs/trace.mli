@@ -114,9 +114,6 @@ val lrpc_begin : node:int -> Span.t option
 val spans : t -> Span.t list
 (** All spans, in recording order. *)
 
-val find : t -> int -> Span.t option
-(** Test-only: the span-tree tests resolve parents. *)
-
 val roots : t -> Span.t list
 val children : t -> Span.t -> Span.t list
 val span_count : t -> int

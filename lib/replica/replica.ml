@@ -31,7 +31,6 @@ type t = {
   space : Cluster.Address_space.t;
   peers : (int, Rmem.Descriptor.t) Hashtbl.t; (* peer addr -> its replica *)
   scratch_base : int;
-  mutable updates_sent : int;
   mutable repairs : int;
   mutable recovery : Rmem.Recovery.policy option;
   (* None (default): legacy one-way pushes and unbounded anti-entropy
@@ -89,7 +88,6 @@ let create names =
     space;
     peers = Hashtbl.create 8;
     scratch_base = slots * slot_bytes * 2;
-    updates_sent = 0;
     repairs = 0;
     recovery = None;
   }
@@ -187,7 +185,7 @@ let set t key value =
         Rmem.Remote_memory.write ?policy t.rmem desc ~off:(slot_addr t index)
           version_word
       with
-      | () -> t.updates_sent <- t.updates_sent + 1
+      | () -> ()
       | exception (Rmem.Status.Timeout | Rmem.Status.Remote_error _)
         when Option.is_some policy ->
           ())
@@ -250,5 +248,4 @@ let start_anti_entropy_daemon t ~period =
       done);
   fun () -> stopped := true
 
-let updates_sent t = t.updates_sent
 let repairs t = t.repairs

@@ -29,9 +29,6 @@ val set : t -> string -> bytes -> unit
 (** Install locally and push to every peer with one-way remote writes.
     Keys up to 32 bytes, values up to 64. *)
 
-val version_of : t -> string -> int
-(** 0 when absent. Test-only: the replica tests check versions converge. *)
-
 (** {1 Recovery} *)
 
 val set_recovery : t -> Rmem.Recovery.policy option -> unit
@@ -53,8 +50,5 @@ val start_anti_entropy_daemon : t -> period:Sim.Time.t -> unit -> unit
     function. *)
 
 (** {1 Statistics} *)
-
-val updates_sent : t -> int
-(** Test-only: the replica tests count pushed updates. *)
 
 val repairs : t -> int

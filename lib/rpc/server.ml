@@ -1,21 +1,18 @@
-(* The server side of RPC: interrupt-level reception into a request
-   queue, a pool of service threads, and per-category CPU accounting
-   matching Figure 3's decomposition (data reception / control transfer
-   / procedure invocation / data reply). *)
+(* The server side of RPC: reception into a request queue, a pool of
+   service threads, and per-category CPU accounting matching Figure 3's
+   decomposition (data reception / control transfer / procedure
+   invocation / data reply).  Reception runs in the node's
+   receive-dispatcher process (a process-level tag), not at interrupt
+   level: its CPU charge blocks that process, and the next frame waits. *)
 
 type request = {
   src : Atm.Addr.t;
   xid : int;
   proc : int;
   args : bytes;
-  arrived : Sim.Time.t;
 }
 
-type t = {
-  queue : request Sim.Mailbox.t;
-  mutable served : int;
-  queueing : Metrics.Summary.t; (* microseconds spent queued *)
-}
+type t = { queue : request Sim.Mailbox.t }
 
 let create transport ~prog ?(threads = 1)
     ~(handler : src:Atm.Addr.t -> proc:int -> Xdr.reader -> Xdr.t) () =
@@ -25,26 +22,20 @@ let create transport ~prog ?(threads = 1)
   let t =
     {
       queue = Sim.Mailbox.create ~name:(Printf.sprintf "rpc prog %d queue" prog) ~daemon:true ();
-      served = 0;
-      queueing = Metrics.Summary.create ();
     }
   in
   Transport.register transport ~prog ~deliver:(fun ~src ~xid ~proc ~args ->
-      (* Interrupt level: drain the frame and queue the request. *)
+      (* In the dispatcher process: drain the frame and queue the request. *)
       Cluster.Cpu.use cpu ~category:Cluster.Cpu.cat_data_reception
         (Sim.Time.add c.Cluster.Costs.rx_interrupt
            (Cluster.Costs.frame_copy_cost c
               ~payload_bytes:
                 (Bytes.length args + Transport.call_header_bytes)));
-      Sim.Mailbox.send t.queue
-        { src; xid; proc; args; arrived = Sim.Engine.now (Cluster.Node.engine node) });
+      Sim.Mailbox.send t.queue { src; xid; proc; args });
   for _ = 1 to threads do
     Cluster.Node.spawn node (fun () ->
         while true do
           let req = Sim.Mailbox.recv t.queue in
-          let now = Sim.Engine.now (Cluster.Node.engine node) in
-          Metrics.Summary.add t.queueing
-            (Sim.Time.to_us (Sim.Time.diff now req.arrived));
           (* Control transfer: schedule, dispatch and later resume. *)
           Cluster.Cpu.use cpu ~category:Cluster.Cpu.cat_control_transfer
             c.Cluster.Costs.context_switch;
@@ -54,11 +45,7 @@ let create transport ~prog ?(threads = 1)
           Cluster.Cpu.use cpu ~category:Cluster.Cpu.cat_data_reply
             (Cluster.Costs.frame_copy_cost c
                ~payload_bytes:(Transport.reply_frame_bytes reply));
-          Transport.send_reply transport ~dst:req.src ~xid:req.xid reply;
-          t.served <- t.served + 1
+          Transport.send_reply transport ~dst:req.src ~xid:req.xid reply
         done)
   done;
   t
-
-let served t = t.served
-let queueing t = t.queueing

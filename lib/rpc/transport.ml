@@ -6,9 +6,8 @@
    Header bytes are pure control traffic; body bytes keep the
    control/data classification their {!Xdr} marshaller recorded.
 
-   All traffic accounting lands on the *calling* side (calls at send
-   time, replies at receive time), so per-activity totals for Table 1b
-   can be read off one transport. *)
+   Both handlers run in the node's receive-dispatcher process (a
+   process-level tag, [Cluster.Node.set_handler]). *)
 
 let frame_tag = 0x20
 let call_header_bytes = 72
@@ -18,33 +17,19 @@ type service = {
   deliver : src:Atm.Addr.t -> xid:int -> proc:int -> args:bytes -> unit;
 }
 
-type pending_call = { label : string; reply : bytes Sim.Ivar.t }
-
 type t = {
   node : Cluster.Node.t;
   mutable next_xid : int;
-  calls : (int, pending_call) Hashtbl.t;
+  calls : (int, bytes Sim.Ivar.t) Hashtbl.t; (* by xid *)
   programs : (int, service) Hashtbl.t;
-  control_traffic : Metrics.Account.t; (* bytes by activity label *)
-  data_traffic : Metrics.Account.t;
-  call_counts : Metrics.Account.t;
 }
 
 let kind_call = 0
 let kind_reply = 1
 
-let account_reply_sizes t ~label ~control ~data =
-  Metrics.Account.add_int t.control_traffic ~category:label
-    (reply_header_bytes + control);
-  Metrics.Account.add_int t.data_traffic ~category:label data
-
-(* A reply body is prefixed with its (control, data) byte split so the
-   caller's transport can account it under the right activity label. *)
-let split_reply_body body =
-  let r = Atm.Codec.reader body in
-  let control = Atm.Codec.get_u32 r in
-  let data = Atm.Codec.get_u32 r in
-  (control, data, Atm.Codec.rest r)
+(* A reply body is prefixed with its (control, data) byte split: 8
+   bytes that every reply frame carries ({!reply_frame_bytes}). *)
+let reply_split_bytes = 8
 
 let handle_frame t ~src payload =
   let r = Atm.Codec.reader payload in
@@ -64,11 +49,10 @@ let handle_frame t ~src payload =
     Atm.Codec.skip r (reply_header_bytes - Atm.Codec.position r);
     match Hashtbl.find_opt t.calls xid with
     | None -> () (* late reply; call abandoned *)
-    | Some pending ->
+    | Some reply ->
         Hashtbl.remove t.calls xid;
-        let control, data, body = split_reply_body (Atm.Codec.rest r) in
-        account_reply_sizes t ~label:pending.label ~control ~data;
-        Sim.Ivar.fill pending.reply body
+        Atm.Codec.skip r reply_split_bytes;
+        Sim.Ivar.fill reply (Atm.Codec.rest r)
   end
 
 let attach node =
@@ -78,9 +62,6 @@ let attach node =
       next_xid = 1;
       calls = Hashtbl.create 32;
       programs = Hashtbl.create 4;
-      control_traffic = Metrics.Account.create ~name:"rpc control bytes" ();
-      data_traffic = Metrics.Account.create ~name:"rpc data bytes" ();
-      call_counts = Metrics.Account.create ~name:"rpc calls" ();
     }
   in
   Cluster.Node.set_handler node ~tag:frame_tag (fun ~src payload ->
@@ -114,11 +95,7 @@ let alloc_xid t =
 let send_call t ~dst ~prog ~proc ~label (args : Xdr.t) =
   let xid = alloc_xid t in
   let reply = Sim.Ivar.create ~name:(label ^ " reply") () in
-  Hashtbl.replace t.calls xid { label; reply };
-  Metrics.Account.add t.call_counts ~category:label 1.;
-  Metrics.Account.add_int t.control_traffic ~category:label
-    (call_header_bytes + Xdr.control_bytes args);
-  Metrics.Account.add_int t.data_traffic ~category:label (Xdr.data_bytes args);
+  Hashtbl.replace t.calls xid reply;
   Cluster.Node.transmit t.node ~dst
     (frame_of ~kind:kind_call ~xid ~prog ~proc ~header_bytes:call_header_bytes
        (Xdr.contents args));
@@ -127,7 +104,7 @@ let send_call t ~dst ~prog ~proc ~label (args : Xdr.t) =
 let call_frame_bytes (args : Xdr.t) = call_header_bytes + Xdr.length args
 
 let reply_frame_bytes (body : Xdr.t) =
-  reply_header_bytes + 8 + Xdr.length body
+  reply_header_bytes + reply_split_bytes + Xdr.length body
 
 let send_reply t ~dst ~xid (body : Xdr.t) =
   let w = Atm.Codec.writer () in
@@ -144,6 +121,3 @@ let register t ~prog ~deliver =
   Hashtbl.replace t.programs prog { deliver }
 
 let node t = t.node
-let control_traffic t = t.control_traffic
-let data_traffic t = t.data_traffic
-let call_counts t = t.call_counts

@@ -2,9 +2,7 @@
 
     Call frames carry a 72-byte ONC-RPC-sized header, replies a 24-byte
     one; header bytes are pure control traffic, body bytes keep their
-    {!Xdr} classification. All traffic is accounted on the calling
-    transport under the caller's activity label — the raw material of
-    Table 1b. *)
+    {!Xdr} classification. *)
 
 type t
 
@@ -29,9 +27,9 @@ val send_call :
   label:string ->
   Xdr.t ->
   bytes Sim.Ivar.t
-(** Transmit a call; the ivar fills with the raw reply body. Traffic is
-    accounted under [label] (call now, reply on arrival). No timing or
-    CPU cost here — see {!Client.call} for the full client path. *)
+(** Transmit a call; the ivar, named after [label] in deadlock reports,
+    fills with the raw reply body. No timing or CPU cost here — see
+    {!Client.call} for the full client path. *)
 
 (** {1 Server side} *)
 
@@ -40,8 +38,10 @@ val register :
   prog:int ->
   deliver:(src:Atm.Addr.t -> xid:int -> proc:int -> args:bytes -> unit) ->
   unit
-(** Register a program. [deliver] runs at interrupt level (in the node
-    dispatcher) and must only enqueue; see {!Server}. *)
+(** Register a program. [deliver] runs in the node's receive-dispatcher
+    process ({!Cluster.Node.set_handler}), so the next frame waits until
+    it returns: it should only charge reception and enqueue; see
+    {!Server}. *)
 
 val send_reply : t -> dst:Atm.Addr.t -> xid:int -> Xdr.t -> unit
 
@@ -49,14 +49,5 @@ val send_reply : t -> dst:Atm.Addr.t -> xid:int -> Xdr.t -> unit
 
 val call_frame_bytes : Xdr.t -> int
 val reply_frame_bytes : Xdr.t -> int
-
-(** {1 Traffic accounts (bytes by activity label)} *)
-
-val control_traffic : t -> Metrics.Account.t
-(** Test-only: the RPC tests check the control/data byte split. *)
-
-val data_traffic : t -> Metrics.Account.t
-(** Test-only: the RPC tests check the control/data byte split. *)
-
-val call_counts : t -> Metrics.Account.t
-(** Test-only: the RPC tests count calls per class. *)
+(** The reply header, an 8-byte (control, data) split of the body, and
+    the body. *)

@@ -26,10 +26,6 @@ let int ?(cls = `Control) t v =
   Atm.Codec.put_u32 t.w (v land 0xFFFFFFFF);
   account t cls 4
 
-let hyper t v =
-  Atm.Codec.put_u64 t.w v;
-  account t `Control 8
-
 let bool t v = int t (if v then 1 else 0)
 
 let padding_of n = (4 - (n land 3)) land 3
@@ -67,7 +63,6 @@ type reader = Atm.Codec.reader
 let reader b = Atm.Codec.reader b
 
 let read_int r = Atm.Codec.get_u32 r
-let read_hyper r = Atm.Codec.get_u64 r
 let read_bool r = Atm.Codec.get_u32 r <> 0
 
 let read_opaque r =

@@ -14,9 +14,6 @@ val create : unit -> t
 val int : ?cls:cls -> t -> int -> unit
 (** 4-byte unsigned. *)
 
-val hyper : t -> int -> unit
-(** 8-byte. Test-only: the XDR round-trip property. *)
-
 val bool : t -> bool -> unit
 
 val opaque : ?cls:cls -> t -> bytes -> unit
@@ -40,8 +37,6 @@ type reader
 
 val reader : bytes -> reader
 val read_int : reader -> int
-val read_hyper : reader -> int
-(** Test-only: the XDR round-trip property. *)
 
 val read_bool : reader -> bool
 val read_opaque : reader -> bytes

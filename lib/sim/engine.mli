@@ -50,11 +50,12 @@ val run : ?until:Time.t -> t -> unit
     clock still advances to the limit. With no limit, a drain that
     leaves non-daemon blocked waiters raises {!Deadlock} (disable with
     {!set_deadlock_detection}).
-    Test-only ?until: the engine tests stop a run at a given instant. *)
+    Test-only ?until: a run cut at a given instant, which every run leaves
+    to quiesce. *)
 
 val stop : t -> unit
 (** Make [run] return after the current event completes.
-    Test-only: the engine tests end runs early. *)
+    Test-only: a run ended from inside, which every run leaves to quiesce. *)
 
 (** {1 Same-instant scheduling choice points}
 
@@ -76,7 +77,8 @@ type scheduler = choice -> int
 val set_scheduler : t -> scheduler option -> unit
 (** Install ([Some]) or remove ([None], the default FIFO order) the
     same-instant scheduler.
-    Test-only: the engine tests install same-instant schedulers directly. *)
+    Test-only: a scheduler installed by hand, where the model checker
+    installs its own through {!Analysis}. *)
 
 val next_enabled : t -> choice option
 (** The events enabled at the next instant without firing anything —

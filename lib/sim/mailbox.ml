@@ -23,5 +23,3 @@ let recv t =
   if not (Queue.is_empty t.messages) then Queue.pop t.messages
   else Proc.sleep t.readers ~resource:t.label ~daemon:t.daemon
 
-let try_recv t =
-  if Queue.is_empty t.messages then None else Some (Queue.pop t.messages)

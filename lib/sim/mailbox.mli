@@ -15,6 +15,3 @@ val send : 'a t -> 'a -> unit
 
 val recv : 'a t -> 'a
 (** Dequeue the oldest message, blocking the current process if empty. *)
-
-val try_recv : 'a t -> 'a option
-(** Test-only: the mailbox unit tests. *)

@@ -35,12 +35,3 @@ let float t =
   (* 53 random bits mapped to [0, 1). *)
   let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   x /. 9007199254740992.0
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
-  arr.(int t (Array.length arr))
-
-let exponential t ~mean =
-  if mean <= 0. then invalid_arg "Prng.exponential: mean must be positive";
-  let u = float t in
-  -.mean *. log (1. -. u)

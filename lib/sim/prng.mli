@@ -17,10 +17,3 @@ val int : t -> int -> int
 
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. Test-only: the PRNG unit tests. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed draw with the given mean.
-    Test-only: the PRNG unit tests. *)

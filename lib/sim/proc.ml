@@ -52,7 +52,7 @@ type t = {
   wake : unit -> unit; (* resumes [waiting] *)
   on_wait : ((unit, unit) continuation -> unit) option;
   on_sleep : ((unit, unit) continuation -> unit) option;
-  mutable spinner : spinner; (* built by the process's first [spin] *)
+  mutable spinner : spinner option; (* built by the process's first [spin] *)
 }
 
 (* A process's running [spin]: its condition, period, deadline and
@@ -99,10 +99,6 @@ let spent =
       k
   | None -> assert false
 
-let no_spinner =
-  { ready = (fun () -> false); every = Time.zero; deadline = Time.zero;
-    arrived = false; poll = ignore }
-
 (* The running process, or [nobody] outside every process. *)
 let nobody =
   {
@@ -114,7 +110,7 @@ let nobody =
     wake = ignore;
     on_wait = None;
     on_sleep = None;
-    spinner = no_spinner;
+    spinner = None;
   }
 
 let current = ref nobody
@@ -178,7 +174,7 @@ let create engine who =
           (fun k ->
             current := nobody;
             p.waiting <- k);
-      spinner = no_spinner;
+      spinner = None;
     }
   in
   p
@@ -224,7 +220,7 @@ let join q p ~resource ~daemon =
    else
      match q.newest with
      | Sleeper last -> last.next <- node
-     | Nil | Handed _ -> ());
+     | Nil | Handed _ -> assert false (* a non-empty queue's newest sleeps *));
   q.newest <- node;
   node
 
@@ -288,22 +284,23 @@ let resume p =
    long-lived payload array on every poll would add a remembered-set
    entry per poll.  Unlike a park the spin registers no block: a poll is
    always pending, as a waiting process's wake was. *)
-let spinner p =
-  if p.spinner == no_spinner then begin
-    let rec s =
-      { ready = no_spinner.ready; every = Time.zero; deadline = Time.zero;
-        arrived = false; poll = (fun () -> poll p s) }
-    in
-    p.spinner <- s
-  end;
-  p.spinner
+let spinner p ready =
+  match p.spinner with
+  | Some s -> s
+  | None ->
+      let rec s =
+        { ready; every = Time.zero; deadline = Time.zero; arrived = false;
+          poll = (fun () -> poll p s) }
+      in
+      p.spinner <- Some s;
+      s
 
 let spin ~every ~deadline ready =
   let p = self () in
   ready ()
   || Time.(Engine.now p.engine <= deadline)
      &&
-     let s = spinner p in
+     let s = spinner p ready in
      s.ready <- ready;
      s.every <- every;
      s.deadline <- deadline;

@@ -8,8 +8,6 @@ type t = {
   mutable busy : bool;
   waiters : unit Proc.sleepers;
   label : Engine.label; (* built once: a busy CPU is contended per charge *)
-  mutable acquisitions : int;
-  mutable contended : int;
 }
 
 let create ?(name = "resource") () =
@@ -17,23 +15,11 @@ let create ?(name = "resource") () =
     busy = false;
     waiters = Proc.sleepers ();
     label = Engine.Quoted ("resource", name);
-    acquisitions = 0;
-    contended = 0;
   }
 
-let is_busy t = t.busy
-
-let acquisitions t = t.acquisitions
-
-let contended t = t.contended
-
-(* Count an acquisition and take the resource if it is free. *)
+(* Take the resource if it is free. *)
 let seize t =
-  t.acquisitions <- t.acquisitions + 1;
-  if t.busy then begin
-    t.contended <- t.contended + 1;
-    false
-  end
+  if t.busy then false
   else begin
     t.busy <- true;
     true
@@ -55,13 +41,3 @@ let release t =
   else
     (* Hand the resource directly to the next waiter; [busy] stays set. *)
     Proc.signal t.waiters
-
-let with_resource t f =
-  acquire t;
-  match f () with
-  | v ->
-      release t;
-      v
-  | exception exn ->
-      release t;
-      raise exn

@@ -21,18 +21,3 @@ val acquire_by : t -> Proc.t -> bool
 val release : t -> unit
 (** Release; ownership passes directly to the oldest waiter if any.
     Raises [Invalid_argument] if the resource is not held. *)
-
-val with_resource : t -> (unit -> 'a) -> 'a
-(** [acquire]/[release] bracket, exception-safe.
-    Test-only: the resource unit tests. *)
-
-val is_busy : t -> bool
-(** Test-only: the resource unit tests. *)
-
-val acquisitions : t -> int
-(** Total number of [acquire] calls, for utilization statistics.
-    Test-only: the resource unit tests. *)
-
-val contended : t -> int
-(** Number of [acquire] calls that had to wait.
-    Test-only: the resource unit tests. *)

@@ -44,7 +44,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val max : t -> t -> t
 val min : t -> t -> t

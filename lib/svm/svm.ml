@@ -27,8 +27,6 @@ type t = {
   owners : Atm.Addr.t array;
   copysets : (int, unit) Hashtbl.t array; (* page -> set of node addrs *)
   mutable read_faults : int;
-  mutable write_faults : int;
-  mutable invalidations_received : int;
 }
 
 let manager_prog = 0x2001
@@ -62,7 +60,6 @@ let agent_handler t ~src:_ ~proc reader =
   end
   else if proc = proc_invalidate then begin
     t.states.(page) <- Invalid;
-    t.invalidations_received <- t.invalidations_received + 1;
     Rpckit.Xdr.bool reply true
   end
   else invalid_arg "Svm.agent_handler: unknown proc";
@@ -153,8 +150,6 @@ let attach transport ~manager ~pages =
       owners = Array.make pages manager;
       copysets = Array.init pages (fun _ -> Hashtbl.create 4);
       read_faults = 0;
-      write_faults = 0;
-      invalidations_received = 0;
     }
   in
   let (_ : Rpckit.Server.t) =
@@ -222,7 +217,6 @@ let ensure_writable t page =
   match t.states.(page) with
   | Write_owned -> ()
   | Read_shared | Invalid ->
-      t.write_faults <- t.write_faults + 1;
       fault t page ~proc:proc_write_fault;
       t.states.(page) <- Write_owned
 
@@ -252,6 +246,3 @@ let write t ~addr data =
 
 let state t ~page = t.states.(page)
 let read_faults t = t.read_faults
-let write_faults t = t.write_faults
-let invalidations_received t = t.invalidations_received
-let node t = t.node

@@ -26,14 +26,7 @@ val write : t -> addr:int -> bytes -> unit
 (** {1 Introspection} *)
 
 val state : t -> page:int -> page_state
-(** Test-only: the SVM protocol tests. *)
+(** Test-only: a page's coherence state, which the SVM reports show only as
+    fault counts. *)
 
 val read_faults : t -> int
-val write_faults : t -> int
-(** Test-only: the SVM protocol tests. *)
-
-val invalidations_received : t -> int
-(** Test-only: the SVM protocol tests. *)
-
-val node : t -> Cluster.Node.t
-(** Test-only: the SVM protocol tests. *)

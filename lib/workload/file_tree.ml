@@ -92,8 +92,6 @@ let build prng =
   }
 
 let store t = t.store
-let file_count t = Array.length t.files
-let dir_count t = Array.length t.dirs
 
 let pick_file t prng = t.files.(Zipf.sample t.file_zipf prng)
 let pick_dir t prng = t.dirs.(Zipf.sample t.dir_zipf prng)

@@ -14,12 +14,6 @@ val write_pattern : Dfs.File_store.t -> int -> start:int -> len:int -> unit
     a replay can verify what it reads. *)
 
 val store : t -> Dfs.File_store.t
-val file_count : t -> int
-(** Test-only: the workload tests check the generated tree's shape. *)
-
-val dir_count : t -> int
-(** Test-only: the workload tests check the generated tree's shape. *)
-
 val pick_file : t -> Sim.Prng.t -> int
 (** Zipf-popular file handle. *)
 

@@ -26,6 +26,12 @@ let calls_of label =
   | Some r -> r.calls
   | None -> 0
 
+(* The label of the first cumulative count above [u], which the last
+   row's, the total, always is. *)
+let rec pick u = function
+  | [] -> invalid_arg "Mix.sampler: a draw past the total"
+  | (upto, label) :: rest -> if u < upto then label else pick u rest
+
 (* Sample a label according to the mix. *)
 let sampler () =
   let cumulative =
@@ -36,10 +42,4 @@ let sampler () =
         (!acc, r.label))
       table_1a
   in
-  fun prng ->
-    let u = Sim.Prng.int prng total_calls in
-    let rec pick = function
-      | [] -> "Other"
-      | (upto, label) :: rest -> if u < upto then label else pick rest
-    in
-    pick cumulative
+  fun prng -> pick (Sim.Prng.int prng total_calls) cumulative

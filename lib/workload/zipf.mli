@@ -13,8 +13,9 @@ val sample : t -> Sim.Prng.t -> int
 val index : t -> float -> int
 (** [index t u], for [u] in [\[0, 1\]]: the first rank whose CDF is at
     least [u], found through a guide table in O(1) expected steps.
-    Test-only: the Zipf tests hold it to a binary search over {!cdf}. *)
+    Test-only: the guide table's answer for a chosen draw, where {!sample}
+    takes its draw from the PRNG. *)
 
 val cdf : t -> float array
 (** A copy of the cumulative distribution, rank by rank; the last is 1.
-    Test-only: the Zipf tests search it for the reference answer. *)
+    Test-only: the distribution itself, which {!sample} only draws from. *)

@@ -10,7 +10,9 @@
    rule.  Every other unhit point must be matched by an entry of
    [allow] below: a key prefix and why the point is kept although no
    run reaches it.  An entry that matches no unhit point is stale and
-   fails too.  The last lines count points per library.
+   fails too.  The table may only shrink: it fails when it holds more
+   entries than [max_allow], a ceiling that a change that deletes
+   entries lowers too.  The last lines count points per library.
 
    Usage: report.exe DIR *)
 
@@ -19,18 +21,10 @@ let allow =
     (* bin/: usage errors, printers and failure verdicts of the CLI. *)
     ("bin/cli.ml:replay:", "usage error: a certificate the workload rejects");
     ("bin/cli.ml:report:", "an item whose report raises: every report returns");
-    ("bin/clustersim.ml:scheme_conv:", "the scheme printer, for help text");
     ("bin/nfstrace.ml:describe_op:", "ops absent from the events the dump shows");
-    ("bin/nfstrace.ml:main:", "the view names, for a usage error");
     ("bin/obsreport.ml:gauge:", "a gauge never sampled: campaigns sample every gauge");
     ("bin/obsreport.ml:main:", "usage error: an SLO spec that does not parse");
     ("bin/tracer.ml:report:", "failure verdict: an invalid span tree or a failed body");
-    (* Defaults that registration replaces before any use. *)
-    ("lib/amsg/amsg.ml:unregistered:", "handler-table default, replaced by register");
-    ("lib/cluster/node.ml:unclaimed:", "receive default, replaced by the attached layer");
-    ("lib/core/remote_memory.ml:unarmed:", "completion default, replaced when armed");
-    ("lib/sim/proc.ml:no_spinner:", "spinner default, replaced by Proc.spin");
-    ("lib/faults/plane.ml:create:", "on_restart default: every crash plan passes one");
     (* Checker and body failure verdicts: they fire on a run that breaks
        its property, and the seeded bugs break others. *)
     ("lib/analysis/explore.ml:canonical_hash:", "runs that raised or ran off the event bound");
@@ -65,46 +59,21 @@ let allow =
     ("lib/faults/campaign.ml:replica:", "failure verdict: replicas that disagree");
     ("lib/obs/trace.ml:validate:", "failure verdict: orphans and crossed traces, which no tracer records");
     (* Values no recorded run produces. *)
-    ("lib/analysis/history.ml:covered_cells:", "an access of no bytes");
-    ("lib/analysis/history.ml:event_to_string:", "printed only in failure witnesses");
-    ("lib/analysis/history.ml:init_value:", "a cell the scenario did not initialise");
-    ("lib/analysis/history.ml:op_to_string:", "printed only in failure witnesses");
-    ("lib/analysis/history.ml:record_serve:", "a CAS served without its operands, and a partial-cell access");
-    ("lib/analysis/history.ml:value_to_string:", "printed only in failure witnesses");
-    ("lib/analysis/lint.ml:check:", "rejections of kinds no lint program makes");
-    ("lib/analysis/lint.ml:op_name:", "rejections of kinds no lint program makes");
-    ("lib/analysis/lint.ml:rule_of_status:", "rejections of kinds no lint program makes");
     ("lib/analysis/monitor.ml:on_delivery:", "a delivery with no recorded send");
-    ("lib/analysis/monitor.ml:on_event:", "events with no recorded flight, and nacks, which no checked workload draws");
-    ("lib/analysis/monitor.ml:peek:", "an empty per-pair queue");
-    ("lib/analysis/monitor.ml:pop:", "an empty per-pair queue");
-    ("lib/analysis/report.ml:Json.bool:", "false: every suite workload reads back correct");
-    ("lib/analysis/report.ml:Json.list:", "a list, which bench/suite writes only to its --json FILE");
     ("lib/analysis/static/pipesafe.ml:classify:", "a segment no manifest names");
     ("lib/analysis/static/verify.ml:check_rights:", "program shapes no declared program has");
-    ("lib/analysis/static/verify.ml:eval:", "program shapes no declared program has");
-    ("lib/analysis/static/verify.ml:first_cas_seg:", "program shapes no declared program has");
-    ("lib/analysis/static/verify.ml:has_observation:", "program shapes no declared program has");
-    ("lib/analysis/static/verify.ml:instr:", "program shapes no declared program has");
     ("lib/faults/campaign.ml:wire_gauges:", "switch aggregates: campaigns build meshes, with no switches");
     ("lib/nameserver/reconciler.ml:shard_id_of_bucket:", "used by the fallback split and by bench/suite");
     (* Guards against input that no peer in the simulation sends. *)
-    ("lib/atm/network.ml:build_mesh:", "a destination outside the mesh");
-    ("lib/atm/nic.ml:route_frame:", "a frame with no route: a mesh routes every address");
     ("lib/dds/hashtable.ml:serve:", "a malformed RPC request");
     ("lib/dds/queue.ml:serve:", "a malformed RPC request");
     ("lib/dds/register.ml:serve:", "a malformed RPC request, and a cell another writer holds");
     ("lib/dds/hashtable.ml:rpc_op:", "a short RPC reply");
     ("lib/dds/queue.ml:rpc_op:", "a short RPC reply");
     ("lib/nameserver/registry.ml:well_formed:", "a live slot with an empty name");
-    ("lib/nameserver/shardmap.ml:decode:", "a short or non-total map: decode rejects both");
-    ("lib/nameserver/shardmap.ml:owner:", "a short or non-total map: decode rejects both");
-    ("lib/nameserver/shardmap.ml:owner_from:", "a short or non-total map: decode rejects both");
     ("lib/replica/replica.ml:decode_entry:", "a key of full length, and a torn length word");
     ("lib/rpc/transport.ml:handle_frame:", "a reply after its call gave up");
     ("lib/rpc/transport.ml:alloc_xid:", "an xid wrap");
-    ("lib/workload/mix.ml:calls_of:", "a label outside Table 1a");
-    ("lib/workload/mix.ml:sampler:", "a label outside Table 1a");
     (* Paths that need a fault, a race or a state the runs do not make. *)
     ("lib/core/recovery.ml:classify:", "a terminal status under a policy");
     ("lib/core/remote_memory.ml:burst_rejection:", "a burst into an inhibited or refusing segment");
@@ -118,16 +87,13 @@ let allow =
     ("lib/dds/call.ml:attempt:", "an RPC that exhausts its attempts");
     ("lib/dds/hashtable.ml:dx_delete:", "a delete whose CAS loses to a live key");
     ("lib/dds/queue.ml:await_deposit:", "a dequeue that reads its slot before the deposit lands");
-    ("lib/dds/queue.ml:dequeue:", "an empty queue: every dequeue finds an item");
     ("lib/dds/register.ml:dx_set:", "a retry that finds its own claim, after a lost CAS reply");
     ("lib/dds/register.ml:rpc:", "an RPC to a replica that times out");
     ("lib/dds/register.ml:rpc_collect:", "fewer than a majority of replicas answering");
     ("lib/dds/register.ml:rpc_set:", "a replica that times out, or a busy cell");
     ("lib/dfs/clerk.ml:dx_fetch:", "a statfs area the server has not published");
-    ("lib/dfs/coherence.ml:request_revocation:", "a second revocation to one holder");
     ("lib/nameserver/api.ml:revalidator:", "a revalidation of a name since deleted");
     ("lib/nameserver/clerk.ml:reannounce:", "an export whose name is still registered");
-    ("lib/nameserver/reconciler.ml:host_index:", "a host outside the reconciler's list");
     ("lib/nameserver/reconciler.ml:merge:", "a merge with under two shards, or a later pair lighter than the first");
     ("lib/nameserver/reconciler.ml:rebalance_once:", "no load, or a skew under threshold");
     ("lib/nameserver/reconciler.ml:register:", "a bucket no shard covers: the map is total");
@@ -135,58 +101,29 @@ let allow =
     ("lib/nameserver/reconciler.ml:retire:", "a moved record no longer in the source mirror");
     ("lib/nameserver/reconciler.ml:split:", "an unknown shard, or one bucket wide");
     ("lib/nameserver/shard_clerk.ml:attempt:", "a stale miss with no forward to patch from");
-    ("lib/nameserver/shard_clerk.ml:epoch:", "the epoch before any map");
     ("lib/nameserver/shard_clerk.ml:fetch_map:", "a torn map image");
     ("lib/nameserver/shard_clerk.ml:patch_map:", "a forward that splits a shard in three, or overflows the map");
-    ("lib/nameserver/shard_clerk.ml:report_load:", "a load report before any map");
     ("lib/nameserver/shard_clerk.ml:revalidate:", "a refresh: only a host restart keeps a shard in the map under a new generation, and the map never learns it; a map fetch that fails");
     ("lib/replica/replica.ml:set:", "a peer write that gives up under a policy");
     ("lib/replica/replica.ml:start_anti_entropy_daemon:", "a replica with no peers");
-    ("lib/svm/svm.ml:fault:", "the manager's own write fault");
-    ("lib/svm/svm.ml:invalidate_copies:", "the manager's own write fault");
     (* NFS cases no run makes: no workload has a symlink or a hard link. *)
     ("lib/dfs/clerk.ml:install_local:", "a readlink result cached");
     ("lib/dfs/clerk.ml:local_lookup:", "a readlink served from the local cache");
-    ("lib/dfs/file_store.ml:remove:", "removing one of several links to a file");
-    ("lib/dfs/file_store.ml:set_attr:", "a set-attributes that leaves the size");
-    ("lib/dfs/nfs_ops.ml:reply_traffic:", "the traffic of an error reply, which Table 1b never counts");
-    ("lib/dfs/nfs_ops.ml:request_traffic:", "the traffic of directory mutations, which the Table 1a mix never issues");
     ("lib/dfs/server.ml:push_block:", "a block the cache dropped, and a block with two subscribers");
     (* Empty inputs and printers. *)
-    ("lib/cluster/cpu.ml:use:", "a charge cut short by an exception");
-    ("lib/cluster/cpu.ml:utilization:", "utilization over an empty window");
-    ("lib/core/descriptor.ml:pp:", "a stale descriptor printed");
-    ("lib/core/manifest.ml:rights_to_string:", "a manifest without read rights printed");
-    ("lib/core/notification.ml:kind_to_string:", "kinds printed");
-    ("lib/core/notification.ml:try_read:", "a poll that finds a record queued");
-    ("lib/core/segment.ml:policy_to_string:", "policies printed");
-    ("lib/core/status.ml:_:", "the exception printer, for errors no run prints");
     ("lib/experiments/dds_bench.ml:report:", "a leg with no measured point");
     ("lib/experiments/pipeline_bench.ml:finish:", "a leg that takes no time");
     ("lib/experiments/probe_policy.ml:run:", "probing winning at every chain length");
     ("lib/experiments/shard_bench.ml:run_campaign:", "a lost or stale name, a skew under threshold, no name moved");
-    ("lib/metrics/histogram.ml:percentile:", "empty histograms and rank edge cases");
-    ("lib/metrics/table.ml:format_json:", "cells no report has: bars of a missing value, JSON of the plain format");
-    ("lib/metrics/table.ml:holds:", "cells no report has: bars of a missing value, JSON of the plain format");
-    ("lib/metrics/table.ml:render_bars:", "cells no report has: bars of a missing value, JSON of the plain format");
-    ("lib/metrics/table.ml:value_json:", "cells no report has: bars of a missing value, JSON of the plain format");
-    ("lib/obs/registry.ml:report:", "an op with no aggregate");
-    ("lib/obs/timeseries.ml:window:", "unknown or empty gauges");
     ("lib/obs/trace.ml:frame_delivered:", "a frame with no span context");
     ("lib/obs/trace.ml:link_hop:", "a hop with no wire span");
     ("lib/obs/trace.ml:observe_root:", "a non-numeric segment argument");
     ("lib/obs/trace.ml:root_close:", "a root already closed");
     ("lib/obs/trace.ml:serve_begin:", "a serve with no span context");
-    ("lib/sim/engine.ml:deadlock_report:", "a deadlock with no waiter; a step with nothing queued");
-    ("lib/sim/engine.ml:step_seq:", "a deadlock with no waiter; a step with nothing queued");
-    ("lib/sim/prng.ml:int:", "bounds above 2^30: no caller draws so wide");
-    ("lib/sim/proc.ml:as_current:", "effects of another handler, sleep-queue states, an exception in a nested resume");
-    ("lib/sim/proc.ml:handler:", "effects of another handler, sleep-queue states, an exception in a nested resume");
-    ("lib/sim/proc.ml:join:", "effects of another handler, sleep-queue states, an exception in a nested resume");
-    ("lib/sim/proc.ml:spent:", "effects of another handler, sleep-queue states, an exception in a nested resume");
-    ("lib/sim/time.ml:pp:", "an instant past 1 s printed");
-    ("lib/workload/program.ml:expr_to_string:", "expressions printed only in verifier errors")
+    ("lib/sim/proc.ml:spent:", "effects of another handler, sleep-queue states, an exception in a nested resume")
   ]
+
+let max_allow = 95
 
 type point = { file : string; binding : string; kind : string; line : int; exempt : bool }
 
@@ -242,4 +179,7 @@ let () =
   row "total" points;
   Printf.printf "coverage: %d unhit points uncovered, %d stale allow entries, %d allow entries\n"
     (List.length bad) (List.length stale) (List.length allow);
-  if bad <> [] || stale <> [] then exit 1
+  if List.length allow > max_allow then
+    Printf.printf "coverage: %d allow entries, above the ceiling of %d\n" (List.length allow)
+      max_allow;
+  if bad <> [] || stale <> [] || List.length allow > max_allow then exit 1

@@ -174,6 +174,8 @@ exitcodes 0 bin/rnet.exe cluster --ci --scheme dx
 exitcodes 0 bin/rnet.exe cluster --ci --scheme hy
 exitcodes 0 bin/rnet.exe cluster --ci --scheme rpc
 exitcodes 124 bin/rnet.exe cluster --scheme no_such_scheme
+exitcodes 2 bin/rnet.exe nfstrace no_such_view
+exitcodes 0 bin/rnet.exe cluster --help=plain
 # The ad-hoc fault flags build their plans, the sequential-consistency
 # and explore-all modes run, and a certificate without one workload is a
 # usage error.

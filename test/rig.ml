@@ -11,6 +11,14 @@ type duo = {
   space1 : Cluster.Address_space.t;
 }
 
+(* The READs [node] issues from now on. *)
+let reads node =
+  let n = ref 0 in
+  Cluster.Node.subscribe node (function
+    | Rmem.Remote_memory.Issued { op = Rmem.Rights.Read_op; _ } -> incr n
+    | _ -> ());
+  n
+
 let duo ?config ?seed () =
   let testbed = Cluster.Testbed.create ?config ?seed ~nodes:2 () in
   let node0 = Cluster.Testbed.node testbed 0 in

@@ -351,7 +351,40 @@ let name_service_lint () =
     List.exists (fun f -> f.Analysis.Lint.rule = rule) findings
   in
   check_bool "stale descriptor reuse caught" true (has "stale-generation");
-  check_bool "polling a notify:never segment caught" true (has "poll-never")
+  check_bool "polling a notify:never segment caught" true (has "poll-never");
+  (* One more input: a CAS through a read-only descriptor, a WRITE to a
+     write-inhibited segment, a READ of unpinned pages and a READ of a
+     revoked segment, each refused. *)
+  let d, monitor = monitored_duo () in
+  Rig.run d (fun () ->
+      let refused f =
+        match f () with () -> () | exception Rmem.Status.Remote_error _ -> ()
+      in
+      let segment, desc = Rig.shared_segment ~len:8192 d in
+      let _, read_only = Rig.shared_segment ~len:4096 ~rights:Rmem.Rights.read_only d in
+      let dst = Rig.buffer0 d in
+      let read desc ~soff () =
+        Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff ~count:4 ~dst ~doff:0 ()
+      in
+      refused (fun () ->
+          ignore
+            (Rmem.Remote_memory.cas_wait d.Rig.rmem0 read_only ~doff:0 ~old_value:0
+               ~new_value:1 ()
+              : int));
+      Rmem.Segment.set_write_inhibit segment true;
+      Rmem.Remote_memory.write d.Rig.rmem0 desc ~off:0 (Bytes.make 4 'x');
+      refused (fun () -> Rmem.Remote_memory.fence d.Rig.rmem0 desc);
+      Rmem.Segment.set_write_inhibit segment false;
+      Cluster.Address_space.unpin d.Rig.space1 ~addr:4096 ~len:4096;
+      refused (read desc ~soff:4096);
+      ignore (Cluster.Address_space.pin d.Rig.space1 ~addr:4096 ~len:4096 : int);
+      Rmem.Remote_memory.revoke d.Rig.rmem1 segment;
+      refused (read desc ~soff:0));
+  let findings = Analysis.Lint.check monitor in
+  let has rule = List.exists (fun f -> f.Analysis.Lint.rule = rule) findings in
+  List.iter
+    (fun rule -> check_bool (rule ^ " caught") true (has rule))
+    [ "rights"; "write-inhibit"; "unpinned"; "revoked-segment" ]
 
 (* ---------------- Reply-path regressions ---------------- *)
 
@@ -514,6 +547,64 @@ let monitor_stays_with_its_testbed () =
     (Analysis.Monitor.access_count monitor);
   check_int "no agent leaked in" agents (Analysis.Monitor.agent_count monitor)
 
+(* History values no checked run records: a partial-word READ, an
+   access of no bytes, a CAS served without its operands, a cell with
+   no snapshot, and the witness printers. *)
+let history_partial_words () =
+  let module H = Analysis.History in
+  let d = Rig.duo () in
+  let h = H.create () in
+  let key = { Analysis.Access.home = 1; seg = 1; gen = 1 } in
+  Rig.run d (fun () ->
+      let segment, _ = Rig.shared_segment d in
+      let serve op ~off ~count =
+        ignore
+          (H.record_serve h ~agent:"a" ~key ~segment ~op ~off ~count ~cas:None
+             ~cas_success:None ~inv:0 ~now:1
+            : H.handle)
+      in
+      serve Rmem.Rights.Read_op ~off:2 ~count:4;
+      serve Rmem.Rights.Read_op ~off:0 ~count:0;
+      serve Rmem.Rights.Write_op ~off:1 ~count:2;
+      serve Rmem.Rights.Cas_op ~off:0 ~count:4;
+      ignore
+        (H.record_serve h ~agent:"a" ~key ~segment ~op:Rmem.Rights.Cas_op ~off:8 ~count:4
+           ~cas:(Some (0l, 1l)) ~cas_success:(Some true) ~inv:0 ~now:1
+          : H.handle));
+  check_bool "an unsnapshotted cell is unknown" true
+    (H.init_value h { H.key; word = 0 } = H.Unknown);
+  Alcotest.(check (list string)) "events"
+    [ "a node1/seg1.g1+0 READ -> ? [0ns, pending]";
+      "a node1/seg1.g1+4 READ -> ? [0ns, pending]";
+      "a node1/seg1.g1+0 WRITE ? [0ns, 1ns]";
+      "a node1/seg1.g1+0 CAS(0->0) fail w=0 [0ns, pending]";
+      "a node1/seg1.g1+8 CAS(0->1) ok w=0 [0ns, pending]" ]
+    (List.map H.event_to_string (H.events h))
+
+(* A monitor that joins mid-run sees serves, deliveries and
+   completions of operations it never saw issued, and records them
+   without their flights. *)
+let monitor_joins_mid_run () =
+  let d = Rig.duo () in
+  let monitor = Analysis.Monitor.create d.Rig.engine in
+  Rig.run d (fun () ->
+      let segment, desc = Rig.shared_segment d in
+      Rmem.Notification.set_signal_handler (Rmem.Segment.notification segment)
+        (Some (fun (_ : Rmem.Notification.record) -> ()));
+      Analysis.Monitor.attach monitor d.Rig.node1;
+      Rmem.Remote_memory.write d.Rig.rmem0 desc ~off:0 ~notify:true (Bytes.make 4 'x');
+      ignore
+        (Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:8 ~old_value:0 ~new_value:1 ()
+          : int);
+      let dst = Rig.buffer0 d in
+      Cluster.Node.spawn d.Rig.node0 (fun () ->
+          Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4 ~dst ~doff:0 ());
+      Sim.Proc.wait (Sim.Time.us 20);
+      Analysis.Monitor.attach monitor d.Rig.node0;
+      Sim.Proc.wait (Sim.Time.ms 1));
+  check_bool "the serves are recorded" true
+    (List.length (Analysis.Monitor.accesses monitor) >= 3)
+
 let suite =
   [
     Alcotest.test_case "vclock orders" `Quick vclock_orders;
@@ -550,4 +641,6 @@ let suite =
       subscribers_share_a_write;
     Alcotest.test_case "monitor stays with its testbed" `Quick
       monitor_stays_with_its_testbed;
+    Alcotest.test_case "history of partial words" `Quick history_partial_words;
+    Alcotest.test_case "a monitor that joins mid-run" `Quick monitor_joins_mid_run;
   ]

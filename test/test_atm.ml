@@ -39,9 +39,9 @@ let codec_roundtrip =
       Atm.Codec.get_u8 r = u8
       && Atm.Codec.get_u16 r = u16
       && Atm.Codec.get_u32 r = u32
-      && String.equal (Atm.Codec.get_string r) s
-      && Int32.to_int (Atm.Codec.get_i32 r) = u32 land 0xFFFF
-      && Atm.Codec.remaining r = 0)
+      && String.equal (Bytes.to_string (Atm.Codec.get_bytes r (Atm.Codec.get_u16 r))) s
+      && Atm.Codec.get_u32 r = u32 land 0xFFFF
+      && Bytes.length (Atm.Codec.rest r) = 0)
 
 let codec_truncation () =
   let r = Atm.Codec.reader (Bytes.make 2 '\000') in
@@ -258,6 +258,17 @@ let queued nic =
   if frame == Atm.Nic.none then Alcotest.fail "no frame queued";
   frame
 
+(* Frames sent on the fabric edge from [src] to [dst] ([None]: a
+   switch), as {!Atm.Network.links} names its endpoints. *)
+let frames_sent network ~src ~dst =
+  match
+    List.find_map
+      (fun (s, d, link) -> if s = src && d = dst then Some link else None)
+      (Atm.Network.links network)
+  with
+  | Some link -> Atm.Link.frames_sent link
+  | None -> Alcotest.fail "no such link"
+
 let mesh_delivery () =
   let engine = Sim.Engine.create () in
   let network = Atm.Network.create engine ~nodes:3 in
@@ -270,8 +281,11 @@ let mesh_delivery () =
   Alcotest.(check string) "payload" "ping"
     (Bytes.to_string (Atm.Frame.payload received));
   Alcotest.(check int) "src" 0 (Atm.Addr.to_int (Atm.Frame.src received));
-  check_int "tx counted" 1 (Atm.Nic.frames_tx nic0);
-  check_int "rx counted" 1 (Atm.Nic.frames_rx nic2)
+  check_int "tx counted" 1 (frames_sent network ~src:(Some 0) ~dst:(Some 2));
+  check_int "rx drained" 0 (Atm.Nic.pending_frames nic2);
+  (* An address outside the mesh has no route: the frame is dropped. *)
+  Atm.Nic.transmit nic0 ~dst:(Atm.Addr.of_int 3) (Bytes.of_string "lost");
+  check_int "unroutable dropped" 1 (Atm.Nic.route_drops nic0)
 
 let star_delivery () =
   let engine = Sim.Engine.create () in
@@ -283,7 +297,9 @@ let star_delivery () =
   Alcotest.(check string) "payload" "star"
     (Bytes.to_string (Atm.Frame.payload received));
   match Atm.Network.switches network with
-  | [ switch ] -> check_int "switched" 1 (Atm.Switch.frames_switched switch)
+  | [ _ ] ->
+      check_int "up to the switch" 1 (frames_sent network ~src:(Some 1) ~dst:None);
+      check_int "down from it" 1 (frames_sent network ~src:None ~dst:(Some 3))
   | _ -> Alcotest.fail "star has one switch"
 
 (* Two frames reach the switch at the same instant and a same-instant
@@ -373,11 +389,12 @@ let switch_hop_allocates_nothing () =
   in
   let per_frame send = Rig.words_per_op ~n:200 (burst send) /. 32. in
   let switched = per_frame (Atm.Switch.forward switch) in
+  let forwarded = Atm.Link.frames_sent down in
   let direct = per_frame (Atm.Link.send down) in
   let hop = switched -. direct in
   Printf.printf "switch hop: %.3f words through the switch, %.3f direct\n"
     switched direct;
-  check_int "every frame switched" (32 * 201) (Atm.Switch.frames_switched switch);
+  check_int "every frame switched" (32 * 201) forwarded;
   Rig.within_budget "switch hop, per frame" ~words:hop ~budget:0.1
 
 let star_slower_than_mesh () =

@@ -310,7 +310,7 @@ let kernel_syscall_cost () =
       let v = Cluster.Kernel.syscall node ~name:"test" (fun () -> 41 + 1) in
       check_int "result" 42 v;
       check_int "cost = syscall"
-        (Sim.Time.to_ns (Cluster.Testbed.costs testbed).Cluster.Costs.syscall)
+        (Sim.Time.to_ns (Cluster.Node.costs (Cluster.Testbed.node testbed 0)).Cluster.Costs.syscall)
         (Sim.Time.diff (Sim.Engine.now engine) t0))
 
 let lrpc_cost () =
@@ -320,7 +320,7 @@ let lrpc_cost () =
       let v = Cluster.Lrpc.call node (fun x -> x * 2) 21 in
       check_int "result" 42 v;
       let expected =
-        2 * Sim.Time.to_ns (Cluster.Testbed.costs testbed).Cluster.Costs.lrpc_half
+        2 * Sim.Time.to_ns (Cluster.Node.costs (Cluster.Testbed.node testbed 0)).Cluster.Costs.lrpc_half
       in
       check_int "round trip" expected (Sim.Time.diff (Sim.Engine.now engine) t0))
 

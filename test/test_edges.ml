@@ -15,8 +15,8 @@ let rights_code_roundtrip () =
   check_bool "denies write" false
     Rmem.Rights.(allows read_only Write_op);
   check_bool "union" true
-    Rmem.Rights.(equal (union read_only write_only)
-       (make ~read:true ~write:true ()))
+    (Rmem.Rights.make ~read:true ~write:true ()
+    = Rmem.Rights.{ read_only with write = true })
 
 let status_code_roundtrip () =
   List.iter
@@ -57,21 +57,21 @@ let generation_bounds () =
        ignore (Rmem.Generation.of_int 0x10000);
        false
      with Invalid_argument _ -> true);
-  check_bool "invalid is not valid" false
-    (Rmem.Generation.is_valid Rmem.Generation.invalid)
+  check_bool "the successor of the last wraps past zero" true
+    (Rmem.Generation.equal
+       (Rmem.Generation.next (Rmem.Generation.of_int 0xFFFF))
+       Rmem.Generation.initial)
 
 (* ---------------- codec extras ---------------- *)
 
 let codec_u64_and_padding () =
   let w = Atm.Codec.writer () in
-  Atm.Codec.put_u64 w 123_456_789_012;
   Atm.Codec.put_padding w 3;
   Atm.Codec.put_u8 w 7;
   let r = Atm.Codec.reader (Atm.Codec.contents w) in
-  check_int "u64" 123_456_789_012 (Atm.Codec.get_u64 r);
-  Atm.Codec.skip r 3;
+  check_int "padding is zeros" 0 (Atm.Codec.get_u16 r + Atm.Codec.get_u8 r);
   check_int "after padding" 7 (Atm.Codec.get_u8 r);
-  check_int "drained" 0 (Atm.Codec.remaining r)
+  check_int "drained" 0 (Bytes.length (Atm.Codec.rest r))
 
 let codec_rest_and_position () =
   let w = Atm.Codec.writer () in
@@ -117,14 +117,32 @@ let bar_chart_zero_values () =
          [ T.label "group"; T.label "bar"; T.number "a" (Fixed 1) ]
          [ [ T.text "empty"; T.text "z"; T.num 0. ] ])
   in
-  check_bool "renders without dividing by zero" true (String.length out > 0)
+  check_bool "renders without dividing by zero" true (String.length out > 0);
+  (* A bar of a missing value, and bars with no segment column. *)
+  check_bool "a missing bar renders empty" true
+    (String.length
+       (T.render
+          (T.make ~layout:Bars
+             [ T.label "group"; T.label "bar"; T.number "a" (Fixed 1) ]
+             [ [ T.text "g"; T.text "m"; T.cell Missing ] ]))
+    > 0);
+  check_bool "bars with no segments render" true
+    (String.length
+       (T.render (T.make ~layout:Bars [ T.label "group"; T.label "bar" ] [ [ T.text "g"; T.text "b" ] ]))
+    > 0);
+  let missing = T.make [ T.label "x" ] [ [ T.cell Missing ]; [ T.cell ~band:[ Gt 1. ] (Text "t") ] ] in
+  check_bool "a missing value is null" true
+    (match Option.bind (Metrics.Json.member "rows" (T.to_json missing)) Metrics.Json.to_list with
+    | Some (Metrics.Json.List [ Metrics.Json.Null ] :: _) -> true
+    | _ -> false);
+  check_int "a band on text or a missing value fails" 1 (List.length (T.violations missing))
 
 let histogram_single_value () =
   let h = Metrics.Histogram.create () in
   Metrics.Histogram.add h 42.;
   check_bool "median of one sample is sane" true
-    (Metrics.Histogram.median h >= 42. *. 0.8
-    && Metrics.Histogram.median h <= 42. *. 1.3)
+    (Metrics.Histogram.percentile h 50. >= 42. *. 0.8
+    && Metrics.Histogram.percentile h 50. <= 42. *. 1.3)
 
 (* ---------------- address space word edge ---------------- *)
 
@@ -141,23 +159,24 @@ let word_ops_at_page_boundary () =
 
 (* ---------------- prng extras ---------------- *)
 
+(* Draws below and above 2^30, the width of one draw's bits. *)
 let prng_extras () =
   let prng = Sim.Prng.create 3 in
-  let arr = [| "a"; "b"; "c" |] in
-  for _ = 1 to 50 do
-    check_bool "pick in array" true (Array.mem (Sim.Prng.pick prng arr) arr)
-  done;
-  let total = ref 0. in
-  for _ = 1 to 2000 do
-    let x = Sim.Prng.exponential prng ~mean:5.0 in
-    check_bool "exponential non-negative" true (x >= 0.);
-    total := !total +. x
-  done;
-  check_bool "exponential mean ~5" true
-    (Rig.within ~tolerance:0.15 ~expected:5.0 (!total /. 2000.));
-  check_bool "bad mean rejected" true
+  List.iter
+    (fun bound ->
+      let total = ref 0. in
+      for _ = 1 to 2000 do
+        let x = Sim.Prng.int prng bound in
+        check_bool "in range" true (x >= 0 && x < bound);
+        total := !total +. float_of_int x
+      done;
+      check_bool "mean ~(bound-1)/2" true
+        (Rig.within ~tolerance:0.1 ~expected:(float_of_int (bound - 1) /. 2.)
+           (!total /. 2000.)))
+    [ 3; 1 lsl 30; 1 lsl 40 ];
+  check_bool "bad bound rejected" true
     (try
-       ignore (Sim.Prng.exponential prng ~mean:0.);
+       ignore (Sim.Prng.int prng 0);
        false
      with Invalid_argument _ -> true)
 
@@ -185,8 +204,14 @@ let labels_are_table_rows () =
   List.iter
     (fun op ->
       check_bool "label is a Table 1a row" true
-        (List.mem (Dfs.Nfs_ops.label op) Dfs.Nfs_ops.all_labels))
-    ops
+        (List.mem (Dfs.Nfs_ops.label op) Dfs.Nfs_ops.all_labels);
+      check_bool "every request carries control bytes" true
+        ((Dfs.Nfs_ops.request_traffic op).Dfs.Nfs_ops.control > 0))
+    ops;
+  check_int "an error reply carries no data" 0
+    (Dfs.Nfs_ops.reply_traffic (Dfs.Nfs_ops.R_error 2)).Dfs.Nfs_ops.data;
+  check_int "a label outside Table 1a has no calls" 0
+    (Workload.Mix.calls_of "no such row")
 
 let suite =
   [

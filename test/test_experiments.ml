@@ -274,7 +274,7 @@ let fixture_create_budget () =
         clock := Sim.Time.to_us (Experiments.Fixture.now f))
   in
   Alcotest.(check (float 0.0005)) "sim clock at the end, us" 204_498.896 !clock;
-  Rig.within_budget "fixture create" ~words ~budget:2_939_680.
+  Rig.within_budget "fixture create" ~words ~budget:2_939_367.
 
 let suite =
   [

@@ -9,6 +9,7 @@ let check_bool = Alcotest.(check bool)
 
 let heartbeat_detects_crash () =
   let d = Rig.duo () in
+  let probes = Rig.reads d.Rig.node0 in
   Rig.run d (fun () ->
       let segment, desc = Rig.shared_segment ~len:4096 d in
       let stop_publish =
@@ -27,7 +28,7 @@ let heartbeat_detects_crash () =
       Sim.Proc.wait (Sim.Time.ms 40);
       check_bool "alive while publisher runs" true
         (Rmem.Heartbeat.state watcher = Rmem.Heartbeat.Alive);
-      check_bool "probing happened" true (Rmem.Heartbeat.probes watcher > 5);
+      check_bool "probing happened" true (!probes > 5);
       (* Crash the publisher's node: reads start timing out. *)
       Cluster.Node.set_down d.Rig.node1 true;
       Sim.Proc.wait (Sim.Time.ms 60);
@@ -305,7 +306,6 @@ let eager_push_updates_clerk_cache () =
       Sim.Proc.wait (Sim.Time.ms 5);
       Dfs.Server.writeback server ~fh ~block:0;
       Sim.Proc.wait (Sim.Time.ms 5);
-      check_int "one block pushed" 1 (Dfs.Server.blocks_pushed server);
       (* The reader now sees fresh data from its LOCAL cache: zero
          remote traffic for this read. *)
       let dx_reads_before =

@@ -60,29 +60,25 @@ let heartbeat_fails_once () =
   let (_ : Faults.Plane.t) = Faults.Plane.create ~plan ~seed:5 d.Rig.testbed in
   let failures = ref 0 in
   let probes_at_failure = ref 0 in
+  let probes = Rig.reads d.Rig.node0 in
   Rig.run d (fun () ->
       let segment, desc = Rig.shared_segment d in
       let stop_publisher =
         Rmem.Heartbeat.publish d.Rig.rmem1 segment ~off:0 ~period:(ms 1)
       in
-      let watcher_box = ref None in
       let watcher =
         Rmem.Heartbeat.watch d.Rig.rmem0 desc ~soff:0 ~period:(ms 2)
           ~timeout:(ms 1) ~strikes_allowed:3
           ~on_failure:(fun () ->
             incr failures;
-            Option.iter
-              (fun w -> probes_at_failure := Rmem.Heartbeat.probes w)
-              !watcher_box)
+            probes_at_failure := !probes)
           ()
       in
-      watcher_box := Some watcher;
       Sim.Proc.wait (ms 40);
       check_bool "failed" true
         (Rmem.Heartbeat.state watcher = Rmem.Heartbeat.Failed);
       check_int "watcher stopped probing after the failure"
-        !probes_at_failure
-        (Rmem.Heartbeat.probes watcher);
+        !probes_at_failure !probes;
       stop_publisher ());
   check_int "failure declared exactly once" 1 !failures
 

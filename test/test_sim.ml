@@ -715,11 +715,19 @@ let mailbox_fifo () =
   Sim.Engine.run engine;
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !received)
 
+(* A receive on an empty mailbox blocks until the send. *)
 let mailbox_try_recv () =
+  let engine = Sim.Engine.create () in
   let mailbox = Sim.Mailbox.create () in
-  Alcotest.(check (option int)) "empty" None (Sim.Mailbox.try_recv mailbox);
-  Sim.Mailbox.send mailbox 9;
-  Alcotest.(check (option int)) "one" (Some 9) (Sim.Mailbox.try_recv mailbox)
+  let got = ref None in
+  Sim.Proc.spawn engine (fun () ->
+      let v = Sim.Mailbox.recv mailbox in
+      got := Some (v, Sim.Engine.now engine));
+  Sim.Proc.spawn engine (fun () ->
+      Sim.Proc.wait (Sim.Time.us 5);
+      Sim.Mailbox.send mailbox 9);
+  Sim.Engine.run engine;
+  Alcotest.(check (option (pair int int))) "one" (Some (9, Sim.Time.us 5)) !got
 
 (* ---------------- Resource ---------------- *)
 
@@ -729,15 +737,16 @@ let resource_fifo_mutex () =
   let order = ref [] in
   for i = 1 to 3 do
     Sim.Proc.spawn engine (fun () ->
-        Sim.Resource.with_resource resource (fun () ->
-            order := i :: !order;
-            Sim.Proc.wait (Sim.Time.us 10)))
+        Sim.Resource.acquire resource;
+        order := (i, Sim.Engine.now engine) :: !order;
+        Sim.Proc.wait (Sim.Time.us 10);
+        Sim.Resource.release resource)
   done;
   Sim.Engine.run engine;
-  Alcotest.(check (list int)) "served in arrival order" [ 1; 2; 3 ]
+  (* The second and third holders waited out the holds before them. *)
+  Alcotest.(check (list (pair int int))) "served in arrival order"
+    [ (1, 0); (2, Sim.Time.us 10); (3, Sim.Time.us 20) ]
     (List.rev !order);
-  check_int "contended twice" 2 (Sim.Resource.contended resource);
-  check_int "three acquisitions" 3 (Sim.Resource.acquisitions resource);
   check_int "holds serialized: 30us total" (Sim.Time.us 30)
     (Sim.Engine.now engine)
 
@@ -898,18 +907,21 @@ let mailbox_same_instant_wakes () =
     [ ("B", "m2"); ("A", "m1") ]
     (List.rev !got)
 
+(* A CPU charge cut short by an exception (here: a wait outside every
+   process) releases the CPU it took. *)
 let resource_exception_safe () =
   let engine = Sim.Engine.create () in
-  let resource = Sim.Resource.create () in
-  let second_ran = ref false in
+  let cpu = Cluster.Cpu.create () in
+  check_bool "raises outside a process" true
+    (match Cluster.Cpu.use cpu ~category:"x" (Sim.Time.us 1) with
+    | () -> false
+    | exception Effect.Unhandled _ -> true);
+  let started = ref (-1) in
   Sim.Proc.spawn engine (fun () ->
-      try Sim.Resource.with_resource resource (fun () -> failwith "inside")
-      with Failure _ -> ());
-  Sim.Proc.spawn engine (fun () ->
-      Sim.Resource.with_resource resource (fun () -> second_ran := true));
+      Cluster.Cpu.use cpu ~category:"x" (Sim.Time.us 1);
+      started := Sim.Engine.now engine - Sim.Time.us 1);
   Sim.Engine.run engine;
-  check_bool "released despite the exception" true !second_ran;
-  check_bool "free at the end" false (Sim.Resource.is_busy resource)
+  check_int "released despite the exception" 0 !started
 
 (* ---------------- Spin ---------------- *)
 
@@ -1209,6 +1221,38 @@ let nested_engine_then_sleep () =
   check_int "the outer process got the value" 7 !got;
   check_bool "queue empty" true (Sim.Proc.is_empty q)
 
+(* Paths no run takes: an empty step and deadlock, an effect no
+   process handles, an exception out of a nested resume, and a CPU's
+   utilization over an empty window. *)
+type _ Effect.t += Foreign : unit Effect.t
+
+let edge_paths () =
+  let engine = Sim.Engine.create () in
+  check_bool "stepping an empty queue" false (Sim.Engine.step_seq engine 0);
+  Alcotest.(check string) "a deadlock with no waiter"
+    "deadlock: queue drained with no registered waiters"
+    (Sim.Engine.deadlock_report []);
+  Sim.Proc.spawn engine (fun () ->
+      check_bool "a foreign effect passes through the scheduler" true
+        (match Effect.perform Foreign with
+        | () -> false
+        | exception Effect.Unhandled Foreign -> true));
+  let parked = ref None in
+  Sim.Proc.spawn engine ~name:"parked" (fun () ->
+      parked := Some (Sim.Proc.self ());
+      Sim.Proc.park ~resource:(Sim.Engine.Text "x") ~daemon:false;
+      failwith "resumed");
+  Sim.Proc.spawn engine ~name:"resumer" (fun () ->
+      let me = Sim.Proc.self () in
+      check_bool "the resumed process's exception reaches its resumer" true
+        (match Sim.Proc.resume (Option.get !parked) with
+        | () -> false
+        | exception Failure _ -> true);
+      check_bool "and the resumer runs again" true (Sim.Proc.self () == me));
+  Sim.Engine.run engine;
+  Alcotest.(check (float 0.)) "utilization over no time" 0.
+    (Cluster.Cpu.utilization (Cluster.Cpu.create ()) ~window:Sim.Time.zero)
+
 let suite =
   [
     Alcotest.test_case "time conversions" `Quick time_conversions;
@@ -1285,4 +1329,5 @@ let suite =
     Alcotest.test_case "nested engine, then sleep: the sleeper is woken" `Quick
       nested_engine_then_sleep;
     QCheck_alcotest.to_alcotest int_table_matches_hashtbl;
+    Alcotest.test_case "edge paths no run takes" `Quick edge_paths;
   ]

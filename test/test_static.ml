@@ -18,10 +18,6 @@ let test_interval () =
     (to_string (mul (make (-2) 3) (make 2 4)));
   Alcotest.(check string) "mul negatives" "[-12,8]"
     (to_string (mul (make (-2) 3) (make (-4) 1)));
-  Alcotest.(check bool) "contains" true (contains (make 0 7) 7);
-  Alcotest.(check bool) "overlaps" true (overlaps (make 0 4) (make 4 9));
-  Alcotest.(check bool) "disjoint" false (overlaps (make 0 3) (make 4 9));
-  Alcotest.(check string) "join" "[0,9]" (to_string (join (make 0 3) (make 4 9)));
   Alcotest.check_raises "lo > hi rejected"
     (Invalid_argument "Interval.make: lo > hi") (fun () ->
       ignore (make 3 2))
@@ -144,7 +140,22 @@ let test_rules () =
            ];
        ]);
   check_rules "lock leak" [ "static-lock-leak" ]
-    (prog [ cas ~role:P.Acquire "s" ~off:(c 0) ])
+    (prog [ cas ~role:P.Acquire "s" ~off:(c 0) ]);
+  check_rules "unbound in sums and products" [ "static-unbound-var" ]
+    (prog
+       [
+         read ~seg:"s" ~off:(v "nowhere" + c 4) ~len:(c 4);
+         read ~seg:"s" ~off:(c 4 * v "elsewhere") ~len:(c 4);
+       ]);
+  check_rules "CAS at an unbound offset" [ "static-unbound-var" ]
+    (prog [ cas "s" ~off:(v "nowhere") ]);
+  check_rules "unverified reissue of plain writes" [ "static-unbounded-retry" ]
+    (prog [ retry ~verified:false [ write ~seg:"s" ~off:(c 0) ~len:(c 4) () ] ]);
+  check_rules "a CAS after a write in a blind spin" [ "static-cas-reissue"; "static-unbounded-retry" ]
+    (prog
+       [ retry ~verified:false [ write ~seg:"s" ~off:(c 0) ~len:(c 4) (); cas "s" ~off:(c 0) ] ]);
+  check_rules "a blind spin around a loop" [ "static-unbounded-retry" ]
+    (prog [ retry [ for_ "i" ~lo:0 ~hi:1 [ cas "s" ~off:(c 0) ] ] ])
 
 (* Read_word's declared range feeds the interval analysis — the
    frame_overrun shape in miniature. *)

@@ -293,13 +293,13 @@ let hybrid_request_times_out_on_dead_server () =
   let clerk = Experiments.Fixture.clerk fixture 0 in
   Experiments.Fixture.run fixture (fun () ->
       Dfs.Clerk.set_scheme clerk Dfs.Clerk.Hybrid1;
-      Cluster.Node.set_down (Experiments.Fixture.server_node fixture) true;
+      Cluster.Node.set_down (Cluster.Testbed.node fixture.Experiments.Fixture.testbed 0) true;
       check_bool "hybrid fetch times out" true
         (try
            ignore (Dfs.Clerk.remote_fetch clerk Dfs.Nfs_ops.Null);
            false
          with Rmem.Status.Timeout -> true);
-      Cluster.Node.set_down (Experiments.Fixture.server_node fixture) false;
+      Cluster.Node.set_down (Cluster.Testbed.node fixture.Experiments.Fixture.testbed 0) false;
       match Dfs.Clerk.remote_fetch clerk Dfs.Nfs_ops.Null with
       | Dfs.Nfs_ops.R_null -> ()
       | _ -> Alcotest.fail "service did not recover")

@@ -94,9 +94,18 @@ let mix_sampler_matches () =
 let tree_is_well_formed () =
   let prng = Sim.Prng.create 17 in
   let tree = Workload.File_tree.build prng in
-  check_int "files" (24 * 16) (Workload.File_tree.file_count tree);
-  check_int "dirs" 24 (Workload.File_tree.dir_count tree);
   let store = Workload.File_tree.store tree in
+  let kinds =
+    List.map
+      (fun (_, fh) -> (Dfs.File_store.getattr store fh).Dfs.File_store.kind)
+      (List.concat_map
+         (fun (_, dir) -> Dfs.File_store.readdir store dir)
+         (Dfs.File_store.readdir store (Dfs.File_store.root store)))
+  in
+  let count kind = List.length (List.filter (( = ) kind) kinds) in
+  check_int "files" (24 * 16) (count Dfs.File_store.Regular);
+  check_int "dirs" 24
+    (List.length (Dfs.File_store.readdir store (Dfs.File_store.root store)));
   let fh = Workload.File_tree.pick_file tree prng in
   let attr = Dfs.File_store.getattr store fh in
   check_bool "picked a regular file with contents" true
@@ -130,7 +139,7 @@ let tree_files_hold_their_pattern () =
       (Dfs.File_store.readdir store dir)
   in
   walk (Dfs.File_store.root store);
-  check_int "every file checked" (Workload.File_tree.file_count tree) !files
+  check_int "every file checked" (24 * 16) !files
 
 let trace_respects_mix () =
   let prng = Sim.Prng.create 23 in
