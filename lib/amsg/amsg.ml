@@ -7,25 +7,96 @@
    unlike the remote-memory model — computation does run on the
    destination processor for every message.  The paper contrasts this
    "interrupt driven messages" style with its own separation of data
-   from control.  Here the tag is a process-level one
-   ([Cluster.Node.set_handler]): reception and the handler run in the
-   node's receive-dispatcher process, which blocks on the CPU for each
-   charge and takes the next frame only when the handler returns.
-   Frames are pooled, built and parsed in place (.mli). *)
+   from control.  Here too the tag is an interrupt-level one
+   ([Cluster.Node.set_interrupt_handler]): a message is served from the
+   event that takes its frame, in no process, as remote memory serves
+   a request.  Its steps are top-level functions over [t], each ending
+   in a charge on the node's charger whose next step runs where a
+   process's [Cpu.use] would have returned: reception, then the handler
+   (which runs to completion and returns its span), then at most one
+   reply frame, then [Cluster.Node.dispatched].  The message in service
+   waits in [t]'s fields across the charges, so serving one allocates
+   nothing.  Frames are pooled, built and parsed in place (.mli). *)
 
 let frame_tag = 0x28
 let header_bytes = 8
 (* [tag 1][handler 1][len 2][pad 4] *)
 
-type handler = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> unit
+type handler = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> Sim.Time.t
 
 type t = {
   node : Cluster.Node.t;
   frames : Atm.Frame.pool; (* the network's *)
   handlers : handler option array; (* indexed by handler id *)
+  mutable irq : t Cluster.Cpu.charger option; (* set by [attach] *)
+  (* The message in service, from its arrival to [served]: *)
+  mutable src : Atm.Addr.t;
+  mutable payload : bytes;
+  mutable id : int;
+  mutable len : int;
+  mutable before : Sim.Time.t; (* CPU busy time as its handler began *)
+  mutable reply : Atm.Frame.t; (* [Atm.Nic.none] when it asked for none *)
   mutable sent : int;
-  mutable handler_cpu : Sim.Time.t; (* receiver CPU spent in upcalls *)
+  mutable handler_cpu : Sim.Time.t; (* CPU busy time from handlers to [served] *)
 }
+
+let charge t ~category span next =
+  match t.irq with
+  | Some irq -> Cluster.Cpu.charge irq ~category span next
+  | None -> invalid_arg "Amsg: serving before attach"
+
+(* What a sender's CPU pays for a frame: the trap and the FIFO copy. *)
+let send_cost t frame =
+  let c = Cluster.Node.costs t.node in
+  Sim.Time.add c.Cluster.Costs.trap
+    (Cluster.Costs.frame_copy_cost c
+       ~payload_bytes:(Bytes.length (Atm.Frame.payload frame)))
+
+let served t =
+  let cpu = Cluster.Node.cpu t.node in
+  t.handler_cpu <-
+    Sim.Time.add t.handler_cpu (Sim.Time.diff (Cluster.Cpu.busy_time cpu) t.before);
+  Cluster.Node.dispatched t.node
+
+let replied t =
+  let f = t.reply in
+  t.reply <- Atm.Nic.none;
+  t.sent <- t.sent + 1;
+  Cluster.Node.transmit_frame t.node ~dst:t.src f;
+  served t
+
+(* The handler's span is charged: the reply, if it asked for one, pays
+   what a {!send_frame} pays. *)
+let handled t =
+  if t.reply == Atm.Nic.none then served t
+  else charge t ~category:Cluster.Cpu.cat_client (send_cost t t.reply) replied
+
+let received t =
+  let handler =
+    match t.handlers.(t.id) with
+    | Some handler -> handler
+    | None -> failwith (Printf.sprintf "Amsg: no handler %d registered" t.id)
+  in
+  t.before <- Cluster.Cpu.busy_time (Cluster.Node.cpu t.node);
+  let span = handler ~src:t.src t.payload ~pos:header_bytes ~len:t.len in
+  if Sim.Time.equal span Sim.Time.zero then handled t
+  else charge t ~category:Cluster.Cpu.cat_procedure span handled
+
+(* Reception: the rx interrupt and the drain of the whole frame. *)
+let arrived t ~src frame =
+  let size = Bytes.length frame in
+  if size < header_bytes then raise Atm.Codec.Truncated;
+  let len = Bytes.get_uint16_le frame 2 in
+  if size < header_bytes + len then raise Atm.Codec.Truncated;
+  t.src <- src;
+  t.payload <- frame;
+  t.id <- Bytes.get_uint8 frame 1;
+  t.len <- len;
+  let c = Cluster.Node.costs t.node in
+  charge t ~category:Cluster.Cpu.cat_data_reception
+    (Sim.Time.add c.Cluster.Costs.rx_interrupt
+       (Cluster.Costs.frame_copy_cost c ~payload_bytes:size))
+    received
 
 let attach node =
   let t =
@@ -33,34 +104,20 @@ let attach node =
       node;
       frames = Atm.Nic.pool (Cluster.Node.nic node);
       handlers = Array.make 256 None;
+      irq = None;
+      src = Cluster.Node.addr node;
+      payload = Bytes.empty;
+      id = 0;
+      len = 0;
+      before = Sim.Time.zero;
+      reply = Atm.Nic.none;
       sent = 0;
       handler_cpu = Sim.Time.zero;
     }
   in
-  Cluster.Node.set_handler node ~tag:frame_tag (fun ~src frame ->
-      let size = Bytes.length frame in
-      if size < header_bytes then raise Atm.Codec.Truncated;
-      let id = Bytes.get_uint8 frame 1 in
-      let len = Bytes.get_uint16_le frame 2 in
-      if size < header_bytes + len then raise Atm.Codec.Truncated;
-      let c = Cluster.Node.costs node in
-      (* Reception, in the dispatcher process: drain the frame... *)
-      Cluster.Cpu.use (Cluster.Node.cpu node)
-        ~category:Cluster.Cpu.cat_data_reception
-        (Sim.Time.add c.Cluster.Costs.rx_interrupt
-           (Cluster.Costs.frame_copy_cost c ~payload_bytes:size));
-      (* ...then run the handler upcall in the same process.  The
-         handler charges its own computation (category: procedure). *)
-      let handler =
-        match t.handlers.(id) with
-        | Some handler -> handler
-        | None -> failwith (Printf.sprintf "Amsg: no handler %d registered" id)
-      in
-      let before = Cluster.Cpu.busy_time (Cluster.Node.cpu node) in
-      handler ~src frame ~pos:header_bytes ~len;
-      t.handler_cpu <-
-        Sim.Time.add t.handler_cpu
-          (Sim.Time.diff (Cluster.Cpu.busy_time (Cluster.Node.cpu node)) before));
+  t.irq <- Some (Cluster.Node.charger node t);
+  Cluster.Node.set_interrupt_handler node ~tag:frame_tag (fun ~src frame ->
+      arrived t ~src frame);
   t
 
 let register t ~id handler =
@@ -76,18 +133,23 @@ let frame t ~len =
   if len < 0 || len > 0xFFFF then invalid_arg "Amsg.send: message too large";
   Atm.Frame.take t.frames (header_bytes + len)
 
-let send_frame t ~dst ~handler frame =
+let write_header ~handler frame =
   check_handler handler;
   let f = Atm.Frame.payload frame in
-  let len = Bytes.length f - header_bytes in
   Bytes.set_uint8 f 0 frame_tag;
   Bytes.set_uint8 f 1 handler;
-  Bytes.set_uint16_le f 2 len;
-  Bytes.set_int32_le f 4 0l;
-  let c = Cluster.Node.costs t.node in
+  Bytes.set_uint16_le f 2 (Bytes.length f - header_bytes);
+  Bytes.set_int32_le f 4 0l
+
+let reply t ~handler frame =
+  if t.reply != Atm.Nic.none then invalid_arg "Amsg.reply: one reply per message";
+  write_header ~handler frame;
+  t.reply <- frame
+
+let send_frame t ~dst ~handler frame =
+  write_header ~handler frame;
   Cluster.Cpu.use (Cluster.Node.cpu t.node) ~category:Cluster.Cpu.cat_client
-    (Sim.Time.add c.Cluster.Costs.trap
-       (Cluster.Costs.frame_copy_cost c ~payload_bytes:(header_bytes + len)));
+    (send_cost t frame);
   t.sent <- t.sent + 1;
   Cluster.Node.transmit_frame t.node ~dst frame
 

@@ -1,24 +1,25 @@
 (** Active Messages [von Eicken et al. 1992] — §6's second related-work
     comparator: every message carries a handler id that the receiver
-    runs on arrival (at interrupt level in the paper; here in the
-    node's receive-dispatcher process, see {!register}). No scheduling,
-    no blocked server threads, but computation runs on the destination
-    CPU for every message, which is precisely what the remote-memory
-    model avoids.
+    runs on arrival, at interrupt level as in the paper (see
+    {!register}). No scheduling, no blocked server threads, but
+    computation runs on the destination CPU for every message, which is
+    precisely what the remote-memory model avoids.
 
     Allocation: none per message on the host. A frame comes from the
     node NIC's pool, the sender writes the 8-byte header into it, the
     receiver hands the handler its arguments as a range of it, and the
-    receiving dispatcher gives it back once the handler returns. {!send}
+    receiving node gives it back once the message is served. {!send}
     copies its arguments once; a caller that fills the frame itself
     through {!frame} and {!send_frame} copies nothing. *)
 
 type t
 
-type handler = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> unit
+type handler = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> Sim.Time.t
 (** The arguments are the [len] bytes of the frame from [pos]. The frame
-    goes back to the pool when the upcall returns: read it during the
-    upcall, never write or keep it. *)
+    goes back to the pool once the message is served: read it during the
+    upcall, never write or keep it. The handler returns the CPU span its
+    computation takes, charged as procedure invocation once it returns
+    ([Sim.Time.zero]: none). *)
 
 val attach : Cluster.Node.t -> t
 (** Claim the active-message frame tag on a node. A frame shorter than
@@ -26,12 +27,21 @@ val attach : Cluster.Node.t -> t
     [Atm.Codec.Truncated] at the receiver. *)
 
 val register : t -> id:int -> handler -> unit
-(** Install a handler (ids 0–255). The handler runs on arrival in the
-    node's receive-dispatcher process, not at interrupt level as the
-    paper's do: {!attach} claims a process-level tag
-    ({!Cluster.Node.set_handler}), so a handler may block on the CPU,
-    and the node takes its next frame only when the handler returns. It
-    should be short and charge its own computation. *)
+(** Install a handler (ids 0–255). The handler runs at interrupt level,
+    in no process: {!attach} claims an interrupt-level tag
+    ({!Cluster.Node.set_interrupt_handler}). A message's reception is
+    charged first; then the handler runs to completion and cannot
+    block; then the span it returns is charged, then the reply it asked
+    for ({!reply}) is charged and sent, and only then does the node take
+    its next frame. So the handler's effects precede its charges. *)
+
+val reply : t -> handler:int -> Atm.Frame.t -> unit
+(** From within a handler, answer its message's source with a frame
+    from {!frame}: the header is written now, and the frame is sent,
+    after the send-side trap and FIFO copy a {!send_frame} pays, once
+    the handler's span is charged. At most one per message. Raises
+    [Invalid_argument] for a second reply or a handler id outside
+    0–255. *)
 
 val header_bytes : int
 (** Where the arguments start in a frame (8). *)
@@ -39,15 +49,16 @@ val header_bytes : int
 val frame : t -> len:int -> Atm.Frame.t
 (** A pooled frame with room for [len] argument bytes from
     {!header_bytes} of its payload, which the caller writes; the header
-    is written by {!send_frame}. Its contents are unspecified until
-    then. Raises [Invalid_argument] for [len] outside 0–64 KB. *)
+    is written by {!send_frame} or {!reply}. Its contents are
+    unspecified until then. Raises [Invalid_argument] for [len] outside
+    0–64 KB. *)
 
 val send_frame : t -> dst:Atm.Addr.t -> handler:int -> Atm.Frame.t -> unit
-(** Fire-and-forget a frame from {!frame}: write its header, pay the
-    send-side trap and FIFO copy, then hand it to the network, which
-    owns it from then on: the sender neither changes nor sends it again
-    (a retransmission takes a new frame). Raises [Invalid_argument] for
-    a handler id outside 0–255. *)
+(** Fire-and-forget a frame from {!frame}, from a process: write its
+    header, pay the send-side trap and FIFO copy, then hand it to the
+    network, which owns it from then on: the sender neither changes nor
+    sends it again (a retransmission takes a new frame). Raises
+    [Invalid_argument] for a handler id outside 0–255. *)
 
 val send : t -> dst:Atm.Addr.t -> handler:int -> bytes -> unit
 (** {!send_frame} of a pooled frame holding a copy of the arguments. *)
@@ -55,8 +66,11 @@ val send : t -> dst:Atm.Addr.t -> handler:int -> bytes -> unit
 (** {1 Statistics} *)
 
 val sent : t -> int
+(** Messages sent, replies included. *)
 
 val handler_cpu : t -> Sim.Time.t
-(** Receiver CPU consumed inside handler upcalls. *)
+(** Receiver CPU busy time from each handler's start to its message's
+    end: the handler's span and its reply's send, and any other charge
+    that ends in between. *)
 
 val node : t -> Cluster.Node.t

@@ -1,18 +1,19 @@
 (* A cluster workstation: CPU, NIC, address spaces, and the inbound
    protocol demultiplexer.
 
-   Protocols (remote memory, RPC) claim tag bytes, and the node hands
-   each received frame, in arrival order, to the handler of its leading
-   tag byte.  An interrupt-level handler (remote memory's) runs from
-   the event that delivers its frame, outside every process: it charges
-   the CPU through a [charger] of the node's and ends with [dispatched].
-   The next frame is taken only then.  A process-level handler (active
-   messages, the RPC baseline) may block: it runs in the node's one
-   receive-dispatcher process, which otherwise stays parked, and is
-   resumed inline for such a frame, in the event that takes it.  So a
-   remote-memory frame costs no continuation, and every frame is taken,
-   served and charged in the order and at the instants one dispatcher
-   process draining the FIFO would give.  A handler reads the payload
+   Protocols (remote memory, active messages, RPC) claim tag bytes, and
+   the node hands each received frame, in arrival order, to the handler
+   of its leading tag byte.  An interrupt-level handler (remote
+   memory's, active messages') runs from the event that delivers its
+   frame, outside every process: it charges the CPU through a [charger]
+   of the node's and ends with [dispatched].  The next frame is taken
+   only then.  A process-level handler (only the RPC baseline's) may
+   block: it runs in the node's one receive-dispatcher process, which
+   otherwise stays parked, and is resumed inline for such a frame, in
+   the event that takes it.  So an interrupt-level frame costs no
+   continuation, and every frame is taken, served and charged in the
+   order and at the instants one dispatcher process draining the FIFO
+   would give.  A handler reads the payload
    only until it is done, and the frame is then released in [dispatch]:
    the one place a pooled frame is recycled. *)
 

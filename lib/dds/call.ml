@@ -121,44 +121,48 @@ let endpoint amsg =
                   else (Bytes.blit f (pos + header_bytes) r.reply 0 n; r.state <- n);
                   Sim.Wait.unpark r.wait
                 end
-          end);
+          end;
+          Sim.Time.zero);
       Planes.replace endpoints amsg ep;
       ep
 
-type service = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> reply:bytes -> int
+type reply = { buf : bytes; mutable len : int }
+type service = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> reply:reply -> Sim.Time.t
 
-(* [len] bytes of [body] under [req], copied into one pooled frame. *)
-let send amsg ~dst ~handler ~req body ~len =
+(* A frame of [len] bytes of [body] under [req]. *)
+let frame amsg ~req body ~len =
   let f = Amsg.frame amsg ~len:(header_bytes + len) in
   let b = Atm.Frame.payload f in
   set_word b Amsg.header_bytes req;
   Bytes.blit body 0 b (Amsg.header_bytes + header_bytes) len;
-  Amsg.send_frame amsg ~dst ~handler f
+  f
 
 (* Replies a source might still retransmit requests for, in a ring per
    source.  Clients issue calls sequentially per endpoint, so a small
-   window suffices.  Each slot owns a buffer its service writes the
-   reply into. *)
+   window suffices.  Each slot owns a reply its service writes. *)
 let history_cap = 16
 let reply_bytes = 64
 
-type history = { ids : int array; replies : bytes array; lens : int array; mutable next : int }
+type history = { ids : int array; replies : reply array; mutable next : int }
 
 (* The free slot's id: no sign-extended 32-bit request id equals it. *)
 let no_id = min_int
 
 let history () =
-  { ids = Array.make history_cap no_id; lens = Array.make history_cap 0; next = 0;
-    replies = Array.init history_cap (fun _ -> Bytes.create reply_bytes) }
+  { ids = Array.make history_cap no_id; next = 0;
+    replies = Array.init history_cap (fun _ -> { buf = Bytes.create reply_bytes; len = 0 }) }
 
 (* The ring slot holding [req], or -1. *)
 let rec slot h req i =
   if i = history_cap then -1 else if h.ids.(i) = req then i else slot h req (i + 1)
 
+(* An active-message handler: the reply goes out once the service's
+   span is charged, so the mutation always precedes the charge. *)
 let serve amsg ~id (f : service) =
   let recent : history Sim.Int_table.t = Sim.Int_table.create 16 in
   Amsg.register amsg ~id (fun ~src body ~pos ~len ->
-      if len >= header_bytes then begin
+      if len < header_bytes then Sim.Time.zero
+      else begin
         let req = word body pos in
         let who = Atm.Addr.to_int src in
         let h =
@@ -170,23 +174,24 @@ let serve amsg ~id (f : service) =
               h
         in
         let i = slot h req 0 in
-        let i =
-          if i >= 0 then i
+        let fresh = i < 0 in
+        let i = if fresh then h.next else i in
+        let r = h.replies.(i) in
+        let span =
+          if not fresh then Sim.Time.zero
           else begin
             (* The slot forgets its old id before its reply is overwritten. *)
-            let i = h.next in
             h.ids.(i) <- no_id;
-            let n =
-              f ~src body ~pos:(pos + header_bytes) ~len:(len - header_bytes)
-                ~reply:h.replies.(i)
+            let span =
+              f ~src body ~pos:(pos + header_bytes) ~len:(len - header_bytes) ~reply:r
             in
-            h.lens.(i) <- n;
             h.ids.(i) <- req;
             h.next <- (i + 1) mod history_cap;
-            i
+            span
           end
         in
-        send amsg ~dst:src ~handler:reply_id ~req h.replies.(i) ~len:h.lens.(i)
+        Amsg.reply amsg ~handler:reply_id (frame amsg ~req r.buf ~len:r.len);
+        span
       end)
 
 let timeout = Sim.Time.us 400
@@ -199,7 +204,8 @@ let rec attempt ep ~dst ~id ~req body reply k =
   end;
   let r = take ep reply in
   Sim.Int_table.replace ep.pending req r;
-  send ep.amsg ~dst ~handler:id ~req body ~len:(Bytes.length body);
+  Amsg.send_frame ep.amsg ~dst ~handler:id
+    (frame ep.amsg ~req body ~len:(Bytes.length body));
   let engine = Cluster.Node.engine ep.node in
   (* [schedule_at], not [schedule ~after]: the optional argument would
      box the span on every attempt. *)

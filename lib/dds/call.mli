@@ -28,23 +28,26 @@ val endpoint : Amsg.t -> endpoint
 (** The endpoint for a plane, created (and its reply handler registered)
     on first use; subsequent calls return the same endpoint. *)
 
-type service = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> reply:bytes -> int
+type reply = { buf : bytes; mutable len : int }
+(** A reply: its ring slot's 64-byte buffer and the length written. *)
+
+type service = src:Atm.Addr.t -> bytes -> pos:int -> len:int -> reply:reply -> Sim.Time.t
 (** A server operation: the request is [len] bytes of the arriving
-    frame from [pos] (never kept); it writes its reply into [reply], its
-    ring slot's 64-byte buffer, and returns the reply's length. Runs in
-    the arrival upcall, in the node's receive-dispatcher process (an
-    {!Amsg} handler) — it must mutate state first (the mutation is
-    atomic: no yield points) and charge its own CPU after, since the
-    charge blocks that process and concurrent remote-memory serves, at
-    interrupt level, could otherwise interleave with a half-applied
-    operation. *)
+    frame from [pos] (never kept). It mutates its state, writes its
+    reply into [reply] (bytes and length), and returns its CPU span
+    ([Sim.Time.zero]: none). It runs as an {!Amsg} handler, at interrupt
+    level: to completion, with no yield point. The span is charged once
+    it returns, and the reply is sent after that, so an operation is
+    whole before any charge and remote-memory serves cannot interleave
+    with a half-applied one. *)
 
 val serve : Amsg.t -> id:int -> service -> unit
 (** Install a service under an active-message handler id.  Duplicate
     requests (same source and request id) are answered by resending
-    the reply their slot holds, without re-running the service, while
-    the id is among the source's last 16 served. A reply length
-    outside 0–64 raises [Invalid_argument] in the upcall. *)
+    the reply their slot holds, without re-running the service or
+    charging its span, while the id is among the source's last 16
+    served. A reply length outside 0–64 raises [Invalid_argument] in
+    the upcall. *)
 
 val call : endpoint -> dst:Atm.Addr.t -> id:int -> bytes -> reply:bytes -> int
 (** Send the request and block for the reply, retransmitting every

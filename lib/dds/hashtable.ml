@@ -96,14 +96,14 @@ let word = Call.word
 let set_word = Call.set_word
 
 (* Write a reply: its status word and a value word. *)
-let reply b st v =
-  set_word b 0 st;
-  set_word b 4 v;
-  8
+let reply (r : Call.reply) st v =
+  set_word r.buf 0 st;
+  set_word r.buf 4 v;
+  r.len <- 8
 
-(* The RPC service, charging the measured per-operation hash cost. *)
+(* The RPC service, returning the measured per-operation hash cost. *)
 let serve h ~src:_ body ~pos ~len ~reply:r =
-  if len < 12 then reply r 3 0
+  if len < 12 then (reply r 3 0; Sim.Time.zero)
   else begin
     let op = word body pos in
     let key = word body (pos + 4) in
@@ -111,18 +111,16 @@ let serve h ~src:_ body ~pos ~len ~reply:r =
     let c = Cluster.Node.costs h.Plane.hnode in
     match op with
     | 1 ->
-        let ok = insert_words h ~key ~value in
-        Plane.charge h c.Cluster.Costs.hash_insert;
-        if ok then reply r 0 0 else reply r 2 0
+        if insert_words h ~key ~value then reply r 0 0 else reply r 2 0;
+        Plane.charge h c.Cluster.Costs.hash_insert
     | 2 ->
         let v = local_lookup h key in
-        Plane.charge h c.Cluster.Costs.hash_lookup;
-        if v <> 0 then reply r 0 v else reply r 1 0
+        if v <> 0 then reply r 0 v else reply r 1 0;
+        Plane.charge h c.Cluster.Costs.hash_lookup
     | 3 ->
-        let present = local_delete h key in
-        Plane.charge h c.Cluster.Costs.hash_delete;
-        reply r (if present then 0 else 1) 0
-    | _ -> reply r 3 0
+        reply r (if local_delete h key then 0 else 1) 0;
+        Plane.charge h c.Cluster.Costs.hash_delete
+    | _ -> reply r 3 0; Sim.Time.zero
   end
 
 let server ~rmem ~amsg ~slots () =

@@ -19,12 +19,12 @@ let home rmem amsg ~name ~len ~id service =
   Call.serve amsg ~id (service h);
   h
 
-(* RPC service cost: stub overhead plus the operation's own, charged
-   {e after} the mutation so serves cannot interleave. *)
+(* RPC service cost: stub overhead plus the operation's own.  A service
+   returns it once it has mutated and written its reply, and [Amsg]
+   charges it at interrupt level after the service returns, so serves
+   cannot interleave. *)
 let charge h extra =
-  let c = Cluster.Node.costs h.hnode in
-  Cluster.Cpu.use (Cluster.Node.cpu h.hnode) ~category:Cluster.Cpu.cat_procedure
-    (Sim.Time.add c.Cluster.Costs.rpc_stub extra)
+  Sim.Time.add (Cluster.Node.costs h.hnode).Cluster.Costs.rpc_stub extra
 
 type t = {
   rmem : Rmem.Remote_memory.t;

@@ -30,9 +30,9 @@ val home :
     structure's service for it under handler [id] (one structure of a
     kind per node).  Must run in a simulated process on the home node. *)
 
-val charge : home -> Sim.Time.t -> unit
-(** A service's CPU: the RPC stub plus the given span, charged after the
-    mutation so serves cannot interleave. *)
+val charge : home -> Sim.Time.t -> Sim.Time.t
+(** A service's CPU span, for it to return: the RPC stub plus the given
+    span, charged once the service has returned. *)
 
 (** {1 Data plane} *)
 

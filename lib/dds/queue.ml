@@ -68,34 +68,32 @@ let word = Call.word
 let set_word = Call.set_word
 
 (* Write a reply: its status, value and ticket words. *)
-let reply b st v tk =
-  set_word b 0 st;
-  set_word b 4 v;
-  set_word b 8 tk;
-  12
+let reply (r : Call.reply) st v tk =
+  set_word r.buf 0 st;
+  set_word r.buf 4 v;
+  set_word r.buf 8 tk;
+  r.len <- 12
 
 let serve ~cap h ~src:_ body ~pos ~len ~reply:b =
-  if len < 8 then reply b 4 0 0
+  if len < 8 then (reply b 4 0 0; Sim.Time.zero)
   else begin
     let op = word body pos in
     let value = word body (pos + 4) in
     let null = (Cluster.Node.costs h.Plane.hnode).Cluster.Costs.proc_null in
     match op with
-    | 1 -> (
-        let r = local_enqueue h ~cap value in
-        Plane.charge h null;
-        match r with
+    | 1 ->
+        (match local_enqueue h ~cap value with
         | `Ok ticket -> reply b 0 0 ticket
         | `Full -> reply b 2 0 0
-        | `Not_ready -> reply b 3 0 0)
-    | 2 -> (
-        let r = local_dequeue h in
-        Plane.charge h null;
-        match r with
+        | `Not_ready -> reply b 3 0 0);
+        Plane.charge h null
+    | 2 ->
+        (match local_dequeue h with
         | `Ok (v, ticket) -> reply b 0 v ticket
         | `Empty -> reply b 1 0 0
-        | `Not_ready -> reply b 3 0 0)
-    | _ -> reply b 4 0 0
+        | `Not_ready -> reply b 3 0 0);
+        Plane.charge h null
+    | _ -> reply b 4 0 0; Sim.Time.zero
   end
 
 let server ~rmem ~amsg ~capacity () =

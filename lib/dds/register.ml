@@ -32,36 +32,33 @@ let set_word = Call.set_word
 let payload b op tagw v =
   set_word b 0 op;
   set_word b 4 tagw;
-  set_word b 8 v;
-  12
+  set_word b 8 v
 
-let serve (h : replica) ~src:_ body ~pos ~len ~reply:b =
-  let c = Cluster.Node.costs h.hnode in
-  if len < 12 then payload b 4 0 0
+let serve (h : replica) ~src:_ body ~pos ~len ~(reply : Call.reply) =
+  let c = Cluster.Node.costs h.hnode and b = reply.buf in
+  reply.len <- 12;
+  if len < 12 then (payload b 4 0 0; Sim.Time.zero)
   else begin
     let op = word body pos in
     let cur = Cluster.Address_space.read_word h.hspace ~addr:0 in
     match op with
     | 1 ->
         let v = Cluster.Address_space.read_word h.hspace ~addr:4 in
-        Plane.charge h c.Cluster.Costs.hash_lookup;
-        if Tag.is_busy cur then payload b 3 0 0 else payload b 0 cur v
+        if Tag.is_busy cur then payload b 3 0 0 else payload b 0 cur v;
+        Plane.charge h c.Cluster.Costs.hash_lookup
     | 2 ->
         let tagw = word body (pos + 4) in
         let value = word body (pos + 8) in
-        if Tag.is_busy cur then begin
-          Plane.charge h c.Cluster.Costs.cas_execute;
-          payload b 3 0 0
-        end
+        if Tag.is_busy cur then payload b 3 0 0
         else begin
           if tagw > cur then begin
             Cluster.Address_space.write_word h.hspace ~addr:4 value;
             Cluster.Address_space.write_word h.hspace ~addr:0 tagw
           end;
-          Plane.charge h c.Cluster.Costs.cas_execute;
           payload b 0 0 0
-        end
-    | _ -> payload b 4 0 0
+        end;
+        Plane.charge h c.Cluster.Costs.cas_execute
+    | _ -> payload b 4 0 0; Sim.Time.zero
   end
 
 let replica ~rmem ~amsg () =
@@ -226,7 +223,7 @@ let rpc t k =
 let rpc_get t k =
   let c = t.c in
   t.tags.(k) <- no_tag;
-  ignore (payload c.request 1 0 0 : int);
+  payload c.request 1 0 0;
   rpc t k >= 12
   && word c.reply 0 = 0
   && begin
@@ -253,7 +250,7 @@ let rpc_collect t _ _ =
 (* Store (packed, value) at replica [k], waiting out a busy cell, from
    attempt [attempt]; false if a call times out. *)
 let rec rpc_set t k packed value attempt =
-  ignore (payload t.c.request 2 packed value : int);
+  payload t.c.request 2 packed value;
   if attempt > 64 then false
   else
     let n = rpc t k in

@@ -131,22 +131,24 @@ let measure_amsg () =
   let out = ref None in
   Cluster.Testbed.run rig.testbed (fun () ->
       let client_space = Cluster.Node.new_address_space rig.client in
-      (* Server handler: parse the name, look it up (charging the same
-         hash cost the clerk pays), reply with another active message. *)
-      Amsg.register am_server ~id:am_lookup (fun ~src args ~pos ~len ->
+      (* Server handler: parse the name, look it up, reply with another
+         active message; its span is the same hash cost the clerk pays. *)
+      Amsg.register am_server ~id:am_lookup (fun ~src:_ args ~pos ~len ->
           let name = Bytes.sub_string args pos len in
-          let c = Cluster.Node.costs rig.server in
-          Cluster.Cpu.use (Cluster.Node.cpu rig.server)
-            ~category:Cluster.Cpu.cat_procedure c.Cluster.Costs.hash_lookup;
           match Names.Registry.lookup rig.registry name with
           | Some (record, _) ->
-              Amsg.send am_server ~dst:src ~handler:am_reply
-                (Names.Record.encode record)
+              let answer = Names.Record.encode record in
+              let n = Bytes.length answer in
+              let f = Amsg.frame am_server ~len:n in
+              Bytes.blit answer 0 (Atm.Frame.payload f) Amsg.header_bytes n;
+              Amsg.reply am_server ~handler:am_reply f;
+              (Cluster.Node.costs rig.server).Cluster.Costs.hash_lookup
           | None -> failwith "amsg lookup: name absent");
       (* Client handler: deposit the answer and flip the flag word. *)
       Amsg.register am_client ~id:am_reply (fun ~src:_ args ~pos ~len ->
           Cluster.Address_space.write_from client_space ~addr:4 args ~pos ~len;
-          Cluster.Address_space.write_word client_space ~addr:0 1);
+          Cluster.Address_space.write_word client_space ~addr:0 1;
+          Sim.Time.zero);
       let lookup name =
         Cluster.Address_space.write_word client_space ~addr:0 0;
         Amsg.send am_client

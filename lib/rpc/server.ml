@@ -3,7 +3,9 @@
    decomposition (data reception / control transfer / procedure
    invocation / data reply).  Reception runs in the node's
    receive-dispatcher process (a process-level tag), not at interrupt
-   level: its CPU charge blocks that process, and the next frame waits. *)
+   level as remote memory and active messages are served: this baseline
+   is the one user of that process.  Its CPU charge blocks the process,
+   and the next frame waits. *)
 
 type request = {
   src : Atm.Addr.t;

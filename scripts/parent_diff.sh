@@ -19,7 +19,9 @@
 # of each workload's host figures from the --trace 0 runs, parent
 # against working tree: host_words_per_op and host_peak_heap_mb.  Both
 # repeat exactly for one seed, so an allocation or heap claim can be
-# checked with this one command.
+# checked with this one command.  A third table joins every figure
+# each tree's own scripts/allocs.sh prints, on suite and figure, parent
+# against working tree ("-" where a tree has no such figure).
 #
 # The simulator is deterministic, so a refactor that changes no
 # behaviour shows no difference beyond tests it adds or changes.  A
@@ -50,6 +52,8 @@ surfaces() {
     echo "dune runtest exit $?" >>"$2/runtest.raw"
     sh "$here/scripts/normalize.sh" "$2/runtest.raw" >"$2/runtest"
     rm "$2/runtest.raw"
+    : >"$2.allocs"
+    [ -f scripts/allocs.sh ] && sh scripts/allocs.sh 2>/dev/null | sed 1d >"$2.allocs"
     for trace in 0 1; do
       dune exec --display=quiet bench/suite/suite.exe -- --seed 11 \
         --seconds 2 --trace "$trace" >"$2/suite.raw" 2>&1
@@ -98,6 +102,20 @@ for metric in host_words_per_op host_peak_heap_mb; do
        BEGIN { printf "  %-14s %12s %12s %8s\n", "workload", "parent", "tree", "change" }' \
     "$work/parent.$metric" "$work/current.$metric"
 done
+echo "allocation figures, words (scripts/allocs.sh of each tree; information, not a difference):"
+awk 'function key(   k, i) { k = $1; for (i = 2; i <= NF - 2; i++) k = k " " $i; return k }
+     FILENAME == ARGV[1] { k = key(); parent[k] = $(NF - 1); order[++n] = k; next }
+     { k = key(); tree[k] = $(NF - 1); if (!(k in parent)) order[++n] = k }
+     END {
+       printf "  %-56s %10s %10s %8s\n", "suite figure", "parent", "tree", "change"
+       for (i = 1; i <= n; i++) {
+         k = order[i]
+         p = (k in parent) ? parent[k] : "-"
+         w = (k in tree) ? tree[k] : "-"
+         change = (p != "-" && w != "-" && p > 0) ? sprintf("%+.1f%%", 100 * (w - p) / p) : "-"
+         printf "  %-56s %10s %10s %8s\n", k, p, w, change
+       }
+     }' "$work/parent.allocs" "$work/current.allocs"
 if [ -s "$work/empty" ]; then
   cat "$work/empty"
   status=1
