@@ -58,15 +58,18 @@ let served t =
     Sim.Time.add t.handler_cpu (Sim.Time.diff (Cluster.Cpu.busy_time cpu) t.before);
   Cluster.Node.dispatched t.node
 
+let send_frame t ~dst frame =
+  t.sent <- t.sent + 1;
+  Cluster.Node.transmit_frame t.node ~dst frame
+
 let replied t =
   let f = t.reply in
   t.reply <- Atm.Nic.none;
-  t.sent <- t.sent + 1;
-  Cluster.Node.transmit_frame t.node ~dst:t.src f;
+  send_frame t ~dst:t.src f;
   served t
 
 (* The handler's span is charged: the reply, if it asked for one, pays
-   what a {!send_frame} pays. *)
+   what any frame's sender pays. *)
 let handled t =
   if t.reply == Atm.Nic.none then served t
   else charge t ~category:Cluster.Cpu.cat_client (send_cost t t.reply) replied
@@ -146,19 +149,18 @@ let reply t ~handler frame =
   write_header ~handler frame;
   t.reply <- frame
 
-let send_frame t ~dst ~handler frame =
+let prepare t ~handler frame =
   write_header ~handler frame;
-  Cluster.Cpu.use (Cluster.Node.cpu t.node) ~category:Cluster.Cpu.cat_client
-    (send_cost t frame);
-  t.sent <- t.sent + 1;
-  Cluster.Node.transmit_frame t.node ~dst frame
+  send_cost t frame
 
 let send t ~dst ~handler args =
   check_handler handler;
   let len = Bytes.length args in
   let f = frame t ~len in
   Bytes.blit args 0 (Atm.Frame.payload f) header_bytes len;
-  send_frame t ~dst ~handler f
+  Cluster.Cpu.use (Cluster.Node.cpu t.node) ~category:Cluster.Cpu.cat_client
+    (prepare t ~handler f);
+  send_frame t ~dst f
 
 let sent t = t.sent
 let handler_cpu t = t.handler_cpu

@@ -10,7 +10,7 @@
     receiver hands the handler its arguments as a range of it, and the
     receiving node gives it back once the message is served. {!send}
     copies its arguments once; a caller that fills the frame itself
-    through {!frame} and {!send_frame} copies nothing. *)
+    through {!frame}, {!prepare} and {!send_frame} copies nothing. *)
 
 type t
 
@@ -38,8 +38,8 @@ val register : t -> id:int -> handler -> unit
 val reply : t -> handler:int -> Atm.Frame.t -> unit
 (** From within a handler, answer its message's source with a frame
     from {!frame}: the header is written now, and the frame is sent,
-    after the send-side trap and FIFO copy a {!send_frame} pays, once
-    the handler's span is charged. At most one per message. Raises
+    after the send-side trap and FIFO copy ({!prepare}), once the
+    handler's span is charged. At most one per message. Raises
     [Invalid_argument] for a second reply or a handler id outside
     0–255. *)
 
@@ -49,19 +49,23 @@ val header_bytes : int
 val frame : t -> len:int -> Atm.Frame.t
 (** A pooled frame with room for [len] argument bytes from
     {!header_bytes} of its payload, which the caller writes; the header
-    is written by {!send_frame} or {!reply}. Its contents are
+    is written by {!prepare} or {!reply}. Its contents are
     unspecified until then. Raises [Invalid_argument] for [len] outside
     0–64 KB. *)
 
-val send_frame : t -> dst:Atm.Addr.t -> handler:int -> Atm.Frame.t -> unit
-(** Fire-and-forget a frame from {!frame}, from a process: write its
-    header, pay the send-side trap and FIFO copy, then hand it to the
-    network, which owns it from then on: the sender neither changes nor
-    sends it again (a retransmission takes a new frame). Raises
-    [Invalid_argument] for a handler id outside 0–255. *)
+val prepare : t -> handler:int -> Atm.Frame.t -> Sim.Time.t
+(** Write the header of a frame from {!frame} and return the send-side
+    trap and FIFO copy its sender's CPU pays before {!send_frame}.
+    Raises [Invalid_argument] for a handler id outside 0–255. *)
+
+val send_frame : t -> dst:Atm.Addr.t -> Atm.Frame.t -> unit
+(** Fire-and-forget a {!prepare}d frame once its span is charged; a
+    retransmission takes a new frame. It suspends nothing: Dds.Call
+    charges the span at event level and sends at the charge's end. *)
 
 val send : t -> dst:Atm.Addr.t -> handler:int -> bytes -> unit
-(** {!send_frame} of a pooled frame holding a copy of the arguments. *)
+(** {!send_frame} of a pooled frame holding a copy of the arguments,
+    its span charged by the sending process. *)
 
 (** {1 Statistics} *)
 

@@ -6,15 +6,15 @@
    invocation / data reply) and of the "50% server load" headline.
 
    A charge takes two forms with one schedule.  A process's [use]
-   acquires the CPU and waits out the span.  An interrupt-level
-   handler's [charge] acquires it for a callback waiter (queued behind
-   the processes, in the same FIFO, when the CPU is busy), then
-   schedules the charger's prebuilt [finish] at the end of the span,
-   where the process's wait would end: the same events at the same
-   instants, and no continuation.  What a charge needs after its span
-   (its category, span and next step, a top-level function applied to
-   the charger's [arg]) waits in the charger's fields, so a charge
-   allocates nothing.  Both forms book the span in [book]. *)
+   acquires the CPU and waits out the span.  A [charge] acquires it for
+   a callback waiter (queued behind the processes, in the same FIFO,
+   when the CPU is busy), then schedules the charger's prebuilt
+   [finish] at the end of the span, where the process's wait would end:
+   the same events at the same instants, and no continuation.  What a
+   charge needs after its span (its category, span and next step, a
+   top-level function applied to the charger's [arg]) waits in the
+   charger's fields, so a charge allocates nothing.  Both forms book
+   the span in [book].  A parked issuer's trap borrows one ([lend]). *)
 
 type t = {
   resource : Sim.Resource.t;
@@ -31,6 +31,15 @@ type 'a charger = {
   mutable category : string;
   mutable span : Sim.Time.t;
   mutable next : 'a -> unit;
+}
+
+(* Chargers lent one charge each, a stack in [free.(0 .. top - 1)]. *)
+type 'a chargers = {
+  lcpu : t;
+  lengine : Sim.Engine.t;
+  who : Sim.Engine.label;
+  mutable free : 'a charger array;
+  mutable top : int;
 }
 
 (* Category names used across the system; keeping them here avoids
@@ -77,14 +86,16 @@ let finish c =
   Sim.Resource.release c.cpu.resource;
   c.next c.arg
 
-let charger t engine who arg =
+let build t engine who arg ended =
   let rec c =
     { cpu = t; engine; arg; waiter = Sim.Proc.nobody;
-      finish = (fun () -> finish c); category = cat_emulation;
+      finish = (fun () -> ended c); category = cat_emulation;
       span = Sim.Time.zero; next = ignore }
   in
   c.waiter <- Sim.Proc.callback engine who (fun () -> begin_span c);
   c
+
+let charger t engine who arg = build t engine who arg finish
 
 let charge c ~category span next =
   if span < 0 then invalid_arg "Cpu.charge: negative duration";
@@ -92,6 +103,29 @@ let charge c ~category span next =
   c.span <- span;
   c.next <- next;
   if Sim.Resource.acquire_by c.cpu.resource c.waiter then begin_span c
+
+let chargers t engine who = { lcpu = t; lengine = engine; who; free = [||]; top = 0 }
+
+(* A lent charger's [finish]: back to [p] before [next], which may lend it. *)
+let give_back p c =
+  book c.cpu ~category:c.category c.span;
+  Sim.Resource.release c.cpu.resource;
+  if p.top = Array.length p.free then
+    p.free <- Array.append p.free (Array.make (p.top + 4) c);
+  p.free.(p.top) <- c;
+  p.top <- p.top + 1;
+  c.next c.arg
+
+let lend p make env ~category span next =
+  let c =
+    if p.top > 0 then begin
+      p.top <- p.top - 1;
+      p.free.(p.top)
+    end
+    else build p.lcpu p.lengine p.who (make env) (give_back p)
+  in
+  charge c ~category span next;
+  c.arg
 
 let busy_time t = t.busy
 let account t = t.account

@@ -15,7 +15,7 @@ val use : t -> category:string -> Sim.Time.t -> unit
 
 type 'a charger
 (** The CPU as code outside every process charges it: an interrupt-level
-    handler's chain of steps, each a function of the charger's ['a]. *)
+    handler's or a parked issuer's steps, functions of the charger's ['a]. *)
 
 val charger : t -> Sim.Engine.t -> Sim.Engine.label -> 'a -> 'a charger
 (** [charger t engine who arg]: a charger on the CPU whose steps take
@@ -31,6 +31,20 @@ val charge : 'a charger -> category:string -> Sim.Time.t -> ('a -> unit) -> unit
     builds no closure) to the charger's argument. It returns at once
     and suspends nothing. The charger holds one charge at a time: [next]
     may charge again. *)
+
+type 'a chargers
+(** A pool of chargers, as {!charger} names them, each lent for one
+    charge: as many as its charges ever overlapped. *)
+
+val chargers : t -> Sim.Engine.t -> Sim.Engine.label -> 'a chargers
+
+val lend :
+  'a chargers -> ('e -> 'a) -> 'e -> category:string -> Sim.Time.t ->
+  ('a -> unit) -> 'a
+(** [lend p make env ~category span next]: {!charge} on a free charger
+    of [p], or on a new one whose argument is [make env], which goes
+    back to [p] when the span ends, before [next]. Returns the argument,
+    which the caller may fill until then. *)
 
 val busy_time : t -> Sim.Time.t
 val account : t -> Metrics.Account.t

@@ -82,8 +82,8 @@ let release c =
 
 let outcome c =
   if c.outcome = spent then invalid_arg "Remote_memory.await: already spent";
-  if not (completed c) then
-    Sim.Wait.park c.wait ~resource:(if c.cas then cas_label else read_label);
+  (* Only a [read]'s: a blocking op fills before its issue returns. *)
+  if not (completed c) then Sim.Wait.park c.wait ~resource:read_label;
   let outcome = c.outcome in
   c.outcome <- spent;
   release c;
@@ -204,6 +204,19 @@ type t = {
   rx : rx;
   mutable irq : t Cluster.Cpu.charger option;
   (* the CPU as the serve side's steps charge it, from {!attach} on *)
+  traps : trap Cluster.Cpu.chargers; (* the CPU as issues' traps charge it *)
+}
+
+(* A READ or CAS in its trap, its lent charger's argument.  The issuer
+   parks on [parked], not [c], so a fill during the trap wakes nobody. *)
+and trap = {
+  owner : t;
+  parked : Sim.Wait.t;
+  mutable c : completion;
+  mutable request : Atm.Frame.t;
+  mutable fl : Obs.Trace.flow option;
+  mutable timed : bool; (* [c] has a watchdog, its [span] *)
+  mutable blocking : bool; (* the issuer waits for the fill, not the trap *)
 }
 
 (* Events go out on the node's stream.  Every site that builds an event
@@ -325,6 +338,9 @@ let create node =
     fence_buf;
     rx = rx node completions fence_buf completion_fd;
     irq = None;
+    traps =
+      Cluster.Cpu.chargers (Cluster.Node.cpu node) (Cluster.Node.engine node)
+        (Sim.Engine.Text "rmem trap");
   }
 
 let node t = t.node
@@ -536,13 +552,15 @@ let issue t desc op ~name ~off ~count ~notify ~cas_old ~cas_new ~extents
     ~seg:(Descriptor.segment_id desc) ~off ~count
 
 (* The trap, the descriptor check and [ctrl] of request formatting. *)
-let trap t fl ~ctrl =
+let trap_cost t ~ctrl =
   let c = costs t in
+  Sim.Time.add
+    (Sim.Time.add c.Cluster.Costs.trap c.Cluster.Costs.descriptor_check)
+    ctrl
+
+let trap t fl ~ctrl =
   Obs.Trace.phase fl "trap";
-  Cluster.Cpu.use (cpu t) ~category:t.client_category
-    (Sim.Time.add
-       (Sim.Time.add c.Cluster.Costs.trap c.Cluster.Costs.descriptor_check)
-       ctrl);
+  Cluster.Cpu.use (cpu t) ~category:t.client_category (trap_cost t ~ctrl);
   Obs.Trace.phase_end fl
 
 (* One WRITE frame: [len] bytes of [data] from [pos], framed before the
@@ -660,28 +678,26 @@ let expire t c =
    sequence number earlier, reorder it against other events of that
    instant and shift every later seq, moving the model checker's choice
    points and invalidating recorded schedules. *)
-let arm_timeout t c = function
-  | None -> ()
-  | Some span ->
-      let engine = Cluster.Node.engine t.node in
-      let arm =
-        match c.arm with
-        | Some arm -> arm
-        | None ->
-            let expire () = expire t c in
-            let arm () =
-              Sim.Engine.schedule_at engine
-                (Sim.Time.add (Sim.Engine.now engine) c.span)
-                expire
-            in
-            c.arm <- Some arm;
-            arm
-      in
-      c.span <- span;
-      Sim.Engine.schedule engine arm
+let arm_timeout t c =
+  let engine = Cluster.Node.engine t.node in
+  let arm =
+    match c.arm with
+    | Some arm -> arm
+    | None ->
+        let expire () = expire t c in
+        let arm () =
+          Sim.Engine.schedule_at engine
+            (Sim.Time.add (Sim.Engine.now engine) c.span)
+            expire
+        in
+        c.arm <- Some arm;
+        arm
+  in
+  Sim.Engine.schedule engine arm
 
-(* A READ's or CAS's record, pooled if one is free, with a fresh reqid. *)
-let take t ~desc ~cas ~off ~count ~buf ~doff ~notify ~old_value ~timed =
+(* A READ's or CAS's record, pooled if one is free, with a fresh reqid,
+   pending from before its trap, so that a crash in the trap fails it. *)
+let take t ~desc ~cas ~off ~count ~buf ~doff ~notify ~old_value ~timeout =
   let p = t.completions and burst = burst_data_bytes (costs t) in
   let bytes = if count <= burst then 0 else ((count + burst - 1) / burst + 7) / 8 in
   let c =
@@ -704,39 +720,67 @@ let take t ~desc ~cas ~off ~count ~buf ~doff ~notify ~old_value ~timed =
   if Bytes.length c.chunks < bytes then c.chunks <- Bytes.make bytes '\000'
   else Bytes.fill c.chunks 0 (Bytes.length c.chunks) '\000';
   c.outcome <- empty;
-  c.holds <- (if timed then 2 else 1);
+  (match timeout with Some span -> c.span <- span | None -> ());
+  c.holds <- (if Option.is_some timeout then 2 else 1);
+  Sim.Int_table.replace t.pending c.reqid c;
   c
 
-let send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?(swab = false)
-    () =
-  let c = costs t in
+(* A trap's end, where a [Cpu.use] would have returned: book the op,
+   send it, arm its watchdog, then resume the issuer inline if it waits
+   only for the trap or [c] filled (a crash), else leave it on [c]. *)
+let trapped tr =
+  let t = tr.owner and c = tr.c in
+  Obs.Trace.phase_end tr.fl;
+  Metrics.Account.add t.ops ~category:(if c.cas then "cas" else "read") 1.;
+  if not c.cas then Metrics.Account.add_int t.data_bytes ~category:"read" c.count;
+  Cluster.Node.transmit_frame
+    ?ctx:(Obs.Trace.wire_ctx tr.fl)
+    t.node ~dst:(Descriptor.remote c.desc) tr.request;
+  if tr.timed then arm_timeout t c;
+  if completed c || not tr.blocking then Sim.Wait.resume tr.parked
+  else Sim.Wait.hand_over tr.parked c.wait
+
+let new_trap t =
+  { owner = t; parked = Sim.Wait.create (); c = t.rx.pending;
+    request = Atm.Nic.none; fl = None; timed = false; blocking = false }
+
+(* Issue [c] and its [request]: the trap charged at event level, the
+   issuer parked once, until its end or, if [blocking], [c]'s fill. *)
+let trap_then_park t c request fl ~ctrl ~timeout ~blocking =
+  Obs.Trace.phase fl "trap";
+  let tr =
+    Cluster.Cpu.lend t.traps new_trap t ~category:t.client_category
+      (trap_cost t ~ctrl) trapped
+  in
+  tr.c <- c;
+  tr.request <- request;
+  tr.fl <- fl;
+  tr.timed <- Option.is_some timeout;
+  tr.blocking <- blocking;
+  Sim.Wait.park tr.parked ~resource:(if c.cas then cas_label else read_label);
+  c
+
+let send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ~blocking
+    ?(swab = false) () =
   let fl =
     issue t desc Rights.Read_op ~name:"READ" ~off:soff ~count ~notify
       ~cas_old:0 ~cas_new:0 ~extents:[]
       ~local_outside:(outside dst ~off:doff ~len:count)
   in
-  let completion =
+  let c =
     take t ~desc ~cas:false ~off:soff ~count ~buf:dst ~doff ~notify
-      ~old_value:0 ~timed:(Option.is_some timeout)
+      ~old_value:0 ~timeout
   in
-  Sim.Int_table.replace t.pending completion.reqid completion;
-  trap t fl ~ctrl:(tx_ctrl_cost c 14);
-  Metrics.Account.add t.ops ~category:"read" 1.;
-  Metrics.Account.add_int t.data_bytes ~category:"read" count;
-  Cluster.Node.transmit_frame
-    ?ctx:(Obs.Trace.wire_ctx fl)
-    t.node ~dst:(Descriptor.remote desc)
+  trap_then_park t c
     (Wire.read_frame t.frames ~seg:(Descriptor.segment_id desc)
-       ~gen:(Descriptor.generation desc) ~soff ~count ~reqid:completion.reqid
-       ~notify ~swab);
-  arm_timeout t completion timeout;
-  completion
+       ~gen:(Descriptor.generation desc) ~soff ~count ~reqid:c.reqid ~notify
+       ~swab)
+    fl ~ctrl:(tx_ctrl_cost (costs t) 14) ~timeout ~blocking
 
 let read ?timeout t desc ~soff ~count ~dst ~doff () =
-  send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify:false ()
+  send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify:false ~blocking:false ()
 
 let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
-  let c = costs t in
   let fl =
     issue t desc Rights.Cas_op ~name:"CAS" ~off:doff ~count:4 ~notify:false
       ~cas_old:old_value ~cas_new:new_value ~extents:[]
@@ -745,23 +789,17 @@ let send_cas ?timeout t desc ~doff ~old_value ~new_value ?result () =
         | Some (buf, off) -> outside buf ~off ~len:4
         | None -> false)
   in
-  let completion =
+  let c =
     take t ~desc ~cas:true ~off:doff ~count:4
       ~buf:(match result with Some (buf, _) -> buf | None -> t.fence_buf)
       ~doff:(match result with Some (_, off) -> off | None -> -1)
-      ~notify:false ~old_value ~timed:(Option.is_some timeout)
+      ~notify:false ~old_value ~timeout
   in
-  Sim.Int_table.replace t.pending completion.reqid completion;
-  trap t fl ~ctrl:(tx_ctrl_cost c 18);
-  Metrics.Account.add t.ops ~category:"cas" 1.;
-  Cluster.Node.transmit_frame
-    ?ctx:(Obs.Trace.wire_ctx fl)
-    t.node ~dst:(Descriptor.remote desc)
+  trap_then_park t c
     (Wire.cas_frame t.frames ~seg:(Descriptor.segment_id desc)
        ~gen:(Descriptor.generation desc) ~doff ~old_value ~new_value
-       ~reqid:completion.reqid ~notify:false);
-  arm_timeout t completion timeout;
-  completion
+       ~reqid:c.reqid ~notify:false)
+    fl ~ctrl:(tx_ctrl_cost (costs t) 18) ~timeout ~blocking:true
 
 let take_write_failure t desc =
   let key = stream_key desc in
@@ -779,7 +817,9 @@ let raise_write_failure t desc =
 let await_read ?timeout t desc ~soff ~count ~dst ~doff ?(notify = false) ?swab
     () =
   Status.check
-    (await (send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ?swab ()))
+    (await
+       (send_read ?timeout t desc ~soff ~count ~dst ~doff ~notify ~blocking:true
+          ?swab ()))
 
 (* Writes are unacknowledged; links are FIFO.  A fence is therefore one
    minimal read round trip: when it returns, every WRITE this node

@@ -159,7 +159,7 @@ val completed : completion -> bool
 (** Filled: {!await} will not block. *)
 
 val await : completion -> Status.t
-(** The final status, blocking the calling process until it is filled;
+(** The final status, parking the calling process until it is filled;
     then the completion is released. Raises [Invalid_argument] if
     another process is already blocked on it, or if it was already
     awaited and is still in the pool. *)
@@ -175,7 +175,8 @@ val read :
   unit ->
   completion
 (** Non-blocking remote read: data is deposited into [dst] as reply
-    bursts arrive; the completion fills with the final status. With
+    bursts arrive; the completion fills with the final status. The
+    caller parks only for the trap, charged at event level. With
     [timeout], it fills with [Timed_out] if the reply has not completed
     in time (late replies are then dropped) — this is what lets a
     pipelined window of reads bound loss without blocking. *)
@@ -195,8 +196,10 @@ val read_wait :
   unit
 (** Blocking {!read}: raises {!Status.Remote_error} on failure and
     {!Status.Timeout} if [timeout] passes first (late replies are then
-    dropped). READ is idempotent, so under [policy] it is reissued
-    blindly. With [notify], completion also posts on {!completion_fd}.
+    dropped). The caller suspends once per attempt, its trap charged at
+    event level; a fill in the trap (a crash) resumes it at the trap's
+    end. READ is idempotent, so under [policy] it is reissued blindly.
+    With [notify], completion also posts on {!completion_fd}.
     Test-only ?notify: the paper's notify operand on READ, which no workload
     sets. *)
 
@@ -230,14 +233,14 @@ val cas_wait :
   int
 (** Remote compare-and-swap of a 32-bit word, the values carried as
     ints (sign-extended; only the low 32 bits are sent); nothing is
-    boxed per CAS. Blocks and returns the witness, which equals
-    [old_value] (as a sign-extended 32-bit word) exactly when the swap
-    happened. Under [policy], if a CAS applied but its reply was lost,
-    the reissued CAS observes [new_value] and reports failure — the
-    usual lost-reply ambiguity; callers must treat a witness other than
-    [old_value] as "not won by this call", not "nothing happened". When
-    [result] is given, a success/failure word is deposited there, as in
-    the paper's CAS signature.
+    boxed per CAS. Blocks (once, as {!read_wait}) and returns the
+    witness, which equals [old_value] (as a sign-extended 32-bit word)
+    exactly when the swap happened. Under [policy], if a CAS applied but
+    its reply was lost, the reissued CAS observes [new_value] and
+    reports failure — the usual lost-reply ambiguity; callers must treat
+    a witness other than [old_value] as "not won by this call", not
+    "nothing happened". When [result] is given, a success/failure word
+    is deposited there, as in the paper's CAS signature.
     Test-only ?result: the paper's result operand on CAS, which no workload
     sets. *)
 

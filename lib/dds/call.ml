@@ -41,6 +41,16 @@ and endpoint = {
   pending : record Sim.Int_table.t; (* the current attempt's, by request id *)
   mutable free : record array; (* a stack in [free.(0 .. top - 1)] *)
   mutable top : int;
+  traps : send Cluster.Cpu.chargers; (* the CPU as sends' traps charge it *)
+}
+
+(* An attempt's send in its trap, its lent charger's argument.  The caller
+   parks on [parked], so a late reply during the trap wakes nobody. *)
+and send = {
+  parked : Sim.Wait.t;
+  mutable r : record;
+  mutable dst : Atm.Addr.t;
+  mutable request : Atm.Frame.t;
 }
 
 let waiting = -1
@@ -98,14 +108,18 @@ let endpoint amsg =
   match Planes.find_opt endpoints amsg with
   | Some ep -> ep
   | None ->
+      let node = Amsg.node amsg in
       let ep =
         {
           amsg;
-          node = Amsg.node amsg;
+          node;
           next_req = 1;
           pending = Sim.Int_table.create 16;
           free = [||];
           top = 0;
+          traps =
+            Cluster.Cpu.chargers (Cluster.Node.cpu node) (Cluster.Node.engine node)
+              (Sim.Engine.Text "RPC trap");
         }
       in
       Amsg.register amsg ~id:reply_id (fun ~src:_ f ~pos ~len ->
@@ -197,6 +211,28 @@ let serve amsg ~id (f : service) =
 let timeout = Sim.Time.us 400
 let attempts = 12
 
+(* A send's trap's end, where a [Cpu.use] would have returned: send, arm
+   the timer, then resume the caller inline if a reply came during the
+   trap, else leave it on its record for the reply or the timer. *)
+let sent s =
+  let r = s.r in
+  let ep = r.ep in
+  Amsg.send_frame ep.amsg ~dst:s.dst s.request;
+  let engine = Cluster.Node.engine ep.node in
+  (* [schedule_at], not [schedule ~after]: the optional argument would
+     box the span on every attempt. *)
+  Sim.Engine.schedule_at engine
+    (Sim.Time.add (Sim.Engine.now engine) timeout)
+    r.fire;
+  if r.state <> waiting then Sim.Wait.resume s.parked
+  else Sim.Wait.hand_over s.parked r.wait
+
+let new_send r =
+  { parked = Sim.Wait.create (); r; dst = Cluster.Node.addr r.ep.node;
+    request = Atm.Nic.none }
+
+(* One attempt: the send's trap charged at event level, the caller
+   parked once, until the reply or the timer. *)
 let rec attempt ep ~dst ~id ~req body reply k =
   if k >= attempts then begin
     Sim.Int_table.remove ep.pending req;
@@ -204,15 +240,15 @@ let rec attempt ep ~dst ~id ~req body reply k =
   end;
   let r = take ep reply in
   Sim.Int_table.replace ep.pending req r;
-  Amsg.send_frame ep.amsg ~dst ~handler:id
-    (frame ep.amsg ~req body ~len:(Bytes.length body));
-  let engine = Cluster.Node.engine ep.node in
-  (* [schedule_at], not [schedule ~after]: the optional argument would
-     box the span on every attempt. *)
-  Sim.Engine.schedule_at engine
-    (Sim.Time.add (Sim.Engine.now engine) timeout)
-    r.fire;
-  if r.state = waiting then Sim.Wait.park r.wait ~resource:label;
+  let f = frame ep.amsg ~req body ~len:(Bytes.length body) in
+  let s =
+    Cluster.Cpu.lend ep.traps new_send r ~category:Cluster.Cpu.cat_client
+      (Amsg.prepare ep.amsg ~handler:id f) sent
+  in
+  s.r <- r;
+  s.dst <- dst;
+  s.request <- f;
+  Sim.Wait.park s.parked ~resource:label;
   let n = r.state in
   release r;
   if n >= 0 then n

@@ -7,9 +7,10 @@
     ids, timeout-driven retransmission on the client, and a per-source
     duplicate cache on the server making retried calls at-most-once.
 
-    Allocation: a call allocates only its waits. Frames come from the
-    network's pool ({!Amsg.frame}), an attempt's record (reply buffer,
-    wait, holds, timer thunk) from a per-endpoint free stack; the
+    Allocation: an attempt allocates only its park: its send's trap is
+    charged at event level meanwhile. Frames come from the network's
+    pool ({!Amsg.frame}), an attempt's record (reply buffer, wait,
+    holds, timer thunk) from a per-endpoint free stack; the
     request is copied into each attempt's frame, the reply into the
     caller's buffer. Ids are ints; each source's reply cache is a fixed
     16-slot ring of preallocated buffers. *)
@@ -52,6 +53,8 @@ val serve : Amsg.t -> id:int -> service -> unit
 val call : endpoint -> dst:Atm.Addr.t -> id:int -> bytes -> reply:bytes -> int
 (** Send the request and block for the reply, retransmitting every
     400 µs up to 12 times; copy the reply into [reply] and return its
-    length. Raises [Invalid_argument] if the reply is longer than
+    length. Each attempt parks the caller once, from its send's trap to
+    the reply (one during the trap resumes it at the trap's end) or the
+    timer. Raises [Invalid_argument] if the reply is longer than
     [reply], and [Rmem.Status.Timeout] when the budget is exhausted.
     Must run in a simulated process. *)

@@ -237,9 +237,10 @@ let step t = advance t ~until:max_int
 
 let set_scheduler t scheduler = t.scheduler <- scheduler
 
-let has_nondaemon_blocked t =
-  let rec scan w = w != t.registry && ((not w.is_daemon) || scan w.next) in
-  scan t.registry.next
+(* A non-daemon waiter from [w] to the registry's [sentinel]: top level,
+   so an idle [run] allocates no closure. *)
+let rec nondaemon_from sentinel w =
+  w != sentinel && ((not w.is_daemon) || nondaemon_from sentinel w.next)
 
 let run ?until t =
   t.stopped <- false;
@@ -258,5 +259,5 @@ let run ?until t =
         t.detect_deadlock
         && (not t.stopped)
         && Heap.is_empty t.queue
-        && has_nondaemon_blocked t
+        && nondaemon_from t.registry t.registry.next
       then raise (Deadlock (t.now, blocked t))

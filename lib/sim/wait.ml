@@ -19,3 +19,9 @@ let unpark t =
     t.waiter <- Proc.nobody;
     Proc.unpark p
   end
+
+let hand_over a b =
+  if a.waiter == Proc.nobody then invalid_arg "Sim.Wait.hand_over: nobody waits";
+  if b.waiter != Proc.nobody then invalid_arg "Sim.Wait.hand_over: already awaited";
+  b.waiter <- a.waiter;
+  a.waiter <- Proc.nobody

@@ -20,3 +20,7 @@ val unpark : t -> unit
 val resume : t -> unit
 (** Run the waiting process now, inline, as {!Proc.resume} does.
     Raises [Invalid_argument] if no process waits here. *)
+
+val hand_over : t -> t -> unit
+(** [hand_over a b] moves the process parked on [a], still parked, to
+    [b]. Raises [Invalid_argument] if none waits on [a] or one on [b]. *)

@@ -294,8 +294,8 @@ let dispatcher_blocked_on_cpu () =
    span and reply, and the reply's reception, are charges at interrupt
    level, with no process switch at either end (a dispatcher process
    paid 2 words a suspension).  The client's NIC injects each pooled
-   request outside every process, and the engine steps until it is
-   served and answered ([Engine.run] itself allocates 4 words a call). *)
+   request outside every process, and the engine runs until it is
+   served and answered. *)
 let serve_allocation_budget () =
   let testbed, a0, a1 = rig () in
   let server = Cluster.Testbed.node testbed 0 in
@@ -312,9 +312,7 @@ let serve_allocation_budget () =
     Bytes.set_uint8 b 1 1;
     Bytes.set_uint16_le b 2 12;
     Cluster.Node.transmit_frame client ~dst:(Cluster.Node.addr server) f;
-    while Sim.Engine.step engine do
-      ()
-    done
+    Sim.Engine.run engine
   in
   let words = Rig.words_per_op ~n:200 request in
   check_int "every request answered" 201 (Amsg.sent a0);

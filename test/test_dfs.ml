@@ -835,26 +835,26 @@ let dx_budget what ~budget op () =
   Rig.within_budget what ~words ~budget
 
 let dx_getattr_budget =
-  dx_budget "DX GetAttribute" ~budget:31.1 (fun f ->
+  dx_budget "DX GetAttribute" ~budget:28.9 (fun f ->
       Dfs.Nfs_ops.Get_attr { fh = f.Experiments.Fixture.bench_file })
 
 let dx_lookup_budget =
-  dx_budget "DX Lookup" ~budget:32.2 (fun f ->
+  dx_budget "DX Lookup" ~budget:30. (fun f ->
       Dfs.Nfs_ops.Lookup { dir = f.Experiments.Fixture.bench_dir; name = "entry0001" })
 
 let dx_read_budget =
-  dx_budget "DX Read 8K" ~budget:1147.6 (fun f ->
+  dx_budget "DX Read 8K" ~budget:1145.4 (fun f ->
       Dfs.Nfs_ops.Read { fh = f.Experiments.Fixture.bench_file; off = 0; count = 8192 })
 
 let dx_readdir_budget =
-  dx_budget "DX ReadDir 4K" ~budget:586.6 (fun f ->
+  dx_budget "DX ReadDir 4K" ~budget:584.4 (fun f ->
       Dfs.Nfs_ops.Read_dir { fh = f.Experiments.Fixture.bench_dir; count = 4096 })
 
-let dx_null_budget = dx_budget "DX Null" ~budget:16.8 (fun _ -> Dfs.Nfs_ops.Null)
-let dx_statfs_budget = dx_budget "DX Statfs" ~budget:28.9 (fun _ -> Dfs.Nfs_ops.Statfs)
+let dx_null_budget = dx_budget "DX Null" ~budget:14.6 (fun _ -> Dfs.Nfs_ops.Null)
+let dx_statfs_budget = dx_budget "DX Statfs" ~budget:26.7 (fun _ -> Dfs.Nfs_ops.Statfs)
 
 let dx_readlink_budget =
-  dx_budget "DX ReadLink" ~budget:23.4 (fun f ->
+  dx_budget "DX ReadLink" ~budget:21.2 (fun f ->
       Dfs.Nfs_ops.Read_link { fh = f.Experiments.Fixture.bench_link })
 
 (* The same path under Hybrid-1: the request encoded into the
@@ -946,7 +946,7 @@ let dx_read_miss_budget () =
   in
   Alcotest.(check (float 0.01)) "every read a miss, the warm-up's too" 101.
     misses;
-  Rig.within_budget "DX Read 8K miss, then HY" ~words:miss ~budget:1273.;
+  Rig.within_budget "DX Read 8K miss, then HY" ~words:miss ~budget:1270.8;
   check_bool
     (Printf.sprintf "within its DX hit (%.2f words) + %g" hit hy_constant)
     true

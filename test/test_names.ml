@@ -500,9 +500,10 @@ let registry_lookup_budget () =
 
 (* A lookup forced past the import cache to the exporter's registry:
    one slot READ into the clerk's probe buffer, the walk's outcome and
-   the record, the CPU charges' waits, the cache entry's option, and
-   the caller's [Some hint]: 23 words, 33 with a process switch per
-   frame served or delivered. *)
+   the record, the READ's park, the cache entry's option, and the
+   caller's [Some hint]: 21 words, 23 with the READ's trap charged by
+   the caller's own wait, 33 with a process switch per frame served or
+   delivered. *)
 let forced_remote_lookup_budget () =
   let rig = Rig.named_duo () in
   let words =
@@ -518,7 +519,7 @@ let forced_remote_lookup_budget () =
               (Names.Clerk.lookup ~force:true ~hint rig.Rig.clerk0 "svc"
                 : Names.Record.t)))
   in
-  Rig.within_budget "forced remote Clerk.lookup" ~words ~budget:25.5
+  Rig.within_budget "forced remote Clerk.lookup" ~words ~budget:23.3
 
 let suite =
   [

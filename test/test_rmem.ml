@@ -323,7 +323,8 @@ let wire_in_place_frames =
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The host cost of the two data-path shapes, 4 KB each, against a
-   budget 10% above what they allocate (4 and 100 words at n = 200, with
+   budget 10% above what they allocate (2 and 98 words at n = 200, 4
+   and 100 with the fence's and READ's trap charged by the issuer, with
    completions recycled through the node's pool, frames recycled
    through the network's pool, the single-copy data path, the
    allocation-lean control path, monitor events built only when a
@@ -358,15 +359,15 @@ let allocation_budget () =
         in
         (read, write))
   in
-  Rig.within_budget "4 KB READ" ~words:read_words ~budget:4.5;
+  Rig.within_budget "4 KB READ" ~words:read_words ~budget:2.4;
   Rig.within_budget "4 KB pipelined write + fence" ~words:write_words
-    ~budget:110.1
+    ~budget:108.
 
 (* The fixed cost of one meta-instruction round trip: a 4-byte READ,
    one request frame and one reply, against a budget 10% above what it
-   allocates (4 words, the continuations of the issuer's two waits, its
-   trap's CPU charge and its completion's park; 14 with a process
-   switch per frame served or delivered; 45 with a fresh completion per
+   allocates (2 words, the continuation of the issuer's one park, its
+   trap charged at event level; 4 with the trap charged by the issuer's
+   own wait; 14 with a process switch per frame served or delivered; 45 with a fresh completion per
    issue, a request-id probe closure, a cons cell per
    pending entry and a closure and an option per serve-side pin check;
    78 with an ivar as the completion, an optioned pending record and a
@@ -385,7 +386,7 @@ let round_trip_budget () =
             Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4 ~dst
               ~doff:0 ()))
   in
-  Rig.within_budget "4-byte READ round trip" ~words ~budget:4.5
+  Rig.within_budget "4-byte READ round trip" ~words ~budget:2.4
 
 (* A READ's reply frames cost the host nothing of their own: a 4 KB
    READ (13 reply frames of 328 bytes) allocates what a 4-byte READ (one
@@ -414,8 +415,9 @@ let read_reply_frames_budget () =
   Rig.within_budget "4 KB READ over a 4-byte READ" ~words ~budget:0.5
 
 (* The fixed cost of one remote CAS: the request frame, the reply, the
-   completion and the issuer's two waits, 10% above the measured 4
-   words (14 with a process switch per frame served or delivered, 45
+   completion and the issuer's one park, 10% above the measured 2 words
+   (4 with its trap charged by the issuer's own wait, 14 with a process
+   switch per frame served or delivered, 45
    with a fresh completion per CAS, 74 with an ivar as the completion, 93
    with a fresh frame per message, 117 with int32 words).  The CAS carries its words as ints end to end, so
    a boxed witness, a result tuple or an [Issued] argument pair built
@@ -431,7 +433,7 @@ let cas_round_trip_budget () =
                  ~old_value:0 ~new_value:0 ()
                 : int)))
   in
-  Rig.within_budget "CAS round trip" ~words ~budget:4.5
+  Rig.within_budget "CAS round trip" ~words ~budget:2.4
 
 (* A duplicated reply chunk must not count twice towards a READ's byte
    total: the first reply frame of a 4 KB READ is delivered twice, and
@@ -1071,7 +1073,8 @@ let pool_drained () =
 (* A whole 64 KB file written through the pipeline, 4 KB at a time as
    the bulk benchmark does, then fenced: each staged byte is copied once,
    into one pooled burst frame, against a budget 10% above what it
-   allocates (944 words at n = 200; 961 with a process switch per frame served or
+   allocates (942 words at n = 200; 944 with the fence's trap charged
+   by the issuer; 961 with a process switch per frame served or
    delivered; 1,042 with a fresh completion per fence and
    a cons cell per staged-table entry; 45,353 with a staging buffer
    re-copied per
@@ -1092,7 +1095,7 @@ let file_write_budget () =
               blocks;
             Rmem.Pipeline.fence p desc))
   in
-  Rig.within_budget "64 KB pipelined file write + fence" ~words ~budget:1038.5
+  Rig.within_budget "64 KB pipelined file write + fence" ~words ~budget:1036.4
 
 (* A crash fills a completion a process is blocked on with [Timed_out]
    and unblocks it there and then; the READ leaves the pending table. *)
@@ -1290,8 +1293,9 @@ let inflight_drains () =
 (* A READ with a timeout arms a watchdog: two engine events whose
    thunks its record built at its first timed issue and keeps, so a
    timed READ costs what an untimed one does plus the [Some] of its
-   timeout, against a budget 10% above what it allocates (7 words; 17
-   with a process switch per frame served or delivered, 58 with a fresh
+   timeout, against a budget 10% above what it allocates (5 words; 7
+   with its trap charged by the issuer's own wait; 17 with a process
+   switch per frame served or delivered, 58 with a fresh
    completion and the two thunks built per issue).  Three timed READs
    issued together, then awaited, are a register's DX collect round
    (19 words; 45 with a process switch per frame, 170 with a fresh
@@ -1325,7 +1329,7 @@ let timed_read_budget () =
         in
         (timed, three))
   in
-  Rig.within_budget "timed 4-byte READ round trip" ~words:timed ~budget:7.8;
+  Rig.within_budget "timed 4-byte READ round trip" ~words:timed ~budget:5.7;
   Rig.within_budget "three timed READs awaited" ~words:three ~budget:20.5
 
 (* A revalidator that refuses a stale descriptor is an answer, not lost
@@ -1577,6 +1581,149 @@ let notification_delivery_budget () =
   Rig.within_budget "notification delivery to a signal handler" ~words
     ~budget:6.9
 
+(* ---------------- Issue-side schedule ---------------- *)
+
+(* One issuing node runs every kind of remote op beside what can delay
+   or fill its trap: blocking READs, CASes and fences; a [Dds.Call]
+   whose first attempt times out (its service takes 345 us) and is
+   retransmitted, the first reply landing while the retransmission's
+   trap waits behind that reply's reception; windowed non-blocking
+   READs; a process-level CPU user and READs the node serves at
+   interrupt level, which traps queue behind; and a crash 1 us into a
+   READ's trap.  A fill during a trap must not wake the issuer before
+   the trap ends.  Its log instants, events, busy time, accounts and
+   outcomes are the figures the trap-then-park issue path gave. *)
+let issue_schedule_kept () =
+  let d = Rig.duo () in
+  let issuer = d.Rig.node0 and home = d.Rig.node1 in
+  let am_issuer = Amsg.attach issuer and am_home = Amsg.attach home in
+  let cpu = Cluster.Node.cpu issuer in
+  let log = ref [] in
+  let note what = log := (what, Sim.Engine.now d.Rig.engine) :: !log in
+  Dds.Call.serve am_home ~id:0x60 (fun ~src:_ _ ~pos:_ ~len:_ ~reply ->
+      reply.Dds.Call.len <- 2;
+      Sim.Time.us 345);
+  Rig.run d (fun () ->
+      let _, desc = Rig.shared_segment d in
+      let segment =
+        Rmem.Remote_memory.export d.Rig.rmem0 ~space:d.Rig.space0 ~base:0
+          ~len:8192 ~rights:Rmem.Rights.all ~name:"issuer" ()
+      in
+      let back =
+        Rmem.Remote_memory.import d.Rig.rmem1 ~remote:(Cluster.Node.addr issuer)
+          ~segment_id:(Rmem.Segment.id segment)
+          ~generation:(Rmem.Segment.generation segment) ~size:8192
+          ~rights:Rmem.Rights.all ()
+      in
+      let dst = Rig.buffer0 d in
+      Cluster.Node.spawn issuer (fun () ->
+          for _ = 1 to 20 do
+            Cluster.Cpu.use cpu ~category:"user" (Sim.Time.us 9);
+            note "user";
+            Sim.Proc.wait (Sim.Time.us 6)
+          done);
+      Cluster.Node.spawn home (fun () ->
+          let dst =
+            Rmem.Remote_memory.buffer ~space:d.Rig.space1 ~base:16384 ~len:1024
+          in
+          for _ = 1 to 2 do
+            Rmem.Remote_memory.read_wait d.Rig.rmem1 back ~soff:0 ~count:1024
+              ~dst ~doff:0 ();
+            note "home read"
+          done);
+      Cluster.Node.spawn issuer (fun () ->
+          for i = 1 to 3 do
+            Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:64
+              ~dst ~doff:8192 ();
+            note "read";
+            let w =
+              Rmem.Remote_memory.cas_wait d.Rig.rmem0 desc ~doff:64
+                ~old_value:(i - 1) ~new_value:i ()
+            in
+            note (Printf.sprintf "cas %d" w);
+            Rmem.Remote_memory.fence d.Rig.rmem0 desc;
+            note "fence"
+          done);
+      Cluster.Node.spawn issuer (fun () ->
+          let p =
+            Rmem.Pipeline.create
+              ~config:(Rmem.Pipeline.pipelined_config ~window:2 ())
+              d.Rig.rmem0
+          in
+          for i = 0 to 5 do
+            Rmem.Pipeline.read_submit p desc ~soff:(16 * i) ~count:16 ~dst
+              ~doff:(12288 + (16 * i)) ()
+          done;
+          Rmem.Pipeline.drain p;
+          note "windowed");
+      Cluster.Node.spawn issuer (fun () ->
+          let n =
+            Dds.Call.call (Dds.Call.endpoint am_issuer)
+              ~dst:(Cluster.Node.addr home) ~id:0x60 (Bytes.of_string "abcd")
+              ~reply:(Bytes.create 4)
+          in
+          note (Printf.sprintf "call %d" n));
+      Sim.Proc.wait (Sim.Time.ms 6);
+      Sim.Engine.schedule_at d.Rig.engine
+        (Sim.Time.add (Sim.Engine.now d.Rig.engine) (Sim.Time.us 1))
+        (fun () -> Rmem.Remote_memory.crash d.Rig.rmem0);
+      (match
+         Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4 ~dst
+           ~doff:0 ()
+       with
+      | () -> note "crash: served"
+      | exception Rmem.Status.Timeout -> note "crash: timed out");
+      Sim.Proc.wait (Sim.Time.ms 1));
+  Alcotest.(check (list (pair string int)))
+    "every step at the trap-then-park path's instants"
+    [ ("user", 1_349_000); ("user", 1_390_100); ("user", 1_482_500);
+      ("user", 1_566_100); ("user", 1_649_700); ("user", 1_678_100);
+      ("read", 1_698_800); ("user", 1_707_800); ("user", 1_740_250);
+      ("user", 1_758_050); ("user", 1_773_050); ("call 2", 1_788_650);
+      ("user", 1_797_650); ("user", 1_820_750); ("user", 1_838_550);
+      ("user", 1_853_550); ("user", 1_868_550); ("user", 1_883_550);
+      ("user", 1_898_550); ("user", 1_913_550); ("user", 1_928_550);
+      ("user", 1_943_550); ("home read", 1_984_929); ("cas 0", 2_263_008);
+      ("home read", 2_340_711); ("fence", 2_375_740); ("windowed", 2_412_740);
+      ("read", 2_446_769); ("cas 1", 2_482_227); ("fence", 2_529_585);
+      ("read", 2_595_772); ("cas 2", 2_631_230); ("fence", 2_678_588);
+      ("crash: timed out", 7_348_800) ]
+    (List.rev !log);
+  check_int "the call sent twice" 2 (Amsg.sent am_issuer);
+  check_int "events" 272 (Sim.Engine.events_fired d.Rig.engine);
+  check_int "busy time" 1_604_350 (Sim.Time.to_ns (Cluster.Cpu.busy_time cpu));
+  Alcotest.(check (list (pair string (float 0.)))) "accounts"
+    [ ("emulation", 1393.1499999999985); ("user", 180.); ("client", 14.6);
+      ("data reception", 16.600000000000001) ]
+    (Metrics.Account.to_list (Cluster.Cpu.account cpu))
+
+(* A blocking READ whose trap waits for a CPU another process holds for
+   good: the issuer parks once, reported as waiting on its READ, while
+   its trap waits for the CPU at event level.  A run stopped there names
+   both in its deadlock report: the issuing process and the CPU. *)
+let trap_blocked_on_cpu () =
+  let d = Rig.duo () in
+  let node0 = d.Rig.node0 in
+  match
+    Rig.run d (fun () ->
+        let _, desc = Rig.shared_segment d in
+        Cluster.Node.spawn ~name:"hog" node0 (fun () ->
+            Cluster.Cpu.use (Cluster.Node.cpu node0) ~category:"hog"
+              (Sim.Time.ms 1_000));
+        Sim.Engine.schedule_at d.Rig.engine
+          (Sim.Time.add (Sim.Engine.now d.Rig.engine) (Sim.Time.ms 1))
+          (fun () -> Sim.Engine.stop d.Rig.engine);
+        Sim.Proc.yield ();
+        Rmem.Remote_memory.read_wait d.Rig.rmem0 desc ~soff:0 ~count:4
+          ~dst:(Rig.buffer0 d) ~doff:0 ())
+  with
+  | () -> Alcotest.fail "expected the stopped run to report its waiters"
+  | exception Sim.Engine.Deadlock (_, blocked) ->
+      Alcotest.(check string) "the trap on the CPU, the issuer on its READ"
+        "deadlock: rmem trap blocked on resource \"node0\" since 810.00us; \
+         main blocked on ivar \"rmem READ completion\" since 810.00us"
+        (Sim.Engine.deadlock_report blocked)
+
 let suite =
   [
     Alcotest.test_case "wire write header is 8 bytes" `Quick wire_write_header_size;
@@ -1654,4 +1801,7 @@ let suite =
       dispatcher_blocked_on_cpu;
     Alcotest.test_case "READ reply frames allocation budget"
       `Quick read_reply_frames_budget;
+    Alcotest.test_case "issue side keeps its schedule" `Quick issue_schedule_kept;
+    Alcotest.test_case "a READ's trap blocked on the CPU is reported" `Quick
+      trap_blocked_on_cpu;
   ]

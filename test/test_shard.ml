@@ -344,9 +344,10 @@ let test_register_refused () =
         | exception Failure msg ->
             String.equal msg "shard clerk: registration refused (shard full)"))
 
-(* The host words of one shard lookup hit under a current map, 17.13:
-   the slot READ's own 4.13 (its waits, 14.13 with a process switch per
-   frame served or delivered), the walk's [Found] (4), the
+(* The host words of one shard lookup hit under a current map, 15.13:
+   the slot READ's own 2.13 (its park; 4.13 with its trap charged by the
+   caller's own wait, 14.13 with a process switch per frame served or
+   delivered), the walk's [Found] (4), the
    classify's [Hit] (2) and the record (7), which shares the caller's
    name string and the decoded rights.  Nothing else: the name is
    hashed in a loop, the owner found by position, the shard's reader
@@ -371,14 +372,15 @@ let test_lookup_hit_budget () =
           103 (Names.Shard_clerk.lookup sc5 name).Names.Record.segment_id;
         words)
   in
-  Rig.within_budget "shard lookup hit" ~words ~budget:18.9
+  Rig.within_budget "shard lookup hit" ~words ~budget:16.7
 
 (* The host words of one shard lookup miss under a current map: the
    walk's two slot READs (its chain passes one live slot before the
    free one that ends it), its outcome, the 4-byte READ of the map's
    epoch word that confirms the miss, and the exception that reports
-   it: 22.13 words, 10 less for each READ than with a process switch
-   per frame served or delivered. *)
+   it: 16.13 words, 2 less for each READ than with its trap charged by
+   the caller's own wait, and 12 less than with a process switch per
+   frame served or delivered too. *)
 let test_lookup_miss_budget () =
   let testbed, setup = sharded_rig () in
   let words =
@@ -400,7 +402,7 @@ let test_lookup_miss_budget () =
         check (Alcotest.float 0.) "two probes" 2. (reads () -. before);
         Rig.words_per_op ~n:200 miss)
   in
-  Rig.within_budget "shard lookup miss" ~words ~budget:24.4
+  Rig.within_budget "shard lookup miss" ~words ~budget:17.8
 
 (* A rebalance in the middle of a client's cached-epoch window: the
    client heals through the forwarding tombstone — a local map patch,

@@ -1253,6 +1253,18 @@ let edge_paths () =
   Alcotest.(check (float 0.)) "utilization over no time" 0.
     (Cluster.Cpu.utilization (Cluster.Cpu.create ()) ~window:Sim.Time.zero)
 
+(* [Engine.run] on a drained queue checks the blocked-waiter registry
+   for a deadlock, walking past a parked daemon here, and allocates
+   nothing: a scan closure built per call cost 4 words. *)
+let idle_run_budget () =
+  let engine = Sim.Engine.create () in
+  let idle = Sim.Wait.create () in
+  Sim.Proc.spawn engine (fun () ->
+      Sim.Wait.park ~daemon:true idle ~resource:(Sim.Engine.Text "idle"));
+  Sim.Engine.run engine;
+  let words = Rig.words_per_op ~n:1000 (fun () -> Sim.Engine.run engine) in
+  Rig.within_budget "idle Engine.run" ~words ~budget:0.1
+
 let suite =
   [
     Alcotest.test_case "time conversions" `Quick time_conversions;
@@ -1330,4 +1342,5 @@ let suite =
       nested_engine_then_sleep;
     QCheck_alcotest.to_alcotest int_table_matches_hashtbl;
     Alcotest.test_case "edge paths no run takes" `Quick edge_paths;
+    Alcotest.test_case "idle Engine.run allocation budget" `Quick idle_run_budget;
   ]
