@@ -44,7 +44,7 @@ let idling = Sim.Engine.Text "idle"
 
 let create engine ~costs ~nic ~prng =
   let addr = Atm.Nic.addr nic in
-  let cpu = Cpu.create ~name:(Atm.Addr.to_string addr) () in
+  let cpu = Cpu.create ~name:(Atm.Addr.to_string addr) engine in
   {
     addr;
     engine;
@@ -69,7 +69,7 @@ let engine t = t.engine
 let costs t = t.costs
 let cpu t = t.cpu
 let dispatcher t = Atm.Addr.to_string t.addr ^ " rx-dispatcher"
-let charger t arg = Cpu.charger t.cpu t.engine (Sim.Engine.Text (dispatcher t)) arg
+let charger t arg = Cpu.charger t.cpu (Sim.Engine.Text (dispatcher t)) arg
 let nic t = t.nic
 let prng t = t.prng
 

@@ -61,6 +61,7 @@ let cas_status outcome =
 
 (* What a blocked waiter is reported blocked on, built once. *)
 let read_label = Sim.Engine.Quoted ("ivar", "rmem READ completion")
+let write_label = Sim.Engine.Quoted ("rmem", "WRITE")
 let cas_label = Sim.Engine.Quoted ("ivar", "rmem CAS completion")
 
 let completed c = c.outcome <> empty
@@ -205,6 +206,7 @@ type t = {
   mutable irq : t Cluster.Cpu.charger option;
   (* the CPU as the serve side's steps charge it, from {!attach} on *)
   traps : trap Cluster.Cpu.chargers; (* the CPU as issues' traps charge it *)
+  writes : sending Cluster.Cpu.chargers; (* the CPU as WRITEs charge it *)
 }
 
 (* A READ or CAS in its trap, its lent charger's argument.  The issuer
@@ -217,6 +219,26 @@ and trap = {
   mutable fl : Obs.Trace.flow option;
   mutable timed : bool; (* [c] has a watchdog, its [span] *)
   mutable blocking : bool; (* the issuer waits for the fill, not the trap *)
+}
+
+(* A WRITE or write burst on its way out, its lent charger's argument:
+   one chain of charges, the trap, then per frame its FIFO copy (and its
+   encryption, with a key set) and its transmission, with the issuer
+   parked on [issuer] until the last frame is sent. *)
+and sending = {
+  sender : t;
+  issuer : Sim.Wait.t;
+  mutable flow : Obs.Trace.flow option;
+  mutable target : Descriptor.t;
+  mutable source : bytes; (* byte [i] goes to segment offset [origin + i] *)
+  mutable origin : int;
+  mutable from : int; (* the next frame's first byte, up to [upto] *)
+  mutable upto : int;
+  mutable chunk : int; (* the bytes of the frame in its FIFO copy *)
+  mutable notifies : bool;
+  mutable swabs : bool;
+  mutable frame : Atm.Frame.t;
+  mutable uncharged : Wire.extent list; (* a burst's, their encryption owed *)
 }
 
 (* Events go out on the node's stream.  Every site that builds an event
@@ -339,8 +361,9 @@ let create node =
     rx = rx node completions fence_buf completion_fd;
     irq = None;
     traps =
-      Cluster.Cpu.chargers (Cluster.Node.cpu node) (Cluster.Node.engine node)
-        (Sim.Engine.Text "rmem trap");
+      Cluster.Cpu.chargers (Cluster.Node.cpu node) (Sim.Engine.Text "rmem trap");
+    writes =
+      Cluster.Cpu.chargers (Cluster.Node.cpu node) (Sim.Engine.Text "rmem WRITE");
   }
 
 let node t = t.node
@@ -388,11 +411,6 @@ let crypt t (v : Wire.view) =
   | None -> v
   | Some crypto ->
       Wire.view (Crypto.transform crypto ~pos:v.Wire.pos ~len:v.Wire.len v.Wire.buf)
-
-let charge_crypto t ~category bytes =
-  match t.crypto with
-  | None -> ()
-  | Some crypto -> Cluster.Cpu.use (cpu t) ~category (Crypto.cost crypto ~bytes)
 
 (* Received data as it is deposited, once its decryption is charged:
    the view into the frame itself, unless decryption or the swab bit
@@ -558,71 +576,139 @@ let trap_cost t ~ctrl =
     (Sim.Time.add c.Cluster.Costs.trap c.Cluster.Costs.descriptor_check)
     ctrl
 
-let trap t fl ~ctrl =
-  Obs.Trace.phase fl "trap";
-  Cluster.Cpu.use (cpu t) ~category:t.client_category (trap_cost t ~ctrl);
-  Obs.Trace.phase_end fl
+let new_sending t =
+  { sender = t; issuer = Sim.Wait.create (); flow = None;
+    target = t.rx.pending.desc; source = Bytes.empty; origin = 0; from = 0;
+    upto = 0; chunk = 0; notifies = false; swabs = false; frame = Atm.Nic.none;
+    uncharged = [] }
 
-(* One WRITE frame: [len] bytes of [data] from [pos], framed before the
-   FIFO copy is charged, so the frame holds the caller's bytes as they
-   were at issue, not after the CPU wait. *)
-let send_write_chunk t fl desc ~off ~notify ~swab data ~pos ~len =
-  let seg = Descriptor.segment_id desc in
-  let gen = Descriptor.generation desc in
-  let frame =
-    match t.crypto with
+(* A WRITE's chain, on a charger lent from [t.writes] for each step:
+   the pool hands the same one back, so [w] is the argument throughout.
+   Each frame is built in the step that ends the charge before it, so
+   it holds the caller's bytes as they are at that instant. *)
+let write_step w span next =
+  let t = w.sender in
+  ignore
+    (Cluster.Cpu.lend t.writes new_sending t ~category:t.client_category span
+       next
+      : sending)
+
+(* The end of a frame's FIFO copy: send it. *)
+let sent w =
+  Obs.Trace.phase_end w.flow;
+  Cluster.Node.transmit_frame
+    ?ctx:(Obs.Trace.wire_ctx w.flow)
+    w.sender.node ~dst:(Descriptor.remote w.target) w.frame
+
+let rec send_chunk w =
+  let t = w.sender in
+  let len = Int.min (burst_data_bytes (costs t)) (w.upto - w.from) in
+  let seg = Descriptor.segment_id w.target in
+  let gen = Descriptor.generation w.target in
+  let off = w.origin + w.from in
+  let notify = w.notifies && w.from + len >= w.upto in
+  w.frame <-
+    (match t.crypto with
     | None ->
-        Wire.write_frame t.frames ~seg ~gen ~off:(off + pos) ~notify ~swab data
-          ~pos ~len
+        Wire.write_frame t.frames ~seg ~gen ~off ~notify ~swab:w.swabs w.source
+          ~pos:w.from ~len
     | Some crypto ->
-        Wire.write_frame t.frames ~seg ~gen ~off:(off + pos) ~notify ~swab
-          (Crypto.transform crypto ~pos ~len data)
-          ~pos:0 ~len
-  in
-  Obs.Trace.phase fl "nic";
-  Cluster.Cpu.use (cpu t) ~category:t.client_category (tx_data_cost (costs t) len);
-  charge_crypto t ~category:t.client_category len;
-  Obs.Trace.phase_end fl;
-  Cluster.Node.transmit_frame ?ctx:(Obs.Trace.wire_ctx fl) t.node
-    ~dst:(Descriptor.remote desc) frame
+        Wire.write_frame t.frames ~seg ~gen ~off ~notify ~swab:w.swabs
+          (Crypto.transform crypto ~pos:w.from ~len w.source)
+          ~pos:0 ~len);
+  w.from <- w.from + len;
+  w.chunk <- len;
+  (* The last frame is built: the caller's data is not needed again. *)
+  if w.from = w.upto then w.source <- Bytes.empty;
+  Obs.Trace.phase w.flow "nic";
+  write_step w (tx_data_cost (costs t) len) chunk_copied
 
-(* The WRITE's frames from [pos] to [stop], [burst] bytes each, byte
-   [pos] at [off + pos]; the notify bit rides on the last. *)
-let rec send_write_chunks t fl desc ~off ~notify ~swab data ~burst ~stop pos =
-  if pos < stop then begin
-    let len = Int.min burst (stop - pos) in
-    send_write_chunk t fl desc ~off ~notify:(notify && pos + len >= stop) ~swab
-      data ~pos ~len;
-    send_write_chunks t fl desc ~off ~notify ~swab data ~burst ~stop (pos + len)
-  end
+and chunk_copied w =
+  match w.sender.crypto with
+  | None -> chunk_sent w
+  | Some crypto -> write_step w (Crypto.cost crypto ~bytes:w.chunk) chunk_sent
+
+and chunk_sent w =
+  sent w;
+  if w.from < w.upto then send_chunk w else Sim.Wait.resume w.issuer
+
+let write_trapped w =
+  let t = w.sender in
+  Obs.Trace.phase_end w.flow;
+  Metrics.Account.add t.ops ~category:"write" 1.;
+  Metrics.Account.add_int t.data_bytes ~category:"write" (w.upto - w.from);
+  send_chunk w
+
+(* A WRITE's trap, charged on a lent charger whose [next] is the rest of
+   the chain: its record, for the caller to fill before it parks. *)
+let trap_write t fl desc ~notify ~swab next =
+  Obs.Trace.phase fl "trap";
+  let w =
+    Cluster.Cpu.lend t.writes new_sending t ~category:t.client_category
+      (trap_cost t ~ctrl:Sim.Time.zero) next
+  in
+  w.flow <- fl;
+  w.target <- desc;
+  w.notifies <- notify;
+  w.swabs <- swab;
+  w
 
 (* A WRITE of [count] bytes of [data] from [pos] to [off]: framed as a
-   write of a buffer holding only them. *)
+   write of a buffer holding only them.  A zero-length write still
+   sends its header cell, useful as a doorbell with the notify bit. *)
 let send_write t desc ~off ~notify ~swab data ~pos ~count =
   let fl =
     issue t desc Rights.Write_op ~name:"WRITE" ~off ~count ~notify ~cas_old:0
       ~cas_new:0 ~extents:[] ~local_outside:false
   in
-  trap t fl ~ctrl:Sim.Time.zero;
-  Metrics.Account.add t.ops ~category:"write" 1.;
-  Metrics.Account.add_int t.data_bytes ~category:"write" count;
-  if count = 0 then
-    (* A zero-length write still sends its header cell — useful as a
-       doorbell when combined with the notify bit. *)
-    send_write_chunk t fl desc ~off:(off - pos) ~notify ~swab data ~pos ~len:0
-  else
-    send_write_chunks t fl desc ~off:(off - pos) ~notify ~swab data
-      ~burst:(burst_data_bytes (costs t)) ~stop:(pos + count) pos
+  let w = trap_write t fl desc ~notify ~swab write_trapped in
+  w.source <- data;
+  w.origin <- off - pos;
+  w.from <- pos;
+  w.upto <- pos + count;
+  Sim.Wait.park w.issuer ~resource:write_label
 
-(* Encrypt each extent's data in the burst frame in place, charging the
-   CPU it costs. *)
-let rec crypt_extents t crypto frame pos = function
+(* A burst's extents' encryption, charged one extent at a time, then its
+   FIFO copy. *)
+let rec charge_extents w =
+  match (w.sender.crypto, w.uncharged) with
+  | Some crypto, (e : Wire.extent) :: rest ->
+      w.uncharged <- rest;
+      write_step w (Crypto.cost crypto ~bytes:e.len) charge_extents
+  | None, _ | Some _, [] ->
+      let t = w.sender in
+      Obs.Trace.phase w.flow "nic";
+      write_step w
+        (tx_burst_cost (costs t) (Atm.Frame.length w.frame))
+        burst_sent
+
+and burst_sent w =
+  sent w;
+  Sim.Wait.resume w.issuer
+
+(* Encrypt each extent's data in the burst frame in place. *)
+let rec crypt_extents crypto frame pos = function
   | [] -> ()
   | (e : Wire.extent) :: rest ->
-      charge_crypto t ~category:t.client_category e.len;
       let pos = pos + Wire.burst_item_header_bytes in
       Bytes.blit (Crypto.transform crypto ~pos ~len:e.len frame) 0 frame pos e.len;
-      crypt_extents t crypto frame (pos + e.len) rest
+      crypt_extents crypto frame (pos + e.len) rest
+
+let burst_trapped w =
+  let t = w.sender in
+  Obs.Trace.phase_end w.flow;
+  Metrics.Account.add t.ops ~category:"write burst" 1.;
+  Metrics.Account.add_int t.data_bytes ~category:"write" w.upto;
+  w.frame <-
+    Wire.write_burst_frame t.frames ~seg:(Descriptor.segment_id w.target)
+      ~gen:(Descriptor.generation w.target) ~notify:w.notifies ~swab:w.swabs
+      w.uncharged;
+  (match t.crypto with
+  | None -> w.uncharged <- []
+  | Some crypto ->
+      crypt_extents crypto (Atm.Frame.payload w.frame) Wire.burst_header_bytes
+        w.uncharged);
+  charge_extents w
 
 (* A scatter-gather WRITE burst: several extents of one segment framed
    once at the AAL layer, so the whole batch costs one trap, one
@@ -632,34 +718,16 @@ let rec crypt_extents t crypto frame pos = function
    which sum back to it.  Extents must be non-empty; overlapping
    extents deposit in list order (last writer wins). *)
 let send_burst t desc ~notify ~swab (extents : Wire.extent list) =
-  let c = costs t in
   let total = List.fold_left (fun acc (e : Wire.extent) -> acc + e.len) 0 extents in
   let fl =
     issue t desc Rights.Write_op ~name:"WRITE_BURST"
       ~off:(List.hd extents).off ~count:total ~notify ~cas_old:0
       ~cas_new:0 ~extents ~local_outside:false
   in
-  trap t fl ~ctrl:Sim.Time.zero;
-  Metrics.Account.add t.ops ~category:"write burst" 1.;
-  Metrics.Account.add_int t.data_bytes ~category:"write" total;
-  let frame =
-    Wire.write_burst_frame t.frames ~seg:(Descriptor.segment_id desc)
-      ~gen:(Descriptor.generation desc) ~notify ~swab extents
-  in
-  (match t.crypto with
-  | None -> ()
-  | Some crypto ->
-      crypt_extents t crypto (Atm.Frame.payload frame) Wire.burst_header_bytes
-        extents);
-  Obs.Trace.phase fl "nic";
-  Cluster.Cpu.use (cpu t) ~category:t.client_category
-    (tx_burst_cost c (Atm.Frame.length frame));
-  Obs.Trace.phase_end fl;
-  Cluster.Node.transmit_frame
-    ?ctx:(Obs.Trace.wire_ctx fl)
-    t.node
-    ~dst:(Descriptor.remote desc)
-    frame
+  let w = trap_write t fl desc ~notify ~swab burst_trapped in
+  w.upto <- total;
+  w.uncharged <- extents;
+  Sim.Wait.park w.issuer ~resource:write_label
 
 (* A READ's or CAS's timeout: if still empty, [c] leaves the pending table
    (a straggling reply is dropped) and fills with [Timed_out]. *)

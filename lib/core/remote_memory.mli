@@ -98,7 +98,11 @@ val write :
     acknowledged. Large writes are segmented into bursts; [notify]
     applies to the final cell group. [swab] sets the §3.6 heterogeneity
     bit: the receiving side byte-swaps the data words during the FIFO
-    copy.
+    copy. The caller parks once per WRITE: its trap, then each frame's
+    FIFO copy (and encryption, with a key set) and transmission, are
+    one chain of charges at event level, each frame built when the
+    charge before it ends, and the caller resumes in the event that
+    sends the last.
 
     With [policy] the call blocks and verifies each attempt: WRITE is
     unacknowledged and a frame lost on the wire produces no nack, so
@@ -144,7 +148,8 @@ val write_burst :
     all; one nack names the first offending extent) and raises at most
     one notification covering the whole burst. Extents must be
     non-empty; overlapping extents deposit in list order. Raises
-    [Invalid_argument] on an empty burst or extent.
+    [Invalid_argument] on an empty burst or extent. Like {!write}, the
+    caller parks once, until its frame is sent.
     Test-only ?swab: the §3.6 swab operand on the burst form of WRITE, which
     no workload mixes byte orders to need. *)
 

@@ -118,8 +118,7 @@ let endpoint amsg =
           free = [||];
           top = 0;
           traps =
-            Cluster.Cpu.chargers (Cluster.Node.cpu node) (Cluster.Node.engine node)
-              (Sim.Engine.Text "RPC trap");
+            Cluster.Cpu.chargers (Cluster.Node.cpu node) (Sim.Engine.Text "RPC trap");
         }
       in
       Amsg.register amsg ~id:reply_id (fun ~src:_ f ~pos ~len ->

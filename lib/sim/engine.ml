@@ -7,8 +7,8 @@
    Two additions ride on the basic loop:
 
    - a registry of blocked waiters (filled in by [Proc.sleep] and
-     [Proc.park], the ways Ivar, Mailbox, Resource, the NIC and every
-     other queue block a process)
+     [Proc.park], the ways Ivar, Mailbox, the NIC and every other queue
+     block a process; the CPU's queue registers its chargers itself)
      so that a drained queue with live waiters is recognized as a
      deadlock and reported by name;
    - a pluggable same-instant scheduler: when more than one event is
@@ -134,10 +134,12 @@ let block t w ~resource ~daemon =
   t.registry.prev <- w
 
 let unblock w =
-  w.prev.next <- w.next;
-  w.next.prev <- w.prev;
-  w.prev <- w;
-  w.next <- w
+  if w.next != w then begin
+    w.prev.next <- w.next;
+    w.next.prev <- w.prev;
+    w.prev <- w;
+    w.next <- w
+  end
 
 let blocked t =
   let rec collect w acc =

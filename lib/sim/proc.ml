@@ -38,7 +38,9 @@
    is kept in the node, so a woken process reads exactly what its waker
    gave it, whatever order same-instant wakes fire in.  A wait with one
    consumer needs no queue: the waiter [park]s, and whoever holds its
-   process [unpark]s it. *)
+   process [unpark]s it.  A park whose end is already in hand (a CPU
+   charge's, which a queue registers while it waits) [hold]s: it is
+   not registered, as a [wait] is not. *)
 
 open Effect
 open Effect.Deep
@@ -184,6 +186,8 @@ let create engine who =
 let callback engine who wake =
   { nobody with engine; waiter = Engine.waiter who; wake }
 
+let entry p = p.waiter
+
 (* ---------------- Sleeping ---------------- *)
 
 (* One node per sleep, linked oldest first.  A wake takes the node off
@@ -212,8 +216,9 @@ let is_empty q =
   | Sleeper { next = Nil | Sleeper _; _ } -> false
   | Sleeper { next = Handed _; _ } | Nil | Handed _ -> true
 
-(* Link [p] in at the tail of [q], blocked on [resource]: its node. *)
-let join q p ~resource ~daemon =
+(* Link the sleeper in at the tail of [q], blocked on [resource]. *)
+let sleep q ~resource ~daemon =
+  let p = self () in
   Engine.block p.engine p.waiter ~resource ~daemon;
   let node = Sleeper { proc = p; next = Nil } in
   (if is_empty q then q.oldest <- node
@@ -222,16 +227,10 @@ let join q p ~resource ~daemon =
      | Sleeper last -> last.next <- node
      | Nil | Handed _ -> assert false (* a non-empty queue's newest sleeps *));
   q.newest <- node;
-  node
-
-let sleep q ~resource ~daemon =
-  let node = join q (self ()) ~resource ~daemon in
   perform Sleep;
   match node with
   | Sleeper { next = Handed v; _ } -> v
   | Sleeper _ | Nil | Handed _ -> assert false
-
-let enqueue q p ~resource ~daemon = ignore (join q p ~resource ~daemon : unit node)
 
 let hand q handed =
   match q.oldest with
@@ -256,6 +255,10 @@ let listen p ~resource ~daemon =
 
 let park ~resource ~daemon =
   listen (self ()) ~resource ~daemon;
+  perform Sleep
+
+let hold () =
+  (self ()).parked <- true;
   perform Sleep
 
 let unparked p what =

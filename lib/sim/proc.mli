@@ -36,16 +36,21 @@ val nobody : t
 val callback : Engine.t -> Engine.label -> (unit -> unit) -> t
 (** [callback engine who f] is a waiter that is not a fiber: it runs no
     code of its own and suspends nothing, so it costs no continuation.
-    It waits as a process does, at the tail of a [unit] {!sleepers}
-    queue ({!enqueue}) or until an {!unpark} ({!listen}), recorded in
-    the engine's registry under [who]; the {!wake}, {!signal} or
-    {!unpark} that ends the wait schedules [f] where it would schedule a
-    process's resumption, and {!resume} calls [f] at once. *)
+    It waits as a process does, until an {!unpark} ({!listen}),
+    recorded in the engine's registry under [who]; the {!unpark} that
+    ends the wait schedules [f] where it would schedule a process's
+    resumption, and {!resume} calls [f] at once. *)
+
+val entry : t -> Engine.waiter
+(** The process's entry in its engine's registry of blocked waiters:
+    a queue that holds a process it did not put to sleep (the CPU's, for
+    a {!hold}ing process) blocks it there, so that a deadlock report
+    names the process. *)
 
 type 'a sleepers
 (** Processes blocked on one queue, oldest first, each waiting to be
-    handed an ['a]. The blocking primitive under [Ivar], [Mailbox],
-    [Resource] and notification descriptors. *)
+    handed an ['a]. The blocking primitive under [Ivar], [Mailbox] and
+    notification descriptors. *)
 
 val sleepers : unit -> 'a sleepers
 (** An empty queue. *)
@@ -68,11 +73,6 @@ val sleep : 'a sleepers -> resource:Engine.label -> daemon:bool -> 'a
     CAS outcome, a constant constructor — adds nothing, where a tuple
     or a boxed [int32] adds its own blocks to every handoff. *)
 
-val enqueue : unit sleepers -> t -> resource:Engine.label -> daemon:bool -> unit
-(** Put a {!callback} waiter at the tail of the queue, recorded as
-    {!sleep} records a process, and return: the wake that takes it off
-    schedules its callback. *)
-
 val wake : 'a sleepers -> 'a -> unit
 (** Take the oldest sleeper off the queue, hand it the value and schedule
     it to run now, behind already-queued same-time events. Each sleep is
@@ -87,6 +87,11 @@ val park : resource:Engine.label -> daemon:bool -> unit
     one consumer, which whoever ends it finds through {!self}. The block
     is recorded as {!sleep} records it. A park and its unpark allocate
     the park's continuation and nothing else. *)
+
+val hold : unit -> unit
+(** {!park} with no registry entry, for a wait whose end is already in
+    hand, as a {!wait}'s is: a pending event, or a queue that registers
+    the process ({!entry}) while it waits. *)
 
 val listen : t -> resource:Engine.label -> daemon:bool -> unit
 (** Park a {!callback} waiter, recorded as {!park} records a process,

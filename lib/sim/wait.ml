@@ -3,10 +3,17 @@ type t = { mutable waiter : Proc.t }
 
 let create () = { waiter = Proc.nobody }
 
-let park ?(daemon = false) t ~resource =
+let await t =
   if t.waiter != Proc.nobody then invalid_arg "Sim.Wait.park: already awaited";
-  t.waiter <- Proc.self ();
+  t.waiter <- Proc.self ()
+
+let park ?(daemon = false) t ~resource =
+  await t;
   Proc.park ~resource ~daemon
+
+let hold t =
+  await t;
+  Proc.hold ()
 
 let resume t =
   let p = t.waiter in

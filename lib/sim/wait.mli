@@ -13,6 +13,9 @@ val park : ?daemon:bool -> t -> resource:Engine.label -> unit
     that idles between requests, as a dispatcher does). Raises
     [Invalid_argument] if a process already waits here. *)
 
+val hold : t -> unit
+(** {!park}, with no registry entry, as {!Proc.hold} parks. *)
+
 val unpark : t -> unit
 (** Schedule the waiting process, if any, to run now, as {!Proc.unpark}
     does. *)

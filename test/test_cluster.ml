@@ -193,7 +193,7 @@ let space_fault () =
 
 let cpu_accounting () =
   let engine = Sim.Engine.create () in
-  let cpu = Cluster.Cpu.create () in
+  let cpu = Cluster.Cpu.create engine in
   Sim.Proc.run engine (fun () ->
       Cluster.Cpu.use cpu ~category:"a" (Sim.Time.us 10);
       Cluster.Cpu.use cpu ~category:"b" (Sim.Time.us 5);
@@ -206,7 +206,7 @@ let cpu_accounting () =
 
 let cpu_serializes () =
   let engine = Sim.Engine.create () in
-  let cpu = Cluster.Cpu.create () in
+  let cpu = Cluster.Cpu.create engine in
   let finish = ref [] in
   for i = 1 to 3 do
     Sim.Proc.spawn engine (fun () ->
@@ -242,7 +242,7 @@ let cpu_mixed_schedule () =
   in
   let run kinds =
     let engine = Sim.Engine.create () in
-    let cpu = Cluster.Cpu.create () in
+    let cpu = Cluster.Cpu.create engine in
     let log = ref [] in
     let note u i = log := (u, i, Sim.Engine.now engine) :: !log in
     List.iteri
@@ -259,7 +259,7 @@ let cpu_mixed_schedule () =
                       charges))
         | `Chain ->
             let c =
-              Cluster.Cpu.charger cpu engine (Sim.Engine.Text "chain") ()
+              Cluster.Cpu.charger cpu (Sim.Engine.Text "chain") ()
             in
             let rec step i = function
               | [] -> ()
@@ -463,6 +463,177 @@ let copy_costs_allocate_nothing () =
   Rig.within_budget "Costs.cell_copy_cost" ~words:cell ~budget:0.1;
   Rig.within_budget "Costs.frame_copy_cost" ~words:frame ~budget:0.1
 
+(* ---------------- One charging form ---------------- *)
+
+(* One node's CPU charged every way the system charges it: process
+   [Cpu.use] callers, queued behind the interrupt-level serve of READs
+   another node issues and behind lent READ traps; a 3-chunk WRITE and a
+   write burst issued on a busy CPU, in the clear and encrypted; a
+   Hybrid-1 call, whose replies land at interrupt level; an LRPC around
+   a charging callee; an active message; and a crash during a WRITE's
+   chunk copy.  The log instants, events, busy time, per-category
+   accounts and messages sent are those recorded from the build where
+   every process charge and every WRITE parked per span. *)
+let cpu_keeps_its_schedule () =
+  let d = Rig.duo () in
+  let node0 = d.Rig.node0 and node1 = d.Rig.node1 in
+  let rmem0 = d.Rig.rmem0 and rmem1 = d.Rig.rmem1 in
+  let engine = d.Rig.engine and cpu = Cluster.Node.cpu node0 in
+  let am0 = Amsg.attach node0 and am1 = Amsg.attach node1 in
+  Amsg.register am1 ~id:7 (fun ~src:_ _ ~pos:_ ~len:_ -> Sim.Time.us 3);
+  let log = ref [] in
+  let note what = log := (what, Sim.Engine.now engine) :: !log in
+  let export rmem space ~base ~len =
+    Rmem.Remote_memory.export rmem ~space ~base ~len ~rights:Rmem.Rights.all
+      ~name:"s" ()
+  in
+  let import rmem segment ~remote ~len =
+    Rmem.Remote_memory.import rmem ~remote ~segment_id:(Rmem.Segment.id segment)
+      ~generation:(Rmem.Segment.generation segment) ~size:len
+      ~rights:Rmem.Rights.all ()
+  in
+  let users n =
+    Cluster.Node.spawn node0 (fun () ->
+        for _ = 1 to n do
+          Cluster.Cpu.use cpu ~category:"user" (Sim.Time.us 9);
+          note "user";
+          Sim.Proc.wait (Sim.Time.us 6)
+        done)
+  in
+  let chunks = Bytes.init 800 (fun i -> Char.chr (i land 0xff)) in
+  let burst =
+    List.map
+      (fun off ->
+        { Rmem.Wire.off; len = 64; writes = [ (off, Bytes.make 64 'b') ] })
+      [ 1024; 2048 ]
+  in
+  Rig.run d (fun () ->
+      let addr0 = Cluster.Node.addr node0 and addr1 = Cluster.Node.addr node1 in
+      let desc =
+        import rmem0 (export rmem1 d.Rig.space1 ~base:0x8000 ~len:8192)
+          ~remote:addr1 ~len:8192
+      in
+      let back =
+        import rmem1 (export rmem0 d.Rig.space0 ~base:0 ~len:8192)
+          ~remote:addr0 ~len:8192
+      in
+      let requests = export rmem1 d.Rig.space1 ~base:0 ~len:128 in
+      let req = import rmem0 requests ~remote:addr1 ~len:128 in
+      let ring = export rmem0 d.Rig.space0 ~base:0x10000 ~len:256 in
+      let hy =
+        Rmem.Hybrid.server rmem1 ~reply_bytes:64 ~reply_to:(fun remote ->
+            import rmem1 ring ~remote ~len:256)
+      in
+      Rmem.Hybrid.serve requests ~slot_bytes:64 (fun ticket _ ->
+          let b = Rmem.Hybrid.buffer hy in
+          Bytes.fill b Rmem.Hybrid.payload_pos 8 'h';
+          Rmem.Hybrid.reply hy ticket b ~len:8);
+      let ep =
+        Rmem.Hybrid.endpoint rmem0 ~space:d.Rig.space0 ~base:0x10000 ~slots:4
+          ~reply_bytes:64 ~timeout:(Sim.Time.ms 2)
+      in
+      let dst = Rig.buffer0 d in
+      let writes label =
+        Rmem.Remote_memory.write rmem0 desc ~off:0 chunks;
+        note (label ^ " write");
+        Rmem.Remote_memory.write_burst rmem0 desc burst;
+        note (label ^ " burst")
+      in
+      users 40;
+      Cluster.Node.spawn node1 (fun () ->
+          let dst =
+            Rmem.Remote_memory.buffer ~space:d.Rig.space1 ~base:16384 ~len:1024
+          in
+          for _ = 1 to 3 do
+            Rmem.Remote_memory.read_wait rmem1 back ~soff:0 ~count:1024 ~dst
+              ~doff:0 ();
+            note "home read"
+          done);
+      Cluster.Node.spawn node0 (fun () ->
+          for _ = 1 to 3 do
+            Rmem.Remote_memory.read_wait rmem0 desc ~soff:0 ~count:64 ~dst
+              ~doff:8192 ();
+            note "read"
+          done;
+          writes "clear");
+      Cluster.Node.spawn node0 (fun () ->
+          let b =
+            Rmem.Hybrid.call ep req ~slot_bytes:64
+              (fun () b ->
+                Bytes.fill b 4 4 'q';
+                8)
+              ()
+              (fun space ~addr ~len -> Cluster.Address_space.read space ~addr ~len)
+          in
+          note ("hybrid " ^ Bytes.to_string b));
+      Cluster.Node.spawn node0 (fun () ->
+          let v =
+            Cluster.Lrpc.call node0
+              (fun x ->
+                Cluster.Cpu.use cpu ~category:"callee" (Sim.Time.us 4);
+                x + 1)
+              41
+          in
+          note (Printf.sprintf "lrpc %d" v));
+      Cluster.Node.spawn node0 (fun () ->
+          Amsg.send am0 ~dst:addr1 ~handler:7 (Bytes.make 16 'a');
+          note "amsg");
+      Sim.Proc.wait (Sim.Time.ms 6);
+      users 10;
+      Sim.Engine.schedule_at engine
+        (Sim.Time.add (Sim.Engine.now engine) (Sim.Time.us 60))
+        (fun () ->
+          Rmem.Remote_memory.crash rmem0;
+          Cluster.Node.set_down node0 true;
+          note "crash");
+      Sim.Proc.wait (Sim.Time.us 2);
+      Rmem.Remote_memory.write rmem0 desc ~off:4096 chunks;
+      note "crash write";
+      Cluster.Node.set_down node0 false;
+      Sim.Proc.wait (Sim.Time.ms 1);
+      Rmem.Remote_memory.set_crypto rmem0 (Some Rmem.Crypto.hardware_an1);
+      Rmem.Remote_memory.set_crypto rmem1 (Some Rmem.Crypto.hardware_an1);
+      users 10;
+      Sim.Proc.wait (Sim.Time.us 2);
+      writes "crypto";
+      Sim.Proc.wait (Sim.Time.ms 1));
+  Alcotest.(check (list (pair string int)))
+    "every step at the instants of the process path"
+    [ ("user", 2_069_000); ("amsg", 2_155_200); ("user", 2_171_400);
+      ("user", 2_268_200); ("lrpc 42", 2_333_200); ("user", 2_416_800);
+      ("user", 2_500_400); ("user", 2_528_800); ("read", 2_549_500);
+      ("user", 2_558_500); ("user", 2_576_300); ("user", 2_591_300);
+      ("user", 2_606_300); ("user", 2_621_300); ("user", 2_636_300);
+      ("user", 2_651_300); ("user", 2_666_300); ("user", 2_681_300);
+      ("home read", 2_701_229); ("hybrid hhhhhhhh", 2_710_600);
+      ("user", 2_715_787); ("user", 2_736_958); ("user", 2_820_558);
+      ("user", 2_904_158); ("user", 2_987_758); ("user", 3_016_158);
+      ("read", 3_036_858); ("user", 3_045_858); ("user", 3_063_658);
+      ("user", 3_078_658); ("home read", 3_081_461); ("user", 3_093_658);
+      ("user", 3_108_658); ("user", 3_124_858); ("user", 3_208_458);
+      ("user", 3_292_058); ("user", 3_375_658); ("user", 3_404_058);
+      ("read", 3_424_758); ("user", 3_433_758); ("home read", 3_469_361);
+      ("user", 3_520_358); ("user", 3_602_958); ("clear write", 3_639_758);
+      ("user", 3_648_758); ("clear burst", 3_676_258); ("user", 3_685_258);
+      ("user", 3_700_258); ("user", 3_715_258); ("user", 3_730_258);
+      ("user", 3_745_258); ("user", 8_069_000); ("crash", 8_120_000);
+      ("user", 8_155_600); ("user", 8_238_200); ("crash write", 8_275_000);
+      ("user", 8_284_000); ("user", 8_299_000); ("user", 8_314_000);
+      ("user", 8_329_000); ("user", 8_344_000); ("user", 8_359_000);
+      ("user", 8_374_000); ("user", 9_284_000); ("user", 9_370_600);
+      ("user", 9_457_200); ("user", 9_507_000); ("crypto write", 9_509_000);
+      ("user", 9_522_000); ("crypto burst", 9_547_100); ("user", 9_556_100);
+      ("user", 9_571_100); ("user", 9_586_100); ("user", 9_601_100);
+      ("user", 9_616_100) ]
+    (List.rev !log);
+  check_int "messages sent" 1 (Amsg.sent am0);
+  check_int "events" 487 (Sim.Engine.events_fired engine);
+  check_int "busy time" 3_225_600 (Sim.Time.to_ns (Cluster.Cpu.busy_time cpu));
+  Alcotest.(check (list (pair string (float 0.)))) "accounts"
+    [ ("emulation", 2543.2000000000003); ("user", 540.);
+      ("client", 138.40000000000001); ("callee", 4.) ]
+    (Metrics.Account.to_list (Cluster.Cpu.account cpu))
+
 let suite =
   [
     Alcotest.test_case "space demand zero" `Quick space_demand_zero;
@@ -493,4 +664,6 @@ let suite =
     QCheck_alcotest.to_alcotest space_offset_blits;
     Alcotest.test_case "space whole-page first write" `Quick
       space_whole_page_write;
+    Alcotest.test_case "cpu keeps its schedule under every charging path"
+      `Quick cpu_keeps_its_schedule;
   ]

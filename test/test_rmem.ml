@@ -323,8 +323,9 @@ let wire_in_place_frames =
 (* ---------------- Host allocation budget ---------------- *)
 
 (* The host cost of the two data-path shapes, 4 KB each, against a
-   budget 10% above what they allocate (2 and 98 words at n = 200, 4
-   and 100 with the fence's and READ's trap charged by the issuer, with
+   budget 10% above what they allocate (2 and 96 words at n = 200, 98
+   with a wait per charge of the burst WRITE, 4 and 100 with the
+   fence's and READ's trap charged by the issuer, with
    completions recycled through the node's pool, frames recycled
    through the network's pool, the single-copy data path, the
    allocation-lean control path, monitor events built only when a
@@ -336,11 +337,13 @@ let wire_in_place_frames =
    buffer or record allocated per frame (13 reply frames of 328
    bytes), a queue node, box or continuation per received frame, a
    reintroduced copy of the payload (4 KB is 512 words) or a per-frame
-   closure fails here rather than waiting for the benchmark. *)
+   closure fails here rather than waiting for the benchmark.  A WRITE of
+   three frames parks its issuer once, through its trap and every FIFO
+   copy: 2 words (8 with a wait per charge). *)
 let allocation_budget () =
   let d = Rig.duo () in
-  let data = Bytes.make 4096 'w' in
-  let read_words, write_words =
+  let data = Bytes.make 4096 'w' and three = Bytes.make 800 't' in
+  let read_words, write_words, chunked_words =
     Rig.run d (fun () ->
         let _, desc = Rig.shared_segment d in
         let dst = Rig.buffer0 d in
@@ -357,11 +360,16 @@ let allocation_budget () =
               Rmem.Pipeline.write p desc ~off:8192 data;
               Rmem.Pipeline.fence p desc)
         in
-        (read, write))
+        let chunked =
+          Rig.words_per_op ~n:200 (fun () ->
+              Rmem.Remote_memory.write d.Rig.rmem0 desc ~off:16384 three)
+        in
+        (read, write, chunked))
   in
+  Rig.within_budget "3-chunk WRITE" ~words:chunked_words ~budget:2.2;
   Rig.within_budget "4 KB READ" ~words:read_words ~budget:2.4;
   Rig.within_budget "4 KB pipelined write + fence" ~words:write_words
-    ~budget:108.
+    ~budget:105.7
 
 (* The fixed cost of one meta-instruction round trip: a 4-byte READ,
    one request frame and one reply, against a budget 10% above what it
@@ -1073,8 +1081,8 @@ let pool_drained () =
 (* A whole 64 KB file written through the pipeline, 4 KB at a time as
    the bulk benchmark does, then fenced: each staged byte is copied once,
    into one pooled burst frame, against a budget 10% above what it
-   allocates (942 words at n = 200; 944 with the fence's trap charged
-   by the issuer; 961 with a process switch per frame served or
+   allocates (938 words at n = 200; 942 with a wait per charge of each
+   burst WRITE; 944 with the fence's trap charged by the issuer; 961 with a process switch per frame served or
    delivered; 1,042 with a fresh completion per fence and
    a cons cell per staged-table entry; 45,353 with a staging buffer
    re-copied per
@@ -1095,7 +1103,7 @@ let file_write_budget () =
               blocks;
             Rmem.Pipeline.fence p desc))
   in
-  Rig.within_budget "64 KB pipelined file write + fence" ~words ~budget:1036.4
+  Rig.within_budget "64 KB pipelined file write + fence" ~words ~budget:1031.9
 
 (* A crash fills a completion a process is blocked on with [Timed_out]
    and unblocks it there and then; the READ leaves the pending table. *)
@@ -1166,7 +1174,8 @@ let late_read_reply_dropped () =
 (* A 4-byte READ through the pipeline's window: the window holds the
    completion itself and the drain walks a key-sorted window array, so a
    windowed READ costs what a blocking one does, against a budget 10%
-   above what it allocates (4.8 words; 13.8 with a process switch per
+   above what it allocates (4.0 words, 4.8 with a sleeper node per trap
+   queued behind a busy CPU; 13.8 with a process switch per
    frame served or delivered, 21.5 with a drain that sorted a key list, 54 with a fresh completion per issue and a cons cell per
    window or pending entry).  A closure pair, an ivar, a tuple key, an
    optioned batch tag, a queue cell or a failure ref per windowed issue
@@ -1188,7 +1197,7 @@ let windowed_read_budget () =
             Rmem.Pipeline.drain p)
         /. 4.)
   in
-  Rig.within_budget "windowed 4-byte READ through Pipeline" ~words ~budget:5.3
+  Rig.within_budget "windowed 4-byte READ through Pipeline" ~words ~budget:4.4
 
 (* A timed READ's record stays held by its watchdog after its awaiter
    is done with it, so the watchdog, firing at the first READ's

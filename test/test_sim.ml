@@ -440,28 +440,29 @@ let engine_deadlock_names_waiters () =
       check_bool "report names the resource" true (contains "ivar \"never\"")
 
 (* Labels are formatted only when a report is built; the text must be
-   exactly what formatting them at every wait produced. *)
+   exactly what formatting them at every wait produced.  A CPU's span
+   always ends, so the run is stopped while a hog holds it: the process
+   queued behind the hog is named, and the hog, in its span, is not. *)
 let deadlock_report_text_pinned () =
   let engine = Sim.Engine.create () in
   let reply = Sim.Ivar.create ~name:"reply \"x\"" () in
   let inbox = Sim.Mailbox.create ~name:"inbox" () in
-  let cpu = Sim.Resource.create ~name:"cpu0" () in
-  Sim.Proc.spawn ~name:"holder" engine (fun () ->
-      Sim.Resource.acquire cpu;
-      Sim.Ivar.read reply);
+  let cpu = Cluster.Cpu.create ~name:"cpu0" engine in
+  Sim.Proc.spawn ~name:"holder" engine (fun () -> Sim.Ivar.read reply);
+  Sim.Proc.spawn ~name:"hog" engine (fun () ->
+      Cluster.Cpu.use cpu ~category:"hog" (Sim.Time.ms 1));
   Sim.Proc.spawn engine (fun () -> ignore (Sim.Mailbox.recv inbox : int));
   Sim.Proc.spawn engine (fun () ->
       Sim.Proc.wait (Sim.Time.us 3);
-      Sim.Resource.acquire cpu);
-  match Sim.Engine.run engine with
-  | () -> Alcotest.fail "expected Deadlock"
-  | exception Sim.Engine.Deadlock (_, blocked) ->
-      Alcotest.(check string)
-        "report text"
-        "deadlock: holder blocked on ivar \"reply \\\"x\\\"\" since 0ns; \
-         proc0 blocked on mailbox \"inbox\" since 0ns; \
-         proc1 blocked on resource \"cpu0\" since 3.00us"
-        (Sim.Engine.deadlock_report blocked)
+      Cluster.Cpu.use cpu ~category:"late" (Sim.Time.us 1));
+  Sim.Engine.schedule_at engine (Sim.Time.us 5) (fun () -> Sim.Engine.stop engine);
+  Sim.Engine.run engine;
+  Alcotest.(check string)
+    "report text"
+    "deadlock: holder blocked on ivar \"reply \\\"x\\\"\" since 0ns; \
+     proc0 blocked on mailbox \"inbox\" since 0ns; \
+     proc1 blocked on resource \"cpu0\" since 3.00us"
+    (Sim.Engine.deadlock_report (Sim.Engine.blocked engine))
 
 (* Waking a waiter from the middle of the registry must not disturb the
    order of the rest, and a process that blocks again re-registers at
@@ -729,18 +730,18 @@ let mailbox_try_recv () =
   Sim.Engine.run engine;
   Alcotest.(check (option (pair int int))) "one" (Some (9, Sim.Time.us 5)) !got
 
-(* ---------------- Resource ---------------- *)
+(* ---------------- CPU ---------------- *)
 
+(* The CPU is a FIFO mutex: each charge starts when the one before it
+   ends, in arrival order. *)
 let resource_fifo_mutex () =
   let engine = Sim.Engine.create () in
-  let resource = Sim.Resource.create () in
+  let cpu = Cluster.Cpu.create engine in
   let order = ref [] in
   for i = 1 to 3 do
     Sim.Proc.spawn engine (fun () ->
-        Sim.Resource.acquire resource;
-        order := (i, Sim.Engine.now engine) :: !order;
-        Sim.Proc.wait (Sim.Time.us 10);
-        Sim.Resource.release resource)
+        Cluster.Cpu.use cpu ~category:"c" (Sim.Time.us 10);
+        order := (i, Sim.Engine.now engine - Sim.Time.us 10) :: !order)
   done;
   Sim.Engine.run engine;
   (* The second and third holders waited out the holds before them. *)
@@ -750,11 +751,22 @@ let resource_fifo_mutex () =
   check_int "holds serialized: 30us total" (Sim.Time.us 30)
     (Sim.Engine.now engine)
 
+(* A drained run leaves the CPU idle and its queue empty: a charge made
+   then starts at once, and nothing is left registered as blocked. *)
 let resource_release_unheld () =
-  let resource = Sim.Resource.create () in
-  Alcotest.check_raises "release unheld"
-    (Invalid_argument "Resource.release: not held") (fun () ->
-      Sim.Resource.release resource)
+  let engine = Sim.Engine.create () in
+  let cpu = Cluster.Cpu.create engine in
+  for _ = 1 to 3 do
+    Sim.Proc.spawn engine (fun () -> Cluster.Cpu.use cpu ~category:"c" 5)
+  done;
+  Sim.Engine.run engine;
+  check_bool "nobody left blocked" true (Sim.Engine.blocked engine = []);
+  let c = Cluster.Cpu.charger cpu (Sim.Engine.Text "after") () in
+  let ended = ref (-1) in
+  Cluster.Cpu.charge c ~category:"c" 2 (fun () -> ended := Sim.Engine.now engine);
+  check_bool "a charge then is not queued" true (Sim.Engine.blocked engine = []);
+  Sim.Engine.run engine;
+  check_int "and starts at once" 17 !ended
 
 (* ---------------- Prng ---------------- *)
 
@@ -907,11 +919,11 @@ let mailbox_same_instant_wakes () =
     [ ("B", "m2"); ("A", "m1") ]
     (List.rev !got)
 
-(* A CPU charge cut short by an exception (here: a wait outside every
-   process) releases the CPU it took. *)
+(* A CPU charge outside every process raises before it takes the CPU:
+   the next charge starts at once. *)
 let resource_exception_safe () =
   let engine = Sim.Engine.create () in
-  let cpu = Cluster.Cpu.create () in
+  let cpu = Cluster.Cpu.create engine in
   check_bool "raises outside a process" true
     (match Cluster.Cpu.use cpu ~category:"x" (Sim.Time.us 1) with
     | () -> false
@@ -921,7 +933,7 @@ let resource_exception_safe () =
       Cluster.Cpu.use cpu ~category:"x" (Sim.Time.us 1);
       started := Sim.Engine.now engine - Sim.Time.us 1);
   Sim.Engine.run engine;
-  check_int "released despite the exception" 0 !started
+  check_int "the CPU left free" 0 !started
 
 (* ---------------- Spin ---------------- *)
 
@@ -1027,10 +1039,12 @@ let spin_budget () =
 
 (* The control path's host cost, against budgets 10% above what the
    allocation-lean path measures (2 words per wait, 21 per blocked read
-   and its fill with the ivar and the fill event, 7 per contended
-   charge, none per event): a reintroduced per-wait closure or effect,
-   registry entry, per-event record, per-sleep handler, wake thunk or
-   effect to find the sleeper, or a box per unit wake, fails here. *)
+   and its fill with the ivar and the fill event, 2 per contended
+   charge, its one park, none per event; a contended charge that
+   queued a sleeper and then waited its span cost 7): a reintroduced
+   per-wait closure or effect, registry entry, per-event record,
+   per-sleep handler, wake thunk or effect to find the sleeper, a box
+   per unit wake, or a queue node per charge, fails here. *)
 let control_path_budget () =
   let n = 2000 in
   let engine = Sim.Engine.create () in
@@ -1052,7 +1066,7 @@ let control_path_budget () =
   in
   (* Two processes share one CPU, so every charge but the first finds it
      busy; the window covers both processes' charges. *)
-  let cpu = Cluster.Cpu.create () in
+  let cpu = Cluster.Cpu.create engine in
   let charge () = Cluster.Cpu.use cpu ~category:"c" 1 in
   let stop = ref false in
   Sim.Proc.spawn engine (fun () ->
@@ -1068,7 +1082,7 @@ let control_path_budget () =
   Rig.within_budget "schedule + step" ~words:event ~budget:0.4;
   Rig.within_budget "Proc.wait" ~words:wait ~budget:2.2;
   Rig.within_budget "blocked Ivar.read + fill" ~words:blocked_read ~budget:23.1;
-  Rig.within_budget "contended Cpu.use" ~words:contended ~budget:7.7
+  Rig.within_budget "contended Cpu.use" ~words:contended ~budget:2.2
 
 (* The event queue at steady state in the hold model: take the minimum,
    push a new entry a pseudo-random 1 to [2 * depth] ns later.  At depth
@@ -1120,7 +1134,7 @@ let mailbox_budget () =
 let uncontended_charge_budget () =
   let n = 2000 in
   let engine = Sim.Engine.create () in
-  let cpu = Cluster.Cpu.create () in
+  let cpu = Cluster.Cpu.create engine in
   let wait, charge =
     Sim.Proc.run engine (fun () ->
         let wait = Rig.words_per_op ~n (fun () -> Sim.Proc.wait 1) in
@@ -1134,20 +1148,21 @@ let uncontended_charge_budget () =
     ~budget:(wait +. 0.4)
 
 (* A charge at interrupt level is an engine callback with no
-   continuation: uncontended it allocates nothing, and queued behind a
-   busy CPU only its queue node (3 words), where a process's [Cpu.use]
-   pays 2 and 7.  A closure or box per charge fails here. *)
+   continuation: it allocates nothing, uncontended or queued behind a
+   busy CPU, whose FIFO links its chargers through their own fields (a
+   queue node per charge cost 3 words).  A process's [Cpu.use] pays its
+   one park, 2 words.  A closure or box per charge fails here. *)
 let charger_budget () =
   let n = 2000 in
   let engine = Sim.Engine.create () in
-  let cpu = Cluster.Cpu.create () in
+  let cpu = Cluster.Cpu.create engine in
   let drain () =
     while Sim.Engine.step engine do
       ()
     done
   in
-  let c = Cluster.Cpu.charger cpu engine (Sim.Engine.Text "c") () in
-  let d = Cluster.Cpu.charger cpu engine (Sim.Engine.Text "d") () in
+  let c = Cluster.Cpu.charger cpu (Sim.Engine.Text "c") () in
+  let d = Cluster.Cpu.charger cpu (Sim.Engine.Text "d") () in
   let uncontended =
     Rig.words_per_op ~n (fun () ->
         Cluster.Cpu.charge c ~category:"c" 1 ignore;
@@ -1164,7 +1179,7 @@ let charger_budget () =
     (3 * (n + 1));
   Rig.within_budget "uncontended Cpu.charge" ~words:uncontended ~budget:0.1;
   Rig.within_budget "Cpu.charge queued behind another" ~words:contended
-    ~budget:3.3
+    ~budget:0.1
 
 let engine_pending_counts () =
   let engine = Sim.Engine.create () in
@@ -1251,7 +1266,7 @@ let edge_paths () =
       check_bool "and the resumer runs again" true (Sim.Proc.self () == me));
   Sim.Engine.run engine;
   Alcotest.(check (float 0.)) "utilization over no time" 0.
-    (Cluster.Cpu.utilization (Cluster.Cpu.create ()) ~window:Sim.Time.zero)
+    (Cluster.Cpu.utilization (Cluster.Cpu.create engine) ~window:Sim.Time.zero)
 
 (* [Engine.run] on a drained queue checks the blocked-waiter registry
    for a deadlock, walking past a parked daemon here, and allocates
